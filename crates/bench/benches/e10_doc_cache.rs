@@ -8,19 +8,18 @@
 //! document is parsed once on first touch, and an arrival extends the
 //! cached member sequence incrementally instead of rebuilding it.
 //!
-//! Measured:
+//! Measured (the uncached twin was retired once the comparison was
+//! decided — its numbers are the committed `BENCH_E10.json` entry):
 //! * `slice_join` — N arrivals into one slice, each followed by
 //!   `run_until_idle` so the slicing rule re-evaluates against the
-//!   growing slice. `cached` (defaults: 16 shards / 64 MiB budget /
-//!   sequence cache on) vs `uncached` (`doc_cache_budget(0)`,
-//!   `slice_seq_cache(false)` — the pre-cache engine shape).
+//!   growing slice.
 //! * `parallel_4` — correlate workload drained by
-//!   `process_all_parallel(4)`, cached vs uncached, to show the cache
-//!   does not regress (and the condvar-parked workers do not spin).
+//!   `process_all_parallel(4)` (the condvar-parked workers must not
+//!   spin).
 //!
-//! Expected shape: `demaq_core_doc_parses_total` grows linearly with N
-//! when cached and quadratically when uncached; wall clock ≥ 2x better
-//! cached at N = 1024. The metrics dumps land in `target/metrics/`.
+//! Gated shape: `demaq_core_doc_parses_total` grows linearly with N (it
+//! was quadratic before the caches), and both caches see hit traffic. The
+//! metrics dump lands in `target/metrics/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use demaq::Server;
@@ -42,21 +41,19 @@ fn smoke() -> bool {
     std::env::var("DEMAQ_E10_SMOKE").is_ok()
 }
 
-fn build_server(cached: bool) -> Server {
+fn build_server() -> Server {
     // The E14 aggregate registry answers this rule's membership-only
     // `count` without materializing the slice at all, which would leave
     // the caches under measurement with zero traffic. E10 isolates the
-    // cache layer, so both twins pin the pre-registry engine shape; the
+    // cache layer, so it pins the pre-registry engine shape; the
     // registry's own win over this exact workload is measured by E14.
-    let mut b = Server::builder()
+    Server::builder()
         .program(JOIN_PROGRAM)
         .in_memory()
         .sync_policy(SyncPolicy::Batch)
-        .incremental_aggregates(false);
-    if !cached {
-        b = b.doc_cache_budget(0).slice_seq_cache(false);
-    }
-    b.build().expect("valid program")
+        .incremental_aggregates(false)
+        .build()
+        .expect("valid program")
 }
 
 /// N arrivals into the single slice, processing after each so the
@@ -87,58 +84,43 @@ fn bench_e10(c: &mut Criterion) {
 
     for &n in sizes {
         group.throughput(Throughput::Elements(n as u64));
-        for cached in [true, false] {
-            let label = if cached {
-                "slice_join_cached"
-            } else {
-                "slice_join_uncached"
-            };
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, &n| {
-                b.iter(|| {
-                    let server = build_server(cached);
-                    run_join(&server, n);
-                    server.stats().processed
-                });
+        group.bench_with_input(BenchmarkId::new("slice_join_cached", n), &n, |b, &n| {
+            b.iter(|| {
+                let server = build_server();
+                run_join(&server, n);
+                server.stats().processed
             });
-        }
+        });
     }
 
-    // Parallel drain: feed first, then 4 workers race the scheduler. The
-    // cache must help (shared across workers) — and at minimum not hurt.
+    // Parallel drain: feed first, then 4 workers race the scheduler over
+    // the shared caches.
     let (messages, instances) = if smoke() { (64, 8) } else { (1024, 8) };
     group.throughput(Throughput::Elements(messages as u64));
-    for cached in [true, false] {
-        let label = if cached {
-            "parallel_4_cached"
-        } else {
-            "parallel_4_uncached"
-        };
-        group.bench_with_input(
-            BenchmarkId::new(label, messages),
-            &messages,
-            |b, &messages| {
-                b.iter(|| {
-                    let server = build_server(cached);
-                    for i in 0..messages {
-                        let inst = i % instances;
-                        server
-                            .enqueue_external("parts", &format!("<p rid='i{inst}'><n>{i}</n></p>"))
-                            .expect("enqueue");
-                    }
-                    server.process_all_parallel(4).expect("parallel");
-                    server.stats().processed
-                });
-            },
-        );
-    }
+    group.bench_with_input(
+        BenchmarkId::new("parallel_4_cached", messages),
+        &messages,
+        |b, &messages| {
+            b.iter(|| {
+                let server = build_server();
+                for i in 0..messages {
+                    let inst = i % instances;
+                    server
+                        .enqueue_external("parts", &format!("<p rid='i{inst}'><n>{i}</n></p>"))
+                        .expect("enqueue");
+                }
+                server.process_all_parallel(4).expect("parallel");
+                server.stats().processed
+            });
+        },
+    );
     group.finish();
 
-    // Representative runs with metric snapshots: the cached run must show
-    // real hit traffic and linear parse growth; the uncached run pins the
-    // quadratic baseline shape next to it in target/metrics/.
+    // Representative run with a metric snapshot: it must show real hit
+    // traffic and linear parse growth.
     let n = if smoke() { 48 } else { 512 };
 
-    let server = build_server(true);
+    let server = build_server();
     run_join(&server, n);
     let text = server.metrics_text();
     let parses = metric_value(&text, "demaq_core_doc_parses_total");
@@ -158,19 +140,9 @@ fn bench_e10(c: &mut Criterion) {
     );
     demaq_bench::dump_metrics(&server, "e10_doc_cache");
 
-    let server = build_server(false);
-    run_join(&server, n);
-    let text = server.metrics_text();
-    let parses_uncached = metric_value(&text, "demaq_core_doc_parses_total");
-    assert!(
-        parses_uncached > parses,
-        "uncached baseline must re-parse more ({parses_uncached} vs {parses})"
-    );
-    demaq_bench::dump_metrics(&server, "e10_doc_cache_uncached");
-
     println!(
-        "e10: N={n} parses cached={parses} uncached={parses_uncached} \
-         doc_hits={doc_hits} seq_hits+appends={seq_hits} rebuilds={rebuilds}"
+        "e10: N={n} parses={parses} doc_hits={doc_hits} seq_hits+appends={seq_hits} \
+         rebuilds={rebuilds}"
     );
 
     // Trajectory entry: the cache's parse-avoidance shape, machine-readable.
@@ -178,12 +150,6 @@ fn bench_e10(c: &mut Criterion) {
     report
         .result("slice_members", n as f64, "count")
         .result("parses_cached", parses as f64, "count")
-        .result("parses_uncached", parses_uncached as f64, "count")
-        .result(
-            "parse_reduction",
-            parses_uncached as f64 / (parses as f64).max(1.0),
-            "x",
-        )
         .result("doc_cache_hits", doc_hits as f64, "count")
         .result("slice_seq_hits_and_appends", seq_hits as f64, "count");
     report.write();

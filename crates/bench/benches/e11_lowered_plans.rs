@@ -10,23 +10,22 @@
 //! indices, constants fold, and boolean-position paths become streaming
 //! existence tests that stop at the first matching node.
 //!
-//! Measured:
-//! * `rule_eval` — single-thread rule-body evaluation throughput, lowered
-//!   plan vs reference AST interpreter, on (a) the paper's Fig. 5
-//!   newOfferRequest rule against its offerRequest message and (b) the
-//!   4-rule pipeline workload. No store, no scheduler: pure evaluation.
-//! * `pipeline_e2e` — the full engine path (doc cache enabled, Batch
-//!   sync, single thread) with `lowered_plans(true)` vs `(false)`.
+//! Measured: `rule_eval` — single-thread rule-body evaluation throughput,
+//! lowered plan vs the reference AST interpreter (`demaq_xquery::eval`,
+//! which the engine no longer executes — it is the test oracle), on (a)
+//! the paper's Fig. 5 newOfferRequest rule against its offerRequest
+//! message and (b) the 4-rule pipeline workload. No store, no scheduler:
+//! pure evaluation.
 //!
-//! Gate: the lowered evaluator must clear the speedup floor on the pure
-//! rule-eval measurement (1.5x full, 1.0x smoke — smoke runs are too
-//! short to assert more than "not slower"), and the e2e path must not
-//! regress. Metric snapshots land in `target/metrics/`.
+//! Gate: the lowered evaluator must clear the speedup floor (1.5x full,
+//! 1.0x smoke — smoke runs are too short to assert more than "not
+//! slower"). One engine run of the pipeline leaves its metric snapshot in
+//! `target/metrics/`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use demaq::engine::PlanMode;
 use demaq::Server;
-use demaq_bench::{feed_pipeline, pipeline_server_opts};
+use demaq_bench::{feed_pipeline, pipeline_server};
 use demaq_store::store::SyncPolicy;
 use demaq_xquery::{
     DynamicContext, Evaluator, NoHost, Plan, PlanEvaluator, StaticContext,
@@ -130,8 +129,7 @@ fn bench_e11(c: &mut Criterion) {
     let fig5_root = fig5_doc.root();
 
     const PIPE_RULES: usize = 4;
-    let pipe_server =
-        pipeline_server_opts(PIPE_RULES, SyncPolicy::Batch, PlanMode::RuleAtATime, false, true);
+    let pipe_server = pipeline_server(PIPE_RULES, SyncPolicy::Batch, PlanMode::RuleAtATime, false);
     let pipe_rules = deployed_rules(&pipe_server, "inbox");
     // A message of realistic size (the paper's listings carry request IDs,
     // customer data, and item lists — not two elements): the matching
@@ -160,29 +158,6 @@ fn bench_e11(c: &mut Criterion) {
     group.bench_function("pipeline4_lowered", |b| {
         b.iter(|| eval_lowered(&pipe_rules, &pipe_root))
     });
-    group.finish();
-
-    let messages = if smoke() { 128 } else { 2048 };
-    let mut group = c.benchmark_group("e11_pipeline_e2e");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(messages as u64));
-    for lowered in [true, false] {
-        let label = if lowered { "lowered" } else { "reference" };
-        group.bench_with_input(BenchmarkId::new(label, messages), &messages, |b, &n| {
-            b.iter(|| {
-                let server = pipeline_server_opts(
-                    PIPE_RULES,
-                    SyncPolicy::Batch,
-                    PlanMode::RuleAtATime,
-                    false,
-                    lowered,
-                );
-                feed_pipeline(&server, n, PIPE_RULES);
-                server.run_until_idle().expect("idle");
-                server.stats().processed
-            });
-        });
-    }
     group.finish();
 
     // ---- speedup gate on pure rule-eval throughput -----------------------
@@ -216,8 +191,8 @@ fn bench_e11(c: &mut Criterion) {
     );
 
     // ---- e2e representative run with metric snapshot ---------------------
-    let server =
-        pipeline_server_opts(PIPE_RULES, SyncPolicy::Batch, PlanMode::RuleAtATime, false, true);
+    let messages = if smoke() { 128 } else { 2048 };
+    let server = pipeline_server(PIPE_RULES, SyncPolicy::Batch, PlanMode::RuleAtATime, false);
     feed_pipeline(&server, messages, PIPE_RULES);
     server.run_until_idle().expect("idle");
     let stats = server.stats();
@@ -250,12 +225,6 @@ fn bench_e11(c: &mut Criterion) {
         .metric_from(&text, "demaq_xquery_ebv_short_circuits_total")
         .metric_from(&text, "demaq_xquery_interned_symbols");
     report.write();
-
-    let server =
-        pipeline_server_opts(PIPE_RULES, SyncPolicy::Batch, PlanMode::RuleAtATime, false, false);
-    feed_pipeline(&server, messages, PIPE_RULES);
-    server.run_until_idle().expect("idle");
-    demaq_bench::dump_metrics(&server, "e11_lowered_plans_reference");
 }
 
 criterion_group!(benches, bench_e11);

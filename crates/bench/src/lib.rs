@@ -50,18 +50,6 @@ pub fn feed_correlate(server: &Server, messages: usize, instances: usize) {
 /// A pipeline server for E6/E7: `rules` independent rules on the inbox,
 /// each matching a distinct element so exactly one fires per message.
 pub fn pipeline_server(rules: usize, sync: SyncPolicy, plan: PlanMode, persistent: bool) -> Server {
-    pipeline_server_opts(rules, sync, plan, persistent, true)
-}
-
-/// [`pipeline_server`] with an explicit evaluator choice: `lowered = false`
-/// pins the reference AST interpreter (the benchmark E11 baseline).
-pub fn pipeline_server_opts(
-    rules: usize,
-    sync: SyncPolicy,
-    plan: PlanMode,
-    persistent: bool,
-    lowered: bool,
-) -> Server {
     let mode = if persistent {
         "persistent"
     } else {
@@ -80,7 +68,6 @@ pub fn pipeline_server_opts(
         .in_memory()
         .sync_policy(sync)
         .plan_mode(plan)
-        .lowered_plans(lowered)
         .build()
         .expect("valid program")
 }

@@ -9,9 +9,9 @@
 use crate::compiler::{self, CompiledRule};
 use demaq_analysis::{Analysis, LintConfig, RuleFacts};
 use demaq_net::WsdlInterface;
-use demaq_qdl::{AppSpec, PropKind, PropertyDecl, QueueDecl, QueueKind, SlicingDecl};
+use demaq_qdl::{AppSpec, PropertyDecl, QueueDecl, QueueKind, SlicingDecl};
 use demaq_xml::schema::Schema;
-use demaq_xquery::{Expr, Plan};
+use demaq_xquery::Plan;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -25,10 +25,9 @@ pub struct CompiledQueue {
     /// Rules attached directly to this queue, in program order.
     pub rules: Vec<CompiledRule>,
     /// The per-queue canonical plan (all rule bodies concatenated, paper
-    /// Sec. 4.4.1), precomputed at deploy time; `None` when the queue's
-    /// rules cannot be merged (error-queue routing) or there are none.
-    pub merged: Option<Arc<Expr>>,
-    /// `merged` lowered to an execution plan.
+    /// Sec. 4.4.1, see [`compiler::merge_rules`]), lowered at deploy time;
+    /// `None` when the queue's rules cannot be merged (error-queue
+    /// routing) or there are none.
     pub merged_plan: Option<Arc<Plan>>,
 }
 
@@ -50,14 +49,10 @@ pub struct CompiledApp {
     /// Whole-application static analysis (flow graph, diagnostics,
     /// lock-order derivation), computed once at deploy time.
     pub analysis: Analysis,
-    /// Deploy-time constant-folded property bindings:
-    /// `prop name -> queue name -> value` for every binding whose value
-    /// expression lowers to [`Plan::Const`] (`value false`, `value 3`, …).
-    /// `compute_properties` reuses the value instead of re-evaluating the
-    /// expression on every enqueue. The inner `Option` mirrors
-    /// `eval_binding`: a constant *empty* sequence leaves the property
-    /// absent.
-    pub const_prop_bindings: HashMap<String, HashMap<String, Option<demaq_store::PropValue>>>,
+    /// Every property `value` binding, lowered once at deploy time:
+    /// `prop name -> queue name -> plan`. `value false`, `value 3`, … fold
+    /// to [`Plan::Const`].
+    pub prop_bindings: HashMap<String, HashMap<String, Plan>>,
     /// queue name -> global lock-acquisition rank (position in
     /// [`Analysis::lock_order`]; flow sources rank first). Every
     /// transaction acquires queue locks in ascending rank, which turns
@@ -143,7 +138,6 @@ impl CompiledApp {
                     schema,
                     interface,
                     rules: Vec::new(),
-                    merged: None,
                     merged_plan: None,
                 },
             );
@@ -171,22 +165,15 @@ impl CompiledApp {
             .map(|p| (p.name.clone(), p.clone()))
             .collect();
 
-        // Constant-fold property bindings once at deploy time (ISSUE 9
-        // satellite): a `Fixed` (or defaulted) binding like `value false`
-        // used to re-run the evaluator on every enqueue.
-        let mut const_prop_bindings: HashMap<String, HashMap<String, Option<demaq_store::PropValue>>> =
-            HashMap::new();
+        // Lower property bindings once at deploy time; a queue named by
+        // several bindings of one property takes the first.
+        let mut prop_bindings: HashMap<String, HashMap<String, Plan>> = HashMap::new();
         for p in &spec.properties {
+            let per_queue = prop_bindings.entry(p.name.clone()).or_default();
             for b in &p.bindings {
-                if let Some(seq) = demaq_xquery::lower(&b.value).as_const() {
-                    let value = seq
-                        .0
-                        .first()
-                        .map(|item| crate::host::atomic_to_prop(&item.atomize()));
-                    let per_queue = const_prop_bindings.entry(p.name.clone()).or_default();
-                    for q in &b.queues {
-                        per_queue.insert(q.clone(), value.clone());
-                    }
+                let plan = demaq_xquery::lower(&b.value);
+                for q in &b.queues {
+                    per_queue.entry(q.clone()).or_insert_with(|| plan.clone());
                 }
             }
         }
@@ -216,7 +203,6 @@ impl CompiledApp {
         for q in queues.values_mut() {
             if let Some(merged) = compiler::merge_rules(&q.rules) {
                 q.merged_plan = Some(Arc::new(demaq_xquery::lower(&merged)));
-                q.merged = Some(Arc::new(merged));
             }
         }
 
@@ -244,7 +230,7 @@ impl CompiledApp {
             slicings,
             properties,
             slicings_by_property,
-            const_prop_bindings,
+            prop_bindings,
             analysis,
             lock_ranks,
         })
@@ -253,20 +239,6 @@ impl CompiledApp {
     /// The queue kind (engine dispatch).
     pub fn queue_kind(&self, name: &str) -> Option<QueueKind> {
         self.queues.get(name).map(|q| q.decl.kind)
-    }
-
-    /// Properties that have a value binding or inheritance on this queue —
-    /// the set to compute at enqueue time.
-    pub fn properties_for_queue<'a>(&'a self, queue: &str) -> Vec<&'a PropertyDecl> {
-        self.properties
-            .values()
-            .filter(|p| {
-                p.kind == PropKind::Inherited
-                    || p.bindings
-                        .iter()
-                        .any(|b| b.queues.iter().any(|q| q == queue))
-            })
-            .collect()
     }
 
     /// All slicing rules that pertain to a message carrying the given

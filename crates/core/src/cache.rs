@@ -10,9 +10,9 @@
 //!   [`crate::engine::Server::process_all_parallel`] rarely contend on the
 //!   same mutex (the previous design was one global `Mutex<HashMap>` with
 //!   clear-*everything* eviction at a fixed entry count). Each cached
-//!   entry also interns the document's element-name set
-//!   ([`CachedDoc::element_names`]), so rule-trigger pre-filtering never
-//!   re-walks the tree.
+//!   entry also collects the document's element-symbol set
+//!   ([`CachedDoc::element_syms`]) once, so rule-trigger pre-filtering
+//!   never re-walks the tree.
 //!
 //! * [`SliceSeqCache`] — materialized member [`Sequence`]s per
 //!   `(slicing, key)`, validated by the store-side **slice version
@@ -44,7 +44,6 @@ use std::sync::{Arc, OnceLock};
 /// parse time, shared by every rule evaluation that touches the message.
 pub struct CachedDoc {
     pub doc: Arc<Document>,
-    names: OnceLock<HashSet<String>>,
     syms: OnceLock<HashSet<Sym>>,
 }
 
@@ -52,30 +51,16 @@ impl CachedDoc {
     pub fn new(doc: Arc<Document>) -> CachedDoc {
         CachedDoc {
             doc,
-            names: OnceLock::new(),
             syms: OnceLock::new(),
         }
     }
 
-    /// Names of all elements in the document (rule-trigger pre-filtering).
-    /// Computed once per cached document, not once per processing pass.
-    pub fn element_names(&self) -> &HashSet<String> {
-        self.names.get_or_init(|| {
-            let mut out = HashSet::new();
-            for n in self.doc.root().descendants() {
-                if let Some(q) = n.name() {
-                    out.insert(q.local.clone());
-                }
-            }
-            out
-        })
-    }
-
-    /// Interned symbols of all element names in the document — the
-    /// sym-based counterpart of [`CachedDoc::element_names`], checked
-    /// against [`crate::compiler::CompiledRule::trigger_syms`] with u32
-    /// set probes instead of string hashing. Reads the symbols the tree
-    /// interned at freeze time; no extra interning happens here.
+    /// Interned symbols of all element names in the document
+    /// (rule-trigger pre-filtering), checked against
+    /// [`crate::compiler::CompiledRule::trigger_syms`] with u32 set probes
+    /// instead of string hashing. Computed once per cached document, not
+    /// once per processing pass; reads the symbols the tree interned at
+    /// freeze time, so no extra interning happens here.
     pub fn element_syms(&self) -> &HashSet<Sym> {
         self.syms.get_or_init(|| {
             self.doc
@@ -199,8 +184,7 @@ impl DocShard {
 /// Sharded byte-budgeted LRU over parsed documents, keyed by [`MsgId`].
 ///
 /// A byte budget of 0 disables the cache (every `get` misses, `insert`
-/// still hands back a usable [`CachedDoc`] for the caller's own use) —
-/// the benchmark baseline configuration.
+/// still hands back a usable [`CachedDoc`] for the caller's own use).
 pub struct DocCache {
     shards: Box<[Mutex<DocShard>]>,
     shard_mask: u64,
@@ -365,14 +349,13 @@ pub struct SliceSeqCache {
     shard_mask: u64,
     cap_per_shard: usize,
     tick: AtomicU64,
-    enabled: bool,
     hits: Counter,
     rebuilds: Counter,
     appends: Counter,
 }
 
 impl SliceSeqCache {
-    pub fn new(shards: usize, cap: usize, enabled: bool, obs: &Obs) -> SliceSeqCache {
+    pub fn new(shards: usize, cap: usize, obs: &Obs) -> SliceSeqCache {
         let n = shards.max(1).next_power_of_two();
         let r = &obs.registry;
         SliceSeqCache {
@@ -380,15 +363,10 @@ impl SliceSeqCache {
             shard_mask: (n - 1) as u64,
             cap_per_shard: (cap / n).max(1),
             tick: AtomicU64::new(0),
-            enabled,
             hits: r.counter("demaq_core_slice_seq_hits_total"),
             rebuilds: r.counter("demaq_core_slice_seq_rebuilds_total"),
             appends: r.counter("demaq_core_slice_seq_appends_total"),
         }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     fn shard(&self, slicing: &str, key: &PropValue) -> &Mutex<SeqShard> {
@@ -408,9 +386,6 @@ impl SliceSeqCache {
         version: u64,
         current_ids: &[MsgId],
     ) -> SeqLookup {
-        if !self.enabled {
-            return SeqLookup::Miss;
-        }
         let mut shard = self.shard(slicing, key).lock();
         let Some(e) = shard.get_mut(&(slicing.to_string(), key.clone())) else {
             return SeqLookup::Miss;
@@ -446,11 +421,6 @@ impl SliceSeqCache {
         seq: Sequence,
         extended: bool,
     ) {
-        if !self.enabled {
-            // Still count the work shape for the disabled baseline.
-            self.rebuilds.inc();
-            return;
-        }
         if extended {
             self.appends.inc();
         } else {
@@ -483,7 +453,7 @@ impl SliceSeqCache {
     /// (GC hook). The version bump in the store already makes these
     /// entries unreturnable; this releases the pinned documents.
     pub fn invalidate_msgs(&self, purged: &[MsgId]) {
-        if !self.enabled || purged.is_empty() {
+        if purged.is_empty() {
             return;
         }
         let set: HashSet<MsgId> = purged.iter().copied().collect();
@@ -575,13 +545,15 @@ mod tests {
     }
 
     #[test]
-    fn element_names_interned_once() {
+    fn element_syms_collected_once() {
         let e = CachedDoc::new(doc("<a><b/><c><b/></c></a>"));
-        let names = e.element_names();
-        assert!(names.contains("a") && names.contains("b") && names.contains("c"));
-        assert_eq!(names.len(), 3);
-        // Second call returns the same interned set.
-        assert!(std::ptr::eq(names, e.element_names()));
+        let syms = e.element_syms();
+        for name in ["a", "b", "c"] {
+            assert!(syms.contains(&demaq_xml::sym::intern(name)));
+        }
+        assert_eq!(syms.len(), 3);
+        // Second call returns the same set.
+        assert!(std::ptr::eq(syms, e.element_syms()));
     }
 
     fn seq_of(ids: &[u64]) -> Sequence {
@@ -595,7 +567,7 @@ mod tests {
     #[test]
     fn slice_seq_version_hit_extend_miss() {
         let o = obs();
-        let c = SliceSeqCache::new(4, 1024, true, &o);
+        let c = SliceSeqCache::new(4, 1024, &o);
         let key = PropValue::Str("k".into());
         let ids = vec![MsgId(1), MsgId(2)];
         assert!(matches!(c.lookup("s", &key, 7, &ids), SeqLookup::Miss));
@@ -623,7 +595,7 @@ mod tests {
     #[test]
     fn slice_seq_invalidate_msgs_drops_pinning_entries() {
         let o = obs();
-        let c = SliceSeqCache::new(2, 64, true, &o);
+        let c = SliceSeqCache::new(2, 64, &o);
         let k1 = PropValue::Str("a".into());
         let k2 = PropValue::Str("b".into());
         c.store("s", &k1, 1, vec![MsgId(1)], seq_of(&[1]), false);
@@ -636,7 +608,7 @@ mod tests {
     #[test]
     fn slice_seq_cap_evicts_lru() {
         let o = obs();
-        let c = SliceSeqCache::new(1, 2, true, &o);
+        let c = SliceSeqCache::new(1, 2, &o);
         for i in 0..5 {
             let k = PropValue::Int(i);
             c.store("s", &k, 1, vec![MsgId(i as u64)], seq_of(&[i as u64]), false);

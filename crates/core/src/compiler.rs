@@ -40,11 +40,12 @@ pub struct CompiledRule {
     pub target: String,
     pub on_slicing: bool,
     pub error_queue: Option<String>,
-    /// Rewritten body.
+    /// Rewritten body: what static analysis inspects, and what tests run
+    /// through the reference `Evaluator` as the oracle for `plan`.
     pub body: Expr,
     /// The body lowered to a pre-resolved execution plan (interned name
-    /// tests, slot-indexed variables, folded constants); the engine
-    /// evaluates this unless lowered plans are disabled.
+    /// tests, slot-indexed variables, folded constants) — the only form
+    /// the engine executes.
     pub plan: Arc<Plan>,
     /// Queues read via `qs:queue("…")` (lock read-set).
     pub reads_queues: Vec<String>,

@@ -30,8 +30,8 @@ use demaq_store::{
 };
 use demaq_xml::{parse as parse_xml, Document, NodeRef};
 use demaq_xquery::{
-    AggAcc, AggOp, AggSource, AggregateSpec, Atomic, DynamicContext, Error as XqError, Evaluator,
-    Expr, Item, Plan, PlanEvaluator, Sequence, StaticContext, Update,
+    AggAcc, AggOp, AggSource, AggregateSpec, Atomic, DynamicContext, Error as XqError, Item, Plan,
+    PlanEvaluator, Sequence, Update,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -296,8 +296,6 @@ pub struct ServerBuilder {
     pub(crate) dir: Option<PathBuf>,
     pub(crate) in_memory: bool,
     sync: SyncPolicy,
-    group_commit: Option<(usize, std::time::Duration)>,
-    batched_apply: bool,
     lock_granularity: LockGranularity,
     plan_mode: PlanMode,
     pub(crate) seed: u64,
@@ -308,15 +306,10 @@ pub struct ServerBuilder {
     pub(crate) server_addr: String,
     pub(crate) start_time_ms: i64,
     pub(crate) obs: Option<Arc<Obs>>,
-    doc_cache_shards: usize,
     doc_cache_budget: usize,
-    slice_seq_cache: bool,
     incremental_aggregates: bool,
-    lowered_plans: bool,
     static_retention: bool,
     strict_analysis: StrictAnalysis,
-    analysis_lock_order: bool,
-    pub(crate) provenance_capacity: usize,
     pub(crate) trace_capacity: Option<usize>,
     /// Base added to freshly allocated message ids (shard `i` of a
     /// [`crate::shard::ShardedServer`] gets `i << 48`, so ids are unique
@@ -341,8 +334,6 @@ impl Default for ServerBuilder {
             dir: None,
             in_memory: false,
             sync: SyncPolicy::Always,
-            group_commit: None,
-            batched_apply: true,
             lock_granularity: LockGranularity::Slice,
             plan_mode: PlanMode::RuleAtATime,
             seed: 7,
@@ -353,15 +344,10 @@ impl Default for ServerBuilder {
             server_addr: "demaq://node".into(),
             start_time_ms: 0,
             obs: None,
-            doc_cache_shards: 16,
             doc_cache_budget: 64 << 20,
-            slice_seq_cache: true,
             incremental_aggregates: true,
-            lowered_plans: true,
             static_retention: true,
             strict_analysis: StrictAnalysis::Warn,
-            analysis_lock_order: true,
-            provenance_capacity: 65_536,
             trace_capacity: None,
             msg_id_base: 0,
             shard_link: None,
@@ -399,25 +385,6 @@ impl ServerBuilder {
     /// Commit durability policy.
     pub fn sync_policy(mut self, sync: SyncPolicy) -> Self {
         self.sync = sync;
-        self
-    }
-
-    /// Group-commit tuning: how many commits one WAL fsync may cover and
-    /// how long a sync leader waits for committers to join its batch.
-    /// `max_batch <= 1` reverts to one fsync per commit (benchmark E9's
-    /// baseline). Defaults to the store's group-commit defaults.
-    pub fn group_commit(mut self, max_batch: usize, max_wait: std::time::Duration) -> Self {
-        self.group_commit = Some((max_batch, max_wait));
-        self
-    }
-
-    /// Batched logical apply: post-WAL commit effects are applied by a
-    /// leader for a whole batch of committers under one state-lock
-    /// acquisition (the logical-apply analogue of group commit). Disable
-    /// for the apply-per-commit baseline (benchmark E12's comparison
-    /// knob). Defaults to enabled.
-    pub fn batched_apply(mut self, enabled: bool) -> Self {
-        self.batched_apply = enabled;
         self
     }
 
@@ -486,24 +453,9 @@ impl ServerBuilder {
     }
 
     /// Byte budget of the sharded parsed-document cache. 0 disables it
-    /// (every access re-parses — the benchmark E10 baseline). Defaults to
-    /// 64 MiB.
+    /// (every access re-parses). Defaults to 64 MiB.
     pub fn doc_cache_budget(mut self, bytes: usize) -> Self {
         self.doc_cache_budget = bytes;
-        self
-    }
-
-    /// Shard count of the document cache (rounded up to a power of two).
-    /// Defaults to 16.
-    pub fn doc_cache_shards(mut self, shards: usize) -> Self {
-        self.doc_cache_shards = shards;
-        self
-    }
-
-    /// Enable or disable the materialized slice-sequence cache. Defaults
-    /// to enabled.
-    pub fn slice_seq_cache(mut self, enabled: bool) -> Self {
-        self.slice_seq_cache = enabled;
         self
     }
 
@@ -516,15 +468,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Evaluate rule bodies through the lowered execution plans (interned
-    /// name tests, slot-resolved variables, folded constants, streaming
-    /// existence tests) instead of the reference AST interpreter. Defaults
-    /// to enabled; disable for the benchmark E11 baseline.
-    pub fn lowered_plans(mut self, enabled: bool) -> Self {
-        self.lowered_plans = enabled;
-        self
-    }
-
     /// Act on the liveness analysis's retention plan: slices whose read
     /// shape provably never needs full member history get narrowed during
     /// GC — aggregate-only slices fold processed members into persisted
@@ -532,9 +475,8 @@ impl ServerBuilder {
     /// the proven horizon, unread slices drop processed members outright.
     /// Defaults to enabled; `false` keeps the reference retain-everything
     /// behavior — the differential twin. Only effective together with
-    /// [`Self::incremental_aggregates`] and [`Self::lowered_plans`] (the
-    /// reference rescan engine must see full history to stay a faithful
-    /// oracle).
+    /// [`Self::incremental_aggregates`] (the reference rescan engine must
+    /// see full history to stay a faithful oracle).
     pub fn static_retention(mut self, enabled: bool) -> Self {
         self.static_retention = enabled;
         self
@@ -544,23 +486,6 @@ impl ServerBuilder {
     /// [`StrictAnalysis::Warn`].
     pub fn strict_analysis(mut self, mode: StrictAnalysis) -> Self {
         self.strict_analysis = mode;
-        self
-    }
-
-    /// Acquire queue locks in the analysis-derived global flow order
-    /// (deadlock avoidance). Disable to fall back to plain name order
-    /// (the pre-analysis behavior; benchmark comparison knob). Defaults
-    /// to enabled.
-    pub fn analysis_lock_order(mut self, enabled: bool) -> Self {
-        self.analysis_lock_order = enabled;
-        self
-    }
-
-    /// Capacity of the in-memory causal provenance index (records, min
-    /// 64). The index is a cache over the store's durable lineage;
-    /// eviction never loses durable information. Defaults to 65 536.
-    pub fn provenance_capacity(mut self, records: usize) -> Self {
-        self.provenance_capacity = records;
         self
     }
 
@@ -609,13 +534,10 @@ impl ServerBuilder {
             return Err(EngineError::Analysis(msgs.join("; ")));
         }
 
+        let mut temp_root = None;
         let dir = match (self.dir, self.in_memory) {
             (Some(d), _) => d,
-            (None, true) => std::env::temp_dir().join(format!(
-                "demaq-{}-{}",
-                std::process::id(),
-                NEXT_TMP.fetch_add(1, Ordering::Relaxed)
-            )),
+            (None, true) => temp_root.insert(TempRoot::new("demaq")).0.clone(),
             (None, false) => {
                 return Err(EngineError::Config(
                     "choose a store directory with .dir(..) or .in_memory()".into(),
@@ -639,11 +561,6 @@ impl ServerBuilder {
         }
         let mut opts = StoreOptions::new(dir);
         opts.sync = self.sync;
-        if let Some((max_batch, max_wait)) = self.group_commit {
-            opts.group_commit_max_batch = max_batch;
-            opts.group_commit_max_wait = max_wait;
-        }
-        opts.batched_apply = self.batched_apply;
         opts.lock_granularity = self.lock_granularity;
         opts.msg_id_base = self.msg_id_base;
         opts.obs = Some(Arc::clone(&obs));
@@ -697,7 +614,7 @@ impl ServerBuilder {
         // have no durable edge of their own.
         let provenance = self
             .shared_provenance
-            .unwrap_or_else(|| Arc::new(ProvenanceIndex::new(self.provenance_capacity)));
+            .unwrap_or_else(|| Arc::new(ProvenanceIndex::new(PROVENANCE_CAPACITY)));
         let edges = store.lineage_edges();
         for e in &edges {
             provenance.record(LineageRecord {
@@ -726,10 +643,10 @@ impl ServerBuilder {
         }
 
         // The narrowing sweep and the base-aware read path are one
-        // mechanism: without the incremental registry + lowered plans,
-        // reads rescan raw members and must see full history — so
-        // narrowing only activates when all three switches are on.
-        let narrow = if self.static_retention && self.incremental_aggregates && self.lowered_plans {
+        // mechanism: without the incremental registry, reads rescan raw
+        // members and must see full history — so narrowing only
+        // activates when both switches are on.
+        let narrow = if self.static_retention && self.incremental_aggregates {
             let plans = narrow_plans(&app);
             (!plans.is_empty()).then_some(plans)
         } else {
@@ -745,14 +662,9 @@ impl ServerBuilder {
             scheduler: Scheduler::new(),
             collections: Arc::new(self.collections),
             plan_mode: self.plan_mode,
-            lowered_plans: self.lowered_plans,
             metrics,
-            doc_cache: Arc::new(DocCache::new(
-                self.doc_cache_shards,
-                self.doc_cache_budget,
-                &obs,
-            )),
-            slice_seq: Arc::new(SliceSeqCache::new(16, 4096, self.slice_seq_cache, &obs)),
+            doc_cache: Arc::new(DocCache::new(16, self.doc_cache_budget, &obs)),
+            slice_seq: Arc::new(SliceSeqCache::new(16, 4096, &obs)),
             agg: if self.incremental_aggregates {
                 Some(Arc::new(AggRegistry::new(16, 4096, &obs)))
             } else {
@@ -760,10 +672,10 @@ impl ServerBuilder {
             },
             narrow,
             obs,
-            analysis_lock_order: self.analysis_lock_order,
             provenance,
             shard_link: self.shard_link,
             active_workers: AtomicUsize::new(0),
+            _temp_root: temp_root,
         };
         // Recovery: re-schedule surviving unprocessed messages.
         for (msg, queue, prio) in server.store.unprocessed() {
@@ -773,7 +685,32 @@ impl ServerBuilder {
     }
 }
 
-static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+/// Records held by the in-memory causal provenance index. The index is a
+/// cache over the store's durable lineage; eviction never loses durable
+/// information.
+pub(crate) const PROVENANCE_CAPACITY: usize = 65_536;
+
+/// The throwaway store directory behind `.in_memory()`, removed on drop.
+/// Owners declare it as their *last* field: fields drop in declaration
+/// order, so every store handle has closed its WAL and heap files before
+/// the tree goes away.
+pub(crate) struct TempRoot(pub(crate) PathBuf);
+
+impl TempRoot {
+    /// A fresh `<prefix>-<pid>-<n>` path under the system temp directory
+    /// (the store creates it).
+    pub(crate) fn new(prefix: &str) -> TempRoot {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        TempRoot(std::env::temp_dir().join(format!("{prefix}-{}-{n}", std::process::id())))
+    }
+}
+
+impl Drop for TempRoot {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// How the GC sweep may narrow one slicing's retained history, lowered at
 /// build time from the liveness analysis's [`demaq_analysis::SlicePlan`].
@@ -850,8 +787,6 @@ pub struct Server {
     scheduler: Scheduler,
     collections: Arc<HashMap<String, Vec<Arc<Document>>>>,
     plan_mode: PlanMode,
-    /// Evaluate rule bodies through lowered plans (see [`demaq_xquery::plan`]).
-    lowered_plans: bool,
     obs: Arc<Obs>,
     metrics: EngineMetrics,
     /// Sharded LRU over parsed message documents, shared with the
@@ -867,9 +802,6 @@ pub struct Server {
     /// analysis; `None` retains full history (analysis found nothing
     /// narrowable, or [`ServerBuilder::static_retention`] is off).
     narrow: Option<HashMap<String, NarrowMode>>,
-    /// Order queue locks by the analysis-derived flow rank (deadlock
-    /// avoidance) instead of plain name order.
-    analysis_lock_order: bool,
     /// Bounded causal index over message lineage — a cache over the
     /// store's durable `Lineage` records, rebuilt at startup. Shared
     /// across shards of a [`crate::shard::ShardedServer`].
@@ -878,6 +810,9 @@ pub struct Server {
     /// [`crate::shard::ShardedServer`].
     shard_link: Option<Arc<crate::shard::ShardLink>>,
     active_workers: AtomicUsize,
+    /// Set for a standalone `.in_memory()` server. Must stay the last
+    /// field (see [`TempRoot`]).
+    _temp_root: Option<TempRoot>,
 }
 
 impl Server {
@@ -986,8 +921,8 @@ impl Server {
         self.provenance.lineage(msg.0)
     }
 
-    /// The causal provenance index (bounded; see
-    /// [`ServerBuilder::provenance_capacity`]).
+    /// The causal provenance index (bounded to [`PROVENANCE_CAPACITY`]
+    /// records).
     pub fn provenance(&self) -> &ProvenanceIndex {
         &self.provenance
     }
@@ -1303,15 +1238,7 @@ impl Server {
             }
             // Idle: fast-forward a virtual clock to the next event.
             if self.clock.is_virtual() {
-                let next = [
-                    self.timers.next_due(),
-                    self.net.next_due(),
-                    self.gateways.next_retry_at(),
-                ]
-                .into_iter()
-                .flatten()
-                .min();
-                match next {
+                match self.next_event_at() {
                     Some(t) if t > self.clock.now() => {
                         self.clock.set(t);
                         continue;
@@ -1327,8 +1254,11 @@ impl Server {
     }
 
     /// Deliver due envelopes, drain gateway inboxes, fire due timers, tick
-    /// reliable channels. Returns whether anything happened.
-    fn pump_environment(&self) -> Result<bool> {
+    /// reliable channels. Returns whether anything happened. With
+    /// [`Self::step`] and [`Self::next_event_at`] this is everything
+    /// [`Self::run_until_idle`] is made of, for callers that need to
+    /// interpose between steps.
+    pub fn pump_environment(&self) -> Result<bool> {
         let mut progressed = false;
         if self.net.pump() > 0 {
             progressed = true;
@@ -1611,44 +1541,29 @@ impl Server {
 
         // Queue rules: the precomputed per-queue canonical plan (paper
         // Sec. 4.4.1, lowered at deploy time) or rule-at-a-time.
-        match (self.plan_mode, &cq.merged) {
-            (PlanMode::Merged, Some(merged)) => {
+        match (self.plan_mode, &cq.merged_plan) {
+            (PlanMode::Merged, Some(plan)) => {
                 self.metrics.rules_evaluated.add(cq.rules.len() as u64);
-                let ups = if self.lowered_plans {
-                    let plan = cq.merged_plan.as_ref().expect("lowered with merged");
-                    self.eval_rule_plan(plan, meta, &msg_root, None)
-                } else {
-                    self.eval_rule_body(merged, meta, &msg_root, None)
-                }
-                .map_err(|e| ProcessingError::rule("<merged-plan>", e))?;
+                let ups = self
+                    .eval_rule_plan(plan, meta, &msg_root, None)
+                    .map_err(|e| ProcessingError::rule("<merged-plan>", e))?;
                 updates.extend(ups.into_iter().map(|u| (None, u)));
             }
             _ => {
                 for rule in &cq.rules {
-                    // Trigger pre-filter: with lowered plans the test is a
-                    // symbol-set probe (integer hashing, no strings).
-                    let triggered = if self.lowered_plans {
-                        rule.trigger_syms.as_ref().is_none_or(|syms| {
-                            let doc_syms = cached.element_syms();
-                            syms.iter().any(|s| doc_syms.contains(s))
-                        })
-                    } else {
-                        rule.trigger_elements.as_ref().is_none_or(|trigger| {
-                            let names = cached.element_names();
-                            trigger.iter().any(|t| names.contains(t.as_str()))
-                        })
-                    };
+                    // Trigger pre-filter: a symbol-set probe (integer
+                    // hashing, no strings).
+                    let triggered = rule.trigger_syms.as_ref().is_none_or(|syms| {
+                        let doc_syms = cached.element_syms();
+                        syms.iter().any(|s| doc_syms.contains(s))
+                    });
                     if !triggered {
                         self.metrics.rules_skipped.inc();
                         continue;
                     }
                     self.metrics.rules_evaluated.inc();
                     let started = Instant::now();
-                    let evaluated = if self.lowered_plans {
-                        self.eval_rule_plan(&rule.plan, meta, &msg_root, None)
-                    } else {
-                        self.eval_rule_body(&rule.body, meta, &msg_root, None)
-                    };
+                    let evaluated = self.eval_rule_plan(&rule.plan, meta, &msg_root, None);
                     self.metrics.record_rule_eval(&rule.name, started.elapsed());
                     let ups = evaluated.map_err(|e| ProcessingError::rule(&rule.name, e))?;
                     updates.extend(ups.into_iter().map(|u| (Some(rule.name.clone()), u)));
@@ -1668,11 +1583,7 @@ impl Server {
             };
             let full_ctx = SliceCtx::lazy(slicing.clone(), key.clone(), loader);
             let started = Instant::now();
-            let evaluated = if self.lowered_plans {
-                self.eval_rule_plan(&rule.plan, meta, &msg_root, Some(full_ctx))
-            } else {
-                self.eval_rule_body(&rule.body, meta, &msg_root, Some(full_ctx))
-            };
+            let evaluated = self.eval_rule_plan(&rule.plan, meta, &msg_root, Some(full_ctx));
             self.metrics.record_rule_eval(&rule.name, started.elapsed());
             let ups = evaluated.map_err(|e| ProcessingError::rule(&rule.name, e))?;
             // Bare `do reset` in a slicing rule targets this slice.
@@ -1798,23 +1709,15 @@ impl Server {
             }
         }
         // Deterministic global order, exclusive-before-shared on equal
-        // keys, dedup. With `analysis_lock_order` the queue dimension
-        // follows the analysis-derived flow rank (sources first), so every
-        // transaction acquires queue locks in one global order and
-        // cross-enqueueing rules cannot deadlock; name order is the
-        // comparison baseline. Comparison is allocation-free either way.
-        if self.analysis_lock_order {
-            let ranks = &self.app.lock_ranks;
-            plan.sort_by(|(a, am), (b, bm)| {
-                cmp_lock_keys_ranked(a, b, ranks)
-                    .then_with(|| (*am == LockMode::Shared).cmp(&(*bm == LockMode::Shared)))
-            });
-        } else {
-            plan.sort_by(|(a, am), (b, bm)| {
-                cmp_lock_keys_by_name(a, b)
-                    .then_with(|| (*am == LockMode::Shared).cmp(&(*bm == LockMode::Shared)))
-            });
-        }
+        // keys, dedup. The queue dimension follows the analysis-derived
+        // flow rank (sources first), so every transaction acquires queue
+        // locks in one global order and cross-enqueueing rules cannot
+        // deadlock. Comparison is allocation-free.
+        let ranks = &self.app.lock_ranks;
+        plan.sort_by(|(a, am), (b, bm)| {
+            cmp_lock_keys_ranked(a, b, ranks)
+                .then_with(|| (*am == LockMode::Shared).cmp(&(*bm == LockMode::Shared)))
+        });
         let mut seen: HashSet<LockKey> = HashSet::new();
         for (key, mode) in plan {
             if seen.insert(key.clone()) {
@@ -1827,13 +1730,15 @@ impl Server {
         Ok(())
     }
 
-    /// Dynamic context for one rule evaluation over `msg_root`.
-    fn rule_dctx(
+    /// Evaluate one lowered rule plan over `msg_root`, returning its
+    /// pending updates.
+    fn eval_rule_plan(
         &self,
+        plan: &Plan,
         meta: &MessageMeta,
         msg_root: &NodeRef,
         slice: Option<SliceCtx>,
-    ) -> DynamicContext {
+    ) -> std::result::Result<Vec<Update>, XqError> {
         // The reader clones the store and cache handles (closures in the
         // host must be 'static); committed state at evaluation time is read
         // through the shared document cache, so repeated `qs:queue()` calls
@@ -1859,34 +1764,7 @@ impl Server {
             collections: Arc::clone(&self.collections),
             now_ms: self.clock.now(),
         };
-        DynamicContext::new(Arc::new(host))
-    }
-
-    /// Evaluate one rule body (reference AST interpreter), returning its
-    /// pending updates.
-    fn eval_rule_body(
-        &self,
-        body: &Expr,
-        meta: &MessageMeta,
-        msg_root: &NodeRef,
-        slice: Option<SliceCtx>,
-    ) -> std::result::Result<Vec<Update>, XqError> {
-        let dctx = self.rule_dctx(meta, msg_root, slice);
-        let sctx = StaticContext::default();
-        let mut ev = Evaluator::new(&sctx, &dctx);
-        ev.eval_with_context(body, msg_root.clone())?;
-        Ok(std::mem::take(&mut ev.updates))
-    }
-
-    /// Evaluate one lowered rule plan, returning its pending updates.
-    fn eval_rule_plan(
-        &self,
-        plan: &Plan,
-        meta: &MessageMeta,
-        msg_root: &NodeRef,
-        slice: Option<SliceCtx>,
-    ) -> std::result::Result<Vec<Update>, XqError> {
-        let dctx = self.rule_dctx(meta, msg_root, slice);
+        let dctx = DynamicContext::new(Arc::new(host));
         let mut ev = PlanEvaluator::new(&dctx);
         ev.eval_with_context(plan, msg_root.clone())?;
         Ok(std::mem::take(&mut ev.updates))
@@ -2453,14 +2331,9 @@ impl Server {
 
     // ---- shard-runtime hooks (crate-internal) ---------------------------------
 
-    /// Pump network/gateway/timer machinery once (shard driver loop).
-    pub(crate) fn pump_env(&self) -> Result<bool> {
-        self.pump_environment()
-    }
-
     /// Earliest pending environment event (virtual-clock fast-forward
-    /// target across shards).
-    pub(crate) fn next_event_at(&self) -> Option<i64> {
+    /// target).
+    pub fn next_event_at(&self) -> Option<i64> {
         [
             self.timers.next_due(),
             self.net.next_due(),
@@ -2704,40 +2577,27 @@ fn cmp_prop_values(a: &PropValue, b: &PropValue) -> std::cmp::Ordering {
     }
 }
 
-fn cmp_lock_keys_with(
+/// Global lock-acquisition order: by category, then queue locks in the
+/// analysis-derived flow rank (ties and unranked queues by name).
+fn cmp_lock_keys_ranked(
     a: &LockKey,
     b: &LockKey,
-    queue_cmp: impl Fn(&str, &str) -> std::cmp::Ordering,
+    ranks: &HashMap<String, u32>,
 ) -> std::cmp::Ordering {
     lock_key_category(a)
         .cmp(&lock_key_category(b))
         .then_with(|| match (a, b) {
-            (LockKey::Queue(x), LockKey::Queue(y)) => queue_cmp(x, y),
+            (LockKey::Queue(x), LockKey::Queue(y)) => {
+                let rx = ranks.get(x).copied().unwrap_or(u32::MAX);
+                let ry = ranks.get(y).copied().unwrap_or(u32::MAX);
+                rx.cmp(&ry).then_with(|| x.cmp(y))
+            }
             (LockKey::Slice(xs, xv), LockKey::Slice(ys, yv)) => {
                 xs.cmp(ys).then_with(|| cmp_prop_values(xv, yv))
             }
             (LockKey::Message(x), LockKey::Message(y)) => x.0.cmp(&y.0),
             _ => std::cmp::Ordering::Equal,
         })
-}
-
-/// Queue locks in the analysis-derived flow rank (ties and unranked
-/// queues by name).
-fn cmp_lock_keys_ranked(
-    a: &LockKey,
-    b: &LockKey,
-    ranks: &HashMap<String, u32>,
-) -> std::cmp::Ordering {
-    cmp_lock_keys_with(a, b, |x, y| {
-        let rx = ranks.get(x).copied().unwrap_or(u32::MAX);
-        let ry = ranks.get(y).copied().unwrap_or(u32::MAX);
-        rx.cmp(&ry).then_with(|| x.cmp(y))
-    })
-}
-
-/// The pre-analysis baseline: queue locks in name order.
-fn cmp_lock_keys_by_name(a: &LockKey, b: &LockKey) -> std::cmp::Ordering {
-    cmp_lock_keys_with(a, b, str::cmp)
 }
 
 /// Internal error classification during processing.
@@ -2763,4 +2623,28 @@ impl ProcessingError {
 enum ExecError {
     Store(StoreError),
     App { kind: String, detail: String },
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn in_memory_store_directory_is_removed_on_drop() {
+        let server = Server::builder()
+            .program(
+                "create queue inbox kind basic mode persistent\n\
+                 create queue outbox kind basic mode persistent\n\
+                 create rule copy for inbox if (//m) then do enqueue <seen/> into outbox",
+            )
+            .in_memory()
+            .build()
+            .unwrap();
+        server.enqueue_external("inbox", "<m/>").unwrap();
+        assert_eq!(server.run_until_idle().unwrap(), 2);
+        let dir = server.store().dir().clone();
+        assert!(dir.join("heap.db").exists(), "no store under {dir:?}");
+        drop(server);
+        assert!(!dir.exists(), "{dir:?} outlived its in-memory server");
+    }
 }

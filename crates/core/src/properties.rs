@@ -17,7 +17,7 @@ use crate::host::{atomic_to_prop, cast_prop, ClockHost};
 use demaq_qdl::PropKind;
 use demaq_store::PropValue;
 use demaq_xml::NodeRef;
-use demaq_xquery::{Atomic, DynamicContext, Evaluator, StaticContext};
+use demaq_xquery::{Atomic, DynamicContext, Plan, PlanEvaluator};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -94,32 +94,24 @@ pub fn compute_properties(
         set(&mut out, &n, v);
     }
 
-    let sctx = StaticContext::default();
     let dctx = DynamicContext::new(Arc::new(ClockHost { now_ms }));
 
     // Declared properties relevant to this queue, in declaration order.
     for prop in &app.spec.properties {
-        let binding = prop
-            .bindings
-            .iter()
-            .find(|b| b.queues.iter().any(|q| q == queue));
-        // Deploy-time constant fold: reuse the precomputed value instead
-        // of re-running the evaluator for `value <const>` bindings.
-        let eval_bound = |b: &demaq_qdl::PropBinding| -> Result<Option<PropValue>, PropError> {
-            if let Some(v) = app
-                .const_prop_bindings
-                .get(&prop.name)
-                .and_then(|per_queue| per_queue.get(queue))
-            {
-                PROP_CONST_HITS.fetch_add(1, Ordering::Relaxed);
-                return Ok(v.clone());
-            }
-            eval_binding(&sctx, &dctx, &b.value, msg_root)
-        };
-        let relevant = binding.is_some() || prop.kind == PropKind::Inherited;
-        if !relevant {
+        let bound = app
+            .prop_bindings
+            .get(&prop.name)
+            .and_then(|per_queue| per_queue.get(queue));
+        if bound.is_none() && prop.kind != PropKind::Inherited {
             continue;
         }
+        let eval_bound = || -> Result<Option<PropValue>, PropError> {
+            let Some(plan) = bound else { return Ok(None) };
+            if plan.as_const().is_some() {
+                PROP_CONST_HITS.fetch_add(1, Ordering::Relaxed);
+            }
+            eval_binding(&dctx, plan, msg_root)
+        };
         let explicit_value = explicit
             .iter()
             .find(|(n, _)| *n == prop.name)
@@ -132,12 +124,6 @@ pub fn compute_properties(
         }
         let raw: Option<PropValue> = if let Some(a) = explicit_value {
             Some(atomic_to_prop(a))
-        } else if prop.kind == PropKind::Fixed {
-            // Always computed.
-            match binding {
-                Some(b) => eval_bound(b)?,
-                None => None,
-            }
         } else if prop.kind == PropKind::Inherited {
             // Inherit from the trigger; fall back to the binding default.
             let inherited = trigger_props
@@ -145,18 +131,13 @@ pub fn compute_properties(
                 .map(|(_, v)| v.clone());
             match inherited {
                 Some(v) => Some(v),
-                None => match binding {
-                    Some(b) => eval_bound(b)?,
-                    None => None,
-                },
+                None => eval_bound()?,
             }
         } else {
-            // Explicit-kind property without an explicit value: the binding
-            // is its default/computed value.
-            match binding {
-                Some(b) => eval_bound(b)?,
-                None => None,
-            }
+            // Fixed properties are always computed; an explicit-kind
+            // property without an explicit value takes the binding as its
+            // default.
+            eval_bound()?
         };
         if let Some(v) = raw {
             let typed = cast_prop(&v, &prop.ty)
@@ -189,13 +170,11 @@ pub fn compute_properties(
 }
 
 fn eval_binding(
-    sctx: &StaticContext,
     dctx: &DynamicContext,
-    value: &demaq_xquery::Expr,
+    value: &Plan,
     msg_root: &NodeRef,
 ) -> Result<Option<PropValue>, PropError> {
-    let mut ev = Evaluator::new(sctx, dctx);
-    let seq = ev
+    let seq = PlanEvaluator::new(dctx)
         .eval_with_context(value, msg_root.clone())
         .map_err(|e| PropError(format!("value expression failed: {e}")))?;
     Ok(seq.0.first().map(|item| atomic_to_prop(&item.atomize())))
@@ -308,13 +287,11 @@ mod tests {
         let app = app(PROGRAM);
         // `isVIPorder … value false` is a constant binding: folded once at
         // compile, reused per enqueue.
-        assert_eq!(
-            app.const_prop_bindings["isVIPorder"]["order"],
-            Some(PropValue::Bool(false))
-        );
+        let folded = app.prop_bindings["isVIPorder"]["order"].as_const();
+        assert_eq!(folded.map(|seq| seq.to_string()).as_deref(), Some("false"));
         // Path-valued bindings are not constants.
-        assert!(!app.const_prop_bindings.contains_key("orderID"));
-        assert!(!app.const_prop_bindings.contains_key("amount"));
+        assert!(app.prop_bindings["orderID"]["order"].as_const().is_none());
+        assert!(app.prop_bindings["amount"]["order"].as_const().is_none());
         let before = prop_const_hits_total();
         let msg = root("<order><orderID>o</orderID></order>");
         let props = compute_properties(&app, "order", &msg, &[], None, vec![], 0).unwrap();

@@ -22,7 +22,9 @@
 //! placement maps every queue to shard 0, the routing check never fires,
 //! and message ids start at the same base.
 
-use crate::engine::{EngineError, Server, ServerBuilder, ServerStats};
+use crate::engine::{
+    EngineError, Server, ServerBuilder, ServerStats, TempRoot, PROVENANCE_CAPACITY,
+};
 use crate::host::{atomic_to_prop, cast_prop};
 use crate::properties::compute_properties;
 use crate::Result;
@@ -37,8 +39,6 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-static NEXT_SHARD_TMP: AtomicU64 = AtomicU64::new(0);
 
 /// Process-stable hash of a slicing-key value: FNV-1a over the value's
 /// canonical serialized bytes (type tag + payload), so every shard — and
@@ -256,7 +256,7 @@ impl ShardedServerBuilder {
         if base.network.is_none() {
             base.network = Some(Arc::new(Network::new(clock.clone(), base.seed)));
         }
-        base.shared_provenance = Some(Arc::new(ProvenanceIndex::new(base.provenance_capacity)));
+        base.shared_provenance = Some(Arc::new(ProvenanceIndex::new(PROVENANCE_CAPACITY)));
 
         // `.in_memory()` has no sharded equivalent (each shard needs its
         // own WAL + heap files), so it downgrades to real on-disk stores
@@ -265,15 +265,7 @@ impl ShardedServerBuilder {
         let mut temp_root = None;
         let root = match (&base.dir, base.in_memory) {
             (Some(d), _) => d.clone(),
-            (None, true) => {
-                let root = std::env::temp_dir().join(format!(
-                    "demaq-sharded-{}-{}",
-                    std::process::id(),
-                    NEXT_SHARD_TMP.fetch_add(1, Ordering::Relaxed)
-                ));
-                temp_root = Some(root.clone());
-                root
-            }
+            (None, true) => temp_root.insert(TempRoot::new("demaq-sharded")).0.clone(),
             (None, false) => {
                 return Err(EngineError::Config(
                     "choose a store directory with .dir(..) or .in_memory()".into(),
@@ -320,7 +312,7 @@ impl ShardedServerBuilder {
             clock,
             obs,
             placement,
-            temp_root,
+            _temp_root: temp_root,
         })
     }
 }
@@ -336,20 +328,9 @@ pub struct ShardedServer {
     obs: Arc<Obs>,
     placement: Placement,
     /// Set when `.in_memory()` was downgraded to on-disk stores under a
-    /// process-temp root (see [`ShardedServerBuilder::build`]); removed on
-    /// drop.
-    temp_root: Option<std::path::PathBuf>,
-}
-
-impl Drop for ShardedServer {
-    fn drop(&mut self) {
-        if let Some(root) = self.temp_root.take() {
-            // Close the per-shard stores first so no WAL/heap file is
-            // still being written while the tree goes away.
-            self.shards.clear();
-            let _ = std::fs::remove_dir_all(&root);
-        }
-    }
+    /// process-temp root (see [`ShardedServerBuilder::build`]). Must stay
+    /// the last field, after `shards` (see [`TempRoot`]).
+    _temp_root: Option<TempRoot>,
 }
 
 impl ShardedServer {
@@ -451,7 +432,7 @@ impl ShardedServer {
                     processed += 1;
                     progressed = true;
                 }
-                if s.pump_env()? {
+                if s.pump_environment()? {
                     progressed = true;
                 }
             }

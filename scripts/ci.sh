@@ -39,8 +39,7 @@ echo "== bench smoke: E10 document/slice-sequence cache =="
 # Asserts linear parse shape and live hit traffic internally; the gate
 # below re-checks the exposition so a silently-disabled cache fails CI.
 DEMAQ_E10_SMOKE=1 cargo bench --offline -p demaq-bench --bench e10_doc_cache
-cp -f crates/bench/target/metrics/e10_doc_cache.prom \
-      crates/bench/target/metrics/e10_doc_cache_uncached.prom target/metrics/ 2>/dev/null || true
+cp -f crates/bench/target/metrics/e10_doc_cache.prom target/metrics/ 2>/dev/null || true
 # The slice-sequence cache serves an append-only slice via the
 # incremental-extend path, so count appends alongside same-version hits.
 awk '$1 == "demaq_core_doc_cache_hits_total" { hits = $2 }
@@ -56,8 +55,7 @@ echo "== bench smoke: E11 lowered execution plans =="
 # floor runs in the full bench; smoke only gates "not slower") and that
 # plans were lowered and existence tests short-circuited.
 DEMAQ_E11_SMOKE=1 cargo bench --offline -p demaq-bench --bench e11_lowered_plans
-cp -f crates/bench/target/metrics/e11_lowered_plans.prom \
-      crates/bench/target/metrics/e11_lowered_plans_reference.prom target/metrics/ 2>/dev/null || true
+cp -f crates/bench/target/metrics/e11_lowered_plans.prom target/metrics/ 2>/dev/null || true
 awk '$1 == "demaq_xquery_plans_lowered_total" { plans = $2 }
      $1 == "demaq_xquery_ebv_short_circuits_total" { ebv = $2 }
      $1 == "demaq_xquery_interned_symbols" { syms = $2 }
@@ -171,6 +169,12 @@ echo "== bench perf gate: E15 smoke vs committed trajectory =="
 cargo run --offline -q -p demaq-bench --bin bench-check -- \
     --baseline target/e15_baseline.json --min-ratio 0.5 \
     --headline soak_throughput BENCH_E15.json
+
+echo "== demaq-benchmark: the frozen public surface still builds and runs =="
+# The benchmark package uses only the public API and the metric names in
+# its registry.rs; removing either must fail here, not in the pipeline.
+cargo test -q --offline --manifest-path demaq-benchmark/Cargo.toml
+cargo run --release --offline --manifest-path demaq-benchmark/Cargo.toml -- --quick
 
 echo "== clippy =="
 # --no-deps keeps the vendored shims out of the lint gate; warnings in
