@@ -159,7 +159,7 @@ impl ContextEngine {
         let new_doc = b.finish();
         let count = new_doc
             .document_element()
-            .map(|r| r.children().len())
+            .map(|r| r.children().count())
             .unwrap_or(0);
         self.hydrated.insert(
             instance.to_string(),
@@ -206,7 +206,7 @@ impl ContextEngine {
             return Ok(h
                 .doc
                 .document_element()
-                .map(|r| r.children().len())
+                .map(|r| r.children().count())
                 .unwrap_or(0));
         }
         if let Some(path) = self.on_disk.get(instance) {
@@ -219,7 +219,7 @@ impl ContextEngine {
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
             return Ok(doc
                 .document_element()
-                .map(|r| r.children().len())
+                .map(|r| r.children().count())
                 .unwrap_or(0));
         }
         Ok(0)

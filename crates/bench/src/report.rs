@@ -3,7 +3,9 @@
 //! Every experiment's representative run distills its headline numbers
 //! into `BENCH_E<n>.json` at the repo root, next to EXPERIMENTS.md, so
 //! the performance trajectory of the repo is diffable across commits and
-//! checkable in CI without scraping criterion output. The build is fully
+//! checkable in CI without scraping criterion output. Only full-mode runs
+//! write there; a smoke run's report goes to `target/bench/`, where CI
+//! checks it against the committed file. The build is fully
 //! offline and dependency-free, so both the writer and the validator
 //! (used by the `bench-check` binary and the CI gate) are hand-rolled.
 //!
@@ -78,8 +80,8 @@ impl BenchReport {
         self
     }
 
-    /// The repo-root file this report lands in: `BENCH_E<n>.json`, with
-    /// `<n>` taken from the experiment's `e<digits>` prefix.
+    /// The file this report lands in: `BENCH_E<n>.json`, with `<n>` taken
+    /// from the experiment's `e<digits>` prefix.
     pub fn file_name(&self) -> String {
         let digits: String = self
             .experiment
@@ -120,11 +122,25 @@ impl BenchReport {
         out
     }
 
-    /// Write the report to the repo root; returns the path. Benches must
+    /// Where [`Self::write`] puts the report: the repo root for a full-mode
+    /// run (the committed trajectory), `target/bench/` for a smoke run, so
+    /// CI never rewrites a committed file.
+    pub fn path(&self) -> PathBuf {
+        let dir = if self.mode == "full" {
+            repo_root()
+        } else {
+            repo_root().join("target/bench")
+        };
+        dir.join(self.file_name())
+    }
+
+    /// Write the report to [`Self::path`]; returns the path. Benches must
     /// never fail on snapshot IO, so errors are printed and swallowed.
     pub fn write(&self) -> Option<PathBuf> {
-        let path = repo_root().join(self.file_name());
-        match std::fs::write(&path, self.to_json()) {
+        let path = self.path();
+        let written = std::fs::create_dir_all(path.parent().expect("report directory"))
+            .and_then(|()| std::fs::write(&path, self.to_json()));
+        match written {
             Ok(()) => {
                 println!("{}: wrote {}", self.experiment, path.display());
                 Some(path)
@@ -508,6 +524,12 @@ mod tests {
     fn file_name_derives_from_the_experiment_number() {
         assert_eq!(sample().file_name(), "BENCH_E12.json");
         assert_eq!(BenchReport::new("e9_group_commit", false).file_name(), "BENCH_E9.json");
+        // Only a full-mode run may touch the committed file at the root.
+        let smoke = BenchReport::new("e9_group_commit", true).path();
+        assert!(smoke.ends_with("target/bench/BENCH_E9.json"), "{smoke:?}");
+        let full = BenchReport::new("e9_group_commit", false).path();
+        assert!(!full.to_string_lossy().contains("target"), "{full:?}");
+        assert!(full.ends_with("BENCH_E9.json"));
     }
 
     #[test]

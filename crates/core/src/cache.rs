@@ -9,10 +9,9 @@
 //!   [`MsgId`], so concurrent workers in
 //!   [`crate::engine::Server::process_all_parallel`] rarely contend on the
 //!   same mutex (the previous design was one global `Mutex<HashMap>` with
-//!   clear-*everything* eviction at a fixed entry count). Each cached
-//!   entry also collects the document's element-symbol set
-//!   ([`CachedDoc::element_syms`]) once, so rule-trigger pre-filtering
-//!   never re-walks the tree.
+//!   clear-*everything* eviction at a fixed entry count). An entry is
+//!   charged what it occupies: the document's measured footprint
+//!   ([`Document::heap_bytes`]) plus the slot around it.
 //!
 //! * [`SliceSeqCache`] — materialized member [`Sequence`]s per
 //!   `(slicing, key)`, validated by the store-side **slice version
@@ -33,61 +32,25 @@
 
 use demaq_obs::{Counter, Gauge, Obs};
 use demaq_store::{MsgId, PropValue};
-use demaq_xml::{Document, Sym};
+use demaq_xml::Document;
 use demaq_xquery::Sequence;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// A parsed message document plus derived artifacts interned at (or after)
-/// parse time, shared by every rule evaluation that touches the message.
-pub struct CachedDoc {
-    pub doc: Arc<Document>,
-    syms: OnceLock<HashSet<Sym>>,
-}
-
-impl CachedDoc {
-    pub fn new(doc: Arc<Document>) -> CachedDoc {
-        CachedDoc {
-            doc,
-            syms: OnceLock::new(),
-        }
-    }
-
-    /// Interned symbols of all element names in the document
-    /// (rule-trigger pre-filtering), checked against
-    /// [`crate::compiler::CompiledRule::trigger_syms`] with u32 set probes
-    /// instead of string hashing. Computed once per cached document, not
-    /// once per processing pass; reads the symbols the tree interned at
-    /// freeze time, so no extra interning happens here.
-    pub fn element_syms(&self) -> &HashSet<Sym> {
-        self.syms.get_or_init(|| {
-            self.doc
-                .root()
-                .descendants()
-                .into_iter()
-                .filter(|n| n.is_element())
-                .filter_map(|n| n.name_sym())
-                .collect()
-        })
-    }
-}
+use std::sync::Arc;
 
 /// Sentinel for "no slot" in the intrusive LRU list.
 const NIL: usize = usize::MAX;
 
-/// Fixed per-entry overhead charged against the byte budget (slot, map
-/// entry, `Arc` headers).
-const DOC_OVERHEAD_BYTES: usize = 160;
-/// DOM expansion factor: a parsed tree costs roughly this multiple of its
-/// serialized payload (node records, name/text allocations).
-const DOM_EXPANSION: usize = 4;
+/// What an entry costs beyond its document: the slab slot, the map entry
+/// pointing at it (key, index, control byte, load factor) and the `Arc`'s
+/// two counters.
+const SLOT_OVERHEAD_BYTES: usize = std::mem::size_of::<Slot>() + 24 + 16;
 
 struct Slot {
     id: MsgId,
     /// `None` only while the slot sits on the free list.
-    entry: Option<Arc<CachedDoc>>,
+    entry: Option<Arc<Document>>,
     bytes: usize,
     prev: usize,
     next: usize,
@@ -184,7 +147,7 @@ impl DocShard {
 /// Sharded byte-budgeted LRU over parsed documents, keyed by [`MsgId`].
 ///
 /// A byte budget of 0 disables the cache (every `get` misses, `insert`
-/// still hands back a usable [`CachedDoc`] for the caller's own use).
+/// keeps nothing).
 pub struct DocCache {
     shards: Box<[Mutex<DocShard>]>,
     shard_mask: u64,
@@ -228,7 +191,7 @@ impl DocCache {
         self.parses.inc();
     }
 
-    pub fn get(&self, id: MsgId) -> Option<Arc<CachedDoc>> {
+    pub fn get(&self, id: MsgId) -> Option<Arc<Document>> {
         if !self.enabled() {
             self.misses.inc();
             return None;
@@ -247,25 +210,23 @@ impl DocCache {
         }
     }
 
-    /// Insert (or refresh) a parsed document. `payload_len` is the
-    /// serialized size used to estimate the tree's memory cost.
-    pub fn insert(&self, id: MsgId, doc: Arc<Document>, payload_len: usize) -> Arc<CachedDoc> {
-        let entry = Arc::new(CachedDoc::new(doc));
+    /// Insert (or refresh) a parsed document.
+    pub fn insert(&self, id: MsgId, doc: Arc<Document>) {
         if !self.enabled() {
-            return entry;
+            return;
         }
-        let cost = DOC_OVERHEAD_BYTES + DOM_EXPANSION * payload_len;
+        let cost = SLOT_OVERHEAD_BYTES + doc.heap_bytes();
         let mut s = self.shard(id).lock();
         if let Some(&i) = s.map.get(&id) {
             let old = std::mem::replace(&mut s.slots[i].bytes, cost);
-            s.slots[i].entry = Some(Arc::clone(&entry));
+            s.slots[i].entry = Some(doc);
             s.bytes = s.bytes - old + cost;
             self.bytes.add(cost as i64 - old as i64);
             s.touch(i);
         } else {
             let slot = Slot {
                 id,
-                entry: Some(Arc::clone(&entry)),
+                entry: Some(doc),
                 bytes: cost,
                 prev: NIL,
                 next: NIL,
@@ -292,7 +253,6 @@ impl DocCache {
             self.bytes.add(-(freed as i64));
             self.evictions.inc();
         }
-        entry
     }
 
     /// Drop entries for purged messages (GC hook).
@@ -493,9 +453,9 @@ mod tests {
         let o = obs();
         let c = DocCache::new(4, 1 << 20, &o);
         assert!(c.get(MsgId(1)).is_none());
-        c.insert(MsgId(1), doc("<a/>"), 4);
+        c.insert(MsgId(1), doc("<a/>"));
         let e = c.get(MsgId(1)).expect("hit");
-        assert_eq!(e.doc.root().to_xml(), "<a/>");
+        assert_eq!(e.root().to_xml(), "<a/>");
         assert_eq!(o.registry.counter_total("demaq_core_doc_cache_hits_total"), 1);
         assert_eq!(
             o.registry.counter_total("demaq_core_doc_cache_misses_total"),
@@ -507,26 +467,27 @@ mod tests {
     fn doc_cache_byte_budget_evicts_lru() {
         let o = obs();
         // One shard so the LRU order is fully observable; a budget that
-        // holds two entries (cost 164 each) but not three.
-        let c = DocCache::new(1, DOC_OVERHEAD_BYTES * 2 + 100, &o);
-        c.insert(MsgId(1), doc("<a/>"), 1);
-        c.insert(MsgId(2), doc("<b/>"), 1);
+        // holds two entries but not three.
+        let cost = SLOT_OVERHEAD_BYTES + doc("<a/>").heap_bytes();
+        let c = DocCache::new(1, cost * 2 + cost / 2, &o);
+        c.insert(MsgId(1), doc("<a/>"));
+        c.insert(MsgId(2), doc("<b/>"));
+        assert_eq!(c.bytes(), cost * 2);
         // Touch 1 so 2 is now least recently used.
         assert!(c.get(MsgId(1)).is_some());
-        c.insert(MsgId(3), doc("<c/>"), 1);
+        c.insert(MsgId(3), doc("<c/>"));
         assert!(c.get(MsgId(2)).is_none(), "LRU entry evicted");
         assert!(c.get(MsgId(1)).is_some());
         assert!(c.get(MsgId(3)).is_some());
         assert!(o.registry.counter_total("demaq_core_doc_cache_evictions_total") >= 1);
-        assert!(c.bytes() <= DOC_OVERHEAD_BYTES * 2 + 100);
+        assert_eq!(c.bytes(), cost * 2);
     }
 
     #[test]
     fn doc_cache_zero_budget_disables() {
         let o = obs();
         let c = DocCache::new(4, 0, &o);
-        let e = c.insert(MsgId(1), doc("<a/>"), 4);
-        assert_eq!(e.doc.root().to_xml(), "<a/>");
+        c.insert(MsgId(1), doc("<a/>"));
         assert!(c.get(MsgId(1)).is_none());
         assert_eq!(c.len(), 0);
     }
@@ -536,7 +497,7 @@ mod tests {
         let o = obs();
         let c = DocCache::new(4, 1 << 20, &o);
         for i in 0..10 {
-            c.insert(MsgId(i), doc("<a/>"), 4);
+            c.insert(MsgId(i), doc("<a/>"));
         }
         c.remove_many(&[MsgId(2), MsgId(5), MsgId(99)]);
         assert_eq!(c.len(), 8);
@@ -544,16 +505,54 @@ mod tests {
         assert!(c.get(MsgId(3)).is_some());
     }
 
+    /// The model this cache charged before it measured: a fixed 160 bytes
+    /// plus four times the serialized payload.
+    fn old_model_cost(payload: &str) -> usize {
+        160 + 4 * payload.len()
+    }
+
+    /// A budget sized against the old model must hold at least as many
+    /// documents now: on messages shaped like the benchmark workloads',
+    /// the measured charge never exceeds the old estimate.
     #[test]
-    fn element_syms_collected_once() {
-        let e = CachedDoc::new(doc("<a><b/><c><b/></c></a>"));
-        let syms = e.element_syms();
-        for name in ["a", "b", "c"] {
-            assert!(syms.contains(&demaq_xml::sym::intern(name)));
+    fn measured_cost_is_within_the_old_estimate() {
+        let mut order = String::from(
+            "<order id=\"o4711\" region=\"EU\" priority=\"2\"><customer><id>c1234</id>\
+             <name>Customer 1234</name><tier>gold</tier></customer><items>",
+        );
+        for i in 0..8 {
+            order.push_str(&format!(
+                "<item sku=\"s{}\"><qty>{}</qty><price>{}</price>\
+                 <desc>alpha bravo charlie delta</desc></item>",
+                1000 + i * 37,
+                1 + i,
+                100 + i * 13
+            ));
         }
-        assert_eq!(syms.len(), 3);
-        // Second call returns the same set.
-        assert!(std::ptr::eq(syms, e.element_syms()));
+        order.push_str(
+            "</items><rush by=\"tue\"/><note>deliver to dock 17 between nine and five, \
+             call ahead</note></order>",
+        );
+        let corpora = [
+            order.as_str(),
+            "<priced id=\"o4711\" region=\"EU\"><customer>c1234</customer><tier>gold</tier>\
+             <total>10394</total><lines>8</lines></priced>",
+            "<invoice id=\"o4711\" ref=\"EU-4711\"><amount>10394</amount>\
+             <perLine>1299</perLine></invoice>",
+            "<job n=\"0\" to=\"5\"/>",
+            "<job n=\"4711\" to=\"17\"/>",
+            "<done n=\"4711\"/>",
+            "<reading dev=\"d1405\" grp=\"g13\" seq=\"52117\"><v>23</v><unit>celsius</unit>\
+             </reading>",
+        ];
+        for xml in corpora {
+            let cost = SLOT_OVERHEAD_BYTES + doc(xml).heap_bytes();
+            assert!(
+                cost <= old_model_cost(xml),
+                "{cost} > {} for {xml}",
+                old_model_cost(xml)
+            );
+        }
     }
 
     fn seq_of(ids: &[u64]) -> Sequence {

@@ -54,8 +54,8 @@ pub struct CompiledRule {
     /// Root-element names the trigger condition requires (`//name` or
     /// `/name` in the `if` condition); `None` = cannot pre-filter.
     pub trigger_elements: Option<Vec<String>>,
-    /// Interned counterparts of `trigger_elements`, compared against the
-    /// document cache's element-symbol sets.
+    /// Interned counterparts of `trigger_elements`, probed with
+    /// `Document::has_element`.
     pub trigger_syms: Option<Vec<Sym>>,
 }
 

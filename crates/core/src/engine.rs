@@ -10,7 +10,7 @@
 
 use crate::aggregates::{AggLookup, AggRegistry, AggScope};
 use crate::app::CompiledApp;
-use crate::cache::{CachedDoc, DocCache, SeqLookup, SliceSeqCache};
+use crate::cache::{DocCache, SeqLookup, SliceSeqCache};
 use crate::compiler::CompiledRule;
 use crate::errors::{error_message, kind};
 use crate::gateway::GatewayManager;
@@ -1111,7 +1111,7 @@ impl Server {
                 );
                 self.record_provenance(id, queue);
                 if let Some(doc) = doc {
-                    self.doc_cache.insert(id, doc, xml.len());
+                    self.doc_cache.insert(id, doc);
                 }
                 self.sched_push(id, queue, cq.decl.priority);
                 self.metrics
@@ -1446,7 +1446,7 @@ impl Server {
                 // new work, gateway/echo side effects.
                 for nm in new_messages {
                     self.record_provenance(nm.id, &nm.queue);
-                    self.doc_cache.insert(nm.id, nm.doc, nm.payload_len);
+                    self.doc_cache.insert(nm.id, nm.doc);
                     let prio = self
                         .app
                         .queues
@@ -1526,7 +1526,7 @@ impl Server {
         &self,
         txn: TxnId,
         meta: &MessageMeta,
-        cached: &CachedDoc,
+        doc: &Arc<Document>,
         cq: &crate::app::CompiledQueue,
         slice_rules: &[(String, PropValue, &CompiledRule)],
         slice_keys: &[(String, PropValue)],
@@ -1536,7 +1536,7 @@ impl Server {
         self.acquire_locks(txn, meta, cq, slice_rules, slice_keys)?;
 
         // ---- rule evaluation (snapshot) ------------------------------------
-        let msg_root = cached.doc.root();
+        let msg_root = doc.root();
         let mut updates: Vec<(Option<String>, Update)> = Vec::new(); // (rule name, update)
 
         // Queue rules: the precomputed per-queue canonical plan (paper
@@ -1551,12 +1551,12 @@ impl Server {
             }
             _ => {
                 for rule in &cq.rules {
-                    // Trigger pre-filter: a symbol-set probe (integer
-                    // hashing, no strings).
-                    let triggered = rule.trigger_syms.as_ref().is_none_or(|syms| {
-                        let doc_syms = cached.element_syms();
-                        syms.iter().any(|s| doc_syms.contains(s))
-                    });
+                    // Trigger pre-filter: symbol probes of the document's
+                    // name table (integers, no strings).
+                    let triggered = rule
+                        .trigger_syms
+                        .as_ref()
+                        .is_none_or(|syms| syms.iter().any(|&s| doc.has_element(s)));
                     if !triggered {
                         self.metrics.rules_skipped.inc();
                         continue;
@@ -1868,7 +1868,6 @@ impl Server {
             }
         }
         let payload = message.root().to_xml();
-        let payload_len = payload.len();
         let id = self
             .store
             .enqueue(txn, target, payload.into(), props.clone(), now)
@@ -1911,7 +1910,6 @@ impl Server {
             id,
             queue: target.to_string(),
             doc: message,
-            payload_len,
         }))
     }
 
@@ -1925,7 +1923,7 @@ impl Server {
             QueueKind::OutgoingGateway => {
                 let stored = self.store.message(msg_id)?;
                 let doc = self.doc_for(msg_id)?;
-                if let Err(e) = self.gateways.send(queue, &stored, &doc.doc.root()) {
+                if let Err(e) = self.gateways.send(queue, &stored, &doc.root()) {
                     let creating_rule = match stored.prop(system::CREATING_RULE) {
                         Some(PropValue::Str(r)) => Some(r.clone()),
                         _ => None,
@@ -2288,7 +2286,7 @@ impl Server {
                     // Fold before purge: the payloads are still readable.
                     for id in &victims {
                         let doc = self.doc_for(*id).ok()?;
-                        acc.absorb_member(spec, &doc.doc.root()).ok()?;
+                        acc.absorb_member(spec, &doc.root()).ok()?;
                     }
                     cells.push((sig, acc.encode()?));
                 }
@@ -2319,14 +2317,15 @@ impl Server {
     /// Parsed document of a message, through the sharded cache. A hit
     /// never touches the store; a miss reads only the payload (no props
     /// clone) and fills the cache.
-    fn doc_for(&self, id: MsgId) -> Result<Arc<CachedDoc>> {
+    fn doc_for(&self, id: MsgId) -> Result<Arc<Document>> {
         if let Some(hit) = self.doc_cache.get(id) {
             return Ok(hit);
         }
         let payload = self.store.payload(id)?;
         let doc = parse_xml(&payload).map_err(|e| EngineError::Xml(e.to_string()))?;
         self.doc_cache.note_parse();
-        Ok(self.doc_cache.insert(id, doc, payload.len()))
+        self.doc_cache.insert(id, Arc::clone(&doc));
+        Ok(doc)
     }
 
     // ---- shard-runtime hooks (crate-internal) ---------------------------------
@@ -2372,7 +2371,6 @@ struct NewMessage {
     id: MsgId,
     queue: String,
     doc: Arc<Document>,
-    payload_len: usize,
 }
 
 /// Where a rule-produced enqueue landed: the local store (the common,
@@ -2417,7 +2415,7 @@ impl ReadHandle {
     /// drops out, equivalent to having taken the snapshot later.
     fn doc_root(&self, id: MsgId) -> std::result::Result<Option<NodeRef>, XqError> {
         if let Some(hit) = self.cache.get(id) {
-            return Ok(Some(hit.doc.root()));
+            return Ok(Some(hit.root()));
         }
         let payload = match self.store.payload(id) {
             Ok(p) => p,
@@ -2427,8 +2425,8 @@ impl ReadHandle {
         let doc = parse_xml(&payload)
             .map_err(|e| XqError::dynamic(format!("stored message {id}: {e}")))?;
         self.cache.note_parse();
-        let entry = self.cache.insert(id, doc, payload.len());
-        Ok(Some(entry.doc.root()))
+        self.cache.insert(id, Arc::clone(&doc));
+        Ok(Some(doc.root()))
     }
 
     /// Parsed document roots of a slice's current members, through the

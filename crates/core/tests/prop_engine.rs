@@ -53,7 +53,8 @@ proptest! {
             .map(|m| {
                 let doc = demaq_xml::parse(&m.payload).unwrap();
                 let e = doc.document_element().unwrap();
-                (e.attribute("g").unwrap(), e.attribute("n").unwrap())
+                let attr = |name| e.attribute(name).unwrap().to_string();
+                (attr("g"), attr("n"))
             })
             .collect();
         let mut want: Vec<(String, String)> =

@@ -50,9 +50,8 @@ impl WsdlInterface {
         let service = defs.attribute("service").unwrap_or_default();
         let port_node = defs
             .children()
-            .into_iter()
             .filter(|c| c.name().map(|q| q.local == "port").unwrap_or(false))
-            .find(|c| c.attribute("name").as_deref() == Some(port))
+            .find(|c| c.attribute("name") == Some(port))
             .ok_or_else(|| format!("port `{port}` not found"))?;
         let mut operations = Vec::new();
         for op in port_node.children() {
@@ -63,16 +62,16 @@ impl WsdlInterface {
             let input = op.attribute("input").ok_or("operation without input")?;
             let output = op.attribute("output").filter(|o| !o.is_empty());
             operations.push(Operation {
-                name,
-                input,
-                output,
+                name: name.to_string(),
+                input: input.to_string(),
+                output: output.map(str::to_string),
             });
         }
         if operations.is_empty() {
             return Err(format!("port `{port}` declares no operations"));
         }
         Ok(WsdlInterface {
-            service,
+            service: service.to_string(),
             port: port.to_string(),
             operations,
         })

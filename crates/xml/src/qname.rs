@@ -81,23 +81,11 @@ impl QName {
     /// Parse a lexical QName (`p:local` or `local`). No namespace resolution
     /// is performed; the prefix is retained.
     pub fn parse_lexical(s: &str) -> Option<QName> {
-        if s.is_empty() {
-            return None;
-        }
-        match s.split_once(':') {
-            Some((p, l)) => {
-                if p.is_empty() || l.is_empty() || l.contains(':') {
-                    None
-                } else {
-                    Some(QName {
-                        ns: None,
-                        prefix: Some(p.to_string()),
-                        local: l.to_string(),
-                    })
-                }
-            }
-            None => Some(QName::local(s)),
-        }
+        split_lexical(s).map(|(prefix, local)| QName {
+            ns: None,
+            prefix: prefix.map(str::to_string),
+            local: local.to_string(),
+        })
     }
 }
 
@@ -135,6 +123,16 @@ impl fmt::Display for QName {
 impl From<&str> for QName {
     fn from(s: &str) -> Self {
         QName::parse_lexical(s).unwrap_or_else(|| QName::local(s))
+    }
+}
+
+/// Split a lexical QName into prefix and local part: `None` for the empty
+/// string, an empty prefix or local part, or more than one colon.
+pub fn split_lexical(s: &str) -> Option<(Option<&str>, &str)> {
+    match s.split_once(':') {
+        Some((p, l)) if !p.is_empty() && !l.is_empty() && !l.contains(':') => Some((Some(p), l)),
+        Some(_) => None,
+        None => (!s.is_empty()).then_some((None, s)),
     }
 }
 

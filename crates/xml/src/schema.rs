@@ -28,7 +28,7 @@
 //! for message payloads). Elements not declared are rejected; an element
 //! declared as `element x any` admits arbitrary content.
 
-use crate::tree::{NodeKind, NodeRef};
+use crate::tree::{Document, NodeId, NodeKind, NodeRef, Siblings};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -154,8 +154,9 @@ impl Schema {
     /// Validate a document node (or element). Returns all violations.
     pub fn validate(&self, node: &NodeRef) -> Vec<SchemaError> {
         let mut errors = Vec::new();
+        let doc = &*node.doc;
         let element = if node.is_document() {
-            match node.children().into_iter().find(|c| c.is_element()) {
+            match doc.children(node.id).find(|&c| doc.is_element(c)) {
                 Some(e) => e,
                 None => {
                     errors.push(SchemaError {
@@ -166,11 +167,11 @@ impl Schema {
                 }
             }
         } else {
-            node.clone()
+            node.id
         };
         if let Some(root) = &self.root {
-            let actual = element.name().map(|q| q.local.clone()).unwrap_or_default();
-            if &actual != root {
+            let actual = doc.name(element).map_or("", |q| q.local.as_str());
+            if actual != root {
                 errors.push(SchemaError {
                     path: format!("/{actual}"),
                     msg: format!("root element must be `{root}`"),
@@ -178,7 +179,7 @@ impl Schema {
                 return errors;
             }
         }
-        self.validate_element(&element, &mut String::new(), &mut errors);
+        self.validate_element(doc, element, &mut errors);
         errors
     }
 
@@ -187,89 +188,114 @@ impl Schema {
         self.validate(node).is_empty()
     }
 
-    fn validate_element(&self, el: &NodeRef, path: &mut String, errors: &mut Vec<SchemaError>) {
-        let name = el.name().map(|q| q.local.clone()).unwrap_or_default();
-        let prev_len = path.len();
-        path.push('/');
-        path.push_str(&name);
-
-        let Some(decl) = self.elements.get(&name) else {
-            errors.push(SchemaError {
-                path: path.clone(),
-                msg: format!("undeclared element `{name}`"),
-            });
-            path.truncate(prev_len);
-            return;
-        };
-        if !decl.any {
-            // Attribute presence.
-            for required in &decl.attrs {
-                if el.attribute(required).is_none() {
+    /// Check `root` and everything below it, reporting violations in
+    /// document order. Elements being checked sit on an explicit stack, so
+    /// a deeply nested message cannot exhaust the call stack.
+    fn validate_element(&self, doc: &Document, root: NodeId, errors: &mut Vec<SchemaError>) {
+        /// An element whose children are being walked.
+        struct Frame<'a> {
+            el: NodeId,
+            name: &'a str,
+            decl: &'a ElementDecl,
+            children: Siblings<'a>,
+            /// Occurrences so far, per entry of `decl.children`.
+            counts: Vec<usize>,
+            /// Length of the path without this element's step.
+            path_len: usize,
+        }
+        let mut path = String::new();
+        let mut stack: Vec<Frame> = Vec::new();
+        let mut entering = Some(root);
+        loop {
+            if let Some(el) = entering.take() {
+                let name = doc.name(el).map_or("", |q| q.local.as_str());
+                let path_len = path.len();
+                path.push('/');
+                path.push_str(name);
+                let mut fail = |msg: String| {
                     errors.push(SchemaError {
                         path: path.clone(),
-                        msg: format!("missing required attribute `{required}`"),
-                    });
+                        msg,
+                    })
+                };
+                match self.elements.get(name) {
+                    None => fail(format!("undeclared element `{name}`")),
+                    Some(decl) if decl.any => {}
+                    Some(decl) => {
+                        for required in &decl.attrs {
+                            if doc.attribute(el, required).is_none() {
+                                fail(format!("missing required attribute `{required}`"));
+                            }
+                        }
+                        stack.push(Frame {
+                            el,
+                            name,
+                            decl,
+                            children: doc.children(el),
+                            counts: vec![0; decl.children.len()],
+                            path_len,
+                        });
+                        continue;
+                    }
                 }
+                path.truncate(path_len);
             }
-            // Child vocabulary + occurrence.
-            let mut counts: HashMap<&str, usize> = HashMap::new();
-            for c in el.children() {
-                match c.kind() {
+            let Some(frame) = stack.last_mut() else {
+                return;
+            };
+            let (name, decl) = (frame.name, frame.decl);
+            let mut fail = |msg: String| {
+                errors.push(SchemaError {
+                    path: path.clone(),
+                    msg,
+                })
+            };
+            // Child vocabulary: walk on until a child has to be entered.
+            for c in frame.children.by_ref() {
+                match doc.kind(c) {
                     NodeKind::Element(q) => {
-                        let allowed = decl.children.iter().any(|(n, _)| *n == q.local);
-                        if !allowed {
-                            errors.push(SchemaError {
-                                path: path.clone(),
-                                msg: format!("child `{}` not allowed in `{name}`", q.local),
-                            });
-                        } else {
-                            *counts
-                                .entry(
-                                    decl.children
-                                        .iter()
-                                        .find(|(n, _)| *n == q.local)
-                                        .map(|(n, _)| n.as_str())
-                                        .unwrap(),
-                                )
-                                .or_insert(0) += 1;
-                            self.validate_element(&c, path, errors);
+                        match decl.children.iter().position(|(n, _)| *n == q.local) {
+                            None => fail(format!("child `{}` not allowed in `{name}`", q.local)),
+                            Some(i) => {
+                                frame.counts[i] += 1;
+                                entering = Some(c);
+                                break;
+                            }
                         }
                     }
                     NodeKind::Text(t) if decl.text == TextType::None && !t.trim().is_empty() => {
-                        errors.push(SchemaError {
-                            path: path.clone(),
-                            msg: format!("text content not allowed in `{name}`"),
-                        });
+                        fail(format!("text content not allowed in `{name}`"));
                     }
                     _ => {}
                 }
             }
-            for (child, occurs) in &decl.children {
-                let n = counts.get(child.as_str()).copied().unwrap_or(0);
+            if entering.is_some() {
+                continue;
+            }
+            // All children seen: occurrences, then the typed text check.
+            for ((child, occurs), &n) in decl.children.iter().zip(&frame.counts) {
                 if !occurs.admits(n) {
-                    errors.push(SchemaError {
-                        path: path.clone(),
-                        msg: format!("child `{child}` occurs {n} times, violating {occurs:?}"),
-                    });
+                    fail(format!(
+                        "child `{child}` occurs {n} times, violating {occurs:?}"
+                    ));
                 }
             }
-            // Typed text check.
-            let text = el.string_value();
-            let text = text.trim();
-            let ok = match decl.text {
+            let ok = |text: &str| match decl.text {
                 TextType::None | TextType::Any => true,
                 TextType::Integer => text.parse::<i64>().is_ok(),
                 TextType::Decimal => text.parse::<f64>().is_ok(),
                 TextType::Boolean => matches!(text, "true" | "false" | "1" | "0"),
             };
-            if !ok {
-                errors.push(SchemaError {
-                    path: path.clone(),
-                    msg: format!("text `{text}` does not match {:?}", decl.text),
-                });
+            if !matches!(decl.text, TextType::None | TextType::Any) {
+                let text = doc.string_value(frame.el);
+                let text = text.trim();
+                if !ok(text) {
+                    fail(format!("text `{text}` does not match {:?}", decl.text));
+                }
             }
+            path.truncate(frame.path_len);
+            stack.pop();
         }
-        path.truncate(prev_len);
     }
 }
 

@@ -1,7 +1,10 @@
 //! XML serialization: compact (canonical-ish) and pretty-printed forms.
+//!
+//! A subtree is a run of consecutive ids, so serializing is one loop over
+//! that run with a stack of the elements whose end tags are still owed.
 
-use crate::tree::{Document, NodeKind, NodeRef};
-use std::fmt::Write;
+use crate::qname::QName;
+use crate::tree::{Document, NodeId, NodeKind, NodeRef};
 use std::sync::Arc;
 
 /// Serialize a whole document compactly (no added whitespace).
@@ -11,8 +14,11 @@ pub fn serialize(doc: &Arc<Document>) -> String {
 
 /// Serialize a node and its subtree compactly.
 pub fn serialize_node(node: &NodeRef) -> String {
-    let mut out = String::new();
-    write_node(&mut out, node, None, 0);
+    let (doc, id) = (&*node.doc, node.id);
+    // Room for the values plus about what tags add per node.
+    let nodes = (doc.subtree_end(id) - id.0) as usize;
+    let mut out = String::with_capacity(doc.value_bytes(id) + 8 * nodes);
+    write_subtree(&mut out, doc, id, None);
     out
 }
 
@@ -21,99 +27,141 @@ pub fn serialize_node(node: &NodeRef) -> String {
 /// string value.
 pub fn serialize_pretty(doc: &Arc<Document>) -> String {
     let mut out = String::new();
-    write_node(&mut out, &doc.root(), Some(2), 0);
+    write_subtree(&mut out, doc, NodeId::DOC, Some(2));
     if !out.ends_with('\n') {
         out.push('\n');
     }
     out
 }
 
-fn write_node(out: &mut String, node: &NodeRef, indent: Option<usize>, depth: usize) {
-    match node.kind() {
-        NodeKind::Document => {
-            for c in node.children() {
-                write_node(out, &c, indent, depth);
-                if indent.is_some() && !out.ends_with('\n') {
+/// An element whose end tag is owed once the walk reaches `end`.
+struct OpenTag<'a> {
+    name: &'a QName,
+    end: u32,
+    /// Indentation step in force *around* this element (`None`: compact).
+    indent: Option<usize>,
+    depth: usize,
+    /// Whether the end tag goes on a line of its own.
+    pad_end_tag: bool,
+}
+
+fn write_subtree(out: &mut String, doc: &Document, root: NodeId, step: Option<usize>) {
+    let mut open: Vec<OpenTag> = Vec::new();
+    let close = |out: &mut String, tag: OpenTag| {
+        if let (Some(step), true) = (tag.indent, tag.pad_end_tag) {
+            pad(out, step * tag.depth);
+        }
+        out.push_str("</");
+        push_name(out, tag.name);
+        out.push('>');
+        if tag.indent.is_some() {
+            out.push('\n');
+        }
+    };
+    let mut id = root.0;
+    let end = doc.subtree_end(root);
+    while id < end {
+        while open.last().is_some_and(|t| t.end <= id) {
+            close(out, open.pop().expect("open tag"));
+        }
+        // Indentation for this node: its parent's, unless the parent holds
+        // text, below which nothing is reformatted.
+        let (indent, depth) = match open.last() {
+            Some(t) if t.pad_end_tag => (t.indent, t.depth + 1),
+            Some(_) => (None, 0),
+            None => (step, 0),
+        };
+        let node = NodeId(id);
+        id += 1;
+        match doc.kind(node) {
+            NodeKind::Document => {}
+            NodeKind::Element(name) => {
+                if let Some(step) = indent {
+                    pad(out, step * depth);
+                }
+                out.push('<');
+                push_name(out, name);
+                for a in doc.attributes(node) {
+                    out.push(' ');
+                    write_attribute(out, doc, a);
+                    id += 1;
+                }
+                let mut children = doc.children(node).peekable();
+                if children.peek().is_none() {
+                    out.push_str("/>");
+                    if indent.is_some() {
+                        out.push('\n');
+                    }
+                    continue;
+                }
+                out.push('>');
+                let has_text = children.any(|c| doc.is_text(c));
+                let pad_end_tag = indent.is_some() && !has_text;
+                if pad_end_tag {
                     out.push('\n');
                 }
+                open.push(OpenTag {
+                    name,
+                    end: doc.subtree_end(node),
+                    indent,
+                    depth,
+                    pad_end_tag,
+                });
             }
-        }
-        NodeKind::Element(name) => {
-            if let Some(step) = indent {
-                pad(out, step * depth);
-            }
-            out.push('<');
-            out.push_str(&name.lexical());
-            for a in node.attributes() {
-                if let NodeKind::Attribute(an, av) = a.kind() {
-                    let _ = write!(out, " {}=\"{}\"", an.lexical(), escape_attr(av));
+            NodeKind::Attribute(..) => write_attribute(out, doc, node),
+            NodeKind::Text(t) => push_escaped(out, t, false),
+            NodeKind::Comment(c) => {
+                if let Some(step) = indent {
+                    pad(out, step * depth);
                 }
-            }
-            let children = node.children();
-            if children.is_empty() {
-                out.push_str("/>");
+                out.push_str("<!--");
+                out.push_str(c);
+                out.push_str("-->");
                 if indent.is_some() {
                     out.push('\n');
                 }
-                return;
             }
-            out.push('>');
-            let text_only = children.iter().all(|c| c.is_text());
-            let has_text = children.iter().any(|c| c.is_text());
-            match indent {
-                Some(step) if !has_text => {
-                    out.push('\n');
-                    for c in &children {
-                        write_node(out, c, indent, depth + 1);
-                    }
+            NodeKind::Pi { target, data } => {
+                if let Some(step) = indent {
                     pad(out, step * depth);
                 }
-                Some(_) if text_only => {
-                    for c in &children {
-                        write_node(out, c, None, 0);
-                    }
+                out.push_str("<?");
+                out.push_str(target);
+                if !data.is_empty() {
+                    out.push(' ');
+                    out.push_str(data);
                 }
-                _ => {
-                    // Mixed content: no reformatting (preserves string value).
-                    for c in &children {
-                        write_node(out, c, None, 0);
-                    }
+                out.push_str("?>");
+                if indent.is_some() {
+                    out.push('\n');
                 }
             }
-            out.push_str("</");
-            out.push_str(&name.lexical());
-            out.push('>');
-            if indent.is_some() {
-                out.push('\n');
-            }
         }
-        NodeKind::Attribute(an, av) => {
-            let _ = write!(out, "{}=\"{}\"", an.lexical(), escape_attr(av));
-        }
-        NodeKind::Text(t) => out.push_str(&escape_text(t)),
-        NodeKind::Comment(c) => {
-            if let Some(step) = indent {
-                pad(out, step * depth);
-            }
-            let _ = write!(out, "<!--{c}-->");
-            if indent.is_some() {
-                out.push('\n');
-            }
-        }
-        NodeKind::Pi { target, data } => {
-            if let Some(step) = indent {
-                pad(out, step * depth);
-            }
-            if data.is_empty() {
-                let _ = write!(out, "<?{target}?>");
-            } else {
-                let _ = write!(out, "<?{target} {data}?>");
-            }
-            if indent.is_some() {
-                out.push('\n');
-            }
+        // Pretty-printed top-level nodes each end their line.
+        if step.is_some() && open.is_empty() && node != root && !out.ends_with('\n') {
+            out.push('\n');
         }
     }
+    while let Some(tag) = open.pop() {
+        close(out, tag);
+    }
+}
+
+fn write_attribute(out: &mut String, doc: &Document, id: NodeId) {
+    if let NodeKind::Attribute(name, value) = doc.kind(id) {
+        push_name(out, name);
+        out.push_str("=\"");
+        push_escaped(out, value, true);
+        out.push('"');
+    }
+}
+
+fn push_name(out: &mut String, name: &QName) {
+    if let Some(p) = name.prefix.as_deref().filter(|p| !p.is_empty()) {
+        out.push_str(p);
+        out.push(':');
+    }
+    out.push_str(&name.local);
 }
 
 fn pad(out: &mut String, n: usize) {
@@ -122,33 +170,38 @@ fn pad(out: &mut String, n: usize) {
     }
 }
 
+/// Append `s`, escaped as character data or as a double-quoted attribute
+/// value, copying the stretches between special characters whole.
+fn push_escaped(out: &mut String, s: &str, attribute: bool) {
+    let mut from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match (b, attribute) {
+            (b'&', _) => "&amp;",
+            (b'<', _) => "&lt;",
+            (b'>', false) => "&gt;",
+            (b'"', true) => "&quot;",
+            (b'\n', true) => "&#10;",
+            (b'\t', true) => "&#9;",
+            _ => continue,
+        };
+        out.push_str(&s[from..i]);
+        out.push_str(escape);
+        from = i + 1;
+    }
+    out.push_str(&s[from..]);
+}
+
 /// Escape character data.
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
+    push_escaped(&mut out, s, false);
     out
 }
 
 /// Escape an attribute value for double-quoted emission.
 pub fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '"' => out.push_str("&quot;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            _ => out.push(c),
-        }
-    }
+    push_escaped(&mut out, s, true);
     out
 }
 
@@ -181,7 +234,6 @@ mod tests {
         let names = |d: &std::sync::Arc<crate::Document>| {
             d.root()
                 .descendants()
-                .iter()
                 .filter_map(|n| n.name().map(|q| q.local.clone()))
                 .collect::<Vec<_>>()
         };
@@ -193,5 +245,25 @@ mod tests {
         let doc = parse("<p>hello <b>world</b>!</p>").unwrap();
         let pretty = serialize_pretty(&doc);
         assert_eq!(pretty, "<p>hello <b>world</b>!</p>\n");
+    }
+
+    #[test]
+    fn pretty_print_keeps_comments_pis_and_nested_mixed_content_as_before() {
+        let doc =
+            parse("<!--top--><a><!--c--><?p d?><b>t<i><j/></i></b><e><f/><!--g--></e></a><?end?>")
+                .unwrap();
+        assert_eq!(
+            serialize_pretty(&doc),
+            "<!--top-->\n<a>\n  <!--c-->\n  <?p d?>\n  <b>t<i><j/></i></b>\n  <e>\n    \
+             <f/>\n    <!--g-->\n  </e>\n</a>\n<?end?>\n"
+        );
+    }
+
+    #[test]
+    fn subtree_and_attribute_nodes_serialize_alone() {
+        let doc = parse("<a><b p='1' q='2'><c/></b><d/></a>").unwrap();
+        let b = doc.document_element().unwrap().children().next().unwrap();
+        assert_eq!(b.to_xml(), "<b p=\"1\" q=\"2\"><c/></b>");
+        assert_eq!(b.attributes().nth(1).unwrap().to_xml(), "q=\"2\"");
     }
 }

@@ -13,7 +13,14 @@
 //! message *content* is never interned, only names. Reads take a shared
 //! lock and one hash probe; the write path runs once per distinct name for
 //! the process lifetime.
+//!
+//! A second pool, [`intern_qname`], holds whole qualified names under the
+//! same contract. A [`Document`](crate::Document)'s name table is a list
+//! of pointers into it, so a parsed message owns no name strings at all
+//! and messages of one shape share theirs.
 
+use crate::qname::QName;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
 
@@ -53,6 +60,85 @@ pub fn intern(name: &str) -> Sym {
     Sym(id)
 }
 
+/// A pooled qualified name together with the symbol of its local part.
+#[derive(Debug)]
+pub struct Name {
+    pub qname: QName,
+    pub sym: Sym,
+}
+
+/// `(namespace, prefix, local)`. The prefix is part of the key although
+/// [`QName`] equality ignores it: serialization must reproduce it.
+type NameKey<'a> = (Option<&'a str>, Option<&'a str>, &'a str);
+
+static QNAMES: OnceLock<RwLock<HashMap<NameKey<'static>, &'static Name>>> = OnceLock::new();
+
+const RECENT_SLOTS: usize = 64;
+
+thread_local! {
+    /// The unqualified names this thread pooled last, direct-mapped by
+    /// [`slot_of`]: messages of one shape ask for the same few names over
+    /// and over, and a hit here skips the lock and the hash.
+    static RECENT: [Cell<Option<&'static Name>>; RECENT_SLOTS] =
+        const { [const { Cell::new(None) }; RECENT_SLOTS] };
+}
+
+/// A cheap spread of short names over a small direct-mapped cache. It
+/// only has to be fast: a collision costs a miss, never a wrong answer.
+pub(crate) fn slot_of(name: &str, slots: usize) -> usize {
+    let b = name.as_bytes();
+    let at = |i: usize| b.get(i).copied().unwrap_or(0) as u32;
+    let n = b.len();
+    let sample = n as u32 ^ at(0) << 8 ^ at(n / 2) << 16 ^ at(n.saturating_sub(1)) << 24;
+    (sample.wrapping_mul(0x9E37_79B1) >> 20) as usize % slots
+}
+
+/// Intern a qualified name. The result lives for the rest of the process;
+/// a hit costs a shared lock and one hash probe and allocates nothing.
+pub fn intern_qname(ns: Option<&str>, prefix: Option<&str>, local: &str) -> &'static Name {
+    if ns.is_some() || prefix.is_some() {
+        return intern_pooled(ns, prefix, local);
+    }
+    RECENT.with(|recent| {
+        let slot = &recent[slot_of(local, RECENT_SLOTS)];
+        match slot.get() {
+            Some(name) if name.qname.local == local => name,
+            _ => {
+                let name = intern_pooled(None, None, local);
+                slot.set(Some(name));
+                name
+            }
+        }
+    })
+}
+
+fn intern_pooled(ns: Option<&str>, prefix: Option<&str>, local: &str) -> &'static Name {
+    let pool = QNAMES.get_or_init(|| RwLock::new(HashMap::new()));
+    if let Some(&name) = pool
+        .read()
+        .expect("name pool lock")
+        .get(&(ns, prefix, local))
+    {
+        return name;
+    }
+    let sym = intern(local);
+    let mut pool = pool.write().expect("name pool lock");
+    if let Some(&name) = pool.get(&(ns, prefix, local)) {
+        return name; // raced with another writer
+    }
+    let name: &'static Name = Box::leak(Box::new(Name {
+        qname: QName {
+            ns: ns.map(str::to_string),
+            prefix: prefix.map(str::to_string),
+            local: local.to_string(),
+        },
+        sym,
+    }));
+    let q = &name.qname;
+    pool.insert((q.ns.as_deref(), q.prefix.as_deref(), &q.local), name);
+    name
+}
+
 /// The string a symbol was interned from.
 pub fn resolve(sym: Sym) -> String {
     table().read().expect("interner lock").names[sym.0 as usize].to_string()
@@ -76,6 +162,20 @@ mod tests {
         assert_eq!(resolve(a), "offerRequest");
         let c = intern("customerID");
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn qnames_are_pooled_by_namespace_prefix_and_local() {
+        let a = intern_qname(Some("urn:pool"), Some("p"), "order");
+        let b = intern_qname(Some("urn:pool"), Some("p"), "order");
+        assert!(std::ptr::eq(a, b));
+        assert_eq!(a.sym, intern("order"));
+        assert_eq!(a.qname.lexical(), "p:order");
+        // Equal as QNames, yet pooled apart: the prefix must survive.
+        let c = intern_qname(Some("urn:pool"), Some("q"), "order");
+        assert_eq!(a.qname, c.qname);
+        assert!(!std::ptr::eq(a, c));
+        assert!(!std::ptr::eq(a, intern_qname(None, None, "order")));
     }
 
     #[test]

@@ -136,12 +136,10 @@ proptest! {
         let skel = |d: &Arc<Document>| {
             d.root()
                 .descendants()
-                .iter()
                 .filter(|n| n.is_element())
                 .map(|n| {
                     let mut attrs: Vec<String> = n
                         .attributes()
-                        .iter()
                         .filter_map(|a| a.name().map(|q| {
                             format!("{}={}", q.local, a.string_value())
                         }))

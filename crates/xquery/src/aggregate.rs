@@ -41,9 +41,9 @@
 use crate::ast::{Axis, Expr};
 use crate::context::{DynamicContext, NoHost, StaticContext};
 use crate::error::{Error, Result};
-use crate::eval::{axis_candidates, Evaluator, Focus};
-use crate::plan::{lower_test, ptest_matches, PTest};
-use crate::value::{Atomic, Item, Sequence};
+use crate::eval::{Evaluator, Focus};
+use crate::plan::{lower_test, step_nodes, PTest};
+use crate::value::{untyped_to_double, Atomic, Item, Sequence};
 use demaq_xml::sym;
 use demaq_xml::NodeRef;
 use std::cmp::Ordering;
@@ -169,10 +169,8 @@ impl AggregateSpec {
             for node in &current {
                 // Per-context-node batch, exactly as `eval_steps` scopes
                 // predicate positions.
-                let mut batch: Vec<NodeRef> = axis_candidates(step.axis, node)
-                    .into_iter()
-                    .filter(|n| ptest_matches(step.axis, n, &step.test))
-                    .collect();
+                let mut batch: Vec<NodeRef> = Vec::new();
+                step_nodes(step.axis, node, &step.test, |n| batch.push(n));
                 for pred in &step.preds {
                     let ev = guard_eval.get_or_insert_with(GuardEval::new);
                     let size = batch.len();
@@ -493,7 +491,7 @@ impl AggAcc {
                     _ => unreachable!(),
                 };
                 for n in &nodes {
-                    let a = Atomic::Untyped(n.string_value());
+                    let a = Atomic::Untyped(n.string_value().into_owned());
                     match best {
                         None => *best = Some(a),
                         Some(b) => {
@@ -509,7 +507,7 @@ impl AggAcc {
             }
             AggAcc::Sum { seen, dsum } => {
                 for n in &nodes {
-                    let d = Atomic::Untyped(n.string_value()).to_double();
+                    let d = untyped_to_double(&n.string_value());
                     if d.is_nan() {
                         return Err(Error::type_error("fn:sum over non-numeric values"));
                     }
@@ -519,7 +517,7 @@ impl AggAcc {
             }
             AggAcc::Avg { count, dsum } => {
                 for n in &nodes {
-                    let d = Atomic::Untyped(n.string_value()).to_double();
+                    let d = untyped_to_double(&n.string_value());
                     if d.is_nan() {
                         // `fn:avg` sums through `numeric_fold(_, "sum")`,
                         // so its error string names fn:sum.

@@ -12,8 +12,9 @@ use crate::error::{Error, Result};
 use crate::functions;
 use crate::update::Update;
 use crate::value::{parse_date_time, parse_duration, Atomic, Item, Sequence};
-use demaq_xml::{DocBuilder, Document, NodeKind, NodeRef, QName};
+use demaq_xml::{DocBuilder, Document, NodeId, NodeKind, NodeRef, QName};
 use std::cmp::Ordering;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// The focus: context item, position, and size (XPath `.`/`position()`/
@@ -231,7 +232,7 @@ impl<'a> Evaluator<'a> {
                 let qn = QName::parse_lexical(&n.string_value()?)
                     .ok_or_else(|| Error::dynamic("invalid computed element name"))?;
                 let seq = self.eval(content, focus)?;
-                let node = assemble_element(qn, &[], seq)?;
+                let node = assemble_element(&qn, &[], seq)?;
                 Ok(Sequence::one(node))
             }
             Expr::ComputedAttribute { name, content } => {
@@ -245,7 +246,8 @@ impl<'a> Evaluator<'a> {
                 let mut b = DocBuilder::new();
                 b.start("attr-holder").attr(qn, value).end();
                 let doc = b.finish();
-                let attr = doc.document_element().expect("holder").attributes()[0].clone();
+                let holder = doc.document_element().expect("holder");
+                let attr = holder.attributes().next().expect("held attribute");
                 Ok(Sequence::one(attr))
             }
             Expr::ComputedText(e) => {
@@ -256,7 +258,7 @@ impl<'a> Evaluator<'a> {
                 let mut b = DocBuilder::new();
                 b.text(atomics_joined(&v));
                 let doc = b.finish();
-                let t = doc.root().children().first().cloned();
+                let t = doc.root().children().next();
                 Ok(match t {
                     Some(n) => Sequence::one(n),
                     None => Sequence::empty(),
@@ -267,7 +269,8 @@ impl<'a> Evaluator<'a> {
                 let mut b = DocBuilder::new();
                 b.comment(atomics_joined(&v));
                 let doc = b.finish();
-                Ok(Sequence::one(doc.root().children()[0].clone()))
+                let comment = doc.root().children().next().expect("comment child");
+                Ok(Sequence::one(comment))
             }
             Expr::ComputedDocument(e) => {
                 let seq = self.eval(e, focus)?;
@@ -855,7 +858,7 @@ impl<'a> Evaluator<'a> {
         content: &[DirContent],
         focus: Option<&Focus>,
     ) -> Result<NodeRef> {
-        let mut eattrs: Vec<(QName, String)> = Vec::new();
+        let mut eattrs: Vec<(&QName, String)> = Vec::new();
         for (an, parts) in attrs {
             let mut value = String::new();
             for p in parts {
@@ -863,11 +866,11 @@ impl<'a> Evaluator<'a> {
                     AttrValuePart::Text(t) => value.push_str(t),
                     AttrValuePart::Enclosed(e) => {
                         let v = self.eval(e, focus)?;
-                        value.push_str(&atomics_joined(&v));
+                        push_atomics_joined(&mut value, &v);
                     }
                 }
             }
-            eattrs.push((an.clone(), value));
+            eattrs.push((an, value));
         }
         // Evaluate content into a flat sequence with XQuery content rules.
         let mut seq = Sequence::empty();
@@ -882,7 +885,7 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
-        assemble_element(name, &eattrs, seq)
+        assemble_element(&name, &eattrs, seq)
     }
 
     // ---- updating helpers ---------------------------------------------------------
@@ -912,46 +915,35 @@ impl<'a> Evaluator<'a> {
 /// items must precede other content and attach to the element; nodes
 /// are deep-copied.
 pub(crate) fn assemble_element(
-    name: QName,
-    attrs: &[(QName, String)],
+    name: &QName,
+    attrs: &[(&QName, String)],
     content: Sequence,
 ) -> Result<NodeRef> {
     let mut b = DocBuilder::new();
     b.start(name);
     for (an, av) in attrs {
-        b.attr(an.clone(), av.clone());
+        b.attr(*an, av);
     }
     let mut has_child = false;
-    let mut pending_atomics: Vec<String> = Vec::new();
-    let flush = |b: &mut DocBuilder, pending: &mut Vec<String>, has_child: &mut bool| {
-        if !pending.is_empty() {
-            b.text(pending.join(" "));
-            pending.clear();
-            *has_child = true;
-        }
-    };
-    for item in content.0 {
+    let mut after_atomic = false;
+    for item in &content.0 {
         match item {
-            Item::Atomic(a) => pending_atomics.push(a.to_str()),
+            Item::Atomic(a) => {
+                append_atomic(&mut b, a, after_atomic);
+                has_child = true;
+            }
             Item::Node(n) => {
-                flush(&mut b, &mut pending_atomics, &mut has_child);
-                if n.is_attribute() {
-                    if has_child {
-                        return Err(Error::type_error(
-                            "attribute constructed after element content",
-                        ));
-                    }
-                    if let NodeKind::Attribute(an, av) = n.kind() {
-                        b.attr(an.clone(), av.clone());
-                    }
-                } else {
-                    b.copy_node(&n);
-                    has_child = true;
+                if n.is_attribute() && has_child {
+                    return Err(Error::type_error(
+                        "attribute constructed after element content",
+                    ));
                 }
+                b.copy_node(n);
+                has_child |= !n.is_attribute();
             }
         }
+        after_atomic = matches!(item, Item::Atomic(_));
     }
-    flush(&mut b, &mut pending_atomics, &mut has_child);
     b.end();
     let doc = b.finish();
     Ok(doc.document_element().expect("constructed element"))
@@ -1011,35 +1003,39 @@ pub(crate) fn text_node(t: &str) -> NodeRef {
     let mut b = DocBuilder::new();
     b.text(if t.is_empty() { " " } else { t });
     let doc = b.finish();
-    doc.root()
-        .children()
-        .into_iter()
-        .next()
-        .expect("text child")
+    doc.root().children().next().expect("text child")
 }
 
 /// Join the atomized items with single spaces (attribute/text content rule).
 pub(crate) fn atomics_joined(seq: &Sequence) -> String {
-    seq.0
-        .iter()
-        .map(|i| i.string_value())
-        .collect::<Vec<_>>()
-        .join(" ")
+    let mut out = String::new();
+    push_atomics_joined(&mut out, seq);
+    out
+}
+
+/// [`atomics_joined`], appended to `out`.
+pub(crate) fn push_atomics_joined(out: &mut String, seq: &Sequence) {
+    for (i, item) in seq.0.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        match item {
+            Item::Node(n) => out.push_str(&n.string_value()),
+            Item::Atomic(Atomic::Str(s) | Atomic::Untyped(s)) => out.push_str(s),
+            Item::Atomic(a) => out.push_str(&a.to_str()),
+        }
+    }
 }
 
 /// Convert an evaluated sequence into a standalone message document:
 /// nodes are deep-copied (elements of documents unwrap), atomics become text.
 pub fn sequence_to_document(seq: &Sequence) -> Result<Arc<Document>> {
     let mut b = DocBuilder::new();
-    let mut pending: Vec<String> = Vec::new();
+    let mut after_atomic = false;
     for item in &seq.0 {
         match item {
-            Item::Atomic(a) => pending.push(a.to_str()),
+            Item::Atomic(a) => append_atomic(&mut b, a, after_atomic),
             Item::Node(n) => {
-                if !pending.is_empty() {
-                    b.text(pending.join(" "));
-                    pending.clear();
-                }
                 if n.is_attribute() {
                     return Err(Error::type_error(
                         "cannot enqueue a bare attribute node as a message",
@@ -1048,11 +1044,21 @@ pub fn sequence_to_document(seq: &Sequence) -> Result<Arc<Document>> {
                 b.copy_node(n);
             }
         }
-    }
-    if !pending.is_empty() {
-        b.text(pending.join(" "));
+        after_atomic = matches!(item, Item::Atomic(_));
     }
     Ok(b.finish())
+}
+
+/// Append an atomic as constructor content: text, set off by one space
+/// from an atomic right before it (the builder merges adjacent text).
+fn append_atomic(b: &mut DocBuilder, a: &Atomic, after_atomic: bool) {
+    if after_atomic {
+        b.text(" ");
+    }
+    match a {
+        Atomic::Str(s) | Atomic::Untyped(s) => b.text(s),
+        other => b.text(other.to_str()),
+    };
 }
 
 pub(crate) fn append_content(b: &mut DocBuilder, seq: &Sequence, has_child: &mut bool) -> Result<()> {
@@ -1073,34 +1079,43 @@ pub(crate) fn append_content(b: &mut DocBuilder, seq: &Sequence, has_child: &mut
 
 /// Axis traversal with node test filtering.
 pub(crate) fn axis_nodes(axis: Axis, node: &NodeRef, test: &NodeTest) -> Sequence {
-    let filtered = axis_candidates(axis, node)
-        .into_iter()
-        .filter(|n| node_test_matches(axis, n, test));
-    Sequence(filtered.map(Item::Node).collect())
+    let mut out = Vec::new();
+    let _ = for_each_on_axis(axis, &node.doc, node.id, |id| {
+        let n = node.doc.node(id);
+        if node_test_matches(axis, &n, test) {
+            out.push(Item::Node(n));
+        }
+        ControlFlow::<()>::Continue(())
+    });
+    Sequence(out)
 }
 
-/// Enumerate the axis candidates (before node-test filtering), in the
-/// axis's natural delivery order.
-pub(crate) fn axis_candidates(axis: Axis, node: &NodeRef) -> Vec<NodeRef> {
+/// Visit the axis candidates (before node-test filtering) in the axis's
+/// natural delivery order, until `f` breaks. Candidates are ids: a caller
+/// pays for a [`NodeRef`] only for those it keeps.
+pub(crate) fn for_each_on_axis<B>(
+    axis: Axis,
+    doc: &Document,
+    id: NodeId,
+    mut f: impl FnMut(NodeId) -> ControlFlow<B>,
+) -> ControlFlow<B> {
     match axis {
-        Axis::Child => node.children(),
-        Axis::Descendant => node.descendants(),
+        Axis::Child => doc.children(id).try_for_each(f),
+        Axis::Descendant => doc.descendants(id).try_for_each(f),
         Axis::DescendantOrSelf => {
-            let mut v = vec![node.clone()];
-            v.extend(node.descendants());
-            v
+            f(id)?;
+            doc.descendants(id).try_for_each(f)
         }
-        Axis::Attribute => node.attributes(),
-        Axis::SelfAxis => vec![node.clone()],
-        Axis::Parent => node.parent().into_iter().collect(),
-        Axis::Ancestor => node.ancestors(),
+        Axis::Attribute => doc.attributes(id).try_for_each(f),
+        Axis::SelfAxis => f(id),
+        Axis::Parent => doc.parent(id).into_iter().try_for_each(f),
+        Axis::Ancestor => doc.ancestors(id).try_for_each(f),
         Axis::AncestorOrSelf => {
-            let mut v = vec![node.clone()];
-            v.extend(node.ancestors());
-            v
+            f(id)?;
+            doc.ancestors(id).try_for_each(f)
         }
-        Axis::FollowingSibling => node.following_siblings(),
-        Axis::PrecedingSibling => node.preceding_siblings(),
+        Axis::FollowingSibling => doc.following_siblings(id).try_for_each(f),
+        Axis::PrecedingSibling => doc.preceding_siblings(id).try_for_each(f),
     }
 }
 

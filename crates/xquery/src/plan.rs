@@ -26,15 +26,16 @@ use crate::ast::*;
 use crate::context::DynamicContext;
 use crate::error::{Error, Result};
 use crate::eval::{
-    assemble_element, atomics_joined, axis_candidates, cast_atomic, order_cmp,
-    sequence_to_document, text_node, Focus,
+    assemble_element, atomics_joined, cast_atomic, for_each_on_axis, order_cmp,
+    push_atomics_joined, sequence_to_document, text_node, Focus,
 };
 use crate::functions;
 use crate::update::Update;
-use crate::value::{Atomic, Item, Sequence};
+use crate::value::{AtomView, Atomic, Item, Sequence};
 use demaq_xml::sym::{self, Sym};
-use demaq_xml::{DocBuilder, NodeKind, NodeRef, QName};
+use demaq_xml::{DocBuilder, Document, NodeId, NodeKind, NodeRef, QName};
 use std::cmp::Ordering;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 static PLANS_LOWERED: AtomicU64 = AtomicU64::new(0);
@@ -88,57 +89,68 @@ pub(crate) fn lower_test(test: &NodeTest) -> PTest {
 
 /// Sym-fast name match: local names compare as integers; namespaces are
 /// only consulted when both the test and the node carry one.
-fn name_matches(node: &NodeRef, sym: Sym, ns: &Option<String>) -> bool {
-    if node.name_sym() != Some(sym) {
+fn name_matches(doc: &Document, id: NodeId, sym: Sym, ns: &Option<String>) -> bool {
+    if doc.name_sym(id) != Some(sym) {
         return false;
     }
-    match (ns, node.name().and_then(|q| q.ns.as_ref())) {
+    match (ns, doc.name(id).and_then(|q| q.ns.as_ref())) {
         (Some(t), Some(n)) => t == n,
         _ => true,
     }
 }
 
-pub(crate) fn ptest_matches(axis: Axis, node: &NodeRef, test: &PTest) -> bool {
+pub(crate) fn ptest_matches(axis: Axis, doc: &Document, id: NodeId, test: &PTest) -> bool {
     // Namespace declarations are stored as attributes for serialization
     // fidelity but are not addressable via the attribute axis.
     if axis == Axis::Attribute {
-        if let Some(q) = node.name() {
+        if let Some(q) = doc.name(id) {
             if q.local == "xmlns" || q.local.starts_with("xmlns:") {
                 return false;
             }
         }
     }
+    let principal = |id| {
+        if axis == Axis::Attribute {
+            doc.is_attribute(id)
+        } else {
+            doc.is_element(id)
+        }
+    };
     match test {
         PTest::AnyKind => true,
-        PTest::Text => node.is_text(),
-        PTest::Comment => matches!(node.kind(), NodeKind::Comment(_)),
-        PTest::Document => node.is_document(),
-        PTest::AnyName => {
-            if axis == Axis::Attribute {
-                node.is_attribute()
-            } else {
-                node.is_element()
-            }
-        }
-        PTest::Name { sym, ns } => {
-            let principal_ok = if axis == Axis::Attribute {
-                node.is_attribute()
-            } else {
-                node.is_element()
-            };
-            principal_ok && name_matches(node, *sym, ns)
-        }
+        PTest::Text => doc.is_text(id),
+        PTest::Comment => matches!(doc.kind(id), NodeKind::Comment(_)),
+        PTest::Document => doc.is_document(id),
+        PTest::AnyName => principal(id),
+        PTest::Name { sym, ns } => principal(id) && name_matches(doc, id, *sym, ns),
         PTest::Element(q) => {
-            node.is_element() && q.as_ref().is_none_or(|(s, ns)| name_matches(node, *s, ns))
+            doc.is_element(id)
+                && q.as_ref()
+                    .is_none_or(|(s, ns)| name_matches(doc, id, *s, ns))
         }
         PTest::Attribute(q) => {
-            node.is_attribute() && q.as_ref().is_none_or(|(s, ns)| name_matches(node, *s, ns))
+            doc.is_attribute(id)
+                && q.as_ref()
+                    .is_none_or(|(s, ns)| name_matches(doc, id, *s, ns))
         }
-        PTest::Pi(target) => match node.kind() {
+        PTest::Pi(target) => match doc.kind(id) {
             NodeKind::Pi { target: t, .. } => target.as_ref().is_none_or(|x| x == t),
             _ => false,
         },
     }
+}
+
+/// Hand `keep` the nodes on `axis` from `node` that pass `test`, in axis
+/// order. Candidates are tested by id; only the ones kept become
+/// [`NodeRef`]s.
+pub(crate) fn step_nodes(axis: Axis, node: &NodeRef, test: &PTest, mut keep: impl FnMut(NodeRef)) {
+    let doc = &node.doc;
+    let _ = for_each_on_axis(axis, doc, node.id, |id| {
+        if ptest_matches(axis, doc, id, test) {
+            keep(doc.node(id));
+        }
+        ControlFlow::<()>::Continue(())
+    });
 }
 
 /// A lowered FLWOR clause; binding names are gone — each clause pushes its
@@ -782,9 +794,9 @@ impl<'a> PlanEvaluator<'a> {
         self.eval(plan, None)
     }
 
-    fn context_item(focus: Option<&Focus>) -> Result<Item> {
+    fn context_item(focus: Option<&Focus>) -> Result<&Item> {
         focus
-            .map(|f| f.item.clone())
+            .map(|f| &f.item)
             .ok_or_else(|| Error::dynamic("context item is undefined here"))
     }
 
@@ -809,7 +821,7 @@ impl<'a> PlanEvaluator<'a> {
                 .get(name)
                 .cloned()
                 .ok_or_else(|| Error::undefined_name(format!("undefined variable ${name}"))),
-            Plan::ContextItem => Ok(Sequence::one(Self::context_item(focus)?)),
+            Plan::ContextItem => Ok(Sequence::one(Self::context_item(focus)?.clone())),
             Plan::Sequence(ps) => {
                 let mut out = Sequence::empty();
                 for p in ps {
@@ -835,42 +847,36 @@ impl<'a> PlanEvaluator<'a> {
                 }
             }
             Plan::Path { root, steps } => {
-                let start: Sequence = if *root {
+                let start: Item = if *root {
                     match Self::context_item(focus)? {
-                        Item::Node(n) => Sequence::one(n.doc.root()),
+                        Item::Node(n) => Item::Node(n.doc.root()),
                         Item::Atomic(_) => {
                             return Err(Error::type_error("`/` requires a node context item"))
                         }
                     }
                 } else {
                     match focus {
-                        Some(f) => Sequence::one(f.item.clone()),
+                        Some(f) => f.item.clone(),
                         None => {
                             return Err(Error::dynamic("relative path with absent context item"))
                         }
                     }
                 };
-                self.eval_steps(start, steps)
+                self.eval_steps(std::slice::from_ref(&start), steps)
             }
             Plan::Step {
                 axis,
                 test,
                 predicates,
             } => {
-                let node = match Self::context_item(focus)? {
-                    Item::Node(n) => n,
+                let mut on_axis = Vec::new();
+                match Self::context_item(focus)? {
+                    Item::Node(n) => step_nodes(*axis, n, test, |n| on_axis.push(Item::Node(n))),
                     Item::Atomic(_) => {
                         return Err(Error::type_error("axis step on an atomic context item"))
                     }
-                };
-                let axis_result = Sequence(
-                    axis_candidates(*axis, &node)
-                        .into_iter()
-                        .filter(|n| ptest_matches(*axis, n, test))
-                        .map(Item::Node)
-                        .collect(),
-                );
-                self.apply_predicates(axis_result, predicates)
+                }
+                self.apply_predicates(Sequence(on_axis), predicates)
             }
             Plan::Filter { base, predicates } => {
                 let seq = self.eval(base, focus)?;
@@ -888,10 +894,10 @@ impl<'a> PlanEvaluator<'a> {
                         test: PTest::AnyKind,
                         predicates: vec![],
                     };
-                    let mid = self.eval_steps(seq, std::slice::from_ref(&dos))?;
-                    self.eval_steps(mid, std::slice::from_ref(step))
+                    let mid = self.eval_steps(&seq.0, std::slice::from_ref(&dos))?;
+                    self.eval_steps(&mid.0, std::slice::from_ref(step))
                 } else {
-                    self.eval_steps(seq, std::slice::from_ref(step))
+                    self.eval_steps(&seq.0, std::slice::from_ref(step))
                 }
             }
             Plan::Or(a, b) => {
@@ -958,7 +964,7 @@ impl<'a> PlanEvaluator<'a> {
                 attrs,
                 content,
             } => {
-                let mut eattrs: Vec<(QName, String)> = Vec::new();
+                let mut eattrs: Vec<(&QName, String)> = Vec::with_capacity(attrs.len());
                 for (an, parts) in attrs {
                     let mut value = String::new();
                     for p in parts {
@@ -966,11 +972,11 @@ impl<'a> PlanEvaluator<'a> {
                             PAttrPart::Text(t) => value.push_str(t),
                             PAttrPart::Expr(e) => {
                                 let v = self.eval(e, focus)?;
-                                value.push_str(&atomics_joined(&v));
+                                push_atomics_joined(&mut value, &v);
                             }
                         }
                     }
-                    eattrs.push((an.clone(), value));
+                    eattrs.push((an, value));
                 }
                 let mut seq = Sequence::empty();
                 for c in content {
@@ -982,7 +988,7 @@ impl<'a> PlanEvaluator<'a> {
                         }
                     }
                 }
-                let node = assemble_element(name.clone(), &eattrs, seq)?;
+                let node = assemble_element(name, &eattrs, seq)?;
                 Ok(Sequence::one(node))
             }
             Plan::ComputedElement { name, content } => {
@@ -990,7 +996,7 @@ impl<'a> PlanEvaluator<'a> {
                 let qn = QName::parse_lexical(&n.string_value()?)
                     .ok_or_else(|| Error::dynamic("invalid computed element name"))?;
                 let seq = self.eval(content, focus)?;
-                let node = assemble_element(qn, &[], seq)?;
+                let node = assemble_element(&qn, &[], seq)?;
                 Ok(Sequence::one(node))
             }
             Plan::ComputedAttribute { name, content } => {
@@ -1002,7 +1008,8 @@ impl<'a> PlanEvaluator<'a> {
                 let mut b = DocBuilder::new();
                 b.start("attr-holder").attr(qn, value).end();
                 let doc = b.finish();
-                let attr = doc.document_element().expect("holder").attributes()[0].clone();
+                let holder = doc.document_element().expect("holder");
+                let attr = holder.attributes().next().expect("held attribute");
                 Ok(Sequence::one(attr))
             }
             Plan::ComputedText(e) => {
@@ -1013,7 +1020,7 @@ impl<'a> PlanEvaluator<'a> {
                 let mut b = DocBuilder::new();
                 b.text(atomics_joined(&v));
                 let doc = b.finish();
-                let t = doc.root().children().first().cloned();
+                let t = doc.root().children().next();
                 Ok(match t {
                     Some(n) => Sequence::one(n),
                     None => Sequence::empty(),
@@ -1024,7 +1031,8 @@ impl<'a> PlanEvaluator<'a> {
                 let mut b = DocBuilder::new();
                 b.comment(atomics_joined(&v));
                 let doc = b.finish();
-                Ok(Sequence::one(doc.root().children()[0].clone()))
+                let comment = doc.root().children().next().expect("comment child");
+                Ok(Sequence::one(comment))
             }
             Plan::ComputedDocument(e) => {
                 let seq = self.eval(e, focus)?;
@@ -1164,7 +1172,7 @@ impl<'a> PlanEvaluator<'a> {
                         }
                     }
                 };
-                let found = step_exists(&start, steps);
+                let found = step_exists(&start.doc, start.id, steps);
                 if found {
                     EBV_SHORT_CIRCUITS.fetch_add(1, AtomicOrdering::Relaxed);
                 }
@@ -1179,20 +1187,44 @@ impl<'a> PlanEvaluator<'a> {
 
     // ---- paths ---------------------------------------------------------------
 
-    fn eval_steps(&mut self, mut current: Sequence, steps: &[Plan]) -> Result<Sequence> {
+    fn eval_steps(&mut self, start: &[Item], steps: &[Plan]) -> Result<Sequence> {
+        if steps.is_empty() {
+            return Ok(Sequence(start.to_vec()));
+        }
+        let mut current = Sequence::empty();
         for (idx, step) in steps.iter().enumerate() {
             let is_last = idx + 1 == steps.len();
-            let size = current.len();
-            let mut result = Sequence::empty();
-            for (i, item) in current.0.iter().enumerate() {
-                let f = Focus {
-                    item: item.clone(),
-                    pos: i + 1,
-                    size,
-                };
-                let part = self.eval(step, Some(&f))?;
-                result = result.concat(part);
+            let context = if idx == 0 { start } else { &current.0 };
+            let size = context.len();
+            let mut result = Vec::new();
+            for (i, item) in context.iter().enumerate() {
+                match (step, item) {
+                    // A predicate-free axis step needs no focus of its own:
+                    // what it selects goes straight into the step's result.
+                    (
+                        Plan::Step {
+                            axis,
+                            test,
+                            predicates,
+                        },
+                        Item::Node(n),
+                    ) if predicates.is_empty() => {
+                        if self.depth >= MAX_DEPTH {
+                            return Err(Error::dynamic("expression nesting too deep"));
+                        }
+                        step_nodes(*axis, n, test, |n| result.push(Item::Node(n)));
+                    }
+                    _ => {
+                        let f = Focus {
+                            item: item.clone(),
+                            pos: i + 1,
+                            size,
+                        };
+                        result.extend(self.eval(step, Some(&f))?);
+                    }
+                }
             }
+            let mut result = Sequence(result);
             let all_nodes = result.0.iter().all(|i| matches!(i, Item::Node(_)));
             if all_nodes {
                 result = result.document_order_dedup()?;
@@ -1247,10 +1279,22 @@ impl<'a> PlanEvaluator<'a> {
         use CompOp::*;
         match op {
             GenEq | GenNe | GenLt | GenLe | GenGt | GenGe => {
-                let la = l.atomized();
-                let ra = r.atomized();
-                for a in &la {
-                    for b in &ra {
+                // The right side's views are built once, not per pair; a
+                // lone right item (the usual case) needs no vector for it.
+                let (lone, many);
+                let rv: &[AtomView] = match r.0.as_slice() {
+                    [b] => {
+                        lone = [b.atom_view()];
+                        &lone
+                    }
+                    items => {
+                        many = items.iter().map(Item::atom_view).collect::<Vec<_>>();
+                        &many
+                    }
+                };
+                for a in &l.0 {
+                    let a = a.atom_view();
+                    for b in rv {
                         if let Some(ord) = a.value_cmp(b) {
                             let hit = match op {
                                 GenEq => ord == Ordering::Equal,
@@ -1276,8 +1320,8 @@ impl<'a> PlanEvaluator<'a> {
                 if l.is_empty() || r.is_empty() {
                     return Ok(Sequence::empty());
                 }
-                let a = l.exactly_one()?.atomize();
-                let b = r.exactly_one()?.atomize();
+                let a = l.exactly_one()?.atom_view();
+                let b = r.exactly_one()?.atom_view();
                 let ord = a.value_cmp(&b).ok_or_else(|| {
                     Error::type_error(format!(
                         "cannot compare {} with {}",
@@ -1333,36 +1377,40 @@ impl<'a> PlanEvaluator<'a> {
         if l.is_empty() || r.is_empty() {
             return Ok(Sequence::empty());
         }
-        let a = l.exactly_one()?.atomize();
-        let b = r.exactly_one()?.atomize();
-        // Date/time arithmetic first.
-        match (&a, op, &b) {
-            (Atomic::DateTime(t), ArithOp::Add, Atomic::Duration(d))
-            | (Atomic::Duration(d), ArithOp::Add, Atomic::DateTime(t)) => {
-                return Ok(Sequence::one(Atomic::DateTime(t + d)));
+        let a = l.exactly_one()?.atom_view();
+        let b = r.exactly_one()?.atom_view();
+        // Date/time arithmetic first; a node operand is untyped and takes
+        // no part in it.
+        if let (AtomView::Typed(a), AtomView::Typed(b)) = (&a, &b) {
+            match (*a, op, *b) {
+                (Atomic::DateTime(t), ArithOp::Add, Atomic::Duration(d))
+                | (Atomic::Duration(d), ArithOp::Add, Atomic::DateTime(t)) => {
+                    return Ok(Sequence::one(Atomic::DateTime(t + d)));
+                }
+                (Atomic::DateTime(t), ArithOp::Sub, Atomic::Duration(d)) => {
+                    return Ok(Sequence::one(Atomic::DateTime(t - d)));
+                }
+                (Atomic::DateTime(t1), ArithOp::Sub, Atomic::DateTime(t2)) => {
+                    return Ok(Sequence::one(Atomic::Duration(t1 - t2)));
+                }
+                (Atomic::Duration(d1), ArithOp::Add, Atomic::Duration(d2)) => {
+                    return Ok(Sequence::one(Atomic::Duration(d1 + d2)));
+                }
+                (Atomic::Duration(d1), ArithOp::Sub, Atomic::Duration(d2)) => {
+                    return Ok(Sequence::one(Atomic::Duration(d1 - d2)));
+                }
+                (Atomic::Duration(d), ArithOp::Mul, n) | (n, ArithOp::Mul, Atomic::Duration(d))
+                    if n.is_numeric() =>
+                {
+                    return Ok(Sequence::one(Atomic::Duration(
+                        (*d as f64 * n.to_double()) as i64,
+                    )));
+                }
+                _ => {}
             }
-            (Atomic::DateTime(t), ArithOp::Sub, Atomic::Duration(d)) => {
-                return Ok(Sequence::one(Atomic::DateTime(t - d)));
-            }
-            (Atomic::DateTime(t1), ArithOp::Sub, Atomic::DateTime(t2)) => {
-                return Ok(Sequence::one(Atomic::Duration(t1 - t2)));
-            }
-            (Atomic::Duration(d1), ArithOp::Add, Atomic::Duration(d2)) => {
-                return Ok(Sequence::one(Atomic::Duration(d1 + d2)));
-            }
-            (Atomic::Duration(d1), ArithOp::Sub, Atomic::Duration(d2)) => {
-                return Ok(Sequence::one(Atomic::Duration(d1 - d2)));
-            }
-            (Atomic::Duration(d), ArithOp::Mul, n) | (n, ArithOp::Mul, Atomic::Duration(d))
-                if n.is_numeric() =>
-            {
-                return Ok(Sequence::one(Atomic::Duration(
-                    (*d as f64 * n.to_double()) as i64,
-                )));
-            }
-            _ => {}
         }
-        let both_int = matches!(a, Atomic::Int(_)) && matches!(b, Atomic::Int(_));
+        let is_int = |v: &AtomView| matches!(v, AtomView::Typed(Atomic::Int(_)));
+        let both_int = is_int(&a) && is_int(&b);
         let (x, y) = (a.to_double(), b.to_double());
         let result = match op {
             ArithOp::Add => x + y,
@@ -1585,13 +1633,18 @@ impl<'a> PlanEvaluator<'a> {
 
 /// Depth-first existence test over a predicate-free step chain; returns as
 /// soon as one full match is found.
-fn step_exists(node: &NodeRef, steps: &[(Axis, PTest)]) -> bool {
+fn step_exists(doc: &Document, id: NodeId, steps: &[(Axis, PTest)]) -> bool {
     let Some(((axis, test), rest)) = steps.split_first() else {
         return true;
     };
-    axis_candidates(*axis, node)
-        .into_iter()
-        .any(|cand| ptest_matches(*axis, &cand, test) && step_exists(&cand, rest))
+    for_each_on_axis(*axis, doc, id, |cand| {
+        if ptest_matches(*axis, doc, cand, test) && step_exists(doc, cand, rest) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    })
+    .is_break()
 }
 
 fn clause_slots(clauses: &[PClause]) -> usize {

@@ -174,10 +174,7 @@ fn rebuild(node: &NodeRef, plans: &HashMap<NodeId, NodePlan>, b: &mut DocBuilder
             }
         }
         NodeKind::Element(q) => {
-            let name = plan
-                .and_then(|p| p.rename.clone())
-                .unwrap_or_else(|| q.clone());
-            b.start(name);
+            b.start(plan.and_then(|p| p.rename.as_ref()).unwrap_or(q));
             for a in node.attributes() {
                 // Attribute-level plans: delete / rename / replace value.
                 if let Some(ap) = plans.get(&a.id) {
@@ -185,15 +182,13 @@ fn rebuild(node: &NodeRef, plans: &HashMap<NodeId, NodePlan>, b: &mut DocBuilder
                         continue;
                     }
                     if let NodeKind::Attribute(an, av) = a.kind() {
-                        let name = ap.rename.clone().unwrap_or_else(|| an.clone());
-                        let value = ap.replace_value.clone().unwrap_or_else(|| av.clone());
+                        let name = ap.rename.as_ref().unwrap_or(an);
+                        let value = ap.replace_value.as_deref().unwrap_or(av);
                         b.attr(name, value);
                     }
                     continue;
                 }
-                if let NodeKind::Attribute(an, av) = a.kind() {
-                    b.attr(an.clone(), av.clone());
-                }
+                b.copy_node(&a);
             }
             if let Some(p) = plan {
                 if let Some(v) = &p.replace_value {
@@ -221,19 +216,13 @@ fn rebuild(node: &NodeRef, plans: &HashMap<NodeId, NodePlan>, b: &mut DocBuilder
             b.end();
         }
         NodeKind::Text(t) => {
-            let text = plan
-                .and_then(|p| p.replace_value.clone())
-                .unwrap_or_else(|| t.clone());
-            b.text(&text);
+            b.text(plan.and_then(|p| p.replace_value.as_deref()).unwrap_or(t));
         }
         NodeKind::Comment(c) => {
-            let text = plan
-                .and_then(|p| p.replace_value.clone())
-                .unwrap_or_else(|| c.clone());
-            b.comment(text);
+            b.comment(plan.and_then(|p| p.replace_value.as_deref()).unwrap_or(c));
         }
         NodeKind::Pi { target, data } => {
-            b.pi(target.clone(), data.clone());
+            b.pi(target, data);
         }
         NodeKind::Attribute(..) => {
             return Err(Error::update(
@@ -257,7 +246,6 @@ mod tests {
     fn find(doc: &Arc<Document>, name: &str) -> NodeRef {
         doc.root()
             .descendants()
-            .into_iter()
             .find(|n| n.name().map(|q| q.local == name).unwrap_or(false))
             .unwrap()
     }
@@ -343,7 +331,7 @@ mod tests {
     #[test]
     fn attribute_updates() {
         let doc = parse("<a p=\"1\" q=\"2\"/>").unwrap();
-        let attrs = doc.document_element().unwrap().attributes();
+        let attrs: Vec<_> = doc.document_element().unwrap().attributes().collect();
         let ups = vec![
             Update::Delete {
                 target: attrs[0].clone(),

@@ -2,6 +2,7 @@
 
 use crate::error::{Error, Result};
 use demaq_xml::{NodeRef, QName};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -68,7 +69,7 @@ impl Atomic {
                     0.0
                 }
             }
-            Atomic::Str(s) | Atomic::Untyped(s) => s.trim().parse().unwrap_or(f64::NAN),
+            Atomic::Str(s) | Atomic::Untyped(s) => untyped_to_double(s),
             Atomic::DateTime(ms) | Atomic::Duration(ms) => *ms as f64,
             Atomic::QName(_) => f64::NAN,
         }
@@ -135,20 +136,69 @@ impl Atomic {
             (DateTime(a), DateTime(b)) | (Duration(a), Duration(b)) => Some(a.cmp(b)),
             (QName(a), QName(b)) => Some(a.cmp(b)),
             (a, b) if a.is_numeric() && b.is_numeric() => a.to_double().partial_cmp(&b.to_double()),
-            // Untyped compared with anything: cast toward the typed side.
-            (Untyped(_), b) if b.is_numeric() => self.to_double().partial_cmp(&b.to_double()),
-            (a, Untyped(_)) if a.is_numeric() => a.to_double().partial_cmp(&other.to_double()),
-            (Untyped(a) | Str(a), Untyped(b) | Str(b)) => Some(a.as_str().cmp(b.as_str())),
-            (Untyped(a), Bool(b)) => Atomic::Str(a.clone()).cast_boolean().ok().map(|v| v.cmp(b)),
-            (Bool(a), Untyped(b)) => Atomic::Str(b.clone())
-                .cast_boolean()
-                .ok()
-                .map(|v| a.cmp(&v)),
-            (Untyped(a), DateTime(b)) => parse_date_time(a).map(|v| v.cmp(b)),
-            (DateTime(a), Untyped(b)) => parse_date_time(b).map(|v| a.cmp(&v)),
+            (Untyped(a), b) => untyped_cmp(a, b),
+            (a, Untyped(b)) => untyped_cmp(b, a).map(Ordering::reverse),
+            (Str(a), Str(b)) => Some(a.as_str().cmp(b.as_str())),
             _ => None,
         }
     }
+}
+
+/// Compare untyped data (a node's string value) with an atomic: the
+/// untyped side is cast toward the typed one.
+pub(crate) fn untyped_cmp(untyped: &str, other: &Atomic) -> Option<Ordering> {
+    use Atomic::*;
+    match other {
+        b if b.is_numeric() => untyped_to_double(untyped).partial_cmp(&b.to_double()),
+        Untyped(b) | Str(b) => Some(untyped.cmp(b.as_str())),
+        Bool(b) => match untyped.trim() {
+            "true" | "1" => Some(true.cmp(b)),
+            "false" | "0" => Some(false.cmp(b)),
+            _ => None,
+        },
+        DateTime(b) => parse_date_time(untyped).map(|v| v.cmp(b)),
+        _ => None,
+    }
+}
+
+/// An item atomized without copying: a node contributes its string value
+/// (borrowed from the tree wherever [`NodeRef::string_value`] can) as
+/// untyped data.
+pub(crate) enum AtomView<'a> {
+    Typed(&'a Atomic),
+    Untyped(Cow<'a, str>),
+}
+
+impl AtomView<'_> {
+    pub(crate) fn type_name(&self) -> &'static str {
+        match self {
+            AtomView::Typed(a) => a.type_name(),
+            AtomView::Untyped(_) => "xs:untypedAtomic",
+        }
+    }
+
+    pub(crate) fn to_double(&self) -> f64 {
+        match self {
+            AtomView::Typed(a) => a.to_double(),
+            AtomView::Untyped(s) => untyped_to_double(s),
+        }
+    }
+
+    /// [`Atomic::value_cmp`] of the two atomized items.
+    pub(crate) fn value_cmp(&self, other: &AtomView) -> Option<Ordering> {
+        use AtomView::*;
+        match (self, other) {
+            (Typed(a), Typed(b)) => a.value_cmp(b),
+            (Untyped(a), Typed(b)) => untyped_cmp(a, b),
+            (Typed(a), Untyped(b)) => untyped_cmp(b, a).map(Ordering::reverse),
+            (Untyped(a), Untyped(b)) => Some(a.cmp(b)),
+        }
+    }
+}
+
+/// The numeric view of untyped or string data; NaN when it is no number.
+pub(crate) fn untyped_to_double(s: &str) -> f64 {
+    s.trim().parse().unwrap_or(f64::NAN)
 }
 
 /// Render a double the XPath way: integers without a fraction.
@@ -314,15 +364,22 @@ impl Item {
     /// Atomize: nodes become untyped atomics of their string value.
     pub fn atomize(&self) -> Atomic {
         match self {
-            Item::Node(n) => Atomic::Untyped(n.string_value()),
+            Item::Node(n) => Atomic::Untyped(n.string_value().into_owned()),
             Item::Atomic(a) => a.clone(),
+        }
+    }
+
+    pub(crate) fn atom_view(&self) -> AtomView<'_> {
+        match self {
+            Item::Node(n) => AtomView::Untyped(n.string_value()),
+            Item::Atomic(a) => AtomView::Typed(a),
         }
     }
 
     /// String value of this item.
     pub fn string_value(&self) -> String {
         match self {
-            Item::Node(n) => n.string_value(),
+            Item::Node(n) => n.string_value().into_owned(),
             Item::Atomic(a) => a.to_str(),
         }
     }
@@ -445,6 +502,15 @@ impl Sequence {
     pub fn document_order_dedup(mut self) -> Result<Sequence> {
         if self.0.iter().any(|i| matches!(i, Item::Atomic(_))) {
             return Err(Error::type_error("path step result contains atomic values"));
+        }
+        // A step from one context node (and most from several) already
+        // delivers strictly ascending document order.
+        let ascending = self.0.windows(2).all(|w| match (&w[0], &w[1]) {
+            (Item::Node(x), Item::Node(y)) => x < y,
+            _ => false,
+        });
+        if ascending {
+            return Ok(self);
         }
         self.0.sort_by(|a, b| match (a, b) {
             (Item::Node(x), Item::Node(y)) => x.cmp(y),
@@ -580,7 +646,7 @@ mod tests {
     #[test]
     fn document_order_dedup_sorts_and_dedups() {
         let doc = demaq_xml::parse("<a><b/><c/></a>").unwrap();
-        let kids = doc.document_element().unwrap().children();
+        let kids: Vec<_> = doc.document_element().unwrap().children().collect();
         let seq = Sequence(vec![
             kids[1].clone().into(),
             kids[0].clone().into(),

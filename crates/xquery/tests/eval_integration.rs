@@ -291,7 +291,7 @@ fn constructor_copies_nodes() {
     let d = doc("<r><a>x</a></r>");
     let out = eval_query("<w>{ //a }</w>", &d).unwrap();
     let w = out.0[0].as_node().unwrap();
-    let copied = &w.children()[0];
+    let copied = &w.children().next().unwrap();
     let orig = eval_query("//a", &d).unwrap().0[0]
         .as_node()
         .unwrap()

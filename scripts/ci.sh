@@ -27,6 +27,10 @@ echo "lint: repo programs clean, seeded defects detected"
 echo "== crash-recovery suite (100 randomized kill points) =="
 DEMAQ_CRASH_ITERS=100 cargo test --offline -p demaq-store --test crash_recovery -- --nocapture
 
+# Smoke runs report into target/bench/; start empty, so the schema gate
+# below only ever sees what this run wrote.
+rm -rf target/bench
+
 echo "== bench smoke: E9 group commit =="
 # Shrunk sizes; dumps the batch-size histogram + sync counters. Cargo runs
 # benches with the package dir as CWD, so mirror the exposition file into
@@ -67,11 +71,8 @@ awk '$1 == "demaq_xquery_plans_lowered_total" { plans = $2 }
 echo "== bench smoke: E12 sustained drain (4 workers, fsync-always) =="
 # Composed hot path under full durability; asserts lineage coverage and
 # per-rule attribution internally, and 4 workers must finish the drain.
-# Snapshot the committed trajectory entry first — the smoke run overwrites
-# BENCH_E12.json in place, and the perf gate below compares against the
-# committed numbers.
-mkdir -p target
-cp -f BENCH_E12.json target/e12_baseline.json
+# Like every smoke run, it leaves its report in target/bench/; the perf
+# gate below compares that against the committed BENCH_E12.json.
 DEMAQ_E12_SMOKE=1 cargo bench --offline -p demaq-bench --bench e12_sustained_drain
 cp -f crates/bench/target/metrics/e12_sustained_drain.prom target/metrics/ 2>/dev/null || true
 
@@ -83,7 +84,6 @@ echo "== bench smoke: E13 sharded drain scaling (1/2/4 shards) =="
 # runner and too lax on a real 4-core box). It also asserts zero
 # cross-shard forwards (placement keeps the keyed chain shard-local),
 # zero payload copies, and zero trace-ring overwrites.
-cp -f BENCH_E13.json target/e13_baseline.json
 DEMAQ_E13_SMOKE=1 cargo bench --offline -p demaq-bench --bench e13_sharded_drain
 
 echo "== bench smoke: E14 incremental slice aggregates =="
@@ -93,7 +93,6 @@ echo "== bench smoke: E14 incremental slice aggregates =="
 # full-mode run additionally asserts the >=5x end-to-end win over the
 # rescan twin at N=1024. The gate below re-checks the exposition so a
 # silently-disabled registry fails CI.
-cp -f BENCH_E14.json target/e14_baseline.json
 DEMAQ_E14_SMOKE=1 cargo bench --offline -p demaq-bench --bench e14_incremental_aggregates
 cp -f crates/bench/target/metrics/e14_incremental_aggregates.prom \
       crates/bench/target/metrics/e14_incremental_aggregates_rescan.prom target/metrics/ 2>/dev/null || true
@@ -110,7 +109,6 @@ echo "== bench smoke: E15 static retention soak =="
 # while the full-retention twin keeps growing, and the observable stats
 # match. The gate below re-checks the exposition so a silently-disabled
 # plan (narrowing gated off, plan never lowered) fails CI.
-cp -f BENCH_E15.json target/e15_baseline.json
 DEMAQ_E15_SMOKE=1 cargo bench --offline -p demaq-bench --bench e15_retention_soak
 cp -f crates/bench/target/metrics/e15_retention_soak.prom \
       crates/bench/target/metrics/e15_retention_soak_full.prom target/metrics/ 2>/dev/null || true
@@ -123,15 +121,17 @@ awk '$1 == "demaq_engine_retention_released_total" { released = $2 }
 
 echo "== bench trajectory: BENCH_E*.json schema gate =="
 # Every bench smoke above must also have emitted its schema-versioned
-# trajectory entry at the repo root. The checker is the offline, jq-free
-# validator in crates/bench; --require fails the gate when a bench ran
-# without writing its report.
+# report into target/bench/ (only full-mode runs write the committed files
+# at the repo root, which must stay valid too). The checker is the offline,
+# jq-free validator in crates/bench; --require fails the gate when a bench
+# ran without writing its report.
 cargo run --offline -q -p demaq-bench --bin bench-check -- \
-    --require e9,e10,e11,e12,e13,e14,e15 BENCH_E*.json
+    --require e9,e10,e11,e12,e13,e14,e15 target/bench/BENCH_E*.json
+cargo run --offline -q -p demaq-bench --bin bench-check -- BENCH_E*.json
 
 echo "== bench perf gate: E12 smoke vs committed trajectory =="
-# The smoke-produced BENCH_E12.json is gated against the committed
-# full-mode entry. On a quiet host the 256-msg smoke run measures
+# The smoke-produced target/bench/BENCH_E12.json is gated against the
+# committed full-mode entry. On a quiet host the 256-msg smoke run measures
 # slightly *above* the 2048-msg full run (~1.05-1.15x: same steady-state
 # path, smaller working set), so a true >20% regression lands well under
 # 0.85. The floor is 0.5, not 0.8, because the reference host's IO
@@ -139,7 +139,7 @@ echo "== bench perf gate: E12 smoke vs committed trajectory =="
 # of identical binaries) — a tighter floor flakes on host noise while
 # 0.5 still catches any structural regression.
 cargo run --offline -q -p demaq-bench --bin bench-check -- \
-    --baseline target/e12_baseline.json --min-ratio 0.5 BENCH_E12.json
+    --baseline BENCH_E12.json --min-ratio 0.5 target/bench/BENCH_E12.json
 
 echo "== bench perf gate: E13 smoke vs committed trajectory =="
 # Same shape as the E12 gate: the smoke run's absolute throughput numbers
@@ -147,8 +147,8 @@ echo "== bench perf gate: E13 smoke vs committed trajectory =="
 # the same +/-40% host IO swing), and the scaling-ratio gate itself ran
 # inside the bench above.
 cargo run --offline -q -p demaq-bench --bin bench-check -- \
-    --baseline target/e13_baseline.json --min-ratio 0.5 \
-    --headline drain_throughput_4shard BENCH_E13.json
+    --baseline BENCH_E13.json --min-ratio 0.5 \
+    --headline drain_throughput_4shard target/bench/BENCH_E13.json
 
 echo "== bench perf gate: E14 smoke vs committed trajectory =="
 # The headline is per-message incremental throughput, which is flat in N
@@ -157,8 +157,8 @@ echo "== bench perf gate: E14 smoke vs committed trajectory =="
 # IO/noise swing; any structural regression (registry disabled, delta
 # path broken) lands far below it.
 cargo run --offline -q -p demaq-bench --bin bench-check -- \
-    --baseline target/e14_baseline.json --min-ratio 0.5 \
-    --headline incremental_throughput BENCH_E14.json
+    --baseline BENCH_E14.json --min-ratio 0.5 \
+    --headline incremental_throughput target/bench/BENCH_E14.json
 
 echo "== bench perf gate: E15 smoke vs committed trajectory =="
 # The headline is per-message soak throughput, flat in uptime by design,
@@ -167,8 +167,8 @@ echo "== bench perf gate: E15 smoke vs committed trajectory =="
 # a structural regression (narrowing taxing the hot path, GC scans gone
 # quadratic) lands far below it.
 cargo run --offline -q -p demaq-bench --bin bench-check -- \
-    --baseline target/e15_baseline.json --min-ratio 0.5 \
-    --headline soak_throughput BENCH_E15.json
+    --baseline BENCH_E15.json --min-ratio 0.5 \
+    --headline soak_throughput target/bench/BENCH_E15.json
 
 echo "== demaq-benchmark: the frozen public surface still builds and runs =="
 # The benchmark package uses only the public API and the metric names in

@@ -189,7 +189,6 @@ impl Harness<'_> {
         let root = parse_root(&self.server.store().payload(id).unwrap());
         let names: HashSet<String> = root
             .descendants()
-            .iter()
             .filter(|n| n.is_element())
             .filter_map(|n| n.name().map(|q| q.local.clone()))
             .collect();
