@@ -17,9 +17,10 @@
 //!   the repo root (schema `demaq-bench/v1`) — the machine-readable
 //!   bench-trajectory entry the CI gate validates.
 //!
-//! Expected shape: 4 workers beat 1 (group commit keeps the fsync path
-//! from serializing them), every drained message carries lineage, and
-//! the per-rule histograms are populated for both pipeline stages.
+//! Expected shape: the drain issues far fewer WAL syncs than commits (a
+//! worker does not wait for its own fsync; one barrier covers 32
+//! commits), every drained message carries lineage, and the per-rule
+//! histograms are populated for both pipeline stages.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use demaq::Server;
@@ -144,6 +145,15 @@ fn bench_e12(c: &mut Criterion) {
     assert_eq!(copies, 0.0, "drain path must not copy payload bytes");
     let overwrites = metric_value(&text, "demaq_obs_trace_overwrites_total");
     assert_eq!(overwrites, 0.0, "trace ring must be sized for the run");
+    // The fsync-always drain must not wait for the disk per commit: the
+    // acknowledged feed syncs once per message, the drain once per 32
+    // commits. A commit path that silently re-serialized fails here.
+    let commits = metric_value(&text, "demaq_store_commits_total");
+    let syncs = metric_value(&text, "demaq_store_wal_syncs_total");
+    assert!(
+        syncs < commits / 2.0,
+        "{syncs} WAL syncs for {commits} commits: the commit path re-serialized"
+    );
     let mut report = BenchReport::new("e12_sustained_drain", smoke());
     report
         .result("drain_throughput", drained as f64 / secs, "msgs/s")
@@ -162,6 +172,7 @@ fn bench_e12(c: &mut Criterion) {
         .result("processed", stats.processed as f64, "count")
         .result("enqueued", stats.enqueued as f64, "count")
         .metric_from(&text, "demaq_store_commits_total")
+        .metric_from(&text, "demaq_store_wal_syncs_total")
         .metric_from(&text, "demaq_store_group_commit_waits_total")
         .metric_from(&text, "demaq_store_apply_batches_total")
         .metric_from(&text, "demaq_store_apply_waits_total")

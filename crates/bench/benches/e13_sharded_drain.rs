@@ -17,22 +17,21 @@
 //!   E12's configuration running under the sharded runtime).
 //! * Representative runs distill per-shard-count throughput and the
 //!   scaling ratios into `BENCH_E13.json` (schema `demaq-bench/v1`).
-//!   Target: `scaling_4v1 ≥ 2.5` on a multi-core host with independent
-//!   fsync streams.
+//!   Target: `scaling_4v1 ≥ 2.5` on a host with 16 cores or more.
 //!
-//! The scaling gate is host-adaptive. Sharding converts one WAL commit
-//! pipeline into N; how much that buys depends on how well the host
-//! overlaps concurrent fsync streams under the same CPU budget — a
-//! 1-core VM whose ext4 journal coalesces concurrent syncs tops out far
-//! below N×. The bench therefore first probes the raw ceiling (N plain
-//! append+fsync streams with the drain's per-commit compute mixed in)
-//! and requires the engine to capture a fixed fraction of whatever the
-//! probe says is available, instead of asserting a number the hardware
-//! cannot produce. Both the probe and the gate land in `BENCH_E13.json`.
+//! The scaling gate is host-adaptive. A worker does not wait for its own
+//! fsync (a drain syncs once per 32 commits), so a drain is
+//! compute-bound, and what sharding can buy it is cores: the 1-shard
+//! deployment already keeps `min(cores, workers)` of them busy, so the
+//! ceiling is `cores / min(cores, workers)` — 1× on a host with no more
+//! cores than one shard has workers, where the gate only demands "not
+//! materially slower". The gate and the core count land in
+//! `BENCH_E13.json`.
 //!
-//! Expected shape: scaling tracking the probe ceiling, zero cross-shard
-//! forwards (placement keeps the hot chain local), zero payload copies,
-//! and zero trace-ring overwrites (capacity sized to the workload).
+//! Expected shape: scaling tracking the core ceiling, far fewer WAL syncs
+//! than commits, zero cross-shard forwards (placement keeps the hot chain
+//! local), zero payload copies, and zero trace-ring overwrites (capacity
+//! sized to the workload).
 //!
 //! Knobs: `DEMAQ_E13_SMOKE` (256 msgs instead of 2048),
 //! `DEMAQ_E13_WORKERS` (workers per shard, default 4),
@@ -142,54 +141,6 @@ fn representative(dir: &TempDir, shards: usize, n: usize) -> (ShardedServer, f64
     (server, drained as f64 / secs)
 }
 
-/// Raw ceiling probe: `streams` independent files, each doing
-/// (≈30µs compute, append 256 B, fsync) in a loop — the drain's
-/// per-commit pattern without any engine on top. Returns ops/s.
-fn fsync_stream_ops(dir: &TempDir, streams: usize, iters: usize) -> f64 {
-    use std::io::Write;
-    let spin = |d: std::time::Duration| {
-        let s = Instant::now();
-        while s.elapsed() < d {
-            std::hint::spin_loop();
-        }
-    };
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for w in 0..streams {
-            let path = dir.path().join(format!("probe_{w}.dat"));
-            let spin = &spin;
-            scope.spawn(move || {
-                let mut f = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .expect("probe file");
-                for _ in 0..iters {
-                    spin(std::time::Duration::from_micros(30));
-                    f.write_all(&[0u8; 256]).expect("probe write");
-                    f.sync_data().expect("probe fsync");
-                }
-            });
-        }
-    });
-    (streams * iters) as f64 / started.elapsed().as_secs_f64().max(1e-9)
-}
-
-/// Best-of-3 probe of how much 4 independent WAL streams outperform one
-/// on this host (medianish: best-of reduces the noise of a shared VM
-/// disk), plus the absolute single-stream rate to spot fsync-free hosts.
-fn probe_fsync_parallelism() -> (f64, f64) {
-    let dir = TempDir::new().expect("probe dir");
-    let iters = if smoke() { 150 } else { 300 };
-    let mut best_single: f64 = 0.0;
-    let mut best_quad: f64 = 0.0;
-    for _ in 0..3 {
-        best_single = best_single.max(fsync_stream_ops(&dir, 1, iters));
-        best_quad = best_quad.max(fsync_stream_ops(&dir, 4, iters));
-    }
-    (best_quad / best_single, best_single)
-}
-
 /// First sample of `name` in Prometheus-style metrics text (0 if absent —
 /// counters register lazily on first increment).
 fn metric_value(text: &str, name: &str) -> f64 {
@@ -221,14 +172,21 @@ fn bench_e13(c: &mut Criterion) {
     let mut throughput = std::collections::BTreeMap::new();
     let mut four_shard: Option<(TempDir, ShardedServer)> = None;
     for &shards in &[1usize, 2, 4] {
-        // Fresh directory per run: shard WALs must not recover a previous
-        // shard count's messages.
-        let dir = TempDir::new().expect("tempdir");
-        let (server, msgs_per_sec) = representative(&dir, shards, n);
-        throughput.insert(shards, msgs_per_sec);
-        if shards == 4 {
-            four_shard = Some((dir, server));
+        // Median of three: a compute-bound drain is over in ~100 ms, and
+        // one such interval on a shared host is not a measurement.
+        let mut runs = Vec::new();
+        for _ in 0..3 {
+            // Fresh directory per run: shard WALs must not recover a
+            // previous shard count's messages.
+            let dir = TempDir::new().expect("tempdir");
+            let (server, msgs_per_sec) = representative(&dir, shards, n);
+            runs.push(msgs_per_sec);
+            if shards == 4 {
+                four_shard = Some((dir, server));
+            }
         }
+        runs.sort_by(f64::total_cmp);
+        throughput.insert(shards, runs[1]);
     }
     let (_dir, server) = four_shard.expect("4-shard run");
 
@@ -255,30 +213,33 @@ fn bench_e13(c: &mut Criterion) {
     let t2 = throughput[&2];
     let t4 = throughput[&4];
 
+    // The fsync-always drain must not wait for the disk per commit: the
+    // acknowledged feed syncs once per message, the drain once per 32
+    // commits. A commit path that silently re-serialized fails here.
+    let commits = metric_value(&text, "demaq_store_commits_total");
+    let syncs = metric_value(&text, "demaq_store_wal_syncs_total");
+    if std::env::var("DEMAQ_E13_NOSYNC").is_err() {
+        assert!(
+            syncs < commits / 2.0,
+            "{syncs} WAL syncs for {commits} commits: the commit path re-serialized"
+        );
+    }
+
     // ---- host-adaptive scaling gate ---------------------------------------
-    let (probe_ratio, single_stream_ops) = probe_fsync_parallelism();
+    // The drain is compute-bound (see the module docs): require 70% of
+    // the cores sharding can add over the 1-shard deployment, and never
+    // less than "not materially slower".
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1) as f64;
-    // A host where one plain stream already clears ~20k ops/s is not
-    // durability-bound (fsync is effectively free, e.g. tmpfs): sharding
-    // has no WAL pipeline to parallelize there, so only require "not
-    // materially slower". Otherwise demand 70% of the smaller of what
-    // the probe measured and what the core count permits — on a 4-core
-    // host with independent fsync streams that works out to the 2.5×
-    // target, on a 1-core VM it degrades to the overlap the disk offers.
-    let durability_bound = single_stream_ops < 20_000.0;
-    let ceiling = probe_ratio.min(3.6).min(cores.max(1.5));
-    let gate = if durability_bound {
-        (0.7 * ceiling).max(1.05)
-    } else {
-        0.8
-    };
+    let ceiling = (cores / cores.min(workers_per_shard() as f64)).min(3.6);
+    let gate = (0.7 * ceiling).max(0.8);
     let scaling_4v1 = t4 / t1;
     assert!(
         scaling_4v1 >= gate,
         "4-shard scaling {scaling_4v1:.2}x under host gate {gate:.2}x \
-         (probe {probe_ratio:.2}x, {cores} cores, single stream {single_stream_ops:.0} ops/s)"
+         ({cores} cores, {} workers per shard)",
+        workers_per_shard()
     );
 
     let mut report = BenchReport::new("e13_sharded_drain", smoke());
@@ -288,14 +249,13 @@ fn bench_e13(c: &mut Criterion) {
         .result("drain_throughput_4shard", t4, "msgs/s")
         .result("scaling_2v1", t2 / t1, "ratio")
         .result("scaling_4v1", scaling_4v1, "ratio")
-        .result("fsync_parallelism_probe_4v1", probe_ratio, "ratio")
-        .result("fsync_single_stream", single_stream_ops, "ops/s")
         .result("scaling_gate", gate, "ratio")
         .result("host_cores", cores, "count")
         .result("drained_messages", (3 * n) as f64, "count")
         .result("workers_per_shard", workers_per_shard() as f64, "threads")
         .result("lanes", LANES as f64, "count")
         .metric_from(&text, "demaq_store_commits_total")
+        .metric_from(&text, "demaq_store_wal_syncs_total")
         .metric_from(&text, "demaq_store_group_commit_waits_total")
         .metric_from(&text, "demaq_store_payload_shared_reads_total")
         .metric_from(&text, "demaq_store_payload_copies_total")
@@ -303,11 +263,12 @@ fn bench_e13(c: &mut Criterion) {
         .metric_from(&text, "demaq_engine_shard_ingest_errors_total")
         .metric_from(&text, "demaq_obs_trace_overwrites_total");
     report.write();
+    demaq_bench::dump_registry(&server.metrics().registry, "e13_sharded_drain");
 
     println!(
         "e13: {n} msgs × 3 stages, fsync-always — 1 shard {t1:.0} msgs/s, \
          2 shards {t2:.0} ({:.2}×), 4 shards {t4:.0} ({:.2}×); \
-         host ceiling probe {probe_ratio:.2}×, gate {gate:.2}×",
+         {syncs} syncs for {commits} commits, gate {gate:.2}×",
         t2 / t1,
         t4 / t1
     );

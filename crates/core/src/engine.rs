@@ -15,7 +15,8 @@ use crate::compiler::CompiledRule;
 use crate::errors::{error_message, kind};
 use crate::gateway::GatewayManager;
 use crate::host::{atomic_to_prop, prop_to_atomic, QsHost, SliceCtx, SliceLoader};
-use crate::properties::{compute_properties, system, PropError};
+use crate::outbox::{Effect, Outbox};
+use crate::properties::{compute_properties, lineage_prop, system, PropError};
 use crate::scheduler::Scheduler;
 use demaq_net::{Clock, Envelope, Network, TimerWheel};
 use demaq_obs::{
@@ -25,8 +26,8 @@ use demaq_obs::{
 use demaq_qdl::{parse_program, AppSpec, QueueKind};
 use demaq_store::store::SyncPolicy;
 use demaq_store::{
-    LockGranularity, LockKey, LockMode, MessageMeta, MessageStore, MsgId, PropValue, QueueMode,
-    StoreError, StoreOptions, StoredMessage, TxnId,
+    DurableTarget, LockGranularity, LockKey, LockMode, MessageMeta, MessageStore, MsgId, PropValue,
+    QueueMode, StoreError, StoreOptions, StoredMessage, TxnId,
 };
 use demaq_xml::{parse as parse_xml, Document, NodeRef};
 use demaq_xquery::{
@@ -132,6 +133,9 @@ struct EngineMetrics {
     rule_eval_ns: Histogram,
     txn_commit_ns: Histogram,
     scheduler_depth: Gauge,
+    /// `demaq_engine_durability_barriers_total{reason=…}`, indexed by
+    /// [`BarrierReason`].
+    barriers: [Counter; 4],
     /// Per-queue throughput counters, resolved once at build time (the
     /// queue set is fixed by the compiled application) so the hot path
     /// never re-derives a labeled series key.
@@ -222,6 +226,12 @@ impl EngineMetrics {
             rule_eval_ns: r.histogram("demaq_engine_rule_eval_ns"),
             txn_commit_ns: r.histogram("demaq_engine_txn_commit_ns"),
             scheduler_depth: r.gauge("demaq_engine_scheduler_depth"),
+            barriers: BarrierReason::ALL.map(|reason| {
+                r.counter_with(
+                    "demaq_engine_durability_barriers_total",
+                    &[("reason", reason.label())],
+                )
+            }),
             per_queue,
             per_rule,
         }
@@ -261,6 +271,59 @@ impl EngineMetrics {
                 .inc(),
         }
     }
+}
+
+/// Why a durability barrier ran: the `reason` label of
+/// `demaq_engine_durability_barriers_total`.
+#[derive(Debug, Clone, Copy)]
+enum BarrierReason {
+    /// A worker found nothing to do.
+    Idle,
+    /// [`BARRIER_BACKLOG`] commits were unsynced.
+    Backlog,
+    /// An external enqueue waited for the disk to acknowledge; its sync
+    /// covered the deferred commits before it.
+    Ack,
+    /// Before GC, checkpoint, or drop.
+    Maintenance,
+}
+
+impl BarrierReason {
+    const ALL: [BarrierReason; 4] = [
+        BarrierReason::Idle,
+        BarrierReason::Backlog,
+        BarrierReason::Ack,
+        BarrierReason::Maintenance,
+    ];
+
+    fn label(self) -> &'static str {
+        match self {
+            BarrierReason::Idle => "idle",
+            BarrierReason::Backlog => "backlog",
+            BarrierReason::Ack => "ack",
+            BarrierReason::Maintenance => "maintenance",
+        }
+    }
+}
+
+/// Unsynced commits at which a busy worker runs a durability barrier. It
+/// bounds how long a forward or gateway send can wait behind a backlog and
+/// how many commits a crash can lose, at the price of one fsync shared by
+/// 32 commits.
+const BARRIER_BACKLOG: u64 = 32;
+
+/// How a non-rule enqueue entered the server: who, if anyone, is being
+/// answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ingress {
+    /// `enqueue_external*`: returning the id *is* the acknowledgement, so
+    /// the commit waits for the disk. The queue must be homed here — the
+    /// sharded front door routes before picking a shard.
+    Acked,
+    /// Gateway ingest, timer echo, error routing, a landed cross-shard
+    /// forward: nobody is answered, the commit is deferred, and a target
+    /// homed on another shard is forwarded there.
+    Internal,
 }
 
 /// What to do with deploy-time analysis diagnostics (the whole-application
@@ -671,6 +734,8 @@ impl ServerBuilder {
                 None
             },
             narrow,
+            outbox: Outbox::new(&obs),
+            pipelined: self.sync == SyncPolicy::Always,
             obs,
             provenance,
             shard_link: self.shard_link,
@@ -802,6 +867,15 @@ pub struct Server {
     /// analysis; `None` retains full history (analysis found nothing
     /// narrowable, or [`ServerBuilder::static_retention`] is off).
     narrow: Option<HashMap<String, NarrowMode>>,
+    /// Forwards and gateway sends waiting for their producing commit to
+    /// become durable (see [`crate::outbox`]). Always empty unless
+    /// `pipelined`.
+    outbox: Outbox,
+    /// [`SyncPolicy::Always`]: engine-side commits are deferred — a worker
+    /// does not wait for its own fsync — and everything that leaves the
+    /// process goes through the outbox. Under `Batch` nothing waits for
+    /// the disk in the first place, so nothing is deferred or held.
+    pipelined: bool,
     /// Bounded causal index over message lineage — a cache over the
     /// store's durable `Lineage` records, rebuilt at startup. Shared
     /// across shards of a [`crate::shard::ShardedServer`].
@@ -952,10 +1026,10 @@ impl Server {
     // ---- message ingestion ----------------------------------------------------
 
     /// Enqueue an external message (as if received out-of-band). Validates
-    /// against the queue schema.
+    /// against the queue schema. Returning the id is the acknowledgement:
+    /// under [`SyncPolicy::Always`] the message is on disk.
     pub fn enqueue_external(&self, queue: &str, xml: &str) -> Result<MsgId> {
-        self.enqueue_with(queue, xml, &[], None, Vec::new(), false, "")?
-            .ok_or_else(|| Self::remote_home_error(queue))
+        self.enqueue_external_with_props(queue, xml, &[])
     }
 
     /// Enqueue with explicit property values.
@@ -965,7 +1039,7 @@ impl Server {
         xml: &str,
         explicit: &[(String, Atomic)],
     ) -> Result<MsgId> {
-        self.enqueue_with(queue, xml, explicit, None, Vec::new(), false, "")?
+        self.enqueue_with(queue, xml, explicit, None, Vec::new(), Ingress::Acked, "")?
             .ok_or_else(|| Self::remote_home_error(queue))
     }
 
@@ -976,18 +1050,8 @@ impl Server {
         ))
     }
 
-    /// Shared non-rule enqueue path (external API, gateway ingest, timer
-    /// echo, error routing). `via` labels the causal hop in the lineage
-    /// record when `system_props` carry a `parentMsg` — e.g. `"<gateway>"`
-    /// for an ingested reply that names its remote-side parent.
-    ///
-    /// Returns `Ok(None)` when the target queue is homed on another shard
-    /// of a [`crate::shard::ShardedServer`] and `allow_forward` is set:
-    /// the fully prepared message (payload + computed properties) is
-    /// handed to that shard's mailbox and committed there. With
-    /// `allow_forward` false a remote-homed target is an error — external
-    /// enqueues must go through the sharded front door, which routes
-    /// before picking a shard.
+    /// Shared non-rule enqueue path (external API, timer echo, error
+    /// routing): parse, then [`Self::enqueue_doc`].
     #[allow(clippy::too_many_arguments)]
     fn enqueue_with(
         &self,
@@ -995,8 +1059,35 @@ impl Server {
         xml: &str,
         explicit: &[(String, Atomic)],
         trigger_props: Option<&[(String, PropValue)]>,
+        system_props: Vec<(String, PropValue)>,
+        ingress: Ingress,
+        via: &str,
+    ) -> Result<Option<MsgId>> {
+        let doc = parse_xml(xml).map_err(|e| EngineError::Xml(e.to_string()))?;
+        self.enqueue_doc(queue, xml, doc, explicit, trigger_props, system_props, ingress, via)
+    }
+
+    /// [`Self::enqueue_with`] for a payload the caller already parsed.
+    /// `via` labels the causal hop in the lineage record when
+    /// `system_props` carry a `parentMsg` — e.g. `"<gateway>"` for an
+    /// ingested reply that names its remote-side parent.
+    ///
+    /// Returns `Ok(None)` when the target queue is homed on another shard
+    /// of a [`crate::shard::ShardedServer`] and the ingress is
+    /// [`Ingress::Internal`]: the fully prepared message (payload +
+    /// computed properties) is handed to that shard's mailbox and
+    /// committed there. For [`Ingress::Acked`] a remote-homed target is an
+    /// error.
+    #[allow(clippy::too_many_arguments)]
+    fn enqueue_doc(
+        &self,
+        queue: &str,
+        xml: &str,
+        doc: Arc<Document>,
+        explicit: &[(String, Atomic)],
+        trigger_props: Option<&[(String, PropValue)]>,
         mut system_props: Vec<(String, PropValue)>,
-        allow_forward: bool,
+        ingress: Ingress,
         via: &str,
     ) -> Result<Option<MsgId>> {
         let cq = self
@@ -1004,7 +1095,6 @@ impl Server {
             .queues
             .get(queue)
             .ok_or_else(|| EngineError::Config(format!("unknown queue `{queue}`")))?;
-        let doc = parse_xml(xml).map_err(|e| EngineError::Xml(e.to_string()))?;
         if let Some(schema) = &cq.schema {
             let violations = schema.validate(&doc.root());
             if !violations.is_empty() {
@@ -1031,31 +1121,39 @@ impl Server {
 
         if let Some(link) = &self.shard_link {
             if let Some(dest) = link.remote_destination(queue, &props) {
-                if !allow_forward {
+                if ingress == Ingress::Acked {
                     return Err(Self::remote_home_error(queue));
                 }
-                link.forward(crate::shard::Forwarded {
-                    dest,
-                    queue: queue.to_string(),
-                    xml: xml.to_string(),
-                    props,
-                    enqueued_at: now,
-                    via: via.to_string(),
-                });
+                // Whatever caused this enqueue (a failed message marked
+                // processed, a fired echo) was committed before now: the
+                // end of the log covers it.
+                let after = self.pipelined.then(|| self.store.log_end());
+                self.emit(
+                    after,
+                    Effect::Forward(crate::shard::Forwarded {
+                        dest,
+                        queue: queue.to_string(),
+                        xml: xml.to_string(),
+                        props,
+                        enqueued_at: now,
+                        via: via.to_string(),
+                    }),
+                )?;
                 return Ok(None);
             }
         }
-        self.enqueue_prepared(queue, xml, Some(doc), props, now, via)
+        self.enqueue_prepared(queue, xml, Some(doc), props, now, via, ingress)
             .map(Some)
     }
 
     /// Commit a message whose payload and properties are already fully
     /// prepared (properties computed, schema validated) into the local
     /// store, then run every post-commit effect. This is the landing half
-    /// of [`Self::enqueue_with`] and of a cross-shard forward — properties
+    /// of [`Self::enqueue_doc`] and of a cross-shard forward — properties
     /// are deterministic in the trigger and payload, so the destination
     /// shard commits exactly what local execution would have.
-    pub(crate) fn enqueue_prepared(
+    #[allow(clippy::too_many_arguments)]
+    fn enqueue_prepared(
         &self,
         queue: &str,
         xml: &str,
@@ -1063,6 +1161,7 @@ impl Server {
         props: Vec<(String, PropValue)>,
         enqueued_at: i64,
         via: &str,
+        ingress: Ingress,
     ) -> Result<MsgId> {
         let cq = self
             .app
@@ -1074,20 +1173,11 @@ impl Server {
         // hop, timer echo, or cross-shard forward names its parent (and
         // causal root) here, and the edge goes through the WAL inside the
         // enqueue transaction.
-        let parent = props.iter().find_map(|(n, v)| match v {
-            PropValue::Int(p) if n == system::PARENT_MSG => Some(*p as u64),
-            _ => None,
-        });
-        let root = props
-            .iter()
-            .find_map(|(n, v)| match v {
-                PropValue::Int(r) if n == system::ROOT_MSG => Some(*r as u64),
-                _ => None,
-            })
-            .or(parent);
+        let parent = lineage_prop(&props, system::PARENT_MSG);
+        let root = lineage_prop(&props, system::ROOT_MSG).or(parent);
 
         let txn = self.store.begin();
-        let result = (|| -> Result<MsgId> {
+        let result = (|| -> Result<(MsgId, Option<DurableTarget>)> {
             let id = self
                 .store
                 .enqueue(txn, queue, xml.into(), props.clone(), enqueued_at)?;
@@ -1096,11 +1186,17 @@ impl Server {
                 self.store
                     .record_lineage(txn, id, MsgId(p), MsgId(r), via, queue)?;
             }
-            self.store.commit(txn)?;
-            Ok(id)
+            let after = match ingress {
+                Ingress::Acked => {
+                    self.store.commit(txn)?;
+                    None
+                }
+                Ingress::Internal => self.commit_txn(txn)?,
+            };
+            Ok((id, after))
         })();
         match result {
-            Ok(id) => {
+            Ok((id, after)) => {
                 self.metrics.inc_enqueued(&self.obs, queue);
                 self.obs.tracer.event_ctx(
                     "msg.enqueue",
@@ -1117,7 +1213,17 @@ impl Server {
                 self.metrics
                     .scheduler_depth
                     .set(self.scheduler.len() as i64);
-                self.post_commit_queue_effects(queue, id)?;
+                self.post_commit_queue_effects(queue, id, after)?;
+                match ingress {
+                    // The acknowledgement's sync was a barrier: it covered
+                    // every deferred commit before it. Release what waited
+                    // on those.
+                    Ingress::Acked if self.pipelined => {
+                        self.release(BarrierReason::Ack, self.store.durable(), 0)?;
+                    }
+                    Ingress::Acked => {}
+                    Ingress::Internal => self.bound_backlog()?,
+                }
                 Ok(id)
             }
             Err(e) => {
@@ -1131,7 +1237,130 @@ impl Server {
     /// local store with the properties computed on the trigger's shard.
     /// Borrows the forward so a failed ingest can be retried.
     pub(crate) fn ingest_forwarded(&self, f: &crate::shard::Forwarded) -> Result<MsgId> {
-        self.enqueue_prepared(&f.queue, &f.xml, None, f.props.clone(), f.enqueued_at, &f.via)
+        self.enqueue_prepared(
+            &f.queue,
+            &f.xml,
+            None,
+            f.props.clone(),
+            f.enqueued_at,
+            &f.via,
+            Ingress::Internal,
+        )
+    }
+
+    // ---- the commit pipeline ----------------------------------------------------
+
+    /// Commit an engine-side transaction. Pipelined, the worker does not
+    /// wait for its own fsync: the commit is deferred and `Some(target)`
+    /// says what anything leaving the process must wait for. Otherwise
+    /// (`Batch`) the store's own commit runs — which does not wait either
+    /// — and `None` says effects go out at once, as they always have.
+    fn commit_txn(&self, txn: TxnId) -> std::result::Result<Option<DurableTarget>, StoreError> {
+        if self.pipelined {
+            self.store.commit_deferred(txn).map(Some)
+        } else {
+            self.store.commit(txn).map(|()| None)
+        }
+    }
+
+    /// Let `effect` out of the process: at once when nothing has to be
+    /// waited for (`after` is `None`), else once the durable watermark
+    /// covers `after`.
+    fn emit(&self, after: Option<DurableTarget>, effect: Effect) -> Result<()> {
+        if let (Effect::Forward(_), Some(link)) = (&effect, &self.shard_link) {
+            link.router.announce();
+        }
+        match after {
+            Some(after) => {
+                self.outbox.hold(after, effect);
+                Ok(())
+            }
+            None => self.perform(effect),
+        }
+    }
+
+    fn perform(&self, effect: Effect) -> Result<()> {
+        match effect {
+            Effect::Forward(f) => {
+                if let Some(link) = &self.shard_link {
+                    link.router.publish(f);
+                }
+                Ok(())
+            }
+            Effect::Send(msg) => match self.gateways.send(&msg.queue, &msg) {
+                Ok(()) => Ok(()),
+                Err(e) => {
+                    let creating_rule = match msg.prop(system::CREATING_RULE) {
+                        Some(PropValue::Str(r)) => Some(r.as_str()),
+                        _ => None,
+                    };
+                    self.route_transport_error(&msg.queue, &msg.payload, creating_rule, &e)
+                }
+            },
+        }
+    }
+
+    /// The durability barrier: one WAL sync that covers every commit so
+    /// far, then release of every held forward and gateway send it covers.
+    /// Returns whether anything was released (released effects can mean
+    /// new work: a delivery to pump, a transport error routed to a queue).
+    ///
+    /// Runs by itself wherever a worker finds nothing to do (before it
+    /// parks, and before [`Self::step`], [`Self::pump_environment`],
+    /// [`Self::run_until_idle`] and [`Self::process_all_parallel`] report
+    /// an idle server), whenever [`BARRIER_BACKLOG`] commits are unsynced,
+    /// and before GC, checkpoint and drop. Public for drivers that
+    /// interpose between [`Self::step`]s and want one sooner. A no-op
+    /// under [`SyncPolicy::Batch`].
+    pub fn durability_barrier(&self) -> Result<bool> {
+        self.barrier(BarrierReason::Idle)
+    }
+
+    fn barrier(&self, reason: BarrierReason) -> Result<bool> {
+        if !self.pipelined || (self.store.unsynced_commits() == 0 && self.outbox.is_empty()) {
+            return Ok(false);
+        }
+        let (durable, batch) = self.store.barrier()?;
+        self.release(reason, durable, batch)
+    }
+
+    /// Count a barrier and perform every held effect `durable` covers;
+    /// `batch` is how many commits the covering sync made durable.
+    fn release(&self, reason: BarrierReason, durable: DurableTarget, batch: u64) -> Result<bool> {
+        self.metrics.barriers[reason as usize].inc();
+        let due = self.outbox.release(durable);
+        let released = !due.is_empty();
+        // Perform every released effect even if one fails to route its
+        // transport error: they are out of the outbox and nothing else
+        // will.
+        let mut first_error = None;
+        for effect in due {
+            if self.obs.tracer.is_enabled() {
+                let (kind, queue, producer) = effect.describe();
+                self.obs.tracer.event(
+                    "msg.released",
+                    producer,
+                    queue,
+                    &format!("{kind} reason={} batch={batch}", reason.label()),
+                );
+            }
+            if let Err(e) = self.perform(effect) {
+                first_error.get_or_insert(e);
+            }
+        }
+        match first_error {
+            Some(e) => Err(e),
+            None => Ok(released),
+        }
+    }
+
+    /// After a deferred commit: run a barrier once [`BARRIER_BACKLOG`]
+    /// commits are unsynced.
+    fn bound_backlog(&self) -> Result<()> {
+        if self.pipelined && self.store.unsynced_commits() >= BARRIER_BACKLOG {
+            self.barrier(BarrierReason::Backlog)?;
+        }
+        Ok(())
     }
 
     /// Insert into the scheduler, keeping the shard router's conserved
@@ -1201,13 +1430,17 @@ impl Server {
     // ---- processing loop -------------------------------------------------------
 
     /// Process a single scheduled message, if any. Returns whether work was
-    /// done.
+    /// done. With nothing scheduled, the durability barrier runs (see
+    /// [`Self::durability_barrier`]) — releasing held effects counts as
+    /// work.
     pub fn step(&self) -> Result<bool> {
-        match self.scheduler.pop() {
+        Ok(self.process_next()? || self.barrier(BarrierReason::Idle)?)
+    }
+
+    /// [`Self::step`] without the idle barrier.
+    pub(crate) fn process_next(&self) -> Result<bool> {
+        match self.pop_scheduled() {
             Some((msg, queue)) => {
-                self.metrics
-                    .scheduler_depth
-                    .set(self.scheduler.len() as i64);
                 self.process_message(msg, &queue)?;
                 Ok(true)
             }
@@ -1222,18 +1455,16 @@ impl Server {
         let mut processed = 0u64;
         loop {
             let mut progressed = false;
-            while self.step()? {
+            while self.process_next()? {
                 processed += 1;
                 progressed = true;
             }
-            if std::env::var("DEMAQ_DEBUG").is_ok() {
-                eprintln!("loop: processed={processed} sched={} now={} net_inflight={} net_due={:?} timers={:?} retry={:?}",
-                    self.scheduler.len(), self.clock.now(), self.net.in_flight(), self.net.next_due(), self.timers.next_due(), self.gateways.next_retry_at());
-            }
-            if self.pump_environment()? {
+            if self.pump()? {
                 progressed = true;
             }
-            if progressed {
+            // Nothing to do: the barrier. Only now, after a whole round
+            // without progress, so arrivals that overlap share one sync.
+            if progressed || self.barrier(BarrierReason::Idle)? {
                 continue;
             }
             // Idle: fast-forward a virtual clock to the next event.
@@ -1257,8 +1488,15 @@ impl Server {
     /// reliable channels. Returns whether anything happened. With
     /// [`Self::step`] and [`Self::next_event_at`] this is everything
     /// [`Self::run_until_idle`] is made of, for callers that need to
-    /// interpose between steps.
+    /// interpose between steps. If nothing is schedulable afterwards the
+    /// durability barrier runs, as in [`Self::step`].
     pub fn pump_environment(&self) -> Result<bool> {
+        let pumped = self.pump()?;
+        Ok(pumped | (self.scheduler.is_empty() && self.barrier(BarrierReason::Idle)?))
+    }
+
+    /// [`Self::pump_environment`] without the idle barrier.
+    pub(crate) fn pump(&self) -> Result<bool> {
         let mut progressed = false;
         if self.net.pump() > 0 {
             progressed = true;
@@ -1298,7 +1536,7 @@ impl Server {
                 &[],
                 Some(&job.props),
                 sys,
-                true,
+                Ingress::Internal,
                 "<echo>",
             )?;
         }
@@ -1334,34 +1572,40 @@ impl Server {
                 .unwrap_or(p);
             system_props.push((system::ROOT_MSG.to_string(), PropValue::Int(root)));
         }
-        match parse_xml(&env.body) {
-            Ok(_) => match self.enqueue_with(
-                queue,
-                &env.body,
-                &[],
-                None,
-                system_props,
-                true,
-                "<gateway>",
-            ) {
-                Ok(_) => Ok(()),
-                Err(EngineError::Xml(detail)) => {
-                    // Schema violations on a gateway: message-related error.
-                    self.route_error(kind::SCHEMA, &detail, None, queue, None, Some(&env.body))
-                }
-                Err(other) => Err(other),
-            },
+        // The one parse of an inbound message: the document it yields is
+        // validated, feeds property computation, and fills the document
+        // cache when the enqueue commits.
+        let doc = match parse_xml(&env.body) {
+            Ok(doc) => doc,
             Err(e) => {
                 // Not well-formed: a message-related error (paper Sec. 3.6).
-                self.route_error(
+                return self.route_error(
                     kind::MALFORMED,
                     &e.to_string(),
                     None,
                     queue,
                     None,
                     Some(&env.body),
-                )
+                );
             }
+        };
+        self.doc_cache.note_parse();
+        match self.enqueue_doc(
+            queue,
+            &env.body,
+            doc,
+            &[],
+            None,
+            system_props,
+            Ingress::Internal,
+            "<gateway>",
+        ) {
+            Ok(_) => Ok(()),
+            Err(EngineError::Xml(detail)) => {
+                // Schema violations on a gateway: message-related error.
+                self.route_error(kind::SCHEMA, &detail, None, queue, None, Some(&env.body))
+            }
+            Err(other) => Err(other),
         }
     }
 
@@ -1424,7 +1668,7 @@ impl Server {
             Ok((new_messages, forwards)) => {
                 self.store.mark_processed(txn, msg_id)?;
                 let commit_started = Instant::now();
-                self.store.commit(txn)?;
+                let after = self.commit_txn(txn)?;
                 self.metrics.txn_commit_ns.record(commit_started.elapsed());
                 self.metrics.inc_processed(&self.obs, queue);
                 let ctx = TraceCtx::new(
@@ -1442,8 +1686,9 @@ impl Server {
                     .event_ctx("msg.processed", Some(msg_id.0), queue, "", ctx);
                 // Post-commit: cache the new documents (deferring this past
                 // commit keeps aborted messages out of the cache), mirror
-                // their now-durable lineage into the causal index, schedule
-                // new work, gateway/echo side effects.
+                // their committed lineage into the causal index, schedule
+                // new work at once, gateway/echo side effects. What leaves
+                // this store waits for `after` to be durable.
                 for nm in new_messages {
                     self.record_provenance(nm.id, &nm.queue);
                     self.doc_cache.insert(nm.id, nm.doc);
@@ -1454,21 +1699,19 @@ impl Server {
                         .map(|q| q.decl.priority)
                         .unwrap_or(0);
                     self.sched_push(nm.id, &nm.queue, prio);
-                    self.post_commit_queue_effects(&nm.queue, nm.id)?;
+                    self.post_commit_queue_effects(&nm.queue, nm.id, after)?;
                 }
                 // Cross-shard enqueues publish only now, after the trigger's
                 // transaction committed — a deadlock retry re-runs the rules
                 // and would otherwise forward twice. Per-rule production is
                 // attributed here, on the shard where the rule fired.
-                if let Some(link) = &self.shard_link {
-                    for f in forwards {
-                        if !f.via.is_empty() {
-                            self.metrics.record_rule_produced(&f.via);
-                        }
-                        link.forward(f);
+                for f in forwards {
+                    if !f.via.is_empty() {
+                        self.metrics.record_rule_produced(&f.via);
                     }
+                    self.emit(after, Effect::Forward(f))?;
                 }
-                Ok(())
+                self.bound_backlog()
             }
             Err(ProcessingError::Store(StoreError::Deadlock)) => {
                 self.store.abort(txn);
@@ -1914,27 +2157,23 @@ impl Server {
     }
 
     /// Post-commit side effects of a message landing in `queue`: outgoing
-    /// gateway sends and echo-queue timer registration.
-    fn post_commit_queue_effects(&self, queue: &str, msg_id: MsgId) -> Result<()> {
+    /// gateway sends (once `after`, the landing commit's target, is
+    /// durable) and echo-queue timer registration (local, so at once).
+    fn post_commit_queue_effects(
+        &self,
+        queue: &str,
+        msg_id: MsgId,
+        after: Option<DurableTarget>,
+    ) -> Result<()> {
         let Some(cq) = self.app.queues.get(queue) else {
             return Ok(());
         };
         match cq.decl.kind {
             QueueKind::OutgoingGateway => {
-                let stored = self.store.message(msg_id)?;
-                let doc = self.doc_for(msg_id)?;
-                if let Err(e) = self.gateways.send(queue, &stored, &doc.root()) {
-                    let creating_rule = match stored.prop(system::CREATING_RULE) {
-                        Some(PropValue::Str(r)) => Some(r.clone()),
-                        _ => None,
-                    };
-                    self.route_transport_error(
-                        queue,
-                        &stored.payload,
-                        creating_rule.as_deref(),
-                        &e,
-                    )?;
-                }
+                // The send carries the message itself (a refcount on its
+                // payload), so a release after GC still has it.
+                let msg = self.store.message(msg_id)?;
+                self.emit(after, Effect::Send(msg))?;
             }
             QueueKind::Echo => {
                 let stored = self.store.message(msg_id)?;
@@ -2118,7 +2357,8 @@ impl Server {
                 .unwrap_or(id.0 as i64);
             sys.push((system::ROOT_MSG.to_string(), PropValue::Int(root)));
         }
-        self.enqueue_with(&eq, &xml, &[], None, sys, true, rule.unwrap_or("<error>"))?;
+        let via = rule.unwrap_or("<error>");
+        self.enqueue_with(&eq, &xml, &[], None, sys, Ingress::Internal, via)?;
         Ok(())
     }
 
@@ -2127,9 +2367,11 @@ impl Server {
         match self
             .store
             .mark_processed(txn, msg)
-            .and_then(|_| self.store.commit(txn))
+            .and_then(|_| self.commit_txn(txn))
         {
-            Ok(()) => Ok(()),
+            // Nothing leaves the process here; the error message routed
+            // next commits after this and so covers it.
+            Ok(_) => Ok(()),
             Err(e) => {
                 self.store.abort(txn);
                 Err(e.into())
@@ -2144,6 +2386,7 @@ impl Server {
     /// [`Server::run_until_idle`] afterwards for gateway scenarios.
     pub fn process_all_parallel(&self, threads: usize) -> Result<u64> {
         let processed = AtomicU64::new(0);
+        let failure: parking_lot::Mutex<Option<EngineError>> = parking_lot::Mutex::new(None);
         std::thread::scope(|scope| {
             for _ in 0..threads.max(1) {
                 scope.spawn(|| loop {
@@ -2166,6 +2409,13 @@ impl Server {
                             }
                         }
                         None => {
+                            // Nothing to do: the durability barrier, before
+                            // parking or leaving. Still claimed while it
+                            // runs — a released effect can schedule work (a
+                            // transport error routed to its queue).
+                            if let Err(e) = self.barrier(BarrierReason::Idle) {
+                                failure.lock().get_or_insert(e);
+                            }
                             // Exit only when no one is mid-flight (they may
                             // still enqueue more work).
                             if self.active_workers.fetch_sub(1, Ordering::SeqCst) - 1 == 0
@@ -2183,7 +2433,10 @@ impl Server {
                 });
             }
         });
-        Ok(processed.load(Ordering::Relaxed))
+        match failure.into_inner() {
+            Some(e) => Err(e),
+            None => Ok(processed.load(Ordering::Relaxed)),
+        }
     }
 
     // ---- inspection & maintenance -----------------------------------------------------
@@ -2204,11 +2457,14 @@ impl Server {
     }
 
     /// Run the retention GC (paper Sec. 2.3.3) — also invoked by
-    /// [`Server::maintenance`]. When the liveness analysis proved some
+    /// [`Server::maintenance`]. A durability barrier runs first, so
+    /// nothing is purged (or, in `maintenance`, checkpointed) that a held
+    /// effect still waits on. When the liveness analysis proved some
     /// slicings narrowable, a narrowing sweep runs first: it folds
     /// processed members into their slices' base cells and releases their
     /// membership, so the collection pass right after can purge them.
     pub fn gc(&self) -> Result<usize> {
+        self.barrier(BarrierReason::Maintenance)?;
         self.narrow_retention();
         let purged = self.store.gc_collect()?;
         self.metrics.gc_purged.add(purged.len() as u64);
@@ -2361,6 +2617,15 @@ impl Server {
     /// Process one message with the standard retry-on-conflict policy.
     pub(crate) fn process_one(&self, msg: MsgId, queue: &str) -> Result<()> {
         self.process_message(msg, queue)
+    }
+}
+
+impl Drop for Server {
+    /// A clean shutdown runs the barrier one last time — before the store
+    /// closes — so no deferred commit is left to the page cache and no
+    /// held effect is dropped. Errors have nobody left to go to.
+    fn drop(&mut self) {
+        let _ = self.barrier(BarrierReason::Maintenance);
     }
 }
 

@@ -13,7 +13,6 @@ use demaq_net::{Envelope, Network, TransportError};
 use demaq_obs::Obs;
 use demaq_qdl::QueueKind;
 use demaq_store::{PropValue, StoredMessage};
-use demaq_xml::NodeRef;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -132,18 +131,12 @@ impl GatewayManager {
         }
     }
 
-    /// Send one outgoing-gateway message. `body_root` is the parsed payload
-    /// (used for WSDL validation by the caller); properties feed envelope
+    /// Send one outgoing-gateway message. Properties feed envelope
     /// metadata:
     /// * `Sender` — correlation header for the remote service (Example 3.1),
     /// * `Recipient` — overrides the gateway's destination address,
     /// * `connection` — synchronous exchange correlation handle.
-    pub fn send(
-        &self,
-        queue: &str,
-        msg: &StoredMessage,
-        _body_root: &NodeRef,
-    ) -> Result<(), TransportError> {
+    pub fn send(&self, queue: &str, msg: &StoredMessage) -> Result<(), TransportError> {
         let out = self
             .outgoing
             .get(queue)

@@ -43,6 +43,7 @@ pub mod engine;
 pub mod errors;
 pub mod gateway;
 pub mod host;
+pub(crate) mod outbox;
 pub mod properties;
 pub mod scheduler;
 pub mod shard;

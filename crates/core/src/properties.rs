@@ -65,6 +65,15 @@ pub mod system {
     pub const ROOT_MSG: &str = "rootMsg";
 }
 
+/// The message id a provenance system property ([`system::PARENT_MSG`],
+/// [`system::ROOT_MSG`]) carries, if the message has one.
+pub(crate) fn lineage_prop(props: &[(String, PropValue)], name: &str) -> Option<u64> {
+    props.iter().find_map(|(n, v)| match v {
+        PropValue::Int(id) if n == name => Some(*id as u64),
+        _ => None,
+    })
+}
+
 /// Compute the full property list for a message entering `queue`.
 ///
 /// * `explicit` — values from `with … value …` clauses,

@@ -14,7 +14,10 @@
 //! Cross-shard enqueues produced by rule firings are published to the
 //! destination shard's mailbox only after the producing transaction
 //! commits (a deadlock retry re-runs the rules and must not deliver
-//! twice); the message travels with its computed properties, which carry
+//! twice) — and, when commits do not wait for their own fsync, only once
+//! the producer's WAL has made that commit durable (the destination is a
+//! different WAL; see [`crate::outbox`]). The message travels with its
+//! computed properties, which carry
 //! the causal `parentMsg`/`rootMsg` system properties, so lineage chains
 //! survive the hop exactly as they do across gateway hops.
 //!
@@ -71,14 +74,15 @@ pub(crate) struct Forwarded {
 ///
 /// Parallel draining terminates on a *single* conserved counter,
 /// `pending`: the number of undrained messages anywhere in the fleet —
-/// queued in a scheduler, claimed by a worker, or published in a mailbox.
+/// queued in a scheduler, claimed by a worker, held in a shard's durable
+/// outbox, or published in a mailbox.
 /// Scanning separate per-state counters (schedulers, active workers,
 /// in-flight forwards) is unsound no matter the read order: a message can
 /// migrate from a state a drainer already read as zero into one it read
 /// earlier, so every per-state snapshot can be zero while work survives.
 /// One counter has no such window. Every handoff counts the destination
 /// before releasing the source: a product is registered at scheduler
-/// insertion / forward publication *before* its producer's decrement, an
+/// insertion / forward announcement *before* its producer's decrement, an
 /// ingested forward at scheduler insertion before [`Self::settle`], so
 /// `pending` never dips to zero while work exists — and a single atomic
 /// read of zero is a sound termination proof.
@@ -108,13 +112,19 @@ impl ShardRouter {
         }
     }
 
-    fn forward(&self, f: Forwarded) {
-        // Count before publishing: a drainer must never observe
-        // `pending == 0` while a forward is mid-publish. The producing
-        // worker's own decrement comes later still, so the count also
-        // never drops while the message is only in the mailbox.
+    /// A forward exists from the moment its producer commits, well before
+    /// it is published: count it then. A drainer must never observe
+    /// `pending == 0` while a forward waits in its shard's outbox for the
+    /// producer's commit to become durable, or is mid-publish. The
+    /// producing worker's own decrement comes later still, so the count
+    /// also never drops while the message is only in the mailbox.
+    pub(crate) fn announce(&self) {
         self.pending.fetch_add(1, Ordering::SeqCst);
         self.forwards_total.inc();
+    }
+
+    /// Hand an announced forward to its destination's mailbox.
+    pub(crate) fn publish(&self, f: Forwarded) {
         self.mailboxes[f.dest].lock().push_back(f);
     }
 
@@ -179,9 +189,6 @@ impl ShardLink {
         (dest != self.shard).then_some(dest)
     }
 
-    pub(crate) fn forward(&self, f: Forwarded) {
-        self.router.forward(f);
-    }
 }
 
 /// Builder for [`ShardedServer`] — obtained from
@@ -428,11 +435,21 @@ impl ShardedServer {
                     r?;
                     progressed = true;
                 }
-                while s.step()? {
+                while s.process_next()? {
                     processed += 1;
                     progressed = true;
                 }
-                if s.pump_environment()? {
+                if s.pump()? {
+                    progressed = true;
+                }
+            }
+            if progressed {
+                continue;
+            }
+            // Nothing to do anywhere: the durability barrier on every
+            // shard. Released forwards are the next round's work.
+            for s in &self.shards {
+                if s.durability_barrier()? {
                     progressed = true;
                 }
             }
@@ -608,6 +625,16 @@ fn drain_worker(
             None => {
                 if !router.mailbox_empty(me) {
                     continue;
+                }
+                // Nothing to do: the durability barrier, before parking or
+                // leaving. Forwards it releases are already counted in
+                // `pending`, so the fleet cannot terminate under them.
+                match s.durability_barrier() {
+                    Ok(false) => {}
+                    Ok(true) => continue,
+                    Err(e) => {
+                        failure.lock().get_or_insert(e);
+                    }
                 }
                 if router.pending.load(Ordering::SeqCst) == 0 {
                     for t in shards {

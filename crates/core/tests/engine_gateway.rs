@@ -103,45 +103,50 @@ fn wsdl_validation_blocks_wrong_messages() {
     assert!(errs[0].contains("<interfaceMismatch/>"), "{}", errs[0]);
 }
 
+/// Under `Batch` the send fails the moment its message commits; under
+/// `Always` it fails when the durability barrier releases it from the
+/// outbox. Either way the error routes like the paper's Fig. 10.
 #[test]
 fn disconnected_endpoint_routes_error_like_fig10() {
-    // The deadLink handler of the paper's Fig. 10.
-    let (_clock, net) = net_and_clock();
-    let _customer = sink(&net, "urn:customer");
-    let postal = sink(&net, "urn:postal");
-    let s = Server::builder()
-        .program(
-            r#"
-            create queue crmErrors kind basic mode persistent
-            create queue crm kind basic mode persistent
-            create queue customer kind outgoingGateway mode persistent endpoint "urn:customer"
-            create queue postalService kind outgoingGateway mode persistent endpoint "urn:postal"
-            create rule confirmOrder for crm errorqueue crmErrors
-              if (//customerOrder) then
-                do enqueue <confirmation>{//orderID}</confirmation> into customer
-            create rule deadLink for crmErrors
-              if (/error/disconnectedTransport) then
-                do enqueue <sendMessage>{/error/initialMessage/*}</sendMessage> into postalService
-            "#,
-        )
-        .in_memory()
-        .sync_policy(SyncPolicy::Batch)
-        .network(Arc::clone(&net))
-        .build()
-        .unwrap();
-    net.disconnect("urn:customer");
-    s.enqueue_external("crm", "<customerOrder><orderID>7</orderID></customerOrder>")
-        .unwrap();
-    s.run_until_idle().unwrap();
-    // The confirmation could not be delivered; the error rule compensated
-    // via the postal service.
-    let mail = postal.lock();
-    assert_eq!(mail.len(), 1);
-    assert!(
-        mail[0].contains("<confirmation><orderID>7</orderID></confirmation>"),
-        "{}",
-        mail[0]
-    );
+    for sync in [SyncPolicy::Batch, SyncPolicy::Always] {
+        // The deadLink handler of the paper's Fig. 10.
+        let (_clock, net) = net_and_clock();
+        let _customer = sink(&net, "urn:customer");
+        let postal = sink(&net, "urn:postal");
+        let s = Server::builder()
+            .program(
+                r#"
+                create queue crmErrors kind basic mode persistent
+                create queue crm kind basic mode persistent
+                create queue customer kind outgoingGateway mode persistent endpoint "urn:customer"
+                create queue postalService kind outgoingGateway mode persistent endpoint "urn:postal"
+                create rule confirmOrder for crm errorqueue crmErrors
+                  if (//customerOrder) then
+                    do enqueue <confirmation>{//orderID}</confirmation> into customer
+                create rule deadLink for crmErrors
+                  if (/error/disconnectedTransport) then
+                    do enqueue <sendMessage>{/error/initialMessage/*}</sendMessage> into postalService
+                "#,
+            )
+            .in_memory()
+            .sync_policy(sync)
+            .network(Arc::clone(&net))
+            .build()
+            .unwrap();
+        net.disconnect("urn:customer");
+        s.enqueue_external("crm", "<customerOrder><orderID>7</orderID></customerOrder>")
+            .unwrap();
+        s.run_until_idle().unwrap();
+        // The confirmation could not be delivered; the error rule
+        // compensated via the postal service.
+        let mail = postal.lock();
+        assert_eq!(mail.len(), 1, "{sync:?}");
+        assert!(
+            mail[0].contains("<confirmation><orderID>7</orderID></confirmation>"),
+            "{sync:?}: {}",
+            mail[0]
+        );
+    }
 }
 
 #[test]
@@ -242,6 +247,10 @@ fn incoming_gateway_receives_and_sets_sender_property() {
         reqs[0].prop("Sender"),
         Some(&PropValue::Str("urn:client-1".into()))
     );
+    // One parse per inbound message: the ingest's own document is what
+    // gets validated, stored in the cache, and evaluated.
+    let parses = s.metrics().registry.counter_total("demaq_core_doc_parses_total");
+    assert_eq!(parses, 1);
 }
 
 #[test]

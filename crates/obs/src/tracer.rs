@@ -97,7 +97,12 @@ pub struct Tracer {
     /// by the owning `Obs` so the loss is visible in the exposition as
     /// `demaq_obs_trace_overwrites_total`.
     overwrites: OnceLock<Counter>,
+    /// Synchronous observer of every recorded event (see
+    /// [`Tracer::attach_tap`]).
+    tap: OnceLock<Tap>,
 }
+
+type Tap = Box<dyn Fn(&TraceEvent) + Send + Sync>;
 
 impl Tracer {
     /// A tracer retaining the last `capacity` events (min 16).
@@ -108,6 +113,7 @@ impl Tracer {
             next: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
             overwrites: OnceLock::new(),
+            tap: OnceLock::new(),
         }
     }
 
@@ -115,6 +121,15 @@ impl Tracer {
     /// older one from the ring. Only the first attach wins.
     pub fn attach_overwrite_counter(&self, c: Counter) {
         let _ = self.overwrites.set(c);
+    }
+
+    /// Attach an observer called with every event as it is recorded, on
+    /// the recording thread, before the traced operation goes on — what a
+    /// log that must not lag behind the engine (a crash harness) reads
+    /// instead of polling the ring. The tap must not record events itself.
+    /// Only the first attach wins.
+    pub fn attach_tap(&self, tap: impl Fn(&TraceEvent) + Send + Sync + 'static) {
+        let _ = self.tap.set(Box::new(tap));
     }
 
     /// Turn tracing off/on (events are dropped while disabled; counters
@@ -180,7 +195,7 @@ impl Tracer {
         let seq = self.next.fetch_add(1, Ordering::Relaxed);
         let slot = (seq % self.slots.len() as u64) as usize;
         let mut guard = self.slots[slot].lock().unwrap_or_else(|e| e.into_inner());
-        match &mut *guard {
+        let recorded = match &mut *guard {
             // Reuse the overwritten event's string buffers: once the ring
             // has wrapped, recording allocates only when a queue/detail
             // outgrows the slot's existing capacity.
@@ -198,19 +213,21 @@ impl Tracer {
                 ev.dur_ns = dur_ns;
                 ev.trace_id = ctx.trace_id;
                 ev.parent_span = ctx.parent_span;
+                &*ev
             }
-            None => {
-                *guard = Some(TraceEvent {
-                    seq,
-                    kind,
-                    msg_id,
-                    queue: queue.to_string(),
-                    detail: detail.to_string(),
-                    dur_ns,
-                    trace_id: ctx.trace_id,
-                    parent_span: ctx.parent_span,
-                });
-            }
+            slot @ None => &*slot.insert(TraceEvent {
+                seq,
+                kind,
+                msg_id,
+                queue: queue.to_string(),
+                detail: detail.to_string(),
+                dur_ns,
+                trace_id: ctx.trace_id,
+                parent_span: ctx.parent_span,
+            }),
+        };
+        if let Some(tap) = self.tap.get() {
+            tap(recorded);
         }
     }
 
@@ -346,6 +363,23 @@ mod tests {
         let seqs: Vec<u64> = tail.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, [7, 8, 9]);
         assert_eq!(tail[2].msg_id, Some(9));
+    }
+
+    #[test]
+    fn tap_sees_every_event_as_recorded_even_after_wraparound() {
+        let t = Tracer::new(16);
+        let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let sink = std::sync::Arc::clone(&seen);
+        t.attach_tap(move |ev| sink.lock().unwrap().push((ev.seq, ev.kind, ev.msg_id)));
+        for i in 0..40u64 {
+            t.event("e", Some(i), "q", "");
+        }
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 40, "the ring dropped 24 of these");
+        assert_eq!(seen[39], (39, "e", Some(39)));
+        t.set_enabled(false);
+        t.event("off", None, "", "");
+        assert_eq!(seen.len(), 40);
     }
 
     #[test]

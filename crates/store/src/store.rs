@@ -32,6 +32,18 @@ pub enum SyncPolicy {
     Batch,
 }
 
+/// Where in the store's WAL sequence a commit becomes durable: the segment
+/// it was logged to and the byte offset right after its commit record.
+/// Targets are totally ordered and stay meaningful across the WAL rotation
+/// at checkpoint — the cut syncs the old segment before switching, so
+/// every target in an older segment than the durable watermark's is
+/// durable. Compare against [`MessageStore::durable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct DurableTarget {
+    segment: u64,
+    offset: u64,
+}
+
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
@@ -313,9 +325,6 @@ pub struct MessageStore {
     txns: Mutex<HashMap<TxnId, TxnBuf>>,
     next_msg: AtomicU64,
     next_txn: AtomicU64,
-    /// Commits *not yet covered by an fsync* (only grows under
-    /// [`SyncPolicy::Batch`]; `sync()`/`checkpoint()` reset it).
-    unsynced_commits: AtomicU64,
     obs: Arc<Obs>,
     metrics: StoreMetrics,
 }
@@ -443,7 +452,6 @@ impl MessageStore {
             txns: Mutex::new(HashMap::new()),
             next_msg: AtomicU64::new(rec.next_msg.max(opts.msg_id_base + 1)),
             next_txn: AtomicU64::new(rec.next_txn),
-            unsynced_commits: AtomicU64::new(0),
             metrics: StoreMetrics::new(&obs),
             obs,
             opts,
@@ -581,8 +589,58 @@ impl MessageStore {
         })
     }
 
-    /// Commit: WAL-log the persistent effects, apply all effects, wait for
-    /// durability per [`SyncPolicy`], release locks.
+    /// Commit: WAL-log the persistent effects, apply all effects, release
+    /// locks, wait for durability per [`SyncPolicy`]. Returning *is* the
+    /// acknowledgement: under [`SyncPolicy::Always`] the transaction is on
+    /// disk.
+    ///
+    /// This is [`commit_deferred`](Self::commit_deferred) followed by the
+    /// durability wait (Phase 3), which happens outside all ordering
+    /// locks: concurrent committers batch into a shared fsync via the
+    /// group-commit coordinator.
+    pub fn commit(&self, txn: TxnId) -> Result<()> {
+        let logged = self.commit_apply(txn)?;
+        if let (Some((wal, target)), SyncPolicy::Always) = (&logged, self.opts.sync) {
+            let flush_started = Instant::now();
+            if self.opts.group_commit_max_batch <= 1 {
+                wal.sync_each()?;
+            } else {
+                wal.sync_to(target.offset)?;
+            }
+            self.metrics.wal_flush_ns.record(flush_started.elapsed());
+        }
+        self.metrics.commits.inc();
+        Ok(())
+    }
+
+    /// The first half of [`commit`](Self::commit): WAL append, LSN-ordered
+    /// apply, lock release — everything but the durability wait. The
+    /// transaction's effects are visible when this returns; it is durable
+    /// once [`durable`](Self::durable) reaches the returned target, which
+    /// the next [`barrier`](Self::barrier) (or any later waiting commit)
+    /// brings about.
+    ///
+    /// Early visibility is safe because the log is redo-only and there is
+    /// one of it: any transaction that reads these effects commits *after*
+    /// this one in the same WAL, so whatever sync makes the reader durable
+    /// covers this transaction too. What must not happen before the target
+    /// is durable is an effect *outside* this WAL — an answer to a caller,
+    /// a message to another store or process; holding those back is the
+    /// caller's job. A transaction that logged nothing (transient queues
+    /// only) returns the current end of the log: everything it can have
+    /// read precedes that.
+    pub fn commit_deferred(&self, txn: TxnId) -> Result<DurableTarget> {
+        let logged = self.commit_apply(txn)?;
+        self.metrics.commits.inc();
+        Ok(match logged {
+            Some((_, target)) => target,
+            None => self.log_end(),
+        })
+    }
+
+    /// Phases 1 and 2 of a commit plus the lock release; returns the WAL
+    /// segment the transaction was logged to and its durable target
+    /// (`None` when it had no persistent effects).
     ///
     /// Phase 1 (WAL append) runs under the `commit_order` mutex. With
     /// batched apply (the default), the logical-apply job is pushed onto
@@ -593,16 +651,9 @@ impl MessageStore {
     /// Phase 2 runs inline under `commit_order` (the original design).
     /// Either way, the order effects become visible is exactly the order
     /// of commit records in the WAL — replay order equals runtime order.
-    ///
-    /// The durability wait (Phase 3) happens outside all ordering locks:
-    /// concurrent committers batch into a shared fsync via the
-    /// group-commit coordinator. Releasing the order mutex before the
-    /// sync is safe in a redo-only log — any transaction that reads our
-    /// effects commits *after* us in the WAL, so its durability implies
-    /// ours ("acked ⇒ durable" holds per transaction).
-    pub fn commit(&self, txn: TxnId) -> Result<()> {
+    fn commit_apply(&self, txn: TxnId) -> Result<Option<(Arc<LogWriter>, DurableTarget)>> {
         let buf = self.txns.lock().remove(&txn).ok_or(StoreError::TxnClosed)?;
-        let mut sync_target: Option<(Arc<LogWriter>, u64)> = None;
+        let mut logged: Option<(Arc<LogWriter>, DurableTarget)> = None;
         let mut apply_seq: Option<u64> = None;
         {
             let _order = self.commit_order.lock();
@@ -631,7 +682,9 @@ impl MessageStore {
             // Phase 2 so the in-memory lineage carries its durable LSN.
             let mut lineage_lsns: HashMap<MsgId, Lsn> = HashMap::new();
             if !persistent_ops.is_empty() {
-                let wal = Arc::clone(&self.wal.lock());
+                // Segment and index cannot change under us: the checkpoint
+                // cut swaps them while holding `commit_order`.
+                let (wal, segment) = self.current_wal();
                 wal.append(&LogRecord::Begin { txn })?;
                 for op in persistent_ops {
                     let rec = match op {
@@ -683,8 +736,8 @@ impl MessageStore {
                         lineage_lsns.insert(*msg, lsn);
                     }
                 }
-                let (_lsn, target) = wal.append_commit(txn)?;
-                sync_target = Some((wal, target));
+                let (_lsn, offset) = wal.append_commit(txn)?;
+                logged = Some((wal, DurableTarget { segment, offset }));
             }
             if self.opts.batched_apply {
                 // Phase 2 handoff: enqueue the apply job while still under
@@ -712,28 +765,10 @@ impl MessageStore {
         if let Some(seq) = apply_seq {
             self.apply_wait(seq)?;
         }
-        // Early lock release (before the durability wait): safe because the
-        // log is redo-only — see the method docs.
+        // Early lock release (before any durability wait): safe because the
+        // log is redo-only — see `commit_deferred`.
         self.locks.release_all(txn);
-        // Phase 3: durability.
-        if let Some((wal, target)) = sync_target {
-            match self.opts.sync {
-                SyncPolicy::Always => {
-                    let flush_started = Instant::now();
-                    if self.opts.group_commit_max_batch <= 1 {
-                        wal.sync_each()?;
-                    } else {
-                        wal.sync_to(target)?;
-                    }
-                    self.metrics.wal_flush_ns.record(flush_started.elapsed());
-                }
-                SyncPolicy::Batch => {
-                    self.unsynced_commits.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        self.metrics.commits.inc();
-        Ok(())
+        Ok(logged)
     }
 
     /// Apply one committed transaction's effects to the logical state.
@@ -1294,21 +1329,61 @@ impl MessageStore {
         Ok(victims)
     }
 
+    /// The live WAL segment and its index, read together.
+    fn current_wal(&self) -> (Arc<LogWriter>, u64) {
+        let wal = self.wal.lock();
+        (Arc::clone(&wal), self.wal_index.load(Ordering::SeqCst))
+    }
+
+    /// Durability barrier: one sync that covers every commit logged so
+    /// far — deferred ones, and the whole window under
+    /// [`SyncPolicy::Batch`]. Returns the durable watermark and how many
+    /// commits the sync this call led covered (0 when there was nothing
+    /// left to sync).
+    pub fn barrier(&self) -> Result<(DurableTarget, u64)> {
+        let (wal, segment) = self.current_wal();
+        let started = Instant::now();
+        let batch = wal.sync_now()?;
+        if batch > 0 {
+            self.metrics.wal_flush_ns.record(started.elapsed());
+        }
+        let offset = wal.durable_offset();
+        Ok((DurableTarget { segment, offset }, batch))
+    }
+
     /// Force the WAL to disk (the batch boundary under
-    /// [`SyncPolicy::Batch`]). Resets the unsynced-commit count only once
-    /// the sync has actually succeeded.
+    /// [`SyncPolicy::Batch`]).
     pub fn sync(&self) -> Result<()> {
-        let wal = Arc::clone(&self.wal.lock());
-        wal.sync_now()?;
-        self.unsynced_commits.store(0, Ordering::Relaxed);
-        Ok(())
+        self.barrier().map(drop)
+    }
+
+    /// The durable watermark: every commit whose target is at or below it
+    /// is on disk.
+    pub fn durable(&self) -> DurableTarget {
+        let (wal, segment) = self.current_wal();
+        DurableTarget {
+            segment,
+            offset: wal.durable_offset(),
+        }
+    }
+
+    /// The current end of the log as a target: covers everything logged so
+    /// far.
+    pub fn log_end(&self) -> DurableTarget {
+        let (wal, segment) = self.current_wal();
+        DurableTarget {
+            segment,
+            offset: wal.end_lsn().0,
+        }
     }
 
     /// Commits whose WAL records are not yet known fsynced — the window a
-    /// crash could lose under [`SyncPolicy::Batch`]. Always zero under
-    /// [`SyncPolicy::Always`].
+    /// crash could lose: everything since the last `sync()`/`checkpoint()`
+    /// under [`SyncPolicy::Batch`], the deferred commits since the last
+    /// barrier under [`SyncPolicy::Always`] (zero when every commit
+    /// waits).
     pub fn unsynced_commits(&self) -> u64 {
-        self.unsynced_commits.load(Ordering::Relaxed)
+        self.wal.lock().pending_commits()
     }
 
     /// Take a checkpoint: flush the heap, cut a snapshot, rotate the WAL.
@@ -1413,7 +1488,6 @@ impl MessageStore {
         let mut state = self.state.write(); // stop-the-world for the cut only
         let old_wal = Arc::clone(&self.wal.lock());
         old_wal.sync_now()?;
-        self.unsynced_commits.store(0, Ordering::Relaxed);
         // Deferred heap materialization, in-lock remainder: the bulk ran
         // in `materialize_pending` before the commit-order lock; only
         // payloads committed in the gap since are still `Mem`. Append
@@ -1552,6 +1626,19 @@ impl MessageStore {
     }
 }
 
+impl Drop for MessageStore {
+    /// A clean shutdown loses nothing: commits no sync has covered yet
+    /// (deferred, or the `Batch` window) reach the disk here, instead of
+    /// only reaching the page cache when the WAL's buffer drops. Errors
+    /// have nobody left to go to; [`MessageStore::sync`] returns them.
+    fn drop(&mut self) {
+        let wal = self.wal.lock();
+        if wal.pending_commits() > 0 {
+            let _ = wal.sync_now();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1664,6 +1751,61 @@ mod tests {
         assert_eq!(store.unsynced_commits(), 1);
         store.checkpoint().unwrap();
         assert_eq!(store.unsynced_commits(), 0, "checkpoint() resets the window");
+    }
+
+    /// A deferred commit is visible at once and durable at the next
+    /// barrier; its target stays comparable across the WAL rotation at
+    /// checkpoint; a clean drop syncs what no barrier covered yet.
+    #[test]
+    fn deferred_commits_are_durable_after_barrier_rotation_and_drop() {
+        let dir = TempDir::new().unwrap();
+        let obs = Obs::new();
+        let mut opts = StoreOptions::new(dir.path());
+        opts.obs = Some(Arc::clone(&obs));
+        let syncs = obs.registry.counter("demaq_store_wal_syncs_total");
+        let store = MessageStore::open(opts.clone()).unwrap();
+        store.create_queue("q", QueueMode::Persistent, 0).unwrap();
+        store.create_queue("t", QueueMode::Transient, 0).unwrap();
+        let defer = |queue: &str, body: &str| {
+            let txn = store.begin();
+            let msg = store.enqueue(txn, queue, body.into(), Vec::new(), 0).unwrap();
+            (msg, store.commit_deferred(txn).unwrap())
+        };
+
+        let (a, ta) = defer("q", "a");
+        let (_, tb) = defer("q", "b");
+        assert!(ta < tb);
+        assert_eq!(store.message(a).unwrap().payload, "a", "visible before durable");
+        assert_eq!(store.unsynced_commits(), 2);
+        assert!(store.durable() < ta);
+        assert_eq!(syncs.get(), 0, "nobody waited for the disk");
+        // A transaction that logged nothing depends on what it may have
+        // read: everything up to the end of the log.
+        assert_eq!(defer("t", "transient").1, tb);
+
+        let (durable, batch) = store.barrier().unwrap();
+        assert!(durable >= tb);
+        assert_eq!((batch, syncs.get(), store.unsynced_commits()), (2, 1, 0));
+        assert_eq!(store.barrier().unwrap().1, 0, "nothing left to sync");
+        assert_eq!(syncs.get(), 1);
+
+        // Rotation: the cut syncs the old segment, so a target logged
+        // there is covered by the new segment's (empty) watermark.
+        let (_, tc) = defer("q", "c");
+        store.checkpoint().unwrap();
+        assert!(store.durable() >= tc);
+        let (d, td) = defer("q", "d");
+        assert!(td > tc && store.durable() < td);
+
+        let before_drop = syncs.get();
+        drop(store);
+        assert_eq!(syncs.get(), before_drop + 1, "drop syncs the deferred tail");
+        let store = MessageStore::open(opts).unwrap();
+        assert_eq!(store.message(d).unwrap().payload, "d");
+        assert_eq!(store.message_count(), 4);
+        let quiet = syncs.get();
+        drop(store);
+        assert_eq!(syncs.get(), quiet, "nothing unsynced, nothing to do");
     }
 
     /// Lineage edges are WAL-logged with their LSN, survive plain

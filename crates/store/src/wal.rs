@@ -51,6 +51,13 @@
 //! follower's LSN — *outside* the append mutex, so appends continue while
 //! the device syncs. Followers block on a condvar until some leader's sync
 //! covers their commit LSN.
+//!
+//! A committer may also *not* wait: it keeps the durable target
+//! [`LogWriter::append_commit`] returned and goes on, and a later
+//! *barrier* ([`LogWriter::sync_now`]) covers every commit appended so
+//! far with one sync. A barrier never sits in the batching window — the
+//! commits it is for have all been appended already, so there is nothing
+//! to wait for.
 
 use crate::error::{Result, StoreError};
 use crate::types::{Lsn, MsgId, PayloadBytes, PropValue, TxnId};
@@ -453,15 +460,22 @@ struct WriterInner {
 }
 
 struct SyncState {
-    /// Bytes `[0, durable)` of the file are known fsynced.
+    /// Bytes `[0, durable)` of the file are known fsynced (the prefix found
+    /// at open counts: every later sync covers it anyway).
     durable: u64,
     /// A leader is currently flushing/syncing.
     leader_active: bool,
-    /// Commit records appended since the last sync consumed the batch.
+    /// Commit records appended since the last sync consumed the batch —
+    /// the commits a crash right now could lose.
     pending_commits: u64,
-    /// Size of the last consumed batch — the adaptive window's estimate of
-    /// current commit concurrency.
+    /// Size of the last batch a *waiting committer* led — the adaptive
+    /// window's estimate of current commit concurrency. Barriers leave it
+    /// alone: how many deferred commits one covers says nothing about how
+    /// many committers arrive together.
     prev_batch: u64,
+    /// A barrier is blocked behind the current leader: cut the batching
+    /// window short.
+    barrier_waiting: bool,
 }
 
 impl LogWriter {
@@ -495,10 +509,11 @@ impl LogWriter {
             sync_handle,
             cfg,
             sync_state: Mutex::new(SyncState {
-                durable: 0,
+                durable: scan.valid_len,
                 leader_active: false,
                 pending_commits: 0,
                 prev_batch: 1,
+                barrier_waiting: false,
             }),
             sync_cv: Condvar::new(),
             window_cv: Condvar::new(),
@@ -525,11 +540,16 @@ impl LogWriter {
         let mut inner = self.inner.lock();
         if let Some(budget) = inner.crash_budget {
             if (framed.len() as u64) > budget {
-                // Failpoint: tear this record mid-write and die, exactly
-                // like a crash between two disk writes.
-                let cut = budget as usize;
-                let _ = inner.file.write_all(&framed[..cut]);
-                let _ = inner.file.flush();
+                // Failpoint: die like a power cut between two disk writes.
+                // Nothing past the last fsync survives (buffered and merely
+                // written records are dropped), then a torn prefix of this
+                // record. The sync state stays locked until the abort, so
+                // no in-flight sync can publish — and its committer ack —
+                // bytes this truncation removes.
+                let st = self.sync_state.lock();
+                let mut file: &File = inner.file.get_ref();
+                let _ = file.set_len(st.durable);
+                let _ = file.write_all(&framed[..budget as usize]);
                 std::process::abort();
             }
             inner.crash_budget = Some(budget - framed.len() as u64);
@@ -562,27 +582,40 @@ impl LogWriter {
     /// then flushes (briefly under the append mutex) and fsyncs *outside*
     /// all locks; everyone whose target the sync covered is released.
     pub fn sync_to(&self, target: u64) -> Result<()> {
+        self.sync_inner(target, true).map(drop)
+    }
+
+    /// `window`: whether a caller that becomes leader may wait for more
+    /// committers (a committer waiting for its own commit) or not (a
+    /// barrier). Returns the number of commits covered by the sync this
+    /// call led, 0 when another sync had covered `target` already.
+    fn sync_inner(&self, target: u64, window: bool) -> Result<u64> {
+        let mut led = 0;
         let mut st = self.sync_state.lock();
         loop {
             if st.durable >= target {
-                return Ok(());
+                return Ok(led);
             }
             if st.leader_active {
                 if let Some(obs) = self.obs.get() {
                     obs.sync_waits.inc();
                 }
+                if !window && !st.barrier_waiting {
+                    st.barrier_waiting = true;
+                    self.window_cv.notify_one();
+                }
                 self.sync_cv.wait(&mut st);
                 continue;
             }
             st.leader_active = true;
-            if self.cfg.max_wait > Duration::ZERO {
+            if window && self.cfg.max_wait > Duration::ZERO {
                 // Adaptive window: gather as many commits as the previous
                 // batch had (capped by max_batch / max_wait). prev_batch=1
                 // (no recent concurrency) skips the wait entirely.
                 let target = st.prev_batch.clamp(1, self.cfg.max_batch as u64);
                 if st.pending_commits < target {
                     let deadline = Instant::now() + self.cfg.max_wait;
-                    while st.pending_commits < target {
+                    while st.pending_commits < target && !st.barrier_waiting {
                         let now = Instant::now();
                         if now >= deadline {
                             break;
@@ -595,7 +628,9 @@ impl LogWriter {
             }
             let batch = st.pending_commits;
             st.pending_commits = 0;
-            st.prev_batch = batch.max(1);
+            if window {
+                st.prev_batch = batch.max(1);
+            }
             drop(st);
 
             let result = (|| -> Result<u64> {
@@ -612,6 +647,7 @@ impl LogWriter {
 
             st = self.sync_state.lock();
             st.leader_active = false;
+            st.barrier_waiting = false;
             match result {
                 Ok(covered) => {
                     st.durable = st.durable.max(covered);
@@ -621,12 +657,15 @@ impl LogWriter {
                             obs.batch_size.record_ns(batch);
                         }
                     }
+                    led = batch;
                     self.sync_cv.notify_all();
                     // Loop: `covered >= target` always holds here (we
                     // appended before calling), so this returns.
                 }
                 Err(e) => {
-                    // Let a follower take over leadership and retry.
+                    // The batch is still unsynced; let a follower take
+                    // over leadership and retry.
+                    st.pending_commits += batch;
                     self.sync_cv.notify_all();
                     return Err(e);
                 }
@@ -654,12 +693,25 @@ impl LogWriter {
         Ok(())
     }
 
-    /// Make everything appended so far durable (checkpoints, explicit
-    /// `sync()` under the batch policy). Cooperates with in-flight group
-    /// syncs.
-    pub fn sync_now(&self) -> Result<()> {
+    /// Durability barrier: make everything appended so far durable
+    /// (deferred commits, checkpoints, explicit `sync()` under the batch
+    /// policy). Cooperates with in-flight group syncs but never waits in
+    /// the batching window. Returns the number of commits covered by the
+    /// sync this call led (0 when everything was durable already or
+    /// another leader's sync covered it).
+    pub fn sync_now(&self) -> Result<u64> {
         let end = self.inner.lock().offset;
-        self.sync_to(end)
+        self.sync_inner(end, false)
+    }
+
+    /// Commit records appended that no sync has covered yet.
+    pub fn pending_commits(&self) -> u64 {
+        self.sync_state.lock().pending_commits
+    }
+
+    /// Bytes `[0, durable_offset)` are known fsynced.
+    pub fn durable_offset(&self) -> u64 {
+        self.sync_state.lock().durable
     }
 
     /// Total bytes appended since open (benchmark metric E4).
@@ -1075,5 +1127,42 @@ mod tests {
         // Already durable: must not block or error.
         w.sync_to(target).unwrap();
         w.sync_to(0).unwrap();
+    }
+
+    /// A barrier has nothing to wait for: even when the adaptive window
+    /// expects a large batch, a lone `sync_now` syncs at once — and leaves
+    /// the window's concurrency estimate alone.
+    #[test]
+    fn barrier_never_waits_in_the_batching_window() {
+        let dir = TempDir::new().unwrap();
+        let cfg = GroupCommitCfg {
+            max_batch: 64,
+            max_wait: Duration::from_secs(5),
+        };
+        let w = LogWriter::open(&dir.path().join("wal.log"), cfg).unwrap();
+        // One waiting committer finds eight commits pending: the window
+        // now expects batches of eight.
+        let mut target = 0;
+        for t in 0..8 {
+            target = w.append_commit(TxnId(t)).unwrap().1;
+        }
+        w.sync_to(target).unwrap();
+        assert_eq!(w.sync_state.lock().prev_batch, 8);
+
+        w.append_commit(TxnId(8)).unwrap();
+        w.append_commit(TxnId(9)).unwrap();
+        assert_eq!(w.pending_commits(), 2);
+        let started = Instant::now();
+        assert_eq!(w.sync_now().unwrap(), 2, "the barrier's own sync covers both");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "barrier slept in the batching window: {:?}",
+            started.elapsed()
+        );
+        assert_eq!(w.pending_commits(), 0);
+        assert_eq!(w.durable_offset(), w.end_lsn().0);
+        assert_eq!(w.sync_state.lock().prev_batch, 8);
+        // Nothing new: no sync to lead.
+        assert_eq!(w.sync_now().unwrap(), 0);
     }
 }

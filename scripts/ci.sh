@@ -26,6 +26,10 @@ echo "lint: repo programs clean, seeded defects detected"
 
 echo "== crash-recovery suite (100 randomized kill points) =="
 DEMAQ_CRASH_ITERS=100 cargo test --offline -p demaq-store --test crash_recovery -- --nocapture
+# The engine-level scenarios: a gateway deployment and two shards, both
+# fsync-always, killed mid-pipeline; no forward or send may ever show
+# without the commit that produced it.
+DEMAQ_CRASH_ITERS=100 cargo test --offline -p demaq-suite --test durability_pipeline -- --nocapture crash
 
 # Smoke runs report into target/bench/; start empty, so the schema gate
 # below only ever sees what this run wrote.
@@ -75,16 +79,29 @@ echo "== bench smoke: E12 sustained drain (4 workers, fsync-always) =="
 # gate below compares that against the committed BENCH_E12.json.
 DEMAQ_E12_SMOKE=1 cargo bench --offline -p demaq-bench --bench e12_sustained_drain
 cp -f crates/bench/target/metrics/e12_sustained_drain.prom target/metrics/ 2>/dev/null || true
+sync_gate() {
+    # A worker must not wait for its own fsync: the acknowledged feed syncs
+    # once per message, the drain once per 32 commits. The gate re-checks
+    # the exposition so a silently re-serialized commit path fails CI.
+    awk -v bench="$1" '$1 == "demaq_store_wal_syncs_total" { syncs = $2 }
+         $1 == "demaq_store_commits_total" { commits = $2 }
+         END { if (commits + 0 <= 0 || syncs + 0 >= commits + 0) {
+                   print bench ": " syncs " WAL syncs for " commits " commits"; exit 1 }
+               print bench ": wal_syncs=" syncs " commits=" commits }' "target/metrics/$1.prom"
+}
+sync_gate e12_sustained_drain
 
 echo "== bench smoke: E13 sharded drain scaling (1/2/4 shards) =="
-# The sharded runtime must beat the single-WAL baseline by whatever the
-# host's fsync parallelism allows: the bench probes N-stream append+fsync
-# throughput first and asserts scaling_4v1 against that host-adaptive
-# ceiling internally (a fixed 1.8x would be unfalsifiable on a 1-core
-# runner and too lax on a real 4-core box). It also asserts zero
+# The sharded runtime must scale by whatever cores the host has left over
+# the 1-shard deployment: the drain is compute-bound, and the bench
+# asserts scaling_4v1 against that host-adaptive ceiling internally (a
+# fixed 1.8x would be unfalsifiable on a 2-core runner and too lax on a
+# 16-core box). It also asserts zero
 # cross-shard forwards (placement keeps the keyed chain shard-local),
 # zero payload copies, and zero trace-ring overwrites.
 DEMAQ_E13_SMOKE=1 cargo bench --offline -p demaq-bench --bench e13_sharded_drain
+cp -f crates/bench/target/metrics/e13_sharded_drain.prom target/metrics/ 2>/dev/null || true
+sync_gate e13_sharded_drain
 
 echo "== bench smoke: E14 incremental slice aggregates =="
 # The aggregate registry must answer every read of the hot slice: the

@@ -195,6 +195,111 @@ fn gc_metrics_report_per_queue_purges_and_retained_backlog() {
     assert!(resident > 0, "the retained ledger entries have payload bytes");
 }
 
+/// The commit pipeline's series against ground truth: two shards under
+/// `Always`, one flow whose rekeying hop forwards across them, one that
+/// ends in an outgoing gateway (a gateway pins its whole flow to a shard,
+/// so the two cannot be one).
+#[test]
+fn durability_pipeline_series_match_store_ground_truth() {
+    use demaq_net::{Clock, Envelope, Network};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    const JOBS: u64 = 40;
+    let net = Arc::new(Network::new(Clock::virtual_at(0), 7));
+    let delivered = Arc::new(AtomicU64::new(0));
+    let sink = Arc::clone(&delivered);
+    net.register(
+        "urn:obs-sink",
+        Arc::new(move |_: Envelope| {
+            sink.fetch_add(1, Ordering::SeqCst);
+        }),
+    );
+    let server = Server::builder()
+        .program(
+            r#"
+            create queue intake kind basic mode persistent
+            create queue enriched kind basic mode persistent
+            create queue notices kind basic mode persistent
+            create queue out kind outgoingGateway mode persistent endpoint "urn:obs-sink"
+            create property lane as xs:integer inherited
+            create slicing lanes on lane
+            create rule enrich for intake
+              if (//job) then
+                do enqueue <enriched n="{//job/@n}"/> into enriched
+                  with lane value ((xs:integer(//job/@n) * 3 + 1) mod 7)
+            create rule publish for notices
+              if (//notice) then do enqueue <published n="{//notice/@n}"/> into out
+            "#,
+        )
+        .in_memory()
+        .sync_policy(SyncPolicy::Always)
+        .network(net)
+        .trace_capacity(8192)
+        .shards(2)
+        .build()
+        .unwrap();
+    for i in 0..JOBS {
+        let lane = vec![("lane".to_string(), demaq_xquery::Atomic::Int((i % 7) as i64))];
+        server
+            .enqueue_external_with_props("intake", &format!("<job n='{i}'/>"), &lane)
+            .unwrap();
+        server
+            .enqueue_external("notices", &format!("<notice n='{i}'/>"))
+            .unwrap();
+    }
+    server.run_until_idle().unwrap();
+
+    let obs = server.metrics();
+    let r = &obs.registry;
+    let commits = r.counter_total("demaq_store_commits_total");
+    let syncs = r.counter_total("demaq_store_wal_syncs_total");
+    let barriers: BTreeMap<String, u64> = r
+        .counter_series("demaq_engine_durability_barriers_total")
+        .into_iter()
+        .map(|(labels, n)| (labels[0].1.clone(), n))
+        .collect();
+    assert_eq!(barriers["ack"], 2 * JOBS, "one per acknowledged enqueue");
+    assert!(barriers["idle"] >= 1, "{barriers:?}");
+    assert!(barriers["backlog"] >= 1, "more than 32 commits per drain: {barriers:?}");
+    assert!(barriers.values().sum::<u64>() <= commits, "{barriers:?} vs {commits} commits");
+    assert!(
+        syncs < commits / 2,
+        "{syncs} syncs for {commits} commits: the commit path re-serialized"
+    );
+
+    // Ground truth. A forward is an `enriched` message living on another
+    // shard than the trigger that produced it; a send is a message in the
+    // gateway queue.
+    let enriched = server.queue_messages("enriched").unwrap();
+    assert_eq!(enriched.len() as u64, JOBS);
+    let forwards = enriched
+        .iter()
+        .filter(|m| match m.prop("parentMsg") {
+            Some(demaq_store::PropValue::Int(p)) => (*p as u64) >> 48 != m.id.0 >> 48,
+            _ => panic!("rule-created message without a parent"),
+        })
+        .count() as u64;
+    let sends = server.queue_messages("out").unwrap().len() as u64;
+    assert!(forwards > 0 && sends == JOBS, "{forwards} forwards, {sends} sends");
+    assert_eq!(r.counter_total("demaq_engine_shard_forwards_total"), forwards);
+    assert_eq!(r.counter_total("demaq_gateway_sent_total"), sends);
+    assert_eq!(delivered.load(Ordering::SeqCst), sends);
+    // Everything that left went through the outbox, and all of it is out.
+    assert_eq!(r.histogram("demaq_engine_outbox_hold_ns").count(), forwards + sends);
+    assert_eq!(r.gauge("demaq_engine_outbox_depth").get(), 0);
+    let released: Vec<_> = server
+        .trace_tail(8192)
+        .into_iter()
+        .filter(|e| e.kind == "msg.released")
+        .collect();
+    assert_eq!(released.len() as u64, forwards + sends);
+    assert!(released.iter().all(|e| e.msg_id.is_some() && e.detail.contains(" batch=")));
+    let text = server.metrics_text();
+    assert!(text.contains("# TYPE demaq_engine_outbox_hold_ns histogram"));
+    assert!(text.contains("demaq_engine_durability_barriers_total{reason=\"idle\"}"));
+}
+
 #[test]
 fn tracer_records_message_lifecycle() {
     let server = build_server();
