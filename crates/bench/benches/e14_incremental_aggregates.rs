@@ -10,6 +10,11 @@
 //! re-read is a pure hit, and reset/GC force a rebuild — per-message
 //! aggregate cost becomes O(1) in N.
 //!
+//! Since ISSUE 25 a read is O(1) in N too: the store hands out only the
+//! members past the cell's `(token, len)` (none on a hit) instead of a
+//! clone of all N ids, and a delta folds each new member's contribution
+//! — computed once at its enqueue — without loading its document.
+//!
 //! Measured:
 //! * `aggregate_rule_{incremental,rescan}` — N arrivals into one hot
 //!   slice, each followed by `run_until_idle`, so the rule's `count` +
@@ -18,6 +23,10 @@
 //!   delta absorbing a 1-member suffix; rebuilds rare; membership-only
 //!   `count` answered as hits) and the end-to-end wall-clock ratio:
 //!   ≥ 5x over the rescan twin at N = 1024 in full mode.
+//! * `read_ns_{small,large}_n` — ns per aggregate read with the slice at
+//!   the small and the large N: the `watch` rule's own evaluation time
+//!   (its body is nothing but its two reads) over further arrivals. Full
+//!   mode asserts large/small ≤ 1.5 — the O(1)-in-N claim, gated.
 //!
 //! The headline `incremental_throughput` is per-message and therefore
 //! comparable between smoke (N=48) and full (N=1024) runs — flatness in
@@ -59,7 +68,11 @@ fn build_server(incremental: bool) -> Server {
 /// N arrivals into the single slice, processing after each so the rule
 /// always re-aggregates mid-growth (the O(N²) rescan shape).
 fn run_feed(server: &Server, n: usize) {
-    for i in 0..n {
+    feed_range(server, 0..n);
+}
+
+fn feed_range(server: &Server, arrivals: std::ops::Range<usize>) {
+    for i in arrivals {
         server
             .enqueue_external("parts", &format!("<p rid='hot'><v>{}</v></p>", i % 17))
             .expect("enqueue");
@@ -75,6 +88,47 @@ fn metric_value(text: &str, name: &str) -> u64 {
         .and_then(|v| v.parse::<f64>().ok())
         .map(|v| v as u64)
         .unwrap_or(0)
+}
+
+/// Aggregate reads per firing of `watch`: the membership-only `count` and
+/// the stepped `sum`.
+const READS_PER_FIRING: f64 = 2.0;
+
+/// `watch`'s accumulated evaluation time and firings.
+fn watch_profile(server: &Server) -> (u64, u64) {
+    let p = server
+        .rule_profiles()
+        .into_iter()
+        .find(|p| p.rule == "watch")
+        .expect("watch rule profiled");
+    (p.eval_ns_total, p.fires)
+}
+
+/// ns per aggregate read with the hot slice at `n` members: grow it to `n`
+/// (unmeasured), then attribute `probe` further arrivals' `watch`
+/// evaluations to their reads.
+fn read_ns_at(n: usize, probe: usize) -> f64 {
+    let server = build_server(true);
+    run_feed(&server, n);
+    let (ns0, fires0) = watch_profile(&server);
+    feed_range(&server, n..n + probe);
+    let (ns1, fires1) = watch_profile(&server);
+    (ns1 - ns0) as f64 / ((fires1 - fires0) as f64 * READS_PER_FIRING)
+}
+
+/// Median of per-read costs at the small and the large N, measured in
+/// alternation so host drift hits both sides alike.
+fn read_ns_small_large(small: usize, large: usize, probe: usize) -> (f64, f64) {
+    let (mut s, mut l): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+    for _ in 0..5 {
+        s.push(read_ns_at(small, probe));
+        l.push(read_ns_at(large, probe));
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(&mut s), median(&mut l))
 }
 
 fn timed_feed(incremental: bool, n: usize) -> (Server, f64) {
@@ -177,9 +231,23 @@ fn bench_e14(c: &mut Criterion) {
         );
     }
 
+    // Per-read cost at the small and the large N: flat, because a read
+    // copies no membership and loads no member document.
+    let (small, large, probe) = if smoke() { (16, 64, 32) } else { (256, 1024, 256) };
+    let (ns_small, ns_large) = read_ns_small_large(small, large, probe);
+    let growth = ns_large / ns_small.max(1e-9);
+    if !smoke() {
+        assert!(
+            growth <= 1.5,
+            "aggregate read cost must be O(1) in N: {ns_large:.0} ns at N={large} \
+             vs {ns_small:.0} ns at N={small} ({growth:.2}x)"
+        );
+    }
+
     println!(
         "e14: N={n} hits={hits} deltas={deltas} rebuilds={rebuilds} \
-         incremental={t_inc:.3}s rescan={t_rescan:.3}s speedup={speedup:.2}x"
+         incremental={t_inc:.3}s rescan={t_rescan:.3}s speedup={speedup:.2}x \
+         read_ns@{small}={ns_small:.0} read_ns@{large}={ns_large:.0} ({growth:.2}x)"
     );
 
     let mut report = demaq_bench::report::BenchReport::new("e14_incremental_aggregates", smoke());
@@ -191,7 +259,10 @@ fn bench_e14(c: &mut Criterion) {
         .result("incremental_wall_s", t_inc, "s")
         .result("rescan_wall_s", t_rescan, "s")
         .result("incremental_throughput", n as f64 / t_inc.max(1e-9), "msg/s")
-        .result("speedup_vs_rescan", speedup, "x");
+        .result("speedup_vs_rescan", speedup, "x")
+        .result("read_ns_small_n", ns_small, "ns")
+        .result("read_ns_large_n", ns_large, "ns")
+        .result("read_ns_large_over_small", growth, "x");
     report.write();
 }
 

@@ -11,7 +11,8 @@ use demaq_analysis::{Analysis, LintConfig, RuleFacts};
 use demaq_net::WsdlInterface;
 use demaq_qdl::{AppSpec, PropertyDecl, QueueDecl, QueueKind, SlicingDecl};
 use demaq_xml::schema::Schema;
-use demaq_xquery::Plan;
+use demaq_store::PropValue;
+use demaq_xquery::{AggCatalog, AggId, AggSource, Plan};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -59,6 +60,20 @@ pub struct CompiledApp {
     /// deadlock detect-and-retry into deadlock avoidance for
     /// cross-enqueueing rules.
     pub lock_ranks: HashMap<String, u32>,
+    /// The analyzer's per-rule facts (shard placement reuses them).
+    pub facts: Vec<RuleFacts>,
+    /// Every distinct recognized aggregate shape, numbered; the ids ride
+    /// in the lowered plans' `AggregateRead`s.
+    pub aggregates: AggCatalog,
+    /// slicing -> the `qs:slice()` aggregates its rules read (the
+    /// narrowing sweep keeps one base cell per shape).
+    pub slice_aggregates: HashMap<String, Vec<AggId>>,
+    /// slicing -> the ones among them folding member contributions
+    /// (everything but a step-free `count`/`exists`).
+    slice_contributions: HashMap<String, Vec<AggId>>,
+    /// queue -> the contribution-folding `qs:queue("…")` aggregates over
+    /// it, read by any rule.
+    queue_contributions: HashMap<String, Vec<AggId>>,
 }
 
 /// The analyzer's view of a compiled rule: identity fields plus the
@@ -165,13 +180,17 @@ impl CompiledApp {
             .map(|p| (p.name.clone(), p.clone()))
             .collect();
 
+        // Every plan is lowered into one catalog, so an aggregate id means
+        // the same shape wherever a host meets it.
+        let mut aggregates = AggCatalog::default();
+
         // Lower property bindings once at deploy time; a queue named by
         // several bindings of one property takes the first.
         let mut prop_bindings: HashMap<String, HashMap<String, Plan>> = HashMap::new();
         for p in &spec.properties {
             let per_queue = prop_bindings.entry(p.name.clone()).or_default();
             for b in &p.bindings {
-                let plan = demaq_xquery::lower(&b.value);
+                let (plan, _) = demaq_xquery::lower_in(&b.value, &mut aggregates);
                 for q in &b.queues {
                     per_queue.entry(q.clone()).or_insert_with(|| plan.clone());
                 }
@@ -181,7 +200,7 @@ impl CompiledApp {
         // Compile rules into their targets.
         for r in &spec.rules {
             let on_slicing = slicings.contains_key(&r.target);
-            let compiled = compiler::compile_rule(r, &spec, on_slicing)
+            let compiled = compiler::compile_rule(r, &spec, on_slicing, &mut aggregates)
                 .map_err(|e| CompileError(format!("rule `{}`: {e}", r.name)))?;
             if on_slicing {
                 slicings
@@ -202,9 +221,46 @@ impl CompiledApp {
         // time — the engine used to re-merge on every message.
         for q in queues.values_mut() {
             if let Some(merged) = compiler::merge_rules(&q.rules) {
-                q.merged_plan = Some(Arc::new(demaq_xquery::lower(&merged)));
+                let (plan, _) = demaq_xquery::lower_in(&merged, &mut aggregates);
+                q.merged_plan = Some(Arc::new(plan));
             }
         }
+
+        // Which aggregates each membership feeds: a slicing's rules read
+        // `qs:slice()` shapes over its slices; any rule may read a
+        // `qs:queue("q")` shape over q.
+        let mut slice_aggregates: HashMap<String, Vec<AggId>> = HashMap::new();
+        let mut queue_contributions: HashMap<String, Vec<AggId>> = HashMap::new();
+        let all_rules = queues
+            .values()
+            .flat_map(|q| q.rules.iter())
+            .chain(slicings.values().flat_map(|s| s.rules.iter()));
+        for rule in all_rules {
+            for &id in &rule.aggregates {
+                let spec = aggregates.get(id);
+                let ids = match &spec.source {
+                    AggSource::Slice if rule.on_slicing => {
+                        slice_aggregates.entry(rule.target.clone()).or_default()
+                    }
+                    AggSource::Queue(q) if !spec.membership_only() => {
+                        queue_contributions.entry(q.clone()).or_default()
+                    }
+                    _ => continue,
+                };
+                if !ids.contains(&id) {
+                    ids.push(id);
+                }
+            }
+        }
+        let slice_contributions = slice_aggregates
+            .iter()
+            .map(|(s, ids)| {
+                let mut folded = ids.clone();
+                folded.retain(|&id| !aggregates.get(id).membership_only());
+                (s.clone(), folded)
+            })
+            .filter(|(_, ids)| !ids.is_empty())
+            .collect();
 
         // Whole-application analysis over the compiled rules' read/write
         // sets (paper Sec. 4): diagnostics plus the flow-derived global
@@ -233,7 +289,32 @@ impl CompiledApp {
             prop_bindings,
             analysis,
             lock_ranks,
+            facts,
+            aggregates,
+            slice_aggregates,
+            slice_contributions,
+            queue_contributions,
         })
+    }
+
+    /// The aggregates a message entering `queue` with `props` contributes
+    /// to: the contribution-folding shapes over its queue and over every
+    /// slicing it joins (one entry per shape).
+    pub fn contribution_ids(&self, queue: &str, props: &[(String, PropValue)]) -> Vec<AggId> {
+        if self.slice_contributions.is_empty() && self.queue_contributions.is_empty() {
+            return Vec::new();
+        }
+        let mut ids: Vec<AggId> = self.queue_contributions.get(queue).cloned().unwrap_or_default();
+        for (pname, _) in props {
+            for slicing in self.slicings_by_property.get(pname).into_iter().flatten() {
+                for &id in self.slice_contributions.get(slicing).into_iter().flatten() {
+                    if !ids.contains(&id) {
+                        ids.push(id);
+                    }
+                }
+            }
+        }
+        ids
     }
 
     /// The queue kind (engine dispatch).

@@ -29,7 +29,7 @@ use demaq_qdl::{AppSpec, PropKind, RuleDecl};
 use demaq_xml::sym::{self, Sym};
 use demaq_xml::QName;
 use demaq_xquery::ast::{Axis, NodeTest};
-use demaq_xquery::{lower, Error as XqError, Expr, Plan};
+use demaq_xquery::{lower_in, AggCatalog, AggId, Error as XqError, Expr, Plan};
 use std::sync::Arc;
 
 /// A compiled, rewritten rule.
@@ -47,6 +47,8 @@ pub struct CompiledRule {
     /// tests, slot-indexed variables, folded constants) — the only form
     /// the engine executes.
     pub plan: Arc<Plan>,
+    /// Catalog ids of the recognized aggregate reads in `plan`.
+    pub aggregates: Vec<AggId>,
     /// Queues read via `qs:queue("…")` (lock read-set).
     pub reads_queues: Vec<String>,
     /// Queues written via `do enqueue … into …` (lock write-set).
@@ -59,11 +61,13 @@ pub struct CompiledRule {
     pub trigger_syms: Option<Vec<Sym>>,
 }
 
-/// Compile one rule in the context of its application.
+/// Compile one rule in the context of its application, numbering its
+/// aggregate reads in the application's `catalog`.
 pub fn compile_rule(
     rule: &RuleDecl,
     spec: &AppSpec,
     on_slicing: bool,
+    catalog: &mut AggCatalog,
 ) -> Result<CompiledRule, XqError> {
     // The queue context for rewrites: rules on queues know their queue;
     // rules on slicings have no single queue (qs:queue() without an
@@ -98,7 +102,7 @@ pub fn compile_rule(
     let trigger_syms = trigger_elements
         .as_ref()
         .map(|names| names.iter().map(|n| sym::intern(n)).collect());
-    let plan = Arc::new(lower(&body));
+    let (plan, aggregates) = lower_in(&body, catalog);
 
     Ok(CompiledRule {
         name: rule.name.clone(),
@@ -106,7 +110,8 @@ pub fn compile_rule(
         on_slicing,
         error_queue: rule.error_queue.clone(),
         body,
-        plan,
+        plan: Arc::new(plan),
+        aggregates,
         reads_queues: reads,
         writes_queues: writes,
         trigger_elements,
@@ -266,7 +271,7 @@ mod tests {
         let spec = parse_program(src).unwrap();
         let rule = spec.rules[0].clone();
         let on_slicing = spec.slicing(&rule.target).is_some();
-        compile_rule(&rule, &spec, on_slicing).unwrap()
+        compile_rule(&rule, &spec, on_slicing, &mut AggCatalog::default()).unwrap()
     }
 
     #[test]
@@ -401,7 +406,7 @@ mod tests {
         let rules: Vec<CompiledRule> = spec
             .rules
             .iter()
-            .map(|r| compile_rule(r, &spec, false).unwrap())
+            .map(|r| compile_rule(r, &spec, false, &mut AggCatalog::default()).unwrap())
             .collect();
         let merged = merge_rules(&rules).unwrap();
         assert!(matches!(merged, Expr::Sequence(ref v) if v.len() == 2));
@@ -421,7 +426,7 @@ mod tests {
         let rules: Vec<CompiledRule> = spec
             .rules
             .iter()
-            .map(|r| compile_rule(r, &spec, false).unwrap())
+            .map(|r| compile_rule(r, &spec, false, &mut AggCatalog::default()).unwrap())
             .collect();
         assert!(merge_rules(&rules).is_none());
     }

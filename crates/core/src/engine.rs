@@ -8,7 +8,7 @@
 //! ([`Server::process_all_parallel`]) under queue- or slice-granularity
 //! locking (Sec. 4.3).
 
-use crate::aggregates::{AggLookup, AggRegistry, AggScope};
+use crate::aggregates::{AggRegistry, AggScope, Fold};
 use crate::app::CompiledApp;
 use crate::cache::{DocCache, SeqLookup, SliceSeqCache};
 use crate::compiler::CompiledRule;
@@ -26,13 +26,13 @@ use demaq_obs::{
 use demaq_qdl::{parse_program, AppSpec, QueueKind};
 use demaq_store::store::SyncPolicy;
 use demaq_store::{
-    DurableTarget, LockGranularity, LockKey, LockMode, MessageMeta, MessageStore, MsgId, PropValue,
-    QueueMode, StoreError, StoreOptions, StoredMessage, TxnId,
+    DurableTarget, LockGranularity, LockKey, LockMode, MemberRead, MessageMeta, MessageStore, MsgId,
+    PropValue, QueueMode, StoreError, StoreOptions, StoredMessage, TxnId,
 };
 use demaq_xml::{parse as parse_xml, Document, NodeRef};
 use demaq_xquery::{
-    AggAcc, AggOp, AggSource, AggregateSpec, Atomic, DynamicContext, Error as XqError, Item, Plan,
-    PlanEvaluator, Sequence, Update,
+    AggAcc, AggId, AggOp, AggSource, AggregateSpec, Atomic, Contribution, DynamicContext,
+    Error as XqError, Item, Plan, PlanEvaluator, Sequence, Update,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -387,6 +387,9 @@ pub struct ServerBuilder {
     /// Share one causal provenance index across shards so lineage chains
     /// that hop shards stay queryable from any of them.
     pub(crate) shared_provenance: Option<Arc<ProvenanceIndex>>,
+    /// The application compiled once for every shard of a
+    /// [`crate::shard::ShardedServer`]; `None` compiles the program here.
+    pub(crate) compiled: Option<Arc<CompiledApp>>,
 }
 
 impl Default for ServerBuilder {
@@ -416,6 +419,7 @@ impl Default for ServerBuilder {
             shard_link: None,
             incoming_gateways: None,
             shared_provenance: None,
+            compiled: None,
         }
     }
 }
@@ -574,17 +578,22 @@ impl ServerBuilder {
         crate::shard::ShardedServerBuilder::new(self, n)
     }
 
-    /// Compile the application and open the store.
-    pub fn build(self) -> Result<Server> {
-        let spec = match (self.spec, self.program) {
-            (Some(s), _) => s,
-            (None, Some(p)) => {
-                parse_program(&p).map_err(|e| EngineError::Compile(e.to_string()))?
-            }
+    /// Parse and compile the application.
+    pub(crate) fn compile(&self) -> Result<CompiledApp> {
+        let spec = match (&self.spec, &self.program) {
+            (Some(s), _) => s.clone(),
+            (None, Some(p)) => parse_program(p).map_err(|e| EngineError::Compile(e.to_string()))?,
             (None, None) => return Err(EngineError::Config("no program provided".into())),
         };
-        let app = CompiledApp::compile(spec, &self.wsdl_files)
-            .map_err(|e| EngineError::Compile(e.to_string()))?;
+        CompiledApp::compile(spec, &self.wsdl_files).map_err(|e| EngineError::Compile(e.to_string()))
+    }
+
+    /// Compile the application and open the store.
+    pub fn build(self) -> Result<Server> {
+        let app = match &self.compiled {
+            Some(app) => Arc::clone(app),
+            None => Arc::new(self.compile()?),
+        };
 
         if self.strict_analysis == StrictAnalysis::Deny && app.analysis.has_deny() {
             let msgs: Vec<String> = app
@@ -651,7 +660,6 @@ impl ServerBuilder {
             .network
             .unwrap_or_else(|| Arc::new(Network::new(clock.clone(), self.seed)));
         net.attach_obs(&obs);
-        let app = Arc::new(app);
         let gateways = GatewayManager::with_incoming_filter(
             &app,
             Arc::clone(&net),
@@ -715,6 +723,9 @@ impl ServerBuilder {
         } else {
             None
         };
+        let agg = self
+            .incremental_aggregates
+            .then(|| Arc::new(AggRegistry::new(&app.aggregates, 4096, &obs)));
         let server = Server {
             app,
             store,
@@ -728,11 +739,7 @@ impl ServerBuilder {
             metrics,
             doc_cache: Arc::new(DocCache::new(16, self.doc_cache_budget, &obs)),
             slice_seq: Arc::new(SliceSeqCache::new(16, 4096, &obs)),
-            agg: if self.incremental_aggregates {
-                Some(Arc::new(AggRegistry::new(16, 4096, &obs)))
-            } else {
-                None
-            },
+            agg,
             narrow,
             outbox: Outbox::new(&obs),
             pipelined: self.sync == SyncPolicy::Always,
@@ -784,18 +791,18 @@ impl Drop for TempRoot {
 #[derive(Debug)]
 enum NarrowMode {
     /// All reads are recognized aggregates: fold processed members into
-    /// the slice's base cells (one per distinct aggregate signature), then
-    /// release them.
-    Aggregate(Vec<AggregateSpec>),
+    /// the slice's base cells (one per aggregate shape its rules read),
+    /// then release them.
+    Aggregate(Vec<AggId>),
     /// All reads are `[last()]`-style suffixes: release processed members
     /// beyond the proven horizon of `k` newest.
     Suffix(usize),
 }
 
 /// Lower the analysis retention plan into per-slicing narrow modes. For
-/// aggregate-only slicings the folded specs are re-recognized from the
-/// slicing rule bodies — the same recognizer the lowered plans use, so the
-/// base cells the sweep writes are exactly the cells reads will consult.
+/// aggregate-only slicings the folded shapes are the ones the slicing's
+/// lowered rule plans read — so the base cells the sweep writes are
+/// exactly the cells reads will consult.
 fn narrow_plans(app: &CompiledApp) -> HashMap<String, NarrowMode> {
     use demaq_analysis::ReadShape;
     let mut plans = HashMap::new();
@@ -811,28 +818,12 @@ fn narrow_plans(app: &CompiledApp) -> HashMap<String, NarrowMode> {
             // justify dropping them.
             ReadShape::Unread => continue,
             ReadShape::BoundedSuffix(k) => NarrowMode::Suffix(k),
-            ReadShape::AggregateOnly => {
-                let mut specs: Vec<AggregateSpec> = Vec::new();
-                if let Some(slicing) = app.slicings.get(name) {
-                    for rule in &slicing.rules {
-                        rule.body.visit(&mut |e| {
-                            if let Some(spec) = demaq_xquery::recognize_aggregate(e) {
-                                if matches!(spec.source, AggSource::Slice)
-                                    && !specs.iter().any(|s| s.stable_sig() == spec.stable_sig())
-                                {
-                                    specs.push(spec);
-                                }
-                            }
-                        });
-                    }
-                }
-                if specs.is_empty() {
-                    // Analysis saw aggregate reads the recognizer cannot
-                    // fold here — leave the slice fully retained.
-                    continue;
-                }
-                NarrowMode::Aggregate(specs)
-            }
+            // Analysis may see aggregate reads the recognizer cannot fold
+            // here — then the slice stays fully retained.
+            ReadShape::AggregateOnly => match app.slice_aggregates.get(name) {
+                Some(ids) if !ids.is_empty() => NarrowMode::Aggregate(ids.clone()),
+                _ => continue,
+            },
             // Narrowable excludes FullScan by construction.
             ReadShape::FullScan => continue,
         };
@@ -1207,6 +1198,10 @@ impl Server {
                 );
                 self.record_provenance(id, queue);
                 if let Some(doc) = doc {
+                    if self.agg.is_some() {
+                        let aggregates = self.app.contribution_ids(queue, &props);
+                        self.keep_contributions(id, &aggregates, &doc);
+                    }
                     self.doc_cache.insert(id, doc);
                 }
                 self.sched_push(id, queue, cq.decl.priority);
@@ -1691,6 +1686,7 @@ impl Server {
                 // this store waits for `after` to be durable.
                 for nm in new_messages {
                     self.record_provenance(nm.id, &nm.queue);
+                    self.keep_contributions(nm.id, &nm.aggregates, &nm.doc);
                     self.doc_cache.insert(nm.id, nm.doc);
                     let prio = self
                         .app
@@ -1994,7 +1990,7 @@ impl Server {
         let agg_reader: Option<crate::host::AggregateReader> = handle.agg.is_some().then(|| {
             let handle = handle.clone();
             let rd: crate::host::AggregateReader =
-                Arc::new(move |spec, slice_ctx| handle.aggregate_read(spec, slice_ctx));
+                Arc::new(move |id, spec, slice_ctx| handle.aggregate_read(id, spec, slice_ctx));
             rd
         });
         let host = QsHost {
@@ -2146,14 +2142,35 @@ impl Server {
             rule_name.unwrap_or(""),
             TraceCtx::new(Some(root), Some(trigger.id.0)),
         );
-        // The parsed document rides along so try_process can cache it once
-        // the transaction commits — caching here would leak documents of
-        // aborted transactions into the cache.
+        // The parsed document rides along so try_process can cache it (and
+        // keep its aggregate contributions) once the transaction commits —
+        // doing so here would leak state of aborted transactions.
+        let aggregates = match self.agg {
+            Some(_) => self.app.contribution_ids(target, &props),
+            None => Vec::new(),
+        };
         Ok(EnqueueOutcome::Local(NewMessage {
             id,
             queue: target.to_string(),
             doc: message,
+            aggregates,
         }))
+    }
+
+    /// Keep a freshly committed message's contributions to `aggregates`,
+    /// computed from the document its enqueue parsed. Runs before the
+    /// message is scheduled, so nothing can have purged it yet.
+    fn keep_contributions(&self, id: MsgId, aggregates: &[AggId], doc: &Arc<Document>) {
+        let Some(agg) = &self.agg else { return };
+        if aggregates.is_empty() {
+            return;
+        }
+        let root = doc.root();
+        let contributions = aggregates
+            .iter()
+            .map(|&a| (a, self.app.aggregates.get(a).contribution(&root)))
+            .collect();
+        agg.put_contributions(id, contributions);
     }
 
     /// Post-commit side effects of a message landing in `queue`: outgoing
@@ -2475,7 +2492,7 @@ impl Server {
             self.doc_cache.remove_many(&purged);
             self.slice_seq.invalidate_msgs(&purged);
             if let Some(agg) = &self.agg {
-                agg.invalidate_msgs(&purged);
+                agg.forget(&purged);
             }
         }
         Ok(purged.len())
@@ -2531,18 +2548,20 @@ impl Server {
             // No aggregate reads exist over a suffix shape; carry the base
             // unchanged (empty unless a past mode change left cells).
             NarrowMode::Suffix(_) => base,
-            NarrowMode::Aggregate(specs) => {
-                let mut cells = Vec::with_capacity(specs.len());
-                for spec in specs {
+            NarrowMode::Aggregate(aggregates) => {
+                let agg = self.agg.as_ref()?;
+                let handle = self.read_handle();
+                let mut cells = Vec::with_capacity(aggregates.len());
+                for &id in aggregates {
+                    let spec = self.app.aggregates.get(id);
                     let sig = spec.stable_sig();
                     let mut acc = match base.iter().find(|(s, _)| *s == sig) {
                         Some((_, bytes)) => AggAcc::decode(bytes)?,
                         None => AggAcc::new(spec.op),
                     };
-                    // Fold before purge: the payloads are still readable.
-                    for id in &victims {
-                        let doc = self.doc_for(*id).ok()?;
-                        acc.absorb_member(spec, &doc.root()).ok()?;
+                    // Fold before purge: every victim is still readable.
+                    for &m in &victims {
+                        handle.absorb_member(agg, id, spec, m, &mut acc).ok()?;
                     }
                     cells.push((sig, acc.encode()?));
                 }
@@ -2631,11 +2650,13 @@ impl Drop for Server {
 
 /// A message created by `do enqueue` inside a processing transaction. Its
 /// parsed document is carried to the post-commit hook, which inserts it
-/// into the document cache only once the transaction is durable.
+/// into the document cache (and computes its contributions to
+/// `aggregates`) only once the transaction committed.
 struct NewMessage {
     id: MsgId,
     queue: String,
     doc: Arc<Document>,
+    aggregates: Vec<AggId>,
 }
 
 /// Where a rule-produced enqueue landed: the local store (the common,
@@ -2728,90 +2749,127 @@ impl ReadHandle {
     /// then runs the reference rescan — which also reproduces the exact
     /// reference error for unknown queues, missing slice context, or a
     /// fold that errored (errored folds are never cached).
+    ///
+    /// One store read under one state lock returns the membership past the
+    /// cell's `(token, len)`: nothing (a hit), the appended members (a
+    /// delta), or all members plus the released base (a rebuild). Folds
+    /// absorb kept contributions, so no member document is touched.
     fn aggregate_read(
         &self,
+        id: AggId,
         spec: &AggregateSpec,
         slice_ctx: Option<(&str, &PropValue)>,
     ) -> Option<std::result::Result<Sequence, XqError>> {
-        let agg = self.agg.as_ref()?;
-        let (scope, ids, version, base_members, base) = match (&spec.source, slice_ctx) {
-            (AggSource::Queue(q), _) => {
-                let (ids, version) = self.store.queue_message_ids_versioned(q).ok()?;
-                (AggScope::Queue(q.clone()), ids, version, 0, Vec::new())
-            }
-            (AggSource::Slice, Some((sl, k))) => {
-                // Slices carry a base: aggregate state the narrowing sweep
-                // folded out of members that have since been purged. Reads
-                // must seed from it — the raw members alone are no longer
-                // the full history.
-                let (ids, version, base_members, base) = self.store.slice_members_with_base(sl, k);
-                (AggScope::Slice(sl.to_string(), k.clone()), ids, version, base_members, base)
-            }
+        let agg = self.agg.as_ref().filter(|agg| agg.owns(id, spec))?;
+        let scope = match (&spec.source, slice_ctx) {
+            (AggSource::Queue(q), _) => AggScope::Queue(q),
+            (AggSource::Slice, Some((s, k))) => AggScope::Slice(s, k),
             (AggSource::Slice, None) => return None,
         };
         // Membership-only fast path: step-free `count`/`exists` are pure
-        // functions of the id list (plus released membership) — no cell,
-        // no document access.
-        if spec.steps.is_empty() {
-            match spec.op {
-                AggOp::Count => {
-                    agg.note_fast_hit();
-                    return Some(Ok(Sequence::int(base_members as i64 + ids.len() as i64)));
+        // functions of the membership length (plus released members).
+        if spec.membership_only() {
+            let n = match scope {
+                AggScope::Queue(q) => self.store.queue_len(q).ok()?,
+                AggScope::Slice(s, k) => {
+                    let (len, released) = self.store.slice_len(s, k);
+                    len + released as usize
                 }
-                AggOp::Exists => {
-                    agg.note_fast_hit();
-                    return Some(Ok(Sequence::bool(base_members > 0 || !ids.is_empty())));
-                }
-                _ => {}
-            }
-        }
-        // With a base in play, declining to the fallback rescan is no
-        // longer sound: the rescan only sees surviving members, not the
-        // folded-out history. Errors must surface instead.
-        let has_base = !base.is_empty();
-        let key = spec.cache_key();
-        let (mut acc, from, extended) = match agg.lookup(&key, &scope, version, &ids) {
-            AggLookup::Hit(seq) => return Some(Ok(seq)),
-            AggLookup::Extend { acc, from } => (acc, from, true),
-            AggLookup::Miss => {
-                let acc = match base.iter().find(|(s, _)| *s == spec.stable_sig()) {
-                    Some((_, bytes)) => match AggAcc::decode(bytes) {
-                        Some(acc) => acc,
-                        None => {
-                            return Some(Err(XqError::dynamic(format!(
-                                "aggregate base cell of slice is unreadable ({key})"
-                            ))))
-                        }
-                    },
-                    None if base_members > 0 => {
-                        // Released history exists but no cell matches this
-                        // read — the rescan would silently ignore it.
-                        return Some(Err(XqError::dynamic(format!(
-                            "aggregate base cell missing for released slice history ({key})"
-                        ))));
-                    }
-                    None => AggAcc::new(spec.op),
-                };
-                (acc, 0, false)
-            }
-        };
-        for id in &ids[from..] {
-            // Without a base, a load or fold error declines the read
-            // (never cached) and the fallback rescan reproduces the
-            // identical outcome; with one, the error must propagate.
-            let root = match self.doc_root(*id) {
-                Ok(Some(root)) => root,
-                Ok(None) => continue,
-                Err(e) if has_base => return Some(Err(e)),
-                Err(_) => return None,
             };
-            if let Err(e) = acc.absorb_member(spec, &root) {
-                return if has_base { Some(Err(e)) } else { None };
+            agg.note_hit();
+            return Some(Ok(match spec.op {
+                AggOp::Exists => Sequence::bool(n > 0),
+                _ => Sequence::int(n as i64),
+            }));
+        }
+        let cell = agg.fold(id, scope);
+        let since = cell.as_ref().map(|f| (f.token, f.len));
+        let mut ids = Vec::new();
+        let read = match scope {
+            AggScope::Queue(q) => self.store.queue_read(q, since, &mut ids).ok()?,
+            AggScope::Slice(s, k) => self.store.slice_read(s, k, since, &mut ids),
+        };
+        let (mut acc, extended) = match cell {
+            Some(f) if read.resumed => {
+                if ids.is_empty() {
+                    agg.note_hit();
+                    return Some(Ok(f.acc.result()));
+                }
+                (f.acc, true)
+            }
+            _ => match rebuild_seed(spec, &read) {
+                Ok(acc) => (acc, false),
+                Err(e) => return Some(Err(e)),
+            },
+        };
+        // With released history in play, declining to the fallback rescan
+        // is no longer sound: the rescan only sees surviving members, not
+        // the folded-out history. Errors must surface instead; without it,
+        // a load or fold error declines (never cached) and the fallback
+        // reproduces the identical outcome.
+        for &m in &ids {
+            if let Err(e) = self.absorb_member(agg, id, spec, m, &mut acc) {
+                return (read.base_members > 0).then_some(Err(e));
             }
         }
         let result = acc.result();
-        agg.store(&key, &scope, version, ids, acc, extended);
+        let fold = Fold {
+            token: read.token,
+            len: read.len,
+            acc,
+        };
+        agg.store(id, scope, fold, extended);
         Some(Ok(result))
+    }
+
+    /// Fold member `m`'s contribution to aggregate `id` into `acc`: the one
+    /// kept since its enqueue — or, for a member enqueued without its
+    /// document at hand (a cross-shard ingest) or before a restart, one
+    /// computed from the member loaded through the document cache. Such
+    /// loads are rare (1.7 % of folds on `slice_state`, all in the drain
+    /// after a reopen; none on `durable_sharded`), so the result is not
+    /// kept. A member purged since the membership read drops out, as if
+    /// the read had come later.
+    fn absorb_member(
+        &self,
+        agg: &AggRegistry,
+        id: AggId,
+        spec: &AggregateSpec,
+        m: MsgId,
+        acc: &mut AggAcc,
+    ) -> std::result::Result<(), XqError> {
+        if spec.membership_only() {
+            return acc.absorb(&Contribution::Count(1));
+        }
+        if let Some(absorbed) = agg.absorb(m, id, acc) {
+            return absorbed;
+        }
+        match self.doc_root(m)? {
+            Some(root) => acc.absorb(&spec.contribution(&root)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The accumulator a rebuild starts from: the released base cell of this
+/// shape, or an empty one when nothing was released. The base is keyed by
+/// the shape's persisted signature — formatted here, on a rebuild of a
+/// narrowed slice, and nowhere on the read path otherwise.
+fn rebuild_seed(spec: &AggregateSpec, read: &MemberRead) -> std::result::Result<AggAcc, XqError> {
+    if read.base_members == 0 {
+        return Ok(AggAcc::new(spec.op));
+    }
+    let sig = spec.stable_sig();
+    let cell = read.base.iter().flatten().find(|(s, _)| *s == sig);
+    match cell {
+        Some((_, bytes)) => AggAcc::decode(bytes).ok_or_else(|| {
+            XqError::dynamic(format!("aggregate base cell of slice is unreadable ({sig})"))
+        }),
+        // Released history exists but no cell matches this read — the
+        // rescan would silently ignore it.
+        None => Err(XqError::dynamic(format!(
+            "aggregate base cell missing for released slice history ({sig})"
+        ))),
     }
 }
 

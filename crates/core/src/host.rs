@@ -8,7 +8,9 @@
 use demaq_store::PropValue;
 use demaq_xml::{Document, NodeRef, QName};
 use demaq_xquery::value::{parse_date_time, parse_duration};
-use demaq_xquery::{Atomic, Error as XqError, HostFunctions, Item, Sequence};
+use demaq_xquery::{
+    AggId, AggSource, AggregateSpec, Atomic, Error as XqError, HostFunctions, Item, Sequence,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -100,12 +102,12 @@ pub type QueueReader = Arc<dyn Fn(&str) -> Result<Sequence, XqError> + Send + Sy
 /// Deferred loader for a slice's member documents.
 pub type SliceLoader = Arc<dyn Fn() -> Result<Sequence, XqError> + Send + Sync>;
 
-/// Answer a recognized aggregate read from a materialized cell. The second
-/// argument carries the firing rule's `(slicing, key)` when the read is
-/// over `qs:slice()`. `None` declines — the evaluator falls back to the
-/// reference rescan.
+/// Answer a recognized aggregate read (its catalog id and shape) from a
+/// materialized cell. The last argument carries the firing rule's
+/// `(slicing, key)` when the read is over `qs:slice()`. `None` declines —
+/// the evaluator falls back to the reference rescan.
 pub type AggregateReader = Arc<
-    dyn Fn(&demaq_xquery::AggregateSpec, Option<(&str, &PropValue)>) -> Option<Result<Sequence, XqError>>
+    dyn Fn(AggId, &AggregateSpec, Option<(&str, &PropValue)>) -> Option<Result<Sequence, XqError>>
         + Send
         + Sync,
 >;
@@ -227,18 +229,15 @@ impl HostFunctions for QsHost {
         })
     }
 
-    fn aggregate(
-        &self,
-        spec: &demaq_xquery::AggregateSpec,
-    ) -> Option<Result<Sequence, XqError>> {
+    fn aggregate(&self, id: AggId, spec: &AggregateSpec) -> Option<Result<Sequence, XqError>> {
         let rd = self.agg_reader.as_ref()?;
         match &spec.source {
-            demaq_xquery::AggSource::Queue(_) => rd(spec, None),
+            AggSource::Queue(_) => rd(id, spec, None),
             // Outside a slice context, decline: the fallback reproduces the
             // reference "qs:slice() is only available…" error.
-            demaq_xquery::AggSource::Slice => {
+            AggSource::Slice => {
                 let ctx = self.slice.as_ref()?;
-                rd(spec, Some((&ctx.slicing, &ctx.key)))
+                rd(id, spec, Some((&ctx.slicing, &ctx.key)))
             }
         }
     }

@@ -31,10 +31,10 @@ use crate::engine::{
 use crate::host::{atomic_to_prop, cast_prop};
 use crate::properties::compute_properties;
 use crate::Result;
-use demaq_analysis::{compute_placement, stable_hash, FlowGraph, Placement, RuleFacts};
+use demaq_analysis::{compute_placement, stable_hash, Placement};
 use demaq_net::{Clock, Network};
 use demaq_obs::{Counter, Lineage, Obs, ProvenanceIndex, TraceEvent};
-use demaq_qdl::{parse_program, QueueKind};
+use demaq_qdl::QueueKind;
 use demaq_store::{MsgId, PropValue, StoreError, StoredMessage};
 use demaq_xml::parse as parse_xml;
 use demaq_xquery::Atomic;
@@ -216,8 +216,8 @@ impl ShardedServerBuilder {
         self
     }
 
-    /// Compile the application, derive the placement from its flow graph,
-    /// and open one store per shard (subdirectories `shard-0` …
+    /// Compile the application once, derive the placement from its flow
+    /// graph, and open one store per shard (subdirectories `shard-0` …
     /// `shard-N-1` of the configured directory).
     ///
     /// Note that `.in_memory()` is downgraded here: sharded stores are
@@ -227,24 +227,17 @@ impl ShardedServerBuilder {
         let shards = self.shards;
         let mut base = self.base;
 
-        // Resolve the application once; every shard compiles the same spec.
-        let spec = match (&base.spec, &base.program) {
-            (Some(s), _) => s.clone(),
-            (None, Some(p)) => {
-                parse_program(p).map_err(|e| EngineError::Compile(e.to_string()))?
-            }
-            (None, None) => return Err(EngineError::Config("no program provided".into())),
-        };
-        base.spec = Some(spec.clone());
-        base.program = None;
-
-        let facts: Vec<RuleFacts> = spec
-            .rules
-            .iter()
-            .map(|r| RuleFacts::from_rule(r, &spec))
-            .collect();
-        let graph = FlowGraph::build(&spec, &facts);
-        let placement = compute_placement(&spec, &facts, &graph, shards, &self.overrides);
+        // Compile once: every shard runs the same application, and the
+        // placement reads the same facts and flow graph.
+        let app = Arc::new(base.compile()?);
+        let placement = compute_placement(
+            &app.spec,
+            &app.facts,
+            &app.analysis.graph,
+            shards,
+            &self.overrides,
+        );
+        base.compiled = Some(Arc::clone(&app));
 
         // Shared infrastructure: one metric registry + trace ring, one
         // clock, one simulated network, one causal index — so a sharded
@@ -285,7 +278,7 @@ impl ShardedServerBuilder {
         // listening on the same transport address would both claim
         // deliveries.
         let mut incoming_homes: Vec<HashSet<String>> = vec![HashSet::new(); shards];
-        for q in &spec.queues {
+        for q in &app.spec.queues {
             if q.kind == QueueKind::IncomingGateway {
                 incoming_homes[placement.route(&q.name, None)].insert(q.name.clone());
             }

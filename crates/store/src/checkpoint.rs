@@ -11,7 +11,7 @@
 
 use crate::error::{Result, StoreError};
 use crate::pager::PageId;
-use crate::slice::SliceState;
+use crate::slice::BaseCells;
 use crate::types::{MsgId, PropValue};
 use crate::wal::crc32;
 use std::fs;
@@ -57,6 +57,20 @@ pub struct SnapLineage {
     pub lsn: Option<u64>,
 }
 
+/// One slice as serialized into a snapshot. Members carry the lifetime
+/// (epoch) they were added in — the format predates dropping old
+/// lifetimes at reset, so a snapshot may still list earlier ones, which
+/// restore ignores.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SnapSlice {
+    pub slicing: String,
+    pub key: PropValue,
+    pub epoch: u64,
+    pub members: Vec<(MsgId, u64)>,
+    pub base: BaseCells,
+    pub base_members: u64,
+}
+
 /// A complete snapshot.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct Snapshot {
@@ -68,7 +82,7 @@ pub struct Snapshot {
     pub heap_live: u64,
     pub queues: Vec<SnapQueue>,
     pub messages: Vec<SnapMessage>,
-    pub slices: Vec<(String, PropValue, SliceState)>,
+    pub slices: Vec<SnapSlice>,
     pub lineage: Vec<SnapLineage>,
 }
 
@@ -132,22 +146,22 @@ impl Snapshot {
             }
         }
         body.extend_from_slice(&(self.slices.len() as u32).to_le_bytes());
-        for (slicing, key, state) in &self.slices {
-            put_str(&mut body, slicing);
-            key.encode(&mut body);
-            body.extend_from_slice(&state.epoch.to_le_bytes());
-            body.extend_from_slice(&(state.members.len() as u32).to_le_bytes());
-            for (m, e) in &state.members {
+        for slice in &self.slices {
+            put_str(&mut body, &slice.slicing);
+            slice.key.encode(&mut body);
+            body.extend_from_slice(&slice.epoch.to_le_bytes());
+            body.extend_from_slice(&(slice.members.len() as u32).to_le_bytes());
+            for (m, e) in &slice.members {
                 body.extend_from_slice(&m.0.to_le_bytes());
                 body.extend_from_slice(&e.to_le_bytes());
             }
-            body.extend_from_slice(&(state.base.len() as u32).to_le_bytes());
-            for (sig, cell) in &state.base {
+            body.extend_from_slice(&(slice.base.len() as u32).to_le_bytes());
+            for (sig, cell) in &slice.base {
                 put_str(&mut body, sig);
                 body.extend_from_slice(&(cell.len() as u32).to_le_bytes());
                 body.extend_from_slice(cell);
             }
-            body.extend_from_slice(&state.base_members.to_le_bytes());
+            body.extend_from_slice(&slice.base_members.to_le_bytes());
         }
         body.extend_from_slice(&(self.lineage.len() as u32).to_le_bytes());
         for l in &self.lineage {
@@ -263,17 +277,14 @@ impl Snapshot {
                     }
                     base_members = get_u64(body, &mut at)?;
                 }
-                snap.slices.push((
+                snap.slices.push(SnapSlice {
                     slicing,
                     key,
-                    SliceState {
-                        epoch,
-                        members,
-                        version: 0,
-                        base,
-                        base_members,
-                    },
-                ));
+                    epoch,
+                    members,
+                    base,
+                    base_members,
+                });
             }
             let nl = get_u32(body, &mut at)? as usize;
             for _ in 0..nl {
@@ -355,17 +366,14 @@ mod tests {
                 enqueued_at: 777,
                 props: vec![("orderID".into(), PropValue::Int(9))],
             }],
-            slices: vec![(
-                "orders".into(),
-                PropValue::Str("9".into()),
-                SliceState {
-                    epoch: 2,
-                    members: vec![(MsgId(7), 2), (MsgId(5), 1)],
-                    version: 0,
-                    base: vec![("count".into(), vec![1, 2, 3]), ("sum|//v".into(), vec![9])],
-                    base_members: 14,
-                },
-            )],
+            slices: vec![SnapSlice {
+                slicing: "orders".into(),
+                key: PropValue::Str("9".into()),
+                epoch: 2,
+                members: vec![(MsgId(7), 2), (MsgId(5), 1)],
+                base: vec![("count".into(), vec![1, 2, 3]), ("sum|//v".into(), vec![9])],
+                base_members: 14,
+            }],
             lineage: vec![
                 SnapLineage {
                     msg: MsgId(7),
@@ -437,8 +445,8 @@ mod tests {
         bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&body);
         let snap = Snapshot::decode(&bytes).unwrap();
-        let (slicing, _, st) = &snap.slices[0];
-        assert_eq!(slicing, "orders");
+        let st = &snap.slices[0];
+        assert_eq!(st.slicing, "orders");
         assert_eq!(st.members, vec![(MsgId(7), 1)]);
         assert!(st.base.is_empty());
         assert_eq!(st.base_members, 0);

@@ -39,6 +39,7 @@ pub mod wal;
 
 pub use error::{Result, StoreError};
 pub use lock::{LockGranularity, LockKey, LockMode};
+pub use slice::MemberRead;
 pub use store::{DurableTarget, MessageStore, QueueInfo, StoreOptions, SyncPolicy};
 pub use types::{
     LineageEdge, Lsn, MessageMeta, MsgId, PayloadBytes, PropValue, QueueMode, StoredMessage, TxnId,

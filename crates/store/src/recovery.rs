@@ -105,8 +105,10 @@ pub fn recover(dir: &Path, _pool: &BufferPool, heap: &HeapFile, obs: &Obs) -> Re
             m.enqueued_at,
         );
     }
-    for (slicing, key, state) in snap.slices.clone() {
-        logical.slices.restore_slice(slicing, key, state);
+    for s in snap.slices {
+        logical
+            .slices
+            .restore_slice(&s.slicing, s.key, s.epoch, &s.members, s.base, s.base_members);
     }
     for l in &snap.lineage {
         logical.lineage.insert(

@@ -3,31 +3,44 @@
 //! A slicing partitions messages by a property value (the *slice key*);
 //! each distinct key denotes one slice. The index is the paper's proposed
 //! physical representation — "similar to the materialized views concept in
-//! RDBMSs … a B-Tree indexed by the slice key" — here an ordered map from
-//! `(slicing, key)` to slice state.
+//! RDBMSs … a B-Tree indexed by the slice key" — here an ordered map per
+//! slicing from key to slice state, so a lookup borrows `(&str,
+//! &PropValue)` and allocates nothing.
 //!
-//! Slices have *lifetimes* (Sec. 2.3.2): a reset bumps the slice's epoch;
-//! only messages added in the current epoch are visible. Retention
+//! Slices have *lifetimes* (Sec. 2.3.2): a reset begins a new one, and only
+//! messages added in the current lifetime are visible — so a reset simply
+//! drops the old lifetime's members (and their reverse-index rows). The
+//! index never holds a member a read would have to filter out. Retention
 //! (Sec. 2.3.3) couples physical deletion to membership: a message may be
 //! purged only when it is processed and no slice of a current lifetime
-//! contains it.
+//! contains it — a lookup in the reverse index, which holds exactly the
+//! current-lifetime memberships.
 
 use crate::types::{MsgId, PropValue};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Persisted aggregate base cells of one slice: `(stable aggregate
 /// signature, encoded accumulator)` pairs standing in for released
 /// members.
 pub type BaseCells = Vec<(String, Vec<u8>)>;
 
-/// State of one slice (one key of one slicing).
+/// State of one slice (one key of one slicing): its current lifetime.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SliceState {
     /// Current lifetime; bumped by resets.
     pub epoch: u64,
-    /// Members with the epoch they were added under (ascending MsgId =
-    /// arrival order).
-    pub members: Vec<(MsgId, u64)>,
+    /// Current-lifetime members in apply order.
+    members: Vec<MsgId>,
+    /// Some member was added after a larger id (concurrent commits apply
+    /// out of id order): `members` may not be sorted, and readers that
+    /// present id order sort a copy.
+    out_of_order: bool,
+    /// The largest id added since `members` was last empty (an upper bound
+    /// once purges or releases removed members). An add is an append only
+    /// when its id exceeds it — comparing with the last member alone would
+    /// let 4 after the out-of-order 3 in 5, 3, 4 pass as one.
+    max: Option<MsgId>,
     /// Version counter for cache validation: set to a fresh value from the
     /// index-wide monotonic clock on every mutation (member add, reset,
     /// GC purge, retention release). Process-local — deliberately *not*
@@ -36,45 +49,116 @@ pub struct SliceState {
     /// clock, so a version can never recur for a slice (not even across
     /// remove/recreate).
     pub version: u64,
+    /// Lifetime token: the clock value of the slice's last change that was
+    /// not an append of an id larger than every earlier one (`max`) —
+    /// creation, reset, purge, release, an out-of-order add. While it is unchanged the membership only grew at
+    /// the end, so a fold over the first `len` members is extended by
+    /// folding `members[len..]`. Process-local like `version`.
+    pub token: u64,
     /// Persisted aggregate accumulators standing in for released members:
     /// `(stable aggregate signature, encoded AggAcc)`. Installed by
     /// [`SliceIndex::release`] when the liveness analysis proved the slice
     /// is read only through these aggregates; carried in the checkpoint
     /// (unlike `version`) so recovery does not need the purged payloads.
     pub base: BaseCells,
-    /// How many current-epoch members have been folded into `base` and
+    /// How many current-lifetime members have been folded into `base` and
     /// released. Membership-only aggregates (`count`, `exists`) answer
-    /// `base_members + live members`.
+    /// `base_members + len`.
     pub base_members: u64,
 }
 
 impl SliceState {
-    /// Messages visible in the current lifetime.
-    pub fn current_members(&self) -> impl Iterator<Item = MsgId> + '_ {
-        let epoch = self.epoch;
-        self.members
-            .iter()
-            .filter(move |(_, e)| *e == epoch)
-            .map(|(m, _)| *m)
+    /// Current-lifetime members in apply order.
+    pub fn members(&self) -> &[MsgId] {
+        &self.members
+    }
+
+    /// Current-lifetime members in id (arrival) order.
+    fn sorted_members(&self) -> Vec<MsgId> {
+        let mut v = self.members.clone();
+        if self.out_of_order {
+            v.sort_unstable();
+        }
+        v
+    }
+
+    fn is_disposable(&self) -> bool {
+        self.members.is_empty() && self.epoch == 0 && self.base_members == 0 && self.base.is_empty()
+    }
+}
+
+/// One consistent read of a membership for an aggregate fold (see
+/// [`SliceIndex::read_since`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MemberRead {
+    /// Lifetime token (0: nothing to cache against — an unknown slice).
+    pub token: u64,
+    /// Current-lifetime member count.
+    pub len: usize,
+    /// The caller's fold still holds: the ids handed out are the members
+    /// past its `len` (none if nothing arrived). Otherwise they are every
+    /// member, for a rebuild.
+    pub resumed: bool,
+    /// Released members folded into the base.
+    pub base_members: u64,
+    /// The base cells — handed out only for a rebuild (`None` when the
+    /// caller's fold is still valid, or there is no base).
+    pub base: Option<BaseCells>,
+}
+
+/// Where a fold covering `since = (token, len)` resumes over a membership
+/// whose token is `token` and which has `len` members: `Some(len)` while
+/// the token holds (only appends happened since), `None` for a rebuild.
+pub(crate) fn resume_at(since: Option<(u64, usize)>, token: u64, len: usize) -> Option<usize> {
+    since.and_then(|(t, from)| (t == token && from <= len).then_some(from))
+}
+
+/// Fill `ids` for a fold that already covers `since` of the slice: only
+/// the members past it when the token still holds, else every member in
+/// id order (a rebuild, which also gets `base`).
+fn read_members(
+    state: &SliceState,
+    since: Option<(u64, usize)>,
+    ids: &mut Vec<MsgId>,
+) -> MemberRead {
+    let len = state.members.len();
+    let resumed = resume_at(since, state.token, len);
+    match resumed {
+        Some(from) => ids.extend_from_slice(&state.members[from..]),
+        None => {
+            let start = ids.len();
+            ids.extend_from_slice(&state.members);
+            if state.out_of_order {
+                ids[start..].sort_unstable();
+            }
+        }
+    }
+    MemberRead {
+        token: state.token,
+        len,
+        resumed: resumed.is_some(),
+        base_members: state.base_members,
+        base: (resumed.is_none() && !state.base.is_empty()).then(|| state.base.clone()),
     }
 }
 
 /// The full slice index across all slicings.
 #[derive(Debug, Default)]
 pub struct SliceIndex {
-    /// Ordered by (slicing, key) — range scans over one slicing's keys are
-    /// contiguous, as in the B-tree the paper suggests.
-    slices: BTreeMap<(String, PropValue), SliceState>,
-    /// Reverse index for retention checks: message -> memberships.
-    by_msg: HashMap<MsgId, Vec<(String, PropValue)>>,
-    /// Per-queue version counters sharing the same clock: bumped when a
-    /// message is inserted into or purged from a queue, so caches over
-    /// whole-queue membership (aggregate cells) validate exactly like
-    /// slice-member caches. Process-local, not checkpointed (see
-    /// [`SliceState::version`] for why that is safe).
-    queue_versions: HashMap<String, u64>,
-    /// Monotonic clock feeding [`SliceState::version`]; never reused
-    /// within a process lifetime.
+    /// slicing -> key -> slice; keys ordered within a slicing, as in the
+    /// B-tree the paper suggests.
+    slices: BTreeMap<Arc<str>, BTreeMap<PropValue, SliceState>>,
+    /// Reverse index for retention checks and replay idempotency: message
+    /// -> its *current-lifetime* memberships.
+    by_msg: HashMap<MsgId, Vec<(Arc<str>, PropValue)>>,
+    /// Per-queue lifetime tokens sharing the same clock: bumped when a
+    /// queue's membership changes other than by appending a larger id
+    /// (first insert, out-of-order insert, GC purge), so whole-queue
+    /// aggregate cells validate exactly like slice cells. Process-local,
+    /// not checkpointed (see [`SliceState::version`] for why that is safe).
+    queue_tokens: HashMap<String, u64>,
+    /// Monotonic clock feeding versions and tokens; never reused within a
+    /// process lifetime.
     version_clock: u64,
     /// While a batch apply is in flight ([`SliceIndex::begin_batch`]),
     /// every mutation stamps this shared version instead of bumping the
@@ -114,39 +198,95 @@ impl SliceIndex {
         }
     }
 
-    /// Add `msg` to the slice `(slicing, key)` under its current epoch.
+    fn slice(&self, slicing: &str, key: &PropValue) -> Option<&SliceState> {
+        self.slices.get(slicing)?.get(key)
+    }
+
+    /// The slice, created (with a fresh token) if missing; also returns
+    /// the shared slicing name for reverse-index rows.
+    fn slice_entry(
+        &mut self,
+        slicing: &str,
+        key: &PropValue,
+        version: u64,
+    ) -> (Arc<str>, &mut SliceState) {
+        let name = match self.slices.get_key_value(slicing) {
+            Some((name, _)) => Arc::clone(name),
+            None => {
+                let name: Arc<str> = Arc::from(slicing);
+                self.slices.insert(Arc::clone(&name), BTreeMap::new());
+                name
+            }
+        };
+        let keys = self.slices.get_mut(slicing).expect("present");
+        if !keys.contains_key(key) {
+            let fresh = SliceState {
+                token: version,
+                ..SliceState::default()
+            };
+            keys.insert(key.clone(), fresh);
+        }
+        (name, keys.get_mut(key).expect("present"))
+    }
+
+    /// Add `msg` to the slice `(slicing, key)` in its current lifetime. A
+    /// replayed add (the message is already a current member) is a no-op.
     pub fn add(&mut self, slicing: &str, key: &PropValue, msg: MsgId) {
-        let version = self.next_version();
-        let state = self
-            .slices
-            .entry((slicing.to_string(), key.clone()))
-            .or_default();
-        let epoch = state.epoch;
-        if state.members.iter().any(|(m, e)| *m == msg && *e == epoch) {
+        let member = |rows: &Vec<(Arc<str>, PropValue)>| {
+            rows.iter().any(|(s, k)| **s == *slicing && k == key)
+        };
+        if self.by_msg.get(&msg).is_some_and(member) {
             return; // idempotent (log replay)
         }
-        state.members.push((msg, epoch));
+        let version = self.next_version();
+        let (name, state) = self.slice_entry(slicing, key, version);
+        if state.members.is_empty() {
+            state.out_of_order = false;
+            state.max = Some(msg);
+        } else if Some(msg) > state.max {
+            state.max = Some(msg);
+        } else {
+            state.out_of_order = true;
+            state.token = version;
+        }
+        state.members.push(msg);
         state.version = version;
         self.by_msg
             .entry(msg)
             .or_default()
-            .push((slicing.to_string(), key.clone()));
+            .push((name, key.clone()));
     }
 
-    /// Begin a new lifetime for the slice. Returns the new epoch. Any
+    /// Begin a new lifetime for the slice. Returns the new epoch. The old
+    /// lifetime's members leave the slice (and the reverse index); any
     /// narrowed-retention base belongs to the old lifetime and is
     /// discarded with it.
     pub fn reset(&mut self, slicing: &str, key: &PropValue) -> u64 {
         let version = self.next_version();
-        let state = self
-            .slices
-            .entry((slicing.to_string(), key.clone()))
-            .or_default();
+        let (_, state) = self.slice_entry(slicing, key, version);
         state.epoch += 1;
         state.version = version;
+        state.token = version;
+        state.out_of_order = false;
         state.base.clear();
         state.base_members = 0;
-        state.epoch
+        let (epoch, old) = (state.epoch, std::mem::take(&mut state.members));
+        for m in old {
+            self.drop_row(m, slicing, key);
+        }
+        epoch
+    }
+
+    /// Remove one membership row of `msg` from the reverse index.
+    fn drop_row(&mut self, msg: MsgId, slicing: &str, key: &PropValue) {
+        if let Some(rows) = self.by_msg.get_mut(&msg) {
+            if let Some(i) = rows.iter().position(|(s, k)| **s == *slicing && k == key) {
+                rows.swap_remove(i);
+            }
+            if rows.is_empty() {
+                self.by_msg.remove(&msg);
+            }
+        }
     }
 
     /// Messages visible in the slice's current lifetime, in arrival order.
@@ -154,45 +294,65 @@ impl SliceIndex {
         self.members_versioned(slicing, key).0
     }
 
-    /// Current members plus the slice's version counter, read together —
-    /// the consistent `(membership, version)` pair cache entries are keyed
-    /// by. A missing slice reports version 0, which the clock never emits.
+    /// Current members (in arrival order) plus the slice's version counter,
+    /// read together — the consistent `(membership, version)` pair cache
+    /// entries are keyed by. A missing slice reports version 0, which the
+    /// clock never emits.
     pub fn members_versioned(&self, slicing: &str, key: &PropValue) -> (Vec<MsgId>, u64) {
-        match self.slices.get(&(slicing.to_string(), key.clone())) {
-            Some(s) => {
-                let mut v: Vec<MsgId> = s.current_members().collect();
-                v.sort();
-                (v, s.version)
-            }
+        match self.slice(slicing, key) {
+            Some(s) => (s.sorted_members(), s.version),
             None => (Vec::new(), 0),
         }
     }
 
-    /// Current members, version, and the narrowed-retention base, read
-    /// together under the caller's lock: `(members, version, base_members,
-    /// base cells)`. A missing slice reports version 0 and empty base.
-    pub fn members_with_base(
+    /// `(current member count, released member count)` — what a
+    /// membership-only aggregate needs. O(1).
+    pub fn len(&self, slicing: &str, key: &PropValue) -> (usize, u64) {
+        self.slice(slicing, key)
+            .map_or((0, 0), |s| (s.members.len(), s.base_members))
+    }
+
+    /// One consistent read for an aggregate fold that already covers
+    /// `since = (token, len)`: while the slice's token is unchanged only the
+    /// members past `len` are appended to `ids` (none at all when nothing
+    /// arrived); otherwise every current member in id order plus the base
+    /// cells, for a rebuild. Members past `len` always arrive in id order —
+    /// an out-of-order add moves the token.
+    pub fn read_since(
         &self,
         slicing: &str,
         key: &PropValue,
-    ) -> (Vec<MsgId>, u64, u64, BaseCells) {
-        match self.slices.get(&(slicing.to_string(), key.clone())) {
-            Some(s) => {
-                let mut v: Vec<MsgId> = s.current_members().collect();
-                v.sort();
-                (v, s.version, s.base_members, s.base.clone())
-            }
+        since: Option<(u64, usize)>,
+        ids: &mut Vec<MsgId>,
+    ) -> MemberRead {
+        match self.slice(slicing, key) {
+            Some(s) => read_members(s, since, ids),
+            None => MemberRead {
+                token: 0,
+                len: 0,
+                resumed: false,
+                base_members: 0,
+                base: None,
+            },
+        }
+    }
+
+    /// Current members in arrival order, version, released member count
+    /// and base cells, read together — the narrowing sweep's view.
+    pub fn narrow_view(&self, slicing: &str, key: &PropValue) -> (Vec<MsgId>, u64, u64, BaseCells) {
+        match self.slice(slicing, key) {
+            Some(s) => (s.sorted_members(), s.version, s.base_members, s.base.clone()),
             None => (Vec::new(), 0, 0, Vec::new()),
         }
     }
 
-    /// Narrow retention for one slice: fold `victims` (current-epoch
-    /// members whose payloads the caller has already absorbed into
-    /// `cells`) out of the membership and install the accumulator cells
-    /// as the slice's new base. Guarded by compare-and-swap on the
-    /// slice's version — any concurrent arrival or reset since the
-    /// caller's fold invalidates it, and the release is skipped (`false`)
-    /// rather than applied over a membership the fold did not observe.
+    /// Narrow retention for one slice: fold `victims` (current members
+    /// whose payloads the caller has already absorbed into `cells`) out of
+    /// the membership and install the accumulator cells as the slice's new
+    /// base. Guarded by compare-and-swap on the slice's version — any
+    /// concurrent arrival or reset since the caller's fold invalidates it,
+    /// and the release is skipped (`false`) rather than applied over a
+    /// membership the fold did not observe.
     pub fn release(
         &mut self,
         slicing: &str,
@@ -202,63 +362,63 @@ impl SliceIndex {
         cells: BaseCells,
     ) -> bool {
         let version = self.next_version();
-        let Some(state) = self.slices.get_mut(&(slicing.to_string(), key.clone())) else {
+        let Some(state) = self.slices.get_mut(slicing).and_then(|k| k.get_mut(key)) else {
             return false;
         };
         if state.version != expected_version || expected_version == 0 || victims.is_empty() {
             return false;
         }
+        let mut sorted = victims.to_vec();
+        sorted.sort_unstable();
         let before = state.members.len();
-        state
-            .members
-            .retain(|(m, _)| !victims.contains(m));
-        debug_assert!(before - state.members.len() >= victims.len());
+        state.members.retain(|m| sorted.binary_search(m).is_err());
+        debug_assert_eq!(before - state.members.len(), victims.len());
         state.base_members += victims.len() as u64;
         state.base = cells;
         state.version = version;
-        for victim in victims {
-            if let Some(list) = self.by_msg.get_mut(victim) {
-                list.retain(|(s2, k2)| !(s2 == slicing && k2 == key));
-                if list.is_empty() {
-                    self.by_msg.remove(victim);
-                }
-            }
+        state.token = version;
+        for &victim in victims {
+            self.drop_row(victim, slicing, key);
         }
         true
     }
 
-    /// Stamp a fresh version on `queue`'s membership counter. Called on
-    /// message insert and GC purge; inside a batch all bumps share the
-    /// batch version, like slice mutations.
-    pub fn bump_queue(&mut self, queue: &str) {
+    /// Record an insert into `queue`: `appended` is false when the id is
+    /// not larger than every id already there. The first insert and every
+    /// non-append stamp a fresh token.
+    pub fn note_queue_insert(&mut self, queue: &str, appended: bool) {
+        if appended && self.queue_tokens.contains_key(queue) {
+            return;
+        }
         let version = self.next_version();
-        self.queue_versions.insert(queue.to_string(), version);
+        self.queue_tokens.insert(queue.to_string(), version);
     }
 
-    /// The queue's membership version (0 when the queue has never been
-    /// touched this process lifetime — the clock never emits 0).
-    pub fn queue_version(&self, queue: &str) -> u64 {
-        self.queue_versions.get(queue).copied().unwrap_or(0)
+    /// Stamp a fresh token on `queue` (GC purged some of its messages).
+    pub fn bump_queue(&mut self, queue: &str) {
+        let version = self.next_version();
+        self.queue_tokens.insert(queue.to_string(), version);
+    }
+
+    /// The queue's lifetime token (0 when no message was ever inserted
+    /// this process lifetime — the clock never emits 0).
+    pub fn queue_token(&self, queue: &str) -> u64 {
+        self.queue_tokens.get(queue).copied().unwrap_or(0)
     }
 
     /// The slice's current version counter (0 when the slice is unknown).
     pub fn version(&self, slicing: &str, key: &PropValue) -> u64 {
-        self.slices
-            .get(&(slicing.to_string(), key.clone()))
-            .map(|s| s.version)
-            .unwrap_or(0)
+        self.slice(slicing, key).map_or(0, |s| s.version)
     }
 
     /// All keys of one slicing that currently have visible members.
     pub fn keys(&self, slicing: &str) -> Vec<PropValue> {
-        self.slices
-            .range(
-                (slicing.to_string(), PropValue::Str(String::new()))
-                    ..=(slicing.to_string(), PropValue::Duration(i64::MAX)),
-            )
-            .filter(|((s, _), state)| s == slicing && state.current_members().next().is_some())
-            .map(|((_, k), _)| k.clone())
-            .collect()
+        self.slices.get(slicing).map_or_else(Vec::new, |keys| {
+            keys.iter()
+                .filter(|(_, state)| !state.members.is_empty())
+                .map(|(k, _)| k.clone())
+                .collect()
+        })
     }
 
     /// Is `msg` still needed — i.e. a member of any slice in its *current*
@@ -266,79 +426,86 @@ impl SliceIndex {
     /// from the message store as long as it is contained in at least one
     /// slice".)
     pub fn is_retained(&self, msg: MsgId) -> bool {
-        match self.by_msg.get(&msg) {
-            None => false,
-            Some(memberships) => memberships.iter().any(|(s, k)| {
-                self.slices
-                    .get(&(s.clone(), k.clone()))
-                    .map(|state| {
-                        state
-                            .members
-                            .iter()
-                            .any(|(m, e)| *m == msg && *e == state.epoch)
-                    })
-                    .unwrap_or(false)
-            }),
-        }
+        self.by_msg.contains_key(&msg)
     }
 
-    /// Drop every trace of a purged message.
+    /// Drop every trace of a purged message. Only the slices it was a
+    /// current member of are touched, and a slice it leaves empty (first
+    /// lifetime, no base) is dropped.
     pub fn forget(&mut self, msg: MsgId) {
-        if let Some(memberships) = self.by_msg.remove(&msg) {
-            for (s, k) in memberships {
-                if let Some(state) = self.slices.get_mut(&(s, k)) {
-                    let before = state.members.len();
-                    state.members.retain(|(m, _)| *m != msg);
-                    if state.members.len() != before {
-                        // GC purge invalidates cached member sequences.
-                        let version = match self.batch_version {
-                            Some(v) => v,
-                            None => {
-                                self.version_clock += 1;
-                                self.version_clock
-                            }
-                        };
-                        state.version = version;
-                    }
+        let Some(rows) = self.by_msg.remove(&msg) else {
+            return;
+        };
+        let version = self.next_version();
+        for (slicing, key) in rows {
+            let Some(keys) = self.slices.get_mut(&*slicing) else {
+                continue;
+            };
+            if let Some(state) = keys.get_mut(&key) {
+                if let Some(i) = state.members.iter().position(|&m| m == msg) {
+                    state.members.remove(i);
+                    // GC purge invalidates cached member sequences and folds.
+                    state.version = version;
+                    state.token = version;
+                }
+                // Never drop a slice carrying a narrowed-retention base: its
+                // accumulators still answer aggregate reads for the
+                // released members.
+                if state.is_disposable() {
+                    keys.remove(&key);
                 }
             }
-        }
-        // Garbage-collect empty slices at epoch 0 lazily — but never one
-        // carrying a narrowed-retention base: its accumulators still
-        // answer aggregate reads for the released members.
-        self.slices.retain(|_, s| {
-            !(s.members.is_empty() && s.epoch == 0 && s.base_members == 0 && s.base.is_empty())
-        });
-    }
-
-    /// Iterate all (slicing, key, state) for checkpointing.
-    pub fn iter(&self) -> impl Iterator<Item = (&(String, PropValue), &SliceState)> {
-        self.slices.iter()
-    }
-
-    /// Restore one slice from a checkpoint.
-    pub fn restore_slice(&mut self, slicing: String, key: PropValue, state: SliceState) {
-        for (m, e) in &state.members {
-            if *e == state.epoch {
-                self.by_msg
-                    .entry(*m)
-                    .or_default()
-                    .push((slicing.clone(), key.clone()));
-            } else {
-                // Old-lifetime members still count for reverse lookups so
-                // `forget` can clean them, but never for retention.
-                self.by_msg
-                    .entry(*m)
-                    .or_default()
-                    .push((slicing.clone(), key.clone()));
+            if keys.is_empty() {
+                self.slices.remove(&*slicing);
             }
         }
-        self.slices.insert((slicing, key), state);
+    }
+
+    /// Iterate all `(slicing, key, state)` for checkpointing.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &PropValue, &SliceState)> {
+        self.slices
+            .iter()
+            .flat_map(|(s, keys)| keys.iter().map(move |(k, st)| (&**s, k, st)))
+    }
+
+    /// Restore one slice from a checkpoint. `members` carry the lifetime
+    /// they were added in; a snapshot cut before old lifetimes were
+    /// dropped at reset may still hold earlier ones, which stay dropped.
+    pub fn restore_slice(
+        &mut self,
+        slicing: &str,
+        key: PropValue,
+        epoch: u64,
+        members: &[(MsgId, u64)],
+        base: BaseCells,
+        base_members: u64,
+    ) {
+        let version = self.next_version();
+        let (name, state) = self.slice_entry(slicing, &key, version);
+        state.epoch = epoch;
+        state.version = version;
+        state.token = version;
+        state.base = base;
+        state.base_members = base_members;
+        let kept: Vec<MsgId> = members
+            .iter()
+            .filter(|&&(_, e)| e == epoch)
+            .map(|&(m, _)| m)
+            .collect();
+        state.out_of_order = !kept.is_sorted();
+        state.max = kept.iter().max().copied();
+        state.members = kept.clone();
+        for m in kept {
+            self.by_msg
+                .entry(m)
+                .or_default()
+                .push((Arc::clone(&name), key.clone()));
+        }
     }
 
     /// Total number of slices tracked (diagnostics).
     pub fn slice_count(&self) -> usize {
-        self.slices.len()
+        self.slices.values().map(BTreeMap::len).sum()
     }
 }
 
@@ -348,6 +515,12 @@ mod tests {
 
     fn k(s: &str) -> PropValue {
         PropValue::Str(s.into())
+    }
+
+    fn read(idx: &SliceIndex, since: Option<(u64, usize)>) -> (MemberRead, Vec<MsgId>) {
+        let mut ids = Vec::new();
+        let r = idx.read_since("s", &k("a"), since, &mut ids);
+        (r, ids)
     }
 
     #[test]
@@ -411,6 +584,29 @@ mod tests {
         assert!(idx.members("a", &k("x")).is_empty());
         assert!(idx.members("b", &k("y")).is_empty());
         assert!(!idx.is_retained(MsgId(1)));
+        assert_eq!(idx.slice_count(), 0, "emptied first-lifetime slices are dropped");
+    }
+
+    #[test]
+    fn forgetting_old_lifetime_members_after_reset_touches_nothing() {
+        let mut idx = SliceIndex::new();
+        idx.add("s", &k("a"), MsgId(1));
+        idx.add("s", &k("a"), MsgId(2));
+        idx.add("s", &k("b"), MsgId(3));
+        idx.reset("s", &k("a"));
+        idx.add("s", &k("a"), MsgId(4));
+        let (va, vb) = (idx.version("s", &k("a")), idx.version("s", &k("b")));
+        // The old lifetime left the index at reset: purging its members
+        // is a reverse-index miss, not a scan over every slice.
+        idx.forget(MsgId(1));
+        idx.forget(MsgId(2));
+        assert_eq!(idx.members("s", &k("a")), vec![MsgId(4)]);
+        assert_eq!((idx.version("s", &k("a")), idx.version("s", &k("b"))), (va, vb));
+        assert_eq!(idx.slice_count(), 2, "the reset slice keeps its lifetime");
+        // A current member's purge drops only the slice it emptied.
+        idx.forget(MsgId(3));
+        assert_eq!(idx.slice_count(), 1);
+        assert!(idx.is_retained(MsgId(4)));
     }
 
     #[test]
@@ -427,11 +623,118 @@ mod tests {
     }
 
     #[test]
-    fn idempotent_add_for_replay() {
+    fn replayed_add_is_a_no_op() {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
+        idx.add("s", &k("a"), MsgId(2));
+        let (v, t) = (idx.version("s", &k("a")), read(&idx, None).0.token);
+        idx.add("s", &k("a"), MsgId(1)); // log replay duplicate
+        assert_eq!(idx.members("s", &k("a")), vec![MsgId(1), MsgId(2)]);
+        assert_eq!(idx.version("s", &k("a")), v, "no-op add keeps the version");
+        assert_eq!(read(&idx, None).0.token, t, "no-op add keeps the token");
+        // After a reset the same message may legitimately join the new
+        // lifetime (replay of an add that followed the reset).
+        idx.reset("s", &k("a"));
         idx.add("s", &k("a"), MsgId(1));
-        assert_eq!(idx.members("s", &k("a")).len(), 1);
+        assert_eq!(idx.members("s", &k("a")), vec![MsgId(1)]);
+    }
+
+    #[test]
+    fn restoring_a_checkpoint_drops_old_lifetime_members() {
+        // A `DEMAQCK2` snapshot written before resets dropped old
+        // lifetimes still lists them, tagged with their epoch.
+        let mut idx = SliceIndex::new();
+        idx.restore_slice(
+            "s",
+            k("a"),
+            2,
+            &[(MsgId(1), 0), (MsgId(5), 2), (MsgId(2), 1), (MsgId(3), 2)],
+            vec![("sig".into(), vec![7])],
+            4,
+        );
+        assert_eq!(idx.members("s", &k("a")), vec![MsgId(3), MsgId(5)]);
+        assert!(!idx.is_retained(MsgId(1)) && !idx.is_retained(MsgId(2)));
+        assert!(idx.is_retained(MsgId(3)) && idx.is_retained(MsgId(5)));
+        assert_eq!(idx.len("s", &k("a")), (2, 4));
+        let (r, ids) = read(&idx, None);
+        assert_ne!(r.token, 0, "a restored slice is cacheable");
+        assert_eq!(ids, vec![MsgId(3), MsgId(5)], "rebuilds fold in id order");
+        assert_eq!(r.base, Some(vec![("sig".to_string(), vec![7])]));
+        // Forgetting a dropped old-lifetime member is a no-op.
+        idx.forget(MsgId(1));
+        assert_eq!(idx.len("s", &k("a")), (2, 4));
+    }
+
+    #[test]
+    fn read_since_hands_out_only_the_appended_suffix() {
+        let mut idx = SliceIndex::new();
+        idx.add("s", &k("a"), MsgId(1));
+        idx.add("s", &k("a"), MsgId(2));
+        let (r, ids) = read(&idx, None);
+        assert_eq!((r.len, ids), (2, vec![MsgId(1), MsgId(2)]));
+        idx.add("s", &k("a"), MsgId(3));
+        let (r2, ids) = read(&idx, Some((r.token, r.len)));
+        assert_eq!((r2.token, r2.len, ids), (r.token, 3, vec![MsgId(3)]));
+        let (_, ids) = read(&idx, Some((r2.token, r2.len)));
+        assert!(ids.is_empty(), "nothing arrived: nothing to fold");
+        // An unknown slice is never cacheable.
+        let mut none = Vec::new();
+        assert_eq!(idx.read_since("s", &k("zz"), None, &mut none).token, 0);
+    }
+
+    #[test]
+    fn reset_then_refill_to_the_same_length_moves_the_token() {
+        let mut idx = SliceIndex::new();
+        idx.add("s", &k("a"), MsgId(1));
+        idx.add("s", &k("a"), MsgId(2));
+        let (before, _) = read(&idx, None);
+        idx.reset("s", &k("a"));
+        idx.add("s", &k("a"), MsgId(3));
+        idx.add("s", &k("a"), MsgId(4));
+        let (after, ids) = read(&idx, Some((before.token, before.len)));
+        assert_eq!(after.len, before.len);
+        assert_ne!(after.token, before.token, "a stale fold must not validate");
+        assert_eq!(ids, vec![MsgId(3), MsgId(4)], "rebuild gets every member");
+    }
+
+    #[test]
+    fn out_of_order_adds_move_the_token_and_read_in_id_order() {
+        let mut idx = SliceIndex::new();
+        idx.add("s", &k("a"), MsgId(5));
+        let (r, _) = read(&idx, None);
+        idx.add("s", &k("a"), MsgId(3));
+        let (r2, ids) = read(&idx, Some((r.token, r.len)));
+        assert_ne!(r2.token, r.token);
+        assert_eq!(ids, vec![MsgId(3), MsgId(5)]);
+        // Later in-order appends extend again.
+        idx.add("s", &k("a"), MsgId(9));
+        let (r3, ids) = read(&idx, Some((r2.token, r2.len)));
+        assert_eq!((r3.token, ids), (r2.token, vec![MsgId(9)]));
+    }
+
+    #[test]
+    fn an_add_below_the_largest_id_moves_the_token_even_after_a_smaller_last() {
+        // Apply order 5, 3, 4: 4 exceeds the last member (3) but not the
+        // largest (5), so a fold over [3, 5] must rebuild, not extend by 4.
+        let mut idx = SliceIndex::new();
+        idx.add("s", &k("a"), MsgId(5));
+        idx.add("s", &k("a"), MsgId(3));
+        let (r, ids) = read(&idx, None);
+        assert_eq!(ids, vec![MsgId(3), MsgId(5)]);
+        idx.add("s", &k("a"), MsgId(4));
+        let (r2, ids) = read(&idx, Some((r.token, r.len)));
+        assert_ne!(r2.token, r.token, "the 4 is not an append");
+        assert!(!r2.resumed);
+        assert_eq!(ids, vec![MsgId(3), MsgId(4), MsgId(5)], "rebuild in id order");
+        // Once emptied, the slice appends from scratch again.
+        idx.forget(MsgId(3));
+        idx.forget(MsgId(4));
+        idx.forget(MsgId(5));
+        idx.add("s", &k("a"), MsgId(2));
+        let (r3, _) = read(&idx, None);
+        idx.add("s", &k("a"), MsgId(6));
+        let (r4, ids) = read(&idx, Some((r3.token, r3.len)));
+        assert_eq!((r4.token, ids), (r3.token, vec![MsgId(6)]));
     }
 
     #[test]
@@ -451,15 +754,6 @@ mod tests {
         let v4 = idx.version("s", &k("a"));
         idx.forget(MsgId(3));
         assert!(idx.version("s", &k("a")) > v4, "GC purge bumps");
-    }
-
-    #[test]
-    fn idempotent_re_add_keeps_version() {
-        let mut idx = SliceIndex::new();
-        idx.add("s", &k("a"), MsgId(1));
-        let v = idx.version("s", &k("a"));
-        idx.add("s", &k("a"), MsgId(1)); // replay duplicate
-        assert_eq!(idx.version("s", &k("a")), v, "no-op add keeps version");
     }
 
     #[test]
@@ -485,21 +779,26 @@ mod tests {
     }
 
     #[test]
-    fn queue_versions_share_the_clock() {
+    fn queue_tokens_share_the_clock_and_ignore_appends() {
         let mut idx = SliceIndex::new();
-        assert_eq!(idx.queue_version("q"), 0, "untouched queue is version 0");
-        idx.bump_queue("q");
-        let v1 = idx.queue_version("q");
-        assert_ne!(v1, 0);
+        assert_eq!(idx.queue_token("q"), 0, "untouched queue is token 0");
+        idx.note_queue_insert("q", true);
+        let t1 = idx.queue_token("q");
+        assert_ne!(t1, 0, "the first insert stamps a token");
+        idx.note_queue_insert("q", true);
+        assert_eq!(idx.queue_token("q"), t1, "appends keep it");
         idx.add("s", &k("a"), MsgId(1)); // slice mutation advances the clock
+        idx.note_queue_insert("q", false);
+        assert!(idx.queue_token("q") > t1, "an out-of-order insert moves it");
+        let t2 = idx.queue_token("q");
         idx.bump_queue("q");
-        assert!(idx.queue_version("q") > v1, "bump after slice add is fresh");
-        assert_eq!(idx.queue_version("other"), 0, "queues are independent");
-        // Batch mode: all bumps share one version.
+        assert!(idx.queue_token("q") > t2, "a purge moves it");
+        assert_eq!(idx.queue_token("other"), 0, "queues are independent");
+        // Batch mode: all stamps share one version.
         idx.begin_batch();
         idx.bump_queue("a");
         idx.bump_queue("b");
-        assert_eq!(idx.queue_version("a"), idx.queue_version("b"));
+        assert_eq!(idx.queue_token("a"), idx.queue_token("b"));
         idx.end_batch();
     }
 
@@ -508,24 +807,28 @@ mod tests {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
         idx.add("s", &k("a"), MsgId(2));
-        let (members, v, b, cells) = idx.members_with_base("s", &k("a"));
+        let (members, v, b, cells) = idx.narrow_view("s", &k("a"));
         assert_eq!(members, vec![MsgId(1), MsgId(2)]);
         assert_eq!((b, cells.len()), (0, 0));
+        let (before, _) = read(&idx, None);
         assert!(idx.release("s", &k("a"), v, &[MsgId(1)], vec![("count".into(), vec![1])]));
-        let (members, v2, b, cells) = idx.members_with_base("s", &k("a"));
+        let (members, v2, b, cells) = idx.narrow_view("s", &k("a"));
         assert_eq!(members, vec![MsgId(2)]);
         assert!(v2 > v, "release bumps the version");
         assert_eq!(b, 1);
         assert_eq!(cells, vec![("count".to_string(), vec![1])]);
         assert!(!idx.is_retained(MsgId(1)), "released member is unretained");
         assert!(idx.is_retained(MsgId(2)));
+        let (after, _) = read(&idx, Some((before.token, before.len)));
+        assert_ne!(after.token, before.token, "release forces a rebuild");
+        assert_eq!(after.base_members, 1);
     }
 
     #[test]
     fn release_cas_rejects_stale_version() {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
-        let (_, v, _, _) = idx.members_with_base("s", &k("a"));
+        let (_, v, _, _) = idx.narrow_view("s", &k("a"));
         idx.add("s", &k("a"), MsgId(2)); // concurrent arrival since the fold
         assert!(!idx.release("s", &k("a"), v, &[MsgId(1)], Vec::new()));
         assert!(idx.is_retained(MsgId(1)), "stale release must not apply");
@@ -539,17 +842,18 @@ mod tests {
     fn reset_discards_base_and_forget_keeps_based_slices() {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
-        let (_, v, _, _) = idx.members_with_base("s", &k("a"));
+        let (_, v, _, _) = idx.narrow_view("s", &k("a"));
         assert!(idx.release("s", &k("a"), v, &[MsgId(1)], vec![("sig".into(), vec![9])]));
-        // No members left, epoch 0 — but the base must survive lazy
-        // slice GC: its accumulators still answer reads.
+        // No members left, epoch 0 — but the base must survive slice GC:
+        // its accumulators still answer reads.
+        idx.forget(MsgId(1));
         idx.forget(MsgId(42));
-        let (members, _, b, cells) = idx.members_with_base("s", &k("a"));
+        let (members, _, b, cells) = idx.narrow_view("s", &k("a"));
         assert!(members.is_empty());
         assert_eq!((b, cells.len()), (1, 1));
         // Reset starts a new lifetime: the base goes with the old one.
         idx.reset("s", &k("a"));
-        let (_, _, b, cells) = idx.members_with_base("s", &k("a"));
+        let (_, _, b, cells) = idx.narrow_view("s", &k("a"));
         assert_eq!((b, cells.len()), (0, 0));
     }
 

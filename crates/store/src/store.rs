@@ -1,12 +1,12 @@
 //! The message store facade: queues, transactions, checkpoints, GC.
 
-use crate::checkpoint::{SnapLineage, SnapMessage, SnapQueue, Snapshot};
+use crate::checkpoint::{SnapLineage, SnapMessage, SnapQueue, SnapSlice, Snapshot};
 use crate::error::{Result, StoreError};
 use crate::heap::{HeapFile, RecordId};
 use crate::lock::{LockGranularity, LockManager};
 use crate::pager::{BufferPool, DiskManager};
 use crate::recovery;
-use crate::slice::{BaseCells, SliceIndex};
+use crate::slice::{BaseCells, MemberRead, SliceIndex};
 use crate::txn::{TxnBuf, TxnOp};
 use crate::types::{LineageEdge, Lsn, MsgId, PayloadBytes, PropValue, QueueMode, StoredMessage, TxnId};
 use crate::wal::{GroupCommitCfg, LogRecord, LogWriter};
@@ -202,8 +202,6 @@ impl Logical {
         processed: bool,
         enqueued_at: i64,
     ) {
-        // Queue membership changes: invalidate whole-queue aggregate cells.
-        self.slices.bump_queue(&queue);
         let deferred = rid.is_none();
         let payload = match rid {
             Some(rid) => Payload::Heap { rid, bytes },
@@ -246,13 +244,19 @@ impl Logical {
         // Queue order is id (arrival) order. Concurrent transactions may
         // commit out of id order, so insert at the sorted position — almost
         // always the tail.
-        match messages.last() {
+        let appended = match messages.last() {
             Some(&last) if last > id => {
                 let pos = messages.binary_search(&id).unwrap_or_else(|p| p);
                 messages.insert(pos, id);
+                false
             }
-            _ => messages.push(id),
-        }
+            _ => {
+                messages.push(id);
+                true
+            }
+        };
+        // Anything but an append invalidates whole-queue aggregate folds.
+        self.slices.note_queue_insert(&qstate.info.name, appended);
     }
 
     pub(crate) fn ensure_queue(&mut self, name: &str) {
@@ -1048,17 +1052,43 @@ impl MessageStore {
         Ok(q.messages.clone())
     }
 
-    /// Ids of a queue's retained messages together with the queue's
-    /// membership version counter, read atomically under one state lock —
-    /// the consistent pair whole-queue aggregate cells validate against.
-    /// The version is bumped inside commit (insert) and by GC purges.
-    pub fn queue_message_ids_versioned(&self, queue: &str) -> Result<(Vec<MsgId>, u64)> {
+    /// How many messages a queue retains — what a membership-only
+    /// aggregate over it needs.
+    pub fn queue_len(&self, queue: &str) -> Result<usize> {
         let state = self.state.read();
         let q = state
             .queues
             .get(queue)
             .ok_or_else(|| StoreError::NotFound(format!("queue `{queue}`")))?;
-        Ok((q.messages.clone(), state.slices.queue_version(queue)))
+        Ok(q.messages.len())
+    }
+
+    /// One consistent read of a queue's membership for an aggregate fold
+    /// that already covers `since = (token, len)` — the queue analogue of
+    /// [`slice_read`](Self::slice_read): only the messages past `len` while
+    /// the queue's token holds (it moves on purges and out-of-order
+    /// inserts), else every retained message.
+    pub fn queue_read(
+        &self,
+        queue: &str,
+        since: Option<(u64, usize)>,
+        ids: &mut Vec<MsgId>,
+    ) -> Result<MemberRead> {
+        let state = self.state.read();
+        let q = state
+            .queues
+            .get(queue)
+            .ok_or_else(|| StoreError::NotFound(format!("queue `{queue}`")))?;
+        let (token, len) = (state.slices.queue_token(queue), q.messages.len());
+        let resumed = crate::slice::resume_at(since, token, len);
+        ids.extend_from_slice(&q.messages[resumed.unwrap_or(0)..]);
+        Ok(MemberRead {
+            token,
+            len,
+            resumed: resumed.is_some(),
+            base_members: 0,
+            base: None,
+        })
     }
 
     /// All retained messages of a queue in arrival order.
@@ -1110,28 +1140,38 @@ impl MessageStore {
         self.state.read().slices.version(slicing, key)
     }
 
-    /// Members, version, and the released base (member count + encoded
-    /// aggregate cells) of one slice, read atomically. The base is what a
-    /// retention release folded out of purged members; aggregate reads
-    /// seed their accumulators from it.
-    pub fn slice_members_with_base(
+    /// `(current member count, released member count)` of one slice —
+    /// what a membership-only aggregate (`count`, `exists`) needs; O(1).
+    pub fn slice_len(&self, slicing: &str, key: &PropValue) -> (usize, u64) {
+        self.state.read().slices.len(slicing, key)
+    }
+
+    /// One consistent read of a slice for an aggregate fold that already
+    /// covers `since = (token, len)`: while the slice's lifetime token
+    /// holds, only the members past `len` are appended to `ids`; otherwise
+    /// every current member (id order) plus the released base (member
+    /// count + encoded aggregate cells) for a rebuild. See
+    /// [`SliceIndex::read_since`].
+    pub fn slice_read(
         &self,
         slicing: &str,
         key: &PropValue,
-    ) -> (Vec<MsgId>, u64, u64, BaseCells) {
-        self.state.read().slices.members_with_base(slicing, key)
+        since: Option<(u64, usize)>,
+        ids: &mut Vec<MsgId>,
+    ) -> MemberRead {
+        self.state.read().slices.read_since(slicing, key, since, ids)
     }
 
-    /// Like [`slice_members_with_base`](Self::slice_members_with_base) but
-    /// each member carries its processed flag — the narrowing sweep picks
-    /// its fold victims from this single consistent view.
+    /// Members (arrival order), version and released base of one slice,
+    /// each member with its processed flag — the narrowing sweep picks its
+    /// fold victims from this single consistent view.
     pub fn slice_narrow_view(
         &self,
         slicing: &str,
         key: &PropValue,
     ) -> (Vec<(MsgId, bool)>, u64, u64, BaseCells) {
         let state = self.state.read();
-        let (ids, version, base_members, base) = state.slices.members_with_base(slicing, key);
+        let (ids, version, base_members, base) = state.slices.narrow_view(slicing, key);
         let flagged = ids
             .into_iter()
             .map(|id| {
@@ -1566,25 +1606,22 @@ impl MessageStore {
             }
         }
         snap.lineage.sort_by_key(|l| l.msg);
-        for ((slicing, key), sstate) in state.slices.iter() {
+        for (slicing, key, sstate) in state.slices.iter() {
             // Keep only memberships of persistent messages; epoch always.
             let members: Vec<(MsgId, u64)> = sstate
-                .members
+                .members()
                 .iter()
-                .filter(|(m, _)| state.message_is_persistent(*m).unwrap_or(false))
-                .cloned()
+                .filter(|m| state.message_is_persistent(**m).unwrap_or(false))
+                .map(|&m| (m, sstate.epoch))
                 .collect();
-            snap.slices.push((
-                slicing.clone(),
-                key.clone(),
-                crate::slice::SliceState {
-                    epoch: sstate.epoch,
-                    members,
-                    version: 0,
-                    base: sstate.base.clone(),
-                    base_members: sstate.base_members,
-                },
-            ));
+            snap.slices.push(SnapSlice {
+                slicing: slicing.to_string(),
+                key: key.clone(),
+                epoch: sstate.epoch,
+                members,
+                base: sstate.base.clone(),
+                base_members: sstate.base_members,
+            });
         }
 
         // Switch to the new WAL segment *before* publishing the snapshot:
@@ -1681,12 +1718,12 @@ mod tests {
         // Internal insertion order (runtime apply order).
         let runtime_order: Vec<MsgId> = {
             let state = store.state.read();
-            let (_, sstate) = state
+            let (_, _, sstate) = state
                 .slices
                 .iter()
-                .find(|((slicing, k), _)| slicing == "s" && *k == key)
+                .find(|(slicing, k, _)| *slicing == "s" && **k == key)
                 .expect("slice exists");
-            sstate.members.iter().map(|(m, _)| *m).collect()
+            sstate.members().to_vec()
         };
 
         // WAL SliceAdd order of committed transactions.

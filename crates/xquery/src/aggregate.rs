@@ -13,14 +13,25 @@
 //! queue/slice membership — so a running [`AggAcc`] folded over member
 //! documents in arrival order computes exactly what the reference
 //! evaluator computes by rescanning, and a new arrival is a **delta**
-//! (absorb one more document) instead of an O(N) rescan. `avg` decomposes
+//! (absorb one more member) instead of an O(N) rescan. `avg` decomposes
 //! into a sum/count cell pair ([`AggAcc::Avg`]), so it folds just like
 //! the others.
+//!
+//! Messages are immutable, so what one member adds to one aggregate never
+//! changes: [`AggregateSpec::contribution`] walks a member document once
+//! (by node id; guards run as lowered [`Plan`]s on the [`PlanEvaluator`])
+//! and yields a [`Contribution`] — a count, or the selected nodes'
+//! atomized values in node order — which [`AggAcc::absorb`] folds without
+//! ever revisiting the document. The engine computes contributions when a
+//! message is enqueued, from the document the enqueue already parsed.
 //!
 //! Positional predicates, variables, `qs:` context reads, and every
 //! other argument shape are left alone: the lowering keeps the original
 //! `Plan::FunctionCall` as the fallback inside [`Plan::AggregateRead`],
 //! so unsupported or cold reads take the reference path unchanged.
+//! Within one application, [`AggCatalog`] numbers the distinct shapes by
+//! structural equality; the dense [`AggId`] rides in the plan, so a read
+//! names its aggregate without formatting anything.
 //!
 //! Parity contract: [`AggAcc`] replicates the `fn:` builtin folds from
 //! [`crate::functions`] *literally* — same comparison function, same
@@ -39,15 +50,16 @@
 //! contributing to every future read.
 
 use crate::ast::{Axis, Expr};
-use crate::context::{DynamicContext, NoHost, StaticContext};
+use crate::context::DynamicContext;
 use crate::error::{Error, Result};
-use crate::eval::{Evaluator, Focus};
-use crate::plan::{lower_test, step_nodes, PTest};
+use crate::eval::{for_each_on_axis, Focus};
+use crate::plan::{lower_test, lower_unnumbered, ptest_matches, PTest, Plan, PlanEvaluator};
 use crate::value::{untyped_to_double, Atomic, Item, Sequence};
 use demaq_xml::sym;
-use demaq_xml::NodeRef;
+use demaq_xml::{NodeId, NodeRef};
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::ops::ControlFlow;
+use std::sync::{Arc, OnceLock};
 
 /// The aggregate functions the incremental pass maintains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,12 +109,39 @@ pub enum AggSource {
 /// One axis step of a recognized aggregate path, with its (possibly
 /// empty) guard predicates. A source-level filter (`qs:slice()[g]`)
 /// normalizes to a `self::node()[g]` step, which evaluates identically.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct AggStep {
     pub axis: Axis,
     pub test: PTest,
     /// Member-local boolean guards, each accepted by [`is_guard_pred`].
+    /// This AST form is the step's identity (structural equality, the
+    /// persisted signature).
     pub preds: Vec<Expr>,
+    /// `preds` lowered to plans on first use — what a contribution walk
+    /// runs. Recognition alone (static analysis) never pays for it.
+    guards: OnceLock<Vec<Plan>>,
+}
+
+impl AggStep {
+    fn new(axis: Axis, test: PTest, preds: Vec<Expr>) -> AggStep {
+        AggStep {
+            axis,
+            test,
+            preds,
+            guards: OnceLock::new(),
+        }
+    }
+
+    fn guards(&self) -> &[Plan] {
+        self.guards
+            .get_or_init(|| self.preds.iter().map(lower_unnumbered).collect())
+    }
+}
+
+impl PartialEq for AggStep {
+    fn eq(&self, other: &Self) -> bool {
+        self.axis == other.axis && self.test == other.test && self.preds == other.preds
+    }
 }
 
 /// A recognized incrementalizable aggregate: `op(source/steps…)` where
@@ -118,23 +157,61 @@ pub struct AggregateSpec {
     pub steps: Vec<AggStep>,
 }
 
-impl AggregateSpec {
-    /// Canonical registry key for this aggregate shape. `PTest` carries
-    /// interned `Sym`s, so the key is process-local — fine for the
-    /// in-memory cell registry, but **never** for persisted state; the
-    /// store keys retention bases by [`Self::stable_sig`] instead.
-    pub fn cache_key(&self) -> String {
-        let src = match &self.source {
-            AggSource::Queue(q) => format!("queue:{q}"),
-            AggSource::Slice => "slice".to_string(),
+/// Dense number of one distinct aggregate shape within an application
+/// (an index into its [`AggCatalog`]).
+pub type AggId = u32;
+
+/// The distinct aggregate shapes of one application, numbered by
+/// structural equality as the rule bodies are lowered: two reads of the
+/// same shape — in one rule or in several — share one [`AggId`], and so
+/// one set of cells and one contribution per member.
+#[derive(Debug, Default, Clone)]
+pub struct AggCatalog {
+    specs: Vec<Arc<AggregateSpec>>,
+}
+
+impl AggCatalog {
+    /// The id of `spec`'s shape, numbering it if it is new.
+    pub fn intern(&mut self, spec: AggregateSpec) -> (AggId, Arc<AggregateSpec>) {
+        let i = match self.specs.iter().position(|s| **s == spec) {
+            Some(i) => i,
+            None => {
+                self.specs.push(Arc::new(spec));
+                self.specs.len() - 1
+            }
         };
-        format!("{}|{}|{:?}", self.op.name(), src, self.steps)
+        (i as AggId, Arc::clone(&self.specs[i]))
     }
 
+    pub fn get(&self, id: AggId) -> &AggregateSpec {
+        &self.specs[id as usize]
+    }
+
+    /// Did this catalog number `spec` as `id`? A plan lowered into another
+    /// catalog (e.g. by [`lower`](crate::lower)) carries ids that mean
+    /// nothing here; the check is one pointer compare, since a plan shares
+    /// the catalog's `Arc`.
+    pub fn owns(&self, id: AggId, spec: &AggregateSpec) -> bool {
+        self.specs
+            .get(id as usize)
+            .is_some_and(|s| std::ptr::eq(&**s, spec))
+    }
+
+    pub fn len(&self) -> usize {
+        self.specs.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.specs.is_empty()
+    }
+}
+
+impl AggregateSpec {
     /// Process-independent signature: interned symbols are resolved back
     /// to their names, so the same source text produces the same string
     /// in every process. This is the key the store persists retention
-    /// bases under (checkpoint survives restarts; `Sym` values do not).
+    /// bases under (checkpoint survives restarts; `Sym` values do not) —
+    /// formatted only where a base cell is written or read.
     pub fn stable_sig(&self) -> String {
         let src = match &self.source {
             AggSource::Queue(q) => format!("queue:{q}"),
@@ -152,46 +229,133 @@ impl AggregateSpec {
         out
     }
 
-    /// Whether any step carries guard predicates (such specs never take
-    /// the membership-only fast path).
+    /// Whether any step carries guard predicates.
     pub fn has_guards(&self) -> bool {
         self.steps.iter().any(|s| !s.preds.is_empty())
     }
 
-    /// Nodes selected by the step chain within one member document.
-    /// Errors when a guard predicate errors — the reference rescan
-    /// errors identically on this member.
-    pub fn member_nodes(&self, root: &NodeRef) -> Result<Vec<NodeRef>> {
-        let mut guard_eval = None;
-        let mut current = vec![root.clone()];
+    /// A step-free `count`/`exists`: a pure function of how many members
+    /// there are, answered from the membership length alone — no cell,
+    /// no contribution.
+    pub fn membership_only(&self) -> bool {
+        self.steps.is_empty() && matches!(self.op, AggOp::Count | AggOp::Exists)
+    }
+
+    /// What one member document adds to this aggregate. A selection or
+    /// atomization error becomes [`Contribution::Failed`]: the reference
+    /// rescan errors identically on any multiset containing this member.
+    pub fn contribution(&self, root: &NodeRef) -> Contribution {
+        let nodes = match self.member_nodes(root) {
+            Ok(nodes) => nodes,
+            Err(e) => return Contribution::Failed(Box::new(e)),
+        };
+        let doc = &root.doc;
+        match self.op {
+            AggOp::Count | AggOp::Exists => Contribution::Count(nodes.len() as u64),
+            AggOp::Sum | AggOp::Avg => {
+                let mut values = Vec::with_capacity(nodes.len());
+                for &id in &nodes {
+                    let d = untyped_to_double(&doc.string_value(id));
+                    if d.is_nan() {
+                        // `fn:avg` sums through `numeric_fold(_, "sum")`,
+                        // so its error string names fn:sum as well.
+                        return Contribution::Failed(Box::new(Error::type_error(
+                            "fn:sum over non-numeric values",
+                        )));
+                    }
+                    values.push(d);
+                }
+                Contribution::Numbers(values.into())
+            }
+            AggOp::Min | AggOp::Max => Contribution::Atoms(
+                nodes
+                    .iter()
+                    .map(|&id| Atomic::Untyped(doc.string_value(id).into_owned()))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Ids of the nodes the step chain selects within one member document,
+    /// in document order. Errors when a guard predicate errors — the
+    /// reference rescan errors identically on this member.
+    fn member_nodes(&self, root: &NodeRef) -> Result<Vec<NodeId>> {
+        let doc = &root.doc;
+        let mut dctx: Option<DynamicContext> = None;
+        let mut current = vec![root.id];
         for step in &self.steps {
-            let mut next: Vec<NodeRef> = Vec::new();
-            for node in &current {
-                // Per-context-node batch, exactly as `eval_steps` scopes
-                // predicate positions.
-                let mut batch: Vec<NodeRef> = Vec::new();
-                step_nodes(step.axis, node, &step.test, |n| batch.push(n));
-                for pred in &step.preds {
-                    let ev = guard_eval.get_or_insert_with(GuardEval::new);
-                    let size = batch.len();
-                    let mut kept = Vec::with_capacity(batch.len());
-                    for (i, n) in batch.iter().enumerate() {
-                        if ev.keep(pred, n, i + 1, size)? {
-                            kept.push(n.clone());
+            let mut next: Vec<NodeId> = Vec::new();
+            for &node in &current {
+                // Per-context-node batch, exactly as a lowered `Step`
+                // scopes predicate positions.
+                let batch = next.len();
+                let _ = for_each_on_axis(step.axis, doc, node, |id| {
+                    if ptest_matches(step.axis, doc, id, &step.test) {
+                        next.push(id);
+                    }
+                    ControlFlow::<()>::Continue(())
+                });
+                for guard in step.guards() {
+                    // Guards are statically proven never to touch the host.
+                    let dctx = dctx.get_or_insert_with(DynamicContext::default);
+                    let size = next.len() - batch;
+                    let mut kept = batch;
+                    for i in batch..next.len() {
+                        let id = next[i];
+                        if guard_keeps(dctx, guard, doc.node(id), i - batch + 1, size)? {
+                            next[kept] = id;
+                            kept += 1;
                         }
                     }
-                    batch = kept;
+                    next.truncate(kept);
                 }
-                next.extend(batch);
             }
-            // Per-step document-order dedup, as `eval_steps` does. All
-            // nodes share one document here, so the order is total.
-            next.sort();
-            next.dedup_by(|a, b| a.is_same_node(b));
+            // Per-step document-order dedup; ids are in document order.
+            next.sort_unstable();
+            next.dedup();
             current = next;
         }
         Ok(current)
     }
+}
+
+/// The predicate keep-test for one node, as a lowered step applies it: a
+/// numeric value is a positional test (statically excluded for guards,
+/// kept for defense in depth), anything else counts by effective boolean
+/// value.
+fn guard_keeps(
+    dctx: &DynamicContext,
+    guard: &Plan,
+    node: NodeRef,
+    pos: usize,
+    size: usize,
+) -> Result<bool> {
+    let focus = Focus {
+        item: Item::Node(node),
+        pos,
+        size,
+    };
+    let v = PlanEvaluator::new(dctx).eval(guard, Some(&focus))?;
+    match v.0.as_slice() {
+        [Item::Atomic(a)] if a.is_numeric() => Ok(a.to_double() == pos as f64),
+        _ => v.effective_boolean(),
+    }
+}
+
+/// One member document's share of one aggregate, computed once per
+/// (message, aggregate) and folded by every later read of any scope the
+/// member belongs to.
+#[derive(Debug, Clone)]
+pub enum Contribution {
+    /// How many nodes the steps select (`count`, `exists`).
+    Count(u64),
+    /// The selected nodes' numeric values in node order (`sum`, `avg`).
+    Numbers(Box<[f64]>),
+    /// The selected nodes' atomized values in node order (`min`, `max`).
+    Atoms(Box<[Atomic]>),
+    /// Selecting or atomizing raised; every fold over this member raises
+    /// the same error.
+    Failed(Box<Error>),
 }
 
 /// Process-stable rendering of a `PTest` (interned syms resolved).
@@ -210,39 +374,6 @@ fn ptest_sig(t: &PTest) -> String {
         PTest::Attribute(n) => format!("attribute({})", named(n)),
         PTest::Pi(n) => format!("pi({n:?})"),
         PTest::Document => "document()".to_string(),
-    }
-}
-
-/// Guard-predicate evaluator: a host-free dynamic context (guards are
-/// statically proven to never touch the host) shared across one fold.
-struct GuardEval {
-    sctx: StaticContext,
-    dctx: DynamicContext,
-}
-
-impl GuardEval {
-    fn new() -> GuardEval {
-        GuardEval {
-            sctx: StaticContext::default(),
-            dctx: DynamicContext::new(Arc::new(NoHost)),
-        }
-    }
-
-    /// The reference `apply_predicates` keep-test for one node: numeric
-    /// value = positional test (statically excluded for guards, kept for
-    /// defense in depth), anything else by effective boolean value.
-    fn keep(&self, pred: &Expr, node: &NodeRef, pos: usize, size: usize) -> Result<bool> {
-        let mut ev = Evaluator::new(&self.sctx, &self.dctx);
-        let f = Focus {
-            item: Item::Node(node.clone()),
-            pos,
-            size,
-        };
-        let v = ev.eval(pred, Some(&f))?;
-        match v.0.as_slice() {
-            [Item::Atomic(a)] if a.is_numeric() => Ok(a.to_double() == pos as f64),
-            _ => v.effective_boolean(),
-        }
     }
 }
 
@@ -366,11 +497,7 @@ fn recognize_source(expr: &Expr) -> Option<(AggSource, Vec<AggStep>)> {
             let (source, mut collected) = recognize_source(base)?;
             if !predicates.is_empty() {
                 let preds = guard_preds(predicates)?;
-                collected.push(AggStep {
-                    axis: Axis::SelfAxis,
-                    test: PTest::AnyKind,
-                    preds,
-                });
+                collected.push(AggStep::new(Axis::SelfAxis, PTest::AnyKind, preds));
             }
             Some((source, collected))
         }
@@ -389,11 +516,11 @@ fn recognize_source(expr: &Expr) -> Option<(AggSource, Vec<AggStep>)> {
                 else {
                     return None;
                 };
-                collected.push(AggStep {
-                    axis: *axis,
-                    test: lower_test(test),
-                    preds: guard_preds(predicates)?,
-                });
+                collected.push(AggStep::new(
+                    *axis,
+                    lower_test(test),
+                    guard_preds(predicates)?,
+                ));
             }
             Some((source, collected))
         }
@@ -413,17 +540,9 @@ fn recognize_source(expr: &Expr) -> Option<(AggSource, Vec<AggStep>)> {
             let preds = guard_preds(predicates)?;
             let (source, mut steps) = recognize_source(base)?;
             if *descend {
-                steps.push(AggStep {
-                    axis: Axis::DescendantOrSelf,
-                    test: PTest::AnyKind,
-                    preds: Vec::new(),
-                });
+                steps.push(AggStep::new(Axis::DescendantOrSelf, PTest::AnyKind, Vec::new()));
             }
-            steps.push(AggStep {
-                axis: *axis,
-                test: lower_test(test),
-                preds,
-            });
+            steps.push(AggStep::new(*axis, lower_test(test), preds));
             Some((source, steps))
         }
         _ => None,
@@ -470,62 +589,52 @@ impl AggAcc {
         }
     }
 
-    /// Fold one member document into the accumulator. An `Err` means the
-    /// reference evaluation errors on this multiset too (non-numeric
-    /// sum/avg, incomparable min/max, erroring guard) — the caller must
-    /// discard the cell and fall back so the reference path raises the
-    /// identical error.
-    pub fn absorb_member(&mut self, spec: &AggregateSpec, root: &NodeRef) -> Result<()> {
-        let nodes = spec.member_nodes(root)?;
-        match self {
-            AggAcc::Count(c) => *c += nodes.len() as i64,
-            AggAcc::Exists(b) => *b = *b || !nodes.is_empty(),
-            AggAcc::Min(_) | AggAcc::Max(_) => {
-                let (name, want) = if matches!(self, AggAcc::Min(_)) {
-                    ("min", Ordering::Less)
-                } else {
-                    ("max", Ordering::Greater)
-                };
-                let best = match self {
-                    AggAcc::Min(b) | AggAcc::Max(b) => b,
+    /// Fold one member's [`Contribution`] into the accumulator. An `Err`
+    /// means the reference evaluation errors on this multiset too
+    /// (non-numeric sum/avg, incomparable min/max, erroring guard) — the
+    /// caller must discard the cell and fall back so the reference path
+    /// raises the identical error.
+    pub fn absorb(&mut self, c: &Contribution) -> Result<()> {
+        match (self, c) {
+            (_, Contribution::Failed(e)) => return Err((**e).clone()),
+            (AggAcc::Count(n), Contribution::Count(k)) => *n += *k as i64,
+            (AggAcc::Exists(b), Contribution::Count(k)) => *b = *b || *k > 0,
+            (AggAcc::Sum { seen, dsum }, Contribution::Numbers(values)) => {
+                for d in values.iter() {
+                    *seen = true;
+                    *dsum += d;
+                }
+            }
+            (AggAcc::Avg { count, dsum }, Contribution::Numbers(values)) => {
+                for d in values.iter() {
+                    *count += 1;
+                    *dsum += d;
+                }
+            }
+            (acc @ (AggAcc::Min(_) | AggAcc::Max(_)), Contribution::Atoms(atoms)) => {
+                let (name, want, best) = match acc {
+                    AggAcc::Min(best) => ("min", Ordering::Less, best),
+                    AggAcc::Max(best) => ("max", Ordering::Greater, best),
                     _ => unreachable!(),
                 };
-                for n in &nodes {
-                    let a = Atomic::Untyped(n.string_value().into_owned());
+                for a in atoms.iter() {
                     match best {
-                        None => *best = Some(a),
+                        None => *best = Some(a.clone()),
                         Some(b) => {
                             let ord = a.value_cmp(b).ok_or_else(|| {
                                 Error::type_error(format!("fn:{name} over incomparable values"))
                             })?;
                             if ord == want {
-                                *best = Some(a);
+                                *best = Some(a.clone());
                             }
                         }
                     }
                 }
             }
-            AggAcc::Sum { seen, dsum } => {
-                for n in &nodes {
-                    let d = untyped_to_double(&n.string_value());
-                    if d.is_nan() {
-                        return Err(Error::type_error("fn:sum over non-numeric values"));
-                    }
-                    *seen = true;
-                    *dsum += d;
-                }
-            }
-            AggAcc::Avg { count, dsum } => {
-                for n in &nodes {
-                    let d = untyped_to_double(&n.string_value());
-                    if d.is_nan() {
-                        // `fn:avg` sums through `numeric_fold(_, "sum")`,
-                        // so its error string names fn:sum.
-                        return Err(Error::type_error("fn:sum over non-numeric values"));
-                    }
-                    *count += 1;
-                    *dsum += d;
-                }
+            (acc, c) => {
+                return Err(Error::dynamic(format!(
+                    "aggregate contribution {c:?} does not fold into {acc:?}"
+                )))
             }
         }
         Ok(())
@@ -759,7 +868,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_and_stable_sig_distinguish_shapes() {
+    fn stable_sig_and_catalog_ids_distinguish_shapes() {
         let shapes = [
             "count(qs:slice())",
             "count(qs:queue(\"a\"))",
@@ -769,14 +878,31 @@ mod tests {
             "count(qs:queue(\"a\")/x)",
             "count(qs:queue(\"a\")/x[. > 1])",
         ];
-        for pick in [AggregateSpec::cache_key, AggregateSpec::stable_sig] {
-            let keys: Vec<String> = shapes.iter().map(|q| pick(&recognize(q).unwrap())).collect();
-            for i in 0..keys.len() {
-                for j in i + 1..keys.len() {
-                    assert_ne!(keys[i], keys[j]);
-                }
+        let sigs: Vec<String> = shapes.iter().map(|q| recognize(q).unwrap().stable_sig()).collect();
+        let mut catalog = AggCatalog::default();
+        let ids: Vec<AggId> = shapes
+            .iter()
+            .map(|q| catalog.intern(recognize(q).unwrap()).0)
+            .collect();
+        for i in 0..shapes.len() {
+            for j in i + 1..shapes.len() {
+                assert_ne!(sigs[i], sigs[j]);
+                assert_ne!(ids[i], ids[j]);
             }
         }
+        // Structurally equal shapes share one id, however often they occur.
+        for (q, id) in shapes.iter().zip(&ids) {
+            assert_eq!(catalog.intern(recognize(q).unwrap()).0, *id);
+        }
+        assert_eq!(catalog.len(), shapes.len());
+    }
+
+    #[test]
+    fn membership_only_is_step_free_count_or_exists() {
+        assert!(recognize("count(qs:slice())").unwrap().membership_only());
+        assert!(recognize("exists(qs:queue(\"q\"))").unwrap().membership_only());
+        assert!(!recognize("sum(qs:slice())").unwrap().membership_only());
+        assert!(!recognize("count(qs:slice()/a)").unwrap().membership_only());
     }
 
     #[test]
@@ -788,6 +914,10 @@ mod tests {
 
     fn doc(xml: &str) -> NodeRef {
         demaq_xml::parse(xml).unwrap().root()
+    }
+
+    fn absorb(acc: &mut AggAcc, spec: &AggregateSpec, member: &NodeRef) -> Result<()> {
+        acc.absorb(&spec.contribution(member))
     }
 
     /// The fold must agree with the builtin over the same member docs —
@@ -812,13 +942,15 @@ mod tests {
             assert_eq!(spec.op, op);
             let mut acc = AggAcc::new(op);
             for m in &members {
-                acc.absorb_member(&spec, m).unwrap();
+                absorb(&mut acc, &spec, m).unwrap();
             }
             // Reference: the builtin applied to the atomized node multiset.
             let all: Sequence = members
                 .iter()
-                .flat_map(|m| spec.member_nodes(m).unwrap())
-                .map(Item::Node)
+                .flat_map(|m| {
+                    let ids = spec.member_nodes(m).unwrap();
+                    ids.into_iter().map(|id| Item::Node(m.doc.node(id)))
+                })
                 .collect();
             let reference =
                 crate::functions::call_builtin(&test_dctx(), q, vec![all], None).unwrap();
@@ -843,7 +975,7 @@ mod tests {
         let spec = recognize("count(qs:slice()//n[. > 4])").unwrap();
         let mut acc = AggAcc::new(AggOp::Count);
         for m in &members {
-            acc.absorb_member(&spec, m).unwrap();
+            absorb(&mut acc, &spec, m).unwrap();
         }
         // 5, 9, 7 pass; 2 fails; "abc" > 4 is false (untyped numeric cmp).
         assert_eq!(format!("{:?}", acc.result()), format!("{:?}", Sequence::int(3)));
@@ -853,7 +985,7 @@ mod tests {
         let spec = recognize("sum(qs:slice()//n[. > 4])").unwrap();
         let mut acc = AggAcc::new(AggOp::Sum);
         for m in &members {
-            acc.absorb_member(&spec, m).unwrap();
+            absorb(&mut acc, &spec, m).unwrap();
         }
         assert_eq!(
             format!("{:?}", acc.result()),
@@ -868,22 +1000,22 @@ mod tests {
 
         let spec = recognize("sum(qs:slice()//n)").unwrap();
         let mut acc = AggAcc::new(AggOp::Sum);
-        acc.absorb_member(&spec, &good).unwrap();
-        let err = acc.absorb_member(&spec, &bad).unwrap_err();
+        absorb(&mut acc, &spec, &good).unwrap();
+        let err = absorb(&mut acc, &spec, &bad).unwrap_err();
         assert!(err.to_string().contains("fn:sum over non-numeric values"));
 
         // `fn:avg` folds through `numeric_fold(_, "sum")`, so its error
         // string names fn:sum as well.
         let spec = recognize("avg(qs:slice()//n)").unwrap();
         let mut acc = AggAcc::new(AggOp::Avg);
-        let err = acc.absorb_member(&spec, &bad).unwrap_err();
+        let err = absorb(&mut acc, &spec, &bad).unwrap_err();
         assert!(err.to_string().contains("fn:sum over non-numeric values"));
 
         // min over string-ish untyped values is fine (string comparison)…
         let spec = recognize("min(qs:slice()//n)").unwrap();
         let mut acc = AggAcc::new(AggOp::Min);
-        acc.absorb_member(&spec, &bad).unwrap();
-        acc.absorb_member(&spec, &good).unwrap();
+        absorb(&mut acc, &spec, &bad).unwrap();
+        absorb(&mut acc, &spec, &good).unwrap();
         assert_eq!(
             format!("{:?}", acc.result()),
             format!("{:?}", Sequence::one(Atomic::Untyped("1".into())))

@@ -44,10 +44,15 @@ pub trait HostFunctions: Send + Sync {
     }
 
     /// Answer a recognized aggregate read (`Plan::AggregateRead`) from a
-    /// materialized cell. `None` declines — the evaluator then runs the
+    /// materialized cell; `id` numbers the shape in the catalog the plan
+    /// was lowered into. `None` declines — the evaluator then runs the
     /// embedded fallback, the reference rescan. Hosts without an
     /// incremental registry keep this default.
-    fn aggregate(&self, _spec: &crate::aggregate::AggregateSpec) -> Option<Result<Sequence>> {
+    fn aggregate(
+        &self,
+        _id: crate::aggregate::AggId,
+        _spec: &crate::aggregate::AggregateSpec,
+    ) -> Option<Result<Sequence>> {
         None
     }
 }

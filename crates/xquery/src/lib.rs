@@ -32,13 +32,15 @@ pub mod plan;
 pub mod update;
 pub mod value;
 
-pub use aggregate::{recognize_aggregate, AggAcc, AggOp, AggSource, AggregateSpec};
+pub use aggregate::{
+    recognize_aggregate, AggAcc, AggCatalog, AggId, AggOp, AggSource, AggregateSpec, Contribution,
+};
 pub use ast::Expr;
 pub use context::{DynamicContext, HostFunctions, NoHost, StaticContext};
 pub use error::{Error, Result};
 pub use eval::Evaluator;
 pub use parser::{parse_expr, parse_expr_prefix};
-pub use plan::{fold_boolean, lower, Plan, PlanEvaluator};
+pub use plan::{fold_boolean, lower, lower_in, Plan, PlanEvaluator};
 pub use update::{apply_tree_updates, Update};
 pub use value::{Atomic, Item, Sequence};
 

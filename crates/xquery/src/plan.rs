@@ -22,6 +22,7 @@
 //! [`Evaluator`](crate::eval::Evaluator) — the differential test suite
 //! holds both interpreters to the same results, including error cases.
 
+use crate::aggregate::{AggCatalog, AggId, AggregateSpec};
 use crate::ast::*;
 use crate::context::DynamicContext;
 use crate::error::{Error, Result};
@@ -37,6 +38,7 @@ use demaq_xml::{DocBuilder, Document, NodeId, NodeKind, NodeRef, QName};
 use std::cmp::Ordering;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::Arc;
 
 static PLANS_LOWERED: AtomicU64 = AtomicU64::new(0);
 static EBV_SHORT_CIRCUITS: AtomicU64 = AtomicU64::new(0);
@@ -321,7 +323,9 @@ pub enum Plan {
     /// `fallback` — the original `Plan::FunctionCall` — so unsupported
     /// reads are byte-identical to the reference rescan, errors included.
     AggregateRead {
-        spec: crate::aggregate::AggregateSpec,
+        /// The shape's number in the application's [`AggCatalog`].
+        id: AggId,
+        spec: Arc<AggregateSpec>,
         fallback: Box<Plan>,
     },
 }
@@ -351,18 +355,51 @@ pub fn fold_boolean(expr: &Expr) -> Option<bool> {
 
 // ---- lowering -----------------------------------------------------------------
 
-/// Lower an expression tree to an execution plan.
+/// Lower an expression tree to an execution plan. Aggregate reads are
+/// numbered in a catalog of their own — fine for a plan no host answers
+/// aggregates for; an engine lowers through [`lower_in`], and its host
+/// declines ids its catalog does not own ([`AggCatalog::owns`]).
 pub fn lower(expr: &Expr) -> Plan {
-    PLANS_LOWERED.fetch_add(1, AtomicOrdering::Relaxed);
-    Lowerer { scope: Vec::new() }.lower(expr)
+    lower_in(expr, &mut AggCatalog::default()).0
 }
 
-struct Lowerer {
+/// Lower an expression tree, numbering its aggregate reads in `catalog`
+/// (structurally equal shapes share one [`AggId`] across every plan
+/// lowered into the same catalog). Also returns the ids the plan reads.
+pub fn lower_in(expr: &Expr, catalog: &mut AggCatalog) -> (Plan, Vec<AggId>) {
+    PLANS_LOWERED.fetch_add(1, AtomicOrdering::Relaxed);
+    let mut lowerer = Lowerer {
+        scope: Vec::new(),
+        catalog,
+        reads: Vec::new(),
+    };
+    let plan = lowerer.lower(expr);
+    let mut reads = lowerer.reads;
+    reads.sort_unstable();
+    reads.dedup();
+    (plan, reads)
+}
+
+/// Lower a member-local guard predicate (aggregate recognition): no
+/// counter bump, no aggregate numbering — a guard reads no `qs:` source.
+pub(crate) fn lower_unnumbered(expr: &Expr) -> Plan {
+    Lowerer {
+        scope: Vec::new(),
+        catalog: &mut AggCatalog::default(),
+        reads: Vec::new(),
+    }
+    .lower(expr)
+}
+
+struct Lowerer<'c> {
     /// Lexical binding names in frame push order; `rposition` = slot index.
     scope: Vec<String>,
+    catalog: &'c mut AggCatalog,
+    /// Aggregate ids emitted so far.
+    reads: Vec<AggId>,
 }
 
-impl Lowerer {
+impl Lowerer<'_> {
     fn lower(&mut self, e: &Expr) -> Plan {
         match e {
             Expr::StringLit(s) => Plan::Const(Sequence::str(s.clone())),
@@ -383,7 +420,10 @@ impl Lowerer {
             Expr::FunctionCall { name, args } => {
                 let args: Vec<Plan> = args.iter().map(|a| self.lower(a)).collect();
                 if let Some(spec) = crate::aggregate::recognize_aggregate(e) {
+                    let (id, spec) = self.catalog.intern(spec);
+                    self.reads.push(id);
                     return Plan::AggregateRead {
+                        id,
                         spec,
                         fallback: Box::new(Plan::FunctionCall {
                             name: name.clone(),
@@ -1178,7 +1218,7 @@ impl<'a> PlanEvaluator<'a> {
                 }
                 Ok(Sequence::bool(found))
             }
-            Plan::AggregateRead { spec, fallback } => match self.dctx.host.aggregate(spec) {
+            Plan::AggregateRead { id, spec, fallback } => match self.dctx.host.aggregate(*id, spec) {
                 Some(r) => r,
                 None => self.eval(fallback, focus),
             },

@@ -108,8 +108,10 @@ echo "== bench smoke: E14 incremental slice aggregates =="
 # bench asserts the delta/rebuild counter shape internally (deltas linear
 # in N, rebuilds rare, membership-only count answered as hits), and the
 # full-mode run additionally asserts the >=5x end-to-end win over the
-# rescan twin at N=1024. The gate below re-checks the exposition so a
-# silently-disabled registry fails CI.
+# rescan twin at N=1024 and that a read costs the same at N=1024 as at
+# N=256 (read_ns_large_over_small <= 1.5; smoke only reports it). The
+# gate below re-checks the exposition so a silently-disabled registry
+# fails CI.
 DEMAQ_E14_SMOKE=1 cargo bench --offline -p demaq-bench --bench e14_incremental_aggregates
 cp -f crates/bench/target/metrics/e14_incremental_aggregates.prom \
       crates/bench/target/metrics/e14_incremental_aggregates_rescan.prom target/metrics/ 2>/dev/null || true

@@ -11,7 +11,12 @@
 //! over non-numeric content), a randomized enqueue/reset/GC interleaving
 //! corpus over keyed and unkeyed scopes, a 4-shard twin, and SIGKILL
 //! crash recovery (cells are process-local and must be rebuilt from the
-//! recovered store, never trusted across a restart).
+//! recovered store, never trusted across a restart). The lifetime-token
+//! scenarios pin what a cell may and may not reuse: a reset refilled to
+//! the same length, commits applied out of id order, a narrowing
+//! release, a GC purge under warm cells, an
+//! erroring guard, doc-less cross-shard members, and a clean reopen with
+//! cold cells over live base cells.
 
 use demaq::{Server, ShardedServer};
 use demaq_store::store::SyncPolicy;
@@ -337,6 +342,308 @@ fn sample(text: &str, name: &str) -> f64 {
         .filter(|l| l.starts_with(name))
         .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
         .sum()
+}
+
+// ---- lifetime-token validation -------------------------------------------
+
+/// A reset followed by a refill to the *same* length: the cell folded
+/// before the reset must neither hit (same length) nor extend (a stale
+/// prefix) — the slice's lifetime token moved.
+#[test]
+fn reset_then_refill_to_the_same_length_rebuilds() {
+    let program = r#"
+        create queue intake kind basic mode persistent
+        create queue report kind basic mode persistent
+        create property k as xs:string fixed queue intake value //@k
+        create slicing byK on k
+        create rule close for byK
+          if (qs:message()/close) then do reset
+        create rule tally for byK
+          if (qs:message()/probe) then
+            do enqueue <t n="{count(qs:slice())}" s="{sum(qs:slice()//v)}"
+                          hi="{max(qs:slice()//v)}"/> into report
+    "#;
+    let feed: Vec<(&str, String)> = [
+        "<e k='a'><v>1</v></e>",
+        "<e k='a'><v>2</v></e>",
+        "<probe k='a'/>",
+        "<close k='a'/>",
+        // Three members again — the same length the first probe folded.
+        "<e k='a'><v>10</v></e>",
+        "<e k='a'><v>20</v></e>",
+        "<probe k='a'/>",
+    ]
+    .iter()
+    .map(|x| ("intake", x.to_string()))
+    .collect();
+    let (inc, _) = assert_twins("reset-refill", program, &["intake", "report"], &feed);
+    let report = inc.queue_bodies("report").unwrap();
+    assert!(report[1].contains("s=\"30\""), "stale fold survived the reset: {report:?}");
+    assert!(
+        metric(&inc, "demaq_core_agg_rebuilds_total") >= 4,
+        "the post-reset probe must rebuild both cells"
+    );
+}
+
+/// Commits that apply out of id order (concurrent committers) must not
+/// let a cell extend past a member smaller than one it already folded.
+/// Apply order 5, 6, 3 (read), 4, 7 (read): the 4 exceeds the last member
+/// (3) but not the largest (6), so it is no append — the second read
+/// rebuilds in id order. Extending instead would sum 1e16, -1e16, 1 → 1
+/// where id order sums 1e16, 1, -1e16 → 0 (1e16 + 1 rounds to 1e16).
+///
+/// The rescan visits member nodes in document order, which across
+/// documents is parse order; with the document cache off it re-parses
+/// every member per read in id order, so it is an id-order reference.
+#[test]
+fn out_of_order_commits_fold_in_id_order() {
+    use demaq_store::PropValue;
+    let program = r#"
+        create queue intake kind basic mode persistent
+        create queue report kind basic mode persistent
+        create property k as xs:string fixed queue intake value //@k
+        create slicing byK on k
+        create rule tally for byK
+          if (qs:message()/probe) then
+            do enqueue <t s="{sum(qs:slice()//v)}"/> into report
+    "#;
+    let run = |incremental: bool| -> Vec<String> {
+        let s = Server::builder()
+            .program(program)
+            .in_memory()
+            .sync_policy(SyncPolicy::Batch)
+            .incremental_aggregates(incremental)
+            .doc_cache_budget(0)
+            .build()
+            .unwrap();
+        let store = s.store();
+        let key = PropValue::Str("a".into());
+        // Members 3, 4, 5 get their ids first, and commit later.
+        let txns: Vec<_> = ["1e16", "1", "-1e16"]
+            .iter()
+            .map(|v| {
+                let txn = store.begin();
+                let xml = format!("<e k='a'><v>{v}</v></e>");
+                let props = vec![("k".to_string(), key.clone())];
+                let id = store.enqueue(txn, "intake", xml.as_str().into(), props, 0).unwrap();
+                store.slice_add(txn, "byK", key.clone(), id).unwrap();
+                txn
+            })
+            .collect();
+        store.commit(txns[2]).unwrap();
+        s.enqueue_external("intake", "<probe k='a'/>").unwrap();
+        store.commit(txns[0]).unwrap();
+        s.run_until_idle().unwrap();
+        store.commit(txns[1]).unwrap();
+        s.enqueue_external("intake", "<probe k='a'/>").unwrap();
+        s.run_until_idle().unwrap();
+        s.queue_bodies("report").unwrap()
+    };
+    let (inc, re) = (run(true), run(false));
+    assert_eq!(inc, re, "registry diverged from the rescan");
+    assert!(inc[1].contains("s=\"0\""), "the second read folds in id order: {inc:?}");
+}
+
+const TELEMETRY: &str = r#"
+    create queue intake kind basic mode persistent
+    create queue report kind basic mode persistent
+    create property device as xs:string fixed queue intake value //reading/@dev
+    create slicing byDevice on device
+    create rule stats for byDevice
+      if (qs:message()//reading) then
+        do enqueue <stat dev="{qs:slicekey()}" n="{count(qs:slice())}"
+                         total="{sum(qs:slice()//v)}" hi="{max(qs:slice()//v)}"
+                         hot="{count(qs:slice()//v[. > 6])}"/> into report
+"#;
+
+fn reading(i: u32) -> String {
+    format!("<reading dev='d{}'><v>{}</v></reading>", i % 3, i * 5 % 11)
+}
+
+/// Narrowing releases processed members into base cells (the rescan twin
+/// retains everything); later arrivals rebuild from the base once, then
+/// extend — and answer exactly what the rescan answers.
+#[test]
+fn narrowing_release_then_append_matches_rescan() {
+    let inc = build(TELEMETRY, true);
+    let re = build(TELEMETRY, false);
+    for round in 0..4u32 {
+        for i in 0..9u32 {
+            let xml = reading(round * 9 + i);
+            inc.enqueue_external("intake", &xml).unwrap();
+            re.enqueue_external("intake", &xml).unwrap();
+            inc.run_until_idle().unwrap();
+            re.run_until_idle().unwrap();
+        }
+        inc.gc().unwrap();
+        re.gc().unwrap();
+    }
+    assert_eq!(fingerprint(&inc, &["report"]), fingerprint(&re, &["report"]));
+    assert!(metric(&inc, "demaq_engine_retention_released_total") > 0);
+    assert!(metric(&inc, "demaq_core_agg_deltas_total") > 0);
+    assert!(
+        inc.queue_messages("intake").unwrap().len() < re.queue_messages("intake").unwrap().len(),
+        "the narrowed twin purged released members"
+    );
+}
+
+/// A GC purge while queue-scope cells are warm moves the queue's token:
+/// the next read rebuilds over the surviving members.
+#[test]
+fn gc_purge_under_warm_cells_matches_rescan() {
+    let program = r#"
+        create queue inbox kind basic mode persistent
+        create queue audit kind basic mode persistent
+        create queue out kind basic mode persistent
+        create rule stash for inbox
+          if (//item) then do enqueue <entry>{//item/node()}</entry> into audit
+        create rule watch for inbox
+          if (//tick) then
+            do enqueue <seen n="{count(qs:queue("audit"))}"
+                             sum="{sum(qs:queue("audit")//amt)}"
+                             big="{count(qs:queue("audit")//amt[. > 4])}"/> into out
+    "#;
+    let inc = build(program, true);
+    let re = build(program, false);
+    for round in 0..5u32 {
+        for i in 0..4u32 {
+            let xml = format!("<item><amt>{}</amt></item>", round * 4 + i);
+            inc.enqueue_external("inbox", &xml).unwrap();
+            re.enqueue_external("inbox", &xml).unwrap();
+        }
+        for s in [&inc, &re] {
+            s.enqueue_external("inbox", "<tick/>").unwrap();
+            s.run_until_idle().unwrap();
+        }
+        // Purge the processed `audit` entries while the cells are warm.
+        assert_eq!(inc.gc().unwrap(), re.gc().unwrap(), "round {round}");
+        for s in [&inc, &re] {
+            s.enqueue_external("inbox", "<tick/>").unwrap();
+            s.run_until_idle().unwrap();
+        }
+    }
+    assert_eq!(fingerprint(&inc, &["out"]), fingerprint(&re, &["out"]));
+    assert!(metric(&inc, "demaq_core_agg_rebuilds_total") >= 5, "purges force rebuilds");
+}
+
+/// A guard that errors on one member: every read over that slice
+/// declines, and the fallback raises the byte-identical error.
+#[test]
+fn erroring_guard_declines_to_the_identical_error() {
+    let program = r#"
+        create queue intake kind basic mode persistent
+        create queue report kind basic mode persistent
+        create queue errs kind basic mode persistent
+        create property k as xs:string fixed queue intake value //@k
+        create slicing byK on k
+        create rule big for byK errorqueue errs
+          if (qs:message()/e) then
+            do enqueue <t n="{count(qs:slice()//v[xs:integer(.) > 5])}"/> into report
+    "#;
+    let feed: Vec<(&str, String)> = [
+        "<e k='a'><v>3</v></e>",
+        "<e k='a'><v>9</v></e>",
+        "<e k='b'><v>7</v></e>",
+        "<e k='a'><v>oops</v></e>",
+        "<e k='a'><v>8</v></e>",
+        "<e k='b'><v>6</v></e>",
+    ]
+    .iter()
+    .map(|x| ("intake", x.to_string()))
+    .collect();
+    let (inc, re) = assert_twins("erroring-guard", program, &["report", "errs"], &feed);
+    let errs = inc.queue_bodies("errs").unwrap();
+    assert_eq!(errs.len(), 2, "both reads after the bad member fail: {errs:?}");
+    assert_eq!(errs, re.queue_bodies("errs").unwrap(), "byte-identical errors");
+}
+
+/// Two shards whose rekeying hop forwards members across them: a forward
+/// lands without a parsed document, so its contribution is computed when
+/// a fold first needs it — and the answers match the rescan twin.
+#[test]
+fn doc_less_forwards_fold_like_local_members() {
+    let program = r#"
+        create queue intake kind basic mode persistent
+        create queue enriched kind basic mode persistent
+        create queue report kind basic mode persistent
+        create property lane as xs:integer inherited
+        create slicing lanes on lane
+        create rule enrich for intake
+          if (//job) then
+            do enqueue <e n="{//job/@n}"><w>{string(//job/@w)}</w></e> into enriched
+              with lane value ((xs:integer(//job/@n) * 3 + 1) mod 5)
+        create rule tally for lanes
+          if (qs:message()/e) then
+            do enqueue <t lane="{qs:slicekey()}" n="{count(qs:slice())}"
+                          s="{sum(qs:slice()//w)}" hot="{count(qs:slice()//w[. > 5])}"/>
+              into report
+    "#;
+    let mk = |incremental: bool| -> ShardedServer {
+        Server::builder()
+            .program(program)
+            .in_memory()
+            .sync_policy(SyncPolicy::Batch)
+            .incremental_aggregates(incremental)
+            .shards(2)
+            .build()
+            .unwrap()
+    };
+    let (inc, re) = (mk(true), mk(false));
+    for i in 0..40usize {
+        let xml = format!("<job n='{i}' w='{}'/>", i % 9);
+        let props = vec![("lane".to_string(), Atomic::Int((i % 5) as i64))];
+        inc.enqueue_external_with_props("intake", &xml, &props).unwrap();
+        re.enqueue_external_with_props("intake", &xml, &props).unwrap();
+        inc.run_until_idle().unwrap();
+        re.run_until_idle().unwrap();
+    }
+    for q in ["enriched", "report"] {
+        let mut a = inc.queue_bodies(q).unwrap();
+        let mut b = re.queue_bodies(q).unwrap();
+        a.sort();
+        b.sort();
+        assert_eq!(a, b, "queue {q} diverged across sharded twins");
+    }
+    let text = inc.metrics_text();
+    assert!(sample(&text, "demaq_engine_shard_forwards_total") > 0.0, "no member crossed shards");
+    assert!(sample(&text, "demaq_core_agg_deltas_total") > 0.0);
+}
+
+/// Drop + reopen: cells are cold after the restart, narrowed slices carry
+/// live base cells through the checkpoint, and the first reads rebuild
+/// from base + reloaded members to exactly the rescan twin's answers.
+#[test]
+fn reopen_with_cold_cells_and_live_base_cells_matches_rescan() {
+    let (dir_inc, dir_re) = (tempfile::TempDir::new().unwrap(), tempfile::TempDir::new().unwrap());
+    let open = |dir: &Path, incremental: bool| {
+        Server::builder()
+            .program(TELEMETRY)
+            .dir(dir)
+            .sync_policy(SyncPolicy::Batch)
+            .incremental_aggregates(incremental)
+            .build()
+            .unwrap()
+    };
+    let feed = |inc: &Server, re: &Server, from: u32| {
+        for i in from..from + 12 {
+            inc.enqueue_external("intake", &reading(i)).unwrap();
+            re.enqueue_external("intake", &reading(i)).unwrap();
+            inc.run_until_idle().unwrap();
+            re.run_until_idle().unwrap();
+        }
+    };
+    {
+        let (inc, re) = (open(dir_inc.path(), true), open(dir_re.path(), false));
+        feed(&inc, &re, 0);
+        inc.maintenance().unwrap();
+        re.maintenance().unwrap();
+        feed(&inc, &re, 12);
+        assert!(metric(&inc, "demaq_engine_retention_released_total") > 0);
+    }
+    let (inc, re) = (open(dir_inc.path(), true), open(dir_re.path(), false));
+    feed(&inc, &re, 24);
+    assert_eq!(fingerprint(&inc, &["report"]), fingerprint(&re, &["report"]));
+    assert!(metric(&inc, "demaq_core_agg_rebuilds_total") > 0, "cells start cold");
 }
 
 // ---- crash recovery -----------------------------------------------------

@@ -212,6 +212,70 @@ fn rekeying_pipeline_forwards_across_shards() {
     }
 }
 
+/// The sharded builder takes placement's facts and flow graph from the
+/// compiled application (rewritten bodies, compiler read sets). Routing
+/// must equal the placement the raw parsed rules give — otherwise an
+/// existing sharded store directory would see its keys move on reopen.
+#[test]
+fn placement_from_compiled_facts_matches_raw_rules() {
+    use demaq::analysis::{compute_placement, FlowGraph, RuleFacts};
+    use demaq::CompiledApp;
+    // `demaq-benchmark`'s `durable_sharded` program.
+    const DURABLE_SHARDED: &str = r#"
+        create queue intake kind basic mode persistent
+        create queue enriched kind basic mode persistent
+        create queue done kind basic mode persistent
+        create queue alarms kind basic mode persistent
+        create property lane as xs:integer inherited
+        create slicing lanes on lane
+        create rule enrich for intake
+          if (/job) then do enqueue <enriched n="{/job/@n}" to="{/job/@to}"/> into enriched
+        create rule finish for enriched
+          if (/enriched) then
+            do enqueue <done n="{/enriched/@n}"/> into done with lane value (/enriched/@to)
+        create rule overflow for lanes
+          if (count(qs:slice()) >= 100000000) then
+            do enqueue <overflow lane="{qs:slicekey()}"/> into alarms
+    "#;
+    // Own-queue and cross-queue `qs:queue` reads, aggregates over both,
+    // a second slicing key, and an error queue.
+    const READERS: &str = r#"
+        create queue orders kind basic mode persistent
+        create queue stock kind basic mode persistent
+        create queue audit kind basic mode persistent
+        create queue errs kind basic mode persistent
+        create queue out kind basic mode persistent
+        create property cust as xs:string fixed queue orders value /order/@cust
+        create property sku as xs:string fixed queue stock value /item/@sku
+        create slicing byCust on cust
+        create slicing bySku on sku
+        create rule tally for orders errorqueue errs
+          if (count(qs:queue()) > sum(qs:queue("stock")//qty)) then
+            do enqueue <short/> into audit
+        create rule cust for byCust
+          if (sum(qs:slice()//amount) > 100) then do enqueue <vip/> into out
+        create rule restock for stock
+          if (//item) then do enqueue <seen/> into audit
+    "#;
+    for program in [KEYED_PIPELINE, REKEY, DURABLE_SHARDED, READERS] {
+        let spec = demaq_qdl::parse_program(program).unwrap();
+        let raw: Vec<RuleFacts> = spec
+            .rules
+            .iter()
+            .map(|r| RuleFacts::from_rule(r, &spec))
+            .collect();
+        let raw_graph = FlowGraph::build(&spec, &raw);
+        let app = CompiledApp::compile(spec.clone(), &Default::default()).unwrap();
+        for shards in [2, 3, 4] {
+            let none = BTreeMap::new();
+            let expected = compute_placement(&spec, &raw, &raw_graph, shards, &none);
+            let actual =
+                compute_placement(&app.spec, &app.facts, &app.analysis.graph, shards, &none);
+            assert_eq!(actual.queues, expected.queues, "{shards} shards:\n{program}");
+        }
+    }
+}
+
 /// First sample of `name` in Prometheus-style metrics text.
 fn metric_value(text: &str, name: &str) -> f64 {
     text.lines()

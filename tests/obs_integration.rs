@@ -300,6 +300,72 @@ fn durability_pipeline_series_match_store_ground_truth() {
     assert!(text.contains("demaq_engine_durability_barriers_total{reason=\"idle\"}"));
 }
 
+/// A slicing read only through recognized aggregates never touches a
+/// member document: processing a message looks up exactly one document
+/// (its own) and no member sequence, because every member's contribution
+/// was computed once, at its enqueue — one per member and aggregate.
+#[test]
+fn aggregate_reads_never_touch_member_documents() {
+    let server = Server::builder()
+        .program(
+            r#"
+            create queue intake kind basic mode persistent
+            create queue report kind basic mode persistent
+            create property dev as xs:string fixed queue intake value //@dev
+            create slicing byDev on dev
+            create rule stats for byDev
+              if (count(qs:slice()) >= 2 and sum(qs:slice()//v) > 0) then
+                do enqueue <s n="{count(qs:slice())}" hi="{max(qs:slice()//v)}"
+                              hot="{count(qs:slice()//v[. > 5])}"/> into report
+            "#,
+        )
+        .in_memory()
+        .sync_policy(SyncPolicy::Batch)
+        .build()
+        .unwrap();
+    const MEMBERS: u64 = 24;
+    // Three aggregates fold contributions — `sum(…//v)`, `max(…//v)` and
+    // the guarded `count`; the step-free `count(qs:slice())` is a length.
+    const FOLDED_AGGREGATES: u64 = 3;
+    let obs = server.metrics();
+    let r = &obs.registry;
+    let doc_lookups = || {
+        r.counter_total("demaq_core_doc_cache_hits_total")
+            + r.counter_total("demaq_core_doc_cache_misses_total")
+    };
+    let seq_lookups = || {
+        ["hits", "appends", "rebuilds"]
+            .iter()
+            .map(|k| r.counter_total(&format!("demaq_core_slice_seq_{k}_total")))
+            .sum::<u64>()
+    };
+    // Two bursts, so the second one's reads extend warm cells.
+    let mut steps = 0;
+    for burst in [0..MEMBERS / 2, MEMBERS / 2..MEMBERS] {
+        for i in burst {
+            let xml = format!("<r dev='d{}'><v>{}</v></r>", i % 4, i % 9);
+            server.enqueue_external("intake", &xml).unwrap();
+        }
+        loop {
+            let (docs, seqs) = (doc_lookups(), seq_lookups());
+            if !server.step().unwrap() {
+                break;
+            }
+            steps += 1;
+            assert_eq!(doc_lookups() - docs, 1, "step {steps}: only its own document");
+            assert_eq!(seq_lookups() - seqs, 0, "step {steps}: no member sequence");
+        }
+    }
+    assert!(steps as u64 > MEMBERS, "the rule fired and its outputs were processed too");
+    assert!(r.counter_total("demaq_core_agg_deltas_total") > 0);
+    assert_eq!(
+        r.counter_total("demaq_core_agg_contributions_total"),
+        MEMBERS * FOLDED_AGGREGATES,
+        "one contribution per member and folded aggregate"
+    );
+    assert!(server.metrics_text().contains("demaq_core_agg_contributions_total"));
+}
+
 #[test]
 fn tracer_records_message_lifecycle() {
     let server = build_server();
