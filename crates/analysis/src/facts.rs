@@ -676,8 +676,11 @@ fn walk(e: &Expr, guarded: bool, f: &mut RuleFacts) {
 }
 
 /// If the body is `if (cond) then …`, the element names `cond` requires to
-/// exist (mirrors the compiler's trigger extraction; conservative).
-fn extract_trigger_elements(body: &Expr) -> Option<Vec<String>> {
+/// exist (`//name`, `/name`, possibly under `and`/`or`). A message whose
+/// payload contains none of them can skip the rule without full
+/// evaluation — the engine's trigger pre-filter and the analysis facts
+/// both use this one extraction.
+pub fn extract_trigger_elements(body: &Expr) -> Option<Vec<String>> {
     let Expr::If { cond, .. } = body else {
         return None;
     };
@@ -689,9 +692,12 @@ fn extract_trigger_elements(body: &Expr) -> Option<Vec<String>> {
     }
 }
 
+/// Returns true when `e`'s truth definitely requires one of the collected
+/// elements. Conservative: bail out (false) on anything not understood.
 fn collect_required_elements(e: &Expr, out: &mut Vec<String>) -> bool {
     match e {
         Expr::Path { root: true, steps } => {
+            // The first named child/descendant step.
             for s in steps {
                 if let Expr::Step { axis, test, .. } = s {
                     if matches!(
@@ -707,7 +713,10 @@ fn collect_required_elements(e: &Expr, out: &mut Vec<String>) -> bool {
             }
             false
         }
+        // `a and b`: either side's requirement suffices (the left if
+        // extractable, else the right).
         Expr::And(a, b) => collect_required_elements(a, out) || collect_required_elements(b, out),
+        // `a or b`: both sides must be extractable (union of requirements).
         Expr::Or(a, b) => {
             let mut left = Vec::new();
             let mut right = Vec::new();

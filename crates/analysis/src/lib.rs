@@ -40,8 +40,8 @@ pub mod placement;
 
 pub use extract::extract_qdl_programs;
 pub use facts::{
-    extract_aggregate_reads, extract_scan_reads, AggReadSource, AggregateReadFact, EnqueueSite,
-    RuleFacts, ScanReads,
+    extract_aggregate_reads, extract_scan_reads, extract_trigger_elements, AggReadSource,
+    AggregateReadFact, EnqueueSite, RuleFacts, ScanReads,
 };
 pub use graph::{error_route_edges, strongly_connected, ErrorEdge, FlowEdge, FlowGraph};
 pub use liveness::{retention_plan, ReadShape, RetentionPlan, SlicePlan};

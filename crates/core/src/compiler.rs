@@ -25,10 +25,10 @@
 //! sequence concatenating every body (benchmark E6 measures merged vs.
 //! rule-at-a-time evaluation).
 
+use demaq_analysis::extract_trigger_elements;
 use demaq_qdl::{AppSpec, PropKind, RuleDecl};
 use demaq_xml::sym::{self, Sym};
 use demaq_xml::QName;
-use demaq_xquery::ast::{Axis, NodeTest};
 use demaq_xquery::{lower_in, AggCatalog, AggId, Error as XqError, Expr, Plan};
 use std::sync::Arc;
 
@@ -186,62 +186,6 @@ fn rebase_on_message(value: Expr) -> Expr {
             }
         }
         other => other,
-    }
-}
-
-/// If the rule body is `if (cond) then …`, extract the element names that
-/// `cond` requires to exist (`//name`, `/name`, possibly under `and`). A
-/// message whose payload contains none of them can skip the rule without
-/// full evaluation.
-fn extract_trigger_elements(body: &Expr) -> Option<Vec<String>> {
-    let Expr::If { cond, .. } = body else {
-        return None;
-    };
-    let mut names = Vec::new();
-    if collect_required_elements(cond, &mut names) && !names.is_empty() {
-        Some(names)
-    } else {
-        None
-    }
-}
-
-/// Returns true when `e`'s truth definitely requires one of the collected
-/// elements. Conservative: bail out (false) on anything not understood.
-fn collect_required_elements(e: &Expr, out: &mut Vec<String>) -> bool {
-    match e {
-        Expr::Path { root: true, steps } => {
-            // Find the first named child/descendant step.
-            for s in steps {
-                if let Expr::Step { axis, test, .. } = s {
-                    if matches!(
-                        axis,
-                        Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
-                    ) {
-                        if let NodeTest::Name(q) = test {
-                            out.push(q.local.clone());
-                            return true;
-                        }
-                    }
-                }
-            }
-            false
-        }
-        // `a and b`: either side's requirement suffices (we pick the left
-        // if extractable, else the right).
-        Expr::And(a, b) => collect_required_elements(a, out) || collect_required_elements(b, out),
-        // `a or b`: both sides must be extractable (union of requirements).
-        Expr::Or(a, b) => {
-            let mut left = Vec::new();
-            let mut right = Vec::new();
-            if collect_required_elements(a, &mut left) && collect_required_elements(b, &mut right) {
-                out.extend(left);
-                out.extend(right);
-                true
-            } else {
-                false
-            }
-        }
-        _ => false,
     }
 }
 

@@ -18,6 +18,7 @@ use crate::host::{atomic_to_prop, prop_to_atomic, QsHost, SliceCtx, SliceLoader}
 use crate::outbox::{Effect, Outbox};
 use crate::properties::{compute_properties, lineage_prop, system, PropError};
 use crate::scheduler::Scheduler;
+use crate::shard::ShardLink;
 use demaq_net::{Clock, Envelope, Network, TimerWheel};
 use demaq_obs::{
     Counter, Gauge, Histogram, Lineage, LineageRecord, Obs, ProvenanceIndex, TraceCtx, TraceEvent,
@@ -37,7 +38,7 @@ use demaq_xquery::{
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -112,6 +113,63 @@ pub struct ServerStats {
     pub ebv_short_circuits: u64,
     /// Distinct names in the global symbol table (process-wide).
     pub interned_symbols: u64,
+}
+
+impl ServerStats {
+    /// Snapshot of `obs`'s registry: one server's, or the one every shard
+    /// of a [`crate::shard::ShardedServer`] shares.
+    pub(crate) fn of(obs: &Obs) -> ServerStats {
+        sync_xquery_metrics(obs);
+        let counter = |name| obs.registry.counter_total(name);
+        ServerStats {
+            processed: counter("demaq_engine_processed_total"),
+            enqueued: counter("demaq_engine_enqueued_total"),
+            errors_routed: counter("demaq_engine_errors_routed_total"),
+            rules_evaluated: counter("demaq_engine_rules_evaluated_total"),
+            rules_skipped_by_filter: counter("demaq_engine_rules_skipped_total"),
+            deadlock_retries: counter("demaq_engine_deadlock_retries_total"),
+            timers_fired: counter("demaq_engine_timers_fired_total"),
+            gc_purged: counter("demaq_engine_gc_purged_total"),
+            plans_lowered: demaq_xquery::plan::plans_lowered_total(),
+            ebv_short_circuits: demaq_xquery::plan::ebv_short_circuits_total(),
+            interned_symbols: demaq_xml::sym::interned_count(),
+        }
+    }
+}
+
+/// All metrics registered in `obs` in Prometheus text exposition format.
+pub(crate) fn metrics_text(obs: &Obs) -> String {
+    sync_xquery_metrics(obs);
+    obs.registry.render_text()
+}
+
+/// Mirror the process-global lowered-plan counters into `obs`'s registry
+/// so they appear in the text exposition. Counters only move forward, so
+/// the delta-add converges even when several servers share one registry.
+fn sync_xquery_metrics(obs: &Obs) {
+    let r = &obs.registry;
+    for (name, global) in [
+        (
+            "demaq_xquery_plans_lowered_total",
+            demaq_xquery::plan::plans_lowered_total(),
+        ),
+        (
+            "demaq_xquery_ebv_short_circuits_total",
+            demaq_xquery::plan::ebv_short_circuits_total(),
+        ),
+        (
+            "demaq_core_prop_const_hits_total",
+            crate::properties::prop_const_hits_total(),
+        ),
+    ] {
+        let c = r.counter(name);
+        let seen = c.get();
+        if global > seen {
+            c.add(global - seen);
+        }
+    }
+    r.gauge("demaq_xquery_interned_symbols")
+        .set(demaq_xml::sym::interned_count() as i64);
 }
 
 /// Registry handles for the hot engine counters, resolved once at build so
@@ -379,8 +437,9 @@ pub struct ServerBuilder {
     /// across shards without coordination).
     pub(crate) msg_id_base: u64,
     /// Link back to the shard router when this server is one shard of a
-    /// [`crate::shard::ShardedServer`]. `None` for a standalone server.
-    pub(crate) shard_link: Option<Arc<crate::shard::ShardLink>>,
+    /// [`crate::shard::ShardedServer`]. `None` builds a standalone server:
+    /// the one entry of its own single-shard directory.
+    pub(crate) shard_link: Option<ShardLink>,
     /// When `Some`, only the named incoming-gateway queues register network
     /// listeners (each gateway listens on exactly one shard).
     pub(crate) incoming_gateways: Option<HashSet<String>>,
@@ -571,9 +630,8 @@ impl ServerBuilder {
     /// chains stay shard-local; `shards(1)` degrades to a single server
     /// behaviorally identical to [`Self::build`].
     ///
-    /// [`Self::in_memory`] has no sharded equivalent: the sharded builder
-    /// downgrades it to on-disk stores under a process-temp directory
-    /// that is removed when the `ShardedServer` drops.
+    /// With [`Self::in_memory`] every shard gets its own throwaway store
+    /// directory.
     pub fn shards(self, n: usize) -> crate::shard::ShardedServerBuilder {
         crate::shard::ShardedServerBuilder::new(self, n)
     }
@@ -588,8 +646,33 @@ impl ServerBuilder {
         CompiledApp::compile(spec, &self.wsdl_files).map_err(|e| EngineError::Compile(e.to_string()))
     }
 
+    /// Resolve the observability context, clock and network the server
+    /// runs with, and pin them in the builder so that every clone of it —
+    /// every shard of a [`crate::shard::ShardedServer`] — shares them.
+    /// The clock is the explicit one, else the supplied network's (time
+    /// must be shared, or fast-forwarding would desynchronize delivery),
+    /// else a fresh virtual clock.
+    pub(crate) fn pin_environment(&mut self) -> (Arc<Obs>, Clock, Arc<Network>) {
+        let trace_capacity = self.trace_capacity;
+        let obs = self.obs.get_or_insert_with(|| match trace_capacity {
+            Some(events) => Obs::with_trace_capacity(events),
+            None => Obs::new(),
+        });
+        let clock = match (&self.clock, &self.network) {
+            (Some(c), _) => c.clone(),
+            (None, Some(net)) => net.clock().clone(),
+            (None, None) => Clock::virtual_at(self.start_time_ms),
+        };
+        self.clock = Some(clock.clone());
+        let seed = self.seed;
+        let net = self
+            .network
+            .get_or_insert_with(|| Arc::new(Network::new(clock.clone(), seed)));
+        (Arc::clone(obs), clock, Arc::clone(net))
+    }
+
     /// Compile the application and open the store.
-    pub fn build(self) -> Result<Server> {
+    pub fn build(mut self) -> Result<Server> {
         let app = match &self.compiled {
             Some(app) => Arc::clone(app),
             None => Arc::new(self.compile()?),
@@ -607,7 +690,7 @@ impl ServerBuilder {
         }
 
         let mut temp_root = None;
-        let dir = match (self.dir, self.in_memory) {
+        let dir = match (self.dir.take(), self.in_memory) {
             (Some(d), _) => d,
             (None, true) => temp_root.insert(TempRoot::new("demaq")).0.clone(),
             (None, false) => {
@@ -616,10 +699,7 @@ impl ServerBuilder {
                 ))
             }
         };
-        let obs = self.obs.unwrap_or_else(|| match self.trace_capacity {
-            Some(events) => Obs::with_trace_capacity(events),
-            None => Obs::new(),
-        });
+        let (obs, clock, net) = self.pin_environment();
         if self.strict_analysis != StrictAnalysis::Off {
             for d in &app.analysis.diagnostics {
                 obs.registry
@@ -648,17 +728,6 @@ impl ServerBuilder {
             store.create_queue(name, mode, q.decl.priority)?;
         }
 
-        // Clock resolution: explicit > the supplied network's clock (time
-        // must be shared, or fast-forwarding would desynchronize delivery)
-        // > a fresh virtual clock.
-        let clock = match (&self.clock, &self.network) {
-            (Some(c), _) => c.clone(),
-            (None, Some(net)) => net.clock().clone(),
-            (None, None) => Clock::virtual_at(self.start_time_ms),
-        };
-        let net = self
-            .network
-            .unwrap_or_else(|| Arc::new(Network::new(clock.clone(), self.seed)));
         net.attach_obs(&obs);
         let gateways = GatewayManager::with_incoming_filter(
             &app,
@@ -726,6 +795,7 @@ impl ServerBuilder {
         let agg = self
             .incremental_aggregates
             .then(|| Arc::new(AggRegistry::new(&app.aggregates, 4096, &obs)));
+        let shard = self.shard_link.unwrap_or_else(|| ShardLink::standalone(&obs));
         let server = Server {
             app,
             store,
@@ -745,8 +815,7 @@ impl ServerBuilder {
             pipelined: self.sync == SyncPolicy::Always,
             obs,
             provenance,
-            shard_link: self.shard_link,
-            active_workers: AtomicUsize::new(0),
+            shard,
             _temp_root: temp_root,
         };
         // Recovery: re-schedule surviving unprocessed messages.
@@ -871,10 +940,9 @@ pub struct Server {
     /// store's durable `Lineage` records, rebuilt at startup. Shared
     /// across shards of a [`crate::shard::ShardedServer`].
     provenance: Arc<ProvenanceIndex>,
-    /// Routing directory link when this server is one shard of a
-    /// [`crate::shard::ShardedServer`].
-    shard_link: Option<Arc<crate::shard::ShardLink>>,
-    active_workers: AtomicUsize,
+    /// This server's entry in its routing directory: one shard of a
+    /// [`crate::shard::ShardedServer`], or the only entry of its own.
+    shard: ShardLink,
     /// Set for a standalone `.in_memory()` server. Must stay the last
     /// field (see [`TempRoot`]).
     _temp_root: Option<TempRoot>,
@@ -909,21 +977,7 @@ impl Server {
     /// Statistics snapshot — a thin view over the metric registry
     /// (per-queue counters summed across their labels).
     pub fn stats(&self) -> ServerStats {
-        self.sync_xquery_metrics();
-        let r = &self.obs.registry;
-        ServerStats {
-            processed: r.counter_total("demaq_engine_processed_total"),
-            enqueued: r.counter_total("demaq_engine_enqueued_total"),
-            errors_routed: self.metrics.errors_routed.get(),
-            rules_evaluated: self.metrics.rules_evaluated.get(),
-            rules_skipped_by_filter: self.metrics.rules_skipped.get(),
-            deadlock_retries: self.metrics.deadlock_retries.get(),
-            timers_fired: self.metrics.timers_fired.get(),
-            gc_purged: self.metrics.gc_purged.get(),
-            plans_lowered: demaq_xquery::plan::plans_lowered_total(),
-            ebv_short_circuits: demaq_xquery::plan::ebv_short_circuits_total(),
-            interned_symbols: demaq_xml::sym::interned_count(),
-        }
+        ServerStats::of(&self.obs)
     }
 
     /// The observability context (registry + tracer) of this server.
@@ -933,38 +987,7 @@ impl Server {
 
     /// All registered metrics in Prometheus text exposition format.
     pub fn metrics_text(&self) -> String {
-        self.sync_xquery_metrics();
-        self.obs.registry.render_text()
-    }
-
-    /// Mirror the process-global lowered-plan counters into this server's
-    /// registry so they appear in the text exposition. Counters only move
-    /// forward, so the delta-add converges even when several servers share
-    /// one registry.
-    fn sync_xquery_metrics(&self) {
-        let r = &self.obs.registry;
-        for (name, global) in [
-            (
-                "demaq_xquery_plans_lowered_total",
-                demaq_xquery::plan::plans_lowered_total(),
-            ),
-            (
-                "demaq_xquery_ebv_short_circuits_total",
-                demaq_xquery::plan::ebv_short_circuits_total(),
-            ),
-            (
-                "demaq_core_prop_const_hits_total",
-                crate::properties::prop_const_hits_total(),
-            ),
-        ] {
-            let c = r.counter(name);
-            let seen = c.get();
-            if global > seen {
-                c.add(global - seen);
-            }
-        }
-        r.gauge("demaq_xquery_interned_symbols")
-            .set(demaq_xml::sym::interned_count() as i64);
+        metrics_text(&self.obs)
     }
 
     /// The most recent `n` trace events, oldest first.
@@ -1110,28 +1133,26 @@ impl Server {
         )
         .map_err(|e| EngineError::Compile(e.to_string()))?;
 
-        if let Some(link) = &self.shard_link {
-            if let Some(dest) = link.remote_destination(queue, &props) {
-                if ingress == Ingress::Acked {
-                    return Err(Self::remote_home_error(queue));
-                }
-                // Whatever caused this enqueue (a failed message marked
-                // processed, a fired echo) was committed before now: the
-                // end of the log covers it.
-                let after = self.pipelined.then(|| self.store.log_end());
-                self.emit(
-                    after,
-                    Effect::Forward(crate::shard::Forwarded {
-                        dest,
-                        queue: queue.to_string(),
-                        xml: xml.to_string(),
-                        props,
-                        enqueued_at: now,
-                        via: via.to_string(),
-                    }),
-                )?;
-                return Ok(None);
+        if let Some(dest) = self.shard.remote_destination(queue, &props) {
+            if ingress == Ingress::Acked {
+                return Err(Self::remote_home_error(queue));
             }
+            // Whatever caused this enqueue (a failed message marked
+            // processed, a fired echo) was committed before now: the end
+            // of the log covers it.
+            let after = self.pipelined.then(|| self.store.log_end());
+            self.emit(
+                after,
+                Effect::Forward(crate::shard::Forwarded {
+                    dest,
+                    queue: queue.to_string(),
+                    xml: xml.to_string(),
+                    props,
+                    enqueued_at: now,
+                    via: via.to_string(),
+                }),
+            )?;
+            return Ok(None);
         }
         self.enqueue_prepared(queue, xml, Some(doc), props, now, via, ingress)
             .map(Some)
@@ -1262,8 +1283,8 @@ impl Server {
     /// waited for (`after` is `None`), else once the durable watermark
     /// covers `after`.
     fn emit(&self, after: Option<DurableTarget>, effect: Effect) -> Result<()> {
-        if let (Effect::Forward(_), Some(link)) = (&effect, &self.shard_link) {
-            link.router.announce();
+        if let Effect::Forward(_) = &effect {
+            self.shard.router.announce();
         }
         match after {
             Some(after) => {
@@ -1277,9 +1298,7 @@ impl Server {
     fn perform(&self, effect: Effect) -> Result<()> {
         match effect {
             Effect::Forward(f) => {
-                if let Some(link) = &self.shard_link {
-                    link.router.publish(f);
-                }
+                self.shard.router.publish(f);
                 Ok(())
             }
             Effect::Send(msg) => match self.gateways.send(&msg.queue, &msg) {
@@ -1358,26 +1377,21 @@ impl Server {
         Ok(())
     }
 
-    /// Insert into the scheduler, keeping the shard router's conserved
-    /// pending count (drain-termination proof, see
-    /// [`crate::shard::ShardRouter`]) in step with every accepted
-    /// insertion. All scheduling goes through here or
-    /// [`Self::sched_requeue`].
+    /// Insert into the scheduler, keeping the router's pending count
+    /// (drain-termination proof, see [`crate::shard::ShardRouter`]) in
+    /// step with every accepted insertion. All scheduling goes through
+    /// here or [`Self::sched_requeue`].
     fn sched_push(&self, msg: MsgId, queue: &str, priority: i32) {
-        if self.scheduler.push(msg, queue, priority) {
-            if let Some(link) = &self.shard_link {
-                link.router.note_scheduled();
-            }
-        }
+        self.shard
+            .router
+            .note_scheduled(|| self.scheduler.push(msg, queue, priority));
     }
 
     /// [`Self::sched_push`] for deadlock-retry requeues.
     fn sched_requeue(&self, msg: MsgId, queue: &str, priority: i32) {
-        if self.scheduler.requeue(msg, queue, priority) {
-            if let Some(link) = &self.shard_link {
-                link.router.note_scheduled();
-            }
-        }
+        self.shard
+            .router
+            .note_scheduled(|| self.scheduler.requeue(msg, queue, priority));
     }
 
     /// Register slice memberships for a freshly enqueued message: for every
@@ -1432,51 +1446,27 @@ impl Server {
         Ok(self.process_next()? || self.barrier(BarrierReason::Idle)?)
     }
 
-    /// [`Self::step`] without the idle barrier.
+    /// [`Self::step`] without the idle barrier: `Ok(false)` when nothing
+    /// was scheduled, else the outcome of processing one message. The
+    /// message leaves the router's pending count only once it is fully
+    /// dealt with, after its products were counted.
     pub(crate) fn process_next(&self) -> Result<bool> {
-        match self.pop_scheduled() {
-            Some((msg, queue)) => {
-                self.process_message(msg, &queue)?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        let Some((msg, queue)) = self.scheduler.pop() else {
+            return Ok(false);
+        };
+        self.metrics
+            .scheduler_depth
+            .set(self.scheduler.len() as i64);
+        let outcome = self.process_message(msg, &queue);
+        self.shard.router.note_done();
+        outcome.map(|()| true)
     }
 
     /// Drive everything to quiescence: process messages, pump the network,
     /// fire timers, retry reliable sends — fast-forwarding the virtual
     /// clock when idle. Returns the number of messages processed.
     pub fn run_until_idle(&self) -> Result<u64> {
-        let mut processed = 0u64;
-        loop {
-            let mut progressed = false;
-            while self.process_next()? {
-                processed += 1;
-                progressed = true;
-            }
-            if self.pump()? {
-                progressed = true;
-            }
-            // Nothing to do: the barrier. Only now, after a whole round
-            // without progress, so arrivals that overlap share one sync.
-            if progressed || self.barrier(BarrierReason::Idle)? {
-                continue;
-            }
-            // Idle: fast-forward a virtual clock to the next event.
-            if self.clock.is_virtual() {
-                match self.next_event_at() {
-                    Some(t) if t > self.clock.now() => {
-                        self.clock.set(t);
-                        continue;
-                    }
-                    Some(_) => continue,
-                    None => break,
-                }
-            } else {
-                break;
-            }
-        }
-        Ok(processed)
+        crate::shard::quiesce(std::slice::from_ref(self), &self.shard.router)
     }
 
     /// Deliver due envelopes, drain gateway inboxes, fire due timers, tick
@@ -2094,17 +2084,15 @@ impl Server {
         // owning shard instead of the local store. The caller publishes the
         // forward only after its own transaction commits, so an aborted or
         // retried trigger never double-delivers.
-        if let Some(link) = &self.shard_link {
-            if let Some(dest) = link.remote_destination(target, &props) {
-                return Ok(EnqueueOutcome::Remote(crate::shard::Forwarded {
-                    dest,
-                    queue: target.to_string(),
-                    xml: message.root().to_xml(),
-                    props,
-                    enqueued_at: now,
-                    via: rule_name.unwrap_or("").to_string(),
-                }));
-            }
+        if let Some(dest) = self.shard.remote_destination(target, &props) {
+            return Ok(EnqueueOutcome::Remote(crate::shard::Forwarded {
+                dest,
+                queue: target.to_string(),
+                xml: message.root().to_xml(),
+                props,
+                enqueued_at: now,
+                via: rule_name.unwrap_or("").to_string(),
+            }));
         }
         let payload = message.root().to_xml();
         let id = self
@@ -2398,62 +2386,15 @@ impl Server {
 
     // ---- parallel processing (benchmark E3) ----------------------------------------
 
-    /// Process everything currently schedulable using `threads` workers.
-    /// Network/timer pumping is not performed inside; call
-    /// [`Server::run_until_idle`] afterwards for gateway scenarios.
+    /// Process everything schedulable using `threads` workers, until
+    /// nothing is pending — including messages enqueued while the drain
+    /// runs. Network/timer pumping is not performed inside; call
+    /// [`Server::run_until_idle`] afterwards for gateway scenarios. On one
+    /// shard of a [`crate::shard::ShardedServer`] it returns only once the
+    /// whole fleet has drained, which one shard's workers cannot do alone:
+    /// drain a fleet through its `ShardedServer`.
     pub fn process_all_parallel(&self, threads: usize) -> Result<u64> {
-        let processed = AtomicU64::new(0);
-        let failure: parking_lot::Mutex<Option<EngineError>> = parking_lot::Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.max(1) {
-                scope.spawn(|| loop {
-                    // Claim *before* popping: a peer must never observe an
-                    // empty scheduler + zero active workers while a popped
-                    // message is still about to be processed.
-                    self.active_workers.fetch_add(1, Ordering::SeqCst);
-                    match self.scheduler.pop() {
-                        Some((msg, queue)) => {
-                            let r = self.process_message(msg, &queue);
-                            let remaining =
-                                self.active_workers.fetch_sub(1, Ordering::SeqCst) - 1;
-                            if r.is_ok() {
-                                processed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if remaining == 0 && self.scheduler.is_empty() {
-                                // Likely drained: wake parked peers so they
-                                // observe termination promptly.
-                                self.scheduler.wake_all();
-                            }
-                        }
-                        None => {
-                            // Nothing to do: the durability barrier, before
-                            // parking or leaving. Still claimed while it
-                            // runs — a released effect can schedule work (a
-                            // transport error routed to its queue).
-                            if let Err(e) = self.barrier(BarrierReason::Idle) {
-                                failure.lock().get_or_insert(e);
-                            }
-                            // Exit only when no one is mid-flight (they may
-                            // still enqueue more work).
-                            if self.active_workers.fetch_sub(1, Ordering::SeqCst) - 1 == 0
-                                && self.scheduler.is_empty()
-                            {
-                                self.scheduler.wake_all();
-                                break;
-                            }
-                            // Park until a push/requeue signals new work;
-                            // the timeout is a backstop so the termination
-                            // condition above is always re-checked.
-                            self.scheduler.park(std::time::Duration::from_millis(2));
-                        }
-                    }
-                });
-            }
-        });
-        match failure.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(processed.load(Ordering::Relaxed)),
-        }
+        crate::shard::drain(std::slice::from_ref(self), &self.shard.router, threads)
     }
 
     // ---- inspection & maintenance -----------------------------------------------------
@@ -2622,20 +2563,9 @@ impl Server {
         &self.scheduler
     }
 
-    /// Pop one scheduled message, keeping the depth gauge honest.
-    pub(crate) fn pop_scheduled(&self) -> Option<(MsgId, String)> {
-        let popped = self.scheduler.pop();
-        if popped.is_some() {
-            self.metrics
-                .scheduler_depth
-                .set(self.scheduler.len() as i64);
-        }
-        popped
-    }
-
-    /// Process one message with the standard retry-on-conflict policy.
-    pub(crate) fn process_one(&self, msg: MsgId, queue: &str) -> Result<()> {
-        self.process_message(msg, queue)
+    /// This server's entry (mailbox index) in its routing directory.
+    pub(crate) fn shard_index(&self) -> usize {
+        self.shard.shard
     }
 }
 

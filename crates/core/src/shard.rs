@@ -21,18 +21,21 @@
 //! the causal `parentMsg`/`rootMsg` system properties, so lineage chains
 //! survive the hop exactly as they do across gateway hops.
 //!
-//! A 1-shard [`ShardedServer`] degrades to today's single server: the
-//! placement maps every queue to shard 0, the routing check never fires,
-//! and message ids start at the same base.
+//! There is one runtime: a standalone [`Server`] is the only entry of its
+//! own single-shard directory, and it drains through the same two loops
+//! (`drain`, `quiesce`) as a fleet. A 1-shard [`ShardedServer`]
+//! is therefore today's single server: the placement maps every queue to
+//! shard 0, the routing check never fires, and message ids start at the
+//! same base.
 
 use crate::engine::{
-    EngineError, Server, ServerBuilder, ServerStats, TempRoot, PROVENANCE_CAPACITY,
+    metrics_text, EngineError, Server, ServerBuilder, ServerStats, PROVENANCE_CAPACITY,
 };
 use crate::host::{atomic_to_prop, cast_prop};
 use crate::properties::compute_properties;
 use crate::Result;
 use demaq_analysis::{compute_placement, stable_hash, Placement};
-use demaq_net::{Clock, Network};
+use demaq_net::Clock;
 use demaq_obs::{Counter, Lineage, Obs, ProvenanceIndex, TraceEvent};
 use demaq_qdl::QueueKind;
 use demaq_store::{MsgId, PropValue, StoreError, StoredMessage};
@@ -40,8 +43,9 @@ use demaq_xml::parse as parse_xml;
 use demaq_xquery::Atomic;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Process-stable hash of a slicing-key value: FNV-1a over the value's
 /// canonical serialized bytes (type tag + payload), so every shard — and
@@ -67,32 +71,33 @@ pub(crate) struct Forwarded {
     pub(crate) via: String,
 }
 
-/// Shared state of one sharded deployment: the routing directory and the
-/// cross-shard mailboxes.
+/// Shared state of one deployment: the routing directory and the
+/// cross-shard mailboxes. A standalone server has its own, with one entry.
 ///
 /// ## Drain-termination accounting
 ///
-/// Parallel draining terminates on a *single* conserved counter,
-/// `pending`: the number of undrained messages anywhere in the fleet —
-/// queued in a scheduler, claimed by a worker, held in a shard's durable
-/// outbox, or published in a mailbox.
+/// Draining terminates on a *single* conserved counter, `pending`: the
+/// number of undrained messages anywhere in the fleet — queued in a
+/// scheduler, claimed by a worker, held in a shard's durable outbox, or
+/// published in a mailbox. It is exact at every moment, on every path
+/// (recovery, enqueues, [`Server::step`], both loops), and nothing ever
+/// resets it, so enqueues may run concurrently with a drain: the drain
+/// takes them in.
 /// Scanning separate per-state counters (schedulers, active workers,
 /// in-flight forwards) is unsound no matter the read order: a message can
 /// migrate from a state a drainer already read as zero into one it read
 /// earlier, so every per-state snapshot can be zero while work survives.
 /// One counter has no such window. Every handoff counts the destination
-/// before releasing the source: a product is registered at scheduler
-/// insertion / forward announcement *before* its producer's decrement, an
-/// ingested forward at scheduler insertion before [`Self::settle`], so
-/// `pending` never dips to zero while work exists — and a single atomic
-/// read of zero is a sound termination proof.
+/// before releasing the source: a scheduler insertion is counted before
+/// the message can be popped, a product at scheduler insertion / forward
+/// announcement *before* its producer's decrement, an ingested forward at
+/// scheduler insertion before [`Self::settle`], so `pending` never dips to
+/// zero while work exists — and a single atomic read of zero is a sound
+/// termination proof.
 pub(crate) struct ShardRouter {
     placement: Placement,
     mailboxes: Vec<Mutex<VecDeque<Forwarded>>>,
-    /// Undrained messages fleet-wide (see struct docs). Snapshot-reset at
-    /// the start of each parallel drain; scheduler insertions elsewhere
-    /// (recovery, external enqueues, single-threaded runs) may leave it
-    /// stale in between, which the reset makes harmless.
+    /// Undrained messages fleet-wide (see struct docs).
     pending: AtomicUsize,
     forwards_total: Counter,
     ingest_errors: Counter,
@@ -128,17 +133,21 @@ impl ShardRouter {
         self.mailboxes[f.dest].lock().push_back(f);
     }
 
-    /// A message was inserted into some shard's scheduler (called from the
-    /// engine on every accepted push/requeue).
-    pub(crate) fn note_scheduled(&self) {
+    /// Insert a message into some shard's scheduler (`insert` reports
+    /// whether it was accepted). Counted *before* the insertion: once in
+    /// the scheduler a worker may pop, process and release it at once. A
+    /// rejected duplicate takes its count back.
+    pub(crate) fn note_scheduled(&self, insert: impl FnOnce() -> bool) {
         self.pending.fetch_add(1, Ordering::SeqCst);
+        if !insert() {
+            self.release_one();
+        }
     }
 
     /// A claimed message is fully dealt with (processed, errored out, or
-    /// abandoned); its products were already counted. Returns the
-    /// remaining pending count.
-    fn note_done(&self) -> usize {
-        self.pending.fetch_sub(1, Ordering::SeqCst) - 1
+    /// abandoned); its products were already counted.
+    pub(crate) fn note_done(&self) {
+        self.release_one();
     }
 
     fn take(&self, shard: usize) -> Option<Forwarded> {
@@ -151,25 +160,40 @@ impl ShardRouter {
     /// work is visible in the destination's scheduler count before this
     /// decrement.
     fn settle(&self) {
-        self.pending.fetch_sub(1, Ordering::SeqCst);
+        self.release_one();
     }
 
     fn mailbox_empty(&self, shard: usize) -> bool {
         self.mailboxes[shard].lock().is_empty()
     }
 
-    fn mailbox_len(&self, shard: usize) -> usize {
-        self.mailboxes[shard].lock().len()
+    fn release_one(&self) {
+        let before = self.pending.fetch_sub(1, Ordering::SeqCst);
+        debug_assert_ne!(before, 0, "pending count released below zero");
+    }
+
+    /// Whether nothing is pending anywhere in the fleet.
+    fn drained(&self) -> bool {
+        self.pending.load(Ordering::SeqCst) == 0
     }
 }
 
 /// One shard's handle to the router (stored in its [`Server`]).
+#[derive(Clone)]
 pub(crate) struct ShardLink {
     pub(crate) shard: usize,
     pub(crate) router: Arc<ShardRouter>,
 }
 
 impl ShardLink {
+    /// The only entry of a standalone server's own directory.
+    pub(crate) fn standalone(obs: &Obs) -> ShardLink {
+        ShardLink {
+            shard: 0,
+            router: Arc::new(ShardRouter::new(Placement::single(), obs)),
+        }
+    }
+
     /// `Some(dest)` when a message with these properties entering `queue`
     /// is homed on a *different* shard than this one.
     pub(crate) fn remote_destination(
@@ -188,7 +212,6 @@ impl ShardLink {
         let dest = p.route(queue, key);
         (dest != self.shard).then_some(dest)
     }
-
 }
 
 /// Builder for [`ShardedServer`] — obtained from
@@ -218,11 +241,8 @@ impl ShardedServerBuilder {
 
     /// Compile the application once, derive the placement from its flow
     /// graph, and open one store per shard (subdirectories `shard-0` …
-    /// `shard-N-1` of the configured directory).
-    ///
-    /// Note that `.in_memory()` is downgraded here: sharded stores are
-    /// always on-disk, under a temp directory that lives exactly as long
-    /// as the returned [`ShardedServer`].
+    /// `shard-N-1` of the configured directory, or with `.in_memory()` a
+    /// throwaway directory each).
     pub fn build(self) -> Result<ShardedServer> {
         let shards = self.shards;
         let mut base = self.base;
@@ -242,37 +262,9 @@ impl ShardedServerBuilder {
         // Shared infrastructure: one metric registry + trace ring, one
         // clock, one simulated network, one causal index — so a sharded
         // deployment reads exactly like a single server from the outside.
-        let obs = base.obs.clone().unwrap_or_else(|| match base.trace_capacity {
-            Some(events) => Obs::with_trace_capacity(events),
-            None => Obs::new(),
-        });
-        base.obs = Some(Arc::clone(&obs));
-        let clock = match (&base.clock, &base.network) {
-            (Some(c), _) => c.clone(),
-            (None, Some(net)) => net.clock().clone(),
-            (None, None) => Clock::virtual_at(base.start_time_ms),
-        };
-        base.clock = Some(clock.clone());
-        if base.network.is_none() {
-            base.network = Some(Arc::new(Network::new(clock.clone(), base.seed)));
-        }
-        base.shared_provenance = Some(Arc::new(ProvenanceIndex::new(PROVENANCE_CAPACITY)));
-
-        // `.in_memory()` has no sharded equivalent (each shard needs its
-        // own WAL + heap files), so it downgrades to real on-disk stores
-        // under a process-temp root. The root is removed again when the
-        // `ShardedServer` is dropped.
-        let mut temp_root = None;
-        let root = match (&base.dir, base.in_memory) {
-            (Some(d), _) => d.clone(),
-            (None, true) => temp_root.insert(TempRoot::new("demaq-sharded")).0.clone(),
-            (None, false) => {
-                return Err(EngineError::Config(
-                    "choose a store directory with .dir(..) or .in_memory()".into(),
-                ))
-            }
-        };
-        base.in_memory = false;
+        let (obs, clock, _) = base.pin_environment();
+        let provenance = Arc::new(ProvenanceIndex::new(PROVENANCE_CAPACITY));
+        base.shared_provenance = Some(Arc::clone(&provenance));
 
         // Home every incoming gateway on exactly one shard: two shards
         // listening on the same transport address would both claim
@@ -289,15 +281,16 @@ impl ShardedServerBuilder {
         let mut servers = Vec::with_capacity(shards);
         for (i, homes) in incoming_homes.into_iter().enumerate() {
             let mut b = base.clone();
-            b.dir = Some(root.join(format!("shard-{i}")));
+            // Each shard needs its own WAL and heap files.
+            b.dir = base.dir.as_ref().map(|root| root.join(format!("shard-{i}")));
             // Shard-unique id spaces without coordination; shard 0 keeps
             // base 0 so a 1-shard deployment allocates the same ids as a
             // plain server.
             b.msg_id_base = (i as u64) << 48;
-            b.shard_link = Some(Arc::new(ShardLink {
+            b.shard_link = Some(ShardLink {
                 shard: i,
                 router: Arc::clone(&router),
-            }));
+            });
             b.incoming_gateways = Some(homes);
             if i > 0 {
                 // Reliable-messaging ack receivers register under the
@@ -312,7 +305,7 @@ impl ShardedServerBuilder {
             clock,
             obs,
             placement,
-            _temp_root: temp_root,
+            provenance,
         })
     }
 }
@@ -320,17 +313,14 @@ impl ShardedServerBuilder {
 /// N engine shards behind one routing directory. The public surface
 /// mirrors [`Server`]: external enqueues route to the owning shard,
 /// inspection merges across shards, metrics/traces/lineage come from the
-/// shared observability context.
+/// shared observability context and causal index.
 pub struct ShardedServer {
     shards: Vec<Server>,
     router: Arc<ShardRouter>,
     clock: Clock,
     obs: Arc<Obs>,
     placement: Placement,
-    /// Set when `.in_memory()` was downgraded to on-disk stores under a
-    /// process-temp root (see [`ShardedServerBuilder::build`]). Must stay
-    /// the last field, after `shards` (see [`TempRoot`]).
-    _temp_root: Option<TempRoot>,
+    provenance: Arc<ProvenanceIndex>,
 }
 
 impl ShardedServer {
@@ -418,92 +408,15 @@ impl ShardedServer {
     /// fast-forwarding the shared virtual clock when idle. Returns the
     /// number of messages processed.
     pub fn run_until_idle(&self) -> Result<u64> {
-        let mut processed = 0u64;
-        loop {
-            let mut progressed = false;
-            for (i, s) in self.shards.iter().enumerate() {
-                while let Some(f) = self.router.take(i) {
-                    let r = s.ingest_forwarded(&f);
-                    self.router.settle();
-                    r?;
-                    progressed = true;
-                }
-                while s.process_next()? {
-                    processed += 1;
-                    progressed = true;
-                }
-                if s.pump()? {
-                    progressed = true;
-                }
-            }
-            if progressed {
-                continue;
-            }
-            // Nothing to do anywhere: the durability barrier on every
-            // shard. Released forwards are the next round's work.
-            for s in &self.shards {
-                if s.durability_barrier()? {
-                    progressed = true;
-                }
-            }
-            if progressed {
-                continue;
-            }
-            if self.clock.is_virtual() {
-                let next = self.shards.iter().filter_map(|s| s.next_event_at()).min();
-                match next {
-                    Some(t) if t > self.clock.now() => self.clock.set(t),
-                    Some(_) => {}
-                    None => break,
-                }
-            } else {
-                break;
-            }
-        }
-        Ok(processed)
+        quiesce(&self.shards, &self.router)
     }
 
-    /// Process everything currently schedulable with `threads_per_shard`
-    /// workers pinned to each shard. Workers drain their own shard's
-    /// scheduler and mailbox; the fleet terminates when the router's
-    /// conserved pending count (see [`ShardRouter`]) reaches zero — a
-    /// message may hop shards arbitrarily often before that.
-    /// Network/timer pumping is not performed inside; call
+    /// Process everything schedulable with `threads_per_shard` workers
+    /// pinned to each shard, until nothing is pending fleet-wide (see
+    /// `drain`). Network/timer pumping is not performed inside; call
     /// [`Self::run_until_idle`] afterwards for gateway scenarios.
-    ///
-    /// A forward whose ingest fails permanently on its destination shard
-    /// is abandoned *loudly*: the fleet still drains everything else, and
-    /// the first such error is returned.
     pub fn process_all_parallel(&self, threads_per_shard: usize) -> Result<u64> {
-        let processed = AtomicU64::new(0);
-        let failure: Mutex<Option<EngineError>> = Mutex::new(None);
-        let tps = threads_per_shard.max(1);
-        // Exact snapshot of outstanding work before any worker starts:
-        // everything scheduled plus any leftover mailbox items. External
-        // enqueues concurrent with the drain are not supported (as
-        // before), so this is the whole initial population.
-        let initial: usize = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.sched().len() + self.router.mailbox_len(i))
-            .sum();
-        self.router.pending.store(initial, Ordering::SeqCst);
-        std::thread::scope(|scope| {
-            for i in 0..self.shards.len() {
-                for _ in 0..tps {
-                    let shards = &self.shards;
-                    let router = &self.router;
-                    let processed = &processed;
-                    let failure = &failure;
-                    scope.spawn(move || drain_worker(shards, i, router, processed, failure));
-                }
-            }
-        });
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
-        }
-        Ok(processed.load(Ordering::Relaxed))
+        drain(&self.shards, &self.router, threads_per_shard)
     }
 
     /// Payload strings of all retained messages of a queue, merged across
@@ -528,22 +441,22 @@ impl ShardedServer {
     /// Causal lineage of a message — the index is shared across shards,
     /// so chains that hop shards resolve from anywhere.
     pub fn lineage(&self, msg: MsgId) -> Lineage {
-        self.shards[0].lineage(msg)
+        self.provenance.lineage(msg.0)
     }
 
     /// The shared causal provenance index.
     pub fn provenance(&self) -> &ProvenanceIndex {
-        self.shards[0].provenance()
+        &self.provenance
     }
 
     /// Statistics over the shared metric registry (covers all shards).
     pub fn stats(&self) -> ServerStats {
-        self.shards[0].stats()
+        ServerStats::of(&self.obs)
     }
 
     /// Prometheus-style rendering of the shared registry.
     pub fn metrics_text(&self) -> String {
-        self.shards[0].metrics_text()
+        metrics_text(&self.obs)
     }
 
     /// The shared observability context.
@@ -553,7 +466,7 @@ impl ShardedServer {
 
     /// Tail of the shared trace ring.
     pub fn trace_tail(&self, n: usize) -> Vec<TraceEvent> {
-        self.shards[0].trace_tail(n)
+        self.obs.tracer.tail(n)
     }
 
     /// Run retention GC on every shard; returns total messages purged.
@@ -580,99 +493,187 @@ impl ShardedServer {
     }
 }
 
-/// One pinned drain worker: land forwards, process own scheduler, park
-/// when idle until the whole fleet has drained (`pending == 0`).
-fn drain_worker(
+/// The one drain loop, for a fleet and for a standalone server alike:
+/// process everything schedulable on `shards` with `workers_per_shard`
+/// workers pinned to each, until the router's pending count (see
+/// [`ShardRouter`]) reaches zero. A message may hop shards arbitrarily
+/// often before that, and messages enqueued while the drain runs are
+/// drained too, up to the first moment nothing is pending. A forward whose
+/// ingest fails permanently on its destination shard is abandoned
+/// *loudly*: the fleet still drains everything else, and the first such
+/// error is returned.
+pub(crate) fn drain(
     shards: &[Server],
-    me: usize,
     router: &ShardRouter,
-    processed: &AtomicU64,
-    failure: &Mutex<Option<EngineError>>,
-) {
-    let s = &shards[me];
-    loop {
-        // Land forwarded messages first so cross-shard work is scheduled
-        // before the idle check below can observe a drained fleet.
-        while let Some(f) = router.take(me) {
-            land_forward(s, router, &f, failure);
-        }
-        match s.pop_scheduled() {
-            Some((msg, queue)) => {
-                // A claimed message stays counted in `pending` until after
-                // processing: its products (scheduler insertions, forward
-                // publications) are counted inside `process_one`, so the
-                // decrement below can never expose a transient zero.
-                let r = s.process_one(msg, &queue);
-                if r.is_ok() {
-                    processed.fetch_add(1, Ordering::Relaxed);
-                }
-                if router.note_done() == 0 {
-                    // Fleet drained: wake parked peers on every shard so
-                    // they observe termination without waiting out the
-                    // park timeout.
-                    for t in shards {
-                        t.sched().wake_all();
-                    }
-                }
-            }
-            None => {
-                if !router.mailbox_empty(me) {
-                    continue;
-                }
-                // Nothing to do: the durability barrier, before parking or
-                // leaving. Forwards it releases are already counted in
-                // `pending`, so the fleet cannot terminate under them.
-                match s.durability_barrier() {
-                    Ok(false) => {}
-                    Ok(true) => continue,
-                    Err(e) => {
-                        failure.lock().get_or_insert(e);
-                    }
-                }
-                if router.pending.load(Ordering::SeqCst) == 0 {
-                    for t in shards {
-                        t.sched().wake_all();
-                    }
-                    break;
-                }
-                // Park until a push/requeue signals new work; the timeout
-                // is a backstop re-checking mailboxes and termination.
-                s.sched().park(std::time::Duration::from_millis(2));
+    workers_per_shard: usize,
+) -> Result<u64> {
+    let drain = Drain {
+        shards,
+        router,
+        processed: AtomicU64::new(0),
+        failure: Mutex::new(None),
+        ended: AtomicBool::new(false),
+    };
+    std::thread::scope(|scope| {
+        for s in shards {
+            for _ in 0..workers_per_shard.max(1) {
+                let drain = &drain;
+                scope.spawn(move || drain.work(s));
             }
         }
+    });
+    match drain.failure.into_inner() {
+        Some(e) => Err(e),
+        None => Ok(drain.processed.into_inner()),
     }
 }
 
-/// Ingest one forwarded message on its destination shard. The producing
-/// transaction already committed on the source shard, so this must not
-/// silently drop: lock conflicts (the only failures that are both
-/// transient and safely retryable — they abort before anything commits)
-/// are retried with backoff; any other error is recorded for
-/// [`ShardedServer::process_all_parallel`] to return, and the forward is
-/// abandoned with its pending count released so the fleet still drains.
-fn land_forward(
-    s: &Server,
-    router: &ShardRouter,
-    f: &Forwarded,
-    failure: &Mutex<Option<EngineError>>,
-) {
+/// What the workers of one [`drain`] share.
+struct Drain<'a> {
+    shards: &'a [Server],
+    router: &'a ShardRouter,
+    processed: AtomicU64,
+    failure: Mutex<Option<EngineError>>,
+    /// Set when the first worker leaves. Its read of `pending == 0` ends
+    /// the drain for every worker: an enqueue may land on its shard right
+    /// after, and a peer must not wait for work nobody is left to do.
+    ended: AtomicBool,
+}
+
+impl Drain<'_> {
+    /// One pinned worker: land forwards, process its shard's scheduler,
+    /// park when idle until the fleet has drained.
+    fn work(&self, s: &Server) {
+        let _leave = Leave(self);
+        let me = s.shard_index();
+        loop {
+            // Land forwarded messages first so cross-shard work is
+            // scheduled before the idle check below can observe a drained
+            // fleet.
+            while let Some(f) = self.router.take(me) {
+                if let Err(e) = land_forward(s, self.router, &f) {
+                    self.failure.lock().get_or_insert(e);
+                }
+            }
+            match s.process_next() {
+                Ok(false) => {}
+                outcome => {
+                    if outcome.is_ok() {
+                        self.processed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if self.router.drained() {
+                        self.wake_all();
+                    }
+                    continue;
+                }
+            }
+            if !self.router.mailbox_empty(me) {
+                continue;
+            }
+            // Nothing to do: the durability barrier, before parking or
+            // leaving. Forwards it releases are already counted in
+            // `pending`, so the fleet cannot terminate under them.
+            match s.durability_barrier() {
+                Ok(false) => {}
+                Ok(true) => continue,
+                Err(e) => {
+                    self.failure.lock().get_or_insert(e);
+                }
+            }
+            if self.ended.load(Ordering::SeqCst) || self.router.drained() {
+                return;
+            }
+            // Park until a push/requeue signals new work; the timeout is a
+            // backstop re-checking mailboxes and termination.
+            s.sched().park(Duration::from_millis(2));
+        }
+    }
+
+    /// Wake parked workers on every shard so they observe termination
+    /// without waiting out the park timeout.
+    fn wake_all(&self) {
+        self.shards.iter().for_each(|t| t.sched().wake_all());
+    }
+}
+
+/// A worker leaving ends the drain — also when it leaves by panicking, so
+/// its peers stop and the panic reaches the caller.
+struct Leave<'a, 'b>(&'a Drain<'b>);
+
+impl Drop for Leave<'_, '_> {
+    fn drop(&mut self) {
+        self.0.ended.store(true, Ordering::SeqCst);
+        self.0.wake_all();
+    }
+}
+
+/// The one run-until-idle loop, for a fleet and for a standalone server
+/// alike: land forwards, process messages and pump each shard's network
+/// machinery single-threaded, fast-forwarding the shared virtual clock
+/// when idle. Returns the number of messages processed.
+pub(crate) fn quiesce(shards: &[Server], router: &ShardRouter) -> Result<u64> {
+    let clock = shards[0].clock();
+    let mut processed = 0u64;
+    loop {
+        let mut progressed = false;
+        for s in shards {
+            while let Some(f) = router.take(s.shard_index()) {
+                land_forward(s, router, &f)?;
+                progressed = true;
+            }
+            while s.process_next()? {
+                processed += 1;
+                progressed = true;
+            }
+            progressed |= s.pump()?;
+        }
+        if progressed {
+            continue;
+        }
+        // Nothing to do anywhere: the durability barrier on every shard —
+        // only now, after a whole round without progress, so arrivals that
+        // overlap share one sync. What it releases is the next round's work.
+        for s in shards {
+            progressed |= s.durability_barrier()?;
+        }
+        if progressed {
+            continue;
+        }
+        // Idle: fast-forward a virtual clock to the next event.
+        if !clock.is_virtual() {
+            break;
+        }
+        match shards.iter().filter_map(Server::next_event_at).min() {
+            Some(t) if t > clock.now() => clock.set(t),
+            Some(_) => {}
+            None => break,
+        }
+    }
+    Ok(processed)
+}
+
+/// Ingest one forwarded message on its destination shard, then settle it.
+/// The producing transaction already committed on the source shard, so
+/// this must not silently drop: lock conflicts (the only failures that are
+/// both transient and safely retryable — they abort before anything
+/// commits) are retried with backoff; any other error is counted and
+/// returned, and the forward is abandoned with its pending count released
+/// so the fleet still drains.
+fn land_forward(s: &Server, router: &ShardRouter, f: &Forwarded) -> Result<()> {
     let mut result = s.ingest_forwarded(f);
     for attempt in 0..3u32 {
         match &result {
             Err(EngineError::Store(StoreError::Deadlock))
             | Err(EngineError::Store(StoreError::LockTimeout)) => {
-                std::thread::sleep(std::time::Duration::from_micros(100 << attempt));
+                std::thread::sleep(Duration::from_micros(100 << attempt));
                 result = s.ingest_forwarded(f);
             }
             _ => break,
         }
     }
-    if let Err(e) = result {
+    if result.is_err() {
         router.ingest_errors.inc();
-        let mut slot = failure.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
     }
     router.settle();
+    result.map(drop)
 }

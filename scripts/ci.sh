@@ -30,6 +30,10 @@ DEMAQ_CRASH_ITERS=100 cargo test --offline -p demaq-store --test crash_recovery 
 # fsync-always, killed mid-pipeline; no forward or send may ever show
 # without the commit that produced it.
 DEMAQ_CRASH_ITERS=100 cargo test --offline -p demaq-suite --test durability_pipeline -- --nocapture crash
+# Enqueues racing parallel drains on two shards: every output exactly once,
+# every drain returns, and the pending count never goes below zero.
+DEMAQ_RACE_ROUNDS=100 cargo test --offline -p demaq-suite --test differential_sharded \
+    -- --nocapture concurrent_feed_during_parallel_drain_is_exactly_once
 
 # Smoke runs report into target/bench/; start empty, so the schema gate
 # below only ever sees what this run wrote.

@@ -460,6 +460,75 @@ fn single_shard_is_bit_identical_to_server() {
     }
 }
 
+/// `ShardedServer::stats` reads the fleet's shared registry: `processed`
+/// counts the messages processed on both shards together.
+#[test]
+fn fleet_stats_count_processing_on_every_shard() {
+    const N: usize = 40;
+    let s2 = sharded(REKEY, 2);
+    for i in 0..N {
+        let xml = format!("<job n='{i}'/>");
+        s2.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
+    }
+    let drained = s2.process_all_parallel(1).unwrap();
+    let per_shard: Vec<u64> = (0..s2.num_shards())
+        .map(|i| {
+            let shard = s2.shard(i);
+            assert!(shard.store().unprocessed().is_empty(), "shard {i} not drained");
+            ["intake", "enriched", "done"]
+                .iter()
+                .map(|q| shard.queue_messages(q).unwrap().len() as u64)
+                .sum()
+        })
+        .collect();
+    assert!(per_shard.iter().all(|&n| n > 0), "a shard processed nothing: {per_shard:?}");
+    assert_eq!(s2.stats().processed, per_shard.iter().sum::<u64>());
+    assert_eq!(s2.stats().processed, drained);
+}
+
+/// Enqueues racing parallel drains: a feeder enqueues keyed jobs on a
+/// 2-shard deployment while another thread loops `process_all_parallel(1)`,
+/// then a final drain runs. The fleet's pending count is exact at every
+/// moment, so every drain returns, the count never goes below zero (a
+/// debug assertion), and every job's output appears exactly once.
+/// `DEMAQ_RACE_ROUNDS` sets the number of rounds.
+#[test]
+fn concurrent_feed_during_parallel_drain_is_exactly_once() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const N: usize = 60;
+    let rounds: usize = std::env::var("DEMAQ_RACE_ROUNDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(3);
+    let mut expected: Vec<String> = (0..N).map(|i| format!("<done>{i}</done>")).collect();
+    expected.sort();
+    for round in 0..rounds {
+        let server = sharded(REKEY, 2);
+        let fed = AtomicBool::new(false);
+        let drained = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..N {
+                    let xml = format!("<job n='{i}'/>");
+                    server.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
+                }
+                fed.store(true, Ordering::SeqCst);
+            });
+            s.spawn(|| {
+                while !fed.load(Ordering::SeqCst) {
+                    let n = server.process_all_parallel(1).unwrap();
+                    drained.fetch_add(n, Ordering::Relaxed);
+                }
+            });
+        });
+        let total = drained.into_inner() + server.process_all_parallel(1).unwrap();
+        assert_eq!(total, (3 * N) as u64, "round {round}: drains processed {total}");
+        let mut done = server.queue_bodies("done").unwrap();
+        done.sort();
+        assert_eq!(done, expected, "round {round}: outputs not exactly once");
+    }
+}
+
 // ---- crash recovery -----------------------------------------------------
 
 const CRASH_SHARDS: usize = 4;
