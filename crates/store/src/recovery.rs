@@ -19,6 +19,7 @@ use crate::error::Result;
 use crate::heap::{HeapFile, RecordId};
 use crate::pager::{BufferPool, PageId};
 use crate::store::{LineageSlot, Logical};
+use crate::txn::TxnOp;
 use crate::types::{Lsn, PayloadBytes};
 use crate::wal::{read_log, LogRecord};
 use demaq_obs::Obs;
@@ -156,76 +157,61 @@ pub fn recover(dir: &Path, _pool: &BufferPool, heap: &HeapFile, obs: &Obs) -> Re
             })
             .collect();
         // Pass 2: replay committed effects in order.
-        for (lsn, rec) in &records {
+        for (lsn, rec) in records {
             if let Some(txn) = rec.txn() {
                 next_txn = next_txn.max(txn.0 + 1);
                 if !committed.contains(&txn) {
                     continue;
                 }
             }
-            match rec {
-                LogRecord::Enqueue {
+            let LogRecord::Op { op, .. } = rec else {
+                continue;
+            };
+            match op {
+                TxnOp::Enqueue {
                     queue,
                     msg,
                     payload,
                     props,
                     enqueued_at,
-                    ..
                 } => {
                     next_msg = next_msg.max(msg.0 + 1);
-                    if logical.has_message(*msg) {
+                    if logical.has_message(msg) {
                         continue; // already captured by the snapshot
                     }
-                    // Share the decoded record's payload handle; heap
+                    // Take the decoded record's payload handle; heap
                     // materialization is deferred to the next checkpoint
                     // cut, exactly as on the live commit path. Until then
                     // the surviving WAL segment keeps the bytes durable.
-                    logical.insert_message(
-                        *msg,
-                        queue.clone(),
-                        None,
-                        payload.clone(),
-                        props.clone(),
-                        false,
-                        *enqueued_at,
-                    );
+                    logical.insert_message(msg, queue, None, payload, props, false, enqueued_at);
                 }
-                LogRecord::MarkProcessed { msg, .. } => logical.mark_processed(*msg),
-                LogRecord::SliceAdd {
-                    slicing, key, msg, ..
-                } => {
-                    if logical.has_message(*msg) {
-                        logical.slices.add(slicing, key, *msg);
+                TxnOp::MarkProcessed { msg } => logical.mark_processed(msg),
+                TxnOp::SliceAdd { slicing, key, msg } => {
+                    if logical.has_message(msg) {
+                        logical.slices.add(&slicing, &key, msg);
                     }
                 }
-                LogRecord::SliceReset { slicing, key, .. } => {
-                    logical.slices.reset(slicing, key);
+                TxnOp::SliceReset { slicing, key } => {
+                    logical.slices.reset(&slicing, &key);
                 }
-                LogRecord::Lineage {
+                TxnOp::Lineage {
                     msg,
                     parent,
                     root,
                     rule,
                     queue,
-                    ..
                 } => {
-                    if logical.has_message(*msg) {
-                        logical.lineage.insert(
-                            *msg,
-                            LineageSlot {
-                                parent: *parent,
-                                root: *root,
-                                rule: rule.clone(),
-                                queue: queue.clone(),
-                                lsn: Some(*lsn),
-                            },
-                        );
+                    if logical.has_message(msg) {
+                        let slot = LineageSlot {
+                            parent,
+                            root,
+                            rule,
+                            queue,
+                            lsn: Some(lsn),
+                        };
+                        logical.lineage.insert(msg, slot);
                     }
                 }
-                LogRecord::Begin { .. }
-                | LogRecord::Commit { .. }
-                | LogRecord::Abort { .. }
-                | LogRecord::Checkpoint { .. } => {}
             }
         }
     }

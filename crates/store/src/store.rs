@@ -61,13 +61,6 @@ pub struct StoreOptions {
     /// Group commit: how long a sync leader waits for more committers to
     /// join its batch before fsyncing.
     pub group_commit_max_wait: Duration,
-    /// Batched logical apply: committers enqueue their post-WAL apply work
-    /// (still in WAL order) and the first to arrive applies the whole
-    /// pending batch under one `state` lock acquisition, bumping the slice
-    /// version clock once per batch — the logical-apply analogue of group
-    /// commit. `false` reverts to applying inline under the commit-order
-    /// mutex (the pre-batching baseline, kept for A/B crash testing).
-    pub batched_apply: bool,
     /// Lowest message id this store may assign (exclusive base). A sharded
     /// deployment gives each shard a disjoint id range (e.g. shard *i*
     /// starts at `i << 48`) so ids stay globally unique across stores and
@@ -90,7 +83,6 @@ impl StoreOptions {
             lock_timeout: Duration::from_secs(5),
             group_commit_max_batch: gc.max_batch,
             group_commit_max_wait: gc.max_wait,
-            batched_apply: true,
             msg_id_base: 0,
             obs: None,
         }
@@ -306,13 +298,11 @@ pub struct MessageStore {
     /// stays valid against the old segment).
     wal: Mutex<Arc<LogWriter>>,
     wal_index: AtomicU64,
-    /// Sequences Phase 1 (WAL append) of `commit` — and, under batched
-    /// apply, the handoff of the logical-apply job to the batch queue — as
-    /// one atomic step, so WAL replay order always equals runtime apply
-    /// order. With `batched_apply` off, Phase 2 (logical apply) runs under
-    /// it too. Checkpoints take it (and drain the apply queue) so a commit
-    /// can never be caught between its WAL records and its in-memory
-    /// effects while a snapshot is cut.
+    /// Sequences Phase 1 (WAL append) of `commit` and the handoff of the
+    /// logical-apply job to the batch queue as one atomic step, so WAL
+    /// replay order always equals runtime apply order. Checkpoints take it
+    /// (and drain the apply queue) so a commit can never be caught between
+    /// its WAL records and its in-memory effects while a snapshot is cut.
     /// Lock order: `maintenance` → `commit_order` → `state` → `wal`;
     /// `apply` is only held briefly and never while waiting for `state`.
     commit_order: Mutex<()>,
@@ -336,12 +326,9 @@ pub struct MessageStore {
 /// One committed transaction's logical-apply work, queued (in WAL order)
 /// for the batch-apply leader.
 struct ApplyJob {
-    /// Position in the global apply sequence (assigned under
-    /// `commit_order`, so contiguous and in WAL order).
-    seq: u64,
     buf: TxnBuf,
     /// LSN of each lineage record appended in Phase 1.
-    lineage_lsns: HashMap<MsgId, Lsn>,
+    lineage_lsns: Vec<(MsgId, Lsn)>,
 }
 
 /// Shared state of the batch-apply coordinator (leader/follower, modeled
@@ -349,14 +336,13 @@ struct ApplyJob {
 struct ApplyState {
     /// Jobs appended under `commit_order` — FIFO order is WAL order.
     jobs: VecDeque<ApplyJob>,
-    /// Next sequence number to assign.
+    /// Sequence number of the next job pushed (assigned under
+    /// `commit_order`, so contiguous and in WAL order).
     next_seq: u64,
     /// Every job with `seq < applied_seq` has been applied.
     applied_seq: u64,
     /// A leader is currently applying a batch under the state lock.
     leader_active: bool,
-    /// Apply errors waiting to be claimed by their committer.
-    failed: HashMap<u64, StoreError>,
     /// Persistence flag of enqueues that are WAL-logged but not yet
     /// applied — lets Phase-1 classification of a later transaction see
     /// messages whose apply job is still queued.
@@ -370,7 +356,6 @@ impl ApplyState {
             next_seq: 0,
             applied_seq: 0,
             leader_active: false,
-            failed: HashMap::new(),
             pending_persistent: HashMap::new(),
         }
     }
@@ -646,20 +631,17 @@ impl MessageStore {
     /// segment the transaction was logged to and its durable target
     /// (`None` when it had no persistent effects).
     ///
-    /// Phase 1 (WAL append) runs under the `commit_order` mutex. With
-    /// batched apply (the default), the logical-apply job is pushed onto
-    /// the apply queue *under the same mutex* — so queue order equals WAL
-    /// order — and Phase 2 happens through the batch-apply coordinator
-    /// ([`apply_wait`](Self::apply_wait)): one leader applies every queued
-    /// job under a single `state` lock acquisition. With batching off,
-    /// Phase 2 runs inline under `commit_order` (the original design).
-    /// Either way, the order effects become visible is exactly the order
+    /// Phase 1 (WAL append) runs under the `commit_order` mutex, and the
+    /// logical-apply job is pushed onto the apply queue *under the same
+    /// mutex* — so queue order equals WAL order. Phase 2 happens through
+    /// the batch-apply coordinator ([`apply_wait`](Self::apply_wait)): one
+    /// leader applies every queued job under a single `state` lock
+    /// acquisition. The order effects become visible is exactly the order
     /// of commit records in the WAL — replay order equals runtime order.
     fn commit_apply(&self, txn: TxnId) -> Result<Option<(Arc<LogWriter>, DurableTarget)>> {
         let buf = self.txns.lock().remove(&txn).ok_or(StoreError::TxnClosed)?;
         let mut logged: Option<(Arc<LogWriter>, DurableTarget)> = None;
-        let mut apply_seq: Option<u64> = None;
-        {
+        let seq = {
             let _order = self.commit_order.lock();
             // Phase 1: write-ahead logging (persistent effects only).
             // Enqueue persistence is remembered for the batch queue so a
@@ -684,108 +666,42 @@ impl MessageStore {
             drop(state);
             // LSN of each lineage record appended in Phase 1, consumed by
             // Phase 2 so the in-memory lineage carries its durable LSN.
-            let mut lineage_lsns: HashMap<MsgId, Lsn> = HashMap::new();
+            let mut lineage_lsns = Vec::new();
             if !persistent_ops.is_empty() {
                 // Segment and index cannot change under us: the checkpoint
                 // cut swaps them while holding `commit_order`.
                 let (wal, segment) = self.current_wal();
-                wal.append(&LogRecord::Begin { txn })?;
-                for op in persistent_ops {
-                    let rec = match op {
-                        TxnOp::Enqueue {
-                            queue,
-                            msg,
-                            payload,
-                            props,
-                            enqueued_at,
-                        } => LogRecord::Enqueue {
-                            txn,
-                            queue: queue.clone(),
-                            msg: *msg,
-                            // Refcount bump — the record shares the
-                            // enqueuer's buffer instead of copying it.
-                            payload: payload.clone(),
-                            props: props.clone(),
-                            enqueued_at: *enqueued_at,
-                        },
-                        TxnOp::MarkProcessed { msg } => LogRecord::MarkProcessed { txn, msg: *msg },
-                        TxnOp::SliceAdd { slicing, key, msg } => LogRecord::SliceAdd {
-                            txn,
-                            slicing: slicing.clone(),
-                            key: key.clone(),
-                            msg: *msg,
-                        },
-                        TxnOp::SliceReset { slicing, key } => LogRecord::SliceReset {
-                            txn,
-                            slicing: slicing.clone(),
-                            key: key.clone(),
-                        },
-                        TxnOp::Lineage {
-                            msg,
-                            parent,
-                            root,
-                            rule,
-                            queue,
-                        } => LogRecord::Lineage {
-                            txn,
-                            msg: *msg,
-                            parent: *parent,
-                            root: *root,
-                            rule: rule.clone(),
-                            queue: queue.clone(),
-                        },
-                    };
-                    let lsn = wal.append(&rec)?;
-                    if let LogRecord::Lineage { msg, .. } = &rec {
-                        lineage_lsns.insert(*msg, lsn);
-                    }
-                }
-                let (_lsn, offset) = wal.append_commit(txn)?;
+                let (offset, lsns) = wal.append_txn(txn, &persistent_ops)?;
+                lineage_lsns = lsns;
                 logged = Some((wal, DurableTarget { segment, offset }));
             }
-            if self.opts.batched_apply {
-                // Phase 2 handoff: enqueue the apply job while still under
-                // `commit_order` — FIFO position equals WAL position.
-                let mut apply = self.apply.lock();
-                let seq = apply.next_seq;
-                apply.next_seq += 1;
-                for (msg, persistent) in enqueue_flags {
-                    apply.pending_persistent.insert(msg, persistent);
-                }
-                apply.jobs.push_back(ApplyJob {
-                    seq,
-                    buf,
-                    lineage_lsns,
-                });
-                apply_seq = Some(seq);
-            } else {
-                // Phase 2 inline: apply under the commit-order mutex.
-                let mut state = self.state.write();
-                self.apply_buf(&mut state, &buf, &lineage_lsns)?;
+            // Phase 2 handoff: enqueue the apply job while still under
+            // `commit_order` — FIFO position equals WAL position.
+            let mut apply = self.apply.lock();
+            let seq = apply.next_seq;
+            apply.next_seq += 1;
+            for (msg, persistent) in enqueue_flags {
+                apply.pending_persistent.insert(msg, persistent);
             }
-        }
-        // Phase 2 (batched): wait until a batch leader applied our job —
-        // possibly becoming that leader ourselves.
-        if let Some(seq) = apply_seq {
-            self.apply_wait(seq)?;
-        }
+            apply.jobs.push_back(ApplyJob { buf, lineage_lsns });
+            seq
+        };
+        // Phase 2: wait until a batch leader applied our job — possibly
+        // becoming that leader ourselves.
+        self.apply_wait(seq);
         // Early lock release (before any durability wait): safe because the
         // log is redo-only — see `commit_deferred`.
         self.locks.release_all(txn);
         Ok(logged)
     }
 
-    /// Apply one committed transaction's effects to the logical state.
-    /// Runs either inline under `commit_order` (unbatched) or from the
-    /// batch-apply leader, which holds the state write lock across a whole
-    /// batch of jobs.
-    fn apply_buf(
-        &self,
-        state: &mut Logical,
-        buf: &TxnBuf,
-        lineage_lsns: &HashMap<MsgId, Lsn>,
-    ) -> Result<()> {
-        for op in &buf.ops {
+    /// Apply one committed transaction's effects to the logical state,
+    /// consuming its job: payload handles, properties and names move into
+    /// the state. Runs from the batch-apply leader, which holds the state
+    /// write lock across a whole batch of jobs. Pushes the ids the job
+    /// enqueued onto `enqueued`.
+    fn apply_job(state: &mut Logical, job: ApplyJob, enqueued: &mut Vec<MsgId>) {
+        for op in job.buf.ops {
             match op {
                 TxnOp::Enqueue {
                     queue,
@@ -795,25 +711,18 @@ impl MessageStore {
                     enqueued_at,
                 } => {
                     // No heap append here: the WAL record already carries
-                    // the bytes durably, and the in-memory state shares the
+                    // the bytes durably, and the in-memory state takes the
                     // enqueuer's buffer. The next checkpoint cut
                     // materializes persistent payloads into the heap so the
                     // snapshot can reference them (deferred
                     // materialization — the commit path is copy-free).
-                    state.insert_message(
-                        *msg,
-                        queue.clone(),
-                        None,
-                        payload.clone(),
-                        props.clone(),
-                        false,
-                        *enqueued_at,
-                    );
+                    state.insert_message(msg, queue, None, payload, props, false, enqueued_at);
+                    enqueued.push(msg);
                 }
-                TxnOp::MarkProcessed { msg } => state.mark_processed(*msg),
-                TxnOp::SliceAdd { slicing, key, msg } => state.slices.add(slicing, key, *msg),
+                TxnOp::MarkProcessed { msg } => state.mark_processed(msg),
+                TxnOp::SliceAdd { slicing, key, msg } => state.slices.add(&slicing, &key, msg),
                 TxnOp::SliceReset { slicing, key } => {
-                    state.slices.reset(slicing, key);
+                    state.slices.reset(&slicing, &key);
                 }
                 TxnOp::Lineage {
                     msg,
@@ -822,20 +731,18 @@ impl MessageStore {
                     rule,
                     queue,
                 } => {
-                    state.lineage.insert(
-                        *msg,
-                        LineageSlot {
-                            parent: *parent,
-                            root: *root,
-                            rule: rule.clone(),
-                            queue: queue.clone(),
-                            lsn: lineage_lsns.get(msg).copied(),
-                        },
-                    );
+                    let lsn = job.lineage_lsns.iter().find(|(m, _)| *m == msg);
+                    let slot = LineageSlot {
+                        parent,
+                        root,
+                        rule,
+                        queue,
+                        lsn: lsn.map(|&(_, lsn)| lsn),
+                    };
+                    state.lineage.insert(msg, slot);
                 }
             }
         }
-        Ok(())
     }
 
     /// Block until the apply job with sequence `seq` has been applied —
@@ -845,23 +752,11 @@ impl MessageStore {
     /// under one `state` write-lock acquisition, bumping the slice
     /// version clock once for the batch; everyone else parks on the
     /// condvar until a leader's batch covers their job.
-    fn apply_wait(&self, seq: u64) -> Result<()> {
-        self.apply_wait_inner(seq, true)
-    }
-
-    /// `claim_error`: whether a failure of job `seq` belongs to this
-    /// caller (true for the committer itself; false for a maintenance
-    /// drain, which must leave the error for the real committer).
-    fn apply_wait_inner(&self, seq: u64, claim_error: bool) -> Result<()> {
+    fn apply_wait(&self, seq: u64) {
         let mut apply = self.apply.lock();
         loop {
-            if claim_error {
-                if let Some(err) = apply.failed.remove(&seq) {
-                    return Err(err);
-                }
-            }
             if apply.applied_seq > seq {
-                return Ok(());
+                return;
             }
             if apply.leader_active {
                 self.metrics.apply_waits.inc();
@@ -875,7 +770,8 @@ impl MessageStore {
             let batch_end = apply.next_seq;
             drop(apply);
 
-            let mut failures: Vec<(u64, StoreError)> = Vec::new();
+            let batch_len = batch.len() as u64;
+            let mut enqueued = Vec::new();
             {
                 let mut state = self.state.write();
                 // One version-clock bump covers the whole batch: caches
@@ -883,10 +779,8 @@ impl MessageStore {
                 // value (readers can't see mid-batch state — the write
                 // lock is held throughout).
                 state.slices.begin_batch();
-                for job in &batch {
-                    if let Err(e) = self.apply_buf(&mut state, &job.buf, &job.lineage_lsns) {
-                        failures.push((job.seq, e));
-                    }
+                for job in batch {
+                    Self::apply_job(&mut state, job, &mut enqueued);
                 }
                 state.slices.end_batch();
             }
@@ -894,48 +788,25 @@ impl MessageStore {
             apply = self.apply.lock();
             apply.leader_active = false;
             apply.applied_seq = apply.applied_seq.max(batch_end);
-            for job in &batch {
-                for op in &job.buf.ops {
-                    if let TxnOp::Enqueue { msg, .. } = op {
-                        apply.pending_persistent.remove(msg);
-                    }
-                }
-            }
-            for (s, e) in failures {
-                apply.failed.insert(s, e);
+            for msg in &enqueued {
+                apply.pending_persistent.remove(msg);
             }
             self.metrics.apply_batches.inc();
-            self.metrics.apply_batch_size.record_ns(batch.len() as u64);
+            self.metrics.apply_batch_size.record_ns(batch_len);
             self.apply_cv.notify_all();
             // Loop: our own job was in the drained batch (we only became
             // leader because it was unapplied), so the next iteration
-            // returns — unless its apply failed, which the error check
-            // surfaces.
+            // returns.
         }
     }
 
     /// Apply every queued job (checkpoint preamble): after this returns,
     /// no commit sits between its WAL records and its in-memory effects.
     /// Caller must hold `commit_order` so no new jobs can be queued.
-    fn drain_applies(&self) -> Result<()> {
-        if !self.opts.batched_apply {
-            return Ok(());
-        }
-        let mut apply = self.apply.lock();
-        loop {
-            if apply.leader_active {
-                self.apply_cv.wait(&mut apply);
-                continue;
-            }
-            if apply.jobs.is_empty() {
-                // Errors of drained jobs stay in `failed` for their
-                // committers; the state itself is as applied as it gets.
-                return Ok(());
-            }
-            let target = apply.next_seq - 1;
-            drop(apply);
-            self.apply_wait_inner(target, false)?;
-            apply = self.apply.lock();
+    fn drain_applies(&self) {
+        let last = self.apply.lock().next_seq.checked_sub(1);
+        if let Some(last) = last {
+            self.apply_wait(last);
         }
     }
 
@@ -1524,7 +1395,7 @@ impl MessageStore {
         let _order = self.commit_order.lock();
         // Flush the batched-apply queue: every WAL-logged txn must be in
         // `state` before we cut, for the same reason as above.
-        self.drain_applies()?;
+        self.drain_applies();
         let mut state = self.state.write(); // stop-the-world for the cut only
         let old_wal = Arc::clone(&self.wal.lock());
         old_wal.sync_now()?;
@@ -1741,7 +1612,10 @@ mod tests {
             .records
             .iter()
             .filter_map(|(_, r)| match r {
-                LogRecord::SliceAdd { txn, msg, .. } if committed.contains(txn) => Some(*msg),
+                LogRecord::Op {
+                    txn,
+                    op: TxnOp::SliceAdd { msg, .. },
+                } if committed.contains(txn) => Some(*msg),
                 _ => None,
             })
             .collect();

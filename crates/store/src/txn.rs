@@ -8,32 +8,41 @@
 
 use crate::types::{MsgId, PayloadBytes, PropValue, TxnId};
 
-/// A buffered write operation.
-#[derive(Debug, Clone)]
+/// A buffered write operation — and, logged as is, the body of a WAL
+/// record (`wal::LogRecord::Op`).
+#[derive(Debug, Clone, PartialEq)]
 pub enum TxnOp {
+    /// A message entered a queue.
     Enqueue {
         queue: String,
         msg: MsgId,
-        /// Shared payload handle — the same buffer the WAL record and the
-        /// message map will hold; cloning it is a refcount bump.
+        /// Shared payload handle — the WAL frame is encoded from it and
+        /// the message map takes it over at apply; never copied.
         payload: PayloadBytes,
         props: Vec<(String, PropValue)>,
         enqueued_at: i64,
     },
+    /// The rule engine finished processing a message.
     MarkProcessed {
         msg: MsgId,
     },
+    /// A message joined a slice (slicing name + key).
     SliceAdd {
         slicing: String,
         key: PropValue,
         msg: MsgId,
     },
+    /// A slice began a new lifetime.
     SliceReset {
         slicing: String,
         key: PropValue,
     },
     /// Causal lineage of a rule-driven enqueue buffered in this
-    /// transaction: `msg` was created by `rule` firing on `parent`.
+    /// transaction: `msg` was created (into `queue`) by `rule` firing on
+    /// `parent`; `root` names the causal tree. Redundant with the
+    /// message's provenance system properties by design — it lets the full
+    /// causal index be rebuilt from WAL records alone, with a durable LSN
+    /// per edge.
     Lineage {
         msg: MsgId,
         parent: MsgId,
@@ -56,15 +65,5 @@ impl TxnBuf {
             id,
             ops: Vec::new(),
         }
-    }
-
-    /// Messages this transaction will enqueue (visible to itself for
-    /// property inheritance, not for queries — Demaq rules never need to
-    /// read their own pending actions).
-    pub fn pending_enqueues(&self) -> impl Iterator<Item = (&String, MsgId)> {
-        self.ops.iter().filter_map(|op| match op {
-            TxnOp::Enqueue { queue, msg, .. } => Some((queue, *msg)),
-            _ => None,
-        })
     }
 }

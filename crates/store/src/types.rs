@@ -71,27 +71,21 @@ impl PropValue {
         }
     }
 
-    /// Canonical string rendering.
+    /// Canonical string rendering (the [`Display`](fmt::Display) form).
     pub fn render(&self) -> String {
-        match self {
-            PropValue::Str(s) => s.clone(),
-            PropValue::Int(i) => i.to_string(),
-            PropValue::Bool(b) => b.to_string(),
-            PropValue::Double(d) => d.to_string(),
-            PropValue::DateTime(ms) | PropValue::Duration(ms) => ms.to_string(),
-        }
+        self.to_string()
     }
 
-    /// Serialize as (tag, payload string).
+    /// Serialize as (tag, length-prefixed canonical string), formatting
+    /// straight into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
+        use std::io::Write;
         out.push(self.tag());
-        let s = match self {
-            PropValue::Str(s) => s.clone(),
-            other => other.render(),
-        };
-        let bytes = s.as_bytes();
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(bytes);
+        let len_at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        write!(out, "{self}").expect("writing to a Vec cannot fail");
+        let len = (out.len() - len_at - 4) as u32;
+        out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Deserialize; advances `at`.
@@ -151,7 +145,13 @@ impl std::hash::Hash for PropValue {
 
 impl fmt::Display for PropValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.render())
+        match self {
+            PropValue::Str(s) => f.write_str(s),
+            PropValue::Int(i) => write!(f, "{i}"),
+            PropValue::Bool(b) => write!(f, "{b}"),
+            PropValue::Double(d) => write!(f, "{d}"),
+            PropValue::DateTime(ms) | PropValue::Duration(ms) => write!(f, "{ms}"),
+        }
     }
 }
 

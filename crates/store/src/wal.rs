@@ -53,19 +53,20 @@
 //! covers their commit LSN.
 //!
 //! A committer may also *not* wait: it keeps the durable target
-//! [`LogWriter::append_commit`] returned and goes on, and a later
+//! [`LogWriter::append_txn`] returned and goes on, and a later
 //! *barrier* ([`LogWriter::sync_now`]) covers every commit appended so
 //! far with one sync. A barrier never sits in the batching window — the
 //! commits it is for have all been appended already, so there is nothing
 //! to wait for.
 
 use crate::error::{Result, StoreError};
+use crate::txn::TxnOp;
 use crate::types::{Lsn, MsgId, PayloadBytes, PropValue, TxnId};
 use demaq_obs::{Counter, Histogram, Registry};
 use parking_lot::{Condvar, Mutex};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -81,54 +82,16 @@ pub enum LogRecord {
     Abort {
         txn: TxnId,
     },
-    /// A message entered a queue.
-    Enqueue {
+    /// One buffered operation of a transaction — exactly what the
+    /// transaction held in its [`TxnOp`] list, logged as is.
+    Op {
         txn: TxnId,
-        queue: String,
-        msg: MsgId,
-        /// Shared handle onto the enqueuer's payload buffer — building
-        /// this record never copies the payload. Decoding (recovery)
-        /// validates UTF-8 once in `get_str`, so the handle it yields is
-        /// proof-carrying too.
-        payload: PayloadBytes,
-        props: Vec<(String, PropValue)>,
-        enqueued_at: i64,
-    },
-    /// The rule engine finished processing a message.
-    MarkProcessed {
-        txn: TxnId,
-        msg: MsgId,
-    },
-    /// A message joined a slice (slicing name + key).
-    SliceAdd {
-        txn: TxnId,
-        slicing: String,
-        key: PropValue,
-        msg: MsgId,
-    },
-    /// A slice began a new lifetime.
-    SliceReset {
-        txn: TxnId,
-        slicing: String,
-        key: PropValue,
+        op: TxnOp,
     },
     /// Fuzzy checkpoint marker: state as of this LSN lives in the named
     /// snapshot file.
     Checkpoint {
         snapshot: String,
-    },
-    /// Causal lineage of one rule-driven enqueue: `msg` was created (into
-    /// `queue`) by `rule` firing on `parent`; `root` names the causal
-    /// tree. Redundant with the message's provenance system properties by
-    /// design — it lets the full causal index be rebuilt from WAL records
-    /// alone, with a durable LSN per edge.
-    Lineage {
-        txn: TxnId,
-        msg: MsgId,
-        parent: MsgId,
-        root: MsgId,
-        rule: String,
-        queue: String,
     },
 }
 
@@ -177,156 +140,166 @@ fn get_i64(buf: &[u8], at: &mut usize) -> Option<i64> {
     Some(v)
 }
 
-impl LogRecord {
-    /// Serialize the record payload (without framing).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            LogRecord::Begin { txn } => {
-                out.push(T_BEGIN);
-                put_u64(&mut out, txn.0);
+/// The tag and owning transaction that open every record but a checkpoint.
+fn put_head(out: &mut Vec<u8>, tag: u8, txn: TxnId) {
+    out.push(tag);
+    put_u64(out, txn.0);
+}
+
+/// Serialize one buffered op as the payload of its record.
+fn put_op(out: &mut Vec<u8>, txn: TxnId, op: &TxnOp) {
+    match op {
+        TxnOp::Enqueue {
+            queue,
+            msg,
+            payload,
+            props,
+            enqueued_at,
+        } => {
+            put_head(out, T_ENQUEUE, txn);
+            put_str(out, queue);
+            put_u64(out, msg.0);
+            put_i64(out, *enqueued_at);
+            put_str(out, payload);
+            out.extend_from_slice(&(props.len() as u32).to_le_bytes());
+            for (name, value) in props {
+                put_str(out, name);
+                value.encode(out);
             }
-            LogRecord::Commit { txn } => {
-                out.push(T_COMMIT);
-                put_u64(&mut out, txn.0);
+        }
+        TxnOp::MarkProcessed { msg } => {
+            put_head(out, T_PROCESSED, txn);
+            put_u64(out, msg.0);
+        }
+        TxnOp::SliceAdd { slicing, key, msg } => {
+            put_head(out, T_SLICE_ADD, txn);
+            put_str(out, slicing);
+            key.encode(out);
+            put_u64(out, msg.0);
+        }
+        TxnOp::SliceReset { slicing, key } => {
+            put_head(out, T_SLICE_RESET, txn);
+            put_str(out, slicing);
+            key.encode(out);
+        }
+        TxnOp::Lineage {
+            msg,
+            parent,
+            root,
+            rule,
+            queue,
+        } => {
+            put_head(out, T_LINEAGE, txn);
+            put_u64(out, msg.0);
+            put_u64(out, parent.0);
+            put_u64(out, root.0);
+            put_str(out, rule);
+            put_str(out, queue);
+        }
+    }
+}
+
+/// Deserialize the fields of an op record whose tag and transaction have
+/// been read.
+fn get_op(tag: u8, buf: &[u8], at: &mut usize) -> Option<TxnOp> {
+    Some(match tag {
+        T_ENQUEUE => {
+            let queue = get_str(buf, at)?;
+            let msg = MsgId(get_u64(buf, at)?);
+            let enqueued_at = get_i64(buf, at)?;
+            // `get_str` validated UTF-8; the handle carries the proof.
+            let payload = PayloadBytes::from(get_str(buf, at)?);
+            let n = u32::from_le_bytes(buf.get(*at..*at + 4)?.try_into().ok()?) as usize;
+            *at += 4;
+            let mut props = Vec::with_capacity(n.min(buf.len()));
+            for _ in 0..n {
+                let name = get_str(buf, at)?;
+                let value = PropValue::decode(buf, at)?;
+                props.push((name, value));
             }
-            LogRecord::Abort { txn } => {
-                out.push(T_ABORT);
-                put_u64(&mut out, txn.0);
-            }
-            LogRecord::Enqueue {
-                txn,
+            TxnOp::Enqueue {
                 queue,
                 msg,
                 payload,
                 props,
                 enqueued_at,
-            } => {
-                out.push(T_ENQUEUE);
-                put_u64(&mut out, txn.0);
-                put_str(&mut out, queue);
-                put_u64(&mut out, msg.0);
-                put_i64(&mut out, *enqueued_at);
-                put_str(&mut out, payload);
-                out.extend_from_slice(&(props.len() as u32).to_le_bytes());
-                for (name, value) in props {
-                    put_str(&mut out, name);
-                    value.encode(&mut out);
-                }
-            }
-            LogRecord::MarkProcessed { txn, msg } => {
-                out.push(T_PROCESSED);
-                put_u64(&mut out, txn.0);
-                put_u64(&mut out, msg.0);
-            }
-            LogRecord::SliceAdd {
-                txn,
-                slicing,
-                key,
-                msg,
-            } => {
-                out.push(T_SLICE_ADD);
-                put_u64(&mut out, txn.0);
-                put_str(&mut out, slicing);
-                key.encode(&mut out);
-                put_u64(&mut out, msg.0);
-            }
-            LogRecord::SliceReset { txn, slicing, key } => {
-                out.push(T_SLICE_RESET);
-                put_u64(&mut out, txn.0);
-                put_str(&mut out, slicing);
-                key.encode(&mut out);
-            }
-            LogRecord::Checkpoint { snapshot } => {
-                out.push(T_CHECKPOINT);
-                put_str(&mut out, snapshot);
-            }
-            LogRecord::Lineage {
-                txn,
-                msg,
-                parent,
-                root,
-                rule,
-                queue,
-            } => {
-                out.push(T_LINEAGE);
-                put_u64(&mut out, txn.0);
-                put_u64(&mut out, msg.0);
-                put_u64(&mut out, parent.0);
-                put_u64(&mut out, root.0);
-                put_str(&mut out, rule);
-                put_str(&mut out, queue);
             }
         }
+        T_PROCESSED => TxnOp::MarkProcessed {
+            msg: MsgId(get_u64(buf, at)?),
+        },
+        T_SLICE_ADD => TxnOp::SliceAdd {
+            slicing: get_str(buf, at)?,
+            key: PropValue::decode(buf, at)?,
+            msg: MsgId(get_u64(buf, at)?),
+        },
+        T_SLICE_RESET => TxnOp::SliceReset {
+            slicing: get_str(buf, at)?,
+            key: PropValue::decode(buf, at)?,
+        },
+        T_LINEAGE => TxnOp::Lineage {
+            msg: MsgId(get_u64(buf, at)?),
+            parent: MsgId(get_u64(buf, at)?),
+            root: MsgId(get_u64(buf, at)?),
+            rule: get_str(buf, at)?,
+            queue: get_str(buf, at)?,
+        },
+        _ => return None,
+    })
+}
+
+/// Append one framed record to `out` in place: reserve the
+/// `[len][crc32]` header, encode the payload behind it, fill the header.
+fn put_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    encode(out);
+    let payload = &out[start + 8..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+impl LogRecord {
+    /// Serialize the record payload (without framing).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
         out
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            LogRecord::Begin { txn } => put_head(out, T_BEGIN, *txn),
+            LogRecord::Commit { txn } => put_head(out, T_COMMIT, *txn),
+            LogRecord::Abort { txn } => put_head(out, T_ABORT, *txn),
+            LogRecord::Op { txn, op } => put_op(out, *txn, op),
+            LogRecord::Checkpoint { snapshot } => {
+                out.push(T_CHECKPOINT);
+                put_str(out, snapshot);
+            }
+        }
     }
 
     /// Deserialize a record payload.
     pub fn decode(buf: &[u8]) -> Option<LogRecord> {
-        let mut at = 0usize;
+        let mut at = 1usize;
         let tag = *buf.first()?;
-        at += 1;
-        let rec = match tag {
-            T_BEGIN => LogRecord::Begin {
-                txn: TxnId(get_u64(buf, &mut at)?),
-            },
-            T_COMMIT => LogRecord::Commit {
-                txn: TxnId(get_u64(buf, &mut at)?),
-            },
-            T_ABORT => LogRecord::Abort {
-                txn: TxnId(get_u64(buf, &mut at)?),
-            },
-            T_ENQUEUE => {
-                let txn = TxnId(get_u64(buf, &mut at)?);
-                let queue = get_str(buf, &mut at)?;
-                let msg = MsgId(get_u64(buf, &mut at)?);
-                let enqueued_at = get_i64(buf, &mut at)?;
-                // `get_str` validated UTF-8; the handle carries the proof.
-                let payload = PayloadBytes::from(get_str(buf, &mut at)?);
-                let n = u32::from_le_bytes(buf.get(at..at + 4)?.try_into().ok()?) as usize;
-                at += 4;
-                let mut props = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = get_str(buf, &mut at)?;
-                    let value = PropValue::decode(buf, &mut at)?;
-                    props.push((name, value));
-                }
-                LogRecord::Enqueue {
-                    txn,
-                    queue,
-                    msg,
-                    payload,
-                    props,
-                    enqueued_at,
-                }
-            }
-            T_PROCESSED => LogRecord::MarkProcessed {
-                txn: TxnId(get_u64(buf, &mut at)?),
-                msg: MsgId(get_u64(buf, &mut at)?),
-            },
-            T_SLICE_ADD => LogRecord::SliceAdd {
-                txn: TxnId(get_u64(buf, &mut at)?),
-                slicing: get_str(buf, &mut at)?,
-                key: PropValue::decode(buf, &mut at)?,
-                msg: MsgId(get_u64(buf, &mut at)?),
-            },
-            T_SLICE_RESET => LogRecord::SliceReset {
-                txn: TxnId(get_u64(buf, &mut at)?),
-                slicing: get_str(buf, &mut at)?,
-                key: PropValue::decode(buf, &mut at)?,
-            },
-            T_CHECKPOINT => LogRecord::Checkpoint {
+        let rec = if tag == T_CHECKPOINT {
+            LogRecord::Checkpoint {
                 snapshot: get_str(buf, &mut at)?,
-            },
-            T_LINEAGE => LogRecord::Lineage {
-                txn: TxnId(get_u64(buf, &mut at)?),
-                msg: MsgId(get_u64(buf, &mut at)?),
-                parent: MsgId(get_u64(buf, &mut at)?),
-                root: MsgId(get_u64(buf, &mut at)?),
-                rule: get_str(buf, &mut at)?,
-                queue: get_str(buf, &mut at)?,
-            },
-            _ => return None,
+            }
+        } else {
+            let txn = TxnId(get_u64(buf, &mut at)?);
+            match tag {
+                T_BEGIN => LogRecord::Begin { txn },
+                T_COMMIT => LogRecord::Commit { txn },
+                T_ABORT => LogRecord::Abort { txn },
+                _ => LogRecord::Op {
+                    txn,
+                    op: get_op(tag, buf, &mut at)?,
+                },
+            }
         };
         if at != buf.len() {
             return None;
@@ -340,32 +313,43 @@ impl LogRecord {
             LogRecord::Begin { txn }
             | LogRecord::Commit { txn }
             | LogRecord::Abort { txn }
-            | LogRecord::Enqueue { txn, .. }
-            | LogRecord::MarkProcessed { txn, .. }
-            | LogRecord::SliceAdd { txn, .. }
-            | LogRecord::SliceReset { txn, .. }
-            | LogRecord::Lineage { txn, .. } => Some(*txn),
+            | LogRecord::Op { txn, .. } => Some(*txn),
             LogRecord::Checkpoint { .. } => None,
         }
     }
 }
 
 /// CRC32 (IEEE 802.3, reflected) — small standalone implementation to keep
-/// the dependency set minimal.
+/// the dependency set minimal. The checksum runs over every WAL byte on
+/// the commit path, so it is computed slice-by-8: one round of eight
+/// table lookups per eight input bytes, bytewise only for the tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
 
-/// Byte-at-a-time lookup table for [`crc32`], built at compile time. The
-/// checksum runs over every WAL byte on the commit path, so the naive
-/// bit-loop (8 shift/xor rounds per byte) was a measurable slice of
-/// per-commit CPU; the table does one shift/xor per byte.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Lookup tables for [`crc32`], built at compile time. Table 0 is the
+/// classic byte-at-a-time table; entry `i` of table `n` is the register
+/// after byte `i` followed by `n` zero bytes, which is what lets one round
+/// consume eight bytes.
+static CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut crc = i as u32;
@@ -375,10 +359,20 @@ const CRC32_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
             j += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut n = 1;
+    while n < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[n - 1][i];
+            t[n][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        n += 1;
+    }
+    t
 };
 
 /// Group-commit tuning knobs.
@@ -436,7 +430,7 @@ pub struct LogWriter {
     /// Durability waiters: followers blocked until a sync covers their
     /// commit LSN, notified once per completed sync (plus leadership
     /// handoff). Kept separate from [`LogWriter::window_cv`] so the
-    /// per-commit registration in `append_commit` never wakes them —
+    /// per-commit registration in `append_txn` never wakes them —
     /// with one shared condvar every arriving commit woke every blocked
     /// follower just to recheck and sleep again, a storm of futex
     /// round-trips that was pure overhead on the commit path.
@@ -457,7 +451,14 @@ struct WriterInner {
     /// budget left before the writer tears a record mid-write and aborts
     /// the process. Test-harness only; `None` in normal operation.
     crash_budget: Option<u64>,
+    /// The frames of the append in progress, built in place; empty between
+    /// appends, its allocation reused.
+    frames: Vec<u8>,
 }
+
+/// Frame-buffer capacity kept between appends: one huge transaction does
+/// not pin its size for the life of the segment.
+const FRAMES_KEPT: usize = 1 << 20;
 
 struct SyncState {
     /// Bytes `[0, durable)` of the file are known fsynced (the prefix found
@@ -505,6 +506,7 @@ impl LogWriter {
                 offset: scan.valid_len,
                 bytes_logged: 0,
                 crash_budget,
+                frames: Vec::new(),
             }),
             sync_handle,
             cfg,
@@ -532,48 +534,83 @@ impl LogWriter {
 
     /// Append a record; returns its LSN. Does not sync.
     pub fn append(&self, rec: &LogRecord) -> Result<Lsn> {
-        let payload = rec.encode();
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc32(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
         let mut inner = self.inner.lock();
-        if let Some(budget) = inner.crash_budget {
-            if (framed.len() as u64) > budget {
-                // Failpoint: die like a power cut between two disk writes.
-                // Nothing past the last fsync survives (buffered and merely
-                // written records are dropped), then a torn prefix of this
-                // record. The sync state stays locked until the abort, so
-                // no in-flight sync can publish — and its committer ack —
-                // bytes this truncation removes.
-                let st = self.sync_state.lock();
-                let mut file: &File = inner.file.get_ref();
-                let _ = file.set_len(st.durable);
-                let _ = file.write_all(&framed[..budget as usize]);
-                std::process::abort();
-            }
-            inner.crash_budget = Some(budget - framed.len() as u64);
-        }
         let lsn = Lsn(inner.offset);
-        inner.file.write_all(&framed)?;
-        inner.offset += framed.len() as u64;
-        inner.bytes_logged += framed.len() as u64;
+        put_frame(&mut inner.frames, |out| rec.encode_into(out));
+        self.write_frames(&mut inner)?;
         Ok(lsn)
     }
 
-    /// Append a commit record and register it with the group-commit
-    /// coordinator. Returns `(commit LSN, durable target)` — the commit is
-    /// durable once a sync covers the target (see [`LogWriter::sync_to`]).
-    pub fn append_commit(&self, txn: TxnId) -> Result<(Lsn, u64)> {
-        let lsn = self.append(&LogRecord::Commit { txn })?;
-        let target = self.inner.lock().offset;
-        let mut st = self.sync_state.lock();
-        st.pending_commits += 1;
-        drop(st);
+    /// Append one transaction — `Begin`, a record per op, `Commit` — under
+    /// one hold of the append mutex, and register the commit with the
+    /// group-commit coordinator. Returns the durable target (the commit is
+    /// durable once a sync covers it, see [`LogWriter::sync_to`]) and the
+    /// LSN of each lineage op's record.
+    pub fn append_txn(&self, txn: TxnId, ops: &[&TxnOp]) -> Result<(u64, Vec<(MsgId, Lsn)>)> {
+        let mut lineage = Vec::new();
+        let mut inner = self.inner.lock();
+        let base = inner.offset;
+        let frames = &mut inner.frames;
+        put_frame(frames, |out| put_head(out, T_BEGIN, txn));
+        for op in ops {
+            if let TxnOp::Lineage { msg, .. } = op {
+                lineage.push((*msg, Lsn(base + frames.len() as u64)));
+            }
+            put_frame(frames, |out| put_op(out, txn, op));
+        }
+        put_frame(frames, |out| put_head(out, T_COMMIT, txn));
+        self.write_frames(&mut inner)?;
+        let target = inner.offset;
+        drop(inner);
+        self.sync_state.lock().pending_commits += 1;
         // Wake only a leader sitting in its batching window — durability
         // waiters on `sync_cv` don't care about new arrivals.
         self.window_cv.notify_one();
-        Ok((lsn, target))
+        Ok((target, lineage))
+    }
+
+    /// Write the frames built in `inner.frames` and empty the buffer.
+    fn write_frames(&self, inner: &mut WriterInner) -> Result<()> {
+        let WriterInner {
+            file,
+            offset,
+            bytes_logged,
+            crash_budget,
+            frames,
+        } = inner;
+        if let Some(budget) = crash_budget {
+            // The budget is spent record by record, as if each were its
+            // own disk write.
+            let mut at = 0;
+            while at < frames.len() {
+                let header = frames[at..at + 4].try_into().expect("4-byte slice");
+                let len = 8 + u32::from_le_bytes(header) as usize;
+                if len as u64 > *budget {
+                    // Failpoint: die like a power cut between two disk
+                    // writes. Nothing past the last fsync survives
+                    // (buffered and merely written records are dropped),
+                    // then a torn prefix of this record. The sync state
+                    // stays locked until the abort, so no in-flight sync
+                    // can publish — and its committer ack — bytes this
+                    // truncation removes.
+                    let st = self.sync_state.lock();
+                    let mut file: &File = file.get_ref();
+                    let _ = file.set_len(st.durable);
+                    let _ = file.write_all(&frames[at..at + *budget as usize]);
+                    std::process::abort();
+                }
+                *budget -= len as u64;
+                at += len;
+            }
+        }
+        let written = file.write_all(frames);
+        if written.is_ok() {
+            *offset += frames.len() as u64;
+            *bytes_logged += frames.len() as u64;
+        }
+        frames.clear();
+        frames.shrink_to(FRAMES_KEPT);
+        Ok(written?)
     }
 
     /// Block until bytes `[0, target)` are fsynced — the leader/follower
@@ -813,11 +850,6 @@ pub fn truncate_log(path: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Convenience for the recovery bench: current size of the log file.
-pub fn log_size(path: &PathBuf) -> u64 {
-    std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -828,73 +860,100 @@ mod tests {
         LogWriter::open(path, GroupCommitCfg::default()).unwrap()
     }
 
-    fn sample_records() -> Vec<LogRecord> {
+    fn op(op: TxnOp) -> LogRecord {
+        LogRecord::Op { txn: TxnId(1), op }
+    }
+
+    /// One record of every kind — transaction 1's `Begin`, ops and
+    /// `Commit`, then an `Abort` and a checkpoint marker — each with its
+    /// exact payload bytes, and one property of every value type among
+    /// them. Segments written by older builds must recover unchanged, so
+    /// these bytes may never move.
+    #[rustfmt::skip]
+    fn golden() -> Vec<(LogRecord, Vec<u8>)> {
         vec![
-            LogRecord::Begin { txn: TxnId(1) },
-            LogRecord::Enqueue {
-                txn: TxnId(1),
-                queue: "finance".into(),
-                msg: MsgId(10),
-                payload: "<order><id>7</id></order>".into(),
-                props: vec![
-                    ("orderID".into(), PropValue::Str("7".into())),
-                    ("isVIP".into(), PropValue::Bool(false)),
+            (LogRecord::Begin { txn: TxnId(1) }, vec![1, 1, 0, 0, 0, 0, 0, 0, 0]),
+            (
+                op(TxnOp::Enqueue {
+                    queue: "q".into(),
+                    msg: MsgId(10),
+                    payload: "<a/>".into(),
+                    props: vec![
+                        ("s".into(), PropValue::Str("x".into())),
+                        ("i".into(), PropValue::Int(-42)),
+                        ("b".into(), PropValue::Bool(true)),
+                        ("d".into(), PropValue::Double(0.1)),
+                        ("t".into(), PropValue::DateTime(1_700_000_000_000)),
+                        ("u".into(), PropValue::Duration(-500)),
+                    ],
+                    enqueued_at: 7,
+                }),
+                vec![
+                    4,
+                    1, 0, 0, 0, 0, 0, 0, 0, // txn
+                    1, 0, 0, 0, b'q', // queue
+                    10, 0, 0, 0, 0, 0, 0, 0, // msg
+                    7, 0, 0, 0, 0, 0, 0, 0, // enqueued_at
+                    4, 0, 0, 0, b'<', b'a', b'/', b'>', // payload
+                    6, 0, 0, 0, // property count
+                    1, 0, 0, 0, b's', 0, 1, 0, 0, 0, b'x',
+                    1, 0, 0, 0, b'i', 1, 3, 0, 0, 0, b'-', b'4', b'2',
+                    1, 0, 0, 0, b'b', 2, 4, 0, 0, 0, b't', b'r', b'u', b'e',
+                    1, 0, 0, 0, b'd', 3, 3, 0, 0, 0, b'0', b'.', b'1',
+                    1, 0, 0, 0, b't', 4, 13, 0, 0, 0,
+                    b'1', b'7', b'0', b'0', b'0', b'0', b'0', b'0', b'0', b'0', b'0', b'0', b'0',
+                    1, 0, 0, 0, b'u', 5, 4, 0, 0, 0, b'-', b'5', b'0', b'0',
                 ],
-                enqueued_at: 123_456,
-            },
-            LogRecord::SliceAdd {
-                txn: TxnId(1),
-                slicing: "orders".into(),
-                key: PropValue::Str("7".into()),
-                msg: MsgId(10),
-            },
-            LogRecord::MarkProcessed {
-                txn: TxnId(1),
-                msg: MsgId(9),
-            },
-            LogRecord::SliceReset {
-                txn: TxnId(1),
-                slicing: "orders".into(),
-                key: PropValue::Str("6".into()),
-            },
-            LogRecord::Commit { txn: TxnId(1) },
-            LogRecord::Abort { txn: TxnId(2) },
-            LogRecord::Lineage {
-                txn: TxnId(1),
-                msg: MsgId(11),
-                parent: MsgId(10),
-                root: MsgId(3),
-                rule: "forwardOrder".into(),
-                queue: "finance".into(),
-            },
-            LogRecord::Checkpoint {
-                snapshot: "ckpt-000001".into(),
-            },
+            ),
+            (
+                op(TxnOp::MarkProcessed { msg: MsgId(9) }),
+                vec![5, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            (
+                op(TxnOp::SliceAdd { slicing: "s".into(), key: PropValue::Int(5), msg: MsgId(10) }),
+                vec![
+                    6,
+                    1, 0, 0, 0, 0, 0, 0, 0, // txn
+                    1, 0, 0, 0, b's', // slicing
+                    1, 1, 0, 0, 0, b'5', // key
+                    10, 0, 0, 0, 0, 0, 0, 0, // msg
+                ],
+            ),
+            (
+                op(TxnOp::SliceReset { slicing: "s".into(), key: PropValue::Str("k".into()) }),
+                vec![
+                    7,
+                    1, 0, 0, 0, 0, 0, 0, 0, // txn
+                    1, 0, 0, 0, b's', // slicing
+                    0, 1, 0, 0, 0, b'k', // key
+                ],
+            ),
+            (
+                op(TxnOp::Lineage {
+                    msg: MsgId(11),
+                    parent: MsgId(10),
+                    root: MsgId(3),
+                    rule: "r".into(),
+                    queue: "q".into(),
+                }),
+                vec![
+                    9,
+                    1, 0, 0, 0, 0, 0, 0, 0, // txn
+                    11, 0, 0, 0, 0, 0, 0, 0, // msg
+                    10, 0, 0, 0, 0, 0, 0, 0, // parent
+                    3, 0, 0, 0, 0, 0, 0, 0, // root
+                    1, 0, 0, 0, b'r', // rule
+                    1, 0, 0, 0, b'q', // queue
+                ],
+            ),
+            (LogRecord::Commit { txn: TxnId(1) }, vec![2, 1, 0, 0, 0, 0, 0, 0, 0]),
+            (LogRecord::Abort { txn: TxnId(2) }, vec![3, 2, 0, 0, 0, 0, 0, 0, 0]),
+            (LogRecord::Checkpoint { snapshot: "c".into() }, vec![8, 1, 0, 0, 0, b'c']),
         ]
     }
 
-    #[test]
-    fn record_encode_decode_roundtrip() {
-        for rec in sample_records() {
-            let buf = rec.encode();
-            let back = LogRecord::decode(&buf).unwrap();
-            assert_eq!(back, rec);
-        }
-    }
-
-    #[test]
-    fn write_then_read_log() {
-        let dir = TempDir::new().unwrap();
-        let path = dir.path().join("wal.log");
-        let w = writer(&path);
-        for rec in sample_records() {
-            w.append(&rec).unwrap();
-        }
-        w.sync_now().unwrap();
-        let scan = read_log(&path).unwrap();
-        let read: Vec<LogRecord> = scan.records.into_iter().map(|(_, r)| r).collect();
-        assert_eq!(read, sample_records());
-        assert_eq!(scan.discarded, 0);
+    fn sample_records() -> Vec<LogRecord> {
+        golden().into_iter().map(|(rec, _)| rec).collect()
     }
 
     #[test]
@@ -1067,10 +1126,81 @@ mod tests {
         assert_eq!(read_log(&path).unwrap().records.len(), 2);
     }
 
+    /// CRC-32 one bit at a time, straight from the reflected IEEE
+    /// polynomial — the reference the table-driven [`crc32`] must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
-    fn crc32_known_vector() {
+    fn crc32_matches_bytewise_reference() {
         // Standard test vector: CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        let data: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(167) ^ 0x5A) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+    }
+
+    /// The golden bytes encode, decode, frame and read back exactly — the
+    /// transaction through `append_txn`, the rest one record at a time.
+    #[test]
+    fn golden_wal_format() {
+        let golden = golden();
+        let mut file = Vec::new();
+        let (mut lineage_lsn, mut commit_end) = (None, 0);
+        for (rec, bytes) in &golden {
+            assert_eq!(&rec.encode(), bytes, "{rec:?}");
+            assert_eq!(LogRecord::decode(bytes).as_ref(), Some(rec));
+            if let LogRecord::Op {
+                op: TxnOp::Lineage { msg, .. },
+                ..
+            } = rec
+            {
+                lineage_lsn = Some((*msg, Lsn(file.len() as u64)));
+            }
+            file.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            file.extend_from_slice(&crc32_bytewise(bytes).to_le_bytes());
+            file.extend_from_slice(bytes);
+            if let LogRecord::Commit { .. } = rec {
+                commit_end = file.len() as u64;
+            }
+        }
+        let dir = TempDir::new().unwrap();
+        let path = dir.path().join("wal.log");
+        let w = writer(&path);
+        let ops: Vec<&TxnOp> = golden
+            .iter()
+            .filter_map(|(rec, _)| match rec {
+                LogRecord::Op { op, .. } => Some(op),
+                _ => None,
+            })
+            .collect();
+        let (target, lineage) = w.append_txn(TxnId(1), &ops).unwrap();
+        assert_eq!((target, lineage), (commit_end, Vec::from_iter(lineage_lsn)));
+        for (rec, _) in &golden[golden.len() - 2..] {
+            w.append(rec).unwrap();
+        }
+        w.sync_now().unwrap();
+        drop(w);
+        assert_eq!(std::fs::read(&path).unwrap(), file, "framed bytes moved");
+        let scan = read_log(&path).unwrap();
+        let read: Vec<LogRecord> = scan.records.into_iter().map(|(_, r)| r).collect();
+        assert_eq!((read, scan.discarded), (sample_records(), 0));
     }
 
     #[test]
@@ -1095,9 +1225,7 @@ mod tests {
                 let w = std::sync::Arc::clone(&w);
                 std::thread::spawn(move || {
                     for i in 0..25u64 {
-                        let txn = TxnId(t * 1000 + i);
-                        w.append(&LogRecord::Begin { txn }).unwrap();
-                        let (_, target) = w.append_commit(txn).unwrap();
+                        let (target, _) = w.append_txn(TxnId(t * 1000 + i), &[]).unwrap();
                         w.sync_to(target).unwrap();
                     }
                 })
@@ -1121,8 +1249,7 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let path = dir.path().join("wal.log");
         let w = writer(&path);
-        w.append(&LogRecord::Begin { txn: TxnId(1) }).unwrap();
-        let (_, target) = w.append_commit(TxnId(1)).unwrap();
+        let (target, _) = w.append_txn(TxnId(1), &[]).unwrap();
         w.sync_to(target).unwrap();
         // Already durable: must not block or error.
         w.sync_to(target).unwrap();
@@ -1144,13 +1271,13 @@ mod tests {
         // now expects batches of eight.
         let mut target = 0;
         for t in 0..8 {
-            target = w.append_commit(TxnId(t)).unwrap().1;
+            target = w.append_txn(TxnId(t), &[]).unwrap().0;
         }
         w.sync_to(target).unwrap();
         assert_eq!(w.sync_state.lock().prev_batch, 8);
 
-        w.append_commit(TxnId(8)).unwrap();
-        w.append_commit(TxnId(9)).unwrap();
+        w.append_txn(TxnId(8), &[]).unwrap();
+        w.append_txn(TxnId(9), &[]).unwrap();
         assert_eq!(w.pending_commits(), 2);
         let started = Instant::now();
         assert_eq!(w.sync_now().unwrap(), 2, "the barrier's own sync covers both");

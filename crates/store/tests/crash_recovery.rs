@@ -25,18 +25,8 @@
 //! `cargo test -- --ignored` run stays harmless.
 //!
 //! Iteration count: `DEMAQ_CRASH_ITERS` (default 12; CI runs 100).
-//!
-//! Apply-mode coverage: rounds alternate between batched logical apply
-//! (the default commit path: followers hand their post-WAL apply work to a
-//! leader that applies the whole batch under one state-lock acquisition)
-//! and the unbatched baseline (`DEMAQ_CRASH_BATCHED=0` in the child).
-//! Every round additionally recovers a byte-for-byte copy of the crashed
-//! directory under the *opposite* apply mode and asserts the two stores
-//! agree exactly — messages, payloads, slice membership, lineage — since
-//! recovery replays the same WAL either way. A mid-batch SIGKILL must not
-//! make the batched configuration recover differently from the unbatched
-//! one.
 
+use demaq_store::txn::TxnOp;
 use demaq_store::wal::{read_log, LogRecord};
 use demaq_store::{MessageStore, MsgId, PropValue, QueueMode, StoreOptions, SyncPolicy, TxnId};
 use std::collections::{HashMap, HashSet};
@@ -55,22 +45,14 @@ fn slice_key() -> PropValue {
     PropValue::Str("k".into())
 }
 
-fn open_store_mode(dir: &Path, batched_apply: bool) -> MessageStore {
+fn open_store(dir: &Path) -> MessageStore {
     let mut opts = StoreOptions::new(dir);
     opts.sync = SyncPolicy::Always;
-    opts.batched_apply = batched_apply;
     let store = MessageStore::open(opts).unwrap();
     store
         .create_queue(QUEUE, QueueMode::Persistent, 0)
         .unwrap();
     store
-}
-
-/// Child-side store: apply mode comes from the environment so the parent
-/// can run the same workload binary in either configuration.
-fn open_store(dir: &Path) -> MessageStore {
-    let batched = std::env::var("DEMAQ_CRASH_BATCHED").as_deref() != Ok("0");
-    open_store_mode(dir, batched)
 }
 
 /// The workload process. Selected by the parent via
@@ -154,45 +136,14 @@ struct Outcome {
     torn: bool,
 }
 
-/// Recoverable-state fingerprint used to compare two recovered stores.
-type StateDigest = (
-    Vec<(u64, String, bool)>, // queue: (id, payload, processed) in order
-    Vec<MsgId>,               // slice membership in presentation order
-    Vec<(MsgId, MsgId, MsgId, String)>, // lineage: (msg, parent, root, rule)
-);
-
-fn state_digest(store: &MessageStore) -> StateDigest {
-    let queue: Vec<(u64, String, bool)> = store
-        .queue_messages(QUEUE)
-        .unwrap()
-        .iter()
-        .map(|m| (m.id.0, m.payload.to_string(), m.processed))
-        .collect();
-    let members = store.slice_members(SLICING, &slice_key());
-    let mut lineage: Vec<(MsgId, MsgId, MsgId, String)> = store
-        .lineage_edges()
-        .iter()
-        .map(|e| (e.msg, e.parent, e.root, e.rule.clone()))
-        .collect();
-    lineage.sort();
-    (queue, members, lineage)
-}
-
 /// Run one kill-recover round. `crash_after_bytes` arms the mid-WAL-write
 /// failpoint in the child; otherwise the child is SIGKILLed after
-/// `kill_after`. `batched` selects the child's (and the recovering
-/// parent's) logical-apply mode.
-fn run_round(
-    dir: &Path,
-    kill_after: Duration,
-    crash_after_bytes: Option<u64>,
-    batched: bool,
-) -> Outcome {
+/// `kill_after`.
+fn run_round(dir: &Path, kill_after: Duration, crash_after_bytes: Option<u64>) -> Outcome {
     let exe = std::env::current_exe().unwrap();
     let mut cmd = Command::new(&exe);
     cmd.args(["crash_child_body", "--exact", "--ignored", "--nocapture"])
         .env("DEMAQ_CRASH_CHILD_DIR", dir)
-        .env("DEMAQ_CRASH_BATCHED", if batched { "1" } else { "0" })
         .stdout(Stdio::null())
         .stderr(Stdio::null());
     if let Some(bytes) = crash_after_bytes {
@@ -255,9 +206,13 @@ fn run_round(
                 LogRecord::Commit { txn } => {
                     committed.insert(txn);
                 }
-                LogRecord::SliceAdd { txn, msg, .. } => adds.push((txn, msg)),
-                LogRecord::Lineage {
-                    txn, msg, parent, ..
+                LogRecord::Op {
+                    txn,
+                    op: TxnOp::SliceAdd { msg, .. },
+                } => adds.push((txn, msg)),
+                LogRecord::Op {
+                    txn,
+                    op: TxnOp::Lineage { msg, parent, .. },
                 } => wal_lineage.push((txn, msg, parent)),
                 _ => {}
             }
@@ -273,20 +228,9 @@ fn run_round(
     // `runtime_slice_order_matches_wal_order` test. Compare id-sorted.
     wal_members.sort();
 
-    // Snapshot the crashed directory byte-for-byte before recovery touches
-    // it, so the same post-crash state can be recovered under the opposite
-    // apply mode and compared below.
-    let alt = tempfile::TempDir::new().unwrap();
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let p = entry.unwrap().path();
-        if p.is_file() {
-            std::fs::copy(&p, alt.path().join(p.file_name().unwrap())).unwrap();
-        }
-    }
-
     // Recover. (This truncates the torn tail and replays the valid prefix
     // scanned above.)
-    let store = open_store_mode(dir, batched);
+    let store = open_store(dir);
 
     // Invariant: acked ⇒ durable, payload intact, slice membership intact.
     let members: Vec<MsgId> = store.slice_members(SLICING, &slice_key());
@@ -371,19 +315,6 @@ fn run_round(
         "store holds effects of uncommitted transactions"
     );
 
-    // Invariant: apply mode is invisible to recovery. The copy of the
-    // crashed directory, recovered under the opposite mode, must agree
-    // exactly — messages, payloads, slice membership, lineage.
-    let alt_store = open_store_mode(alt.path(), !batched);
-    assert_eq!(
-        state_digest(&store),
-        state_digest(&alt_store),
-        "recovery under batched={} diverges from batched={} on the same crashed directory",
-        batched,
-        !batched
-    );
-    drop(alt_store);
-
     // The store must stay writable after recovery (regression for the
     // torn-tail append bug): one more commit, then reopen and find it.
     let txn = store.begin();
@@ -393,7 +324,7 @@ fn run_round(
     store.slice_add(txn, SLICING, slice_key(), probe).unwrap();
     store.commit(txn).unwrap();
     drop(store);
-    let store = open_store_mode(dir, batched);
+    let store = open_store(dir);
     assert_eq!(
         store.message(probe).unwrap().payload,
         "probe",
@@ -424,33 +355,17 @@ fn crash_injection_randomized_kill_points() {
     let mut torn_rounds = 0u64;
     for i in 0..iters {
         let tmp = tempfile::TempDir::new().unwrap();
-        // Alternate apply modes so mid-batch kills of the batched leader
-        // and the unbatched baseline both see every kill mechanism.
-        let batched = i % 2 == 0;
-        *stats
-            .entry(if batched { "batched" } else { "unbatched" })
-            .or_default() += 1;
         // Alternate kill mechanisms; both tear at unpredictable points.
         let outcome = if i % 3 == 2 {
             // Byte-budget failpoint: the WAL writer dies mid-record after
             // a random number of log bytes — a deterministic torn tail.
             *stats.entry("failpoint").or_default() += 1;
-            run_round(
-                tmp.path(),
-                Duration::ZERO,
-                Some(64 + rng.below(4096)),
-                batched,
-            )
+            run_round(tmp.path(), Duration::ZERO, Some(64 + rng.below(4096)))
         } else {
             // SIGKILL after a random delay (0–25 ms) — whatever the
             // workload was mid-way through, including mid-write.
             *stats.entry("sigkill").or_default() += 1;
-            run_round(
-                tmp.path(),
-                Duration::from_micros(rng.below(25_000)),
-                None,
-                batched,
-            )
+            run_round(tmp.path(), Duration::from_micros(rng.below(25_000)), None)
         };
         assert!(
             outcome.recovered >= outcome.acked,

@@ -7,6 +7,7 @@ use demaq_store::heap::HeapFile;
 use demaq_store::pager::{BufferPool, DiskManager};
 use demaq_store::slice::SliceIndex;
 use demaq_store::store::SyncPolicy;
+use demaq_store::txn::TxnOp;
 use demaq_store::wal::{crc32, LogRecord};
 use demaq_store::{MessageStore, MsgId, PropValue, QueueMode, StoreOptions, TxnId};
 use proptest::prelude::*;
@@ -50,13 +51,15 @@ proptest! {
         txn in any::<u64>(),
         at in any::<i64>(),
     ) {
-        let rec = LogRecord::Enqueue {
+        let rec = LogRecord::Op {
             txn: TxnId(txn),
-            queue,
-            msg: MsgId(msg),
-            payload: payload.into(),
-            props,
-            enqueued_at: at,
+            op: TxnOp::Enqueue {
+                queue,
+                msg: MsgId(msg),
+                payload: payload.into(),
+                props,
+                enqueued_at: at,
+            },
         };
         let bytes = rec.encode();
         prop_assert_eq!(LogRecord::decode(&bytes), Some(rec));
