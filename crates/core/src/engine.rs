@@ -15,15 +15,13 @@ use crate::compiler::CompiledRule;
 use crate::errors::{error_message, kind};
 use crate::gateway::GatewayManager;
 use crate::host::{atomic_to_prop, prop_to_atomic, QsHost, SliceCtx, SliceLoader};
+use crate::lineage::{self, Lineage};
 use crate::outbox::{Effect, Outbox};
 use crate::properties::{compute_properties, lineage_prop, system, PropError};
 use crate::scheduler::Scheduler;
 use crate::shard::ShardLink;
 use demaq_net::{Clock, Envelope, Network, TimerWheel};
-use demaq_obs::{
-    Counter, Gauge, Histogram, Lineage, LineageRecord, Obs, ProvenanceIndex, TraceCtx, TraceEvent,
-    TraceFilter,
-};
+use demaq_obs::{Counter, Gauge, Histogram, Obs, TraceCtx, TraceEvent, TraceFilter};
 use demaq_qdl::{parse_program, AppSpec, QueueKind};
 use demaq_store::store::SyncPolicy;
 use demaq_store::{
@@ -443,9 +441,6 @@ pub struct ServerBuilder {
     /// When `Some`, only the named incoming-gateway queues register network
     /// listeners (each gateway listens on exactly one shard).
     pub(crate) incoming_gateways: Option<HashSet<String>>,
-    /// Share one causal provenance index across shards so lineage chains
-    /// that hop shards stay queryable from any of them.
-    pub(crate) shared_provenance: Option<Arc<ProvenanceIndex>>,
     /// The application compiled once for every shard of a
     /// [`crate::shard::ShardedServer`]; `None` compiles the program here.
     pub(crate) compiled: Option<Arc<CompiledApp>>,
@@ -477,7 +472,6 @@ impl Default for ServerBuilder {
             msg_id_base: 0,
             shard_link: None,
             incoming_gateways: None,
-            shared_provenance: None,
             compiled: None,
         }
     }
@@ -748,40 +742,6 @@ impl ServerBuilder {
                 .map(|r| r.name.as_str()),
         );
 
-        // Rebuild the causal index from the store's durable lineage (WAL
-        // `Lineage` records replayed by recovery), then backfill root
-        // records for causal-tree roots that are still retained — roots
-        // have no durable edge of their own.
-        let provenance = self
-            .shared_provenance
-            .unwrap_or_else(|| Arc::new(ProvenanceIndex::new(PROVENANCE_CAPACITY)));
-        let edges = store.lineage_edges();
-        for e in &edges {
-            provenance.record(LineageRecord {
-                msg: e.msg.0,
-                parent: Some(e.parent.0),
-                root: e.root.0,
-                rule: (!e.rule.is_empty()).then(|| e.rule.clone()),
-                queue: e.queue.clone(),
-                lsn: e.lsn.map(|l| l.0),
-            });
-        }
-        let derived: HashSet<u64> = edges.iter().map(|e| e.msg.0).collect();
-        for e in &edges {
-            if !derived.contains(&e.root.0) {
-                if let Ok(meta) = store.message_meta(e.root) {
-                    provenance.record(LineageRecord {
-                        msg: e.root.0,
-                        parent: None,
-                        root: e.root.0,
-                        rule: None,
-                        queue: meta.queue.clone(),
-                        lsn: None,
-                    });
-                }
-            }
-        }
-
         // The narrowing sweep and the base-aware read path are one
         // mechanism: without the incremental registry, reads rescan raw
         // members and must see full history — so narrowing only
@@ -814,7 +774,6 @@ impl ServerBuilder {
             outbox: Outbox::new(&obs),
             pipelined: self.sync == SyncPolicy::Always,
             obs,
-            provenance,
             shard,
             _temp_root: temp_root,
         };
@@ -825,11 +784,6 @@ impl ServerBuilder {
         Ok(server)
     }
 }
-
-/// Records held by the in-memory causal provenance index. The index is a
-/// cache over the store's durable lineage; eviction never loses durable
-/// information.
-pub(crate) const PROVENANCE_CAPACITY: usize = 65_536;
 
 /// The throwaway store directory behind `.in_memory()`, removed on drop.
 /// Owners declare it as their *last* field: fields drop in declaration
@@ -936,10 +890,6 @@ pub struct Server {
     /// process goes through the outbox. Under `Batch` nothing waits for
     /// the disk in the first place, so nothing is deferred or held.
     pipelined: bool,
-    /// Bounded causal index over message lineage — a cache over the
-    /// store's durable `Lineage` records, rebuilt at startup. Shared
-    /// across shards of a [`crate::shard::ShardedServer`].
-    provenance: Arc<ProvenanceIndex>,
     /// This server's entry in its routing directory: one shard of a
     /// [`crate::shard::ShardedServer`], or the only entry of its own.
     shard: ShardLink,
@@ -1002,17 +952,15 @@ impl Server {
     }
 
     /// Full causal chain of one message: its own lineage record, all
-    /// ancestors up to the root, and all descendants breadth-first. Served
-    /// from the bounded in-memory index, which mirrors the store's durable
-    /// lineage — after a crash the chain is rebuilt from the WAL alone.
+    /// ancestors up to the root, and all descendants breadth-first. Read
+    /// from this server's store, whose lineage edges are WAL-logged and
+    /// purged with their messages, so it answers for exactly the messages
+    /// the store retains, before and after a restart alike. On one shard
+    /// of a [`crate::ShardedServer`] the chain ends where it leaves this
+    /// shard's store; [`crate::ShardedServer::lineage`] follows it across.
+    /// Costs one pass over the retained edges.
     pub fn lineage(&self, msg: MsgId) -> Lineage {
-        self.provenance.lineage(msg.0)
-    }
-
-    /// The causal provenance index (bounded to [`PROVENANCE_CAPACITY`]
-    /// records).
-    pub fn provenance(&self) -> &ProvenanceIndex {
-        &self.provenance
+        lineage::walk(&[&*self.store], msg)
     }
 
     /// Per-rule wall-time attribution: evaluation-time quantiles, firing
@@ -1217,7 +1165,6 @@ impl Server {
                     via,
                     TraceCtx::new(Some(root.unwrap_or(id.0)), parent),
                 );
-                self.record_provenance(id, queue);
                 if let Some(doc) = doc {
                     if self.agg.is_some() {
                         let aggregates = self.app.contribution_ids(queue, &props);
@@ -1410,30 +1357,6 @@ impl Server {
             }
         }
         Ok(())
-    }
-
-    /// Mirror a freshly committed message's lineage into the in-memory
-    /// causal index: the store's durable edge when one was recorded, a
-    /// root record otherwise.
-    fn record_provenance(&self, id: MsgId, queue: &str) {
-        match self.store.lineage_of(id) {
-            Some(e) => self.provenance.record(LineageRecord {
-                msg: e.msg.0,
-                parent: Some(e.parent.0),
-                root: e.root.0,
-                rule: (!e.rule.is_empty()).then(|| e.rule.clone()),
-                queue: e.queue,
-                lsn: e.lsn.map(|l| l.0),
-            }),
-            None => self.provenance.record(LineageRecord {
-                msg: id.0,
-                parent: None,
-                root: id.0,
-                rule: None,
-                queue: queue.to_string(),
-                lsn: None,
-            }),
-        }
     }
 
     // ---- processing loop -------------------------------------------------------
@@ -1670,12 +1593,10 @@ impl Server {
                     .tracer
                     .event_ctx("msg.processed", Some(msg_id.0), queue, "", ctx);
                 // Post-commit: cache the new documents (deferring this past
-                // commit keeps aborted messages out of the cache), mirror
-                // their committed lineage into the causal index, schedule
+                // commit keeps aborted messages out of the cache), schedule
                 // new work at once, gateway/echo side effects. What leaves
                 // this store waits for `after` to be durable.
                 for nm in new_messages {
-                    self.record_provenance(nm.id, &nm.queue);
                     self.keep_contributions(nm.id, &nm.aggregates, &nm.doc);
                     self.doc_cache.insert(nm.id, nm.doc);
                     let prio = self

@@ -43,6 +43,7 @@ pub mod engine;
 pub mod errors;
 pub mod gateway;
 pub mod host;
+pub(crate) mod lineage;
 pub(crate) mod outbox;
 pub mod properties;
 pub mod scheduler;
@@ -50,7 +51,8 @@ pub mod shard;
 
 pub use app::CompiledApp;
 pub use demaq_analysis as analysis;
-pub use demaq_obs::{Lineage, LineageRecord, ProvenanceIndex, TraceFilter};
+pub use demaq_obs::TraceFilter;
+pub use lineage::{Lineage, LineageRecord};
 pub use engine::{EngineError, RuleProfile, Server, ServerBuilder, ServerStats, StrictAnalysis};
 pub use shard::{ShardedServer, ShardedServerBuilder};
 

@@ -164,7 +164,7 @@ pub fn compute_properties(
         } else if !declared {
             // Explicit wins over a same-named system default, except the
             // engine-owned ones (forging provenance would corrupt the
-            // causal index).
+            // lineage edges).
             let engine_owned = name == system::CREATING_RULE
                 || name == system::CREATED_AT
                 || name == system::PARENT_MSG

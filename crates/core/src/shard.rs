@@ -28,15 +28,14 @@
 //! shard 0, the routing check never fires, and message ids start at the
 //! same base.
 
-use crate::engine::{
-    metrics_text, EngineError, Server, ServerBuilder, ServerStats, PROVENANCE_CAPACITY,
-};
+use crate::engine::{metrics_text, EngineError, Server, ServerBuilder, ServerStats};
 use crate::host::{atomic_to_prop, cast_prop};
+use crate::lineage::{self, Lineage};
 use crate::properties::compute_properties;
 use crate::Result;
 use demaq_analysis::{compute_placement, stable_hash, Placement};
 use demaq_net::Clock;
-use demaq_obs::{Counter, Lineage, Obs, ProvenanceIndex, TraceEvent};
+use demaq_obs::{Counter, Obs, TraceEvent};
 use demaq_qdl::QueueKind;
 use demaq_store::{MsgId, PropValue, StoreError, StoredMessage};
 use demaq_xml::parse as parse_xml;
@@ -260,11 +259,9 @@ impl ShardedServerBuilder {
         base.compiled = Some(Arc::clone(&app));
 
         // Shared infrastructure: one metric registry + trace ring, one
-        // clock, one simulated network, one causal index — so a sharded
-        // deployment reads exactly like a single server from the outside.
+        // clock, one simulated network — so a sharded deployment reads
+        // exactly like a single server from the outside.
         let (obs, clock, _) = base.pin_environment();
-        let provenance = Arc::new(ProvenanceIndex::new(PROVENANCE_CAPACITY));
-        base.shared_provenance = Some(Arc::clone(&provenance));
 
         // Home every incoming gateway on exactly one shard: two shards
         // listening on the same transport address would both claim
@@ -305,22 +302,20 @@ impl ShardedServerBuilder {
             clock,
             obs,
             placement,
-            provenance,
         })
     }
 }
 
 /// N engine shards behind one routing directory. The public surface
 /// mirrors [`Server`]: external enqueues route to the owning shard,
-/// inspection merges across shards, metrics/traces/lineage come from the
-/// shared observability context and causal index.
+/// inspection and lineage merge across shards, metrics and traces come
+/// from the shared observability context.
 pub struct ShardedServer {
     shards: Vec<Server>,
     router: Arc<ShardRouter>,
     clock: Clock,
     obs: Arc<Obs>,
     placement: Placement,
-    provenance: Arc<ProvenanceIndex>,
 }
 
 impl ShardedServer {
@@ -438,15 +433,14 @@ impl ShardedServer {
         Ok(out)
     }
 
-    /// Causal lineage of a message — the index is shared across shards,
-    /// so chains that hop shards resolve from anywhere.
+    /// Causal lineage of a message across the fleet, as
+    /// [`Server::lineage`] gives it for one store: each message is read
+    /// from the store of the shard that allocated its id (`id >> 48`), and
+    /// descendants are collected from every shard, so chains that hop
+    /// shards resolve from any of their messages.
     pub fn lineage(&self, msg: MsgId) -> Lineage {
-        self.provenance.lineage(msg.0)
-    }
-
-    /// The shared causal provenance index.
-    pub fn provenance(&self) -> &ProvenanceIndex {
-        &self.provenance
+        let stores: Vec<_> = self.shards.iter().map(|s| &**s.store()).collect();
+        lineage::walk(&stores, msg)
     }
 
     /// Statistics over the shared metric registry (covers all shards).

@@ -1,6 +1,7 @@
 //! Causal provenance end to end: lineage across rule firings, gateway
 //! hops, timer echoes, and error routing; identity of the causal chain
-//! across crash/recovery (WAL-only and checkpointed); per-rule wall-time
+//! across crash/recovery (WAL-only and checkpointed); lineage following
+//! retention through GC; per-rule wall-time
 //! attribution; trace-context filtering.
 
 use demaq::engine::RuleProfile;
@@ -97,18 +98,25 @@ fn lineage_spans_rules_and_a_gateway_hop() {
 
     // The chain is durable: every rule-produced edge carries a WAL LSN.
     for id in [approval, supplier, archive] {
-        let rec = s.provenance().get(id.0).unwrap();
+        let rec = s.lineage(id).target.unwrap();
         assert!(rec.lsn.is_some(), "edge of {id:?} not WAL-durable");
     }
 }
 
+/// Every message answers the same lineage before and after a reopen —
+/// including a root whose rule did not fire, which has no edge of its own.
 #[test]
 fn lineage_identical_before_and_after_crash_recovery() {
     let tmp = tempfile::TempDir::new().unwrap();
     let (ids, before) = {
         let s = build(tmp.path());
-        let ids = run_pipeline(&s);
+        let childless = s.enqueue_external("order", "<note/>").unwrap();
+        let mut ids = run_pipeline(&s);
+        ids.push(childless);
         let before: Vec<_> = ids.iter().map(|id| s.lineage(*id)).collect();
+        let lone = before.last().unwrap();
+        assert_eq!(lone.target.as_ref().map(|t| t.root), Some(childless.0));
+        assert!(lone.descendants.is_empty());
         (ids, before)
         // Dropped without checkpoint: recovery must rebuild the chain
         // from WAL records alone.
@@ -136,6 +144,37 @@ fn lineage_identical_before_and_after_crash_recovery() {
             "lineage of {id:?} diverged after checkpointed recovery"
         );
     }
+}
+
+/// Lineage answers for exactly the messages the store retains: GC purges
+/// the processed, unsliced chain and its lineage with it, and a reopen
+/// (whose WAL replay brings purged messages back until the next GC)
+/// keeps the two in step.
+#[test]
+fn lineage_follows_retention() {
+    let tmp = tempfile::TempDir::new().unwrap();
+    let agrees = |s: &Server, ids: &[MsgId], when: &str| {
+        for id in ids {
+            assert_eq!(
+                s.lineage(*id).target.is_some(),
+                s.store().message_meta(*id).is_ok(),
+                "{when}: lineage of {id:?} disagrees with retention"
+            );
+        }
+    };
+    let ids = {
+        let s = build(tmp.path());
+        let ids = run_pipeline(&s);
+        agrees(&s, &ids, "before gc");
+        assert!(s.gc().unwrap() > 0, "the chain is processed and unsliced");
+        assert!(ids.iter().any(|id| s.lineage(*id).target.is_none()));
+        agrees(&s, &ids, "after gc");
+        ids
+    };
+    let s = build(tmp.path());
+    agrees(&s, &ids, "after reopen");
+    s.gc().unwrap();
+    agrees(&s, &ids, "after gc on reopen");
 }
 
 #[test]

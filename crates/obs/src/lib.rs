@@ -21,12 +21,10 @@
 //! the lookup entirely.
 
 mod histogram;
-pub mod provenance;
 mod registry;
 mod tracer;
 
 pub use histogram::Histogram;
-pub use provenance::{Lineage, LineageRecord, ProvenanceIndex};
 pub use registry::{Counter, Gauge, Registry};
 pub use tracer::{Span, TraceCtx, TraceEvent, TraceFilter, Tracer};
 

@@ -161,6 +161,19 @@ pub(crate) struct LineageSlot {
     pub(crate) lsn: Option<Lsn>,
 }
 
+impl LineageSlot {
+    fn edge(&self, msg: MsgId) -> LineageEdge {
+        LineageEdge {
+            msg,
+            parent: self.parent,
+            root: self.root,
+            rule: self.rule.clone(),
+            queue: self.queue.clone(),
+            lsn: self.lsn,
+        }
+    }
+}
+
 /// The logical (in-memory, WAL-backed) state.
 #[derive(Default)]
 pub(crate) struct Logical {
@@ -557,7 +570,7 @@ impl MessageStore {
     /// Buffer the causal lineage of a rule-driven enqueue: `msg` (already
     /// enqueued in this transaction) was created into `queue` by `rule`
     /// firing on `parent`. Logged to the WAL when the message is
-    /// persistent, so the full causal index survives crashes.
+    /// persistent, so the message's lineage survives crashes.
     pub fn record_lineage(
         &self,
         txn: TxnId,
@@ -1108,32 +1121,29 @@ impl MessageStore {
     /// Causal origin of one rule-created message; `None` for roots
     /// (external ingests) and purged messages.
     pub fn lineage_of(&self, msg: MsgId) -> Option<LineageEdge> {
-        let state = self.state.read();
-        state.lineage.get(&msg).map(|slot| LineageEdge {
-            msg,
-            parent: slot.parent,
-            root: slot.root,
-            rule: slot.rule.clone(),
-            queue: slot.queue.clone(),
-            lsn: slot.lsn,
-        })
+        self.state.read().lineage.get(&msg).map(|slot| slot.edge(msg))
     }
 
-    /// Every retained causal edge, sorted by created-message id — the
-    /// engine rebuilds its provenance index from this after recovery.
+    /// The retained causal edges of the tree rooted at `root`, in no
+    /// particular order. One pass over the retained edges under one read
+    /// lock, cloning only the matching ones.
+    pub fn lineage_tree(&self, root: MsgId) -> Vec<LineageEdge> {
+        let state = self.state.read();
+        state
+            .lineage
+            .iter()
+            .filter(|(_, slot)| slot.root == root)
+            .map(|(&msg, slot)| slot.edge(msg))
+            .collect()
+    }
+
+    /// Every retained causal edge, sorted by created-message id.
     pub fn lineage_edges(&self) -> Vec<LineageEdge> {
         let state = self.state.read();
         let mut out: Vec<LineageEdge> = state
             .lineage
             .iter()
-            .map(|(&msg, slot)| LineageEdge {
-                msg,
-                parent: slot.parent,
-                root: slot.root,
-                rule: slot.rule.clone(),
-                queue: slot.queue.clone(),
-                lsn: slot.lsn,
-            })
+            .map(|(&msg, slot)| slot.edge(msg))
             .collect();
         out.sort_by_key(|e| e.msg);
         out
@@ -1184,8 +1194,8 @@ impl MessageStore {
                     }
                 }
                 state.slices.forget(*id);
-                // Lineage of a purged message goes with it — bounds growth;
-                // the obs-side index may retain the edge until it evicts.
+                // Lineage of a purged message goes with it — bounds growth,
+                // and lineage queries answer for retained messages only.
                 state.lineage.remove(id);
             }
             // One pass per queue instead of one retain per victim — keeps
@@ -1752,6 +1762,8 @@ mod tests {
         assert_eq!(edge.queue, "out");
         assert!(edge.lsn.is_some(), "persistent lineage carries its LSN");
         assert!(store.lineage_of(root).is_none(), "roots have no edge");
+        assert_eq!(store.lineage_tree(root), vec![edge.clone()]);
+        assert!(store.lineage_tree(child).is_empty(), "keyed by root only");
 
         // Plain recovery (WAL replay).
         drop(store);
@@ -1773,6 +1785,7 @@ mod tests {
         store.commit(txn).unwrap();
         store.gc().unwrap();
         assert!(store.lineage_of(child).is_none());
+        assert!(store.lineage_tree(root).is_empty());
     }
 
     /// The fsync-per-commit baseline path (`group_commit_max_batch <= 1`)

@@ -40,9 +40,9 @@ pub enum TxnOp {
     /// Causal lineage of a rule-driven enqueue buffered in this
     /// transaction: `msg` was created (into `queue`) by `rule` firing on
     /// `parent`; `root` names the causal tree. Redundant with the
-    /// message's provenance system properties by design — it lets the full
-    /// causal index be rebuilt from WAL records alone, with a durable LSN
-    /// per edge.
+    /// message's provenance system properties by design — lineage queries
+    /// read these edges, restored from WAL records alone, with a durable
+    /// LSN per edge.
     Lineage {
         msg: MsgId,
         parent: MsgId,

@@ -34,6 +34,10 @@ DEMAQ_CRASH_ITERS=100 cargo test --offline -p demaq-suite --test durability_pipe
 # every drain returns, and the pending count never goes below zero.
 DEMAQ_RACE_ROUNDS=100 cargo test --offline -p demaq-suite --test differential_sharded \
     -- --nocapture concurrent_feed_during_parallel_drain_is_exactly_once
+# Lineage reads racing the same drain: every descendant a read returns
+# walks back to its root.
+DEMAQ_RACE_ROUNDS=100 cargo test --offline -p demaq-suite --test differential_sharded \
+    -- --nocapture lineage_reads_during_parallel_drain_end_at_the_root
 # Every park and wake in the engine goes through the shim's condvar, which
 # skips a notify nobody waits for: 100 rounds of a 100 000-exchange
 # ping-pong with untimed waits, each failing if a wake-up is lost.

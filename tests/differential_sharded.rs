@@ -11,7 +11,7 @@
 
 use demaq::{Server, ShardedServer};
 use demaq_store::store::SyncPolicy;
-use demaq_store::PropValue;
+use demaq_store::{MsgId, PropValue};
 use demaq_xquery::Atomic;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -188,10 +188,12 @@ fn rekeying_pipeline_forwards_across_shards() {
     const N: usize = 40;
     let s1 = single(REKEY);
     let s4 = sharded(REKEY, 4);
+    let mut roots = Vec::new();
     for i in 0..N {
         let xml = format!("<job n='{i}'/>");
-        s1.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
-        s4.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
+        let a = s1.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
+        let b = s4.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
+        roots.push((a, b));
     }
     s1.run_until_idle().unwrap();
     s4.run_until_idle().unwrap();
@@ -205,10 +207,31 @@ fn rekeying_pipeline_forwards_across_shards() {
     // otherwise this twin proves nothing about cross-shard enqueues.
     let forwards = metric_value(&s4.metrics_text(), "demaq_engine_shard_forwards_total");
     assert!(forwards > 0.0, "expected cross-shard forwards, got {forwards}");
-    // Lineage chains span shards via the shared provenance index.
+    // Lineage chains span shards: each message is read from its home
+    // shard's store.
     for m in s4.queue_messages("done").unwrap() {
         let shape = chain_shape(&s4.lineage(m.id));
         assert_eq!(shape.len(), 3, "done → enriched → intake: {shape:?}");
+    }
+    // Descendants are collected from every shard: each root's tree reads
+    // as on the single server, by queue and rule, in order.
+    let tree = |l: demaq::Lineage| -> Vec<(String, Option<String>)> {
+        l.descendants.into_iter().map(|r| (r.queue, r.rule)).collect()
+    };
+    for (a, b) in roots {
+        let want = tree(s1.lineage(a));
+        assert_eq!(want.len(), 2, "intake → enriched → done");
+        assert_eq!(tree(s4.lineage(b)), want, "tree of root {b:?}");
+    }
+    // One shard alone answers for the ids it holds (its store is not the
+    // fleet's store `id >> 48`).
+    let shard = s4.shard(1);
+    let homed = shard.queue_messages("enriched").unwrap();
+    assert!(!homed.is_empty(), "the rekey homes work on shard 1");
+    for m in homed {
+        let alone = shard.lineage(m.id).target;
+        assert!(alone.is_some(), "shard 1 answers for its own {:?}", m.id);
+        assert_eq!(alone, s4.lineage(m.id).target);
     }
 }
 
@@ -496,10 +519,7 @@ fn fleet_stats_count_processing_on_every_shard() {
 fn concurrent_feed_during_parallel_drain_is_exactly_once() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     const N: usize = 60;
-    let rounds: usize = std::env::var("DEMAQ_RACE_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let rounds = race_rounds();
     let mut expected: Vec<String> = (0..N).map(|i| format!("<done>{i}</done>")).collect();
     expected.sort();
     for round in 0..rounds {
@@ -527,6 +547,69 @@ fn concurrent_feed_during_parallel_drain_is_exactly_once() {
         done.sort();
         assert_eq!(done, expected, "round {round}: outputs not exactly once");
     }
+}
+
+/// Lineage reads racing a parallel drain: one thread loops `lineage(root)`
+/// over every root while `process_all_parallel(1)` drains two shards, and
+/// walks each returned descendant back up. A message becomes visible only
+/// with its edge, after everything it descends from, so every walk ends at
+/// its root; and the drain returns. `DEMAQ_RACE_ROUNDS` sets the number of
+/// rounds.
+#[test]
+fn lineage_reads_during_parallel_drain_end_at_the_root() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    const N: usize = 30;
+    for round in 0..race_rounds() {
+        let server = sharded(REKEY, 2);
+        let roots: Vec<MsgId> = (0..N)
+            .map(|i| {
+                let xml = format!("<job n='{i}'/>");
+                server.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap()
+            })
+            .collect();
+        let start = Barrier::new(2);
+        let drained = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                // One more full pass after the drain reads the final trees.
+                loop {
+                    let last = drained.load(Ordering::SeqCst);
+                    for root in &roots {
+                        let tree = server.lineage(*root).descendants;
+                        for d in &tree {
+                            let up = server.lineage(MsgId(d.msg)).ancestors;
+                            assert_eq!(
+                                up.last().map(|a| a.msg),
+                                Some(root.0),
+                                "round {round}: {} does not walk back to {root:?}",
+                                d.msg
+                            );
+                        }
+                        if last {
+                            assert_eq!(tree.len(), 2, "round {round}: tree of {root:?}");
+                        }
+                    }
+                    if last {
+                        break;
+                    }
+                }
+            });
+            start.wait();
+            let n = server.process_all_parallel(1);
+            drained.store(true, Ordering::SeqCst);
+            assert_eq!(n.unwrap(), (3 * N) as u64, "round {round}: drain lost work");
+        });
+    }
+}
+
+/// Rounds of the race tests (`DEMAQ_RACE_ROUNDS`, default 3).
+fn race_rounds() -> usize {
+    std::env::var("DEMAQ_RACE_ROUNDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(3)
 }
 
 // ---- crash recovery -----------------------------------------------------
