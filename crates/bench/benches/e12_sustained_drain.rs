@@ -139,8 +139,9 @@ fn bench_e12(c: &mut Criterion) {
 
     // The drain path shares payload bytes zero-copy end to end: enqueue,
     // WAL append, recovery-free reads, and rule evaluation all borrow the
-    // same `Arc<str>`. Copies only happen on checkpoint materialization
-    // and snapshot recovery, neither of which this workload performs.
+    // same `Arc<str>`. Copies only happen when a checkpoint writes
+    // payloads into its snapshot and when recovery reads them back out,
+    // neither of which this workload performs.
     let copies = metric_value(&text, "demaq_store_payload_copies_total");
     assert_eq!(copies, 0.0, "drain path must not copy payload bytes");
     let overwrites = metric_value(&text, "demaq_obs_trace_overwrites_total");

@@ -30,8 +30,9 @@
 //!
 //! Expected shape: scaling tracking the core ceiling, far fewer WAL syncs
 //! than commits, zero cross-shard forwards (placement keeps the hot chain
-//! local), zero payload copies, and zero trace-ring overwrites (capacity
-//! sized to the workload).
+//! local), zero payload copies (copies count only payloads written into
+//! or read out of a checkpoint snapshot, and the drain takes none), and
+//! zero trace-ring overwrites (capacity sized to the workload).
 //!
 //! Knobs: `DEMAQ_E13_SMOKE` (256 msgs instead of 2048),
 //! `DEMAQ_E13_WORKERS` (workers per shard, default 4),

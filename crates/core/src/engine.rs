@@ -787,7 +787,7 @@ impl ServerBuilder {
 
 /// The throwaway store directory behind `.in_memory()`, removed on drop.
 /// Owners declare it as their *last* field: fields drop in declaration
-/// order, so every store handle has closed its WAL and heap files before
+/// order, so every store handle has closed its WAL files before
 /// the tree goes away.
 pub(crate) struct TempRoot(pub(crate) PathBuf);
 
@@ -2815,7 +2815,7 @@ mod tests {
         server.enqueue_external("inbox", "<m/>").unwrap();
         assert_eq!(server.run_until_idle().unwrap(), 2);
         let dir = server.store().dir().clone();
-        assert!(dir.join("heap.db").exists(), "no store under {dir:?}");
+        assert!(dir.join("wal-000000.log").exists(), "no store under {dir:?}");
         drop(server);
         assert!(!dir.exists(), "{dir:?} outlived its in-memory server");
     }

@@ -278,7 +278,7 @@ impl ShardedServerBuilder {
         let mut servers = Vec::with_capacity(shards);
         for (i, homes) in incoming_homes.into_iter().enumerate() {
             let mut b = base.clone();
-            // Each shard needs its own WAL and heap files.
+            // Each shard needs its own WAL segments and snapshot.
             b.dir = base.dir.as_ref().map(|root| root.join(format!("shard-{i}")));
             // Shard-unique id spaces without coordination; shard 0 keeps
             // base 0 so a 1-shard deployment allocates the same ids as a

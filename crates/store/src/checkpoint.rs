@@ -1,37 +1,37 @@
 //! Checkpoint snapshots of the store's logical state.
 //!
-//! A checkpoint bounds recovery time: it captures queue definitions,
-//! message metadata (payloads stay in the heap file, which is flushed
-//! first), and the slice index, then switches to a fresh WAL segment.
-//! Transient queues are *not* captured — their content is legitimately
-//! lost on restart (paper Sec. 2.1.1).
+//! A checkpoint bounds recovery time: it captures queue definitions, every
+//! persistent message *with its payload*, the slice index and the lineage
+//! edges, then switches to a fresh WAL segment. The snapshot is
+//! self-contained — together with the WAL segments that post-date it, it is
+//! the whole durable store. Transient queues are *not* captured — their
+//! content is legitimately lost on restart (paper Sec. 2.1.1).
 //!
 //! Format: custom length-prefixed binary with a magic header and a trailing
 //! CRC; written to a temp file and atomically renamed.
 
 use crate::error::{Result, StoreError};
-use crate::pager::PageId;
 use crate::slice::BaseCells;
-use crate::types::{MsgId, PropValue};
+use crate::types::{MsgId, PayloadBytes, PropValue};
 use crate::wal::crc32;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
 
-/// Current format: per-slice narrowed-retention base (aggregate
-/// accumulator cells + released-member count) follows the member list.
-const MAGIC: &[u8; 8] = b"DEMAQCK2";
-/// Previous format, still readable: slices carry no base fields.
-const MAGIC_V1: &[u8; 8] = b"DEMAQCK1";
+/// Current format: payloads inline, one member list per slice lifetime.
+const MAGIC: &[u8; 8] = b"DEMAQCK3";
+/// Earlier formats referenced payloads in a page file (`heap.db`) that
+/// this store no longer reads.
+const HEAP_MAGICS: [&[u8; 8]; 2] = [b"DEMAQCK1", b"DEMAQCK2"];
+/// Magic, CRC of the body, body length.
+const HEADER: usize = 16;
 
-/// Message metadata as serialized into a snapshot.
+/// A persistent message as serialized into a snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapMessage {
     pub id: MsgId,
     pub queue: String,
-    /// Heap location (persistent queues only).
-    pub rid_page: u32,
-    pub rid_slot: u16,
+    pub payload: PayloadBytes,
     pub processed: bool,
     pub enqueued_at: i64,
     pub props: Vec<(String, PropValue)>,
@@ -57,16 +57,14 @@ pub struct SnapLineage {
     pub lsn: Option<u64>,
 }
 
-/// One slice as serialized into a snapshot. Members carry the lifetime
-/// (epoch) they were added in — the format predates dropping old
-/// lifetimes at reset, so a snapshot may still list earlier ones, which
-/// restore ignores.
+/// One slice as serialized into a snapshot: its current lifetime's
+/// members and the narrowed-retention base released from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapSlice {
     pub slicing: String,
     pub key: PropValue,
     pub epoch: u64,
-    pub members: Vec<(MsgId, u64)>,
+    pub members: Vec<MsgId>,
     pub base: BaseCells,
     pub base_members: u64,
 }
@@ -78,8 +76,6 @@ pub struct Snapshot {
     pub wal_index: u64,
     pub next_msg: u64,
     pub next_txn: u64,
-    pub heap_free: Vec<PageId>,
-    pub heap_live: u64,
     pub queues: Vec<SnapQueue>,
     pub messages: Vec<SnapMessage>,
     pub slices: Vec<SnapSlice>,
@@ -91,14 +87,16 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn get_str(buf: &[u8], at: &mut usize) -> Option<String> {
-    let len = u32::from_le_bytes(buf.get(*at..*at + 4)?.try_into().ok()?) as usize;
-    *at += 4;
-    let s = std::str::from_utf8(buf.get(*at..*at + len)?)
-        .ok()?
-        .to_string();
+/// A length-prefixed UTF-8 string, borrowed from `buf`.
+fn get_text<'a>(buf: &'a [u8], at: &mut usize) -> Option<&'a str> {
+    let len = get_u32(buf, at)? as usize;
+    let s = std::str::from_utf8(buf.get(*at..*at + len)?).ok()?;
     *at += len;
     Some(s)
+}
+
+fn get_str(buf: &[u8], at: &mut usize) -> Option<String> {
+    get_text(buf, at).map(str::to_string)
 }
 
 fn get_u64(buf: &[u8], at: &mut usize) -> Option<u64> {
@@ -114,88 +112,90 @@ fn get_u32(buf: &[u8], at: &mut usize) -> Option<u32> {
 }
 
 impl Snapshot {
-    /// Serialize to bytes (magic + body + CRC).
+    /// Serialize to bytes (magic + CRC + length, then the body). The
+    /// header is reserved up front and filled last, so each payload is
+    /// copied once, straight into the output.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&self.wal_index.to_le_bytes());
-        body.extend_from_slice(&self.next_msg.to_le_bytes());
-        body.extend_from_slice(&self.next_txn.to_le_bytes());
-        body.extend_from_slice(&self.heap_live.to_le_bytes());
-        body.extend_from_slice(&(self.heap_free.len() as u32).to_le_bytes());
-        for p in &self.heap_free {
-            body.extend_from_slice(&p.0.to_le_bytes());
-        }
-        body.extend_from_slice(&(self.queues.len() as u32).to_le_bytes());
+        let payload_bytes: usize = self.messages.iter().map(|m| m.payload.len()).sum();
+        let mut out = Vec::with_capacity(HEADER + payload_bytes + 64 * self.messages.len());
+        out.resize(HEADER, 0);
+        out.extend_from_slice(&self.wal_index.to_le_bytes());
+        out.extend_from_slice(&self.next_msg.to_le_bytes());
+        out.extend_from_slice(&self.next_txn.to_le_bytes());
+        out.extend_from_slice(&(self.queues.len() as u32).to_le_bytes());
         for q in &self.queues {
-            put_str(&mut body, &q.name);
-            body.push(q.persistent as u8);
-            body.extend_from_slice(&q.priority.to_le_bytes());
+            put_str(&mut out, &q.name);
+            out.push(q.persistent as u8);
+            out.extend_from_slice(&q.priority.to_le_bytes());
         }
-        body.extend_from_slice(&(self.messages.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(self.messages.len() as u32).to_le_bytes());
         for m in &self.messages {
-            body.extend_from_slice(&m.id.0.to_le_bytes());
-            put_str(&mut body, &m.queue);
-            body.extend_from_slice(&m.rid_page.to_le_bytes());
-            body.extend_from_slice(&m.rid_slot.to_le_bytes());
-            body.push(m.processed as u8);
-            body.extend_from_slice(&m.enqueued_at.to_le_bytes());
-            body.extend_from_slice(&(m.props.len() as u32).to_le_bytes());
+            out.extend_from_slice(&m.id.0.to_le_bytes());
+            put_str(&mut out, &m.queue);
+            put_str(&mut out, &m.payload);
+            out.push(m.processed as u8);
+            out.extend_from_slice(&m.enqueued_at.to_le_bytes());
+            out.extend_from_slice(&(m.props.len() as u32).to_le_bytes());
             for (n, v) in &m.props {
-                put_str(&mut body, n);
-                v.encode(&mut body);
+                put_str(&mut out, n);
+                v.encode(&mut out);
             }
         }
-        body.extend_from_slice(&(self.slices.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(self.slices.len() as u32).to_le_bytes());
         for slice in &self.slices {
-            put_str(&mut body, &slice.slicing);
-            slice.key.encode(&mut body);
-            body.extend_from_slice(&slice.epoch.to_le_bytes());
-            body.extend_from_slice(&(slice.members.len() as u32).to_le_bytes());
-            for (m, e) in &slice.members {
-                body.extend_from_slice(&m.0.to_le_bytes());
-                body.extend_from_slice(&e.to_le_bytes());
+            put_str(&mut out, &slice.slicing);
+            slice.key.encode(&mut out);
+            out.extend_from_slice(&slice.epoch.to_le_bytes());
+            out.extend_from_slice(&(slice.members.len() as u32).to_le_bytes());
+            for m in &slice.members {
+                out.extend_from_slice(&m.0.to_le_bytes());
             }
-            body.extend_from_slice(&(slice.base.len() as u32).to_le_bytes());
+            out.extend_from_slice(&(slice.base.len() as u32).to_le_bytes());
             for (sig, cell) in &slice.base {
-                put_str(&mut body, sig);
-                body.extend_from_slice(&(cell.len() as u32).to_le_bytes());
-                body.extend_from_slice(cell);
+                put_str(&mut out, sig);
+                out.extend_from_slice(&(cell.len() as u32).to_le_bytes());
+                out.extend_from_slice(cell);
             }
-            body.extend_from_slice(&slice.base_members.to_le_bytes());
+            out.extend_from_slice(&slice.base_members.to_le_bytes());
         }
-        body.extend_from_slice(&(self.lineage.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(self.lineage.len() as u32).to_le_bytes());
         for l in &self.lineage {
-            body.extend_from_slice(&l.msg.0.to_le_bytes());
-            body.extend_from_slice(&l.parent.0.to_le_bytes());
-            body.extend_from_slice(&l.root.0.to_le_bytes());
-            put_str(&mut body, &l.rule);
-            put_str(&mut body, &l.queue);
-            body.push(l.lsn.is_some() as u8);
-            body.extend_from_slice(&l.lsn.unwrap_or(0).to_le_bytes());
+            out.extend_from_slice(&l.msg.0.to_le_bytes());
+            out.extend_from_slice(&l.parent.0.to_le_bytes());
+            out.extend_from_slice(&l.root.0.to_le_bytes());
+            put_str(&mut out, &l.rule);
+            put_str(&mut out, &l.queue);
+            out.push(l.lsn.is_some() as u8);
+            out.extend_from_slice(&l.lsn.unwrap_or(0).to_le_bytes());
         }
-        let mut out = Vec::with_capacity(body.len() + 16);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
+        let (header, body) = out.split_at_mut(HEADER);
+        header[..8].copy_from_slice(MAGIC);
+        header[8..12].copy_from_slice(&crc32(body).to_le_bytes());
+        header[12..].copy_from_slice(&(body.len() as u32).to_le_bytes());
         out
     }
 
-    /// Decode from bytes, verifying magic and CRC.
+    /// Decode from bytes, verifying magic and CRC. Payloads are validated
+    /// as UTF-8 here, once.
     pub fn decode(buf: &[u8]) -> Result<Snapshot> {
         let corrupt = |m: &str| StoreError::Corrupt(format!("snapshot: {m}"));
-        if buf.len() < 16 {
+        if buf.len() < HEADER {
             return Err(corrupt("bad magic"));
         }
-        let has_base = match &buf[..8] {
-            m if m == MAGIC => true,
-            m if m == MAGIC_V1 => false,
-            _ => return Err(corrupt("bad magic")),
-        };
+        let magic = &buf[..8];
+        if HEAP_MAGICS.iter().any(|m| &m[..] == magic) {
+            return Err(corrupt(&format!(
+                "{} references payloads in heap.db, which this store no longer reads",
+                String::from_utf8_lossy(magic)
+            )));
+        }
+        if magic != MAGIC {
+            return Err(corrupt("bad magic"));
+        }
         let crc = u32::from_le_bytes(buf[8..12].try_into().unwrap());
         let len = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
         let body = buf
-            .get(16..16 + len)
+            .get(HEADER..HEADER + len)
             .ok_or_else(|| corrupt("truncated body"))?;
         if crc32(body) != crc {
             return Err(corrupt("CRC mismatch"));
@@ -206,11 +206,6 @@ impl Snapshot {
             snap.wal_index = get_u64(body, &mut at)?;
             snap.next_msg = get_u64(body, &mut at)?;
             snap.next_txn = get_u64(body, &mut at)?;
-            snap.heap_live = get_u64(body, &mut at)?;
-            let nfree = get_u32(body, &mut at)? as usize;
-            for _ in 0..nfree {
-                snap.heap_free.push(PageId(get_u32(body, &mut at)?));
-            }
             let nq = get_u32(body, &mut at)? as usize;
             for _ in 0..nq {
                 let name = get_str(body, &mut at)?;
@@ -228,9 +223,7 @@ impl Snapshot {
             for _ in 0..nm {
                 let id = MsgId(get_u64(body, &mut at)?);
                 let queue = get_str(body, &mut at)?;
-                let rid_page = get_u32(body, &mut at)?;
-                let rid_slot = u16::from_le_bytes(body.get(at..at + 2)?.try_into().ok()?);
-                at += 2;
+                let payload = PayloadBytes::from(get_text(body, &mut at)?);
                 let processed = *body.get(at)? != 0;
                 at += 1;
                 let enqueued_at = i64::from_le_bytes(body.get(at..at + 8)?.try_into().ok()?);
@@ -245,8 +238,7 @@ impl Snapshot {
                 snap.messages.push(SnapMessage {
                     id,
                     queue,
-                    rid_page,
-                    rid_slot,
+                    payload,
                     processed,
                     enqueued_at,
                     props,
@@ -260,23 +252,18 @@ impl Snapshot {
                 let nmem = get_u32(body, &mut at)? as usize;
                 let mut members = Vec::with_capacity(nmem);
                 for _ in 0..nmem {
-                    let m = MsgId(get_u64(body, &mut at)?);
-                    let e = get_u64(body, &mut at)?;
-                    members.push((m, e));
+                    members.push(MsgId(get_u64(body, &mut at)?));
                 }
-                let mut base = Vec::new();
-                let mut base_members = 0u64;
-                if has_base {
-                    let nb = get_u32(body, &mut at)? as usize;
-                    for _ in 0..nb {
-                        let sig = get_str(body, &mut at)?;
-                        let len = get_u32(body, &mut at)? as usize;
-                        let cell = body.get(at..at + len)?.to_vec();
-                        at += len;
-                        base.push((sig, cell));
-                    }
-                    base_members = get_u64(body, &mut at)?;
+                let nb = get_u32(body, &mut at)? as usize;
+                let mut base = Vec::with_capacity(nb);
+                for _ in 0..nb {
+                    let sig = get_str(body, &mut at)?;
+                    let len = get_u32(body, &mut at)? as usize;
+                    let cell = body.get(at..at + len)?.to_vec();
+                    at += len;
+                    base.push((sig, cell));
                 }
+                let base_members = get_u64(body, &mut at)?;
                 snap.slices.push(SnapSlice {
                     slicing,
                     key,
@@ -343,8 +330,6 @@ mod tests {
             wal_index: 3,
             next_msg: 101,
             next_txn: 55,
-            heap_free: vec![PageId(4), PageId(9)],
-            heap_live: 42,
             queues: vec![
                 SnapQueue {
                     name: "crm".into(),
@@ -360,8 +345,7 @@ mod tests {
             messages: vec![SnapMessage {
                 id: MsgId(7),
                 queue: "crm".into(),
-                rid_page: 2,
-                rid_slot: 3,
+                payload: "<order id='9'/>".into(),
                 processed: true,
                 enqueued_at: 777,
                 props: vec![("orderID".into(), PropValue::Int(9))],
@@ -370,7 +354,7 @@ mod tests {
                 slicing: "orders".into(),
                 key: PropValue::Str("9".into()),
                 epoch: 2,
-                members: vec![(MsgId(7), 2), (MsgId(5), 1)],
+                members: vec![MsgId(7), MsgId(5)],
                 base: vec![("count".into(), vec![1, 2, 3]), ("sum|//v".into(), vec![9])],
                 base_members: 14,
             }],
@@ -395,11 +379,134 @@ mod tests {
         }
     }
 
+    /// Frame a hand-written body the way `encode` does.
+    fn framed(magic: &[u8; 8], body: &[u8]) -> Vec<u8> {
+        let mut bytes = magic.to_vec();
+        bytes.extend_from_slice(&crc32(body).to_le_bytes());
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
     #[test]
     fn roundtrip() {
         let snap = sample();
         let decoded = Snapshot::decode(&snap.encode()).unwrap();
         assert_eq!(decoded, snap);
+    }
+
+    /// A snapshot with an empty and a multi-byte UTF-8 payload, a base
+    /// cell and a lineage edge, byte for byte. Stores written by earlier
+    /// builds must recover unchanged, so these bytes may never move.
+    #[test]
+    #[rustfmt::skip]
+    fn golden_snapshot_format() {
+        let body: Vec<u8> = [
+            &[2, 0, 0, 0, 0, 0, 0, 0][..], // wal_index
+            &[9, 0, 0, 0, 0, 0, 0, 0], // next_msg
+            &[4, 0, 0, 0, 0, 0, 0, 0], // next_txn
+            &[1, 0, 0, 0], // queue count
+            &[1, 0, 0, 0, b'q', 1, 0xFE, 0xFF, 0xFF, 0xFF], // "q", persistent, priority -2
+            &[2, 0, 0, 0], // message count
+            &[7, 0, 0, 0, 0, 0, 0, 0], // id
+            &[1, 0, 0, 0, b'q'], // queue
+            &[0, 0, 0, 0], // empty payload
+            &[0], // processed
+            &[5, 0, 0, 0, 0, 0, 0, 0], // enqueued_at
+            &[0, 0, 0, 0], // property count
+            &[8, 0, 0, 0, 0, 0, 0, 0], // id
+            &[1, 0, 0, 0, b'q'], // queue
+            &[9, 0, 0, 0, b'<', b'a', b'>', 0xC3, 0xA9, b'<', b'/', b'a', b'>'], // "<a>é</a>"
+            &[1], // processed
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF], // enqueued_at -1
+            &[1, 0, 0, 0], // property count
+            &[1, 0, 0, 0, b'k', 1, 1, 0, 0, 0, b'3'], // k = 3
+            &[1, 0, 0, 0], // slice count
+            &[1, 0, 0, 0, b's'], // slicing
+            &[0, 1, 0, 0, 0, b'x'], // key "x"
+            &[1, 0, 0, 0, 0, 0, 0, 0], // epoch
+            &[1, 0, 0, 0], // member count
+            &[8, 0, 0, 0, 0, 0, 0, 0], // member
+            &[1, 0, 0, 0], // base cell count
+            &[1, 0, 0, 0, b'c', 2, 0, 0, 0, 0xAB, 0xCD], // "c" -> [AB CD]
+            &[3, 0, 0, 0, 0, 0, 0, 0], // base_members
+            &[1, 0, 0, 0], // lineage count
+            &[8, 0, 0, 0, 0, 0, 0, 0], // msg
+            &[7, 0, 0, 0, 0, 0, 0, 0], // parent
+            &[7, 0, 0, 0, 0, 0, 0, 0], // root
+            &[1, 0, 0, 0, b'r'], // rule
+            &[1, 0, 0, 0, b'q'], // queue
+            &[1, 0x2A, 0, 0, 0, 0, 0, 0, 0], // lsn Some(42)
+        ]
+        .concat();
+        let bytes = framed(b"DEMAQCK3", &body);
+        let snap = Snapshot {
+            wal_index: 2,
+            next_msg: 9,
+            next_txn: 4,
+            queues: vec![SnapQueue { name: "q".into(), persistent: true, priority: -2 }],
+            messages: vec![
+                SnapMessage {
+                    id: MsgId(7),
+                    queue: "q".into(),
+                    payload: "".into(),
+                    processed: false,
+                    enqueued_at: 5,
+                    props: vec![],
+                },
+                SnapMessage {
+                    id: MsgId(8),
+                    queue: "q".into(),
+                    payload: "<a>é</a>".into(),
+                    processed: true,
+                    enqueued_at: -1,
+                    props: vec![("k".into(), PropValue::Int(3))],
+                },
+            ],
+            slices: vec![SnapSlice {
+                slicing: "s".into(),
+                key: PropValue::Str("x".into()),
+                epoch: 1,
+                members: vec![MsgId(8)],
+                base: vec![("c".into(), vec![0xAB, 0xCD])],
+                base_members: 3,
+            }],
+            lineage: vec![SnapLineage {
+                msg: MsgId(8),
+                parent: MsgId(7),
+                root: MsgId(7),
+                rule: "r".into(),
+                queue: "q".into(),
+                lsn: Some(42),
+            }],
+        };
+        assert_eq!(Snapshot::decode(&bytes).unwrap(), snap);
+        assert_eq!(snap.encode(), bytes, "snapshot bytes moved");
+    }
+
+    #[test]
+    fn payloads_are_validated_at_decode() {
+        let mut snap = sample();
+        snap.messages[0].payload = "\u{1F600}".into();
+        let mut bytes = snap.encode();
+        let at = bytes
+            .windows(4)
+            .position(|w| w == "\u{1F600}".as_bytes())
+            .unwrap();
+        bytes[at] = 0xFF;
+        let (header, body) = bytes.split_at_mut(HEADER);
+        header[8..12].copy_from_slice(&crc32(body).to_le_bytes());
+        assert!(Snapshot::decode(&bytes).is_err(), "invalid UTF-8 accepted");
+    }
+
+    #[test]
+    fn heap_referencing_formats_are_refused() {
+        for magic in HEAP_MAGICS {
+            let err = Snapshot::decode(&framed(magic, &[0; 40])).unwrap_err();
+            let text = err.to_string();
+            assert!(matches!(err, StoreError::Corrupt(_)), "{text}");
+            assert!(text.contains("heap.db"), "{text}");
+        }
     }
 
     #[test]
@@ -417,39 +524,6 @@ mod tests {
         assert!(Snapshot::read_from(&dir.path().join("nope"))
             .unwrap()
             .is_none());
-    }
-
-    #[test]
-    fn decodes_v1_snapshots_without_base() {
-        // A minimal DEMAQCK1 body, byte-for-byte the old format: slices
-        // end at their member list.
-        let mut body = Vec::new();
-        body.extend_from_slice(&1u64.to_le_bytes()); // wal_index
-        body.extend_from_slice(&2u64.to_le_bytes()); // next_msg
-        body.extend_from_slice(&3u64.to_le_bytes()); // next_txn
-        body.extend_from_slice(&0u64.to_le_bytes()); // heap_live
-        body.extend_from_slice(&0u32.to_le_bytes()); // heap_free
-        body.extend_from_slice(&0u32.to_le_bytes()); // queues
-        body.extend_from_slice(&0u32.to_le_bytes()); // messages
-        body.extend_from_slice(&1u32.to_le_bytes()); // slices
-        put_str(&mut body, "orders");
-        PropValue::Str("9".into()).encode(&mut body);
-        body.extend_from_slice(&1u64.to_le_bytes()); // epoch
-        body.extend_from_slice(&1u32.to_le_bytes()); // member count
-        body.extend_from_slice(&7u64.to_le_bytes()); // msg id
-        body.extend_from_slice(&1u64.to_le_bytes()); // member epoch
-        body.extend_from_slice(&0u32.to_le_bytes()); // lineage
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&body);
-        let snap = Snapshot::decode(&bytes).unwrap();
-        let st = &snap.slices[0];
-        assert_eq!(st.slicing, "orders");
-        assert_eq!(st.members, vec![(MsgId(7), 1)]);
-        assert!(st.base.is_empty());
-        assert_eq!(st.base_members, 0);
     }
 
     #[test]

@@ -6,10 +6,6 @@
 //!
 //! Architecture:
 //!
-//! * **Pager / buffer pool** ([`pager`]): fixed-size pages in a heap file
-//!   with an LRU buffer pool — message payloads live here.
-//! * **Heap file** ([`heap`]): slotted, append-only record storage with
-//!   overflow chains for large messages.
 //! * **Write-ahead log** ([`wal`]): logical redo records (enqueue, mark
 //!   processed, slice ops, resets, purges) with CRC framing and
 //!   configurable sync policy (per-commit fsync or group commit).
@@ -22,14 +18,15 @@
 //!   the slice index (a B-tree keyed by slice key, Sec. 4.3), slice
 //!   lifetimes (resets), and retention-by-slice-membership GC
 //!   (Sec. 2.3.3) that never needs to analyze the log to delete.
-//! * **Checkpoint + recovery** ([`checkpoint`], [`recovery`]): fuzzy
-//!   snapshots of the logical state plus committed-transaction redo.
+//! * **Checkpoint + recovery** ([`checkpoint`], [`recovery`]): snapshots
+//!   of the logical state plus committed-transaction redo. A snapshot is
+//!   self-contained: it carries every persistent payload, so payload bytes
+//!   have one owner — the resident [`PayloadBytes`], made durable by the
+//!   WAL until a checkpoint writes it into the snapshot.
 
 pub mod checkpoint;
 pub mod error;
-pub mod heap;
 pub mod lock;
-pub mod pager;
 pub(crate) mod recovery;
 pub mod slice;
 pub mod store;

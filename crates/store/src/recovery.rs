@@ -2,25 +2,21 @@
 //!
 //! Steps (paper Sec. 4.1 — recoverable queues on an append-only store):
 //!
-//! 1. Load the latest checkpoint snapshot (if any); it names the first WAL
-//!    segment whose records post-date it.
+//! 1. Load the latest checkpoint snapshot (if any). It is self-contained:
+//!    every persistent message comes with its payload, and it names the
+//!    first WAL segment whose records post-date it.
 //! 2. Scan the surviving WAL segments in order. Pass one finds committed
 //!    transaction ids; pass two replays only *their* records, in log
 //!    order — uncommitted work disappears, which is the whole of undo in a
 //!    deferred-write store.
-//! 3. Replayed payloads stay heap-less (`Payload::Mem`): their WAL segment
-//!    survives until the next checkpoint cut materializes them into the
-//!    heap, mirroring the live commit path's deferred materialization.
-//! 4. The caller then runs the retention GC, which re-derives any deletions
+//! 3. The caller then runs the retention GC, which re-derives any deletions
 //!    the crash forgot — deletions are never logged.
 
 use crate::checkpoint::Snapshot;
 use crate::error::Result;
-use crate::heap::{HeapFile, RecordId};
-use crate::pager::{BufferPool, PageId};
 use crate::store::{LineageSlot, Logical};
 use crate::txn::TxnOp;
-use crate::types::{Lsn, PayloadBytes};
+use crate::types::Lsn;
 use crate::wal::{read_log, LogRecord};
 use demaq_obs::Obs;
 use std::collections::HashSet;
@@ -58,9 +54,8 @@ fn wal_segments(dir: &Path) -> Result<Vec<u64>> {
 /// through `obs` (a `wal.torn_tail` trace event and the
 /// `demaq_store_wal_torn_bytes_total` counter) rather than dropped
 /// silently.
-pub fn recover(dir: &Path, _pool: &BufferPool, heap: &HeapFile, obs: &Obs) -> Result<Recovered> {
-    let snap = Snapshot::read_from(&dir.join("ckpt.snap"))?.unwrap_or_default();
-    heap.restore(snap.heap_free.clone(), snap.heap_live);
+pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
+    let mut snap = Snapshot::read_from(&dir.join("ckpt.snap"))?.unwrap_or_default();
 
     let mut logical = Logical::default();
     let mut next_msg = snap.next_msg.max(1);
@@ -78,30 +73,18 @@ pub fn recover(dir: &Path, _pool: &BufferPool, heap: &HeapFile, obs: &Obs) -> Re
             qs.info.priority = q.priority;
         }
     }
-    let mut snap_msgs = snap.messages.clone();
-    snap_msgs.sort_by_key(|m| m.id);
-    let payload_copies = obs.registry.counter("demaq_store_payload_copies_total");
-    for m in snap_msgs {
-        let rid = RecordId {
-            page: PageId(m.rid_page),
-            slot: m.rid_slot,
-        };
-        // The one place a payload is ever copied out of the heap: snapshot
-        // materialization. UTF-8 is validated here, once, and the shared
-        // handle then serves every runtime read without touching the heap.
-        let bytes = PayloadBytes::from_utf8(heap.read(rid)?).map_err(|e| {
-            crate::error::StoreError::Corrupt(format!(
-                "heap record for message {} is not valid UTF-8: {e}",
-                m.id
-            ))
-        })?;
-        payload_copies.inc();
+    snap.messages.sort_by_key(|m| m.id);
+    // Each payload was copied out of the snapshot file (and validated as
+    // UTF-8) once, at decode; the handle now serves every runtime read.
+    obs.registry
+        .counter("demaq_store_payload_copies_total")
+        .add(snap.messages.len() as u64);
+    for m in snap.messages {
         logical.insert_message(
             m.id,
-            m.queue.clone(),
-            Some(rid),
-            bytes,
-            m.props.clone(),
+            m.queue,
+            m.payload,
+            m.props,
             m.processed,
             m.enqueued_at,
         );
@@ -109,7 +92,7 @@ pub fn recover(dir: &Path, _pool: &BufferPool, heap: &HeapFile, obs: &Obs) -> Re
     for s in snap.slices {
         logical
             .slices
-            .restore_slice(&s.slicing, s.key, s.epoch, &s.members, s.base, s.base_members);
+            .restore_slice(&s.slicing, s.key, s.epoch, s.members, s.base, s.base_members);
     }
     for l in &snap.lineage {
         logical.lineage.insert(
@@ -179,11 +162,10 @@ pub fn recover(dir: &Path, _pool: &BufferPool, heap: &HeapFile, obs: &Obs) -> Re
                     if logical.has_message(msg) {
                         continue; // already captured by the snapshot
                     }
-                    // Take the decoded record's payload handle; heap
-                    // materialization is deferred to the next checkpoint
-                    // cut, exactly as on the live commit path. Until then
-                    // the surviving WAL segment keeps the bytes durable.
-                    logical.insert_message(msg, queue, None, payload, props, false, enqueued_at);
+                    // Take the decoded record's payload handle. The
+                    // surviving WAL segment keeps the bytes durable until
+                    // the next checkpoint writes them into its snapshot.
+                    logical.insert_message(msg, queue, payload, props, false, enqueued_at);
                 }
                 TxnOp::MarkProcessed { msg } => logical.mark_processed(msg),
                 TxnOp::SliceAdd { slicing, key, msg } => {

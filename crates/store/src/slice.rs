@@ -468,15 +468,14 @@ impl SliceIndex {
             .flat_map(|(s, keys)| keys.iter().map(move |(k, st)| (&**s, k, st)))
     }
 
-    /// Restore one slice from a checkpoint. `members` carry the lifetime
-    /// they were added in; a snapshot cut before old lifetimes were
-    /// dropped at reset may still hold earlier ones, which stay dropped.
+    /// Restore one slice from a checkpoint: its current lifetime's
+    /// members (in insertion order) and released base.
     pub fn restore_slice(
         &mut self,
         slicing: &str,
         key: PropValue,
         epoch: u64,
-        members: &[(MsgId, u64)],
+        members: Vec<MsgId>,
         base: BaseCells,
         base_members: u64,
     ) {
@@ -487,15 +486,10 @@ impl SliceIndex {
         state.token = version;
         state.base = base;
         state.base_members = base_members;
-        let kept: Vec<MsgId> = members
-            .iter()
-            .filter(|&&(_, e)| e == epoch)
-            .map(|&(m, _)| m)
-            .collect();
-        state.out_of_order = !kept.is_sorted();
-        state.max = kept.iter().max().copied();
-        state.members = kept.clone();
-        for m in kept {
+        state.out_of_order = !members.is_sorted();
+        state.max = members.iter().max().copied();
+        state.members = members.clone();
+        for m in members {
             self.by_msg
                 .entry(m)
                 .or_default()
@@ -640,27 +634,25 @@ mod tests {
     }
 
     #[test]
-    fn restoring_a_checkpoint_drops_old_lifetime_members() {
-        // A `DEMAQCK2` snapshot written before resets dropped old
-        // lifetimes still lists them, tagged with their epoch.
+    fn restoring_a_checkpoint_keeps_members_and_base() {
+        // Members arrive in insertion order, which may not be id order.
         let mut idx = SliceIndex::new();
         idx.restore_slice(
             "s",
             k("a"),
             2,
-            &[(MsgId(1), 0), (MsgId(5), 2), (MsgId(2), 1), (MsgId(3), 2)],
+            vec![MsgId(5), MsgId(3)],
             vec![("sig".into(), vec![7])],
             4,
         );
         assert_eq!(idx.members("s", &k("a")), vec![MsgId(3), MsgId(5)]);
-        assert!(!idx.is_retained(MsgId(1)) && !idx.is_retained(MsgId(2)));
         assert!(idx.is_retained(MsgId(3)) && idx.is_retained(MsgId(5)));
         assert_eq!(idx.len("s", &k("a")), (2, 4));
         let (r, ids) = read(&idx, None);
         assert_ne!(r.token, 0, "a restored slice is cacheable");
         assert_eq!(ids, vec![MsgId(3), MsgId(5)], "rebuilds fold in id order");
         assert_eq!(r.base, Some(vec![("sig".to_string(), vec![7])]));
-        // Forgetting a dropped old-lifetime member is a no-op.
+        // Forgetting a member that never joined is a no-op.
         idx.forget(MsgId(1));
         assert_eq!(idx.len("s", &k("a")), (2, 4));
     }

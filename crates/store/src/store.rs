@@ -2,9 +2,7 @@
 
 use crate::checkpoint::{SnapLineage, SnapMessage, SnapQueue, SnapSlice, Snapshot};
 use crate::error::{Result, StoreError};
-use crate::heap::{HeapFile, RecordId};
 use crate::lock::{LockGranularity, LockManager};
-use crate::pager::{BufferPool, DiskManager};
 use crate::recovery;
 use crate::slice::{BaseCells, MemberRead, SliceIndex};
 use crate::txn::{TxnBuf, TxnOp};
@@ -47,10 +45,10 @@ pub struct DurableTarget {
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
-    /// Directory holding `heap.db`, `wal-*.log`, and `ckpt.snap`.
+    /// Directory holding the store: the latest checkpoint (`ckpt.snap`,
+    /// which carries every persistent payload) and the WAL segments that
+    /// post-date it (`wal-*.log`).
     pub dir: PathBuf,
-    /// Buffer pool capacity in pages.
-    pub pool_pages: usize,
     pub sync: SyncPolicy,
     pub lock_granularity: LockGranularity,
     pub lock_timeout: Duration,
@@ -77,7 +75,6 @@ impl StoreOptions {
         let gc = GroupCommitCfg::default();
         StoreOptions {
             dir: dir.into(),
-            pool_pages: 1024,
             sync: SyncPolicy::Always,
             lock_granularity: LockGranularity::Slice,
             lock_timeout: Duration::from_secs(5),
@@ -105,39 +102,13 @@ pub struct QueueInfo {
     pub priority: i32,
 }
 
-/// Where a payload lives.
-///
-/// Both variants keep the shared [`PayloadBytes`] handle resident: reads
-/// are refcount bumps, never heap reads or UTF-8 revalidation. The heap
-/// record behind a persistent payload exists for checkpoints (snapshots
-/// reference it so the WAL can be truncated); it is only read back during
-/// recovery, where [`PayloadBytes::from_utf8`] validates it once.
-///
-/// Heap materialization is *deferred*: the commit path always inserts
-/// `Mem` (the WAL record alone makes the payload durable), and the next
-/// checkpoint cut appends persistent-queue payloads to the heap, flipping
-/// them to `Heap` so the snapshot can reference them. Until a checkpoint
-/// runs, a persistent message is simply a `Mem` payload plus its WAL
-/// record — persistence is a property of the *queue*, not of the variant.
-#[derive(Debug, Clone)]
-enum Payload {
-    Heap { rid: RecordId, bytes: PayloadBytes },
-    Mem(PayloadBytes),
-}
-
-impl Payload {
-    fn bytes(&self) -> &PayloadBytes {
-        match self {
-            Payload::Heap { bytes, .. } => bytes,
-            Payload::Mem(bytes) => bytes,
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct MsgMeta {
     queue: String,
-    payload: Payload,
+    /// Resident for the message's whole life: reads are refcount bumps,
+    /// never byte copies or UTF-8 revalidation. The WAL record makes it
+    /// durable until a checkpoint writes it into the snapshot.
+    payload: PayloadBytes,
     props: Vec<(String, PropValue)>,
     processed: bool,
     enqueued_at: i64,
@@ -182,13 +153,6 @@ pub(crate) struct Logical {
     pub(crate) slices: SliceIndex,
     /// Causal origin per rule-created message (root messages absent).
     pub(crate) lineage: HashMap<MsgId, LineageSlot>,
-    /// Persistent-queue messages inserted as `Payload::Mem` and not yet
-    /// materialized into the heap. The checkpoint cut drains this instead
-    /// of scanning every retained message, so its stop-the-world section
-    /// is bounded by what arrived since the last cut, not by store size.
-    /// May hold ids that were purged or turned out transient; the
-    /// materializer re-checks and discards those.
-    unmaterialized: Vec<MsgId>,
 }
 
 // Newtype wrapper so recovery can construct metas without exposing fields
@@ -196,29 +160,15 @@ pub(crate) struct Logical {
 pub(crate) struct MsgMetaSlot(MsgMeta);
 
 impl Logical {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert_message(
         &mut self,
         id: MsgId,
         queue: String,
-        rid: Option<RecordId>,
-        bytes: PayloadBytes,
+        payload: PayloadBytes,
         props: Vec<(String, PropValue)>,
         processed: bool,
         enqueued_at: i64,
     ) {
-        let deferred = rid.is_none();
-        let payload = match rid {
-            Some(rid) => Payload::Heap { rid, bytes },
-            None => Payload::Mem(bytes),
-        };
-        if deferred {
-            // Every `Mem` insertion registers here; a message missing from
-            // this list would be dropped from the next snapshot while its
-            // WAL segment is deleted. Transient-queue ids are filtered out
-            // below once the queue entry is at hand.
-            self.unmaterialized.push(id);
-        }
         self.messages.insert(
             id,
             MsgMetaSlot(MsgMeta {
@@ -240,11 +190,6 @@ impl Logical {
                 },
                 messages: Vec::new(),
             });
-        if deferred && qstate.info.mode != QueueMode::Persistent {
-            // Transient payloads never reach the heap; drop the entry
-            // pushed above so the list only grows with persistent work.
-            self.unmaterialized.pop();
-        }
         let messages = &mut qstate.messages;
         // Queue order is id (arrival) order. Concurrent transactions may
         // commit out of id order, so insert at the sorted position — almost
@@ -288,9 +233,6 @@ impl Logical {
     }
 
     pub(crate) fn message_is_persistent(&self, msg: MsgId) -> Option<bool> {
-        // Queue mode, not payload variant: with deferred heap
-        // materialization a persistent message stays `Payload::Mem` until
-        // the next checkpoint cut.
         let meta = self.messages.get(&msg)?;
         Some(
             self.queues
@@ -304,8 +246,6 @@ impl Logical {
 /// The transactional XML message store.
 pub struct MessageStore {
     opts: StoreOptions,
-    pub(crate) pool: Arc<BufferPool>,
-    pub(crate) heap: HeapFile,
     /// The live WAL segment. `Arc` so committers can hold the writer they
     /// appended to across a checkpoint rotation (their durability wait
     /// stays valid against the old segment).
@@ -322,9 +262,11 @@ pub struct MessageStore {
     /// Batch-apply coordinator state (see [`MessageStore::apply_wait`]).
     apply: Mutex<ApplyState>,
     apply_cv: Condvar,
-    /// Serializes the maintenance jobs (checkpoint, retention GC) against
-    /// each other — never taken by committers, so neither job blocks the
-    /// commit path while doing its slow work outside `state`.
+    /// Serializes checkpoints against each other: an earlier cut
+    /// published after a later one would name a WAL segment the later one
+    /// already deleted. Never taken by committers (or by GC, whose effects
+    /// all happen under `state`), so a checkpoint's slow write outside
+    /// `state` blocks nobody.
     maintenance: Mutex<()>,
     /// Lock manager — the engine acquires queue/slice/message locks here.
     pub locks: LockManager,
@@ -399,10 +341,9 @@ struct StoreMetrics {
     /// Payload reads served by sharing the resident buffer (refcount
     /// bump) — the zero-copy path.
     payload_shared_reads: Counter,
-    /// Payloads actually byte-copied: recovery materializing a snapshot's
-    /// heap records (plus UTF-8 revalidation), and checkpoint cuts
-    /// appending deferred persistent payloads into the heap. Stays at
-    /// zero on a pure drain path — commits never copy.
+    /// Payloads actually byte-copied: into a snapshot at a checkpoint, and
+    /// out of one (plus UTF-8 validation) at recovery. Stays at zero on a
+    /// pure drain path — commits never copy.
     payload_copies: Counter,
 }
 
@@ -430,11 +371,8 @@ impl MessageStore {
     /// Open (or create) a store, running crash recovery if needed.
     pub fn open(opts: StoreOptions) -> Result<MessageStore> {
         std::fs::create_dir_all(&opts.dir)?;
-        let disk = Arc::new(DiskManager::open(&opts.dir.join("heap.db"))?);
-        let pool = Arc::new(BufferPool::new(disk, opts.pool_pages));
-        let heap = HeapFile::new(Arc::clone(&pool));
         let obs = opts.obs.clone().unwrap_or_else(Obs::new);
-        let rec = recovery::recover(&opts.dir, &pool, &heap, &obs)?;
+        let rec = recovery::recover(&opts.dir, &obs)?;
         let wal_path = opts.dir.join(format!("wal-{:06}.log", rec.wal_index));
         let wal = Arc::new(LogWriter::open(&wal_path, opts.group_commit_cfg())?);
         wal.attach_obs(&obs.registry);
@@ -442,8 +380,6 @@ impl MessageStore {
         locks.attach_obs(&obs.registry);
         let store = MessageStore {
             locks,
-            pool,
-            heap,
             wal: Mutex::new(wal),
             wal_index: AtomicU64::new(rec.wal_index),
             commit_order: Mutex::new(()),
@@ -723,13 +659,10 @@ impl MessageStore {
                     props,
                     enqueued_at,
                 } => {
-                    // No heap append here: the WAL record already carries
-                    // the bytes durably, and the in-memory state takes the
-                    // enqueuer's buffer. The next checkpoint cut
-                    // materializes persistent payloads into the heap so the
-                    // snapshot can reference them (deferred
-                    // materialization — the commit path is copy-free).
-                    state.insert_message(msg, queue, None, payload, props, false, enqueued_at);
+                    // The WAL record already carries the bytes durably, and
+                    // the in-memory state takes the enqueuer's buffer: the
+                    // commit path is copy-free.
+                    state.insert_message(msg, queue, payload, props, false, enqueued_at);
                     enqueued.push(msg);
                 }
                 TxnOp::MarkProcessed { msg } => state.mark_processed(msg),
@@ -878,8 +811,8 @@ impl MessageStore {
         Ok(StoredMessage {
             id,
             queue: meta.0.queue.clone(),
-            // Refcount bump — no heap read, no byte copy, no revalidation.
-            payload: meta.0.payload.bytes().clone(),
+            // Refcount bump — no byte copy, no revalidation.
+            payload: meta.0.payload.clone(),
             props: meta.0.props.clone(),
             processed: meta.0.processed,
             enqueued_at: meta.0.enqueued_at,
@@ -892,9 +825,8 @@ impl MessageStore {
         self.load(&state, id)
     }
 
-    /// Read one message's metadata without materializing the payload —
-    /// the hot-path accessor for document-cache hits (no heap read, no
-    /// payload clone).
+    /// Read one message's metadata without its payload — the hot-path
+    /// accessor for document-cache hits (no payload clone).
     pub fn message_meta(&self, id: MsgId) -> Result<crate::types::MessageMeta> {
         let state = self.state.read();
         let meta = state
@@ -911,9 +843,9 @@ impl MessageStore {
     }
 
     /// Read one message's payload only (document-cache miss path). A
-    /// refcount bump of the resident, already-validated buffer: the heap
-    /// is never read and UTF-8 is never revalidated — validation happened
-    /// exactly once, at enqueue or recovery.
+    /// refcount bump of the resident, already-validated buffer: UTF-8 is
+    /// never revalidated — validation happened exactly once, at enqueue or
+    /// recovery.
     pub fn payload(&self, id: MsgId) -> Result<PayloadBytes> {
         let state = self.state.read();
         let meta = state
@@ -921,7 +853,7 @@ impl MessageStore {
             .get(&id)
             .ok_or_else(|| StoreError::NotFound(format!("message {id}")))?;
         self.metrics.payload_shared_reads.inc();
-        Ok(meta.0.payload.bytes().clone())
+        Ok(meta.0.payload.clone())
     }
 
     /// Ids of all retained messages of a queue in arrival order — lets
@@ -1114,7 +1046,7 @@ impl MessageStore {
             .read()
             .messages
             .values()
-            .map(|m| m.0.payload.bytes().as_bytes().len() as u64)
+            .map(|m| m.0.payload.len() as u64)
             .sum()
     }
 
@@ -1161,14 +1093,11 @@ impl MessageStore {
     /// Like [`gc`](Self::gc) but returns the purged message ids so callers
     /// can invalidate caches keyed by them (e.g. the engine's document
     /// cache).
+    ///
+    /// Every effect happens under the state lock, so a checkpoint cut sees
+    /// a purge entirely or not at all; a published snapshot carries its
+    /// own payloads, so no purge can invalidate it.
     pub fn gc_collect(&self) -> Result<Vec<MsgId>> {
-        // Serialize against checkpoints: a snapshot cut must never land in
-        // the window below where a message is gone from `state` but its
-        // heap record is not yet released (the snapshot would reference a
-        // record we are about to tombstone). Committers never take this
-        // lock, so they are not blocked by the slow part.
-        let _maint = self.maintenance.lock();
-        let mut heap_victims: Vec<RecordId> = Vec::new();
         // Per-queue purge counts, for the labeled
         // `demaq_store_gc_purged_total{queue=...}` counters (resolved from
         // the registry after the state lock drops — GC is off the commit
@@ -1188,11 +1117,7 @@ impl MessageStore {
                 .collect();
             let victim_set: std::collections::HashSet<MsgId> = victims.iter().copied().collect();
             for id in &victims {
-                if let Some(meta) = state.messages.remove(id) {
-                    if let Payload::Heap { rid, .. } = meta.0.payload {
-                        heap_victims.push(rid);
-                    }
-                }
+                state.messages.remove(id);
                 state.slices.forget(*id);
                 // Lineage of a purged message goes with it — bounds growth,
                 // and lineage queries answer for retained messages only.
@@ -1225,19 +1150,10 @@ impl MessageStore {
                 if meta.0.processed {
                     retained_backlog += 1;
                 }
-                resident_bytes += meta.0.payload.bytes().as_bytes().len() as u64;
+                resident_bytes += meta.0.payload.len() as u64;
             }
             victims
         };
-        // Heap-record release (page walks, tombstoning, free-list upkeep)
-        // happens with the state lock released: committers and readers
-        // proceed while the heap reclaims space. Nothing can resurrect a
-        // reference — the ids are gone from every index above, and reads
-        // never touch the heap anyway (payloads are resident).
-        for rid in heap_victims {
-            // Tolerate double-deletes after replay.
-            let _ = self.heap.delete(rid);
-        }
         self.metrics.gc_runs.inc();
         for (queue, n) in purged_by_queue {
             self.obs
@@ -1307,89 +1223,37 @@ impl MessageStore {
         self.wal.lock().pending_commits()
     }
 
-    /// Take a checkpoint: flush the heap, cut a snapshot, rotate the WAL.
+    /// Take a checkpoint: cut a snapshot that carries every persistent
+    /// payload, rotate the WAL, publish the snapshot, delete the old
+    /// segments.
     ///
     /// The cut (everything that must see a consistent store) happens under
-    /// the locks; the expensive part — serializing and fsyncing the
-    /// snapshot file, deleting old segments — happens *after* they are
-    /// released, so committers make progress while a large snapshot is
-    /// still being written. Crash-safe because the previous snapshot and
-    /// all WAL segments survive on disk until the new snapshot file has
-    /// been durably published.
+    /// the locks and clones only payload handles; the expensive part —
+    /// serializing and fsyncing the snapshot file, deleting old segments —
+    /// happens *after* they are released, so committers make progress
+    /// while a large snapshot is still being written. Crash-safe because
+    /// the previous snapshot and all WAL segments survive on disk until
+    /// the new snapshot file has been durably published.
     pub fn checkpoint(&self) -> Result<()> {
-        // Serialize whole-store maintenance: GC must not tombstone heap
-        // records the snapshot we are writing still references.
         let _maint = self.maintenance.lock();
-        // Bulk heap materialization happens out here — before the
-        // commit-order lock, outside the state write lock — so the
-        // stop-the-world cut below only handles what commits in the gap.
-        self.materialize_pending()?;
         let (snap, new_index) = self.checkpoint_cut()?;
         // Locks are released; only `maintenance` is still held.
         //
-        // Test failpoint: stretch the out-of-lock write window so the
-        // regression test can assert committers are not blocked by it
-        // (mirrors DEMAQ_WAL_CRASH_AFTER_BYTES in the WAL).
+        // Test failpoint: stretch the out-of-lock write window so tests can
+        // act inside it — commit, or copy the directory a crash would
+        // leave (mirrors DEMAQ_WAL_CRASH_AFTER_BYTES in the WAL).
         if let Ok(ms) = std::env::var("DEMAQ_CKPT_SLOW_WRITE_MS") {
             if let Ok(ms) = ms.parse::<u64>() {
                 std::thread::sleep(std::time::Duration::from_millis(ms));
             }
         }
         snap.write_to(&self.opts.dir.join("ckpt.snap"))?;
+        self.metrics.payload_copies.add(snap.messages.len() as u64);
         // Old segments are now superfluous.
         for i in 0..new_index {
             let _ = std::fs::remove_file(self.opts.dir.join(format!("wal-{i:06}.log")));
         }
         self.metrics.checkpoints.inc();
-        Ok(())
-    }
-
-    /// Materialize pending persistent payloads into the heap *outside*
-    /// the commit-order lock and (for the appends — the expensive part)
-    /// outside the state lock entirely. Caller must hold `maintenance`:
-    /// that is what makes the heap exclusively ours (the commit path
-    /// never appends to it) and pins every examined message in place (GC
-    /// cannot purge concurrently). Payload bytes are immutable, so only
-    /// the `Mem` → `Heap` flip at the end needs the write lock.
-    fn materialize_pending(&self) -> Result<()> {
-        // One read-lock scope for both the work list and the `examined`
-        // set: an id added to `unmaterialized` after this scan must stay
-        // on the list for the in-lock cut, or it would be dropped from
-        // the snapshot without ever reaching the heap.
-        let (work, examined): (Vec<(MsgId, PayloadBytes)>, std::collections::HashSet<MsgId>) = {
-            let state = self.state.read();
-            let work = state
-                .unmaterialized
-                .iter()
-                .filter(|id| state.message_is_persistent(**id).unwrap_or(false))
-                .filter_map(|id| match state.messages.get(id) {
-                    Some(meta) => match &meta.0.payload {
-                        Payload::Mem(bytes) => Some((*id, bytes.clone())),
-                        Payload::Heap { .. } => None,
-                    },
-                    None => None,
-                })
-                .collect();
-            (work, state.unmaterialized.iter().copied().collect())
-        };
-        let mut flips = Vec::with_capacity(work.len());
-        for (id, bytes) in work {
-            let rid = self.heap.append(bytes.as_bytes())?;
-            self.metrics.payload_copies.inc();
-            flips.push((id, rid, bytes));
-        }
-        let mut state = self.state.write();
-        for (id, rid, bytes) in flips {
-            if let Some(meta) = state.messages.get_mut(&id) {
-                if matches!(meta.0.payload, Payload::Mem(_)) {
-                    meta.0.payload = Payload::Heap { rid, bytes };
-                }
-            }
-        }
-        // Everything examined is now either flipped, purged, or
-        // transient — drop those entries; ids that committed since the
-        // scan stay for the in-lock remainder of the cut.
-        state.unmaterialized.retain(|id| !examined.contains(id));
         Ok(())
     }
 
@@ -1406,71 +1270,40 @@ impl MessageStore {
         // Flush the batched-apply queue: every WAL-logged txn must be in
         // `state` before we cut, for the same reason as above.
         self.drain_applies();
-        let mut state = self.state.write(); // stop-the-world for the cut only
+        let state = self.state.write(); // stop-the-world for the cut only
         let old_wal = Arc::clone(&self.wal.lock());
         old_wal.sync_now()?;
-        // Deferred heap materialization, in-lock remainder: the bulk ran
-        // in `materialize_pending` before the commit-order lock; only
-        // payloads committed in the gap since are still `Mem`. Append
-        // them now — before the pool flush below — so the snapshot can
-        // reference their records and the WAL segments holding their
-        // bytes can be deleted.
-        let late: Vec<MsgId> = std::mem::take(&mut state.unmaterialized);
-        for id in late {
-            let Some(meta) = state.messages.get_mut(&id) else {
-                continue; // purged since it was enqueued
-            };
-            if let Payload::Mem(bytes) = &meta.0.payload {
-                let rid = self.heap.append(bytes.as_bytes())?;
-                self.metrics.payload_copies.inc();
-                meta.0.payload = Payload::Heap {
-                    rid,
-                    bytes: bytes.clone(),
-                };
-            }
-        }
-        // Backstop for the data-loss invariant behind the side list: a
-        // persistent `Mem` payload missed here would be absent from the
-        // snapshot while the WAL segment holding its bytes is deleted.
-        #[cfg(debug_assertions)]
-        for (id, meta) in &state.messages {
-            debug_assert!(
-                !(matches!(meta.0.payload, Payload::Mem(_))
-                    && state.message_is_persistent(*id).unwrap_or(false)),
-                "persistent message {id:?} not materialized at checkpoint cut"
-            );
-        }
-        self.pool.flush_all()?;
         let new_index = self.wal_index.load(Ordering::SeqCst) + 1;
 
         let mut snap = Snapshot {
             wal_index: new_index,
             next_msg: self.next_msg.load(Ordering::SeqCst),
             next_txn: self.next_txn.load(Ordering::SeqCst),
-            heap_free: self.heap.free_list(),
-            heap_live: self.heap.live_records(),
             ..Default::default()
         };
         for (name, q) in &state.queues {
+            let persistent = q.info.mode == QueueMode::Persistent;
             snap.queues.push(SnapQueue {
                 name: name.clone(),
-                persistent: q.info.mode == QueueMode::Persistent,
+                persistent,
                 priority: q.info.priority,
             });
-        }
-        for (&id, meta) in &state.messages {
-            if let Payload::Heap { rid, .. } = meta.0.payload {
+            if !persistent {
+                continue; // transient messages are deliberately omitted
+            }
+            for id in &q.messages {
+                let meta = &state.messages[id].0;
                 snap.messages.push(SnapMessage {
-                    id,
-                    queue: meta.0.queue.clone(),
-                    rid_page: rid.page.0,
-                    rid_slot: rid.slot,
-                    processed: meta.0.processed,
-                    enqueued_at: meta.0.enqueued_at,
-                    props: meta.0.props.clone(),
+                    id: *id,
+                    queue: meta.queue.clone(),
+                    // A refcount bump; the bytes are copied once, when the
+                    // snapshot is encoded outside the locks.
+                    payload: meta.payload.clone(),
+                    processed: meta.processed,
+                    enqueued_at: meta.enqueued_at,
+                    props: meta.props.clone(),
                 });
             }
-            // Transient messages are deliberately omitted.
         }
         for (&msg, slot) in &state.lineage {
             // Mirror the message section: only persistent messages'
@@ -1489,11 +1322,11 @@ impl MessageStore {
         snap.lineage.sort_by_key(|l| l.msg);
         for (slicing, key, sstate) in state.slices.iter() {
             // Keep only memberships of persistent messages; epoch always.
-            let members: Vec<(MsgId, u64)> = sstate
+            let members: Vec<MsgId> = sstate
                 .members()
                 .iter()
-                .filter(|m| state.message_is_persistent(**m).unwrap_or(false))
-                .map(|&m| (m, sstate.epoch))
+                .copied()
+                .filter(|&m| state.message_is_persistent(m).unwrap_or(false))
                 .collect();
             snap.slices.push(SnapSlice {
                 slicing: slicing.to_string(),
@@ -1525,11 +1358,6 @@ impl MessageStore {
     /// Bytes appended to the current WAL segment (benchmark metric E4).
     pub fn wal_bytes_logged(&self) -> u64 {
         self.wal.lock().bytes_logged()
-    }
-
-    /// Buffer-pool statistics.
-    pub fn pool_stats(&self) -> crate::pager::PoolStats {
-        self.pool.stats()
     }
 
     /// Configured lock granularity (engine reads this to decide what to

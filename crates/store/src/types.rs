@@ -173,22 +173,16 @@ pub struct LineageEdge {
 /// Refcounted, immutable, UTF-8-validated payload bytes.
 ///
 /// One `PayloadBytes` buffer is shared — by refcount, never by copy — from
-/// enqueue through the WAL record, the in-memory message map, and every
-/// read (`Store::payload`, `StoredMessage`). Validation happens exactly
-/// once, when the buffer is created: either from an owned `String`
-/// (enqueue) or via [`PayloadBytes::from_utf8`] (recovery materializing a
-/// heap record). Holding one is the proof the bytes are valid UTF-8, so
-/// the read path never revalidates.
+/// enqueue through the WAL record, the in-memory message map, the
+/// checkpoint cut, and every read (`Store::payload`, `StoredMessage`).
+/// Validation happens exactly once, when the buffer is created from a
+/// `str`: at enqueue, or when recovery decodes a WAL record or snapshot.
+/// Holding one is the proof the bytes are valid UTF-8, so the read path
+/// never revalidates.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct PayloadBytes(Arc<str>);
 
 impl PayloadBytes {
-    /// Validate `bytes` as UTF-8 once and wrap them. The only entry point
-    /// for bytes of unproven encoding (heap reads during recovery).
-    pub fn from_utf8(bytes: Vec<u8>) -> Result<PayloadBytes, std::string::FromUtf8Error> {
-        String::from_utf8(bytes).map(PayloadBytes::from)
-    }
-
     pub fn as_str(&self) -> &str {
         &self.0
     }
@@ -271,8 +265,8 @@ impl StoredMessage {
 }
 
 /// A message's metadata without its payload — what rule evaluation needs
-/// when the parsed document is already cached. Reading this never touches
-/// the heap file and never clones the payload string.
+/// when the parsed document is already cached. Reading this never clones
+/// the payload string.
 #[derive(Debug, Clone)]
 pub struct MessageMeta {
     pub id: MsgId,

@@ -1,17 +1,14 @@
-//! Property-based tests on storage invariants: codec roundtrips, heap
-//! integrity under arbitrary interleavings, slice retention algebra, and
-//! recovery equivalence for arbitrary committed histories.
+//! Property-based tests on storage invariants: codec roundtrips, slice
+//! retention algebra, and recovery equivalence for arbitrary committed
+//! histories.
 
 use demaq_store::checkpoint::Snapshot;
-use demaq_store::heap::HeapFile;
-use demaq_store::pager::{BufferPool, DiskManager};
 use demaq_store::slice::SliceIndex;
 use demaq_store::store::SyncPolicy;
 use demaq_store::txn::TxnOp;
 use demaq_store::wal::{crc32, LogRecord};
 use demaq_store::{MessageStore, MsgId, PropValue, QueueMode, StoreOptions, TxnId};
 use proptest::prelude::*;
-use std::sync::Arc;
 use tempfile::TempDir;
 
 fn prop_value_strategy() -> impl Strategy<Value = PropValue> {
@@ -75,46 +72,6 @@ proptest! {
     }
 
     #[test]
-    fn heap_roundtrip_arbitrary_sizes(sizes in proptest::collection::vec(0usize..40_000, 1..12)) {
-        let dir = TempDir::new().unwrap();
-        let disk = Arc::new(DiskManager::open(&dir.path().join("h.db")).unwrap());
-        let pool = Arc::new(BufferPool::new(disk, 32));
-        let heap = HeapFile::new(pool);
-        let mut stored = Vec::new();
-        for (i, n) in sizes.iter().enumerate() {
-            let payload: Vec<u8> = (0..*n).map(|j| ((i * 31 + j * 7) % 251) as u8).collect();
-            let rid = heap.append(&payload).unwrap();
-            stored.push((rid, payload));
-        }
-        for (rid, payload) in &stored {
-            prop_assert_eq!(&heap.read(*rid).unwrap(), payload);
-        }
-    }
-
-    #[test]
-    fn heap_deletion_interleaving(ops in proptest::collection::vec((0usize..500, any::<bool>()), 1..40)) {
-        let dir = TempDir::new().unwrap();
-        let disk = Arc::new(DiskManager::open(&dir.path().join("h.db")).unwrap());
-        let pool = Arc::new(BufferPool::new(disk, 16));
-        let heap = HeapFile::new(pool);
-        let mut live: Vec<(demaq_store::heap::RecordId, Vec<u8>)> = Vec::new();
-        for (size, delete) in ops {
-            if delete && !live.is_empty() {
-                let (rid, _) = live.remove(size % live.len());
-                heap.delete(rid).unwrap();
-            } else {
-                let payload: Vec<u8> = (0..size).map(|j| (j % 253) as u8).collect();
-                let rid = heap.append(&payload).unwrap();
-                live.push((rid, payload));
-            }
-        }
-        prop_assert_eq!(heap.live_records(), live.len() as u64);
-        for (rid, payload) in &live {
-            prop_assert_eq!(&heap.read(*rid).unwrap(), payload);
-        }
-    }
-
-    #[test]
     fn slice_retention_invariant(
         ops in proptest::collection::vec((0u64..20, 0u8..4, any::<bool>()), 1..60)
     ) {
@@ -151,15 +108,17 @@ proptest! {
     #[test]
     fn snapshot_codec_roundtrip(
         wal_index in any::<u64>(),
-        msgs in proptest::collection::vec(("[a-z]{1,6}".prop_map(|s| s), any::<u64>(), any::<bool>()), 0..10),
+        msgs in proptest::collection::vec(
+            ("[a-z]{1,6}".prop_map(|s| s), any::<u64>(), any::<bool>(), "[ -~\u{e9}\u{20ac}\u{1f600}]{0,48}"),
+            0..10,
+        ),
     ) {
         let mut snap = Snapshot { wal_index, next_msg: 1, next_txn: 1, ..Default::default() };
-        for (q, id, processed) in &msgs {
+        for (q, id, processed, payload) in &msgs {
             snap.messages.push(demaq_store::checkpoint::SnapMessage {
                 id: MsgId(*id),
                 queue: q.clone(),
-                rid_page: (*id % 1000) as u32,
-                rid_slot: (*id % 100) as u16,
+                payload: payload.as_str().into(),
                 processed: *processed,
                 enqueued_at: *id as i64,
                 props: vec![("p".into(), PropValue::Int(*id as i64))],

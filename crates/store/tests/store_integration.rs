@@ -1,12 +1,19 @@
 //! Integration tests: transactions, durability, crash recovery, retention.
 
+use demaq_store::checkpoint::Snapshot;
 use demaq_store::store::SyncPolicy;
 use demaq_store::{
     LockGranularity, LockKey, LockMode, MessageStore, MsgId, PropValue, QueueMode, StoreOptions,
 };
-use std::sync::Arc;
-use std::time::Duration;
+use std::path::Path;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 use tempfile::TempDir;
+
+/// Held by every test that arms the process-wide
+/// `DEMAQ_CKPT_SLOW_WRITE_MS` failpoint, so one test cannot disarm it
+/// under another.
+static CKPT_FAILPOINT: Mutex<()> = Mutex::new(());
 
 fn open(dir: &TempDir) -> MessageStore {
     MessageStore::open(StoreOptions::new(dir.path())).unwrap()
@@ -356,17 +363,26 @@ fn unprocessed_worklist_for_scheduler() {
 }
 
 #[test]
-fn large_messages_roundtrip_through_heap() {
+fn large_messages_roundtrip_through_checkpoint() {
     let dir = TempDir::new().unwrap();
     let store = open(&dir);
     store.create_queue("q", QueueMode::Persistent, 0).unwrap();
+    store.create_queue("t", QueueMode::Transient, 0).unwrap();
     let big = format!("<blob>{}</blob>", "x".repeat(50_000));
-    enqueue_one(&store, "q", &big);
-    assert_eq!(store.queue_messages("q").unwrap()[0].payload, big);
-    // And across a restart.
+    let wide = "<w>\u{e9}\u{20ac}\u{1f600}</w>".repeat(100);
+    let big_id = enqueue_one(&store, "q", &big);
+    let wide_id = enqueue_one(&store, "q", &wide);
+    enqueue_one(&store, "t", "<gone/>");
+    // The checkpoint deletes the WAL segment holding the enqueues: after
+    // the restart the payloads can only come from the snapshot.
+    store.checkpoint().unwrap();
     drop(store);
     let store = open(&dir);
-    assert_eq!(store.queue_messages("q").unwrap()[0].payload, big);
+    store.create_queue("t", QueueMode::Transient, 0).unwrap();
+    assert_eq!(store.message(big_id).unwrap().payload, big);
+    assert_eq!(store.message(wide_id).unwrap().payload, wide);
+    assert_eq!(store.message_count(), 2);
+    assert!(store.queue_messages("t").unwrap().is_empty());
 }
 
 #[test]
@@ -469,6 +485,7 @@ fn checkpoint_truncates_wal() {
 #[test]
 fn commits_progress_while_checkpoint_writes() {
     use std::sync::atomic::{AtomicBool, Ordering};
+    let _failpoint = CKPT_FAILPOINT.lock().unwrap_or_else(|e| e.into_inner());
     // Regression: `checkpoint()` used to hold the commit-order and state
     // locks across the snapshot *write*; a large (here: artificially slow)
     // checkpoint stalled every committer for its full duration. The cut
@@ -506,11 +523,9 @@ fn commits_progress_while_checkpoint_writes() {
 #[test]
 fn gc_of_many_messages_does_not_stall_committers() {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Instant;
-    // Regression: `gc_collect()` used to release heap records while holding
-    // the state write lock; purging a large backlog blocked committers for
-    // the whole sweep. Heap release now happens outside the lock, so a
-    // concurrent commit sees only the (linear, in-memory) logical removal.
+    // Purging a large backlog must not block committers for long: the
+    // only work under the state write lock is the (linear, in-memory)
+    // logical removal.
     let dir = TempDir::new().unwrap();
     let store = Arc::new(open(&dir));
     store.create_queue("q", QueueMode::Persistent, 0).unwrap();
@@ -557,4 +572,62 @@ fn gc_of_many_messages_does_not_stall_committers() {
         max_latency < Duration::from_secs(2),
         "a commit stalled {max_latency:?} behind the concurrent GC"
     );
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+#[test]
+fn gc_between_checkpoints_never_breaks_the_published_snapshot() {
+    // Regression: GC used to free a purged message's payload record while
+    // the published snapshot still referenced it. A crash before the next
+    // snapshot was published then failed recovery with `NotFound`.
+    let _failpoint = CKPT_FAILPOINT.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = TempDir::new().unwrap();
+    let store = Arc::new(open(&dir));
+    store.create_queue("q", QueueMode::Persistent, 0).unwrap();
+    let m = enqueue_one(&store, "q", "<m>\u{e9}</m>");
+    store.checkpoint().unwrap();
+    let txn = store.begin();
+    store.mark_processed(txn, m).unwrap();
+    store.commit(txn).unwrap();
+    assert_eq!(store.gc().unwrap(), 1);
+
+    // A second checkpoint, held in its write window: it has rotated the
+    // WAL but not yet published its snapshot.
+    std::env::set_var("DEMAQ_CKPT_SLOW_WRITE_MS", "2000");
+    let ckpt = {
+        let store = Arc::clone(&store);
+        std::thread::spawn(move || store.checkpoint().unwrap())
+    };
+    let rotated = dir.path().join("wal-000002.log");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !rotated.exists() {
+        assert!(
+            Instant::now() < deadline,
+            "second checkpoint never rotated the WAL"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // What a crash right now would leave on disk.
+    let crashed = TempDir::new().unwrap();
+    copy_dir(dir.path(), crashed.path());
+    ckpt.join().unwrap();
+    std::env::remove_var("DEMAQ_CKPT_SLOW_WRITE_MS");
+    let published = Snapshot::read_from(&crashed.path().join("ckpt.snap")).unwrap();
+    assert_eq!(
+        published.map(|s| s.wal_index),
+        Some(1),
+        "the copy must hold the first checkpoint's snapshot"
+    );
+
+    let reopened = open(&crashed);
+    assert_eq!(reopened.message(m).unwrap().payload, "<m>\u{e9}</m>");
+    assert_eq!(reopened.gc().unwrap(), 1, "GC re-purges after recovery");
+    assert_eq!(reopened.message_count(), 0);
 }

@@ -30,6 +30,10 @@ DEMAQ_CRASH_ITERS=100 cargo test --offline -p demaq-store --test crash_recovery 
 # fsync-always, killed mid-pipeline; no forward or send may ever show
 # without the commit that produced it.
 DEMAQ_CRASH_ITERS=100 cargo test --offline -p demaq-suite --test durability_pipeline -- --nocapture crash
+# Narrowed retention killed between fold, GC and checkpoint cycles: the
+# recovered store must still count every acked reading.
+DEMAQ_CRASH_ITERS=50 cargo test --offline -p demaq-suite --test differential_retention \
+    -- --nocapture crash_recovery_preserves_folded_history
 # Enqueues racing parallel drains on two shards: every output exactly once,
 # every drain returns, and the pending count never goes below zero.
 DEMAQ_RACE_ROUNDS=100 cargo test --offline -p demaq-suite --test differential_sharded \

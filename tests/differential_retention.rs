@@ -377,11 +377,16 @@ fn copy_dir(from: &Path, to: &Path) {
 /// cascades must agree, and a fresh probe reading per device must see a
 /// count covering every acked reading — whether the member survived as
 /// a resident payload or only inside a checkpointed base cell.
+/// `DEMAQ_CRASH_ITERS` sets the number of rounds (default 2).
 #[test]
 fn crash_recovery_preserves_folded_history() {
+    let rounds: u64 = std::env::var("DEMAQ_CRASH_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(2);
     let exe = std::env::current_exe().unwrap();
     let mut total_acked = 0usize;
-    for round in 0..2u64 {
+    for round in 0..rounds {
         let dir = tempfile::TempDir::new().unwrap();
         let mut child = Command::new(&exe)
             .args(["retention_crash_child_body", "--exact", "--ignored", "--nocapture"])
@@ -390,7 +395,7 @@ fn crash_recovery_preserves_folded_history() {
             .stderr(Stdio::null())
             .spawn()
             .unwrap();
-        std::thread::sleep(Duration::from_millis(250 + 100 * round));
+        std::thread::sleep(Duration::from_millis(250 + 100 * (round % 4)));
         child.kill().unwrap();
         let _ = child.wait();
 
