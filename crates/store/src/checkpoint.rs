@@ -7,15 +7,18 @@
 //! the whole durable store. Transient queues are *not* captured — their
 //! content is legitimately lost on restart (paper Sec. 2.1.1).
 //!
-//! Format: custom length-prefixed binary with a magic header and a trailing
-//! CRC; written to a temp file and atomically renamed.
+//! Format: a 20-byte header (magic, CRC32 of the body, body length as a
+//! `u64`), then a length-prefixed binary body whose counts and lengths are
+//! `u32`. The body is streamed in both directions with a running CRC, so
+//! neither writing nor reading a snapshot holds a second copy of its
+//! payloads. Written to a temp file and atomically renamed.
 
 use crate::error::{Result, StoreError};
 use crate::slice::BaseCells;
 use crate::types::{MsgId, PayloadBytes, PropValue};
-use crate::wal::crc32;
+use crate::wal::crc32_update;
 use std::fs;
-use std::io::Write;
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Current format: payloads inline, one member list per slice lifetime.
@@ -24,7 +27,7 @@ const MAGIC: &[u8; 8] = b"DEMAQCK3";
 /// this store no longer reads.
 const HEAP_MAGICS: [&[u8; 8]; 2] = [b"DEMAQCK1", b"DEMAQCK2"];
 /// Magic, CRC of the body, body length.
-const HEADER: usize = 16;
+const HEADER: usize = 20;
 
 /// A persistent message as serialized into a snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,107 +85,201 @@ pub struct Snapshot {
     pub lineage: Vec<SnapLineage>,
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+fn corrupt(m: &str) -> StoreError {
+    StoreError::Corrupt(format!("snapshot: {m}"))
 }
 
-/// A length-prefixed UTF-8 string, borrowed from `buf`.
-fn get_text<'a>(buf: &'a [u8], at: &mut usize) -> Option<&'a str> {
-    let len = get_u32(buf, at)? as usize;
-    let s = std::str::from_utf8(buf.get(*at..*at + len)?).ok()?;
-    *at += len;
-    Some(s)
+/// A count or length for a `u32` field of the body. One that does not fit
+/// fails the checkpoint before it publishes anything, rather than being
+/// truncated into a snapshot that cannot be read back.
+fn len32(n: usize) -> Result<u32> {
+    u32::try_from(n)
+        .map_err(|_| StoreError::Invalid(format!("snapshot: length {n} exceeds a u32 field")))
 }
 
-fn get_str(buf: &[u8], at: &mut usize) -> Option<String> {
-    get_text(buf, at).map(str::to_string)
+fn header(crc: u32, len: u64) -> [u8; HEADER] {
+    let mut h = [0; HEADER];
+    h[..8].copy_from_slice(MAGIC);
+    h[8..12].copy_from_slice(&crc.to_le_bytes());
+    h[12..].copy_from_slice(&len.to_le_bytes());
+    h
 }
 
-fn get_u64(buf: &[u8], at: &mut usize) -> Option<u64> {
-    let v = u64::from_le_bytes(buf.get(*at..*at + 8)?.try_into().ok()?);
-    *at += 8;
-    Some(v)
+/// The body's destination: tracks its CRC and length as bytes go out.
+struct Sink<W> {
+    w: W,
+    crc: u32,
+    len: u64,
 }
 
-fn get_u32(buf: &[u8], at: &mut usize) -> Option<u32> {
-    let v = u32::from_le_bytes(buf.get(*at..*at + 4)?.try_into().ok()?);
-    *at += 4;
-    Some(v)
+impl<W: Write> Sink<W> {
+    fn put(&mut self, bytes: &[u8]) -> Result<()> {
+        self.crc = crc32_update(self.crc, bytes);
+        self.len += bytes.len() as u64;
+        Ok(self.w.write_all(bytes)?)
+    }
+
+    fn u64(&mut self, v: u64) -> Result<()> {
+        self.put(&v.to_le_bytes())
+    }
+
+    fn count(&mut self, n: usize) -> Result<()> {
+        self.put(&len32(n)?.to_le_bytes())
+    }
+
+    fn bytes(&mut self, b: &[u8]) -> Result<()> {
+        self.count(b.len())?;
+        self.put(b)
+    }
+
+    fn prop(&mut self, v: &PropValue, scratch: &mut Vec<u8>) -> Result<()> {
+        scratch.clear();
+        v.encode(scratch);
+        len32(scratch.len() - 5)?; // past the tag and length prefix
+        self.put(scratch)
+    }
+}
+
+/// The body's source: tracks its CRC as bytes come in, and never reads
+/// past the body length the header declared.
+struct Source<R> {
+    r: R,
+    left: u64,
+    crc: u32,
+}
+
+impl<R: Read> Source<R> {
+    fn fill(&mut self, buf: &mut [u8]) -> Result<()> {
+        if buf.len() as u64 > self.left {
+            return Err(corrupt("truncated record"));
+        }
+        self.r.read_exact(buf)?;
+        self.left -= buf.len() as u64;
+        self.crc = crc32_update(self.crc, buf);
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut a = [0; N];
+        self.fill(&mut a)?;
+        Ok(a)
+    }
+
+    fn u8(&mut self) -> Result<u8> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// A `u32` count or length. Nothing is allocated from it up front: a
+    /// corrupt count runs out of body instead.
+    fn count(&mut self) -> Result<usize> {
+        Ok(u32::from_le_bytes(self.array()?) as usize)
+    }
+
+    fn bytes(&mut self) -> Result<Vec<u8>> {
+        let n = self.count()?;
+        if n as u64 > self.left {
+            return Err(corrupt("truncated record"));
+        }
+        let mut v = vec![0; n];
+        self.fill(&mut v)?;
+        Ok(v)
+    }
+
+    fn text(&mut self) -> Result<String> {
+        String::from_utf8(self.bytes()?).map_err(|_| corrupt("invalid UTF-8"))
+    }
+
+    fn prop(&mut self) -> Result<PropValue> {
+        let tag = self.u8()?;
+        let s = self.text()?;
+        PropValue::from_tagged(tag, &s).ok_or_else(|| corrupt("bad property value"))
+    }
 }
 
 impl Snapshot {
-    /// Serialize to bytes (magic + CRC + length, then the body). The
-    /// header is reserved up front and filled last, so each payload is
-    /// copied once, straight into the output.
-    pub fn encode(&self) -> Vec<u8> {
-        let payload_bytes: usize = self.messages.iter().map(|m| m.payload.len()).sum();
-        let mut out = Vec::with_capacity(HEADER + payload_bytes + 64 * self.messages.len());
-        out.resize(HEADER, 0);
-        out.extend_from_slice(&self.wal_index.to_le_bytes());
-        out.extend_from_slice(&self.next_msg.to_le_bytes());
-        out.extend_from_slice(&self.next_txn.to_le_bytes());
-        out.extend_from_slice(&(self.queues.len() as u32).to_le_bytes());
-        for q in &self.queues {
-            put_str(&mut out, &q.name);
-            out.push(q.persistent as u8);
-            out.extend_from_slice(&q.priority.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.messages.len() as u32).to_le_bytes());
-        for m in &self.messages {
-            out.extend_from_slice(&m.id.0.to_le_bytes());
-            put_str(&mut out, &m.queue);
-            put_str(&mut out, &m.payload);
-            out.push(m.processed as u8);
-            out.extend_from_slice(&m.enqueued_at.to_le_bytes());
-            out.extend_from_slice(&(m.props.len() as u32).to_le_bytes());
-            for (n, v) in &m.props {
-                put_str(&mut out, n);
-                v.encode(&mut out);
-            }
-        }
-        out.extend_from_slice(&(self.slices.len() as u32).to_le_bytes());
-        for slice in &self.slices {
-            put_str(&mut out, &slice.slicing);
-            slice.key.encode(&mut out);
-            out.extend_from_slice(&slice.epoch.to_le_bytes());
-            out.extend_from_slice(&(slice.members.len() as u32).to_le_bytes());
-            for m in &slice.members {
-                out.extend_from_slice(&m.0.to_le_bytes());
-            }
-            out.extend_from_slice(&(slice.base.len() as u32).to_le_bytes());
-            for (sig, cell) in &slice.base {
-                put_str(&mut out, sig);
-                out.extend_from_slice(&(cell.len() as u32).to_le_bytes());
-                out.extend_from_slice(cell);
-            }
-            out.extend_from_slice(&slice.base_members.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.lineage.len() as u32).to_le_bytes());
-        for l in &self.lineage {
-            out.extend_from_slice(&l.msg.0.to_le_bytes());
-            out.extend_from_slice(&l.parent.0.to_le_bytes());
-            out.extend_from_slice(&l.root.0.to_le_bytes());
-            put_str(&mut out, &l.rule);
-            put_str(&mut out, &l.queue);
-            out.push(l.lsn.is_some() as u8);
-            out.extend_from_slice(&l.lsn.unwrap_or(0).to_le_bytes());
-        }
-        let (header, body) = out.split_at_mut(HEADER);
-        header[..8].copy_from_slice(MAGIC);
-        header[8..12].copy_from_slice(&crc32(body).to_le_bytes());
-        header[12..].copy_from_slice(&(body.len() as u32).to_le_bytes());
-        out
+    /// Serialize to bytes: the header, then the body.
+    pub fn encode(&self) -> Result<Vec<u8>> {
+        let mut out = vec![0; HEADER];
+        let (crc, len) = self.encode_body(&mut out)?;
+        out[..HEADER].copy_from_slice(&header(crc, len));
+        Ok(out)
     }
 
-    /// Decode from bytes, verifying magic and CRC. Payloads are validated
-    /// as UTF-8 here, once.
+    /// Stream the body into `w`, returning its CRC and length. Each payload
+    /// is written straight from its resident handle.
+    fn encode_body(&self, w: impl Write) -> Result<(u32, u64)> {
+        let mut s = Sink { w, crc: 0, len: 0 };
+        let mut scratch = Vec::new();
+        s.u64(self.wal_index)?;
+        s.u64(self.next_msg)?;
+        s.u64(self.next_txn)?;
+        s.count(self.queues.len())?;
+        for q in &self.queues {
+            s.bytes(q.name.as_bytes())?;
+            s.put(&[q.persistent as u8])?;
+            s.put(&q.priority.to_le_bytes())?;
+        }
+        s.count(self.messages.len())?;
+        for m in &self.messages {
+            s.u64(m.id.0)?;
+            s.bytes(m.queue.as_bytes())?;
+            s.bytes(m.payload.as_bytes())?;
+            s.put(&[m.processed as u8])?;
+            s.put(&m.enqueued_at.to_le_bytes())?;
+            s.count(m.props.len())?;
+            for (n, v) in &m.props {
+                s.bytes(n.as_bytes())?;
+                s.prop(v, &mut scratch)?;
+            }
+        }
+        s.count(self.slices.len())?;
+        for slice in &self.slices {
+            s.bytes(slice.slicing.as_bytes())?;
+            s.prop(&slice.key, &mut scratch)?;
+            s.u64(slice.epoch)?;
+            s.count(slice.members.len())?;
+            for m in &slice.members {
+                s.u64(m.0)?;
+            }
+            s.count(slice.base.len())?;
+            for (sig, cell) in &slice.base {
+                s.bytes(sig.as_bytes())?;
+                s.bytes(cell)?;
+            }
+            s.u64(slice.base_members)?;
+        }
+        s.count(self.lineage.len())?;
+        for l in &self.lineage {
+            s.u64(l.msg.0)?;
+            s.u64(l.parent.0)?;
+            s.u64(l.root.0)?;
+            s.bytes(l.rule.as_bytes())?;
+            s.bytes(l.queue.as_bytes())?;
+            s.put(&[l.lsn.is_some() as u8])?;
+            s.u64(l.lsn.unwrap_or(0))?;
+        }
+        Ok((s.crc, s.len))
+    }
+
+    /// Decode from bytes, verifying magic, length and CRC.
     pub fn decode(buf: &[u8]) -> Result<Snapshot> {
-        let corrupt = |m: &str| StoreError::Corrupt(format!("snapshot: {m}"));
-        if buf.len() < HEADER {
+        Snapshot::decode_from(buf, buf.len() as u64)
+    }
+
+    /// Decode a `size`-byte snapshot from `r`. Payloads are validated as
+    /// UTF-8 here, once. The CRC covers the body, so it is checked after
+    /// the last byte; a snapshot that fails it is refused whole.
+    fn decode_from(mut r: impl Read, size: u64) -> Result<Snapshot> {
+        if size < HEADER as u64 {
             return Err(corrupt("bad magic"));
         }
-        let magic = &buf[..8];
+        let mut head = [0; HEADER];
+        r.read_exact(&mut head)?;
+        let magic = &head[..8];
         if HEAP_MAGICS.iter().any(|m| &m[..] == magic) {
             return Err(corrupt(&format!(
                 "{} references payloads in heap.db, which this store no longer reads",
@@ -192,137 +289,141 @@ impl Snapshot {
         if magic != MAGIC {
             return Err(corrupt("bad magic"));
         }
-        let crc = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-        let len = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
-        let body = buf
-            .get(HEADER..HEADER + len)
-            .ok_or_else(|| corrupt("truncated body"))?;
-        if crc32(body) != crc {
+        let crc = u32::from_le_bytes(head[8..12].try_into().unwrap());
+        let len = u64::from_le_bytes(head[12..].try_into().unwrap());
+        if len > size - HEADER as u64 {
+            return Err(corrupt("truncated body"));
+        }
+        let mut src = Source {
+            r,
+            left: len,
+            crc: 0,
+        };
+        let snap = Snapshot::decode_body(&mut src)?;
+        if src.left != 0 {
+            return Err(corrupt("trailing bytes"));
+        }
+        if src.crc != crc {
             return Err(corrupt("CRC mismatch"));
         }
-        let mut at = 0usize;
-        let mut snap = Snapshot::default();
-        (|| -> Option<()> {
-            snap.wal_index = get_u64(body, &mut at)?;
-            snap.next_msg = get_u64(body, &mut at)?;
-            snap.next_txn = get_u64(body, &mut at)?;
-            let nq = get_u32(body, &mut at)? as usize;
-            for _ in 0..nq {
-                let name = get_str(body, &mut at)?;
-                let persistent = *body.get(at)? != 0;
-                at += 1;
-                let priority = i32::from_le_bytes(body.get(at..at + 4)?.try_into().ok()?);
-                at += 4;
-                snap.queues.push(SnapQueue {
-                    name,
-                    persistent,
-                    priority,
-                });
-            }
-            let nm = get_u32(body, &mut at)? as usize;
-            for _ in 0..nm {
-                let id = MsgId(get_u64(body, &mut at)?);
-                let queue = get_str(body, &mut at)?;
-                let payload = PayloadBytes::from(get_text(body, &mut at)?);
-                let processed = *body.get(at)? != 0;
-                at += 1;
-                let enqueued_at = i64::from_le_bytes(body.get(at..at + 8)?.try_into().ok()?);
-                at += 8;
-                let np = get_u32(body, &mut at)? as usize;
-                let mut props = Vec::with_capacity(np);
-                for _ in 0..np {
-                    let n = get_str(body, &mut at)?;
-                    let v = PropValue::decode(body, &mut at)?;
-                    props.push((n, v));
-                }
-                snap.messages.push(SnapMessage {
-                    id,
-                    queue,
-                    payload,
-                    processed,
-                    enqueued_at,
-                    props,
-                });
-            }
-            let ns = get_u32(body, &mut at)? as usize;
-            for _ in 0..ns {
-                let slicing = get_str(body, &mut at)?;
-                let key = PropValue::decode(body, &mut at)?;
-                let epoch = get_u64(body, &mut at)?;
-                let nmem = get_u32(body, &mut at)? as usize;
-                let mut members = Vec::with_capacity(nmem);
-                for _ in 0..nmem {
-                    members.push(MsgId(get_u64(body, &mut at)?));
-                }
-                let nb = get_u32(body, &mut at)? as usize;
-                let mut base = Vec::with_capacity(nb);
-                for _ in 0..nb {
-                    let sig = get_str(body, &mut at)?;
-                    let len = get_u32(body, &mut at)? as usize;
-                    let cell = body.get(at..at + len)?.to_vec();
-                    at += len;
-                    base.push((sig, cell));
-                }
-                let base_members = get_u64(body, &mut at)?;
-                snap.slices.push(SnapSlice {
-                    slicing,
-                    key,
-                    epoch,
-                    members,
-                    base,
-                    base_members,
-                });
-            }
-            let nl = get_u32(body, &mut at)? as usize;
-            for _ in 0..nl {
-                let msg = MsgId(get_u64(body, &mut at)?);
-                let parent = MsgId(get_u64(body, &mut at)?);
-                let root = MsgId(get_u64(body, &mut at)?);
-                let rule = get_str(body, &mut at)?;
-                let queue = get_str(body, &mut at)?;
-                let has_lsn = *body.get(at)? != 0;
-                at += 1;
-                let lsn = get_u64(body, &mut at)?;
-                snap.lineage.push(SnapLineage {
-                    msg,
-                    parent,
-                    root,
-                    rule,
-                    queue,
-                    lsn: has_lsn.then_some(lsn),
-                });
-            }
-            (at == body.len()).then_some(())
-        })()
-        .ok_or_else(|| corrupt("truncated record"))?;
         Ok(snap)
     }
 
-    /// Write atomically (temp + rename + fsync).
+    fn decode_body(src: &mut Source<impl Read>) -> Result<Snapshot> {
+        let mut snap = Snapshot {
+            wal_index: src.u64()?,
+            next_msg: src.u64()?,
+            next_txn: src.u64()?,
+            ..Default::default()
+        };
+        for _ in 0..src.count()? {
+            snap.queues.push(SnapQueue {
+                name: src.text()?,
+                persistent: src.u8()? != 0,
+                priority: i32::from_le_bytes(src.array()?),
+            });
+        }
+        for _ in 0..src.count()? {
+            let id = MsgId(src.u64()?);
+            let queue = src.text()?;
+            let payload = PayloadBytes::from(src.text()?);
+            let processed = src.u8()? != 0;
+            let enqueued_at = i64::from_le_bytes(src.array()?);
+            let mut props = Vec::new();
+            for _ in 0..src.count()? {
+                props.push((src.text()?, src.prop()?));
+            }
+            snap.messages.push(SnapMessage {
+                id,
+                queue,
+                payload,
+                processed,
+                enqueued_at,
+                props,
+            });
+        }
+        for _ in 0..src.count()? {
+            let slicing = src.text()?;
+            let key = src.prop()?;
+            let epoch = src.u64()?;
+            let mut members = Vec::new();
+            for _ in 0..src.count()? {
+                members.push(MsgId(src.u64()?));
+            }
+            let mut base = Vec::new();
+            for _ in 0..src.count()? {
+                base.push((src.text()?, src.bytes()?));
+            }
+            snap.slices.push(SnapSlice {
+                slicing,
+                key,
+                epoch,
+                members,
+                base,
+                base_members: src.u64()?,
+            });
+        }
+        for _ in 0..src.count()? {
+            let msg = MsgId(src.u64()?);
+            let parent = MsgId(src.u64()?);
+            let root = MsgId(src.u64()?);
+            let rule = src.text()?;
+            let queue = src.text()?;
+            let has_lsn = src.u8()? != 0;
+            let lsn = src.u64()?;
+            snap.lineage.push(SnapLineage {
+                msg,
+                parent,
+                root,
+                rule,
+                queue,
+                lsn: has_lsn.then_some(lsn),
+            });
+        }
+        Ok(snap)
+    }
+
+    /// Write atomically (temp + fsync + rename). If anything fails, the
+    /// temp file is removed and the published snapshot is untouched.
     pub fn write_to(&self, path: &Path) -> Result<()> {
         let tmp = path.with_extension("tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&self.encode())?;
-            f.sync_data()?;
+        if let Err(e) = self.write_file(&tmp) {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
         }
         fs::rename(&tmp, path)?;
         Ok(())
     }
 
+    /// Stream the body through a buffer behind a reserved header, then
+    /// fill the header in and fsync.
+    fn write_file(&self, path: &Path) -> Result<()> {
+        let mut w = BufWriter::new(fs::File::create(path)?);
+        w.write_all(&[0; HEADER])?;
+        let (crc, len) = self.encode_body(&mut w)?;
+        let mut f = w.into_inner().map_err(|e| e.into_error())?;
+        f.seek(SeekFrom::Start(0))?;
+        f.write_all(&header(crc, len))?;
+        f.sync_data()?;
+        Ok(())
+    }
+
     /// Read a snapshot; `Ok(None)` when none exists yet.
     pub fn read_from(path: &Path) -> Result<Option<Snapshot>> {
-        match fs::read(path) {
-            Ok(bytes) => Ok(Some(Snapshot::decode(&bytes)?)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
+        let file = match fs::File::open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let size = file.metadata()?.len();
+        Snapshot::decode_from(BufReader::new(file), size).map(Some)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::crc32;
     use tempfile::TempDir;
 
     fn sample() -> Snapshot {
@@ -383,7 +484,7 @@ mod tests {
     fn framed(magic: &[u8; 8], body: &[u8]) -> Vec<u8> {
         let mut bytes = magic.to_vec();
         bytes.extend_from_slice(&crc32(body).to_le_bytes());
-        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
         bytes.extend_from_slice(body);
         bytes
     }
@@ -391,7 +492,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let snap = sample();
-        let decoded = Snapshot::decode(&snap.encode()).unwrap();
+        let decoded = Snapshot::decode(&snap.encode().unwrap()).unwrap();
         assert_eq!(decoded, snap);
     }
 
@@ -481,14 +582,14 @@ mod tests {
             }],
         };
         assert_eq!(Snapshot::decode(&bytes).unwrap(), snap);
-        assert_eq!(snap.encode(), bytes, "snapshot bytes moved");
+        assert_eq!(snap.encode().unwrap(), bytes, "snapshot bytes moved");
     }
 
     #[test]
     fn payloads_are_validated_at_decode() {
         let mut snap = sample();
         snap.messages[0].payload = "\u{1F600}".into();
-        let mut bytes = snap.encode();
+        let mut bytes = snap.encode().unwrap();
         let at = bytes
             .windows(4)
             .position(|w| w == "\u{1F600}".as_bytes())
@@ -509,13 +610,46 @@ mod tests {
         }
     }
 
+    /// A body of 4 GiB or more keeps its true length in the header, and a
+    /// count or length too large for its `u32` field fails the encode
+    /// instead of wrapping. Both are checked on faked sizes.
+    #[test]
+    fn oversized_lengths_are_kept_or_refused() {
+        let big = u32::MAX as u64 + 10;
+        let head = header(0, big);
+        assert_eq!(u64::from_le_bytes(head[12..].try_into().unwrap()), big);
+        let err = Snapshot::decode(&head).unwrap_err();
+        assert!(err.to_string().contains("truncated body"), "{err}");
+
+        assert_eq!(len32(u32::MAX as usize).unwrap(), u32::MAX);
+        let err = len32(u32::MAX as usize + 1).unwrap_err();
+        assert!(matches!(err, StoreError::Invalid(_)), "{err}");
+    }
+
+    /// A corrupt count cannot make the decoder allocate past the body.
+    #[test]
+    fn corrupt_counts_run_out_of_body() {
+        let mut body = vec![0; 24];
+        body.extend_from_slice(&u32::MAX.to_le_bytes()); // queue count
+        body.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0x7F]); // first name length
+        let err = Snapshot::decode(&framed(MAGIC, &body)).unwrap_err();
+        assert!(err.to_string().contains("truncated record"), "{err}");
+    }
+
+    /// The file is streamed through a buffer and its header patched last;
+    /// the result must be exactly what `encode` builds in memory, also for
+    /// payloads larger than the write buffer.
     #[test]
     fn file_roundtrip() {
         let dir = TempDir::new().unwrap();
         let path = dir.path().join("ckpt.snap");
-        sample().write_to(&path).unwrap();
+        let mut snap = sample();
+        snap.messages[0].payload = "<p>\u{e9}</p>".repeat(10_000).into();
+        snap.write_to(&path).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), snap.encode().unwrap());
+        assert!(!path.with_extension("tmp").exists());
         let back = Snapshot::read_from(&path).unwrap().unwrap();
-        assert_eq!(back, sample());
+        assert_eq!(back, snap);
     }
 
     #[test]
@@ -528,10 +662,10 @@ mod tests {
 
     #[test]
     fn corruption_detected() {
-        let mut bytes = sample().encode();
-        bytes[20] ^= 0x55;
+        let mut bytes = sample().encode().unwrap();
+        bytes[HEADER + 4] ^= 0x55;
         assert!(Snapshot::decode(&bytes).is_err());
-        let mut truncated = sample().encode();
+        let mut truncated = sample().encode().unwrap();
         truncated.truncate(truncated.len() - 3);
         assert!(Snapshot::decode(&truncated).is_err());
         assert!(Snapshot::decode(b"NOTMAGIC").is_err());

@@ -1270,7 +1270,9 @@ impl MessageStore {
         // Flush the batched-apply queue: every WAL-logged txn must be in
         // `state` before we cut, for the same reason as above.
         self.drain_applies();
-        let state = self.state.write(); // stop-the-world for the cut only
+        // Writers (appliers, GC, retention release) are excluded for the
+        // cut only; document reads and rule evaluation proceed.
+        let state = self.state.read();
         let old_wal = Arc::clone(&self.wal.lock());
         old_wal.sync_now()?;
         let new_index = self.wal_index.load(Ordering::SeqCst) + 1;

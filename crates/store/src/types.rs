@@ -96,6 +96,11 @@ impl PropValue {
         *at += 4;
         let s = std::str::from_utf8(buf.get(*at..*at + len)?).ok()?;
         *at += len;
+        PropValue::from_tagged(tag, s)
+    }
+
+    /// Rebuild a value from its type tag and canonical string.
+    pub fn from_tagged(tag: u8, s: &str) -> Option<PropValue> {
         Some(match tag {
             0 => PropValue::Str(s.to_string()),
             1 => PropValue::Int(s.parse().ok()?),

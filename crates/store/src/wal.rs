@@ -324,8 +324,15 @@ impl LogRecord {
 /// the commit path, so it is computed slice-by-8: one round of eight
 /// table lookups per eight input bytes, bytewise only for the tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Extend `crc`, the CRC32 of some prefix, over `bytes`: the result is the
+/// CRC32 of the prefix followed by `bytes`, so a stream can be checksummed
+/// in pieces. `crc32_update(0, b)` is `crc32(b)`.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut crc = !crc;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -1153,6 +1160,10 @@ mod tests {
                 let s = &data[start..start + len];
                 assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
             }
+        }
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            assert_eq!(crc32_update(crc32(a), b), crc32(&data), "split {split}");
         }
     }
 

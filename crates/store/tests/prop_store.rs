@@ -124,7 +124,7 @@ proptest! {
                 props: vec![("p".into(), PropValue::Int(*id as i64))],
             });
         }
-        let decoded = Snapshot::decode(&snap.encode()).expect("decode");
+        let decoded = Snapshot::decode(&snap.encode().expect("encode")).expect("decode");
         prop_assert_eq!(decoded, snap);
     }
 }

@@ -1,19 +1,12 @@
 //! Integration tests: transactions, durability, crash recovery, retention.
 
-use demaq_store::checkpoint::Snapshot;
 use demaq_store::store::SyncPolicy;
 use demaq_store::{
     LockGranularity, LockKey, LockMode, MessageStore, MsgId, PropValue, QueueMode, StoreOptions,
 };
-use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tempfile::TempDir;
-
-/// Held by every test that arms the process-wide
-/// `DEMAQ_CKPT_SLOW_WRITE_MS` failpoint, so one test cannot disarm it
-/// under another.
-static CKPT_FAILPOINT: Mutex<()> = Mutex::new(());
 
 fn open(dir: &TempDir) -> MessageStore {
     MessageStore::open(StoreOptions::new(dir.path())).unwrap()
@@ -483,44 +476,6 @@ fn checkpoint_truncates_wal() {
 }
 
 #[test]
-fn commits_progress_while_checkpoint_writes() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let _failpoint = CKPT_FAILPOINT.lock().unwrap_or_else(|e| e.into_inner());
-    // Regression: `checkpoint()` used to hold the commit-order and state
-    // locks across the snapshot *write*; a large (here: artificially slow)
-    // checkpoint stalled every committer for its full duration. The cut
-    // still happens under the locks, the write must not.
-    let dir = TempDir::new().unwrap();
-    let store = Arc::new(open(&dir));
-    store.create_queue("q", QueueMode::Persistent, 0).unwrap();
-    for i in 0..200 {
-        enqueue_one(&store, "q", &format!("<m>{i}</m>"));
-    }
-    std::env::set_var("DEMAQ_CKPT_SLOW_WRITE_MS", "2000");
-    let ckpt_done = Arc::new(AtomicBool::new(false));
-    let ckpt = {
-        let store = Arc::clone(&store);
-        let done = Arc::clone(&ckpt_done);
-        std::thread::spawn(move || {
-            store.checkpoint().unwrap();
-            done.store(true, Ordering::SeqCst);
-        })
-    };
-    // Let the checkpoint take its cut and enter the slow write window.
-    std::thread::sleep(Duration::from_millis(200));
-    let committed = enqueue_one(&store, "q", "<during-checkpoint/>");
-    let still_writing = !ckpt_done.load(Ordering::SeqCst);
-    ckpt.join().unwrap();
-    std::env::remove_var("DEMAQ_CKPT_SLOW_WRITE_MS");
-    assert!(
-        still_writing,
-        "checkpoint finished before the concurrent commit — the slow-write \
-         failpoint did not arm and the test exercised nothing"
-    );
-    assert_eq!(store.message(committed).unwrap().payload, "<during-checkpoint/>");
-}
-
-#[test]
 fn gc_of_many_messages_does_not_stall_committers() {
     use std::sync::atomic::{AtomicBool, Ordering};
     // Purging a large backlog must not block committers for long: the
@@ -572,62 +527,4 @@ fn gc_of_many_messages_does_not_stall_committers() {
         max_latency < Duration::from_secs(2),
         "a commit stalled {max_latency:?} behind the concurrent GC"
     );
-}
-
-fn copy_dir(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).unwrap();
-    for entry in std::fs::read_dir(from).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
-    }
-}
-
-#[test]
-fn gc_between_checkpoints_never_breaks_the_published_snapshot() {
-    // Regression: GC used to free a purged message's payload record while
-    // the published snapshot still referenced it. A crash before the next
-    // snapshot was published then failed recovery with `NotFound`.
-    let _failpoint = CKPT_FAILPOINT.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = TempDir::new().unwrap();
-    let store = Arc::new(open(&dir));
-    store.create_queue("q", QueueMode::Persistent, 0).unwrap();
-    let m = enqueue_one(&store, "q", "<m>\u{e9}</m>");
-    store.checkpoint().unwrap();
-    let txn = store.begin();
-    store.mark_processed(txn, m).unwrap();
-    store.commit(txn).unwrap();
-    assert_eq!(store.gc().unwrap(), 1);
-
-    // A second checkpoint, held in its write window: it has rotated the
-    // WAL but not yet published its snapshot.
-    std::env::set_var("DEMAQ_CKPT_SLOW_WRITE_MS", "2000");
-    let ckpt = {
-        let store = Arc::clone(&store);
-        std::thread::spawn(move || store.checkpoint().unwrap())
-    };
-    let rotated = dir.path().join("wal-000002.log");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !rotated.exists() {
-        assert!(
-            Instant::now() < deadline,
-            "second checkpoint never rotated the WAL"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    // What a crash right now would leave on disk.
-    let crashed = TempDir::new().unwrap();
-    copy_dir(dir.path(), crashed.path());
-    ckpt.join().unwrap();
-    std::env::remove_var("DEMAQ_CKPT_SLOW_WRITE_MS");
-    let published = Snapshot::read_from(&crashed.path().join("ckpt.snap")).unwrap();
-    assert_eq!(
-        published.map(|s| s.wal_index),
-        Some(1),
-        "the copy must hold the first checkpoint's snapshot"
-    );
-
-    let reopened = open(&crashed);
-    assert_eq!(reopened.message(m).unwrap().payload, "<m>\u{e9}</m>");
-    assert_eq!(reopened.gc().unwrap(), 1, "GC re-purges after recovery");
-    assert_eq!(reopened.message_count(), 0);
 }
