@@ -7,12 +7,12 @@
 //! message, parsing it, evaluating the key path, and comparing with the
 //! wanted key. The materialized [`demaq_store::slice::SliceIndex`] answers
 //! the same question with one ordered-map lookup; benchmark E2 measures
-//! the gap.
+//! the gap. The key expression is lowered once and run as a plan, the
+//! way the engine runs its own property bindings.
 
 use demaq_store::{MessageStore, MsgId, PropValue};
 use demaq_xml::parse;
-use demaq_xquery::{parse_expr, DynamicContext, Evaluator, Expr, NoHost, StaticContext};
-use std::sync::Arc;
+use demaq_xquery::{lower, parse_expr, DynamicContext, Expr, PlanEvaluator};
 
 /// Evaluate `key_expr` (e.g. `//customerID`) against every message of the
 /// named queues, returning the ids whose computed key equals `key`.
@@ -22,8 +22,8 @@ pub fn scan_slice_members(
     key_expr: &Expr,
     key: &PropValue,
 ) -> Vec<MsgId> {
-    let sctx = StaticContext::default();
-    let dctx = DynamicContext::new(Arc::new(NoHost));
+    let plan = lower(key_expr);
+    let dctx = DynamicContext::default();
     let wanted = key.render();
     let mut out = Vec::new();
     for q in queues {
@@ -32,8 +32,8 @@ pub fn scan_slice_members(
         };
         for m in messages {
             let Ok(doc) = parse(&m.payload) else { continue };
-            let mut ev = Evaluator::new(&sctx, &dctx);
-            if let Ok(seq) = ev.eval_with_context(key_expr, doc.root()) {
+            let mut ev = PlanEvaluator::new(&dctx);
+            if let Ok(seq) = ev.eval_with_context(&plan, doc.root()) {
                 if let Some(item) = seq.0.first() {
                     if item.string_value() == wanted {
                         out.push(m.id);

@@ -11,8 +11,9 @@
 //! existence tests that stop at the first matching node.
 //!
 //! Measured: `rule_eval` — single-thread rule-body evaluation throughput,
-//! lowered plan vs the reference AST interpreter (`demaq_xquery::eval`,
-//! which the engine no longer executes — it is the test oracle), on (a)
+//! lowered plan vs the reference AST interpreter (the dev-only
+//! `demaq-xquery-reference` crate: no shipped crate links it, it is the
+//! test oracle), on (a)
 //! the paper's Fig. 5 newOfferRequest rule against its offerRequest
 //! message and (b) the 4-rule pipeline workload. No store, no scheduler:
 //! pure evaluation.
@@ -27,10 +28,9 @@ use demaq::engine::PlanMode;
 use demaq::Server;
 use demaq_bench::{feed_pipeline, pipeline_server};
 use demaq_store::store::SyncPolicy;
-use demaq_xquery::{
-    DynamicContext, Evaluator, NoHost, Plan, PlanEvaluator, StaticContext,
-};
 use demaq_xml::NodeRef;
+use demaq_xquery::{DynamicContext, NoHost, Plan, PlanEvaluator};
+use demaq_xquery_reference::Evaluator;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -71,11 +71,10 @@ fn deployed_rules(server: &Server, queue: &str) -> Vec<(demaq_xquery::Expr, Arc<
 
 /// Evaluate every rule body with the reference interpreter.
 fn eval_reference(rules: &[(demaq_xquery::Expr, Arc<Plan>)], root: &NodeRef) -> usize {
-    let sctx = StaticContext::default();
     let dctx = DynamicContext::new(Arc::new(NoHost));
     let mut updates = 0;
     for (body, _) in rules {
-        let mut ev = Evaluator::new(&sctx, &dctx);
+        let mut ev = Evaluator::new(&dctx);
         ev.eval_with_context(body, root.clone()).expect("eval");
         updates += ev.updates.len();
     }

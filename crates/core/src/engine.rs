@@ -1803,7 +1803,7 @@ impl Server {
                         });
                     };
                     self.store
-                        .slice_reset(txn, &slicing.local, atomic_to_prop(&key))
+                        .slice_reset(txn, &slicing.local, atomic_to_prop(key))
                         .map_err(ProcessingError::Store)?;
                 }
                 other => {

@@ -7,9 +7,8 @@
 
 use demaq_store::PropValue;
 use demaq_xml::{Document, NodeRef, QName};
-use demaq_xquery::value::{parse_date_time, parse_duration};
 use demaq_xquery::{
-    AggId, AggSource, AggregateSpec, Atomic, Error as XqError, HostFunctions, Item, Sequence,
+    cast, AggId, AggSource, AggregateSpec, Atomic, Error as XqError, HostFunctions, Item, Sequence,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,72 +26,27 @@ pub fn prop_to_atomic(v: &PropValue) -> Atomic {
 }
 
 /// Convert an XQuery atomic to a stored property value.
-pub fn atomic_to_prop(a: &Atomic) -> PropValue {
+pub fn atomic_to_prop(a: Atomic) -> PropValue {
     match a {
-        Atomic::Str(s) | Atomic::Untyped(s) => PropValue::Str(s.clone()),
-        Atomic::Int(i) => PropValue::Int(*i),
-        Atomic::Bool(b) => PropValue::Bool(*b),
-        Atomic::Decimal(d) | Atomic::Double(d) => PropValue::Double(*d),
-        Atomic::DateTime(ms) => PropValue::DateTime(*ms),
-        Atomic::Duration(ms) => PropValue::Duration(*ms),
+        Atomic::Str(s) | Atomic::Untyped(s) => PropValue::Str(s),
+        Atomic::Int(i) => PropValue::Int(i),
+        Atomic::Bool(b) => PropValue::Bool(b),
+        Atomic::Decimal(d) | Atomic::Double(d) => PropValue::Double(d),
+        Atomic::DateTime(ms) => PropValue::DateTime(ms),
+        Atomic::Duration(ms) => PropValue::Duration(ms),
         Atomic::QName(q) => PropValue::Str(q.lexical()),
     }
 }
 
-/// Cast a property value to the `xs:` type a QDL declaration names.
-pub fn cast_prop(v: &PropValue, ty: &str) -> Result<PropValue, String> {
-    let err = |m: String| m;
-    match ty {
-        "xs:string" => Ok(PropValue::Str(v.render())),
-        "xs:integer" | "xs:int" | "xs:long" => match v {
-            PropValue::Int(i) => Ok(PropValue::Int(*i)),
-            PropValue::Double(d) if d.is_finite() => Ok(PropValue::Int(*d as i64)),
-            PropValue::Bool(b) => Ok(PropValue::Int(*b as i64)),
-            PropValue::Str(s) => s
-                .trim()
-                .parse()
-                .map(PropValue::Int)
-                .map_err(|_| err(format!("cannot cast `{s}` to {ty}"))),
-            other => Err(err(format!("cannot cast {other:?} to {ty}"))),
-        },
-        "xs:boolean" => match v {
-            PropValue::Bool(b) => Ok(PropValue::Bool(*b)),
-            PropValue::Int(i) => Ok(PropValue::Bool(*i != 0)),
-            PropValue::Str(s) => match s.trim() {
-                "true" | "1" => Ok(PropValue::Bool(true)),
-                "false" | "0" => Ok(PropValue::Bool(false)),
-                other => Err(err(format!("cannot cast `{other}` to xs:boolean"))),
-            },
-            other => Err(err(format!("cannot cast {other:?} to xs:boolean"))),
-        },
-        "xs:double" | "xs:decimal" => match v {
-            PropValue::Double(d) => Ok(PropValue::Double(*d)),
-            PropValue::Int(i) => Ok(PropValue::Double(*i as f64)),
-            PropValue::Str(s) => s
-                .trim()
-                .parse()
-                .map(PropValue::Double)
-                .map_err(|_| err(format!("cannot cast `{s}` to {ty}"))),
-            other => Err(err(format!("cannot cast {other:?} to {ty}"))),
-        },
-        "xs:dateTime" => match v {
-            PropValue::DateTime(ms) => Ok(PropValue::DateTime(*ms)),
-            PropValue::Int(ms) => Ok(PropValue::DateTime(*ms)),
-            PropValue::Str(s) => parse_date_time(s)
-                .map(PropValue::DateTime)
-                .ok_or_else(|| err(format!("cannot cast `{s}` to xs:dateTime"))),
-            other => Err(err(format!("cannot cast {other:?} to xs:dateTime"))),
-        },
-        "xs:dayTimeDuration" | "xs:duration" => match v {
-            PropValue::Duration(ms) => Ok(PropValue::Duration(*ms)),
-            PropValue::Int(ms) => Ok(PropValue::Duration(*ms)),
-            PropValue::Str(s) => parse_duration(s)
-                .map(PropValue::Duration)
-                .ok_or_else(|| err(format!("cannot cast `{s}` to xs:dayTimeDuration"))),
-            other => Err(err(format!("cannot cast {other:?} to {ty}"))),
-        },
-        other => Err(err(format!("unsupported property type `{other}`"))),
-    }
+/// Cast a property value to the `xs:` type a QDL declaration names, with
+/// the XQuery cast a rule's `xs:` constructor uses, so the two agree on
+/// every value. A string moves through without a copy.
+pub fn cast_prop(v: PropValue, ty: &str) -> Result<PropValue, String> {
+    let a = match v {
+        PropValue::Str(s) => Atomic::Str(s),
+        other => prop_to_atomic(&other),
+    };
+    cast(a, ty).map(atomic_to_prop).map_err(|e| e.msg)
 }
 
 /// Reader giving rule evaluation access to queue contents: returns the
@@ -287,39 +241,67 @@ mod tests {
             PropValue::Duration(500),
         ];
         for v in values {
-            assert_eq!(atomic_to_prop(&prop_to_atomic(&v)), v);
+            assert_eq!(atomic_to_prop(prop_to_atomic(&v)), v);
         }
     }
 
     #[test]
     fn cast_prop_types() {
+        use PropValue::*;
+        assert_eq!(cast_prop(Str("42".into()), "xs:integer"), Ok(Int(42)));
+        assert_eq!(cast_prop(Int(1), "xs:boolean"), Ok(Bool(true)));
         assert_eq!(
-            cast_prop(&PropValue::Str("42".into()), "xs:integer"),
-            Ok(PropValue::Int(42))
+            cast_prop(Str("false".into()), "xs:boolean"),
+            Ok(Bool(false))
+        );
+        assert_eq!(cast_prop(Int(3), "xs:string"), Ok(Str("3".into())));
+        assert_eq!(
+            cast_prop(Str("PT5S".into()), "xs:dayTimeDuration"),
+            Ok(Duration(5000))
+        );
+        assert!(cast_prop(Str("zap".into()), "xs:integer").is_err());
+        assert!(cast_prop(Str("x".into()), "xs:nosuch").is_err());
+        // Where this table and the XQuery cast used to differ, both now
+        // give the XQuery answer. Strings render values the XQuery way…
+        assert_eq!(
+            cast_prop(Double(f64::INFINITY), "xs:string"),
+            Ok(Str("INF".into()))
+        );
+        assert_eq!(cast_prop(Double(-0.0), "xs:string"), Ok(Str("0".into())));
+        assert_eq!(
+            cast_prop(DateTime(86_400_000), "xs:string"),
+            Ok(Str("1970-01-02T00:00:00Z".into()))
         );
         assert_eq!(
-            cast_prop(&PropValue::Int(1), "xs:boolean"),
-            Ok(PropValue::Bool(true))
+            cast_prop(Duration(5000), "xs:string"),
+            Ok(Str("PT5S".into()))
         );
+        // …numbers cast to booleans and booleans to numbers…
+        assert_eq!(cast_prop(Double(2.5), "xs:boolean"), Ok(Bool(true)));
+        assert_eq!(cast_prop(Bool(true), "xs:double"), Ok(Double(1.0)));
+        // …only `NaN`, `INF` and `-INF` spell a special double, and no
+        // decimal…
+        assert!(cast_prop(Str("NaN".into()), "xs:double").is_ok_and(|v| v != v));
         assert_eq!(
-            cast_prop(&PropValue::Str("false".into()), "xs:boolean"),
-            Ok(PropValue::Bool(false))
+            cast_prop(Str("INF".into()), "xs:double"),
+            Ok(Double(f64::INFINITY))
         );
-        assert_eq!(
-            cast_prop(&PropValue::Int(3), "xs:string"),
-            Ok(PropValue::Str("3".into()))
-        );
-        assert_eq!(
-            cast_prop(&PropValue::Str("PT5S".into()), "xs:dayTimeDuration"),
-            Ok(PropValue::Duration(5000))
-        );
-        assert!(cast_prop(&PropValue::Str("zap".into()), "xs:integer").is_err());
-        assert!(cast_prop(&PropValue::Str("x".into()), "xs:nosuch").is_err());
+        for bad in ["nan", "inf", "infinity"] {
+            assert!(cast_prop(Str(bad.into()), "xs:double").is_err(), "{bad}");
+        }
+        assert!(cast_prop(Str("INF".into()), "xs:decimal").is_err());
+        // …an integer is no date or duration, and untypedAtomic is a type.
+        assert!(cast_prop(Int(1000), "xs:dateTime").is_err());
+        assert!(cast_prop(Int(5000), "xs:dayTimeDuration").is_err());
+        assert_eq!(cast_prop(Int(7), "xs:untypedAtomic"), Ok(Str("7".into())));
+        // Unchanged: text that is no number, and a date as a number, fail.
+        assert!(cast_prop(Str("abc".into()), "xs:double").is_err());
+        assert!(cast_prop(DateTime(1), "xs:decimal").is_err());
     }
 
     #[test]
     fn qs_functions_through_host() {
-        use demaq_xquery::{parse_expr, DynamicContext, Evaluator, StaticContext};
+        use demaq_xquery::{lower, parse_expr, DynamicContext, PlanEvaluator};
         let msg = demaq_xml::parse("<order><id>9</id></order>").unwrap();
         let inv = demaq_xml::parse("<invoice>55</invoice>").unwrap();
         let inv2 = inv.clone();
@@ -343,12 +325,11 @@ mod tests {
             collections: Arc::new(HashMap::new()),
             now_ms: 86_400_000,
         };
-        let sctx = StaticContext::default();
         let dctx = DynamicContext::new(Arc::new(host));
         let eval = |q: &str| {
-            let expr = parse_expr(q).unwrap();
-            let mut ev = Evaluator::new(&sctx, &dctx);
-            ev.eval_with_context(&expr, msg.root()).unwrap().to_string()
+            let plan = lower(&parse_expr(q).unwrap());
+            let mut ev = PlanEvaluator::new(&dctx);
+            ev.eval_with_context(&plan, msg.root()).unwrap().to_string()
         };
         assert_eq!(eval("qs:message()//id"), "9");
         assert_eq!(eval("string(qs:queue('invoices'))"), "55");
@@ -362,7 +343,7 @@ mod tests {
 
     #[test]
     fn slice_functions_error_without_slice_context() {
-        use demaq_xquery::{parse_expr, DynamicContext, Evaluator, StaticContext};
+        use demaq_xquery::{lower, parse_expr, DynamicContext, PlanEvaluator};
         let msg = demaq_xml::parse("<m/>").unwrap();
         let host = QsHost {
             message: msg.root(),
@@ -374,10 +355,9 @@ mod tests {
             collections: Arc::new(HashMap::new()),
             now_ms: 0,
         };
-        let sctx = StaticContext::default();
         let dctx = DynamicContext::new(Arc::new(host));
-        let mut ev = Evaluator::new(&sctx, &dctx);
-        let expr = parse_expr("qs:slice()").unwrap();
-        assert!(ev.eval_with_context(&expr, msg.root()).is_err());
+        let mut ev = PlanEvaluator::new(&dctx);
+        let plan = lower(&parse_expr("qs:slice()").unwrap());
+        assert!(ev.eval_with_context(&plan, msg.root()).is_err());
     }
 }

@@ -132,7 +132,7 @@ pub fn compute_properties(
             )));
         }
         let raw: Option<PropValue> = if let Some(a) = explicit_value {
-            Some(atomic_to_prop(a))
+            Some(atomic_to_prop(a.clone()))
         } else if prop.kind == PropKind::Inherited {
             // Inherit from the trigger; fall back to the binding default.
             let inherited = trigger_props
@@ -149,7 +149,7 @@ pub fn compute_properties(
             eval_bound()?
         };
         if let Some(v) = raw {
-            let typed = cast_prop(&v, &prop.ty)
+            let typed = cast_prop(v, &prop.ty)
                 .map_err(|e| PropError(format!("property `{}`: {e}", prop.name)))?;
             set(&mut out, &prop.name, typed);
         }
@@ -160,7 +160,7 @@ pub fn compute_properties(
     for (name, a) in explicit {
         let declared = app.properties.contains_key(name);
         if !declared && !out.iter().any(|(n, _)| n == name) {
-            out.push((name.clone(), atomic_to_prop(a)));
+            out.push((name.clone(), atomic_to_prop(a.clone())));
         } else if !declared {
             // Explicit wins over a same-named system default, except the
             // engine-owned ones (forging provenance would corrupt the
@@ -170,7 +170,7 @@ pub fn compute_properties(
                 || name == system::PARENT_MSG
                 || name == system::ROOT_MSG;
             if !engine_owned {
-                set(&mut out, name, atomic_to_prop(a));
+                set(&mut out, name, atomic_to_prop(a.clone()));
             }
         }
     }
@@ -186,7 +186,7 @@ fn eval_binding(
     let seq = PlanEvaluator::new(dctx)
         .eval_with_context(value, msg_root.clone())
         .map_err(|e| PropError(format!("value expression failed: {e}")))?;
-    Ok(seq.0.first().map(|item| atomic_to_prop(&item.atomize())))
+    Ok(seq.0.first().map(|item| atomic_to_prop(item.atomize())))
 }
 
 #[cfg(test)]

@@ -373,9 +373,9 @@ impl ShardedServer {
         };
         let app = self.shards[0].app();
         if let Some((_, a)) = explicit.iter().find(|(n, _)| n == kp) {
-            let raw = atomic_to_prop(a);
+            let raw = atomic_to_prop(a.clone());
             let v = match app.spec.properties.iter().find(|p| p.name == kp) {
-                Some(pd) => cast_prop(&raw, &pd.ty).map_err(EngineError::Compile)?,
+                Some(pd) => cast_prop(raw, &pd.ty).map_err(EngineError::Compile)?,
                 None => raw,
             };
             return Ok(self.placement.route(queue, Some(key_hash(&v))));

@@ -345,6 +345,9 @@ struct StoreMetrics {
     /// out of one (plus UTF-8 validation) at recovery. Stays at zero on a
     /// pure drain path — commits never copy.
     payload_copies: Counter,
+    /// Directory fsyncs: the one after each snapshot rename here, plus the
+    /// WAL's one per new segment (`demaq_store_dir_syncs_total`).
+    dir_syncs: Counter,
 }
 
 impl StoreMetrics {
@@ -363,6 +366,7 @@ impl StoreMetrics {
             apply_waits: r.counter("demaq_store_apply_waits_total"),
             payload_shared_reads: r.counter("demaq_store_payload_shared_reads_total"),
             payload_copies: r.counter("demaq_store_payload_copies_total"),
+            dir_syncs: r.counter("demaq_store_dir_syncs_total"),
         }
     }
 }
@@ -1249,6 +1253,10 @@ impl MessageStore {
         }
         snap.write_to(&self.opts.dir.join("ckpt.snap"))?;
         self.metrics.payload_copies.add(snap.messages.len() as u64);
+        // The rename is durable only with the directory: until then a power
+        // cut may bring back the old snapshot, which needs the old segments.
+        crate::wal::sync_dir(&self.opts.dir)?;
+        self.metrics.dir_syncs.inc();
         // Old segments are now superfluous.
         for i in 0..new_index {
             let _ = std::fs::remove_file(self.opts.dir.join(format!("wal-{i:06}.log")));
@@ -1557,6 +1565,41 @@ mod tests {
         let quiet = syncs.get();
         drop(store);
         assert_eq!(syncs.get(), quiet, "nothing unsynced, nothing to do");
+    }
+
+    /// Directory syncs, counted apart from WAL syncs: one with the first
+    /// sync of each segment the store creates (a fresh store's first, the
+    /// one a checkpoint rotates to) and one after each snapshot rename.
+    #[test]
+    fn directory_syncs_follow_new_segments_and_snapshots() {
+        let dir = TempDir::new().unwrap();
+        let obs = Obs::new();
+        let mut opts = StoreOptions::new(dir.path());
+        opts.obs = Some(Arc::clone(&obs));
+        let wal_syncs = obs.registry.counter("demaq_store_wal_syncs_total");
+        let dir_syncs = obs.registry.counter("demaq_store_dir_syncs_total");
+        let syncs = || (wal_syncs.get(), dir_syncs.get());
+        let commit = |store: &MessageStore| {
+            let txn = store.begin();
+            store.enqueue(txn, "q", "m".into(), Vec::new(), 0).unwrap();
+            store.commit(txn).unwrap();
+        };
+        let store = MessageStore::open(opts.clone()).unwrap();
+        store.create_queue("q", QueueMode::Persistent, 0).unwrap();
+        store.barrier().unwrap();
+        assert_eq!(syncs(), (0, 0), "opening and an empty barrier sync nothing");
+        commit(&store);
+        assert_eq!(syncs(), (1, 1), "a fresh store's first commit");
+        commit(&store);
+        assert_eq!(syncs(), (2, 1), "later syncs of the segment");
+        store.checkpoint().unwrap();
+        assert_eq!(syncs(), (2, 2), "a checkpoint: the snapshot rename");
+        commit(&store);
+        assert_eq!(syncs(), (3, 3), "the first commit in the rotated-to segment");
+        drop(store);
+        let store = MessageStore::open(opts).unwrap();
+        commit(&store);
+        assert_eq!(syncs(), (4, 3), "a reopened segment's entry is durable");
     }
 
     /// Lineage edges are WAL-logged with their LSN, survive plain

@@ -58,6 +58,11 @@
 //! far with one sync. A barrier never sits in the batching window — the
 //! commits it is for have all been appended already, so there is nothing
 //! to wait for.
+//!
+//! A file's `sync_data` does not make its directory entry durable. The
+//! first sync of a segment [`LogWriter::open`] created therefore also
+//! syncs the store directory ([`sync_dir`]) before any commit it covers
+//! counts as durable; otherwise a power cut could lose the whole segment.
 
 use crate::error::{Result, StoreError};
 use crate::txn::TxnOp;
@@ -66,7 +71,7 @@ use demaq_obs::{Counter, Histogram, Registry};
 use parking_lot::{Condvar, Mutex};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -425,6 +430,9 @@ struct WalObs {
     /// `demaq_store_group_commit_waits_total` — commits that blocked on
     /// another committer's in-flight sync instead of issuing their own.
     sync_waits: Counter,
+    /// `demaq_store_dir_syncs_total` — directory fsyncs (not counted in
+    /// `demaq_store_wal_syncs_total`).
+    dir_syncs: Counter,
 }
 
 /// The write side of the log.
@@ -446,6 +454,9 @@ pub struct LogWriter {
     /// its window can fill early.
     window_cv: Condvar,
     obs: OnceLock<WalObs>,
+    /// The segment's directory while `open` created the segment and no
+    /// sync has made its entry there durable yet.
+    unsynced_dir: Mutex<Option<PathBuf>>,
 }
 
 struct WriterInner {
@@ -492,6 +503,11 @@ impl LogWriter {
     pub fn open(path: &Path, cfg: GroupCommitCfg) -> Result<LogWriter> {
         // Scan before opening for append: find the valid prefix.
         let scan = read_log(path)?;
+        // The directory to sync once, if this open creates the segment.
+        let created = (!path.exists()).then(|| match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir.to_path_buf(),
+            _ => PathBuf::from("."),
+        });
         let file = OpenOptions::new()
             .read(true)
             .append(true)
@@ -527,6 +543,7 @@ impl LogWriter {
             sync_cv: Condvar::new(),
             window_cv: Condvar::new(),
             obs: OnceLock::new(),
+            unsynced_dir: Mutex::new(created),
         })
     }
 
@@ -536,6 +553,7 @@ impl LogWriter {
             batch_size: registry.histogram("demaq_store_group_commit_batch_size"),
             syncs: registry.counter("demaq_store_wal_syncs_total"),
             sync_waits: registry.counter("demaq_store_group_commit_waits_total"),
+            dir_syncs: registry.counter("demaq_store_dir_syncs_total"),
         });
     }
 
@@ -686,6 +704,7 @@ impl LogWriter {
                 // The expensive part happens with no lock held: appends
                 // and other committers keep running.
                 self.sync_handle.sync_data()?;
+                self.sync_new_entry()?;
                 Ok(covered)
             })();
 
@@ -723,6 +742,7 @@ impl LogWriter {
         let mut inner = self.inner.lock();
         inner.file.flush()?;
         inner.file.get_ref().sync_data()?;
+        self.sync_new_entry()?;
         let covered = inner.offset;
         drop(inner);
         let mut st = self.sync_state.lock();
@@ -734,6 +754,20 @@ impl LogWriter {
             obs.batch_size.record_ns(batch.max(1));
         }
         self.sync_cv.notify_all();
+        Ok(())
+    }
+
+    /// Sync the directory after the first sync of a segment `open` created:
+    /// the segment's entry is durable before any commit in it is.
+    fn sync_new_entry(&self) -> Result<()> {
+        let mut dir = self.unsynced_dir.lock();
+        if let Some(d) = dir.as_deref() {
+            sync_dir(d)?;
+            *dir = None;
+            if let Some(obs) = self.obs.get() {
+                obs.dir_syncs.inc();
+            }
+        }
         Ok(())
     }
 
@@ -846,14 +880,9 @@ pub fn read_log(path: &Path) -> Result<LogScan> {
     })
 }
 
-/// Truncate the log file (after a checkpoint has captured its effects).
-pub fn truncate_log(path: &Path) -> Result<()> {
-    let file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(path)?;
-    file.sync_data()?;
+/// Fsync a directory, making the entries created or renamed in it durable.
+pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
+    File::open(dir)?.sync_all()?;
     Ok(())
 }
 
@@ -1212,18 +1241,6 @@ mod tests {
         let scan = read_log(&path).unwrap();
         let read: Vec<LogRecord> = scan.records.into_iter().map(|(_, r)| r).collect();
         assert_eq!((read, scan.discarded), (sample_records(), 0));
-    }
-
-    #[test]
-    fn truncate_resets_log() {
-        let dir = TempDir::new().unwrap();
-        let path = dir.path().join("wal.log");
-        let w = writer(&path);
-        w.append(&LogRecord::Begin { txn: TxnId(1) }).unwrap();
-        w.sync_now().unwrap();
-        drop(w);
-        truncate_log(&path).unwrap();
-        assert!(read_log(&path).unwrap().records.is_empty());
     }
 
     #[test]

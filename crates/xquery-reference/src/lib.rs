@@ -1,4 +1,13 @@
-//! Dynamic evaluation of expression trees.
+//! The reference XQuery interpreter: a tree walk over the parsed [`Expr`],
+//! variables looked up by name.
+//!
+//! The engine never runs it. It runs lowered plans on
+//! [`demaq_xquery::PlanEvaluator`], and this crate is the oracle the
+//! lowering is checked against: `differential_corpus` and `xquf_end_to_end`
+//! here, `tests/differential_eval.rs` in the root suite, and E11's
+//! reference-vs-lowered rows. Only `[dev-dependencies]` name it. Value,
+//! constructor and cast semantics come from `demaq-xquery` itself, so a
+//! disagreement points at the lowering or the plan evaluator.
 //!
 //! The evaluator is snapshot-semantic: it reads the XML tree(s) and the
 //! dynamic context, never mutating them; updating expressions append to a
@@ -6,42 +15,23 @@
 //! afterwards — exactly the separation of rule evaluation from action
 //! execution that the Demaq execution model prescribes (paper Sec. 3.1).
 
-use crate::ast::*;
-use crate::context::{DynamicContext, StaticContext};
-use crate::error::{Error, Result};
-use crate::functions;
-use crate::update::Update;
-use crate::value::{parse_date_time, parse_duration, Atomic, Item, Sequence};
-use demaq_xml::{DocBuilder, Document, NodeId, NodeKind, NodeRef, QName};
+use demaq_xml::serializer::serialize_node;
+use demaq_xml::{NodeKind, NodeRef, QName};
+use demaq_xquery::ast::*;
+use demaq_xquery::{
+    assemble_element, atomics_joined, cast, computed_attribute, computed_comment,
+    computed_document, computed_name, computed_text, enqueue_prop, for_each_on_axis, functions,
+    instance_of, negate, order_cmp, push_atomics_joined, range, sequence_to_document, set_op,
+    text_node, update_content, update_target, Atomic, DynamicContext, Error, Focus, Item, Result,
+    Sequence, Update,
+};
 use std::cmp::Ordering;
 use std::ops::ControlFlow;
-use std::sync::Arc;
-
-/// The focus: context item, position, and size (XPath `.`/`position()`/
-/// `last()`).
-#[derive(Clone)]
-pub struct Focus {
-    pub item: Item,
-    pub pos: usize,
-    pub size: usize,
-}
-
-impl Focus {
-    pub fn solo(item: impl Into<Item>) -> Focus {
-        Focus {
-            item: item.into(),
-            pos: 1,
-            size: 1,
-        }
-    }
-}
 
 /// Expression evaluator. Create one per query evaluation; collect
 /// [`Evaluator::updates`] afterwards when evaluating updating expressions.
 pub struct Evaluator<'a> {
-    #[allow(dead_code)]
-    sctx: &'a StaticContext,
-    pub(crate) dctx: &'a DynamicContext,
+    dctx: &'a DynamicContext,
     /// Lexically scoped variable bindings (FLWOR/quantifier vars).
     vars: Vec<(String, Sequence)>,
     /// Pending update list produced by updating expressions.
@@ -53,9 +43,8 @@ pub struct Evaluator<'a> {
 const MAX_DEPTH: u32 = 512;
 
 impl<'a> Evaluator<'a> {
-    pub fn new(sctx: &'a StaticContext, dctx: &'a DynamicContext) -> Self {
+    pub fn new(dctx: &'a DynamicContext) -> Self {
         Evaluator {
-            sctx,
             dctx,
             vars: Vec::new(),
             updates: Vec::new(),
@@ -68,11 +57,6 @@ impl<'a> Evaluator<'a> {
     /// of the triggering message", paper Sec. 3.4).
     pub fn eval_with_context(&mut self, expr: &Expr, context: NodeRef) -> Result<Sequence> {
         self.eval(expr, Some(&Focus::solo(context)))
-    }
-
-    /// Evaluate with no context item (absent focus).
-    pub fn eval_no_context(&mut self, expr: &Expr) -> Result<Sequence> {
-        self.eval(expr, None)
     }
 
     fn lookup_var(&self, name: &str) -> Result<Sequence> {
@@ -174,27 +158,12 @@ impl<'a> Evaluator<'a> {
             }
             Expr::Comparison { op, left, right } => self.eval_comparison(*op, left, right, focus),
             Expr::Arith { op, left, right } => self.eval_arith(*op, left, right, focus),
-            Expr::Set { op, left, right } => self.eval_set(*op, left, right, focus),
-            Expr::Range(a, b) => {
-                let la = self.eval(a, focus)?;
-                let lb = self.eval(b, focus)?;
-                if la.is_empty() || lb.is_empty() {
-                    return Ok(Sequence::empty());
-                }
-                let from = la.exactly_one()?.atomize().cast_integer()?;
-                let to = lb.exactly_one()?.atomize().cast_integer()?;
-                Ok((from..=to).map(|i| Item::Atomic(Atomic::Int(i))).collect())
+            Expr::Set { op, left, right } => {
+                let l = self.eval(left, focus)?;
+                set_op(*op, &l, &self.eval(right, focus)?)
             }
-            Expr::Neg(e) => {
-                let v = self.eval(e, focus)?;
-                if v.is_empty() {
-                    return Ok(Sequence::empty());
-                }
-                match v.exactly_one()?.atomize() {
-                    Atomic::Int(i) => Ok(Sequence::int(-i)),
-                    a => Ok(Sequence::one(Atomic::Double(-a.to_double()))),
-                }
-            }
+            Expr::Range(a, b) => range(&self.eval(a, focus)?, &self.eval(b, focus)?),
+            Expr::Neg(e) => negate(&self.eval(e, focus)?),
             Expr::If { cond, then, els } => {
                 if self.eval(cond, focus)?.effective_boolean()? {
                     self.eval(then, focus)
@@ -216,7 +185,7 @@ impl<'a> Evaluator<'a> {
                 bindings,
                 satisfies,
             } => {
-                let result = self.eval_quantified(*every, bindings, satisfies, focus)?;
+                let result = self.quantify(*every, bindings, 0, satisfies, focus)?;
                 Ok(Sequence::bool(result))
             }
             Expr::DirectElement {
@@ -228,96 +197,50 @@ impl<'a> Evaluator<'a> {
                 Ok(Sequence::one(node))
             }
             Expr::ComputedElement { name, content } => {
-                let n = self.eval(name, focus)?;
-                let qn = QName::parse_lexical(&n.string_value()?)
-                    .ok_or_else(|| Error::dynamic("invalid computed element name"))?;
+                let qn = computed_name(&self.eval(name, focus)?, "computed element")?;
                 let seq = self.eval(content, focus)?;
-                let node = assemble_element(&qn, &[], seq)?;
-                Ok(Sequence::one(node))
+                Ok(Sequence::one(assemble_element(&qn, &[], seq)?))
             }
             Expr::ComputedAttribute { name, content } => {
-                let n = self.eval(name, focus)?;
-                let qn = QName::parse_lexical(&n.string_value()?)
-                    .ok_or_else(|| Error::dynamic("invalid computed attribute name"))?;
-                let v = self.eval(content, focus)?;
-                let value = atomics_joined(&v);
-                // Orphan attributes live under a holder element; the
-                // constructor assembly recognizes and reattaches them.
-                let mut b = DocBuilder::new();
-                b.start("attr-holder").attr(qn, value).end();
-                let doc = b.finish();
-                let holder = doc.document_element().expect("holder");
-                let attr = holder.attributes().next().expect("held attribute");
-                Ok(Sequence::one(attr))
+                let qn = computed_name(&self.eval(name, focus)?, "computed attribute")?;
+                Ok(Sequence::one(computed_attribute(
+                    qn,
+                    &self.eval(content, focus)?,
+                )))
             }
-            Expr::ComputedText(e) => {
-                let v = self.eval(e, focus)?;
-                if v.is_empty() {
-                    return Ok(Sequence::empty());
-                }
-                let mut b = DocBuilder::new();
-                b.text(atomics_joined(&v));
-                let doc = b.finish();
-                let t = doc.root().children().next();
-                Ok(match t {
-                    Some(n) => Sequence::one(n),
-                    None => Sequence::empty(),
-                })
-            }
-            Expr::ComputedComment(e) => {
-                let v = self.eval(e, focus)?;
-                let mut b = DocBuilder::new();
-                b.comment(atomics_joined(&v));
-                let doc = b.finish();
-                let comment = doc.root().children().next().expect("comment child");
-                Ok(Sequence::one(comment))
-            }
+            Expr::ComputedText(e) => Ok(computed_text(&self.eval(e, focus)?)),
+            Expr::ComputedComment(e) => Ok(Sequence::one(computed_comment(&self.eval(e, focus)?))),
             Expr::ComputedDocument(e) => {
-                let seq = self.eval(e, focus)?;
-                let mut b = DocBuilder::new();
-                append_content(&mut b, &seq, &mut false)?;
-                let doc = b.finish();
-                Ok(Sequence::one(doc.root()))
+                Ok(Sequence::one(computed_document(&self.eval(e, focus)?)))
             }
             Expr::Enqueue {
                 message,
                 queue,
                 props,
             } => {
-                let seq = self.eval(message, focus)?;
-                let doc = sequence_to_document(&seq)?;
-                let mut eprops = Vec::new();
+                let message = sequence_to_document(&self.eval(message, focus)?)?;
+                let mut eprops = Vec::with_capacity(props.len());
                 for (pname, pexpr) in props {
-                    let v = self.eval(pexpr, focus)?;
-                    let atom = match v.0.as_slice() {
-                        [] => Atomic::Str(String::new()),
-                        [item] => item.atomize(),
-                        _ => {
-                            return Err(Error::type_error(format!(
-                                "property `{pname}` value must be a single item"
-                            )))
-                        }
-                    };
-                    eprops.push((pname.clone(), atom));
+                    eprops.push((
+                        pname.clone(),
+                        enqueue_prop(pname, &self.eval(pexpr, focus)?)?,
+                    ));
                 }
                 self.updates.push(Update::Enqueue {
                     queue: queue.clone(),
-                    message: doc,
+                    message,
                     props: eprops,
                 });
                 Ok(Sequence::empty())
             }
             Expr::Reset { slicing, key } => {
-                let key_atom = match key {
-                    Some(k) => {
-                        let v = self.eval(k, focus)?;
-                        Some(v.exactly_one()?.atomize())
-                    }
+                let key = match key {
+                    Some(k) => Some(self.eval(k, focus)?.exactly_one()?.atomize()),
                     None => None,
                 };
                 self.updates.push(Update::Reset {
                     slicing: slicing.clone(),
-                    key: key_atom,
+                    key,
                 });
                 Ok(Sequence::empty())
             }
@@ -326,18 +249,18 @@ impl<'a> Evaluator<'a> {
                 pos,
                 target,
             } => {
-                let content = self.eval_nodes(source, focus)?;
-                let t = self.eval_single_node(target, focus)?;
+                let content = update_content(self.eval(source, focus)?);
+                let target = update_target(&self.eval(target, focus)?)?;
                 self.updates.push(Update::Insert {
-                    target: t,
+                    target,
                     pos: *pos,
                     content,
                 });
                 Ok(Sequence::empty())
             }
             Expr::Delete { target } => {
-                for t in self.eval_nodes(target, focus)? {
-                    self.updates.push(Update::Delete { target: t });
+                for target in update_content(self.eval(target, focus)?) {
+                    self.updates.push(Update::Delete { target });
                 }
                 Ok(Sequence::empty())
             }
@@ -346,28 +269,21 @@ impl<'a> Evaluator<'a> {
                 source,
                 value_of,
             } => {
-                let t = self.eval_single_node(target, focus)?;
-                if *value_of {
-                    let v = self.eval(source, focus)?;
-                    self.updates.push(Update::ReplaceValue {
-                        target: t,
-                        value: atomics_joined(&v),
-                    });
+                let target = update_target(&self.eval(target, focus)?)?;
+                let v = self.eval(source, focus)?;
+                self.updates.push(if *value_of {
+                    let value = atomics_joined(&v);
+                    Update::ReplaceValue { target, value }
                 } else {
-                    let content = self.eval_nodes(source, focus)?;
-                    self.updates.push(Update::Replace { target: t, content });
-                }
+                    let content = update_content(v);
+                    Update::Replace { target, content }
+                });
                 Ok(Sequence::empty())
             }
             Expr::Rename { target, name } => {
-                let t = self.eval_single_node(target, focus)?;
-                let n = self.eval(name, focus)?;
-                let qn = QName::parse_lexical(&n.string_value()?)
-                    .ok_or_else(|| Error::dynamic("invalid rename target name"))?;
-                self.updates.push(Update::Rename {
-                    target: t,
-                    name: qn,
-                });
+                let target = update_target(&self.eval(target, focus)?)?;
+                let name = computed_name(&self.eval(name, focus)?, "rename target")?;
+                self.updates.push(Update::Rename { target, name });
                 Ok(Sequence::empty())
             }
             Expr::Cast { expr, ty } => {
@@ -376,16 +292,10 @@ impl<'a> Evaluator<'a> {
                     return Ok(Sequence::empty());
                 }
                 let a = v.exactly_one()?.atomize();
-                Ok(Sequence::one(cast_atomic(&a, ty)?))
+                Ok(Sequence::one(cast(a, ty)?))
             }
             Expr::InstanceOf { expr, ty } => {
-                let v = self.eval(expr, focus)?;
-                let matches = match v.0.as_slice() {
-                    [Item::Atomic(a)] => a.type_name() == ty,
-                    [Item::Node(_)] => ty == "node()" || ty == "item()",
-                    _ => false,
-                };
-                Ok(Sequence::bool(matches))
+                Ok(Sequence::bool(instance_of(&self.eval(expr, focus)?, ty)))
             }
         }
     }
@@ -650,49 +560,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn eval_set(
-        &mut self,
-        op: SetOp,
-        left: &Expr,
-        right: &Expr,
-        focus: Option<&Focus>,
-    ) -> Result<Sequence> {
-        let l = self.eval(left, focus)?;
-        let r = self.eval(right, focus)?;
-        let as_nodes = |s: &Sequence| -> Result<Vec<NodeRef>> {
-            s.0.iter()
-                .map(|i| {
-                    i.as_node()
-                        .cloned()
-                        .ok_or_else(|| Error::type_error("set operand must be nodes"))
-                })
-                .collect()
-        };
-        let ln = as_nodes(&l)?;
-        let rn = as_nodes(&r)?;
-        // Membership by hashed node identity (doc_seq, id) — the naive
-        // per-node scan made intersect/except O(n·m).
-        let identity = |n: &NodeRef| (n.doc.doc_seq, n.id);
-        let combined: Vec<NodeRef> = match op {
-            SetOp::Union => ln.iter().chain(rn.iter()).cloned().collect(),
-            SetOp::Intersect => {
-                let rset: std::collections::HashSet<_> = rn.iter().map(identity).collect();
-                ln.iter()
-                    .filter(|n| rset.contains(&identity(n)))
-                    .cloned()
-                    .collect()
-            }
-            SetOp::Except => {
-                let rset: std::collections::HashSet<_> = rn.iter().map(identity).collect();
-                ln.iter()
-                    .filter(|n| !rset.contains(&identity(n)))
-                    .cloned()
-                    .collect()
-            }
-        };
-        Sequence(combined.into_iter().map(Item::Node).collect()).document_order_dedup()
-    }
-
     // ---- FLWOR & quantifiers -----------------------------------------------------
 
     fn eval_flwor(
@@ -811,16 +678,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn eval_quantified(
-        &mut self,
-        every: bool,
-        bindings: &[(String, Expr)],
-        satisfies: &Expr,
-        focus: Option<&Focus>,
-    ) -> Result<bool> {
-        self.quantify(every, bindings, 0, satisfies, focus)
-    }
-
     fn quantify(
         &mut self,
         every: bool,
@@ -887,66 +744,6 @@ impl<'a> Evaluator<'a> {
         }
         assemble_element(&name, &eattrs, seq)
     }
-
-    // ---- updating helpers ---------------------------------------------------------
-
-    fn eval_nodes(&mut self, e: &Expr, focus: Option<&Focus>) -> Result<Vec<NodeRef>> {
-        let v = self.eval(e, focus)?;
-        v.0.into_iter()
-            .map(|i| match i {
-                Item::Node(n) => Ok(n),
-                Item::Atomic(a) => Ok(text_node(&a.to_str())),
-            })
-            .collect()
-    }
-
-    fn eval_single_node(&mut self, e: &Expr, focus: Option<&Focus>) -> Result<NodeRef> {
-        let v = self.eval(e, focus)?;
-        match v.exactly_one()? {
-            Item::Node(n) => Ok(n.clone()),
-            Item::Atomic(_) => Err(Error::type_error("update target must be a node")),
-        }
-    }
-}
-
-/// Assemble an element node from a name, literal attributes, and a
-/// content sequence following the XQuery constructor content rules:
-/// adjacent atomics are joined with spaces into text nodes; attribute
-/// items must precede other content and attach to the element; nodes
-/// are deep-copied.
-pub(crate) fn assemble_element(
-    name: &QName,
-    attrs: &[(&QName, String)],
-    content: Sequence,
-) -> Result<NodeRef> {
-    let mut b = DocBuilder::new();
-    b.start(name);
-    for (an, av) in attrs {
-        b.attr(*an, av);
-    }
-    let mut has_child = false;
-    let mut after_atomic = false;
-    for item in &content.0 {
-        match item {
-            Item::Atomic(a) => {
-                append_atomic(&mut b, a, after_atomic);
-                has_child = true;
-            }
-            Item::Node(n) => {
-                if n.is_attribute() && has_child {
-                    return Err(Error::type_error(
-                        "attribute constructed after element content",
-                    ));
-                }
-                b.copy_node(n);
-                has_child |= !n.is_attribute();
-            }
-        }
-        after_atomic = matches!(item, Item::Atomic(_));
-    }
-    b.end();
-    let doc = b.finish();
-    Ok(doc.document_element().expect("constructed element"))
 }
 
 /// Names introduced by the FLWOR clauses, in stack push order.
@@ -966,119 +763,8 @@ fn binding_names(clauses: &[FlworClause]) -> Vec<String> {
     names
 }
 
-/// Compare two evaluated order-key vectors; `flags[i]` is the i-th key's
-/// `(descending, empty_greatest)` pair.
-pub(crate) fn order_cmp(flags: &[(bool, bool)], ka: &[Sequence], kb: &[Sequence]) -> Ordering {
-    for (i, &(descending, empty_greatest)) in flags.iter().enumerate() {
-        let a = ka[i].0.first().map(Item::atomize);
-        let b = kb[i].0.first().map(Item::atomize);
-        let ord = match (&a, &b) {
-            (None, None) => Ordering::Equal,
-            (None, Some(_)) => {
-                if empty_greatest {
-                    Ordering::Greater
-                } else {
-                    Ordering::Less
-                }
-            }
-            (Some(_), None) => {
-                if empty_greatest {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                }
-            }
-            (Some(x), Some(y)) => x.value_cmp(y).unwrap_or(Ordering::Equal),
-        };
-        let ord = if descending { ord.reverse() } else { ord };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
-/// Build a standalone text node (holder document).
-pub(crate) fn text_node(t: &str) -> NodeRef {
-    let mut b = DocBuilder::new();
-    b.text(if t.is_empty() { " " } else { t });
-    let doc = b.finish();
-    doc.root().children().next().expect("text child")
-}
-
-/// Join the atomized items with single spaces (attribute/text content rule).
-pub(crate) fn atomics_joined(seq: &Sequence) -> String {
-    let mut out = String::new();
-    push_atomics_joined(&mut out, seq);
-    out
-}
-
-/// [`atomics_joined`], appended to `out`.
-pub(crate) fn push_atomics_joined(out: &mut String, seq: &Sequence) {
-    for (i, item) in seq.0.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        match item {
-            Item::Node(n) => out.push_str(&n.string_value()),
-            Item::Atomic(Atomic::Str(s) | Atomic::Untyped(s)) => out.push_str(s),
-            Item::Atomic(a) => out.push_str(&a.to_str()),
-        }
-    }
-}
-
-/// Convert an evaluated sequence into a standalone message document:
-/// nodes are deep-copied (elements of documents unwrap), atomics become text.
-pub fn sequence_to_document(seq: &Sequence) -> Result<Arc<Document>> {
-    let mut b = DocBuilder::new();
-    let mut after_atomic = false;
-    for item in &seq.0 {
-        match item {
-            Item::Atomic(a) => append_atomic(&mut b, a, after_atomic),
-            Item::Node(n) => {
-                if n.is_attribute() {
-                    return Err(Error::type_error(
-                        "cannot enqueue a bare attribute node as a message",
-                    ));
-                }
-                b.copy_node(n);
-            }
-        }
-        after_atomic = matches!(item, Item::Atomic(_));
-    }
-    Ok(b.finish())
-}
-
-/// Append an atomic as constructor content: text, set off by one space
-/// from an atomic right before it (the builder merges adjacent text).
-fn append_atomic(b: &mut DocBuilder, a: &Atomic, after_atomic: bool) {
-    if after_atomic {
-        b.text(" ");
-    }
-    match a {
-        Atomic::Str(s) | Atomic::Untyped(s) => b.text(s),
-        other => b.text(other.to_str()),
-    };
-}
-
-pub(crate) fn append_content(b: &mut DocBuilder, seq: &Sequence, has_child: &mut bool) -> Result<()> {
-    for item in &seq.0 {
-        match item {
-            Item::Atomic(a) => {
-                b.text(a.to_str());
-                *has_child = true;
-            }
-            Item::Node(n) => {
-                b.copy_node(n);
-                *has_child = true;
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Axis traversal with node test filtering.
-pub(crate) fn axis_nodes(axis: Axis, node: &NodeRef, test: &NodeTest) -> Sequence {
+fn axis_nodes(axis: Axis, node: &NodeRef, test: &NodeTest) -> Sequence {
     let mut out = Vec::new();
     let _ = for_each_on_axis(axis, &node.doc, node.id, |id| {
         let n = node.doc.node(id);
@@ -1090,36 +776,7 @@ pub(crate) fn axis_nodes(axis: Axis, node: &NodeRef, test: &NodeTest) -> Sequenc
     Sequence(out)
 }
 
-/// Visit the axis candidates (before node-test filtering) in the axis's
-/// natural delivery order, until `f` breaks. Candidates are ids: a caller
-/// pays for a [`NodeRef`] only for those it keeps.
-pub(crate) fn for_each_on_axis<B>(
-    axis: Axis,
-    doc: &Document,
-    id: NodeId,
-    mut f: impl FnMut(NodeId) -> ControlFlow<B>,
-) -> ControlFlow<B> {
-    match axis {
-        Axis::Child => doc.children(id).try_for_each(f),
-        Axis::Descendant => doc.descendants(id).try_for_each(f),
-        Axis::DescendantOrSelf => {
-            f(id)?;
-            doc.descendants(id).try_for_each(f)
-        }
-        Axis::Attribute => doc.attributes(id).try_for_each(f),
-        Axis::SelfAxis => f(id),
-        Axis::Parent => doc.parent(id).into_iter().try_for_each(f),
-        Axis::Ancestor => doc.ancestors(id).try_for_each(f),
-        Axis::AncestorOrSelf => {
-            f(id)?;
-            doc.ancestors(id).try_for_each(f)
-        }
-        Axis::FollowingSibling => doc.following_siblings(id).try_for_each(f),
-        Axis::PrecedingSibling => doc.preceding_siblings(id).try_for_each(f),
-    }
-}
-
-pub(crate) fn node_test_matches(axis: Axis, node: &NodeRef, test: &NodeTest) -> bool {
+fn node_test_matches(axis: Axis, node: &NodeRef, test: &NodeTest) -> bool {
     // Namespace declarations are stored as attributes for serialization
     // fidelity but are not addressable via the attribute axis.
     if axis == Axis::Attribute {
@@ -1166,41 +823,49 @@ pub(crate) fn node_test_matches(axis: Axis, node: &NodeRef, test: &NodeTest) -> 
     }
 }
 
-pub(crate) fn cast_atomic(a: &Atomic, ty: &str) -> Result<Atomic> {
-    match ty {
-        "xs:string" | "string" => Ok(Atomic::Str(a.to_str())),
-        "xs:boolean" | "boolean" => Ok(Atomic::Bool(a.cast_boolean()?)),
-        "xs:integer" | "xs:int" | "xs:long" | "integer" => Ok(Atomic::Int(a.cast_integer()?)),
-        "xs:double" | "double" => Ok(Atomic::Double(a.to_double())),
-        "xs:decimal" | "decimal" => Ok(Atomic::Decimal(a.to_double())),
-        "xs:dateTime" | "dateTime" => match a {
-            Atomic::DateTime(ms) => Ok(Atomic::DateTime(*ms)),
-            other => parse_date_time(&other.to_str())
-                .map(Atomic::DateTime)
-                .ok_or_else(|| {
-                    Error::type_error(format!("cannot cast `{}` to xs:dateTime", other.to_str()))
-                }),
-        },
-        "xs:dayTimeDuration" | "xs:duration" => match a {
-            Atomic::Duration(ms) => Ok(Atomic::Duration(*ms)),
-            other => parse_duration(&other.to_str())
-                .map(Atomic::Duration)
-                .ok_or_else(|| {
-                    Error::type_error(format!(
-                        "cannot cast `{}` to xs:dayTimeDuration",
-                        other.to_str()
-                    ))
-                }),
-        },
-        "xs:untypedAtomic" => Ok(Atomic::Untyped(a.to_str())),
-        other => Err(Error::type_error(format!(
-            "unsupported cast target `{other}`"
-        ))),
-    }
-}
-
-/// Public casting entry point used by the Demaq property system (QDL
-/// declares property types as `xs:` names).
-pub fn cast_to_type(a: &Atomic, ty: &str) -> Result<Atomic> {
-    cast_atomic(a, ty)
+/// Comparable form of a pending update list, for holding two evaluators'
+/// lists equal: nodes by serialization, an update's target by its
+/// document's serialization and its node id, atomics by type and lexical
+/// form. Document identities (which differ between two evaluations that
+/// construct the same tree) never enter.
+pub fn render_updates(updates: &[Update]) -> Vec<String> {
+    let target = |n: &NodeRef| format!("{}#{}", n.doc.root().to_xml(), n.id.0);
+    let nodes = |ns: &[NodeRef]| ns.iter().map(serialize_node).collect::<String>();
+    let atom = |a: &Atomic| format!("{}:{}", a.type_name(), a.to_str());
+    let one = |u: &Update| match u {
+        Update::Enqueue {
+            queue,
+            message,
+            props,
+        } => {
+            let props: Vec<String> = props
+                .iter()
+                .map(|(n, a)| format!("{n}={}", atom(a)))
+                .collect();
+            format!(
+                "enqueue {} into {} with {props:?}",
+                message.root().to_xml(),
+                queue.lexical()
+            )
+        }
+        Update::Reset { slicing, key } => format!(
+            "reset {:?} key {:?}",
+            slicing.as_ref().map(QName::lexical),
+            key.as_ref().map(atom)
+        ),
+        Update::Insert {
+            target: t,
+            pos,
+            content,
+        } => format!("insert {} {pos:?} {}", nodes(content), target(t)),
+        Update::Delete { target: t } => format!("delete {}", target(t)),
+        Update::Replace { target: t, content } => {
+            format!("replace {} with {}", target(t), nodes(content))
+        }
+        Update::ReplaceValue { target: t, value } => {
+            format!("replace value of {} with {value}", target(t))
+        }
+        Update::Rename { target: t, name } => format!("rename {} as {}", target(t), name.lexical()),
+    };
+    updates.iter().map(one).collect()
 }

@@ -4,17 +4,16 @@
 //! 2 MB stack is the tripwire.
 
 use demaq_xml::{parse, serialize, NodeRef};
-use demaq_xquery::{eval_query, lower, parse_expr, DynamicContext, PlanEvaluator, Sequence};
+use demaq_xquery::{eval_query, parse_expr, DynamicContext, Sequence};
+use demaq_xquery_reference::Evaluator;
 
 /// The lowered plan's answer (what the engine runs), checked against the
 /// reference evaluator's.
 fn eval(query: &str, context: &NodeRef) -> Sequence {
-    let dctx = DynamicContext::default();
-    let plan = lower(&parse_expr(query).unwrap());
-    let planned = PlanEvaluator::new(&dctx)
-        .eval_with_context(&plan, context.clone())
+    let planned = eval_query(query, context).unwrap();
+    let reference = Evaluator::new(&DynamicContext::default())
+        .eval_with_context(&parse_expr(query).unwrap(), context.clone())
         .unwrap();
-    let reference = eval_query(query, context).unwrap();
     assert_eq!(planned.to_string(), reference.to_string(), "{query}");
     planned
 }

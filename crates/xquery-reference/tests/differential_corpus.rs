@@ -1,20 +1,19 @@
 //! Randomized differential testing: a grammar-driven corpus of XQuery
 //! expressions evaluated by both the reference AST interpreter
-//! ([`demaq_xquery::Evaluator`]) and the lowered-plan evaluator
-//! ([`demaq_xquery::PlanEvaluator`]). Results must be item-wise identical
-//! (atomics by type and lexical form, nodes by serialization); an error in
-//! one evaluator must be an error in the other.
+//! ([`demaq_xquery_reference::Evaluator`]) and the lowered-plan evaluator
+//! ([`demaq_xquery::PlanEvaluator`]). Results and pending update lists must
+//! be item-wise identical (atomics by type and lexical form, nodes by
+//! serialization); an error in one evaluator must be an error in the other.
 //!
 //! The generator is deterministic (seeded xorshift), so failures are
 //! reproducible; it tracks variable scope so generated `$v` references are
 //! always bound by an enclosing `for`/`let`/quantifier, exercising the
-//! slot-resolution path of the lowering.
+//! slot-resolution path of the lowering. It also generates the updating
+//! forms (`do insert/delete/replace/rename`, `do enqueue … with …`).
 
-use demaq_xquery::{
-    lower, parse_expr, DynamicContext, Evaluator, Item, NoHost, PlanEvaluator, Sequence,
-    StaticContext,
-};
-use std::sync::Arc;
+use demaq_xml::NodeRef;
+use demaq_xquery::{lower, parse_expr, DynamicContext, Error, Expr, Item, PlanEvaluator, Sequence};
+use demaq_xquery_reference::{render_updates, Evaluator};
 
 /// Minimal deterministic PRNG (xorshift64*) — no external dependency.
 struct Rng(u64);
@@ -82,7 +81,7 @@ impl Gen {
         if depth == 0 {
             return self.atom();
         }
-        match self.rng.below(16) {
+        match self.rng.below(18) {
             0 => {
                 let op = ["+", "-", "*", "div", "idiv", "mod"][self.rng.below(6)];
                 format!("({} {op} {})", self.expr(depth - 1), self.expr(depth - 1))
@@ -100,11 +99,7 @@ impl Gen {
                 format!("({} {op} {})", self.expr(depth - 1), self.expr(depth - 1))
             }
             4 => format!("({}, {})", self.expr(depth - 1), self.expr(depth - 1)),
-            5 => format!(
-                "({} to {})",
-                self.rng.below(6),
-                self.rng.below(8)
-            ),
+            5 => format!("({} to {})", self.rng.below(6), self.rng.below(8)),
             6 => format!(
                 "(if ({}) then {} else {})",
                 self.expr(depth - 1),
@@ -154,7 +149,38 @@ impl Gen {
             12 => format!("concat({}, {})", self.expr(depth - 1), self.expr(depth - 1)),
             13 => format!("//item[{}]", self.expr(depth - 1)),
             14 => format!("(//item/{})", ["@n", "text()", "*"][self.rng.below(3)]),
+            15 => self.update(depth - 1),
+            16 => format!(
+                "(do enqueue {} into q{} with p value {})",
+                self.expr(depth - 1),
+                self.rng.below(3),
+                self.expr(depth - 1)
+            ),
             _ => self.atom(),
+        }
+    }
+
+    /// An XQUF primitive on the context document or a constructed tree.
+    fn update(&mut self, depth: usize) -> String {
+        let targets = [
+            "//item[1]",
+            "/order/total",
+            "//item",
+            "//item/@n",
+            "(<t><u/></t>)/u",
+            ".",
+        ];
+        let target = targets[self.rng.below(targets.len())];
+        match self.rng.below(5) {
+            0 => format!("(do delete {target})"),
+            1 => {
+                let pos =
+                    ["into", "as first into", "as last into", "before", "after"][self.rng.below(5)];
+                format!("(do insert {} {pos} {target})", self.expr(depth))
+            }
+            2 => format!("(do replace {target} with {})", self.expr(depth)),
+            3 => format!("(do replace value of {target} with {})", self.expr(depth)),
+            _ => format!("(do rename {target} as 'r{}')", self.rng.below(3)),
         }
     }
 }
@@ -170,21 +196,42 @@ fn canon(s: &Sequence) -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn random_corpus_agrees_with_reference() {
-    let doc = demaq_xml::parse(
+/// What one evaluator made of an expression: its value and its pending
+/// update list, both canonical, or its error.
+type Outcome = Result<(Vec<String>, Vec<String>), Error>;
+
+/// The reference's outcome, then the lowered plan's.
+fn both(expr: &Expr, ctx: &NodeRef) -> (Outcome, Outcome) {
+    let dctx = DynamicContext::default();
+    let mut ev = Evaluator::new(&dctx);
+    let reference = ev
+        .eval_with_context(expr, ctx.clone())
+        .map(|v| (canon(&v), render_updates(&ev.updates)));
+    let mut pv = PlanEvaluator::new(&dctx);
+    let lowered = pv
+        .eval_with_context(&lower(expr), ctx.clone())
+        .map(|v| (canon(&v), render_updates(&pv.updates)));
+    (reference, lowered)
+}
+
+fn order_doc() -> std::sync::Arc<demaq_xml::Document> {
+    demaq_xml::parse(
         "<order status='open'><item n='1'>widget</item>\
          <item n='2'>gadget</item><item n='3'/>\
          <total>42</total></order>",
     )
-    .unwrap();
+    .unwrap()
+}
+
+#[test]
+fn random_corpus_agrees_with_reference() {
+    let doc = order_doc();
     let ctx = doc.root();
-    let sctx = StaticContext::default();
-    let dctx = DynamicContext::new(Arc::new(NoHost));
 
     let mut gen = Gen::new(0x5eed_2026);
     let mut evaluated = 0u32;
     let mut errored = 0u32;
+    let mut updating = 0u32;
     for i in 0..600 {
         let query = gen.expr(3);
         // The corpus must stay within the parsed fragment: a parse failure
@@ -194,21 +241,12 @@ fn random_corpus_agrees_with_reference() {
             Err(e) => panic!("corpus item {i} failed to parse: `{query}`: {e}"),
         };
 
-        let mut ev = Evaluator::new(&sctx, &dctx);
-        let reference = ev.eval_with_context(&expr, ctx.clone());
-
-        let plan = lower(&expr);
-        let mut pv = PlanEvaluator::new(&dctx);
-        let lowered = pv.eval_with_context(&plan, ctx.clone());
-
+        let (reference, lowered) = both(&expr, &ctx);
         match (&reference, &lowered) {
             (Ok(a), Ok(b)) => {
                 evaluated += 1;
-                assert_eq!(
-                    canon(a),
-                    canon(b),
-                    "result divergence on corpus item {i}: `{query}`"
-                );
+                updating += !a.1.is_empty() as u32;
+                assert_eq!(a, b, "divergence on corpus item {i}: `{query}`");
             }
             (Err(_), Err(_)) => errored += 1,
             _ => panic!(
@@ -220,6 +258,53 @@ fn random_corpus_agrees_with_reference() {
     // errors; if either side collapses the corpus lost its teeth.
     assert!(evaluated > 200, "only {evaluated} expressions evaluated Ok");
     assert!(errored > 20, "only {errored} expressions raised errors");
+    assert!(
+        updating > 20,
+        "only {updating} expressions left pending updates"
+    );
+}
+
+/// Hand-picked shapes: each lowering (slots, folding, `Exists`, positional
+/// predicates, sorting) on a small order, and the errors they must keep.
+#[test]
+fn handpicked_queries_agree_with_reference() {
+    let doc = order_doc();
+    for query in [
+        "//item",
+        "//item/@n",
+        "/order/item[1]",
+        "/order/item[1]/@n",
+        "/order/item[@n = '2']",
+        "count(//item)",
+        "if (//total) then 'y' else 'n'",
+        "if (//missing) then 'y' else 'n'",
+        "for $i in //item return string($i)",
+        "for $i at $p in //item order by $p descending return $i/@n",
+        "for $i in //item where $i/@n = '1' return $i",
+        "let $t := //total return $t + 0",
+        "some $i in //item satisfies $i = 'widget'",
+        "every $i in //item satisfies $i = 'widget'",
+        "//item union //total",
+        "//item intersect //item[1]",
+        "//item except //item[1]",
+        "1 + 2 * 3",
+        "(1, 2) = (2, 3)",
+        "-(//total)",
+        "'a' , 'b'",
+        "1 to 3",
+        "//total cast as xs:integer",
+        "string-join((for $i in //item return string($i)), ',')",
+        "1 div 0",
+        "$undefined",
+        "(//item)/(1 div 0)",
+        "('a','b') + 1",
+    ] {
+        match both(&parse_expr(query).unwrap(), &doc.root()) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "divergence on `{query}`"),
+            (Err(_), Err(_)) => {}
+            (r, l) => panic!("divergence on `{query}`: ref={r:?} plan={l:?}"),
+        }
+    }
 }
 
 /// The scope discipline above never leaves a generated variable unbound;
@@ -228,14 +313,8 @@ fn random_corpus_agrees_with_reference() {
 #[test]
 fn free_variables_fail_identically() {
     let doc = demaq_xml::parse("<r/>").unwrap();
-    let sctx = StaticContext::default();
-    let dctx = DynamicContext::new(Arc::new(NoHost));
     for query in ["$missing", "1 + $gone", "for $x in 1 to 3 return $y"] {
-        let expr = parse_expr(query).unwrap();
-        let mut ev = Evaluator::new(&sctx, &dctx);
-        let reference = ev.eval_with_context(&expr, doc.root());
-        let mut pv = PlanEvaluator::new(&dctx);
-        let lowered = pv.eval_with_context(&lower(&expr), doc.root());
+        let (reference, lowered) = both(&parse_expr(query).unwrap(), &doc.root());
         let (re, le) = (reference.unwrap_err(), lowered.unwrap_err());
         assert_eq!(re.to_string(), le.to_string(), "on `{query}`");
     }

@@ -2,19 +2,35 @@
 //! them into pending update lists, apply copy-on-write, verify snapshot
 //! semantics (paper Sec. 3.2: "pending update list of update primitives
 //! that are applied after the entire statement has been evaluated").
+//!
+//! The lists come from the plan evaluator the engine runs; each must equal
+//! the reference interpreter's list for the same expression.
 
 use demaq_xml::{parse, NodeRef};
-use demaq_xquery::{apply_tree_updates, parse_expr, DynamicContext, Evaluator, StaticContext};
+use demaq_xquery::{apply_tree_updates, lower, parse_expr, DynamicContext, PlanEvaluator, Update};
+use demaq_xquery_reference::{render_updates, Evaluator};
 use std::sync::Arc;
+
+/// The plan evaluator's pending updates for `query`, after checking them
+/// against the reference interpreter's.
+fn pending_updates(query: &str, dctx: &DynamicContext, context: NodeRef) -> Vec<Update> {
+    let expr = parse_expr(query).unwrap();
+    let mut reference = Evaluator::new(dctx);
+    reference.eval_with_context(&expr, context.clone()).unwrap();
+    let mut ev = PlanEvaluator::new(dctx);
+    ev.eval_with_context(&lower(&expr), context).unwrap();
+    assert_eq!(
+        render_updates(&ev.updates),
+        render_updates(&reference.updates),
+        "{query}"
+    );
+    ev.updates
+}
 
 fn run_updates(query: &str, xml: &str) -> (NodeRef, String) {
     let doc = parse(xml).unwrap();
-    let expr = parse_expr(query).unwrap();
-    let sctx = StaticContext::default();
-    let dctx = DynamicContext::default();
-    let mut ev = Evaluator::new(&sctx, &dctx);
-    ev.eval_with_context(&expr, doc.root()).unwrap();
-    let rebuilt = apply_tree_updates(&ev.updates).unwrap();
+    let updates = pending_updates(query, &DynamicContext::default(), doc.root());
+    let rebuilt = apply_tree_updates(&updates).unwrap();
     let new_doc = rebuilt
         .get(&doc.doc_seq)
         .map(Arc::clone)
@@ -102,12 +118,8 @@ fn flwor_generates_one_update_per_binding() {
 fn snapshot_semantics_source_unchanged() {
     // The source document must be untouched — updates build a new tree.
     let doc = parse("<a><b/></a>").unwrap();
-    let expr = parse_expr("do delete /a/b").unwrap();
-    let sctx = StaticContext::default();
-    let dctx = DynamicContext::default();
-    let mut ev = Evaluator::new(&sctx, &dctx);
-    ev.eval_with_context(&expr, doc.root()).unwrap();
-    let rebuilt = apply_tree_updates(&ev.updates).unwrap();
+    let updates = pending_updates("do delete /a/b", &DynamicContext::default(), doc.root());
+    let rebuilt = apply_tree_updates(&updates).unwrap();
     assert_eq!(doc.root().to_xml(), "<a><b/></a>", "source immutable");
     assert_eq!(rebuilt[&doc.doc_seq].root().to_xml(), "<a/>");
 }
@@ -116,13 +128,10 @@ fn snapshot_semantics_source_unchanged() {
 fn updates_across_multiple_documents() {
     let d1 = parse("<a><x/></a>").unwrap();
     let d2 = parse("<b><y/></b>").unwrap();
-    let sctx = StaticContext::default();
     let mut dctx = DynamicContext::default();
     dctx.bind("other", demaq_xquery::Sequence::one(d2.root()));
-    let expr = parse_expr("(do delete /a/x, do delete $other/b/y)").unwrap();
-    let mut ev = Evaluator::new(&sctx, &dctx);
-    ev.eval_with_context(&expr, d1.root()).unwrap();
-    let rebuilt = apply_tree_updates(&ev.updates).unwrap();
+    let updates = pending_updates("(do delete /a/x, do delete $other/b/y)", &dctx, d1.root());
+    let rebuilt = apply_tree_updates(&updates).unwrap();
     assert_eq!(rebuilt[&d1.doc_seq].root().to_xml(), "<a/>");
     assert_eq!(rebuilt[&d2.doc_seq].root().to_xml(), "<b/>");
 }
@@ -132,13 +141,10 @@ fn mixing_queue_and_tree_updates() {
     // Queue primitives coexist with tree updates on the same list; the
     // tree applier ignores the queue entries.
     let doc = parse("<r><kill/></r>").unwrap();
-    let expr = parse_expr("(do enqueue <m/> into q, do delete //kill)").unwrap();
-    let sctx = StaticContext::default();
-    let dctx = DynamicContext::default();
-    let mut ev = Evaluator::new(&sctx, &dctx);
-    ev.eval_with_context(&expr, doc.root()).unwrap();
-    assert_eq!(ev.updates.len(), 2);
-    assert!(ev.updates.iter().any(|u| u.is_queue_update()));
-    let rebuilt = apply_tree_updates(&ev.updates).unwrap();
+    let query = "(do enqueue <m/> into q, do delete //kill)";
+    let updates = pending_updates(query, &DynamicContext::default(), doc.root());
+    assert_eq!(updates.len(), 2);
+    assert!(updates.iter().any(|u| u.is_queue_update()));
+    let rebuilt = apply_tree_updates(&updates).unwrap();
     assert_eq!(rebuilt[&doc.doc_seq].root().to_xml(), "<r/>");
 }

@@ -52,8 +52,8 @@
 use crate::ast::{Axis, Expr};
 use crate::context::DynamicContext;
 use crate::error::{Error, Result};
-use crate::eval::{for_each_on_axis, Focus};
 use crate::plan::{lower_test, lower_unnumbered, ptest_matches, PTest, Plan, PlanEvaluator};
+use crate::semantics::{for_each_on_axis, Focus};
 use crate::value::{untyped_to_double, Atomic, Item, Sequence};
 use demaq_xml::sym;
 use demaq_xml::{NodeId, NodeRef};

@@ -1,19 +1,17 @@
-//! Static and dynamic evaluation contexts.
+//! The dynamic evaluation context: external variable bindings and the host
+//! hooks a plan calls out to.
+//!
+//! There is no static context. Lowering resolves lexical variables to frame
+//! slots, and a name that is not bound lexically stays a by-name lookup in
+//! [`DynamicContext::variables`]; function names are checked against the
+//! builtin table and [`HostFunctions::call`] when the call runs, which
+//! keeps the two registries in one place.
 
 use crate::error::{Error, Result};
 use crate::value::Sequence;
 use demaq_xml::QName;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Static context: known variables and (currently) nothing else — static
-/// name checking happens in `Evaluator` against the builtin/extension
-/// registries at call time, which keeps the two registries in one place.
-#[derive(Default, Clone)]
-pub struct StaticContext {
-    /// Names of externally provided variables.
-    pub external_vars: Vec<String>,
-}
 
 /// Host hooks: extension functions (the engine's `qs:` library) and the
 /// `fn:collection`/`fn:doc` data sources.

@@ -7,13 +7,14 @@
 
 use crate::context::DynamicContext;
 use crate::error::{Error, Result};
-use crate::eval::{cast_to_type, Focus};
+use crate::semantics::{cast, Focus};
 use crate::value::{Atomic, Item, Sequence};
 use std::cmp::Ordering;
 
 /// Dispatch an unprefixed (default `fn:` namespace) function call. Takes
-/// the dynamic context (not an evaluator) so both the reference AST
-/// interpreter and the lowered-plan evaluator share one dispatch table.
+/// the dynamic context (not an evaluator) so the plan evaluator and the
+/// reference interpreter of the differential tests share one dispatch
+/// table.
 pub fn call_builtin(
     dctx: &DynamicContext,
     name: &str,
@@ -436,8 +437,7 @@ pub fn call_constructor(local: &str, args: Vec<Sequence>) -> Result<Sequence> {
         return Ok(Sequence::empty());
     }
     let a = args[0].exactly_one()?.atomize();
-    let ty = format!("xs:{local}");
-    Ok(Sequence::one(cast_to_type(&a, &ty)?))
+    Ok(Sequence::one(cast(a, &format!("xs:{local}"))?))
 }
 
 #[cfg(test)]
@@ -530,6 +530,29 @@ mod tests {
         assert_eq!(q("xs:string(3.5)"), "3.5");
         assert_eq!(q("string(xs:double('2'))"), "2");
         assert!(q_err("xs:integer('nope')"));
+    }
+
+    /// Text that is no number fails an `xs:double`/`xs:decimal` cast as it
+    /// fails `xs:integer` (it used to yield NaN); dates and durations are
+    /// not numbers either. Typed properties cast through the same table.
+    #[test]
+    fn numeric_casts_reject_what_is_no_number() {
+        for bad in ["abc", "", "nan", "inf", "1.2.3"] {
+            assert!(q_err(&format!("xs:double('{bad}')")), "{bad}");
+            assert!(q_err(&format!("xs:decimal('{bad}')")), "{bad}");
+            assert!(q_err(&format!("'{bad}' cast as xs:double")), "{bad}");
+        }
+        assert_eq!(q("xs:double('NaN')"), "NaN");
+        assert_eq!(q("xs:double(' INF ')"), "INF");
+        assert_eq!(q("xs:double('-INF')"), "-INF");
+        assert!(q_err("xs:decimal('INF')"));
+        assert!(q_err("xs:decimal('NaN')"));
+        assert_eq!(q("xs:double('1e3') + xs:decimal('-2.5')"), "997.5");
+        assert_eq!(q("xs:double(true())"), "1");
+        assert!(q_err("xs:double(xs:dateTime('2026-01-01T00:00:00Z'))"));
+        assert!(q_err("xs:decimal(xs:dayTimeDuration('PT5S'))"));
+        assert!(q_err("xs:dateTime(86400000)"));
+        assert_eq!(q("number('abc') instance of xs:double"), "true");
     }
 
     #[test]

@@ -19,16 +19,20 @@
 //! Evaluation is snapshot-semantic: expression evaluation never mutates
 //! state; updates accumulate on a pending list applied after evaluation,
 //! exactly as the paper's execution model requires.
+//!
+//! There is one evaluator: a parsed [`Expr`] is [`lower`]ed to a [`Plan`]
+//! and run on [`PlanEvaluator`]. The tree-walking reference interpreter it
+//! is tested against lives in the dev-only `demaq-xquery-reference` crate.
 
 pub mod aggregate;
 pub mod ast;
 pub mod context;
 pub mod error;
-pub mod eval;
 pub mod functions;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
+mod semantics;
 pub mod update;
 pub mod value;
 
@@ -36,18 +40,20 @@ pub use aggregate::{
     recognize_aggregate, AggAcc, AggCatalog, AggId, AggOp, AggSource, AggregateSpec, Contribution,
 };
 pub use ast::Expr;
-pub use context::{DynamicContext, HostFunctions, NoHost, StaticContext};
+pub use context::{DynamicContext, HostFunctions, NoHost};
 pub use error::{Error, Result};
-pub use eval::Evaluator;
 pub use parser::{parse_expr, parse_expr_prefix};
 pub use plan::{fold_boolean, lower, lower_in, Plan, PlanEvaluator};
+// Value, constructor and cast semantics, shared with the reference
+// interpreter so that it does not re-implement them.
+pub use semantics::*;
 pub use update::{apply_tree_updates, Update};
 pub use value::{Atomic, Item, Sequence};
 
 use demaq_xml::NodeRef;
-use std::sync::Arc;
 
-/// One-stop evaluation of a query string against a context node.
+/// One-stop evaluation of a query string against a context node: parse,
+/// lower, and run the plan with no host functions.
 ///
 /// ```
 /// use demaq_xquery::eval_query;
@@ -56,9 +62,6 @@ use std::sync::Arc;
 /// assert_eq!(seq.to_string(), "8");
 /// ```
 pub fn eval_query(query: &str, context: &NodeRef) -> Result<Sequence> {
-    let expr = parse_expr(query)?;
-    let sctx = StaticContext::default();
-    let dctx = DynamicContext::new(Arc::new(NoHost));
-    let mut ev = Evaluator::new(&sctx, &dctx);
-    ev.eval_with_context(&expr, context.clone())
+    let plan = lower(&parse_expr(query)?);
+    PlanEvaluator::new(&DynamicContext::default()).eval_with_context(&plan, context.clone())
 }

@@ -18,23 +18,29 @@
 //!   stops at the first matching node instead of materializing and
 //!   sorting the full node sequence.
 //!
-//! [`PlanEvaluator`] executes plans with semantics identical to
-//! [`Evaluator`](crate::eval::Evaluator) — the differential test suite
-//! holds both interpreters to the same results, including error cases.
+//! [`PlanEvaluator`] is the only evaluator in the shipped crates: the
+//! engine's rule bodies and property bindings, [`eval_query`](crate::eval_query)
+//! and the E2 slice-scan baseline all run on it. Lowering must not change
+//! what an expression means, so the dev-only `demaq-xquery-reference`
+//! crate keeps a tree-walking interpreter over the unlowered [`Expr`], and
+//! its differential suites hold the two to the same results, pending
+//! updates and errors.
 
 use crate::aggregate::{AggCatalog, AggId, AggregateSpec};
 use crate::ast::*;
 use crate::context::DynamicContext;
 use crate::error::{Error, Result};
-use crate::eval::{
-    assemble_element, atomics_joined, cast_atomic, for_each_on_axis, order_cmp,
-    push_atomics_joined, sequence_to_document, text_node, Focus,
-};
 use crate::functions;
+use crate::semantics::{
+    assemble_element, atomics_joined, cast, computed_attribute, computed_comment,
+    computed_document, computed_name, computed_text, enqueue_prop, for_each_on_axis, instance_of,
+    negate, order_cmp, push_atomics_joined, range, sequence_to_document, set_op, text_node,
+    update_content, update_target, Focus,
+};
 use crate::update::Update;
 use crate::value::{AtomView, Atomic, Item, Sequence};
 use demaq_xml::sym::{self, Sym};
-use demaq_xml::{DocBuilder, Document, NodeId, NodeKind, NodeRef, QName};
+use demaq_xml::{Document, NodeId, NodeKind, NodeRef, QName};
 use std::cmp::Ordering;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -764,47 +770,36 @@ fn fold_sequence(parts: &[Plan]) -> Option<Plan> {
     Some(Plan::Const(out))
 }
 
-/// Fold `a to b` when both operands are constant single integers and the
-/// range is small; an over-large constant range stays lazy rather than
-/// bloating the plan.
+/// Fold `a to b` when both operands are constant and the range is small;
+/// an over-large constant range stays lazy rather than bloating the plan.
+/// An operand that errors is not folded: the error stays a runtime one.
 fn fold_range(l: &Plan, r: &Plan) -> Option<Plan> {
     const MAX_FOLDED_RANGE: i64 = 1024;
     let (Plan::Const(ls), Plan::Const(rs)) = (l, r) else {
         return None;
     };
-    if ls.is_empty() || rs.is_empty() {
-        return Some(Plan::Const(Sequence::empty()));
+    let bound = |s: &Sequence| s.exactly_one().ok()?.atomize().cast_integer().ok();
+    if let (Some(from), Some(to)) = (bound(ls), bound(rs)) {
+        if to.saturating_sub(from) > MAX_FOLDED_RANGE {
+            return None;
+        }
     }
-    let from = ls.exactly_one().ok()?.atomize().cast_integer().ok()?;
-    let to = rs.exactly_one().ok()?.atomize().cast_integer().ok()?;
-    if to.saturating_sub(from) > MAX_FOLDED_RANGE {
-        return None;
-    }
-    Some(Plan::Const(
-        (from..=to).map(|i| Item::Atomic(Atomic::Int(i))).collect(),
-    ))
+    range(ls, rs).ok().map(Plan::Const)
 }
 
 fn fold_neg(inner: &Plan) -> Option<Plan> {
     let Plan::Const(seq) = inner else {
         return None;
     };
-    if seq.is_empty() {
-        return Some(Plan::Const(Sequence::empty()));
-    }
-    match seq.exactly_one().ok()?.atomize() {
-        Atomic::Int(i) => Some(Plan::Const(Sequence::int(-i))),
-        a => Some(Plan::Const(Sequence::one(Atomic::Double(-a.to_double())))),
-    }
+    negate(seq).ok().map(Plan::Const)
 }
 
 // ---- plan evaluation -----------------------------------------------------------
 
 const MAX_DEPTH: u32 = 512;
 
-/// Evaluator for lowered plans. Shares all value/constructor semantics
-/// with [`Evaluator`](crate::eval::Evaluator); the environment is a slot
-/// frame instead of a name-searched binding list.
+/// Evaluator for lowered plans. The environment is a slot frame, not a
+/// name-searched binding list.
 pub struct PlanEvaluator<'a> {
     dctx: &'a DynamicContext,
     /// Slot frame: `Plan::Slot(i)` reads `frame[i]`.
@@ -827,11 +822,6 @@ impl<'a> PlanEvaluator<'a> {
     /// Evaluate with `context` as the initial context item.
     pub fn eval_with_context(&mut self, plan: &Plan, context: NodeRef) -> Result<Sequence> {
         self.eval(plan, Some(&Focus::solo(context)))
-    }
-
-    /// Evaluate with no context item (absent focus).
-    pub fn eval_no_context(&mut self, plan: &Plan) -> Result<Sequence> {
-        self.eval(plan, None)
     }
 
     fn context_item(focus: Option<&Focus>) -> Result<&Item> {
@@ -954,27 +944,12 @@ impl<'a> PlanEvaluator<'a> {
             }
             Plan::Comparison { op, left, right } => self.eval_comparison(*op, left, right, focus),
             Plan::Arith { op, left, right } => self.eval_arith(*op, left, right, focus),
-            Plan::Set { op, left, right } => self.eval_set(*op, left, right, focus),
-            Plan::Range(a, b) => {
-                let la = self.eval(a, focus)?;
-                let lb = self.eval(b, focus)?;
-                if la.is_empty() || lb.is_empty() {
-                    return Ok(Sequence::empty());
-                }
-                let from = la.exactly_one()?.atomize().cast_integer()?;
-                let to = lb.exactly_one()?.atomize().cast_integer()?;
-                Ok((from..=to).map(|i| Item::Atomic(Atomic::Int(i))).collect())
+            Plan::Set { op, left, right } => {
+                let l = self.eval(left, focus)?;
+                set_op(*op, &l, &self.eval(right, focus)?)
             }
-            Plan::Neg(p) => {
-                let v = self.eval(p, focus)?;
-                if v.is_empty() {
-                    return Ok(Sequence::empty());
-                }
-                match v.exactly_one()?.atomize() {
-                    Atomic::Int(i) => Ok(Sequence::int(-i)),
-                    a => Ok(Sequence::one(Atomic::Double(-a.to_double()))),
-                }
-            }
+            Plan::Range(a, b) => range(&self.eval(a, focus)?, &self.eval(b, focus)?),
+            Plan::Neg(p) => negate(&self.eval(p, focus)?),
             Plan::If { cond, then, els } => {
                 if self.eval(cond, focus)?.effective_boolean()? {
                     self.eval(then, focus)
@@ -1032,94 +1007,50 @@ impl<'a> PlanEvaluator<'a> {
                 Ok(Sequence::one(node))
             }
             Plan::ComputedElement { name, content } => {
-                let n = self.eval(name, focus)?;
-                let qn = QName::parse_lexical(&n.string_value()?)
-                    .ok_or_else(|| Error::dynamic("invalid computed element name"))?;
+                let qn = computed_name(&self.eval(name, focus)?, "computed element")?;
                 let seq = self.eval(content, focus)?;
-                let node = assemble_element(&qn, &[], seq)?;
-                Ok(Sequence::one(node))
+                Ok(Sequence::one(assemble_element(&qn, &[], seq)?))
             }
             Plan::ComputedAttribute { name, content } => {
-                let n = self.eval(name, focus)?;
-                let qn = QName::parse_lexical(&n.string_value()?)
-                    .ok_or_else(|| Error::dynamic("invalid computed attribute name"))?;
-                let v = self.eval(content, focus)?;
-                let value = atomics_joined(&v);
-                let mut b = DocBuilder::new();
-                b.start("attr-holder").attr(qn, value).end();
-                let doc = b.finish();
-                let holder = doc.document_element().expect("holder");
-                let attr = holder.attributes().next().expect("held attribute");
-                Ok(Sequence::one(attr))
+                let qn = computed_name(&self.eval(name, focus)?, "computed attribute")?;
+                Ok(Sequence::one(computed_attribute(
+                    qn,
+                    &self.eval(content, focus)?,
+                )))
             }
-            Plan::ComputedText(e) => {
-                let v = self.eval(e, focus)?;
-                if v.is_empty() {
-                    return Ok(Sequence::empty());
-                }
-                let mut b = DocBuilder::new();
-                b.text(atomics_joined(&v));
-                let doc = b.finish();
-                let t = doc.root().children().next();
-                Ok(match t {
-                    Some(n) => Sequence::one(n),
-                    None => Sequence::empty(),
-                })
-            }
-            Plan::ComputedComment(e) => {
-                let v = self.eval(e, focus)?;
-                let mut b = DocBuilder::new();
-                b.comment(atomics_joined(&v));
-                let doc = b.finish();
-                let comment = doc.root().children().next().expect("comment child");
-                Ok(Sequence::one(comment))
-            }
+            Plan::ComputedText(e) => Ok(computed_text(&self.eval(e, focus)?)),
+            Plan::ComputedComment(e) => Ok(Sequence::one(computed_comment(&self.eval(e, focus)?))),
             Plan::ComputedDocument(e) => {
-                let seq = self.eval(e, focus)?;
-                let mut b = DocBuilder::new();
-                crate::eval::append_content(&mut b, &seq, &mut false)?;
-                let doc = b.finish();
-                Ok(Sequence::one(doc.root()))
+                Ok(Sequence::one(computed_document(&self.eval(e, focus)?)))
             }
             Plan::Enqueue {
                 message,
                 queue,
                 props,
             } => {
-                let seq = self.eval(message, focus)?;
-                let doc = sequence_to_document(&seq)?;
-                let mut eprops = Vec::new();
+                let message = sequence_to_document(&self.eval(message, focus)?)?;
+                let mut eprops = Vec::with_capacity(props.len());
                 for (pname, pexpr) in props {
-                    let v = self.eval(pexpr, focus)?;
-                    let atom = match v.0.as_slice() {
-                        [] => Atomic::Str(String::new()),
-                        [item] => item.atomize(),
-                        _ => {
-                            return Err(Error::type_error(format!(
-                                "property `{pname}` value must be a single item"
-                            )))
-                        }
-                    };
-                    eprops.push((pname.clone(), atom));
+                    eprops.push((
+                        pname.clone(),
+                        enqueue_prop(pname, &self.eval(pexpr, focus)?)?,
+                    ));
                 }
                 self.updates.push(Update::Enqueue {
                     queue: queue.clone(),
-                    message: doc,
+                    message,
                     props: eprops,
                 });
                 Ok(Sequence::empty())
             }
             Plan::Reset { slicing, key } => {
-                let key_atom = match key {
-                    Some(k) => {
-                        let v = self.eval(k, focus)?;
-                        Some(v.exactly_one()?.atomize())
-                    }
+                let key = match key {
+                    Some(k) => Some(self.eval(k, focus)?.exactly_one()?.atomize()),
                     None => None,
                 };
                 self.updates.push(Update::Reset {
                     slicing: slicing.clone(),
-                    key: key_atom,
+                    key,
                 });
                 Ok(Sequence::empty())
             }
@@ -1128,18 +1059,18 @@ impl<'a> PlanEvaluator<'a> {
                 pos,
                 target,
             } => {
-                let content = self.eval_nodes(source, focus)?;
-                let t = self.eval_single_node(target, focus)?;
+                let content = update_content(self.eval(source, focus)?);
+                let target = update_target(&self.eval(target, focus)?)?;
                 self.updates.push(Update::Insert {
-                    target: t,
+                    target,
                     pos: *pos,
                     content,
                 });
                 Ok(Sequence::empty())
             }
             Plan::Delete { target } => {
-                for t in self.eval_nodes(target, focus)? {
-                    self.updates.push(Update::Delete { target: t });
+                for target in update_content(self.eval(target, focus)?) {
+                    self.updates.push(Update::Delete { target });
                 }
                 Ok(Sequence::empty())
             }
@@ -1148,28 +1079,21 @@ impl<'a> PlanEvaluator<'a> {
                 source,
                 value_of,
             } => {
-                let t = self.eval_single_node(target, focus)?;
-                if *value_of {
-                    let v = self.eval(source, focus)?;
-                    self.updates.push(Update::ReplaceValue {
-                        target: t,
-                        value: atomics_joined(&v),
-                    });
+                let target = update_target(&self.eval(target, focus)?)?;
+                let v = self.eval(source, focus)?;
+                self.updates.push(if *value_of {
+                    let value = atomics_joined(&v);
+                    Update::ReplaceValue { target, value }
                 } else {
-                    let content = self.eval_nodes(source, focus)?;
-                    self.updates.push(Update::Replace { target: t, content });
-                }
+                    let content = update_content(v);
+                    Update::Replace { target, content }
+                });
                 Ok(Sequence::empty())
             }
             Plan::Rename { target, name } => {
-                let t = self.eval_single_node(target, focus)?;
-                let n = self.eval(name, focus)?;
-                let qn = QName::parse_lexical(&n.string_value()?)
-                    .ok_or_else(|| Error::dynamic("invalid rename target name"))?;
-                self.updates.push(Update::Rename {
-                    target: t,
-                    name: qn,
-                });
+                let target = update_target(&self.eval(target, focus)?)?;
+                let name = computed_name(&self.eval(name, focus)?, "rename target")?;
+                self.updates.push(Update::Rename { target, name });
                 Ok(Sequence::empty())
             }
             Plan::Cast { expr, ty } => {
@@ -1178,16 +1102,10 @@ impl<'a> PlanEvaluator<'a> {
                     return Ok(Sequence::empty());
                 }
                 let a = v.exactly_one()?.atomize();
-                Ok(Sequence::one(cast_atomic(&a, ty)?))
+                Ok(Sequence::one(cast(a, ty)?))
             }
             Plan::InstanceOf { expr, ty } => {
-                let v = self.eval(expr, focus)?;
-                let matches = match v.0.as_slice() {
-                    [Item::Atomic(a)] => a.type_name() == ty,
-                    [Item::Node(_)] => ty == "node()" || ty == "item()",
-                    _ => false,
-                };
-                Ok(Sequence::bool(matches))
+                Ok(Sequence::bool(instance_of(&self.eval(expr, focus)?, ty)))
             }
             Plan::Exists { root, steps } => {
                 let start: NodeRef = if *root {
@@ -1482,47 +1400,6 @@ impl<'a> PlanEvaluator<'a> {
         }
     }
 
-    fn eval_set(
-        &mut self,
-        op: SetOp,
-        left: &Plan,
-        right: &Plan,
-        focus: Option<&Focus>,
-    ) -> Result<Sequence> {
-        let l = self.eval(left, focus)?;
-        let r = self.eval(right, focus)?;
-        let as_nodes = |s: &Sequence| -> Result<Vec<NodeRef>> {
-            s.0.iter()
-                .map(|i| {
-                    i.as_node()
-                        .cloned()
-                        .ok_or_else(|| Error::type_error("set operand must be nodes"))
-                })
-                .collect()
-        };
-        let ln = as_nodes(&l)?;
-        let rn = as_nodes(&r)?;
-        let identity = |n: &NodeRef| (n.doc.doc_seq, n.id);
-        let combined: Vec<NodeRef> = match op {
-            SetOp::Union => ln.iter().chain(rn.iter()).cloned().collect(),
-            SetOp::Intersect => {
-                let rset: std::collections::HashSet<_> = rn.iter().map(identity).collect();
-                ln.iter()
-                    .filter(|n| rset.contains(&identity(n)))
-                    .cloned()
-                    .collect()
-            }
-            SetOp::Except => {
-                let rset: std::collections::HashSet<_> = rn.iter().map(identity).collect();
-                ln.iter()
-                    .filter(|n| !rset.contains(&identity(n)))
-                    .cloned()
-                    .collect()
-            }
-        };
-        Sequence(combined.into_iter().map(Item::Node).collect()).document_order_dedup()
-    }
-
     // ---- FLWOR / quantifiers ---------------------------------------------------
 
     fn eval_flwor(
@@ -1649,26 +1526,6 @@ impl<'a> PlanEvaluator<'a> {
         }
         Ok(every)
     }
-
-    // ---- updating helpers ------------------------------------------------------
-
-    fn eval_nodes(&mut self, p: &Plan, focus: Option<&Focus>) -> Result<Vec<NodeRef>> {
-        let v = self.eval(p, focus)?;
-        v.0.into_iter()
-            .map(|i| match i {
-                Item::Node(n) => Ok(n),
-                Item::Atomic(a) => Ok(text_node(&a.to_str())),
-            })
-            .collect()
-    }
-
-    fn eval_single_node(&mut self, p: &Plan, focus: Option<&Focus>) -> Result<NodeRef> {
-        let v = self.eval(p, focus)?;
-        match v.exactly_one()? {
-            Item::Node(n) => Ok(n.clone()),
-            Item::Atomic(_) => Err(Error::type_error("update target must be a node")),
-        }
-    }
 }
 
 /// Depth-first existence test over a predicate-free step chain; returns as
@@ -1700,90 +1557,7 @@ fn clause_slots(clauses: &[PClause]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::StaticContext;
-    use crate::eval::Evaluator;
     use crate::parser::parse_expr;
-
-    fn doc() -> std::sync::Arc<demaq_xml::Document> {
-        demaq_xml::parse(
-            "<order status='open'><item n='1'>widget</item><item n='2'>gadget</item>\
-             <total>42</total></order>",
-        )
-        .unwrap()
-    }
-
-    fn both(query: &str) -> (Result<Sequence>, Result<Sequence>) {
-        let sctx = StaticContext::default();
-        let dctx = DynamicContext::new(std::sync::Arc::new(crate::context::NoHost));
-        let expr = parse_expr(query).unwrap();
-        let plan = lower(&expr);
-        let d = doc();
-        let reference = Evaluator::new(&sctx, &dctx).eval_with_context(&expr, d.root());
-        let lowered = PlanEvaluator::new(&dctx).eval_with_context(&plan, d.root());
-        (reference, lowered)
-    }
-
-    fn assert_same(query: &str) {
-        let (reference, lowered) = both(query);
-        match (&reference, &lowered) {
-            (Ok(a), Ok(b)) => {
-                let fmt = |s: &Sequence| {
-                    s.0.iter()
-                        .map(|i| match i {
-                            Item::Atomic(a) => format!("{}:{}", a.type_name(), a.to_str()),
-                            Item::Node(n) => demaq_xml::serializer::serialize_node(n),
-                        })
-                        .collect::<Vec<_>>()
-                };
-                assert_eq!(fmt(a), fmt(b), "mismatch on `{query}`");
-            }
-            (Err(_), Err(_)) => {}
-            _ => panic!("divergence on `{query}`: ref={reference:?} plan={lowered:?}"),
-        }
-    }
-
-    #[test]
-    fn lowered_plan_matches_reference_on_paths_and_flwor() {
-        for q in [
-            "//item",
-            "//item/@n",
-            "/order/item[1]",
-            "/order/item[@n = '2']",
-            "count(//item)",
-            "if (//total) then 'y' else 'n'",
-            "if (//missing) then 'y' else 'n'",
-            "for $i in //item return string($i)",
-            "for $i at $p in //item order by $p descending return $i/@n",
-            "for $i in //item where $i/@n = '1' return $i",
-            "let $t := //total return $t + 0",
-            "some $i in //item satisfies $i = 'widget'",
-            "every $i in //item satisfies $i = 'widget'",
-            "//item union //total",
-            "//item intersect //item[1]",
-            "//item except //item[1]",
-            "1 + 2 * 3",
-            "(1, 2) = (2, 3)",
-            "-(//total)",
-            "'a' , 'b'",
-            "1 to 3",
-            "//total cast as xs:integer",
-            "string-join((for $i in //item return string($i)), ',')",
-        ] {
-            assert_same(q);
-        }
-    }
-
-    #[test]
-    fn lowered_plan_matches_reference_on_errors() {
-        for q in [
-            "1 div 0",
-            "$undefined",
-            "(//item)/(1 div 0)",
-            "('a','b') + 1",
-        ] {
-            assert_same(q);
-        }
-    }
 
     #[test]
     fn variables_resolve_to_slots() {
@@ -1827,9 +1601,9 @@ mod tests {
         };
         assert!(matches!(**cond, Plan::Exists { .. }), "cond: {cond:?}");
 
-        let dctx = DynamicContext::new(std::sync::Arc::new(crate::context::NoHost));
+        let dctx = DynamicContext::default();
         let before = ebv_short_circuits_total();
-        let d = doc();
+        let d = demaq_xml::parse("<order><item/></order>").unwrap();
         let r = PlanEvaluator::new(&dctx)
             .eval_with_context(&plan, d.root())
             .unwrap();
@@ -1840,7 +1614,6 @@ mod tests {
     #[test]
     fn predicates_do_not_become_exists() {
         // A numeric predicate is positional; EBV-lowering must not apply.
-        assert_same("/order/item[1]/@n");
         let expr = parse_expr("//item[//total]").unwrap();
         let plan = lower(&expr);
         fn no_exists_in_predicates(p: &Plan) -> bool {

@@ -1,10 +1,10 @@
-//! End-to-end tests: parse + evaluate full XQuery expressions, including the
-//! idioms the Demaq paper's QML listings rely on.
+//! End-to-end tests: parse, lower and evaluate full XQuery expressions on
+//! the plan evaluator, including the idioms the Demaq paper's QML listings
+//! rely on.
 
 use demaq_xml::{parse, NodeRef, QName};
 use demaq_xquery::{
-    eval_query, parse_expr, DynamicContext, Evaluator, HostFunctions, Sequence, StaticContext,
-    Update,
+    eval_query, lower, parse_expr, DynamicContext, HostFunctions, PlanEvaluator, Sequence, Update,
 };
 use std::sync::Arc;
 
@@ -18,6 +18,18 @@ fn q(query: &str, xml: &str) -> String {
 
 fn q_err(query: &str, xml: &str) -> bool {
     eval_query(query, &doc(xml)).is_err()
+}
+
+/// Evaluate under `dctx`, returning the value and the pending updates.
+fn run(
+    query: &str,
+    dctx: &DynamicContext,
+    context: &NodeRef,
+) -> Result<(Sequence, Vec<Update>), demaq_xquery::Error> {
+    let plan = lower(&parse_expr(query).unwrap());
+    let mut ev = PlanEvaluator::new(dctx);
+    let seq = ev.eval_with_context(&plan, context.clone())?;
+    Ok((seq, ev.updates))
 }
 
 // ---------------------------------------------------------------- paths ----
@@ -368,12 +380,7 @@ fn constructor_entities() {
 // ------------------------------------------------------------- updating ----
 
 fn eval_updates(query: &str, context: &NodeRef) -> (Sequence, Vec<Update>) {
-    let expr = parse_expr(query).unwrap();
-    let sctx = StaticContext::default();
-    let dctx = DynamicContext::default();
-    let mut ev = Evaluator::new(&sctx, &dctx);
-    let seq = ev.eval_with_context(&expr, context.clone()).unwrap();
-    (seq, ev.updates)
+    run(query, &DynamicContext::default(), context).unwrap()
 }
 
 #[test]
@@ -530,11 +537,8 @@ impl HostFunctions for TestHost {
 }
 
 fn q_host(query: &str, xml: &str) -> String {
-    let expr = parse_expr(query).unwrap();
-    let sctx = StaticContext::default();
     let dctx = DynamicContext::new(Arc::new(TestHost));
-    let mut ev = Evaluator::new(&sctx, &dctx);
-    ev.eval_with_context(&expr, doc(xml)).unwrap().to_string()
+    run(query, &dctx, &doc(xml)).unwrap().0.to_string()
 }
 
 #[test]
@@ -558,26 +562,18 @@ fn current_date_time_via_host() {
 
 #[test]
 fn unknown_extension_function_errors() {
-    let expr = parse_expr("qs:nonexistent()").unwrap();
-    let sctx = StaticContext::default();
     let dctx = DynamicContext::new(Arc::new(TestHost));
-    let mut ev = Evaluator::new(&sctx, &dctx);
-    assert!(ev.eval_with_context(&expr, doc("<x/>")).is_err());
+    assert!(run("qs:nonexistent()", &dctx, &doc("<x/>")).is_err());
 }
 
 // ------------------------------------------------------ variables & misc ----
 
 #[test]
 fn external_variables() {
-    let expr = parse_expr("$n * 2").unwrap();
-    let sctx = StaticContext::default();
     let mut dctx = DynamicContext::default();
     dctx.bind("n", Sequence::int(21));
-    let mut ev = Evaluator::new(&sctx, &dctx);
     assert_eq!(
-        ev.eval_with_context(&expr, doc("<x/>"))
-            .unwrap()
-            .to_string(),
+        run("$n * 2", &dctx, &doc("<x/>")).unwrap().0.to_string(),
         "42"
     );
 }
@@ -674,17 +670,13 @@ fn example_3_2_shape() {
     // Inside the predicate the context item switches to the inspected queue
     // content, so the triggering message must be reached through a binding —
     // exactly why the paper's Fig. 6 uses qs:message() there.
-    let expr = parse_expr(
-        "if ($invoices[//customerID = $msg/requestCustomerInfo/customerID]) then <refuse/> else <accept/>",
-    )
-    .unwrap();
-    let sctx = StaticContext::default();
+    let query =
+        "if ($invoices[//customerID = $msg/requestCustomerInfo/customerID]) then <refuse/> else <accept/>";
     let mut dctx = DynamicContext::default();
     dctx.bind("invoices", Sequence::one(invoices.root()));
     let ctx = doc("<requestCustomerInfo><customerID>c9</customerID></requestCustomerInfo>");
     dctx.bind("msg", Sequence::one(ctx.clone()));
-    let mut ev = Evaluator::new(&sctx, &dctx);
-    let out = ev.eval_with_context(&expr, ctx).unwrap();
+    let (out, _) = run(query, &dctx, &ctx).unwrap();
     assert_eq!(out.0[0].as_node().unwrap().to_xml(), "<refuse/>");
 }
 

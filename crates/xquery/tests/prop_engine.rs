@@ -184,11 +184,10 @@ proptest! {
     ) {
         let soup = parts.join(" ");
         if let Ok(expr) = parse_expr(&soup) {
-            // Whatever parses must also evaluate or error cleanly.
-            let sctx = demaq_xquery::StaticContext::default();
+            // Whatever parses must also lower and evaluate or error cleanly.
             let dctx = demaq_xquery::DynamicContext::default();
-            let mut ev = demaq_xquery::Evaluator::new(&sctx, &dctx);
-            let _ = ev.eval_with_context(&expr, ctx());
+            let mut ev = demaq_xquery::PlanEvaluator::new(&dctx);
+            let _ = ev.eval_with_context(&demaq_xquery::lower(&expr), ctx());
         }
     }
 

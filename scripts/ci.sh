@@ -9,6 +9,16 @@ export CARGO_NET_OFFLINE=true
 echo "== build (release) =="
 cargo build --release --offline --workspace
 
+echo "== the reference interpreter stays a test oracle =="
+# demaq-xquery-reference may be named only under [dev-dependencies]: no
+# shipped package may link it.
+for pkg in demaq demaq-xquery demaq-baselines demaq-suite; do
+    if cargo tree --offline -e normal -p "$pkg" | grep -q demaq-xquery-reference; then
+        echo "$pkg depends on demaq-xquery-reference outside [dev-dependencies]" >&2
+        exit 1
+    fi
+done
+
 echo "== test =="
 cargo test -q --offline --workspace
 

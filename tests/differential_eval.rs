@@ -2,8 +2,9 @@
 //! reference AST interpreter.
 //!
 //! The engine executes lowered [`Plan`]s only; the reference [`Evaluator`]
-//! lives on here, as the oracle. Every scenario runs on one real server,
-//! stepped message by message. Before each step, every message still to
+//! (the dev-only `demaq-xquery-reference` crate) is the oracle. Every
+//! scenario runs on one real server, stepped message by message. Before
+//! each step, every message still to
 //! be processed goes through both evaluators under one test-built
 //! [`QsHost`] over the server's committed state: their pending-update
 //! lists (or error texts) must be identical, a rule the trigger prefilter
@@ -23,9 +24,9 @@ use demaq_store::store::SyncPolicy;
 use demaq_store::{MsgId, PropValue};
 use demaq_xml::{Document, NodeRef};
 use demaq_xquery::{
-    eval_query, DynamicContext, Error as XqError, Evaluator, Expr, Item, Plan, PlanEvaluator,
-    Sequence, StaticContext, Update,
+    eval_query, DynamicContext, Error as XqError, Expr, Item, Plan, PlanEvaluator, Sequence, Update,
 };
+use demaq_xquery_reference::{render_updates as render, Evaluator};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -42,8 +43,7 @@ struct Scenario {
 type Evaluated = Result<(Sequence, Vec<Update>), String>;
 
 fn reference(body: &Expr, dctx: &DynamicContext, root: &NodeRef) -> Evaluated {
-    let sctx = StaticContext::default();
-    let mut ev = Evaluator::new(&sctx, dctx);
+    let mut ev = Evaluator::new(dctx);
     let value = ev
         .eval_with_context(body, root.clone())
         .map_err(|e| e.to_string())?;
@@ -56,25 +56,6 @@ fn lowered(plan: &Plan, dctx: &DynamicContext, root: &NodeRef) -> Evaluated {
         .eval_with_context(plan, root.clone())
         .map_err(|e| e.to_string())?;
     Ok((value, std::mem::take(&mut ev.updates)))
-}
-
-/// Comparable form of a pending-update list (documents by serialization).
-fn render(updates: &[Update]) -> Vec<String> {
-    let one = |u: &Update| match u {
-        Update::Enqueue {
-            queue,
-            message,
-            props,
-        } => {
-            format!(
-                "enqueue {} into {} with {props:?}",
-                message.root().to_xml(),
-                queue.lexical()
-            )
-        }
-        other => format!("{other:?}"),
-    };
-    updates.iter().map(one).collect()
 }
 
 fn parse_root(xml: &str) -> NodeRef {
@@ -156,7 +137,7 @@ impl Harness<'_> {
         let app = self.server.app();
         let now_ms = self.server.clock().now();
         let dctx = DynamicContext::new(Arc::new(ClockHost { now_ms }));
-        let bound = |(seq, _): (Sequence, _)| seq.0.first().map(|i| atomic_to_prop(&i.atomize()));
+        let bound = |(seq, _): (Sequence, _)| seq.0.first().map(|i| atomic_to_prop(i.atomize()));
         let mut entered = Ok(());
         for prop in &app.spec.properties {
             let on_queue = |b: &&PropBinding| b.queues.iter().any(|q| q == queue);
