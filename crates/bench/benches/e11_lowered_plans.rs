@@ -24,7 +24,6 @@
 //! `target/metrics/`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use demaq::engine::PlanMode;
 use demaq::Server;
 use demaq_bench::{feed_pipeline, pipeline_server};
 use demaq_store::store::SyncPolicy;
@@ -60,20 +59,30 @@ const FIG5_PROGRAM: &str = r#"
 const FIG5_MESSAGE: &str = "<offerRequest><requestID>r1</requestID><customerID>c23</customerID>\
      <items><item>solvent</item><item>acid</item><item>base</item></items></offerRequest>";
 
-/// A deployed rule set: (body, plan) pairs pulled out of the compiled app.
-fn deployed_rules(server: &Server, queue: &str) -> Vec<(demaq_xquery::Expr, Arc<Plan>)> {
-    server.app().queues[queue]
-        .rules
-        .iter()
-        .map(|r| (r.body.clone(), Arc::clone(&r.plan)))
-        .collect()
+/// A deployed rule set pulled out of the compiled app: (body, plan) pairs
+/// and the queue's shared-subexpression table.
+struct Deployed {
+    rules: Vec<(demaq_xquery::Expr, Arc<Plan>)>,
+    shared: Arc<[Plan]>,
+}
+
+fn deployed_rules(server: &Server, queue: &str) -> Deployed {
+    let cq = &server.app().queues[queue];
+    Deployed {
+        rules: cq
+            .rules
+            .iter()
+            .map(|r| (r.body.clone(), Arc::clone(&r.plan)))
+            .collect(),
+        shared: Arc::clone(&cq.shared),
+    }
 }
 
 /// Evaluate every rule body with the reference interpreter.
-fn eval_reference(rules: &[(demaq_xquery::Expr, Arc<Plan>)], root: &NodeRef) -> usize {
+fn eval_reference(deployed: &Deployed, root: &NodeRef) -> usize {
     let dctx = DynamicContext::new(Arc::new(NoHost));
     let mut updates = 0;
-    for (body, _) in rules {
+    for (body, _) in &deployed.rules {
         let mut ev = Evaluator::new(&dctx);
         ev.eval_with_context(body, root.clone()).expect("eval");
         updates += ev.updates.len();
@@ -81,16 +90,15 @@ fn eval_reference(rules: &[(demaq_xquery::Expr, Arc<Plan>)], root: &NodeRef) -> 
     updates
 }
 
-/// Evaluate every lowered rule plan.
-fn eval_lowered(rules: &[(demaq_xquery::Expr, Arc<Plan>)], root: &NodeRef) -> usize {
+/// Evaluate every lowered rule plan with one evaluator, as the engine
+/// does for the rules of one message.
+fn eval_lowered(deployed: &Deployed, root: &NodeRef) -> usize {
     let dctx = DynamicContext::new(Arc::new(NoHost));
-    let mut updates = 0;
-    for (_, plan) in rules {
-        let mut ev = PlanEvaluator::new(&dctx);
+    let mut ev = PlanEvaluator::with_shared(&dctx, &deployed.shared);
+    for (_, plan) in &deployed.rules {
         ev.eval_with_context(plan, root.clone()).expect("eval");
-        updates += ev.updates.len();
     }
-    updates
+    ev.updates.len()
 }
 
 /// Median wall time of `samples` timed runs of `f`.
@@ -128,7 +136,7 @@ fn bench_e11(c: &mut Criterion) {
     let fig5_root = fig5_doc.root();
 
     const PIPE_RULES: usize = 4;
-    let pipe_server = pipeline_server(PIPE_RULES, SyncPolicy::Batch, PlanMode::RuleAtATime, false);
+    let pipe_server = pipeline_server(PIPE_RULES, SyncPolicy::Batch, false);
     let pipe_rules = deployed_rules(&pipe_server, "inbox");
     // A message of realistic size (the paper's listings carry request IDs,
     // customer data, and item lists — not two elements): the matching
@@ -191,7 +199,7 @@ fn bench_e11(c: &mut Criterion) {
 
     // ---- e2e representative run with metric snapshot ---------------------
     let messages = if smoke() { 128 } else { 2048 };
-    let server = pipeline_server(PIPE_RULES, SyncPolicy::Batch, PlanMode::RuleAtATime, false);
+    let server = pipeline_server(PIPE_RULES, SyncPolicy::Batch, false);
     feed_pipeline(&server, messages, PIPE_RULES);
     server.run_until_idle().expect("idle");
     let stats = server.stats();

@@ -15,7 +15,6 @@
 //! fsync gap dominated by device sync latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use demaq::engine::PlanMode;
 use demaq_bench::{feed_pipeline, pipeline_server};
 use demaq_store::store::SyncPolicy;
 
@@ -38,8 +37,7 @@ fn bench_e7(c: &mut Criterion) {
                 &messages,
                 |b, &messages| {
                     b.iter(|| {
-                        let server =
-                            pipeline_server(RULES, sync, PlanMode::RuleAtATime, persistent);
+                        let server = pipeline_server(RULES, sync, persistent);
                         feed_pipeline(&server, messages, RULES);
                         server.run_until_idle().expect("run");
                         if persistent {
@@ -55,7 +53,7 @@ fn bench_e7(c: &mut Criterion) {
 
     // One representative run's internal counters/latencies, dumped next
     // to the criterion timings.
-    let server = pipeline_server(RULES, SyncPolicy::Batch, PlanMode::RuleAtATime, true);
+    let server = pipeline_server(RULES, SyncPolicy::Batch, true);
     feed_pipeline(&server, 256, RULES);
     server.run_until_idle().expect("run");
     server.store().sync().expect("group-commit boundary");

@@ -6,7 +6,6 @@
 
 pub mod report;
 
-use demaq::engine::PlanMode;
 use demaq::Server;
 use demaq_store::store::SyncPolicy;
 use demaq_store::LockGranularity;
@@ -49,7 +48,7 @@ pub fn feed_correlate(server: &Server, messages: usize, instances: usize) {
 
 /// A pipeline server for E6/E7: `rules` independent rules on the inbox,
 /// each matching a distinct element so exactly one fires per message.
-pub fn pipeline_server(rules: usize, sync: SyncPolicy, plan: PlanMode, persistent: bool) -> Server {
+pub fn pipeline_server(rules: usize, sync: SyncPolicy, persistent: bool) -> Server {
     let mode = if persistent {
         "persistent"
     } else {
@@ -67,7 +66,6 @@ pub fn pipeline_server(rules: usize, sync: SyncPolicy, plan: PlanMode, persisten
         .program(&program)
         .in_memory()
         .sync_policy(sync)
-        .plan_mode(plan)
         .build()
         .expect("valid program")
 }

@@ -9,7 +9,7 @@
 use crate::compiler::{self, CompiledRule};
 use demaq_analysis::{Analysis, LintConfig, RuleFacts};
 use demaq_net::WsdlInterface;
-use demaq_qdl::{AppSpec, PropertyDecl, QueueDecl, QueueKind, SlicingDecl};
+use demaq_qdl::{AppSpec, PropertyDecl, QueueDecl, QueueKind, RuleDecl, SlicingDecl};
 use demaq_xml::schema::Schema;
 use demaq_store::PropValue;
 use demaq_xquery::{AggCatalog, AggId, AggSource, Plan};
@@ -25,11 +25,10 @@ pub struct CompiledQueue {
     pub interface: Option<WsdlInterface>,
     /// Rules attached directly to this queue, in program order.
     pub rules: Vec<CompiledRule>,
-    /// The per-queue canonical plan (all rule bodies concatenated, paper
-    /// Sec. 4.4.1, see [`compiler::merge_rules`]), lowered at deploy time;
-    /// `None` when the queue's rules cannot be merged (error-queue
-    /// routing) or there are none.
-    pub merged_plan: Option<Arc<Plan>>,
+    /// The subexpressions its rules share, lowered once (see
+    /// [`compiler::compile_rules`]); their plans' `Plan::Shared(i)` reads
+    /// entry `i`.
+    pub shared: Arc<[Plan]>,
 }
 
 /// A slicing with its rules.
@@ -153,7 +152,7 @@ impl CompiledApp {
                     schema,
                     interface,
                     rules: Vec::new(),
-                    merged_plan: None,
+                    shared: Arc::new([]),
                 },
             );
         }
@@ -197,33 +196,18 @@ impl CompiledApp {
             }
         }
 
-        // Compile rules into their targets.
-        for r in &spec.rules {
-            let on_slicing = slicings.contains_key(&r.target);
-            let compiled = compiler::compile_rule(r, &spec, on_slicing, &mut aggregates)
-                .map_err(|e| CompileError(format!("rule `{}`: {e}", r.name)))?;
-            if on_slicing {
-                slicings
-                    .get_mut(&r.target)
-                    .expect("checked")
-                    .rules
-                    .push(compiled);
-            } else {
-                queues
-                    .get_mut(&r.target)
-                    .expect("validated")
-                    .rules
-                    .push(compiled);
-            }
+        // Compile each target's rules together, in program order.
+        let rules_for = |target: &str| -> Vec<&RuleDecl> {
+            spec.rules.iter().filter(|r| r.target == target).collect()
+        };
+        for q in &spec.queues {
+            let cq = queues.get_mut(&q.name).expect("declared");
+            (cq.rules, cq.shared) =
+                compiler::compile_rules(&rules_for(&q.name), &spec, false, &mut aggregates);
         }
-
-        // Precompute each queue's canonical merged plan once at deploy
-        // time — the engine used to re-merge on every message.
-        for q in queues.values_mut() {
-            if let Some(merged) = compiler::merge_rules(&q.rules) {
-                let (plan, _) = demaq_xquery::lower_in(&merged, &mut aggregates);
-                q.merged_plan = Some(Arc::new(plan));
-            }
+        for s in &spec.slicings {
+            let cs = slicings.get_mut(&s.name).expect("declared");
+            cs.rules = compiler::compile_rules(&rules_for(&s.name), &spec, true, &mut aggregates).0;
         }
 
         // Which aggregates each membership feeds: a slicing's rules read

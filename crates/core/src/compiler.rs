@@ -8,7 +8,8 @@
 //! combined into a single query by concatenating all pending actions into
 //! a single sequence."
 //!
-//! Implemented rewrites:
+//! The stages are *compile* → *lower* → *share*. Compile rewrites each
+//! body:
 //! 1. **Default-parameter injection** — `qs:queue()` → `qs:queue("q")`
 //!    where `q` is the rule's queue.
 //! 2. **Fixed-property inlining** — `qs:property("p")` where `p` is a
@@ -21,15 +22,19 @@
 //!    rule condition) is extracted so the engine can skip rules that cannot
 //!    match (the "XML filtering" opportunity the paper cites).
 //!
-//! The per-queue rules can also be *merged* into one canonical plan — a
-//! sequence concatenating every body (benchmark E6 measures merged vs.
-//! rule-at-a-time evaluation).
+//! Lower and share happen together, per queue. Where the paper
+//! concatenates a queue's bodies into one query, the bodies here stay
+//! apart, so each rule keeps its trigger pre-filter, its error queue and
+//! its profile, but they are lowered against one table of the
+//! message-only subexpressions they share (`demaq_xquery::share`). The
+//! engine evaluates every rule of a message with one evaluator, which
+//! computes each table entry at most once per message.
 
 use demaq_analysis::extract_trigger_elements;
 use demaq_qdl::{AppSpec, PropKind, RuleDecl};
 use demaq_xml::sym::{self, Sym};
 use demaq_xml::QName;
-use demaq_xquery::{lower_in, AggCatalog, AggId, Error as XqError, Expr, Plan};
+use demaq_xquery::{lower_in, lower_rules, AggCatalog, AggId, Expr, Plan};
 use std::sync::Arc;
 
 /// A compiled, rewritten rule.
@@ -45,7 +50,8 @@ pub struct CompiledRule {
     pub body: Expr,
     /// The body lowered to a pre-resolved execution plan (interned name
     /// tests, slot-indexed variables, folded constants) — the only form
-    /// the engine executes.
+    /// the engine executes. On a queue its [`Plan::Shared`] nodes index
+    /// the queue's table (`CompiledQueue::shared`).
     pub plan: Arc<Plan>,
     /// Catalog ids of the recognized aggregate reads in `plan`.
     pub aggregates: Vec<AggId>,
@@ -61,25 +67,52 @@ pub struct CompiledRule {
     pub trigger_syms: Option<Vec<Sym>>,
 }
 
-/// Compile one rule in the context of its application, numbering its
-/// aggregate reads in the application's `catalog`.
-pub fn compile_rule(
-    rule: &RuleDecl,
+/// Compile the rules of one target, in program order, in the context of
+/// their application, numbering their aggregate reads in `catalog`. A
+/// queue's rules are lowered against the table of subexpressions they
+/// share, which is returned beside them. A slicing's rules each run in a
+/// slice context of their own and share nothing: their table is empty.
+pub fn compile_rules(
+    rules: &[&RuleDecl],
     spec: &AppSpec,
     on_slicing: bool,
     catalog: &mut AggCatalog,
-) -> Result<CompiledRule, XqError> {
+) -> (Vec<CompiledRule>, Arc<[Plan]>) {
     // The queue context for rewrites: rules on queues know their queue;
     // rules on slicings have no single queue (qs:queue() without an
     // argument is then an error caught at runtime).
-    let queue_ctx: Option<&str> = if on_slicing {
-        None
+    let bodies: Vec<Expr> = rules
+        .iter()
+        .map(|r| {
+            let queue_ctx = (!on_slicing).then_some(r.target.as_str());
+            rewrite_body(r.body.clone(), queue_ctx, spec)
+        })
+        .collect();
+    let (plans, shared) = if on_slicing {
+        let plans = bodies.iter().map(|b| lower_in(b, catalog)).collect();
+        (plans, Vec::new())
     } else {
-        Some(rule.target.as_str())
+        lower_rules(&bodies, catalog)
     };
+    let compiled = rules
+        .iter()
+        .zip(bodies)
+        .zip(plans)
+        .map(|((rule, body), (plan, aggregates))| {
+            analyze_rule(rule, on_slicing, body, plan, aggregates)
+        })
+        .collect();
+    (compiled, shared.into())
+}
 
-    let body = rewrite_body(rule.body.clone(), queue_ctx, spec);
-
+/// Extract what the engine needs besides the plan from one rewritten rule.
+fn analyze_rule(
+    rule: &RuleDecl,
+    on_slicing: bool,
+    body: Expr,
+    plan: Plan,
+    aggregates: Vec<AggId>,
+) -> CompiledRule {
     let mut reads = Vec::new();
     let mut writes = Vec::new();
     body.visit(&mut |e| match e {
@@ -102,9 +135,8 @@ pub fn compile_rule(
     let trigger_syms = trigger_elements
         .as_ref()
         .map(|names| names.iter().map(|n| sym::intern(n)).collect());
-    let (plan, aggregates) = lower_in(&body, catalog);
 
-    Ok(CompiledRule {
+    CompiledRule {
         name: rule.name.clone(),
         target: rule.target.clone(),
         on_slicing,
@@ -116,7 +148,7 @@ pub fn compile_rule(
         writes_queues: writes,
         trigger_elements,
         trigger_syms,
-    })
+    }
 }
 
 /// Apply the compiler rewrites to a rule body.
@@ -189,33 +221,20 @@ fn rebase_on_message(value: Expr) -> Expr {
     }
 }
 
-/// Merge several rule bodies into the canonical per-queue plan: a sequence
-/// expression concatenating all pending actions (paper Sec. 4.4.1). The
-/// engine evaluates this once per message instead of once per rule.
-pub fn merge_rules(rules: &[CompiledRule]) -> Option<Expr> {
-    if rules.is_empty() {
-        return None;
-    }
-    // Rules with distinct error queues cannot be merged without losing
-    // error routing; fall back to rule-at-a-time in that case.
-    if rules.iter().any(|r| r.error_queue.is_some()) {
-        return None;
-    }
-    Some(Expr::Sequence(
-        rules.iter().map(|r| r.body.clone()).collect(),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use demaq_qdl::parse_program;
 
-    fn compile_first(src: &str) -> CompiledRule {
+    fn compile_all(src: &str) -> (Vec<CompiledRule>, Arc<[Plan]>) {
         let spec = parse_program(src).unwrap();
-        let rule = spec.rules[0].clone();
-        let on_slicing = spec.slicing(&rule.target).is_some();
-        compile_rule(&rule, &spec, on_slicing, &mut AggCatalog::default()).unwrap()
+        let rules: Vec<&RuleDecl> = spec.rules.iter().collect();
+        let on_slicing = spec.slicing(&rules[0].target).is_some();
+        compile_rules(&rules, &spec, on_slicing, &mut AggCatalog::default())
+    }
+
+    fn compile_first(src: &str) -> CompiledRule {
+        compile_all(src).0.remove(0)
     }
 
     #[test]
@@ -337,41 +356,42 @@ mod tests {
         assert_eq!(t, ["offer", "refusal"]);
     }
 
-    #[test]
-    fn merged_plan_concatenates_bodies() {
-        let spec = parse_program(
-            r#"
-            create queue q kind basic mode persistent
-            create rule a for q if (//x) then do enqueue <a/> into q
-            create rule b for q if (//y) then do enqueue <b/> into q
-            "#,
-        )
-        .unwrap();
-        let rules: Vec<CompiledRule> = spec
-            .rules
-            .iter()
-            .map(|r| compile_rule(r, &spec, false, &mut AggCatalog::default()).unwrap())
-            .collect();
-        let merged = merge_rules(&rules).unwrap();
-        assert!(matches!(merged, Expr::Sequence(ref v) if v.len() == 2));
-        assert!(merge_rules(&[]).is_none());
+    fn shared_reads(plan: &Plan) -> usize {
+        format!("{plan:?}").matches("Shared(").count()
     }
 
     #[test]
-    fn rules_with_error_queues_not_merged() {
-        let spec = parse_program(
+    fn a_queue_shares_message_paths_across_rules() {
+        let (rules, shared) = compile_all(
             r#"
             create queue q kind basic mode persistent
             create queue eq kind basic mode persistent
-            create rule a for q errorqueue eq if (//x) then do enqueue <a/> into q
+            create rule a for q errorqueue eq
+              if (//x) then do enqueue <a n="{count(/m/i[q > 6])}"/> into q
+            create rule b for q
+              if (count(/m/i[q > 6]) > 1) then do enqueue <b/> into q
             "#,
-        )
-        .unwrap();
-        let rules: Vec<CompiledRule> = spec
-            .rules
-            .iter()
-            .map(|r| compile_rule(r, &spec, false, &mut AggCatalog::default()).unwrap())
-            .collect();
-        assert!(merge_rules(&rules).is_none());
+        );
+        assert_eq!(shared.len(), 1, "{shared:?}");
+        assert_eq!(shared_reads(&rules[0].plan), 1);
+        assert_eq!(shared_reads(&rules[1].plan), 1);
+        // Each rule keeps what the engine needs to treat it on its own.
+        assert_eq!(rules[0].error_queue.as_deref(), Some("eq"));
+        assert_eq!(rules[0].trigger_elements, Some(vec!["x".into()]));
+    }
+
+    #[test]
+    fn slicing_rules_share_nothing() {
+        let (rules, shared) = compile_all(
+            r#"
+            create queue q kind basic mode persistent
+            create property k as xs:string fixed queue q value //k
+            create slicing byK on k
+            create rule a for byK
+              if (count(/m/i) > 1) then do enqueue <a n="{count(/m/i)}"/> into q
+            "#,
+        );
+        assert!(shared.is_empty());
+        assert_eq!(shared_reads(&rules[0].plan), 0);
     }
 }

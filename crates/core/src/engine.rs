@@ -31,7 +31,7 @@ use demaq_store::{
 use demaq_xml::{parse as parse_xml, Document, NodeRef};
 use demaq_xquery::{
     AggAcc, AggId, AggOp, AggSource, AggregateSpec, Atomic, Contribution, DynamicContext,
-    Error as XqError, Item, Plan, PlanEvaluator, Sequence, Update,
+    Error as XqError, EvalCounts, Item, PlanEvaluator, Sequence, Update,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -79,17 +79,6 @@ impl From<XqError> for EngineError {
 }
 
 use crate::Result;
-
-/// How rule bodies are evaluated per message (benchmark E6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanMode {
-    /// Evaluate each rule separately (precise error routing, trigger
-    /// pre-filtering).
-    RuleAtATime,
-    /// Evaluate the merged per-queue canonical plan where possible
-    /// (paper Sec. 4.4.1).
-    Merged,
-}
 
 /// Counters exposed for tests, examples, and benchmarks — a thin snapshot
 /// view over the [`demaq_obs::Registry`] (see [`Server::metrics`] for the
@@ -188,6 +177,11 @@ struct EngineMetrics {
     retention_released: Counter,
     rule_eval_ns: Histogram,
     txn_commit_ns: Histogram,
+    /// Rule evaluators' work counts ([`EvalCounts`]), added once per
+    /// evaluator: one per message for its queue's rules.
+    path_steps: Counter,
+    shared_evals: Counter,
+    shared_reuses: Counter,
     scheduler_depth: Gauge,
     /// `demaq_engine_durability_barriers_total{reason=…}`, indexed by
     /// [`BarrierReason`].
@@ -281,6 +275,9 @@ impl EngineMetrics {
             retention_released: r.counter("demaq_engine_retention_released_total"),
             rule_eval_ns: r.histogram("demaq_engine_rule_eval_ns"),
             txn_commit_ns: r.histogram("demaq_engine_txn_commit_ns"),
+            path_steps: r.counter("demaq_xquery_path_steps_total"),
+            shared_evals: r.counter("demaq_xquery_shared_evals_total"),
+            shared_reuses: r.counter("demaq_xquery_shared_reuses_total"),
             scheduler_depth: r.gauge("demaq_engine_scheduler_depth"),
             barriers: BarrierReason::ALL.map(|reason| {
                 r.counter_with(
@@ -299,6 +296,13 @@ impl EngineMetrics {
             rm.time_ns.record(elapsed);
             rm.fires.inc();
         }
+    }
+
+    /// Add what one evaluator did.
+    fn record_eval_counts(&self, counts: EvalCounts) {
+        self.path_steps.add(counts.path_steps);
+        self.shared_evals.add(counts.shared_evals);
+        self.shared_reuses.add(counts.shared_reuses);
     }
 
     /// Attribute one produced message to the rule that enqueued it.
@@ -416,7 +420,6 @@ pub struct ServerBuilder {
     pub(crate) in_memory: bool,
     sync: SyncPolicy,
     lock_granularity: LockGranularity,
-    plan_mode: PlanMode,
     pub(crate) seed: u64,
     pub(crate) clock: Option<Clock>,
     pub(crate) network: Option<Arc<Network>>,
@@ -455,7 +458,6 @@ impl Default for ServerBuilder {
             in_memory: false,
             sync: SyncPolicy::Always,
             lock_granularity: LockGranularity::Slice,
-            plan_mode: PlanMode::RuleAtATime,
             seed: 7,
             clock: None,
             network: None,
@@ -511,12 +513,6 @@ impl ServerBuilder {
     /// Lock granularity (paper Sec. 4.3; benchmark E3).
     pub fn lock_granularity(mut self, g: LockGranularity) -> Self {
         self.lock_granularity = g;
-        self
-    }
-
-    /// Rule evaluation mode (benchmark E6).
-    pub fn plan_mode(mut self, m: PlanMode) -> Self {
-        self.plan_mode = m;
         self
     }
 
@@ -765,7 +761,6 @@ impl ServerBuilder {
             gateways,
             scheduler: Scheduler::new(),
             collections: Arc::new(self.collections),
-            plan_mode: self.plan_mode,
             metrics,
             doc_cache: Arc::new(DocCache::new(16, self.doc_cache_budget, &obs)),
             slice_seq: Arc::new(SliceSeqCache::new(16, 4096, &obs)),
@@ -865,7 +860,6 @@ pub struct Server {
     gateways: GatewayManager,
     scheduler: Scheduler,
     collections: Arc<HashMap<String, Vec<Arc<Document>>>>,
-    plan_mode: PlanMode,
     obs: Arc<Obs>,
     metrics: EngineMetrics,
     /// Sharded LRU over parsed message documents, shared with the
@@ -1687,43 +1681,12 @@ impl Server {
 
         // ---- rule evaluation (snapshot) ------------------------------------
         let msg_root = doc.root();
-        let mut updates: Vec<(Option<String>, Update)> = Vec::new(); // (rule name, update)
+        let mut updates: Vec<(&str, Update)> = Vec::new(); // (rule name, update)
+        self.eval_queue_rules(meta, doc, cq, &mut updates)?;
 
-        // Queue rules: the precomputed per-queue canonical plan (paper
-        // Sec. 4.4.1, lowered at deploy time) or rule-at-a-time.
-        match (self.plan_mode, &cq.merged_plan) {
-            (PlanMode::Merged, Some(plan)) => {
-                self.metrics.rules_evaluated.add(cq.rules.len() as u64);
-                let ups = self
-                    .eval_rule_plan(plan, meta, &msg_root, None)
-                    .map_err(|e| ProcessingError::rule("<merged-plan>", e))?;
-                updates.extend(ups.into_iter().map(|u| (None, u)));
-            }
-            _ => {
-                for rule in &cq.rules {
-                    // Trigger pre-filter: symbol probes of the document's
-                    // name table (integers, no strings).
-                    let triggered = rule
-                        .trigger_syms
-                        .as_ref()
-                        .is_none_or(|syms| syms.iter().any(|&s| doc.has_element(s)));
-                    if !triggered {
-                        self.metrics.rules_skipped.inc();
-                        continue;
-                    }
-                    self.metrics.rules_evaluated.inc();
-                    let started = Instant::now();
-                    let evaluated = self.eval_rule_plan(&rule.plan, meta, &msg_root, None);
-                    self.metrics.record_rule_eval(&rule.name, started.elapsed());
-                    let ups = evaluated.map_err(|e| ProcessingError::rule(&rule.name, e))?;
-                    updates.extend(ups.into_iter().map(|u| (Some(rule.name.clone()), u)));
-                }
-            }
-        }
-
-        // Slicing rules, each with its slice context. Member documents
-        // load lazily on first `qs:slice()` touch — a body whose aggregate
-        // reads are answered by the registry never materializes them.
+        // Slicing rules, each with its slice context. Member documents load
+        // lazily on first `qs:slice()` touch — a body whose aggregate reads
+        // are answered by the registry never materializes them.
         for (slicing, key, rule) in slice_rules {
             self.metrics.rules_evaluated.inc();
             let loader: SliceLoader = {
@@ -1732,12 +1695,15 @@ impl Server {
                 Arc::new(move || handle.slice_member_docs(&s, &k))
             };
             let full_ctx = SliceCtx::lazy(slicing.clone(), key.clone(), loader);
+            let dctx = self.rule_context(meta, &msg_root, Some(full_ctx));
+            let mut ev = PlanEvaluator::new(&dctx);
             let started = Instant::now();
-            let evaluated = self.eval_rule_plan(&rule.plan, meta, &msg_root, Some(full_ctx));
+            let evaluated = ev.eval_with_context(&rule.plan, msg_root.clone());
             self.metrics.record_rule_eval(&rule.name, started.elapsed());
-            let ups = evaluated.map_err(|e| ProcessingError::rule(&rule.name, e))?;
+            self.metrics.record_eval_counts(ev.counts);
+            evaluated.map_err(|e| ProcessingError::rule(&rule.name, e))?;
             // Bare `do reset` in a slicing rule targets this slice.
-            for u in ups {
+            for u in ev.updates {
                 let u = match u {
                     Update::Reset {
                         slicing: None,
@@ -1748,7 +1714,7 @@ impl Server {
                     },
                     other => other,
                 };
-                updates.push((Some(rule.name.clone()), u));
+                updates.push((&rule.name, u));
             }
         }
 
@@ -1756,6 +1722,11 @@ impl Server {
         let mut new_messages = Vec::new();
         let mut forwards = Vec::new();
         for (rule_name, update) in updates {
+            let failed = |error_kind: String, detail: String| ProcessingError::Rule {
+                rule: rule_name.to_string(),
+                error_kind,
+                detail,
+            };
             match update {
                 Update::Enqueue {
                     queue: target,
@@ -1764,21 +1735,10 @@ impl Server {
                 } => {
                     let target_name = target.local.clone();
                     let outcome = self
-                        .execute_enqueue(
-                            txn,
-                            meta,
-                            rule_name.as_deref(),
-                            &target_name,
-                            message,
-                            props,
-                        )
+                        .execute_enqueue(txn, meta, rule_name, &target_name, message, props)
                         .map_err(|e| match e {
                             ExecError::Store(s) => ProcessingError::Store(s),
-                            ExecError::App { kind: k, detail } => ProcessingError::Rule {
-                                rule: rule_name.clone().unwrap_or_else(|| "<unknown>".into()),
-                                error_kind: k,
-                                detail,
-                            },
+                            ExecError::App { kind: k, detail } => failed(k, detail),
                         })?;
                     match outcome {
                         EnqueueOutcome::Local(nm) => new_messages.push(nm),
@@ -1787,20 +1747,16 @@ impl Server {
                 }
                 Update::Reset { slicing, key } => {
                     let Some(slicing) = slicing else {
-                        return Err(ProcessingError::Rule {
-                            rule: rule_name.unwrap_or_else(|| "<unknown>".into()),
-                            error_kind: kind::APPLICATION.into(),
-                            detail:
-                                "do reset without parameters is only valid in rules on slicings"
-                                    .into(),
-                        });
+                        return Err(failed(
+                            kind::APPLICATION.into(),
+                            "do reset without parameters is only valid in rules on slicings".into(),
+                        ));
                     };
                     let Some(key) = key else {
-                        return Err(ProcessingError::Rule {
-                            rule: rule_name.unwrap_or_else(|| "<unknown>".into()),
-                            error_kind: kind::APPLICATION.into(),
-                            detail: "do reset needs a key".into(),
-                        });
+                        return Err(failed(
+                            kind::APPLICATION.into(),
+                            "do reset needs a key".into(),
+                        ));
                     };
                     self.store
                         .slice_reset(txn, &slicing.local, atomic_to_prop(key))
@@ -1808,13 +1764,12 @@ impl Server {
                 }
                 other => {
                     // XQUF tree updates cannot touch the append-only store.
-                    return Err(ProcessingError::Rule {
-                        rule: rule_name.unwrap_or_else(|| "<unknown>".into()),
-                        error_kind: kind::APPLICATION.into(),
-                        detail: format!(
+                    return Err(failed(
+                        kind::APPLICATION.into(),
+                        format!(
                             "tree update {other:?} is not applicable: stored messages are immutable"
                         ),
-                    });
+                    ));
                 }
             }
         }
@@ -1880,15 +1835,57 @@ impl Server {
         Ok(())
     }
 
-    /// Evaluate one lowered rule plan over `msg_root`, returning its
-    /// pending updates.
-    fn eval_rule_plan(
+    /// Evaluate the queue's rules in program order with one evaluator, so
+    /// each shared subexpression is computed at most once for the message
+    /// and its time is charged to the first rule that reads it. A rule
+    /// the trigger pre-filter skips pays nothing. The first failing rule
+    /// stops evaluation and names itself for error routing.
+    fn eval_queue_rules<'r>(
         &self,
-        plan: &Plan,
+        meta: &MessageMeta,
+        doc: &Arc<Document>,
+        cq: &'r crate::app::CompiledQueue,
+        updates: &mut Vec<(&'r str, Update)>,
+    ) -> std::result::Result<(), ProcessingError> {
+        if cq.rules.is_empty() {
+            return Ok(());
+        }
+        let msg_root = doc.root();
+        let dctx = self.rule_context(meta, &msg_root, None);
+        let mut ev = PlanEvaluator::with_shared(&dctx, &cq.shared);
+        let mut evaluated = Ok(());
+        for rule in &cq.rules {
+            // Trigger pre-filter: symbol probes of the document's name
+            // table (integers, no strings).
+            let triggered = rule
+                .trigger_syms
+                .as_ref()
+                .is_none_or(|syms| syms.iter().any(|&s| doc.has_element(s)));
+            if !triggered {
+                self.metrics.rules_skipped.inc();
+                continue;
+            }
+            self.metrics.rules_evaluated.inc();
+            let started = Instant::now();
+            let value = ev.eval_with_context(&rule.plan, msg_root.clone());
+            self.metrics.record_rule_eval(&rule.name, started.elapsed());
+            if let Err(e) = value {
+                evaluated = Err(ProcessingError::rule(&rule.name, e));
+                break;
+            }
+            updates.extend(ev.updates.drain(..).map(|u| (rule.name.as_str(), u)));
+        }
+        self.metrics.record_eval_counts(ev.counts);
+        evaluated
+    }
+
+    /// The host and dynamic context one message's rules evaluate in.
+    fn rule_context(
+        &self,
         meta: &MessageMeta,
         msg_root: &NodeRef,
         slice: Option<SliceCtx>,
-    ) -> std::result::Result<Vec<Update>, XqError> {
+    ) -> DynamicContext {
         // The reader clones the store and cache handles (closures in the
         // host must be 'static); committed state at evaluation time is read
         // through the shared document cache, so repeated `qs:queue()` calls
@@ -1914,10 +1911,7 @@ impl Server {
             collections: Arc::clone(&self.collections),
             now_ms: self.clock.now(),
         };
-        let dctx = DynamicContext::new(Arc::new(host));
-        let mut ev = PlanEvaluator::new(&dctx);
-        ev.eval_with_context(plan, msg_root.clone())?;
-        Ok(std::mem::take(&mut ev.updates))
+        DynamicContext::new(Arc::new(host))
     }
 
     /// Committed-state reader closing over the shared caches — what the
@@ -1936,7 +1930,7 @@ impl Server {
         &self,
         txn: TxnId,
         trigger: &MessageMeta,
-        rule_name: Option<&str>,
+        rule_name: &str,
         target: &str,
         message: Arc<Document>,
         explicit_props: Vec<(String, Atomic)>,
@@ -1967,13 +1961,13 @@ impl Server {
             }
         }
         let now = self.clock.now();
-        let mut system_props = vec![(system::CREATED_AT.to_string(), PropValue::DateTime(now))];
-        if let Some(r) = rule_name {
-            system_props.push((
+        let mut system_props = vec![
+            (system::CREATED_AT.to_string(), PropValue::DateTime(now)),
+            (
                 system::CREATING_RULE.to_string(),
-                PropValue::Str(r.to_string()),
-            ));
-        }
+                PropValue::Str(rule_name.to_string()),
+            ),
+        ];
         // Causal provenance: the trigger is the parent; the root is the
         // trigger's root (or the trigger itself when it started the
         // cascade). Riding on system properties keeps the chain intact
@@ -2012,7 +2006,7 @@ impl Server {
                 xml: message.root().to_xml(),
                 props,
                 enqueued_at: now,
-                via: rule_name.unwrap_or("").to_string(),
+                via: rule_name.to_string(),
             }));
         }
         let payload = message.root().to_xml();
@@ -2036,19 +2030,17 @@ impl Server {
                 id,
                 trigger.id,
                 MsgId(root),
-                rule_name.unwrap_or(""),
+                rule_name,
                 target,
             )
             .map_err(ExecError::Store)?;
         self.metrics.inc_enqueued(&self.obs, target);
-        if let Some(r) = rule_name {
-            self.metrics.record_rule_produced(r);
-        }
+        self.metrics.record_rule_produced(rule_name);
         self.obs.tracer.event_ctx(
             "msg.enqueue",
             Some(id.0),
             target,
-            rule_name.unwrap_or(""),
+            rule_name,
             TraceCtx::new(Some(root), Some(trigger.id.0)),
         );
         // The parsed document rides along so try_process can cache it (and

@@ -1,7 +1,6 @@
 //! End-to-end engine tests: execution model, slicing, retention, errors,
 //! gateways, timers, recovery.
 
-use demaq::engine::PlanMode;
 use demaq::Server;
 use demaq_store::store::SyncPolicy;
 use demaq_store::{LockGranularity, PropValue};
@@ -88,27 +87,50 @@ fn multiple_rules_on_one_queue_all_fire() {
 }
 
 #[test]
-fn merged_plan_mode_equivalent() {
-    for mode in [PlanMode::RuleAtATime, PlanMode::Merged] {
-        let s = Server::builder()
-            .program(
-                r#"
-                create queue q kind basic mode persistent
-                create queue out kind basic mode persistent
-                create rule r1 for q if (//m) then do enqueue <a/> into out
-                create rule r2 for q if (//m) then do enqueue <b/> into out
-                "#,
-            )
-            .in_memory()
-            .sync_policy(SyncPolicy::Batch)
-            .plan_mode(mode)
-            .build()
-            .unwrap();
-        s.enqueue_external("q", "<m/>").unwrap();
-        s.run_until_idle().unwrap();
-        let mut got = s.queue_bodies("out").unwrap();
-        got.sort();
-        assert_eq!(got, ["<a/>", "<b/>"], "mode {mode:?}");
+fn queue_rules_evaluate_a_shared_path_once_per_message() {
+    let s = server(
+        r#"
+        create queue q kind basic mode persistent
+        create queue out kind basic mode persistent
+        create rule r1 for q if (count(/m/i) > 1) then do enqueue <a n="{count(/m/i)}"/> into out
+        create rule r2 for q if (count(/m/i) > 2) then do enqueue <b n="{count(/m/i)}"/> into out
+        "#,
+    );
+    assert_eq!(s.app().queues["q"].shared.len(), 1);
+    s.enqueue_external("q", "<m><i/><i/><i/></m>").unwrap();
+    s.enqueue_external("q", "<m><i/><i/></m>").unwrap();
+    s.run_until_idle().unwrap();
+    let mut got = s.queue_bodies("out").unwrap();
+    got.sort();
+    assert_eq!(got, [r#"<a n="2"/>"#, r#"<a n="3"/>"#, r#"<b n="3"/>"#]);
+    // `count(/m/i)` is evaluated by r1's condition and then read from the
+    // memo: by r1's body, r2's condition and, on the first message, r2's
+    // body.
+    let counter = |name| s.metrics().registry.counter_total(name);
+    assert_eq!(counter("demaq_xquery_shared_evals_total"), 2);
+    assert_eq!(counter("demaq_xquery_shared_reuses_total"), 5);
+    assert!(counter("demaq_xquery_path_steps_total") > 0);
+    // Each rule keeps its own profile: evaluations, and what it produced.
+    let profiles = s.rule_profiles();
+    let profile = |rule: &str| {
+        let p = profiles.iter().find(|p| p.rule == rule).unwrap();
+        (p.fires, p.messages_produced)
+    };
+    assert_eq!(profile("r1"), (2, 2));
+    assert_eq!(profile("r2"), (2, 1));
+    // And each produced message names the rule that created it.
+    let creators: Vec<_> = s
+        .queue_messages("out")
+        .unwrap()
+        .iter()
+        .map(|m| m.prop("creatingRule").cloned())
+        .collect();
+    assert_eq!(creators.len(), 3);
+    for rule in ["r1", "r2"] {
+        assert!(
+            creators.contains(&Some(PropValue::Str(rule.into()))),
+            "{creators:?}"
+        );
     }
 }
 

@@ -317,7 +317,11 @@ impl Expr {
     /// Walk the expression tree, applying `f` to every node (pre-order).
     pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
-        let mut go = |e: &Expr| e.visit(f);
+        self.for_each_child(|e| e.visit(f));
+    }
+
+    /// Apply `go` to each direct subexpression, in source order.
+    pub fn for_each_child<'e>(&'e self, mut go: impl FnMut(&'e Expr)) {
         match self {
             Expr::Sequence(es) => es.iter().for_each(&mut go),
             Expr::FunctionCall { args, .. } => args.iter().for_each(&mut go),

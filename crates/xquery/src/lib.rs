@@ -33,6 +33,7 @@ pub mod lexer;
 pub mod parser;
 pub mod plan;
 mod semantics;
+pub mod share;
 pub mod update;
 pub mod value;
 
@@ -43,7 +44,7 @@ pub use ast::Expr;
 pub use context::{DynamicContext, HostFunctions, NoHost};
 pub use error::{Error, Result};
 pub use parser::{parse_expr, parse_expr_prefix};
-pub use plan::{fold_boolean, lower, lower_in, Plan, PlanEvaluator};
+pub use plan::{fold_boolean, lower, lower_in, lower_rules, EvalCounts, Plan, PlanEvaluator};
 // Value, constructor and cast semantics, shared with the reference
 // interpreter so that it does not re-implement them.
 pub use semantics::*;

@@ -1,7 +1,7 @@
 //! Lowered execution plans.
 //!
 //! [`lower`] compiles an [`Expr`] tree (the output of the Demaq rule
-//! compiler's `compile`/`merge` stages, paper Sec. 4.4.1) into a [`Plan`]:
+//! compiler's `compile` stage, paper Sec. 4.4.1) into a [`Plan`]:
 //! the same operator tree, but with every name resolved ahead of time so
 //! the per-message hot path does no string work:
 //!
@@ -16,7 +16,11 @@
 //! * paths in effective-boolean-value position (trigger conditions,
 //!   `where` clauses, quantifier bodies) become [`Plan::Exists`], which
 //!   stops at the first matching node instead of materializing and
-//!   sorting the full node sequence.
+//!   sorting the full node sequence,
+//! * [`lower_rules`] lowers a queue's rule bodies against one table of the
+//!   message-only subexpressions they share ([`crate::share`]): every
+//!   occurrence becomes [`Plan::Shared`], which the evaluator computes once
+//!   per message.
 //!
 //! [`PlanEvaluator`] is the only evaluator in the shipped crates: the
 //! engine's rule bodies and property bindings, [`eval_query`](crate::eval_query)
@@ -334,6 +338,9 @@ pub enum Plan {
         spec: Arc<AggregateSpec>,
         fallback: Box<Plan>,
     },
+    /// Entry `i` of the queue's shared-subexpression table: evaluated on
+    /// first read, then answered from the evaluator's per-message memo.
+    Shared(usize),
 }
 
 impl Plan {
@@ -373,12 +380,33 @@ pub fn lower(expr: &Expr) -> Plan {
 /// (structurally equal shapes share one [`AggId`] across every plan
 /// lowered into the same catalog). Also returns the ids the plan reads.
 pub fn lower_in(expr: &Expr, catalog: &mut AggCatalog) -> (Plan, Vec<AggId>) {
+    lower_sharing(expr, &[], catalog)
+}
+
+/// Lower the rule bodies of one queue against the table of subexpressions
+/// they share ([`crate::share`]). Returns each body's plan and aggregate
+/// ids, and the lowered table that their [`Plan::Shared`] nodes index.
+pub fn lower_rules(
+    bodies: &[Expr],
+    catalog: &mut AggCatalog,
+) -> (Vec<(Plan, Vec<AggId>)>, Vec<Plan>) {
+    let table = crate::share::shared_subexpressions(bodies);
+    let plans = bodies
+        .iter()
+        .map(|b| lower_sharing(b, &table, catalog))
+        .collect();
+    // An entry may read smaller entries, never itself: its own root is
+    // lowered as is.
+    let shared = table
+        .iter()
+        .map(|e| Lowerer::new(&table, catalog).lower_node(e))
+        .collect();
+    (plans, shared)
+}
+
+fn lower_sharing(expr: &Expr, shared: &[Expr], catalog: &mut AggCatalog) -> (Plan, Vec<AggId>) {
     PLANS_LOWERED.fetch_add(1, AtomicOrdering::Relaxed);
-    let mut lowerer = Lowerer {
-        scope: Vec::new(),
-        catalog,
-        reads: Vec::new(),
-    };
+    let mut lowerer = Lowerer::new(shared, catalog);
     let plan = lowerer.lower(expr);
     let mut reads = lowerer.reads;
     reads.sort_unstable();
@@ -389,12 +417,13 @@ pub fn lower_in(expr: &Expr, catalog: &mut AggCatalog) -> (Plan, Vec<AggId>) {
 /// Lower a member-local guard predicate (aggregate recognition): no
 /// counter bump, no aggregate numbering — a guard reads no `qs:` source.
 pub(crate) fn lower_unnumbered(expr: &Expr) -> Plan {
-    Lowerer {
-        scope: Vec::new(),
-        catalog: &mut AggCatalog::default(),
-        reads: Vec::new(),
-    }
-    .lower(expr)
+    Lowerer::new(&[], &mut AggCatalog::default()).lower(expr)
+}
+
+/// Whether `e`, read as an effective boolean value, lowers to
+/// [`Plan::Exists`].
+pub(crate) fn lowers_to_exists(e: &Expr) -> bool {
+    matches!(e, Expr::Path { steps, .. } if existence_chain(steps).is_some())
 }
 
 struct Lowerer<'c> {
@@ -403,10 +432,43 @@ struct Lowerer<'c> {
     catalog: &'c mut AggCatalog,
     /// Aggregate ids emitted so far.
     reads: Vec<AggId>,
+    /// The queue's shared subexpressions; an occurrence evaluated with the
+    /// initial focus lowers to [`Plan::Shared`].
+    shared: &'c [Expr],
+    /// Whether the node being lowered sees the initial focus.
+    root_focus: bool,
 }
 
-impl Lowerer<'_> {
+impl<'c> Lowerer<'c> {
+    fn new(shared: &'c [Expr], catalog: &'c mut AggCatalog) -> Self {
+        Lowerer {
+            scope: Vec::new(),
+            catalog,
+            reads: Vec::new(),
+            shared,
+            root_focus: true,
+        }
+    }
+
     fn lower(&mut self, e: &Expr) -> Plan {
+        if self.root_focus {
+            if let Some(i) = self.shared.iter().position(|s| s == e) {
+                return Plan::Shared(i);
+            }
+        }
+        self.lower_node(e)
+    }
+
+    /// Lower a subexpression evaluated with a focus of its own (a path
+    /// step, a predicate).
+    fn lower_refocused(&mut self, e: &Expr) -> Plan {
+        let outer = std::mem::replace(&mut self.root_focus, false);
+        let plan = self.lower(e);
+        self.root_focus = outer;
+        plan
+    }
+
+    fn lower_node(&mut self, e: &Expr) -> Plan {
         match e {
             Expr::StringLit(s) => Plan::Const(Sequence::str(s.clone())),
             Expr::IntLit(i) => Plan::Const(Sequence::int(*i)),
@@ -452,7 +514,7 @@ impl Lowerer<'_> {
             }
             Expr::Path { root, steps } => Plan::Path {
                 root: *root,
-                steps: steps.iter().map(|s| self.lower(s)).collect(),
+                steps: steps.iter().map(|s| self.lower_refocused(s)).collect(),
             },
             Expr::Step {
                 axis,
@@ -461,11 +523,11 @@ impl Lowerer<'_> {
             } => Plan::Step {
                 axis: *axis,
                 test: lower_test(test),
-                predicates: predicates.iter().map(|p| self.lower(p)).collect(),
+                predicates: predicates.iter().map(|p| self.lower_refocused(p)).collect(),
             },
             Expr::Filter { base, predicates } => Plan::Filter {
                 base: Box::new(self.lower(base)),
-                predicates: predicates.iter().map(|p| self.lower(p)).collect(),
+                predicates: predicates.iter().map(|p| self.lower_refocused(p)).collect(),
             },
             Expr::RelativePath {
                 base,
@@ -473,7 +535,7 @@ impl Lowerer<'_> {
                 descend,
             } => Plan::RelativePath {
                 base: Box::new(self.lower(base)),
-                step: Box::new(self.lower(step)),
+                step: Box::new(self.lower_refocused(step)),
                 descend: *descend,
             },
             Expr::Or(a, b) => {
@@ -537,8 +599,8 @@ impl Lowerer<'_> {
             Expr::If { cond, then, els } => {
                 let c = self.lower_ebv(cond);
                 if let Some(cb) = const_ebv(&c) {
-                    // Dead-branch elimination: trigger conditions of merged
-                    // rules are often decided at compile time.
+                    // Dead-branch elimination: a trigger condition can be
+                    // decided at compile time (an inlined fixed property).
                     return if cb {
                         self.lower(then)
                     } else {
@@ -798,6 +860,21 @@ fn fold_neg(inner: &Plan) -> Option<Plan> {
 
 const MAX_DEPTH: u32 = 512;
 
+/// What one evaluator has done: deterministic work counts the engine adds
+/// to its registry once per message.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct EvalCounts {
+    /// Path steps applied, one per (step, context item) pair of a full
+    /// path evaluation (`demaq_xquery_path_steps_total`). Existence tests
+    /// count in `demaq_xquery_ebv_short_circuits_total` instead.
+    pub path_steps: u64,
+    /// Shared subexpressions evaluated (`demaq_xquery_shared_evals_total`).
+    pub shared_evals: u64,
+    /// Shared subexpression reads answered from the memo
+    /// (`demaq_xquery_shared_reuses_total`).
+    pub shared_reuses: u64,
+}
+
 /// Evaluator for lowered plans. The environment is a slot frame, not a
 /// name-searched binding list.
 pub struct PlanEvaluator<'a> {
@@ -807,15 +884,29 @@ pub struct PlanEvaluator<'a> {
     /// Pending update list produced by updating expressions.
     pub updates: Vec<Update>,
     depth: u32,
+    /// The shared-subexpression table [`Plan::Shared`] indexes, and the
+    /// values computed so far. One evaluator serves one message.
+    shared: &'a [Plan],
+    memo: Vec<Option<Sequence>>,
+    pub counts: EvalCounts,
 }
 
 impl<'a> PlanEvaluator<'a> {
     pub fn new(dctx: &'a DynamicContext) -> Self {
+        Self::with_shared(dctx, &[])
+    }
+
+    /// An evaluator for the plans of one queue's rules over one message:
+    /// `shared` is the queue's lowered table (see [`lower_rules`]).
+    pub fn with_shared(dctx: &'a DynamicContext, shared: &'a [Plan]) -> Self {
         PlanEvaluator {
             dctx,
             frame: Vec::new(),
             updates: Vec::new(),
             depth: 0,
+            shared,
+            memo: vec![None; shared.len()],
+            counts: EvalCounts::default(),
         }
     }
 
@@ -1140,6 +1231,25 @@ impl<'a> PlanEvaluator<'a> {
                 Some(r) => r,
                 None => self.eval(fallback, focus),
             },
+            Plan::Shared(i) => {
+                if let Some(Some(v)) = self.memo.get(*i) {
+                    self.counts.shared_reuses += 1;
+                    return Ok(v.clone());
+                }
+                let shared = self.shared;
+                let entry = shared
+                    .get(*i)
+                    .ok_or_else(|| Error::dynamic("shared subexpression outside the table"))?;
+                // An entry binds no outer variable: it runs on a frame of its
+                // own. An error is not memoized; it fails the rule.
+                let outer = std::mem::take(&mut self.frame);
+                let v = self.eval(entry, focus);
+                self.frame = outer;
+                let v = v?;
+                self.counts.shared_evals += 1;
+                self.memo[*i] = Some(v.clone());
+                Ok(v)
+            }
         }
     }
 
@@ -1154,6 +1264,7 @@ impl<'a> PlanEvaluator<'a> {
             let is_last = idx + 1 == steps.len();
             let context = if idx == 0 { start } else { &current.0 };
             let size = context.len();
+            self.counts.path_steps += size as u64;
             let mut result = Vec::new();
             for (i, item) in context.iter().enumerate() {
                 match (step, item) {
@@ -1626,5 +1737,37 @@ mod tests {
             }
         }
         assert!(no_exists_in_predicates(&plan));
+    }
+
+    #[test]
+    fn shared_entries_are_computed_once_and_agree_with_standalone_plans() {
+        // `count(/o/i)` is shared by the first two bodies, and `/o/i` also
+        // by the third, so the `count` entry reads the `/o/i` entry. The
+        // second body reads a shared entry from inside a FLWOR whose own
+        // slots the entry, with a FLWOR of its own, must not see.
+        let bodies: Vec<Expr> = [
+            "<a n='{count(/o/i)}'/>",
+            "for $x in (1, 2) return ($x + count(/o/i), sum(for $i in /o/i return $i/@v))",
+            "(/o/i/@v, sum(for $i in /o/i return $i/@v))",
+        ]
+        .iter()
+        .map(|b| parse_expr(b).unwrap())
+        .collect();
+        let (plans, shared) = lower_rules(&bodies, &mut AggCatalog::default());
+        assert_eq!(shared.len(), 3, "{shared:?}");
+        let d = demaq_xml::parse("<o><i v='1'/><i v='2'/><i v='4'/></o>").unwrap();
+        let dctx = DynamicContext::default();
+        let mut ev = PlanEvaluator::with_shared(&dctx, &shared);
+        for (body, (plan, _)) in bodies.iter().zip(&plans) {
+            let got = ev.eval_with_context(plan, d.root()).unwrap();
+            let want = PlanEvaluator::new(&dctx)
+                .eval_with_context(&lower(body), d.root())
+                .unwrap();
+            assert_eq!(got.to_string(), want.to_string());
+        }
+        // Each entry is evaluated once. The memo answers `count` for both
+        // `$x`, the `sum` for the second `$x` and the third body, and
+        // `/o/i` when the `sum` entry reads it.
+        assert_eq!((ev.counts.shared_evals, ev.counts.shared_reuses), (3, 5));
     }
 }

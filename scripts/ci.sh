@@ -70,6 +70,18 @@ DEMAQ_E9_SMOKE=1 cargo bench --offline -p demaq-bench --bench e9_group_commit
 mkdir -p target/metrics
 cp -f crates/bench/target/metrics/e9_group_commit.prom target/metrics/ 2>/dev/null || true
 
+echo "== bench smoke: E6 shared subexpressions =="
+# Asserts one shared evaluation per message for every rule count
+# internally; the gate re-checks the exposition so a queue whose rules
+# silently stopped sharing fails CI.
+DEMAQ_E6_SMOKE=1 cargo bench --offline -p demaq-bench --bench e6_rule_compiler
+cp -f crates/bench/target/metrics/e6_rule_compiler.prom target/metrics/ 2>/dev/null || true
+awk '$1 == "demaq_xquery_shared_reuses_total" { reuses = $2 }
+     END { if (reuses + 0 <= 0) {
+               print "e6: no shared subexpression was reused (reuses=" reuses ")"; exit 1 }
+           print "e6: shared_reuses=" reuses }' \
+    target/metrics/e6_rule_compiler.prom
+
 echo "== bench smoke: E10 document/slice-sequence cache =="
 # Asserts linear parse shape and live hit traffic internally; the gate
 # below re-checks the exposition so a silently-disabled cache fails CI.

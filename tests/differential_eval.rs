@@ -9,14 +9,18 @@
 //! [`QsHost`] over the server's committed state: their pending-update
 //! lists (or error texts) must be identical, a rule the trigger prefilter
 //! skips must have no effects under the reference, and the same holds for
-//! the property `value` bindings of every message entering a queue. The
+//! the property `value` bindings of every message entering a queue. As in
+//! the engine, a message's queue rules run in program order on one
+//! [`PlanEvaluator`], so the queue's shared subexpressions are computed
+//! once and then read from its memo; the reference runs each body alone.
+//! The
 //! reference outcome then predicts the step — the payloads enqueued, or
 //! the `<detail>` of the routed error document, byte for byte. Scenarios:
 //! every paper listing in `tests/paper_listings.rs` (Figs. 5–10 /
-//! Examples 3.1–3.5) plus error-raising rule bodies and bindings.
+//! Examples 3.1–3.5), error-raising rule bodies and bindings, and shared
+//! subexpressions (an error first raised in a later rule, a read only a
+//! skipped rule makes, a repeat inside one rule).
 
-use demaq::compiler::merge_rules;
-use demaq::engine::PlanMode;
 use demaq::host::{atomic_to_prop, ClockHost, QsHost, QueueReader, SliceCtx};
 use demaq::{Server, ServerBuilder};
 use demaq_qdl::PropBinding;
@@ -50,12 +54,11 @@ fn reference(body: &Expr, dctx: &DynamicContext, root: &NodeRef) -> Evaluated {
     Ok((value, std::mem::take(&mut ev.updates)))
 }
 
-fn lowered(plan: &Plan, dctx: &DynamicContext, root: &NodeRef) -> Evaluated {
-    let mut ev = PlanEvaluator::new(dctx);
-    let value = ev
-        .eval_with_context(plan, root.clone())
-        .map_err(|e| e.to_string())?;
-    Ok((value, std::mem::take(&mut ev.updates)))
+/// Run `plan` on `ev`; the updates of a failed evaluation are dropped.
+fn lowered(ev: &mut PlanEvaluator, plan: &Plan, root: &NodeRef) -> Evaluated {
+    let value = ev.eval_with_context(plan, root.clone());
+    let updates = std::mem::take(&mut ev.updates);
+    Ok((value.map_err(|e| e.to_string())?, updates))
 }
 
 fn parse_root(xml: &str) -> NodeRef {
@@ -109,17 +112,19 @@ impl Harness<'_> {
         }))
     }
 
-    /// Run `body` and `plan` under the same host; their pending updates
-    /// (or error texts) must agree. Returns the reference's.
+    /// Run `body` under the host the plan ran under; its pending updates
+    /// (or error text) and the plan's, `got`, must agree. Returns the
+    /// reference's.
     fn both(
         &self,
         what: &str,
-        (body, plan): (&Expr, &Plan),
+        body: &Expr,
+        got: Evaluated,
         dctx: &DynamicContext,
         root: &NodeRef,
     ) -> Result<Vec<Update>, String> {
         let want = reference(body, dctx, root).map(|(_, ups)| ups);
-        let got = lowered(plan, dctx, root).map(|(_, ups)| ups);
+        let got = got.map(|(_, ups)| ups);
         assert_eq!(
             got.as_deref().map(render),
             want.as_deref().map(render),
@@ -145,7 +150,8 @@ impl Harness<'_> {
                 continue;
             };
             let want = reference(&binding.value, &dctx, root).map(bound);
-            let got = lowered(&app.prop_bindings[&prop.name][queue], &dctx, root).map(bound);
+            let plan = &app.prop_bindings[&prop.name][queue];
+            let got = lowered(&mut PlanEvaluator::new(&dctx), plan, root).map(bound);
             assert_eq!(
                 got, want,
                 "{}: `{}` on `{queue}` diverged",
@@ -176,8 +182,10 @@ impl Harness<'_> {
         let cq = &app.queues[queue];
         let mut outcomes = Vec::new();
         let dctx = self.rule_dctx(id, &root, None);
+        let mut ev = PlanEvaluator::with_shared(&dctx, &cq.shared);
         for rule in &cq.rules {
-            let outcome = self.both(&rule.name, (&rule.body, &rule.plan), &dctx, &root);
+            let got = lowered(&mut ev, &rule.plan, &root);
+            let outcome = self.both(&rule.name, &rule.body, got, &dctx, &root);
             // The string form of the prefilter; the engine probes symbols.
             // A skipped rule contributes nothing, so the prediction below
             // need not know which rules the engine skipped.
@@ -192,17 +200,12 @@ impl Harness<'_> {
             }
             outcomes.push(outcome);
         }
-        // `PlanMode::Merged` runs the concatenation instead, to the same
-        // effect as the rules one at a time.
-        if let Some(plan) = &cq.merged_plan {
-            let body = merge_rules(&cq.rules).expect("a merged plan has a merged body");
-            self.both("<merged-plan>", (&body, plan), &dctx, &root).ok();
-        }
         for (pname, key) in &meta.props {
             for sname in app.slicings_by_property.get(pname).into_iter().flatten() {
                 let dctx = self.rule_dctx(id, &root, Some((sname, key)));
                 for rule in &app.slicings[sname].rules {
-                    outcomes.push(self.both(&rule.name, (&rule.body, &rule.plan), &dctx, &root));
+                    let got = lowered(&mut PlanEvaluator::new(&dctx), &rule.plan, &root);
+                    outcomes.push(self.both(&rule.name, &rule.body, got, &dctx, &root));
                 }
             }
         }
@@ -309,12 +312,11 @@ impl Harness<'_> {
 
 /// Run the scenario under the oracle; returns the server for
 /// scenario-specific assertions.
-fn run(s: &Scenario, mode: PlanMode) -> Server {
+fn assert_equivalent(s: &Scenario) -> Server {
     let mut b = ServerBuilder::default()
         .program(s.program)
         .in_memory()
-        .sync_policy(SyncPolicy::Batch)
-        .plan_mode(mode);
+        .sync_policy(SyncPolicy::Batch);
     let mut collections = HashMap::new();
     for (name, docs) in &s.collections {
         b = b.collection(name, docs.clone());
@@ -330,10 +332,6 @@ fn run(s: &Scenario, mode: PlanMode) -> Server {
         h.feed(queue, xml);
     }
     server
-}
-
-fn assert_equivalent(s: &Scenario) -> Server {
-    run(s, PlanMode::RuleAtATime)
 }
 
 #[test]
@@ -614,30 +612,128 @@ fn trigger_filter_parity() {
     );
 }
 
-/// Merged per-queue canonical plans (paper Sec. 4.4.1) must agree with the
-/// reference interpreter running the same merged expression.
+fn shared_counts(server: &Server) -> (u64, u64) {
+    let counter = |name| server.metrics().registry.counter_total(name);
+    (
+        counter("demaq_xquery_shared_evals_total"),
+        counter("demaq_xquery_shared_reuses_total"),
+    )
+}
+
+/// A shared subexpression raises for the first time in the second rule,
+/// which has an error queue of its own: the error routes there with the
+/// reference's `<detail>`. Raised first in the first rule, it routes to the
+/// queue's error queue instead.
 #[test]
-fn merged_plan_mode_parity() {
-    let server = run(
-        &Scenario {
-            name: "merged-plan",
-            program: r#"
-            create queue inbox kind basic mode persistent
-            create queue outbox kind basic mode persistent
-            create rule first for inbox
-              if (//a) then do enqueue <fromA/> into outbox
-            create rule second for inbox
-              if (//b) then do enqueue <fromB/> into outbox
-            "#,
-            collections: vec![],
-            feed: vec![("inbox", "<m><a/></m>"), ("inbox", "<m><b/><a/></m>")],
-        },
-        PlanMode::Merged,
-    );
-    assert!(server.app().queues["inbox"].merged_plan.is_some());
+fn shared_errors_route_from_the_rule_that_reads_first() {
+    let server = assert_equivalent(&Scenario {
+        name: "shared-error",
+        program: r#"
+        create queue inbox kind basic mode persistent errorqueue errs
+        create queue outbox kind basic mode persistent
+        create queue errs kind basic mode persistent
+        create queue secondErrs kind basic mode persistent
+        create rule first for inbox
+          if (//first) then do enqueue <a>{xs:integer(/m/v) + 1}</a> into outbox
+        create rule second for inbox errorqueue secondErrs
+          if (xs:integer(/m/v) + 1 > 0) then do enqueue <b/> into outbox
+        "#,
+        collections: vec![],
+        feed: vec![
+            ("inbox", "<m><first/><v>1</v></m>"),
+            ("inbox", "<m><v>x</v></m>"),
+            ("inbox", "<m><first/><v>y</v></m>"),
+        ],
+    });
+    assert_eq!(server.app().queues["inbox"].shared.len(), 1);
+    assert_eq!(server.queue_bodies("outbox").unwrap(), ["<a>2</a>", "<b/>"]);
+    assert_eq!(server.queue_bodies("secondErrs").unwrap().len(), 1);
+    assert_eq!(server.queue_bodies("errs").unwrap().len(), 1);
+    // Messages 1 and 3 evaluate the entry in `first`, message 2 in
+    // `second`; only message 1 reads it again. Failed evaluations are not
+    // memoized and not counted.
+    assert_eq!(shared_counts(&server), (1, 1));
+}
+
+/// A shared subexpression whose every reader the trigger pre-filter skips
+/// is never evaluated.
+#[test]
+fn a_shared_read_in_skipped_rules_costs_nothing() {
+    let server = assert_equivalent(&Scenario {
+        name: "shared-skipped",
+        program: r#"
+        create queue inbox kind basic mode persistent
+        create queue outbox kind basic mode persistent
+        create rule hit for inbox
+          if (//present) then do enqueue <hit/> into outbox
+        create rule miss for inbox
+          if (//absentElement) then
+            do enqueue <miss n="{count(/m/i)}" k="{count(/m/i)}"/> into outbox
+        "#,
+        collections: vec![],
+        feed: vec![("inbox", "<m><present/><i/></m>")],
+    });
+    assert_eq!(server.app().queues["inbox"].shared.len(), 1);
+    assert_eq!(server.queue_bodies("outbox").unwrap(), ["<hit/>"]);
+    assert_eq!(shared_counts(&server), (0, 0));
+}
+
+/// A repeat inside one rule is shared, also where it sits inside a FLWOR
+/// whose own variables it does not read.
+#[test]
+fn a_repeat_inside_one_rule_is_evaluated_once() {
+    let server = assert_equivalent(&Scenario {
+        name: "shared-single-rule",
+        program: r#"
+        create queue inbox kind basic mode persistent
+        create queue outbox kind basic mode persistent
+        create rule bulk for inbox
+          if (count(/m/i[q > 6]) >= 2) then
+            for $i in /m/i
+            return do enqueue <o q="{$i/q}" of="{count(/m/i[q > 6])}"/> into outbox
+        "#,
+        collections: vec![],
+        feed: vec![
+            ("inbox", "<m><i><q>7</q></i><i><q>9</q></i></m>"),
+            ("inbox", "<m><i><q>7</q></i><i><q>1</q></i></m>"),
+        ],
+    });
+    assert_eq!(server.app().queues["inbox"].shared.len(), 1);
     assert_eq!(
         server.queue_bodies("outbox").unwrap(),
-        ["<fromA/>", "<fromA/>", "<fromB/>"]
+        [r#"<o q="7" of="2"/>"#, r#"<o q="9" of="2"/>"#]
+    );
+    // One evaluation per message; the first message reads it twice more.
+    assert_eq!(shared_counts(&server), (2, 2));
+}
+
+/// Inside a predicate the focus is another document: a path equal to a
+/// shared one is evaluated there, not read from the memo.
+#[test]
+fn a_shared_path_is_not_substituted_in_a_predicate() {
+    let server = assert_equivalent(&Scenario {
+        name: "shared-refocused",
+        program: r#"
+        create queue invoices kind basic mode persistent
+        create queue finance kind basic mode persistent
+        create queue out kind basic mode persistent
+        create rule check for finance
+          if (//customerID) then
+            do enqueue <r c="{//customerID}" m="{string(//customerID)}"
+              hits="{string-join(qs:queue('invoices')[//customerID = 'c1']//customerID, ',')}"/>
+              into out
+        "#,
+        collections: vec![],
+        feed: vec![
+            ("invoices", "<invoice><customerID>c1</customerID></invoice>"),
+            ("invoices", "<invoice><customerID>c2</customerID></invoice>"),
+            ("finance", "<req><customerID>c2</customerID></req>"),
+        ],
+    });
+    assert_eq!(server.app().queues["finance"].shared.len(), 1);
+    assert_eq!(
+        server.queue_bodies("out").unwrap(),
+        [r#"<r c="c2" m="c2" hits="c1"/>"#]
     );
 }
 

@@ -392,3 +392,50 @@ fn tracer_records_message_lifecycle() {
         assert!(!ev.render().contains('\n'));
     }
 }
+
+/// The rule evaluators' work counters, against counts worked out from the
+/// program: two rules on `orders` share `/order/qty` (both conditions) and
+/// `string(/order/id)` (both bodies). Per order, the first condition
+/// evaluates `/order/qty` and the second reads it from the memo; the one
+/// rule that fires evaluates `string(/order/id)`. Each shared path takes
+/// two steps (`order`, then its child), and `out` has no rules.
+#[test]
+fn rule_evaluation_counters_match_the_program() {
+    let server = Server::builder()
+        .program(
+            r#"
+            create queue orders kind basic mode persistent
+            create queue out kind basic mode persistent
+            create rule big for orders
+              if (/order/qty > 10) then do enqueue <big>{string(/order/id)}</big> into out
+            create rule small for orders
+              if (/order/qty <= 10) then do enqueue <small>{string(/order/id)}</small> into out
+            "#,
+        )
+        .in_memory()
+        .sync_policy(SyncPolicy::Batch)
+        .build()
+        .unwrap();
+    for (id, qty) in [(1, 5), (2, 50), (3, 10)] {
+        server
+            .enqueue_external(
+                "orders",
+                &format!("<order><id>{id}</id><qty>{qty}</qty></order>"),
+            )
+            .unwrap();
+    }
+    server.run_until_idle().unwrap();
+    assert_eq!(server.queue_bodies("out").unwrap().len(), 3);
+
+    let text = server.metrics_text();
+    let sample = |name: &str| -> u64 {
+        let line = text
+            .lines()
+            .find(|l| l.split(' ').next() == Some(name))
+            .unwrap_or_else(|| panic!("{name} missing from the exposition"));
+        line.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    assert_eq!(sample("demaq_xquery_shared_evals_total"), 3 * 2);
+    assert_eq!(sample("demaq_xquery_shared_reuses_total"), 3);
+    assert_eq!(sample("demaq_xquery_path_steps_total"), 3 * 2 * 2);
+}
