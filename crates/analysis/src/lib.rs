@@ -994,8 +994,7 @@ pub fn analyze(spec: &AppSpec, rules: &[RuleFacts], config: &LintConfig) -> Anal
     // at every N>1, so placement regressions surface at deploy time even
     // when today's deployment is single-shard.
     {
-        let placement =
-            placement::compute_placement(spec, rules, &graph, 2, &BTreeMap::new());
+        let placement = placement::compute_placement(spec, rules, &graph, 2);
         for e in placement::cross_shard_edges(spec, rules, &graph, &placement) {
             emit(
                 LintCode::CrossShardHotEdge,

@@ -166,14 +166,12 @@ fn rule_sources(spec: &AppSpec, rules: &[RuleFacts], r: &RuleFacts) -> Vec<Strin
 /// group is key-partitioned iff the application has exactly one slicing
 /// key, and the group contains only basic queues none of which is read
 /// across queues; otherwise the group is pinned to one shard,
-/// round-robin over groups in deterministic (name) order. `overrides`
-/// pin individual queues last and win over the computed placement.
+/// round-robin over groups in deterministic (name) order.
 pub fn compute_placement(
     spec: &AppSpec,
     rules: &[RuleFacts],
     graph: &FlowGraph,
     shards: usize,
-    overrides: &BTreeMap<String, usize>,
 ) -> Placement {
     let shards = shards.max(1);
     let mut queues: BTreeMap<String, QueuePlacement> = BTreeMap::new();
@@ -263,9 +261,6 @@ pub fn compute_placement(
             };
             queues.insert(name, p);
         }
-    }
-    for (q, s) in overrides {
-        queues.insert(q.clone(), QueuePlacement::Fixed(s % shards));
     }
     Placement { shards, queues }
 }
@@ -403,7 +398,7 @@ mod tests {
             .map(|r| RuleFacts::from_rule(r, &spec))
             .collect();
         let graph = FlowGraph::build(&spec, &facts);
-        let p = compute_placement(&spec, &facts, &graph, shards, &BTreeMap::new());
+        let p = compute_placement(&spec, &facts, &graph, shards);
         (spec, facts, p)
     }
 
@@ -498,22 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn overrides_pin_individual_queues() {
-        let spec = parse_program(KEYED_PIPELINE).unwrap();
-        let facts: Vec<RuleFacts> = spec
-            .rules
-            .iter()
-            .map(|r| RuleFacts::from_rule(r, &spec))
-            .collect();
-        let graph = FlowGraph::build(&spec, &facts);
-        let mut ov = BTreeMap::new();
-        ov.insert("done".to_string(), 3usize);
-        let p = compute_placement(&spec, &facts, &graph, 4, &ov);
-        assert_eq!(p.queues.get("done"), Some(&QueuePlacement::Fixed(3)));
-        assert_eq!(p.key_property("intake"), Some("lane"));
-    }
-
-    #[test]
     fn inherited_key_chain_has_no_cross_shard_edges() {
         let (spec, facts, p) = place(KEYED_PIPELINE, 4);
         let graph = FlowGraph::build(&spec, &facts);
@@ -543,17 +522,10 @@ mod tests {
     }
 
     #[test]
-    fn override_split_chain_is_flagged() {
-        let spec = parse_program(KEYED_PIPELINE).unwrap();
-        let facts: Vec<RuleFacts> = spec
-            .rules
-            .iter()
-            .map(|r| RuleFacts::from_rule(r, &spec))
-            .collect();
+    fn a_pinned_queue_inside_a_keyed_chain_is_flagged() {
+        let (spec, facts, mut p) = place(KEYED_PIPELINE, 4);
+        p.queues.insert("enriched".to_string(), QueuePlacement::Fixed(2));
         let graph = FlowGraph::build(&spec, &facts);
-        let mut ov = BTreeMap::new();
-        ov.insert("enriched".to_string(), 2usize);
-        let p = compute_placement(&spec, &facts, &graph, 4, &ov);
         let edges = cross_shard_edges(&spec, &facts, &graph, &p);
         // intake→enriched (ByKey→Fixed) and enriched→done (Fixed→ByKey).
         assert_eq!(edges.len(), 2, "got: {edges:?}");

@@ -26,14 +26,17 @@ use demaq::Server;
 use demaq_store::store::SyncPolicy;
 
 /// One slice that every message joins; the rule forces a full slice
-/// materialization per processing without ever firing its action.
+/// materialization per processing without ever firing its action. The
+/// read is positional, not an aggregate: the E14 registry answers
+/// `count(qs:slice())` without materializing the slice at all, which
+/// would leave the caches under measurement with no traffic.
 const JOIN_PROGRAM: &str = r#"
     create queue parts kind basic mode persistent
     create queue alerts kind basic mode persistent
     create property rid as xs:string fixed queue parts value //@rid
     create slicing byRid on rid
     create rule join for byRid
-      if (count(qs:slice()) >= 1000000) then
+      if (qs:slice()[1000000]) then
         do enqueue <overflow>{qs:slicekey()}</overflow> into alerts
 "#;
 
@@ -42,16 +45,10 @@ fn smoke() -> bool {
 }
 
 fn build_server() -> Server {
-    // The E14 aggregate registry answers this rule's membership-only
-    // `count` without materializing the slice at all, which would leave
-    // the caches under measurement with zero traffic. E10 isolates the
-    // cache layer, so it pins the pre-registry engine shape; the
-    // registry's own win over this exact workload is measured by E14.
     Server::builder()
         .program(JOIN_PROGRAM)
         .in_memory()
         .sync_policy(SyncPolicy::Batch)
-        .incremental_aggregates(false)
         .build()
         .expect("valid program")
 }

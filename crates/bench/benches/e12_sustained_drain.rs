@@ -25,6 +25,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use demaq::Server;
 use demaq_bench::report::BenchReport;
+use demaq_obs::Obs;
 use demaq_store::store::SyncPolicy;
 use std::time::Instant;
 use tempfile::TempDir;
@@ -72,7 +73,7 @@ fn build_server(dir: &TempDir) -> Server {
         // The full run emits ~12k trace events (3 stages × 2048 messages,
         // enqueue + process each); the 4096 default ring dropped 8192 of
         // them, leaving no usable tail.
-        .trace_capacity(32768)
+        .obs(Obs::with_trace_capacity(32768))
         .build()
         .expect("valid program")
 }

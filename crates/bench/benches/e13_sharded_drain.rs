@@ -41,6 +41,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use demaq::{Server, ShardedServer};
 use demaq_bench::report::BenchReport;
+use demaq_obs::Obs;
 use demaq_store::store::SyncPolicy;
 use demaq_xquery::Atomic;
 use std::time::Instant;
@@ -93,7 +94,7 @@ fn build_server(dir: &TempDir, shards: usize) -> ShardedServer {
         .program(PIPELINE)
         .dir(dir.path())
         .sync_policy(sync)
-        .trace_capacity(32768)
+        .obs(Obs::with_trace_capacity(32768))
         .shards(shards)
         .build()
         .expect("valid program")

@@ -426,13 +426,9 @@ pub struct ServerBuilder {
     wsdl_files: HashMap<String, String>,
     collections: HashMap<String, Vec<Arc<Document>>>,
     pub(crate) server_addr: String,
-    pub(crate) start_time_ms: i64,
     pub(crate) obs: Option<Arc<Obs>>,
     doc_cache_budget: usize,
-    incremental_aggregates: bool,
-    static_retention: bool,
     strict_analysis: StrictAnalysis,
-    pub(crate) trace_capacity: Option<usize>,
     /// Base added to freshly allocated message ids (shard `i` of a
     /// [`crate::shard::ShardedServer`] gets `i << 48`, so ids are unique
     /// across shards without coordination).
@@ -464,13 +460,9 @@ impl Default for ServerBuilder {
             wsdl_files: HashMap::new(),
             collections: HashMap::new(),
             server_addr: "demaq://node".into(),
-            start_time_ms: 0,
             obs: None,
             doc_cache_budget: 64 << 20,
-            incremental_aggregates: true,
-            static_retention: true,
             strict_analysis: StrictAnalysis::Warn,
-            trace_capacity: None,
             msg_id_base: 0,
             shard_link: None,
             incoming_gateways: None,
@@ -554,15 +546,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Virtual-clock start (epoch ms).
-    pub fn start_time_ms(mut self, ms: i64) -> Self {
-        self.start_time_ms = ms;
-        self
-    }
-
     /// Use an existing observability context (sharing one registry across
-    /// several servers, or pre-sizing the trace ring). Defaults to a fresh
-    /// [`Obs::new`].
+    /// several servers, or sizing the trace ring with
+    /// [`Obs::with_trace_capacity`]). Defaults to a fresh [`Obs::new`].
     pub fn obs(mut self, obs: Arc<Obs>) -> Self {
         self.obs = Some(obs);
         self
@@ -575,42 +561,10 @@ impl ServerBuilder {
         self
     }
 
-    /// Enable or disable the incremental aggregate registry (materialized
-    /// `count`/`sum`/`min`/`max`/`exists` cells over queues and slices,
-    /// validated by the store's version clocks). Defaults to enabled;
-    /// `false` keeps the reference rescan engine — the differential twin.
-    pub fn incremental_aggregates(mut self, enabled: bool) -> Self {
-        self.incremental_aggregates = enabled;
-        self
-    }
-
-    /// Act on the liveness analysis's retention plan: slices whose read
-    /// shape provably never needs full member history get narrowed during
-    /// GC — aggregate-only slices fold processed members into persisted
-    /// base cells and drop the payloads, bounded-suffix slices keep only
-    /// the proven horizon, unread slices drop processed members outright.
-    /// Defaults to enabled; `false` keeps the reference retain-everything
-    /// behavior — the differential twin. Only effective together with
-    /// [`Self::incremental_aggregates`] (the reference rescan engine must
-    /// see full history to stay a faithful oracle).
-    pub fn static_retention(mut self, enabled: bool) -> Self {
-        self.static_retention = enabled;
-        self
-    }
-
     /// What to do with deploy-time analysis diagnostics. Defaults to
     /// [`StrictAnalysis::Warn`].
     pub fn strict_analysis(mut self, mode: StrictAnalysis) -> Self {
         self.strict_analysis = mode;
-        self
-    }
-
-    /// Capacity of the trace ring (events retained before overwrite).
-    /// Defaults to the [`Obs::new`] default (4096). Ignored when an
-    /// existing observability context is supplied via [`Self::obs`] —
-    /// that context's ring is already sized.
-    pub fn trace_capacity(mut self, events: usize) -> Self {
-        self.trace_capacity = Some(events);
         self
     }
 
@@ -643,15 +597,11 @@ impl ServerBuilder {
     /// must be shared, or fast-forwarding would desynchronize delivery),
     /// else a fresh virtual clock.
     pub(crate) fn pin_environment(&mut self) -> (Arc<Obs>, Clock, Arc<Network>) {
-        let trace_capacity = self.trace_capacity;
-        let obs = self.obs.get_or_insert_with(|| match trace_capacity {
-            Some(events) => Obs::with_trace_capacity(events),
-            None => Obs::new(),
-        });
+        let obs = self.obs.get_or_insert_with(Obs::new);
         let clock = match (&self.clock, &self.network) {
             (Some(c), _) => c.clone(),
             (None, Some(net)) => net.clock().clone(),
-            (None, None) => Clock::virtual_at(self.start_time_ms),
+            (None, None) => Clock::default(),
         };
         self.clock = Some(clock.clone());
         let seed = self.seed;
@@ -738,19 +688,8 @@ impl ServerBuilder {
                 .map(|r| r.name.as_str()),
         );
 
-        // The narrowing sweep and the base-aware read path are one
-        // mechanism: without the incremental registry, reads rescan raw
-        // members and must see full history — so narrowing only
-        // activates when both switches are on.
-        let narrow = if self.static_retention && self.incremental_aggregates {
-            let plans = narrow_plans(&app);
-            (!plans.is_empty()).then_some(plans)
-        } else {
-            None
-        };
-        let agg = self
-            .incremental_aggregates
-            .then(|| Arc::new(AggRegistry::new(&app.aggregates, 4096, &obs)));
+        let narrow = narrow_plans(&app);
+        let agg = Arc::new(AggRegistry::new(&app.aggregates, 4096, &obs));
         let shard = self.shard_link.unwrap_or_else(|| ShardLink::standalone(&obs));
         let server = Server {
             app,
@@ -868,13 +807,12 @@ pub struct Server {
     /// Materialized slice member sequences, validated against the store's
     /// slice version counters.
     slice_seq: Arc<SliceSeqCache>,
-    /// Materialized aggregate cells (ISSUE 9), validated against the same
-    /// version clocks; `None` runs the reference rescan engine.
-    agg: Option<Arc<AggRegistry>>,
+    /// Materialized aggregate cells, validated against the same version
+    /// clocks.
+    agg: Arc<AggRegistry>,
     /// Per-slicing retention narrowing derived from the liveness
-    /// analysis; `None` retains full history (analysis found nothing
-    /// narrowable, or [`ServerBuilder::static_retention`] is off).
-    narrow: Option<HashMap<String, NarrowMode>>,
+    /// analysis; a slicing without an entry retains full history.
+    narrow: HashMap<String, NarrowMode>,
     /// Forwards and gateway sends waiting for their producing commit to
     /// become durable (see [`crate::outbox`]). Always empty unless
     /// `pipelined`.
@@ -1160,10 +1098,8 @@ impl Server {
                     TraceCtx::new(Some(root.unwrap_or(id.0)), parent),
                 );
                 if let Some(doc) = doc {
-                    if self.agg.is_some() {
-                        let aggregates = self.app.contribution_ids(queue, &props);
-                        self.keep_contributions(id, &aggregates, &doc);
-                    }
+                    let aggregates = self.app.contribution_ids(queue, &props);
+                    self.keep_contributions(id, &aggregates, &doc);
                     self.doc_cache.insert(id, doc);
                 }
                 self.sched_push(id, queue, cq.decl.priority);
@@ -1895,19 +1831,17 @@ impl Server {
             let handle = handle.clone();
             Arc::new(move |qname: &str| handle.queue_docs(qname))
         };
-        let agg_reader: Option<crate::host::AggregateReader> = handle.agg.is_some().then(|| {
+        let agg_reader: crate::host::AggregateReader = {
             let handle = handle.clone();
-            let rd: crate::host::AggregateReader =
-                Arc::new(move |id, spec, slice_ctx| handle.aggregate_read(id, spec, slice_ctx));
-            rd
-        });
+            Arc::new(move |id, spec, slice_ctx| handle.aggregate_read(id, spec, slice_ctx))
+        };
         let host = QsHost {
             message: msg_root.clone(),
             properties: meta.props.clone(),
             queue_name: meta.queue.clone(),
             queue_reader,
             slice,
-            agg_reader,
+            agg_reader: Some(agg_reader),
             collections: Arc::clone(&self.collections),
             now_ms: self.clock.now(),
         };
@@ -1921,7 +1855,7 @@ impl Server {
             store: Arc::clone(&self.store),
             cache: Arc::clone(&self.doc_cache),
             slice_seq: Arc::clone(&self.slice_seq),
-            agg: self.agg.clone(),
+            agg: Arc::clone(&self.agg),
         }
     }
 
@@ -2046,10 +1980,7 @@ impl Server {
         // The parsed document rides along so try_process can cache it (and
         // keep its aggregate contributions) once the transaction commits —
         // doing so here would leak state of aborted transactions.
-        let aggregates = match self.agg {
-            Some(_) => self.app.contribution_ids(target, &props),
-            None => Vec::new(),
-        };
+        let aggregates = self.app.contribution_ids(target, &props);
         Ok(EnqueueOutcome::Local(NewMessage {
             id,
             queue: target.to_string(),
@@ -2062,7 +1993,6 @@ impl Server {
     /// computed from the document its enqueue parsed. Runs before the
     /// message is scheduled, so nothing can have purged it yet.
     fn keep_contributions(&self, id: MsgId, aggregates: &[AggId], doc: &Arc<Document>) {
-        let Some(agg) = &self.agg else { return };
         if aggregates.is_empty() {
             return;
         }
@@ -2071,7 +2001,7 @@ impl Server {
             .iter()
             .map(|&a| (a, self.app.aggregates.get(a).contribution(&root)))
             .collect();
-        agg.put_contributions(id, contributions);
+        self.agg.put_contributions(id, contributions);
     }
 
     /// Post-commit side effects of a message landing in `queue`: outgoing
@@ -2345,9 +2275,7 @@ impl Server {
             // entries unreturnable; this releases the memory).
             self.doc_cache.remove_many(&purged);
             self.slice_seq.invalidate_msgs(&purged);
-            if let Some(agg) = &self.agg {
-                agg.forget(&purged);
-            }
+            self.agg.forget(&purged);
         }
         Ok(purged.len())
     }
@@ -2364,9 +2292,8 @@ impl Server {
     /// it. Any fold, decode, or encode error skips the slice — it stays
     /// fully retained, which is always safe.
     fn narrow_retention(&self) -> usize {
-        let Some(plans) = &self.narrow else { return 0 };
         let mut released = 0;
-        for (slicing, mode) in plans {
+        for (slicing, mode) in &self.narrow {
             for key in self.store.slice_keys(slicing) {
                 released += self.narrow_slice(slicing, &key, mode).unwrap_or(0);
             }
@@ -2403,7 +2330,6 @@ impl Server {
             // unchanged (empty unless a past mode change left cells).
             NarrowMode::Suffix(_) => base,
             NarrowMode::Aggregate(aggregates) => {
-                let agg = self.agg.as_ref()?;
                 let handle = self.read_handle();
                 let mut cells = Vec::with_capacity(aggregates.len());
                 for &id in aggregates {
@@ -2415,7 +2341,7 @@ impl Server {
                     };
                     // Fold before purge: every victim is still readable.
                     for &m in &victims {
-                        handle.absorb_member(agg, id, spec, m, &mut acc).ok()?;
+                        handle.absorb_member(id, spec, m, &mut acc).ok()?;
                     }
                     cells.push((sig, acc.encode()?));
                 }
@@ -2520,7 +2446,7 @@ struct ReadHandle {
     store: Arc<MessageStore>,
     cache: Arc<DocCache>,
     slice_seq: Arc<SliceSeqCache>,
-    agg: Option<Arc<AggRegistry>>,
+    agg: Arc<AggRegistry>,
 }
 
 impl ReadHandle {
@@ -2603,7 +2529,10 @@ impl ReadHandle {
         spec: &AggregateSpec,
         slice_ctx: Option<(&str, &PropValue)>,
     ) -> Option<std::result::Result<Sequence, XqError>> {
-        let agg = self.agg.as_ref().filter(|agg| agg.owns(id, spec))?;
+        let agg = &self.agg;
+        if !agg.owns(id, spec) {
+            return None;
+        }
         let scope = match (&spec.source, slice_ctx) {
             (AggSource::Queue(q), _) => AggScope::Queue(q),
             (AggSource::Slice, Some((s, k))) => AggScope::Slice(s, k),
@@ -2651,7 +2580,7 @@ impl ReadHandle {
         // a load or fold error declines (never cached) and the fallback
         // reproduces the identical outcome.
         for &m in &ids {
-            if let Err(e) = self.absorb_member(agg, id, spec, m, &mut acc) {
+            if let Err(e) = self.absorb_member(id, spec, m, &mut acc) {
                 return (read.base_members > 0).then_some(Err(e));
             }
         }
@@ -2675,7 +2604,6 @@ impl ReadHandle {
     /// the read had come later.
     fn absorb_member(
         &self,
-        agg: &AggRegistry,
         id: AggId,
         spec: &AggregateSpec,
         m: MsgId,
@@ -2684,7 +2612,7 @@ impl ReadHandle {
         if spec.membership_only() {
             return acc.absorb(&Contribution::Count(1));
         }
-        if let Some(absorbed) = agg.absorb(m, id, acc) {
+        if let Some(absorbed) = self.agg.absorb(m, id, acc) {
             return absorbed;
         }
         match self.doc_root(m)? {

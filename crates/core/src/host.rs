@@ -126,8 +126,8 @@ pub struct QsHost {
     pub queue_name: String,
     pub queue_reader: QueueReader,
     pub slice: Option<SliceCtx>,
-    /// Incremental aggregate registry hook; `None` when the feature is
-    /// disabled (the rescan twin) or the host has no engine behind it.
+    /// Incremental aggregate registry hook; `None` when the host has no
+    /// engine behind it, so every aggregate read rescans its members.
     pub agg_reader: Option<AggregateReader>,
     /// Master data collections (paper Sec. 3.5.2's `collection("crm")`).
     pub collections: Arc<HashMap<String, Vec<Arc<Document>>>>,

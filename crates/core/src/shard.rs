@@ -41,7 +41,7 @@ use demaq_store::{MsgId, PropValue, StoreError, StoredMessage};
 use demaq_xml::parse as parse_xml;
 use demaq_xquery::Atomic;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -219,7 +219,6 @@ impl ShardLink {
 pub struct ShardedServerBuilder {
     base: ServerBuilder,
     shards: usize,
-    overrides: BTreeMap<String, usize>,
 }
 
 impl ShardedServerBuilder {
@@ -227,15 +226,7 @@ impl ShardedServerBuilder {
         ShardedServerBuilder {
             base,
             shards: shards.max(1),
-            overrides: BTreeMap::new(),
         }
-    }
-
-    /// Pin a queue to a shard, overriding the computed placement
-    /// (shard index taken modulo the shard count).
-    pub fn place_queue(mut self, queue: &str, shard: usize) -> Self {
-        self.overrides.insert(queue.to_string(), shard);
-        self
     }
 
     /// Compile the application once, derive the placement from its flow
@@ -249,13 +240,7 @@ impl ShardedServerBuilder {
         // Compile once: every shard runs the same application, and the
         // placement reads the same facts and flow graph.
         let app = Arc::new(base.compile()?);
-        let placement = compute_placement(
-            &app.spec,
-            &app.facts,
-            &app.analysis.graph,
-            shards,
-            &self.overrides,
-        );
+        let placement = compute_placement(&app.spec, &app.facts, &app.analysis.graph, shards);
         base.compiled = Some(Arc::clone(&app));
 
         // Shared infrastructure: one metric registry + trace ring, one

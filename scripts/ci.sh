@@ -147,8 +147,10 @@ echo "== bench smoke: E14 incremental slice aggregates =="
 # bench asserts the delta/rebuild counter shape internally (deltas linear
 # in N, rebuilds rare, membership-only count answered as hits), and the
 # full-mode run additionally asserts the >=5x end-to-end win over the
-# rescan twin at N=1024 and that a read costs the same at N=1024 as at
-# N=256 (read_ns_large_over_small <= 1.5; smoke only reports it). The
+# rescan program (the same guard with its aggregates in forms the
+# recognizer does not match) at N=1024 and that a read costs the same
+# at N=1024 as at N=256 (read_ns_large_over_small <= 1.5; smoke only
+# reports it). The
 # gate below re-checks the exposition so a silently-disabled registry
 # fails CI.
 DEMAQ_E14_SMOKE=1 cargo bench --offline -p demaq-bench --bench e14_incremental_aggregates
@@ -163,10 +165,11 @@ awk '$1 == "demaq_core_agg_hits_total" { hits = $2 }
 
 echo "== bench smoke: E15 static retention soak =="
 # The liveness plan must actually narrow: the soak asserts internally
-# that the narrowed twin released members, its resident bytes plateau
-# while the full-retention twin keeps growing, and the observable stats
-# match. The gate below re-checks the exposition so a silently-disabled
-# plan (narrowing gated off, plan never lowered) fails CI.
+# that the narrowed program released members, its resident bytes plateau
+# while the full-retention program (one extra full-scan reader) keeps
+# growing, and the observable stats match. The gate below re-checks the
+# exposition so a silently-disabled plan (narrowing gated off, plan
+# never lowered) fails CI.
 DEMAQ_E15_SMOKE=1 cargo bench --offline -p demaq-bench --bench e15_retention_soak
 cp -f crates/bench/target/metrics/e15_retention_soak.prom \
       crates/bench/target/metrics/e15_retention_soak_full.prom target/metrics/ 2>/dev/null || true

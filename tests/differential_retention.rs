@@ -1,22 +1,23 @@
-//! Differential twin tests for static retention narrowing.
+//! Differential tests for static retention narrowing.
 //!
-//! Every scenario runs twice on otherwise identical servers — once with
-//! `static_retention(true)` (the default: the liveness plan lets GC fold
-//! processed slice members into persisted aggregate base cells or keep
-//! only the proven newest-k suffix) and once with
-//! `static_retention(false)` (full retention, the behavior before the
-//! pass existed) — and everything observable must match exactly: the
-//! output queue bodies, attached property values, aggregate values that
-//! span purged history, routed errors, and the engine's evaluation
-//! stats. Only the store footprint may differ, and it must actually
-//! shrink on the narrowed twin. Scenarios cover an aggregate-only
-//! telemetry fan-in, a bounded-suffix (`qs:slice()[last()]`) session
-//! monitor, a randomized enqueue/reset/GC interleaving corpus, a clean
-//! restart (base cells must round-trip through the checkpoint), and
-//! SIGKILL crash recovery.
+//! The liveness plan lets GC fold processed slice members into persisted
+//! aggregate base cells, or keep only the proven newest-k suffix. Every
+//! scenario runs on one server stepped through the shared oracle in
+//! `tests/oracle`, which keeps the members each GC releases and predicts
+//! every step with the reference evaluator over the whole slice lifetime
+//! — what a server that never narrowed would compute. Output queue bodies,
+//! aggregate values that span purged history, and routed errors must all
+//! be what that full history gives; only the store footprint may shrink,
+//! and it must. Scenarios cover an aggregate-only telemetry fan-in, a
+//! bounded-suffix (`qs:slice()[last()]`) session monitor, a randomized
+//! enqueue/reset/GC interleaving corpus, a clean restart (base cells must
+//! round-trip through the checkpoint), and SIGKILL crash recovery.
+
+mod oracle;
 
 use demaq::Server;
 use demaq_store::store::SyncPolicy;
+use oracle::Harness;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -24,68 +25,17 @@ use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-fn build(program: &str, narrowed: bool) -> Server {
+fn build(program: &str) -> Server {
     Server::builder()
         .program(program)
         .in_memory()
         .sync_policy(SyncPolicy::Batch)
-        .static_retention(narrowed)
         .build()
         .unwrap()
 }
 
-/// Order-insensitive behavioral fingerprint: per queue, the sorted
-/// multiset of `(payload, properties)` pairs.
-fn fingerprint(s: &Server, queues: &[&str]) -> BTreeMap<String, Vec<(String, Vec<String>)>> {
-    queues
-        .iter()
-        .map(|q| {
-            let mut v: Vec<(String, Vec<String>)> = s
-                .queue_messages(q)
-                .unwrap()
-                .iter()
-                .map(|m| {
-                    let mut props: Vec<String> = m
-                        .props
-                        .iter()
-                        .map(|(n, p)| format!("{n}={p:?}"))
-                        .collect();
-                    props.sort();
-                    (m.payload.to_string(), props)
-                })
-                .collect();
-            v.sort();
-            (q.to_string(), v)
-        })
-        .collect()
-}
-
 fn metric(s: &Server, name: &str) -> u64 {
     s.metrics().registry.counter_total(name)
-}
-
-fn assert_same_behavior(name: &str, nar: &Server, full: &Server, queues: &[&str]) {
-    assert_eq!(
-        fingerprint(nar, queues),
-        fingerprint(full, queues),
-        "{name}: observable queue bodies or property values diverged"
-    );
-    let (sn, sf) = (nar.stats(), full.stats());
-    assert_eq!(sn.processed, sf.processed, "{name}: processed diverged");
-    assert_eq!(
-        sn.rules_evaluated, sf.rules_evaluated,
-        "{name}: rules_evaluated diverged"
-    );
-    assert_eq!(
-        sn.errors_routed, sf.errors_routed,
-        "{name}: errors_routed diverged"
-    );
-    // The full-retention twin must never release anything.
-    assert_eq!(
-        metric(full, "demaq_engine_retention_released_total"),
-        0,
-        "{name}: full-retention twin released members"
-    );
 }
 
 const TELEMETRY: &str = r#"
@@ -112,35 +62,24 @@ fn attr(xml: &str, name: &str) -> String {
 /// history, and the narrowed store must actually get smaller.
 #[test]
 fn aggregate_only_twins_match_and_footprint_shrinks() {
-    let nar = build(TELEMETRY, true);
-    let full = build(TELEMETRY, false);
-    let feed = |lo: u32, hi: u32| -> Vec<String> {
-        (lo..hi)
-            .map(|i| format!("<reading dev='d{}'><v>{}</v></reading>", i % 3, i % 7))
-            .collect()
+    let nar = build(TELEMETRY);
+    let h = Harness::new("telemetry", &nar);
+    let feed = |lo: u32, hi: u32| {
+        for i in lo..hi {
+            h.feed("intake", &format!("<reading dev='d{}'><v>{}</v></reading>", i % 3, i % 7));
+        }
     };
-    // Phase A, then GC on both twins: the narrowed one folds the
-    // processed intake members into per-device base cells.
-    for xml in feed(0, 21) {
-        nar.enqueue_external("intake", &xml).unwrap();
-        full.enqueue_external("intake", &xml).unwrap();
-        nar.run_until_idle().unwrap();
-        full.run_until_idle().unwrap();
-    }
-    nar.gc().unwrap();
-    full.gc().unwrap();
-    assert!(
-        metric(&nar, "demaq_engine_retention_released_total") > 0,
-        "narrowing never released a member"
+    // Phase A, then GC: it folds the processed intake members into
+    // per-device base cells.
+    feed(0, 21);
+    h.gc();
+    assert_eq!(
+        metric(&nar, "demaq_engine_retention_released_total"),
+        21,
+        "narrowing must release every processed member"
     );
     // Phase B: post-purge aggregates must still count the folded history.
-    for xml in feed(21, 33) {
-        nar.enqueue_external("intake", &xml).unwrap();
-        full.enqueue_external("intake", &xml).unwrap();
-        nar.run_until_idle().unwrap();
-        full.run_until_idle().unwrap();
-    }
-    assert_same_behavior("telemetry", &nar, &full, &["report"]);
+    feed(21, 33);
 
     // The last d0 stat spans all 11 d0 readings even though the narrowed
     // intake no longer holds them all.
@@ -148,23 +87,13 @@ fn aggregate_only_twins_match_and_footprint_shrinks() {
         .queue_bodies("report")
         .unwrap()
         .into_iter()
-        .filter(|b| b.contains("dev=\"d0\""))
-        .next_back()
+        .rfind(|b| b.contains("dev=\"d0\""))
         .expect("d0 stats");
     assert_eq!(attr(&last_d0, "n"), "11");
 
-    let (ni, fi) = (
-        nar.queue_messages("intake").unwrap().len(),
-        full.queue_messages("intake").unwrap().len(),
-    );
-    assert!(
-        ni < fi,
-        "narrowed intake ({ni}) should hold fewer members than full retention ({fi})"
-    );
-    assert!(
-        nar.store().resident_payload_bytes() < full.store().resident_payload_bytes(),
-        "narrowed twin should be resident-byte smaller"
-    );
+    // Only phase B's readings are still resident.
+    assert_eq!(nar.queue_messages("intake").unwrap().len(), 12);
+    assert_eq!(h.released(), 21);
 }
 
 /// Bounded-suffix monitor: rules only ever look at `qs:slice()[last()]`,
@@ -181,8 +110,8 @@ fn bounded_suffix_twins_match_and_release_old_members() {
           if (qs:slice()[last()]//e/@kind = "close") then
             do enqueue <bye s="{qs:slicekey()}"/> into out
     "#;
-    let nar = build(program, true);
-    let full = build(program, false);
+    let nar = build(program);
+    let h = Harness::new("suffix", &nar);
     let mut feed: Vec<String> = Vec::new();
     for s in 0..3u32 {
         for i in 0..6u32 {
@@ -191,29 +120,20 @@ fn bounded_suffix_twins_match_and_release_old_members() {
     }
     feed.push("<e s='s1' kind='close'/>".to_string());
     for (i, xml) in feed.iter().enumerate() {
-        nar.enqueue_external("events", xml).unwrap();
-        full.enqueue_external("events", xml).unwrap();
-        nar.run_until_idle().unwrap();
-        full.run_until_idle().unwrap();
+        h.feed("events", xml);
         if i == 11 {
-            nar.gc().unwrap();
-            full.gc().unwrap();
+            h.gc();
         }
     }
-    assert_same_behavior("suffix", &nar, &full, &["out"]);
     assert_eq!(
-        fingerprint(&full, &["out"])["out"].len(),
-        1,
+        nar.queue_bodies("out").unwrap(),
+        [r#"<bye s="s1"/>"#],
         "exactly one close fired"
     );
-    assert!(
-        metric(&nar, "demaq_engine_retention_released_total") > 0,
-        "suffix narrowing never released a member"
-    );
-    assert!(
-        nar.queue_messages("events").unwrap().len() < full.queue_messages("events").unwrap().len(),
-        "narrowed events queue should shed pre-suffix members"
-    );
+    // Two sessions of six processed events each at the GC: all but the
+    // newest of each go.
+    assert_eq!(metric(&nar, "demaq_engine_retention_released_total"), 10);
+    assert_eq!(nar.queue_messages("events").unwrap().len(), feed.len() - 10);
 }
 
 /// Randomized interleaving corpus: keyed aggregate reads, explicit
@@ -235,28 +155,24 @@ fn randomized_interleaving_with_resets() {
                               sum="{sum(qs:slice()//w)}"/> into out
     "#;
     for seed in 0..4u64 {
-        let nar = build(program, true);
-        let full = build(program, false);
+        let nar = build(program);
+        let h = Harness::new(format!("corpus seed {seed}"), &nar);
         let mut rng = StdRng::seed_from_u64(0x4E7_0000 + seed);
-        for step in 0..120u32 {
+        for _ in 0..120 {
             let sess = rng.gen_range(0..5);
             let xml = match rng.gen_range(0..8) {
                 0 => format!("<bye s='s{sess}'/>"),
                 _ => format!("<ev s='s{sess}'><w>{}</w></ev>", rng.gen_range(0..50)),
             };
-            let a = nar.enqueue_external("alpha", &xml);
-            let b = full.enqueue_external("alpha", &xml);
-            assert_eq!(a.is_ok(), b.is_ok(), "seed {seed} step {step}");
-            nar.run_until_idle().unwrap();
-            full.run_until_idle().unwrap();
+            h.feed("alpha", &xml);
             if rng.gen_bool(0.15) {
-                // Purge counts legitimately differ (that is the point);
-                // only observable behavior must not.
-                nar.gc().unwrap();
-                full.gc().unwrap();
+                h.gc();
             }
         }
-        assert_same_behavior(&format!("corpus seed {seed}"), &nar, &full, &["out"]);
+        assert!(
+            metric(&nar, "demaq_engine_retention_released_total") > 0,
+            "seed {seed}: nothing was narrowed"
+        );
     }
 }
 
@@ -312,18 +228,18 @@ fn narrowed_aggregates_survive_clean_restart() {
 
 const ACK_FILE: &str = "acks.txt";
 
-fn crash_server(root: &Path, narrowed: bool) -> Server {
+fn crash_server(root: &Path) -> Server {
     Server::builder()
         .program(TELEMETRY)
         .dir(root)
         .sync_policy(SyncPolicy::Always)
-        .static_retention(narrowed)
         .build()
         .unwrap()
 }
 
-/// Child body: feed keyed readings with fsync-always durability, acking
-/// each id after the commit returns, while a drain thread interleaves
+/// Child body: feed keyed readings with fsync-always durability from one
+/// thread, logging each reading before its enqueue (`try`) and again
+/// after the commit returns (`ack`), while a drain thread interleaves
 /// processing with `maintenance()` — so the SIGKILL lands between
 /// fold/purge cycles with checkpoints that carry base cells.
 #[test]
@@ -333,22 +249,24 @@ fn retention_crash_child_body() {
         return;
     };
     let root = std::path::PathBuf::from(dir);
-    let server = crash_server(&root, true);
-    let acks = std::sync::Mutex::new(
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(root.join(ACK_FILE))
-            .unwrap(),
-    );
+    let server = crash_server(&root);
+    let mut log = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(root.join(ACK_FILE))
+        .unwrap();
+    let mut note = move |kind: &str, dev: u64, v: u64| {
+        log.write_all(format!("{kind} d{dev} {v}\n").as_bytes()).unwrap();
+        log.flush().unwrap();
+    };
     std::thread::scope(|s| {
         s.spawn(|| {
             for i in 0u64.. {
-                let xml = format!("<reading dev='d{}'><v>{}</v></reading>", i % 4, i % 13);
-                let id = server.enqueue_external("intake", &xml).unwrap();
-                let mut f = acks.lock().unwrap();
-                f.write_all(format!("{} d{}\n", id.0, i % 4).as_bytes()).unwrap();
-                f.flush().unwrap();
+                let (dev, v) = (i % 4, i % 13);
+                note("try", dev, v);
+                let xml = format!("<reading dev='d{dev}'><v>{v}</v></reading>");
+                server.enqueue_external("intake", &xml).unwrap();
+                note("ack", dev, v);
             }
         });
         s.spawn(|| loop {
@@ -359,24 +277,22 @@ fn retention_crash_child_body() {
     });
 }
 
-fn copy_dir(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).unwrap();
-    for entry in std::fs::read_dir(from).unwrap() {
-        let entry = entry.unwrap();
-        let dst = to.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_dir(&entry.path(), &dst);
-        } else {
-            std::fs::copy(entry.path(), &dst).unwrap();
-        }
-    }
+/// Count and value sum of the readings one device's log lines name.
+#[derive(Default)]
+struct Tally {
+    n: u64,
+    total: u64,
 }
 
-/// SIGKILL the child mid-workload, clone the surviving bytes, and
-/// recover one copy narrowed and one with full retention: the finished
-/// cascades must agree, and a fresh probe reading per device must see a
-/// count covering every acked reading — whether the member survived as
-/// a resident payload or only inside a checkpointed base cell.
+/// SIGKILL the child mid-workload and recover: a fresh probe reading per
+/// device must see exactly the readings that committed, whether each
+/// survived as a resident payload or only inside a checkpointed base
+/// cell. Every acked reading committed and every committed one was tried
+/// first, so the probe's count and sum sit between the acked and the
+/// tried readings (plus the probe itself, which carries 0). With one
+/// enqueue thread at most one reading is tried but not acked, so every
+/// other device's count is exact, and a recovery that lost a folded
+/// member or counted one twice fails.
 /// `DEMAQ_CRASH_ITERS` sets the number of rounds (default 2).
 #[test]
 fn crash_recovery_preserves_folded_history() {
@@ -385,7 +301,7 @@ fn crash_recovery_preserves_folded_history() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(2);
     let exe = std::env::current_exe().unwrap();
-    let mut total_acked = 0usize;
+    let mut total_acked = 0u64;
     for round in 0..rounds {
         let dir = tempfile::TempDir::new().unwrap();
         let mut child = Command::new(&exe)
@@ -404,54 +320,58 @@ fn crash_recovery_preserves_folded_history() {
             Some(end) => &ack_text[..end],
             None => "",
         };
-        let mut acked_per_dev: BTreeMap<String, u64> = BTreeMap::new();
+        let mut tried: BTreeMap<String, Tally> = BTreeMap::new();
+        let mut acked: BTreeMap<String, Tally> = BTreeMap::new();
         for line in complete.lines() {
-            if let Some((_, dev)) = line.split_once(' ') {
-                *acked_per_dev.entry(dev.to_string()).or_default() += 1;
-            }
+            let mut parts = line.split(' ');
+            let (Some(kind), Some(dev), Some(v)) = (parts.next(), parts.next(), parts.next())
+            else {
+                panic!("round {round}: malformed log line {line:?}");
+            };
+            let side = match kind {
+                "try" => &mut tried,
+                "ack" => &mut acked,
+                _ => panic!("round {round}: malformed log line {line:?}"),
+            };
+            let t = side.entry(dev.to_string()).or_default();
+            t.n += 1;
+            t.total += v.parse::<u64>().unwrap();
         }
+        let in_flight = tried.values().map(|t| t.n).sum::<u64>()
+            - acked.values().map(|t| t.n).sum::<u64>();
+        assert!(in_flight <= 1, "round {round}: {in_flight} readings tried but not acked");
 
-        // Twin recoveries from identical surviving bytes.
-        let clone = tempfile::TempDir::new().unwrap();
-        copy_dir(dir.path(), clone.path());
-        let nar = crash_server(dir.path(), true);
-        let full = crash_server(clone.path(), false);
+        let nar = crash_server(dir.path());
         nar.run_until_idle().unwrap();
-        full.run_until_idle().unwrap();
-        assert_eq!(
-            fingerprint(&nar, &["report"]),
-            fingerprint(&full, &["report"]),
-            "round {round}: recovered twins diverged"
-        );
 
-        // One probe per device: its stat counts every acked reading plus
-        // itself, no matter how much of the history was folded away.
-        for (dev, acked) in &acked_per_dev {
+        // One probe per device: its stat counts every committed reading
+        // plus itself, no matter how much of the history was folded away.
+        for (dev, hi) in &tried {
+            let lo = acked.get(dev).map_or((0, 0), |t| (t.n, t.total));
             let probe = format!("<reading dev='{dev}'><v>0</v></reading>");
             nar.enqueue_external("intake", &probe).unwrap();
-            full.enqueue_external("intake", &probe).unwrap();
             nar.run_until_idle().unwrap();
-            full.run_until_idle().unwrap();
-            let last = |s: &Server| {
-                s.queue_bodies("report")
-                    .unwrap()
-                    .into_iter()
-                    .filter(|b| b.contains(&format!("dev=\"{dev}\"")))
-                    .next_back()
-                    .unwrap_or_else(|| panic!("round {round}: no stat for {dev}"))
-            };
-            let (ln, lf) = (last(&nar), last(&full));
-            assert_eq!(
-                attr(&ln, "n"),
-                attr(&lf, "n"),
-                "round {round} {dev}: probe counts diverged"
-            );
-            let n: u64 = attr(&ln, "n").parse().unwrap();
+            let last = nar
+                .queue_bodies("report")
+                .unwrap()
+                .into_iter()
+                .rfind(|b| b.contains(&format!("dev=\"{dev}\"")))
+                .unwrap_or_else(|| panic!("round {round}: no stat for {dev}"));
+            let n: u64 = attr(&last, "n").parse().unwrap();
+            let total: u64 = attr(&last, "total").parse().unwrap();
             assert!(
-                n >= acked + 1,
-                "round {round} {dev}: probe saw {n} readings, {acked} were acked"
+                (lo.0 + 1..=hi.n + 1).contains(&n),
+                "round {round} {dev}: probe saw {n} readings; {} acked, {} tried",
+                lo.0,
+                hi.n
             );
-            total_acked += *acked as usize;
+            assert!(
+                (lo.1..=hi.total).contains(&total),
+                "round {round} {dev}: probe summed {total}; acked {}, tried {}",
+                lo.1,
+                hi.total
+            );
+            total_acked += lo.0;
         }
     }
     assert!(total_acked > 0, "crash harness never acked a single enqueue");

@@ -290,10 +290,8 @@ fn placement_from_compiled_facts_matches_raw_rules() {
         let raw_graph = FlowGraph::build(&spec, &raw);
         let app = CompiledApp::compile(spec.clone(), &Default::default()).unwrap();
         for shards in [2, 3, 4] {
-            let none = BTreeMap::new();
-            let expected = compute_placement(&spec, &raw, &raw_graph, shards, &none);
-            let actual =
-                compute_placement(&app.spec, &app.facts, &app.analysis.graph, shards, &none);
+            let expected = compute_placement(&spec, &raw, &raw_graph, shards);
+            let actual = compute_placement(&app.spec, &app.facts, &app.analysis.graph, shards);
             assert_eq!(actual.queues, expected.queues, "{shards} shards:\n{program}");
         }
     }

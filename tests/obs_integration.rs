@@ -3,6 +3,7 @@
 //! ground truth, and the tracer must have recorded the message lifecycle.
 
 use demaq::Server;
+use demaq_obs::Obs;
 use demaq_store::store::SyncPolicy;
 use std::collections::BTreeMap;
 
@@ -235,7 +236,7 @@ fn durability_pipeline_series_match_store_ground_truth() {
         .in_memory()
         .sync_policy(SyncPolicy::Always)
         .network(net)
-        .trace_capacity(8192)
+        .obs(Obs::with_trace_capacity(8192))
         .shards(2)
         .build()
         .unwrap();
