@@ -434,7 +434,7 @@ impl std::fmt::Display for Diagnostic {
 /// One edge of the aggregate dependency graph: an aggregate node (in a
 /// rule body or property binding) and the queue or slicing it reads.
 /// The engine's incremental maintenance pass answers the `incremental`
-/// edges from materialized cells validated by the store's version clocks;
+/// edges from materialized cells validated on the store's lifetime tokens;
 /// the rest rescan on every evaluation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct AggregateDep {

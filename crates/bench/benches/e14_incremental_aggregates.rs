@@ -5,9 +5,9 @@
 //! documents per message, so N arrivals cost O(N²) member visits even
 //! with the E10 caches (the *fold* was linear, not the loads). The
 //! aggregate registry materializes one cell per `(aggregate, slicing
-//! key)` validated by the store's version clocks: an append-only arrival
-//! takes the delta path (absorb exactly the new suffix), a same-version
-//! re-read is a pure hit, and reset/GC force a rebuild — per-message
+//! key)` validated on the store's lifetime tokens: an append-only arrival
+//! takes the delta path (absorb exactly the new suffix), a re-read at the
+//! same `(token, len)` is a pure hit, and reset/GC force a rebuild — per-message
 //! aggregate cost becomes O(1) in N.
 //!
 //! Since ISSUE 25 a read is O(1) in N too: the store hands out only the

@@ -1,28 +1,30 @@
-//! Materialized aggregate cells (ISSUE 9's reactive aggregate registry)
-//! and the per-member contributions they fold.
+//! Cells folded over memberships ([`CellMap`]), the materialized
+//! aggregate registry built on them, and the per-member contributions
+//! aggregate cells fold.
 //!
-//! Each cell holds the running [`AggAcc`] fold of one recognized aggregate
-//! shape (numbered by its [`AggId`] in the application's catalog) over one
-//! *scope* — the spec's queue or one `(slicing, key)` slice — together
-//! with the store-side **lifetime token** and membership length it was
-//! folded at. A read asks the store for the membership past the cell's
-//! `(token, len)` under one state lock:
+//! A cell holds a value folded over one *scope* — a queue or one
+//! `(slicing, key)` slice — together with the store-side **lifetime
+//! token** and membership length it was folded at. The engine keeps two
+//! kinds: the running [`AggAcc`] of each recognized aggregate shape
+//! (numbered by its [`AggId`] in the application's catalog), and the
+//! materialized member sequence of each slice a rule reads. A read asks
+//! the store for the membership past the cell's `(token, len)` under one
+//! state lock:
 //!
-//! * same token, same length → the cell is current: return its result,
+//! * same token, same length → the cell is current: return its value,
 //!   zero member access (a *hit*).
-//! * same token, longer → only new members arrived since the fold: absorb
-//!   just their contributions (a *delta* — per-read cost independent of
-//!   the slice's size).
+//! * same token, longer → only new members arrived since the fold: fold
+//!   just those (a *delta*, or *append* for member sequences — per-read
+//!   cost independent of the slice's size).
 //! * anything else (reset, GC purge, release, out-of-order commit, cold)
 //!   → refold from scratch (a *rebuild*).
 //!
-//! Tokens come from the store's clock, moved inside batched commit apply
-//! by every change that is not an append — see
-//! `demaq_store::slice::SliceIndex` — so a stale cell can never validate,
-//! not even after a reset refilled the slice to the same length. Cells are
-//! process-local and never persisted: after a crash the clock restarts
-//! and every cell rebuilds from the recovered store, so recovery
-//! correctness never depends on cached state. Abort safety is by
+//! Tokens come from the store's clock, moved by every change that is not
+//! an append — see `demaq_store::slice::SliceIndex` — so a stale cell can
+//! never validate, not even after a reset refilled the slice to the same
+//! length. Cells are process-local and never persisted: after a crash the
+//! clock restarts and every cell rebuilds from the recovered store, so
+//! recovery correctness never depends on cached state. Abort safety is by
 //! construction — folds only ever observe post-commit applied state.
 //!
 //! A **contribution** is what one member adds to one aggregate (a count,
@@ -42,43 +44,52 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// What a cell aggregates over: the queue a `qs:queue("…")` shape names
+/// What a cell is folded over: the queue a `qs:queue("…")` shape names
 /// (one per shape, so its cell needs no key), or one slice.
 #[derive(Debug, Clone, Copy)]
-pub enum AggScope<'a> {
+pub enum Scope<'a> {
     Queue(&'a str),
     Slice(&'a str, &'a PropValue),
 }
 
-/// A fold as the registry holds it: valid for the membership whose token
-/// is `token`, covering its first `len` members.
+/// A value folded over a membership: valid for the membership whose
+/// token is `token`, covering its first `len` members.
 #[derive(Debug, Clone)]
-pub struct Fold {
+pub struct Fold<V> {
     pub token: u64,
     pub len: usize,
-    pub acc: AggAcc,
+    pub value: V,
 }
 
-struct Cell {
-    fold: Fold,
+struct Cell<V> {
+    fold: Fold<V>,
     last_used: u64,
 }
 
-/// The cells of one aggregate shape.
-#[derive(Default)]
-struct SpecCells {
-    queue: Option<Cell>,
+/// The cells of one map.
+struct Cells<V> {
+    queue: Option<Cell<V>>,
     /// slicing -> key -> cell; a lookup borrows both.
-    slices: HashMap<String, HashMap<PropValue, Cell>>,
+    slices: HashMap<String, HashMap<PropValue, Cell<V>>>,
     count: usize,
 }
 
-impl SpecCells {
-    fn get_mut(&mut self, scope: AggScope<'_>) -> Option<&mut Cell> {
+impl<V> Cells<V> {
+    fn get_mut(&mut self, scope: Scope<'_>) -> Option<&mut Cell<V>> {
         match scope {
-            AggScope::Queue(_) => self.queue.as_mut(),
-            AggScope::Slice(s, k) => self.slices.get_mut(s)?.get_mut(k),
+            Scope::Queue(_) => self.queue.as_mut(),
+            Scope::Slice(s, k) => self.slices.get_mut(s)?.get_mut(k),
         }
+    }
+
+    /// Keep the slice cells `keep` accepts (the queue cell stays) and
+    /// recount.
+    fn retain_slices(&mut self, mut keep: impl FnMut(&str, &PropValue, &Cell<V>) -> bool) {
+        for (s, keys) in self.slices.iter_mut() {
+            keys.retain(|k, c| keep(s, k, c));
+        }
+        self.slices.retain(|_, keys| !keys.is_empty());
+        self.count = self.queue.iter().count() + self.slices.values().map(HashMap::len).sum::<usize>();
     }
 
     /// Drop the least recently used eighth of the cells.
@@ -94,30 +105,117 @@ impl SpecCells {
         if self.queue.as_ref().is_some_and(|c| c.last_used <= threshold) {
             self.queue = None;
         }
-        for keys in self.slices.values_mut() {
-            keys.retain(|_, c| c.last_used > threshold);
+        self.retain_slices(|_, _, c| c.last_used > threshold);
+    }
+}
+
+/// Values folded over memberships, one cell per [`Scope`], validated on
+/// the store's `(token, len)`; past `cap` cells the least recently used
+/// eighth is evicted. Counts its reads as hits, deltas and rebuilds.
+pub struct CellMap<V> {
+    cells: Mutex<Cells<V>>,
+    cap: usize,
+    tick: AtomicU64,
+    hits: Counter,
+    deltas: Counter,
+    rebuilds: Counter,
+}
+
+impl<V: Clone> CellMap<V> {
+    /// A map of at most `cap` cells, counting its reads into the series
+    /// named `[hits, deltas, rebuilds]`.
+    pub fn new(cap: usize, obs: &Obs, counters: [&str; 3]) -> CellMap<V> {
+        let r = &obs.registry;
+        CellMap {
+            cells: Mutex::new(Cells {
+                queue: None,
+                slices: HashMap::new(),
+                count: 0,
+            }),
+            cap: cap.max(8),
+            tick: AtomicU64::new(0),
+            hits: r.counter(counters[0]),
+            deltas: r.counter(counters[1]),
+            rebuilds: r.counter(counters[2]),
         }
-        self.slices.retain(|_, keys| !keys.is_empty());
-        self.count = self.queue.iter().count() + self.slices.values().map(HashMap::len).sum::<usize>();
+    }
+
+    /// Count a read answered from a current cell (or, for aggregates,
+    /// from the membership length alone).
+    pub fn note_hit(&self) {
+        self.hits.inc();
+    }
+
+    /// The cell over `scope`, if any (refreshing its LRU stamp).
+    pub fn get(&self, scope: Scope<'_>) -> Option<Fold<V>> {
+        let mut cells = self.cells.lock();
+        let cell = cells.get_mut(scope)?;
+        cell.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+        Some(cell.fold.clone())
+    }
+
+    /// Store a fold. `extended` marks the delta path (folded only new
+    /// members) vs a rebuild in the metrics. Token 0 (no membership to
+    /// validate against) is never stored.
+    pub fn put(&self, scope: Scope<'_>, fold: Fold<V>, extended: bool) {
+        if extended {
+            self.deltas.inc();
+        } else {
+            self.rebuilds.inc();
+        }
+        if fold.token == 0 {
+            return;
+        }
+        let last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+        let mut cells = self.cells.lock();
+        if let Some(cell) = cells.get_mut(scope) {
+            *cell = Cell { fold, last_used };
+            return;
+        }
+        let cell = Cell { fold, last_used };
+        match scope {
+            Scope::Queue(_) => cells.queue = Some(cell),
+            Scope::Slice(s, k) => {
+                if !cells.slices.contains_key(s) {
+                    cells.slices.insert(s.to_string(), HashMap::new());
+                }
+                cells.slices.get_mut(s).expect("present").insert(k.clone(), cell);
+            }
+        }
+        cells.count += 1;
+        if cells.count > self.cap {
+            cells.evict();
+        }
+    }
+
+    /// Keep only the slice cells `keep(slicing, key, token, len)` accepts.
+    pub fn retain_slices(&self, mut keep: impl FnMut(&str, &PropValue, u64, usize) -> bool) {
+        self.cells
+            .lock()
+            .retain_slices(|s, k, c| keep(s, k, c.fold.token, c.fold.len));
+    }
+
+    /// Cell count (tests/diagnostics).
+    pub fn len(&self) -> usize {
+        self.cells.lock().count
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
 /// Contributions of the members in one shard, by message id.
 type ContribShard = HashMap<MsgId, Box<[(AggId, Contribution)]>>;
 
-/// Registry of materialized aggregate cells (one slot per [`AggId`]) and
+/// Registry of materialized aggregate cells (one map per [`AggId`]) and
 /// of member contributions (sharded by message id).
 pub struct AggRegistry {
     /// The shapes `cells` is indexed by (see [`Self::owns`]).
     catalog: AggCatalog,
-    cells: Box<[Mutex<SpecCells>]>,
-    cap_per_spec: usize,
+    cells: Box<[CellMap<AggAcc>]>,
     contributions: Box<[Mutex<ContribShard>]>,
     contrib_mask: u64,
-    tick: AtomicU64,
-    hits: Counter,
-    deltas: Counter,
-    rebuilds: Counter,
     computed: Counter,
 }
 
@@ -125,19 +223,23 @@ impl AggRegistry {
     /// A registry for the shapes of `catalog`, at most `cap_per_spec`
     /// cells each.
     pub fn new(catalog: &AggCatalog, cap_per_spec: usize, obs: &Obs) -> AggRegistry {
-        let r = &obs.registry;
         let shards = 16;
+        let counters = [
+            "demaq_core_agg_hits_total",
+            "demaq_core_agg_deltas_total",
+            "demaq_core_agg_rebuilds_total",
+        ];
+        // The maps share one series each (the registry hands out the same
+        // counter per name); register them even for an empty catalog.
+        for name in counters {
+            obs.registry.counter(name);
+        }
         AggRegistry {
             catalog: catalog.clone(),
-            cells: (0..catalog.len()).map(|_| Mutex::new(SpecCells::default())).collect(),
-            cap_per_spec: cap_per_spec.max(8),
+            cells: (0..catalog.len()).map(|_| CellMap::new(cap_per_spec, obs, counters)).collect(),
             contributions: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             contrib_mask: shards as u64 - 1,
-            tick: AtomicU64::new(0),
-            hits: r.counter("demaq_core_agg_hits_total"),
-            deltas: r.counter("demaq_core_agg_deltas_total"),
-            rebuilds: r.counter("demaq_core_agg_rebuilds_total"),
-            computed: r.counter("demaq_core_agg_contributions_total"),
+            computed: obs.registry.counter("demaq_core_agg_contributions_total"),
         }
     }
 
@@ -148,54 +250,11 @@ impl AggRegistry {
         self.catalog.owns(id, spec)
     }
 
-    /// Count a read answered without touching any member: a current cell,
-    /// or a membership-only `count`/`exists` answered from the length.
-    pub fn note_hit(&self) {
-        self.hits.inc();
-    }
-
-    /// The cell of `id` over `scope`, if any (refreshing its LRU stamp).
-    pub fn fold(&self, id: AggId, scope: AggScope<'_>) -> Option<Fold> {
-        let mut cells = self.cells[id as usize].lock();
-        let cell = cells.get_mut(scope)?;
-        cell.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-        Some(cell.fold.clone())
-    }
-
-    /// Store a fold. `extended` marks the delta path (absorbed only new
-    /// members) vs a rebuild in the metrics. Folds that errored must NOT
-    /// be stored — the caller declines the read instead, so the fallback
-    /// reproduces the reference error. Token 0 (no membership to validate
-    /// against) is never stored.
-    pub fn store(&self, id: AggId, scope: AggScope<'_>, fold: Fold, extended: bool) {
-        if extended {
-            self.deltas.inc();
-        } else {
-            self.rebuilds.inc();
-        }
-        if fold.token == 0 {
-            return;
-        }
-        let last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut cells = self.cells[id as usize].lock();
-        if let Some(cell) = cells.get_mut(scope) {
-            *cell = Cell { fold, last_used };
-            return;
-        }
-        let cell = Cell { fold, last_used };
-        match scope {
-            AggScope::Queue(_) => cells.queue = Some(cell),
-            AggScope::Slice(s, k) => {
-                if !cells.slices.contains_key(s) {
-                    cells.slices.insert(s.to_string(), HashMap::new());
-                }
-                cells.slices.get_mut(s).expect("present").insert(k.clone(), cell);
-            }
-        }
-        cells.count += 1;
-        if cells.count > self.cap_per_spec {
-            cells.evict();
-        }
+    /// The cells of aggregate `id`. Folds that errored must NOT be
+    /// stored — the caller declines the read instead, so the fallback
+    /// reproduces the reference error.
+    pub fn cells(&self, id: AggId) -> &CellMap<AggAcc> {
+        &self.cells[id as usize]
     }
 
     fn contrib_shard(&self, msg: MsgId) -> &Mutex<ContribShard> {
@@ -231,37 +290,29 @@ impl AggRegistry {
             self.contrib_shard(msg).lock().remove(&msg);
         }
     }
-
-    /// Cell count (tests/diagnostics).
-    pub fn len(&self) -> usize {
-        self.cells.iter().map(|c| c.lock().count).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use demaq_xquery::{AggOp, AggSource};
+    use demaq_store::slice::SliceIndex;
+    use demaq_xquery::{AggOp, AggSource, Item, Sequence};
     use std::sync::Arc;
 
     fn obs() -> Arc<Obs> {
         Obs::new()
     }
 
-    fn fold(token: u64, len: usize, n: i64) -> Fold {
+    fn fold(token: u64, len: usize, n: i64) -> Fold<AggAcc> {
         Fold {
             token,
             len,
-            acc: AggAcc::Count(n),
+            value: AggAcc::Count(n),
         }
     }
 
-    fn slice(key: &PropValue) -> AggScope<'_> {
-        AggScope::Slice("s", key)
+    fn slice(key: &PropValue) -> Scope<'_> {
+        Scope::Slice("s", key)
     }
 
     /// A catalog of `n` distinct shapes (`sum(qs:queue("q0"))`, …).
@@ -275,6 +326,43 @@ mod tests {
             });
         }
         c
+    }
+
+    const SEQ_COUNTERS: [&str; 3] = [
+        "demaq_core_slice_seq_hits_total",
+        "demaq_core_slice_seq_appends_total",
+        "demaq_core_slice_seq_rebuilds_total",
+    ];
+
+    fn seq_of(ids: &[u64]) -> Sequence {
+        Sequence(
+            ids.iter()
+                .map(|i| Item::Node(demaq_xml::parse(&format!("<m id='{i}'/>")).unwrap().root()))
+                .collect(),
+        )
+    }
+
+    /// The member-sequence cell of `("s", key)` as the engine keeps it,
+    /// refreshed against `idx`: returns `(cached items reused, ids read)`.
+    fn refresh(seqs: &CellMap<Sequence>, idx: &SliceIndex, key: &PropValue) -> (usize, Vec<MsgId>) {
+        let cell = seqs.get(slice(key));
+        let mut ids = Vec::new();
+        let read = idx.read_since("s", key, cell.as_ref().map(|f| (f.token, f.len)), &mut ids);
+        let (mut items, extended) = match cell {
+            Some(f) if read.resumed => {
+                if ids.is_empty() {
+                    seqs.note_hit();
+                    return (f.value.len(), ids);
+                }
+                (f.value.0, true)
+            }
+            _ => (Vec::new(), false),
+        };
+        let reused = items.len();
+        items.extend(seq_of(&ids.iter().map(|m| m.0).collect::<Vec<_>>()).0);
+        let value = Sequence(items);
+        seqs.put(slice(key), Fold { token: read.token, len: read.len, value }, extended);
+        (reused, ids)
     }
 
     #[test]
@@ -295,43 +383,101 @@ mod tests {
         let o = obs();
         let reg = AggRegistry::new(&catalog(2), 1024, &o);
         let (a, b) = (PropValue::Str("a".into()), PropValue::Str("b".into()));
-        assert!(reg.fold(0, slice(&a)).is_none());
-        reg.store(0, slice(&a), fold(7, 1, 1), false);
-        reg.store(1, AggScope::Queue("q"), fold(3, 2, 2), true);
-        let f = reg.fold(0, slice(&a)).expect("stored");
+        assert!(reg.cells(0).get(slice(&a)).is_none());
+        reg.cells(0).put(slice(&a), fold(7, 1, 1), false);
+        reg.cells(1).put(Scope::Queue("q"), fold(3, 2, 2), true);
+        let f = reg.cells(0).get(slice(&a)).expect("stored");
         assert_eq!((f.token, f.len), (7, 1));
-        assert!(reg.fold(0, slice(&b)).is_none(), "keys are independent");
-        assert!(reg.fold(1, slice(&a)).is_none(), "ids are independent");
-        assert!(reg.fold(0, AggScope::Queue("q")).is_none());
-        assert_eq!(reg.fold(1, AggScope::Queue("q")).unwrap().len, 2);
+        assert!(reg.cells(0).get(slice(&b)).is_none(), "keys are independent");
+        assert!(reg.cells(1).get(slice(&a)).is_none(), "ids are independent");
+        assert!(reg.cells(0).get(Scope::Queue("q")).is_none());
+        assert_eq!(reg.cells(1).get(Scope::Queue("q")).unwrap().len, 2);
         assert_eq!(o.registry.counter_total("demaq_core_agg_rebuilds_total"), 1);
         assert_eq!(o.registry.counter_total("demaq_core_agg_deltas_total"), 1);
         // Overwrites replace in place.
-        reg.store(0, slice(&a), fold(7, 4, 4), true);
-        assert_eq!(reg.fold(0, slice(&a)).unwrap().len, 4);
-        assert_eq!(reg.len(), 2);
+        reg.cells(0).put(slice(&a), fold(7, 4, 4), true);
+        assert_eq!(reg.cells(0).get(slice(&a)).unwrap().len, 4);
+        assert_eq!(reg.cells(0).len() + reg.cells(1).len(), 2);
     }
 
     #[test]
     fn token_zero_never_caches() {
         let o = obs();
         let reg = AggRegistry::new(&catalog(1), 1024, &o);
-        reg.store(0, AggScope::Queue("q"), fold(0, 1, 1), false);
-        assert!(reg.is_empty(), "token-0 store is dropped");
+        reg.cells(0).put(Scope::Queue("q"), fold(0, 1, 1), false);
+        assert!(reg.cells(0).is_empty(), "token-0 store is dropped");
     }
 
     #[test]
     fn lru_eviction_bounds_cells() {
         let o = obs();
         let reg = AggRegistry::new(&catalog(1), 8, &o);
+        let cells = reg.cells(0);
         let keys: Vec<PropValue> = (0..20).map(PropValue::Int).collect();
         for k in &keys {
-            reg.store(0, slice(k), fold(1, 1, 1), false);
+            cells.put(slice(k), fold(1, 1, 1), false);
             // Keep key 0 hot: it must survive every eviction.
-            assert!(reg.fold(0, slice(&keys[0])).is_some());
+            assert!(cells.get(slice(&keys[0])).is_some());
         }
-        assert!(reg.len() <= 8, "cap enforced, got {}", reg.len());
-        assert!(reg.fold(0, slice(&keys[19])).is_some(), "newest survives");
+        assert!(cells.len() <= 8, "cap enforced, got {}", cells.len());
+        assert!(cells.get(slice(&keys[19])).is_some(), "newest survives");
+    }
+
+    #[test]
+    fn member_sequences_hit_extend_and_rebuild() {
+        let o = obs();
+        let seqs = CellMap::new(4096, &o, SEQ_COUNTERS);
+        let mut idx = SliceIndex::new();
+        let key = PropValue::Str("k".into());
+        idx.add("s", &key, MsgId(1));
+        idx.add("s", &key, MsgId(2));
+        assert_eq!(refresh(&seqs, &idx, &key), (0, vec![MsgId(1), MsgId(2)]), "cold");
+        assert_eq!(refresh(&seqs, &idx, &key), (2, vec![]), "unchanged: hit");
+        idx.add("s", &key, MsgId(3));
+        assert_eq!(refresh(&seqs, &idx, &key), (2, vec![MsgId(3)]), "append: extend");
+        // A reset refilled to the same length must not validate.
+        idx.reset("s", &key);
+        for m in 4..7 {
+            idx.add("s", &key, MsgId(m));
+        }
+        let (reused, ids) = refresh(&seqs, &idx, &key);
+        assert_eq!((reused, ids.len()), (0, 3), "new lifetime: rebuild");
+        let seq = seqs.get(slice(&key)).unwrap().value;
+        assert_eq!(seq.len(), 3);
+        let counter = |n: &str| o.registry.counter_total(n);
+        assert_eq!(SEQ_COUNTERS.map(counter), [1, 1, 2], "[hits, appends, rebuilds]");
+    }
+
+    #[test]
+    fn member_sequence_gc_drops_cells_the_store_no_longer_resumes() {
+        let o = obs();
+        let seqs = CellMap::new(64, &o, SEQ_COUNTERS);
+        let mut idx = SliceIndex::new();
+        let (k1, k2) = (PropValue::Str("a".into()), PropValue::Str("b".into()));
+        idx.add("s", &k1, MsgId(1));
+        idx.add("s", &k2, MsgId(2));
+        refresh(&seqs, &idx, &k1);
+        refresh(&seqs, &idx, &k2);
+        // The reset releases message 1; a GC would purge it.
+        idx.reset("s", &k1);
+        seqs.retain_slices(|s, k, token, len| {
+            idx.read_since(s, k, Some((token, len)), &mut Vec::new()).resumed
+        });
+        assert!(seqs.get(slice(&k1)).is_none(), "the cell pinning message 1 is gone");
+        assert_eq!(seqs.get(slice(&k2)).unwrap().value.len(), 1, "current cells stay");
+        assert_eq!(seqs.len(), 1);
+    }
+
+    #[test]
+    fn member_sequence_cap_evicts_lru() {
+        let o = obs();
+        let seqs = CellMap::new(8, &o, SEQ_COUNTERS);
+        for i in 0..20 {
+            let k = PropValue::Int(i);
+            let value = seq_of(&[i as u64]);
+            seqs.put(slice(&k), Fold { token: 1, len: 1, value }, false);
+        }
+        assert!(seqs.len() <= 8, "cap enforced, got {}", seqs.len());
     }
 
     #[test]

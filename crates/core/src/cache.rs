@@ -1,42 +1,25 @@
-//! The engine's caching layer: redundant-work elimination on the
+//! The document cache: redundant-work elimination on the
 //! rule-evaluation hot path (paper Sec. 4's "avoiding redundant work").
 //!
-//! Two caches, both process-local and strictly derived from committed
-//! store state:
+//! [`DocCache`] is a **sharded, byte-budgeted LRU** over parsed message
+//! documents, process-local and strictly derived from committed store
+//! state. Shards are selected by a multiplicative hash of the [`MsgId`],
+//! so concurrent workers in
+//! [`crate::engine::Server::process_all_parallel`] rarely contend on the
+//! same mutex. An entry is charged what it occupies: the document's
+//! measured footprint ([`Document::heap_bytes`]) plus the slot around it.
 //!
-//! * [`DocCache`] — a **sharded, byte-budgeted LRU** over parsed message
-//!   documents. Shards are selected by a multiplicative hash of the
-//!   [`MsgId`], so concurrent workers in
-//!   [`crate::engine::Server::process_all_parallel`] rarely contend on the
-//!   same mutex (the previous design was one global `Mutex<HashMap>` with
-//!   clear-*everything* eviction at a fixed entry count). An entry is
-//!   charged what it occupies: the document's measured footprint
-//!   ([`Document::heap_bytes`]) plus the slot around it.
-//!
-//! * [`SliceSeqCache`] — materialized member [`Sequence`]s per
-//!   `(slicing, key)`, validated by the store-side **slice version
-//!   counter** (bumped inside commit on member add, reset, and GC purge —
-//!   see `demaq_store::slice::SliceIndex`). An unchanged slice is
-//!   materialized once per version instead of once per rule firing; when
-//!   only new members arrived, the cached sequence is extended
-//!   incrementally (the common N-arrivals-into-one-slice join goes from
-//!   O(N²) to O(N) parse work).
-//!
-//! Snapshot safety: neither cache is consulted on trust — every lookup is
-//! keyed by state the committing transaction itself updates (the unique,
-//! never-reused `MsgId`; the monotonic slice version). Invalidation is
-//! therefore a side effect of commit (and of GC/reset), never of
-//! evaluation-time heuristics. A cached member sequence whose slice
-//! changed — by a later add, a `do reset` epoch bump, or a GC purge — can
-//! never be returned, because all three paths advance the version clock.
+//! Snapshot safety: the cache is never consulted on trust — it is keyed
+//! by the unique, never-reused `MsgId` of an immutable message, and GC
+//! drops the entries of purged messages. Materialized slice member
+//! sequences are cells of a [`crate::aggregates::CellMap`], validated on
+//! the store's lifetime tokens like aggregate cells.
 
 use demaq_obs::{Counter, Gauge, Obs};
-use demaq_store::{MsgId, PropValue};
+use demaq_store::MsgId;
 use demaq_xml::Document;
-use demaq_xquery::Sequence;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Sentinel for "no slot" in the intrusive LRU list.
@@ -280,165 +263,10 @@ impl DocCache {
     }
 }
 
-/// Result of a slice-sequence cache probe.
-pub enum SeqLookup {
-    /// Cached and current (version match): use as-is, zero parse work.
-    Hit(Sequence),
-    /// Cached for a strict prefix of the current members: parse only
-    /// `current_ids[from..]` and append.
-    Extend { seq: Sequence, from: usize },
-    /// Not cached, or the membership diverged (reset / purge / out-of-order
-    /// commit): materialize from scratch.
-    Miss,
-}
-
-/// One shard of the slice-sequence cache.
-type SeqShard = HashMap<(String, PropValue), SeqEntry>;
-
-struct SeqEntry {
-    version: u64,
-    ids: Vec<MsgId>,
-    seq: Sequence,
-    last_used: u64,
-}
-
-/// Materialized member sequences per `(slicing, key)`, validated by the
-/// store's slice version counter.
-pub struct SliceSeqCache {
-    shards: Box<[Mutex<SeqShard>]>,
-    shard_mask: u64,
-    cap_per_shard: usize,
-    tick: AtomicU64,
-    hits: Counter,
-    rebuilds: Counter,
-    appends: Counter,
-}
-
-impl SliceSeqCache {
-    pub fn new(shards: usize, cap: usize, obs: &Obs) -> SliceSeqCache {
-        let n = shards.max(1).next_power_of_two();
-        let r = &obs.registry;
-        SliceSeqCache {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            shard_mask: (n - 1) as u64,
-            cap_per_shard: (cap / n).max(1),
-            tick: AtomicU64::new(0),
-            hits: r.counter("demaq_core_slice_seq_hits_total"),
-            rebuilds: r.counter("demaq_core_slice_seq_rebuilds_total"),
-            appends: r.counter("demaq_core_slice_seq_appends_total"),
-        }
-    }
-
-    fn shard(&self, slicing: &str, key: &PropValue) -> &Mutex<SeqShard> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        slicing.hash(&mut h);
-        key.hash(&mut h);
-        &self.shards[(h.finish() & self.shard_mask) as usize]
-    }
-
-    /// Probe the cache against the store's current `(members, version)`
-    /// reading (taken atomically under one store read lock by the caller).
-    pub fn lookup(
-        &self,
-        slicing: &str,
-        key: &PropValue,
-        version: u64,
-        current_ids: &[MsgId],
-    ) -> SeqLookup {
-        let mut shard = self.shard(slicing, key).lock();
-        let Some(e) = shard.get_mut(&(slicing.to_string(), key.clone())) else {
-            return SeqLookup::Miss;
-        };
-        e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-        if e.version == version {
-            self.hits.inc();
-            return SeqLookup::Hit(e.seq.clone());
-        }
-        // Version moved: reusable only if the old membership is a strict
-        // prefix of the new one (append-only growth since we cached).
-        if !e.ids.is_empty()
-            && e.ids.len() <= current_ids.len()
-            && e.ids[..] == current_ids[..e.ids.len()]
-        {
-            return SeqLookup::Extend {
-                seq: e.seq.clone(),
-                from: e.ids.len(),
-            };
-        }
-        SeqLookup::Miss
-    }
-
-    /// Store a freshly materialized (or extended) sequence. `extended`
-    /// distinguishes the incremental-append path from a full rebuild in
-    /// the metrics.
-    pub fn store(
-        &self,
-        slicing: &str,
-        key: &PropValue,
-        version: u64,
-        ids: Vec<MsgId>,
-        seq: Sequence,
-        extended: bool,
-    ) {
-        if extended {
-            self.appends.inc();
-        } else {
-            self.rebuilds.inc();
-        }
-        let mut shard = self.shard(slicing, key).lock();
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        shard.insert(
-            (slicing.to_string(), key.clone()),
-            SeqEntry {
-                version,
-                ids,
-                seq,
-                last_used: tick,
-            },
-        );
-        if shard.len() > self.cap_per_shard {
-            // Evict the least-recently-used entry (rare; cap is per shard).
-            if let Some(victim) = shard
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                shard.remove(&victim);
-            }
-        }
-    }
-
-    /// Drop every cached sequence containing any of the purged messages
-    /// (GC hook). The version bump in the store already makes these
-    /// entries unreturnable; this releases the pinned documents.
-    pub fn invalidate_msgs(&self, purged: &[MsgId]) {
-        if purged.is_empty() {
-            return;
-        }
-        let set: HashSet<MsgId> = purged.iter().copied().collect();
-        for shard in self.shards.iter() {
-            shard
-                .lock()
-                .retain(|_, e| !e.ids.iter().any(|m| set.contains(m)));
-        }
-    }
-
-    /// Cached slice count (tests/diagnostics).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use demaq_xml::parse as parse_xml;
-    use demaq_xquery::Item;
 
     fn obs() -> Arc<Obs> {
         Obs::new()
@@ -553,65 +381,5 @@ mod tests {
                 old_model_cost(xml)
             );
         }
-    }
-
-    fn seq_of(ids: &[u64]) -> Sequence {
-        Sequence(
-            ids.iter()
-                .map(|i| Item::Node(doc(&format!("<m id='{i}'/>")).root()))
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn slice_seq_version_hit_extend_miss() {
-        let o = obs();
-        let c = SliceSeqCache::new(4, 1024, &o);
-        let key = PropValue::Str("k".into());
-        let ids = vec![MsgId(1), MsgId(2)];
-        assert!(matches!(c.lookup("s", &key, 7, &ids), SeqLookup::Miss));
-        c.store("s", &key, 7, ids.clone(), seq_of(&[1, 2]), false);
-        // Same version: hit.
-        match c.lookup("s", &key, 7, &ids) {
-            SeqLookup::Hit(s) => assert_eq!(s.len(), 2),
-            _ => panic!("expected hit"),
-        }
-        // Version moved, membership grew by append: extend from the prefix.
-        let grown = vec![MsgId(1), MsgId(2), MsgId(3)];
-        match c.lookup("s", &key, 9, &grown) {
-            SeqLookup::Extend { seq, from } => {
-                assert_eq!(seq.len(), 2);
-                assert_eq!(from, 2);
-            }
-            _ => panic!("expected extend"),
-        }
-        // Version moved, membership diverged (reset): miss.
-        let diverged = vec![MsgId(4)];
-        assert!(matches!(c.lookup("s", &key, 11, &diverged), SeqLookup::Miss));
-        assert_eq!(o.registry.counter_total("demaq_core_slice_seq_hits_total"), 1);
-    }
-
-    #[test]
-    fn slice_seq_invalidate_msgs_drops_pinning_entries() {
-        let o = obs();
-        let c = SliceSeqCache::new(2, 64, &o);
-        let k1 = PropValue::Str("a".into());
-        let k2 = PropValue::Str("b".into());
-        c.store("s", &k1, 1, vec![MsgId(1)], seq_of(&[1]), false);
-        c.store("s", &k2, 1, vec![MsgId(2)], seq_of(&[2]), false);
-        c.invalidate_msgs(&[MsgId(1)]);
-        assert!(matches!(c.lookup("s", &k1, 1, &[MsgId(1)]), SeqLookup::Miss));
-        assert!(matches!(c.lookup("s", &k2, 1, &[MsgId(2)]), SeqLookup::Hit(_)));
-    }
-
-    #[test]
-    fn slice_seq_cap_evicts_lru() {
-        let o = obs();
-        let c = SliceSeqCache::new(1, 2, &o);
-        for i in 0..5 {
-            let k = PropValue::Int(i);
-            c.store("s", &k, 1, vec![MsgId(i as u64)], seq_of(&[i as u64]), false);
-        }
-        assert!(c.len() <= 2);
     }
 }

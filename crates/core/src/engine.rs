@@ -8,9 +8,9 @@
 //! ([`Server::process_all_parallel`]) under queue- or slice-granularity
 //! locking (Sec. 4.3).
 
-use crate::aggregates::{AggRegistry, AggScope, Fold};
+use crate::aggregates::{AggRegistry, CellMap, Fold, Scope};
 use crate::app::CompiledApp;
-use crate::cache::{DocCache, SeqLookup, SliceSeqCache};
+use crate::cache::DocCache;
 use crate::compiler::CompiledRule;
 use crate::errors::{error_message, kind};
 use crate::gateway::GatewayManager;
@@ -702,7 +702,15 @@ impl ServerBuilder {
             collections: Arc::new(self.collections),
             metrics,
             doc_cache: Arc::new(DocCache::new(16, self.doc_cache_budget, &obs)),
-            slice_seq: Arc::new(SliceSeqCache::new(16, 4096, &obs)),
+            slice_seq: Arc::new(CellMap::new(
+                4096,
+                &obs,
+                [
+                    "demaq_core_slice_seq_hits_total",
+                    "demaq_core_slice_seq_appends_total",
+                    "demaq_core_slice_seq_rebuilds_total",
+                ],
+            )),
             agg,
             narrow,
             outbox: Outbox::new(&obs),
@@ -804,11 +812,10 @@ pub struct Server {
     /// Sharded LRU over parsed message documents, shared with the
     /// `qs:queue()` reader closures (see [`crate::cache`]).
     doc_cache: Arc<DocCache>,
-    /// Materialized slice member sequences, validated against the store's
-    /// slice version counters.
-    slice_seq: Arc<SliceSeqCache>,
-    /// Materialized aggregate cells, validated against the same version
-    /// clocks.
+    /// Materialized slice member sequences, validated on the store's
+    /// lifetime tokens.
+    slice_seq: Arc<CellMap<Sequence>>,
+    /// Materialized aggregate cells, validated on the same tokens.
     agg: Arc<AggRegistry>,
     /// Per-slicing retention narrowing derived from the liveness
     /// analysis; a slicing without an entry retains full history.
@@ -844,6 +851,11 @@ impl Server {
     /// The underlying store (inspection, checkpoints).
     pub fn store(&self) -> &Arc<MessageStore> {
         &self.store
+    }
+
+    /// How many slice member sequences are materialized (tests/diagnostics).
+    pub fn cached_slice_sequences(&self) -> usize {
+        self.slice_seq.len()
     }
 
     /// The simulated network.
@@ -2270,23 +2282,28 @@ impl Server {
         let purged = self.store.gc_collect()?;
         self.metrics.gc_purged.add(purged.len() as u64);
         if !purged.is_empty() {
-            // Drop the purged documents and any cached member sequences
-            // pinning them (the slice version bump already makes those
-            // entries unreturnable; this releases the memory).
+            // Drop the purged documents and the member sequences pinning
+            // them. A purged member can only sit in a cell whose token a
+            // reset or release already moved, so dropping every cell the
+            // store no longer resumes releases them all.
             self.doc_cache.remove_many(&purged);
-            self.slice_seq.invalidate_msgs(&purged);
+            let mut ids = Vec::new();
+            self.slice_seq.retain_slices(|s, k, token, len| {
+                ids.clear();
+                self.store.slice_read(s, k, Some((token, len)), &mut ids).resumed
+            });
             self.agg.forget(&purged);
         }
         Ok(purged.len())
     }
 
     /// The retention-narrowing sweep (ISSUE 10). Per narrowable slicing
-    /// and key: read one consistent `(members, version, base)` view, pick
+    /// and key: read one consistent `(members, token, base)` view, pick
     /// the processed members the proven read shape no longer needs, fold
     /// them into the base cells (aggregate-only mode), and release them
-    /// under a version CAS — a concurrent arrival or reset between read
-    /// and release aborts that slice's release harmlessly; the next sweep
-    /// retries. Releases are memory-only (Sec. 4.1: purge decisions are
+    /// under a `(token, len)` CAS — a concurrent arrival or reset between
+    /// read and release aborts that slice's release harmlessly; the next
+    /// sweep retries. Releases are memory-only (Sec. 4.1: purge decisions are
     /// re-derived after a crash, never logged); checkpoints carry the
     /// base, so released history survives restarts once a cut captured
     /// it. Any fold, decode, or encode error skips the slice — it stays
@@ -2307,8 +2324,8 @@ impl Server {
     /// Narrow one slice; `None` means an error made this slice skip the
     /// sweep (nothing released, nothing changed).
     fn narrow_slice(&self, slicing: &str, key: &PropValue, mode: &NarrowMode) -> Option<usize> {
-        let (members, version, _base_members, base) = self.store.slice_narrow_view(slicing, key);
-        if version == 0 {
+        let (members, token, base) = self.store.slice_narrow_view(slicing, key);
+        if token == 0 {
             return Some(0);
         }
         let victims: Vec<MsgId> = match mode {
@@ -2348,7 +2365,8 @@ impl Server {
                 cells
             }
         };
-        if self.store.retention_release(slicing, key, version, &victims, cells) {
+        let expected = (token, members.len());
+        if self.store.retention_release(slicing, key, expected, &victims, cells) {
             Some(victims.len())
         } else {
             Some(0)
@@ -2437,15 +2455,15 @@ enum EnqueueOutcome {
 
 /// Committed-state reader: owns what the host closures need without
 /// borrowing the server. Payloads resolve through the shared document
-/// cache, member sequences through the slice-sequence cache, and
-/// recognized aggregate reads through the materialized cell registry —
-/// so `qs:queue()` over a stable queue parses each message at most once,
-/// and a registry hit touches no member document at all.
+/// cache, member sequences and recognized aggregate reads through cells
+/// folded over slice memberships — so `qs:queue()` over a stable queue
+/// parses each message at most once, and an aggregate hit touches no
+/// member document at all.
 #[derive(Clone)]
 struct ReadHandle {
     store: Arc<MessageStore>,
     cache: Arc<DocCache>,
-    slice_seq: Arc<SliceSeqCache>,
+    slice_seq: Arc<CellMap<Sequence>>,
     agg: Arc<AggRegistry>,
 }
 
@@ -2485,31 +2503,44 @@ impl ReadHandle {
     }
 
     /// Parsed document roots of a slice's current members, through the
-    /// materialized-sequence cache. The `(members, version)` pair is read
-    /// atomically from the store under one lock; a version match reuses the
-    /// cached sequence outright, and append-only growth parses only the new
-    /// suffix — the N-arrivals join goes from O(N²) to O(N) parse work.
+    /// slice's member-sequence cell. Like [`Self::aggregate_read`], one
+    /// store read hands out the membership past the cell's `(token, len)`:
+    /// nothing (reuse the cell outright), the appended members (parse and
+    /// append only those — the N-arrivals join goes from O(N²) to O(N)
+    /// parse work), or every member for a rebuild.
     fn slice_member_docs(
         &self,
         slicing: &str,
         key: &PropValue,
     ) -> std::result::Result<Sequence, XqError> {
-        let (ids, version) = self.store.slice_members_versioned(slicing, key);
-        let (mut items, from, extended) =
-            match self.slice_seq.lookup(slicing, key, version, &ids) {
-                SeqLookup::Hit(seq) => return Ok(seq),
-                SeqLookup::Extend { seq, from } => (seq.0, from, true),
-                SeqLookup::Miss => (Vec::with_capacity(ids.len()), 0, false),
-            };
-        for id in &ids[from..] {
-            if let Some(root) = self.doc_root(*id)? {
+        let scope = Scope::Slice(slicing, key);
+        let cell = self.slice_seq.get(scope);
+        let since = cell.as_ref().map(|f| (f.token, f.len));
+        let mut ids = Vec::new();
+        let read = self.store.slice_read(slicing, key, since, &mut ids);
+        let (mut items, extended) = match cell {
+            Some(f) if read.resumed => {
+                if ids.is_empty() {
+                    self.slice_seq.note_hit();
+                    return Ok(f.value);
+                }
+                (f.value.0, true)
+            }
+            _ => (Vec::with_capacity(ids.len()), false),
+        };
+        for id in ids {
+            if let Some(root) = self.doc_root(id)? {
                 items.push(Item::Node(root));
             }
         }
-        let seq = Sequence(items);
-        self.slice_seq
-            .store(slicing, key, version, ids, seq.clone(), extended);
-        Ok(seq)
+        let value = Sequence(items);
+        let fold = Fold {
+            token: read.token,
+            len: read.len,
+            value: value.clone(),
+        };
+        self.slice_seq.put(scope, fold, extended);
+        Ok(value)
     }
 
     /// Answer a recognized aggregate read from the cell registry;
@@ -2529,45 +2560,45 @@ impl ReadHandle {
         spec: &AggregateSpec,
         slice_ctx: Option<(&str, &PropValue)>,
     ) -> Option<std::result::Result<Sequence, XqError>> {
-        let agg = &self.agg;
-        if !agg.owns(id, spec) {
+        if !self.agg.owns(id, spec) {
             return None;
         }
+        let cells = self.agg.cells(id);
         let scope = match (&spec.source, slice_ctx) {
-            (AggSource::Queue(q), _) => AggScope::Queue(q),
-            (AggSource::Slice, Some((s, k))) => AggScope::Slice(s, k),
+            (AggSource::Queue(q), _) => Scope::Queue(q),
+            (AggSource::Slice, Some((s, k))) => Scope::Slice(s, k),
             (AggSource::Slice, None) => return None,
         };
         // Membership-only fast path: step-free `count`/`exists` are pure
         // functions of the membership length (plus released members).
         if spec.membership_only() {
             let n = match scope {
-                AggScope::Queue(q) => self.store.queue_len(q).ok()?,
-                AggScope::Slice(s, k) => {
+                Scope::Queue(q) => self.store.queue_len(q).ok()?,
+                Scope::Slice(s, k) => {
                     let (len, released) = self.store.slice_len(s, k);
                     len + released as usize
                 }
             };
-            agg.note_hit();
+            cells.note_hit();
             return Some(Ok(match spec.op {
                 AggOp::Exists => Sequence::bool(n > 0),
                 _ => Sequence::int(n as i64),
             }));
         }
-        let cell = agg.fold(id, scope);
+        let cell = cells.get(scope);
         let since = cell.as_ref().map(|f| (f.token, f.len));
         let mut ids = Vec::new();
         let read = match scope {
-            AggScope::Queue(q) => self.store.queue_read(q, since, &mut ids).ok()?,
-            AggScope::Slice(s, k) => self.store.slice_read(s, k, since, &mut ids),
+            Scope::Queue(q) => self.store.queue_read(q, since, &mut ids).ok()?,
+            Scope::Slice(s, k) => self.store.slice_read(s, k, since, &mut ids),
         };
         let (mut acc, extended) = match cell {
             Some(f) if read.resumed => {
                 if ids.is_empty() {
-                    agg.note_hit();
-                    return Some(Ok(f.acc.result()));
+                    cells.note_hit();
+                    return Some(Ok(f.value.result()));
                 }
-                (f.acc, true)
+                (f.value, true)
             }
             _ => match rebuild_seed(spec, &read) {
                 Ok(acc) => (acc, false),
@@ -2588,9 +2619,9 @@ impl ReadHandle {
         let fold = Fold {
             token: read.token,
             len: read.len,
-            acc,
+            value: acc,
         };
-        agg.store(id, scope, fold, extended);
+        cells.put(scope, fold, extended);
         Some(Ok(result))
     }
 

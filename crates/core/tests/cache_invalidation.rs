@@ -1,5 +1,5 @@
 //! Cache coherence tests: the document cache and the materialized
-//! slice-sequence cache must never surface stale state to a rule
+//! slice member sequences must never surface stale state to a rule
 //! evaluation — across GC purges, slice resets (epoch bumps), aborted
 //! transactions, and concurrent writers (ISSUE 3 tentpole correctness
 //! constraint: invalidation is a side effect of commit, never of
@@ -43,7 +43,7 @@ fn reset_slice(s: &Server, slicing: &str, key: &str) {
 fn slice_seq_cache_sees_appends_and_reset() {
     let s = server(JOIN);
     // Three arrivals: the cached member sequence must grow with each
-    // commit (version bump on member add), firing the join exactly at 3.
+    // commit (an add grows the length), firing the join exactly at 3.
     s.enqueue_external("parts", r#"<p rid="A" n="1"/>"#).unwrap();
     s.run_until_idle().unwrap();
     assert!(s.queue_bodies("joined").unwrap().is_empty());
@@ -57,7 +57,7 @@ fn slice_seq_cache_sees_appends_and_reset() {
     s.run_until_idle().unwrap();
     assert_eq!(s.queue_bodies("joined").unwrap(), ["<complete>A</complete>"]);
 
-    // Reset the slice (epoch bump → version bump): a stale cached
+    // Reset the slice (epoch bump → new token): a stale cached
     // 3-member sequence must not resurrect the join on the next arrival.
     reset_slice(&s, "byRid", "A");
     let key = PropValue::Str("A".into());
@@ -102,6 +102,64 @@ fn gc_purge_invalidates_cached_members() {
     );
     let key = PropValue::Str("B".into());
     assert_eq!(s.store().slice_members("byRid", &key).len(), 2);
+}
+
+/// Positional program: the rule reads the slice's member sequence (not
+/// just its length, which the aggregate cells answer on their own).
+const FIRST: &str = r#"
+    create queue parts kind basic mode persistent
+    create queue firsts kind basic mode persistent
+    create property rid as xs:string fixed queue parts value //@rid
+    create slicing byRid on rid
+    create rule first for byRid
+      if (count(qs:slice()) >= 2) then
+        do enqueue <first>{string(qs:slice()[1]/p/@n)}</first> into firsts
+"#;
+
+#[test]
+fn reset_then_refill_to_the_same_length_reads_the_new_lifetime() {
+    let s = server(FIRST);
+    for n in 1..=2 {
+        s.enqueue_external("parts", &format!(r#"<p rid="A" n="{n}"/>"#))
+            .unwrap();
+    }
+    s.run_until_idle().unwrap();
+    assert_eq!(s.queue_bodies("firsts").unwrap(), ["<first>1</first>"; 2]);
+    // A new lifetime refilled to the cached length before any read: the
+    // cell's length matches, only its token tells the lifetimes apart.
+    reset_slice(&s, "byRid", "A");
+    for n in 3..=4 {
+        s.enqueue_external("parts", &format!(r#"<p rid="A" n="{n}"/>"#))
+            .unwrap();
+    }
+    s.run_until_idle().unwrap();
+    assert_eq!(
+        s.queue_bodies("firsts").unwrap()[2..],
+        ["<first>3</first>"; 2],
+        "a stale cached sequence would still start at member 1"
+    );
+}
+
+#[test]
+fn gc_drops_member_sequences_holding_purged_documents() {
+    let s = server(FIRST);
+    for rid in ["A", "B"] {
+        for n in 1..=2 {
+            s.enqueue_external("parts", &format!(r#"<p rid="{rid}" n="{n}"/>"#))
+                .unwrap();
+        }
+    }
+    s.run_until_idle().unwrap();
+    assert_eq!(s.cached_slice_sequences(), 2);
+    // The reset releases A's members; GC purges them, and with them the
+    // cell that still holds their documents. B's cell is current.
+    reset_slice(&s, "byRid", "A");
+    let purged = s.gc().unwrap();
+    assert!(purged >= 2, "A's members are purged, got {purged}");
+    assert_eq!(s.cached_slice_sequences(), 1, "only B's cell survives");
+    s.enqueue_external("parts", r#"<p rid="B" n="3"/>"#).unwrap();
+    s.run_until_idle().unwrap();
+    assert_eq!(s.queue_bodies("firsts").unwrap(), ["<first>1</first>"]);
 }
 
 #[test]

@@ -41,25 +41,22 @@ pub struct SliceState {
     /// when its id exceeds it — comparing with the last member alone would
     /// let 4 after the out-of-order 3 in 5, 3, 4 pass as one.
     max: Option<MsgId>,
-    /// Version counter for cache validation: set to a fresh value from the
-    /// index-wide monotonic clock on every mutation (member add, reset,
-    /// GC purge, retention release). Process-local — deliberately *not*
-    /// checkpointed: caches keyed by it are process-local too and start
-    /// empty after recovery. Values are drawn from one strictly increasing
-    /// clock, so a version can never recur for a slice (not even across
-    /// remove/recreate).
-    pub version: u64,
     /// Lifetime token: the clock value of the slice's last change that was
     /// not an append of an id larger than every earlier one (`max`) —
-    /// creation, reset, purge, release, an out-of-order add. While it is unchanged the membership only grew at
-    /// the end, so a fold over the first `len` members is extended by
-    /// folding `members[len..]`. Process-local like `version`.
+    /// creation, reset, purge, release, an out-of-order add. While it is
+    /// unchanged the membership only grew at the end, so state derived
+    /// from the first `len` members is extended from `members[len..]`.
+    /// Tokens come from one strictly increasing index-wide clock, so a
+    /// token never recurs for a slice (not even across remove/recreate).
+    /// Process-local — deliberately *not* checkpointed: the caches
+    /// validating on it are process-local too and start empty after
+    /// recovery.
     pub token: u64,
     /// Persisted aggregate accumulators standing in for released members:
     /// `(stable aggregate signature, encoded AggAcc)`. Installed by
     /// [`SliceIndex::release`] when the liveness analysis proved the slice
     /// is read only through these aggregates; carried in the checkpoint
-    /// (unlike `version`) so recovery does not need the purged payloads.
+    /// (unlike `token`) so recovery does not need the purged payloads.
     pub base: BaseCells,
     /// How many current-lifetime members have been folded into `base` and
     /// released. Membership-only aggregates (`count`, `exists`) answer
@@ -151,22 +148,48 @@ pub struct SliceIndex {
     /// Reverse index for retention checks and replay idempotency: message
     /// -> its *current-lifetime* memberships.
     by_msg: HashMap<MsgId, Vec<(Arc<str>, PropValue)>>,
-    /// Per-queue lifetime tokens sharing the same clock: bumped when a
+    /// Per-queue lifetime tokens sharing the same clock: moved when a
     /// queue's membership changes other than by appending a larger id
     /// (first insert, out-of-order insert, GC purge), so whole-queue
     /// aggregate cells validate exactly like slice cells. Process-local,
-    /// not checkpointed (see [`SliceState::version`] for why that is safe).
+    /// not checkpointed (see [`SliceState::token`] for why that is safe).
     queue_tokens: HashMap<String, u64>,
-    /// Monotonic clock feeding versions and tokens; never reused within a
-    /// process lifetime.
-    version_clock: u64,
-    /// While a batch apply is in flight ([`SliceIndex::begin_batch`]),
-    /// every mutation stamps this shared version instead of bumping the
-    /// clock per-op. Sound for cache validation because readers can't
-    /// observe mid-batch state (the store holds the state write lock for
-    /// the whole batch) — any batch that touched a slice leaves it with a
-    /// version strictly greater than any pre-batch value.
-    batch_version: Option<u64>,
+    /// Monotonic clock feeding tokens; never reused within a process
+    /// lifetime, and never 0.
+    clock: u64,
+}
+
+/// A fresh token: the next tick of the clock.
+fn tick(clock: &mut u64) -> u64 {
+    *clock += 1;
+    *clock
+}
+
+/// The slice, created (with a fresh token) if missing; also returns the
+/// shared slicing name for reverse-index rows.
+fn slice_entry<'a>(
+    slices: &'a mut BTreeMap<Arc<str>, BTreeMap<PropValue, SliceState>>,
+    clock: &mut u64,
+    slicing: &str,
+    key: &PropValue,
+) -> (Arc<str>, &'a mut SliceState) {
+    let name = match slices.get_key_value(slicing) {
+        Some((name, _)) => Arc::clone(name),
+        None => {
+            let name: Arc<str> = Arc::from(slicing);
+            slices.insert(Arc::clone(&name), BTreeMap::new());
+            name
+        }
+    };
+    let keys = slices.get_mut(slicing).expect("present");
+    if !keys.contains_key(key) {
+        let fresh = SliceState {
+            token: tick(clock),
+            ..SliceState::default()
+        };
+        keys.insert(key.clone(), fresh);
+    }
+    (name, keys.get_mut(key).expect("present"))
 }
 
 impl SliceIndex {
@@ -174,63 +197,13 @@ impl SliceIndex {
         SliceIndex::default()
     }
 
-    /// Bump the version clock once and reuse that value for every mutation
-    /// until [`end_batch`](Self::end_batch) — one bump per apply batch.
-    pub fn begin_batch(&mut self) {
-        self.version_clock += 1;
-        self.batch_version = Some(self.version_clock);
-    }
-
-    /// Leave batch mode; later mutations bump the clock per-op again.
-    pub fn end_batch(&mut self) {
-        self.batch_version = None;
-    }
-
-    /// The version to stamp on a mutated slice: the shared batch version
-    /// while one is active, otherwise a fresh clock tick.
-    fn next_version(&mut self) -> u64 {
-        match self.batch_version {
-            Some(v) => v,
-            None => {
-                self.version_clock += 1;
-                self.version_clock
-            }
-        }
-    }
-
     fn slice(&self, slicing: &str, key: &PropValue) -> Option<&SliceState> {
         self.slices.get(slicing)?.get(key)
     }
 
-    /// The slice, created (with a fresh token) if missing; also returns
-    /// the shared slicing name for reverse-index rows.
-    fn slice_entry(
-        &mut self,
-        slicing: &str,
-        key: &PropValue,
-        version: u64,
-    ) -> (Arc<str>, &mut SliceState) {
-        let name = match self.slices.get_key_value(slicing) {
-            Some((name, _)) => Arc::clone(name),
-            None => {
-                let name: Arc<str> = Arc::from(slicing);
-                self.slices.insert(Arc::clone(&name), BTreeMap::new());
-                name
-            }
-        };
-        let keys = self.slices.get_mut(slicing).expect("present");
-        if !keys.contains_key(key) {
-            let fresh = SliceState {
-                token: version,
-                ..SliceState::default()
-            };
-            keys.insert(key.clone(), fresh);
-        }
-        (name, keys.get_mut(key).expect("present"))
-    }
-
     /// Add `msg` to the slice `(slicing, key)` in its current lifetime. A
     /// replayed add (the message is already a current member) is a no-op.
+    /// Only an add that is not an append moves the token.
     pub fn add(&mut self, slicing: &str, key: &PropValue, msg: MsgId) {
         let member = |rows: &Vec<(Arc<str>, PropValue)>| {
             rows.iter().any(|(s, k)| **s == *slicing && k == key)
@@ -238,8 +211,7 @@ impl SliceIndex {
         if self.by_msg.get(&msg).is_some_and(member) {
             return; // idempotent (log replay)
         }
-        let version = self.next_version();
-        let (name, state) = self.slice_entry(slicing, key, version);
+        let (name, state) = slice_entry(&mut self.slices, &mut self.clock, slicing, key);
         if state.members.is_empty() {
             state.out_of_order = false;
             state.max = Some(msg);
@@ -247,10 +219,9 @@ impl SliceIndex {
             state.max = Some(msg);
         } else {
             state.out_of_order = true;
-            state.token = version;
+            state.token = tick(&mut self.clock);
         }
         state.members.push(msg);
-        state.version = version;
         self.by_msg
             .entry(msg)
             .or_default()
@@ -262,11 +233,9 @@ impl SliceIndex {
     /// narrowed-retention base belongs to the old lifetime and is
     /// discarded with it.
     pub fn reset(&mut self, slicing: &str, key: &PropValue) -> u64 {
-        let version = self.next_version();
-        let (_, state) = self.slice_entry(slicing, key, version);
+        let (_, state) = slice_entry(&mut self.slices, &mut self.clock, slicing, key);
         state.epoch += 1;
-        state.version = version;
-        state.token = version;
+        state.token = tick(&mut self.clock);
         state.out_of_order = false;
         state.base.clear();
         state.base_members = 0;
@@ -291,18 +260,8 @@ impl SliceIndex {
 
     /// Messages visible in the slice's current lifetime, in arrival order.
     pub fn members(&self, slicing: &str, key: &PropValue) -> Vec<MsgId> {
-        self.members_versioned(slicing, key).0
-    }
-
-    /// Current members (in arrival order) plus the slice's version counter,
-    /// read together — the consistent `(membership, version)` pair cache
-    /// entries are keyed by. A missing slice reports version 0, which the
-    /// clock never emits.
-    pub fn members_versioned(&self, slicing: &str, key: &PropValue) -> (Vec<MsgId>, u64) {
-        match self.slice(slicing, key) {
-            Some(s) => (s.sorted_members(), s.version),
-            None => (Vec::new(), 0),
-        }
+        self.slice(slicing, key)
+            .map_or_else(Vec::new, SliceState::sorted_members)
     }
 
     /// `(current member count, released member count)` — what a
@@ -312,8 +271,9 @@ impl SliceIndex {
             .map_or((0, 0), |s| (s.members.len(), s.base_members))
     }
 
-    /// One consistent read for an aggregate fold that already covers
-    /// `since = (token, len)`: while the slice's token is unchanged only the
+    /// One consistent read for state (an aggregate fold, a member
+    /// sequence) that already covers `since = (token, len)`: while the
+    /// slice's token is unchanged only the
     /// members past `len` are appended to `ids` (none at all when nothing
     /// arrived); otherwise every current member in id order plus the base
     /// cells, for a rebuild. Members past `len` always arrive in id order —
@@ -337,35 +297,36 @@ impl SliceIndex {
         }
     }
 
-    /// Current members in arrival order, version, released member count
-    /// and base cells, read together — the narrowing sweep's view.
-    pub fn narrow_view(&self, slicing: &str, key: &PropValue) -> (Vec<MsgId>, u64, u64, BaseCells) {
+    /// Current members in arrival order, lifetime token and base cells,
+    /// read together — the narrowing sweep's view. The sweep's
+    /// compare-and-swap expects `(token, members.len())`.
+    pub fn narrow_view(&self, slicing: &str, key: &PropValue) -> (Vec<MsgId>, u64, BaseCells) {
         match self.slice(slicing, key) {
-            Some(s) => (s.sorted_members(), s.version, s.base_members, s.base.clone()),
-            None => (Vec::new(), 0, 0, Vec::new()),
+            Some(s) => (s.sorted_members(), s.token, s.base.clone()),
+            None => (Vec::new(), 0, Vec::new()),
         }
     }
 
     /// Narrow retention for one slice: fold `victims` (current members
     /// whose payloads the caller has already absorbed into `cells`) out of
     /// the membership and install the accumulator cells as the slice's new
-    /// base. Guarded by compare-and-swap on the slice's version — any
-    /// concurrent arrival or reset since the caller's fold invalidates it,
-    /// and the release is skipped (`false`) rather than applied over a
-    /// membership the fold did not observe.
+    /// base. Guarded by compare-and-swap on the slice's `(token, len)` —
+    /// an arrival since the caller's fold changes the length, a reset,
+    /// purge or release moves the token — and the release is skipped
+    /// (`false`) rather than applied over a membership the fold did not
+    /// observe.
     pub fn release(
         &mut self,
         slicing: &str,
         key: &PropValue,
-        expected_version: u64,
+        expected: (u64, usize),
         victims: &[MsgId],
         cells: BaseCells,
     ) -> bool {
-        let version = self.next_version();
         let Some(state) = self.slices.get_mut(slicing).and_then(|k| k.get_mut(key)) else {
             return false;
         };
-        if state.version != expected_version || expected_version == 0 || victims.is_empty() {
+        if (state.token, state.members.len()) != expected || victims.is_empty() {
             return false;
         }
         let mut sorted = victims.to_vec();
@@ -375,8 +336,7 @@ impl SliceIndex {
         debug_assert_eq!(before - state.members.len(), victims.len());
         state.base_members += victims.len() as u64;
         state.base = cells;
-        state.version = version;
-        state.token = version;
+        state.token = tick(&mut self.clock);
         for &victim in victims {
             self.drop_row(victim, slicing, key);
         }
@@ -390,25 +350,19 @@ impl SliceIndex {
         if appended && self.queue_tokens.contains_key(queue) {
             return;
         }
-        let version = self.next_version();
-        self.queue_tokens.insert(queue.to_string(), version);
+        self.bump_queue(queue);
     }
 
     /// Stamp a fresh token on `queue` (GC purged some of its messages).
     pub fn bump_queue(&mut self, queue: &str) {
-        let version = self.next_version();
-        self.queue_tokens.insert(queue.to_string(), version);
+        let token = tick(&mut self.clock);
+        self.queue_tokens.insert(queue.to_string(), token);
     }
 
     /// The queue's lifetime token (0 when no message was ever inserted
     /// this process lifetime — the clock never emits 0).
     pub fn queue_token(&self, queue: &str) -> u64 {
         self.queue_tokens.get(queue).copied().unwrap_or(0)
-    }
-
-    /// The slice's current version counter (0 when the slice is unknown).
-    pub fn version(&self, slicing: &str, key: &PropValue) -> u64 {
-        self.slice(slicing, key).map_or(0, |s| s.version)
     }
 
     /// All keys of one slicing that currently have visible members.
@@ -436,7 +390,7 @@ impl SliceIndex {
         let Some(rows) = self.by_msg.remove(&msg) else {
             return;
         };
-        let version = self.next_version();
+        let token = tick(&mut self.clock);
         for (slicing, key) in rows {
             let Some(keys) = self.slices.get_mut(&*slicing) else {
                 continue;
@@ -444,9 +398,8 @@ impl SliceIndex {
             if let Some(state) = keys.get_mut(&key) {
                 if let Some(i) = state.members.iter().position(|&m| m == msg) {
                     state.members.remove(i);
-                    // GC purge invalidates cached member sequences and folds.
-                    state.version = version;
-                    state.token = version;
+                    // A GC purge invalidates the state folded over the slice.
+                    state.token = token;
                 }
                 // Never drop a slice carrying a narrowed-retention base: its
                 // accumulators still answer aggregate reads for the
@@ -479,11 +432,9 @@ impl SliceIndex {
         base: BaseCells,
         base_members: u64,
     ) {
-        let version = self.next_version();
-        let (name, state) = self.slice_entry(slicing, &key, version);
+        let (name, state) = slice_entry(&mut self.slices, &mut self.clock, slicing, &key);
         state.epoch = epoch;
-        state.version = version;
-        state.token = version;
+        state.token = tick(&mut self.clock);
         state.base = base;
         state.base_members = base_members;
         state.out_of_order = !members.is_sorted();
@@ -515,6 +466,13 @@ mod tests {
         let mut ids = Vec::new();
         let r = idx.read_since("s", &k("a"), since, &mut ids);
         (r, ids)
+    }
+
+    /// `(token, len)` of the slice `("s", key)`: what state folded over it
+    /// validates on.
+    fn stamp(idx: &SliceIndex, key: &str) -> (u64, usize) {
+        let r = idx.read_since("s", &k(key), None, &mut Vec::new());
+        (r.token, r.len)
     }
 
     #[test]
@@ -589,13 +547,13 @@ mod tests {
         idx.add("s", &k("b"), MsgId(3));
         idx.reset("s", &k("a"));
         idx.add("s", &k("a"), MsgId(4));
-        let (va, vb) = (idx.version("s", &k("a")), idx.version("s", &k("b")));
+        let (sa, sb) = (stamp(&idx, "a"), stamp(&idx, "b"));
         // The old lifetime left the index at reset: purging its members
         // is a reverse-index miss, not a scan over every slice.
         idx.forget(MsgId(1));
         idx.forget(MsgId(2));
         assert_eq!(idx.members("s", &k("a")), vec![MsgId(4)]);
-        assert_eq!((idx.version("s", &k("a")), idx.version("s", &k("b"))), (va, vb));
+        assert_eq!((stamp(&idx, "a"), stamp(&idx, "b")), (sa, sb));
         assert_eq!(idx.slice_count(), 2, "the reset slice keeps its lifetime");
         // A current member's purge drops only the slice it emptied.
         idx.forget(MsgId(3));
@@ -621,11 +579,10 @@ mod tests {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
         idx.add("s", &k("a"), MsgId(2));
-        let (v, t) = (idx.version("s", &k("a")), read(&idx, None).0.token);
+        let before = stamp(&idx, "a");
         idx.add("s", &k("a"), MsgId(1)); // log replay duplicate
         assert_eq!(idx.members("s", &k("a")), vec![MsgId(1), MsgId(2)]);
-        assert_eq!(idx.version("s", &k("a")), v, "no-op add keeps the version");
-        assert_eq!(read(&idx, None).0.token, t, "no-op add keeps the token");
+        assert_eq!(stamp(&idx, "a"), before, "no-op add keeps token and length");
         // After a reset the same message may legitimately join the new
         // lifetime (replay of an add that followed the reset).
         idx.reset("s", &k("a"));
@@ -730,44 +687,46 @@ mod tests {
     }
 
     #[test]
-    fn version_bumps_on_add_reset_forget() {
+    fn adds_grow_len_and_reset_forget_release_move_the_token() {
         let mut idx = SliceIndex::new();
-        assert_eq!(idx.version("s", &k("a")), 0, "unknown slice is version 0");
+        assert_eq!(stamp(&idx, "a"), (0, 0), "unknown slice is token 0");
         idx.add("s", &k("a"), MsgId(1));
-        let v1 = idx.version("s", &k("a"));
-        assert_ne!(v1, 0, "clock never emits 0");
+        let (t1, len1) = stamp(&idx, "a");
+        assert_ne!(t1, 0, "clock never emits 0");
         idx.add("s", &k("a"), MsgId(2));
-        let v2 = idx.version("s", &k("a"));
-        assert!(v2 > v1, "member add bumps");
+        assert_eq!(stamp(&idx, "a"), (t1, len1 + 1), "an add grows len");
         idx.reset("s", &k("a"));
-        let v3 = idx.version("s", &k("a"));
-        assert!(v3 > v2, "reset bumps");
+        let (t2, _) = stamp(&idx, "a");
+        assert!(t2 > t1, "reset moves the token");
         idx.add("s", &k("a"), MsgId(3));
-        let v4 = idx.version("s", &k("a"));
+        idx.add("s", &k("a"), MsgId(4));
         idx.forget(MsgId(3));
-        assert!(idx.version("s", &k("a")) > v4, "GC purge bumps");
+        let (t3, _) = stamp(&idx, "a");
+        assert!(t3 > t2, "GC purge moves the token");
+        assert!(idx.release("s", &k("a"), (t3, 1), &[MsgId(4)], Vec::new()));
+        assert!(stamp(&idx, "a").0 > t3, "release moves the token");
     }
 
     #[test]
-    fn forget_of_nonmember_keeps_version() {
+    fn forget_of_nonmember_changes_nothing() {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
-        let v = idx.version("s", &k("a"));
+        let before = stamp(&idx, "a");
         idx.forget(MsgId(99));
-        assert_eq!(idx.version("s", &k("a")), v);
+        assert_eq!(stamp(&idx, "a"), before);
     }
 
     #[test]
-    fn version_never_recurs_across_recreate() {
+    fn token_never_recurs_across_recreate() {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
-        let v1 = idx.version("s", &k("a"));
+        let (t1, _) = stamp(&idx, "a");
         // Purge the only member: the epoch-0 empty slice entry is dropped.
         idx.forget(MsgId(1));
-        assert_eq!(idx.version("s", &k("a")), 0, "slice entry gone");
-        // Recreate the same (slicing, key): version must be fresh, not v1.
+        assert_eq!(stamp(&idx, "a"), (0, 0), "slice entry gone");
+        // Recreate the same (slicing, key): the token is fresh, not t1.
         idx.add("s", &k("a"), MsgId(2));
-        assert!(idx.version("s", &k("a")) > v1);
+        assert!(stamp(&idx, "a").0 > t1);
     }
 
     #[test]
@@ -779,19 +738,13 @@ mod tests {
         assert_ne!(t1, 0, "the first insert stamps a token");
         idx.note_queue_insert("q", true);
         assert_eq!(idx.queue_token("q"), t1, "appends keep it");
-        idx.add("s", &k("a"), MsgId(1)); // slice mutation advances the clock
+        idx.add("s", &k("a"), MsgId(1)); // a new slice advances the clock
         idx.note_queue_insert("q", false);
         assert!(idx.queue_token("q") > t1, "an out-of-order insert moves it");
         let t2 = idx.queue_token("q");
         idx.bump_queue("q");
         assert!(idx.queue_token("q") > t2, "a purge moves it");
         assert_eq!(idx.queue_token("other"), 0, "queues are independent");
-        // Batch mode: all stamps share one version.
-        idx.begin_batch();
-        idx.bump_queue("a");
-        idx.bump_queue("b");
-        assert_eq!(idx.queue_token("a"), idx.queue_token("b"));
-        idx.end_batch();
     }
 
     #[test]
@@ -799,15 +752,15 @@ mod tests {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
         idx.add("s", &k("a"), MsgId(2));
-        let (members, v, b, cells) = idx.narrow_view("s", &k("a"));
+        let (members, t, cells) = idx.narrow_view("s", &k("a"));
         assert_eq!(members, vec![MsgId(1), MsgId(2)]);
-        assert_eq!((b, cells.len()), (0, 0));
+        assert_eq!((idx.len("s", &k("a")).1, cells.len()), (0, 0));
         let (before, _) = read(&idx, None);
-        assert!(idx.release("s", &k("a"), v, &[MsgId(1)], vec![("count".into(), vec![1])]));
-        let (members, v2, b, cells) = idx.narrow_view("s", &k("a"));
+        assert!(idx.release("s", &k("a"), (t, 2), &[MsgId(1)], vec![("count".into(), vec![1])]));
+        let (members, t2, cells) = idx.narrow_view("s", &k("a"));
         assert_eq!(members, vec![MsgId(2)]);
-        assert!(v2 > v, "release bumps the version");
-        assert_eq!(b, 1);
+        assert!(t2 > t, "release moves the token");
+        assert_eq!(idx.len("s", &k("a")), (1, 1));
         assert_eq!(cells, vec![("count".to_string(), vec![1])]);
         assert!(!idx.is_retained(MsgId(1)), "released member is unretained");
         assert!(idx.is_retained(MsgId(2)));
@@ -817,15 +770,22 @@ mod tests {
     }
 
     #[test]
-    fn release_cas_rejects_stale_version() {
+    fn release_cas_rejects_a_stale_view() {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
-        let (_, v, _, _) = idx.narrow_view("s", &k("a"));
+        let (_, t, _) = idx.narrow_view("s", &k("a"));
         idx.add("s", &k("a"), MsgId(2)); // concurrent arrival since the fold
-        assert!(!idx.release("s", &k("a"), v, &[MsgId(1)], Vec::new()));
-        assert!(idx.is_retained(MsgId(1)), "stale release must not apply");
+        assert!(!idx.release("s", &k("a"), (t, 1), &[MsgId(1)], Vec::new()));
+        assert!(idx.is_retained(MsgId(1)), "an arrival changes the length");
+        idx.reset("s", &k("a"));
+        idx.add("s", &k("a"), MsgId(3));
+        idx.add("s", &k("a"), MsgId(4));
         assert!(
-            !idx.release("s", &k("zz"), 7, &[MsgId(1)], Vec::new()),
+            !idx.release("s", &k("a"), (t, 2), &[MsgId(3)], Vec::new()),
+            "a reset refilled to the same length moves the token"
+        );
+        assert!(
+            !idx.release("s", &k("zz"), (7, 0), &[MsgId(1)], Vec::new()),
             "unknown slice"
         );
     }
@@ -834,33 +794,30 @@ mod tests {
     fn reset_discards_base_and_forget_keeps_based_slices() {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
-        let (_, v, _, _) = idx.narrow_view("s", &k("a"));
-        assert!(idx.release("s", &k("a"), v, &[MsgId(1)], vec![("sig".into(), vec![9])]));
+        let (_, t, _) = idx.narrow_view("s", &k("a"));
+        assert!(idx.release("s", &k("a"), (t, 1), &[MsgId(1)], vec![("sig".into(), vec![9])]));
         // No members left, epoch 0 — but the base must survive slice GC:
         // its accumulators still answer reads.
         idx.forget(MsgId(1));
         idx.forget(MsgId(42));
-        let (members, _, b, cells) = idx.narrow_view("s", &k("a"));
+        let (members, _, cells) = idx.narrow_view("s", &k("a"));
         assert!(members.is_empty());
-        assert_eq!((b, cells.len()), (1, 1));
+        assert_eq!((idx.len("s", &k("a")).1, cells.len()), (1, 1));
         // Reset starts a new lifetime: the base goes with the old one.
         idx.reset("s", &k("a"));
-        let (_, _, b, cells) = idx.narrow_view("s", &k("a"));
-        assert_eq!((b, cells.len()), (0, 0));
+        let (_, _, cells) = idx.narrow_view("s", &k("a"));
+        assert_eq!((idx.len("s", &k("a")).1, cells.len()), (0, 0));
     }
 
     #[test]
-    fn members_versioned_is_consistent_pair() {
+    fn full_read_is_a_consistent_pair() {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(5));
         idx.add("s", &k("a"), MsgId(2));
-        let (members, v) = idx.members_versioned("s", &k("a"));
+        let (r, members) = read(&idx, None);
         assert_eq!(members, vec![MsgId(2), MsgId(5)]);
-        assert_eq!(v, idx.version("s", &k("a")));
-        assert_eq!(
-            idx.members_versioned("s", &k("zz")),
-            (Vec::new(), 0),
-            "unknown slice"
-        );
+        assert_eq!(members, idx.members("s", &k("a")));
+        assert_eq!((r.token, r.len), stamp(&idx, "a"));
+        assert_eq!(stamp(&idx, "zz"), (0, 0), "unknown slice");
     }
 }

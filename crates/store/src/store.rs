@@ -699,9 +699,8 @@ impl MessageStore {
     /// the batch-apply leader/follower protocol (the logical-apply
     /// analogue of `wal::LogWriter::sync_to`). The first committer to
     /// find no leader active drains the *whole* queue and applies it
-    /// under one `state` write-lock acquisition, bumping the slice
-    /// version clock once for the batch; everyone else parks on the
-    /// condvar until a leader's batch covers their job.
+    /// under one `state` write-lock acquisition; everyone else parks on
+    /// the condvar until a leader's batch covers their job.
     fn apply_wait(&self, seq: u64) {
         let mut apply = self.apply.lock();
         loop {
@@ -724,15 +723,9 @@ impl MessageStore {
             let mut enqueued = Vec::new();
             {
                 let mut state = self.state.write();
-                // One version-clock bump covers the whole batch: caches
-                // validating against slice versions still observe a fresh
-                // value (readers can't see mid-batch state — the write
-                // lock is held throughout).
-                state.slices.begin_batch();
                 for job in batch {
                     Self::apply_job(&mut state, job, &mut enqueued);
                 }
-                state.slices.end_batch();
             }
 
             apply = self.apply.lock();
@@ -947,17 +940,14 @@ impl MessageStore {
         self.state.read().slices.members(slicing, key)
     }
 
-    /// Visible members of one slice together with its version counter,
-    /// read atomically under one state lock — the consistent pair the
-    /// engine's slice-sequence cache validates against. The version is
-    /// bumped inside commit (member add, reset) and by GC purges.
+    /// Visible members of one slice (id order) together with its lifetime
+    /// token, read atomically under one state lock. The token moves on
+    /// every change that is not an append (reset, GC purge, release,
+    /// out-of-order commit); 0 means the slice is unknown.
     pub fn slice_members_versioned(&self, slicing: &str, key: &PropValue) -> (Vec<MsgId>, u64) {
-        self.state.read().slices.members_versioned(slicing, key)
-    }
-
-    /// The slice's current version counter (0 for an unknown slice).
-    pub fn slice_version(&self, slicing: &str, key: &PropValue) -> u64 {
-        self.state.read().slices.version(slicing, key)
+        let mut ids = Vec::new();
+        let read = self.slice_read(slicing, key, None, &mut ids);
+        (ids, read.token)
     }
 
     /// `(current member count, released member count)` of one slice —
@@ -966,11 +956,12 @@ impl MessageStore {
         self.state.read().slices.len(slicing, key)
     }
 
-    /// One consistent read of a slice for an aggregate fold that already
-    /// covers `since = (token, len)`: while the slice's lifetime token
-    /// holds, only the members past `len` are appended to `ids`; otherwise
-    /// every current member (id order) plus the released base (member
-    /// count + encoded aggregate cells) for a rebuild. See
+    /// One consistent read of a slice for state (an aggregate fold, a
+    /// member sequence) that already covers `since = (token, len)`: while
+    /// the slice's lifetime token holds, only the members past `len` are
+    /// appended to `ids`; otherwise every current member (id order) plus
+    /// the released base (member count + encoded aggregate cells) for a
+    /// rebuild. See
     /// [`SliceIndex::read_since`].
     pub fn slice_read(
         &self,
@@ -982,16 +973,16 @@ impl MessageStore {
         self.state.read().slices.read_since(slicing, key, since, ids)
     }
 
-    /// Members (arrival order), version and released base of one slice,
+    /// Members (id order), lifetime token and released base of one slice,
     /// each member with its processed flag — the narrowing sweep picks its
     /// fold victims from this single consistent view.
     pub fn slice_narrow_view(
         &self,
         slicing: &str,
         key: &PropValue,
-    ) -> (Vec<(MsgId, bool)>, u64, u64, BaseCells) {
+    ) -> (Vec<(MsgId, bool)>, u64, BaseCells) {
         let state = self.state.read();
-        let (ids, version, base_members, base) = state.slices.narrow_view(slicing, key);
+        let (ids, token, base) = state.slices.narrow_view(slicing, key);
         let flagged = ids
             .into_iter()
             .map(|id| {
@@ -999,14 +990,14 @@ impl MessageStore {
                 (id, processed)
             })
             .collect();
-        (flagged, version, base_members, base)
+        (flagged, token, base)
     }
 
     /// Fold `victims` out of a slice into its base: drop their membership
     /// (making them purgeable by the next GC) and install `cells` as the
     /// slice's released aggregate state. CAS semantics — fails (returning
-    /// `false`, changing nothing) if the slice's version is no longer
-    /// `expected_version`, so a concurrent arrival or reset between the
+    /// `false`, changing nothing) if the slice's `(token, len)` is no
+    /// longer `expected`, so a concurrent arrival or reset between the
     /// caller's read and this write safely aborts the release.
     ///
     /// Memory-only by design (paper Sec. 4.1: purge decisions are
@@ -1018,14 +1009,14 @@ impl MessageStore {
         &self,
         slicing: &str,
         key: &PropValue,
-        expected_version: u64,
+        expected: (u64, usize),
         victims: &[MsgId],
         cells: BaseCells,
     ) -> bool {
         self.state
             .write()
             .slices
-            .release(slicing, key, expected_version, victims, cells)
+            .release(slicing, key, expected, victims, cells)
     }
 
     /// Keys of a slicing with visible members.
@@ -1139,9 +1130,8 @@ impl MessageStore {
                         purged_by_queue.push((name.clone(), removed as u64));
                     }
                 }
-                // Purges change queue membership: invalidate whole-queue
-                // aggregate cells, mirroring the slice-version bump that
-                // `forget` already did above.
+                // Purges change queue membership: move the queue tokens,
+                // as `forget` above moved the slice tokens.
                 for (name, _) in &purged_by_queue {
                     state.slices.bump_queue(name);
                 }

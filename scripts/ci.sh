@@ -87,14 +87,18 @@ echo "== bench smoke: E10 document/slice-sequence cache =="
 # below re-checks the exposition so a silently-disabled cache fails CI.
 DEMAQ_E10_SMOKE=1 cargo bench --offline -p demaq-bench --bench e10_doc_cache
 cp -f crates/bench/target/metrics/e10_doc_cache.prom target/metrics/ 2>/dev/null || true
-# The slice-sequence cache serves an append-only slice via the
-# incremental-extend path, so count appends alongside same-version hits.
+# The member-sequence cell serves an append-only slice via the append
+# path, so count appends alongside same-(token, len) hits; its one rebuild
+# is the cold read.
 awk '$1 == "demaq_core_doc_cache_hits_total" { hits = $2 }
      $1 == "demaq_core_slice_seq_hits_total" { seq += $2 }
      $1 == "demaq_core_slice_seq_appends_total" { seq += $2 }
+     $1 == "demaq_core_slice_seq_rebuilds_total" { rebuilds = $2 }
      END { if (hits + 0 <= 0 || seq + 0 <= 0) {
                print "e10: cache hit counters are zero (doc=" hits ", seq=" seq ")"; exit 1 }
-           print "e10: doc_cache_hits=" hits " slice_seq_hits+appends=" seq }' \
+           if (rebuilds + 0 > 1) {
+               print "e10: append-only slice rebuilt " rebuilds " times (want 1)"; exit 1 }
+           print "e10: doc_cache_hits=" hits " slice_seq_hits+appends=" seq " rebuilds=" rebuilds }' \
     target/metrics/e10_doc_cache.prom
 
 echo "== bench smoke: E11 lowered execution plans =="
