@@ -26,8 +26,8 @@ pub struct LineageRecord {
     pub rule: Option<String>,
     /// Queue the message was enqueued into.
     pub queue: String,
-    /// WAL LSN of the durable lineage record, when the target queue is
-    /// persistent.
+    /// LSN of the WAL frame holding the durable lineage op, when the
+    /// target queue is persistent.
     pub lsn: Option<u64>,
 }
 

@@ -47,12 +47,17 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Process-stable hash of a slicing-key value: FNV-1a over the value's
-/// canonical serialized bytes (type tag + payload), so every shard — and
-/// every process of a future distributed deployment — agrees on
-/// `hash % shards`.
+/// type tag, the length of its canonical text as a little-endian `u32`,
+/// and that text, so every shard — and every process of a future
+/// distributed deployment — agrees on `hash % shards`. The bytes are the
+/// routing function's own, independent of any storage codec: a change of
+/// log format never moves a key to another shard.
 pub(crate) fn key_hash(v: &PropValue) -> u64 {
-    let mut buf = Vec::with_capacity(16);
-    v.encode(&mut buf);
+    use std::io::Write;
+    let mut buf = vec![v.tag(), 0, 0, 0, 0];
+    write!(buf, "{v}").expect("writing to a Vec cannot fail");
+    let len = (buf.len() - 5) as u32;
+    buf[1..5].copy_from_slice(&len.to_le_bytes());
     stable_hash(&buf)
 }
 
@@ -655,4 +660,21 @@ fn land_forward(s: &Server, router: &ShardRouter, f: &Forwarded) -> Result<()> {
     }
     router.settle();
     result.map(drop)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A key's shard must not move between builds: a deployment's stores
+    /// hold the messages routed to them.
+    #[test]
+    fn key_hashes_are_pinned() {
+        assert_eq!(key_hash(&PropValue::Int(5)), 0x07fd_46f1_b8fa_bb58);
+        assert_eq!(key_hash(&PropValue::Str("k".into())), 0xcb36_30cf_ac4e_2def);
+        assert_eq!(
+            key_hash(&PropValue::DateTime(1_700_000_000_000)),
+            0x83e9_48f0_d012_cc9a
+        );
+    }
 }

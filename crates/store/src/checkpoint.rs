@@ -9,7 +9,8 @@
 //!
 //! Format: a 20-byte header (magic, CRC32 of the body, body length as a
 //! `u64`), then a length-prefixed binary body whose counts and lengths are
-//! `u32`. The body is streamed in both directions with a running CRC, so
+//! `u32`; a property value is the length-prefixed bytes of
+//! [`PropValue::encode`], the codec WAL frames use. The body is streamed in both directions with a running CRC, so
 //! neither writing nor reading a snapshot holds a second copy of its
 //! payloads. Written to a temp file and atomically renamed.
 
@@ -21,11 +22,14 @@ use std::fs;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-/// Current format: payloads inline, one member list per slice lifetime.
-const MAGIC: &[u8; 8] = b"DEMAQCK3";
+/// Current format: payloads inline, one member list per slice lifetime,
+/// property values in the binary codec the WAL uses.
+const MAGIC: &[u8; 8] = b"DEMAQCK4";
 /// Earlier formats referenced payloads in a page file (`heap.db`) that
 /// this store no longer reads.
 const HEAP_MAGICS: [&[u8; 8]; 2] = [b"DEMAQCK1", b"DEMAQCK2"];
+/// The format before this one wrote property values as decimal text.
+const TEXT_PROPS_MAGIC: &[u8; 8] = b"DEMAQCK3";
 /// Magic, CRC of the body, body length.
 const HEADER: usize = 20;
 
@@ -56,7 +60,7 @@ pub struct SnapLineage {
     pub root: MsgId,
     pub rule: String,
     pub queue: String,
-    /// WAL LSN of the original lineage record, if logged.
+    /// LSN of the WAL frame that logged the edge, if logged.
     pub lsn: Option<u64>,
 }
 
@@ -78,7 +82,6 @@ pub struct Snapshot {
     /// Index of the first WAL segment whose records post-date this snapshot.
     pub wal_index: u64,
     pub next_msg: u64,
-    pub next_txn: u64,
     pub queues: Vec<SnapQueue>,
     pub messages: Vec<SnapMessage>,
     pub slices: Vec<SnapSlice>,
@@ -132,11 +135,11 @@ impl<W: Write> Sink<W> {
         self.put(b)
     }
 
+    /// A property value: its [`PropValue::encode`] bytes, length-prefixed.
     fn prop(&mut self, v: &PropValue, scratch: &mut Vec<u8>) -> Result<()> {
         scratch.clear();
         v.encode(scratch);
-        len32(scratch.len() - 5)?; // past the tag and length prefix
-        self.put(scratch)
+        self.bytes(scratch)
     }
 }
 
@@ -194,9 +197,12 @@ impl<R: Read> Source<R> {
     }
 
     fn prop(&mut self) -> Result<PropValue> {
-        let tag = self.u8()?;
-        let s = self.text()?;
-        PropValue::from_tagged(tag, &s).ok_or_else(|| corrupt("bad property value"))
+        let bytes = self.bytes()?;
+        let mut at = 0;
+        match PropValue::decode(&bytes, &mut at) {
+            Some(v) if at == bytes.len() => Ok(v),
+            _ => Err(corrupt("bad property value")),
+        }
     }
 }
 
@@ -216,7 +222,6 @@ impl Snapshot {
         let mut scratch = Vec::new();
         s.u64(self.wal_index)?;
         s.u64(self.next_msg)?;
-        s.u64(self.next_txn)?;
         s.count(self.queues.len())?;
         for q in &self.queues {
             s.bytes(q.name.as_bytes())?;
@@ -286,6 +291,11 @@ impl Snapshot {
                 String::from_utf8_lossy(magic)
             )));
         }
+        if magic == TEXT_PROPS_MAGIC {
+            return Err(corrupt(
+                "DEMAQCK3 holds property values as decimal text, which this store no longer reads",
+            ));
+        }
         if magic != MAGIC {
             return Err(corrupt("bad magic"));
         }
@@ -313,7 +323,6 @@ impl Snapshot {
         let mut snap = Snapshot {
             wal_index: src.u64()?,
             next_msg: src.u64()?,
-            next_txn: src.u64()?,
             ..Default::default()
         };
         for _ in 0..src.count()? {
@@ -430,7 +439,6 @@ mod tests {
         Snapshot {
             wal_index: 3,
             next_msg: 101,
-            next_txn: 55,
             queues: vec![
                 SnapQueue {
                     name: "crm".into(),
@@ -497,15 +505,14 @@ mod tests {
     }
 
     /// A snapshot with an empty and a multi-byte UTF-8 payload, a base
-    /// cell and a lineage edge, byte for byte. Stores written by earlier
-    /// builds must recover unchanged, so these bytes may never move.
+    /// cell and a lineage edge, byte for byte. Any change to these bytes
+    /// is a change of the on-disk format, which needs a new magic.
     #[test]
     #[rustfmt::skip]
     fn golden_snapshot_format() {
         let body: Vec<u8> = [
             &[2, 0, 0, 0, 0, 0, 0, 0][..], // wal_index
             &[9, 0, 0, 0, 0, 0, 0, 0], // next_msg
-            &[4, 0, 0, 0, 0, 0, 0, 0], // next_txn
             &[1, 0, 0, 0], // queue count
             &[1, 0, 0, 0, b'q', 1, 0xFE, 0xFF, 0xFF, 0xFF], // "q", persistent, priority -2
             &[2, 0, 0, 0], // message count
@@ -521,10 +528,10 @@ mod tests {
             &[1], // processed
             &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF], // enqueued_at -1
             &[1, 0, 0, 0], // property count
-            &[1, 0, 0, 0, b'k', 1, 1, 0, 0, 0, b'3'], // k = 3
+            &[1, 0, 0, 0, b'k', 2, 0, 0, 0, 1, 6], // k = Int 3
             &[1, 0, 0, 0], // slice count
             &[1, 0, 0, 0, b's'], // slicing
-            &[0, 1, 0, 0, 0, b'x'], // key "x"
+            &[3, 0, 0, 0, 0, 1, b'x'], // key Str "x"
             &[1, 0, 0, 0, 0, 0, 0, 0], // epoch
             &[1, 0, 0, 0], // member count
             &[8, 0, 0, 0, 0, 0, 0, 0], // member
@@ -540,11 +547,10 @@ mod tests {
             &[1, 0x2A, 0, 0, 0, 0, 0, 0, 0], // lsn Some(42)
         ]
         .concat();
-        let bytes = framed(b"DEMAQCK3", &body);
+        let bytes = framed(b"DEMAQCK4", &body);
         let snap = Snapshot {
             wal_index: 2,
             next_msg: 9,
-            next_txn: 4,
             queues: vec![SnapQueue { name: "q".into(), persistent: true, priority: -2 }],
             messages: vec![
                 SnapMessage {
@@ -608,6 +614,14 @@ mod tests {
             assert!(matches!(err, StoreError::Corrupt(_)), "{text}");
             assert!(text.contains("heap.db"), "{text}");
         }
+    }
+
+    #[test]
+    fn text_property_format_is_refused() {
+        let err = Snapshot::decode(&framed(TEXT_PROPS_MAGIC, &[0; 40])).unwrap_err();
+        let text = err.to_string();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{text}");
+        assert!(text.contains("DEMAQCK3"), "{text}");
     }
 
     /// A body of 4 GiB or more keeps its true length in the header, and a

@@ -6,9 +6,10 @@
 //!
 //! Architecture:
 //!
-//! * **Write-ahead log** ([`wal`]): logical redo records (enqueue, mark
-//!   processed, slice ops, resets, purges) with CRC framing and
-//!   configurable sync policy (per-commit fsync or group commit).
+//! * **Write-ahead log** ([`wal`]): one CRC frame of logical redo ops
+//!   (enqueue, mark processed, slice adds and resets, lineage) per
+//!   committed transaction, compactly encoded, with group commit and a
+//!   configurable sync policy (per-commit fsync or batched).
 //! * **Transactions** ([`txn`]): deferred-write transactions under strict
 //!   two-phase locking with queue/slice/message granularity (Sec. 4.3's
 //!   "locking just the affected slices") and wait-for-graph deadlock

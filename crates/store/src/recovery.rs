@@ -4,11 +4,12 @@
 //!
 //! 1. Load the latest checkpoint snapshot (if any). It is self-contained:
 //!    every persistent message comes with its payload, and it names the
-//!    first WAL segment whose records post-date it.
-//! 2. Scan the surviving WAL segments in order. Pass one finds committed
-//!    transaction ids; pass two replays only *their* records, in log
-//!    order — uncommitted work disappears, which is the whole of undo in a
-//!    deferred-write store.
+//!    first WAL segment whose frames post-date it.
+//! 2. Replay the surviving WAL segments in one pass, in log order. A
+//!    transaction reaches the log only at commit, as one frame, so every
+//!    valid frame is a committed transaction; uncommitted work never
+//!    reached the log, which is the whole of undo in a deferred-write
+//!    store.
 //! 3. The caller then runs the retention GC, which re-derives any deletions
 //!    the crash forgot — deletions are never logged.
 
@@ -17,16 +18,14 @@ use crate::error::Result;
 use crate::store::{LineageSlot, Logical};
 use crate::txn::TxnOp;
 use crate::types::Lsn;
-use crate::wal::{read_log, LogRecord};
+use crate::wal::read_log;
 use demaq_obs::Obs;
-use std::collections::HashSet;
 use std::path::Path;
 
 /// Outcome of recovery.
 pub struct Recovered {
     pub logical: Logical,
     pub next_msg: u64,
-    pub next_txn: u64,
     /// Index of the WAL segment to continue appending to.
     pub wal_index: u64,
 }
@@ -59,7 +58,6 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
 
     let mut logical = Logical::default();
     let mut next_msg = snap.next_msg.max(1);
-    let mut next_txn = snap.next_txn.max(1);
 
     // Rebuild from the snapshot.
     for q in &snap.queues {
@@ -130,68 +128,52 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
                 ),
             );
         }
-        let records = scan.records;
-        // Pass 1: which transactions committed?
-        let committed: HashSet<_> = records
-            .iter()
-            .filter_map(|(_, r)| match r {
-                LogRecord::Commit { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
-        // Pass 2: replay committed effects in order.
-        for (lsn, rec) in records {
-            if let Some(txn) = rec.txn() {
-                next_txn = next_txn.max(txn.0 + 1);
-                if !committed.contains(&txn) {
-                    continue;
-                }
-            }
-            let LogRecord::Op { op, .. } = rec else {
-                continue;
-            };
-            match op {
-                TxnOp::Enqueue {
-                    queue,
-                    msg,
-                    payload,
-                    props,
-                    enqueued_at,
-                } => {
-                    next_msg = next_msg.max(msg.0 + 1);
-                    if logical.has_message(msg) {
-                        continue; // already captured by the snapshot
+        for (lsn, ops) in scan.txns {
+            for op in ops {
+                match op {
+                    TxnOp::Enqueue {
+                        queue,
+                        msg,
+                        payload,
+                        props,
+                        enqueued_at,
+                    } => {
+                        next_msg = next_msg.max(msg.0 + 1);
+                        if logical.has_message(msg) {
+                            continue; // already captured by the snapshot
+                        }
+                        // Take the decoded frame's payload handle. The
+                        // surviving WAL segment keeps the bytes durable
+                        // until the next checkpoint writes them into its
+                        // snapshot.
+                        logical.insert_message(msg, queue, payload, props, false, enqueued_at);
                     }
-                    // Take the decoded record's payload handle. The
-                    // surviving WAL segment keeps the bytes durable until
-                    // the next checkpoint writes them into its snapshot.
-                    logical.insert_message(msg, queue, payload, props, false, enqueued_at);
-                }
-                TxnOp::MarkProcessed { msg } => logical.mark_processed(msg),
-                TxnOp::SliceAdd { slicing, key, msg } => {
-                    if logical.has_message(msg) {
-                        logical.slices.add(&slicing, &key, msg);
+                    TxnOp::MarkProcessed { msg } => logical.mark_processed(msg),
+                    TxnOp::SliceAdd { slicing, key, msg } => {
+                        if logical.has_message(msg) {
+                            logical.slices.add(&slicing, &key, msg);
+                        }
                     }
-                }
-                TxnOp::SliceReset { slicing, key } => {
-                    logical.slices.reset(&slicing, &key);
-                }
-                TxnOp::Lineage {
-                    msg,
-                    parent,
-                    root,
-                    rule,
-                    queue,
-                } => {
-                    if logical.has_message(msg) {
-                        let slot = LineageSlot {
-                            parent,
-                            root,
-                            rule,
-                            queue,
-                            lsn: Some(lsn),
-                        };
-                        logical.lineage.insert(msg, slot);
+                    TxnOp::SliceReset { slicing, key } => {
+                        logical.slices.reset(&slicing, &key);
+                    }
+                    TxnOp::Lineage {
+                        msg,
+                        parent,
+                        root,
+                        rule,
+                        queue,
+                    } => {
+                        if logical.has_message(msg) {
+                            let slot = LineageSlot {
+                                parent,
+                                root,
+                                rule,
+                                queue,
+                                lsn: Some(lsn),
+                            };
+                            logical.lineage.insert(msg, slot);
+                        }
                     }
                 }
             }
@@ -200,7 +182,6 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
     Ok(Recovered {
         logical,
         next_msg,
-        next_txn,
         wal_index,
     })
 }

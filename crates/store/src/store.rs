@@ -7,7 +7,7 @@ use crate::recovery;
 use crate::slice::{BaseCells, MemberRead, SliceIndex};
 use crate::txn::{TxnBuf, TxnOp};
 use crate::types::{LineageEdge, Lsn, MsgId, PayloadBytes, PropValue, QueueMode, StoredMessage, TxnId};
-use crate::wal::{GroupCommitCfg, LogRecord, LogWriter};
+use crate::wal::{GroupCommitCfg, LogWriter};
 use demaq_obs::{Counter, Gauge, Histogram, Obs};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 /// Commit durability policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Every commit blocks until an fsync covers its WAL records — full
+    /// Every commit blocks until an fsync covers its WAL frame — full
     /// durability (acked ⇒ durable), matches the paper's persistent
     /// business-process queues. Concurrent committers share fsyncs through
     /// the group-commit coordinator (see `wal::LogWriter::sync_to`).
@@ -106,7 +106,7 @@ pub struct QueueInfo {
 struct MsgMeta {
     queue: String,
     /// Resident for the message's whole life: reads are refcount bumps,
-    /// never byte copies or UTF-8 revalidation. The WAL record makes it
+    /// never byte copies or UTF-8 revalidation. The WAL frame makes it
     /// durable until a checkpoint writes it into the snapshot.
     payload: PayloadBytes,
     props: Vec<(String, PropValue)>,
@@ -255,7 +255,7 @@ pub struct MessageStore {
     /// logical-apply job to the batch queue as one atomic step, so WAL
     /// replay order always equals runtime apply order. Checkpoints take it
     /// (and drain the apply queue) so a commit can never be caught between
-    /// its WAL records and its in-memory effects while a snapshot is cut.
+    /// its WAL frame and its in-memory effects while a snapshot is cut.
     /// Lock order: `maintenance` → `commit_order` → `state` → `wal`;
     /// `apply` is only held briefly and never while waiting for `state`.
     commit_order: Mutex<()>,
@@ -282,7 +282,7 @@ pub struct MessageStore {
 /// for the batch-apply leader.
 struct ApplyJob {
     buf: TxnBuf,
-    /// LSN of each lineage record appended in Phase 1.
+    /// Each logged lineage op with the LSN of the frame Phase 1 appended.
     lineage_lsns: Vec<(MsgId, Lsn)>,
 }
 
@@ -393,7 +393,9 @@ impl MessageStore {
             state: RwLock::new(rec.logical),
             txns: Mutex::new(HashMap::new()),
             next_msg: AtomicU64::new(rec.next_msg.max(opts.msg_id_base + 1)),
-            next_txn: AtomicU64::new(rec.next_txn),
+            // Nothing durable names a transaction: ids only have to be
+            // unique within this process.
+            next_txn: AtomicU64::new(1),
             metrics: StoreMetrics::new(&obs),
             obs,
             opts,
@@ -590,7 +592,7 @@ impl MessageStore {
     /// the batch-apply coordinator ([`apply_wait`](Self::apply_wait)): one
     /// leader applies every queued job under a single `state` lock
     /// acquisition. The order effects become visible is exactly the order
-    /// of commit records in the WAL — replay order equals runtime order.
+    /// of frames in the WAL — replay order equals runtime order.
     fn commit_apply(&self, txn: TxnId) -> Result<Option<(Arc<LogWriter>, DurableTarget)>> {
         let buf = self.txns.lock().remove(&txn).ok_or(StoreError::TxnClosed)?;
         let mut logged: Option<(Arc<LogWriter>, DurableTarget)> = None;
@@ -617,15 +619,21 @@ impl MessageStore {
                     .collect()
             };
             drop(state);
-            // LSN of each lineage record appended in Phase 1, consumed by
+            // Each logged lineage op with its frame's LSN, consumed by
             // Phase 2 so the in-memory lineage carries its durable LSN.
             let mut lineage_lsns = Vec::new();
             if !persistent_ops.is_empty() {
                 // Segment and index cannot change under us: the checkpoint
                 // cut swaps them while holding `commit_order`.
                 let (wal, segment) = self.current_wal();
-                let (offset, lsns) = wal.append_txn(txn, &persistent_ops)?;
-                lineage_lsns = lsns;
+                let (offset, lsn) = wal.append_txn(&persistent_ops)?;
+                lineage_lsns = persistent_ops
+                    .iter()
+                    .filter_map(|op| match op {
+                        TxnOp::Lineage { msg, .. } => Some((*msg, lsn)),
+                        _ => None,
+                    })
+                    .collect();
                 logged = Some((wal, DurableTarget { segment, offset }));
             }
             // Phase 2 handoff: enqueue the apply job while still under
@@ -663,7 +671,7 @@ impl MessageStore {
                     props,
                     enqueued_at,
                 } => {
-                    // The WAL record already carries the bytes durably, and
+                    // The WAL frame already carries the bytes durably, and
                     // the in-memory state takes the enqueuer's buffer: the
                     // commit path is copy-free.
                     state.insert_message(msg, queue, payload, props, false, enqueued_at);
@@ -744,7 +752,7 @@ impl MessageStore {
     }
 
     /// Apply every queued job (checkpoint preamble): after this returns,
-    /// no commit sits between its WAL records and its in-memory effects.
+    /// no commit sits between its WAL frame and its in-memory effects.
     /// Caller must hold `commit_order` so no new jobs can be queued.
     fn drain_applies(&self) {
         let last = self.apply.lock().next_seq.checked_sub(1);
@@ -789,10 +797,10 @@ impl MessageStore {
         }
     }
 
-    /// Abort: drop the buffer, release locks.
+    /// Abort: drop the buffer, release locks. Nothing was logged, so
+    /// there is nothing to log.
     pub fn abort(&self, txn: TxnId) {
         self.txns.lock().remove(&txn);
-        let _ = self.wal.lock().append(&LogRecord::Abort { txn });
         self.locks.release_all(txn);
         self.metrics.aborts.inc();
     }
@@ -1208,7 +1216,7 @@ impl MessageStore {
         }
     }
 
-    /// Commits whose WAL records are not yet known fsynced — the window a
+    /// Commits whose WAL frames are not yet known fsynced — the window a
     /// crash could lose: everything since the last `sync()`/`checkpoint()`
     /// under [`SyncPolicy::Batch`], the deferred commits since the last
     /// barrier under [`SyncPolicy::Always`] (zero when every commit
@@ -1260,7 +1268,7 @@ impl MessageStore {
     /// the caller to write outside the locks.
     fn checkpoint_cut(&self) -> Result<(Snapshot, u64)> {
         // Take the commit-order mutex first: without it a committer could
-        // sit between Phase 1 (records in the old WAL segment) and Phase 2
+        // sit between Phase 1 (a frame in the old WAL segment) and Phase 2
         // (effects not yet in `state`) while we snapshot — the snapshot
         // would miss the txn and we'd delete the segment holding its only
         // trace. Lock order matches `commit`.
@@ -1278,7 +1286,6 @@ impl MessageStore {
         let mut snap = Snapshot {
             wal_index: new_index,
             next_msg: self.next_msg.load(Ordering::SeqCst),
-            next_txn: self.next_txn.load(Ordering::SeqCst),
             ..Default::default()
         };
         for (name, q) in &state.queues {
@@ -1393,7 +1400,7 @@ mod tests {
 
     /// The tentpole guarantee: the order of slice-membership effects at
     /// runtime (internal insertion order) is exactly the order of
-    /// `SliceAdd` records in the WAL, even under concurrent committers —
+    /// `SliceAdd` ops in the WAL, even under concurrent committers —
     /// Phase 1 (append) and Phase 2 (apply) are sequenced atomically by
     /// the commit-order mutex, so replay order equals runtime order.
     #[test]
@@ -1435,25 +1442,15 @@ mod tests {
             sstate.members().to_vec()
         };
 
-        // WAL SliceAdd order of committed transactions.
+        // WAL SliceAdd order: every frame is a committed transaction.
         let wal_path = dir.path().join("wal-000000.log");
-        let scan = read_log(&wal_path).unwrap();
-        let committed: std::collections::HashSet<TxnId> = scan
-            .records
+        let wal_order: Vec<MsgId> = read_log(&wal_path)
+            .unwrap()
+            .txns
             .iter()
-            .filter_map(|(_, r)| match r {
-                LogRecord::Commit { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
-        let wal_order: Vec<MsgId> = scan
-            .records
-            .iter()
-            .filter_map(|(_, r)| match r {
-                LogRecord::Op {
-                    txn,
-                    op: TxnOp::SliceAdd { msg, .. },
-                } if committed.contains(txn) => Some(*msg),
+            .flat_map(|(_, ops)| ops)
+            .filter_map(|op| match op {
+                TxnOp::SliceAdd { msg, .. } => Some(*msg),
                 _ => None,
             })
             .collect();
@@ -1464,7 +1461,7 @@ mod tests {
         );
     }
 
-    /// `unsynced_commits` counts only commits whose WAL records are not
+    /// `unsynced_commits` counts only commits whose WAL frames are not
     /// yet fsynced: zero under `Always`, per-commit under `Batch`, reset
     /// by `sync()` and `checkpoint()`.
     #[test]

@@ -8,8 +8,8 @@
 
 use crate::types::{MsgId, PayloadBytes, PropValue, TxnId};
 
-/// A buffered write operation — and, logged as is, the body of a WAL
-/// record (`wal::LogRecord::Op`).
+/// A buffered write operation — and, logged as is, one op of the
+/// transaction's WAL frame (see `wal`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum TxnOp {
     /// A message entered a queue.
@@ -41,8 +41,8 @@ pub enum TxnOp {
     /// transaction: `msg` was created (into `queue`) by `rule` firing on
     /// `parent`; `root` names the causal tree. Redundant with the
     /// message's provenance system properties by design — lineage queries
-    /// read these edges, restored from WAL records alone, with a durable
-    /// LSN per edge.
+    /// read these edges, restored from WAL frames alone, with the durable
+    /// LSN of its frame per edge.
     Lineage {
         msg: MsgId,
         parent: MsgId,

@@ -76,41 +76,113 @@ impl PropValue {
         self.to_string()
     }
 
-    /// Serialize as (tag, length-prefixed canonical string), formatting
-    /// straight into `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        use std::io::Write;
+    /// Serialize in binary: the type tag, then Int and Duration as a
+    /// zigzag varint, Double as 8 little-endian bytes, Bool as one byte and
+    /// Str as a varint length and its UTF-8. DateTime is a zigzag varint
+    /// of its distance from `epoch_ms`, so a timestamp close to a known
+    /// one (a message's `enqueued_at`) takes a byte or two.
+    pub fn encode_from(&self, epoch_ms: i64, out: &mut Vec<u8>) {
         out.push(self.tag());
-        let len_at = out.len();
-        out.extend_from_slice(&[0; 4]);
-        write!(out, "{self}").expect("writing to a Vec cannot fail");
-        let len = (out.len() - len_at - 4) as u32;
-        out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+        match self {
+            PropValue::Str(s) => put_bytes(out, s.as_bytes()),
+            PropValue::Int(v) | PropValue::Duration(v) => put_varint(out, zigzag(*v)),
+            PropValue::DateTime(ms) => put_varint(out, zigzag(ms.wrapping_sub(epoch_ms))),
+            PropValue::Double(d) => out.extend_from_slice(&d.to_le_bytes()),
+            PropValue::Bool(b) => out.push(*b as u8),
+        }
     }
 
-    /// Deserialize; advances `at`.
-    pub fn decode(buf: &[u8], at: &mut usize) -> Option<PropValue> {
-        let tag = *buf.get(*at)?;
-        *at += 1;
-        let len = u32::from_le_bytes(buf.get(*at..*at + 4)?.try_into().ok()?) as usize;
-        *at += 4;
-        let s = std::str::from_utf8(buf.get(*at..*at + len)?).ok()?;
-        *at += len;
-        PropValue::from_tagged(tag, s)
+    /// [`encode_from`](Self::encode_from) with DateTime relative to 0.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.encode_from(0, out)
     }
 
-    /// Rebuild a value from its type tag and canonical string.
-    pub fn from_tagged(tag: u8, s: &str) -> Option<PropValue> {
+    /// Deserialize what [`encode_from`](Self::encode_from) wrote with the
+    /// same `epoch_ms`; advances `at`.
+    pub fn decode_from(epoch_ms: i64, buf: &[u8], at: &mut usize) -> Option<PropValue> {
+        let tag = get_u8(buf, at)?;
         Some(match tag {
-            0 => PropValue::Str(s.to_string()),
-            1 => PropValue::Int(s.parse().ok()?),
-            2 => PropValue::Bool(s.parse().ok()?),
-            3 => PropValue::Double(s.parse().ok()?),
-            4 => PropValue::DateTime(s.parse().ok()?),
-            5 => PropValue::Duration(s.parse().ok()?),
+            0 => PropValue::Str(get_str(buf, at)?.to_owned()),
+            1 => PropValue::Int(unzigzag(get_varint(buf, at)?)),
+            2 => PropValue::Bool(match get_u8(buf, at)? {
+                0 => false,
+                1 => true,
+                _ => return None,
+            }),
+            3 => PropValue::Double(f64::from_le_bytes(get_bytes(buf, at, 8)?.try_into().ok()?)),
+            4 => PropValue::DateTime(epoch_ms.wrapping_add(unzigzag(get_varint(buf, at)?))),
+            5 => PropValue::Duration(unzigzag(get_varint(buf, at)?)),
             _ => return None,
         })
     }
+
+    /// [`decode_from`](Self::decode_from) with DateTime relative to 0.
+    pub fn decode(buf: &[u8], at: &mut usize) -> Option<PropValue> {
+        PropValue::decode_from(0, buf, at)
+    }
+}
+
+// The binary codec's primitives, shared by property values, WAL frames
+// and snapshots. Every reader advances `at` and returns `None` rather than
+// read or allocate past the end of `buf`.
+
+/// Append `v` as a LEB128 varint: seven bits a byte, low bits first.
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Read a varint. Only the shortest form is accepted: a trailing zero
+/// group, or bits past the 64th, make it invalid.
+pub(crate) fn get_varint(buf: &[u8], at: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let b = get_u8(buf, at)?;
+        v |= u64::from(b & 0x7F) << shift;
+        if b & 0x80 == 0 {
+            let shortest = b != 0 || shift == 0;
+            return (shortest && (shift < 63 || b <= 1)).then_some(v);
+        }
+    }
+    None
+}
+
+/// Map a signed value to an unsigned one with small magnitudes small:
+/// 0, -1, 1, -2, … become 0, 1, 2, 3, ….
+pub(crate) fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+pub(crate) fn unzigzag(u: u64) -> i64 {
+    (u >> 1) as i64 ^ -((u & 1) as i64)
+}
+
+pub(crate) fn get_u8(buf: &[u8], at: &mut usize) -> Option<u8> {
+    let b = *buf.get(*at)?;
+    *at += 1;
+    Some(b)
+}
+
+/// The next `n` bytes, if `buf` still holds them.
+pub(crate) fn get_bytes<'a>(buf: &'a [u8], at: &mut usize, n: usize) -> Option<&'a [u8]> {
+    let bytes = buf.get(*at..)?.get(..n)?;
+    *at += n;
+    Some(bytes)
+}
+
+/// Append a varint length and the bytes.
+pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    put_varint(out, b.len() as u64);
+    out.extend_from_slice(b);
+}
+
+/// Read what [`put_bytes`] wrote, as UTF-8.
+pub(crate) fn get_str<'a>(buf: &'a [u8], at: &mut usize) -> Option<&'a str> {
+    let n = usize::try_from(get_varint(buf, at)?).ok()?;
+    std::str::from_utf8(get_bytes(buf, at, n)?).ok()
 }
 
 impl Eq for PropValue {}
@@ -170,18 +242,18 @@ pub struct LineageEdge {
     pub root: MsgId,
     pub rule: String,
     pub queue: String,
-    /// WAL LSN of the lineage record; `None` when the created message is
-    /// transient (nothing was logged).
+    /// LSN of the WAL frame holding the lineage op; `None` when the
+    /// created message is transient (nothing was logged).
     pub lsn: Option<Lsn>,
 }
 
 /// Refcounted, immutable, UTF-8-validated payload bytes.
 ///
 /// One `PayloadBytes` buffer is shared — by refcount, never by copy — from
-/// enqueue through the WAL record, the in-memory message map, the
+/// enqueue through the WAL frame, the in-memory message map, the
 /// checkpoint cut, and every read (`Store::payload`, `StoredMessage`).
 /// Validation happens exactly once, when the buffer is created from a
-/// `str`: at enqueue, or when recovery decodes a WAL record or snapshot.
+/// `str`: at enqueue, or when recovery decodes a WAL frame or snapshot.
 /// Holding one is the proof the bytes are valid UTF-8, so the read path
 /// never revalidates.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -329,9 +401,51 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        let mut at = 0;
-        assert!(PropValue::decode(&[9, 0, 0, 0, 0], &mut at).is_none());
-        let mut at = 0;
-        assert!(PropValue::decode(&[1, 255, 255, 255, 255], &mut at).is_none());
+        for bad in [
+            &[9, 0][..],              // unknown tag
+            &[1, 255, 255, 255, 255], // varint runs off the end
+            &[2, 2],                  // a Bool is 0 or 1
+            &[3, 0, 0, 0],            // a Double is 8 bytes
+            &[0, 5, b'a'],            // string length past the end
+            &[0, 1, 0xFF],            // not UTF-8
+        ] {
+            assert_eq!(PropValue::decode(bad, &mut 0), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn varints_are_shortest_form_and_64_bit() {
+        for v in [0, 1, 127, 128, 300, u64::MAX >> 1, u64::MAX] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            let mut at = 0;
+            assert_eq!(get_varint(&buf, &mut at), Some(v));
+            assert_eq!(at, buf.len());
+        }
+        assert_eq!(get_varint(&[0x80, 0x00], &mut 0), None, "overlong zero");
+        let bit_64_and_65 = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 2];
+        assert_eq!(get_varint(&bit_64_and_65, &mut 0), None, "65 bits");
+        assert_eq!(get_varint(&[0xFF; 11], &mut 0), None, "11 bytes");
+        for v in [0, -1, 1, i64::MIN, i64::MAX] {
+            assert_eq!(unzigzag(zigzag(v)), v);
+        }
+        assert_eq!((zigzag(-1), zigzag(1)), (1, 2));
+    }
+
+    /// A timestamp near its epoch costs one byte, however large it is.
+    #[test]
+    fn date_times_encode_relative_to_their_epoch() {
+        let t = PropValue::DateTime(1_700_000_000_000);
+        let mut buf = Vec::new();
+        t.encode_from(1_700_000_000_000, &mut buf);
+        assert_eq!(buf, [4, 0]);
+        assert_eq!(
+            PropValue::decode_from(1_700_000_000_000, &buf, &mut 0),
+            Some(t.clone())
+        );
+        let far = PropValue::DateTime(i64::MIN);
+        buf.clear();
+        far.encode_from(i64::MAX, &mut buf);
+        assert_eq!(PropValue::decode_from(i64::MAX, &buf, &mut 0), Some(far));
     }
 }

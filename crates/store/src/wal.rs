@@ -1,4 +1,5 @@
-//! Write-ahead log with logical redo records and group commit.
+//! Write-ahead log: one logical redo frame per committed transaction, and
+//! group commit.
 //!
 //! Demaq's append-only queues allow purely *logical* logging: every state
 //! change is one of a handful of idempotent-by-replay operations, and
@@ -9,10 +10,34 @@
 //! from slice membership ("frees the system from the need to fully log
 //! message deletions").
 //!
-//! Record framing: `[len u32][crc32 u32][payload]`. A record payload is
-//! never empty (encoding always emits at least the tag byte), so a frame
+//! # Segment and frame format
+//!
+//! A segment starts with the 8-byte header `DEMAQWL2` ([`SEGMENT_MAGIC`]),
+//! then holds one frame per committed transaction: `[len u32][crc32
+//! u32][payload]`. Nothing reaches the log before commit, and
+//! [`LogWriter::append_txn`] writes a transaction whole under one hold of
+//! the append mutex, so a CRC-valid frame *is* a committed transaction:
+//! there are no begin, commit or abort records, and recovery replays every
+//! valid frame in log order.
+//!
+//! The payload is the op count, then the ops ([`TxnOp`]) in compact binary.
+//! Ids, lengths and counts are LEB128 varints; signed values are zigzag
+//! varints; property values use [`PropValue::encode_from`], with a
+//! DateTime written relative to its message's `enqueued_at`. No
+//! transaction id is logged: nothing durable names a transaction.
+//!
+//! Names — of queues, slicings, properties and rules — go through a
+//! per-segment table. The first use of a name in a segment writes `0` and
+//! the name inline, which gives it the next id; every later use writes
+//! `id + 1`. The writer keeps the table under the append mutex, so log
+//! order is definition order, and adds a frame's new names only once the
+//! frame is written: a failed write leaves the table as it was.
+//! [`LogWriter::open`] rebuilds the table from the scan when it reopens a
+//! segment, and [`read_log`] rebuilds it frame by frame.
+//!
+//! A payload is never empty (it holds at least the op count), so a frame
 //! header of `len == 0` can only be a zero-filled tail — the scan treats
-//! it as end-of-log, never as a record.
+//! it as end-of-log, never as a frame.
 //!
 //! # Tail semantics (the recovery boundary)
 //!
@@ -20,7 +45,7 @@
 //!
 //! * **Torn tail** — a truncated frame, a CRC mismatch, or a zero-length
 //!   frame header. These are the expected signatures of a crash
-//!   mid-`write`: the scan stops cleanly at the last valid record and
+//!   mid-`write`: the scan stops cleanly at the last valid frame and
 //!   reports the discarded byte count ([`LogScan::discarded`], which
 //!   excludes trailing zeros — journaling filesystems can legitimately
 //!   recover a crashed file with its size extended but the data
@@ -28,22 +53,26 @@
 //!   the CRC check: `crc32` of an empty payload is 0, so an all-zero
 //!   frame would otherwise read as CRC-valid and then fail decoding as
 //!   hard corruption, turning an ordinary crash into a refused recovery.
-//!   Everything before the tear is trusted.
+//!   Everything before the tear is trusted. A segment header the crash
+//!   kept from the disk — the file is empty, shorter than the header, or
+//!   starts with eight zero bytes — is a torn tail of an empty segment.
 //! * **Hard corruption** — a frame whose CRC verifies but whose payload
-//!   does not decode. A CRC-valid-but-undecodable record cannot be
-//!   produced by a torn write (the CRC covers the whole payload), so it
-//!   means the file was damaged *in the middle* or written by a
-//!   different/buggy encoder — recovery must not guess past it and
-//!   [`read_log`] returns [`StoreError::Corrupt`].
+//!   does not decode, or a segment whose header is not [`SEGMENT_MAGIC`].
+//!   A CRC-valid-but-undecodable frame cannot be produced by a torn write
+//!   (the CRC covers the whole payload), so it means the file was damaged
+//!   *in the middle* or written by a different/buggy encoder — recovery
+//!   must not guess past it and [`read_log`] returns
+//!   [`StoreError::Corrupt`]. The header check refuses the per-op records
+//!   of older builds before any of their bytes is decoded.
 //!
 //! [`LogWriter::open`] truncates the file to the valid prefix before
 //! appending. Without that truncation, post-crash appends would land
-//! *after* the torn garbage and every later committed record would be
+//! *after* the torn garbage and every later committed frame would be
 //! unreachable to the next recovery scan (which stops at the tear).
 //!
 //! # Group commit
 //!
-//! Committers append their records under the append mutex, then make them
+//! Committers append their frames under the append mutex, then make them
 //! durable through a leader/follower protocol ([`LogWriter::sync_to`]):
 //! the first committer to arrive becomes the sync leader, optionally waits
 //! a short batching window ([`GroupCommitCfg::max_wait`]) for more commits
@@ -66,262 +95,192 @@
 
 use crate::error::{Result, StoreError};
 use crate::txn::TxnOp;
-use crate::types::{Lsn, MsgId, PayloadBytes, PropValue, TxnId};
+use crate::types::{
+    get_str, get_u8, get_varint, put_bytes, put_varint, unzigzag, zigzag, Lsn, MsgId, PayloadBytes,
+    PropValue,
+};
 use demaq_obs::{Counter, Histogram, Registry};
 use parking_lot::{Condvar, Mutex};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// One logical WAL record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LogRecord {
-    Begin {
-        txn: TxnId,
-    },
-    Commit {
-        txn: TxnId,
-    },
-    Abort {
-        txn: TxnId,
-    },
-    /// One buffered operation of a transaction — exactly what the
-    /// transaction held in its [`TxnOp`] list, logged as is.
-    Op {
-        txn: TxnId,
-        op: TxnOp,
-    },
-    /// Fuzzy checkpoint marker: state as of this LSN lives in the named
-    /// snapshot file.
-    Checkpoint {
-        snapshot: String,
-    },
-}
+/// The first eight bytes of every segment: the frame format's name.
+pub const SEGMENT_MAGIC: &[u8; 8] = b"DEMAQWL2";
 
-const T_BEGIN: u8 = 1;
-const T_COMMIT: u8 = 2;
-const T_ABORT: u8 = 3;
-const T_ENQUEUE: u8 = 4;
-const T_PROCESSED: u8 = 5;
-const T_SLICE_ADD: u8 = 6;
-const T_SLICE_RESET: u8 = 7;
-const T_CHECKPOINT: u8 = 8;
-const T_LINEAGE: u8 = 9;
+const T_ENQUEUE: u8 = 1;
+const T_PROCESSED: u8 = 2;
+const T_SLICE_ADD: u8 = 3;
+const T_SLICE_RESET: u8 = 4;
+const T_LINEAGE: u8 = 5;
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
+/// The write side's name table: the id of every name the segment defined.
+type NameIds = HashMap<String, u64>;
 
-fn get_str(buf: &[u8], at: &mut usize) -> Option<String> {
-    let len = u32::from_le_bytes(buf.get(*at..*at + 4)?.try_into().ok()?) as usize;
-    *at += 4;
-    let s = std::str::from_utf8(buf.get(*at..*at + len)?)
-        .ok()?
-        .to_string();
-    *at += len;
-    Some(s)
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u64(buf: &[u8], at: &mut usize) -> Option<u64> {
-    let v = u64::from_le_bytes(buf.get(*at..*at + 8)?.try_into().ok()?);
-    *at += 8;
-    Some(v)
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_i64(buf: &[u8], at: &mut usize) -> Option<i64> {
-    let v = i64::from_le_bytes(buf.get(*at..*at + 8)?.try_into().ok()?);
-    *at += 8;
-    Some(v)
-}
-
-/// The tag and owning transaction that open every record but a checkpoint.
-fn put_head(out: &mut Vec<u8>, tag: u8, txn: TxnId) {
-    out.push(tag);
-    put_u64(out, txn.0);
-}
-
-/// Serialize one buffered op as the payload of its record.
-fn put_op(out: &mut Vec<u8>, txn: TxnId, op: &TxnOp) {
-    match op {
-        TxnOp::Enqueue {
-            queue,
-            msg,
-            payload,
-            props,
-            enqueued_at,
-        } => {
-            put_head(out, T_ENQUEUE, txn);
-            put_str(out, queue);
-            put_u64(out, msg.0);
-            put_i64(out, *enqueued_at);
-            put_str(out, payload);
-            out.extend_from_slice(&(props.len() as u32).to_le_bytes());
-            for (name, value) in props {
-                put_str(out, name);
-                value.encode(out);
+/// Encode one transaction as a frame payload into `out`, naming through
+/// `names`. Returns the names the payload defines, in id order after
+/// those of `names`; the caller adds them once the frame is written.
+fn encode_txn<'o>(out: &mut Vec<u8>, names: &NameIds, ops: &[&'o TxnOp]) -> Vec<&'o str> {
+    let mut new: Vec<&'o str> = Vec::new();
+    let mut name = |out: &mut Vec<u8>, s: &'o str| {
+        let id = names.get(s).copied().or_else(|| {
+            let at = new.iter().position(|n| *n == s)?;
+            Some((names.len() + at) as u64)
+        });
+        match id {
+            Some(id) => put_varint(out, id + 1),
+            None => {
+                put_varint(out, 0);
+                put_bytes(out, s.as_bytes());
+                new.push(s);
             }
         }
-        TxnOp::MarkProcessed { msg } => {
-            put_head(out, T_PROCESSED, txn);
-            put_u64(out, msg.0);
-        }
-        TxnOp::SliceAdd { slicing, key, msg } => {
-            put_head(out, T_SLICE_ADD, txn);
-            put_str(out, slicing);
-            key.encode(out);
-            put_u64(out, msg.0);
-        }
-        TxnOp::SliceReset { slicing, key } => {
-            put_head(out, T_SLICE_RESET, txn);
-            put_str(out, slicing);
-            key.encode(out);
-        }
-        TxnOp::Lineage {
-            msg,
-            parent,
-            root,
-            rule,
-            queue,
-        } => {
-            put_head(out, T_LINEAGE, txn);
-            put_u64(out, msg.0);
-            put_u64(out, parent.0);
-            put_u64(out, root.0);
-            put_str(out, rule);
-            put_str(out, queue);
-        }
-    }
-}
-
-/// Deserialize the fields of an op record whose tag and transaction have
-/// been read.
-fn get_op(tag: u8, buf: &[u8], at: &mut usize) -> Option<TxnOp> {
-    Some(match tag {
-        T_ENQUEUE => {
-            let queue = get_str(buf, at)?;
-            let msg = MsgId(get_u64(buf, at)?);
-            let enqueued_at = get_i64(buf, at)?;
-            // `get_str` validated UTF-8; the handle carries the proof.
-            let payload = PayloadBytes::from(get_str(buf, at)?);
-            let n = u32::from_le_bytes(buf.get(*at..*at + 4)?.try_into().ok()?) as usize;
-            *at += 4;
-            let mut props = Vec::with_capacity(n.min(buf.len()));
-            for _ in 0..n {
-                let name = get_str(buf, at)?;
-                let value = PropValue::decode(buf, at)?;
-                props.push((name, value));
-            }
+    };
+    put_varint(out, ops.len() as u64);
+    for op in ops {
+        match op {
             TxnOp::Enqueue {
                 queue,
                 msg,
                 payload,
                 props,
                 enqueued_at,
+            } => {
+                out.push(T_ENQUEUE);
+                name(out, queue);
+                put_varint(out, msg.0);
+                put_varint(out, zigzag(*enqueued_at));
+                put_bytes(out, payload.as_bytes());
+                put_varint(out, props.len() as u64);
+                for (prop, value) in props {
+                    name(out, prop);
+                    value.encode_from(*enqueued_at, out);
+                }
+            }
+            TxnOp::MarkProcessed { msg } => {
+                out.push(T_PROCESSED);
+                put_varint(out, msg.0);
+            }
+            TxnOp::SliceAdd { slicing, key, msg } => {
+                out.push(T_SLICE_ADD);
+                name(out, slicing);
+                key.encode(out);
+                put_varint(out, msg.0);
+            }
+            TxnOp::SliceReset { slicing, key } => {
+                out.push(T_SLICE_RESET);
+                name(out, slicing);
+                key.encode(out);
+            }
+            TxnOp::Lineage {
+                msg,
+                parent,
+                root,
+                rule,
+                queue,
+            } => {
+                out.push(T_LINEAGE);
+                put_varint(out, msg.0);
+                put_varint(out, parent.0);
+                put_varint(out, root.0);
+                name(out, rule);
+                name(out, queue);
             }
         }
-        T_PROCESSED => TxnOp::MarkProcessed {
-            msg: MsgId(get_u64(buf, at)?),
-        },
-        T_SLICE_ADD => TxnOp::SliceAdd {
-            slicing: get_str(buf, at)?,
-            key: PropValue::decode(buf, at)?,
-            msg: MsgId(get_u64(buf, at)?),
-        },
-        T_SLICE_RESET => TxnOp::SliceReset {
-            slicing: get_str(buf, at)?,
-            key: PropValue::decode(buf, at)?,
-        },
-        T_LINEAGE => TxnOp::Lineage {
-            msg: MsgId(get_u64(buf, at)?),
-            parent: MsgId(get_u64(buf, at)?),
-            root: MsgId(get_u64(buf, at)?),
-            rule: get_str(buf, at)?,
-            queue: get_str(buf, at)?,
-        },
-        _ => return None,
-    })
+    }
+    new
 }
 
-/// Append one framed record to `out` in place: reserve the
-/// `[len][crc32]` header, encode the payload behind it, fill the header.
-fn put_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+/// A count read from `buf`, as a capacity no larger than the bytes left:
+/// every counted item takes at least one byte, so a corrupt count runs out
+/// of frame instead of allocating.
+fn get_count(buf: &[u8], at: &mut usize) -> Option<(u64, usize)> {
+    let n = get_varint(buf, at)?;
+    Some((n, n.min((buf.len() - *at) as u64) as usize))
+}
+
+/// Decode one frame payload, resolving names through `names` and
+/// appending the names it defines.
+fn decode_txn(buf: &[u8], names: &mut Vec<String>) -> Option<Vec<TxnOp>> {
+    let at = &mut 0;
+    let mut name = |at: &mut usize| -> Option<String> {
+        match get_varint(buf, at)? {
+            0 => {
+                let s = get_str(buf, at)?.to_owned();
+                names.push(s.clone());
+                Some(s)
+            }
+            id => names.get(usize::try_from(id - 1).ok()?).cloned(),
+        }
+    };
+    let msg = |at: &mut usize| get_varint(buf, at).map(MsgId);
+    let (n, cap) = get_count(buf, at)?;
+    let mut ops = Vec::with_capacity(cap);
+    for _ in 0..n {
+        ops.push(match get_u8(buf, at)? {
+            T_ENQUEUE => {
+                let queue = name(at)?;
+                let msg = msg(at)?;
+                let enqueued_at = unzigzag(get_varint(buf, at)?);
+                let payload = PayloadBytes::from(get_str(buf, at)?);
+                let (n, cap) = get_count(buf, at)?;
+                let mut props = Vec::with_capacity(cap);
+                for _ in 0..n {
+                    let prop = name(at)?;
+                    props.push((prop, PropValue::decode_from(enqueued_at, buf, at)?));
+                }
+                TxnOp::Enqueue {
+                    queue,
+                    msg,
+                    payload,
+                    props,
+                    enqueued_at,
+                }
+            }
+            T_PROCESSED => TxnOp::MarkProcessed { msg: msg(at)? },
+            T_SLICE_ADD => TxnOp::SliceAdd {
+                slicing: name(at)?,
+                key: PropValue::decode(buf, at)?,
+                msg: msg(at)?,
+            },
+            T_SLICE_RESET => TxnOp::SliceReset {
+                slicing: name(at)?,
+                key: PropValue::decode(buf, at)?,
+            },
+            T_LINEAGE => TxnOp::Lineage {
+                msg: msg(at)?,
+                parent: msg(at)?,
+                root: msg(at)?,
+                rule: name(at)?,
+                queue: name(at)?,
+            },
+            _ => return None,
+        });
+    }
+    (*at == buf.len()).then_some(ops)
+}
+
+/// Append one framed payload to `out` in place: reserve the `[len][crc32]`
+/// header, encode the payload behind it, fill the header. A payload too
+/// long for the `u32` length is taken out again and refused.
+fn put_frame<R>(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>) -> R) -> Result<R> {
     let start = out.len();
     out.extend_from_slice(&[0; 8]);
-    encode(out);
-    let payload = &out[start + 8..];
-    let (len, crc) = (payload.len() as u32, crc32(payload));
+    let r = encode(out);
+    let Ok(len) = u32::try_from(out.len() - start - 8) else {
+        let n = out.len() - start - 8;
+        out.truncate(start);
+        return Err(StoreError::Invalid(format!(
+            "a transaction of {n} bytes does not fit a WAL frame"
+        )));
+    };
+    let crc = crc32(&out[start + 8..]);
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-}
-
-impl LogRecord {
-    /// Serialize the record payload (without framing).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            LogRecord::Begin { txn } => put_head(out, T_BEGIN, *txn),
-            LogRecord::Commit { txn } => put_head(out, T_COMMIT, *txn),
-            LogRecord::Abort { txn } => put_head(out, T_ABORT, *txn),
-            LogRecord::Op { txn, op } => put_op(out, *txn, op),
-            LogRecord::Checkpoint { snapshot } => {
-                out.push(T_CHECKPOINT);
-                put_str(out, snapshot);
-            }
-        }
-    }
-
-    /// Deserialize a record payload.
-    pub fn decode(buf: &[u8]) -> Option<LogRecord> {
-        let mut at = 1usize;
-        let tag = *buf.first()?;
-        let rec = if tag == T_CHECKPOINT {
-            LogRecord::Checkpoint {
-                snapshot: get_str(buf, &mut at)?,
-            }
-        } else {
-            let txn = TxnId(get_u64(buf, &mut at)?);
-            match tag {
-                T_BEGIN => LogRecord::Begin { txn },
-                T_COMMIT => LogRecord::Commit { txn },
-                T_ABORT => LogRecord::Abort { txn },
-                _ => LogRecord::Op {
-                    txn,
-                    op: get_op(tag, buf, &mut at)?,
-                },
-            }
-        };
-        if at != buf.len() {
-            return None;
-        }
-        Some(rec)
-    }
-
-    /// The transaction this record belongs to, if any.
-    pub fn txn(&self) -> Option<TxnId> {
-        match self {
-            LogRecord::Begin { txn }
-            | LogRecord::Commit { txn }
-            | LogRecord::Abort { txn }
-            | LogRecord::Op { txn, .. } => Some(*txn),
-            LogRecord::Checkpoint { .. } => None,
-        }
-    }
+    Ok(r)
 }
 
 /// CRC32 (IEEE 802.3, reflected) — small standalone implementation to keep
@@ -461,22 +420,24 @@ pub struct LogWriter {
 
 struct WriterInner {
     file: BufWriter<File>,
-    /// Next byte offset (== LSN of the next record).
+    /// Next byte offset (== LSN of the next frame).
     offset: u64,
     /// Bytes written since open (stats for the recovery bench).
     bytes_logged: u64,
     /// Crash-injection failpoint (`DEMAQ_WAL_CRASH_AFTER_BYTES`): byte
-    /// budget left before the writer tears a record mid-write and aborts
+    /// budget left before the writer tears a frame mid-write and aborts
     /// the process. Test-harness only; `None` in normal operation.
     crash_budget: Option<u64>,
-    /// The frames of the append in progress, built in place; empty between
+    /// The frame of the append in progress, built in place; empty between
     /// appends, its allocation reused.
-    frames: Vec<u8>,
+    frame: Vec<u8>,
+    /// The segment's name table (see the module docs).
+    names: NameIds,
 }
 
 /// Frame-buffer capacity kept between appends: one huge transaction does
 /// not pin its size for the life of the segment.
-const FRAMES_KEPT: usize = 1 << 20;
+const FRAME_KEPT: usize = 1 << 20;
 
 struct SyncState {
     /// Bytes `[0, durable)` of the file are known fsynced (the prefix found
@@ -484,7 +445,7 @@ struct SyncState {
     durable: u64,
     /// A leader is currently flushing/syncing.
     leader_active: bool,
-    /// Commit records appended since the last sync consumed the batch —
+    /// Commits appended since the last sync consumed the batch —
     /// the commits a crash right now could lose.
     pending_commits: u64,
     /// Size of the last batch a *waiting committer* led — the adaptive
@@ -499,7 +460,9 @@ struct SyncState {
 
 impl LogWriter {
     /// Open (or create) the log at `path`, truncating any torn tail so new
-    /// appends are contiguous with the last valid record.
+    /// appends are contiguous with the last valid frame, and rebuilding the
+    /// segment's name table. A segment without a valid header gets one,
+    /// buffered to go out with the first frame.
     pub fn open(path: &Path, cfg: GroupCommitCfg) -> Result<LogWriter> {
         // Scan before opening for append: find the valid prefix.
         let scan = read_log(path)?;
@@ -520,21 +483,32 @@ impl LogWriter {
             file.sync_data()?;
         }
         let sync_handle = file.try_clone()?;
+        let mut file = BufWriter::new(file);
+        let mut offset = scan.valid_len;
+        if offset == 0 {
+            // No syscall: the header reaches the file with the first
+            // frame. It counts as durable — a segment whose header never
+            // made it to disk reads as empty, which it is.
+            file.write_all(SEGMENT_MAGIC)?;
+            offset = SEGMENT_MAGIC.len() as u64;
+        }
         let crash_budget = std::env::var("DEMAQ_WAL_CRASH_AFTER_BYTES")
             .ok()
             .and_then(|v| v.parse::<u64>().ok());
+        let names = scan.names.into_iter().zip(0..).collect();
         Ok(LogWriter {
             inner: Mutex::new(WriterInner {
-                file: BufWriter::new(file),
-                offset: scan.valid_len,
-                bytes_logged: 0,
+                file,
+                offset,
+                bytes_logged: offset - scan.valid_len,
                 crash_budget,
-                frames: Vec::new(),
+                frame: Vec::new(),
+                names,
             }),
             sync_handle,
             cfg,
             sync_state: Mutex::new(SyncState {
-                durable: scan.valid_len,
+                durable: offset,
                 leader_active: false,
                 pending_commits: 0,
                 prev_batch: 1,
@@ -557,84 +531,62 @@ impl LogWriter {
         });
     }
 
-    /// Append a record; returns its LSN. Does not sync.
-    pub fn append(&self, rec: &LogRecord) -> Result<Lsn> {
+    /// Append one transaction as one frame under one hold of the append
+    /// mutex, and register the commit with the group-commit coordinator.
+    /// Returns the durable target (the commit is durable once a sync covers
+    /// it, see [`LogWriter::sync_to`]) and the frame's LSN.
+    pub fn append_txn(&self, ops: &[&TxnOp]) -> Result<(u64, Lsn)> {
         let mut inner = self.inner.lock();
         let lsn = Lsn(inner.offset);
-        put_frame(&mut inner.frames, |out| rec.encode_into(out));
-        self.write_frames(&mut inner)?;
-        Ok(lsn)
-    }
-
-    /// Append one transaction — `Begin`, a record per op, `Commit` — under
-    /// one hold of the append mutex, and register the commit with the
-    /// group-commit coordinator. Returns the durable target (the commit is
-    /// durable once a sync covers it, see [`LogWriter::sync_to`]) and the
-    /// LSN of each lineage op's record.
-    pub fn append_txn(&self, txn: TxnId, ops: &[&TxnOp]) -> Result<(u64, Vec<(MsgId, Lsn)>)> {
-        let mut lineage = Vec::new();
-        let mut inner = self.inner.lock();
-        let base = inner.offset;
-        let frames = &mut inner.frames;
-        put_frame(frames, |out| put_head(out, T_BEGIN, txn));
-        for op in ops {
-            if let TxnOp::Lineage { msg, .. } = op {
-                lineage.push((*msg, Lsn(base + frames.len() as u64)));
-            }
-            put_frame(frames, |out| put_op(out, txn, op));
+        let WriterInner { frame, names, .. } = &mut *inner;
+        let new = put_frame(frame, |out| encode_txn(out, names, ops))?;
+        self.write_frame(&mut inner)?;
+        for name in new {
+            let id = inner.names.len() as u64;
+            inner.names.insert(name.to_owned(), id);
         }
-        put_frame(frames, |out| put_head(out, T_COMMIT, txn));
-        self.write_frames(&mut inner)?;
         let target = inner.offset;
         drop(inner);
         self.sync_state.lock().pending_commits += 1;
         // Wake only a leader sitting in its batching window — durability
         // waiters on `sync_cv` don't care about new arrivals.
         self.window_cv.notify_one();
-        Ok((target, lineage))
+        Ok((target, lsn))
     }
 
-    /// Write the frames built in `inner.frames` and empty the buffer.
-    fn write_frames(&self, inner: &mut WriterInner) -> Result<()> {
+    /// Write the frame built in `inner.frame` and empty the buffer.
+    fn write_frame(&self, inner: &mut WriterInner) -> Result<()> {
         let WriterInner {
             file,
             offset,
             bytes_logged,
             crash_budget,
-            frames,
+            frame,
+            ..
         } = inner;
         if let Some(budget) = crash_budget {
-            // The budget is spent record by record, as if each were its
-            // own disk write.
-            let mut at = 0;
-            while at < frames.len() {
-                let header = frames[at..at + 4].try_into().expect("4-byte slice");
-                let len = 8 + u32::from_le_bytes(header) as usize;
-                if len as u64 > *budget {
-                    // Failpoint: die like a power cut between two disk
-                    // writes. Nothing past the last fsync survives
-                    // (buffered and merely written records are dropped),
-                    // then a torn prefix of this record. The sync state
-                    // stays locked until the abort, so no in-flight sync
-                    // can publish — and its committer ack — bytes this
-                    // truncation removes.
-                    let st = self.sync_state.lock();
-                    let mut file: &File = file.get_ref();
-                    let _ = file.set_len(st.durable);
-                    let _ = file.write_all(&frames[at..at + *budget as usize]);
-                    std::process::abort();
-                }
-                *budget -= len as u64;
-                at += len;
+            if frame.len() as u64 > *budget {
+                // Failpoint: die like a power cut between two disk
+                // writes. Nothing past the last fsync survives (buffered
+                // and merely written frames are dropped), then a torn
+                // prefix of this frame. The sync state stays locked until
+                // the abort, so no in-flight sync can publish — and its
+                // committer ack — bytes this truncation removes.
+                let st = self.sync_state.lock();
+                let mut file: &File = file.get_ref();
+                let _ = file.set_len(st.durable);
+                let _ = file.write_all(&frame[..*budget as usize]);
+                std::process::abort();
             }
+            *budget -= frame.len() as u64;
         }
-        let written = file.write_all(frames);
+        let written = file.write_all(frame);
         if written.is_ok() {
-            *offset += frames.len() as u64;
-            *bytes_logged += frames.len() as u64;
+            *offset += frame.len() as u64;
+            *bytes_logged += frame.len() as u64;
         }
-        frames.clear();
-        frames.shrink_to(FRAMES_KEPT);
+        frame.clear();
+        frame.shrink_to(FRAME_KEPT);
         Ok(written?)
     }
 
@@ -782,7 +734,7 @@ impl LogWriter {
         self.sync_inner(end, false)
     }
 
-    /// Commit records appended that no sync has covered yet.
+    /// Commits appended that no sync has covered yet.
     pub fn pending_commits(&self) -> u64 {
         self.sync_state.lock().pending_commits
     }
@@ -803,13 +755,18 @@ impl LogWriter {
     }
 }
 
-/// Result of scanning a log file: the valid records plus where the valid
-/// prefix ends (for tail truncation and discard reporting).
+/// Result of scanning a log segment: its committed transactions, its
+/// name table, and where the valid prefix ends (for tail truncation and
+/// discard reporting).
 #[derive(Debug, Default)]
 pub struct LogScan {
-    pub records: Vec<(Lsn, LogRecord)>,
+    /// One entry per valid frame: its LSN and the transaction's ops.
+    pub txns: Vec<(Lsn, Vec<TxnOp>)>,
+    /// The segment's names, by id, as the valid frames defined them.
+    pub names: Vec<String>,
     /// Byte length of the valid prefix — the offset right after the last
-    /// valid record. [`LogWriter::open`] truncates the file here.
+    /// valid frame, 0 when the segment has no valid header.
+    /// [`LogWriter::open`] truncates the file here.
     pub valid_len: u64,
     /// Trailing bytes discarded as a torn tail — the suffix after
     /// `valid_len` up to the last non-zero byte. A zero-filled tail does
@@ -817,13 +774,16 @@ pub struct LogScan {
     pub discarded: u64,
 }
 
-/// Read every valid record from a log file.
+/// Read every committed transaction from a log segment.
 ///
 /// A truncated frame or CRC mismatch is a *torn tail*: the scan stops
-/// cleanly and reports the discarded suffix length. A frame whose CRC
+/// cleanly and reports the discarded suffix length. So is a missing
+/// header: an empty file, one shorter than the header, or one starting
+/// with eight zero bytes scans as an empty segment. A frame whose CRC
 /// verifies but whose payload does not decode is *hard corruption* (a torn
-/// write cannot produce it) and yields [`StoreError::Corrupt`] — see the
-/// module docs for why the two are treated differently.
+/// write cannot produce it) and yields [`StoreError::Corrupt`], as does
+/// any header other than [`SEGMENT_MAGIC`] — see the module docs for why
+/// the two are treated differently.
 pub fn read_log(path: &Path) -> Result<LogScan> {
     let mut file = match File::open(path) {
         Ok(f) => f,
@@ -832,13 +792,29 @@ pub fn read_log(path: &Path) -> Result<LogScan> {
     };
     let mut buf = Vec::new();
     file.read_to_end(&mut buf)?;
-    let mut out = Vec::new();
-    let mut at = 0usize;
+    let mut scan = LogScan::default();
+    match buf.get(..SEGMENT_MAGIC.len()) {
+        Some(head) if head == SEGMENT_MAGIC => {}
+        Some(head) if head.iter().any(|&b| b != 0) => {
+            return Err(StoreError::Corrupt(format!(
+                "{}: not a {} WAL segment (header {head:02x?}); segments of \
+                 an older log format cannot be recovered",
+                path.display(),
+                String::from_utf8_lossy(SEGMENT_MAGIC),
+            )))
+        }
+        // Empty, short or zeroed: the header never reached the disk.
+        _ => {
+            scan.discarded = torn_bytes(&buf, 0);
+            return Ok(scan);
+        }
+    }
+    let mut at = SEGMENT_MAGIC.len();
     while at + 8 <= buf.len() {
         let len = u32::from_le_bytes(buf[at..at + 4].try_into().unwrap()) as usize;
         let crc = u32::from_le_bytes(buf[at + 4..at + 8].try_into().unwrap());
         if len == 0 {
-            // A record payload is never empty, so this is a zero-filled
+            // A frame payload is never empty, so this is a zero-filled
             // tail (a tear that never got past the header, or a
             // filesystem that recovered the crashed file's size without
             // its data): end of log. Checked before the CRC — crc32 of
@@ -855,29 +831,29 @@ pub fn read_log(path: &Path) -> Result<LogScan> {
         if crc32(payload) != crc {
             break; // torn tail: CRC mismatch
         }
-        match LogRecord::decode(payload) {
-            Some(rec) => out.push((Lsn(at as u64), rec)),
+        match decode_txn(payload, &mut scan.names) {
+            Some(ops) => scan.txns.push((Lsn(at as u64), ops)),
             None => {
                 return Err(StoreError::Corrupt(format!(
-                    "undecodable log record at offset {at} (CRC valid — not a torn write)"
+                    "undecodable transaction frame at offset {at} of {} \
+                     (CRC valid — not a torn write)",
+                    path.display()
                 )))
             }
         }
         at += 8 + len;
     }
-    // Torn bytes are the suffix after the valid prefix *minus* trailing
-    // zeros: a zero-filled tail is an ordinary crash signature (see the
-    // module docs), not damage worth reporting.
-    let tail_end = buf
-        .iter()
-        .rposition(|&b| b != 0)
-        .map_or(0, |p| p + 1)
-        .max(at);
-    Ok(LogScan {
-        records: out,
-        valid_len: at as u64,
-        discarded: (tail_end - at) as u64,
-    })
+    scan.valid_len = at as u64;
+    scan.discarded = torn_bytes(&buf, at);
+    Ok(scan)
+}
+
+/// The torn bytes after a valid prefix of `at` bytes: the suffix *minus*
+/// trailing zeros, since a zero-filled tail is an ordinary crash signature
+/// (see the module docs), not damage worth reporting.
+fn torn_bytes(buf: &[u8], at: usize) -> u64 {
+    let tail_end = buf.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
+    tail_end.saturating_sub(at) as u64
 }
 
 /// Fsync a directory, making the entries created or renamed in it durable.
@@ -896,100 +872,181 @@ mod tests {
         LogWriter::open(path, GroupCommitCfg::default()).unwrap()
     }
 
-    fn op(op: TxnOp) -> LogRecord {
-        LogRecord::Op { txn: TxnId(1), op }
+    fn processed(msg: u64) -> TxnOp {
+        TxnOp::MarkProcessed { msg: MsgId(msg) }
     }
 
-    /// One record of every kind — transaction 1's `Begin`, ops and
-    /// `Commit`, then an `Abort` and a checkpoint marker — each with its
-    /// exact payload bytes, and one property of every value type among
-    /// them. Segments written by older builds must recover unchanged, so
-    /// these bytes may never move.
+    /// Append `ops` as one transaction; its durable target and LSN.
+    fn commit(w: &LogWriter, ops: &[TxnOp]) -> (u64, Lsn) {
+        w.append_txn(&ops.iter().collect::<Vec<_>>()).unwrap()
+    }
+
+    fn txns(path: &Path) -> Vec<Vec<TxnOp>> {
+        let scan = read_log(path).unwrap();
+        scan.txns.into_iter().map(|(_, ops)| ops).collect()
+    }
+
+    /// Frame `payload` as the writer does, with the bit-at-a-time CRC.
+    fn frame(file: &mut Vec<u8>, payload: &[u8]) {
+        file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        file.extend_from_slice(&crc32_bytewise(payload).to_le_bytes());
+        file.extend_from_slice(payload);
+    }
+
+    /// Two transactions with their exact frame payloads. The first holds
+    /// one op of every kind and one property of every value type, and
+    /// uses names both first and again: `s` names a property, then a
+    /// slicing; `q` a queue, then a lineage edge's queue. The second
+    /// reuses names the first defined. Any change to these bytes is a
+    /// change of the on-disk format, which needs a new segment header.
     #[rustfmt::skip]
-    fn golden() -> Vec<(LogRecord, Vec<u8>)> {
+    fn golden() -> Vec<(Vec<TxnOp>, Vec<u8>)> {
         vec![
-            (LogRecord::Begin { txn: TxnId(1) }, vec![1, 1, 0, 0, 0, 0, 0, 0, 0]),
             (
-                op(TxnOp::Enqueue {
+                vec![
+                    TxnOp::Enqueue {
+                        queue: "q".into(),
+                        msg: MsgId(10),
+                        payload: "<a/>".into(),
+                        props: vec![
+                            ("s".into(), PropValue::Str("x".into())),
+                            ("i".into(), PropValue::Int(-42)),
+                            ("b".into(), PropValue::Bool(true)),
+                            ("d".into(), PropValue::Double(0.1)),
+                            ("t".into(), PropValue::DateTime(1_700_000_000_123)),
+                            ("u".into(), PropValue::Duration(-500)),
+                        ],
+                        enqueued_at: 1_700_000_000_000,
+                    },
+                    processed(9),
+                    TxnOp::SliceAdd { slicing: "s".into(), key: PropValue::Int(5), msg: MsgId(10) },
+                    TxnOp::SliceReset { slicing: "s".into(), key: PropValue::Str("k".into()) },
+                    TxnOp::Lineage {
+                        msg: MsgId(11),
+                        parent: MsgId(10),
+                        root: MsgId(3),
+                        rule: "r".into(),
+                        queue: "q".into(),
+                    },
+                ],
+                vec![
+                    5, // op count
+                    1, // enqueue
+                    0, 1, b'q', // queue: new name 0
+                    10, // msg
+                    0x80, 0xA0, 0xAB, 0xFE, 0xF9, 0x62, // enqueued_at, zigzag
+                    4, b'<', b'a', b'/', b'>', // payload
+                    6, // property count
+                    0, 1, b's', 0, 1, b'x', // new name 1, Str
+                    0, 1, b'i', 1, 83, // new name 2, Int -42
+                    0, 1, b'b', 2, 1, // new name 3, Bool
+                    0, 1, b'd', 3, 0x9A, 0x99, 0x99, 0x99, 0x99, 0x99, 0xB9, 0x3F, // new name 4, Double
+                    0, 1, b't', 4, 0xF6, 0x01, // new name 5, DateTime enqueued_at + 123
+                    0, 1, b'u', 5, 0xE7, 0x07, // new name 6, Duration -500
+                    2, 9, // mark processed, msg
+                    3, 2, 1, 10, 10, // slice add: name 1, key Int 5, msg
+                    4, 2, 0, 1, b'k', // slice reset: name 1, key Str
+                    5, 11, 10, 3, // lineage: msg, parent, root
+                    0, 1, b'r', 1, // rule: new name 7; queue: name 0
+                ],
+            ),
+            (
+                vec![TxnOp::Enqueue {
                     queue: "q".into(),
-                    msg: MsgId(10),
-                    payload: "<a/>".into(),
-                    props: vec![
-                        ("s".into(), PropValue::Str("x".into())),
-                        ("i".into(), PropValue::Int(-42)),
-                        ("b".into(), PropValue::Bool(true)),
-                        ("d".into(), PropValue::Double(0.1)),
-                        ("t".into(), PropValue::DateTime(1_700_000_000_000)),
-                        ("u".into(), PropValue::Duration(-500)),
-                    ],
+                    msg: MsgId(12),
+                    payload: "".into(),
+                    props: vec![("t".into(), PropValue::DateTime(5))],
                     enqueued_at: 7,
-                }),
+                }],
                 vec![
-                    4,
-                    1, 0, 0, 0, 0, 0, 0, 0, // txn
-                    1, 0, 0, 0, b'q', // queue
-                    10, 0, 0, 0, 0, 0, 0, 0, // msg
-                    7, 0, 0, 0, 0, 0, 0, 0, // enqueued_at
-                    4, 0, 0, 0, b'<', b'a', b'/', b'>', // payload
-                    6, 0, 0, 0, // property count
-                    1, 0, 0, 0, b's', 0, 1, 0, 0, 0, b'x',
-                    1, 0, 0, 0, b'i', 1, 3, 0, 0, 0, b'-', b'4', b'2',
-                    1, 0, 0, 0, b'b', 2, 4, 0, 0, 0, b't', b'r', b'u', b'e',
-                    1, 0, 0, 0, b'd', 3, 3, 0, 0, 0, b'0', b'.', b'1',
-                    1, 0, 0, 0, b't', 4, 13, 0, 0, 0,
-                    b'1', b'7', b'0', b'0', b'0', b'0', b'0', b'0', b'0', b'0', b'0', b'0', b'0',
-                    1, 0, 0, 0, b'u', 5, 4, 0, 0, 0, b'-', b'5', b'0', b'0',
+                    1, // op count
+                    1, 1, 12, 14, 0, // enqueue: name 0, msg, enqueued_at, empty payload
+                    1, 6, 4, 3, // one property: name 5, DateTime enqueued_at - 2
                 ],
             ),
-            (
-                op(TxnOp::MarkProcessed { msg: MsgId(9) }),
-                vec![5, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0],
-            ),
-            (
-                op(TxnOp::SliceAdd { slicing: "s".into(), key: PropValue::Int(5), msg: MsgId(10) }),
-                vec![
-                    6,
-                    1, 0, 0, 0, 0, 0, 0, 0, // txn
-                    1, 0, 0, 0, b's', // slicing
-                    1, 1, 0, 0, 0, b'5', // key
-                    10, 0, 0, 0, 0, 0, 0, 0, // msg
-                ],
-            ),
-            (
-                op(TxnOp::SliceReset { slicing: "s".into(), key: PropValue::Str("k".into()) }),
-                vec![
-                    7,
-                    1, 0, 0, 0, 0, 0, 0, 0, // txn
-                    1, 0, 0, 0, b's', // slicing
-                    0, 1, 0, 0, 0, b'k', // key
-                ],
-            ),
-            (
-                op(TxnOp::Lineage {
-                    msg: MsgId(11),
-                    parent: MsgId(10),
-                    root: MsgId(3),
-                    rule: "r".into(),
-                    queue: "q".into(),
-                }),
-                vec![
-                    9,
-                    1, 0, 0, 0, 0, 0, 0, 0, // txn
-                    11, 0, 0, 0, 0, 0, 0, 0, // msg
-                    10, 0, 0, 0, 0, 0, 0, 0, // parent
-                    3, 0, 0, 0, 0, 0, 0, 0, // root
-                    1, 0, 0, 0, b'r', // rule
-                    1, 0, 0, 0, b'q', // queue
-                ],
-            ),
-            (LogRecord::Commit { txn: TxnId(1) }, vec![2, 1, 0, 0, 0, 0, 0, 0, 0]),
-            (LogRecord::Abort { txn: TxnId(2) }, vec![3, 2, 0, 0, 0, 0, 0, 0, 0]),
-            (LogRecord::Checkpoint { snapshot: "c".into() }, vec![8, 1, 0, 0, 0, b'c']),
         ]
     }
 
-    fn sample_records() -> Vec<LogRecord> {
-        golden().into_iter().map(|(rec, _)| rec).collect()
+    /// The golden transactions frame, write and read back byte for byte.
+    #[test]
+    fn golden_wal_format() {
+        let dir = TempDir::new().unwrap();
+        let path = dir.path().join("wal.log");
+        let w = writer(&path);
+        let mut file = SEGMENT_MAGIC.to_vec();
+        for (ops, payload) in golden() {
+            let lsn = Lsn(file.len() as u64);
+            frame(&mut file, &payload);
+            assert_eq!(commit(&w, &ops), (file.len() as u64, lsn));
+        }
+        w.sync_now().unwrap();
+        drop(w);
+        assert_eq!(std::fs::read(&path).unwrap(), file, "framed bytes moved");
+        let scan = read_log(&path).unwrap();
+        let read: Vec<Vec<TxnOp>> = scan.txns.into_iter().map(|(_, ops)| ops).collect();
+        let ops: Vec<Vec<TxnOp>> = golden().into_iter().map(|(ops, _)| ops).collect();
+        assert_eq!((read, scan.discarded), (ops, 0));
+        assert_eq!(scan.names, ["q", "s", "i", "b", "d", "t", "u", "r"]);
+    }
+
+    /// A segment of the per-op records logged before the frame format
+    /// (the old golden `Begin`, `MarkProcessed` and `Commit` bytes) is
+    /// refused whole, not decoded, and the writer leaves it untouched.
+    #[test]
+    #[rustfmt::skip]
+    fn older_format_segments_are_refused() {
+        let dir = TempDir::new().unwrap();
+        let path = dir.path().join("wal.log");
+        let mut file = Vec::new();
+        frame(&mut file, &[1, 1, 0, 0, 0, 0, 0, 0, 0]);
+        frame(&mut file, &[5, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]);
+        frame(&mut file, &[2, 1, 0, 0, 0, 0, 0, 0, 0]);
+        std::fs::write(&path, &file).unwrap();
+        match read_log(&path) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("DEMAQWL2"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert!(LogWriter::open(&path, GroupCommitCfg::default()).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), file, "a refused segment was modified");
+    }
+
+    /// A crash before the header reached the disk leaves an empty, short
+    /// or zeroed header: an empty segment, which the writer can reuse.
+    #[test]
+    fn missing_header_reads_as_an_empty_segment() {
+        let dir = TempDir::new().unwrap();
+        for (i, (bytes, torn)) in [(&b""[..], 0), (b"DEMAQ", 5), (&[0; 4096], 0)]
+            .into_iter()
+            .enumerate()
+        {
+            let path = dir.path().join(format!("wal-{i}.log"));
+            std::fs::write(&path, bytes).unwrap();
+            let scan = read_log(&path).unwrap();
+            assert!(scan.txns.is_empty());
+            assert_eq!((scan.valid_len, scan.discarded), (0, torn), "{bytes:?}");
+            let w = writer(&path);
+            commit(&w, &[processed(1)]);
+            w.sync_now().unwrap();
+            drop(w);
+            assert_eq!(txns(&path), vec![vec![processed(1)]]);
+            assert!(std::fs::read(&path).unwrap().starts_with(SEGMENT_MAGIC));
+        }
+    }
+
+    /// Opening a segment and appending nothing writes nothing and syncs
+    /// nothing: the header waits for the first frame.
+    #[test]
+    fn the_header_goes_out_with_the_first_frame() {
+        let dir = TempDir::new().unwrap();
+        let path = dir.path().join("wal.log");
+        let w = writer(&path);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        assert_eq!(w.sync_now().unwrap(), 0);
+        assert_eq!(w.durable_offset(), w.end_lsn().0);
+        let (target, lsn) = commit(&w, &[processed(1)]);
+        assert_eq!(lsn, Lsn(SEGMENT_MAGIC.len() as u64));
+        w.sync_to(target).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), target);
     }
 
     #[test]
@@ -997,8 +1054,8 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let path = dir.path().join("wal.log");
         let w = writer(&path);
-        for rec in sample_records() {
-            w.append(&rec).unwrap();
+        for (ops, _) in golden() {
+            commit(&w, &ops);
         }
         w.sync_now().unwrap();
         let clean_len = w.end_lsn().0;
@@ -1009,7 +1066,7 @@ mod tests {
         f.seek(SeekFrom::Start(clean_len)).unwrap();
         f.write_all(&[200, 1, 0, 0, 77, 77]).unwrap();
         let scan = read_log(&path).unwrap();
-        assert_eq!(scan.records.len(), sample_records().len());
+        assert_eq!(scan.txns.len(), golden().len());
         assert_eq!(scan.valid_len, clean_len);
         // Only the torn bytes count — the zero padding after them doesn't.
         assert_eq!(scan.discarded, 6);
@@ -1027,8 +1084,7 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let path = dir.path().join("wal.log");
         let w = writer(&path);
-        w.append(&LogRecord::Begin { txn: TxnId(1) }).unwrap();
-        w.append(&LogRecord::Commit { txn: TxnId(1) }).unwrap();
+        commit(&w, &[processed(1)]);
         w.sync_now().unwrap();
         let clean_len = w.end_lsn().0;
         drop(w);
@@ -1036,55 +1092,50 @@ mod tests {
         f.write_all(&[0u8; 4096]).unwrap();
         drop(f);
         let scan = read_log(&path).unwrap();
-        assert_eq!(scan.records.len(), 2);
+        assert_eq!(scan.txns.len(), 1);
         assert_eq!(scan.valid_len, clean_len);
         assert_eq!(scan.discarded, 0, "a zero tail must not read as torn");
     }
 
-    /// The torn-tail regression: records appended *after* reopening over a
+    /// The torn-tail regression: frames appended *after* reopening over a
     /// torn tail must be readable. The old `LogWriter::open` started at
     /// `metadata().len()`, placing them beyond the garbage where the scan
-    /// never reaches.
+    /// never reaches. The reopened writer also names through the table
+    /// the scan rebuilt: the name is not defined twice.
     #[test]
     fn reopen_over_torn_tail_keeps_later_appends_readable() {
         let dir = TempDir::new().unwrap();
         let path = dir.path().join("wal.log");
+        let reset = |n: i64| TxnOp::SliceReset {
+            slicing: "s".into(),
+            key: PropValue::Int(n),
+        };
         let clean_len;
         {
             let w = writer(&path);
-            w.append(&LogRecord::Begin { txn: TxnId(1) }).unwrap();
-            w.append(&LogRecord::Commit { txn: TxnId(1) }).unwrap();
+            commit(&w, &[reset(1)]);
             w.sync_now().unwrap();
             clean_len = w.end_lsn().0;
         }
-        // Crash mid-record: half a frame of garbage at the append offset.
+        // Crash mid-frame: half a frame of garbage at the append offset.
         {
             let mut f = OpenOptions::new().write(true).open(&path).unwrap();
             f.seek(SeekFrom::Start(clean_len)).unwrap();
             f.write_all(&[90, 0, 0, 0, 1, 2, 3]).unwrap();
         }
-        // Reopen appends a fresh committed record…
+        // Reopen appends a fresh committed frame…
         {
             let w = writer(&path);
-            w.append(&LogRecord::Begin { txn: TxnId(2) }).unwrap();
-            w.append(&LogRecord::Commit { txn: TxnId(2) }).unwrap();
+            commit(&w, &[reset(2)]);
             w.sync_now().unwrap();
         }
         // …and recovery must see it.
-        let recs: Vec<LogRecord> = read_log(&path)
-            .unwrap()
-            .records
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
+        let scan = read_log(&path).unwrap();
+        assert_eq!(scan.names, ["s"]);
+        let read: Vec<Vec<TxnOp>> = scan.txns.into_iter().map(|(_, ops)| ops).collect();
         assert_eq!(
-            recs,
-            vec![
-                LogRecord::Begin { txn: TxnId(1) },
-                LogRecord::Commit { txn: TxnId(1) },
-                LogRecord::Begin { txn: TxnId(2) },
-                LogRecord::Commit { txn: TxnId(2) },
-            ],
+            read,
+            vec![vec![reset(1)], vec![reset(2)]],
             "the post-reopen commit is lost behind the torn tail"
         );
     }
@@ -1094,21 +1145,21 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let path = dir.path().join("wal.log");
         let w = writer(&path);
-        for rec in sample_records() {
-            w.append(&rec).unwrap();
+        for (ops, _) in golden() {
+            commit(&w, &ops);
         }
         w.sync_now().unwrap();
         let clean_len = w.end_lsn().0;
         drop(w);
         // Flip a byte in the middle of the valid prefix: scan stops at
-        // the damaged record and reports the damaged suffix (up to where
-        // the real records end — the zero padding beyond is not damage).
+        // the damaged frame and reports the damaged suffix (up to where
+        // the real frames end — the zero padding beyond is not damage).
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = (clean_len / 2) as usize;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let scan = read_log(&path).unwrap();
-        assert!(scan.records.len() < sample_records().len());
+        assert!(scan.txns.len() < golden().len());
         assert_eq!(
             scan.valid_len + scan.discarded,
             clean_len,
@@ -1120,22 +1171,21 @@ mod tests {
     /// The recovery boundary: CRC-valid but undecodable is *hard
     /// corruption* (a torn write can't produce it), not a clean tail.
     #[test]
-    fn crc_valid_undecodable_record_is_hard_corruption() {
+    fn crc_valid_undecodable_frame_is_hard_corruption() {
         let dir = TempDir::new().unwrap();
         let path = dir.path().join("wal.log");
         let w = writer(&path);
-        w.append(&LogRecord::Begin { txn: TxnId(1) }).unwrap();
+        commit(&w, &[processed(1)]);
         w.sync_now().unwrap();
         let clean_len = w.end_lsn().0;
         drop(w);
-        // A frame with a bogus record tag but a *correct* CRC, at the
-        // append offset where a real (buggy) writer would put it.
-        let payload = [0xEEu8, 1, 2, 3];
+        // A frame with a bogus op tag but a *correct* CRC, at the append
+        // offset where a real (buggy) writer would put it.
+        let mut bad = Vec::new();
+        frame(&mut bad, &[1, 0xEE, 1, 2, 3]);
         let mut f = OpenOptions::new().write(true).open(&path).unwrap();
         f.seek(SeekFrom::Start(clean_len)).unwrap();
-        f.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
-        f.write_all(&crc32(&payload).to_le_bytes()).unwrap();
-        f.write_all(&payload).unwrap();
+        f.write_all(&bad).unwrap();
         drop(f);
         match read_log(&path) {
             Err(StoreError::Corrupt(msg)) => {
@@ -1145,6 +1195,23 @@ mod tests {
         }
     }
 
+    /// Counts and lengths as large as a varint holds run out of frame:
+    /// nothing is allocated from them up front.
+    #[test]
+    #[rustfmt::skip]
+    fn huge_counts_and_lengths_run_out_of_frame() {
+        const MAX: [u8; 10] = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        let ops_count = [&MAX[..], &[2, 1]].concat();
+        let props_count = [&[1, 1, 0, 1, b'q', 1, 0, 0][..], &MAX].concat();
+        let payload_len = [&[1, 1, 0, 1, b'q', 1, 0][..], &MAX, b"xy"].concat();
+        let name_len = [&[1, 3, 0][..], &MAX].concat();
+        for payload in [ops_count, props_count, payload_len, name_len] {
+            assert_eq!(decode_txn(&payload, &mut Vec::new()), None, "{payload:?}");
+        }
+        assert_eq!(decode_txn(&[1, 2, 1, 9], &mut Vec::new()), None, "trailing byte");
+        assert_eq!(decode_txn(&[1, 4, 1, 1, 2], &mut Vec::new()), None, "undefined name");
+    }
+
     #[test]
     fn lsn_monotonic_and_reopen_appends() {
         let dir = TempDir::new().unwrap();
@@ -1152,14 +1219,15 @@ mod tests {
         let l1;
         {
             let w = writer(&path);
-            l1 = w.append(&LogRecord::Begin { txn: TxnId(1) }).unwrap();
+            l1 = commit(&w, &[processed(1)]).1;
             w.sync_now().unwrap();
         }
         let w = writer(&path);
-        let l2 = w.append(&LogRecord::Commit { txn: TxnId(1) }).unwrap();
+        let l2 = commit(&w, &[processed(2)]).1;
         assert!(l2 > l1);
         w.sync_now().unwrap();
-        assert_eq!(read_log(&path).unwrap().records.len(), 2);
+        let lsns: Vec<Lsn> = read_log(&path).unwrap().txns.iter().map(|t| t.0).collect();
+        assert_eq!(lsns, [l1, l2]);
     }
 
     /// CRC-32 one bit at a time, straight from the reflected IEEE
@@ -1196,53 +1264,6 @@ mod tests {
         }
     }
 
-    /// The golden bytes encode, decode, frame and read back exactly — the
-    /// transaction through `append_txn`, the rest one record at a time.
-    #[test]
-    fn golden_wal_format() {
-        let golden = golden();
-        let mut file = Vec::new();
-        let (mut lineage_lsn, mut commit_end) = (None, 0);
-        for (rec, bytes) in &golden {
-            assert_eq!(&rec.encode(), bytes, "{rec:?}");
-            assert_eq!(LogRecord::decode(bytes).as_ref(), Some(rec));
-            if let LogRecord::Op {
-                op: TxnOp::Lineage { msg, .. },
-                ..
-            } = rec
-            {
-                lineage_lsn = Some((*msg, Lsn(file.len() as u64)));
-            }
-            file.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            file.extend_from_slice(&crc32_bytewise(bytes).to_le_bytes());
-            file.extend_from_slice(bytes);
-            if let LogRecord::Commit { .. } = rec {
-                commit_end = file.len() as u64;
-            }
-        }
-        let dir = TempDir::new().unwrap();
-        let path = dir.path().join("wal.log");
-        let w = writer(&path);
-        let ops: Vec<&TxnOp> = golden
-            .iter()
-            .filter_map(|(rec, _)| match rec {
-                LogRecord::Op { op, .. } => Some(op),
-                _ => None,
-            })
-            .collect();
-        let (target, lineage) = w.append_txn(TxnId(1), &ops).unwrap();
-        assert_eq!((target, lineage), (commit_end, Vec::from_iter(lineage_lsn)));
-        for (rec, _) in &golden[golden.len() - 2..] {
-            w.append(rec).unwrap();
-        }
-        w.sync_now().unwrap();
-        drop(w);
-        assert_eq!(std::fs::read(&path).unwrap(), file, "framed bytes moved");
-        let scan = read_log(&path).unwrap();
-        let read: Vec<LogRecord> = scan.records.into_iter().map(|(_, r)| r).collect();
-        assert_eq!((read, scan.discarded), (sample_records(), 0));
-    }
-
     #[test]
     fn concurrent_group_commits_all_become_durable() {
         let dir = TempDir::new().unwrap();
@@ -1253,7 +1274,7 @@ mod tests {
                 let w = std::sync::Arc::clone(&w);
                 std::thread::spawn(move || {
                     for i in 0..25u64 {
-                        let (target, _) = w.append_txn(TxnId(t * 1000 + i), &[]).unwrap();
+                        let (target, _) = commit(&w, &[processed(t * 1000 + i)]);
                         w.sync_to(target).unwrap();
                     }
                 })
@@ -1263,13 +1284,7 @@ mod tests {
             t.join().unwrap();
         }
         drop(w);
-        let commits = read_log(&path)
-            .unwrap()
-            .records
-            .iter()
-            .filter(|(_, r)| matches!(r, LogRecord::Commit { .. }))
-            .count();
-        assert_eq!(commits, 200);
+        assert_eq!(txns(&path).len(), 200);
     }
 
     #[test]
@@ -1277,7 +1292,7 @@ mod tests {
         let dir = TempDir::new().unwrap();
         let path = dir.path().join("wal.log");
         let w = writer(&path);
-        let (target, _) = w.append_txn(TxnId(1), &[]).unwrap();
+        let (target, _) = w.append_txn(&[]).unwrap();
         w.sync_to(target).unwrap();
         // Already durable: must not block or error.
         w.sync_to(target).unwrap();
@@ -1298,14 +1313,14 @@ mod tests {
         // One waiting committer finds eight commits pending: the window
         // now expects batches of eight.
         let mut target = 0;
-        for t in 0..8 {
-            target = w.append_txn(TxnId(t), &[]).unwrap().0;
+        for _ in 0..8 {
+            target = w.append_txn(&[]).unwrap().0;
         }
         w.sync_to(target).unwrap();
         assert_eq!(w.sync_state.lock().prev_batch, 8);
 
-        w.append_txn(TxnId(8), &[]).unwrap();
-        w.append_txn(TxnId(9), &[]).unwrap();
+        w.append_txn(&[]).unwrap();
+        w.append_txn(&[]).unwrap();
         assert_eq!(w.pending_commits(), 2);
         let started = Instant::now();
         assert_eq!(w.sync_now().unwrap(), 2, "the barrier's own sync covers both");

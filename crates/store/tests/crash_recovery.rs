@@ -8,16 +8,16 @@
 //! * **acked ⇒ durable** — every commit the child acknowledged (by writing
 //!   the message id to an ack file *after* `commit()` returned) is present
 //!   with its exact payload and slice membership;
-//! * **no uncommitted effects** — recovery only replays transactions with
-//!   a commit record; queue order stays strictly ascending by id;
+//! * **no uncommitted effects** — recovery only replays committed
+//!   transactions (each is one WAL frame, written at commit); queue order
+//!   stays strictly ascending by id;
 //! * **replay order = runtime order** — slice membership order after
-//!   recovery equals the order of `SliceAdd` records of committed
-//!   transactions in the WAL;
+//!   recovery equals the order of `SliceAdd` ops in the WAL's frames;
 //! * **causal chain survives** — each workload transaction enqueues a
 //!   parent and a derived message linked by `record_lineage`; after
 //!   recovery the lineage rebuilt from the WAL must equal the pre-crash
 //!   chain for every acked derived message, and the store's lineage set
-//!   must be exactly the committed `Lineage` records of the WAL.
+//!   must be exactly the `Lineage` ops of the WAL's frames.
 //!
 //! The child is this same test binary re-invoked (`current_exe()`) with
 //! the `#[ignore]`d `crash_child_body` test selected; without
@@ -27,8 +27,8 @@
 //! Iteration count: `DEMAQ_CRASH_ITERS` (default 12; CI runs 100).
 
 use demaq_store::txn::TxnOp;
-use demaq_store::wal::{read_log, LogRecord};
-use demaq_store::{MessageStore, MsgId, PropValue, QueueMode, StoreOptions, SyncPolicy, TxnId};
+use demaq_store::wal::read_log;
+use demaq_store::{MessageStore, MsgId, PropValue, QueueMode, StoreOptions, SyncPolicy};
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::Path;
@@ -184,7 +184,8 @@ fn run_round(dir: &Path, kill_after: Duration, crash_after_bytes: Option<u64>) -
         .collect();
 
     // Scan the raw WAL *before* recovery truncates the torn tail: collect
-    // the committed-transaction SliceAdd order and whether a tear exists.
+    // the committed SliceAdd order and whether a tear exists. Every valid
+    // frame is one committed transaction.
     let mut wal_files: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
         .filter_map(|e| {
@@ -194,35 +195,20 @@ fn run_round(dir: &Path, kill_after: Duration, crash_after_bytes: Option<u64>) -
         })
         .collect();
     wal_files.sort();
-    let mut committed: HashSet<TxnId> = HashSet::new();
-    let mut adds: Vec<(TxnId, MsgId)> = Vec::new();
-    let mut wal_lineage: Vec<(TxnId, MsgId, MsgId)> = Vec::new();
+    let mut wal_members: Vec<MsgId> = Vec::new();
+    let mut wal_lineage: Vec<(MsgId, MsgId)> = Vec::new();
     let mut torn = false;
     for f in &wal_files {
         let scan = read_log(f).unwrap();
         torn |= scan.discarded > 0;
-        for (_, rec) in scan.records {
-            match rec {
-                LogRecord::Commit { txn } => {
-                    committed.insert(txn);
-                }
-                LogRecord::Op {
-                    txn,
-                    op: TxnOp::SliceAdd { msg, .. },
-                } => adds.push((txn, msg)),
-                LogRecord::Op {
-                    txn,
-                    op: TxnOp::Lineage { msg, parent, .. },
-                } => wal_lineage.push((txn, msg, parent)),
+        for op in scan.txns.into_iter().flat_map(|(_, ops)| ops) {
+            match op {
+                TxnOp::SliceAdd { msg, .. } => wal_members.push(msg),
+                TxnOp::Lineage { msg, parent, .. } => wal_lineage.push((msg, parent)),
                 _ => {}
             }
         }
     }
-    let mut wal_members: Vec<MsgId> = adds
-        .iter()
-        .filter(|(txn, _)| committed.contains(txn))
-        .map(|(_, msg)| *msg)
-        .collect();
     // `slice_members` presents arrival (id) order — recovery's internal
     // insertion order is log order, covered by the in-crate
     // `runtime_slice_order_matches_wal_order` test. Compare id-sorted.
@@ -258,8 +244,8 @@ fn run_round(dir: &Path, kill_after: Duration, crash_after_bytes: Option<u64>) -
         "queue order not ascending: {queue_ids:?}"
     );
 
-    // Invariant: slice membership after recovery is exactly the committed
-    // `SliceAdd` set from the WAL — nothing lost, nothing uncommitted.
+    // Invariant: slice membership after recovery is exactly the `SliceAdd`
+    // set of the WAL's frames — nothing lost, nothing uncommitted.
     assert_eq!(
         members, wal_members,
         "slice membership after recovery diverges from the WAL's committed adds"
@@ -267,13 +253,9 @@ fn run_round(dir: &Path, kill_after: Duration, crash_after_bytes: Option<u64>) -
 
     // Invariant: the causal chain rebuilt from the WAL equals the
     // pre-crash chain. (a) The store's lineage set is exactly the
-    // committed `Lineage` records; (b) every acked derived message (its
+    // `Lineage` ops of the WAL's frames; (b) every acked derived message (its
     // payload names its parent) resolves to that parent.
-    let mut committed_edges: Vec<(MsgId, MsgId)> = wal_lineage
-        .iter()
-        .filter(|(txn, _, _)| committed.contains(txn))
-        .map(|(_, msg, parent)| (*msg, *parent))
-        .collect();
+    let mut committed_edges = wal_lineage;
     committed_edges.sort();
     let mut recovered_edges: Vec<(MsgId, MsgId)> = store
         .lineage_edges()
@@ -283,7 +265,7 @@ fn run_round(dir: &Path, kill_after: Duration, crash_after_bytes: Option<u64>) -
     recovered_edges.sort();
     assert_eq!(
         recovered_edges, committed_edges,
-        "recovered lineage diverges from the WAL's committed Lineage records"
+        "recovered lineage diverges from the WAL's Lineage ops"
     );
     for (id, payload) in &acked {
         let Some((_, parent)) = payload.split_once(':') else {

@@ -493,10 +493,12 @@ fn crash_child(scenario: &str, round: u64, rng: &mut Xorshift) -> Crashed {
     .stderr(Stdio::null());
     let failpoint = round % 3 != 2;
     if failpoint {
-        // A job logs about 1.2 KB over its shards' WALs.
+        // A job logs about 190 B into the gateway scenario's WAL and
+        // 100–160 B into each sharded one, so every budget tears a log
+        // within the child's first ~200 jobs.
         cmd.env(
             "DEMAQ_WAL_CRASH_AFTER_BYTES",
-            (300 + rng.below(120_000)).to_string(),
+            (100 + rng.below(34_000)).to_string(),
         );
     }
     let mut child = cmd.spawn().unwrap();
