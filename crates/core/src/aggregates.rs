@@ -38,7 +38,7 @@
 //! enough that its contribution is not kept.
 
 use demaq_obs::{Counter, Obs};
-use demaq_store::{MsgId, PropValue};
+use demaq_store::{IdMap, MsgId, PropValue};
 use demaq_xquery::{AggAcc, AggCatalog, AggId, AggregateSpec, Contribution, Result as XqResult};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -206,7 +206,7 @@ impl<V: Clone> CellMap<V> {
 }
 
 /// Contributions of the members in one shard, by message id.
-type ContribShard = HashMap<MsgId, Box<[(AggId, Contribution)]>>;
+type ContribShard = IdMap<MsgId, Box<[(AggId, Contribution)]>>;
 
 /// Registry of materialized aggregate cells (one map per [`AggId`]) and
 /// of member contributions (sharded by message id).
@@ -237,7 +237,7 @@ impl AggRegistry {
         AggRegistry {
             catalog: catalog.clone(),
             cells: (0..catalog.len()).map(|_| CellMap::new(cap_per_spec, obs, counters)).collect(),
-            contributions: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            contributions: (0..shards).map(|_| Mutex::new(IdMap::default())).collect(),
             contrib_mask: shards as u64 - 1,
             computed: obs.registry.counter("demaq_core_agg_contributions_total"),
         }

@@ -11,13 +11,72 @@ use demaq_analysis::{Analysis, LintConfig, RuleFacts};
 use demaq_net::WsdlInterface;
 use demaq_qdl::{AppSpec, PropertyDecl, QueueDecl, QueueKind, RuleDecl, SlicingDecl};
 use demaq_xml::schema::Schema;
-use demaq_store::PropValue;
+use demaq_store::{LockMode, Name, PropValue};
 use demaq_xquery::{AggCatalog, AggId, AggSource, Plan};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// The part of a message's lock plan (paper Sec. 4.3) that its queue or
+/// slicing fixes, compiled at deploy: the queue locks its rules need, in
+/// the global acquisition order (lock rank, then name), one entry per
+/// queue, exclusive before shared. A message's transaction merges in
+/// only what depends on the message: its own and its slices' locks.
+#[derive(Debug, Clone, Default)]
+pub struct LockPlan {
+    /// Under slice granularity: the queues the rules read, shared.
+    pub reads: Vec<(Name, LockMode)>,
+    /// Under queue granularity: the queue itself (for a queue's plan) and
+    /// the queues the rules write, exclusive; the queues they read,
+    /// shared.
+    pub queues: Vec<(Name, LockMode)>,
+}
+
+impl LockPlan {
+    fn compile(
+        own: Option<&Name>,
+        rules: &[CompiledRule],
+        ranks: &HashMap<String, u32>,
+    ) -> LockPlan {
+        let intern = |q: &String| -> Name { q.as_str().into() };
+        let reads = rules
+            .iter()
+            .flat_map(|r| &r.reads_queues)
+            .map(|q| (intern(q), LockMode::Shared));
+        let writes = rules
+            .iter()
+            .flat_map(|r| &r.writes_queues)
+            .map(|q| (intern(q), LockMode::Exclusive));
+        let queues = own
+            .map(|q| (Arc::clone(q), LockMode::Exclusive))
+            .into_iter()
+            .chain(writes)
+            .chain(reads.clone());
+        LockPlan {
+            reads: lock_order(reads.collect(), ranks),
+            queues: lock_order(queues.collect(), ranks),
+        }
+    }
+}
+
+/// Queue locks in the global acquisition order: by lock rank (flow
+/// sources first; unranked queues last), then name, exclusive before
+/// shared on one queue, which is then taken once, in the first mode.
+pub(crate) fn lock_order(
+    mut locks: Vec<(Name, LockMode)>,
+    ranks: &HashMap<String, u32>,
+) -> Vec<(Name, LockMode)> {
+    let rank = |q: &str| ranks.get(q).copied().unwrap_or(u32::MAX);
+    locks.sort_by(|(a, am), (b, bm)| {
+        (rank(a), a, *am == LockMode::Shared).cmp(&(rank(b), b, *bm == LockMode::Shared))
+    });
+    locks.dedup_by(|later, first| later.0 == first.0);
+    locks
+}
+
 /// A queue with its compiled artifacts.
 pub struct CompiledQueue {
+    /// The queue's name, interned.
+    pub name: Name,
     pub decl: QueueDecl,
     /// Parsed schema, when declared.
     pub schema: Option<Schema>,
@@ -29,12 +88,22 @@ pub struct CompiledQueue {
     /// [`compiler::compile_rules`]); their plans' `Plan::Shared(i)` reads
     /// entry `i`.
     pub shared: Arc<[Plan]>,
+    /// The static part of its messages' lock plans.
+    pub locks: LockPlan,
 }
 
 /// A slicing with its rules.
 pub struct CompiledSlicing {
+    /// The slicing's name, interned.
+    pub name: Name,
     pub decl: SlicingDecl,
     pub rules: Vec<CompiledRule>,
+    /// What its rules add to the lock plan of a message in one of its
+    /// slices.
+    pub locks: LockPlan,
+    /// Position of the slicing's name among all slicing names: slice locks
+    /// are acquired in this order.
+    pub lock_rank: usize,
 }
 
 /// The deployed application.
@@ -44,8 +113,10 @@ pub struct CompiledApp {
     pub slicings: HashMap<String, CompiledSlicing>,
     /// property name -> declaration
     pub properties: HashMap<String, PropertyDecl>,
+    /// The name of each of `spec.properties`, interned (same order).
+    pub property_names: Vec<Name>,
     /// property name -> slicing names keyed by it
-    pub slicings_by_property: HashMap<String, Vec<String>>,
+    pub slicings_by_property: HashMap<String, Vec<Name>>,
     /// Whole-application static analysis (flow graph, diagnostics,
     /// lock-order derivation), computed once at deploy time.
     pub analysis: Analysis,
@@ -148,29 +219,37 @@ impl CompiledApp {
             queues.insert(
                 q.name.clone(),
                 CompiledQueue {
+                    name: q.name.as_str().into(),
                     decl: q.clone(),
                     schema,
                     interface,
                     rules: Vec::new(),
                     shared: Arc::new([]),
+                    locks: LockPlan::default(),
                 },
             );
         }
 
         let mut slicings = HashMap::new();
-        let mut slicings_by_property: HashMap<String, Vec<String>> = HashMap::new();
+        let mut slicings_by_property: HashMap<String, Vec<Name>> = HashMap::new();
+        let mut slicing_names: Vec<&str> = spec.slicings.iter().map(|s| s.name.as_str()).collect();
+        slicing_names.sort_unstable();
         for s in &spec.slicings {
+            let name: Name = s.name.as_str().into();
             slicings.insert(
                 s.name.clone(),
                 CompiledSlicing {
+                    name: Arc::clone(&name),
                     decl: s.clone(),
                     rules: Vec::new(),
+                    locks: LockPlan::default(),
+                    lock_rank: slicing_names.partition_point(|n| *n < s.name.as_str()),
                 },
             );
             slicings_by_property
                 .entry(s.property.clone())
                 .or_default()
-                .push(s.name.clone());
+                .push(name);
         }
 
         let properties: HashMap<String, PropertyDecl> = spec
@@ -178,6 +257,7 @@ impl CompiledApp {
             .iter()
             .map(|p| (p.name.clone(), p.clone()))
             .collect();
+        let property_names = spec.properties.iter().map(|p| p.name.as_str().into()).collect();
 
         // Every plan is lowered into one catalog, so an aggregate id means
         // the same shape wherever a host meets it.
@@ -257,18 +337,25 @@ impl CompiledApp {
             .map(rule_facts)
             .collect();
         let analysis = demaq_analysis::analyze(&spec, &facts, &LintConfig::default());
-        let lock_ranks = analysis
+        let lock_ranks: HashMap<String, u32> = analysis
             .lock_order
             .iter()
             .enumerate()
             .map(|(i, q)| (q.clone(), i as u32))
             .collect();
+        for cq in queues.values_mut() {
+            cq.locks = LockPlan::compile(Some(&cq.name), &cq.rules, &lock_ranks);
+        }
+        for cs in slicings.values_mut() {
+            cs.locks = LockPlan::compile(None, &cs.rules, &lock_ranks);
+        }
 
         Ok(CompiledApp {
             spec,
             queues,
             slicings,
             properties,
+            property_names,
             slicings_by_property,
             prop_bindings,
             analysis,
@@ -284,14 +371,14 @@ impl CompiledApp {
     /// The aggregates a message entering `queue` with `props` contributes
     /// to: the contribution-folding shapes over its queue and over every
     /// slicing it joins (one entry per shape).
-    pub fn contribution_ids(&self, queue: &str, props: &[(String, PropValue)]) -> Vec<AggId> {
+    pub fn contribution_ids(&self, queue: &str, props: &[(Name, PropValue)]) -> Vec<AggId> {
         if self.slice_contributions.is_empty() && self.queue_contributions.is_empty() {
             return Vec::new();
         }
         let mut ids: Vec<AggId> = self.queue_contributions.get(queue).cloned().unwrap_or_default();
         for (pname, _) in props {
-            for slicing in self.slicings_by_property.get(pname).into_iter().flatten() {
-                for &id in self.slice_contributions.get(slicing).into_iter().flatten() {
+            for slicing in self.slicings_by_property.get(&**pname).into_iter().flatten() {
+                for &id in self.slice_contributions.get(&**slicing).into_iter().flatten() {
                     if !ids.contains(&id) {
                         ids.push(id);
                     }
@@ -316,8 +403,8 @@ impl CompiledApp {
         for p in prop_names {
             if let Some(slicing_names) = self.slicings_by_property.get(p) {
                 for sname in slicing_names {
-                    if let Some(s) = self.slicings.get(sname) {
-                        out.push((sname.as_str(), s));
+                    if let Some(s) = self.slicings.get(&**sname) {
+                        out.push((&**sname, s));
                     }
                 }
             }
@@ -344,5 +431,59 @@ impl CompiledApp {
             }
         }
         self.spec.system_error_queue.as_deref()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use demaq_qdl::parse_program;
+    use LockMode::{Exclusive, Shared};
+
+    #[test]
+    fn lock_plans_are_compiled_in_rank_order_one_entry_per_queue() {
+        let src = r#"
+            create queue a kind basic mode persistent
+            create queue b kind basic mode persistent
+            create queue c kind basic mode persistent
+            create queue log kind basic mode persistent
+            create property p as xs:string queue a value /m/@p
+            create slicing s on p
+            create rule r1 for a if (count(qs:queue("c")) > 0) then do enqueue <x/> into b
+            create rule r2 for a if (//m) then (do enqueue <y/> into b, do enqueue <z/> into c)
+            create rule r3 for s if (count(qs:queue("log")) > 9) then do enqueue <w/> into log
+        "#;
+        let app = CompiledApp::compile(parse_program(src).unwrap(), &HashMap::new()).unwrap();
+        let plan = |locks: &[(Name, LockMode)]| -> Vec<(String, LockMode)> {
+            locks.iter().map(|(q, m)| (q.to_string(), *m)).collect()
+        };
+        let owned = |v: &[(&str, LockMode)]| -> Vec<(String, LockMode)> {
+            v.iter().map(|(q, m)| (q.to_string(), *m)).collect()
+        };
+        let rank = |q: &str| app.lock_ranks.get(q).copied().unwrap_or(u32::MAX);
+        let ordered = |v: &[(String, LockMode)]| {
+            v.windows(2)
+                .all(|w| (rank(&w[0].0), &w[0].0) < (rank(&w[1].0), &w[1].0))
+        };
+
+        let a = &app.queues["a"].locks;
+        assert_eq!(plan(&a.reads), owned(&[("c", Shared)]));
+        // `c` is read by r1 and written by r2: taken once, exclusive.
+        let mut want = owned(&[("a", Exclusive), ("b", Exclusive), ("c", Exclusive)]);
+        want.sort_by_key(|(q, _)| (rank(q), q.clone()));
+        assert_eq!(plan(&a.queues), want);
+        assert!(ordered(&plan(&a.queues)));
+
+        let s = &app.slicings["s"];
+        assert_eq!(plan(&s.locks.reads), owned(&[("log", Shared)]));
+        assert_eq!(plan(&s.locks.queues), owned(&[("log", Exclusive)]));
+        assert_eq!(s.lock_rank, 0);
+        // Merging a slicing's plan into a queue's keeps one global order.
+        let merged = lock_order(
+            a.queues.iter().chain(&s.locks.queues).cloned().collect(),
+            &app.lock_ranks,
+        );
+        assert!(ordered(&plan(&merged)));
+        assert_eq!(merged.len(), 4);
     }
 }

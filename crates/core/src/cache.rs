@@ -16,10 +16,9 @@
 //! the store's lifetime tokens like aggregate cells.
 
 use demaq_obs::{Counter, Gauge, Obs};
-use demaq_store::MsgId;
+use demaq_store::{IdMap, MsgId};
 use demaq_xml::Document;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Sentinel for "no slot" in the intrusive LRU list.
@@ -42,7 +41,7 @@ struct Slot {
 /// One shard: a hash map into an intrusive doubly-linked LRU list held in
 /// a slab, so get/insert/evict are all O(1).
 struct DocShard {
-    map: HashMap<MsgId, usize>,
+    map: IdMap<MsgId, usize>,
     slots: Vec<Slot>,
     free: Vec<usize>,
     /// Most recently used.
@@ -55,7 +54,7 @@ struct DocShard {
 impl DocShard {
     fn new() -> DocShard {
         DocShard {
-            map: HashMap::new(),
+            map: IdMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,

@@ -32,6 +32,7 @@
 
 use demaq_analysis::extract_trigger_elements;
 use demaq_qdl::{AppSpec, PropKind, RuleDecl};
+use demaq_store::Name;
 use demaq_xml::sym::{self, Sym};
 use demaq_xml::QName;
 use demaq_xquery::{lower_in, lower_rules, AggCatalog, AggId, Expr, Plan};
@@ -40,7 +41,7 @@ use std::sync::Arc;
 /// A compiled, rewritten rule.
 #[derive(Debug, Clone)]
 pub struct CompiledRule {
-    pub name: String,
+    pub name: Name,
     /// Queue or slicing the rule is attached to.
     pub target: String,
     pub on_slicing: bool,
@@ -137,7 +138,7 @@ fn analyze_rule(
         .map(|names| names.iter().map(|n| sym::intern(n)).collect());
 
     CompiledRule {
-        name: rule.name.clone(),
+        name: rule.name.as_str().into(),
         target: rule.target.clone(),
         on_slicing,
         error_queue: rule.error_queue.clone(),

@@ -9,24 +9,26 @@
 //! locking (Sec. 4.3).
 
 use crate::aggregates::{AggRegistry, CellMap, Fold, Scope};
-use crate::app::CompiledApp;
+use crate::app::{lock_order, CompiledApp, CompiledQueue, CompiledSlicing, LockPlan};
 use crate::cache::DocCache;
 use crate::compiler::CompiledRule;
 use crate::errors::{error_message, kind};
 use crate::gateway::GatewayManager;
-use crate::host::{atomic_to_prop, prop_to_atomic, QsHost, SliceCtx, SliceLoader};
+use crate::host::{
+    atomic_to_prop, prop_to_atomic, AggregateReader, QsHost, QueueReader, SliceReader, SliceSlot,
+};
 use crate::lineage::{self, Lineage};
 use crate::outbox::{Effect, Outbox};
 use crate::properties::{compute_properties, lineage_prop, system, PropError};
 use crate::scheduler::Scheduler;
-use crate::shard::ShardLink;
+use crate::shard::{Forwarded, ShardLink};
 use demaq_net::{Clock, Envelope, Network, TimerWheel};
 use demaq_obs::{Counter, Gauge, Histogram, Obs, TraceCtx, TraceEvent, TraceFilter};
 use demaq_qdl::{parse_program, AppSpec, QueueKind};
 use demaq_store::store::SyncPolicy;
 use demaq_store::{
     DurableTarget, LockGranularity, LockKey, LockMode, MemberRead, MessageMeta, MessageStore, MsgId,
-    PropValue, QueueMode, StoreError, StoreOptions, StoredMessage, TxnId,
+    Name, PayloadBytes, PropValue, Props, QueueMode, StoreError, StoreOptions, StoredMessage, TxnId,
 };
 use demaq_xml::{parse as parse_xml, Document, NodeRef};
 use demaq_xquery::{
@@ -37,7 +39,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 /// Engine error.
@@ -407,9 +409,15 @@ pub enum StrictAnalysis {
 struct TimerJob {
     target: String,
     payload: String,
-    props: Vec<(String, PropValue)>,
+    props: Vec<(Name, PropValue)>,
 }
 impl Eq for TimerJob {}
+
+// The lineage labels of the hops no rule makes, interned once.
+static VIA_EXTERNAL: LazyLock<Name> = LazyLock::new(|| Name::from(""));
+static VIA_GATEWAY: LazyLock<Name> = LazyLock::new(|| Name::from("<gateway>"));
+static VIA_ECHO: LazyLock<Name> = LazyLock::new(|| Name::from("<echo>"));
+static VIA_ERROR: LazyLock<Name> = LazyLock::new(|| Name::from("<error>"));
 
 /// Builder for [`Server`].
 #[derive(Clone)]
@@ -685,12 +693,28 @@ impl ServerBuilder {
                 .values()
                 .flat_map(|q| q.rules.iter())
                 .chain(app.slicings.values().flat_map(|s| s.rules.iter()))
-                .map(|r| r.name.as_str()),
+                .map(|r| &*r.name),
         );
 
         let narrow = narrow_plans(&app);
         let agg = Arc::new(AggRegistry::new(&app.aggregates, 4096, &obs));
         let shard = self.shard_link.unwrap_or_else(|| ShardLink::standalone(&obs));
+        let doc_cache = Arc::new(DocCache::new(16, self.doc_cache_budget, &obs));
+        let slice_seq = Arc::new(CellMap::new(
+            4096,
+            &obs,
+            [
+                "demaq_core_slice_seq_hits_total",
+                "demaq_core_slice_seq_appends_total",
+                "demaq_core_slice_seq_rebuilds_total",
+            ],
+        ));
+        let readers = Readers::new(ReadHandle {
+            store: Arc::clone(&store),
+            cache: Arc::clone(&doc_cache),
+            slice_seq: Arc::clone(&slice_seq),
+            agg: Arc::clone(&agg),
+        });
         let server = Server {
             app,
             store,
@@ -701,17 +725,10 @@ impl ServerBuilder {
             scheduler: Scheduler::new(),
             collections: Arc::new(self.collections),
             metrics,
-            doc_cache: Arc::new(DocCache::new(16, self.doc_cache_budget, &obs)),
-            slice_seq: Arc::new(CellMap::new(
-                4096,
-                &obs,
-                [
-                    "demaq_core_slice_seq_hits_total",
-                    "demaq_core_slice_seq_appends_total",
-                    "demaq_core_slice_seq_rebuilds_total",
-                ],
-            )),
+            doc_cache,
+            slice_seq,
             agg,
+            readers,
             narrow,
             outbox: Outbox::new(&obs),
             pipelined: self.sync == SyncPolicy::Always,
@@ -817,6 +834,8 @@ pub struct Server {
     slice_seq: Arc<CellMap<Sequence>>,
     /// Materialized aggregate cells, validated on the same tokens.
     agg: Arc<AggRegistry>,
+    /// The rule host's readers over committed state, built once.
+    readers: Readers,
     /// Per-slicing retention narrowing derived from the liveness
     /// analysis; a slicing without an entry retains full history.
     narrow: HashMap<String, NarrowMode>,
@@ -945,7 +964,7 @@ impl Server {
         xml: &str,
         explicit: &[(String, Atomic)],
     ) -> Result<MsgId> {
-        self.enqueue_with(queue, xml, explicit, None, Vec::new(), Ingress::Acked, "")?
+        self.enqueue_with(queue, xml, explicit, None, Vec::new(), Ingress::Acked, &VIA_EXTERNAL)?
             .ok_or_else(|| Self::remote_home_error(queue))
     }
 
@@ -964,10 +983,10 @@ impl Server {
         queue: &str,
         xml: &str,
         explicit: &[(String, Atomic)],
-        trigger_props: Option<&[(String, PropValue)]>,
-        system_props: Vec<(String, PropValue)>,
+        trigger_props: Option<&[(Name, PropValue)]>,
+        system_props: Vec<(Name, PropValue)>,
         ingress: Ingress,
-        via: &str,
+        via: &Name,
     ) -> Result<Option<MsgId>> {
         let doc = parse_xml(xml).map_err(|e| EngineError::Xml(e.to_string()))?;
         self.enqueue_doc(queue, xml, doc, explicit, trigger_props, system_props, ingress, via)
@@ -991,10 +1010,10 @@ impl Server {
         xml: &str,
         doc: Arc<Document>,
         explicit: &[(String, Atomic)],
-        trigger_props: Option<&[(String, PropValue)]>,
-        mut system_props: Vec<(String, PropValue)>,
+        trigger_props: Option<&[(Name, PropValue)]>,
+        mut system_props: Vec<(Name, PropValue)>,
         ingress: Ingress,
-        via: &str,
+        via: &Name,
     ) -> Result<Option<MsgId>> {
         let cq = self
             .app
@@ -1011,8 +1030,8 @@ impl Server {
             }
         }
         let now = self.clock.now();
-        if !system_props.iter().any(|(n, _)| n == system::CREATED_AT) {
-            system_props.push((system::CREATED_AT.to_string(), PropValue::DateTime(now)));
+        if !system_props.iter().any(|(n, _)| &**n == system::CREATED_AT) {
+            system_props.push((system::name(system::CREATED_AT), PropValue::DateTime(now)));
         }
         let props = compute_properties(
             &self.app,
@@ -1035,18 +1054,18 @@ impl Server {
             let after = self.pipelined.then(|| self.store.log_end());
             self.emit(
                 after,
-                Effect::Forward(crate::shard::Forwarded {
+                Effect::Forward(Forwarded {
                     dest,
-                    queue: queue.to_string(),
-                    xml: xml.to_string(),
+                    queue: Arc::clone(&cq.name),
+                    xml: xml.into(),
                     props,
                     enqueued_at: now,
-                    via: via.to_string(),
+                    via: Arc::clone(via),
                 }),
             )?;
             return Ok(None);
         }
-        self.enqueue_prepared(queue, xml, Some(doc), props, now, via, ingress)
+        self.enqueue_prepared(queue, xml.into(), Some(doc), props, now, via, ingress)
             .map(Some)
     }
 
@@ -1060,11 +1079,11 @@ impl Server {
     fn enqueue_prepared(
         &self,
         queue: &str,
-        xml: &str,
+        payload: PayloadBytes,
         doc: Option<Arc<Document>>,
-        props: Vec<(String, PropValue)>,
+        props: Props,
         enqueued_at: i64,
-        via: &str,
+        via: &Name,
         ingress: Ingress,
     ) -> Result<MsgId> {
         let cq = self
@@ -1084,9 +1103,10 @@ impl Server {
         let result = (|| -> Result<(MsgId, Option<DurableTarget>)> {
             let id = self
                 .store
-                .enqueue(txn, queue, xml.into(), props.clone(), enqueued_at)?;
+                .enqueue(txn, queue, payload, Arc::clone(&props), enqueued_at)?;
             self.add_slice_memberships(txn, id, &props)?;
             if let (Some(p), Some(r)) = (parent, root) {
+                let (via, queue) = (Arc::clone(via), Arc::clone(&cq.name));
                 self.store
                     .record_lineage(txn, id, MsgId(p), MsgId(r), via, queue)?;
             }
@@ -1114,7 +1134,7 @@ impl Server {
                     self.keep_contributions(id, &aggregates, &doc);
                     self.doc_cache.insert(id, doc);
                 }
-                self.sched_push(id, queue, cq.decl.priority);
+                self.sched_push(id, &cq.name, cq.decl.priority);
                 self.metrics
                     .scheduler_depth
                     .set(self.scheduler.len() as i64);
@@ -1144,9 +1164,9 @@ impl Server {
     pub(crate) fn ingest_forwarded(&self, f: &crate::shard::Forwarded) -> Result<MsgId> {
         self.enqueue_prepared(
             &f.queue,
-            &f.xml,
+            f.xml.clone(),
             None,
-            f.props.clone(),
+            Arc::clone(&f.props),
             f.enqueued_at,
             &f.via,
             Ingress::Internal,
@@ -1270,14 +1290,16 @@ impl Server {
     /// (drain-termination proof, see [`crate::shard::ShardRouter`]) in
     /// step with every accepted insertion. All scheduling goes through
     /// here or [`Self::sched_requeue`].
-    fn sched_push(&self, msg: MsgId, queue: &str, priority: i32) {
+    fn sched_push(&self, msg: MsgId, queue: &Name, priority: i32) {
+        let queue = Arc::clone(queue);
         self.shard
             .router
             .note_scheduled(|| self.scheduler.push(msg, queue, priority));
     }
 
     /// [`Self::sched_push`] for deadlock-retry requeues.
-    fn sched_requeue(&self, msg: MsgId, queue: &str, priority: i32) {
+    fn sched_requeue(&self, msg: MsgId, queue: &Name, priority: i32) {
+        let queue = Arc::clone(queue);
         self.shard
             .router
             .note_scheduled(|| self.scheduler.requeue(msg, queue, priority));
@@ -1289,13 +1311,11 @@ impl Server {
         &self,
         txn: TxnId,
         msg: MsgId,
-        props: &[(String, PropValue)],
+        props: &[(Name, PropValue)],
     ) -> Result<()> {
         for (pname, value) in props {
-            if let Some(slicings) = self.app.slicings_by_property.get(pname) {
-                for s in slicings {
-                    self.store.slice_add(txn, s, value.clone(), msg)?;
-                }
+            for s in self.app.slicings_by_property.get(&**pname).into_iter().flatten() {
+                self.store.slice_add(txn, Arc::clone(s), value.clone(), msg)?;
             }
         }
         Ok(())
@@ -1322,7 +1342,7 @@ impl Server {
         self.metrics
             .scheduler_depth
             .set(self.scheduler.len() as i64);
-        let outcome = self.process_message(msg, &queue);
+        let outcome = self.try_process(msg, &queue);
         self.shard.router.note_done();
         outcome.map(|()| true)
     }
@@ -1374,10 +1394,10 @@ impl Server {
             // The echoed message keeps the original's causal chain: the
             // provenance system properties ride on the parked job's props
             // and re-enter as engine-owned system properties here.
-            let sys: Vec<(String, PropValue)> = job
+            let sys: Vec<(Name, PropValue)> = job
                 .props
                 .iter()
-                .filter(|(n, _)| n == system::PARENT_MSG || n == system::ROOT_MSG)
+                .filter(|(n, _)| [system::PARENT_MSG, system::ROOT_MSG].contains(&&**n))
                 .cloned()
                 .collect();
             self.enqueue_with(
@@ -1387,7 +1407,7 @@ impl Server {
                 Some(&job.props),
                 sys,
                 Ingress::Internal,
-                "<echo>",
+                &VIA_ECHO,
             )?;
         }
         Ok(progressed)
@@ -1395,15 +1415,15 @@ impl Server {
 
     fn ingest_envelope(&self, queue: &str, env: Envelope) -> Result<()> {
         let mut system_props = vec![
-            (system::SENDER.to_string(), PropValue::Str(env.from.clone())),
+            (system::name(system::SENDER), PropValue::Str(env.from.clone())),
             (
-                system::CREATED_AT.to_string(),
+                system::name(system::CREATED_AT),
                 PropValue::DateTime(self.clock.now()),
             ),
         ];
         if let Some(conn) = env.conn {
             system_props.push((
-                system::CONNECTION.to_string(),
+                system::name(system::CONNECTION),
                 PropValue::Int(conn.0 as i64),
             ));
         }
@@ -1415,12 +1435,12 @@ impl Server {
             .header(system::PARENT_MSG)
             .and_then(|s| s.parse::<i64>().ok())
         {
-            system_props.push((system::PARENT_MSG.to_string(), PropValue::Int(p)));
+            system_props.push((system::name(system::PARENT_MSG), PropValue::Int(p)));
             let root = env
                 .header(system::ROOT_MSG)
                 .and_then(|s| s.parse::<i64>().ok())
                 .unwrap_or(p);
-            system_props.push((system::ROOT_MSG.to_string(), PropValue::Int(root)));
+            system_props.push((system::name(system::ROOT_MSG), PropValue::Int(root)));
         }
         // The one parse of an inbound message: the document it yields is
         // validated, feeds property computation, and fills the document
@@ -1448,7 +1468,7 @@ impl Server {
             None,
             system_props,
             Ingress::Internal,
-            "<gateway>",
+            &VIA_GATEWAY,
         ) {
             Ok(_) => Ok(()),
             Err(EngineError::Xml(detail)) => {
@@ -1461,58 +1481,32 @@ impl Server {
 
     // ---- the heart: processing one message ---------------------------------------
 
-    fn process_message(&self, msg_id: MsgId, queue: &str) -> Result<()> {
-        // Deadlock victims retry a few times before giving up to the error
-        // path.
-        for attempt in 0..4 {
-            match self.try_process(msg_id, queue) {
-                Ok(()) => return Ok(()),
-                Err(EngineError::Store(StoreError::Deadlock))
-                | Err(EngineError::Store(StoreError::LockTimeout))
-                    if attempt < 3 =>
-                {
-                    self.metrics.deadlock_retries.inc();
-                    self.obs
-                        .tracer
-                        .event("msg.retry", Some(msg_id.0), queue, "deadlock victim");
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        unreachable!("loop either returns Ok or the final error");
-    }
-
-    fn try_process(&self, msg_id: MsgId, queue: &str) -> Result<()> {
+    fn try_process(&self, msg_id: MsgId, queue: &Name) -> Result<()> {
         // Metadata and document travel separately: a doc-cache hit means
-        // the payload is never fetched (or cloned) from the store at all.
+        // the payload is never fetched (or cloned) from the store at all,
+        // and the metadata is a refcount on the queue name and one on the
+        // properties.
         let meta = self.store.message_meta(msg_id)?;
         let cached = self.doc_for(msg_id)?;
         let cq = self
             .app
             .queues
-            .get(queue)
+            .get(&**queue)
             .ok_or_else(|| EngineError::Config(format!("unknown queue `{queue}`")))?;
 
-        // The applicable slicing contexts: slicings keyed by a property the
-        // message carries.
-        let mut slice_rules: Vec<(String, PropValue, &CompiledRule)> = Vec::new();
-        let mut slice_keys: Vec<(String, PropValue)> = Vec::new();
-        for (pname, value) in &meta.props {
-            if let Some(slicings) = self.app.slicings_by_property.get(pname) {
-                for sname in slicings {
-                    slice_keys.push((sname.clone(), value.clone()));
-                    let cs = &self.app.slicings[sname];
-                    for rule in &cs.rules {
-                        slice_rules.push((sname.clone(), value.clone(), rule));
-                    }
-                }
+        // The slices the message belongs to: one per slicing keyed by a
+        // property it carries.
+        let mut slices: Vec<MsgSlice> = Vec::new();
+        for (key, (pname, _)) in meta.props.iter().enumerate() {
+            for sname in self.app.slicings_by_property.get(&**pname).into_iter().flatten() {
+                let slicing = &self.app.slicings[&**sname];
+                slices.push(MsgSlice { slicing, key });
             }
         }
 
         let txn = self.store.begin();
         let eval_started = Instant::now();
-        let result = self.evaluate_and_execute(txn, &meta, &cached, cq, &slice_rules, &slice_keys);
+        let result = self.evaluate_and_execute(txn, &meta, &cached, cq, &slices);
         self.metrics.rule_eval_ns.record(eval_started.elapsed());
         match result {
             Ok((new_messages, forwards)) => {
@@ -1544,7 +1538,7 @@ impl Server {
                     let prio = self
                         .app
                         .queues
-                        .get(&nm.queue)
+                        .get(&*nm.queue)
                         .map(|q| q.decl.priority)
                         .unwrap_or(0);
                     self.sched_push(nm.id, &nm.queue, prio);
@@ -1562,18 +1556,18 @@ impl Server {
                 }
                 self.bound_backlog()
             }
-            Err(ProcessingError::Store(StoreError::Deadlock)) => {
-                self.store.abort(txn);
-                // Put the message back for retry.
-                self.metrics.requeues.inc();
-                self.sched_requeue(msg_id, queue, cq.decl.priority);
-                Err(EngineError::Store(StoreError::Deadlock))
-            }
-            Err(ProcessingError::Store(StoreError::LockTimeout)) => {
+            Err(ProcessingError::Store(StoreError::Deadlock | StoreError::LockTimeout)) => {
+                // The one retry path: put the message back at the front of
+                // its priority class. It runs again as a fresh transaction
+                // once a worker pops it.
                 self.store.abort(txn);
                 self.metrics.requeues.inc();
+                self.metrics.deadlock_retries.inc();
+                self.obs
+                    .tracer
+                    .event("msg.retry", Some(msg_id.0), queue, "deadlock victim");
                 self.sched_requeue(msg_id, queue, cq.decl.priority);
-                Err(EngineError::Store(StoreError::LockTimeout))
+                Ok(())
             }
             Err(ProcessingError::Store(e)) => {
                 self.store.abort(txn);
@@ -1594,8 +1588,8 @@ impl Server {
                 let rule_ref = cq
                     .rules
                     .iter()
-                    .find(|r| r.name == rule)
-                    .or_else(|| slice_rules.iter().map(|(_, _, r)| *r).find(|r| r.name == rule));
+                    .chain(slices.iter().flat_map(|s| &s.slicing.rules))
+                    .find(|r| *r.name == *rule);
                 self.mark_processed_standalone(msg_id)?;
                 let payload = self.store.payload(msg_id).ok();
                 self.route_error_resolved(
@@ -1619,50 +1613,52 @@ impl Server {
         txn: TxnId,
         meta: &MessageMeta,
         doc: &Arc<Document>,
-        cq: &crate::app::CompiledQueue,
-        slice_rules: &[(String, PropValue, &CompiledRule)],
-        slice_keys: &[(String, PropValue)],
-    ) -> std::result::Result<(Vec<NewMessage>, Vec<crate::shard::Forwarded>), ProcessingError>
-    {
+        cq: &CompiledQueue,
+        slices: &[MsgSlice<'_>],
+    ) -> std::result::Result<(Vec<NewMessage>, Vec<Forwarded>), ProcessingError> {
         // ---- locking (paper Sec. 4.3) -------------------------------------
-        self.acquire_locks(txn, meta, cq, slice_rules, slice_keys)?;
+        self.acquire_locks(txn, meta, cq, slices)?;
 
         // ---- rule evaluation (snapshot) ------------------------------------
-        let msg_root = doc.root();
-        let mut updates: Vec<(&str, Update)> = Vec::new(); // (rule name, update)
-        self.eval_queue_rules(meta, doc, cq, &mut updates)?;
+        // One host serves the queue's rules and every slicing rule.
+        let mut updates: Vec<(&Name, Update)> = Vec::new();
+        let has_rules = !cq.rules.is_empty() || slices.iter().any(|s| !s.slicing.rules.is_empty());
+        if has_rules {
+            let msg_root = doc.root();
+            let host = self.rule_host(meta, &msg_root);
+            let dctx = DynamicContext::new(Arc::clone(&host) as _);
+            self.eval_queue_rules(&dctx, doc, cq, &mut updates)?;
 
-        // Slicing rules, each with its slice context. Member documents load
-        // lazily on first `qs:slice()` touch — a body whose aggregate reads
-        // are answered by the registry never materializes them.
-        for (slicing, key, rule) in slice_rules {
-            self.metrics.rules_evaluated.inc();
-            let loader: SliceLoader = {
-                let handle = self.read_handle();
-                let (s, k) = (slicing.clone(), key.clone());
-                Arc::new(move || handle.slice_member_docs(&s, &k))
-            };
-            let full_ctx = SliceCtx::lazy(slicing.clone(), key.clone(), loader);
-            let dctx = self.rule_context(meta, &msg_root, Some(full_ctx));
-            let mut ev = PlanEvaluator::new(&dctx);
-            let started = Instant::now();
-            let evaluated = ev.eval_with_context(&rule.plan, msg_root.clone());
-            self.metrics.record_rule_eval(&rule.name, started.elapsed());
-            self.metrics.record_eval_counts(ev.counts);
-            evaluated.map_err(|e| ProcessingError::rule(&rule.name, e))?;
-            // Bare `do reset` in a slicing rule targets this slice.
-            for u in ev.updates {
-                let u = match u {
-                    Update::Reset {
-                        slicing: None,
-                        key: None,
-                    } => Update::Reset {
-                        slicing: Some(slicing.as_str().into()),
-                        key: Some(prop_to_atomic(key)),
-                    },
-                    other => other,
-                };
-                updates.push((&rule.name, u));
+            // Slicing rules, each in its slice: the host swaps the slice in.
+            // Member documents load lazily on first `qs:slice()` touch — a
+            // body whose aggregate reads are answered by the registry never
+            // materializes them.
+            for s in slices {
+                let cs = s.slicing;
+                for rule in &cs.rules {
+                    self.metrics.rules_evaluated.inc();
+                    host.slice.enter(Arc::clone(&cs.name), s.key);
+                    let mut ev = PlanEvaluator::new(&dctx);
+                    let started = Instant::now();
+                    let evaluated = ev.eval_with_context(&rule.plan, msg_root.clone());
+                    self.metrics.record_rule_eval(&rule.name, started.elapsed());
+                    self.metrics.record_eval_counts(ev.counts);
+                    evaluated.map_err(|e| ProcessingError::rule(&rule.name, e))?;
+                    // Bare `do reset` in a slicing rule targets this slice.
+                    for u in ev.updates {
+                        let u = match u {
+                            Update::Reset {
+                                slicing: None,
+                                key: None,
+                            } => Update::Reset {
+                                slicing: Some((*cs.name).into()),
+                                key: Some(prop_to_atomic(s.key_in(meta))),
+                            },
+                            other => other,
+                        };
+                        updates.push((&rule.name, u));
+                    }
+                }
             }
         }
 
@@ -1681,9 +1677,8 @@ impl Server {
                     message,
                     props,
                 } => {
-                    let target_name = target.local.clone();
                     let outcome = self
-                        .execute_enqueue(txn, meta, rule_name, &target_name, message, props)
+                        .execute_enqueue(txn, meta, rule_name, &target.local, message, props)
                         .map_err(|e| match e {
                             ExecError::Store(s) => ProcessingError::Store(s),
                             ExecError::App { kind: k, detail } => failed(k, detail),
@@ -1706,8 +1701,12 @@ impl Server {
                             "do reset needs a key".into(),
                         ));
                     };
+                    let slicing: Name = match self.app.slicings.get(&slicing.local) {
+                        Some(cs) => Arc::clone(&cs.name),
+                        None => slicing.local.as_str().into(),
+                    };
                     self.store
-                        .slice_reset(txn, &slicing.local, atomic_to_prop(key))
+                        .slice_reset(txn, slicing, atomic_to_prop(key))
                         .map_err(ProcessingError::Store)?;
                 }
                 other => {
@@ -1724,61 +1723,61 @@ impl Server {
         Ok((new_messages, forwards))
     }
 
-    fn acquire_locks(
+    /// Acquire the message's locks in the global order: queue locks by
+    /// rank, then slices by slicing name, then the message. The queue
+    /// locks are the queue's compiled [`LockPlan`], merged with what its
+    /// slicings' rules add (usually nothing, and then nothing is merged);
+    /// under slice granularity the message's slice keys and its own lock
+    /// follow, borrowed from its properties and moved into the lock table.
+    fn acquire_locks<'a>(
         &self,
         txn: TxnId,
         meta: &MessageMeta,
-        cq: &crate::app::CompiledQueue,
-        slice_rules: &[(String, PropValue, &CompiledRule)],
-        slice_keys: &[(String, PropValue)],
+        cq: &'a CompiledQueue,
+        slices: &[MsgSlice<'a>],
     ) -> std::result::Result<(), ProcessingError> {
-        let mut plan: Vec<(LockKey, LockMode)> = Vec::new();
-        let all_rules = cq
-            .rules
-            .iter()
-            .chain(slice_rules.iter().map(|(_, _, r)| *r));
-        match self.store.lock_granularity() {
-            LockGranularity::Queue => {
-                plan.push((LockKey::Queue(meta.queue.clone()), LockMode::Exclusive));
-                for rule in all_rules {
-                    for w in &rule.writes_queues {
-                        plan.push((LockKey::Queue(w.clone()), LockMode::Exclusive));
-                    }
-                    for r in &rule.reads_queues {
-                        plan.push((LockKey::Queue(r.clone()), LockMode::Shared));
-                    }
-                }
+        let lock = |key, mode| {
+            self.store
+                .locks
+                .acquire(txn, key, mode)
+                .map_err(ProcessingError::Store)
+        };
+        let by_slice = self.store.lock_granularity() == LockGranularity::Slice;
+        let plan = |p: &'a LockPlan| {
+            if by_slice {
+                p.reads.as_slice()
+            } else {
+                p.queues.as_slice()
             }
-            LockGranularity::Slice => {
-                plan.push((LockKey::Message(meta.id), LockMode::Exclusive));
-                for (s, k) in slice_keys {
-                    plan.push((LockKey::Slice(s.clone(), k.clone()), LockMode::Exclusive));
-                }
-                for rule in all_rules {
-                    for r in &rule.reads_queues {
-                        plan.push((LockKey::Queue(r.clone()), LockMode::Shared));
-                    }
-                }
+        };
+        let own = plan(&cq.locks);
+        let mut added = slices.iter().map(|s| plan(&s.slicing.locks)).filter(|l| !l.is_empty());
+        let merged;
+        let queue_locks = match added.next() {
+            None => own,
+            Some(first) => {
+                let all = own.iter().chain(first).chain(added.flatten()).cloned().collect();
+                merged = lock_order(all, &self.app.lock_ranks);
+                merged.as_slice()
             }
+        };
+        for (q, mode) in queue_locks {
+            lock(LockKey::Queue(Arc::clone(q)), *mode)?;
         }
-        // Deterministic global order, exclusive-before-shared on equal
-        // keys, dedup. The queue dimension follows the analysis-derived
-        // flow rank (sources first), so every transaction acquires queue
-        // locks in one global order and cross-enqueueing rules cannot
-        // deadlock. Comparison is allocation-free.
-        let ranks = &self.app.lock_ranks;
-        plan.sort_by(|(a, am), (b, bm)| {
-            cmp_lock_keys_ranked(a, b, ranks)
-                .then_with(|| (*am == LockMode::Shared).cmp(&(*bm == LockMode::Shared)))
-        });
-        let mut seen: HashSet<LockKey> = HashSet::new();
-        for (key, mode) in plan {
-            if seen.insert(key.clone()) {
-                self.store
-                    .locks
-                    .acquire(txn, key, mode)
-                    .map_err(ProcessingError::Store)?;
+        if by_slice {
+            // A message is in one slice per slicing at most: slicing-name
+            // order is the slice-key order.
+            let mut after = None;
+            while let Some(s) = slices
+                .iter()
+                .filter(|s| after.is_none_or(|rank| s.slicing.lock_rank > rank))
+                .min_by_key(|s| s.slicing.lock_rank)
+            {
+                after = Some(s.slicing.lock_rank);
+                let key = LockKey::Slice(Arc::clone(&s.slicing.name), s.key_in(meta).clone());
+                lock(key, LockMode::Exclusive)?;
             }
+            lock(LockKey::Message(meta.id), LockMode::Exclusive)?;
         }
         Ok(())
     }
@@ -1790,17 +1789,16 @@ impl Server {
     /// stops evaluation and names itself for error routing.
     fn eval_queue_rules<'r>(
         &self,
-        meta: &MessageMeta,
+        dctx: &DynamicContext,
         doc: &Arc<Document>,
-        cq: &'r crate::app::CompiledQueue,
-        updates: &mut Vec<(&'r str, Update)>,
+        cq: &'r CompiledQueue,
+        updates: &mut Vec<(&'r Name, Update)>,
     ) -> std::result::Result<(), ProcessingError> {
         if cq.rules.is_empty() {
             return Ok(());
         }
         let msg_root = doc.root();
-        let dctx = self.rule_context(meta, &msg_root, None);
-        let mut ev = PlanEvaluator::with_shared(&dctx, &cq.shared);
+        let mut ev = PlanEvaluator::with_shared(dctx, &cq.shared);
         let mut evaluated = Ok(());
         for rule in &cq.rules {
             // Trigger pre-filter: symbol probes of the document's name
@@ -1821,43 +1819,26 @@ impl Server {
                 evaluated = Err(ProcessingError::rule(&rule.name, e));
                 break;
             }
-            updates.extend(ev.updates.drain(..).map(|u| (rule.name.as_str(), u)));
+            updates.extend(ev.updates.drain(..).map(|u| (&rule.name, u)));
         }
         self.metrics.record_eval_counts(ev.counts);
         evaluated
     }
 
-    /// The host and dynamic context one message's rules evaluate in.
-    fn rule_context(
-        &self,
-        meta: &MessageMeta,
-        msg_root: &NodeRef,
-        slice: Option<SliceCtx>,
-    ) -> DynamicContext {
-        // The reader clones the store and cache handles (closures in the
-        // host must be 'static); committed state at evaluation time is read
-        // through the shared document cache, so repeated `qs:queue()` calls
-        // over a stable queue parse each message at most once.
-        let handle = self.read_handle();
-        let queue_reader: crate::host::QueueReader = {
-            let handle = handle.clone();
-            Arc::new(move |qname: &str| handle.queue_docs(qname))
-        };
-        let agg_reader: crate::host::AggregateReader = {
-            let handle = handle.clone();
-            Arc::new(move |id, spec, slice_ctx| handle.aggregate_read(id, spec, slice_ctx))
-        };
-        let host = QsHost {
+    /// The one host a message's rules evaluate under: the message, its
+    /// shared properties and queue name, and the server's readers.
+    fn rule_host(&self, meta: &MessageMeta, msg_root: &NodeRef) -> Arc<QsHost> {
+        Arc::new(QsHost {
             message: msg_root.clone(),
-            properties: meta.props.clone(),
-            queue_name: meta.queue.clone(),
-            queue_reader,
-            slice,
-            agg_reader: Some(agg_reader),
+            properties: Arc::clone(&meta.props),
+            queue_name: Arc::clone(&meta.queue),
+            queue_reader: Arc::clone(&self.readers.queue),
+            slice_reader: Arc::clone(&self.readers.slice),
+            agg_reader: Some(Arc::clone(&self.readers.aggregate)),
             collections: Arc::clone(&self.collections),
             now_ms: self.clock.now(),
-        };
-        DynamicContext::new(Arc::new(host))
+            slice: SliceSlot::default(),
+        })
     }
 
     /// Committed-state reader closing over the shared caches — what the
@@ -1876,7 +1857,7 @@ impl Server {
         &self,
         txn: TxnId,
         trigger: &MessageMeta,
-        rule_name: &str,
+        rule_name: &Name,
         target: &str,
         message: Arc<Document>,
         explicit_props: Vec<(String, Atomic)>,
@@ -1907,13 +1888,6 @@ impl Server {
             }
         }
         let now = self.clock.now();
-        let mut system_props = vec![
-            (system::CREATED_AT.to_string(), PropValue::DateTime(now)),
-            (
-                system::CREATING_RULE.to_string(),
-                PropValue::Str(rule_name.to_string()),
-            ),
-        ];
         // Causal provenance: the trigger is the parent; the root is the
         // trigger's root (or the trigger itself when it started the
         // cascade). Riding on system properties keeps the chain intact
@@ -1922,11 +1896,18 @@ impl Server {
             Some(PropValue::Int(r)) => *r as u64,
             _ => trigger.id.0,
         };
-        system_props.push((
-            system::PARENT_MSG.to_string(),
-            PropValue::Int(trigger.id.0 as i64),
-        ));
-        system_props.push((system::ROOT_MSG.to_string(), PropValue::Int(root as i64)));
+        let system_props = vec![
+            (system::name(system::CREATED_AT), PropValue::DateTime(now)),
+            (
+                system::name(system::CREATING_RULE),
+                PropValue::Str(rule_name.to_string()),
+            ),
+            (
+                system::name(system::PARENT_MSG),
+                PropValue::Int(trigger.id.0 as i64),
+            ),
+            (system::name(system::ROOT_MSG), PropValue::Int(root as i64)),
+        ];
         let props = compute_properties(
             &self.app,
             target,
@@ -1946,19 +1927,19 @@ impl Server {
         // forward only after its own transaction commits, so an aborted or
         // retried trigger never double-delivers.
         if let Some(dest) = self.shard.remote_destination(target, &props) {
-            return Ok(EnqueueOutcome::Remote(crate::shard::Forwarded {
+            return Ok(EnqueueOutcome::Remote(Forwarded {
                 dest,
-                queue: target.to_string(),
-                xml: message.root().to_xml(),
+                queue: Arc::clone(&cq.name),
+                xml: message.root().to_xml().into(),
                 props,
                 enqueued_at: now,
-                via: rule_name.to_string(),
+                via: Arc::clone(rule_name),
             }));
         }
         let payload = message.root().to_xml();
         let id = self
             .store
-            .enqueue(txn, target, payload.into(), props.clone(), now)
+            .enqueue(txn, target, payload.into(), Arc::clone(&props), now)
             .map_err(ExecError::Store)?;
         self.add_slice_memberships(txn, id, &props)
             .map_err(|e| match e {
@@ -1976,8 +1957,8 @@ impl Server {
                 id,
                 trigger.id,
                 MsgId(root),
-                rule_name,
-                target,
+                Arc::clone(rule_name),
+                Arc::clone(&cq.name),
             )
             .map_err(ExecError::Store)?;
         self.metrics.inc_enqueued(&self.obs, target);
@@ -1995,7 +1976,7 @@ impl Server {
         let aggregates = self.app.contribution_ids(target, &props);
         Ok(EnqueueOutcome::Local(NewMessage {
             id,
-            queue: target.to_string(),
+            queue: Arc::clone(&cq.name),
             doc: message,
             aggregates,
         }))
@@ -2053,10 +2034,10 @@ impl Server {
                     (Some(d), Some(t)) if self.app.queues.contains_key(&t) => {
                         // The echoed message inherits the original's
                         // properties minus the timer controls.
-                        let props: Vec<(String, PropValue)> = stored
+                        let props: Vec<(Name, PropValue)> = stored
                             .props
                             .iter()
-                            .filter(|(n, _)| n != "delay" && n != "target")
+                            .filter(|(n, _)| !["delay", "target"].contains(&&**n))
                             .cloned()
                             .collect();
                         self.timers.schedule(
@@ -2132,7 +2113,7 @@ impl Server {
                 .values()
                 .flat_map(|cq| cq.rules.iter())
                 .chain(self.app.slicings.values().flat_map(|s| s.rules.iter()))
-                .find(|cr| cr.name == r)
+                .find(|cr| *cr.name == *r)
         });
         self.route_error_resolved(error_kind, detail, rule, rule_ref, queue, msg_id, payload)
     }
@@ -2205,9 +2186,9 @@ impl Server {
         // (the paper's "masking higher level failures" resort would be a
         // persistent error queue, which this is). When the failing message
         // is known, the error message joins its causal tree.
-        let mut sys = vec![(system::ERROR_PATH.to_string(), PropValue::Str(path.join(",")))];
+        let mut sys = vec![(system::name(system::ERROR_PATH), PropValue::Str(path.join(",")))];
         if let Some(id) = msg_id {
-            sys.push((system::PARENT_MSG.to_string(), PropValue::Int(id.0 as i64)));
+            sys.push((system::name(system::PARENT_MSG), PropValue::Int(id.0 as i64)));
             let root = failed_meta
                 .as_ref()
                 .and_then(|m| match m.prop(system::ROOT_MSG) {
@@ -2215,10 +2196,10 @@ impl Server {
                     _ => None,
                 })
                 .unwrap_or(id.0 as i64);
-            sys.push((system::ROOT_MSG.to_string(), PropValue::Int(root)));
+            sys.push((system::name(system::ROOT_MSG), PropValue::Int(root)));
         }
-        let via = rule.unwrap_or("<error>");
-        self.enqueue_with(&eq, &xml, &[], None, sys, Ingress::Internal, via)?;
+        let via = rule.map_or_else(|| Arc::clone(&VIA_ERROR), Name::from);
+        self.enqueue_with(&eq, &xml, &[], None, sys, Ingress::Internal, &via)?;
         Ok(())
     }
 
@@ -2441,7 +2422,7 @@ impl Drop for Server {
 /// `aggregates`) only once the transaction committed.
 struct NewMessage {
     id: MsgId,
-    queue: String,
+    queue: Name,
     doc: Arc<Document>,
     aggregates: Vec<AggId>,
 }
@@ -2450,7 +2431,44 @@ struct NewMessage {
 /// fast path) or another shard's mailbox (published after commit).
 enum EnqueueOutcome {
     Local(NewMessage),
-    Remote(crate::shard::Forwarded),
+    Remote(Forwarded),
+}
+
+/// One slice a message being processed belongs to: its slicing and the
+/// position of the slice key in the message's properties.
+struct MsgSlice<'a> {
+    slicing: &'a CompiledSlicing,
+    key: usize,
+}
+
+impl MsgSlice<'_> {
+    /// The slice key, borrowed from the message's properties.
+    fn key_in<'m>(&self, meta: &'m MessageMeta) -> &'m PropValue {
+        &meta.props[self.key].1
+    }
+}
+
+/// The rule host's readers over committed state. They capture only
+/// shared handles, so one set serves every message of a server.
+struct Readers {
+    queue: QueueReader,
+    slice: SliceReader,
+    aggregate: AggregateReader,
+}
+
+impl Readers {
+    fn new(handle: ReadHandle) -> Readers {
+        let (queues, slices) = (handle.clone(), handle.clone());
+        Readers {
+            queue: Arc::new(move |qname: &str| queues.queue_docs(qname)),
+            slice: Arc::new(move |slicing: &str, key: &PropValue| {
+                slices.slice_member_docs(slicing, key)
+            }),
+            aggregate: Arc::new(move |id, spec, slice_ctx| {
+                handle.aggregate_read(id, spec, slice_ctx)
+            }),
+        }
+    }
 }
 
 /// Committed-state reader: owns what the host closures need without
@@ -2673,54 +2691,6 @@ fn rebuild_seed(spec: &AggregateSpec, read: &MemberRead) -> std::result::Result<
             "aggregate base cell missing for released slice history ({sig})"
         ))),
     }
-}
-
-/// Lock-key category: queues first, then slices, then messages (matches
-/// the historical string-tuple order).
-fn lock_key_category(k: &LockKey) -> u8 {
-    match k {
-        LockKey::Queue(_) => 0,
-        LockKey::Slice(..) => 1,
-        LockKey::Message(_) => 2,
-    }
-}
-
-/// Total order over property values for the slice-lock dimension: by type
-/// tag, then by value (doubles via IEEE total order — only the *totality*
-/// matters for lock ranking, not the numeric semantics).
-fn cmp_prop_values(a: &PropValue, b: &PropValue) -> std::cmp::Ordering {
-    match (a, b) {
-        (PropValue::Str(x), PropValue::Str(y)) => x.cmp(y),
-        (PropValue::Int(x), PropValue::Int(y)) => x.cmp(y),
-        (PropValue::Bool(x), PropValue::Bool(y)) => x.cmp(y),
-        (PropValue::Double(x), PropValue::Double(y)) => x.total_cmp(y),
-        (PropValue::DateTime(x), PropValue::DateTime(y)) => x.cmp(y),
-        (PropValue::Duration(x), PropValue::Duration(y)) => x.cmp(y),
-        _ => a.tag().cmp(&b.tag()),
-    }
-}
-
-/// Global lock-acquisition order: by category, then queue locks in the
-/// analysis-derived flow rank (ties and unranked queues by name).
-fn cmp_lock_keys_ranked(
-    a: &LockKey,
-    b: &LockKey,
-    ranks: &HashMap<String, u32>,
-) -> std::cmp::Ordering {
-    lock_key_category(a)
-        .cmp(&lock_key_category(b))
-        .then_with(|| match (a, b) {
-            (LockKey::Queue(x), LockKey::Queue(y)) => {
-                let rx = ranks.get(x).copied().unwrap_or(u32::MAX);
-                let ry = ranks.get(y).copied().unwrap_or(u32::MAX);
-                rx.cmp(&ry).then_with(|| x.cmp(y))
-            }
-            (LockKey::Slice(xs, xv), LockKey::Slice(ys, yv)) => {
-                xs.cmp(ys).then_with(|| cmp_prop_values(xv, yv))
-            }
-            (LockKey::Message(x), LockKey::Message(y)) => x.0.cmp(&y.0),
-            _ => std::cmp::Ordering::Equal,
-        })
 }
 
 /// Internal error classification during processing.

@@ -1,15 +1,18 @@
 //! The `qs:` function library (paper Sec. 3.4/3.5.2), exposed to rule
 //! bodies through the XQuery engine's host-function hook.
 //!
-//! A fresh [`QsHost`] is built for each message-processing evaluation,
-//! closing over the triggering message, its properties, the queue reader,
-//! and — for rules on slicings — the current slice.
+//! One [`QsHost`] serves one message: the queue's rules and the rules of
+//! every slicing the message belongs to evaluate under it. It shares the
+//! message's properties and queue name, and readers that the engine
+//! builds once per server; a slicing rule only swaps in its slice
+//! ([`SliceSlot::enter`]) before it runs.
 
-use demaq_store::PropValue;
+use demaq_store::{Name, PropValue, Props};
 use demaq_xml::{Document, NodeRef, QName};
 use demaq_xquery::{
     cast, AggId, AggSource, AggregateSpec, Atomic, Error as XqError, HostFunctions, Item, Sequence,
 };
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -53,8 +56,9 @@ pub fn cast_prop(v: PropValue, ty: &str) -> Result<PropValue, String> {
 /// document roots of all retained messages of a queue.
 pub type QueueReader = Arc<dyn Fn(&str) -> Result<Sequence, XqError> + Send + Sync>;
 
-/// Deferred loader for a slice's member documents.
-pub type SliceLoader = Arc<dyn Fn() -> Result<Sequence, XqError> + Send + Sync>;
+/// Reader of a slice's member documents: `(slicing, key)` to the document
+/// roots of its current members.
+pub type SliceReader = Arc<dyn Fn(&str, &PropValue) -> Result<Sequence, XqError> + Send + Sync>;
 
 /// Answer a recognized aggregate read (its catalog id and shape) from a
 /// materialized cell. The last argument carries the firing rule's
@@ -66,66 +70,57 @@ pub type AggregateReader = Arc<
         + Sync,
 >;
 
-/// The slice context for rules attached to slicings.
-///
-/// Member documents are materialized *lazily*: a rule body that never
-/// touches `qs:slice()` — or whose aggregate reads are answered by the
-/// incremental registry — never pays the O(N) member load.
-pub struct SliceCtx {
-    pub slicing: String,
-    pub key: PropValue,
-    members: SliceMembers,
+/// The slice context of the rule being evaluated (paper Sec. 3.5.2):
+/// empty for rules on queues. Member documents load lazily, at most once
+/// per rule: a body that never touches `qs:slice()`, or whose aggregate
+/// reads the incremental registry answers, never pays the O(N) load.
+#[derive(Default)]
+pub struct SliceSlot(Mutex<Option<ActiveSlice>>);
+
+struct ActiveSlice {
+    slicing: Name,
+    /// Position of the slice key in the host's properties.
+    key: usize,
+    members: Option<Result<Sequence, XqError>>,
 }
 
-enum SliceMembers {
-    Ready(Sequence),
-    Lazy {
-        cell: std::sync::OnceLock<Result<Sequence, XqError>>,
-        load: SliceLoader,
-    },
-}
+impl SliceSlot {
+    /// A slot already in the slice of `slicing` keyed by the host's
+    /// property at position `key`.
+    pub fn at(slicing: Name, key: usize) -> SliceSlot {
+        let slot = SliceSlot::default();
+        slot.enter(slicing, key);
+        slot
+    }
 
-impl SliceCtx {
-    /// A slice context with its member documents already in hand.
-    pub fn with_members(slicing: String, key: PropValue, members: Sequence) -> SliceCtx {
-        SliceCtx {
+    /// Switch to the slice of `slicing` keyed by the host's property at
+    /// position `key`, for the next rule; its members load afresh.
+    pub fn enter(&self, slicing: Name, key: usize) {
+        *self.0.lock() = Some(ActiveSlice {
             slicing,
             key,
-            members: SliceMembers::Ready(members),
-        }
+            members: None,
+        });
     }
 
-    /// A slice context that loads member documents on first use.
-    pub fn lazy(slicing: String, key: PropValue, load: SliceLoader) -> SliceCtx {
-        SliceCtx {
-            slicing,
-            key,
-            members: SliceMembers::Lazy {
-                cell: std::sync::OnceLock::new(),
-                load,
-            },
-        }
-    }
-
-    /// Document roots of the slice's current members (loaded at most once).
-    pub fn members(&self) -> Result<Sequence, XqError> {
-        match &self.members {
-            SliceMembers::Ready(s) => Ok(s.clone()),
-            SliceMembers::Lazy { cell, load } => cell.get_or_init(|| load()).clone(),
-        }
+    /// The active slicing and the position of its key.
+    fn get(&self) -> Option<(Name, usize)> {
+        let active = self.0.lock();
+        active.as_ref().map(|a| (Arc::clone(&a.slicing), a.key))
     }
 }
 
-/// Host functions for one rule-evaluation pass.
+/// Host functions for one message's rule evaluation.
 pub struct QsHost {
     /// Document root of the triggering message.
     pub message: NodeRef,
-    /// Properties of the triggering message (system + declared).
-    pub properties: Vec<(String, PropValue)>,
+    /// Properties of the triggering message (system + declared), shared
+    /// with the store.
+    pub properties: Props,
     /// Name of the queue containing the triggering message.
-    pub queue_name: String,
+    pub queue_name: Name,
     pub queue_reader: QueueReader,
-    pub slice: Option<SliceCtx>,
+    pub slice_reader: SliceReader,
     /// Incremental aggregate registry hook; `None` when the host has no
     /// engine behind it, so every aggregate read rescans its members.
     pub agg_reader: Option<AggregateReader>,
@@ -133,6 +128,30 @@ pub struct QsHost {
     pub collections: Arc<HashMap<String, Vec<Arc<Document>>>>,
     /// Engine clock reading for `fn:current-dateTime()`.
     pub now_ms: i64,
+    pub slice: SliceSlot,
+}
+
+impl QsHost {
+    /// The active slice's key value.
+    fn slice_key(&self) -> Option<&PropValue> {
+        let (_, key) = self.slice.get()?;
+        Some(&self.properties[key].1)
+    }
+
+    /// Document roots of the active slice's members, loaded at most once
+    /// per rule.
+    fn slice_members(&self) -> Result<Sequence, XqError> {
+        let mut active = self.slice.0.lock();
+        let Some(a) = active.as_mut() else {
+            return Err(XqError::dynamic(
+                "qs:slice() is only available in rules on slicings (paper Sec. 3.5.2)",
+            ));
+        };
+        let key = &self.properties[a.key].1;
+        a.members
+            .get_or_insert_with(|| (self.slice_reader)(&a.slicing, key))
+            .clone()
+    }
 }
 
 impl HostFunctions for QsHost {
@@ -159,20 +178,15 @@ impl HostFunctions for QsHost {
                     Ok(s) => s,
                     Err(e) => return Some(Err(e)),
                 };
-                match self.properties.iter().find(|(n, _)| *n == pname) {
-                    Some((_, v)) => Ok(Sequence::one(prop_to_atomic(v))),
+                match demaq_store::types::prop(&self.properties, &pname) {
+                    Some(v) => Ok(Sequence::one(prop_to_atomic(v))),
                     None => Ok(Sequence::empty()),
                 }
             }
-            ("queuename", 0) => Ok(Sequence::str(self.queue_name.clone())),
-            ("slice", 0) => match &self.slice {
-                Some(ctx) => ctx.members(),
-                None => Err(XqError::dynamic(
-                    "qs:slice() is only available in rules on slicings (paper Sec. 3.5.2)",
-                )),
-            },
-            ("slicekey", 0) => match &self.slice {
-                Some(ctx) => Ok(Sequence::one(prop_to_atomic(&ctx.key))),
+            ("queuename", 0) => Ok(Sequence::str(self.queue_name.to_string())),
+            ("slice", 0) => self.slice_members(),
+            ("slicekey", 0) => match self.slice_key() {
+                Some(key) => Ok(Sequence::one(prop_to_atomic(key))),
                 None => Err(XqError::dynamic(
                     "qs:slicekey() is only available in rules on slicings (paper Sec. 3.5.2)",
                 )),
@@ -190,8 +204,8 @@ impl HostFunctions for QsHost {
             // Outside a slice context, decline: the fallback reproduces the
             // reference "qs:slice() is only available…" error.
             AggSource::Slice => {
-                let ctx = self.slice.as_ref()?;
-                rd(id, spec, Some((&ctx.slicing, &ctx.key)))
+                let (slicing, key) = self.slice.get()?;
+                rd(id, spec, Some((&slicing, &self.properties[key].1)))
             }
         }
     }
@@ -305,9 +319,10 @@ mod tests {
         let msg = demaq_xml::parse("<order><id>9</id></order>").unwrap();
         let inv = demaq_xml::parse("<invoice>55</invoice>").unwrap();
         let inv2 = inv.clone();
+        let member = msg.clone();
         let host = QsHost {
             message: msg.root(),
-            properties: vec![("orderID".into(), PropValue::Str("o9".into()))],
+            properties: vec![("orderID".into(), PropValue::Str("o9".into()))].into(),
             queue_name: "crm".into(),
             queue_reader: Arc::new(move |q| {
                 if q == "invoices" {
@@ -316,14 +331,14 @@ mod tests {
                     Ok(Sequence::empty())
                 }
             }),
-            slice: Some(SliceCtx::with_members(
-                "orders".into(),
-                PropValue::Str("o9".into()),
-                Sequence::one(msg.root()),
-            )),
+            slice_reader: Arc::new(move |slicing, key| {
+                assert_eq!((slicing, key), ("orders", &PropValue::Str("o9".into())));
+                Ok(Sequence::one(member.root()))
+            }),
             agg_reader: None,
             collections: Arc::new(HashMap::new()),
             now_ms: 86_400_000,
+            slice: SliceSlot::at("orders".into(), 0),
         };
         let dctx = DynamicContext::new(Arc::new(host));
         let eval = |q: &str| {
@@ -347,17 +362,67 @@ mod tests {
         let msg = demaq_xml::parse("<m/>").unwrap();
         let host = QsHost {
             message: msg.root(),
-            properties: vec![],
+            properties: Vec::new().into(),
             queue_name: "q".into(),
             queue_reader: Arc::new(|_| Ok(Sequence::empty())),
-            slice: None,
+            slice_reader: Arc::new(|_, _| Ok(Sequence::empty())),
             agg_reader: None,
             collections: Arc::new(HashMap::new()),
             now_ms: 0,
+            slice: SliceSlot::default(),
         };
         let dctx = DynamicContext::new(Arc::new(host));
         let mut ev = PlanEvaluator::new(&dctx);
         let plan = lower(&parse_expr("qs:slice()").unwrap());
         assert!(ev.eval_with_context(&plan, msg.root()).is_err());
+    }
+
+    #[test]
+    fn one_host_serves_every_slice_and_loads_members_once_per_rule() {
+        use demaq_xquery::{lower, parse_expr, DynamicContext, PlanEvaluator};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let msg = demaq_xml::parse("<m/>").unwrap();
+        let loads = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&loads);
+        let host = Arc::new(QsHost {
+            message: msg.root(),
+            properties: vec![
+                ("dev".into(), PropValue::Str("d1".into())),
+                ("grp".into(), PropValue::Int(7)),
+            ]
+            .into(),
+            queue_name: "q".into(),
+            queue_reader: Arc::new(|_| Ok(Sequence::empty())),
+            slice_reader: Arc::new(move |slicing, key| {
+                counted.fetch_add(1, Ordering::Relaxed);
+                Ok(Sequence::str(format!("{slicing}={key}")))
+            }),
+            agg_reader: None,
+            collections: Arc::new(HashMap::new()),
+            now_ms: 0,
+            slice: SliceSlot::default(),
+        });
+        let dctx = DynamicContext::new(Arc::clone(&host) as _);
+        let eval = |q: &str| {
+            let plan = lower(&parse_expr(q).unwrap());
+            let mut ev = PlanEvaluator::new(&dctx);
+            ev.eval_with_context(&plan, msg.root())
+                .map(|s| s.to_string())
+        };
+        assert!(
+            eval("qs:slicekey()").is_err(),
+            "no slice before a slicing rule"
+        );
+        host.slice.enter("byDev".into(), 0);
+        assert_eq!(
+            eval("(qs:slice(), qs:slice(), qs:slicekey())").unwrap(),
+            "byDev=d1 byDev=d1 d1"
+        );
+        assert_eq!(loads.load(Ordering::Relaxed), 1, "loaded once for the rule");
+        host.slice.enter("byGrp".into(), 1);
+        assert_eq!(eval("(qs:slice(), qs:slicekey())").unwrap(), "byGrp=7 7");
+        host.slice.enter("byGrp".into(), 1);
+        assert_eq!(eval("qs:slice()").unwrap(), "byGrp=7");
+        assert_eq!(loads.load(Ordering::Relaxed), 3, "each rule loads afresh");
     }
 }

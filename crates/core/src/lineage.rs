@@ -37,8 +37,8 @@ impl From<LineageEdge> for LineageRecord {
             msg: e.msg.0,
             parent: Some(e.parent.0),
             root: e.root.0,
-            rule: (!e.rule.is_empty()).then_some(e.rule),
-            queue: e.queue,
+            rule: (!e.rule.is_empty()).then(|| e.rule.to_string()),
+            queue: e.queue.to_string(),
             lsn: e.lsn.map(|l| l.0),
         }
     }
@@ -122,7 +122,7 @@ fn record(stores: &[&MessageStore], id: MsgId) -> Option<LineageRecord> {
             parent: None,
             root: id.0,
             rule: None,
-            queue: meta.queue,
+            queue: meta.queue.to_string(),
             lsn: None,
         }),
     }

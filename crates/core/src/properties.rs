@@ -15,11 +15,11 @@
 use crate::app::CompiledApp;
 use crate::host::{atomic_to_prop, cast_prop, ClockHost};
 use demaq_qdl::PropKind;
-use demaq_store::PropValue;
+use demaq_store::{Name, PropValue, Props};
 use demaq_xml::NodeRef;
 use demaq_xquery::{Atomic, DynamicContext, Plan, PlanEvaluator};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Process-global count of property bindings answered from the deploy-time
 /// constant fold instead of re-evaluation (mirrored into each server's
@@ -63,18 +63,40 @@ pub mod system {
     /// Id of the root message of this causal tree (provenance; a root
     /// message carries its own id).
     pub const ROOT_MSG: &str = "rootMsg";
+
+    /// Every system property name.
+    pub(crate) const ALL: [&str; 7] = [
+        CREATING_RULE,
+        CREATED_AT,
+        SENDER,
+        CONNECTION,
+        ERROR_PATH,
+        PARENT_MSG,
+        ROOT_MSG,
+    ];
+
+    /// The interned form of a system property name: a refcount bump, not
+    /// an allocation. `name` must be one of the constants above.
+    pub(crate) fn name(name: &'static str) -> super::Name {
+        static NAMES: super::LazyLock<[super::Name; 7]> =
+            super::LazyLock::new(|| ALL.map(super::Name::from));
+        let at = ALL.iter().position(|n| *n == name);
+        NAMES[at.expect("a system property name")].clone()
+    }
 }
 
 /// The message id a provenance system property ([`system::PARENT_MSG`],
 /// [`system::ROOT_MSG`]) carries, if the message has one.
-pub(crate) fn lineage_prop(props: &[(String, PropValue)], name: &str) -> Option<u64> {
-    props.iter().find_map(|(n, v)| match v {
-        PropValue::Int(id) if n == name => Some(*id as u64),
+pub(crate) fn lineage_prop(props: &[(Name, PropValue)], name: &str) -> Option<u64> {
+    match demaq_store::types::prop(props, name) {
+        Some(PropValue::Int(id)) => Some(*id as u64),
         _ => None,
-    })
+    }
 }
 
-/// Compute the full property list for a message entering `queue`.
+/// Compute the full property list for a message entering `queue`, once:
+/// the list is shared from then on (see [`Props`]). Names are the
+/// application's interned ones.
 ///
 /// * `explicit` — values from `with … value …` clauses,
 /// * `trigger_props` — the triggering message's properties (inheritance
@@ -85,16 +107,16 @@ pub fn compute_properties(
     queue: &str,
     msg_root: &NodeRef,
     explicit: &[(String, Atomic)],
-    trigger_props: Option<&[(String, PropValue)]>,
-    system_props: Vec<(String, PropValue)>,
+    trigger_props: Option<&[(Name, PropValue)]>,
+    system_props: Vec<(Name, PropValue)>,
     now_ms: i64,
-) -> Result<Vec<(String, PropValue)>, PropError> {
-    let mut out: Vec<(String, PropValue)> = Vec::new();
-    let set = |out: &mut Vec<(String, PropValue)>, name: &str, v: PropValue| {
+) -> Result<Props, PropError> {
+    let mut out: Vec<(Name, PropValue)> = Vec::with_capacity(system_props.len() + 2);
+    let set = |out: &mut Vec<(Name, PropValue)>, name: &Name, v: PropValue| {
         if let Some(slot) = out.iter_mut().find(|(n, _)| n == name) {
             slot.1 = v;
         } else {
-            out.push((name.to_string(), v));
+            out.push((Arc::clone(name), v));
         }
     };
 
@@ -103,10 +125,11 @@ pub fn compute_properties(
         set(&mut out, &n, v);
     }
 
-    let dctx = DynamicContext::new(Arc::new(ClockHost { now_ms }));
+    // Built on the first binding evaluated.
+    let mut dctx = None;
 
     // Declared properties relevant to this queue, in declaration order.
-    for prop in &app.spec.properties {
+    for (prop, name) in app.spec.properties.iter().zip(&app.property_names) {
         let bound = app
             .prop_bindings
             .get(&prop.name)
@@ -114,12 +137,14 @@ pub fn compute_properties(
         if bound.is_none() && prop.kind != PropKind::Inherited {
             continue;
         }
-        let eval_bound = || -> Result<Option<PropValue>, PropError> {
+        let mut eval_bound = || -> Result<Option<PropValue>, PropError> {
             let Some(plan) = bound else { return Ok(None) };
             if plan.as_const().is_some() {
                 PROP_CONST_HITS.fetch_add(1, Ordering::Relaxed);
             }
-            eval_binding(&dctx, plan, msg_root)
+            let dctx =
+                dctx.get_or_insert_with(|| DynamicContext::new(Arc::new(ClockHost { now_ms })));
+            eval_binding(dctx, plan, msg_root)
         };
         let explicit_value = explicit
             .iter()
@@ -136,8 +161,8 @@ pub fn compute_properties(
         } else if prop.kind == PropKind::Inherited {
             // Inherit from the trigger; fall back to the binding default.
             let inherited = trigger_props
-                .and_then(|tp| tp.iter().find(|(n, _)| *n == prop.name))
-                .map(|(_, v)| v.clone());
+                .and_then(|tp| demaq_store::types::prop(tp, &prop.name))
+                .cloned();
             match inherited {
                 Some(v) => Some(v),
                 None => eval_bound()?,
@@ -151,7 +176,7 @@ pub fn compute_properties(
         if let Some(v) = raw {
             let typed = cast_prop(v, &prop.ty)
                 .map_err(|e| PropError(format!("property `{}`: {e}", prop.name)))?;
-            set(&mut out, &prop.name, typed);
+            set(&mut out, name, typed);
         }
     }
 
@@ -159,8 +184,8 @@ pub fn compute_properties(
     // paper's Example 3.1 sets `Sender` without a declaration).
     for (name, a) in explicit {
         let declared = app.properties.contains_key(name);
-        if !declared && !out.iter().any(|(n, _)| n == name) {
-            out.push((name.clone(), atomic_to_prop(a.clone())));
+        if !declared && !out.iter().any(|(n, _)| **n == **name) {
+            out.push((name.as_str().into(), atomic_to_prop(a.clone())));
         } else if !declared {
             // Explicit wins over a same-named system default, except the
             // engine-owned ones (forging provenance would corrupt the
@@ -170,12 +195,13 @@ pub fn compute_properties(
                 || name == system::PARENT_MSG
                 || name == system::ROOT_MSG;
             if !engine_owned {
-                set(&mut out, name, atomic_to_prop(a.clone()));
+                let slot = out.iter_mut().find(|(n, _)| **n == **name);
+                slot.expect("present").1 = atomic_to_prop(a.clone());
             }
         }
     }
 
-    Ok(out)
+    Ok(out.into())
 }
 
 fn eval_binding(
@@ -247,7 +273,7 @@ mod tests {
     fn inherited_property_propagates() {
         let app = app(PROGRAM);
         let msg = root("<order><orderID>o</orderID></order>");
-        let trigger = vec![("isVIPorder".to_string(), PropValue::Bool(true))];
+        let trigger = vec![("isVIPorder".into(), PropValue::Bool(true))];
         let props =
             compute_properties(&app, "order", &msg, &[], Some(&trigger), vec![], 0).unwrap();
         assert!(props.contains(&("isVIPorder".into(), PropValue::Bool(true))));
@@ -259,7 +285,7 @@ mod tests {
         // different value".
         let app = app(PROGRAM);
         let msg = root("<order/>");
-        let trigger = vec![("isVIPorder".to_string(), PropValue::Bool(true))];
+        let trigger = vec![("isVIPorder".into(), PropValue::Bool(true))];
         let explicit = vec![("isVIPorder".to_string(), Atomic::Bool(false))];
         let props =
             compute_properties(&app, "order", &msg, &explicit, Some(&trigger), vec![], 0).unwrap();
@@ -271,7 +297,7 @@ mod tests {
         let app = app(PROGRAM);
         let msg = root("<order><nothing/></order>");
         let props = compute_properties(&app, "order", &msg, &[], None, vec![], 0).unwrap();
-        assert!(!props.iter().any(|(n, _)| n == "orderID"));
+        assert!(!props.iter().any(|(n, _)| &**n == "orderID"));
     }
 
     #[test]
@@ -317,10 +343,10 @@ mod tests {
         let msg = root("<order/>");
         let sys = vec![
             (
-                system::CREATING_RULE.to_string(),
+                system::name(system::CREATING_RULE),
                 PropValue::Str("r1".into()),
             ),
-            (system::CREATED_AT.to_string(), PropValue::DateTime(123)),
+            (system::name(system::CREATED_AT), PropValue::DateTime(123)),
         ];
         let props = compute_properties(&app, "order", &msg, &[], None, sys, 0).unwrap();
         assert!(props.contains(&("creatingRule".into(), PropValue::Str("r1".into()))));

@@ -6,10 +6,10 @@
 //! a high priority queue may be processed before another one stored in a
 //! queue with a lower priority, even if it has been created more recently."
 
-use demaq_store::MsgId;
+use demaq_store::{IdSet, MsgId, Name};
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::time::Duration;
 
 /// One schedulable unit.
@@ -22,7 +22,7 @@ struct WorkItem {
     /// order, and requeued retries must be able to rejoin the front).
     seq: Reverse<i64>,
     msg: MsgId,
-    queue: String,
+    queue: Name,
 }
 
 impl PartialOrd for WorkItem {
@@ -54,7 +54,7 @@ pub struct Scheduler {
 struct SchedState {
     heap: BinaryHeap<WorkItem>,
     /// Guards against double-scheduling (e.g. recovery + runtime).
-    queued: HashSet<MsgId>,
+    queued: IdSet<MsgId>,
     /// Next arrival sequence (increments per push).
     next_back: i64,
     /// Next front-of-class sequence (decrements per requeue, so retries
@@ -66,7 +66,7 @@ impl Default for SchedState {
     fn default() -> Self {
         SchedState {
             heap: BinaryHeap::new(),
-            queued: HashSet::new(),
+            queued: IdSet::default(),
             next_back: 0,
             next_front: -1,
         }
@@ -79,8 +79,9 @@ impl Scheduler {
     }
 
     /// Add an unprocessed message at the back of its priority class.
-    /// Returns whether it was inserted (`false` = already scheduled).
-    pub fn push(&self, msg: MsgId, queue: &str, priority: i32) -> bool {
+    /// Returns whether it was inserted (`false` = already scheduled). The
+    /// engine passes the queue's interned name: a refcount, no copy.
+    pub fn push(&self, msg: MsgId, queue: impl Into<Name>, priority: i32) -> bool {
         let mut st = self.inner.lock();
         if st.queued.insert(msg) {
             let seq = st.next_back;
@@ -89,7 +90,7 @@ impl Scheduler {
                 priority,
                 seq: Reverse(seq),
                 msg,
-                queue: queue.to_string(),
+                queue: queue.into(),
             });
             self.work_available.notify_one();
             true
@@ -99,7 +100,7 @@ impl Scheduler {
     }
 
     /// Claim the next message to process.
-    pub fn pop(&self) -> Option<(MsgId, String)> {
+    pub fn pop(&self) -> Option<(MsgId, Name)> {
         let mut st = self.inner.lock();
         let item = st.heap.pop()?;
         st.queued.remove(&item.msg);
@@ -109,7 +110,7 @@ impl Scheduler {
     /// Put a message back (lock conflict / deadlock retry) — it rejoins
     /// the *front* of its priority class, keeping its place ahead of work
     /// that arrived later. Returns whether it was inserted.
-    pub fn requeue(&self, msg: MsgId, queue: &str, priority: i32) -> bool {
+    pub fn requeue(&self, msg: MsgId, queue: impl Into<Name>, priority: i32) -> bool {
         let mut st = self.inner.lock();
         if st.queued.insert(msg) {
             let seq = st.next_front;
@@ -118,7 +119,7 @@ impl Scheduler {
                 priority,
                 seq: Reverse(seq),
                 msg,
-                queue: queue.to_string(),
+                queue: queue.into(),
             });
             self.work_available.notify_one();
             true

@@ -33,11 +33,11 @@ use crate::host::{atomic_to_prop, cast_prop};
 use crate::lineage::{self, Lineage};
 use crate::properties::compute_properties;
 use crate::Result;
-use demaq_analysis::{compute_placement, stable_hash, Placement};
+use demaq_analysis::{compute_placement, Placement};
 use demaq_net::Clock;
 use demaq_obs::{Counter, Obs, TraceEvent};
 use demaq_qdl::QueueKind;
-use demaq_store::{MsgId, PropValue, StoreError, StoredMessage};
+use demaq_store::{MsgId, Name, PayloadBytes, PropValue, Props, StoreError, StoredMessage};
 use demaq_xml::parse as parse_xml;
 use demaq_xquery::Atomic;
 use parking_lot::Mutex;
@@ -53,12 +53,47 @@ use std::time::Duration;
 /// routing function's own, independent of any storage codec: a change of
 /// log format never moves a key to another shard.
 pub(crate) fn key_hash(v: &PropValue) -> u64 {
-    use std::io::Write;
-    let mut buf = vec![v.tag(), 0, 0, 0, 0];
-    write!(buf, "{v}").expect("writing to a Vec cannot fail");
-    let len = (buf.len() - 5) as u32;
-    buf[1..5].copy_from_slice(&len.to_le_bytes());
-    stable_hash(&buf)
+    use std::fmt::Write;
+    // The text is rendered twice, into a counter and into the hash, so
+    // that no buffer is allocated.
+    struct Len(u32);
+    impl Write for Len {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 += s.len() as u32;
+            Ok(())
+        }
+    }
+    let mut len = Len(0);
+    write!(len, "{v}").expect("counting cannot fail");
+    let mut h = Fnv::new();
+    h.bytes(&[v.tag()]);
+    h.bytes(&len.0.to_le_bytes());
+    write!(h, "{v}").expect("hashing cannot fail");
+    h.0
+}
+
+/// FNV-1a, fed in pieces: the same function as
+/// [`demaq_analysis::stable_hash`] over the concatenation.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// A fully prepared message in flight between shards: payload plus the
@@ -67,12 +102,12 @@ pub(crate) fn key_hash(v: &PropValue) -> u64 {
 /// exactly what local execution would have).
 pub(crate) struct Forwarded {
     pub(crate) dest: usize,
-    pub(crate) queue: String,
-    pub(crate) xml: String,
-    pub(crate) props: Vec<(String, PropValue)>,
+    pub(crate) queue: Name,
+    pub(crate) xml: PayloadBytes,
+    pub(crate) props: Props,
     pub(crate) enqueued_at: i64,
     /// Rule name (or `"<echo>"`-style marker) for the lineage edge.
-    pub(crate) via: String,
+    pub(crate) via: Name,
 }
 
 /// Shared state of one deployment: the routing directory and the
@@ -203,7 +238,7 @@ impl ShardLink {
     pub(crate) fn remote_destination(
         &self,
         queue: &str,
-        props: &[(String, PropValue)],
+        props: &[(Name, PropValue)],
     ) -> Option<usize> {
         let p = &self.router.placement;
         if p.shards <= 1 {
@@ -211,8 +246,8 @@ impl ShardLink {
         }
         let key = p
             .key_property(queue)
-            .and_then(|kp| props.iter().find(|(n, _)| n == kp))
-            .map(|(_, v)| key_hash(v));
+            .and_then(|kp| demaq_store::types::prop(props, kp))
+            .map(key_hash);
         let dest = p.route(queue, key);
         (dest != self.shard).then_some(dest)
     }
@@ -384,7 +419,7 @@ impl ShardedServer {
             self.clock.now(),
         )
         .map_err(|e| EngineError::Compile(e.to_string()))?;
-        let key = props.iter().find(|(n, _)| n == kp).map(|(_, v)| key_hash(v));
+        let key = demaq_store::types::prop(&props, kp).map(key_hash);
         Ok(self.placement.route(queue, key))
     }
 

@@ -16,7 +16,7 @@
 
 use crate::error::{Result, StoreError};
 use crate::slice::BaseCells;
-use crate::types::{MsgId, PayloadBytes, PropValue};
+use crate::types::{MsgId, Name, PayloadBytes, PropValue, Props};
 use crate::wal::crc32_update;
 use std::fs;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -37,11 +37,11 @@ const HEADER: usize = 20;
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapMessage {
     pub id: MsgId,
-    pub queue: String,
+    pub queue: Name,
     pub payload: PayloadBytes,
     pub processed: bool,
     pub enqueued_at: i64,
-    pub props: Vec<(String, PropValue)>,
+    pub props: Props,
 }
 
 /// Queue definition as serialized into a snapshot.
@@ -58,8 +58,8 @@ pub struct SnapLineage {
     pub msg: MsgId,
     pub parent: MsgId,
     pub root: MsgId,
-    pub rule: String,
-    pub queue: String,
+    pub rule: Name,
+    pub queue: Name,
     /// LSN of the WAL frame that logged the edge, if logged.
     pub lsn: Option<u64>,
 }
@@ -236,7 +236,7 @@ impl Snapshot {
             s.put(&[m.processed as u8])?;
             s.put(&m.enqueued_at.to_le_bytes())?;
             s.count(m.props.len())?;
-            for (n, v) in &m.props {
+            for (n, v) in m.props.iter() {
                 s.bytes(n.as_bytes())?;
                 s.prop(v, &mut scratch)?;
             }
@@ -334,13 +334,13 @@ impl Snapshot {
         }
         for _ in 0..src.count()? {
             let id = MsgId(src.u64()?);
-            let queue = src.text()?;
+            let queue = src.text()?.into();
             let payload = PayloadBytes::from(src.text()?);
             let processed = src.u8()? != 0;
             let enqueued_at = i64::from_le_bytes(src.array()?);
             let mut props = Vec::new();
             for _ in 0..src.count()? {
-                props.push((src.text()?, src.prop()?));
+                props.push((src.text()?.into(), src.prop()?));
             }
             snap.messages.push(SnapMessage {
                 id,
@@ -348,7 +348,7 @@ impl Snapshot {
                 payload,
                 processed,
                 enqueued_at,
-                props,
+                props: props.into(),
             });
         }
         for _ in 0..src.count()? {
@@ -376,8 +376,8 @@ impl Snapshot {
             let msg = MsgId(src.u64()?);
             let parent = MsgId(src.u64()?);
             let root = MsgId(src.u64()?);
-            let rule = src.text()?;
-            let queue = src.text()?;
+            let rule = src.text()?.into();
+            let queue = src.text()?.into();
             let has_lsn = src.u8()? != 0;
             let lsn = src.u64()?;
             snap.lineage.push(SnapLineage {
@@ -457,7 +457,7 @@ mod tests {
                 payload: "<order id='9'/>".into(),
                 processed: true,
                 enqueued_at: 777,
-                props: vec![("orderID".into(), PropValue::Int(9))],
+                props: vec![("orderID".into(), PropValue::Int(9))].into(),
             }],
             slices: vec![SnapSlice {
                 slicing: "orders".into(),
@@ -559,7 +559,7 @@ mod tests {
                     payload: "".into(),
                     processed: false,
                     enqueued_at: 5,
-                    props: vec![],
+                    props: Vec::new().into(),
                 },
                 SnapMessage {
                     id: MsgId(8),
@@ -567,7 +567,7 @@ mod tests {
                     payload: "<a>é</a>".into(),
                     processed: true,
                     enqueued_at: -1,
-                    props: vec![("k".into(), PropValue::Int(3))],
+                    props: vec![("k".into(), PropValue::Int(3))].into(),
                 },
             ],
             slices: vec![SnapSlice {

@@ -40,5 +40,6 @@ pub use lock::{LockGranularity, LockKey, LockMode};
 pub use slice::MemberRead;
 pub use store::{DurableTarget, MessageStore, QueueInfo, StoreOptions, SyncPolicy};
 pub use types::{
-    LineageEdge, Lsn, MessageMeta, MsgId, PayloadBytes, PropValue, QueueMode, StoredMessage, TxnId,
+    IdHasher, IdMap, IdSet, LineageEdge, Lsn, MessageMeta, MsgId, Name, PayloadBytes, PropValue,
+    Props, QueueMode, StoredMessage, TxnId,
 };

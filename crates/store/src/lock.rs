@@ -11,9 +11,10 @@
 //! youngest transaction in the cycle is the victim.
 
 use crate::error::{Result, StoreError};
-use crate::types::{MsgId, PropValue, TxnId};
+use crate::types::{IdMap, MsgId, Name, PropValue, TxnId};
 use demaq_obs::{Counter, Histogram, Registry};
 use parking_lot::{Condvar, Mutex};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -35,22 +36,62 @@ pub enum LockMode {
     Exclusive,
 }
 
-/// Lockable resources.
+/// Lockable resources. Names are interned, so a key costs an allocation
+/// only for a slice key's string value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LockKey {
-    Queue(String),
-    Slice(String, PropValue),
+    Queue(Name),
+    Slice(Name, PropValue),
     Message(MsgId),
 }
 
+/// The holders of one lock. Most locks have one, which lives inline: a
+/// lock taken and released by one transaction allocates nothing here.
 #[derive(Default)]
 struct LockEntry {
-    holders: HashMap<TxnId, LockMode>,
+    first: Option<(TxnId, LockMode)>,
+    rest: Vec<(TxnId, LockMode)>,
 }
 
 impl LockEntry {
+    fn holders(&self) -> impl Iterator<Item = &(TxnId, LockMode)> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    fn held_by(&self, txn: TxnId) -> Option<LockMode> {
+        self.holders().find(|(t, _)| *t == txn).map(|&(_, m)| m)
+    }
+
+    fn len(&self) -> usize {
+        self.first.iter().count() + self.rest.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.is_none() && self.rest.is_empty()
+    }
+
+    /// Record `txn` as a holder in `mode`, replacing its earlier mode.
+    fn set(&mut self, txn: TxnId, mode: LockMode) {
+        let mut holders = self.first.iter_mut().chain(&mut self.rest);
+        if let Some(slot) = holders.find(|(t, _)| *t == txn) {
+            slot.1 = mode;
+        } else if self.first.is_none() {
+            self.first = Some((txn, mode));
+        } else {
+            self.rest.push((txn, mode));
+        }
+    }
+
+    fn remove(&mut self, txn: TxnId) {
+        if self.first.is_some_and(|(t, _)| t == txn) {
+            self.first = self.rest.pop();
+        } else {
+            self.rest.retain(|(t, _)| *t != txn);
+        }
+    }
+
     fn compatible(&self, txn: TxnId, mode: LockMode) -> bool {
-        for (&holder, &held) in &self.holders {
+        for &(holder, held) in self.holders() {
             if holder == txn {
                 continue; // re-entrant; upgrade checked below
             }
@@ -64,8 +105,9 @@ impl LockEntry {
 
 #[derive(Default)]
 struct LockState {
+    /// Keyed by slice keys, which messages carry: the default hasher.
     locks: HashMap<LockKey, LockEntry>,
-    waits_for: HashMap<TxnId, HashSet<TxnId>>,
+    waits_for: IdMap<TxnId, HashSet<TxnId>>,
     /// Number of acquisitions that had to block on a conflict (benchmark
     /// E3's contention metric).
     blocked_acquisitions: u64,
@@ -141,7 +183,8 @@ impl LockManager {
         });
     }
 
-    /// Acquire `key` in `mode` for `txn`, blocking if necessary.
+    /// Acquire `key` in `mode` for `txn`, blocking if necessary. The key
+    /// moves into the lock table; it is cloned only to wait.
     ///
     /// Errors with [`StoreError::Deadlock`] when this request would close a
     /// wait-for cycle, or [`StoreError::LockTimeout`] after the configured
@@ -149,28 +192,38 @@ impl LockManager {
     pub fn acquire(&self, txn: TxnId, key: LockKey, mode: LockMode) -> Result<()> {
         let mut state = self.state.lock();
         let mut waited_since: Option<Instant> = None;
+        let mut key = key;
         let result = loop {
-            let entry = state.locks.entry(key.clone()).or_default();
+            let mut held_lock = match state.locks.entry(key) {
+                Entry::Occupied(e) => e,
+                Entry::Vacant(e) => {
+                    // A lock nobody holds: take it without a second look.
+                    e.insert(LockEntry::default()).set(txn, mode);
+                    break Ok(());
+                }
+            };
+            let entry = held_lock.get_mut();
             // Upgrade: sole holder may strengthen shared -> exclusive.
-            if let Some(&held) = entry.holders.get(&txn) {
+            if let Some(held) = entry.held_by(txn) {
                 if held == LockMode::Exclusive || mode == LockMode::Shared {
                     break Ok(());
                 }
-                if entry.holders.len() == 1 {
-                    entry.holders.insert(txn, LockMode::Exclusive);
+                if entry.len() == 1 {
+                    entry.set(txn, LockMode::Exclusive);
                     break Ok(());
                 }
             } else if entry.compatible(txn, mode) {
-                entry.holders.insert(txn, mode);
+                entry.set(txn, mode);
                 break Ok(());
             }
             // Conflict: record wait-for edges and check for a cycle.
             let blockers: HashSet<TxnId> = entry
-                .holders
-                .keys()
-                .copied()
+                .holders()
+                .map(|&(h, _)| h)
                 .filter(|&h| h != txn)
                 .collect();
+            // The key leaves the table's entry only for the retry.
+            key = held_lock.key().clone();
             state.blocked_acquisitions += 1;
             if waited_since.is_none() {
                 waited_since = Some(Instant::now());
@@ -208,8 +261,8 @@ impl LockManager {
     pub fn release_all(&self, txn: TxnId) {
         let mut state = self.state.lock();
         state.locks.retain(|_, entry| {
-            entry.holders.remove(&txn);
-            !entry.holders.is_empty()
+            entry.remove(txn);
+            !entry.is_empty()
         });
         state.waits_for.remove(&txn);
         self.cv.notify_all();
@@ -217,12 +270,7 @@ impl LockManager {
 
     /// Number of currently held locks (test/diagnostic).
     pub fn held_count(&self) -> usize {
-        self.state
-            .lock()
-            .locks
-            .values()
-            .map(|e| e.holders.len())
-            .sum()
+        self.state.lock().locks.values().map(LockEntry::len).sum()
     }
 
     /// How many acquisitions had to block on a conflict since creation —

@@ -80,7 +80,7 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
     for m in snap.messages {
         logical.insert_message(
             m.id,
-            m.queue,
+            &m.queue,
             m.payload,
             m.props,
             m.processed,
@@ -146,7 +146,7 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
                         // surviving WAL segment keeps the bytes durable
                         // until the next checkpoint writes them into its
                         // snapshot.
-                        logical.insert_message(msg, queue, payload, props, false, enqueued_at);
+                        logical.insert_message(msg, &queue, payload, props, false, enqueued_at);
                     }
                     TxnOp::MarkProcessed { msg } => logical.mark_processed(msg),
                     TxnOp::SliceAdd { slicing, key, msg } => {

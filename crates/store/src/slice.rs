@@ -16,7 +16,7 @@
 //! contains it — a lookup in the reverse index, which holds exactly the
 //! current-lifetime memberships.
 
-use crate::types::{MsgId, PropValue};
+use crate::types::{IdMap, MsgId, PropValue};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -147,7 +147,7 @@ pub struct SliceIndex {
     slices: BTreeMap<Arc<str>, BTreeMap<PropValue, SliceState>>,
     /// Reverse index for retention checks and replay idempotency: message
     /// -> its *current-lifetime* memberships.
-    by_msg: HashMap<MsgId, Vec<(Arc<str>, PropValue)>>,
+    by_msg: IdMap<MsgId, Vec<(Arc<str>, PropValue)>>,
     /// Per-queue lifetime tokens sharing the same clock: moved when a
     /// queue's membership changes other than by appending a larger id
     /// (first insert, out-of-order insert, GC purge), so whole-queue

@@ -6,7 +6,10 @@ use crate::lock::{LockGranularity, LockManager};
 use crate::recovery;
 use crate::slice::{BaseCells, MemberRead, SliceIndex};
 use crate::txn::{TxnBuf, TxnOp};
-use crate::types::{LineageEdge, Lsn, MsgId, PayloadBytes, PropValue, QueueMode, StoredMessage, TxnId};
+use crate::types::{
+    IdMap, LineageEdge, Lsn, MsgId, Name, PayloadBytes, PropValue, Props, QueueMode, StoredMessage,
+    TxnId,
+};
 use crate::wal::{GroupCommitCfg, LogWriter};
 use demaq_obs::{Counter, Gauge, Histogram, Obs};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -104,21 +107,38 @@ pub struct QueueInfo {
 
 #[derive(Debug, Clone)]
 struct MsgMeta {
-    queue: String,
+    queue: Name,
     /// Resident for the message's whole life: reads are refcount bumps,
     /// never byte copies or UTF-8 revalidation. The WAL frame makes it
     /// durable until a checkpoint writes it into the snapshot.
     payload: PayloadBytes,
-    props: Vec<(String, PropValue)>,
+    props: Props,
     processed: bool,
     enqueued_at: i64,
 }
 
 pub(crate) struct QueueState {
     pub(crate) info: QueueInfo,
+    /// The queue's name, interned: every message and enqueue op of the
+    /// queue shares it.
+    pub(crate) name: Name,
     /// All retained messages in arrival order (processed ones included —
     /// the append-only model keeps them until the GC purges).
     pub(crate) messages: Vec<MsgId>,
+}
+
+impl QueueState {
+    fn new(name: &str, mode: QueueMode, priority: i32) -> QueueState {
+        QueueState {
+            info: QueueInfo {
+                name: name.to_string(),
+                mode,
+                priority,
+            },
+            name: name.into(),
+            messages: Vec::new(),
+        }
+    }
 }
 
 /// One message's causal origin as held in [`Logical`] (the [`LineageEdge`]
@@ -127,8 +147,8 @@ pub(crate) struct QueueState {
 pub(crate) struct LineageSlot {
     pub(crate) parent: MsgId,
     pub(crate) root: MsgId,
-    pub(crate) rule: String,
-    pub(crate) queue: String,
+    pub(crate) rule: Name,
+    pub(crate) queue: Name,
     pub(crate) lsn: Option<Lsn>,
 }
 
@@ -149,10 +169,10 @@ impl LineageSlot {
 #[derive(Default)]
 pub(crate) struct Logical {
     pub(crate) queues: HashMap<String, QueueState>,
-    pub(crate) messages: HashMap<MsgId, MsgMetaSlot>,
+    pub(crate) messages: IdMap<MsgId, MsgMetaSlot>,
     pub(crate) slices: SliceIndex,
     /// Causal origin per rule-created message (root messages absent).
-    pub(crate) lineage: HashMap<MsgId, LineageSlot>,
+    pub(crate) lineage: IdMap<MsgId, LineageSlot>,
 }
 
 // Newtype wrapper so recovery can construct metas without exposing fields
@@ -163,33 +183,25 @@ impl Logical {
     pub(crate) fn insert_message(
         &mut self,
         id: MsgId,
-        queue: String,
+        queue: &str,
         payload: PayloadBytes,
-        props: Vec<(String, PropValue)>,
+        props: Props,
         processed: bool,
         enqueued_at: i64,
     ) {
+        self.ensure_queue(queue);
+        let qstate = self.queues.get_mut(queue).expect("ensured");
         self.messages.insert(
             id,
             MsgMetaSlot(MsgMeta {
-                queue: queue.clone(),
+                // Every message of a queue shares the queue's name.
+                queue: Arc::clone(&qstate.name),
                 payload,
                 props,
                 processed,
                 enqueued_at,
             }),
         );
-        let qstate = self
-            .queues
-            .entry(queue.clone())
-            .or_insert_with(|| QueueState {
-                info: QueueInfo {
-                    name: queue,
-                    mode: QueueMode::Persistent,
-                    priority: 0,
-                },
-                messages: Vec::new(),
-            });
         let messages = &mut qstate.messages;
         // Queue order is id (arrival) order. Concurrent transactions may
         // commit out of id order, so insert at the sorted position — almost
@@ -210,16 +222,10 @@ impl Logical {
     }
 
     pub(crate) fn ensure_queue(&mut self, name: &str) {
-        self.queues
-            .entry(name.to_string())
-            .or_insert_with(|| QueueState {
-                info: QueueInfo {
-                    name: name.to_string(),
-                    mode: QueueMode::Persistent,
-                    priority: 0,
-                },
-                messages: Vec::new(),
-            });
+        if !self.queues.contains_key(name) {
+            self.queues
+                .insert(name.to_string(), QueueState::new(name, QueueMode::Persistent, 0));
+        }
     }
 
     pub(crate) fn mark_processed(&mut self, msg: MsgId) {
@@ -236,7 +242,7 @@ impl Logical {
         let meta = self.messages.get(&msg)?;
         Some(
             self.queues
-                .get(&meta.0.queue)
+                .get(&*meta.0.queue)
                 .map(|q| q.info.mode == QueueMode::Persistent)
                 .unwrap_or(true),
         )
@@ -271,7 +277,7 @@ pub struct MessageStore {
     /// Lock manager — the engine acquires queue/slice/message locks here.
     pub locks: LockManager,
     state: RwLock<Logical>,
-    txns: Mutex<HashMap<TxnId, TxnBuf>>,
+    txns: Mutex<IdMap<TxnId, TxnBuf>>,
     next_msg: AtomicU64,
     next_txn: AtomicU64,
     obs: Arc<Obs>,
@@ -301,7 +307,7 @@ struct ApplyState {
     /// Persistence flag of enqueues that are WAL-logged but not yet
     /// applied — lets Phase-1 classification of a later transaction see
     /// messages whose apply job is still queued.
-    pending_persistent: HashMap<MsgId, bool>,
+    pending_persistent: IdMap<MsgId, bool>,
 }
 
 impl ApplyState {
@@ -311,7 +317,7 @@ impl ApplyState {
             next_seq: 0,
             applied_seq: 0,
             leader_active: false,
-            pending_persistent: HashMap::new(),
+            pending_persistent: IdMap::default(),
         }
     }
 }
@@ -391,7 +397,7 @@ impl MessageStore {
             apply_cv: Condvar::new(),
             maintenance: Mutex::new(()),
             state: RwLock::new(rec.logical),
-            txns: Mutex::new(HashMap::new()),
+            txns: Mutex::new(IdMap::default()),
             next_msg: AtomicU64::new(rec.next_msg.max(opts.msg_id_base + 1)),
             // Nothing durable names a transaction: ids only have to be
             // unique within this process.
@@ -416,17 +422,9 @@ impl MessageStore {
                 q.info.priority = priority;
             }
             None => {
-                state.queues.insert(
-                    name.to_string(),
-                    QueueState {
-                        info: QueueInfo {
-                            name: name.to_string(),
-                            mode,
-                            priority,
-                        },
-                        messages: Vec::new(),
-                    },
-                );
+                state
+                    .queues
+                    .insert(name.to_string(), QueueState::new(name, mode, priority));
             }
         }
         Ok(())
@@ -458,22 +456,26 @@ impl MessageStore {
     }
 
     /// Buffer an enqueue; the message id is assigned immediately so the
-    /// caller can attach slice memberships in the same transaction.
+    /// caller can attach slice memberships in the same transaction. The
+    /// op takes the queue's interned name and the caller's properties as
+    /// they are: shared, not copied.
     pub fn enqueue(
         &self,
         txn: TxnId,
         queue: &str,
         payload: PayloadBytes,
-        props: Vec<(String, PropValue)>,
+        props: impl Into<Props>,
         enqueued_at: i64,
     ) -> Result<MsgId> {
-        if !self.state.read().queues.contains_key(queue) {
-            return Err(StoreError::NotFound(format!("queue `{queue}`")));
-        }
+        let queue = match self.state.read().queues.get(queue) {
+            Some(q) => Arc::clone(&q.name),
+            None => return Err(StoreError::NotFound(format!("queue `{queue}`"))),
+        };
         let msg = MsgId(self.next_msg.fetch_add(1, Ordering::Relaxed));
+        let props = props.into();
         self.with_txn(txn, |buf| {
             buf.ops.push(TxnOp::Enqueue {
-                queue: queue.to_string(),
+                queue,
                 msg,
                 payload,
                 props,
@@ -489,24 +491,21 @@ impl MessageStore {
     }
 
     /// Buffer a slice membership.
-    pub fn slice_add(&self, txn: TxnId, slicing: &str, key: PropValue, msg: MsgId) -> Result<()> {
-        self.with_txn(txn, |buf| {
-            buf.ops.push(TxnOp::SliceAdd {
-                slicing: slicing.to_string(),
-                key,
-                msg,
-            })
-        })
+    pub fn slice_add(
+        &self,
+        txn: TxnId,
+        slicing: impl Into<Name>,
+        key: PropValue,
+        msg: MsgId,
+    ) -> Result<()> {
+        let slicing = slicing.into();
+        self.with_txn(txn, |buf| buf.ops.push(TxnOp::SliceAdd { slicing, key, msg }))
     }
 
     /// Buffer a slice reset.
-    pub fn slice_reset(&self, txn: TxnId, slicing: &str, key: PropValue) -> Result<()> {
-        self.with_txn(txn, |buf| {
-            buf.ops.push(TxnOp::SliceReset {
-                slicing: slicing.to_string(),
-                key,
-            })
-        })
+    pub fn slice_reset(&self, txn: TxnId, slicing: impl Into<Name>, key: PropValue) -> Result<()> {
+        let slicing = slicing.into();
+        self.with_txn(txn, |buf| buf.ops.push(TxnOp::SliceReset { slicing, key }))
     }
 
     /// Buffer the causal lineage of a rule-driven enqueue: `msg` (already
@@ -519,16 +518,17 @@ impl MessageStore {
         msg: MsgId,
         parent: MsgId,
         root: MsgId,
-        rule: &str,
-        queue: &str,
+        rule: impl Into<Name>,
+        queue: impl Into<Name>,
     ) -> Result<()> {
+        let (rule, queue) = (rule.into(), queue.into());
         self.with_txn(txn, |buf| {
             buf.ops.push(TxnOp::Lineage {
                 msg,
                 parent,
                 root,
-                rule: rule.to_string(),
-                queue: queue.to_string(),
+                rule,
+                queue,
             })
         })
     }
@@ -674,7 +674,7 @@ impl MessageStore {
                     // The WAL frame already carries the bytes durably, and
                     // the in-memory state takes the enqueuer's buffer: the
                     // commit path is copy-free.
-                    state.insert_message(msg, queue, payload, props, false, enqueued_at);
+                    state.insert_message(msg, &queue, payload, props, false, enqueued_at);
                     enqueued.push(msg);
                 }
                 TxnOp::MarkProcessed { msg } => state.mark_processed(msg),
@@ -764,7 +764,7 @@ impl MessageStore {
     fn op_is_persistent(
         &self,
         state: &Logical,
-        pending: &HashMap<MsgId, bool>,
+        pending: &IdMap<MsgId, bool>,
         buf: &TxnBuf,
         op: &TxnOp,
     ) -> bool {
@@ -924,16 +924,16 @@ impl MessageStore {
 
     /// Ids of unprocessed messages across all queues, with queue priority —
     /// the scheduler's worklist (recovered after a crash).
-    pub fn unprocessed(&self) -> Vec<(MsgId, String, i32)> {
+    pub fn unprocessed(&self) -> Vec<(MsgId, Name, i32)> {
         let state = self.state.read();
-        let mut out: Vec<(MsgId, String, i32)> = state
+        let mut out: Vec<(MsgId, Name, i32)> = state
             .messages
             .iter()
             .filter(|(_, m)| !m.0.processed)
             .map(|(&id, m)| {
                 let prio = state
                     .queues
-                    .get(&m.0.queue)
+                    .get(&*m.0.queue)
                     .map(|q| q.info.priority)
                     .unwrap_or(0);
                 (id, m.0.queue.clone(), prio)
@@ -1253,8 +1253,14 @@ impl MessageStore {
         self.metrics.payload_copies.add(snap.messages.len() as u64);
         // The rename is durable only with the directory: until then a power
         // cut may bring back the old snapshot, which needs the old segments.
+        // The same sync covers the entry of the segment the cut rotated to
+        // (created before it, and still current: checkpoints serialize on
+        // `maintenance`), so that segment's first sync skips its own. A
+        // commit that synced the segment before now synced the directory
+        // itself.
         crate::wal::sync_dir(&self.opts.dir)?;
         self.metrics.dir_syncs.inc();
+        self.current_wal().0.note_dir_synced();
         // Old segments are now superfluous.
         for i in 0..new_index {
             let _ = std::fs::remove_file(self.opts.dir.join(format!("wal-{i:06}.log")));
@@ -1582,11 +1588,15 @@ mod tests {
         store.checkpoint().unwrap();
         assert_eq!(syncs(), (2, 2), "a checkpoint: the snapshot rename");
         commit(&store);
-        assert_eq!(syncs(), (3, 3), "the first commit in the rotated-to segment");
+        assert_eq!(
+            syncs(),
+            (3, 2),
+            "the rotated-to segment's entry went out with the snapshot rename"
+        );
         drop(store);
         let store = MessageStore::open(opts).unwrap();
         commit(&store);
-        assert_eq!(syncs(), (4, 3), "a reopened segment's entry is durable");
+        assert_eq!(syncs(), (4, 2), "a reopened segment's entry is durable");
     }
 
     /// Lineage edges are WAL-logged with their LSN, survive plain
@@ -1618,8 +1628,8 @@ mod tests {
         let edge = store.lineage_of(child).expect("lineage recorded");
         assert_eq!(edge.parent, root);
         assert_eq!(edge.root, root);
-        assert_eq!(edge.rule, "fwd");
-        assert_eq!(edge.queue, "out");
+        assert_eq!(&*edge.rule, "fwd");
+        assert_eq!(&*edge.queue, "out");
         assert!(edge.lsn.is_some(), "persistent lineage carries its LSN");
         assert!(store.lineage_of(root).is_none(), "roots have no edge");
         assert_eq!(store.lineage_tree(root), vec![edge.clone()]);

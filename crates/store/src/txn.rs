@@ -6,7 +6,7 @@
 //! commit, under locks acquired during the transaction (strict 2PL). An
 //! abort simply discards the buffer.
 
-use crate::types::{MsgId, PayloadBytes, PropValue, TxnId};
+use crate::types::{MsgId, Name, PayloadBytes, PropValue, Props, TxnId};
 
 /// A buffered write operation — and, logged as is, one op of the
 /// transaction's WAL frame (see `wal`).
@@ -14,12 +14,13 @@ use crate::types::{MsgId, PayloadBytes, PropValue, TxnId};
 pub enum TxnOp {
     /// A message entered a queue.
     Enqueue {
-        queue: String,
+        queue: Name,
         msg: MsgId,
         /// Shared payload handle — the WAL frame is encoded from it and
         /// the message map takes it over at apply; never copied.
         payload: PayloadBytes,
-        props: Vec<(String, PropValue)>,
+        /// Shared with the message's readers from here on.
+        props: Props,
         enqueued_at: i64,
     },
     /// The rule engine finished processing a message.
@@ -28,13 +29,13 @@ pub enum TxnOp {
     },
     /// A message joined a slice (slicing name + key).
     SliceAdd {
-        slicing: String,
+        slicing: Name,
         key: PropValue,
         msg: MsgId,
     },
     /// A slice began a new lifetime.
     SliceReset {
-        slicing: String,
+        slicing: Name,
         key: PropValue,
     },
     /// Causal lineage of a rule-driven enqueue buffered in this
@@ -47,8 +48,8 @@ pub enum TxnOp {
         msg: MsgId,
         parent: MsgId,
         root: MsgId,
-        rule: String,
-        queue: String,
+        rule: Name,
+        queue: Name,
     },
 }
 

@@ -1,9 +1,69 @@
 //! Core identifier and value types shared across the store.
 
 use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
+
+/// A fixed-seed hasher (FxHash's multiply-rotate) for the store's and the
+/// engine's maps keyed by ids the process made itself. It is cheaper than
+/// SipHash for an integer key, and with no per-map random seed a map's
+/// layout, and with it the point where it grows, is the same on every
+/// run: the allocation counts the tests pin rely on that. Maps keyed by
+/// message content keep the standard, randomly seeded hasher.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` on [`IdHasher`]; build one with `default()`.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// A `HashSet` on [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
+/// A queue, slicing, property or rule name, interned once (when an
+/// application is deployed, or when recovery reads it) and shared by
+/// refcount from then on.
+pub type Name = Arc<str>;
+
+/// A message's properties (paper Sec. 2.2): attached once, when the
+/// message is created, and never modified after, so the list is built
+/// once and shared by refcount with the transaction buffer, the store's
+/// message map, every metadata read and the rule host.
+pub type Props = Arc<[(Name, PropValue)]>;
+
+/// The value of the property `name` in `props`, if the message has it.
+pub fn prop<'p>(props: &'p [(Name, PropValue)], name: &str) -> Option<&'p PropValue> {
+    props.iter().find(|(n, _)| &**n == name).map(|(_, v)| v)
+}
 
 /// Globally unique message identifier, monotonically increasing — doubles
 /// as the arrival order within the whole store.
@@ -240,8 +300,8 @@ pub struct LineageEdge {
     pub msg: MsgId,
     pub parent: MsgId,
     pub root: MsgId,
-    pub rule: String,
-    pub queue: String,
+    pub rule: Name,
+    pub queue: Name,
     /// LSN of the WAL frame holding the lineage op; `None` when the
     /// created message is transient (nothing was logged).
     pub lsn: Option<Lsn>,
@@ -323,11 +383,11 @@ impl fmt::Display for PayloadBytes {
 pub struct StoredMessage {
     pub id: MsgId,
     /// Name of the containing queue.
-    pub queue: String,
+    pub queue: Name,
     /// Serialized XML payload (shared, not copied, with the store).
     pub payload: PayloadBytes,
-    /// Property values attached at creation.
-    pub props: Vec<(String, PropValue)>,
+    /// Property values attached at creation (shared with the store).
+    pub props: Props,
     /// Has the rule engine finished processing this message?
     pub processed: bool,
     /// Creation timestamp (engine virtual clock, epoch ms).
@@ -337,20 +397,20 @@ pub struct StoredMessage {
 impl StoredMessage {
     /// Look up a property by name.
     pub fn prop(&self, name: &str) -> Option<&PropValue> {
-        self.props.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+        prop(&self.props, name)
     }
 }
 
 /// A message's metadata without its payload — what rule evaluation needs
-/// when the parsed document is already cached. Reading this never clones
-/// the payload string.
+/// when the parsed document is already cached. Reading it copies nothing:
+/// the queue name and the properties are refcount bumps.
 #[derive(Debug, Clone)]
 pub struct MessageMeta {
     pub id: MsgId,
     /// Name of the containing queue.
-    pub queue: String,
-    /// Property values attached at creation.
-    pub props: Vec<(String, PropValue)>,
+    pub queue: Name,
+    /// Property values attached at creation (shared with the store).
+    pub props: Props,
     /// Has the rule engine finished processing this message?
     pub processed: bool,
     /// Creation timestamp (engine virtual clock, epoch ms).
@@ -360,7 +420,7 @@ pub struct MessageMeta {
 impl MessageMeta {
     /// Look up a property by name.
     pub fn prop(&self, name: &str) -> Option<&PropValue> {
-        self.props.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+        prop(&self.props, name)
     }
 }
 

@@ -96,8 +96,8 @@
 use crate::error::{Result, StoreError};
 use crate::txn::TxnOp;
 use crate::types::{
-    get_str, get_u8, get_varint, put_bytes, put_varint, unzigzag, zigzag, Lsn, MsgId, PayloadBytes,
-    PropValue,
+    get_str, get_u8, get_varint, put_bytes, put_varint, unzigzag, zigzag, Lsn, MsgId, Name,
+    PayloadBytes, PropValue,
 };
 use demaq_obs::{Counter, Histogram, Registry};
 use parking_lot::{Condvar, Mutex};
@@ -105,7 +105,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The first eight bytes of every segment: the frame format's name.
@@ -118,7 +118,7 @@ const T_SLICE_RESET: u8 = 4;
 const T_LINEAGE: u8 = 5;
 
 /// The write side's name table: the id of every name the segment defined.
-type NameIds = HashMap<String, u64>;
+type NameIds = HashMap<Name, u64>;
 
 /// Encode one transaction as a frame payload into `out`, naming through
 /// `names`. Returns the names the payload defines, in id order after
@@ -155,7 +155,7 @@ fn encode_txn<'o>(out: &mut Vec<u8>, names: &NameIds, ops: &[&'o TxnOp]) -> Vec<
                 put_varint(out, zigzag(*enqueued_at));
                 put_bytes(out, payload.as_bytes());
                 put_varint(out, props.len() as u64);
-                for (prop, value) in props {
+                for (prop, value) in props.iter() {
                     name(out, prop);
                     value.encode_from(*enqueued_at, out);
                 }
@@ -204,13 +204,13 @@ fn get_count(buf: &[u8], at: &mut usize) -> Option<(u64, usize)> {
 
 /// Decode one frame payload, resolving names through `names` and
 /// appending the names it defines.
-fn decode_txn(buf: &[u8], names: &mut Vec<String>) -> Option<Vec<TxnOp>> {
+fn decode_txn(buf: &[u8], names: &mut Vec<Name>) -> Option<Vec<TxnOp>> {
     let at = &mut 0;
-    let mut name = |at: &mut usize| -> Option<String> {
+    let mut name = |at: &mut usize| -> Option<Name> {
         match get_varint(buf, at)? {
             0 => {
-                let s = get_str(buf, at)?.to_owned();
-                names.push(s.clone());
+                let s: Name = get_str(buf, at)?.into();
+                names.push(Arc::clone(&s));
                 Some(s)
             }
             id => names.get(usize::try_from(id - 1).ok()?).cloned(),
@@ -236,7 +236,7 @@ fn decode_txn(buf: &[u8], names: &mut Vec<String>) -> Option<Vec<TxnOp>> {
                     queue,
                     msg,
                     payload,
-                    props,
+                    props: props.into(),
                     enqueued_at,
                 }
             }
@@ -543,7 +543,7 @@ impl LogWriter {
         self.write_frame(&mut inner)?;
         for name in new {
             let id = inner.names.len() as u64;
-            inner.names.insert(name.to_owned(), id);
+            inner.names.insert(name.into(), id);
         }
         let target = inner.offset;
         drop(inner);
@@ -723,6 +723,13 @@ impl LogWriter {
         Ok(())
     }
 
+    /// The segment's directory entry was made durable by someone else's
+    /// directory sync (the checkpoint's, after the snapshot rename): its
+    /// first sync no longer needs one of its own.
+    pub(crate) fn note_dir_synced(&self) {
+        *self.unsynced_dir.lock() = None;
+    }
+
     /// Durability barrier: make everything appended so far durable
     /// (deferred commits, checkpoints, explicit `sync()` under the batch
     /// policy). Cooperates with in-flight group syncs but never waits in
@@ -763,7 +770,7 @@ pub struct LogScan {
     /// One entry per valid frame: its LSN and the transaction's ops.
     pub txns: Vec<(Lsn, Vec<TxnOp>)>,
     /// The segment's names, by id, as the valid frames defined them.
-    pub names: Vec<String>,
+    pub names: Vec<Name>,
     /// Byte length of the valid prefix — the offset right after the last
     /// valid frame, 0 when the segment has no valid header.
     /// [`LogWriter::open`] truncates the file here.
@@ -915,7 +922,8 @@ mod tests {
                             ("d".into(), PropValue::Double(0.1)),
                             ("t".into(), PropValue::DateTime(1_700_000_000_123)),
                             ("u".into(), PropValue::Duration(-500)),
-                        ],
+                        ]
+                        .into(),
                         enqueued_at: 1_700_000_000_000,
                     },
                     processed(9),
@@ -955,7 +963,7 @@ mod tests {
                     queue: "q".into(),
                     msg: MsgId(12),
                     payload: "".into(),
-                    props: vec![("t".into(), PropValue::DateTime(5))],
+                    props: vec![("t".into(), PropValue::DateTime(5))].into(),
                     enqueued_at: 7,
                 }],
                 vec![
@@ -986,7 +994,8 @@ mod tests {
         let read: Vec<Vec<TxnOp>> = scan.txns.into_iter().map(|(_, ops)| ops).collect();
         let ops: Vec<Vec<TxnOp>> = golden().into_iter().map(|(ops, _)| ops).collect();
         assert_eq!((read, scan.discarded), (ops, 0));
-        assert_eq!(scan.names, ["q", "s", "i", "b", "d", "t", "u", "r"]);
+        let names: Vec<&str> = scan.names.iter().map(|n| &**n).collect();
+        assert_eq!(names, ["q", "s", "i", "b", "d", "t", "u", "r"]);
     }
 
     /// A segment of the per-op records logged before the frame format
@@ -1131,7 +1140,7 @@ mod tests {
         }
         // …and recovery must see it.
         let scan = read_log(&path).unwrap();
-        assert_eq!(scan.names, ["s"]);
+        assert_eq!(scan.names, [Name::from("s")]);
         let read: Vec<Vec<TxnOp>> = scan.txns.into_iter().map(|(_, ops)| ops).collect();
         assert_eq!(
             read,

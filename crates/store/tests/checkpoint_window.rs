@@ -126,3 +126,52 @@ fn gc_between_checkpoints_never_breaks_the_published_snapshot() {
     assert_eq!(reopened.gc().unwrap(), 1, "GC re-purges after recovery");
     assert_eq!(reopened.message_count(), 0);
 }
+
+#[test]
+fn a_commit_inside_the_window_syncs_the_new_segments_entry_itself() {
+    let _failpoint = CKPT_FAILPOINT.lock().unwrap_or_else(|e| e.into_inner());
+    // A checkpoint's directory sync after the snapshot rename also covers
+    // the segment its cut rotated to, so that segment's first sync skips
+    // its own. A commit that syncs the segment earlier, inside the write
+    // window, cannot wait for that: it syncs the directory itself.
+    let dir = TempDir::new().unwrap();
+    let obs = demaq_obs::Obs::new();
+    let mut opts = StoreOptions::new(dir.path());
+    opts.obs = Some(Arc::clone(&obs));
+    let store = Arc::new(MessageStore::open(opts).unwrap());
+    let counter = |name| obs.registry.counter_total(name);
+    let syncs = || {
+        (
+            counter("demaq_store_wal_syncs_total"),
+            counter("demaq_store_dir_syncs_total"),
+        )
+    };
+    store.create_queue("q", QueueMode::Persistent, 0).unwrap();
+    enqueue_one(&store, "q", "<before/>");
+    assert_eq!(syncs(), (1, 1), "a fresh store's first commit");
+    std::env::set_var("DEMAQ_CKPT_SLOW_WRITE_MS", "1000");
+    let ckpt_done = Arc::new(AtomicBool::new(false));
+    let ckpt = {
+        let store = Arc::clone(&store);
+        let done = Arc::clone(&ckpt_done);
+        std::thread::spawn(move || {
+            store.checkpoint().unwrap();
+            done.store(true, Ordering::SeqCst);
+        })
+    };
+    std::thread::sleep(Duration::from_millis(200));
+    enqueue_one(&store, "q", "<during-checkpoint/>");
+    let still_writing = !ckpt_done.load(Ordering::SeqCst);
+    let during = syncs();
+    ckpt.join().unwrap();
+    std::env::remove_var("DEMAQ_CKPT_SLOW_WRITE_MS");
+    assert!(
+        still_writing,
+        "checkpoint finished before the concurrent commit — the slow-write \
+         failpoint did not arm and the test exercised nothing"
+    );
+    assert_eq!(during, (2, 2), "the early commit synced the new entry");
+    assert_eq!(syncs(), (2, 3), "then the checkpoint's own rename");
+    enqueue_one(&store, "q", "<after/>");
+    assert_eq!(syncs(), (3, 3), "later commits sync no directory");
+}

@@ -280,7 +280,7 @@ fn run_round(dir: &Path, kill_after: Duration, crash_after_bytes: Option<u64>) -
             "acked derived message {id:?} rebuilt with the wrong parent"
         );
         assert_eq!(edge.root, parent);
-        assert_eq!(edge.rule, "spawn");
+        assert_eq!(&*edge.rule, "spawn");
         assert!(
             edge.lsn.is_some(),
             "recovered lineage of {id:?} lost its WAL LSN"

@@ -87,22 +87,24 @@ fn op_strategy() -> impl Strategy<Value = TxnOp> {
             any::<i64>(),
         )
             .prop_map(|(queue, msg, payload, props, enqueued_at)| TxnOp::Enqueue {
-                queue,
+                queue: queue.into(),
                 msg: MsgId(msg),
                 payload: payload.into(),
-                props,
+                props: props.into_iter().map(|(n, v)| (n.into(), v)).collect(),
                 enqueued_at,
             }),
         any::<u64>().prop_map(|msg| TxnOp::MarkProcessed { msg: MsgId(msg) }),
         (name_strategy(), prop_value_strategy(), any::<u64>()).prop_map(|(slicing, key, msg)| {
             TxnOp::SliceAdd {
-                slicing,
+                slicing: slicing.into(),
                 key,
                 msg: MsgId(msg),
             }
         }),
-        (name_strategy(), prop_value_strategy())
-            .prop_map(|(slicing, key)| TxnOp::SliceReset { slicing, key }),
+        (name_strategy(), prop_value_strategy()).prop_map(|(slicing, key)| TxnOp::SliceReset {
+            slicing: slicing.into(),
+            key,
+        }),
         (
             any::<u64>(),
             any::<u64>(),
@@ -114,8 +116,8 @@ fn op_strategy() -> impl Strategy<Value = TxnOp> {
                 msg: MsgId(msg),
                 parent: MsgId(parent),
                 root: MsgId(root),
-                rule,
-                queue,
+                rule: rule.into(),
+                queue: queue.into(),
             }),
     ]
 }
@@ -285,11 +287,11 @@ proptest! {
         for (q, id, processed, payload) in &msgs {
             snap.messages.push(demaq_store::checkpoint::SnapMessage {
                 id: MsgId(*id),
-                queue: q.clone(),
+                queue: q.as_str().into(),
                 payload: payload.as_str().into(),
                 processed: *processed,
                 enqueued_at: *id as i64,
-                props: vec![("p".into(), PropValue::Int(*id as i64))],
+                props: vec![("p".into(), PropValue::Int(*id as i64))].into(),
             });
         }
         let decoded = Snapshot::decode(&snap.encode().expect("encode")).expect("decode");
@@ -340,7 +342,7 @@ proptest! {
         let mut recovered: Vec<(String, String)> = Vec::new();
         for q in ["a", "b"] {
             for m in store.queue_messages(q).unwrap() {
-                recovered.push((m.queue, m.payload.to_string()));
+                recovered.push((m.queue.to_string(), m.payload.to_string()));
             }
         }
         let sort = |mut v: Vec<(String, String)>| {

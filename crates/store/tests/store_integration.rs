@@ -101,17 +101,17 @@ fn properties_roundtrip() {
     let store = open(&dir);
     store.create_queue("q", QueueMode::Persistent, 0).unwrap();
     let txn = store.begin();
-    let props = vec![
-        ("orderID".to_string(), PropValue::Str("o-77".into())),
-        ("isVIPorder".to_string(), PropValue::Bool(true)),
-        ("amount".to_string(), PropValue::Int(950)),
+    let props: Vec<(demaq_store::Name, PropValue)> = vec![
+        ("orderID".into(), PropValue::Str("o-77".into())),
+        ("isVIPorder".into(), PropValue::Bool(true)),
+        ("amount".into(), PropValue::Int(950)),
     ];
     store
         .enqueue(txn, "q", "<order/>".into(), props.clone(), 42)
         .unwrap();
     store.commit(txn).unwrap();
     let msg = &store.queue_messages("q").unwrap()[0];
-    assert_eq!(msg.props, props);
+    assert_eq!(*msg.props, *props);
     assert_eq!(msg.prop("orderID"), Some(&PropValue::Str("o-77".into())));
     assert_eq!(msg.enqueued_at, 42);
 }
@@ -351,7 +351,7 @@ fn unprocessed_worklist_for_scheduler() {
     enqueue_one(&store, "hi", "<b/>");
     let work = store.unprocessed();
     assert_eq!(work.len(), 2);
-    let hi = work.iter().find(|(_, q, _)| q == "hi").unwrap();
+    let hi = work.iter().find(|(_, q, _)| &**q == "hi").unwrap();
     assert_eq!(hi.2, 10);
 }
 

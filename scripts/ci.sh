@@ -19,6 +19,15 @@ for pkg in demaq demaq-xquery demaq-baselines demaq-suite; do
     fi
 done
 
+echo "== no counting allocator ships =="
+# Allocation counts are pinned by tests that install a counting global
+# allocator in their own test binary (tests/counting). A shipped source
+# tree must not install one.
+if grep -rn --include='*.rs' '#\[global_allocator\]' crates/*/src src; then
+    echo "#[global_allocator] in a shipped source tree (keep it under tests/)" >&2
+    exit 1
+fi
+
 echo "== test =="
 cargo test -q --offline --workspace
 

@@ -347,7 +347,7 @@ fn out_of_order_commits_fold_in_id_order() {
         .map(|v| {
             let txn = store.begin();
             let xml = format!("<e k='a'><v>{v}</v></e>");
-            let props = vec![("k".to_string(), key.clone())];
+            let props = vec![("k".into(), key.clone())];
             let id = store.enqueue(txn, "intake", xml.as_str().into(), props, 0).unwrap();
             store.slice_add(txn, "byK", key.clone(), id).unwrap();
             txn

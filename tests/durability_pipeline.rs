@@ -147,7 +147,7 @@ fn computed(server: &Server) -> Computed {
         .store()
         .lineage_edges()
         .into_iter()
-        .map(|e| (e.msg, e.parent, e.root, e.rule))
+        .map(|e| (e.msg, e.parent, e.root, e.rule.to_string()))
         .collect();
     Computed {
         queues,

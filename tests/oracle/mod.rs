@@ -29,7 +29,7 @@
 
 #![allow(dead_code)]
 
-use demaq::host::{atomic_to_prop, ClockHost, QsHost, QueueReader, SliceCtx};
+use demaq::host::{atomic_to_prop, ClockHost, QsHost, QueueReader, SliceReader, SliceSlot};
 use demaq::Server;
 use demaq_qdl::PropBinding;
 use demaq_store::{MsgId, PropValue};
@@ -126,16 +126,13 @@ impl<'a> Harness<'a> {
 
     /// A host over the server's committed state, as the engine builds one
     /// per message (minus the caches and the aggregate registry), with the
-    /// slice's released members put back.
-    fn rule_dctx(
-        &self,
-        id: MsgId,
-        root: &NodeRef,
-        slice: Option<(&str, &PropValue)>,
-    ) -> DynamicContext {
+    /// slice's released members put back. `slice` names the slicing and
+    /// the position of its key in the message's properties.
+    fn rule_dctx(&self, id: MsgId, root: &NodeRef, slice: Option<(&str, usize)>) -> DynamicContext {
         let store = Arc::clone(self.server.store());
         let meta = store.message_meta(id).unwrap();
-        let slice = slice.map(|(slicing, key)| {
+        let members = slice.map(|(slicing, at)| {
+            let key = &meta.props[at].1;
             let mut members: BTreeMap<MsgId, String> = self
                 .released
                 .borrow()
@@ -146,8 +143,14 @@ impl<'a> Harness<'a> {
             for m in ids {
                 members.insert(m, store.payload(m).unwrap().to_string());
             }
-            let members = members.values().map(|xml| Item::Node(parse_root(xml)));
-            SliceCtx::with_members(slicing.to_string(), key.clone(), members.collect())
+            let members: Sequence = members
+                .values()
+                .map(|xml| Item::Node(parse_root(xml)))
+                .collect();
+            members
+        });
+        let slice_reader: SliceReader = Arc::new(move |_: &str, _: &PropValue| {
+            Ok(members.clone().expect("read only in a slice"))
         });
         let queue_reader: QueueReader = Arc::new(move |q: &str| {
             let msgs = store
@@ -163,10 +166,11 @@ impl<'a> Harness<'a> {
             properties: meta.props,
             queue_name: meta.queue,
             queue_reader,
-            slice,
+            slice_reader,
             agg_reader: None,
             collections: Arc::clone(&self.collections),
             now_ms: self.server.clock().now(),
+            slice: slice.map_or_else(SliceSlot::default, |(s, at)| SliceSlot::at(s.into(), at)),
         }))
     }
 
@@ -258,10 +262,10 @@ impl<'a> Harness<'a> {
             }
             outcomes.push(outcome);
         }
-        for (pname, key) in &meta.props {
-            for sname in app.slicings_by_property.get(pname).into_iter().flatten() {
-                let dctx = self.rule_dctx(id, &root, Some((sname, key)));
-                for rule in &app.slicings[sname].rules {
+        for (at, (pname, _)) in meta.props.iter().enumerate() {
+            for sname in app.slicings_by_property.get(&**pname).into_iter().flatten() {
+                let dctx = self.rule_dctx(id, &root, Some((sname, at)));
+                for rule in &app.slicings[&**sname].rules {
                     let got = lowered(&mut PlanEvaluator::new(&dctx), &rule.plan, &root);
                     outcomes.push(self.both(&rule.name, &rule.body, got, &dctx, &root));
                 }

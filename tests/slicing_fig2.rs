@@ -55,7 +55,7 @@ fn fig_2_customer_transaction_slices() {
     assert_eq!(slice23.len(), 4);
     let queues23: std::collections::HashSet<String> = slice23
         .iter()
-        .map(|m| store.message(*m).unwrap().queue)
+        .map(|m| store.message(*m).unwrap().queue.to_string())
         .collect();
     assert_eq!(
         queues23.len(),
