@@ -9,7 +9,7 @@
 use crate::compiler::{self, CompiledRule};
 use demaq_analysis::{Analysis, LintConfig, RuleFacts};
 use demaq_net::WsdlInterface;
-use demaq_qdl::{AppSpec, PropertyDecl, QueueDecl, QueueKind, RuleDecl, SlicingDecl};
+use demaq_qdl::{AppSpec, PropertyDecl, QueueDecl, RuleDecl, SlicingDecl};
 use demaq_xml::schema::Schema;
 use demaq_store::{LockMode, Name, PropValue};
 use demaq_xquery::{AggCatalog, AggId, AggSource, Plan};
@@ -386,30 +386,6 @@ impl CompiledApp {
             }
         }
         ids
-    }
-
-    /// The queue kind (engine dispatch).
-    pub fn queue_kind(&self, name: &str) -> Option<QueueKind> {
-        self.queues.get(name).map(|q| q.decl.kind)
-    }
-
-    /// All slicing rules that pertain to a message carrying the given
-    /// property names: rules of slicings keyed by any of those properties.
-    pub fn slicing_rules_for<'a>(
-        &'a self,
-        prop_names: impl Iterator<Item = &'a str>,
-    ) -> Vec<(&'a str, &'a CompiledSlicing)> {
-        let mut out = Vec::new();
-        for p in prop_names {
-            if let Some(slicing_names) = self.slicings_by_property.get(p) {
-                for sname in slicing_names {
-                    if let Some(s) = self.slicings.get(&**sname) {
-                        out.push((&**sname, s));
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Resolve the error queue for a failure in `rule` (possibly None) on

@@ -26,6 +26,7 @@ use demaq_net::{Clock, Envelope, Network, TimerWheel};
 use demaq_obs::{Counter, Gauge, Histogram, Obs, TraceCtx, TraceEvent, TraceFilter};
 use demaq_qdl::{parse_program, AppSpec, QueueKind};
 use demaq_store::store::SyncPolicy;
+use demaq_store::types::prop;
 use demaq_store::{
     DurableTarget, LockGranularity, LockKey, LockMode, MemberRead, MessageMeta, MessageStore, MsgId,
     Name, PayloadBytes, PropValue, Props, QueueMode, StoreError, StoreOptions, StoredMessage, TxnId,
@@ -39,7 +40,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Engine error.
@@ -413,12 +414,6 @@ struct TimerJob {
 }
 impl Eq for TimerJob {}
 
-// The lineage labels of the hops no rule makes, interned once.
-static VIA_EXTERNAL: LazyLock<Name> = LazyLock::new(|| Name::from(""));
-static VIA_GATEWAY: LazyLock<Name> = LazyLock::new(|| Name::from("<gateway>"));
-static VIA_ECHO: LazyLock<Name> = LazyLock::new(|| Name::from("<echo>"));
-static VIA_ERROR: LazyLock<Name> = LazyLock::new(|| Name::from("<error>"));
-
 /// Builder for [`Server`].
 #[derive(Clone)]
 pub struct ServerBuilder {
@@ -722,7 +717,7 @@ impl ServerBuilder {
             clock,
             timers,
             gateways,
-            scheduler: Scheduler::new(),
+            scheduler: shard.router.scheduler(shard.shard),
             collections: Arc::new(self.collections),
             metrics,
             doc_cache,
@@ -822,7 +817,8 @@ pub struct Server {
     clock: Clock,
     timers: TimerWheel<TimerJob>,
     gateways: GatewayManager,
-    scheduler: Scheduler,
+    /// Owned by the routing directory, so a forward can wake it.
+    scheduler: Arc<Scheduler>,
     collections: Arc<HashMap<String, Vec<Arc<Document>>>>,
     obs: Arc<Obs>,
     metrics: EngineMetrics,
@@ -916,14 +912,14 @@ impl Server {
 
     /// Full causal chain of one message: its own lineage record, all
     /// ancestors up to the root, and all descendants breadth-first. Read
-    /// from this server's store, whose lineage edges are WAL-logged and
-    /// purged with their messages, so it answers for exactly the messages
-    /// the store retains, before and after a restart alike. On one shard
-    /// of a [`crate::ShardedServer`] the chain ends where it leaves this
+    /// from this server's store, which reads each edge from its message's
+    /// enqueue, so it answers for exactly the messages the store retains,
+    /// before and after a restart alike. On one shard of a
+    /// [`crate::ShardedServer`] the chain ends where it leaves this
     /// shard's store; [`crate::ShardedServer::lineage`] follows it across.
-    /// Costs one pass over the retained edges.
+    /// Costs one pass over the retained messages.
     pub fn lineage(&self, msg: MsgId) -> Lineage {
-        lineage::walk(&[&*self.store], msg)
+        lineage::walk(&self.app, &[&*self.store], msg)
     }
 
     /// Per-rule wall-time attribution: evaluation-time quantiles, firing
@@ -964,7 +960,7 @@ impl Server {
         xml: &str,
         explicit: &[(String, Atomic)],
     ) -> Result<MsgId> {
-        self.enqueue_with(queue, xml, explicit, None, Vec::new(), Ingress::Acked, &VIA_EXTERNAL)?
+        self.enqueue_with(queue, xml, explicit, None, Vec::new(), Ingress::Acked, None)?
             .ok_or_else(|| Self::remote_home_error(queue))
     }
 
@@ -986,23 +982,23 @@ impl Server {
         trigger_props: Option<&[(Name, PropValue)]>,
         system_props: Vec<(Name, PropValue)>,
         ingress: Ingress,
-        via: &Name,
+        processed: Option<MsgId>,
     ) -> Result<Option<MsgId>> {
         let doc = parse_xml(xml).map_err(|e| EngineError::Xml(e.to_string()))?;
-        self.enqueue_doc(queue, xml, doc, explicit, trigger_props, system_props, ingress, via)
+        self.enqueue_doc(queue, xml, doc, explicit, trigger_props, system_props, ingress, processed)
     }
 
     /// [`Self::enqueue_with`] for a payload the caller already parsed.
-    /// `via` labels the causal hop in the lineage record when
-    /// `system_props` carry a `parentMsg` — e.g. `"<gateway>"` for an
-    /// ingested reply that names its remote-side parent.
+    /// `processed` names a message the enqueue's transaction marks
+    /// processed: a failed message and its error commit together.
     ///
     /// Returns `Ok(None)` when the target queue is homed on another shard
     /// of a [`crate::shard::ShardedServer`] and the ingress is
     /// [`Ingress::Internal`]: the fully prepared message (payload +
     /// computed properties) is handed to that shard's mailbox and
-    /// committed there. For [`Ingress::Acked`] a remote-homed target is an
-    /// error.
+    /// committed there, as an effect of the transaction that marks
+    /// `processed`, if any. For [`Ingress::Acked`] a remote-homed target
+    /// is an error.
     #[allow(clippy::too_many_arguments)]
     fn enqueue_doc(
         &self,
@@ -1013,7 +1009,7 @@ impl Server {
         trigger_props: Option<&[(Name, PropValue)]>,
         mut system_props: Vec<(Name, PropValue)>,
         ingress: Ingress,
-        via: &Name,
+        processed: Option<MsgId>,
     ) -> Result<Option<MsgId>> {
         let cq = self
             .app
@@ -1048,10 +1044,13 @@ impl Server {
             if ingress == Ingress::Acked {
                 return Err(Self::remote_home_error(queue));
             }
-            // Whatever caused this enqueue (a failed message marked
-            // processed, a fired echo) was committed before now: the end
-            // of the log covers it.
-            let after = self.pipelined.then(|| self.store.log_end());
+            // The forward is an effect of the commit that marks the failed
+            // message processed. Whatever else caused it (a fired echo)
+            // was committed before now: the end of the log covers it.
+            let after = match processed {
+                Some(msg) => self.mark_processed_standalone(msg)?,
+                None => self.pipelined.then(|| self.store.log_end()),
+            };
             self.emit(
                 after,
                 Effect::Forward(Forwarded {
@@ -1060,12 +1059,11 @@ impl Server {
                     xml: xml.into(),
                     props,
                     enqueued_at: now,
-                    via: Arc::clone(via),
                 }),
             )?;
             return Ok(None);
         }
-        self.enqueue_prepared(queue, xml.into(), Some(doc), props, now, via, ingress)
+        self.enqueue_prepared(queue, xml.into(), Some(doc), props, now, ingress, processed)
             .map(Some)
     }
 
@@ -1074,7 +1072,8 @@ impl Server {
     /// store, then run every post-commit effect. This is the landing half
     /// of [`Self::enqueue_doc`] and of a cross-shard forward — properties
     /// are deterministic in the trigger and payload, so the destination
-    /// shard commits exactly what local execution would have.
+    /// shard commits exactly what local execution would have. The
+    /// transaction also marks `processed`, if given, processed.
     #[allow(clippy::too_many_arguments)]
     fn enqueue_prepared(
         &self,
@@ -1083,8 +1082,8 @@ impl Server {
         doc: Option<Arc<Document>>,
         props: Props,
         enqueued_at: i64,
-        via: &Name,
         ingress: Ingress,
+        processed: Option<MsgId>,
     ) -> Result<MsgId> {
         let cq = self
             .app
@@ -1092,10 +1091,10 @@ impl Server {
             .get(queue)
             .ok_or_else(|| EngineError::Config(format!("unknown queue `{queue}`")))?;
 
-        // Causal provenance threaded through system properties: a gateway
-        // hop, timer echo, or cross-shard forward names its parent (and
-        // causal root) here, and the edge goes through the WAL inside the
-        // enqueue transaction.
+        // Causal provenance rides on the system properties: a gateway hop,
+        // timer echo, error or cross-shard forward names its parent (and
+        // causal root) there, and the store reads the lineage edge from
+        // the enqueue itself.
         let parent = lineage_prop(&props, system::PARENT_MSG);
         let root = lineage_prop(&props, system::ROOT_MSG).or(parent);
 
@@ -1105,10 +1104,8 @@ impl Server {
                 .store
                 .enqueue(txn, queue, payload, Arc::clone(&props), enqueued_at)?;
             self.add_slice_memberships(txn, id, &props)?;
-            if let (Some(p), Some(r)) = (parent, root) {
-                let (via, queue) = (Arc::clone(via), Arc::clone(&cq.name));
-                self.store
-                    .record_lineage(txn, id, MsgId(p), MsgId(r), via, queue)?;
+            if let Some(msg) = processed {
+                self.store.mark_processed(txn, msg)?;
             }
             let after = match ingress {
                 Ingress::Acked => {
@@ -1126,7 +1123,7 @@ impl Server {
                     "msg.enqueue",
                     Some(id.0),
                     queue,
-                    via,
+                    lineage::hop(cq.decl.kind, &props),
                     TraceCtx::new(Some(root.unwrap_or(id.0)), parent),
                 );
                 if let Some(doc) = doc {
@@ -1168,8 +1165,8 @@ impl Server {
             None,
             Arc::clone(&f.props),
             f.enqueued_at,
-            &f.via,
             Ingress::Internal,
+            None,
         )
     }
 
@@ -1407,7 +1404,7 @@ impl Server {
                 Some(&job.props),
                 sys,
                 Ingress::Internal,
-                &VIA_ECHO,
+                None,
             )?;
         }
         Ok(progressed)
@@ -1429,8 +1426,8 @@ impl Server {
         }
         // Provenance survives the gateway hop: the sending node stamps the
         // envelope with its message's parent/root ids, and they re-enter
-        // here as system properties (so the lineage edge is recorded and
-        // WAL-durable on this side too).
+        // here as system properties (so the lineage edge is logged with
+        // the ingest on this side too).
         if let Some(p) = env
             .header(system::PARENT_MSG)
             .and_then(|s| s.parse::<i64>().ok())
@@ -1468,7 +1465,7 @@ impl Server {
             None,
             system_props,
             Ingress::Internal,
-            &VIA_GATEWAY,
+            None,
         ) {
             Ok(_) => Ok(()),
             Err(EngineError::Xml(detail)) => {
@@ -1549,8 +1546,8 @@ impl Server {
                 // and would otherwise forward twice. Per-rule production is
                 // attributed here, on the shard where the rule fired.
                 for f in forwards {
-                    if !f.via.is_empty() {
-                        self.metrics.record_rule_produced(&f.via);
+                    if let Some(PropValue::Str(rule)) = prop(&f.props, system::CREATING_RULE) {
+                        self.metrics.record_rule_produced(rule);
                     }
                     self.emit(after, Effect::Forward(f))?;
                 }
@@ -1578,8 +1575,10 @@ impl Server {
                 error_kind,
                 detail,
             }) => {
-                // Application-level failure: abort, then route an error
-                // message and mark the original processed (Sec. 3.6).
+                // Application-level failure (Sec. 3.6): the whole
+                // transaction aborts — the enqueues of sibling rules go
+                // with it — and one new transaction marks the message
+                // processed and enqueues its error message.
                 self.store.abort(txn);
                 // Resolve the failing rule against the rules that actually
                 // ran — this queue's, then the fired slicing rules. A global
@@ -1590,7 +1589,6 @@ impl Server {
                     .iter()
                     .chain(slices.iter().flat_map(|s| &s.slicing.rules))
                     .find(|r| *r.name == *rule);
-                self.mark_processed_standalone(msg_id)?;
                 let payload = self.store.payload(msg_id).ok();
                 self.route_error_resolved(
                     &error_kind,
@@ -1600,6 +1598,7 @@ impl Server {
                     queue,
                     Some(msg_id),
                     payload.as_deref(),
+                    true,
                 )?;
                 Ok(())
             }
@@ -1933,7 +1932,6 @@ impl Server {
                 xml: message.root().to_xml().into(),
                 props,
                 enqueued_at: now,
-                via: Arc::clone(rule_name),
             }));
         }
         let payload = message.root().to_xml();
@@ -1949,18 +1947,6 @@ impl Server {
                     detail: other.to_string(),
                 },
             })?;
-        // The lineage edge commits (and hits the WAL) with the enqueue
-        // itself, so the causal chain is exactly as durable as the message.
-        self.store
-            .record_lineage(
-                txn,
-                id,
-                trigger.id,
-                MsgId(root),
-                Arc::clone(rule_name),
-                Arc::clone(&cq.name),
-            )
-            .map_err(ExecError::Store)?;
         self.metrics.inc_enqueued(&self.obs, target);
         self.metrics.record_rule_produced(rule_name);
         self.obs.tracer.event_ctx(
@@ -2115,14 +2101,16 @@ impl Server {
                 .chain(self.app.slicings.values().flat_map(|s| s.rules.iter()))
                 .find(|cr| *cr.name == *r)
         });
-        self.route_error_resolved(error_kind, detail, rule, rule_ref, queue, msg_id, payload)
+        self.route_error_resolved(error_kind, detail, rule, rule_ref, queue, msg_id, payload, false)
     }
 
     /// Like [`Server::route_error`] but with the failing rule already
     /// resolved by the caller — `try_process` resolves against the rules
     /// that actually ran for the message, so a duplicate rule name on
     /// another queue cannot divert the error from its declared
-    /// `errorqueue` (rule > queue > system precedence, Sec. 3.6).
+    /// `errorqueue` (rule > queue > system precedence, Sec. 3.6). With
+    /// `mark`, the failed message `msg_id` is marked processed in the
+    /// error's own transaction.
     #[allow(clippy::too_many_arguments)]
     fn route_error_resolved(
         &self,
@@ -2133,7 +2121,9 @@ impl Server {
         queue: &str,
         msg_id: Option<MsgId>,
         payload: Option<&str>,
+        mark: bool,
     ) -> Result<()> {
+        let processed = msg_id.filter(|_| mark);
         // Queues this error's routing has already visited (threaded
         // through the `errorPath` system property of error messages).
         // Routing back into one of them would ping-pong forever — the
@@ -2174,6 +2164,9 @@ impl Server {
             self.obs
                 .tracer
                 .event("error.drop", msg_id.map(|m| m.0), queue, detail);
+            if let Some(msg) = processed {
+                self.mark_processed_standalone(msg)?;
+            }
             return Ok(());
         };
         let doc = error_message(error_kind, detail, rule, queue, msg_id, payload);
@@ -2182,11 +2175,16 @@ impl Server {
         self.obs
             .tracer
             .event("error.route", msg_id.map(|m| m.0), &eq, detail);
-        // Error enqueue runs its own transaction; failures here are fatal
-        // (the paper's "masking higher level failures" resort would be a
-        // persistent error queue, which this is). When the failing message
-        // is known, the error message joins its causal tree.
+        // The error enqueue's transaction also marks the failed message
+        // processed, if asked to; failures here are fatal (the paper's
+        // "masking higher level failures" resort would be a persistent
+        // error queue, which this is). When the failing message is known,
+        // the error message joins its causal tree, and the failing rule is
+        // its creating rule.
         let mut sys = vec![(system::name(system::ERROR_PATH), PropValue::Str(path.join(",")))];
+        if let Some(rule) = rule {
+            sys.push((system::name(system::CREATING_RULE), PropValue::Str(rule.into())));
+        }
         if let Some(id) = msg_id {
             sys.push((system::name(system::PARENT_MSG), PropValue::Int(id.0 as i64)));
             let root = failed_meta
@@ -2198,21 +2196,20 @@ impl Server {
                 .unwrap_or(id.0 as i64);
             sys.push((system::name(system::ROOT_MSG), PropValue::Int(root)));
         }
-        let via = rule.map_or_else(|| Arc::clone(&VIA_ERROR), Name::from);
-        self.enqueue_with(&eq, &xml, &[], None, sys, Ingress::Internal, &via)?;
+        self.enqueue_with(&eq, &xml, &[], None, sys, Ingress::Internal, processed)?;
         Ok(())
     }
 
-    fn mark_processed_standalone(&self, msg: MsgId) -> Result<()> {
+    /// Mark `msg` processed in a transaction of its own; returns what an
+    /// effect of it must wait for (see [`Self::commit_txn`]).
+    fn mark_processed_standalone(&self, msg: MsgId) -> Result<Option<DurableTarget>> {
         let txn = self.store.begin();
         match self
             .store
             .mark_processed(txn, msg)
             .and_then(|_| self.commit_txn(txn))
         {
-            // Nothing leaves the process here; the error message routed
-            // next commits after this and so covers it.
-            Ok(_) => Ok(()),
+            Ok(after) => Ok(after),
             Err(e) => {
                 self.store.abort(txn);
                 Err(e.into())

@@ -2,14 +2,24 @@
 //!
 //! Demaq's state *is* the message history (paper Sec. 2), so "where did
 //! this message come from and what did it cause?" is a first-class query.
-//! The store keeps one durable edge per rule-created message (a WAL
-//! `Lineage` record, logged in the enqueue's own transaction and purged
-//! with its message at GC); a query walks those edges and nothing else.
-//! It therefore answers for exactly the messages the store retains, the
-//! same before and after a restart, and the processing path does no
-//! lineage work beyond logging the edge.
+//! There is no lineage record: the store reads each message's edge from
+//! the message itself — the parent, the root and the creating rule from
+//! its provenance system properties, the LSN from the WAL frame that
+//! logged its enqueue — and the edge goes when GC purges the message. A
+//! query walks those edges and nothing else. It therefore answers for
+//! exactly the messages the store retains, the same before and after a
+//! restart, and the processing path does no lineage work at all.
+//!
+//! A hop no rule made is labelled from the message and its queue:
+//! `<error>` for an error message routed outside any rule, `<gateway>`
+//! for an ingest into an incoming gateway, and `<echo>` for the rest —
+//! an echo timer's re-enqueue.
 
-use demaq_store::{LineageEdge, MessageStore, MsgId};
+use crate::app::CompiledApp;
+use crate::properties::system;
+use demaq_qdl::QueueKind;
+use demaq_store::types::prop;
+use demaq_store::{LineageEdge, MessageStore, MsgId, Name, PropValue};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// One causal edge: `msg` was created by `rule` firing on `parent`.
@@ -22,25 +32,53 @@ pub struct LineageRecord {
     pub parent: Option<u64>,
     /// Root of the causal tree (`msg` itself for roots).
     pub root: u64,
-    /// Rule whose firing produced the message, when known.
+    /// Rule whose firing produced the message, or the label of a hop no
+    /// rule made (see the module docs).
     pub rule: Option<String>,
     /// Queue the message was enqueued into.
     pub queue: String,
-    /// LSN of the WAL frame holding the durable lineage op, when the
-    /// target queue is persistent.
+    /// LSN of the WAL frame that logged the message's enqueue, when the
+    /// queue is persistent.
     pub lsn: Option<u64>,
 }
 
-impl From<LineageEdge> for LineageRecord {
-    fn from(e: LineageEdge) -> LineageRecord {
-        LineageRecord {
-            msg: e.msg.0,
-            parent: Some(e.parent.0),
-            root: e.root.0,
-            rule: (!e.rule.is_empty()).then(|| e.rule.to_string()),
-            queue: e.queue.to_string(),
-            lsn: e.lsn.map(|l| l.0),
+/// How a message entering a queue of `kind` with `props` came to be, as
+/// lineage and the trace name it: its creating rule, or the label of a hop
+/// no rule made (see the module docs); empty for a root.
+pub(crate) fn hop(kind: QueueKind, props: &[(Name, PropValue)]) -> &str {
+    if let Some(PropValue::Str(rule)) = prop(props, system::CREATING_RULE) {
+        rule
+    } else if prop(props, system::ERROR_PATH).is_some() {
+        "<error>"
+    } else if kind == QueueKind::IncomingGateway {
+        "<gateway>"
+    } else if prop(props, system::PARENT_MSG).is_some() {
+        "<echo>"
+    } else {
+        ""
+    }
+}
+
+/// The record of an edge `store` holds.
+fn edge_record(app: &CompiledApp, store: &MessageStore, e: LineageEdge) -> LineageRecord {
+    let rule = match &*e.rule {
+        "" => {
+            let kind = app
+                .queues
+                .get(&*e.queue)
+                .map_or(QueueKind::Basic, |q| q.decl.kind);
+            let meta = store.message_meta(e.msg).ok();
+            meta.map(|meta| hop(kind, &meta.props).to_string())
         }
+        rule => Some(rule.to_string()),
+    };
+    LineageRecord {
+        msg: e.msg.0,
+        parent: Some(e.parent.0),
+        root: e.root.0,
+        rule: rule.filter(|r| !r.is_empty()),
+        queue: e.queue.to_string(),
+        lsn: e.lsn.map(|l| l.0),
     }
 }
 
@@ -58,14 +96,14 @@ pub struct Lineage {
     pub descendants: Vec<LineageRecord>,
 }
 
-/// The lineage of `msg` over the stores of one deployment, indexed by
-/// shard. Ids are shard-strided (shard `i` allocates from `i << 48`), so a
-/// message is read from store `id >> 48`; a single store is asked about
-/// every id, which is what one shard of a fleet answering on its own
-/// needs.
-pub(crate) fn walk(stores: &[&MessageStore], msg: MsgId) -> Lineage {
+/// The lineage of `msg` over the stores of one deployment of `app`,
+/// indexed by shard. Ids are shard-strided (shard `i` allocates from
+/// `i << 48`), so a message is read from store `id >> 48`; a single store
+/// is asked about every id, which is what one shard of a fleet answering
+/// on its own needs.
+pub(crate) fn walk(app: &CompiledApp, stores: &[&MessageStore], msg: MsgId) -> Lineage {
     let mut lineage = Lineage {
-        target: record(stores, msg),
+        target: record(app, stores, msg),
         ancestors: Vec::new(),
         descendants: Vec::new(),
     };
@@ -78,7 +116,7 @@ pub(crate) fn walk(stores: &[&MessageStore], msg: MsgId) -> Lineage {
     let mut seen = HashSet::from([msg.0]);
     let mut cur = target.parent;
     while let Some(p) = cur.filter(|p| seen.insert(*p)) {
-        let Some(rec) = record(stores, MsgId(p)) else {
+        let Some(rec) = record(app, stores, MsgId(p)) else {
             break;
         };
         cur = rec.parent;
@@ -93,7 +131,7 @@ pub(crate) fn walk(stores: &[&MessageStore], msg: MsgId) -> Lineage {
             children
                 .entry(e.parent.0)
                 .or_default()
-                .push(LineageRecord::from(e));
+                .push(edge_record(app, store, e));
         }
     }
     let mut frontier = VecDeque::from([msg.0]);
@@ -108,15 +146,15 @@ pub(crate) fn walk(stores: &[&MessageStore], msg: MsgId) -> Lineage {
     lineage
 }
 
-/// The record of one message: its durable edge, or a root record when the
-/// store retains the message but holds no edge for it.
-fn record(stores: &[&MessageStore], id: MsgId) -> Option<LineageRecord> {
+/// The record of one message: its edge, or a root record when the store
+/// retains the message but it has no parent.
+fn record(app: &CompiledApp, stores: &[&MessageStore], id: MsgId) -> Option<LineageRecord> {
     let store = match stores {
         [only] => only,
         _ => stores.get(usize::try_from(id.0 >> 48).ok()?)?,
     };
     match store.lineage_of(id) {
-        Some(e) => Some(e.into()),
+        Some(e) => Some(edge_record(app, store, e)),
         None => store.message_meta(id).ok().map(|meta| LineageRecord {
             msg: id.0,
             parent: None,
@@ -133,6 +171,14 @@ mod tests {
     use super::*;
     use demaq_store::{QueueMode, StoreOptions};
 
+    fn app() -> CompiledApp {
+        let program = ["in", "mid", "a", "out"]
+            .map(|q| format!("create queue {q} kind basic mode persistent\n"))
+            .concat();
+        let spec = demaq_qdl::parse_program(&program).unwrap();
+        CompiledApp::compile(spec, &HashMap::new()).unwrap()
+    }
+
     fn open(dir: &std::path::Path, shard: u64) -> MessageStore {
         let mut opts = StoreOptions::new(dir);
         opts.msg_id_base = shard << 48;
@@ -143,17 +189,20 @@ mod tests {
         store
     }
 
-    /// Enqueue into `queue`, with an edge from `parent` when given.
+    /// Enqueue into `queue`, with the provenance of an edge from `parent`
+    /// when given.
     fn put(store: &MessageStore, queue: &str, edge: Option<(MsgId, MsgId, &str)>) -> MsgId {
+        let provenance = edge.map_or_else(Vec::new, |(parent, root, rule)| {
+            vec![
+                (system::CREATING_RULE.into(), PropValue::Str(rule.into())),
+                (system::PARENT_MSG.into(), PropValue::Int(parent.0 as i64)),
+                (system::ROOT_MSG.into(), PropValue::Int(root.0 as i64)),
+            ]
+        });
         let txn = store.begin();
         let id = store
-            .enqueue(txn, queue, "<m/>".into(), Vec::new(), 0)
+            .enqueue(txn, queue, "<m/>".into(), provenance, 0)
             .unwrap();
-        if let Some((parent, root, rule)) = edge {
-            store
-                .record_lineage(txn, id, parent, root, rule, queue)
-                .unwrap();
-        }
         store.commit(txn).unwrap();
         id
     }
@@ -174,9 +223,9 @@ mod tests {
             .map(|_| put(&store, "a", Some((mid, root, "r2"))))
             .collect();
         let leaf = put(&store, "out", Some((kids[0], root, "r3")));
-        let stores = [&store];
+        let (app, stores) = (app(), [&store]);
 
-        let l = walk(&stores, kids[0]);
+        let l = walk(&app, &stores, kids[0]);
         assert_eq!(l.target.as_ref().unwrap().rule.as_deref(), Some("r2"));
         assert_eq!(ids(&l.ancestors), [mid.0, root.0]);
         assert_eq!(
@@ -185,7 +234,7 @@ mod tests {
         );
         assert_eq!(ids(&l.descendants), [leaf.0]);
 
-        let l = walk(&stores, root);
+        let l = walk(&app, &stores, root);
         assert!(l.ancestors.is_empty());
         assert_eq!(l.target.as_ref().unwrap().parent, None);
         let mut want = vec![mid.0];
@@ -203,7 +252,7 @@ mod tests {
     fn unknown_message_yields_empty_lineage() {
         let dir = tempfile::TempDir::new().unwrap();
         let store = open(dir.path(), 0);
-        let l = walk(&[&store], MsgId(42));
+        let l = walk(&app(), &[&store], MsgId(42));
         assert!(l.target.is_none());
         assert!(l.ancestors.is_empty());
         assert!(l.descendants.is_empty());
@@ -224,18 +273,18 @@ mod tests {
         let leaf = put(&s0, "out", Some((mid, root, "back")));
         assert_eq!(mid.0 >> 48, 1);
 
-        let fleet = [&s0, &s1];
-        assert_eq!(ids(&walk(&fleet, leaf).ancestors), [mid.0, root.0]);
-        assert_eq!(ids(&walk(&fleet, root).descendants), [mid.0, leaf.0]);
+        let (app, fleet) = (app(), [&s0, &s1]);
+        assert_eq!(ids(&walk(&app, &fleet, leaf).ancestors), [mid.0, root.0]);
+        assert_eq!(ids(&walk(&app, &fleet, root).descendants), [mid.0, leaf.0]);
 
-        let alone = walk(&[&s1], mid);
+        let alone = walk(&app, &[&s1], mid);
         assert_eq!(alone.target.unwrap().rule.as_deref(), Some("hop"));
         assert!(
             alone.ancestors.is_empty(),
             "the root lives in the other store"
         );
         assert!(
-            walk(&fleet, MsgId(7 << 48)).target.is_none(),
+            walk(&app, &fleet, MsgId(7 << 48)).target.is_none(),
             "no such shard"
         );
     }

@@ -45,8 +45,11 @@ impl std::error::Error for PropError {}
 
 /// Names reserved for system properties.
 pub mod system {
-    /// Rule that created the message.
-    pub const CREATING_RULE: &str = "creatingRule";
+    /// The provenance names (the creating rule, the parent and root
+    /// message ids), which the store reads lineage from. An error message
+    /// carries the failing rule as its creating rule.
+    pub use demaq_store::provenance::{CREATING_RULE, PARENT_MSG, ROOT_MSG};
+
     /// Creation timestamp (xs:dateTime, engine clock).
     pub const CREATED_AT: &str = "createdAt";
     /// Sender address (incoming gateway messages).
@@ -55,14 +58,8 @@ pub mod system {
     pub const CONNECTION: &str = "connection";
     /// Comma-joined queues an error message's routing has already
     /// visited; the engine uses it to break error-queue cycles at
-    /// runtime (Sec. 3.6 backstop).
+    /// runtime (Sec. 3.6 backstop). Every error message carries it.
     pub const ERROR_PATH: &str = "errorPath";
-    /// Id of the message whose processing caused this enqueue (causal
-    /// provenance; absent on root messages).
-    pub const PARENT_MSG: &str = "parentMsg";
-    /// Id of the root message of this causal tree (provenance; a root
-    /// message carries its own id).
-    pub const ROOT_MSG: &str = "rootMsg";
 
     /// Every system property name.
     pub(crate) const ALL: [&str; 7] = [
@@ -181,23 +178,24 @@ pub fn compute_properties(
     }
 
     // Undeclared explicit properties are allowed as ad-hoc values (the
-    // paper's Example 3.1 sets `Sender` without a declaration).
+    // paper's Example 3.1 sets `Sender` without a declaration), and win
+    // over a same-named system default — except the engine-owned ones,
+    // which no explicit value sets: lineage is read from the provenance
+    // properties, so a forged one would corrupt it.
+    let engine_owned = [
+        system::CREATING_RULE,
+        system::CREATED_AT,
+        system::PARENT_MSG,
+        system::ROOT_MSG,
+    ];
     for (name, a) in explicit {
-        let declared = app.properties.contains_key(name);
-        if !declared && !out.iter().any(|(n, _)| **n == **name) {
-            out.push((name.as_str().into(), atomic_to_prop(a.clone())));
-        } else if !declared {
-            // Explicit wins over a same-named system default, except the
-            // engine-owned ones (forging provenance would corrupt the
-            // lineage edges).
-            let engine_owned = name == system::CREATING_RULE
-                || name == system::CREATED_AT
-                || name == system::PARENT_MSG
-                || name == system::ROOT_MSG;
-            if !engine_owned {
-                let slot = out.iter_mut().find(|(n, _)| **n == **name);
-                slot.expect("present").1 = atomic_to_prop(a.clone());
-            }
+        if app.properties.contains_key(name) || engine_owned.contains(&name.as_str()) {
+            continue;
+        }
+        let v = atomic_to_prop(a.clone());
+        match out.iter_mut().find(|(n, _)| **n == **name) {
+            Some(slot) => slot.1 = v,
+            None => out.push((name.as_str().into(), v)),
         }
     }
 

@@ -10,6 +10,7 @@ use demaq_store::{IdSet, MsgId, Name};
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// One schedulable unit.
@@ -49,6 +50,9 @@ pub struct Scheduler {
     /// Signaled on push/requeue so idle workers can park instead of
     /// busy-spinning (see [`Scheduler::park`]).
     work_available: Condvar,
+    /// Workers parked (or about to): who [`Scheduler::wake_parked`]
+    /// signals, when there is anyone.
+    parked: AtomicUsize,
 }
 
 struct SchedState {
@@ -128,17 +132,33 @@ impl Scheduler {
         }
     }
 
-    /// Park the calling worker until a push/requeue signals new work or
-    /// `timeout` elapses — the idle path of parallel processing, replacing
-    /// a `yield_now` busy-spin. Returns immediately if work is already
-    /// pending. The timeout is the caller's backstop for re-checking its
-    /// own termination condition (all workers idle, nothing queued).
-    pub fn park(&self, timeout: Duration) {
+    /// Park the calling worker until a push/requeue — or a
+    /// [`Scheduler::wake_parked`] for work `elsewhere` reports — signals
+    /// new work, or `timeout` elapses: the idle path of parallel
+    /// processing, replacing a `yield_now` busy-spin. Returns immediately
+    /// if work is already pending. The timeout is the caller's backstop
+    /// for re-checking its own termination condition (all workers idle,
+    /// nothing queued).
+    pub fn park(&self, timeout: Duration, elsewhere: impl FnOnce() -> bool) {
         let mut st = self.inner.lock();
-        if !st.heap.is_empty() {
-            return;
+        // Counted before `elsewhere` is read, under the lock a waker takes
+        // before it signals: work published after the read finds the count
+        // and waits for the lock, which the wait below releases.
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        if st.heap.is_empty() && !elsewhere() {
+            self.work_available.wait_for(&mut st, timeout);
         }
-        self.work_available.wait_for(&mut st, timeout);
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Wake the parked workers after publishing work they wait for
+    /// outside the scheduler — and only then: with nobody parked this is
+    /// one atomic read, no lock and no system call.
+    pub fn wake_parked(&self) {
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            let _st = self.inner.lock();
+            self.work_available.notify_all();
+        }
     }
 
     /// Wake every parked worker (used when processing may have drained, so
@@ -254,7 +274,7 @@ mod tests {
         });
         let started = Instant::now();
         // Generous timeout: the push must wake us long before it.
-        s.park(Duration::from_secs(10));
+        s.park(Duration::from_secs(10), || false);
         assert!(started.elapsed() < Duration::from_secs(5));
         t.join().unwrap();
         assert_eq!(s.pop().unwrap().0, MsgId(1));
@@ -265,7 +285,7 @@ mod tests {
         let s = Scheduler::new();
         s.push(MsgId(1), "q", 0);
         let started = std::time::Instant::now();
-        s.park(Duration::from_secs(10));
+        s.park(Duration::from_secs(10), || false);
         assert!(started.elapsed() < Duration::from_secs(1));
     }
 
@@ -273,7 +293,7 @@ mod tests {
     fn park_times_out_without_work() {
         let s = Scheduler::new();
         let started = std::time::Instant::now();
-        s.park(Duration::from_millis(10));
+        s.park(Duration::from_millis(10), || false);
         assert!(started.elapsed() >= Duration::from_millis(5));
     }
 

@@ -32,6 +32,7 @@ use crate::engine::{metrics_text, EngineError, Server, ServerBuilder, ServerStat
 use crate::host::{atomic_to_prop, cast_prop};
 use crate::lineage::{self, Lineage};
 use crate::properties::compute_properties;
+use crate::scheduler::Scheduler;
 use crate::Result;
 use demaq_analysis::{compute_placement, Placement};
 use demaq_net::Clock;
@@ -106,8 +107,6 @@ pub(crate) struct Forwarded {
     pub(crate) xml: PayloadBytes,
     pub(crate) props: Props,
     pub(crate) enqueued_at: i64,
-    /// Rule name (or `"<echo>"`-style marker) for the lineage edge.
-    pub(crate) via: Name,
 }
 
 /// Shared state of one deployment: the routing directory and the
@@ -136,6 +135,9 @@ pub(crate) struct Forwarded {
 pub(crate) struct ShardRouter {
     placement: Placement,
     mailboxes: Vec<Mutex<VecDeque<Forwarded>>>,
+    /// Each shard's scheduler, which its workers park on: a forward wakes
+    /// its destination's.
+    schedulers: Vec<Arc<Scheduler>>,
     /// Undrained messages fleet-wide (see struct docs).
     pending: AtomicUsize,
     forwards_total: Counter,
@@ -148,6 +150,7 @@ impl ShardRouter {
         ShardRouter {
             placement,
             mailboxes: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
+            schedulers: (0..shards).map(|_| Arc::new(Scheduler::new())).collect(),
             pending: AtomicUsize::new(0),
             forwards_total: obs.registry.counter("demaq_engine_shard_forwards_total"),
             ingest_errors: obs
@@ -167,9 +170,17 @@ impl ShardRouter {
         self.forwards_total.inc();
     }
 
-    /// Hand an announced forward to its destination's mailbox.
+    /// Hand an announced forward to its destination's mailbox, and wake
+    /// the destination's worker if it is parked.
     pub(crate) fn publish(&self, f: Forwarded) {
-        self.mailboxes[f.dest].lock().push_back(f);
+        let dest = f.dest;
+        self.mailboxes[dest].lock().push_back(f);
+        self.schedulers[dest].wake_parked();
+    }
+
+    /// The scheduler of `shard`.
+    pub(crate) fn scheduler(&self, shard: usize) -> Arc<Scheduler> {
+        Arc::clone(&self.schedulers[shard])
     }
 
     /// Insert a message into some shard's scheduler (`insert` reports
@@ -465,7 +476,7 @@ impl ShardedServer {
     /// shards resolve from any of their messages.
     pub fn lineage(&self, msg: MsgId) -> Lineage {
         let stores: Vec<_> = self.shards.iter().map(|s| &**s.store()).collect();
-        lineage::walk(&stores, msg)
+        lineage::walk(self.shards[0].app(), &stores, msg)
     }
 
     /// Statistics over the shared metric registry (covers all shards).
@@ -602,9 +613,10 @@ impl Drain<'_> {
             if self.ended.load(Ordering::SeqCst) || self.router.drained() {
                 return;
             }
-            // Park until a push/requeue signals new work; the timeout is a
-            // backstop re-checking mailboxes and termination.
-            s.sched().park(Duration::from_millis(2));
+            // Park until a push, requeue or forward signals new work; the
+            // timeout is a backstop re-checking termination.
+            s.sched()
+                .park(Duration::from_millis(2), || !self.router.mailbox_empty(me));
         }
     }
 
@@ -700,6 +712,36 @@ fn land_forward(s: &Server, router: &ShardRouter, f: &Forwarded) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
+
+    /// A worker parked with a long timeout returns as soon as a forward
+    /// is published to its shard, not when the timeout runs out.
+    #[test]
+    fn a_forward_wakes_its_parked_destination() {
+        let router = Arc::new(ShardRouter::new(Placement::single(), &Obs::new()));
+        let sched = router.scheduler(0);
+        let publisher = {
+            let router = Arc::clone(&router);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                router.publish(Forwarded {
+                    dest: 0,
+                    queue: "q".into(),
+                    xml: "<m/>".into(),
+                    props: Vec::new().into(),
+                    enqueued_at: 0,
+                });
+            })
+        };
+        let started = Instant::now();
+        while router.mailbox_empty(0) {
+            sched.park(Duration::from_secs(30), || !router.mailbox_empty(0));
+        }
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_secs(10), "{waited:?}");
+        publisher.join().unwrap();
+        assert!(router.take(0).is_some());
+    }
 
     /// A key's shard must not move between builds: a deployment's stores
     /// hold the messages routed to them.

@@ -336,3 +336,56 @@ fn echo_timer_preserves_the_causal_chain() {
     let anc: Vec<u64> = l.ancestors.iter().map(|r| r.msg).collect();
     assert_eq!(*anc.last().unwrap(), root.0, "chain walks back to the root");
 }
+
+/// The labels of hops no rule made, and the failing rule of an error
+/// message, are read from the messages themselves: they, and every LSN,
+/// read the same after a checkpoint and a reopen.
+#[test]
+fn rule_less_hops_keep_their_labels_across_a_checkpoint_and_reopen() {
+    const PROGRAM: &str = r#"
+        set errorqueue errors
+        create schema strict {
+            root order
+            element order { id }
+            element id text integer
+        }
+        create queue errors kind basic mode persistent
+        create queue inbox kind basic mode persistent
+        create queue guarded kind basic mode persistent schema strict
+        create queue later kind echo mode persistent
+        create queue woken kind basic mode persistent
+        create rule explode for inbox
+          if (//boom) then do enqueue <notAnOrder/> into guarded
+        create rule park for inbox
+          if (//start) then
+            do enqueue <wake/> into later
+              with delay value 100
+              with target value "woken"
+    "#;
+    let tmp = tempfile::TempDir::new().unwrap();
+    let build = || {
+        Server::builder()
+            .program(PROGRAM)
+            .dir(tmp.path())
+            .sync_policy(SyncPolicy::Always)
+            .clock(Clock::virtual_at(0))
+            .build()
+            .unwrap()
+    };
+    let s = build();
+    s.enqueue_external("inbox", "<boom/>").unwrap();
+    s.enqueue_external("inbox", "<start/>").unwrap();
+    s.run_until_idle().unwrap();
+    let error = s.queue_messages("errors").unwrap()[0].id;
+    let woken = s.queue_messages("woken").unwrap()[0].id;
+    let before = [s.lineage(error), s.lineage(woken)];
+    let rule = |l: &demaq::Lineage| l.target.as_ref().unwrap().rule.clone();
+    assert_eq!(rule(&before[0]).as_deref(), Some("explode"));
+    assert_eq!(rule(&before[1]).as_deref(), Some("<echo>"));
+    assert!(before.iter().all(|l| l.target.as_ref().unwrap().lsn.is_some()));
+    s.store().checkpoint().unwrap();
+    drop(s);
+
+    let s = build();
+    assert_eq!([s.lineage(error), s.lineage(woken)], before);
+}

@@ -91,11 +91,6 @@ impl Network {
         self.state.lock().endpoints.insert(addr.into(), handler);
     }
 
-    /// Remove an endpoint entirely.
-    pub fn unregister(&self, addr: &str) {
-        self.state.lock().endpoints.remove(addr);
-    }
-
     /// Simulate an endpoint outage.
     pub fn disconnect(&self, addr: &str) {
         self.state.lock().disconnected.insert(addr.to_string());

@@ -1,8 +1,9 @@
 //! Checkpoint snapshots of the store's logical state.
 //!
 //! A checkpoint bounds recovery time: it captures queue definitions, every
-//! persistent message *with its payload*, the slice index and the lineage
-//! edges, then switches to a fresh WAL segment. The snapshot is
+//! persistent message *with its payload* and the LSN of the frame that
+//! logged its enqueue (its lineage edge's LSN), and the slice index, then
+//! switches to a fresh WAL segment. The snapshot is
 //! self-contained — together with the WAL segments that post-date it, it is
 //! the whole durable store. Transient queues are *not* captured — their
 //! content is legitimately lost on restart (paper Sec. 2.1.1).
@@ -10,26 +11,32 @@
 //! Format: a 20-byte header (magic, CRC32 of the body, body length as a
 //! `u64`), then a length-prefixed binary body whose counts and lengths are
 //! `u32`; a property value is the length-prefixed bytes of
-//! [`PropValue::encode`], the codec WAL frames use. The body is streamed in both directions with a running CRC, so
+//! [`PropValue::encode`], the codec WAL frames use. A message's enqueue
+//! LSN is a `u64`, 0 when nothing logged it (no frame starts at 0: a
+//! segment starts with its header). The body is streamed in both
+//! directions with a running CRC, so
 //! neither writing nor reading a snapshot holds a second copy of its
 //! payloads. Written to a temp file and atomically renamed.
 
 use crate::error::{Result, StoreError};
 use crate::slice::BaseCells;
-use crate::types::{MsgId, Name, PayloadBytes, PropValue, Props};
+use crate::types::{Lsn, MsgId, Name, PayloadBytes, PropValue, Props};
 use crate::wal::crc32_update;
 use std::fs;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-/// Current format: payloads inline, one member list per slice lifetime,
-/// property values in the binary codec the WAL uses.
-const MAGIC: &[u8; 8] = b"DEMAQCK4";
-/// Earlier formats referenced payloads in a page file (`heap.db`) that
-/// this store no longer reads.
-const HEAP_MAGICS: [&[u8; 8]; 2] = [b"DEMAQCK1", b"DEMAQCK2"];
-/// The format before this one wrote property values as decimal text.
-const TEXT_PROPS_MAGIC: &[u8; 8] = b"DEMAQCK3";
+/// Current format: payloads inline, each message with its enqueue LSN,
+/// one member list per slice lifetime, property values in the binary codec
+/// the WAL uses.
+const MAGIC: &[u8; 8] = b"DEMAQCK5";
+/// Earlier formats, each refused with what this store no longer reads.
+const OLDER: [(&[u8; 8], &str); 4] = [
+    (b"DEMAQCK1", "references payloads in heap.db"),
+    (b"DEMAQCK2", "references payloads in heap.db"),
+    (b"DEMAQCK3", "holds property values as decimal text"),
+    (b"DEMAQCK4", "holds lineage edges apart from their messages"),
+];
 /// Magic, CRC of the body, body length.
 const HEADER: usize = 20;
 
@@ -42,6 +49,8 @@ pub struct SnapMessage {
     pub processed: bool,
     pub enqueued_at: i64,
     pub props: Props,
+    /// LSN of the WAL frame that logged the enqueue.
+    pub lsn: Option<Lsn>,
 }
 
 /// Queue definition as serialized into a snapshot.
@@ -50,18 +59,6 @@ pub struct SnapQueue {
     pub name: String,
     pub persistent: bool,
     pub priority: i32,
-}
-
-/// Causal lineage edge as serialized into a snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapLineage {
-    pub msg: MsgId,
-    pub parent: MsgId,
-    pub root: MsgId,
-    pub rule: Name,
-    pub queue: Name,
-    /// LSN of the WAL frame that logged the edge, if logged.
-    pub lsn: Option<u64>,
 }
 
 /// One slice as serialized into a snapshot: its current lifetime's
@@ -85,7 +82,6 @@ pub struct Snapshot {
     pub queues: Vec<SnapQueue>,
     pub messages: Vec<SnapMessage>,
     pub slices: Vec<SnapSlice>,
-    pub lineage: Vec<SnapLineage>,
 }
 
 fn corrupt(m: &str) -> StoreError {
@@ -240,6 +236,7 @@ impl Snapshot {
                 s.bytes(n.as_bytes())?;
                 s.prop(v, &mut scratch)?;
             }
+            s.u64(m.lsn.map_or(0, |l| l.0))?;
         }
         s.count(self.slices.len())?;
         for slice in &self.slices {
@@ -256,16 +253,6 @@ impl Snapshot {
                 s.bytes(cell)?;
             }
             s.u64(slice.base_members)?;
-        }
-        s.count(self.lineage.len())?;
-        for l in &self.lineage {
-            s.u64(l.msg.0)?;
-            s.u64(l.parent.0)?;
-            s.u64(l.root.0)?;
-            s.bytes(l.rule.as_bytes())?;
-            s.bytes(l.queue.as_bytes())?;
-            s.put(&[l.lsn.is_some() as u8])?;
-            s.u64(l.lsn.unwrap_or(0))?;
         }
         Ok((s.crc, s.len))
     }
@@ -285,16 +272,11 @@ impl Snapshot {
         let mut head = [0; HEADER];
         r.read_exact(&mut head)?;
         let magic = &head[..8];
-        if HEAP_MAGICS.iter().any(|m| &m[..] == magic) {
+        if let Some((old, what)) = OLDER.iter().find(|(m, _)| &m[..] == magic) {
             return Err(corrupt(&format!(
-                "{} references payloads in heap.db, which this store no longer reads",
-                String::from_utf8_lossy(magic)
+                "{} {what}, which this store no longer reads",
+                String::from_utf8_lossy(&old[..])
             )));
-        }
-        if magic == TEXT_PROPS_MAGIC {
-            return Err(corrupt(
-                "DEMAQCK3 holds property values as decimal text, which this store no longer reads",
-            ));
         }
         if magic != MAGIC {
             return Err(corrupt("bad magic"));
@@ -342,6 +324,7 @@ impl Snapshot {
             for _ in 0..src.count()? {
                 props.push((src.text()?.into(), src.prop()?));
             }
+            let lsn = src.u64()?;
             snap.messages.push(SnapMessage {
                 id,
                 queue,
@@ -349,6 +332,7 @@ impl Snapshot {
                 processed,
                 enqueued_at,
                 props: props.into(),
+                lsn: (lsn != 0).then_some(Lsn(lsn)),
             });
         }
         for _ in 0..src.count()? {
@@ -370,23 +354,6 @@ impl Snapshot {
                 members,
                 base,
                 base_members: src.u64()?,
-            });
-        }
-        for _ in 0..src.count()? {
-            let msg = MsgId(src.u64()?);
-            let parent = MsgId(src.u64()?);
-            let root = MsgId(src.u64()?);
-            let rule = src.text()?.into();
-            let queue = src.text()?.into();
-            let has_lsn = src.u8()? != 0;
-            let lsn = src.u64()?;
-            snap.lineage.push(SnapLineage {
-                msg,
-                parent,
-                root,
-                rule,
-                queue,
-                lsn: has_lsn.then_some(lsn),
             });
         }
         Ok(snap)
@@ -458,6 +425,7 @@ mod tests {
                 processed: true,
                 enqueued_at: 777,
                 props: vec![("orderID".into(), PropValue::Int(9))].into(),
+                lsn: Some(Lsn(4242)),
             }],
             slices: vec![SnapSlice {
                 slicing: "orders".into(),
@@ -467,24 +435,6 @@ mod tests {
                 base: vec![("count".into(), vec![1, 2, 3]), ("sum|//v".into(), vec![9])],
                 base_members: 14,
             }],
-            lineage: vec![
-                SnapLineage {
-                    msg: MsgId(7),
-                    parent: MsgId(3),
-                    root: MsgId(1),
-                    rule: "forwardOrder".into(),
-                    queue: "crm".into(),
-                    lsn: Some(4242),
-                },
-                SnapLineage {
-                    msg: MsgId(9),
-                    parent: MsgId(7),
-                    root: MsgId(1),
-                    rule: "notify".into(),
-                    queue: "scratch".into(),
-                    lsn: None,
-                },
-            ],
         }
     }
 
@@ -504,9 +454,10 @@ mod tests {
         assert_eq!(decoded, snap);
     }
 
-    /// A snapshot with an empty and a multi-byte UTF-8 payload, a base
-    /// cell and a lineage edge, byte for byte. Any change to these bytes
-    /// is a change of the on-disk format, which needs a new magic.
+    /// A snapshot with an empty and a multi-byte UTF-8 payload, a message
+    /// with an enqueue LSN and one without, and a base cell, byte for
+    /// byte. Any change to these bytes is a change of the on-disk format,
+    /// which needs a new magic.
     #[test]
     #[rustfmt::skip]
     fn golden_snapshot_format() {
@@ -522,6 +473,7 @@ mod tests {
             &[0], // processed
             &[5, 0, 0, 0, 0, 0, 0, 0], // enqueued_at
             &[0, 0, 0, 0], // property count
+            &[0, 0, 0, 0, 0, 0, 0, 0], // lsn None
             &[8, 0, 0, 0, 0, 0, 0, 0], // id
             &[1, 0, 0, 0, b'q'], // queue
             &[9, 0, 0, 0, b'<', b'a', b'>', 0xC3, 0xA9, b'<', b'/', b'a', b'>'], // "<a>é</a>"
@@ -529,6 +481,7 @@ mod tests {
             &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF], // enqueued_at -1
             &[1, 0, 0, 0], // property count
             &[1, 0, 0, 0, b'k', 2, 0, 0, 0, 1, 6], // k = Int 3
+            &[0x2A, 0, 0, 0, 0, 0, 0, 0], // lsn Some(42)
             &[1, 0, 0, 0], // slice count
             &[1, 0, 0, 0, b's'], // slicing
             &[3, 0, 0, 0, 0, 1, b'x'], // key Str "x"
@@ -538,16 +491,9 @@ mod tests {
             &[1, 0, 0, 0], // base cell count
             &[1, 0, 0, 0, b'c', 2, 0, 0, 0, 0xAB, 0xCD], // "c" -> [AB CD]
             &[3, 0, 0, 0, 0, 0, 0, 0], // base_members
-            &[1, 0, 0, 0], // lineage count
-            &[8, 0, 0, 0, 0, 0, 0, 0], // msg
-            &[7, 0, 0, 0, 0, 0, 0, 0], // parent
-            &[7, 0, 0, 0, 0, 0, 0, 0], // root
-            &[1, 0, 0, 0, b'r'], // rule
-            &[1, 0, 0, 0, b'q'], // queue
-            &[1, 0x2A, 0, 0, 0, 0, 0, 0, 0], // lsn Some(42)
         ]
         .concat();
-        let bytes = framed(b"DEMAQCK4", &body);
+        let bytes = framed(b"DEMAQCK5", &body);
         let snap = Snapshot {
             wal_index: 2,
             next_msg: 9,
@@ -560,6 +506,7 @@ mod tests {
                     processed: false,
                     enqueued_at: 5,
                     props: Vec::new().into(),
+                    lsn: None,
                 },
                 SnapMessage {
                     id: MsgId(8),
@@ -568,6 +515,7 @@ mod tests {
                     processed: true,
                     enqueued_at: -1,
                     props: vec![("k".into(), PropValue::Int(3))].into(),
+                    lsn: Some(Lsn(42)),
                 },
             ],
             slices: vec![SnapSlice {
@@ -577,14 +525,6 @@ mod tests {
                 members: vec![MsgId(8)],
                 base: vec![("c".into(), vec![0xAB, 0xCD])],
                 base_members: 3,
-            }],
-            lineage: vec![SnapLineage {
-                msg: MsgId(8),
-                parent: MsgId(7),
-                root: MsgId(7),
-                rule: "r".into(),
-                queue: "q".into(),
-                lsn: Some(42),
             }],
         };
         assert_eq!(Snapshot::decode(&bytes).unwrap(), snap);
@@ -606,22 +546,22 @@ mod tests {
         assert!(Snapshot::decode(&bytes).is_err(), "invalid UTF-8 accepted");
     }
 
+    /// Every older format is refused as `Corrupt`, naming its magic and
+    /// what this store no longer reads.
     #[test]
-    fn heap_referencing_formats_are_refused() {
-        for magic in HEAP_MAGICS {
+    fn older_formats_are_refused() {
+        for (magic, what) in [
+            (b"DEMAQCK1", "heap.db"),
+            (b"DEMAQCK2", "heap.db"),
+            (b"DEMAQCK3", "decimal text"),
+            (b"DEMAQCK4", "lineage edges"),
+        ] {
             let err = Snapshot::decode(&framed(magic, &[0; 40])).unwrap_err();
             let text = err.to_string();
             assert!(matches!(err, StoreError::Corrupt(_)), "{text}");
-            assert!(text.contains("heap.db"), "{text}");
+            assert!(text.contains(std::str::from_utf8(magic).unwrap()), "{text}");
+            assert!(text.contains(what), "{text}");
         }
-    }
-
-    #[test]
-    fn text_property_format_is_refused() {
-        let err = Snapshot::decode(&framed(TEXT_PROPS_MAGIC, &[0; 40])).unwrap_err();
-        let text = err.to_string();
-        assert!(matches!(err, StoreError::Corrupt(_)), "{text}");
-        assert!(text.contains("DEMAQCK3"), "{text}");
     }
 
     /// A body of 4 GiB or more keeps its true length in the header, and a

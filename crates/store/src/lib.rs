@@ -7,9 +7,10 @@
 //! Architecture:
 //!
 //! * **Write-ahead log** ([`wal`]): one CRC frame of logical redo ops
-//!   (enqueue, mark processed, slice adds and resets, lineage) per
-//!   committed transaction, compactly encoded, with group commit and a
-//!   configurable sync policy (per-commit fsync or batched).
+//!   (enqueue, mark processed, slice adds and resets) per committed
+//!   transaction, compactly encoded, with group commit and a configurable
+//!   sync policy (per-commit fsync or batched). Lineage is read from the
+//!   enqueues themselves, so it has no record of its own.
 //! * **Transactions** ([`txn`]): deferred-write transactions under strict
 //!   two-phase locking with queue/slice/message granularity (Sec. 4.3's
 //!   "locking just the affected slices") and wait-for-graph deadlock
@@ -40,6 +41,6 @@ pub use lock::{LockGranularity, LockKey, LockMode};
 pub use slice::MemberRead;
 pub use store::{DurableTarget, MessageStore, QueueInfo, StoreOptions, SyncPolicy};
 pub use types::{
-    IdHasher, IdMap, IdSet, LineageEdge, Lsn, MessageMeta, MsgId, Name, PayloadBytes, PropValue,
-    Props, QueueMode, StoredMessage, TxnId,
+    provenance, IdHasher, IdMap, IdSet, LineageEdge, Lsn, MessageMeta, MsgId, Name, PayloadBytes,
+    PropValue, Props, QueueMode, StoredMessage, TxnId,
 };

@@ -15,9 +15,8 @@
 
 use crate::checkpoint::Snapshot;
 use crate::error::Result;
-use crate::store::{LineageSlot, Logical};
+use crate::store::Logical;
 use crate::txn::TxnOp;
-use crate::types::Lsn;
 use crate::wal::read_log;
 use demaq_obs::Obs;
 use std::path::Path;
@@ -78,31 +77,15 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
         .counter("demaq_store_payload_copies_total")
         .add(snap.messages.len() as u64);
     for m in snap.messages {
-        logical.insert_message(
-            m.id,
-            &m.queue,
-            m.payload,
-            m.props,
-            m.processed,
-            m.enqueued_at,
-        );
+        logical.insert_message(m.id, &m.queue, m.payload, m.props, m.enqueued_at, m.lsn);
+        if m.processed {
+            logical.mark_processed(m.id);
+        }
     }
     for s in snap.slices {
         logical
             .slices
             .restore_slice(&s.slicing, s.key, s.epoch, s.members, s.base, s.base_members);
-    }
-    for l in &snap.lineage {
-        logical.lineage.insert(
-            l.msg,
-            LineageSlot {
-                parent: l.parent,
-                root: l.root,
-                rule: l.rule.clone(),
-                queue: l.queue.clone(),
-                lsn: l.lsn.map(Lsn),
-            },
-        );
     }
 
     // Replay WAL segments at or after the snapshot's index.
@@ -145,8 +128,9 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
                         // Take the decoded frame's payload handle. The
                         // surviving WAL segment keeps the bytes durable
                         // until the next checkpoint writes them into its
-                        // snapshot.
-                        logical.insert_message(msg, &queue, payload, props, false, enqueued_at);
+                        // snapshot. The frame's LSN is the lineage edge's.
+                        let lsn = Some(lsn);
+                        logical.insert_message(msg, &queue, payload, props, enqueued_at, lsn);
                     }
                     TxnOp::MarkProcessed { msg } => logical.mark_processed(msg),
                     TxnOp::SliceAdd { slicing, key, msg } => {
@@ -156,24 +140,6 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
                     }
                     TxnOp::SliceReset { slicing, key } => {
                         logical.slices.reset(&slicing, &key);
-                    }
-                    TxnOp::Lineage {
-                        msg,
-                        parent,
-                        root,
-                        rule,
-                        queue,
-                    } => {
-                        if logical.has_message(msg) {
-                            let slot = LineageSlot {
-                                parent,
-                                root,
-                                rule,
-                                queue,
-                                lsn: Some(lsn),
-                            };
-                            logical.lineage.insert(msg, slot);
-                        }
                     }
                 }
             }

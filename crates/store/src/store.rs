@@ -1,14 +1,14 @@
 //! The message store facade: queues, transactions, checkpoints, GC.
 
-use crate::checkpoint::{SnapLineage, SnapMessage, SnapQueue, SnapSlice, Snapshot};
+use crate::checkpoint::{SnapMessage, SnapQueue, SnapSlice, Snapshot};
 use crate::error::{Result, StoreError};
 use crate::lock::{LockGranularity, LockManager};
 use crate::recovery;
 use crate::slice::{BaseCells, MemberRead, SliceIndex};
 use crate::txn::{TxnBuf, TxnOp};
 use crate::types::{
-    IdMap, LineageEdge, Lsn, MsgId, Name, PayloadBytes, PropValue, Props, QueueMode, StoredMessage,
-    TxnId,
+    prop, provenance, IdMap, LineageEdge, Lsn, MsgId, Name, PayloadBytes, PropValue, Props,
+    QueueMode, StoredMessage, TxnId,
 };
 use crate::wal::{GroupCommitCfg, LogWriter};
 use demaq_obs::{Counter, Gauge, Histogram, Obs};
@@ -115,6 +115,32 @@ struct MsgMeta {
     props: Props,
     processed: bool,
     enqueued_at: i64,
+    /// LSN of the WAL frame that logged the enqueue; `None` for a
+    /// transient message.
+    lsn: Option<Lsn>,
+}
+
+impl MsgMeta {
+    /// The message's causal edge, read from its provenance properties;
+    /// `None` for a root.
+    fn edge(&self, msg: MsgId) -> Option<LineageEdge> {
+        let id = |name| match prop(&self.props, name) {
+            Some(&PropValue::Int(id)) => u64::try_from(id).ok().map(MsgId),
+            _ => None,
+        };
+        let parent = id(provenance::PARENT_MSG)?;
+        Some(LineageEdge {
+            msg,
+            parent,
+            root: id(provenance::ROOT_MSG).unwrap_or(parent),
+            rule: match prop(&self.props, provenance::CREATING_RULE) {
+                Some(PropValue::Str(rule)) => rule.as_str().into(),
+                _ => "".into(),
+            },
+            queue: self.queue.clone(),
+            lsn: self.lsn,
+        })
+    }
 }
 
 pub(crate) struct QueueState {
@@ -141,38 +167,12 @@ impl QueueState {
     }
 }
 
-/// One message's causal origin as held in [`Logical`] (the [`LineageEdge`]
-/// minus the child id it is keyed by).
-#[derive(Debug, Clone)]
-pub(crate) struct LineageSlot {
-    pub(crate) parent: MsgId,
-    pub(crate) root: MsgId,
-    pub(crate) rule: Name,
-    pub(crate) queue: Name,
-    pub(crate) lsn: Option<Lsn>,
-}
-
-impl LineageSlot {
-    fn edge(&self, msg: MsgId) -> LineageEdge {
-        LineageEdge {
-            msg,
-            parent: self.parent,
-            root: self.root,
-            rule: self.rule.clone(),
-            queue: self.queue.clone(),
-            lsn: self.lsn,
-        }
-    }
-}
-
 /// The logical (in-memory, WAL-backed) state.
 #[derive(Default)]
 pub(crate) struct Logical {
     pub(crate) queues: HashMap<String, QueueState>,
     pub(crate) messages: IdMap<MsgId, MsgMetaSlot>,
     pub(crate) slices: SliceIndex,
-    /// Causal origin per rule-created message (root messages absent).
-    pub(crate) lineage: IdMap<MsgId, LineageSlot>,
 }
 
 // Newtype wrapper so recovery can construct metas without exposing fields
@@ -180,14 +180,16 @@ pub(crate) struct Logical {
 pub(crate) struct MsgMetaSlot(MsgMeta);
 
 impl Logical {
+    /// Insert an unprocessed message, enqueued at `enqueued_at` by the
+    /// frame at `lsn` if one logged it.
     pub(crate) fn insert_message(
         &mut self,
         id: MsgId,
         queue: &str,
         payload: PayloadBytes,
         props: Props,
-        processed: bool,
         enqueued_at: i64,
+        lsn: Option<Lsn>,
     ) {
         self.ensure_queue(queue);
         let qstate = self.queues.get_mut(queue).expect("ensured");
@@ -198,8 +200,9 @@ impl Logical {
                 queue: Arc::clone(&qstate.name),
                 payload,
                 props,
-                processed,
+                processed: false,
                 enqueued_at,
+                lsn,
             }),
         );
         let messages = &mut qstate.messages;
@@ -240,12 +243,15 @@ impl Logical {
 
     pub(crate) fn message_is_persistent(&self, msg: MsgId) -> Option<bool> {
         let meta = self.messages.get(&msg)?;
-        Some(
-            self.queues
-                .get(&*meta.0.queue)
-                .map(|q| q.info.mode == QueueMode::Persistent)
-                .unwrap_or(true),
-        )
+        Some(self.queue_is_persistent(&meta.0.queue))
+    }
+
+    /// Whether `queue` logs its messages (an undeclared one does).
+    fn queue_is_persistent(&self, queue: &str) -> bool {
+        self.queues
+            .get(queue)
+            .map(|q| q.info.mode == QueueMode::Persistent)
+            .unwrap_or(true)
     }
 }
 
@@ -288,8 +294,8 @@ pub struct MessageStore {
 /// for the batch-apply leader.
 struct ApplyJob {
     buf: TxnBuf,
-    /// Each logged lineage op with the LSN of the frame Phase 1 appended.
-    lineage_lsns: Vec<(MsgId, Lsn)>,
+    /// LSN of the frame Phase 1 appended, if it logged one.
+    lsn: Option<Lsn>,
 }
 
 /// Shared state of the batch-apply coordinator (leader/follower, modeled
@@ -430,11 +436,6 @@ impl MessageStore {
         Ok(())
     }
 
-    /// Queue metadata.
-    pub fn queue_info(&self, name: &str) -> Option<QueueInfo> {
-        self.state.read().queues.get(name).map(|q| q.info.clone())
-    }
-
     /// All queue names.
     pub fn queue_names(&self) -> Vec<String> {
         self.state.read().queues.keys().cloned().collect()
@@ -506,31 +507,6 @@ impl MessageStore {
     pub fn slice_reset(&self, txn: TxnId, slicing: impl Into<Name>, key: PropValue) -> Result<()> {
         let slicing = slicing.into();
         self.with_txn(txn, |buf| buf.ops.push(TxnOp::SliceReset { slicing, key }))
-    }
-
-    /// Buffer the causal lineage of a rule-driven enqueue: `msg` (already
-    /// enqueued in this transaction) was created into `queue` by `rule`
-    /// firing on `parent`. Logged to the WAL when the message is
-    /// persistent, so the message's lineage survives crashes.
-    pub fn record_lineage(
-        &self,
-        txn: TxnId,
-        msg: MsgId,
-        parent: MsgId,
-        root: MsgId,
-        rule: impl Into<Name>,
-        queue: impl Into<Name>,
-    ) -> Result<()> {
-        let (rule, queue) = (rule.into(), queue.into());
-        self.with_txn(txn, |buf| {
-            buf.ops.push(TxnOp::Lineage {
-                msg,
-                parent,
-                root,
-                rule,
-                queue,
-            })
-        })
     }
 
     /// Commit: WAL-log the persistent effects, apply all effects, release
@@ -619,21 +595,14 @@ impl MessageStore {
                     .collect()
             };
             drop(state);
-            // Each logged lineage op with its frame's LSN, consumed by
-            // Phase 2 so the in-memory lineage carries its durable LSN.
-            let mut lineage_lsns = Vec::new();
+            // The frame's LSN, which Phase 2 gives each logged enqueue.
+            let mut lsn = None;
             if !persistent_ops.is_empty() {
                 // Segment and index cannot change under us: the checkpoint
                 // cut swaps them while holding `commit_order`.
                 let (wal, segment) = self.current_wal();
-                let (offset, lsn) = wal.append_txn(&persistent_ops)?;
-                lineage_lsns = persistent_ops
-                    .iter()
-                    .filter_map(|op| match op {
-                        TxnOp::Lineage { msg, .. } => Some((*msg, lsn)),
-                        _ => None,
-                    })
-                    .collect();
+                let (offset, frame) = wal.append_txn(&persistent_ops)?;
+                lsn = Some(frame);
                 logged = Some((wal, DurableTarget { segment, offset }));
             }
             // Phase 2 handoff: enqueue the apply job while still under
@@ -644,7 +613,7 @@ impl MessageStore {
             for (msg, persistent) in enqueue_flags {
                 apply.pending_persistent.insert(msg, persistent);
             }
-            apply.jobs.push_back(ApplyJob { buf, lineage_lsns });
+            apply.jobs.push_back(ApplyJob { buf, lsn });
             seq
         };
         // Phase 2: wait until a batch leader applied our job — possibly
@@ -673,31 +642,16 @@ impl MessageStore {
                 } => {
                     // The WAL frame already carries the bytes durably, and
                     // the in-memory state takes the enqueuer's buffer: the
-                    // commit path is copy-free.
-                    state.insert_message(msg, &queue, payload, props, false, enqueued_at);
+                    // commit path is copy-free. A persistent enqueue was
+                    // logged in the job's frame.
+                    let lsn = job.lsn.filter(|_| state.queue_is_persistent(&queue));
+                    state.insert_message(msg, &queue, payload, props, enqueued_at, lsn);
                     enqueued.push(msg);
                 }
                 TxnOp::MarkProcessed { msg } => state.mark_processed(msg),
                 TxnOp::SliceAdd { slicing, key, msg } => state.slices.add(&slicing, &key, msg),
                 TxnOp::SliceReset { slicing, key } => {
                     state.slices.reset(&slicing, &key);
-                }
-                TxnOp::Lineage {
-                    msg,
-                    parent,
-                    root,
-                    rule,
-                    queue,
-                } => {
-                    let lsn = job.lineage_lsns.iter().find(|(m, _)| *m == msg);
-                    let slot = LineageSlot {
-                        parent,
-                        root,
-                        rule,
-                        queue,
-                        lsn: lsn.map(|&(_, lsn)| lsn),
-                    };
-                    state.lineage.insert(msg, slot);
                 }
             }
         }
@@ -768,13 +722,7 @@ impl MessageStore {
         buf: &TxnBuf,
         op: &TxnOp,
     ) -> bool {
-        let queue_persistent = |q: &str| {
-            state
-                .queues
-                .get(q)
-                .map(|qs| qs.info.mode == QueueMode::Persistent)
-                .unwrap_or(true)
-        };
+        let queue_persistent = |q: &str| state.queue_is_persistent(q);
         let msg_persistent = |m: MsgId| {
             // Already applied, WAL-logged but pending apply, or being
             // enqueued by this very txn.
@@ -793,7 +741,6 @@ impl MessageStore {
             TxnOp::MarkProcessed { msg } => msg_persistent(*msg),
             TxnOp::SliceAdd { msg, .. } => msg_persistent(*msg),
             TxnOp::SliceReset { .. } => true,
-            TxnOp::Lineage { msg, .. } => msg_persistent(*msg),
         }
     }
 
@@ -1053,35 +1000,31 @@ impl MessageStore {
             .sum()
     }
 
-    /// Causal origin of one rule-created message; `None` for roots
-    /// (external ingests) and purged messages.
+    /// Causal origin of one message, read from the message itself; `None`
+    /// for roots (external ingests) and purged messages.
     pub fn lineage_of(&self, msg: MsgId) -> Option<LineageEdge> {
-        self.state.read().lineage.get(&msg).map(|slot| slot.edge(msg))
+        self.state.read().messages.get(&msg)?.0.edge(msg)
     }
 
     /// The retained causal edges of the tree rooted at `root`, in no
-    /// particular order. One pass over the retained edges under one read
-    /// lock, cloning only the matching ones.
+    /// particular order. One pass over the retained messages under one
+    /// read lock.
     pub fn lineage_tree(&self, root: MsgId) -> Vec<LineageEdge> {
-        let state = self.state.read();
-        state
-            .lineage
-            .iter()
-            .filter(|(_, slot)| slot.root == root)
-            .map(|(&msg, slot)| slot.edge(msg))
-            .collect()
+        self.edges(|e| e.root == root)
     }
 
     /// Every retained causal edge, sorted by created-message id.
     pub fn lineage_edges(&self) -> Vec<LineageEdge> {
-        let state = self.state.read();
-        let mut out: Vec<LineageEdge> = state
-            .lineage
-            .iter()
-            .map(|(&msg, slot)| slot.edge(msg))
-            .collect();
+        let mut out = self.edges(|_| true);
         out.sort_by_key(|e| e.msg);
         out
+    }
+
+    /// The retained edges `keep` accepts.
+    fn edges(&self, keep: impl Fn(&LineageEdge) -> bool) -> Vec<LineageEdge> {
+        let state = self.state.read();
+        let edges = state.messages.iter().filter_map(|(&id, m)| m.0.edge(id));
+        edges.filter(keep).collect()
     }
 
     // ---- maintenance ----------------------------------------------------------
@@ -1120,11 +1063,10 @@ impl MessageStore {
                 .collect();
             let victim_set: std::collections::HashSet<MsgId> = victims.iter().copied().collect();
             for id in &victims {
+                // Its lineage goes with it: queries answer for retained
+                // messages only.
                 state.messages.remove(id);
                 state.slices.forget(*id);
-                // Lineage of a purged message goes with it — bounds growth,
-                // and lineage queries answer for retained messages only.
-                state.lineage.remove(id);
             }
             // One pass per queue instead of one retain per victim — keeps
             // the in-lock work linear in the number of retained + purged
@@ -1315,24 +1257,10 @@ impl MessageStore {
                     processed: meta.processed,
                     enqueued_at: meta.enqueued_at,
                     props: meta.props.clone(),
+                    lsn: meta.lsn,
                 });
             }
         }
-        for (&msg, slot) in &state.lineage {
-            // Mirror the message section: only persistent messages'
-            // lineage survives into the snapshot.
-            if state.message_is_persistent(msg).unwrap_or(false) {
-                snap.lineage.push(SnapLineage {
-                    msg,
-                    parent: slot.parent,
-                    root: slot.root,
-                    rule: slot.rule.clone(),
-                    queue: slot.queue.clone(),
-                    lsn: slot.lsn.map(|l| l.0),
-                });
-            }
-        }
-        snap.lineage.sort_by_key(|l| l.msg);
         for (slicing, key, sstate) in state.slices.iter() {
             // Keep only memberships of persistent messages; epoch always.
             let members: Vec<MsgId> = sstate
@@ -1599,9 +1527,10 @@ mod tests {
         assert_eq!(syncs(), (4, 2), "a reopened segment's entry is durable");
     }
 
-    /// Lineage edges are WAL-logged with their LSN, survive plain
-    /// recovery, survive a checkpoint (snapshot section), and die with
-    /// their message at GC.
+    /// Lineage is read from the enqueue: its provenance properties, its
+    /// queue and the LSN of its frame. It survives plain recovery and a
+    /// checkpoint (the snapshot's message entry), and dies with its
+    /// message at GC.
     #[test]
     fn lineage_durability_and_gc() {
         let dir = TempDir::new().unwrap();
@@ -1617,11 +1546,13 @@ mod tests {
         store.commit(txn).unwrap();
 
         let txn = store.begin();
+        let provenance = vec![
+            (provenance::CREATING_RULE.into(), PropValue::Str("fwd".into())),
+            (provenance::PARENT_MSG.into(), PropValue::Int(root.0 as i64)),
+            (provenance::ROOT_MSG.into(), PropValue::Int(root.0 as i64)),
+        ];
         let child = store
-            .enqueue(txn, "out", "<b/>".into(), Vec::new(), 0)
-            .unwrap();
-        store
-            .record_lineage(txn, child, root, root, "fwd", "out")
+            .enqueue(txn, "out", "<b/>".into(), provenance, 0)
             .unwrap();
         store.commit(txn).unwrap();
 
@@ -1641,8 +1572,8 @@ mod tests {
         assert_eq!(store.lineage_of(child).unwrap(), edge);
         assert_eq!(store.lineage_edges(), vec![edge.clone()]);
 
-        // Checkpoint truncates the WAL; the snapshot section must carry
-        // the edge (and its original LSN) across the next recovery.
+        // Checkpoint truncates the WAL; the snapshot's message entry must
+        // carry the edge (and its original LSN) across the next recovery.
         store.checkpoint().unwrap();
         drop(store);
         let store = MessageStore::open(opts).unwrap();

@@ -38,19 +38,6 @@ pub enum TxnOp {
         slicing: Name,
         key: PropValue,
     },
-    /// Causal lineage of a rule-driven enqueue buffered in this
-    /// transaction: `msg` was created (into `queue`) by `rule` firing on
-    /// `parent`; `root` names the causal tree. Redundant with the
-    /// message's provenance system properties by design — lineage queries
-    /// read these edges, restored from WAL frames alone, with the durable
-    /// LSN of its frame per edge.
-    Lineage {
-        msg: MsgId,
-        parent: MsgId,
-        root: MsgId,
-        rule: Name,
-        queue: Name,
-    },
 }
 
 /// State of an open transaction.

@@ -292,18 +292,34 @@ impl fmt::Display for PropValue {
     }
 }
 
-/// One durable causal edge: `msg` was created (into `queue`) by `rule`
-/// firing on `parent`; `root` names the causal tree the message belongs
-/// to.
+/// The provenance system properties, which the store reads lineage from.
+/// The engine stamps them on every message it creates for a cause (a rule
+/// firing, a gateway ingest, a timer echo, an error); a message without
+/// [`PARENT_MSG`](provenance::PARENT_MSG) is a root.
+pub mod provenance {
+    /// The rule whose firing created the message (a string).
+    pub const CREATING_RULE: &str = "creatingRule";
+    /// Id of the message whose processing caused this enqueue (an integer;
+    /// absent on root messages).
+    pub const PARENT_MSG: &str = "parentMsg";
+    /// Id of the root message of this causal tree (an integer).
+    pub const ROOT_MSG: &str = "rootMsg";
+}
+
+/// One causal edge: `msg` was created (into `queue`) by `rule` firing on
+/// `parent`; `root` names the causal tree the message belongs to. Derived
+/// from the message itself: its provenance properties, its queue, and the
+/// frame that logged its enqueue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LineageEdge {
     pub msg: MsgId,
     pub parent: MsgId,
     pub root: MsgId,
+    /// The creating rule; empty for a hop no rule made.
     pub rule: Name,
     pub queue: Name,
-    /// LSN of the WAL frame holding the lineage op; `None` when the
-    /// created message is transient (nothing was logged).
+    /// LSN of the WAL frame that logged the message's enqueue; `None`
+    /// when the message is transient (nothing was logged).
     pub lsn: Option<Lsn>,
 }
 

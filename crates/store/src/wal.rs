@@ -12,7 +12,7 @@
 //!
 //! # Segment and frame format
 //!
-//! A segment starts with the 8-byte header `DEMAQWL2` ([`SEGMENT_MAGIC`]),
+//! A segment starts with the 8-byte header `DEMAQWL3` ([`SEGMENT_MAGIC`]),
 //! then holds one frame per committed transaction: `[len u32][crc32
 //! u32][payload]`. Nothing reaches the log before commit, and
 //! [`LogWriter::append_txn`] writes a transaction whole under one hold of
@@ -21,19 +21,40 @@
 //! valid frame in log order.
 //!
 //! The payload is the op count, then the ops ([`TxnOp`]) in compact binary.
-//! Ids, lengths and counts are LEB128 varints; signed values are zigzag
+//! Lengths and counts are LEB128 varints; signed values are zigzag
 //! varints; property values use [`PropValue::encode_from`], with a
 //! DateTime written relative to its message's `enqueued_at`. No
 //! transaction id is logged: nothing durable names a transaction.
 //!
-//! Names — of queues, slicings, properties and rules — go through a
-//! per-segment table. The first use of a name in a segment writes `0` and
-//! the name inline, which gives it the next id; every later use writes
-//! `id + 1`. The writer keeps the table under the append mutex, so log
-//! order is definition order, and adds a frame's new names only once the
-//! frame is written: a failed write leaves the table as it was.
-//! [`LogWriter::open`] rebuilds the table from the scan when it reopens a
-//! segment, and [`read_log`] rebuilds it frame by frame.
+//! Each fact is logged once. A message's lineage is not a record of its
+//! own: the store reads it from the enqueue, whose provenance properties
+//! ([`provenance`]) name the parent, the root and the creating rule, and
+//! whose frame's LSN is the edge's LSN.
+//!
+//! Ids and times are coded by distance:
+//!
+//! * **Message ids.** The first id of a frame is written in full; every
+//!   later one — op ids, and the `parentMsg`/`rootMsg` property values,
+//!   tagged `6` — as the zigzag distance from that first id. Ids are at
+//!   most `i64::MAX`, so a distance never wraps; one that decodes to an id
+//!   below zero or past `i64::MAX` makes the frame undecodable.
+//! * **Enqueue times.** `enqueued_at` is the zigzag distance from the
+//!   previous enqueue written to the segment (from 0 for the first). Times
+//!   are at most [`MAX_TIME`] in magnitude, so the distance between two
+//!   fits an `i64`; one that leaves that range makes the frame
+//!   undecodable.
+//!
+//! Names — of queues, slicings, properties and rules, the last as
+//! `creatingRule` property values tagged `7` — go through a per-segment
+//! table. The first use of a name in a segment writes `0` and the name
+//! inline, which gives it the next id; every later use writes `id + 1`.
+//!
+//! The name table and the last enqueue time are segment state. The writer
+//! keeps both under the append mutex, so log order is definition order,
+//! and adopts a frame's changes only once the frame is written: a failed
+//! write leaves them as they were. [`LogWriter::open`] rebuilds them from
+//! the scan when it reopens a segment, and [`read_log`] rebuilds them
+//! frame by frame.
 //!
 //! A payload is never empty (it holds at least the op count), so a frame
 //! header of `len == 0` can only be a zero-filled tail — the scan treats
@@ -96,8 +117,8 @@
 use crate::error::{Result, StoreError};
 use crate::txn::TxnOp;
 use crate::types::{
-    get_str, get_u8, get_varint, put_bytes, put_varint, unzigzag, zigzag, Lsn, MsgId, Name,
-    PayloadBytes, PropValue,
+    get_str, get_u8, get_varint, provenance, put_bytes, put_varint, unzigzag, zigzag, Lsn, MsgId,
+    Name, PayloadBytes, PropValue,
 };
 use demaq_obs::{Counter, Histogram, Registry};
 use parking_lot::{Condvar, Mutex};
@@ -109,21 +130,79 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The first eight bytes of every segment: the frame format's name.
-pub const SEGMENT_MAGIC: &[u8; 8] = b"DEMAQWL2";
+pub const SEGMENT_MAGIC: &[u8; 8] = b"DEMAQWL3";
+
+/// The largest `enqueued_at` magnitude a frame holds. Within it, the
+/// distance between any two times fits an `i64`, so the time coding never
+/// wraps.
+pub const MAX_TIME: i64 = (1 << 62) - 1;
 
 const T_ENQUEUE: u8 = 1;
 const T_PROCESSED: u8 = 2;
 const T_SLICE_ADD: u8 = 3;
 const T_SLICE_RESET: u8 = 4;
-const T_LINEAGE: u8 = 5;
+
+/// Property value tags of the frame coding, past [`PropValue::tag`]'s: a
+/// message id coded as an id of the frame, and a string coded through the
+/// name table.
+const P_ID: u8 = 6;
+const P_NAME: u8 = 7;
 
 /// The write side's name table: the id of every name the segment defined.
 type NameIds = HashMap<Name, u64>;
 
+/// The per-frame id coding: the first id in full, every later one as its
+/// zigzag distance from the first.
+#[derive(Default)]
+struct Ids(Option<i64>);
+
+impl Ids {
+    fn put(&mut self, out: &mut Vec<u8>, id: i64) {
+        match self.0 {
+            None => {
+                put_varint(out, id as u64);
+                self.0 = Some(id);
+            }
+            Some(base) => put_varint(out, zigzag(id - base)),
+        }
+    }
+
+    /// The next id; `None` when it overflows or is negative.
+    fn get(&mut self, buf: &[u8], at: &mut usize) -> Option<i64> {
+        let v = get_varint(buf, at)?;
+        let id = match self.0 {
+            None => i64::try_from(v).ok()?,
+            Some(base) => base.checked_add(unzigzag(v)).filter(|id| *id >= 0)?,
+        };
+        self.0.get_or_insert(id);
+        Some(id)
+    }
+}
+
+/// A message id as the frame coding holds it; ids past `i64::MAX` are
+/// refused (the store allocates far below it).
+fn id_of(msg: MsgId) -> Result<i64> {
+    i64::try_from(msg.0)
+        .map_err(|_| StoreError::Invalid(format!("message id {msg} does not fit a WAL frame")))
+}
+
+/// Whether `name = value` is a provenance id the frame codes as an id.
+fn is_id_prop(name: &str, value: &PropValue) -> bool {
+    matches!(value, PropValue::Int(v) if *v >= 0)
+        && (name == provenance::PARENT_MSG || name == provenance::ROOT_MSG)
+}
+
 /// Encode one transaction as a frame payload into `out`, naming through
-/// `names`. Returns the names the payload defines, in id order after
-/// those of `names`; the caller adds them once the frame is written.
-fn encode_txn<'o>(out: &mut Vec<u8>, names: &NameIds, ops: &[&'o TxnOp]) -> Vec<&'o str> {
+/// `names` and timing from `time`, the segment's last enqueue time.
+/// Returns the names the payload defines, in id order after those of
+/// `names`, and its own last enqueue time; the caller adopts both once the
+/// frame is written.
+fn encode_txn<'o>(
+    out: &mut Vec<u8>,
+    names: &NameIds,
+    mut time: i64,
+    ops: &[&'o TxnOp],
+) -> Result<(Vec<&'o str>, i64)> {
     let mut new: Vec<&'o str> = Vec::new();
     let mut name = |out: &mut Vec<u8>, s: &'o str| {
         let id = names.get(s).copied().or_else(|| {
@@ -139,6 +218,7 @@ fn encode_txn<'o>(out: &mut Vec<u8>, names: &NameIds, ops: &[&'o TxnOp]) -> Vec<
             }
         }
     };
+    let mut ids = Ids::default();
     put_varint(out, ops.len() as u64);
     for op in ops {
         match op {
@@ -149,49 +229,51 @@ fn encode_txn<'o>(out: &mut Vec<u8>, names: &NameIds, ops: &[&'o TxnOp]) -> Vec<
                 props,
                 enqueued_at,
             } => {
+                if enqueued_at.unsigned_abs() > MAX_TIME as u64 {
+                    return Err(StoreError::Invalid(format!(
+                        "enqueue time {enqueued_at} does not fit a WAL frame"
+                    )));
+                }
                 out.push(T_ENQUEUE);
                 name(out, queue);
-                put_varint(out, msg.0);
-                put_varint(out, zigzag(*enqueued_at));
+                ids.put(out, id_of(*msg)?);
+                put_varint(out, zigzag(enqueued_at - time));
+                time = *enqueued_at;
                 put_bytes(out, payload.as_bytes());
                 put_varint(out, props.len() as u64);
                 for (prop, value) in props.iter() {
                     name(out, prop);
-                    value.encode_from(*enqueued_at, out);
+                    match value {
+                        PropValue::Int(id) if is_id_prop(prop, value) => {
+                            out.push(P_ID);
+                            ids.put(out, *id);
+                        }
+                        PropValue::Str(rule) if **prop == *provenance::CREATING_RULE => {
+                            out.push(P_NAME);
+                            name(out, rule);
+                        }
+                        _ => value.encode_from(*enqueued_at, out),
+                    }
                 }
             }
             TxnOp::MarkProcessed { msg } => {
                 out.push(T_PROCESSED);
-                put_varint(out, msg.0);
+                ids.put(out, id_of(*msg)?);
             }
             TxnOp::SliceAdd { slicing, key, msg } => {
                 out.push(T_SLICE_ADD);
                 name(out, slicing);
                 key.encode(out);
-                put_varint(out, msg.0);
+                ids.put(out, id_of(*msg)?);
             }
             TxnOp::SliceReset { slicing, key } => {
                 out.push(T_SLICE_RESET);
                 name(out, slicing);
                 key.encode(out);
             }
-            TxnOp::Lineage {
-                msg,
-                parent,
-                root,
-                rule,
-                queue,
-            } => {
-                out.push(T_LINEAGE);
-                put_varint(out, msg.0);
-                put_varint(out, parent.0);
-                put_varint(out, root.0);
-                name(out, rule);
-                name(out, queue);
-            }
         }
     }
-    new
+    Ok((new, time))
 }
 
 /// A count read from `buf`, as a capacity no larger than the bytes left:
@@ -202,9 +284,11 @@ fn get_count(buf: &[u8], at: &mut usize) -> Option<(u64, usize)> {
     Some((n, n.min((buf.len() - *at) as u64) as usize))
 }
 
-/// Decode one frame payload, resolving names through `names` and
-/// appending the names it defines.
-fn decode_txn(buf: &[u8], names: &mut Vec<Name>) -> Option<Vec<TxnOp>> {
+/// Decode one frame payload, resolving names through `names` and timing
+/// from `time`; appends the names the frame defines and advances `time`
+/// to its last enqueue. A distance that leaves the range of ids or times
+/// makes the frame undecodable.
+fn decode_txn(buf: &[u8], names: &mut Vec<Name>, time: &mut i64) -> Option<Vec<TxnOp>> {
     let at = &mut 0;
     let mut name = |at: &mut usize| -> Option<Name> {
         match get_varint(buf, at)? {
@@ -216,21 +300,36 @@ fn decode_txn(buf: &[u8], names: &mut Vec<Name>) -> Option<Vec<TxnOp>> {
             id => names.get(usize::try_from(id - 1).ok()?).cloned(),
         }
     };
-    let msg = |at: &mut usize| get_varint(buf, at).map(MsgId);
+    let mut ids = Ids::default();
     let (n, cap) = get_count(buf, at)?;
     let mut ops = Vec::with_capacity(cap);
     for _ in 0..n {
-        ops.push(match get_u8(buf, at)? {
+        let tag = get_u8(buf, at)?;
+        ops.push(match tag {
             T_ENQUEUE => {
                 let queue = name(at)?;
-                let msg = msg(at)?;
-                let enqueued_at = unzigzag(get_varint(buf, at)?);
+                let msg = MsgId(ids.get(buf, at)? as u64);
+                let enqueued_at = time
+                    .checked_add(unzigzag(get_varint(buf, at)?))
+                    .filter(|t| t.unsigned_abs() <= MAX_TIME as u64)?;
+                *time = enqueued_at;
                 let payload = PayloadBytes::from(get_str(buf, at)?);
                 let (n, cap) = get_count(buf, at)?;
                 let mut props = Vec::with_capacity(cap);
                 for _ in 0..n {
                     let prop = name(at)?;
-                    props.push((prop, PropValue::decode_from(enqueued_at, buf, at)?));
+                    let value = match buf.get(*at) {
+                        Some(&P_ID) => {
+                            *at += 1;
+                            PropValue::Int(ids.get(buf, at)?)
+                        }
+                        Some(&P_NAME) => {
+                            *at += 1;
+                            PropValue::Str(name(at)?.to_string())
+                        }
+                        _ => PropValue::decode_from(enqueued_at, buf, at)?,
+                    };
+                    props.push((prop, value));
                 }
                 TxnOp::Enqueue {
                     queue,
@@ -240,22 +339,17 @@ fn decode_txn(buf: &[u8], names: &mut Vec<Name>) -> Option<Vec<TxnOp>> {
                     enqueued_at,
                 }
             }
-            T_PROCESSED => TxnOp::MarkProcessed { msg: msg(at)? },
+            T_PROCESSED => TxnOp::MarkProcessed {
+                msg: MsgId(ids.get(buf, at)? as u64),
+            },
             T_SLICE_ADD => TxnOp::SliceAdd {
                 slicing: name(at)?,
                 key: PropValue::decode(buf, at)?,
-                msg: msg(at)?,
+                msg: MsgId(ids.get(buf, at)? as u64),
             },
             T_SLICE_RESET => TxnOp::SliceReset {
                 slicing: name(at)?,
                 key: PropValue::decode(buf, at)?,
-            },
-            T_LINEAGE => TxnOp::Lineage {
-                msg: msg(at)?,
-                parent: msg(at)?,
-                root: msg(at)?,
-                rule: name(at)?,
-                queue: name(at)?,
             },
             _ => return None,
         });
@@ -264,23 +358,27 @@ fn decode_txn(buf: &[u8], names: &mut Vec<Name>) -> Option<Vec<TxnOp>> {
 }
 
 /// Append one framed payload to `out` in place: reserve the `[len][crc32]`
-/// header, encode the payload behind it, fill the header. A payload too
-/// long for the `u32` length is taken out again and refused.
-fn put_frame<R>(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>) -> R) -> Result<R> {
+/// header, encode the payload behind it, fill the header. A payload the
+/// encoder refuses, or too long for the `u32` length, is taken out again.
+fn put_frame<R>(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>) -> Result<R>) -> Result<R> {
     let start = out.len();
     out.extend_from_slice(&[0; 8]);
-    let r = encode(out);
-    let Ok(len) = u32::try_from(out.len() - start - 8) else {
-        let n = out.len() - start - 8;
+    let r = encode(out).and_then(|r| match u32::try_from(out.len() - start - 8) {
+        Ok(_) => Ok(r),
+        Err(_) => Err(StoreError::Invalid(format!(
+            "a transaction of {} bytes does not fit a WAL frame",
+            out.len() - start - 8
+        ))),
+    });
+    if r.is_err() {
         out.truncate(start);
-        return Err(StoreError::Invalid(format!(
-            "a transaction of {n} bytes does not fit a WAL frame"
-        )));
-    };
+        return r;
+    }
+    let len = (out.len() - start - 8) as u32;
     let crc = crc32(&out[start + 8..]);
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-    Ok(r)
+    r
 }
 
 /// CRC32 (IEEE 802.3, reflected) — small standalone implementation to keep
@@ -433,6 +531,9 @@ struct WriterInner {
     frame: Vec<u8>,
     /// The segment's name table (see the module docs).
     names: NameIds,
+    /// The `enqueued_at` of the last enqueue written to the segment (0
+    /// before the first), which the next one is coded from.
+    time: i64,
 }
 
 /// Frame-buffer capacity kept between appends: one huge transaction does
@@ -504,6 +605,7 @@ impl LogWriter {
                 crash_budget,
                 frame: Vec::new(),
                 names,
+                time: scan.time,
             }),
             sync_handle,
             cfg,
@@ -538,13 +640,16 @@ impl LogWriter {
     pub fn append_txn(&self, ops: &[&TxnOp]) -> Result<(u64, Lsn)> {
         let mut inner = self.inner.lock();
         let lsn = Lsn(inner.offset);
-        let WriterInner { frame, names, .. } = &mut *inner;
-        let new = put_frame(frame, |out| encode_txn(out, names, ops))?;
+        let WriterInner {
+            frame, names, time, ..
+        } = &mut *inner;
+        let (new, last) = put_frame(frame, |out| encode_txn(out, names, *time, ops))?;
         self.write_frame(&mut inner)?;
         for name in new {
             let id = inner.names.len() as u64;
             inner.names.insert(name.into(), id);
         }
+        inner.time = last;
         let target = inner.offset;
         drop(inner);
         self.sync_state.lock().pending_commits += 1;
@@ -762,15 +867,19 @@ impl LogWriter {
     }
 }
 
-/// Result of scanning a log segment: its committed transactions, its
-/// name table, and where the valid prefix ends (for tail truncation and
-/// discard reporting).
+/// Result of scanning a log segment: its committed transactions, the
+/// coding state its valid frames leave (name table, last enqueue time), and
+/// where the valid prefix ends (for tail truncation and discard
+/// reporting).
 #[derive(Debug, Default)]
 pub struct LogScan {
     /// One entry per valid frame: its LSN and the transaction's ops.
     pub txns: Vec<(Lsn, Vec<TxnOp>)>,
     /// The segment's names, by id, as the valid frames defined them.
     pub names: Vec<Name>,
+    /// The `enqueued_at` of the last enqueue of the valid frames, 0 when
+    /// they hold none.
+    pub time: i64,
     /// Byte length of the valid prefix — the offset right after the last
     /// valid frame, 0 when the segment has no valid header.
     /// [`LogWriter::open`] truncates the file here.
@@ -838,7 +947,7 @@ pub fn read_log(path: &Path) -> Result<LogScan> {
         if crc32(payload) != crc {
             break; // torn tail: CRC mismatch
         }
-        match decode_txn(payload, &mut scan.names) {
+        match decode_txn(payload, &mut scan.names, &mut scan.time) {
             Some(ops) => scan.txns.push((Lsn(at as u64), ops)),
             None => {
                 return Err(StoreError::Corrupt(format!(
@@ -901,10 +1010,11 @@ mod tests {
     }
 
     /// Two transactions with their exact frame payloads. The first holds
-    /// one op of every kind and one property of every value type, and
-    /// uses names both first and again: `s` names a property, then a
-    /// slicing; `q` a queue, then a lineage edge's queue. The second
-    /// reuses names the first defined. Any change to these bytes is a
+    /// one op of every kind, one property of every value type and the
+    /// three provenance properties, and uses names both first and again:
+    /// `s` names a property, then a slicing. The second reuses names the
+    /// first defined, codes its time from the first's, and holds a
+    /// provenance property that is no id. Any change to these bytes is a
     /// change of the on-disk format, which needs a new segment header.
     #[rustfmt::skip]
     fn golden() -> Vec<(Vec<TxnOp>, Vec<u8>)> {
@@ -922,6 +1032,9 @@ mod tests {
                             ("d".into(), PropValue::Double(0.1)),
                             ("t".into(), PropValue::DateTime(1_700_000_000_123)),
                             ("u".into(), PropValue::Duration(-500)),
+                            ("parentMsg".into(), PropValue::Int(3)),
+                            ("rootMsg".into(), PropValue::Int(1)),
+                            ("creatingRule".into(), PropValue::Str("r".into())),
                         ]
                         .into(),
                         enqueued_at: 1_700_000_000_000,
@@ -929,47 +1042,58 @@ mod tests {
                     processed(9),
                     TxnOp::SliceAdd { slicing: "s".into(), key: PropValue::Int(5), msg: MsgId(10) },
                     TxnOp::SliceReset { slicing: "s".into(), key: PropValue::Str("k".into()) },
-                    TxnOp::Lineage {
-                        msg: MsgId(11),
-                        parent: MsgId(10),
-                        root: MsgId(3),
-                        rule: "r".into(),
-                        queue: "q".into(),
-                    },
                 ],
-                vec![
-                    5, // op count
-                    1, // enqueue
-                    0, 1, b'q', // queue: new name 0
-                    10, // msg
-                    0x80, 0xA0, 0xAB, 0xFE, 0xF9, 0x62, // enqueued_at, zigzag
-                    4, b'<', b'a', b'/', b'>', // payload
-                    6, // property count
-                    0, 1, b's', 0, 1, b'x', // new name 1, Str
-                    0, 1, b'i', 1, 83, // new name 2, Int -42
-                    0, 1, b'b', 2, 1, // new name 3, Bool
-                    0, 1, b'd', 3, 0x9A, 0x99, 0x99, 0x99, 0x99, 0x99, 0xB9, 0x3F, // new name 4, Double
-                    0, 1, b't', 4, 0xF6, 0x01, // new name 5, DateTime enqueued_at + 123
-                    0, 1, b'u', 5, 0xE7, 0x07, // new name 6, Duration -500
-                    2, 9, // mark processed, msg
-                    3, 2, 1, 10, 10, // slice add: name 1, key Int 5, msg
-                    4, 2, 0, 1, b'k', // slice reset: name 1, key Str
-                    5, 11, 10, 3, // lineage: msg, parent, root
-                    0, 1, b'r', 1, // rule: new name 7; queue: name 0
-                ],
+                [
+                    &[4][..], // op count
+                    &[1], // enqueue
+                    &[0, 1, b'q'], // queue: new name 0
+                    &[10], // msg: the frame's first id, in full
+                    &[0x80, 0xA0, 0xAB, 0xFE, 0xF9, 0x62], // enqueued_at: zigzag distance from 0
+                    &[4, b'<', b'a', b'/', b'>'], // payload
+                    &[9], // property count
+                    &[0, 1, b's', 0, 1, b'x'], // new name 1, Str
+                    &[0, 1, b'i', 1, 83], // new name 2, Int -42
+                    &[0, 1, b'b', 2, 1], // new name 3, Bool
+                    &[0, 1, b'd', 3, 0x9A, 0x99, 0x99, 0x99, 0x99, 0x99, 0xB9, 0x3F], // new name 4, Double
+                    &[0, 1, b't', 4, 0xF6, 0x01], // new name 5, DateTime enqueued_at + 123
+                    &[0, 1, b'u', 5, 0xE7, 0x07], // new name 6, Duration -500
+                    &[0, 9], b"parentMsg", &[6, 13], // new name 7, id 10 - 7
+                    &[0, 7], b"rootMsg", &[6, 17], // new name 8, id 10 - 9
+                    &[0, 12], b"creatingRule", &[7, 0, 1, b'r'], // new name 9, name: new name 10
+                    &[2, 1], // mark processed, id 10 - 1
+                    &[3, 2, 1, 10, 0], // slice add: name 1, key Int 5, id 10 + 0
+                    &[4, 2, 0, 1, b'k'], // slice reset: name 1, key Str
+                ]
+                .concat(),
             ),
             (
-                vec![TxnOp::Enqueue {
-                    queue: "q".into(),
-                    msg: MsgId(12),
-                    payload: "".into(),
-                    props: vec![("t".into(), PropValue::DateTime(5))].into(),
-                    enqueued_at: 7,
-                }],
                 vec![
-                    1, // op count
-                    1, 1, 12, 14, 0, // enqueue: name 0, msg, enqueued_at, empty payload
-                    1, 6, 4, 3, // one property: name 5, DateTime enqueued_at - 2
+                    TxnOp::Enqueue {
+                        queue: "q".into(),
+                        msg: MsgId(12),
+                        payload: "".into(),
+                        props: vec![
+                            ("t".into(), PropValue::DateTime(1_700_000_000_248)),
+                            ("creatingRule".into(), PropValue::Str("r".into())),
+                            ("parentMsg".into(), PropValue::Int(10)),
+                            ("rootMsg".into(), PropValue::Int(-1)),
+                        ]
+                        .into(),
+                        enqueued_at: 1_700_000_000_250,
+                    },
+                    processed(11),
+                ],
+                vec![
+                    2, // op count
+                    1, 1, 12, // enqueue: name 0, msg in full
+                    0xF4, 0x03, // enqueued_at: the previous enqueue's + 250
+                    0, // empty payload
+                    4, // property count
+                    6, 4, 3, // name 5, DateTime enqueued_at - 2
+                    10, 7, 11, // name 9, name 10
+                    8, 6, 3, // name 7, id 12 - 2
+                    9, 1, 1, // name 8, Int -1: no id
+                    2, 1, // mark processed, id 12 - 1
                 ],
             ),
         ]
@@ -994,29 +1118,93 @@ mod tests {
         let read: Vec<Vec<TxnOp>> = scan.txns.into_iter().map(|(_, ops)| ops).collect();
         let ops: Vec<Vec<TxnOp>> = golden().into_iter().map(|(ops, _)| ops).collect();
         assert_eq!((read, scan.discarded), (ops, 0));
+        assert_eq!(scan.time, 1_700_000_000_250);
         let names: Vec<&str> = scan.names.iter().map(|n| &**n).collect();
-        assert_eq!(names, ["q", "s", "i", "b", "d", "t", "u", "r"]);
+        let provenance = ["parentMsg", "rootMsg", "creatingRule"];
+        assert_eq!(names[..7], ["q", "s", "i", "b", "d", "t", "u"]);
+        assert_eq!((&names[7..10], names[10]), (&provenance[..], "r"));
     }
 
-    /// A segment of the per-op records logged before the frame format
-    /// (the old golden `Begin`, `MarkProcessed` and `Commit` bytes) is
-    /// refused whole, not decoded, and the writer leaves it untouched.
+    /// Segments of older formats are refused whole, not decoded, and the
+    /// writer leaves them untouched: one of the per-op records logged
+    /// before the frame format (the old golden `Begin`, `MarkProcessed`
+    /// and `Commit` bytes), and a `DEMAQWL2` segment, whose frames logged
+    /// lineage apart from enqueues and ids in full.
     #[test]
     #[rustfmt::skip]
     fn older_format_segments_are_refused() {
         let dir = TempDir::new().unwrap();
         let path = dir.path().join("wal.log");
-        let mut file = Vec::new();
-        frame(&mut file, &[1, 1, 0, 0, 0, 0, 0, 0, 0]);
-        frame(&mut file, &[5, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]);
-        frame(&mut file, &[2, 1, 0, 0, 0, 0, 0, 0, 0]);
-        std::fs::write(&path, &file).unwrap();
-        match read_log(&path) {
-            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("DEMAQWL2"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
+        let mut per_op = Vec::new();
+        frame(&mut per_op, &[1, 1, 0, 0, 0, 0, 0, 0, 0]);
+        frame(&mut per_op, &[5, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]);
+        frame(&mut per_op, &[2, 1, 0, 0, 0, 0, 0, 0, 0]);
+        let mut wl2 = b"DEMAQWL2".to_vec();
+        frame(&mut wl2, &[2, 2, 9, 5, 11, 10, 3, 0, 1, b'r', 0, 1, b'q']);
+        for file in [per_op, wl2] {
+            std::fs::write(&path, &file).unwrap();
+            match read_log(&path) {
+                Err(StoreError::Corrupt(msg)) => assert!(msg.contains("DEMAQWL3"), "{msg}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+            assert!(LogWriter::open(&path, GroupCommitCfg::default()).is_err());
+            assert_eq!(std::fs::read(&path).unwrap(), file, "a refused segment was modified");
         }
-        assert!(LogWriter::open(&path, GroupCommitCfg::default()).is_err());
-        assert_eq!(std::fs::read(&path).unwrap(), file, "a refused segment was modified");
+    }
+
+    /// A distance that leaves the range of ids or times is corruption: it
+    /// is refused, never wrapped.
+    #[test]
+    #[rustfmt::skip]
+    fn distances_out_of_range_are_refused() {
+        const MAX: [u8; 10] = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        // zigzag(i64::MAX).
+        const FAR: [u8; 10] = [0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        // An enqueue of id 0 whose time is `delta` from the previous one.
+        let at = |delta: &[u8]| [&[1, 1, 0, 1, b'q', 0][..], delta, &[0, 0]].concat();
+        let frames = [
+            // A first id past i64::MAX.
+            [&[1, 2][..], &MAX].concat(),
+            // An id below zero: 0, then 0 - 1.
+            vec![2, 2, 0, 2, 1],
+            // An id past i64::MAX: 1, then 1 + i64::MAX.
+            [&[2, 2, 1, 2][..], &FAR].concat(),
+            // A provenance id below zero.
+            vec![1, 1, 0, 1, b'q', 0, 0, 0, 1, 0, 1, b'p', 6, 1],
+            // A time past MAX_TIME: 0 + i64::MAX.
+            at(&FAR),
+        ];
+        for payload in frames {
+            assert_eq!(decode_txn(&payload, &mut Vec::new(), &mut 0), None, "{payload:?}");
+        }
+        // From MAX_TIME, + i64::MAX overflows and + MAX_TIME leaves the
+        // range; from -MAX_TIME, + MAX_TIME is 0.
+        let max_time = [0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F];
+        assert_eq!(decode_txn(&at(&FAR), &mut Vec::new(), &mut { MAX_TIME }), None);
+        assert_eq!(decode_txn(&at(&max_time), &mut Vec::new(), &mut { MAX_TIME }), None);
+        let mut time = -MAX_TIME;
+        assert!(decode_txn(&at(&max_time), &mut Vec::new(), &mut time).is_some());
+        assert_eq!(time, 0);
+        // The writer refuses what it could not read back, and writes
+        // nothing for it.
+        let dir = TempDir::new().unwrap();
+        let w = writer(&dir.path().join("wal.log"));
+        let enqueue = |msg: u64, enqueued_at: i64| TxnOp::Enqueue {
+            queue: "q".into(),
+            msg: MsgId(msg),
+            payload: "".into(),
+            props: Vec::new().into(),
+            enqueued_at,
+        };
+        for op in [enqueue(1 << 63, 0), enqueue(1, MAX_TIME + 1), enqueue(1, i64::MIN)] {
+            assert!(matches!(w.append_txn(&[&op]), Err(StoreError::Invalid(_))), "{op:?}");
+        }
+        assert_eq!(w.end_lsn(), Lsn(SEGMENT_MAGIC.len() as u64));
+        // The extremes it accepts read back.
+        let extremes = vec![enqueue(i64::MAX as u64, MAX_TIME), enqueue(0, -MAX_TIME)];
+        commit(&w, &extremes);
+        w.sync_now().unwrap();
+        assert_eq!(txns(&dir.path().join("wal.log")), [extremes]);
     }
 
     /// A crash before the header reached the disk leaves an empty, short
@@ -1215,10 +1403,10 @@ mod tests {
         let payload_len = [&[1, 1, 0, 1, b'q', 1, 0][..], &MAX, b"xy"].concat();
         let name_len = [&[1, 3, 0][..], &MAX].concat();
         for payload in [ops_count, props_count, payload_len, name_len] {
-            assert_eq!(decode_txn(&payload, &mut Vec::new()), None, "{payload:?}");
+            assert_eq!(decode_txn(&payload, &mut Vec::new(), &mut 0), None, "{payload:?}");
         }
-        assert_eq!(decode_txn(&[1, 2, 1, 9], &mut Vec::new()), None, "trailing byte");
-        assert_eq!(decode_txn(&[1, 4, 1, 1, 2], &mut Vec::new()), None, "undefined name");
+        assert_eq!(decode_txn(&[1, 2, 1, 9], &mut Vec::new(), &mut 0), None, "trailing byte");
+        assert_eq!(decode_txn(&[1, 4, 1, 1, 2], &mut Vec::new(), &mut 0), None, "undefined name");
     }
 
     #[test]

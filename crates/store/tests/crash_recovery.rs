@@ -14,10 +14,11 @@
 //! * **replay order = runtime order** — slice membership order after
 //!   recovery equals the order of `SliceAdd` ops in the WAL's frames;
 //! * **causal chain survives** — each workload transaction enqueues a
-//!   parent and a derived message linked by `record_lineage`; after
-//!   recovery the lineage rebuilt from the WAL must equal the pre-crash
-//!   chain for every acked derived message, and the store's lineage set
-//!   must be exactly the `Lineage` ops of the WAL's frames.
+//!   parent and a derived message whose provenance properties name it;
+//!   after recovery the lineage rebuilt from the WAL must equal the
+//!   pre-crash chain for every acked derived message, and the store's
+//!   lineage set must be exactly the enqueues with a `parentMsg` in the
+//!   WAL's frames.
 //!
 //! The child is this same test binary re-invoked (`current_exe()`) with
 //! the `#[ignore]`d `crash_child_body` test selected; without
@@ -26,7 +27,9 @@
 //!
 //! Iteration count: `DEMAQ_CRASH_ITERS` (default 12; CI runs 100).
 
+use demaq_store::provenance::{CREATING_RULE, PARENT_MSG, ROOT_MSG};
 use demaq_store::txn::TxnOp;
+use demaq_store::types::prop;
 use demaq_store::wal::read_log;
 use demaq_store::{MessageStore, MsgId, PropValue, QueueMode, StoreOptions, SyncPolicy};
 use std::collections::{HashMap, HashSet};
@@ -90,13 +93,15 @@ fn crash_child_body() {
                     // A derived message causally linked to `msg`, so the
                     // parent can check the rebuilt lineage chain.
                     let derived_payload = format!("derived-{t}-{i}:{}", msg.0);
+                    let provenance = vec![
+                        (CREATING_RULE.into(), PropValue::Str("spawn".into())),
+                        (PARENT_MSG.into(), PropValue::Int(msg.0 as i64)),
+                        (ROOT_MSG.into(), PropValue::Int(msg.0 as i64)),
+                    ];
                     let derived = store
-                        .enqueue(txn, QUEUE, derived_payload.clone().into(), Vec::new(), 0)
+                        .enqueue(txn, QUEUE, derived_payload.clone().into(), provenance, 0)
                         .unwrap();
                     store.slice_add(txn, SLICING, slice_key(), derived).unwrap();
-                    store
-                        .record_lineage(txn, derived, msg, msg, "spawn", QUEUE)
-                        .unwrap();
                     store.commit(txn).unwrap();
                     // One write syscall per line: `writeln!` issues one
                     // write per format fragment, and a SIGKILL between
@@ -204,7 +209,11 @@ fn run_round(dir: &Path, kill_after: Duration, crash_after_bytes: Option<u64>) -
         for op in scan.txns.into_iter().flat_map(|(_, ops)| ops) {
             match op {
                 TxnOp::SliceAdd { msg, .. } => wal_members.push(msg),
-                TxnOp::Lineage { msg, parent, .. } => wal_lineage.push((msg, parent)),
+                TxnOp::Enqueue { msg, props, .. } => {
+                    if let Some(&PropValue::Int(parent)) = prop(&props, PARENT_MSG) {
+                        wal_lineage.push((msg, MsgId(parent as u64)));
+                    }
+                }
                 _ => {}
             }
         }
@@ -253,8 +262,8 @@ fn run_round(dir: &Path, kill_after: Duration, crash_after_bytes: Option<u64>) -
 
     // Invariant: the causal chain rebuilt from the WAL equals the
     // pre-crash chain. (a) The store's lineage set is exactly the
-    // `Lineage` ops of the WAL's frames; (b) every acked derived message (its
-    // payload names its parent) resolves to that parent.
+    // enqueues with a parent in the WAL's frames; (b) every acked derived
+    // message (its payload names its parent) resolves to that parent.
     let mut committed_edges = wal_lineage;
     committed_edges.sort();
     let mut recovered_edges: Vec<(MsgId, MsgId)> = store
@@ -265,7 +274,7 @@ fn run_round(dir: &Path, kill_after: Duration, crash_after_bytes: Option<u64>) -
     recovered_edges.sort();
     assert_eq!(
         recovered_edges, committed_edges,
-        "recovered lineage diverges from the WAL's Lineage ops"
+        "recovered lineage diverges from the WAL's enqueues"
     );
     for (id, payload) in &acked {
         let Some((_, parent)) = payload.split_once(':') else {

@@ -1,13 +1,17 @@
 //! Property-based tests on storage invariants: codec roundtrips, the WAL
-//! frame decoder, slice retention algebra, and recovery equivalence for
-//! arbitrary committed histories.
+//! frame and snapshot decoders, slice retention algebra, and recovery
+//! equivalence for arbitrary committed histories.
+//!
+//! The decoder fuzz properties run `DEMAQ_FUZZ_CASES` cases each (default
+//! 64; CI runs 640).
 
-use demaq_store::checkpoint::Snapshot;
+use demaq_store::checkpoint::{SnapMessage, SnapQueue, SnapSlice, Snapshot};
+use demaq_store::provenance::{CREATING_RULE, PARENT_MSG, ROOT_MSG};
 use demaq_store::slice::SliceIndex;
 use demaq_store::store::SyncPolicy;
 use demaq_store::txn::TxnOp;
-use demaq_store::wal::{crc32, read_log, GroupCommitCfg, LogWriter, SEGMENT_MAGIC};
-use demaq_store::{MessageStore, MsgId, PropValue, QueueMode, StoreError, StoreOptions};
+use demaq_store::wal::{crc32, read_log, GroupCommitCfg, LogWriter, MAX_TIME, SEGMENT_MAGIC};
+use demaq_store::{Lsn, MessageStore, MsgId, PropValue, QueueMode, StoreError, StoreOptions};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -77,24 +81,49 @@ fn name_strategy() -> impl Strategy<Value = String> {
     "[a-c]{1,2}"
 }
 
+/// A message id a frame holds (at most `i64::MAX`): mostly near another
+/// one, as in a store, sometimes anywhere.
+fn id_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..64, (1u64 << 48)..(1 << 48) + 64, 0u64..1 << 63]
+}
+
+/// A provenance property: mostly what the engine stamps (an id, a rule
+/// name), sometimes any value.
+fn provenance_strategy() -> impl Strategy<Value = (String, PropValue)> {
+    let name = prop_oneof![Just(PARENT_MSG), Just(ROOT_MSG), Just(CREATING_RULE)];
+    let value = prop_oneof![
+        id_strategy().prop_map(|id| PropValue::Int(id as i64)),
+        name_strategy().prop_map(PropValue::Str),
+        prop_value_strategy(),
+    ];
+    (name, value).prop_map(|(n, v)| (n.to_string(), v))
+}
+
 fn op_strategy() -> impl Strategy<Value = TxnOp> {
     prop_oneof![
         (
             name_strategy(),
-            any::<u64>(),
+            id_strategy(),
             "[ -~\u{e9}]{0,24}",
             proptest::collection::vec((name_strategy(), prop_value_strategy()), 0..4),
-            any::<i64>(),
+            proptest::collection::vec(provenance_strategy(), 0..3),
+            -MAX_TIME..MAX_TIME,
         )
-            .prop_map(|(queue, msg, payload, props, enqueued_at)| TxnOp::Enqueue {
-                queue: queue.into(),
-                msg: MsgId(msg),
-                payload: payload.into(),
-                props: props.into_iter().map(|(n, v)| (n.into(), v)).collect(),
-                enqueued_at,
+            .prop_map(|(queue, msg, payload, props, provenance, enqueued_at)| {
+                TxnOp::Enqueue {
+                    queue: queue.into(),
+                    msg: MsgId(msg),
+                    payload: payload.into(),
+                    props: props
+                        .into_iter()
+                        .chain(provenance)
+                        .map(|(n, v)| (n.into(), v))
+                        .collect(),
+                    enqueued_at,
+                }
             }),
-        any::<u64>().prop_map(|msg| TxnOp::MarkProcessed { msg: MsgId(msg) }),
-        (name_strategy(), prop_value_strategy(), any::<u64>()).prop_map(|(slicing, key, msg)| {
+        id_strategy().prop_map(|msg| TxnOp::MarkProcessed { msg: MsgId(msg) }),
+        (name_strategy(), prop_value_strategy(), id_strategy()).prop_map(|(slicing, key, msg)| {
             TxnOp::SliceAdd {
                 slicing: slicing.into(),
                 key,
@@ -105,20 +134,6 @@ fn op_strategy() -> impl Strategy<Value = TxnOp> {
             slicing: slicing.into(),
             key,
         }),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            name_strategy(),
-            name_strategy()
-        )
-            .prop_map(|(msg, parent, root, rule, queue)| TxnOp::Lineage {
-                msg: MsgId(msg),
-                parent: MsgId(parent),
-                root: MsgId(root),
-                rule: rule.into(),
-                queue: queue.into(),
-            }),
     ]
 }
 
@@ -143,6 +158,65 @@ fn frame(file: &mut Vec<u8>, payload: &[u8]) {
 /// trusted would allocate far past it.
 fn allocation_bound(file_len: usize) -> usize {
     file_len * std::mem::size_of::<TxnOp>()
+}
+
+/// Cases per decoder fuzz property: `DEMAQ_FUZZ_CASES`, default 64.
+fn fuzz_cases() -> u32 {
+    std::env::var("DEMAQ_FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn unzigzag(u: u64) -> i128 {
+    ((u >> 1) as i64 ^ -((u & 1) as i64)) as i128
+}
+
+/// A snapshot holding one of everything, for the decoder to mangle.
+fn sample_snapshot() -> Snapshot {
+    Snapshot {
+        wal_index: 2,
+        next_msg: 9,
+        queues: vec![SnapQueue {
+            name: "q".into(),
+            persistent: true,
+            priority: 1,
+        }],
+        messages: vec![SnapMessage {
+            id: MsgId(8),
+            queue: "q".into(),
+            payload: "<a>\u{e9}</a>".into(),
+            processed: false,
+            enqueued_at: 5,
+            props: vec![(PARENT_MSG.into(), PropValue::Int(7))].into(),
+            lsn: Some(Lsn(42)),
+        }],
+        slices: vec![SnapSlice {
+            slicing: "s".into(),
+            key: PropValue::Str("x".into()),
+            epoch: 1,
+            members: vec![MsgId(8)],
+            base: vec![("c".into(), vec![0xAB])],
+            base_members: 3,
+        }],
+    }
+}
+
+/// Frame a snapshot body under the current header, as `encode` does.
+fn snapshot_file(body: &[u8]) -> Vec<u8> {
+    let mut file = b"DEMAQCK5".to_vec();
+    file.extend_from_slice(&crc32(body).to_le_bytes());
+    file.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    file.extend_from_slice(body);
+    file
 }
 
 proptest! {
@@ -184,34 +258,10 @@ proptest! {
         prop_assert_eq!(unique.len(), scan.names.len(), "a name defined twice: {:?}", scan.names);
     }
 
-    /// (b) A frame of random bytes with a valid CRC, after a frame that
-    /// defined names, never panics and never allocates past the bound:
-    /// the segment is refused as `Corrupt`, unless the bytes happen to
-    /// be a whole valid frame.
-    #[test]
-    fn random_frames_read_as_corrupt_and_allocate_within_bounds(
-        prefix in proptest::collection::vec(op_strategy(), 1..4),
-        garbage in proptest::collection::vec(any::<u8>(), 1..64),
-    ) {
-        let dir = TempDir::new().unwrap();
-        let path = dir.path().join("wal.log");
-        append_all(&path, &[prefix]);
-        let mut file = std::fs::read(&path).unwrap();
-        frame(&mut file, &garbage);
-        std::fs::write(&path, &file).unwrap();
-        let (read, largest) = largest_allocation(|| read_log(&path));
-        prop_assert!(largest <= allocation_bound(file.len()), "allocated {} for {:?}", largest, garbage);
-        match read {
-            Err(StoreError::Corrupt(_)) => {}
-            Ok(scan) => prop_assert_eq!((scan.txns.len(), scan.valid_len), (2, file.len() as u64)),
-            Err(e) => panic!("expected Corrupt, got {e:?}"),
-        }
-    }
-
     /// (c) A frame cut inside the varint that ends it is refused.
     #[test]
     fn a_varint_truncated_at_the_end_of_a_frame_is_rejected(
-        msg in (1u64 << 7)..u64::MAX,
+        msg in (1u64 << 7)..1 << 63,
         cut in any::<usize>(),
     ) {
         let dir = TempDir::new().unwrap();
@@ -292,6 +342,7 @@ proptest! {
                 processed: *processed,
                 enqueued_at: *id as i64,
                 props: vec![("p".into(), PropValue::Int(*id as i64))].into(),
+                lsn: (*id != 0).then_some(Lsn(*id)),
             });
         }
         let decoded = Snapshot::decode(&snap.encode().expect("encode")).expect("decode");
@@ -350,5 +401,121 @@ proptest! {
             v
         };
         prop_assert_eq!(sort(recovered), sort(expected));
+    }
+}
+
+proptest! {
+    // The decoder fuzz properties; CI raises the count tenfold.
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+
+    /// (b) A frame of random bytes with a valid CRC, after a frame that
+    /// defined names, never panics and never allocates past the bound:
+    /// the segment is refused as `Corrupt`, unless the bytes happen to
+    /// be a whole valid frame. So does a well-formed frame whose id and
+    /// time distances are random: each decodes to exactly the id or time
+    /// it names, computed without wrapping, or — when that leaves the
+    /// range of ids (0 to `i64::MAX`) or times (`MAX_TIME` either side of
+    /// 0) — the segment is refused as `Corrupt`.
+    #[test]
+    fn random_frames_read_as_corrupt_and_allocate_within_bounds(
+        prefix in proptest::collection::vec(op_strategy(), 1..4),
+        garbage in proptest::collection::vec(any::<u8>(), 1..64),
+        distances in (
+            prop_oneof![0u64..64, any::<u64>()],
+            prop_oneof![0u64..64, any::<u64>()],
+            prop_oneof![0u64..64, any::<u64>()],
+            prop_oneof![0u64..64, any::<u64>()],
+        ),
+    ) {
+        let dir = TempDir::new().unwrap();
+        let path = dir.path().join("wal.log");
+        append_all(&path, &[prefix]);
+        let clean = std::fs::read(&path).unwrap();
+        let time = read_log(&path).unwrap().time as i128;
+
+        let mut file = clean.clone();
+        frame(&mut file, &garbage);
+        std::fs::write(&path, &file).unwrap();
+        let (read, largest) = largest_allocation(|| read_log(&path));
+        prop_assert!(largest <= allocation_bound(file.len()), "allocated {} for {:?}", largest, garbage);
+        match read {
+            Err(StoreError::Corrupt(_)) => {}
+            Ok(scan) => prop_assert_eq!((scan.txns.len(), scan.valid_len), (2, file.len() as u64)),
+            Err(e) => panic!("expected Corrupt, got {e:?}"),
+        }
+
+        // An enqueue of a first id with a time distance and a `parentMsg`
+        // id distance, then a processed-mark at an id distance.
+        let (first, dt, dparent, dmark) = distances;
+        let mut payload = vec![2, 1, 0, 1, b'q'];
+        put_varint(&mut payload, first);
+        put_varint(&mut payload, dt);
+        payload.extend_from_slice(&[0, 1, 0, 9]);
+        payload.extend_from_slice(PARENT_MSG.as_bytes());
+        payload.push(6);
+        put_varint(&mut payload, dparent);
+        payload.push(2);
+        put_varint(&mut payload, dmark);
+        let mut file = clean;
+        frame(&mut file, &payload);
+        std::fs::write(&path, &file).unwrap();
+        let (read, largest) = largest_allocation(|| read_log(&path));
+        prop_assert!(largest <= allocation_bound(file.len()));
+        let id = |d: u64| first as i128 + unzigzag(d);
+        let ids = [first as i128, id(dparent), id(dmark)];
+        let t = time + unzigzag(dt);
+        let in_range = ids.iter().all(|id| (0..=i64::MAX as i128).contains(id))
+            && (-(MAX_TIME as i128)..=MAX_TIME as i128).contains(&t);
+        match read {
+            Err(StoreError::Corrupt(_)) => prop_assert!(!in_range, "{:?} {} refused", ids, t),
+            Ok(scan) => {
+                prop_assert!(in_range, "{:?} {} read", ids, t);
+                let (_, ops) = scan.txns.last().unwrap();
+                let want = vec![
+                    TxnOp::Enqueue {
+                        queue: "q".into(),
+                        msg: MsgId(ids[0] as u64),
+                        payload: "".into(),
+                        props: vec![(PARENT_MSG.into(), PropValue::Int(ids[1] as i64))].into(),
+                        enqueued_at: t as i64,
+                    },
+                    TxnOp::MarkProcessed { msg: MsgId(ids[2] as u64) },
+                ];
+                prop_assert_eq!(ops, &want);
+                prop_assert_eq!(scan.time as i128, t);
+            }
+            Err(e) => panic!("expected Corrupt, got {e:?}"),
+        }
+    }
+
+    /// (b) for snapshots: a body of random bytes, or a real one with
+    /// random bytes overwritten, under a valid header and CRC, never
+    /// panics and never allocates past a bound linear in its size: it is
+    /// refused as `Corrupt`, or read as a snapshot that reads back the
+    /// same from its own encoding.
+    #[test]
+    fn random_snapshots_read_as_corrupt_and_allocate_within_bounds(
+        garbage in proptest::collection::vec(any::<u8>(), 0..96),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+    ) {
+        let mut real = sample_snapshot().encode().unwrap()[20..].to_vec();
+        for (at, byte) in edits {
+            let at = at % real.len();
+            real[at] = byte;
+        }
+        for body in [garbage.clone(), real] {
+            let file = snapshot_file(&body);
+            let (read, largest) = largest_allocation(|| Snapshot::decode(&file));
+            let bound = file.len() * 2 * std::mem::size_of::<SnapMessage>();
+            prop_assert!(largest <= bound, "allocated {} for {:?}", largest, body);
+            match read {
+                Err(StoreError::Corrupt(_)) => {}
+                Ok(snap) => {
+                    let again = Snapshot::decode(&snap.encode().unwrap()).unwrap();
+                    prop_assert_eq!(again, snap);
+                }
+                Err(e) => panic!("expected Corrupt, got {e:?}"),
+            }
+        }
     }
 }

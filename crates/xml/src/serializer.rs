@@ -191,20 +191,6 @@ fn push_escaped(out: &mut String, s: &str, attribute: bool) {
     out.push_str(&s[from..]);
 }
 
-/// Escape character data.
-pub fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    push_escaped(&mut out, s, false);
-    out
-}
-
-/// Escape an attribute value for double-quoted emission.
-pub fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    push_escaped(&mut out, s, true);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

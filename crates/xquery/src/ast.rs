@@ -18,16 +18,6 @@ pub enum Axis {
     PrecedingSibling,
 }
 
-impl Axis {
-    /// True for axes that deliver nodes in reverse document order.
-    pub fn is_reverse(&self) -> bool {
-        matches!(
-            self,
-            Axis::Parent | Axis::Ancestor | Axis::AncestorOrSelf | Axis::PrecedingSibling
-        )
-    }
-}
-
 /// Node test within a step.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeTest {

@@ -20,16 +20,6 @@ pub enum Tok {
     Sym(&'static str),
 }
 
-impl Tok {
-    /// The name payload, if this is a name token.
-    pub fn as_name(&self) -> Option<&str> {
-        match self {
-            Tok::Name(n) => Some(n),
-            _ => None,
-        }
-    }
-}
-
 /// Lexer over a query string.
 pub struct Lexer {
     chars: Vec<char>,
@@ -92,10 +82,6 @@ impl Lexer {
 
     pub fn raw_peek(&self) -> Option<char> {
         self.chars.get(self.pos).copied()
-    }
-
-    pub fn raw_peek_at(&self, off: usize) -> Option<char> {
-        self.chars.get(self.pos + off).copied()
     }
 
     pub fn raw_bump(&mut self) -> Option<char> {

@@ -43,6 +43,12 @@ if "$LINT" --format json scripts/lint/seeded_defect.qdl > /dev/null; then
 fi
 echo "lint: repo programs clean, seeded defects detected"
 
+echo "== decoder fuzzing (10x the default cases) =="
+# Random and distance-mangled WAL frames and snapshot bodies: refused as
+# Corrupt or read exactly, never a panic, a wrap or an outsized allocation.
+DEMAQ_FUZZ_CASES=640 cargo test --offline -p demaq-store --test prop_store \
+    -- --nocapture random_
+
 echo "== crash-recovery suite (100 randomized kill points) =="
 DEMAQ_CRASH_ITERS=100 cargo test --offline -p demaq-store --test crash_recovery -- --nocapture
 # The engine-level scenarios: a gateway deployment and two shards, both

@@ -9,6 +9,8 @@
 //!   what the `Batch` policy, which defers nothing, computes.
 //! * **Drop**: a clean drop loses no deferred commit and a reopen
 //!   re-processes nothing.
+//! * **Failure**: a message whose rule fails is marked processed in the
+//!   transaction that enqueues its error message — one frame, no window.
 //! * **Crash**: a child process (this binary re-invoked) logs every effect
 //!   the instant it is released, dies at a randomized point — SIGKILL, or
 //!   the `DEMAQ_WAL_CRASH_AFTER_BYTES` failpoint, which drops everything
@@ -22,6 +24,8 @@ use demaq::{Server, ShardedServer};
 use demaq_net::{Clock, Envelope, Network};
 use demaq_obs::Obs;
 use demaq_store::store::SyncPolicy;
+use demaq_store::txn::TxnOp;
+use demaq_store::wal::read_log;
 use demaq_store::{MsgId, PropValue};
 use demaq_xquery::Atomic;
 use std::collections::{BTreeMap, BTreeSet};
@@ -340,6 +344,69 @@ fn drop_then_reopen_replays_every_deferred_commit_and_reprocesses_nothing() {
         (0..12).map(|n| (n, 1)).collect(),
         "every response delivered exactly once across the restarts"
     );
+}
+
+/// A rule that fails after a sibling rule enqueued, with an error queue.
+const FAILING: &str = r#"
+    set errorqueue errors
+    create schema strict {
+        root order
+        element order { id }
+        element id text integer
+    }
+    create queue errors kind basic mode persistent
+    create queue inbox kind basic mode persistent
+    create queue audit kind basic mode persistent
+    create queue guarded kind basic mode persistent schema strict
+    create rule note for inbox
+      if (//boom) then do enqueue <seen/> into audit
+    create rule explode for inbox
+      if (//boom) then do enqueue <notAnOrder/> into guarded
+"#;
+
+/// A failing rule aborts its message's whole transaction, the sibling
+/// rule's enqueue included (paper Sec. 3.6). One new transaction then
+/// marks the message processed and enqueues its error message: the log
+/// holds both in one frame, so no crash can leave the message processed
+/// and its error lost.
+#[test]
+fn a_failing_rule_marks_and_routes_its_error_in_one_frame() {
+    let dir = tempfile::TempDir::new().unwrap();
+    let server = Server::builder()
+        .program(FAILING)
+        .dir(dir.path())
+        .sync_policy(SyncPolicy::Always)
+        .build()
+        .unwrap();
+    let msg = server.enqueue_external("inbox", "<boom/>").unwrap();
+    server.run_until_idle().unwrap();
+    let errors = server.queue_messages("errors").unwrap();
+    assert_eq!(errors.len(), 1);
+    let error = errors[0].id;
+    assert!(server.store().message(msg).unwrap().processed);
+    assert!(server.queue_messages("audit").unwrap().is_empty());
+    drop(server);
+
+    let scan = read_log(&dir.path().join("wal-000000.log")).unwrap();
+    let frames: Vec<&Vec<TxnOp>> = scan.txns.iter().map(|(_, ops)| ops).collect();
+    let marking: Vec<_> = frames
+        .iter()
+        .filter(|ops| ops.contains(&TxnOp::MarkProcessed { msg }))
+        .collect();
+    assert_eq!(marking.len(), 1, "{frames:?}");
+    assert!(
+        marking[0]
+            .iter()
+            .any(|op| matches!(op, TxnOp::Enqueue { msg, .. } if *msg == error)),
+        "the mark and the error enqueue are in different frames: {frames:?}"
+    );
+    let enqueued_into = |queue: &str| {
+        let enqueues = frames.iter().flat_map(|ops| ops.iter());
+        enqueues
+            .filter(|op| matches!(op, TxnOp::Enqueue { queue: q, .. } if &**q == queue))
+            .count()
+    };
+    assert_eq!(enqueued_into("audit"), 0, "a sibling's enqueue logged");
 }
 
 // ---- crash harness ------------------------------------------------------------

@@ -91,16 +91,21 @@ const UNSHARED_STEPS: u64 = 18_110;
 
 /// Allocations and bytes feeding the 200 orders: 23.62 allocations per
 /// order. Before properties, names, the rule host and the lock plan were
-/// shared, 31.62 (6 323 allocations, 1 699 781 bytes).
+/// shared, 31.62 (6 323 allocations, 1 699 781 bytes); before lineage was
+/// read from the enqueue, 1 646 998 bytes (a message's enqueue LSN costs
+/// its map entry 16 bytes).
 const ALLOCS_INGEST: Allocs = Allocs {
     count: 4_723,
-    bytes: 1_646_998,
+    bytes: 1_648_694,
 };
-/// Allocations and bytes draining them: 354.86 per order, against 469.55
-/// before (93 910 allocations, 10 989 340 bytes).
+/// Allocations and bytes draining them: 351.38 per order, against 469.55
+/// before properties, names, the rule host and the lock plan were shared
+/// (93 910 allocations, 10 989 340 bytes), and 354.86 before lineage was
+/// read from the enqueue and a failed order's mark and error became one
+/// transaction (70 971 allocations, 10 032 971 bytes).
 const ALLOCS_PROCESSING: Allocs = Allocs {
-    count: 70_971,
-    bytes: 10_032_971,
+    count: 70_276,
+    bytes: 9_771_071,
 };
 
 /// splitmix64: a fixed, dependency-free stream.
