@@ -18,9 +18,11 @@
 //!   bench-trajectory entry the CI gate validates.
 //!
 //! Expected shape: the drain issues far fewer WAL syncs than commits (a
-//! worker does not wait for its own fsync; one barrier covers 32
-//! commits), every drained message carries lineage, and the per-rule
-//! histograms are populated for both pipeline stages.
+//! worker does not wait for its own fsync; nothing leaves the process and
+//! nothing is ingested from memory, so no backlog barrier runs and one
+//! idle barrier covers the drain), every
+//! drained message carries lineage, and the per-rule histograms are
+//! populated for both pipeline stages.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use demaq::Server;
@@ -149,12 +151,25 @@ fn bench_e12(c: &mut Criterion) {
     assert_eq!(overwrites, 0.0, "trace ring must be sized for the run");
     // The fsync-always drain must not wait for the disk per commit: the
     // acknowledged feed syncs once per message, the drain once per 32
-    // commits. A commit path that silently re-serialized fails here.
+    // effects held in an outbox (one more per worker for a barrier that
+    // raced another's) and once when it goes idle. Every enqueue here is
+    // acknowledged, so no commit ingests from memory, the other thing a
+    // backlog barrier waits for. A commit path that silently
+    // re-serialized, or a backlog barrier paced by commits, fails here.
     let commits = metric_value(&text, "demaq_store_commits_total");
     let syncs = metric_value(&text, "demaq_store_wal_syncs_total");
     assert!(
         syncs < commits / 2.0,
         "{syncs} WAL syncs for {commits} commits: the commit path re-serialized"
+    );
+    let backlog = metric_value(
+        &text,
+        "demaq_engine_durability_barriers_total{reason=\"backlog\"}",
+    );
+    let held = metric_value(&text, "demaq_engine_outbox_hold_ns_count");
+    assert!(
+        backlog <= (held / 32.0).ceil() + 4.0,
+        "{backlog} backlog barriers for {held} held effects"
     );
     // Lineage coverage: retained messages whose lineage query answers.
     let mut lineage_indexed = 0usize;

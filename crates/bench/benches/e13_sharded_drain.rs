@@ -20,9 +20,10 @@
 //!   Target: `scaling_4v1 ≥ 2.5` on a host with 16 cores or more.
 //!
 //! The scaling gate is host-adaptive. A worker does not wait for its own
-//! fsync (a drain syncs once per 32 commits), so a drain is
-//! compute-bound, and what sharding can buy it is cores: the 1-shard
-//! deployment already keeps `min(cores, workers)` of them busy, so the
+//! fsync (a drain syncs once 32 forwards or sends wait for the disk —
+//! none here — and once when it goes idle), so a drain is compute-bound,
+//! and what sharding can buy it is cores: the 1-shard deployment already
+//! keeps `min(cores, workers)` of them busy, so the
 //! ceiling is `cores / min(cores, workers)` — 1× on a host with no more
 //! cores than one shard has workers, where the gate only demands "not
 //! materially slower". The gate and the core count land in
@@ -217,7 +218,11 @@ fn bench_e13(c: &mut Criterion) {
 
     // The fsync-always drain must not wait for the disk per commit: the
     // acknowledged feed syncs once per message, the drain once per 32
-    // commits. A commit path that silently re-serialized fails here.
+    // effects held in an outbox (one more per worker for a barrier that
+    // raced another's) and once when it goes idle. Every enqueue here is
+    // acknowledged, so no commit ingests from memory, the other thing a
+    // backlog barrier waits for. A commit path that silently
+    // re-serialized, or a backlog barrier paced by commits, fails here.
     let commits = metric_value(&text, "demaq_store_commits_total");
     let syncs = metric_value(&text, "demaq_store_wal_syncs_total");
     if std::env::var("DEMAQ_E13_NOSYNC").is_err() {
@@ -226,6 +231,16 @@ fn bench_e13(c: &mut Criterion) {
             "{syncs} WAL syncs for {commits} commits: the commit path re-serialized"
         );
     }
+    let backlog = metric_value(
+        &text,
+        "demaq_engine_durability_barriers_total{reason=\"backlog\"}",
+    );
+    let held = metric_value(&text, "demaq_engine_outbox_hold_ns_count");
+    let workers = (server.num_shards() * workers_per_shard()) as f64;
+    assert!(
+        backlog <= (held / 32.0).ceil() + workers,
+        "{backlog} backlog barriers for {held} held effects"
+    );
 
     // ---- host-adaptive scaling gate ---------------------------------------
     // The drain is compute-bound (see the module docs): require 70% of

@@ -39,7 +39,7 @@ use demaq_xquery::{
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -342,7 +342,8 @@ impl EngineMetrics {
 enum BarrierReason {
     /// A worker found nothing to do.
     Idle,
-    /// [`BARRIER_BACKLOG`] commits were unsynced.
+    /// [`BARRIER_BACKLOG`] effects were held or ingests unsynced, or
+    /// [`BARRIER_AGE`] commits were unsynced while one was.
     Backlog,
     /// An external enqueue waited for the disk to acknowledge; its sync
     /// covered the deferred commits before it.
@@ -369,11 +370,21 @@ impl BarrierReason {
     }
 }
 
-/// Unsynced commits at which a busy worker runs a durability barrier. It
-/// bounds how long a forward or gateway send can wait behind a backlog and
-/// how many commits a crash can lose, at the price of one fsync shared by
-/// 32 commits.
-const BARRIER_BACKLOG: u64 = 32;
+/// Held effects, or unsynced ingests, at which a busy worker runs a
+/// durability barrier. An ingest is a deferred commit whose input lives
+/// only in memory (a gateway delivery, a timer echo, a landed forward, a
+/// routed transport error): a crash that loses it loses the input. So a
+/// held forward or send waits behind at most 31 other held effects, a
+/// crash loses at most 32 ingests, and either waits at most
+/// [`BARRIER_AGE`] commits or until its worker idles, acks or runs
+/// maintenance. Any other commit processes a durable message and waits
+/// for the next barrier: a crash before it leaves the message
+/// unprocessed, and recovery redoes it.
+const BARRIER_BACKLOG: usize = 32;
+
+/// Unsynced commits at which a busy worker runs a barrier while any
+/// effect is held or any ingest unsynced.
+const BARRIER_AGE: u64 = 8 * BARRIER_BACKLOG as u64;
 
 /// How a non-rule enqueue entered the server: who, if anyone, is being
 /// answered.
@@ -727,6 +738,7 @@ impl ServerBuilder {
             narrow,
             outbox: Outbox::new(&obs),
             pipelined: self.sync == SyncPolicy::Always,
+            unsynced_ingests: AtomicUsize::new(0),
             obs,
             shard,
             _temp_root: temp_root,
@@ -844,6 +856,9 @@ pub struct Server {
     /// process goes through the outbox. Under `Batch` nothing waits for
     /// the disk in the first place, so nothing is deferred or held.
     pipelined: bool,
+    /// Ingests since the last barrier: deferred commits whose input lives
+    /// only in memory (see [`BARRIER_BACKLOG`]).
+    unsynced_ingests: AtomicUsize,
     /// This server's entry in its routing directory: one shard of a
     /// [`crate::shard::ShardedServer`], or the only entry of its own.
     shard: ShardLink,
@@ -1144,7 +1159,7 @@ impl Server {
                         self.release(BarrierReason::Ack, self.store.durable(), 0)?;
                     }
                     Ingress::Acked => {}
-                    Ingress::Internal => self.bound_backlog()?,
+                    Ingress::Internal => self.bound_backlog(processed.is_none())?,
                 }
                 Ok(id)
             }
@@ -1228,15 +1243,17 @@ impl Server {
     /// Runs by itself wherever a worker finds nothing to do (before it
     /// parks, and before [`Self::step`], [`Self::pump_environment`],
     /// [`Self::run_until_idle`] and [`Self::process_all_parallel`] report
-    /// an idle server), whenever [`BARRIER_BACKLOG`] commits are unsynced,
-    /// and before GC, checkpoint and drop. Public for drivers that
-    /// interpose between [`Self::step`]s and want one sooner. A no-op
-    /// under [`SyncPolicy::Batch`].
+    /// an idle server), whenever [`BARRIER_BACKLOG`] held effects or
+    /// ingests, or 256 unsynced commits, call for one, and before GC,
+    /// checkpoint and drop. Public for drivers that interpose between
+    /// [`Self::step`]s and want one sooner. A no-op under
+    /// [`SyncPolicy::Batch`].
     pub fn durability_barrier(&self) -> Result<bool> {
         self.barrier(BarrierReason::Idle)
     }
 
     fn barrier(&self, reason: BarrierReason) -> Result<bool> {
+        self.unsynced_ingests.store(0, Ordering::Relaxed);
         if !self.pipelined || (self.store.unsynced_commits() == 0 && self.outbox.is_empty()) {
             return Ok(false);
         }
@@ -1274,10 +1291,20 @@ impl Server {
         }
     }
 
-    /// After a deferred commit: run a barrier once [`BARRIER_BACKLOG`]
-    /// commits are unsynced.
-    fn bound_backlog(&self) -> Result<()> {
-        if self.pipelined && self.store.unsynced_commits() >= BARRIER_BACKLOG {
+    /// After a deferred commit (`ingest`: one whose input lives only in
+    /// memory): run a barrier once [`BARRIER_BACKLOG`] effects are held or
+    /// ingests unsynced, or [`BARRIER_AGE`] commits are unsynced while any
+    /// is.
+    fn bound_backlog(&self, ingest: bool) -> Result<()> {
+        if !self.pipelined {
+            return Ok(());
+        }
+        let held = self.outbox.len();
+        let ingests = self.unsynced_ingests.fetch_add(ingest as usize, Ordering::Relaxed)
+            + ingest as usize;
+        if held.max(ingests) >= BARRIER_BACKLOG
+            || (held + ingests > 0 && self.store.unsynced_commits() >= BARRIER_AGE)
+        {
             self.barrier(BarrierReason::Backlog)?;
         }
         Ok(())
@@ -1551,7 +1578,7 @@ impl Server {
                     }
                     self.emit(after, Effect::Forward(f))?;
                 }
-                self.bound_backlog()
+                self.bound_backlog(false)
             }
             Err(ProcessingError::Store(StoreError::Deadlock | StoreError::LockTimeout)) => {
                 // The one retry path: put the message back at the front of

@@ -12,7 +12,13 @@
 //! leave the effect behind with its cause gone). Such effects are held
 //! here, ordered by their commit's durable target, and released by the
 //! engine's durability barrier once the store's durable watermark covers
-//! them.
+//! them. Its length paces a busy worker's barrier: one runs once 32
+//! effects are held, so an effect waits behind at most 31 others, 256
+//! commits, or until its worker idles, acks or runs maintenance. The
+//! engine paces commits that ingest what lives only in memory (gateway
+//! deliveries, timer echoes, landed forwards) the same way. Any other
+//! commit does not hasten a sync: a crash may lose it, and recovery
+//! redoes it from its still-unprocessed input.
 //!
 //! The outbox is memory-only: a crash between the covering sync and the
 //! release loses the effect, exactly as a crash right after an immediate
@@ -101,6 +107,10 @@ impl Outbox {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.waiting.lock().held.is_empty()
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.waiting.lock().held.len()
     }
 
     /// Take every effect whose commit `durable` covers, in release order.

@@ -53,7 +53,9 @@ echo "== crash-recovery suite (100 randomized kill points) =="
 DEMAQ_CRASH_ITERS=100 cargo test --offline -p demaq-store --test crash_recovery -- --nocapture
 # The engine-level scenarios: a gateway deployment and two shards, both
 # fsync-always, killed mid-pipeline; no forward or send may ever show
-# without the commit that produced it.
+# without the commit that produced it. A local-only chain holds no effect,
+# so its crash drops a long unsynced tail that recovery must redo exactly
+# once; a gateway fed only over the wire may lose at most 32 ingests.
 DEMAQ_CRASH_ITERS=100 cargo test --offline -p demaq-suite --test durability_pipeline -- --nocapture crash
 # Narrowed retention killed between fold, GC and checkpoint cycles: the
 # recovered store must still count every acked reading.
@@ -139,8 +141,11 @@ DEMAQ_E12_SMOKE=1 cargo bench --offline -p demaq-bench --bench e12_sustained_dra
 cp -f crates/bench/target/metrics/e12_sustained_drain.prom target/metrics/ 2>/dev/null || true
 sync_gate() {
     # A worker must not wait for its own fsync: the acknowledged feed syncs
-    # once per message, the drain once per 32 commits. The gate re-checks
-    # the exposition so a silently re-serialized commit path fails CI.
+    # once per message, the drain only when something waits on the disk
+    # (held forwards and sends, gateway ingests) and when it goes idle. The
+    # gate re-checks the exposition so a silently re-serialized commit path
+    # fails CI. The bound on backlog barriers is asserted by the bench
+    # itself, which knows its worker count, and fails the step above.
     awk -v bench="$1" '$1 == "demaq_store_wal_syncs_total" { syncs = $2 }
          $1 == "demaq_store_commits_total" { commits = $2 }
          END { if (commits + 0 <= 0 || syncs + 0 >= commits + 0) {

@@ -19,6 +19,11 @@
 //!   every acknowledged id present, and recover + drain yields every
 //!   output at most once — exactly once where no in-memory hop was in
 //!   flight. `DEMAQ_CRASH_ITERS` rounds per scenario (default 25; CI 100).
+//!   A local-only chain holds no effect, so its drains run no backlog
+//!   barrier: the failpoint lands behind a tail of many unsynced commits,
+//!   and recovery must redo every one of them exactly once. Gateway
+//!   ingests, whose input lives only in memory, are synced within 32: a
+//!   crash loses at most that many.
 
 use demaq::{Server, ShardedServer};
 use demaq_net::{Clock, Envelope, Network};
@@ -70,6 +75,21 @@ const REKEY: &str = r#"
       if (//enriched) then do enqueue <done n="{//enriched/@n}"/> into done
 "#;
 
+/// A chain of three rules that never leaves the store: no forward, no
+/// send, so nothing is ever held in the outbox.
+const LOCAL: &str = r#"
+    create queue intake kind basic mode persistent
+    create queue checked kind basic mode persistent
+    create queue priced kind basic mode persistent
+    create queue done kind basic mode persistent
+    create rule check for intake
+      if (/job) then do enqueue <checked n="{/job/@n}"/> into checked
+    create rule price for checked
+      if (/checked) then do enqueue <priced n="{/checked/@n}"/> into priced
+    create rule finish for priced
+      if (/priced) then do enqueue <done n="{/priced/@n}"/> into done
+"#;
+
 fn lane(i: u64) -> Vec<(String, Atomic)> {
     vec![("lane".to_string(), Atomic::Int((i % 7) as i64))]
 }
@@ -113,6 +133,17 @@ fn rekey_deployment(dir: &Path, sync: SyncPolicy, obs: Option<Arc<Obs>>) -> Shar
         b = b.obs(obs);
     }
     b.shards(2).build().unwrap()
+}
+
+fn local_server(dir: &Path, obs: Option<Arc<Obs>>) -> Server {
+    let mut b = Server::builder()
+        .program(LOCAL)
+        .dir(dir)
+        .sync_policy(SyncPolicy::Always);
+    if let Some(obs) = obs {
+        b = b.obs(obs);
+    }
+    b.build().unwrap()
 }
 
 fn counter(obs: &Obs, name: &str) -> u64 {
@@ -442,21 +473,28 @@ fn complete_lines(path: PathBuf) -> Vec<String> {
 }
 
 /// An observability context whose tracer logs every `msg.released` event
-/// — the engine records it right before it performs the effect.
+/// — the engine records it right before it performs the effect — and
+/// every `msg.processed` one and every enqueue into the incoming gateway
+/// queue `wire`, which it records right after the commit.
 fn logging_obs(effects: &Arc<LineLog>) -> Arc<Obs> {
     let obs = Obs::new();
     let log = Arc::clone(effects);
-    obs.tracer.attach_tap(move |ev| {
-        if ev.kind == "msg.released" {
+    obs.tracer.attach_tap(move |ev| match ev.kind {
+        "msg.released" => {
             let kind = ev.detail.split(' ').next().unwrap_or("");
             log.line(format!("released {kind} {}\n", ev.msg_id.unwrap_or(0)));
         }
+        "msg.processed" => log.line(format!("processed {}\n", ev.msg_id.unwrap_or(0))),
+        "msg.enqueue" if ev.queue == "wire" => {
+            log.line(format!("ingested {}\n", ev.msg_id.unwrap_or(0)))
+        }
+        _ => {}
     });
     obs
 }
 
-/// Child body of both scenarios: feed acknowledged jobs in small bursts,
-/// drain after each, until killed (or done). A no-op unless re-invoked by
+/// Child body of every scenario: feed jobs in bursts (acknowledged, or
+/// over the wire), drain after each, until killed (or done). A no-op unless re-invoked by
 /// the parent with `DEMAQ_PIPE_CRASH_DIR`.
 #[test]
 #[ignore = "crash-harness child body; only meaningful when re-invoked by the parent test"]
@@ -509,6 +547,31 @@ fn pipeline_crash_child_body() {
                 }
             }
         }
+        "wire" => {
+            let log = Arc::clone(&effects);
+            let (net, _) =
+                network_with_sink(move |env| log.line(format!("delivered {}\n", env.body)));
+            let server = gateway_server(&dir.join("store"), &net, Some(obs));
+            for i in 0..CHILD_JOBS {
+                let xml = format!("<req n=\"{i}\"/>");
+                net.send(Envelope::new("urn:pipe-in", "urn:pipe-gen", xml))
+                    .unwrap();
+                if i % burst == burst - 1 {
+                    server.run_until_idle().unwrap();
+                }
+            }
+        }
+        "local" => {
+            let server = local_server(&dir.join("store"), Some(obs));
+            for i in 0..CHILD_JOBS {
+                let xml = format!("<job n=\"{i}\"/>");
+                let id = server.enqueue_external("intake", &xml).unwrap();
+                acks.line(format!("{} {xml}\n", id.0));
+                if i % burst == burst - 1 {
+                    server.run_until_idle().unwrap();
+                }
+            }
+        }
         other => panic!("unknown scenario {other}"),
     }
 }
@@ -533,6 +596,10 @@ struct Crashed {
     released: Vec<(String, u64)>,
     /// Bodies the child's sink saw.
     delivered: Vec<String>,
+    /// Every message whose processing the child committed.
+    processed: Vec<u64>,
+    /// Every message the child's incoming gateway committed.
+    ingested: Vec<u64>,
 }
 
 impl Crashed {
@@ -543,7 +610,8 @@ impl Crashed {
 
 /// Run the child and kill it: by the WAL failpoint after a random number
 /// of log bytes (two rounds in three), else by SIGKILL after a random
-/// delay.
+/// delay. The local and wire scenarios drain after bursts of 64–127
+/// jobs, the others after 1–12.
 fn crash_child(scenario: &str, round: u64, rng: &mut Xorshift) -> Crashed {
     let dir = tempfile::TempDir::new().unwrap();
     let mut cmd = Command::new(std::env::current_exe().unwrap());
@@ -555,14 +623,21 @@ fn crash_child(scenario: &str, round: u64, rng: &mut Xorshift) -> Crashed {
     ])
     .env("DEMAQ_PIPE_CRASH_DIR", dir.path())
     .env("DEMAQ_PIPE_CRASH_SCENARIO", scenario)
-    .env("DEMAQ_PIPE_CRASH_BURST", (1 + rng.below(12)).to_string())
+    .env(
+        "DEMAQ_PIPE_CRASH_BURST",
+        match scenario {
+            "local" | "wire" => 64 + rng.below(64),
+            _ => 1 + rng.below(12),
+        }
+        .to_string(),
+    )
     .stdout(Stdio::null())
     .stderr(Stdio::null());
     let failpoint = round % 3 != 2;
     if failpoint {
-        // A job logs about 190 B into the gateway scenario's WAL and
-        // 100–160 B into each sharded one, so every budget tears a log
-        // within the child's first ~200 jobs.
+        // A job logs about 190 B into the gateway, wire and local
+        // scenarios' WALs and 100–160 B into each sharded one, so every
+        // budget tears a log within the child's first ~200 jobs.
         cmd.env(
             "DEMAQ_WAL_CRASH_AFTER_BYTES",
             (100 + rng.below(34_000)).to_string(),
@@ -592,9 +667,14 @@ fn crash_child(scenario: &str, round: u64, rng: &mut Xorshift) -> Crashed {
         })
         .collect();
     let (mut released, mut delivered) = (Vec::new(), Vec::new());
+    let (mut processed, mut ingested) = (Vec::new(), Vec::new());
     for l in complete_lines(dir.path().join(EFFECTS)) {
         if let Some(body) = l.strip_prefix("delivered ") {
             delivered.push(body.to_string());
+        } else if let Some(id) = l.strip_prefix("processed ") {
+            processed.push(id.parse().expect("processed id"));
+        } else if let Some(id) = l.strip_prefix("ingested ") {
+            ingested.push(id.parse().expect("ingested id"));
         } else if let Some(rest) = l.strip_prefix("released ") {
             let (kind, id) = rest.split_once(' ').expect("released <kind> <id>");
             released.push((kind.to_string(), id.parse().expect("producer id")));
@@ -605,6 +685,8 @@ fn crash_child(scenario: &str, round: u64, rng: &mut Xorshift) -> Crashed {
         acked,
         released,
         delivered,
+        processed,
+        ingested,
     }
 }
 
@@ -625,32 +707,45 @@ fn crash_rounds() -> (u64, Xorshift, u64) {
 /// passing one.
 #[derive(Default)]
 struct Tally {
-    acked: usize,
+    /// Jobs the children took in: acknowledged enqueues and gateway
+    /// ingests.
+    fed: usize,
     released: usize,
+    /// Commits the crash lost (total, and most in one round).
+    lost: usize,
+    lost_max: usize,
     killed_mid_run: u64,
 }
 
 impl Tally {
-    fn add(&mut self, crashed: &Crashed) {
-        self.acked += crashed.acked.len();
+    /// `lost`: commits the child reported that the recovered store lacks
+    /// (counted in the local and wire scenarios).
+    fn add(&mut self, crashed: &Crashed, lost: usize) {
+        let fed = crashed.acked.len() + crashed.ingested.len();
+        self.fed += fed;
         self.released += crashed.released.len();
-        self.killed_mid_run += (crashed.acked.len() < CHILD_JOBS as usize) as u64;
+        self.lost += lost;
+        self.lost_max = self.lost_max.max(lost);
+        self.killed_mid_run += (fed < CHILD_JOBS as usize) as u64;
     }
 
     fn finish(self, scenario: &str, rounds: u64, seed: u64) {
         let Tally {
-            acked,
+            fed,
             released,
+            lost,
+            lost_max,
             killed_mid_run,
         } = self;
         assert!(
-            rounds < 10 || (acked > 0 && released > 0 && killed_mid_run > rounds / 2),
-            "{scenario} harness too tame: {acked} acked, {released} released, \
+            rounds < 10 || (fed > 0 && released + lost > 0 && killed_mid_run > rounds / 2),
+            "{scenario} harness too tame: {fed} fed, {released} released, {lost} lost, \
              {killed_mid_run}/{rounds} killed mid-run (seed {seed})"
         );
         eprintln!(
             "{scenario} crash harness: {rounds} rounds, {killed_mid_run} killed mid-run, \
-             {acked} acks and {released} released effects verified (seed {seed})"
+             {fed} jobs fed, {released} released effects and {lost} lost commits \
+             (at most {lost_max} in a round) verified (seed {seed})"
         );
     }
 }
@@ -736,7 +831,7 @@ fn gateway_crash_never_shows_an_effect_without_its_commit() {
                 k => panic!("{ctx}: response {n} delivered {k} times"),
             }
         }
-        tally.add(&crashed);
+        tally.add(&crashed, 0);
     }
     tally.finish("gateway", rounds, seed);
 }
@@ -805,7 +900,101 @@ fn sharded_crash_never_shows_a_forward_without_its_commit() {
             "{ctx}: `finish` is shard-local — exactly once"
         );
         assert!(enriched.keys().all(|n| jobs.contains_key(n)), "{ctx}");
-        tally.add(&crashed);
+        tally.add(&crashed, 0);
     }
     tally.finish("sharded", rounds, seed);
+}
+
+#[test]
+fn local_crash_redoes_every_unsynced_commit_exactly_once() {
+    let (rounds, mut rng, seed) = crash_rounds();
+    let mut tally = Tally::default();
+    for round in 0..rounds {
+        let crashed = crash_child("local", round, &mut rng);
+        let ctx = format!("round {round} (seed {seed})");
+        let server = local_server(&crashed.store_dir(), None);
+
+        // (b) acknowledged ⇒ present.
+        let intake = server.queue_messages("intake").unwrap();
+        let present: BTreeMap<u64, &str> = intake.iter().map(|m| (m.id.0, &*m.payload)).collect();
+        for (id, xml) in &crashed.acked {
+            assert_eq!(
+                present.get(id).copied(),
+                Some(xml.as_str()),
+                "{ctx}: acked {id} lost"
+            );
+        }
+        assert!(crashed.released.is_empty(), "{ctx}: {:?}", crashed.released);
+        // The unsynced tail the crash dropped: processing the child
+        // committed that recovery does not have (the message itself may
+        // be gone with its producer's commit).
+        let store = server.store();
+        let lost = crashed
+            .processed
+            .iter()
+            .filter(|&&id| !store.message_meta(MsgId(id)).is_ok_and(|m| m.processed))
+            .count();
+
+        // (c) recover + drain: nothing was in flight outside the store, so
+        // every stage yields exactly one output per recovered job.
+        server.run_until_idle().unwrap();
+        assert_eq!(server.run_until_idle().unwrap(), 0);
+        let jobs = per_index(intake.iter().map(|m| &*m.payload));
+        assert!(jobs.values().all(|&c| c == 1), "{ctx}: {jobs:?}");
+        for queue in ["checked", "priced", "done"] {
+            assert_eq!(
+                per_index(server.queue_bodies(queue).unwrap()),
+                jobs,
+                "{ctx}: `{queue}` holds one message per job"
+            );
+        }
+        tally.add(&crashed, lost);
+    }
+    tally.finish("local", rounds, seed);
+}
+
+/// Requests arrive over the wire only. An ingest's input lives only in
+/// memory, so a crash that loses its commit loses the request: the barrier
+/// syncs every 32nd unsynced ingest, and no crash loses more.
+#[test]
+fn wire_crash_loses_at_most_32_gateway_ingests() {
+    let (rounds, mut rng, seed) = crash_rounds();
+    let mut tally = Tally::default();
+    for round in 0..rounds {
+        let crashed = crash_child("wire", round, &mut rng);
+        let ctx = format!("round {round} (seed {seed})");
+        let (net, _) = network_with_sink(|_| {});
+        let server = gateway_server(&crashed.store_dir(), &net, None);
+
+        let wire = server.queue_messages("wire").unwrap();
+        let recovered: BTreeSet<u64> = wire.iter().map(|m| m.id.0).collect();
+        let lost = crashed
+            .ingested
+            .iter()
+            .filter(|id| !recovered.contains(id))
+            .count();
+        assert!(lost <= 32, "{ctx}: the crash lost {lost} gateway ingests");
+        // (a) every released send belongs to a response whose enqueue
+        // recovery replayed.
+        let outbound: BTreeSet<u64> = server
+            .queue_messages("outbound")
+            .unwrap()
+            .iter()
+            .map(|m| m.id.0)
+            .collect();
+        for (kind, producer) in &crashed.released {
+            assert_eq!(kind, "send", "{ctx}");
+            assert!(outbound.contains(producer), "{ctx}: response {producer} lost");
+        }
+        // (c) recover + drain: one response per recovered request.
+        server.run_until_idle().unwrap();
+        assert_eq!(server.run_until_idle().unwrap(), 0);
+        assert_eq!(
+            per_index(server.queue_bodies("outbound").unwrap()),
+            per_index(wire.iter().map(|m| &*m.payload)),
+            "{ctx}: exactly one response per recovered request"
+        );
+        tally.add(&crashed, lost);
+    }
+    tally.finish("wire", rounds, seed);
 }

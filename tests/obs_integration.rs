@@ -262,7 +262,7 @@ fn durability_pipeline_series_match_store_ground_truth() {
         .collect();
     assert_eq!(barriers["ack"], 2 * JOBS, "one per acknowledged enqueue");
     assert!(barriers["idle"] >= 1, "{barriers:?}");
-    assert!(barriers["backlog"] >= 1, "more than 32 commits per drain: {barriers:?}");
+    assert!(barriers["backlog"] >= 1, "32 effects held, or 32 forwards landed, in a drain: {barriers:?}");
     assert!(barriers.values().sum::<u64>() <= commits, "{barriers:?} vs {commits} commits");
     assert!(
         syncs < commits / 2,
@@ -299,6 +299,159 @@ fn durability_pipeline_series_match_store_ground_truth() {
     let text = server.metrics_text();
     assert!(text.contains("# TYPE demaq_engine_outbox_hold_ns histogram"));
     assert!(text.contains("demaq_engine_durability_barriers_total{reason=\"idle\"}"));
+}
+
+/// A local chain of two rules: nothing it commits leaves the process.
+const LOCAL_CHAIN: &str = r#"
+    create queue intake kind basic mode persistent
+    create queue enriched kind basic mode persistent
+    create queue done kind basic mode persistent
+    create rule enrich for intake
+      if (//job) then do enqueue <enriched n="{//job/@n}"/> into enriched
+    create rule finish for enriched
+      if (//enriched) then do enqueue <done n="{//enriched/@n}"/> into done
+"#;
+
+/// `demaq_engine_durability_barriers_total` by reason.
+fn barriers(server: &Server) -> BTreeMap<String, u64> {
+    server
+        .metrics()
+        .registry
+        .counter_series("demaq_engine_durability_barriers_total")
+        .into_iter()
+        .map(|(labels, n)| (labels[0].1.clone(), n))
+        .collect()
+}
+
+/// Process every scheduled message with `step`, which runs the idle
+/// barrier only once nothing is scheduled; returns the commits made.
+fn step_while_scheduled(server: &Server) -> u64 {
+    let obs = server.metrics();
+    let r = &obs.registry;
+    let before = r.counter_total("demaq_store_commits_total");
+    while r.gauge("demaq_engine_scheduler_depth").get() > 0 {
+        assert!(server.step().unwrap());
+    }
+    r.counter_total("demaq_store_commits_total") - before
+}
+
+/// A local-only drain under `Always` holds no effect and ingests nothing
+/// that lives only in memory, so no backlog barrier runs however many
+/// deferred commits pile up: the idle barrier at its end covers them all
+/// with one sync. A crash before it loses them, and recovery redoes them
+/// from their still-unprocessed input.
+#[test]
+fn commits_that_hold_no_effect_wait_for_the_idle_barrier() {
+    const JOBS: u64 = 40;
+    let dir = tempfile::TempDir::new().unwrap();
+    let server = Server::builder()
+        .program(LOCAL_CHAIN)
+        .dir(dir.path())
+        .sync_policy(SyncPolicy::Always)
+        .build()
+        .unwrap();
+    for i in 0..JOBS {
+        server
+            .enqueue_external("intake", &format!("<job n='{i}'/>"))
+            .unwrap();
+    }
+    let obs = server.metrics();
+    let r = &obs.registry;
+    let syncs_fed = r.counter_total("demaq_store_wal_syncs_total");
+    assert_eq!(server.store().unsynced_commits(), 0, "every ack synced");
+    let deferred = step_while_scheduled(&server);
+    assert!(deferred >= 64, "{deferred} deferred commits");
+    assert_eq!(server.store().unsynced_commits(), deferred);
+    assert_eq!(barriers(&server)["backlog"], 0, "nothing held: {:?}", barriers(&server));
+    assert_eq!(r.counter_total("demaq_store_wal_syncs_total"), syncs_fed);
+
+    let idle = barriers(&server)["idle"];
+    assert!(!server.step().unwrap(), "idle, and nothing to release");
+    assert_eq!(barriers(&server)["idle"], idle + 1);
+    assert_eq!(server.store().unsynced_commits(), 0, "the idle barrier covered them");
+    assert_eq!(r.counter_total("demaq_store_wal_syncs_total"), syncs_fed + 1);
+    assert_eq!(server.queue_bodies("done").unwrap().len() as u64, JOBS);
+}
+
+/// A gateway ingest's input lives only in memory (the sender has its
+/// acknowledgement), so a crash that loses the commit loses the message.
+/// Such commits pace the backlog barrier like held effects: the 32nd
+/// unsynced ingest syncs them all, even though nothing is held.
+#[test]
+fn gateway_ingests_are_synced_within_32() {
+    use demaq_net::{Clock, Envelope, Network};
+    use std::sync::Arc;
+
+    const REQUESTS: u64 = 40;
+    let net = Arc::new(Network::new(Clock::virtual_at(0), 7));
+    net.set_latency_ms(0);
+    let server = Server::builder()
+        .program(
+            r#"
+            create queue wire kind incomingGateway mode persistent endpoint "urn:obs-in"
+            create queue done kind basic mode persistent
+            create rule accept for wire
+              if (/req) then do enqueue <done n="{/req/@n}"/> into done
+            "#,
+        )
+        .in_memory()
+        .sync_policy(SyncPolicy::Always)
+        .network(Arc::clone(&net))
+        .build()
+        .unwrap();
+    for i in 0..REQUESTS {
+        let xml = format!("<req n=\"{i}\"/>");
+        net.send(Envelope::new("urn:obs-in", "urn:obs-gen", xml))
+            .unwrap();
+    }
+    // One pump ingests every delivery and processes none of them.
+    assert!(server.pump_environment().unwrap());
+    assert_eq!(server.queue_messages("wire").unwrap().len() as u64, REQUESTS);
+    assert_eq!(barriers(&server)["backlog"], 1, "{:?}", barriers(&server));
+    assert_eq!(server.store().unsynced_commits(), REQUESTS - 32);
+    server.run_until_idle().unwrap();
+    assert_eq!(server.queue_bodies("done").unwrap().len() as u64, REQUESTS);
+}
+
+/// A send held behind a long drain of commits that hold nothing does not
+/// wait for the drain to go idle: once 256 commits are unsynced while it
+/// waits, a backlog barrier releases it.
+#[test]
+fn a_lone_held_send_waits_at_most_256_commits() {
+    use demaq_net::{Clock, Envelope, Network};
+    use std::sync::Arc;
+
+    const JOBS: u64 = 150;
+    let net = Arc::new(Network::new(Clock::virtual_at(0), 7));
+    net.register("urn:obs-sink", Arc::new(|_: Envelope| {}));
+    let server = Server::builder()
+        .program(&format!(
+            r#"{LOCAL_CHAIN}
+            create queue notices kind basic mode persistent
+            create queue out kind outgoingGateway mode persistent endpoint "urn:obs-sink"
+            create rule publish for notices
+              if (//notice) then do enqueue <published/> into out
+            "#
+        ))
+        .in_memory()
+        .sync_policy(SyncPolicy::Always)
+        .network(net)
+        .build()
+        .unwrap();
+    server.enqueue_external("notices", "<notice/>").unwrap();
+    for i in 0..JOBS {
+        server
+            .enqueue_external("intake", &format!("<job n='{i}'/>"))
+            .unwrap();
+    }
+    let drained = step_while_scheduled(&server);
+    assert!(drained > 256 + 32, "{drained} commits");
+    let obs = server.metrics();
+    let r = &obs.registry;
+    assert_eq!(barriers(&server)["backlog"], 1, "{:?}", barriers(&server));
+    assert_eq!(r.counter_total("demaq_gateway_sent_total"), 1, "released before idle");
+    assert_eq!(r.gauge("demaq_engine_outbox_depth").get(), 0);
+    assert_eq!(server.store().unsynced_commits(), drained - 256);
 }
 
 /// A slicing read only through recognized aggregates never touches a
