@@ -34,7 +34,7 @@ pub fn scan_slice_members(
             let Ok(doc) = parse(&m.payload) else { continue };
             let mut ev = PlanEvaluator::new(&dctx);
             if let Ok(seq) = ev.eval_with_context(&plan, doc.root()) {
-                if let Some(item) = seq.0.first() {
+                if let Some(item) = seq.iter().next() {
                     if item.string_value() == wanted {
                         out.push(m.id);
                     }

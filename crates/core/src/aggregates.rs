@@ -335,11 +335,9 @@ mod tests {
     ];
 
     fn seq_of(ids: &[u64]) -> Sequence {
-        Sequence(
-            ids.iter()
-                .map(|i| Item::Node(demaq_xml::parse(&format!("<m id='{i}'/>")).unwrap().root()))
-                .collect(),
-        )
+        ids.iter()
+            .map(|i| Item::Node(demaq_xml::parse(&format!("<m id='{i}'/>")).unwrap().root()))
+            .collect()
     }
 
     /// The member-sequence cell of `("s", key)` as the engine keeps it,
@@ -354,13 +352,13 @@ mod tests {
                     seqs.note_hit();
                     return (f.value.len(), ids);
                 }
-                (f.value.0, true)
+                (f.value.into_vec(), true)
             }
             _ => (Vec::new(), false),
         };
         let reused = items.len();
-        items.extend(seq_of(&ids.iter().map(|m| m.0).collect::<Vec<_>>()).0);
-        let value = Sequence(items);
+        items.extend(seq_of(&ids.iter().map(|m| m.0).collect::<Vec<_>>()));
+        let value = Sequence::from(items);
         seqs.put(slice(key), Fold { token: read.token, len: read.len, value }, extended);
         (reused, ids)
     }

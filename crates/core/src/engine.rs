@@ -178,7 +178,12 @@ struct EngineMetrics {
     /// Slice members folded into their base and released for purge by the
     /// retention-narrowing sweep.
     retention_released: Counter,
+    /// The rule-eval span, and its three stages: lock, evaluate the
+    /// rules, execute their actions.
     rule_eval_ns: Histogram,
+    lock_ns: Histogram,
+    evaluate_ns: Histogram,
+    execute_ns: Histogram,
     txn_commit_ns: Histogram,
     /// Rule evaluators' work counts ([`EvalCounts`]), added once per
     /// evaluator: one per message for its queue's rules.
@@ -195,6 +200,13 @@ struct EngineMetrics {
     per_queue: HashMap<String, QueueCounters>,
     /// Per-rule attribution handles, keyed by rule name.
     per_rule: HashMap<String, RuleMetrics>,
+}
+
+/// When a message's rule-eval span finished locking and evaluating.
+#[derive(Default)]
+struct Seams {
+    locked: Option<Instant>,
+    evaluated: Option<Instant>,
 }
 
 struct QueueCounters {
@@ -277,6 +289,9 @@ impl EngineMetrics {
             gc_purged: r.counter("demaq_engine_gc_purged_total"),
             retention_released: r.counter("demaq_engine_retention_released_total"),
             rule_eval_ns: r.histogram("demaq_engine_rule_eval_ns"),
+            lock_ns: r.histogram("demaq_engine_lock_ns"),
+            evaluate_ns: r.histogram("demaq_engine_evaluate_ns"),
+            execute_ns: r.histogram("demaq_engine_execute_ns"),
             txn_commit_ns: r.histogram("demaq_engine_txn_commit_ns"),
             path_steps: r.counter("demaq_xquery_path_steps_total"),
             shared_evals: r.counter("demaq_xquery_shared_evals_total"),
@@ -291,6 +306,18 @@ impl EngineMetrics {
             per_queue,
             per_rule,
         }
+    }
+
+    /// Record one message's rule-eval span, which started at `started`,
+    /// and its stages. A stage the span did not reach takes no time.
+    fn record_rule_eval_span(&self, started: Instant, seams: Seams) {
+        let end = Instant::now();
+        let locked = seams.locked.unwrap_or(end);
+        let evaluated = seams.evaluated.unwrap_or(end);
+        self.rule_eval_ns.record(end - started);
+        self.lock_ns.record(locked - started);
+        self.evaluate_ns.record(evaluated - locked);
+        self.execute_ns.record(end - evaluated);
     }
 
     /// Attribute one rule evaluation: wall time + firing count.
@@ -1072,6 +1099,7 @@ impl Server {
                     dest,
                     queue: Arc::clone(&cq.name),
                     xml: xml.into(),
+                    doc,
                     props,
                     enqueued_at: now,
                 }),
@@ -1177,7 +1205,7 @@ impl Server {
         self.enqueue_prepared(
             &f.queue,
             f.xml.clone(),
-            None,
+            Some(Arc::clone(&f.doc)),
             Arc::clone(&f.props),
             f.enqueued_at,
             Ingress::Internal,
@@ -1243,7 +1271,7 @@ impl Server {
     /// Runs by itself wherever a worker finds nothing to do (before it
     /// parks, and before [`Self::step`], [`Self::pump_environment`],
     /// [`Self::run_until_idle`] and [`Self::process_all_parallel`] report
-    /// an idle server), whenever [`BARRIER_BACKLOG`] held effects or
+    /// an idle server), whenever `BARRIER_BACKLOG` (32) held effects or
     /// ingests, or 256 unsynced commits, call for one, and before GC,
     /// checkpoint and drop. Public for drivers that interpose between
     /// [`Self::step`]s and want one sooner. A no-op under
@@ -1530,8 +1558,9 @@ impl Server {
 
         let txn = self.store.begin();
         let eval_started = Instant::now();
-        let result = self.evaluate_and_execute(txn, &meta, &cached, cq, &slices);
-        self.metrics.rule_eval_ns.record(eval_started.elapsed());
+        let mut seams = Seams::default();
+        let result = self.evaluate_and_execute(txn, &meta, &cached, cq, &slices, &mut seams);
+        self.metrics.record_rule_eval_span(eval_started, seams);
         match result {
             Ok((new_messages, forwards)) => {
                 self.store.mark_processed(txn, msg_id)?;
@@ -1641,9 +1670,11 @@ impl Server {
         doc: &Arc<Document>,
         cq: &CompiledQueue,
         slices: &[MsgSlice<'_>],
+        seams: &mut Seams,
     ) -> std::result::Result<(Vec<NewMessage>, Vec<Forwarded>), ProcessingError> {
         // ---- locking (paper Sec. 4.3) -------------------------------------
         self.acquire_locks(txn, meta, cq, slices)?;
+        seams.locked = Some(Instant::now());
 
         // ---- rule evaluation (snapshot) ------------------------------------
         // One host serves the queue's rules and every slicing rule.
@@ -1689,6 +1720,7 @@ impl Server {
         }
 
         // ---- action execution ------------------------------------------------
+        seams.evaluated = Some(Instant::now());
         let mut new_messages = Vec::new();
         let mut forwards = Vec::new();
         for (rule_name, update) in updates {
@@ -1957,6 +1989,7 @@ impl Server {
                 dest,
                 queue: Arc::clone(&cq.name),
                 xml: message.root().to_xml().into(),
+                doc: message,
                 props,
                 enqueued_at: now,
             }));
@@ -2522,7 +2555,7 @@ impl ReadHandle {
                 None => continue,
             }
         }
-        Ok(Sequence(out))
+        Ok(out.into())
     }
 
     /// Root of one stored message through the document cache. `Ok(None)`
@@ -2566,7 +2599,7 @@ impl ReadHandle {
                     self.slice_seq.note_hit();
                     return Ok(f.value);
                 }
-                (f.value.0, true)
+                (f.value.into_vec(), true)
             }
             _ => (Vec::with_capacity(ids.len()), false),
         };
@@ -2575,7 +2608,7 @@ impl ReadHandle {
                 items.push(Item::Node(root));
             }
         }
-        let value = Sequence(items);
+        let value = Sequence::from(items);
         let fold = Fold {
             token: read.token,
             len: read.len,

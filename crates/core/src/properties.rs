@@ -210,7 +210,7 @@ fn eval_binding(
     let seq = PlanEvaluator::new(dctx)
         .eval_with_context(value, msg_root.clone())
         .map_err(|e| PropError(format!("value expression failed: {e}")))?;
-    Ok(seq.0.first().map(|item| atomic_to_prop(item.atomize())))
+    Ok(seq.iter().next().map(|item| atomic_to_prop(item.atomize())))
 }
 
 #[cfg(test)]

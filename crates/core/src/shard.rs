@@ -16,7 +16,7 @@
 //! commits (a deadlock retry re-runs the rules and must not deliver
 //! twice) — and, when commits do not wait for their own fsync, only once
 //! the producer's WAL has made that commit durable (the destination is a
-//! different WAL; see [`crate::outbox`]). The message travels with its
+//! different WAL; see `crate::outbox`). The message travels with its
 //! computed properties, which carry
 //! the causal `parentMsg`/`rootMsg` system properties, so lineage chains
 //! survive the hop exactly as they do across gateway hops.
@@ -39,7 +39,7 @@ use demaq_net::Clock;
 use demaq_obs::{Counter, Obs, TraceEvent};
 use demaq_qdl::QueueKind;
 use demaq_store::{MsgId, Name, PayloadBytes, PropValue, Props, StoreError, StoredMessage};
-use demaq_xml::parse as parse_xml;
+use demaq_xml::{parse as parse_xml, Document};
 use demaq_xquery::Atomic;
 use parking_lot::Mutex;
 use std::collections::{HashSet, VecDeque};
@@ -100,11 +100,13 @@ impl std::fmt::Write for Fnv {
 /// A fully prepared message in flight between shards: payload plus the
 /// properties computed on the producing shard (property computation is
 /// deterministic in the trigger and payload, so the destination commits
-/// exactly what local execution would have).
+/// exactly what local execution would have), and the parsed document,
+/// which the destination caches as a local enqueue does.
 pub(crate) struct Forwarded {
     pub(crate) dest: usize,
     pub(crate) queue: Name,
     pub(crate) xml: PayloadBytes,
+    pub(crate) doc: Arc<Document>,
     pub(crate) props: Props,
     pub(crate) enqueued_at: i64,
 }
@@ -728,6 +730,7 @@ mod tests {
                     dest: 0,
                     queue: "q".into(),
                     xml: "<m/>".into(),
+                    doc: parse_xml("<m/>").unwrap(),
                     props: Vec::new().into(),
                     enqueued_at: 0,
                 });

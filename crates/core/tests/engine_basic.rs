@@ -38,6 +38,53 @@ fn simple_forwarding_rule() {
 }
 
 #[test]
+fn every_enqueued_message_is_a_document_of_its_own() {
+    // One bound construction enqueued twice, the trigger itself and a node
+    // of it: a fresh construction is enqueued without a copy, so these
+    // check that no two messages, and no message and its trigger, share a
+    // document. The probe reads them back through the document cache.
+    let s = server(
+        r#"
+        create queue inbox kind basic mode persistent
+        create queue out kind basic mode persistent
+        create queue probe kind basic mode persistent
+        create queue report kind basic mode persistent
+        create rule copy for inbox
+          if (/order) then
+            let $x := <m>{/order/customer/text()}</m>
+            return (do enqueue $x into out, do enqueue $x into out,
+                    do enqueue qs:message() into out,
+                    do enqueue /order/customer into out)
+        create rule check for probe
+          if (/probe) then
+            let $out := qs:queue("out")
+            return do enqueue
+              <r docs="{count((qs:queue("inbox"), $out) union ())}"
+                 twice="{$out[1] is $out[2]}"
+                 trigger="{qs:queue("inbox") is $out[3]}"/> into report
+        "#,
+    );
+    s.enqueue_external("inbox", "<order><customer>c1</customer></order>")
+        .unwrap();
+    s.run_until_idle().unwrap();
+    assert_eq!(
+        s.queue_bodies("out").unwrap(),
+        [
+            "<m>c1</m>",
+            "<m>c1</m>",
+            "<order><customer>c1</customer></order>",
+            "<customer>c1</customer>",
+        ]
+    );
+    s.enqueue_external("probe", "<probe/>").unwrap();
+    s.run_until_idle().unwrap();
+    assert_eq!(
+        s.queue_bodies("report").unwrap(),
+        [r#"<r docs="5" twice="false" trigger="false"/>"#]
+    );
+}
+
+#[test]
 fn rule_condition_false_produces_nothing() {
     let s = server(
         r#"

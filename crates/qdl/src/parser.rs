@@ -223,7 +223,7 @@ fn normalize_value_expr(expr: Expr) -> Expr {
 }
 
 /// Parse a full Demaq program into an [`AppSpec`]. Performs syntax-level
-/// checks only; call [`crate::validate`] for semantic validation.
+/// checks only; call [`crate::validate()`] for semantic validation.
 pub fn parse_program(src: &str) -> Result<AppSpec, QdlError> {
     let mut sc = Scanner::new(src);
     let mut app = AppSpec::default();

@@ -15,12 +15,12 @@
 //!   two-phase locking with queue/slice/message granularity (Sec. 4.3's
 //!   "locking just the affected slices") and wait-for-graph deadlock
 //!   detection.
-//! * **Queues & slices** ([`store`], [`slice`]): append-only message
+//! * **Queues & slices** ([`store`], [`slice`](mod@slice)): append-only message
 //!   queues ("messages are never modified after they have been created"),
 //!   the slice index (a B-tree keyed by slice key, Sec. 4.3), slice
 //!   lifetimes (resets), and retention-by-slice-membership GC
 //!   (Sec. 2.3.3) that never needs to analyze the log to delete.
-//! * **Checkpoint + recovery** ([`checkpoint`], [`recovery`]): snapshots
+//! * **Checkpoint + recovery** ([`checkpoint`], `recovery`): snapshots
 //!   of the logical state plus committed-transaction redo. A snapshot is
 //!   self-contained: it carries every persistent payload, so payload bytes
 //!   have one owner — the resident [`PayloadBytes`], made durable by the

@@ -111,7 +111,7 @@
 //!
 //! A file's `sync_data` does not make its directory entry durable. The
 //! first sync of a segment [`LogWriter::open`] created therefore also
-//! syncs the store directory ([`sync_dir`]) before any commit it covers
+//! syncs the store directory (`sync_dir`) before any commit it covers
 //! counts as durable; otherwise a power cut could lose the whole segment.
 
 use crate::error::{Result, StoreError};

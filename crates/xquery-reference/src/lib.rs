@@ -22,8 +22,8 @@ use demaq_xquery::{
     assemble_element, atomics_joined, cast, computed_attribute, computed_comment,
     computed_document, computed_name, computed_text, enqueue_prop, for_each_on_axis, functions,
     instance_of, negate, order_cmp, push_atomics_joined, range, sequence_to_document, set_op,
-    text_node, update_content, update_target, Atomic, DynamicContext, Error, Focus, Item, Result,
-    Sequence, Update,
+    update_content, update_target, Atomic, DynamicContext, Error, Focus, Item, Result, Sequence,
+    Update,
 };
 use std::cmp::Ordering;
 use std::ops::ControlFlow;
@@ -350,7 +350,7 @@ impl<'a> Evaluator<'a> {
             let is_last = idx + 1 == steps.len();
             let size = current.len();
             let mut result = Sequence::empty();
-            for (i, item) in current.0.iter().enumerate() {
+            for (i, item) in current.iter().enumerate() {
                 let f = Focus {
                     item: item.clone(),
                     pos: i + 1,
@@ -359,14 +359,14 @@ impl<'a> Evaluator<'a> {
                 let part = self.eval(step, Some(&f))?;
                 result = result.concat(part);
             }
-            let all_nodes = result.0.iter().all(|i| matches!(i, Item::Node(_)));
+            let all_nodes = result.iter().all(|i| matches!(i, Item::Node(_)));
             if all_nodes {
                 result = result.document_order_dedup()?;
             } else if !is_last {
                 return Err(Error::type_error(
                     "intermediate path step produced atomic values",
                 ));
-            } else if result.0.iter().any(|i| matches!(i, Item::Node(_))) {
+            } else if result.iter().any(|i| matches!(i, Item::Node(_))) {
                 return Err(Error::type_error("path step mixes nodes and atomic values"));
             }
             current = result;
@@ -378,7 +378,7 @@ impl<'a> Evaluator<'a> {
         for pred in predicates {
             let size = seq.len();
             let mut kept = Vec::new();
-            for (i, item) in seq.0.iter().enumerate() {
+            for (i, item) in seq.iter().enumerate() {
                 let f = Focus {
                     item: item.clone(),
                     pos: i + 1,
@@ -386,7 +386,7 @@ impl<'a> Evaluator<'a> {
                 };
                 let v = self.eval(pred, Some(&f))?;
                 // Numeric predicate = positional test.
-                let keep = match v.0.as_slice() {
+                let keep = match v.as_slice() {
                     [Item::Atomic(a)] if a.is_numeric() => a.to_double() == (i + 1) as f64,
                     _ => v.effective_boolean()?,
                 };
@@ -394,7 +394,7 @@ impl<'a> Evaluator<'a> {
                     kept.push(item.clone());
                 }
             }
-            seq = Sequence(kept);
+            seq = kept.into();
         }
         Ok(seq)
     }
@@ -658,7 +658,7 @@ impl<'a> Evaluator<'a> {
             }
             FlworClause::For { var, at, source } => {
                 let src = self.eval(source, focus)?;
-                for (i, item) in src.0.iter().enumerate() {
+                for (i, item) in src.iter().enumerate() {
                     self.vars.push((var.clone(), Sequence::one(item.clone())));
                     let pushed_at = if let Some(atv) = at {
                         self.vars.push((atv.clone(), Sequence::int(i as i64 + 1)));
@@ -691,7 +691,7 @@ impl<'a> Evaluator<'a> {
         }
         let (var, src_expr) = &bindings[idx];
         let src = self.eval(src_expr, focus)?;
-        for item in src.0 {
+        for item in src {
             self.vars.push((var.clone(), Sequence::one(item)));
             let hit = self.quantify(every, bindings, idx + 1, satisfies, focus);
             self.vars.pop();
@@ -734,7 +734,7 @@ impl<'a> Evaluator<'a> {
         for c in content {
             match c {
                 DirContent::Text(t) => {
-                    seq.0.push(Item::Node(text_node(t)));
+                    seq = seq.concat(computed_text(&Sequence::str(t.clone())));
                 }
                 DirContent::Enclosed(e) | DirContent::Expr(e) => {
                     let v = self.eval(e, focus)?;
@@ -773,7 +773,7 @@ fn axis_nodes(axis: Axis, node: &NodeRef, test: &NodeTest) -> Sequence {
         }
         ControlFlow::<()>::Continue(())
     });
-    Sequence(out)
+    out.into()
 }
 
 fn node_test_matches(axis: Axis, node: &NodeRef, test: &NodeTest) -> bool {

@@ -34,7 +34,12 @@ fn a_200_000_deep_message_parses_round_trips_answers_queries_and_drops() {
     );
     // A constructor deep-copies the whole message (`DocBuilder::copy_node`).
     let wrapped = eval("<w>{/a}</w>", &root);
-    let copy = wrapped.0[0].as_node().unwrap().children().next().unwrap();
+    let copy = wrapped.as_slice()[0]
+        .as_node()
+        .unwrap()
+        .children()
+        .next()
+        .unwrap();
     assert!(copy.deep_equal(&doc.document_element().unwrap()));
     drop((wrapped, copy, doc));
 }

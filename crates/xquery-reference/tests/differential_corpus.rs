@@ -9,7 +9,11 @@
 //! reproducible; it tracks variable scope so generated `$v` references are
 //! always bound by an enclosing `for`/`let`/quantifier, exercising the
 //! slot-resolution path of the lowering. It also generates the updating
-//! forms (`do insert/delete/replace/rename`, `do enqueue … with …`).
+//! forms (`do insert/delete/replace/rename`, `do enqueue … with …`) and
+//! direct element constructors, alone and as `do enqueue` content: the
+//! plan evaluator builds a nested constructor in place and enqueues a
+//! fresh one without a copy, the reference assembles each element on its
+//! own and copies it.
 
 use demaq_xml::NodeRef;
 use demaq_xquery::{lower, parse_expr, DynamicContext, Error, Expr, Item, PlanEvaluator, Sequence};
@@ -81,7 +85,7 @@ impl Gen {
         if depth == 0 {
             return self.atom();
         }
-        match self.rng.below(18) {
+        match self.rng.below(20) {
             0 => {
                 let op = ["+", "-", "*", "div", "idiv", "mod"][self.rng.below(6)];
                 format!("({} {op} {})", self.expr(depth - 1), self.expr(depth - 1))
@@ -156,8 +160,26 @@ impl Gen {
                 self.rng.below(3),
                 self.expr(depth - 1)
             ),
+            17 => self.constructor(depth - 1),
+            18 => format!(
+                "(do enqueue {} into q{})",
+                self.constructor(depth - 1),
+                self.rng.below(3)
+            ),
             _ => self.atom(),
         }
+    }
+
+    /// A direct element constructor with an attribute, literal text, a
+    /// nested element and enclosed expressions in every place.
+    fn constructor(&mut self, depth: usize) -> String {
+        format!(
+            "<e a=\"{{{}}}\">text{{{}}}<f>{{{}}}</f>{{{}}}</e>",
+            self.expr(depth),
+            self.expr(depth),
+            self.expr(depth),
+            self.expr(depth)
+        )
     }
 
     /// An XQUF primitive on the context document or a constructed tree.
@@ -188,7 +210,7 @@ impl Gen {
 /// Canonical rendering for comparison: atomics by `type:lexical`, nodes by
 /// serialization.
 fn canon(s: &Sequence) -> Vec<String> {
-    s.0.iter()
+    s.iter()
         .map(|i| match i {
             Item::Atomic(a) => format!("{}:{}", a.type_name(), a.to_str()),
             Item::Node(n) => demaq_xml::serializer::serialize_node(n),
@@ -232,6 +254,7 @@ fn random_corpus_agrees_with_reference() {
     let mut evaluated = 0u32;
     let mut errored = 0u32;
     let mut updating = 0u32;
+    let mut constructed = 0u32;
     for i in 0..600 {
         let query = gen.expr(3);
         // The corpus must stay within the parsed fragment: a parse failure
@@ -246,6 +269,8 @@ fn random_corpus_agrees_with_reference() {
             (Ok(a), Ok(b)) => {
                 evaluated += 1;
                 updating += !a.1.is_empty() as u32;
+                let built = |s: &String| s.contains("<e a=");
+                constructed += (a.0.iter().any(built) || a.1.iter().any(built)) as u32;
                 assert_eq!(a, b, "divergence on corpus item {i}: `{query}`");
             }
             (Err(_), Err(_)) => errored += 1,
@@ -261,6 +286,10 @@ fn random_corpus_agrees_with_reference() {
     assert!(
         updating > 20,
         "only {updating} expressions left pending updates"
+    );
+    assert!(
+        constructed > 20,
+        "only {constructed} expressions constructed an element"
     );
 }
 
@@ -298,6 +327,16 @@ fn handpicked_queries_agree_with_reference() {
         "$undefined",
         "(//item)/(1 div 0)",
         "('a','b') + 1",
+        "<e a=\"{//item/@n}\">text{1, 2}<f>{//item[1]}</f>{'x', 3}</e>",
+        "<e><f><g n='{count(//item)}'>{//total/text()}</g></f>x<h/></e>",
+        "<e>{attribute b {1}}x</e>",
+        "<e>x{attribute b {1}}</e>",
+        "<e><f/>{//item/@n}</e>",
+        "do enqueue <e a='1'>t<f>{//total}</f></e> into q",
+        "let $x := <e/> return (do enqueue $x into q, do enqueue $x into q)",
+        "do enqueue (<e/>, <f/>) into q",
+        "do enqueue //item[1] into q",
+        "do enqueue . into q",
     ] {
         match both(&parse_expr(query).unwrap(), &doc.root()) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "divergence on `{query}`"),

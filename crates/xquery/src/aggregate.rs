@@ -8,7 +8,7 @@
 //! carry **guard predicates** — member-local boolean filters like
 //! `[status = "open"]` — as long as each guard is deterministic,
 //! position-free, and touches nothing outside the member document
-//! ([`guard predicates`](is_guard_pred)). Those shapes are
+//! (guard predicates, `is_guard_pred`). Those shapes are
 //! per-message-independent — their value is a pure function of the
 //! queue/slice membership — so a running [`AggAcc`] folded over member
 //! documents in arrival order computes exactly what the reference
@@ -113,7 +113,7 @@ pub enum AggSource {
 pub struct AggStep {
     pub axis: Axis,
     pub test: PTest,
-    /// Member-local boolean guards, each accepted by [`is_guard_pred`].
+    /// Member-local boolean guards, each accepted by `is_guard_pred`.
     /// This AST form is the step's identity (structural equality, the
     /// persisted signature).
     pub preds: Vec<Expr>,
@@ -336,7 +336,7 @@ fn guard_keeps(
         size,
     };
     let v = PlanEvaluator::new(dctx).eval(guard, Some(&focus))?;
-    match v.0.as_slice() {
+    match v.as_slice() {
         [Item::Atomic(a)] if a.is_numeric() => Ok(a.to_double() == pos as f64),
         _ => v.effective_boolean(),
     }

@@ -55,7 +55,7 @@ pub fn call_builtin(
         "count" => wrong_arity("1"),
         "number" if arity <= 1 => {
             let v = arg_or_ctx(&args, focus)?;
-            let d = match v.0.as_slice() {
+            let d = match v.as_slice() {
                 [] => f64::NAN,
                 [item] => item.atomize().to_double(),
                 _ => f64::NAN,
@@ -136,7 +136,7 @@ pub fn call_builtin(
                 Some(s) => s.string_value()?,
                 None => String::new(),
             };
-            let parts: Vec<String> = args[0].0.iter().map(Item::string_value).collect();
+            let parts: Vec<String> = args[0].iter().map(Item::string_value).collect();
             Ok(Sequence::str(parts.join(&sep)))
         }
         "substring" if (2..=3).contains(&arity) => {
@@ -264,9 +264,9 @@ pub fn call_builtin(
             Ok(out.into_iter().map(Item::Atomic).collect())
         }
         "reverse" if arity == 1 => {
-            let mut v = args[0].0.clone();
+            let mut v = args[0].as_slice().to_vec();
             v.reverse();
-            Ok(Sequence(v))
+            Ok(v.into())
         }
         "subsequence" if (2..=3).contains(&arity) => {
             let start = args[1].exactly_one()?.atomize().to_double().round();
@@ -274,8 +274,7 @@ pub fn call_builtin(
                 Some(l) => l.exactly_one()?.atomize().to_double().round(),
                 None => f64::INFINITY,
             };
-            let out: Vec<Item> = args[0]
-                .0
+            Ok(args[0]
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| {
@@ -283,22 +282,20 @@ pub fn call_builtin(
                     p >= start && p < start + len
                 })
                 .map(|(_, x)| x.clone())
-                .collect();
-            Ok(Sequence(out))
+                .collect())
         }
         "insert-before" if arity == 3 => {
             let pos = (args[1].exactly_one()?.atomize().cast_integer()?.max(1) as usize)
                 .min(args[0].len() + 1);
-            let mut v = args[0].0.clone();
+            let mut v = args[0].as_slice().to_vec();
             let tail = v.split_off(pos - 1);
-            v.extend(args[2].0.clone());
+            v.extend_from_slice(args[2].as_slice());
             v.extend(tail);
-            Ok(Sequence(v))
+            Ok(v.into())
         }
         "remove" if arity == 2 => {
             let pos = args[1].exactly_one()?.atomize().cast_integer()?;
             Ok(args[0]
-                .0
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| (*i + 1) as i64 != pos)
@@ -315,8 +312,8 @@ pub fn call_builtin(
                 .map(|(i, _)| Item::Atomic(Atomic::Int(i as i64 + 1)))
                 .collect())
         }
-        "head" if arity == 1 => Ok(Sequence(args[0].0.first().cloned().into_iter().collect())),
-        "tail" if arity == 1 => Ok(Sequence(args[0].0.iter().skip(1).cloned().collect())),
+        "head" if arity == 1 => Ok(args[0].iter().take(1).cloned().collect()),
+        "tail" if arity == 1 => Ok(args[0].iter().skip(1).cloned().collect()),
         "zero-or-one" if arity == 1 => {
             if args[0].len() <= 1 {
                 Ok(args[0].clone())
@@ -343,9 +340,8 @@ pub fn call_builtin(
                 return Ok(Sequence::bool(false));
             }
             let eq = args[0]
-                .0
                 .iter()
-                .zip(args[1].0.iter())
+                .zip(args[1].iter())
                 .all(|(a, b)| match (a, b) {
                     (Item::Node(x), Item::Node(y)) => x.deep_equal(y),
                     (Item::Atomic(x), Item::Atomic(y)) => x.value_cmp(y) == Some(Ordering::Equal),
@@ -357,7 +353,7 @@ pub fn call_builtin(
         // ---- nodes --------------------------------------------------------------
         "name" | "local-name" if arity <= 1 => {
             let v = arg_or_ctx(&args, focus)?;
-            let s = match v.0.first() {
+            let s = match v.iter().next() {
                 Some(Item::Node(n)) => match n.name() {
                     Some(q) => {
                         if name == "name" {
@@ -377,7 +373,7 @@ pub fn call_builtin(
         }
         "root" if arity <= 1 => {
             let v = arg_or_ctx(&args, focus)?;
-            match v.0.first() {
+            match v.iter().next() {
                 Some(Item::Node(n)) => Ok(Sequence::one(n.doc.root())),
                 Some(Item::Atomic(_)) => Err(Error::type_error("fn:root on an atomic value")),
                 None => Ok(Sequence::empty()),

@@ -38,13 +38,13 @@ use crate::functions;
 use crate::semantics::{
     assemble_element, atomics_joined, cast, computed_attribute, computed_comment,
     computed_document, computed_name, computed_text, enqueue_prop, for_each_on_axis, instance_of,
-    negate, order_cmp, push_atomics_joined, range, sequence_to_document, set_op, text_node,
-    update_content, update_target, Focus,
+    negate, order_cmp, push_atomics_joined, range, sequence_to_document, set_op, update_content,
+    update_target, Content, Focus, Part,
 };
 use crate::update::Update;
 use crate::value::{AtomView, Atomic, Item, Sequence};
 use demaq_xml::sym::{self, Sym};
-use demaq_xml::{Document, NodeId, NodeKind, NodeRef, QName};
+use demaq_xml::{DocBuilder, Document, NodeId, NodeKind, NodeRef, QName};
 use std::cmp::Ordering;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -922,12 +922,17 @@ impl<'a> PlanEvaluator<'a> {
     }
 
     pub fn eval(&mut self, plan: &Plan, focus: Option<&Focus>) -> Result<Sequence> {
+        self.nested(|ev| ev.eval_inner(plan, focus))
+    }
+
+    /// Run `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
         self.depth += 1;
         if self.depth > MAX_DEPTH {
             self.depth -= 1;
             return Err(Error::dynamic("expression nesting too deep"));
         }
-        let r = self.eval_inner(plan, focus);
+        let r = f(self);
         self.depth -= 1;
         r
     }
@@ -990,14 +995,14 @@ impl<'a> PlanEvaluator<'a> {
                 test,
                 predicates,
             } => {
-                let mut on_axis = Vec::new();
+                let mut on_axis = Sequence::empty();
                 match Self::context_item(focus)? {
                     Item::Node(n) => step_nodes(*axis, n, test, |n| on_axis.push(Item::Node(n))),
                     Item::Atomic(_) => {
                         return Err(Error::type_error("axis step on an atomic context item"))
                     }
                 }
-                self.apply_predicates(Sequence(on_axis), predicates)
+                self.apply_predicates(on_axis, predicates)
             }
             Plan::Filter { base, predicates } => {
                 let seq = self.eval(base, focus)?;
@@ -1015,10 +1020,10 @@ impl<'a> PlanEvaluator<'a> {
                         test: PTest::AnyKind,
                         predicates: vec![],
                     };
-                    let mid = self.eval_steps(&seq.0, std::slice::from_ref(&dos))?;
-                    self.eval_steps(&mid.0, std::slice::from_ref(step))
+                    let mid = self.eval_steps(seq.as_slice(), std::slice::from_ref(&dos))?;
+                    self.eval_steps(mid.as_slice(), std::slice::from_ref(step))
                 } else {
-                    self.eval_steps(&seq.0, std::slice::from_ref(step))
+                    self.eval_steps(seq.as_slice(), std::slice::from_ref(step))
                 }
             }
             Plan::Or(a, b) => {
@@ -1070,32 +1075,12 @@ impl<'a> PlanEvaluator<'a> {
                 attrs,
                 content,
             } => {
-                let mut eattrs: Vec<(&QName, String)> = Vec::with_capacity(attrs.len());
-                for (an, parts) in attrs {
-                    let mut value = String::new();
-                    for p in parts {
-                        match p {
-                            PAttrPart::Text(t) => value.push_str(t),
-                            PAttrPart::Expr(e) => {
-                                let v = self.eval(e, focus)?;
-                                push_atomics_joined(&mut value, &v);
-                            }
-                        }
-                    }
-                    eattrs.push((an, value));
-                }
-                let mut seq = Sequence::empty();
-                for c in content {
-                    match c {
-                        PContent::Text(t) => seq.0.push(Item::Node(text_node(t))),
-                        PContent::Expr(e) => {
-                            let v = self.eval(e, focus)?;
-                            seq = seq.concat(v);
-                        }
-                    }
-                }
-                let node = assemble_element(name, &eattrs, seq)?;
-                Ok(Sequence::one(node))
+                let mut b = DocBuilder::new();
+                self.build_element(&mut b, name, attrs, content, focus)?;
+                let doc = b.finish();
+                Ok(Sequence::one(
+                    doc.document_element().expect("constructed element"),
+                ))
             }
             Plan::ComputedElement { name, content } => {
                 let qn = computed_name(&self.eval(name, focus)?, "computed element")?;
@@ -1253,19 +1238,68 @@ impl<'a> PlanEvaluator<'a> {
         }
     }
 
+    /// Write a direct element constructor into `b`: a nested direct
+    /// constructor is written in place, an enclosed expression's value is
+    /// copied in once.
+    fn build_element(
+        &mut self,
+        b: &mut DocBuilder,
+        name: &QName,
+        attrs: &[(QName, Vec<PAttrPart>)],
+        content: &[PContent],
+        focus: Option<&Focus>,
+    ) -> Result<()> {
+        b.start(name);
+        let mut value = String::new();
+        for (an, parts) in attrs {
+            value.clear();
+            for p in parts {
+                match p {
+                    PAttrPart::Text(t) => value.push_str(t),
+                    PAttrPart::Expr(e) => {
+                        let v = self.eval(e, focus)?;
+                        push_atomics_joined(&mut value, &v);
+                    }
+                }
+            }
+            b.attr(an, &value);
+        }
+        let mut rules = Content::default();
+        for c in content {
+            match c {
+                PContent::Text(t) => rules.push(b, Part::Text(t))?,
+                PContent::Expr(Plan::DirectElement {
+                    name,
+                    attrs,
+                    content,
+                }) => {
+                    rules.push(b, Part::Element)?;
+                    self.nested(|ev| ev.build_element(b, name, attrs, content, focus))?;
+                }
+                PContent::Expr(e) => {
+                    for item in self.eval(e, focus)?.iter() {
+                        rules.push(b, Part::Item(item))?;
+                    }
+                }
+            }
+        }
+        b.end();
+        Ok(())
+    }
+
     // ---- paths ---------------------------------------------------------------
 
     fn eval_steps(&mut self, start: &[Item], steps: &[Plan]) -> Result<Sequence> {
         if steps.is_empty() {
-            return Ok(Sequence(start.to_vec()));
+            return Ok(start.iter().cloned().collect());
         }
         let mut current = Sequence::empty();
         for (idx, step) in steps.iter().enumerate() {
             let is_last = idx + 1 == steps.len();
-            let context = if idx == 0 { start } else { &current.0 };
+            let context = if idx == 0 { start } else { current.as_slice() };
             let size = context.len();
             self.counts.path_steps += size as u64;
-            let mut result = Vec::new();
+            let mut result = Sequence::empty();
             for (i, item) in context.iter().enumerate() {
                 match (step, item) {
                     // A predicate-free axis step needs no focus of its own:
@@ -1289,19 +1323,18 @@ impl<'a> PlanEvaluator<'a> {
                             pos: i + 1,
                             size,
                         };
-                        result.extend(self.eval(step, Some(&f))?);
+                        result = std::mem::take(&mut result).concat(self.eval(step, Some(&f))?);
                     }
                 }
             }
-            let mut result = Sequence(result);
-            let all_nodes = result.0.iter().all(|i| matches!(i, Item::Node(_)));
+            let all_nodes = result.iter().all(|i| matches!(i, Item::Node(_)));
             if all_nodes {
                 result = result.document_order_dedup()?;
             } else if !is_last {
                 return Err(Error::type_error(
                     "intermediate path step produced atomic values",
                 ));
-            } else if result.0.iter().any(|i| matches!(i, Item::Node(_))) {
+            } else if result.iter().any(|i| matches!(i, Item::Node(_))) {
                 return Err(Error::type_error("path step mixes nodes and atomic values"));
             }
             current = result;
@@ -1312,8 +1345,8 @@ impl<'a> PlanEvaluator<'a> {
     fn apply_predicates(&mut self, mut seq: Sequence, predicates: &[Plan]) -> Result<Sequence> {
         for pred in predicates {
             let size = seq.len();
-            let mut kept = Vec::new();
-            for (i, item) in seq.0.iter().enumerate() {
+            let mut kept = Sequence::empty();
+            for (i, item) in seq.iter().enumerate() {
                 let f = Focus {
                     item: item.clone(),
                     pos: i + 1,
@@ -1321,7 +1354,7 @@ impl<'a> PlanEvaluator<'a> {
                 };
                 let v = self.eval(pred, Some(&f))?;
                 // Numeric predicate = positional test.
-                let keep = match v.0.as_slice() {
+                let keep = match v.as_slice() {
                     [Item::Atomic(a)] if a.is_numeric() => a.to_double() == (i + 1) as f64,
                     _ => v.effective_boolean()?,
                 };
@@ -1329,7 +1362,7 @@ impl<'a> PlanEvaluator<'a> {
                     kept.push(item.clone());
                 }
             }
-            seq = Sequence(kept);
+            seq = kept;
         }
         Ok(seq)
     }
@@ -1351,7 +1384,7 @@ impl<'a> PlanEvaluator<'a> {
                 // The right side's views are built once, not per pair; a
                 // lone right item (the usual case) needs no vector for it.
                 let (lone, many);
-                let rv: &[AtomView] = match r.0.as_slice() {
+                let rv: &[AtomView] = match r.as_slice() {
                     [b] => {
                         lone = [b.atom_view()];
                         &lone
@@ -1361,7 +1394,7 @@ impl<'a> PlanEvaluator<'a> {
                         &many
                     }
                 };
-                for a in &l.0 {
+                for a in l.iter() {
                     let a = a.atom_view();
                     for b in rv {
                         if let Some(ord) = a.value_cmp(b) {
@@ -1594,7 +1627,7 @@ impl<'a> PlanEvaluator<'a> {
             }
             PClause::For { at, source } => {
                 let src = self.eval(source, focus)?;
-                for (i, item) in src.0.iter().enumerate() {
+                for (i, item) in src.iter().enumerate() {
                     self.frame.push(Sequence::one(item.clone()));
                     if *at {
                         self.frame.push(Sequence::int(i as i64 + 1));
@@ -1623,7 +1656,7 @@ impl<'a> PlanEvaluator<'a> {
             return self.eval(satisfies, focus)?.effective_boolean();
         }
         let src = self.eval(&bindings[idx], focus)?;
-        for item in src.0 {
+        for item in src {
             self.frame.push(Sequence::one(item));
             let hit = self.quantify(every, bindings, idx + 1, satisfies, focus);
             self.frame.pop();
@@ -1718,7 +1751,7 @@ mod tests {
         let r = PlanEvaluator::new(&dctx)
             .eval_with_context(&plan, d.root())
             .unwrap();
-        assert_eq!(r.0.len(), 1);
+        assert_eq!(r.len(), 1);
         assert!(ebv_short_circuits_total() > before);
     }
 
@@ -1737,6 +1770,47 @@ mod tests {
             }
         }
         assert!(no_exists_in_predicates(&plan));
+    }
+
+    #[test]
+    fn a_fresh_construction_is_the_message_and_a_held_one_is_copied() {
+        let dctx = DynamicContext::default();
+        let d = demaq_xml::parse("<o v='7'/>").unwrap();
+        let plan = lower(&parse_expr("<m a='{/o/@v}'>t<n>{1, 2}</n></m>").unwrap());
+        let built = PlanEvaluator::new(&dctx)
+            .eval_with_context(&plan, d.root())
+            .unwrap();
+        let node = built.exactly_one().unwrap().as_node().unwrap();
+        assert_eq!(node.to_xml(), "<m a=\"7\">t<n>1 2</n></m>");
+
+        // A second holder of the constructed document forces a copy.
+        let holder = Arc::clone(&node.doc);
+        let copied = sequence_to_document(&built).unwrap();
+        assert!(!Arc::ptr_eq(&copied, &holder));
+        drop(holder);
+        let adopted = sequence_to_document(&built).unwrap();
+        assert!(Arc::ptr_eq(&adopted, &node.doc));
+        assert_eq!(adopted.root().to_xml(), copied.root().to_xml());
+
+        // A bound construction enqueued twice makes two documents, and a
+        // node of the context document is copied.
+        let messages = |query: &str| -> Vec<Arc<Document>> {
+            let mut ev = PlanEvaluator::new(&dctx);
+            ev.eval_with_context(&lower(&parse_expr(query).unwrap()), d.root())
+                .unwrap();
+            ev.updates
+                .into_iter()
+                .map(|u| match u {
+                    Update::Enqueue { message, .. } => message,
+                    other => panic!("{other:?}"),
+                })
+                .collect()
+        };
+        let twice = messages("let $x := <m/> return (do enqueue $x into q, do enqueue $x into q)");
+        assert!(!Arc::ptr_eq(&twice[0], &twice[1]));
+        let trigger = messages("do enqueue /o into q");
+        assert!(!Arc::ptr_eq(&trigger[0], &d));
+        assert_eq!(trigger[0].root().to_xml(), "<o v=\"7\"/>");
     }
 
     #[test]

@@ -69,10 +69,7 @@ pub fn for_each_on_axis<B>(
 }
 
 /// Assemble an element node from a name, literal attributes, and a
-/// content sequence following the XQuery constructor content rules:
-/// adjacent atomics are joined with spaces into text nodes; attribute
-/// items must precede other content and attach to the element; nodes
-/// are deep-copied.
+/// content sequence following the constructor content rules (`Content::push`).
 pub fn assemble_element(
     name: &QName,
     attrs: &[(&QName, String)],
@@ -83,37 +80,88 @@ pub fn assemble_element(
     for (an, av) in attrs {
         b.attr(*an, av);
     }
-    let mut has_child = false;
-    let mut after_atomic = false;
-    for item in &content.0 {
-        match item {
-            Item::Atomic(a) => {
-                append_atomic(&mut b, a, after_atomic);
-                has_child = true;
-            }
-            Item::Node(n) => {
-                if n.is_attribute() && has_child {
-                    return Err(Error::type_error(
-                        "attribute constructed after element content",
-                    ));
-                }
-                b.copy_node(n);
-                has_child |= !n.is_attribute();
-            }
-        }
-        after_atomic = matches!(item, Item::Atomic(_));
+    let mut rules = Content::default();
+    for item in content.iter() {
+        rules.push(&mut b, Part::Item(item))?;
     }
     b.end();
     let doc = b.finish();
     Ok(doc.document_element().expect("constructed element"))
 }
 
+/// One piece of constructor content.
+pub(crate) enum Part<'a> {
+    /// An evaluated item: an atomic becomes text, a node is deep-copied
+    /// (a document node contributes its children).
+    Item(&'a Item),
+    /// Literal text of a direct constructor.
+    Text(&'a str),
+    /// A nested direct constructor, which the caller writes into the
+    /// builder itself.
+    Element,
+}
+
+/// The content of one element, or of one message document, being written
+/// into a [`DocBuilder`]: what [`Content::push`] needs to remember of the
+/// parts before.
+#[derive(Default)]
+pub(crate) struct Content {
+    /// Writing a message document, where no attribute may appear.
+    message: bool,
+    has_child: bool,
+    after_atomic: bool,
+}
+
+impl Content {
+    /// Write `part` into `b` under the constructor content rules: adjacent
+    /// atomics are joined with a space, an attribute node after element
+    /// content is an error, and an empty literal text becomes `" "`.
+    pub(crate) fn push(&mut self, b: &mut DocBuilder, part: Part) -> Result<()> {
+        match part {
+            Part::Item(Item::Atomic(a)) => {
+                if self.after_atomic {
+                    b.text(" ");
+                }
+                match a {
+                    Atomic::Str(s) | Atomic::Untyped(s) => b.text(s),
+                    other => b.text(other.to_str()),
+                };
+            }
+            Part::Item(Item::Node(n)) if n.is_attribute() => {
+                if self.message {
+                    return Err(Error::type_error(
+                        "cannot enqueue a bare attribute node as a message",
+                    ));
+                }
+                if self.has_child {
+                    return Err(Error::type_error(
+                        "attribute constructed after element content",
+                    ));
+                }
+                b.copy_node(n);
+                self.after_atomic = false;
+                return Ok(());
+            }
+            Part::Item(Item::Node(n)) => {
+                b.copy_node(n);
+            }
+            Part::Text(t) => {
+                b.text(if t.is_empty() { " " } else { t });
+            }
+            Part::Element => {}
+        }
+        self.has_child = true;
+        self.after_atomic = matches!(part, Part::Item(Item::Atomic(_)));
+        Ok(())
+    }
+}
+
 /// Compare two evaluated order-key vectors; `flags[i]` is the i-th key's
 /// `(descending, empty_greatest)` pair.
 pub fn order_cmp(flags: &[(bool, bool)], ka: &[Sequence], kb: &[Sequence]) -> Ordering {
     for (i, &(descending, empty_greatest)) in flags.iter().enumerate() {
-        let a = ka[i].0.first().map(Item::atomize);
-        let b = kb[i].0.first().map(Item::atomize);
+        let a = ka[i].iter().next().map(Item::atomize);
+        let b = kb[i].iter().next().map(Item::atomize);
         let ord = match (&a, &b) {
             (None, None) => Ordering::Equal,
             (None, Some(_)) => {
@@ -140,14 +188,6 @@ pub fn order_cmp(flags: &[(bool, bool)], ka: &[Sequence], kb: &[Sequence]) -> Or
     Ordering::Equal
 }
 
-/// Build a standalone text node (holder document).
-pub fn text_node(t: &str) -> NodeRef {
-    let mut b = DocBuilder::new();
-    b.text(if t.is_empty() { " " } else { t });
-    let doc = b.finish();
-    doc.root().children().next().expect("text child")
-}
-
 /// Join the atomized items with single spaces (attribute/text content rule).
 pub fn atomics_joined(seq: &Sequence) -> String {
     let mut out = String::new();
@@ -157,7 +197,7 @@ pub fn atomics_joined(seq: &Sequence) -> String {
 
 /// [`atomics_joined`], appended to `out`.
 pub fn push_atomics_joined(out: &mut String, seq: &Sequence) {
-    for (i, item) in seq.0.iter().enumerate() {
+    for (i, item) in seq.iter().enumerate() {
         if i > 0 {
             out.push(' ');
         }
@@ -170,37 +210,27 @@ pub fn push_atomics_joined(out: &mut String, seq: &Sequence) {
 }
 
 /// Convert an evaluated sequence into a standalone message document:
-/// nodes are deep-copied (elements of documents unwrap), atomics become text.
+/// nodes are deep-copied (elements of documents unwrap), atomics become
+/// text. A fresh construction is not copied: one element that is the only
+/// child of a document no one else holds already is that document.
 pub fn sequence_to_document(seq: &Sequence) -> Result<Arc<Document>> {
-    let mut b = DocBuilder::new();
-    let mut after_atomic = false;
-    for item in &seq.0 {
-        match item {
-            Item::Atomic(a) => append_atomic(&mut b, a, after_atomic),
-            Item::Node(n) => {
-                if n.is_attribute() {
-                    return Err(Error::type_error(
-                        "cannot enqueue a bare attribute node as a message",
-                    ));
-                }
-                b.copy_node(n);
-            }
+    if let [Item::Node(n)] = seq.as_slice() {
+        let doc = &n.doc;
+        let only_child =
+            doc.parent(n.id) == Some(NodeId::DOC) && doc.children(NodeId::DOC).nth(1).is_none();
+        if Arc::strong_count(doc) == 1 && doc.is_element(n.id) && only_child {
+            return Ok(Arc::clone(doc));
         }
-        after_atomic = matches!(item, Item::Atomic(_));
+    }
+    let mut b = DocBuilder::new();
+    let mut rules = Content {
+        message: true,
+        ..Content::default()
+    };
+    for item in seq.iter() {
+        rules.push(&mut b, Part::Item(item))?;
     }
     Ok(b.finish())
-}
-
-/// Append an atomic as constructor content: text, set off by one space
-/// from an atomic right before it (the builder merges adjacent text).
-fn append_atomic(b: &mut DocBuilder, a: &Atomic, after_atomic: bool) {
-    if after_atomic {
-        b.text(" ");
-    }
-    match a {
-        Atomic::Str(s) | Atomic::Untyped(s) => b.text(s),
-        other => b.text(other.to_str()),
-    };
 }
 
 /// The name a computed constructor or `do rename` evaluated to; `what`
@@ -247,7 +277,7 @@ pub fn computed_comment(v: &Sequence) -> NodeRef {
 /// `document {v}`: atomics as text, nodes deep-copied.
 pub fn computed_document(v: &Sequence) -> NodeRef {
     let mut b = DocBuilder::new();
-    for item in &v.0 {
+    for item in v.iter() {
         match item {
             Item::Atomic(a) => b.text(a.to_str()),
             Item::Node(n) => b.copy_node(n),
@@ -279,7 +309,7 @@ pub fn negate(v: &Sequence) -> Result<Sequence> {
 
 /// `v instance of ty`, for the single-item types the parser accepts.
 pub fn instance_of(v: &Sequence, ty: &str) -> bool {
-    match v.0.as_slice() {
+    match v.as_slice() {
         [Item::Atomic(a)] => a.type_name() == ty,
         [Item::Node(_)] => ty == "node()" || ty == "item()",
         _ => false,
@@ -290,7 +320,7 @@ pub fn instance_of(v: &Sequence, ty: &str) -> bool {
 /// without duplicates. Membership is by hashed node identity.
 pub fn set_op(op: SetOp, l: &Sequence, r: &Sequence) -> Result<Sequence> {
     let nodes = |s: &Sequence| -> Result<Vec<NodeRef>> {
-        s.0.iter()
+        s.iter()
             .map(|i| {
                 i.as_node()
                     .cloned()
@@ -310,13 +340,17 @@ pub fn set_op(op: SetOp, l: &Sequence, r: &Sequence) -> Result<Sequence> {
                 .collect()
         }
     };
-    Sequence(combined.into_iter().map(Item::Node).collect()).document_order_dedup()
+    combined
+        .into_iter()
+        .map(Item::Node)
+        .collect::<Sequence>()
+        .document_order_dedup()
 }
 
 /// The value of one `with name value v` property of `do enqueue`: its one
 /// item atomized, or the empty string.
 pub fn enqueue_prop(name: &str, v: &Sequence) -> Result<Atomic> {
-    match v.0.as_slice() {
+    match v.as_slice() {
         [] => Ok(Atomic::Str(String::new())),
         [item] => Ok(item.atomize()),
         _ => Err(Error::type_error(format!(
@@ -327,10 +361,18 @@ pub fn enqueue_prop(name: &str, v: &Sequence) -> Result<Atomic> {
 
 /// Inserted or replacing content: nodes as they are, atomics as text.
 pub fn update_content(v: Sequence) -> Vec<NodeRef> {
-    v.0.into_iter()
+    v.into_iter()
         .map(|i| match i {
             Item::Node(n) => n,
-            Item::Atomic(a) => text_node(&a.to_str()),
+            Item::Atomic(a) => {
+                let mut b = DocBuilder::new();
+                let text = Part::Text(&a.to_str());
+                Content::default()
+                    .push(&mut b, text)
+                    .expect("text is content");
+                let doc = b.finish();
+                doc.root().children().next().expect("text child")
+            }
         })
         .collect()
 }

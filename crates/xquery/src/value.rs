@@ -405,18 +405,30 @@ impl From<NodeRef> for Item {
 }
 
 /// A (possibly empty) ordered sequence of items — the universal XQuery value.
+///
+/// Zero or one item lives inline, so the one-node step, comparison, count
+/// or boolean that most evaluation produces allocates nothing; a longer
+/// sequence spills into a `Vec`.
 #[derive(Debug, Clone, Default)]
-pub struct Sequence(pub Vec<Item>);
+pub struct Sequence(Repr);
+
+#[derive(Debug, Clone, Default)]
+enum Repr {
+    #[default]
+    Empty,
+    One(Item),
+    Many(Vec<Item>),
+}
 
 impl Sequence {
     /// The empty sequence.
     pub fn empty() -> Self {
-        Sequence(Vec::new())
+        Sequence(Repr::Empty)
     }
 
     /// A singleton sequence.
     pub fn one(item: impl Into<Item>) -> Self {
-        Sequence(vec![item.into()])
+        Sequence(Repr::One(item.into()))
     }
 
     /// A singleton boolean.
@@ -434,21 +446,53 @@ impl Sequence {
         Sequence::one(Atomic::Str(s.into()))
     }
 
+    pub fn as_slice(&self) -> &[Item] {
+        match &self.0 {
+            Repr::Empty => &[],
+            Repr::One(item) => std::slice::from_ref(item),
+            Repr::Many(items) => items,
+        }
+    }
+
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_slice().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.as_slice().is_empty()
     }
 
     pub fn iter(&self) -> std::slice::Iter<'_, Item> {
-        self.0.iter()
+        self.as_slice().iter()
+    }
+
+    /// Append one item; the second spills the sequence into a `Vec`.
+    pub fn push(&mut self, item: Item) {
+        match &mut self.0 {
+            Repr::Empty => self.0 = Repr::One(item),
+            Repr::One(first) => {
+                // The capacity a `Vec` takes on its first push.
+                let mut items = Vec::with_capacity(4);
+                items.push(std::mem::replace(first, Item::Atomic(Atomic::Bool(false))));
+                items.push(item);
+                self.0 = Repr::Many(items);
+            }
+            Repr::Many(items) => items.push(item),
+        }
+    }
+
+    /// The items as a `Vec`, without a copy when they are one already.
+    pub fn into_vec(self) -> Vec<Item> {
+        match self.0 {
+            Repr::Empty => Vec::new(),
+            Repr::One(item) => vec![item],
+            Repr::Many(items) => items,
+        }
     }
 
     /// Effective boolean value (XPath 2.0 `fn:boolean` rules).
     pub fn effective_boolean(&self) -> Result<bool> {
-        match self.0.as_slice() {
+        match self.as_slice() {
             [] => Ok(false),
             [Item::Node(_), ..] => Ok(true),
             [Item::Atomic(a)] => Ok(match a {
@@ -471,12 +515,12 @@ impl Sequence {
 
     /// Atomize the whole sequence.
     pub fn atomized(&self) -> Vec<Atomic> {
-        self.0.iter().map(Item::atomize).collect()
+        self.iter().map(Item::atomize).collect()
     }
 
     /// Exactly-one-item accessor.
     pub fn exactly_one(&self) -> Result<&Item> {
-        match self.0.as_slice() {
+        match self.as_slice() {
             [x] => Ok(x),
             other => Err(Error::type_error(format!(
                 "expected exactly one item, got {}",
@@ -487,7 +531,7 @@ impl Sequence {
 
     /// The string value of a zero-or-one sequence ("" when empty).
     pub fn string_value(&self) -> Result<String> {
-        match self.0.as_slice() {
+        match self.as_slice() {
             [] => Ok(String::new()),
             [x] => Ok(x.string_value()),
             other => Err(Error::type_error(format!(
@@ -499,33 +543,37 @@ impl Sequence {
 
     /// Sort into document order and remove duplicate nodes. Errors if the
     /// sequence mixes nodes and atomics (path step results must be nodes).
-    pub fn document_order_dedup(mut self) -> Result<Sequence> {
-        if self.0.iter().any(|i| matches!(i, Item::Atomic(_))) {
+    pub fn document_order_dedup(self) -> Result<Sequence> {
+        if self.iter().any(|i| matches!(i, Item::Atomic(_))) {
             return Err(Error::type_error("path step result contains atomic values"));
         }
         // A step from one context node (and most from several) already
         // delivers strictly ascending document order.
-        let ascending = self.0.windows(2).all(|w| match (&w[0], &w[1]) {
+        let ascending = self.as_slice().windows(2).all(|w| match (&w[0], &w[1]) {
             (Item::Node(x), Item::Node(y)) => x < y,
             _ => false,
         });
         if ascending {
             return Ok(self);
         }
-        self.0.sort_by(|a, b| match (a, b) {
+        let mut items = self.into_vec();
+        items.sort_by(|a, b| match (a, b) {
             (Item::Node(x), Item::Node(y)) => x.cmp(y),
             _ => Ordering::Equal,
         });
-        self.0.dedup_by(|a, b| match (a, b) {
+        items.dedup_by(|a, b| match (a, b) {
             (Item::Node(x), Item::Node(y)) => x.is_same_node(y),
             _ => false,
         });
-        Ok(self)
+        Ok(items.into())
     }
 
-    /// Concatenate two sequences.
+    /// Concatenate two sequences; onto an empty one, `other` moves in.
     pub fn concat(mut self, other: Sequence) -> Sequence {
-        self.0.extend(other.0);
+        if self.is_empty() {
+            return other;
+        }
+        self.extend(other);
         self
     }
 }
@@ -533,22 +581,47 @@ impl Sequence {
 impl fmt::Display for Sequence {
     /// Space-joined string values — handy for tests and examples.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let parts: Vec<String> = self.0.iter().map(Item::string_value).collect();
+        let parts: Vec<String> = self.iter().map(Item::string_value).collect();
         write!(f, "{}", parts.join(" "))
+    }
+}
+
+impl From<Vec<Item>> for Sequence {
+    fn from(mut items: Vec<Item>) -> Self {
+        Sequence(match items.len() {
+            0 => Repr::Empty,
+            1 => Repr::One(items.pop().expect("one item")),
+            _ => Repr::Many(items),
+        })
     }
 }
 
 impl FromIterator<Item> for Sequence {
     fn from_iter<T: IntoIterator<Item = Item>>(iter: T) -> Self {
-        Sequence(iter.into_iter().collect())
+        let mut seq = Sequence::empty();
+        seq.extend(iter);
+        seq
+    }
+}
+
+impl Extend<Item> for Sequence {
+    fn extend<T: IntoIterator<Item = Item>>(&mut self, iter: T) {
+        for item in iter {
+            self.push(item);
+        }
     }
 }
 
 impl IntoIterator for Sequence {
     type Item = Item;
-    type IntoIter = std::vec::IntoIter<Item>;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Item>, std::vec::IntoIter<Item>>;
     fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
+        let (one, many) = match self.0 {
+            Repr::Empty => (None, Vec::new()),
+            Repr::One(item) => (Some(item), Vec::new()),
+            Repr::Many(items) => (None, items),
+        };
+        one.into_iter().chain(many)
     }
 }
 
@@ -568,7 +641,7 @@ mod tests {
             .unwrap());
         let doc = demaq_xml::parse("<a/>").unwrap();
         assert!(Sequence::one(doc.root()).effective_boolean().unwrap());
-        let multi = Sequence(vec![Atomic::Int(1).into(), Atomic::Int(2).into()]);
+        let multi = Sequence::from(vec![Atomic::Int(1).into(), Atomic::Int(2).into()]);
         assert!(multi.effective_boolean().is_err());
     }
 
@@ -647,13 +720,21 @@ mod tests {
     fn document_order_dedup_sorts_and_dedups() {
         let doc = demaq_xml::parse("<a><b/><c/></a>").unwrap();
         let kids: Vec<_> = doc.document_element().unwrap().children().collect();
-        let seq = Sequence(vec![
+        let seq = Sequence::from(vec![
             kids[1].clone().into(),
             kids[0].clone().into(),
             kids[1].clone().into(),
         ]);
         let sorted = seq.document_order_dedup().unwrap();
         assert_eq!(sorted.len(), 2);
-        assert_eq!(sorted.0[0].as_node().unwrap().name().unwrap().local, "b");
+        assert_eq!(
+            sorted.as_slice()[0]
+                .as_node()
+                .unwrap()
+                .name()
+                .unwrap()
+                .local,
+            "b"
+        );
     }
 }

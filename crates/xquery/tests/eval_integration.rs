@@ -290,7 +290,7 @@ fn direct_element_constructor() {
         &doc("<r><requestID>9</requestID></r>"),
     )
     .unwrap();
-    let node = out.0[0].as_node().unwrap().clone();
+    let node = out.as_slice()[0].as_node().unwrap().clone();
     assert_eq!(
         node.to_xml(),
         "<offer><id><requestID>9</requestID></id></offer>"
@@ -302,9 +302,9 @@ fn constructor_copies_nodes() {
     // Copied nodes are new nodes (XQuery constructor copy semantics).
     let d = doc("<r><a>x</a></r>");
     let out = eval_query("<w>{ //a }</w>", &d).unwrap();
-    let w = out.0[0].as_node().unwrap();
+    let w = out.as_slice()[0].as_node().unwrap();
     let copied = &w.children().next().unwrap();
-    let orig = eval_query("//a", &d).unwrap().0[0]
+    let orig = eval_query("//a", &d).unwrap().as_slice()[0]
         .as_node()
         .unwrap()
         .clone();
@@ -315,7 +315,10 @@ fn constructor_copies_nodes() {
 #[test]
 fn atomics_in_content_are_space_joined() {
     let out = eval_query("<v>{ (1, 2, 3) }</v>", &doc("<x/>")).unwrap();
-    assert_eq!(out.0[0].as_node().unwrap().to_xml(), "<v>1 2 3</v>");
+    assert_eq!(
+        out.as_slice()[0].as_node().unwrap().to_xml(),
+        "<v>1 2 3</v>"
+    );
 }
 
 #[test]
@@ -326,7 +329,7 @@ fn attribute_value_templates() {
     )
     .unwrap();
     assert_eq!(
-        out.0[0].as_node().unwrap().to_xml(),
+        out.as_slice()[0].as_node().unwrap().to_xml(),
         r#"<item price="5" cur="EUR!"/>"#
     );
 }
@@ -335,7 +338,7 @@ fn attribute_value_templates() {
 fn nested_constructors_and_text() {
     let out = eval_query("<a>literal <b>{ 1+1 }</b> tail</a>", &doc("<x/>")).unwrap();
     assert_eq!(
-        out.0[0].as_node().unwrap().to_xml(),
+        out.as_slice()[0].as_node().unwrap().to_xml(),
         "<a>literal <b>2</b> tail</a>"
     );
 }
@@ -343,13 +346,16 @@ fn nested_constructors_and_text() {
 #[test]
 fn boundary_whitespace_is_stripped() {
     let out = eval_query("<a>\n  <b/>\n</a>", &doc("<x/>")).unwrap();
-    assert_eq!(out.0[0].as_node().unwrap().to_xml(), "<a><b/></a>");
+    assert_eq!(out.as_slice()[0].as_node().unwrap().to_xml(), "<a><b/></a>");
 }
 
 #[test]
 fn curly_escapes() {
     let out = eval_query("<a>{{literal}}</a>", &doc("<x/>")).unwrap();
-    assert_eq!(out.0[0].as_node().unwrap().to_xml(), "<a>{literal}</a>");
+    assert_eq!(
+        out.as_slice()[0].as_node().unwrap().to_xml(),
+        "<a>{literal}</a>"
+    );
 }
 
 #[test]
@@ -360,7 +366,7 @@ fn computed_constructors() {
     )
     .unwrap();
     assert_eq!(
-        out.0[0].as_node().unwrap().to_xml(),
+        out.as_slice()[0].as_node().unwrap().to_xml(),
         r#"<order id="42"><item>acid</item></order>"#
     );
 }
@@ -368,13 +374,19 @@ fn computed_constructors() {
 #[test]
 fn computed_text_and_comment() {
     let out = eval_query("<a>{ text { 'T' }, comment { 'C' } }</a>", &doc("<x/>")).unwrap();
-    assert_eq!(out.0[0].as_node().unwrap().to_xml(), "<a>T<!--C--></a>");
+    assert_eq!(
+        out.as_slice()[0].as_node().unwrap().to_xml(),
+        "<a>T<!--C--></a>"
+    );
 }
 
 #[test]
 fn constructor_entities() {
     let out = eval_query("<a>1 &lt; 2 &amp; so</a>", &doc("<x/>")).unwrap();
-    assert_eq!(out.0[0].as_node().unwrap().string_value(), "1 < 2 & so");
+    assert_eq!(
+        out.as_slice()[0].as_node().unwrap().string_value(),
+        "1 < 2 & so"
+    );
 }
 
 // ------------------------------------------------------------- updating ----
@@ -677,7 +689,7 @@ fn example_3_2_shape() {
     let ctx = doc("<requestCustomerInfo><customerID>c9</customerID></requestCustomerInfo>");
     dctx.bind("msg", Sequence::one(ctx.clone()));
     let (out, _) = run(query, &dctx, &ctx).unwrap();
-    assert_eq!(out.0[0].as_node().unwrap().to_xml(), "<refuse/>");
+    assert_eq!(out.as_slice()[0].as_node().unwrap().to_xml(), "<refuse/>");
 }
 
 #[test]

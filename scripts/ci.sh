@@ -270,4 +270,8 @@ else
     echo "clippy not installed; skipping lint" >&2
 fi
 
+echo "== rustdoc =="
+# Broken and private intra-doc links in first-party crates are errors.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "== ci ok =="

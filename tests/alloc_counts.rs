@@ -19,6 +19,13 @@
 //! |-------------------|-------------|---------------|---------------|-----------------|
 //! | `slice_state`     | 66.80 → 51.80 | 103.86 → 26.41 | 170.65 → 78.21 | 11 024 → 7 643 |
 //! | `durable_sharded` | 34.47 → 19.46 | 277.10 → 110.28 | 311.56 → 129.74 | 24 905 → 15 609 |
+//!
+//! Since rule evaluation allocates for its output only (zero or one item
+//! inline in a sequence, a constructed message built in one document and
+//! enqueued without a copy, a forwarded message not parsed again), the
+//! pins read 44.80 + 10.00 = 54.80 for `slice_state` (property bindings
+//! run on the same evaluator at ingest) and 19.46 + 69.00 = 88.46 for
+//! `durable_sharded`.
 
 mod counting;
 
@@ -201,18 +208,20 @@ fn slice_state(warmup: u64, measured: u64) -> Counts {
 }
 
 /// Allocations and bytes, ingest and processing, for 1 000 readings after
-/// 500 of warm-up: 51.80 + 26.41 allocations per reading. Before lineage
+/// 500 of warm-up: 44.80 + 10.00 allocations per reading. Before rule
+/// evaluation allocated for its output only, 51.80 + 26.41 (51 796
+/// allocations and 4 785 744 bytes, 26 410 and 2 857 231). Before lineage
 /// was read from the enqueue, 51.80 + 26.43 (51 796 allocations and
 /// 4 784 976 bytes, 26 425 and 2 893 407): a message's enqueue LSN costs
 /// its map entry 16 bytes, and the lineage map and its ops are gone.
 const SLICE_STATE_COUNTS: (Allocs, Allocs) = (
     Allocs {
-        count: 51_796,
-        bytes: 4_785_744,
+        count: 44_796,
+        bytes: 3_417_744,
     },
     Allocs {
-        count: 26_410,
-        bytes: 2_857_231,
+        count: 10_002,
+        bytes: 1_435_112,
     },
 );
 
@@ -297,17 +306,19 @@ fn durable_sharded(warmup: u64, measured: u64) -> Counts {
 }
 
 /// Allocations and bytes, ingest and processing, for 200 jobs after 100
-/// of warm-up: 19.46 + 110.28 allocations per job. Before lineage was read
-/// from the enqueue, 19.46 + 112.30 (3 893 allocations and 489 016 bytes,
-/// 22 459 and 2 774 642).
+/// of warm-up: 19.46 + 69.00 allocations per job. Before rule evaluation
+/// allocated for its output only and a forward carried its parsed
+/// document, 19.46 + 110.28 (22 055 processing allocations and 2 622 866
+/// bytes). Before lineage was read from the enqueue, 19.46 + 112.30
+/// (3 893 allocations and 489 016 bytes, 22 459 and 2 774 642).
 const DURABLE_SHARDED_COUNTS: (Allocs, Allocs) = (
     Allocs {
         count: 3_893,
         bytes: 499_000,
     },
     Allocs {
-        count: 22_055,
-        bytes: 2_622_866,
+        count: 13_800,
+        bytes: 1_832_608,
     },
 );
 

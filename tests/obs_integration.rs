@@ -125,17 +125,28 @@ fn exposition_contains_latency_histograms() {
     assert!(text.contains("demaq_store_commits_total"));
 
     // The engine recorded at least one rule evaluation in the histogram.
-    let count_line = text
-        .lines()
-        .find(|l| l.starts_with("demaq_engine_rule_eval_ns_count"))
-        .expect("rule_eval count sample");
-    let evals: u64 = count_line
-        .rsplit(' ')
-        .next()
-        .unwrap()
-        .parse()
-        .expect("count value");
+    let count = |metric: &str| -> u64 {
+        let count_line = text
+            .lines()
+            .find(|l| l.starts_with(&format!("{metric}_count")))
+            .unwrap_or_else(|| panic!("{metric} count sample"));
+        count_line
+            .rsplit(' ')
+            .next()
+            .unwrap()
+            .parse()
+            .expect("count value")
+    };
+    let evals = count("demaq_engine_rule_eval_ns");
     assert!(evals >= 1, "rule evaluation histogram is empty");
+    // The span's three stages are timed once per span each.
+    for stage in [
+        "demaq_engine_lock_ns",
+        "demaq_engine_evaluate_ns",
+        "demaq_engine_execute_ns",
+    ] {
+        assert_eq!(count(stage), evals, "{stage}");
+    }
 }
 
 #[test]

@@ -204,7 +204,8 @@ impl<'a> Harness<'a> {
         let app = self.server.app();
         let now_ms = self.server.clock().now();
         let dctx = DynamicContext::new(Arc::new(ClockHost { now_ms }));
-        let bound = |(seq, _): (Sequence, _)| seq.0.first().map(|i| atomic_to_prop(i.atomize()));
+        let bound =
+            |(seq, _): (Sequence, _)| seq.iter().next().map(|i| atomic_to_prop(i.atomize()));
         let mut entered = Ok(());
         for prop in &app.spec.properties {
             let on_queue = |b: &&PropBinding| b.queues.iter().any(|q| q == queue);
