@@ -281,8 +281,7 @@ pub fn extract_aggregate_reads(body: &Expr, own_queue: Option<&str>) -> Vec<Aggr
                 }
                 if let Expr::FunctionCall { name, args } = x {
                     let qs = name.prefix.as_deref() == Some("qs");
-                    let coll = (name.prefix.is_none()
-                        || name.prefix.as_deref() == Some("fn"))
+                    let coll = (name.prefix.is_none() || name.prefix.as_deref() == Some("fn"))
                         && name.local == "collection";
                     match (qs, name.local.as_str(), args.as_slice()) {
                         (true, "queue", [Expr::StringLit(q)]) => {
@@ -490,9 +489,7 @@ fn for_each_child(e: &Expr, f: &mut impl FnMut(&Expr)) {
             f(content);
         }
         Expr::ComputedText(x) | Expr::ComputedComment(x) | Expr::ComputedDocument(x) => f(x),
-        Expr::Enqueue {
-            message, props, ..
-        } => {
+        Expr::Enqueue { message, props, .. } => {
             f(message);
             props.iter().for_each(|(_, v)| f(v));
         }

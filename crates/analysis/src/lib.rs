@@ -45,9 +45,7 @@ pub use facts::{
 };
 pub use graph::{error_route_edges, strongly_connected, ErrorEdge, FlowEdge, FlowGraph};
 pub use liveness::{retention_plan, ReadShape, RetentionPlan, SlicePlan};
-pub use placement::{
-    compute_placement, cross_shard_edges, stable_hash, Placement, QueuePlacement,
-};
+pub use placement::{compute_placement, cross_shard_edges, stable_hash, Placement, QueuePlacement};
 
 use demaq_qdl::{AppSpec, PropKind, QueueKind};
 use demaq_xml::schema::Schema;
@@ -781,7 +779,10 @@ pub fn analyze(spec: &AppSpec, rules: &[RuleFacts], config: &LintConfig) -> Anal
     let mut readers: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for r in rules {
         for p in &r.prop_reads {
-            readers.entry(p.as_str()).or_default().insert(r.name.as_str());
+            readers
+                .entry(p.as_str())
+                .or_default()
+                .insert(r.name.as_str());
         }
     }
     for (prop, by) in readers {
@@ -914,8 +915,7 @@ pub fn analyze(spec: &AppSpec, rules: &[RuleFacts], config: &LintConfig) -> Anal
             let mut reaches = vec![false; n];
             let mut stack: Vec<usize> = Vec::new();
             for (i, name) in graph.queues.iter().enumerate() {
-                let terminal = spec.queue(name).map(|q| q.kind)
-                    == Some(QueueKind::OutgoingGateway)
+                let terminal = spec.queue(name).map(|q| q.kind) == Some(QueueKind::OutgoingGateway)
                     || error_targets.contains(name.as_str())
                     || read_queues.contains(name.as_str());
                 if terminal {
@@ -1132,9 +1132,7 @@ pub fn analyze(spec: &AppSpec, rules: &[RuleFacts], config: &LintConfig) -> Anal
         }
     }
 
-    diags.sort_by(|a, b| {
-        (a.code, &a.subject, &a.message).cmp(&(b.code, &b.subject, &b.message))
-    });
+    diags.sort_by(|a, b| (a.code, &a.subject, &a.message).cmp(&(b.code, &b.subject, &b.message)));
     diags.dedup();
 
     let lock_order = graph.lock_order();
@@ -1334,7 +1332,14 @@ mod tests {
         let deps: Vec<(&str, &str, &str, bool)> = a
             .aggregate_deps
             .iter()
-            .map(|d| (d.site.as_str(), d.op.as_str(), d.source.as_str(), d.incremental))
+            .map(|d| {
+                (
+                    d.site.as_str(),
+                    d.op.as_str(),
+                    d.source.as_str(),
+                    d.incremental,
+                )
+            })
             .collect();
         assert_eq!(
             deps,

@@ -119,10 +119,7 @@ impl RetentionPlan {
         if self.dynamic_reads {
             return ReadShape::FullScan;
         }
-        self.queues
-            .get(queue)
-            .copied()
-            .unwrap_or(ReadShape::Unread)
+        self.queues.get(queue).copied().unwrap_or(ReadShape::Unread)
     }
 }
 
@@ -143,8 +140,8 @@ pub fn retention_plan(spec: &AppSpec, rules: &[RuleFacts]) -> RetentionPlan {
         })
         .collect();
 
-    let dynamic_reads = rules.iter().any(|r| r.scan_reads.dynamic)
-        || binding_reads.iter().any(|(s, _)| s.dynamic);
+    let dynamic_reads =
+        rules.iter().any(|r| r.scan_reads.dynamic) || binding_reads.iter().any(|(s, _)| s.dynamic);
 
     // ---- per-queue shapes --------------------------------------------------
     let mut queues: BTreeMap<String, ReadShape> = spec
@@ -157,8 +154,9 @@ pub fn retention_plan(spec: &AppSpec, rules: &[RuleFacts]) -> RetentionPlan {
             let slot = queues.entry(q.to_string()).or_insert(ReadShape::Unread);
             *slot = slot.join(shape);
         };
-        let absorb = |scans: &ScanReads, aggs: &[crate::facts::AggregateReadFact],
-                          join: &mut dyn FnMut(&str, ReadShape)| {
+        let absorb = |scans: &ScanReads,
+                      aggs: &[crate::facts::AggregateReadFact],
+                      join: &mut dyn FnMut(&str, ReadShape)| {
             for q in &scans.queues {
                 join(q, ReadShape::FullScan);
             }
@@ -191,11 +189,7 @@ pub fn retention_plan(spec: &AppSpec, rules: &[RuleFacts]) -> RetentionPlan {
     let all_queues: Vec<String> = spec.queues.iter().map(|q| q.name.clone()).collect();
     let mut slicings: BTreeMap<String, SlicePlan> = BTreeMap::new();
     for s in &spec.slicings {
-        let own_rules = || {
-            rules
-                .iter()
-                .filter(|r| r.on_slicing && r.target == s.name)
-        };
+        let own_rules = || rules.iter().filter(|r| r.on_slicing && r.target == s.name);
         let mut shape = ReadShape::Unread;
         for r in own_rules() {
             if r.scan_reads.slice {
@@ -318,7 +312,8 @@ mod tests {
 
     #[test]
     fn raw_slice_scan_blocks_narrowing() {
-        let p = plan(r#"
+        let p = plan(
+            r#"
             create queue readings kind basic mode persistent
             create queue reports kind basic mode persistent
             create property device as xs:string fixed queue readings value //reading/@dev
@@ -326,7 +321,8 @@ mod tests {
             create rule dump for byDevice
               if (count(qs:slice()) >= 4) then
                 (do enqueue <all>{qs:slice()//v}</all> into reports, do reset)
-        "#);
+        "#,
+        );
         let s = &p.slicings["byDevice"];
         assert_eq!(s.shape, ReadShape::FullScan);
         assert!(!s.narrowable);
@@ -334,7 +330,8 @@ mod tests {
 
     #[test]
     fn member_queue_read_elsewhere_blocks_narrowing() {
-        let p = plan(r#"
+        let p = plan(
+            r#"
             create queue readings kind basic mode persistent
             create queue reports kind basic mode persistent
             create property device as xs:string fixed queue readings value //reading/@dev
@@ -344,7 +341,8 @@ mod tests {
             create rule audit for reports
               if (count(qs:queue("readings")) > 100) then
                 do enqueue <big/> into reports
-        "#);
+        "#,
+        );
         // `count(qs:queue("readings"))` is AggregateOnly — but any
         // queue-level read observes retained members, so purging them
         // would change it.
@@ -355,7 +353,8 @@ mod tests {
 
     #[test]
     fn suffix_reads_stay_bounded() {
-        let p = plan(r#"
+        let p = plan(
+            r#"
             create queue events kind basic mode persistent
             create queue out kind basic mode persistent
             create property sess as xs:string fixed queue events value //e/@s
@@ -363,7 +362,8 @@ mod tests {
             create rule latest for bySession
               if (qs:slice()[last()]//e/@kind = "close") then
                 do enqueue <bye/> into out
-        "#);
+        "#,
+        );
         let s = &p.slicings["bySession"];
         assert_eq!(s.shape, ReadShape::BoundedSuffix(1));
         assert!(s.narrowable);
@@ -372,20 +372,23 @@ mod tests {
 
     #[test]
     fn inherited_key_widens_member_queues_and_dynamic_reads_widen_all() {
-        let p = plan(r#"
+        let p = plan(
+            r#"
             create queue a kind basic mode persistent
             create queue b kind basic mode persistent
             create property lane as xs:integer inherited
             create slicing lanes on lane
             create rule roll for lanes
               if (count(qs:slice()) > 3) then do reset
-        "#);
+        "#,
+        );
         let s = &p.slicings["lanes"];
         assert_eq!(s.member_queues, ["a", "b"]);
         assert!(s.member_queues_unread);
         assert!(s.narrowable);
 
-        let p = plan(r#"
+        let p = plan(
+            r#"
             create queue a kind basic mode persistent
             create queue b kind basic mode persistent
             create property lane as xs:integer inherited
@@ -394,7 +397,8 @@ mod tests {
               if (count(qs:slice()) > 3) then do reset
             create rule peek for a
               if (exists(collection(//which)//x)) then do enqueue <saw/> into b
-        "#);
+        "#,
+        );
         assert!(p.dynamic_reads);
         assert_eq!(p.queue_shape("a"), ReadShape::FullScan);
         assert!(!p.slicings["lanes"].narrowable);
@@ -404,14 +408,16 @@ mod tests {
     fn unread_slicing_shape_allows_drop_narrowing() {
         // A slicing whose rules never read the slice at all (pure
         // latest-trigger logic) narrows to dropping members outright.
-        let p = plan(r#"
+        let p = plan(
+            r#"
             create queue pings kind basic mode persistent
             create queue out kind basic mode persistent
             create property host as xs:string fixed queue pings value //p/@h
             create slicing byHost on host
             create rule note for byHost
               if (qs:message()//p/@up = "0") then do enqueue <down/> into out
-        "#);
+        "#,
+        );
         let s = &p.slicings["byHost"];
         assert_eq!(s.shape, ReadShape::Unread);
         assert!(s.narrowable);

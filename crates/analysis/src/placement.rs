@@ -201,11 +201,7 @@ pub fn compute_placement(
         }
     }
     // Statically-known carriers of one slicing key belong together.
-    let slicing_props: BTreeSet<&str> = spec
-        .slicings
-        .iter()
-        .map(|s| s.property.as_str())
-        .collect();
+    let slicing_props: BTreeSet<&str> = spec.slicings.iter().map(|s| s.property.as_str()).collect();
     for p in &slicing_props {
         let carriers = static_carriers(spec, rules, p);
         let mut first = None;
@@ -327,12 +323,8 @@ pub fn cross_shard_edges(
                 } else if key_guaranteed_on_target(spec, rules, &e.rule, to, p1) {
                     None
                 } else {
-                    let trigger_keyed = static_carriers(spec, rules, p1)
-                        .iter()
-                        .any(|q| q == from);
-                    let from_slicing_rule = rules
-                        .iter()
-                        .any(|r| r.name == e.rule && r.on_slicing);
+                    let trigger_keyed = static_carriers(spec, rules, p1).iter().any(|q| q == from);
+                    let from_slicing_rule = rules.iter().any(|r| r.name == e.rule && r.on_slicing);
                     if trigger_keyed && !from_slicing_rule {
                         Some(format!(
                             "messages produced into `{to}` do not carry slicing key \
@@ -378,9 +370,9 @@ fn key_guaranteed_on_target(
         }
     }
     rules.iter().filter(|r| r.name == rule).any(|r| {
-        r.enqueues.iter().any(|s| {
-            s.queue == to && s.with_props.iter().any(|(n, _)| n == prop)
-        })
+        r.enqueues
+            .iter()
+            .any(|s| s.queue == to && s.with_props.iter().any(|(n, _)| n == prop))
     })
 }
 
@@ -457,7 +449,10 @@ mod tests {
         // `audit` is read in full; `ship` is a gateway: the whole group is
         // pinned to one shard.
         let home = p.route("inbox", None);
-        assert!(matches!(p.queues.get("inbox"), Some(QueuePlacement::Fixed(_))));
+        assert!(matches!(
+            p.queues.get("inbox"),
+            Some(QueuePlacement::Fixed(_))
+        ));
         assert_eq!(p.route("audit", Some(stable_hash(b"x"))), home);
         assert_eq!(p.route("ship", Some(stable_hash(b"y"))), home);
     }
@@ -524,7 +519,8 @@ mod tests {
     #[test]
     fn a_pinned_queue_inside_a_keyed_chain_is_flagged() {
         let (spec, facts, mut p) = place(KEYED_PIPELINE, 4);
-        p.queues.insert("enriched".to_string(), QueuePlacement::Fixed(2));
+        p.queues
+            .insert("enriched".to_string(), QueuePlacement::Fixed(2));
         let graph = FlowGraph::build(&spec, &facts);
         let edges = cross_shard_edges(&spec, &facts, &graph, &p);
         // intake→enriched (ByKey→Fixed) and enriched→done (Fixed→ByKey).

@@ -84,8 +84,12 @@ impl ContextEngine {
     pub fn attach_obs(&mut self, obs: &Obs) {
         self.metrics = Some(CtxMetrics {
             messages: obs.registry.counter("demaq_baseline_ctx_messages_total"),
-            dehydrations: obs.registry.counter("demaq_baseline_ctx_dehydrations_total"),
-            rehydrations: obs.registry.counter("demaq_baseline_ctx_rehydrations_total"),
+            dehydrations: obs
+                .registry
+                .counter("demaq_baseline_ctx_dehydrations_total"),
+            rehydrations: obs
+                .registry
+                .counter("demaq_baseline_ctx_rehydrations_total"),
             bytes_serialized: obs
                 .registry
                 .counter("demaq_baseline_ctx_bytes_serialized_total"),

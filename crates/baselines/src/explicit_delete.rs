@@ -54,7 +54,9 @@ impl ExplicitDeleteStore {
             inserted: obs
                 .registry
                 .counter("demaq_baseline_explicit_inserted_total"),
-            deleted: obs.registry.counter("demaq_baseline_explicit_deleted_total"),
+            deleted: obs
+                .registry
+                .counter("demaq_baseline_explicit_deleted_total"),
             premature: obs
                 .registry
                 .counter("demaq_baseline_explicit_premature_delete_attempts_total"),

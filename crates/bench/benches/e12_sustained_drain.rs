@@ -96,14 +96,18 @@ fn bench_e12(c: &mut Criterion) {
     // enriched message, and as the (rule-less) done message.
     group.throughput(Throughput::Elements((3 * n) as u64));
     for &threads in &[1usize, 4] {
-        group.bench_with_input(BenchmarkId::new("drain", threads), &threads, |b, &threads| {
-            b.iter(|| {
-                let dir = TempDir::new().expect("tempdir");
-                let server = build_server(&dir);
-                feed(&server, n);
-                server.process_all_parallel(threads).expect("drain")
-            });
-        });
+        group.bench_with_input(
+            BenchmarkId::new("drain", threads),
+            &threads,
+            |b, &threads| {
+                b.iter(|| {
+                    let dir = TempDir::new().expect("tempdir");
+                    let server = build_server(&dir);
+                    feed(&server, n);
+                    server.process_all_parallel(threads).expect("drain")
+                });
+            },
+        );
     }
     group.finish();
 

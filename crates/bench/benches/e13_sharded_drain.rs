@@ -165,7 +165,9 @@ fn bench_e13(c: &mut Criterion) {
                 let dir = TempDir::new().expect("tempdir");
                 let server = build_server(&dir, shards);
                 feed(&server, n);
-                server.process_all_parallel(workers_per_shard()).expect("drain")
+                server
+                    .process_all_parallel(workers_per_shard())
+                    .expect("drain")
             });
         });
     }

@@ -188,7 +188,10 @@ fn bench_e14(c: &mut Criterion) {
     let deltas = metric_value(&text, "demaq_core_agg_deltas_total");
     let rebuilds = metric_value(&text, "demaq_core_agg_rebuilds_total");
     assert!(hits > 0, "membership fast path saw no hits:\n{text}");
-    assert!(deltas > 0, "append-only growth must take the delta path:\n{text}");
+    assert!(
+        deltas > 0,
+        "append-only growth must take the delta path:\n{text}"
+    );
     // Flat-in-N counter shape: every arrival's aggregate reads are
     // answered by the registry (hits + deltas + rebuilds cover all
     // reads), each delta absorbs exactly the 1-message suffix (so deltas
@@ -250,7 +253,11 @@ fn bench_e14(c: &mut Criterion) {
 
     // Per-read cost at the small and the large N: flat, because a read
     // copies no membership and loads no member document.
-    let (small, large, probe) = if smoke() { (16, 64, 32) } else { (256, 1024, 256) };
+    let (small, large, probe) = if smoke() {
+        (16, 64, 32)
+    } else {
+        (256, 1024, 256)
+    };
     let (ns_small, ns_large) = read_ns_small_large(small, large, probe);
     let growth = ns_large / ns_small.max(1e-9);
     if !smoke() {
@@ -275,7 +282,11 @@ fn bench_e14(c: &mut Criterion) {
         .result("agg_rebuilds", rebuilds as f64, "count")
         .result("incremental_wall_s", t_inc, "s")
         .result("rescan_program_wall_s", t_rescan, "s")
-        .result("incremental_throughput", n as f64 / t_inc.max(1e-9), "msg/s")
+        .result(
+            "incremental_throughput",
+            n as f64 / t_inc.max(1e-9),
+            "msg/s",
+        )
         .result("speedup_vs_rescan_program", speedup, "x")
         .result("read_ns_small_n", ns_small, "ns")
         .result("read_ns_large_n", ns_large, "ns")

@@ -79,7 +79,11 @@ fn soak_round(server: &Server, round: usize, per_round: usize) {
         server
             .enqueue_external(
                 "intake",
-                &format!("<reading dev='d{}'><v>{}</v></reading>", n % DEVICES, n % 17),
+                &format!(
+                    "<reading dev='d{}'><v>{}</v></reading>",
+                    n % DEVICES,
+                    n % 17
+                ),
             )
             .expect("enqueue");
     }
@@ -118,7 +122,10 @@ fn bench_e15(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(total as u64));
     let full_program = full_program();
-    for (label, program) in [("soak_narrowed", SOAK_PROGRAM), ("soak_full", &full_program)] {
+    for (label, program) in [
+        ("soak_narrowed", SOAK_PROGRAM),
+        ("soak_full", &full_program),
+    ] {
         group.bench_with_input(BenchmarkId::new(label, total), &total, |b, _| {
             b.iter(|| {
                 let server = build_server(program);
@@ -142,9 +149,15 @@ fn bench_e15(c: &mut Criterion) {
 
     let text = nar.metrics_text();
     let released = metric_value(&text, "demaq_engine_retention_released_total");
-    assert!(released > 0, "narrowed soak never released a member:\n{text}");
+    assert!(
+        released > 0,
+        "narrowed soak never released a member:\n{text}"
+    );
     assert_eq!(
-        metric_value(&full.metrics_text(), "demaq_engine_retention_released_total"),
+        metric_value(
+            &full.metrics_text(),
+            "demaq_engine_retention_released_total"
+        ),
         0,
         "the full-retention program must not release"
     );

@@ -38,7 +38,8 @@ fn build_store(messages: usize) -> (TempDir, MessageStore) {
             .enqueue(
                 txn,
                 queue,
-                format!("<doc><customerID>{customer}</customerID><payload>{i}</payload></doc>").into(),
+                format!("<doc><customerID>{customer}</customerID><payload>{i}</payload></doc>")
+                    .into(),
                 vec![],
                 0,
             )

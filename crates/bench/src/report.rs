@@ -219,7 +219,9 @@ pub fn validate(json: &str) -> Result<ReportSummary, String> {
             .ok_or(format!("missing required field `{k}`"))
     };
 
-    let schema = field("schema")?.as_str().ok_or("`schema` must be a string")?;
+    let schema = field("schema")?
+        .as_str()
+        .ok_or("`schema` must be a string")?;
     if schema != SCHEMA {
         return Err(format!("schema is `{schema}`, expected `{SCHEMA}`"));
     }
@@ -230,7 +232,9 @@ pub fn validate(json: &str) -> Result<ReportSummary, String> {
         .strip_prefix('e')
         .is_some_and(|r| r.chars().next().is_some_and(|c| c.is_ascii_digit()));
     if !valid_name {
-        return Err(format!("experiment `{experiment}` is not of the form e<digits>_…"));
+        return Err(format!(
+            "experiment `{experiment}` is not of the form e<digits>_…"
+        ));
     }
     let mode = field("mode")?.as_str().ok_or("`mode` must be a string")?;
     if mode != "smoke" && mode != "full" {
@@ -243,7 +247,9 @@ pub fn validate(json: &str) -> Result<ReportSummary, String> {
         return Err("`results` is empty: the bench measured nothing".to_string());
     }
     for (i, r) in results.iter().enumerate() {
-        let entry = r.as_obj().ok_or(format!("results[{i}] must be an object"))?;
+        let entry = r
+            .as_obj()
+            .ok_or(format!("results[{i}] must be an object"))?;
         let get = |k: &str| entry.iter().find(|(n, _)| n == k).map(|(_, v)| v);
         let name = get("name")
             .and_then(Json::as_str)
@@ -523,7 +529,10 @@ mod tests {
     #[test]
     fn file_name_derives_from_the_experiment_number() {
         assert_eq!(sample().file_name(), "BENCH_E12.json");
-        assert_eq!(BenchReport::new("e9_group_commit", false).file_name(), "BENCH_E9.json");
+        assert_eq!(
+            BenchReport::new("e9_group_commit", false).file_name(),
+            "BENCH_E9.json"
+        );
         // Only a full-mode run may touch the committed file at the root.
         let smoke = BenchReport::new("e9_group_commit", true).path();
         assert!(smoke.ends_with("target/bench/BENCH_E9.json"), "{smoke:?}");

@@ -89,7 +89,8 @@ impl<V> Cells<V> {
             keys.retain(|k, c| keep(s, k, c));
         }
         self.slices.retain(|_, keys| !keys.is_empty());
-        self.count = self.queue.iter().count() + self.slices.values().map(HashMap::len).sum::<usize>();
+        self.count =
+            self.queue.iter().count() + self.slices.values().map(HashMap::len).sum::<usize>();
     }
 
     /// Drop the least recently used eighth of the cells.
@@ -102,7 +103,11 @@ impl<V> Cells<V> {
             .collect();
         let cut = ticks.len() / 8;
         let (_, &mut threshold, _) = ticks.select_nth_unstable(cut);
-        if self.queue.as_ref().is_some_and(|c| c.last_used <= threshold) {
+        if self
+            .queue
+            .as_ref()
+            .is_some_and(|c| c.last_used <= threshold)
+        {
             self.queue = None;
         }
         self.retain_slices(|_, _, c| c.last_used > threshold);
@@ -179,7 +184,11 @@ impl<V: Clone> CellMap<V> {
                 if !cells.slices.contains_key(s) {
                     cells.slices.insert(s.to_string(), HashMap::new());
                 }
-                cells.slices.get_mut(s).expect("present").insert(k.clone(), cell);
+                cells
+                    .slices
+                    .get_mut(s)
+                    .expect("present")
+                    .insert(k.clone(), cell);
             }
         }
         cells.count += 1;
@@ -236,7 +245,9 @@ impl AggRegistry {
         }
         AggRegistry {
             catalog: catalog.clone(),
-            cells: (0..catalog.len()).map(|_| CellMap::new(cap_per_spec, obs, counters)).collect(),
+            cells: (0..catalog.len())
+                .map(|_| CellMap::new(cap_per_spec, obs, counters))
+                .collect(),
             contributions: (0..shards).map(|_| Mutex::new(IdMap::default())).collect(),
             contrib_mask: shards as u64 - 1,
             computed: obs.registry.counter("demaq_core_agg_contributions_total"),
@@ -359,7 +370,15 @@ mod tests {
         let reused = items.len();
         items.extend(seq_of(&ids.iter().map(|m| m.0).collect::<Vec<_>>()));
         let value = Sequence::from(items);
-        seqs.put(slice(key), Fold { token: read.token, len: read.len, value }, extended);
+        seqs.put(
+            slice(key),
+            Fold {
+                token: read.token,
+                len: read.len,
+                value,
+            },
+            extended,
+        );
         (reused, ids)
     }
 
@@ -373,7 +392,10 @@ mod tests {
         assert!(!reg.owns(0, &spec), "another shape's id");
         assert!(!reg.owns(7, &spec), "out of range");
         let foreign = Arc::new(spec.as_ref().clone());
-        assert!(!reg.owns(id, &foreign), "an equal shape from another catalog");
+        assert!(
+            !reg.owns(id, &foreign),
+            "an equal shape from another catalog"
+        );
     }
 
     #[test]
@@ -386,7 +408,10 @@ mod tests {
         reg.cells(1).put(Scope::Queue("q"), fold(3, 2, 2), true);
         let f = reg.cells(0).get(slice(&a)).expect("stored");
         assert_eq!((f.token, f.len), (7, 1));
-        assert!(reg.cells(0).get(slice(&b)).is_none(), "keys are independent");
+        assert!(
+            reg.cells(0).get(slice(&b)).is_none(),
+            "keys are independent"
+        );
         assert!(reg.cells(1).get(slice(&a)).is_none(), "ids are independent");
         assert!(reg.cells(0).get(Scope::Queue("q")).is_none());
         assert_eq!(reg.cells(1).get(Scope::Queue("q")).unwrap().len, 2);
@@ -429,10 +454,18 @@ mod tests {
         let key = PropValue::Str("k".into());
         idx.add("s", &key, MsgId(1));
         idx.add("s", &key, MsgId(2));
-        assert_eq!(refresh(&seqs, &idx, &key), (0, vec![MsgId(1), MsgId(2)]), "cold");
+        assert_eq!(
+            refresh(&seqs, &idx, &key),
+            (0, vec![MsgId(1), MsgId(2)]),
+            "cold"
+        );
         assert_eq!(refresh(&seqs, &idx, &key), (2, vec![]), "unchanged: hit");
         idx.add("s", &key, MsgId(3));
-        assert_eq!(refresh(&seqs, &idx, &key), (2, vec![MsgId(3)]), "append: extend");
+        assert_eq!(
+            refresh(&seqs, &idx, &key),
+            (2, vec![MsgId(3)]),
+            "append: extend"
+        );
         // A reset refilled to the same length must not validate.
         idx.reset("s", &key);
         for m in 4..7 {
@@ -443,7 +476,11 @@ mod tests {
         let seq = seqs.get(slice(&key)).unwrap().value;
         assert_eq!(seq.len(), 3);
         let counter = |n: &str| o.registry.counter_total(n);
-        assert_eq!(SEQ_COUNTERS.map(counter), [1, 1, 2], "[hits, appends, rebuilds]");
+        assert_eq!(
+            SEQ_COUNTERS.map(counter),
+            [1, 1, 2],
+            "[hits, appends, rebuilds]"
+        );
     }
 
     #[test]
@@ -459,10 +496,18 @@ mod tests {
         // The reset releases message 1; a GC would purge it.
         idx.reset("s", &k1);
         seqs.retain_slices(|s, k, token, len| {
-            idx.read_since(s, k, Some((token, len)), &mut Vec::new()).resumed
+            idx.read_since(s, k, Some((token, len)), &mut Vec::new())
+                .resumed
         });
-        assert!(seqs.get(slice(&k1)).is_none(), "the cell pinning message 1 is gone");
-        assert_eq!(seqs.get(slice(&k2)).unwrap().value.len(), 1, "current cells stay");
+        assert!(
+            seqs.get(slice(&k1)).is_none(),
+            "the cell pinning message 1 is gone"
+        );
+        assert_eq!(
+            seqs.get(slice(&k2)).unwrap().value.len(),
+            1,
+            "current cells stay"
+        );
         assert_eq!(seqs.len(), 1);
     }
 
@@ -473,7 +518,15 @@ mod tests {
         for i in 0..20 {
             let k = PropValue::Int(i);
             let value = seq_of(&[i as u64]);
-            seqs.put(slice(&k), Fold { token: 1, len: 1, value }, false);
+            seqs.put(
+                slice(&k),
+                Fold {
+                    token: 1,
+                    len: 1,
+                    value,
+                },
+                false,
+            );
         }
         assert!(seqs.len() <= 8, "cap enforced, got {}", seqs.len());
     }
@@ -482,15 +535,25 @@ mod tests {
     fn contributions_fold_and_are_forgotten_at_purge() {
         let o = obs();
         let reg = AggRegistry::new(&catalog(2), 1024, &o);
-        reg.put_contributions(MsgId(1), vec![(0, Contribution::Count(2)), (1, Contribution::Count(5))]);
+        reg.put_contributions(
+            MsgId(1),
+            vec![(0, Contribution::Count(2)), (1, Contribution::Count(5))],
+        );
         let mut acc = AggAcc::new(AggOp::Count);
         assert!(reg.absorb(MsgId(1), 1, &mut acc).unwrap().is_ok());
-        assert!(reg.absorb(MsgId(2), 1, &mut acc).is_none(), "no contribution kept");
+        assert!(
+            reg.absorb(MsgId(2), 1, &mut acc).is_none(),
+            "no contribution kept"
+        );
         assert_eq!(acc.result().to_string(), "5");
         reg.put_contributions(MsgId(2), vec![(1, Contribution::Count(1))]);
         reg.forget(&[MsgId(1)]);
         assert!(reg.absorb(MsgId(1), 0, &mut acc).is_none(), "purged");
         assert!(reg.absorb(MsgId(2), 1, &mut acc).is_some(), "others stay");
-        assert_eq!(o.registry.counter_total("demaq_core_agg_contributions_total"), 3);
+        assert_eq!(
+            o.registry
+                .counter_total("demaq_core_agg_contributions_total"),
+            3
+        );
     }
 }

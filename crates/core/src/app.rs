@@ -10,8 +10,8 @@ use crate::compiler::{self, CompiledRule};
 use demaq_analysis::{Analysis, LintConfig, RuleFacts};
 use demaq_net::WsdlInterface;
 use demaq_qdl::{AppSpec, PropertyDecl, QueueDecl, RuleDecl, SlicingDecl};
-use demaq_xml::schema::Schema;
 use demaq_store::{LockMode, Name, PropValue};
+use demaq_xml::schema::Schema;
 use demaq_xquery::{AggCatalog, AggId, AggSource, Plan};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -257,7 +257,11 @@ impl CompiledApp {
             .iter()
             .map(|p| (p.name.clone(), p.clone()))
             .collect();
-        let property_names = spec.properties.iter().map(|p| p.name.as_str().into()).collect();
+        let property_names = spec
+            .properties
+            .iter()
+            .map(|p| p.name.as_str().into())
+            .collect();
 
         // Every plan is lowered into one catalog, so an aggregate id means
         // the same shape wherever a host meets it.
@@ -375,10 +379,24 @@ impl CompiledApp {
         if self.slice_contributions.is_empty() && self.queue_contributions.is_empty() {
             return Vec::new();
         }
-        let mut ids: Vec<AggId> = self.queue_contributions.get(queue).cloned().unwrap_or_default();
+        let mut ids: Vec<AggId> = self
+            .queue_contributions
+            .get(queue)
+            .cloned()
+            .unwrap_or_default();
         for (pname, _) in props {
-            for slicing in self.slicings_by_property.get(&**pname).into_iter().flatten() {
-                for &id in self.slice_contributions.get(&**slicing).into_iter().flatten() {
+            for slicing in self
+                .slicings_by_property
+                .get(&**pname)
+                .into_iter()
+                .flatten()
+            {
+                for &id in self
+                    .slice_contributions
+                    .get(&**slicing)
+                    .into_iter()
+                    .flatten()
+                {
                     if !ids.contains(&id) {
                         ids.push(id);
                     }

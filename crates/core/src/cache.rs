@@ -283,9 +283,13 @@ mod tests {
         c.insert(MsgId(1), doc("<a/>"));
         let e = c.get(MsgId(1)).expect("hit");
         assert_eq!(e.root().to_xml(), "<a/>");
-        assert_eq!(o.registry.counter_total("demaq_core_doc_cache_hits_total"), 1);
         assert_eq!(
-            o.registry.counter_total("demaq_core_doc_cache_misses_total"),
+            o.registry.counter_total("demaq_core_doc_cache_hits_total"),
+            1
+        );
+        assert_eq!(
+            o.registry
+                .counter_total("demaq_core_doc_cache_misses_total"),
             1
         );
     }
@@ -306,7 +310,11 @@ mod tests {
         assert!(c.get(MsgId(2)).is_none(), "LRU entry evicted");
         assert!(c.get(MsgId(1)).is_some());
         assert!(c.get(MsgId(3)).is_some());
-        assert!(o.registry.counter_total("demaq_core_doc_cache_evictions_total") >= 1);
+        assert!(
+            o.registry
+                .counter_total("demaq_core_doc_cache_evictions_total")
+                >= 1
+        );
         assert_eq!(c.bytes(), cost * 2);
     }
 

@@ -28,8 +28,9 @@ use demaq_qdl::{parse_program, AppSpec, QueueKind};
 use demaq_store::store::SyncPolicy;
 use demaq_store::types::prop;
 use demaq_store::{
-    DurableTarget, LockGranularity, LockKey, LockMode, MemberRead, MessageMeta, MessageStore, MsgId,
-    Name, PayloadBytes, PropValue, Props, QueueMode, StoreError, StoreOptions, StoredMessage, TxnId,
+    DurableTarget, LockGranularity, LockKey, LockMode, MemberRead, MessageMeta, MessageStore,
+    MsgId, Name, PayloadBytes, PropValue, Props, QueueMode, StoreError, StoreOptions,
+    StoredMessage, TxnId,
 };
 use demaq_xml::{parse as parse_xml, Document, NodeRef};
 use demaq_xquery::{
@@ -628,7 +629,8 @@ impl ServerBuilder {
             (None, Some(p)) => parse_program(p).map_err(|e| EngineError::Compile(e.to_string()))?,
             (None, None) => return Err(EngineError::Config("no program provided".into())),
         };
-        CompiledApp::compile(spec, &self.wsdl_files).map_err(|e| EngineError::Compile(e.to_string()))
+        CompiledApp::compile(spec, &self.wsdl_files)
+            .map_err(|e| EngineError::Compile(e.to_string()))
     }
 
     /// Resolve the observability context, clock and network the server
@@ -689,7 +691,8 @@ impl ServerBuilder {
                         &[("severity", d.severity.as_str())],
                     )
                     .inc();
-                obs.tracer.event("analysis.diagnostic", None, &d.subject, &d.message);
+                obs.tracer
+                    .event("analysis.diagnostic", None, &d.subject, &d.message);
             }
         }
         let mut opts = StoreOptions::new(dir);
@@ -731,7 +734,9 @@ impl ServerBuilder {
 
         let narrow = narrow_plans(&app);
         let agg = Arc::new(AggRegistry::new(&app.aggregates, 4096, &obs));
-        let shard = self.shard_link.unwrap_or_else(|| ShardLink::standalone(&obs));
+        let shard = self
+            .shard_link
+            .unwrap_or_else(|| ShardLink::standalone(&obs));
         let doc_cache = Arc::new(DocCache::new(16, self.doc_cache_budget, &obs));
         let slice_seq = Arc::new(CellMap::new(
             4096,
@@ -982,7 +987,11 @@ impl Server {
                 eval_ns_total: rm.time_ns.sum_ns(),
             })
             .collect();
-        out.sort_by(|a, b| b.eval_ns_total.cmp(&a.eval_ns_total).then(a.rule.cmp(&b.rule)));
+        out.sort_by(|a, b| {
+            b.eval_ns_total
+                .cmp(&a.eval_ns_total)
+                .then(a.rule.cmp(&b.rule))
+        });
         out
     }
 
@@ -1027,7 +1036,16 @@ impl Server {
         processed: Option<MsgId>,
     ) -> Result<Option<MsgId>> {
         let doc = parse_xml(xml).map_err(|e| EngineError::Xml(e.to_string()))?;
-        self.enqueue_doc(queue, xml, doc, explicit, trigger_props, system_props, ingress, processed)
+        self.enqueue_doc(
+            queue,
+            xml,
+            doc,
+            explicit,
+            trigger_props,
+            system_props,
+            ingress,
+            processed,
+        )
     }
 
     /// [`Self::enqueue_with`] for a payload the caller already parsed.
@@ -1328,7 +1346,9 @@ impl Server {
             return Ok(());
         }
         let held = self.outbox.len();
-        let ingests = self.unsynced_ingests.fetch_add(ingest as usize, Ordering::Relaxed)
+        let ingests = self
+            .unsynced_ingests
+            .fetch_add(ingest as usize, Ordering::Relaxed)
             + ingest as usize;
         if held.max(ingests) >= BARRIER_BACKLOG
             || (held + ingests > 0 && self.store.unsynced_commits() >= BARRIER_AGE)
@@ -1366,8 +1386,15 @@ impl Server {
         props: &[(Name, PropValue)],
     ) -> Result<()> {
         for (pname, value) in props {
-            for s in self.app.slicings_by_property.get(&**pname).into_iter().flatten() {
-                self.store.slice_add(txn, Arc::clone(s), value.clone(), msg)?;
+            for s in self
+                .app
+                .slicings_by_property
+                .get(&**pname)
+                .into_iter()
+                .flatten()
+            {
+                self.store
+                    .slice_add(txn, Arc::clone(s), value.clone(), msg)?;
             }
         }
         Ok(())
@@ -1467,7 +1494,10 @@ impl Server {
 
     fn ingest_envelope(&self, queue: &str, env: Envelope) -> Result<()> {
         let mut system_props = vec![
-            (system::name(system::SENDER), PropValue::Str(env.from.clone())),
+            (
+                system::name(system::SENDER),
+                PropValue::Str(env.from.clone()),
+            ),
             (
                 system::name(system::CREATED_AT),
                 PropValue::DateTime(self.clock.now()),
@@ -1550,7 +1580,13 @@ impl Server {
         // property it carries.
         let mut slices: Vec<MsgSlice> = Vec::new();
         for (key, (pname, _)) in meta.props.iter().enumerate() {
-            for sname in self.app.slicings_by_property.get(&**pname).into_iter().flatten() {
+            for sname in self
+                .app
+                .slicings_by_property
+                .get(&**pname)
+                .into_iter()
+                .flatten()
+            {
                 let slicing = &self.app.slicings[&**sname];
                 slices.push(MsgSlice { slicing, key });
             }
@@ -1809,12 +1845,20 @@ impl Server {
             }
         };
         let own = plan(&cq.locks);
-        let mut added = slices.iter().map(|s| plan(&s.slicing.locks)).filter(|l| !l.is_empty());
+        let mut added = slices
+            .iter()
+            .map(|s| plan(&s.slicing.locks))
+            .filter(|l| !l.is_empty());
         let merged;
         let queue_locks = match added.next() {
             None => own,
             Some(first) => {
-                let all = own.iter().chain(first).chain(added.flatten()).cloned().collect();
+                let all = own
+                    .iter()
+                    .chain(first)
+                    .chain(added.flatten())
+                    .cloned()
+                    .collect();
                 merged = lock_order(all, &self.app.lock_ranks);
                 merged.as_slice()
             }
@@ -2161,7 +2205,9 @@ impl Server {
                 .chain(self.app.slicings.values().flat_map(|s| s.rules.iter()))
                 .find(|cr| *cr.name == *r)
         });
-        self.route_error_resolved(error_kind, detail, rule, rule_ref, queue, msg_id, payload, false)
+        self.route_error_resolved(
+            error_kind, detail, rule, rule_ref, queue, msg_id, payload, false,
+        )
     }
 
     /// Like [`Server::route_error`] but with the failing rule already
@@ -2192,9 +2238,7 @@ impl Server {
         let mut path: Vec<String> = failed_meta
             .as_ref()
             .and_then(|meta| match meta.prop(system::ERROR_PATH) {
-                Some(PropValue::Str(s)) => {
-                    Some(s.split(',').map(str::to_string).collect())
-                }
+                Some(PropValue::Str(s)) => Some(s.split(',').map(str::to_string).collect()),
                 _ => None,
             })
             .unwrap_or_default();
@@ -2202,7 +2246,10 @@ impl Server {
             path.push(queue.to_string());
         }
 
-        let resolved = self.app.error_queue_for(rule_ref, queue).map(str::to_string);
+        let resolved = self
+            .app
+            .error_queue_for(rule_ref, queue)
+            .map(str::to_string);
         let eq = match resolved {
             Some(eq) if path.contains(&eq) => {
                 // Cycle: drop to the system error queue unless that is
@@ -2241,12 +2288,21 @@ impl Server {
         // error queue, which this is). When the failing message is known,
         // the error message joins its causal tree, and the failing rule is
         // its creating rule.
-        let mut sys = vec![(system::name(system::ERROR_PATH), PropValue::Str(path.join(",")))];
+        let mut sys = vec![(
+            system::name(system::ERROR_PATH),
+            PropValue::Str(path.join(",")),
+        )];
         if let Some(rule) = rule {
-            sys.push((system::name(system::CREATING_RULE), PropValue::Str(rule.into())));
+            sys.push((
+                system::name(system::CREATING_RULE),
+                PropValue::Str(rule.into()),
+            ));
         }
         if let Some(id) = msg_id {
-            sys.push((system::name(system::PARENT_MSG), PropValue::Int(id.0 as i64)));
+            sys.push((
+                system::name(system::PARENT_MSG),
+                PropValue::Int(id.0 as i64),
+            ));
             let root = failed_meta
                 .as_ref()
                 .and_then(|m| match m.prop(system::ROOT_MSG) {
@@ -2328,7 +2384,9 @@ impl Server {
             let mut ids = Vec::new();
             self.slice_seq.retain_slices(|s, k, token, len| {
                 ids.clear();
-                self.store.slice_read(s, k, Some((token, len)), &mut ids).resumed
+                self.store
+                    .slice_read(s, k, Some((token, len)), &mut ids)
+                    .resumed
             });
             self.agg.forget(&purged);
         }
@@ -2367,14 +2425,20 @@ impl Server {
             return Some(0);
         }
         let victims: Vec<MsgId> = match mode {
-            NarrowMode::Aggregate(_) => {
-                members.iter().filter(|(_, p)| *p).map(|(m, _)| *m).collect()
-            }
+            NarrowMode::Aggregate(_) => members
+                .iter()
+                .filter(|(_, p)| *p)
+                .map(|(m, _)| *m)
+                .collect(),
             NarrowMode::Suffix(k) => {
                 // The newest `k` members stay regardless of processed
                 // state — they are the proven read horizon.
                 let cut = members.len().saturating_sub(*k);
-                members[..cut].iter().filter(|(_, p)| *p).map(|(m, _)| *m).collect()
+                members[..cut]
+                    .iter()
+                    .filter(|(_, p)| *p)
+                    .map(|(m, _)| *m)
+                    .collect()
             }
         };
         if victims.is_empty() {
@@ -2404,7 +2468,10 @@ impl Server {
             }
         };
         let expected = (token, members.len());
-        if self.store.retention_release(slicing, key, expected, &victims, cells) {
+        if self
+            .store
+            .retention_release(slicing, key, expected, &victims, cells)
+        {
             Some(victims.len())
         } else {
             Some(0)
@@ -2740,7 +2807,9 @@ fn rebuild_seed(spec: &AggregateSpec, read: &MemberRead) -> std::result::Result<
     let cell = read.base.iter().flatten().find(|(s, _)| *s == sig);
     match cell {
         Some((_, bytes)) => AggAcc::decode(bytes).ok_or_else(|| {
-            XqError::dynamic(format!("aggregate base cell of slice is unreadable ({sig})"))
+            XqError::dynamic(format!(
+                "aggregate base cell of slice is unreadable ({sig})"
+            ))
         }),
         // Released history exists but no cell matches this read — the
         // rescan would silently ignore it.
@@ -2793,7 +2862,10 @@ mod tests {
         server.enqueue_external("inbox", "<m/>").unwrap();
         assert_eq!(server.run_until_idle().unwrap(), 2);
         let dir = server.store().dir().clone();
-        assert!(dir.join("wal-000000.log").exists(), "no store under {dir:?}");
+        assert!(
+            dir.join("wal-000000.log").exists(),
+            "no store under {dir:?}"
+        );
         drop(server);
         assert!(!dir.exists(), "{dir:?} outlived its in-memory server");
     }

@@ -52,8 +52,8 @@ pub mod shard;
 pub use app::CompiledApp;
 pub use demaq_analysis as analysis;
 pub use demaq_obs::TraceFilter;
-pub use lineage::{Lineage, LineageRecord};
 pub use engine::{EngineError, RuleProfile, Server, ServerBuilder, ServerStats, StrictAnalysis};
+pub use lineage::{Lineage, LineageRecord};
 pub use shard::{ShardedServer, ShardedServerBuilder};
 
 /// Result alias for engine operations.

@@ -317,7 +317,10 @@ impl ShardedServerBuilder {
         for (i, homes) in incoming_homes.into_iter().enumerate() {
             let mut b = base.clone();
             // Each shard needs its own WAL segments and snapshot.
-            b.dir = base.dir.as_ref().map(|root| root.join(format!("shard-{i}")));
+            b.dir = base
+                .dir
+                .as_ref()
+                .map(|root| root.join(format!("shard-{i}")));
             // Shard-unique id spaces without coordination; shard 0 keeps
             // base 0 so a 1-shard deployment allocates the same ids as a
             // plain server.

@@ -44,25 +44,32 @@ fn slice_seq_cache_sees_appends_and_reset() {
     let s = server(JOIN);
     // Three arrivals: the cached member sequence must grow with each
     // commit (an add grows the length), firing the join exactly at 3.
-    s.enqueue_external("parts", r#"<p rid="A" n="1"/>"#).unwrap();
+    s.enqueue_external("parts", r#"<p rid="A" n="1"/>"#)
+        .unwrap();
     s.run_until_idle().unwrap();
     assert!(s.queue_bodies("joined").unwrap().is_empty());
-    s.enqueue_external("parts", r#"<p rid="A" n="2"/>"#).unwrap();
+    s.enqueue_external("parts", r#"<p rid="A" n="2"/>"#)
+        .unwrap();
     s.run_until_idle().unwrap();
     assert!(
         s.queue_bodies("joined").unwrap().is_empty(),
         "2 members < 3: a stale over-full cached sequence would fire early"
     );
-    s.enqueue_external("parts", r#"<p rid="A" n="3"/>"#).unwrap();
+    s.enqueue_external("parts", r#"<p rid="A" n="3"/>"#)
+        .unwrap();
     s.run_until_idle().unwrap();
-    assert_eq!(s.queue_bodies("joined").unwrap(), ["<complete>A</complete>"]);
+    assert_eq!(
+        s.queue_bodies("joined").unwrap(),
+        ["<complete>A</complete>"]
+    );
 
     // Reset the slice (epoch bump → new token): a stale cached
     // 3-member sequence must not resurrect the join on the next arrival.
     reset_slice(&s, "byRid", "A");
     let key = PropValue::Str("A".into());
     assert!(s.store().slice_members("byRid", &key).is_empty());
-    s.enqueue_external("parts", r#"<p rid="A" n="4"/>"#).unwrap();
+    s.enqueue_external("parts", r#"<p rid="A" n="4"/>"#)
+        .unwrap();
     s.run_until_idle().unwrap();
     assert_eq!(
         s.queue_bodies("joined").unwrap().len(),
@@ -157,7 +164,8 @@ fn gc_drops_member_sequences_holding_purged_documents() {
     let purged = s.gc().unwrap();
     assert!(purged >= 2, "A's members are purged, got {purged}");
     assert_eq!(s.cached_slice_sequences(), 1, "only B's cell survives");
-    s.enqueue_external("parts", r#"<p rid="B" n="3"/>"#).unwrap();
+    s.enqueue_external("parts", r#"<p rid="B" n="3"/>"#)
+        .unwrap();
     s.run_until_idle().unwrap();
     assert_eq!(s.queue_bodies("firsts").unwrap(), ["<first>1</first>"]);
 }

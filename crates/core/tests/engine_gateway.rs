@@ -249,7 +249,10 @@ fn incoming_gateway_receives_and_sets_sender_property() {
     );
     // One parse per inbound message: the ingest's own document is what
     // gets validated, stored in the cache, and evaluated.
-    let parses = s.metrics().registry.counter_total("demaq_core_doc_parses_total");
+    let parses = s
+        .metrics()
+        .registry
+        .counter_total("demaq_core_doc_parses_total");
     assert_eq!(parses, 1);
 }
 

@@ -207,7 +207,11 @@ fn error_messages_join_the_causal_tree_of_the_failing_message() {
     let t = l.target.unwrap();
     assert_eq!(t.parent, Some(root.0));
     assert_eq!(t.root, root.0);
-    assert_eq!(t.rule.as_deref(), Some("explode"), "failing rule attributed");
+    assert_eq!(
+        t.rule.as_deref(),
+        Some("explode"),
+        "failing rule attributed"
+    );
     let l = s.lineage(root);
     assert_eq!(l.descendants.len(), 1, "error message is a descendant");
 }
@@ -382,7 +386,9 @@ fn rule_less_hops_keep_their_labels_across_a_checkpoint_and_reopen() {
     let rule = |l: &demaq::Lineage| l.target.as_ref().unwrap().rule.clone();
     assert_eq!(rule(&before[0]).as_deref(), Some("explode"));
     assert_eq!(rule(&before[1]).as_deref(), Some("<echo>"));
-    assert!(before.iter().all(|l| l.target.as_ref().unwrap().lsn.is_some()));
+    assert!(before
+        .iter()
+        .all(|l| l.target.as_ref().unwrap().lsn.is_some()));
     s.store().checkpoint().unwrap();
     drop(s);
 

@@ -83,9 +83,14 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
         }
     }
     for s in snap.slices {
-        logical
-            .slices
-            .restore_slice(&s.slicing, s.key, s.epoch, s.members, s.base, s.base_members);
+        logical.slices.restore_slice(
+            &s.slicing,
+            s.key,
+            s.epoch,
+            s.members,
+            s.base,
+            s.base_members,
+        );
     }
 
     // Replay WAL segments at or after the snapshot's index.

@@ -536,7 +536,11 @@ mod tests {
         assert!(idx.members("a", &k("x")).is_empty());
         assert!(idx.members("b", &k("y")).is_empty());
         assert!(!idx.is_retained(MsgId(1)));
-        assert_eq!(idx.slice_count(), 0, "emptied first-lifetime slices are dropped");
+        assert_eq!(
+            idx.slice_count(),
+            0,
+            "emptied first-lifetime slices are dropped"
+        );
     }
 
     #[test]
@@ -674,7 +678,11 @@ mod tests {
         let (r2, ids) = read(&idx, Some((r.token, r.len)));
         assert_ne!(r2.token, r.token, "the 4 is not an append");
         assert!(!r2.resumed);
-        assert_eq!(ids, vec![MsgId(3), MsgId(4), MsgId(5)], "rebuild in id order");
+        assert_eq!(
+            ids,
+            vec![MsgId(3), MsgId(4), MsgId(5)],
+            "rebuild in id order"
+        );
         // Once emptied, the slice appends from scratch again.
         idx.forget(MsgId(3));
         idx.forget(MsgId(4));
@@ -756,7 +764,13 @@ mod tests {
         assert_eq!(members, vec![MsgId(1), MsgId(2)]);
         assert_eq!((idx.len("s", &k("a")).1, cells.len()), (0, 0));
         let (before, _) = read(&idx, None);
-        assert!(idx.release("s", &k("a"), (t, 2), &[MsgId(1)], vec![("count".into(), vec![1])]));
+        assert!(idx.release(
+            "s",
+            &k("a"),
+            (t, 2),
+            &[MsgId(1)],
+            vec![("count".into(), vec![1])]
+        ));
         let (members, t2, cells) = idx.narrow_view("s", &k("a"));
         assert_eq!(members, vec![MsgId(2)]);
         assert!(t2 > t, "release moves the token");
@@ -795,7 +809,13 @@ mod tests {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
         let (_, t, _) = idx.narrow_view("s", &k("a"));
-        assert!(idx.release("s", &k("a"), (t, 1), &[MsgId(1)], vec![("sig".into(), vec![9])]));
+        assert!(idx.release(
+            "s",
+            &k("a"),
+            (t, 1),
+            &[MsgId(1)],
+            vec![("sig".into(), vec![9])]
+        ));
         // No members left, epoch 0 — but the base must survive slice GC:
         // its accumulators still answer reads.
         idx.forget(MsgId(1));

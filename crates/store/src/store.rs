@@ -226,8 +226,10 @@ impl Logical {
 
     pub(crate) fn ensure_queue(&mut self, name: &str) {
         if !self.queues.contains_key(name) {
-            self.queues
-                .insert(name.to_string(), QueueState::new(name, QueueMode::Persistent, 0));
+            self.queues.insert(
+                name.to_string(),
+                QueueState::new(name, QueueMode::Persistent, 0),
+            );
         }
     }
 
@@ -500,7 +502,9 @@ impl MessageStore {
         msg: MsgId,
     ) -> Result<()> {
         let slicing = slicing.into();
-        self.with_txn(txn, |buf| buf.ops.push(TxnOp::SliceAdd { slicing, key, msg }))
+        self.with_txn(txn, |buf| {
+            buf.ops.push(TxnOp::SliceAdd { slicing, key, msg })
+        })
     }
 
     /// Buffer a slice reset.
@@ -925,7 +929,10 @@ impl MessageStore {
         since: Option<(u64, usize)>,
         ids: &mut Vec<MsgId>,
     ) -> MemberRead {
-        self.state.read().slices.read_since(slicing, key, since, ids)
+        self.state
+            .read()
+            .slices
+            .read_since(slicing, key, since, ids)
     }
 
     /// Members (id order), lifetime token and released base of one slice,
@@ -941,7 +948,11 @@ impl MessageStore {
         let flagged = ids
             .into_iter()
             .map(|id| {
-                let processed = state.messages.get(&id).map(|m| m.0.processed).unwrap_or(false);
+                let processed = state
+                    .messages
+                    .get(&id)
+                    .map(|m| m.0.processed)
+                    .unwrap_or(false);
                 (id, processed)
             })
             .collect();
@@ -1286,7 +1297,10 @@ impl MessageStore {
         // records), so the swap can't strand them.
         let new_wal_path = self.opts.dir.join(format!("wal-{new_index:06}.log"));
         {
-            let new_wal = Arc::new(LogWriter::open(&new_wal_path, self.opts.group_commit_cfg())?);
+            let new_wal = Arc::new(LogWriter::open(
+                &new_wal_path,
+                self.opts.group_commit_cfg(),
+            )?);
             new_wal.attach_obs(&self.obs.registry);
             let mut wal = self.wal.lock();
             *wal = new_wal;
@@ -1343,9 +1357,7 @@ mod tests {
         let mut opts = StoreOptions::new(dir.path());
         opts.sync = SyncPolicy::Batch;
         let store = Arc::new(MessageStore::open(opts).unwrap());
-        store
-            .create_queue("q", QueueMode::Persistent, 0)
-            .unwrap();
+        store.create_queue("q", QueueMode::Persistent, 0).unwrap();
         let key = PropValue::Str("k".into());
         std::thread::scope(|s| {
             for t in 0..8u64 {
@@ -1402,9 +1414,7 @@ mod tests {
     fn unsynced_commits_accounting() {
         let commit_one = |store: &MessageStore| {
             let txn = store.begin();
-            store
-                .enqueue(txn, "q", "x".into(), Vec::new(), 0)
-                .unwrap();
+            store.enqueue(txn, "q", "x".into(), Vec::new(), 0).unwrap();
             store.commit(txn).unwrap();
         };
 
@@ -1430,7 +1440,11 @@ mod tests {
         commit_one(&store);
         assert_eq!(store.unsynced_commits(), 1);
         store.checkpoint().unwrap();
-        assert_eq!(store.unsynced_commits(), 0, "checkpoint() resets the window");
+        assert_eq!(
+            store.unsynced_commits(),
+            0,
+            "checkpoint() resets the window"
+        );
     }
 
     /// A deferred commit is visible at once and durable at the next
@@ -1448,14 +1462,20 @@ mod tests {
         store.create_queue("t", QueueMode::Transient, 0).unwrap();
         let defer = |queue: &str, body: &str| {
             let txn = store.begin();
-            let msg = store.enqueue(txn, queue, body.into(), Vec::new(), 0).unwrap();
+            let msg = store
+                .enqueue(txn, queue, body.into(), Vec::new(), 0)
+                .unwrap();
             (msg, store.commit_deferred(txn).unwrap())
         };
 
         let (a, ta) = defer("q", "a");
         let (_, tb) = defer("q", "b");
         assert!(ta < tb);
-        assert_eq!(store.message(a).unwrap().payload, "a", "visible before durable");
+        assert_eq!(
+            store.message(a).unwrap().payload,
+            "a",
+            "visible before durable"
+        );
         assert_eq!(store.unsynced_commits(), 2);
         assert!(store.durable() < ta);
         assert_eq!(syncs.get(), 0, "nobody waited for the disk");
@@ -1547,7 +1567,10 @@ mod tests {
 
         let txn = store.begin();
         let provenance = vec![
-            (provenance::CREATING_RULE.into(), PropValue::Str("fwd".into())),
+            (
+                provenance::CREATING_RULE.into(),
+                PropValue::Str("fwd".into()),
+            ),
             (provenance::PARENT_MSG.into(), PropValue::Int(root.0 as i64)),
             (provenance::ROOT_MSG.into(), PropValue::Int(root.0 as i64)),
         ];

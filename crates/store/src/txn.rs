@@ -24,9 +24,7 @@ pub enum TxnOp {
         enqueued_at: i64,
     },
     /// The rule engine finished processing a message.
-    MarkProcessed {
-        msg: MsgId,
-    },
+    MarkProcessed { msg: MsgId },
     /// A message joined a slice (slicing name + key).
     SliceAdd {
         slicing: Name,
@@ -34,10 +32,7 @@ pub enum TxnOp {
         msg: MsgId,
     },
     /// A slice began a new lifetime.
-    SliceReset {
-        slicing: Name,
-        key: PropValue,
-    },
+    SliceReset { slicing: Name, key: PropValue },
 }
 
 /// State of an open transaction.

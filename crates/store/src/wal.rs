@@ -1520,7 +1520,11 @@ mod tests {
         w.append_txn(&[]).unwrap();
         assert_eq!(w.pending_commits(), 2);
         let started = Instant::now();
-        assert_eq!(w.sync_now().unwrap(), 2, "the barrier's own sync covers both");
+        assert_eq!(
+            w.sync_now().unwrap(),
+            2,
+            "the barrier's own sync covers both"
+        );
         assert!(
             started.elapsed() < Duration::from_secs(1),
             "barrier slept in the batching window: {:?}",

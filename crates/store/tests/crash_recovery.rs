@@ -52,9 +52,7 @@ fn open_store(dir: &Path) -> MessageStore {
     let mut opts = StoreOptions::new(dir);
     opts.sync = SyncPolicy::Always;
     let store = MessageStore::open(opts).unwrap();
-    store
-        .create_queue(QUEUE, QueueMode::Persistent, 0)
-        .unwrap();
+    store.create_queue(QUEUE, QueueMode::Persistent, 0).unwrap();
     store
 }
 

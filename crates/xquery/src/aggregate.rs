@@ -380,16 +380,47 @@ fn ptest_sig(t: &PTest) -> String {
 /// Builtins a guard predicate may call: deterministic, context-free
 /// beyond their arguments.
 const GUARD_FNS: &[&str] = &[
-    "not", "exists", "empty", "boolean", "true", "false", "count", "sum", "min", "max", "avg",
-    "number", "string", "string-length", "contains", "starts-with", "ends-with", "concat",
-    "normalize-space", "abs", "floor", "ceiling", "round", "upper-case", "lower-case",
-    "substring", "string-join",
+    "not",
+    "exists",
+    "empty",
+    "boolean",
+    "true",
+    "false",
+    "count",
+    "sum",
+    "min",
+    "max",
+    "avg",
+    "number",
+    "string",
+    "string-length",
+    "contains",
+    "starts-with",
+    "ends-with",
+    "concat",
+    "normalize-space",
+    "abs",
+    "floor",
+    "ceiling",
+    "round",
+    "upper-case",
+    "lower-case",
+    "substring",
+    "string-join",
 ];
 
 /// Builtins whose value is never a single number — safe as a predicate's
 /// *top-level* expression (a numeric predicate is a positional test).
 const BOOLISH_FNS: &[&str] = &[
-    "not", "exists", "empty", "boolean", "true", "false", "contains", "starts-with", "ends-with",
+    "not",
+    "exists",
+    "empty",
+    "boolean",
+    "true",
+    "false",
+    "contains",
+    "starts-with",
+    "ends-with",
 ];
 
 /// Is `e` evaluable against one member document alone: no variables, no
@@ -540,7 +571,11 @@ fn recognize_source(expr: &Expr) -> Option<(AggSource, Vec<AggStep>)> {
             let preds = guard_preds(predicates)?;
             let (source, mut steps) = recognize_source(base)?;
             if *descend {
-                steps.push(AggStep::new(Axis::DescendantOrSelf, PTest::AnyKind, Vec::new()));
+                steps.push(AggStep::new(
+                    Axis::DescendantOrSelf,
+                    PTest::AnyKind,
+                    Vec::new(),
+                ));
             }
             steps.push(AggStep::new(*axis, lower_test(test), preds));
             Some((source, steps))
@@ -564,11 +599,17 @@ pub enum AggAcc {
     /// so a non-empty `fn:sum` over path results always takes
     /// `numeric_fold`'s double branch; the empty multiset yields
     /// `xs:integer` 0 (the builtin's 1-arg zero).
-    Sum { seen: bool, dsum: f64 },
+    Sum {
+        seen: bool,
+        dsum: f64,
+    },
     /// `fn:avg` decomposed into its sum/count pair (ROADMAP 5a): the
     /// builtin computes `numeric_fold(seq, "sum") / count(seq)`, both of
     /// which fold member-at-a-time.
-    Avg { count: i64, dsum: f64 },
+    Avg {
+        count: i64,
+        dsum: f64,
+    },
 }
 
 impl AggAcc {
@@ -764,17 +805,22 @@ impl Reader<'_> {
         self.take(1).map(|b| b[0])
     }
     fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        self.take(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
     }
     fn i64(&mut self) -> Option<i64> {
-        self.take(8).map(|b| i64::from_le_bytes(b.try_into().unwrap()))
+        self.take(8)
+            .map(|b| i64::from_le_bytes(b.try_into().unwrap()))
     }
     fn opt_atomic(&mut self) -> Option<Option<Atomic>> {
         match self.u8()? {
             0 => Some(None),
             1 => {
                 let tag = self.u8()?;
-                let len = self.take(4).map(|b| u32::from_le_bytes(b.try_into().unwrap()))? as usize;
+                let len = self
+                    .take(4)
+                    .map(|b| u32::from_le_bytes(b.try_into().unwrap()))?
+                    as usize;
                 let bytes = self.take(len)?;
                 let s = || String::from_utf8(bytes.to_vec()).ok();
                 let f = |b: &[u8]| Some(f64::from_bits(u64::from_le_bytes(b.try_into().ok()?)));
@@ -850,18 +896,18 @@ mod tests {
     #[test]
     fn rejects_unsupported_shapes() {
         for q in [
-            "count(qs:queue())",          // implicit target queue, no literal
-            "count(qs:queue($v))",        // non-literal queue name
-            "count(qs:slice()/a[2])",     // positional predicate
-            "count(qs:slice()[1])",       // positional source filter
-            "count(qs:slice()//n[position() < 2])", // explicit position
-            "count(qs:slice()//n[last()])", // membership-order dependent
-            "count(qs:slice()//n[$v])",   // free variable
+            "count(qs:queue())",                         // implicit target queue, no literal
+            "count(qs:queue($v))",                       // non-literal queue name
+            "count(qs:slice()/a[2])",                    // positional predicate
+            "count(qs:slice()[1])",                      // positional source filter
+            "count(qs:slice()//n[position() < 2])",      // explicit position
+            "count(qs:slice()//n[last()])",              // membership-order dependent
+            "count(qs:slice()//n[$v])",                  // free variable
             "count(qs:slice()[qs:property(\"p\") = 1])", // context read
-            "sum(qs:slice()//n, 0)",      // 2-arg sum
-            "count(//a)",                 // message-relative path
-            "count(qs:slicekey())",       // not a membership source
-            "string(qs:slice())",         // not an aggregate
+            "sum(qs:slice()//n, 0)",                     // 2-arg sum
+            "count(//a)",                                // message-relative path
+            "count(qs:slicekey())",                      // not a membership source
+            "string(qs:slice())",                        // not an aggregate
         ] {
             assert!(recognize(q).is_none(), "{q} must not be recognized");
         }
@@ -878,7 +924,10 @@ mod tests {
             "count(qs:queue(\"a\")/x)",
             "count(qs:queue(\"a\")/x[. > 1])",
         ];
-        let sigs: Vec<String> = shapes.iter().map(|q| recognize(q).unwrap().stable_sig()).collect();
+        let sigs: Vec<String> = shapes
+            .iter()
+            .map(|q| recognize(q).unwrap().stable_sig())
+            .collect();
         let mut catalog = AggCatalog::default();
         let ids: Vec<AggId> = shapes
             .iter()
@@ -900,7 +949,9 @@ mod tests {
     #[test]
     fn membership_only_is_step_free_count_or_exists() {
         assert!(recognize("count(qs:slice())").unwrap().membership_only());
-        assert!(recognize("exists(qs:queue(\"q\"))").unwrap().membership_only());
+        assert!(recognize("exists(qs:queue(\"q\"))")
+            .unwrap()
+            .membership_only());
         assert!(!recognize("sum(qs:slice())").unwrap().membership_only());
         assert!(!recognize("count(qs:slice()/a)").unwrap().membership_only());
     }
@@ -978,7 +1029,10 @@ mod tests {
             absorb(&mut acc, &spec, m).unwrap();
         }
         // 5, 9, 7 pass; 2 fails; "abc" > 4 is false (untyped numeric cmp).
-        assert_eq!(format!("{:?}", acc.result()), format!("{:?}", Sequence::int(3)));
+        assert_eq!(
+            format!("{:?}", acc.result()),
+            format!("{:?}", Sequence::int(3))
+        );
 
         // Guards also shield sum from non-numeric members the reference
         // would filter out the same way.
@@ -1025,9 +1079,15 @@ mod tests {
     #[test]
     fn empty_multiset_results_match_builtins() {
         let dbg = |s: Sequence| format!("{s:?}");
-        assert_eq!(dbg(AggAcc::new(AggOp::Count).result()), dbg(Sequence::int(0)));
+        assert_eq!(
+            dbg(AggAcc::new(AggOp::Count).result()),
+            dbg(Sequence::int(0))
+        );
         assert_eq!(dbg(AggAcc::new(AggOp::Sum).result()), dbg(Sequence::int(0)));
-        assert_eq!(dbg(AggAcc::new(AggOp::Exists).result()), dbg(Sequence::bool(false)));
+        assert_eq!(
+            dbg(AggAcc::new(AggOp::Exists).result()),
+            dbg(Sequence::bool(false))
+        );
         assert!(AggAcc::new(AggOp::Min).result().is_empty());
         assert!(AggAcc::new(AggOp::Max).result().is_empty());
         // fn:avg over the empty sequence is the empty sequence.

@@ -1212,7 +1212,8 @@ impl<'a> PlanEvaluator<'a> {
                 }
                 Ok(Sequence::bool(found))
             }
-            Plan::AggregateRead { id, spec, fallback } => match self.dctx.host.aggregate(*id, spec) {
+            Plan::AggregateRead { id, spec, fallback } => match self.dctx.host.aggregate(*id, spec)
+            {
                 Some(r) => r,
                 None => self.eval(fallback, focus),
             },
@@ -1719,7 +1720,10 @@ mod tests {
                 _ => false,
             }
         }
-        assert!(!has_free(&plan), "lexical vars must lower to slots: {plan:?}");
+        assert!(
+            !has_free(&plan),
+            "lexical vars must lower to slots: {plan:?}"
+        );
     }
 
     #[test]

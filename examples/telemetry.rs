@@ -113,7 +113,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "every full window must produce exactly one report"
     );
     assert!(
-        reports.iter().all(|r| r.contains(&format!("n=\"{WINDOW}\""))),
+        reports
+            .iter()
+            .all(|r| r.contains(&format!("n=\"{WINDOW}\""))),
         "windows roll over at exactly {WINDOW} members"
     );
     assert!(!alerts.is_empty(), "the 100-unit spikes must be flagged");

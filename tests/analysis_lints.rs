@@ -8,7 +8,9 @@
 //! each program contains exactly one defect and the matching DQ code must
 //! fire.
 
-use demaq_analysis::{analyze_spec, extract_qdl_programs, Analysis, LintCode, LintConfig, Severity};
+use demaq_analysis::{
+    analyze_spec, extract_qdl_programs, Analysis, LintCode, LintConfig, Severity,
+};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -72,7 +74,10 @@ fn shipped_examples_are_diagnostic_free() {
     }
     // perf_10k assembles its program at runtime (plain strings), so it is
     // covered by deploy-time analysis rather than extraction.
-    assert!(checked >= 4, "expected programs in examples/, got {checked}");
+    assert!(
+        checked >= 4,
+        "expected programs in examples/, got {checked}"
+    );
 }
 
 // ---- seeded bad-app corpus: one defect per program, one test per code ----
@@ -259,7 +264,9 @@ fn dq012_unbounded_retention() {
     assert_eq!(a.diagnostics[0].subject, "slicing byDevice");
     assert_eq!(a.diagnostics[0].severity, Severity::Warn);
     assert!(
-        a.diagnostics[0].message.contains("scan full slice contents"),
+        a.diagnostics[0]
+            .message
+            .contains("scan full slice contents"),
         "{}",
         a.diagnostics[0].message
     );
@@ -305,7 +312,9 @@ fn dq013_retention_narrowed() {
     assert_eq!(a.diagnostics[0].subject, "slicing byDevice");
     assert_eq!(a.diagnostics[0].severity, Severity::Info);
     assert!(
-        a.diagnostics[0].message.contains("add an explicit `do reset`"),
+        a.diagnostics[0]
+            .message
+            .contains("add an explicit `do reset`"),
         "no-reset narrowing should suggest making intent explicit: {}",
         a.diagnostics[0].message
     );

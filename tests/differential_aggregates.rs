@@ -41,9 +41,7 @@ fn build(program: &str) -> Server {
 }
 
 fn metric(s: &Server, name: &str) -> u64 {
-    s.metrics()
-        .registry
-        .counter_total(name)
+    s.metrics().registry.counter_total(name)
 }
 
 /// Feed every message to a fresh server through the oracle, draining
@@ -87,10 +85,19 @@ fn registrar_slice_count_with_resets() {
     "#;
     let mut feed: Vec<(&str, String)> = Vec::new();
     for d in ["example.org", "example.net", "example.com"] {
-        feed.push(("registrar", format!("<register><domain>{d}</domain></register>")));
-        feed.push(("registrar", format!("<update><domain>{d}</domain></update>")));
+        feed.push((
+            "registrar",
+            format!("<register><domain>{d}</domain></register>"),
+        ));
+        feed.push((
+            "registrar",
+            format!("<update><domain>{d}</domain></update>"),
+        ));
         feed.push(("registrar", format!("<query><domain>{d}</domain></query>")));
-        feed.push(("registrar", format!("<transfer><domain>{d}</domain></transfer>")));
+        feed.push((
+            "registrar",
+            format!("<transfer><domain>{d}</domain></transfer>"),
+        ));
         feed.push(("registrar", format!("<query><domain>{d}</domain></query>")));
     }
     let inc = checked("registrar", program, &feed);
@@ -129,7 +136,10 @@ fn per_device_slice_stats() {
         let alarm = if i == 11 { "<alarm/>" } else { "" };
         feed.push((
             "intake",
-            format!("<reading dev='{dev}'><v>{}</v>{alarm}</reading>", i * 3 % 17),
+            format!(
+                "<reading dev='{dev}'><v>{}</v>{alarm}</reading>",
+                i * 3 % 17
+            ),
         ));
     }
     let inc = checked("device-stats", program, &feed);
@@ -218,7 +228,10 @@ fn randomized_interleaving_corpus() {
                 h.gc();
             }
         }
-        assert!(!server.queue_bodies("out").unwrap().is_empty(), "seed {seed}");
+        assert!(
+            !server.queue_bodies("out").unwrap().is_empty(),
+            "seed {seed}"
+        );
     }
 }
 
@@ -247,7 +260,8 @@ fn sharded_twin_4_shards() {
     for i in 0..48usize {
         let xml = format!("<job><w>{}</w></job>", i % 9);
         let props = vec![("lane".to_string(), Atomic::Int((i % 7) as i64))];
-        inc.enqueue_external_with_props("intake", &xml, &props).unwrap();
+        inc.enqueue_external_with_props("intake", &xml, &props)
+            .unwrap();
         h.enqueue("intake", &xml, &props);
     }
     inc.run_until_idle().unwrap();
@@ -310,7 +324,10 @@ fn reset_then_refill_to_the_same_length_rebuilds() {
     .collect();
     let inc = checked("reset-refill", program, &feed);
     let report = inc.queue_bodies("report").unwrap();
-    assert!(report[1].contains("s=\"30\""), "stale fold survived the reset: {report:?}");
+    assert!(
+        report[1].contains("s=\"30\""),
+        "stale fold survived the reset: {report:?}"
+    );
     assert!(
         metric(&inc, "demaq_core_agg_rebuilds_total") >= 4,
         "the post-reset probe must rebuild both cells"
@@ -348,7 +365,9 @@ fn out_of_order_commits_fold_in_id_order() {
             let txn = store.begin();
             let xml = format!("<e k='a'><v>{v}</v></e>");
             let props = vec![("k".into(), key.clone())];
-            let id = store.enqueue(txn, "intake", xml.as_str().into(), props, 0).unwrap();
+            let id = store
+                .enqueue(txn, "intake", xml.as_str().into(), props, 0)
+                .unwrap();
             store.slice_add(txn, "byK", key.clone(), id).unwrap();
             txn
         })
@@ -424,14 +443,21 @@ fn gc_purge_under_warm_cells_matches_rescan() {
     let h = Harness::new("gc-purge", &inc);
     for round in 0..5u32 {
         for i in 0..4u32 {
-            h.enqueue("inbox", &format!("<item><amt>{}</amt></item>", round * 4 + i), &[]);
+            h.enqueue(
+                "inbox",
+                &format!("<item><amt>{}</amt></item>", round * 4 + i),
+                &[],
+            );
         }
         h.feed("inbox", "<tick/>");
         // Purge the processed `audit` entries while the cells are warm.
         assert!(h.gc() > 0, "round {round}");
         h.feed("inbox", "<tick/>");
     }
-    assert!(metric(&inc, "demaq_core_agg_rebuilds_total") >= 5, "purges force rebuilds");
+    assert!(
+        metric(&inc, "demaq_core_agg_rebuilds_total") >= 5,
+        "purges force rebuilds"
+    );
 }
 
 /// A guard that errors on one member: every read over that slice
@@ -461,7 +487,11 @@ fn erroring_guard_declines_to_the_identical_error() {
     .collect();
     let inc = checked("erroring-guard", program, &feed);
     let errs = inc.queue_bodies("errs").unwrap();
-    assert_eq!(errs.len(), 2, "both reads after the bad member fail: {errs:?}");
+    assert_eq!(
+        errs.len(),
+        2,
+        "both reads after the bad member fail: {errs:?}"
+    );
 }
 
 /// Two shards whose rekeying hop forwards members across them: a forward
@@ -497,7 +527,8 @@ fn doc_less_forwards_fold_like_local_members() {
     for i in 0..40usize {
         let xml = format!("<job n='{i}' w='{}'/>", i % 9);
         let props = vec![("lane".to_string(), Atomic::Int((i % 5) as i64))];
-        inc.enqueue_external_with_props("intake", &xml, &props).unwrap();
+        inc.enqueue_external_with_props("intake", &xml, &props)
+            .unwrap();
         inc.run_until_idle().unwrap();
         h.enqueue("intake", &xml, &props);
         h.run();
@@ -509,7 +540,10 @@ fn doc_less_forwards_fold_like_local_members() {
         "2 shards diverged from one checked server"
     );
     let text = inc.metrics_text();
-    assert!(sample(&text, "demaq_engine_shard_forwards_total") > 0.0, "no member crossed shards");
+    assert!(
+        sample(&text, "demaq_engine_shard_forwards_total") > 0.0,
+        "no member crossed shards"
+    );
     assert!(sample(&text, "demaq_core_agg_deltas_total") > 0.0);
 }
 
@@ -545,7 +579,10 @@ fn reopen_with_cold_cells_and_live_base_cells_matches_rescan() {
     let inc = open();
     let h = Harness::new("reopened", &inc).with_history(history);
     feed(&h, 24);
-    assert!(metric(&inc, "demaq_core_agg_rebuilds_total") > 0, "cells start cold");
+    assert!(
+        metric(&inc, "demaq_core_agg_rebuilds_total") > 0,
+        "cells start cold"
+    );
 }
 
 // ---- crash recovery -----------------------------------------------------
@@ -619,7 +656,12 @@ fn crash_recovery_rebuilds_cells_and_matches_rescan() {
     for round in 0..2u64 {
         let dir = tempfile::TempDir::new().unwrap();
         let mut child = Command::new(&exe)
-            .args(["aggregate_crash_child_body", "--exact", "--ignored", "--nocapture"])
+            .args([
+                "aggregate_crash_child_body",
+                "--exact",
+                "--ignored",
+                "--nocapture",
+            ])
             .env("DEMAQ_AGG_CRASH_DIR", dir.path())
             .stdout(Stdio::null())
             .stderr(Stdio::null())
@@ -672,5 +714,8 @@ fn crash_recovery_rebuilds_cells_and_matches_rescan() {
         }
         total_acked += acked.len();
     }
-    assert!(total_acked > 0, "crash harness never acked a single enqueue");
+    assert!(
+        total_acked > 0,
+        "crash harness never acked a single enqueue"
+    );
 }

@@ -52,7 +52,10 @@ const TELEMETRY: &str = r#"
 /// Pull `attr="..."` out of a serialized stat element.
 fn attr(xml: &str, name: &str) -> String {
     let pat = format!("{name}=\"");
-    let start = xml.find(&pat).unwrap_or_else(|| panic!("no {name} in {xml}")) + pat.len();
+    let start = xml
+        .find(&pat)
+        .unwrap_or_else(|| panic!("no {name} in {xml}"))
+        + pat.len();
     xml[start..][..xml[start..].find('"').unwrap()].to_string()
 }
 
@@ -66,7 +69,10 @@ fn aggregate_only_twins_match_and_footprint_shrinks() {
     let h = Harness::new("telemetry", &nar);
     let feed = |lo: u32, hi: u32| {
         for i in lo..hi {
-            h.feed("intake", &format!("<reading dev='d{}'><v>{}</v></reading>", i % 3, i % 7));
+            h.feed(
+                "intake",
+                &format!("<reading dev='d{}'><v>{}</v></reading>", i % 3, i % 7),
+            );
         }
     };
     // Phase A, then GC: it folds the processed intake members into
@@ -256,7 +262,8 @@ fn retention_crash_child_body() {
         .open(root.join(ACK_FILE))
         .unwrap();
     let mut note = move |kind: &str, dev: u64, v: u64| {
-        log.write_all(format!("{kind} d{dev} {v}\n").as_bytes()).unwrap();
+        log.write_all(format!("{kind} d{dev} {v}\n").as_bytes())
+            .unwrap();
         log.flush().unwrap();
     };
     std::thread::scope(|s| {
@@ -305,7 +312,12 @@ fn crash_recovery_preserves_folded_history() {
     for round in 0..rounds {
         let dir = tempfile::TempDir::new().unwrap();
         let mut child = Command::new(&exe)
-            .args(["retention_crash_child_body", "--exact", "--ignored", "--nocapture"])
+            .args([
+                "retention_crash_child_body",
+                "--exact",
+                "--ignored",
+                "--nocapture",
+            ])
             .env("DEMAQ_RET_CRASH_DIR", dir.path())
             .stdout(Stdio::null())
             .stderr(Stdio::null())
@@ -337,9 +349,12 @@ fn crash_recovery_preserves_folded_history() {
             t.n += 1;
             t.total += v.parse::<u64>().unwrap();
         }
-        let in_flight = tried.values().map(|t| t.n).sum::<u64>()
-            - acked.values().map(|t| t.n).sum::<u64>();
-        assert!(in_flight <= 1, "round {round}: {in_flight} readings tried but not acked");
+        let in_flight =
+            tried.values().map(|t| t.n).sum::<u64>() - acked.values().map(|t| t.n).sum::<u64>();
+        assert!(
+            in_flight <= 1,
+            "round {round}: {in_flight} readings tried but not acked"
+        );
 
         let nar = crash_server(dir.path());
         nar.run_until_idle().unwrap();
@@ -374,5 +389,8 @@ fn crash_recovery_preserves_folded_history() {
             total_acked += lo.0;
         }
     }
-    assert!(total_acked > 0, "crash harness never acked a single enqueue");
+    assert!(
+        total_acked > 0,
+        "crash harness never acked a single enqueue"
+    );
 }

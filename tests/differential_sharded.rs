@@ -75,7 +75,10 @@ fn lane(i: usize) -> Vec<(String, Atomic)> {
 
 /// Sorted bodies of every queue: the order-insensitive behavioral
 /// fingerprint (shard merge order is not part of the contract).
-fn sorted_bodies(queues: &[&str], get: impl Fn(&str) -> Vec<String>) -> BTreeMap<String, Vec<String>> {
+fn sorted_bodies(
+    queues: &[&str],
+    get: impl Fn(&str) -> Vec<String>,
+) -> BTreeMap<String, Vec<String>> {
     queues
         .iter()
         .map(|q| {
@@ -95,8 +98,10 @@ fn keyed_pipeline_twin_1_vs_4_shards() {
     let s4 = sharded(KEYED_PIPELINE, 4);
     for i in 0..N {
         let xml = format!("<job n='{i}'/>");
-        s1.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
-        s4.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
+        s1.enqueue_external_with_props("intake", &xml, &lane(i))
+            .unwrap();
+        s4.enqueue_external_with_props("intake", &xml, &lane(i))
+            .unwrap();
     }
     s1.run_until_idle().unwrap();
     s4.run_until_idle().unwrap();
@@ -191,8 +196,12 @@ fn rekeying_pipeline_forwards_across_shards() {
     let mut roots = Vec::new();
     for i in 0..N {
         let xml = format!("<job n='{i}'/>");
-        let a = s1.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
-        let b = s4.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
+        let a = s1
+            .enqueue_external_with_props("intake", &xml, &lane(i))
+            .unwrap();
+        let b = s4
+            .enqueue_external_with_props("intake", &xml, &lane(i))
+            .unwrap();
         roots.push((a, b));
     }
     s1.run_until_idle().unwrap();
@@ -206,7 +215,10 @@ fn rekeying_pipeline_forwards_across_shards() {
     // The rekey must actually have exercised the forward machinery —
     // otherwise this twin proves nothing about cross-shard enqueues.
     let forwards = metric_value(&s4.metrics_text(), "demaq_engine_shard_forwards_total");
-    assert!(forwards > 0.0, "expected cross-shard forwards, got {forwards}");
+    assert!(
+        forwards > 0.0,
+        "expected cross-shard forwards, got {forwards}"
+    );
     // Lineage chains span shards: each message is read from its home
     // shard's store.
     for m in s4.queue_messages("done").unwrap() {
@@ -216,7 +228,10 @@ fn rekeying_pipeline_forwards_across_shards() {
     // Descendants are collected from every shard: each root's tree reads
     // as on the single server, by queue and rule, in order.
     let tree = |l: demaq::Lineage| -> Vec<(String, Option<String>)> {
-        l.descendants.into_iter().map(|r| (r.queue, r.rule)).collect()
+        l.descendants
+            .into_iter()
+            .map(|r| (r.queue, r.rule))
+            .collect()
     };
     for (a, b) in roots {
         let want = tree(s1.lineage(a));
@@ -292,7 +307,10 @@ fn placement_from_compiled_facts_matches_raw_rules() {
         for shards in [2, 3, 4] {
             let expected = compute_placement(&spec, &raw, &raw_graph, shards);
             let actual = compute_placement(&app.spec, &app.facts, &app.analysis.graph, shards);
-            assert_eq!(actual.queues, expected.queues, "{shards} shards:\n{program}");
+            assert_eq!(
+                actual.queues, expected.queues,
+                "{shards} shards:\n{program}"
+            );
         }
     }
 }
@@ -313,8 +331,10 @@ fn keyed_pipeline_parallel_drain_matches() {
     let s4 = sharded(KEYED_PIPELINE, 4);
     for i in 0..N {
         let xml = format!("<job n='{i}'/>");
-        s1.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
-        s4.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
+        s1.enqueue_external_with_props("intake", &xml, &lane(i))
+            .unwrap();
+        s4.enqueue_external_with_props("intake", &xml, &lane(i))
+            .unwrap();
     }
     let d1 = s1.process_all_parallel(2).unwrap();
     let d4 = s4.process_all_parallel(2).unwrap();
@@ -341,8 +361,10 @@ fn rekeying_pipeline_parallel_drain_matches() {
         let s4 = sharded(REKEY, 4);
         for i in 0..N {
             let xml = format!("<job n='{i}'/>");
-            s1.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
-            s4.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
+            s1.enqueue_external_with_props("intake", &xml, &lane(i))
+                .unwrap();
+            s4.enqueue_external_with_props("intake", &xml, &lane(i))
+                .unwrap();
         }
         let d1 = s1.process_all_parallel(2).unwrap();
         let d4 = s4.process_all_parallel(2).unwrap();
@@ -354,7 +376,10 @@ fn rekeying_pipeline_parallel_drain_matches() {
             sorted_bodies(&queues, |q| s4.queue_bodies(q).unwrap()),
         );
         let forwards = metric_value(&s4.metrics_text(), "demaq_engine_shard_forwards_total");
-        assert!(forwards > 0.0, "expected cross-shard forwards, got {forwards}");
+        assert!(
+            forwards > 0.0,
+            "expected cross-shard forwards, got {forwards}"
+        );
     }
 }
 
@@ -420,8 +445,14 @@ fn paper_listings_twin() {
                 .iter()
                 .flat_map(|d| {
                     vec![
-                        ("registrar", format!("<register><domain>{d}</domain></register>")),
-                        ("registrar", format!("<update><domain>{d}</domain></update>")),
+                        (
+                            "registrar",
+                            format!("<register><domain>{d}</domain></register>"),
+                        ),
+                        (
+                            "registrar",
+                            format!("<update><domain>{d}</domain></update>"),
+                        ),
                         ("registrar", format!("<query><domain>{d}</domain></query>")),
                     ]
                 })
@@ -455,8 +486,12 @@ fn single_shard_is_bit_identical_to_server() {
     let sh = sharded(KEYED_PIPELINE, 1);
     for i in 0..N {
         let xml = format!("<job n='{i}'/>");
-        let id_a = s.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
-        let id_b = sh.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
+        let id_a = s
+            .enqueue_external_with_props("intake", &xml, &lane(i))
+            .unwrap();
+        let id_b = sh
+            .enqueue_external_with_props("intake", &xml, &lane(i))
+            .unwrap();
         assert_eq!(id_a, id_b, "1-shard deployment must allocate the same ids");
     }
     s.run_until_idle().unwrap();
@@ -477,7 +512,10 @@ fn single_shard_is_bit_identical_to_server() {
         assert_eq!(a, b, "queue {q} diverged");
     }
     for m in s.queue_messages("done").unwrap() {
-        assert_eq!(chain_shape(&s.lineage(m.id)), chain_shape(&sh.lineage(m.id)));
+        assert_eq!(
+            chain_shape(&s.lineage(m.id)),
+            chain_shape(&sh.lineage(m.id))
+        );
     }
 }
 
@@ -489,20 +527,27 @@ fn fleet_stats_count_processing_on_every_shard() {
     let s2 = sharded(REKEY, 2);
     for i in 0..N {
         let xml = format!("<job n='{i}'/>");
-        s2.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
+        s2.enqueue_external_with_props("intake", &xml, &lane(i))
+            .unwrap();
     }
     let drained = s2.process_all_parallel(1).unwrap();
     let per_shard: Vec<u64> = (0..s2.num_shards())
         .map(|i| {
             let shard = s2.shard(i);
-            assert!(shard.store().unprocessed().is_empty(), "shard {i} not drained");
+            assert!(
+                shard.store().unprocessed().is_empty(),
+                "shard {i} not drained"
+            );
             ["intake", "enriched", "done"]
                 .iter()
                 .map(|q| shard.queue_messages(q).unwrap().len() as u64)
                 .sum()
         })
         .collect();
-    assert!(per_shard.iter().all(|&n| n > 0), "a shard processed nothing: {per_shard:?}");
+    assert!(
+        per_shard.iter().all(|&n| n > 0),
+        "a shard processed nothing: {per_shard:?}"
+    );
     assert_eq!(s2.stats().processed, per_shard.iter().sum::<u64>());
     assert_eq!(s2.stats().processed, drained);
 }
@@ -528,7 +573,9 @@ fn concurrent_feed_during_parallel_drain_is_exactly_once() {
             s.spawn(|| {
                 for i in 0..N {
                     let xml = format!("<job n='{i}'/>");
-                    server.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap();
+                    server
+                        .enqueue_external_with_props("intake", &xml, &lane(i))
+                        .unwrap();
                 }
                 fed.store(true, Ordering::SeqCst);
             });
@@ -540,7 +587,11 @@ fn concurrent_feed_during_parallel_drain_is_exactly_once() {
             });
         });
         let total = drained.into_inner() + server.process_all_parallel(1).unwrap();
-        assert_eq!(total, (3 * N) as u64, "round {round}: drains processed {total}");
+        assert_eq!(
+            total,
+            (3 * N) as u64,
+            "round {round}: drains processed {total}"
+        );
         let mut done = server.queue_bodies("done").unwrap();
         done.sort();
         assert_eq!(done, expected, "round {round}: outputs not exactly once");
@@ -563,7 +614,9 @@ fn lineage_reads_during_parallel_drain_end_at_the_root() {
         let roots: Vec<MsgId> = (0..N)
             .map(|i| {
                 let xml = format!("<job n='{i}'/>");
-                server.enqueue_external_with_props("intake", &xml, &lane(i)).unwrap()
+                server
+                    .enqueue_external_with_props("intake", &xml, &lane(i))
+                    .unwrap()
             })
             .collect();
         let start = Barrier::new(2);
@@ -676,7 +729,12 @@ fn sharded_crash_recovery_acked_is_present() {
     for round in 0..iters {
         let dir = tempfile::TempDir::new().unwrap();
         let mut child = Command::new(&exe)
-            .args(["sharded_crash_child_body", "--exact", "--ignored", "--nocapture"])
+            .args([
+                "sharded_crash_child_body",
+                "--exact",
+                "--ignored",
+                "--nocapture",
+            ])
             .env("DEMAQ_SHARD_CRASH_DIR", dir.path())
             .stdout(Stdio::null())
             .stderr(Stdio::null())
@@ -725,5 +783,8 @@ fn sharded_crash_recovery_acked_is_present() {
     }
     // Guard against a vacuous pass: across all rounds the child must have
     // gotten real acked work in before the kill.
-    assert!(total_acked > 0, "crash harness never acked a single enqueue");
+    assert!(
+        total_acked > 0,
+        "crash harness never acked a single enqueue"
+    );
 }

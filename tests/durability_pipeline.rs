@@ -984,7 +984,10 @@ fn wire_crash_loses_at_most_32_gateway_ingests() {
             .collect();
         for (kind, producer) in &crashed.released {
             assert_eq!(kind, "send", "{ctx}");
-            assert!(outbound.contains(producer), "{ctx}: response {producer} lost");
+            assert!(
+                outbound.contains(producer),
+                "{ctx}: response {producer} lost"
+            );
         }
         // (c) recover + drain: one response per recovered request.
         server.run_until_idle().unwrap();

@@ -101,10 +101,7 @@ fn processed_counters_match_store_ground_truth() {
 fn exposition_contains_latency_histograms() {
     let server = build_server();
     server
-        .enqueue_external(
-            "orders",
-            "<order><id>1</id><quantity>10</quantity></order>",
-        )
+        .enqueue_external("orders", "<order><id>1</id><quantity>10</quantity></order>")
         .unwrap();
     server.run_until_idle().unwrap();
 
@@ -180,7 +177,10 @@ fn gc_metrics_report_per_queue_purges_and_retained_backlog() {
     }
     server.run_until_idle().unwrap();
     let purged = server.gc().unwrap();
-    assert_eq!(purged, 3, "only the unsliced scratch messages are purgeable");
+    assert_eq!(
+        purged, 3,
+        "only the unsliced scratch messages are purgeable"
+    );
 
     let text = server.metrics_text();
     // GC purges are attributed per queue via labels.
@@ -204,7 +204,10 @@ fn gc_metrics_report_per_queue_purges_and_retained_backlog() {
         .expect("resident bytes gauge sample");
     let resident: u64 = resident_line.rsplit(' ').next().unwrap().parse().unwrap();
     assert_eq!(resident, server.store().resident_payload_bytes());
-    assert!(resident > 0, "the retained ledger entries have payload bytes");
+    assert!(
+        resident > 0,
+        "the retained ledger entries have payload bytes"
+    );
 }
 
 /// The commit pipeline's series against ground truth: two shards under
@@ -252,7 +255,10 @@ fn durability_pipeline_series_match_store_ground_truth() {
         .build()
         .unwrap();
     for i in 0..JOBS {
-        let lane = vec![("lane".to_string(), demaq_xquery::Atomic::Int((i % 7) as i64))];
+        let lane = vec![(
+            "lane".to_string(),
+            demaq_xquery::Atomic::Int((i % 7) as i64),
+        )];
         server
             .enqueue_external_with_props("intake", &format!("<job n='{i}'/>"), &lane)
             .unwrap();
@@ -273,8 +279,14 @@ fn durability_pipeline_series_match_store_ground_truth() {
         .collect();
     assert_eq!(barriers["ack"], 2 * JOBS, "one per acknowledged enqueue");
     assert!(barriers["idle"] >= 1, "{barriers:?}");
-    assert!(barriers["backlog"] >= 1, "32 effects held, or 32 forwards landed, in a drain: {barriers:?}");
-    assert!(barriers.values().sum::<u64>() <= commits, "{barriers:?} vs {commits} commits");
+    assert!(
+        barriers["backlog"] >= 1,
+        "32 effects held, or 32 forwards landed, in a drain: {barriers:?}"
+    );
+    assert!(
+        barriers.values().sum::<u64>() <= commits,
+        "{barriers:?} vs {commits} commits"
+    );
     assert!(
         syncs < commits / 2,
         "{syncs} syncs for {commits} commits: the commit path re-serialized"
@@ -293,12 +305,21 @@ fn durability_pipeline_series_match_store_ground_truth() {
         })
         .count() as u64;
     let sends = server.queue_messages("out").unwrap().len() as u64;
-    assert!(forwards > 0 && sends == JOBS, "{forwards} forwards, {sends} sends");
-    assert_eq!(r.counter_total("demaq_engine_shard_forwards_total"), forwards);
+    assert!(
+        forwards > 0 && sends == JOBS,
+        "{forwards} forwards, {sends} sends"
+    );
+    assert_eq!(
+        r.counter_total("demaq_engine_shard_forwards_total"),
+        forwards
+    );
     assert_eq!(r.counter_total("demaq_gateway_sent_total"), sends);
     assert_eq!(delivered.load(Ordering::SeqCst), sends);
     // Everything that left went through the outbox, and all of it is out.
-    assert_eq!(r.histogram("demaq_engine_outbox_hold_ns").count(), forwards + sends);
+    assert_eq!(
+        r.histogram("demaq_engine_outbox_hold_ns").count(),
+        forwards + sends
+    );
     assert_eq!(r.gauge("demaq_engine_outbox_depth").get(), 0);
     let released: Vec<_> = server
         .trace_tail(8192)
@@ -306,7 +327,9 @@ fn durability_pipeline_series_match_store_ground_truth() {
         .filter(|e| e.kind == "msg.released")
         .collect();
     assert_eq!(released.len() as u64, forwards + sends);
-    assert!(released.iter().all(|e| e.msg_id.is_some() && e.detail.contains(" batch=")));
+    assert!(released
+        .iter()
+        .all(|e| e.msg_id.is_some() && e.detail.contains(" batch=")));
     let text = server.metrics_text();
     assert!(text.contains("# TYPE demaq_engine_outbox_hold_ns histogram"));
     assert!(text.contains("demaq_engine_durability_barriers_total{reason=\"idle\"}"));
@@ -373,14 +396,26 @@ fn commits_that_hold_no_effect_wait_for_the_idle_barrier() {
     let deferred = step_while_scheduled(&server);
     assert!(deferred >= 64, "{deferred} deferred commits");
     assert_eq!(server.store().unsynced_commits(), deferred);
-    assert_eq!(barriers(&server)["backlog"], 0, "nothing held: {:?}", barriers(&server));
+    assert_eq!(
+        barriers(&server)["backlog"],
+        0,
+        "nothing held: {:?}",
+        barriers(&server)
+    );
     assert_eq!(r.counter_total("demaq_store_wal_syncs_total"), syncs_fed);
 
     let idle = barriers(&server)["idle"];
     assert!(!server.step().unwrap(), "idle, and nothing to release");
     assert_eq!(barriers(&server)["idle"], idle + 1);
-    assert_eq!(server.store().unsynced_commits(), 0, "the idle barrier covered them");
-    assert_eq!(r.counter_total("demaq_store_wal_syncs_total"), syncs_fed + 1);
+    assert_eq!(
+        server.store().unsynced_commits(),
+        0,
+        "the idle barrier covered them"
+    );
+    assert_eq!(
+        r.counter_total("demaq_store_wal_syncs_total"),
+        syncs_fed + 1
+    );
     assert_eq!(server.queue_bodies("done").unwrap().len() as u64, JOBS);
 }
 
@@ -417,7 +452,10 @@ fn gateway_ingests_are_synced_within_32() {
     }
     // One pump ingests every delivery and processes none of them.
     assert!(server.pump_environment().unwrap());
-    assert_eq!(server.queue_messages("wire").unwrap().len() as u64, REQUESTS);
+    assert_eq!(
+        server.queue_messages("wire").unwrap().len() as u64,
+        REQUESTS
+    );
     assert_eq!(barriers(&server)["backlog"], 1, "{:?}", barriers(&server));
     assert_eq!(server.store().unsynced_commits(), REQUESTS - 32);
     server.run_until_idle().unwrap();
@@ -460,7 +498,11 @@ fn a_lone_held_send_waits_at_most_256_commits() {
     let obs = server.metrics();
     let r = &obs.registry;
     assert_eq!(barriers(&server)["backlog"], 1, "{:?}", barriers(&server));
-    assert_eq!(r.counter_total("demaq_gateway_sent_total"), 1, "released before idle");
+    assert_eq!(
+        r.counter_total("demaq_gateway_sent_total"),
+        1,
+        "released before idle"
+    );
     assert_eq!(r.gauge("demaq_engine_outbox_depth").get(), 0);
     assert_eq!(server.store().unsynced_commits(), drained - 256);
 }
@@ -517,28 +559,34 @@ fn aggregate_reads_never_touch_member_documents() {
                 break;
             }
             steps += 1;
-            assert_eq!(doc_lookups() - docs, 1, "step {steps}: only its own document");
+            assert_eq!(
+                doc_lookups() - docs,
+                1,
+                "step {steps}: only its own document"
+            );
             assert_eq!(seq_lookups() - seqs, 0, "step {steps}: no member sequence");
         }
     }
-    assert!(steps as u64 > MEMBERS, "the rule fired and its outputs were processed too");
+    assert!(
+        steps as u64 > MEMBERS,
+        "the rule fired and its outputs were processed too"
+    );
     assert!(r.counter_total("demaq_core_agg_deltas_total") > 0);
     assert_eq!(
         r.counter_total("demaq_core_agg_contributions_total"),
         MEMBERS * FOLDED_AGGREGATES,
         "one contribution per member and folded aggregate"
     );
-    assert!(server.metrics_text().contains("demaq_core_agg_contributions_total"));
+    assert!(server
+        .metrics_text()
+        .contains("demaq_core_agg_contributions_total"));
 }
 
 #[test]
 fn tracer_records_message_lifecycle() {
     let server = build_server();
     server
-        .enqueue_external(
-            "orders",
-            "<order><id>7</id><quantity>70</quantity></order>",
-        )
+        .enqueue_external("orders", "<order><id>7</id><quantity>70</quantity></order>")
         .unwrap();
     server.run_until_idle().unwrap();
 

@@ -7,7 +7,8 @@ use demaq::TraceFilter;
 #[test]
 fn readme_lineage_example() -> Result<(), Box<dyn std::error::Error>> {
     let server = Server::builder()
-        .program(r#"
+        .program(
+            r#"
             create queue order kind basic mode persistent
             create queue approval kind basic mode persistent
             create queue archive kind basic mode persistent
@@ -15,24 +16,35 @@ fn readme_lineage_example() -> Result<(), Box<dyn std::error::Error>> {
               if (//order) then do enqueue <approved/> into approval
             create rule archive for approval
               if (//approved) then do enqueue <archived/> into archive
-        "#)
-        .in_memory().build()?;
+        "#,
+        )
+        .in_memory()
+        .build()?;
     let root = server.enqueue_external("order", "<order id='o-1'/>")?;
     server.run_until_idle()?;
 
     let archived = server.queue_messages("archive")?[0].id;
     let lineage = server.lineage(archived);
-    assert_eq!(lineage.target.as_ref().unwrap().rule.as_deref(), Some("archive"));
+    assert_eq!(
+        lineage.target.as_ref().unwrap().rule.as_deref(),
+        Some("archive")
+    );
     assert_eq!(lineage.ancestors.last().unwrap().msg, root.0);
 
     for p in server.rule_profiles() {
-        println!("{}: {} fires, {} produced, p99 {}ns", p.rule, p.fires,
-                 p.messages_produced, p.eval_ns_p99);
+        println!(
+            "{}: {} fires, {} produced, p99 {}ns",
+            p.rule, p.fires, p.messages_produced, p.eval_ns_p99
+        );
     }
 
-    let tree = server.trace_tail_filtered(1024, &TraceFilter {
-        trace_id: Some(root.0), ..Default::default()
-    });
+    let tree = server.trace_tail_filtered(
+        1024,
+        &TraceFilter {
+            trace_id: Some(root.0),
+            ..Default::default()
+        },
+    );
     assert!(tree.iter().any(|e| e.queue == "archive"));
     Ok(())
 }
