@@ -2,9 +2,9 @@
 //! aggregate registry built on them, and the per-member contributions
 //! aggregate cells fold.
 //!
-//! A cell holds a value folded over one *scope* — a queue or one
-//! `(slicing, key)` slice — together with the store-side **lifetime
-//! token** and membership length it was folded at. The engine keeps two
+//! A cell holds a value folded over one *scope* — a queue or one slice,
+//! by its handle — together with the store-side **lifetime token** and
+//! membership length it was folded at. The engine keeps two
 //! kinds: the running [`AggAcc`] of each recognized aggregate shape
 //! (numbered by its [`AggId`] in the application's catalog), and the
 //! materialized member sequence of each slice a rule reads. A read asks
@@ -22,7 +22,7 @@
 //! Tokens come from the store's clock, moved by every change that is not
 //! an append — see `demaq_store::slice::SliceIndex` — so a stale cell can
 //! never validate, not even after a reset refilled the slice to the same
-//! length. Cells are process-local and never persisted: after a crash the
+//! length, nor after the slice's handle went to another slice. Cells are process-local and never persisted: after a crash the
 //! clock restarts and every cell rebuilds from the recovered store, so
 //! recovery correctness never depends on cached state. Abort safety is by
 //! construction — folds only ever observe post-commit applied state.
@@ -38,10 +38,9 @@
 //! enough that its contribution is not kept.
 
 use demaq_obs::{Counter, Obs};
-use demaq_store::{IdMap, MsgId, PropValue};
+use demaq_store::{IdMap, MsgId, SliceId};
 use demaq_xquery::{AggAcc, AggCatalog, AggId, AggregateSpec, Contribution, Result as XqResult};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a cell is folded over: the queue a `qs:queue("…")` shape names
@@ -49,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy)]
 pub enum Scope<'a> {
     Queue(&'a str),
-    Slice(&'a str, &'a PropValue),
+    Slice(SliceId),
 }
 
 /// A value folded over a membership: valid for the membership whose
@@ -69,28 +68,19 @@ struct Cell<V> {
 /// The cells of one map.
 struct Cells<V> {
     queue: Option<Cell<V>>,
-    /// slicing -> key -> cell; a lookup borrows both.
-    slices: HashMap<String, HashMap<PropValue, Cell<V>>>,
-    count: usize,
+    slices: IdMap<SliceId, Cell<V>>,
 }
 
 impl<V> Cells<V> {
     fn get_mut(&mut self, scope: Scope<'_>) -> Option<&mut Cell<V>> {
         match scope {
             Scope::Queue(_) => self.queue.as_mut(),
-            Scope::Slice(s, k) => self.slices.get_mut(s)?.get_mut(k),
+            Scope::Slice(id) => self.slices.get_mut(&id),
         }
     }
 
-    /// Keep the slice cells `keep` accepts (the queue cell stays) and
-    /// recount.
-    fn retain_slices(&mut self, mut keep: impl FnMut(&str, &PropValue, &Cell<V>) -> bool) {
-        for (s, keys) in self.slices.iter_mut() {
-            keys.retain(|k, c| keep(s, k, c));
-        }
-        self.slices.retain(|_, keys| !keys.is_empty());
-        self.count =
-            self.queue.iter().count() + self.slices.values().map(HashMap::len).sum::<usize>();
+    fn count(&self) -> usize {
+        self.queue.iter().count() + self.slices.len()
     }
 
     /// Drop the least recently used eighth of the cells.
@@ -98,7 +88,7 @@ impl<V> Cells<V> {
         let mut ticks: Vec<u64> = self
             .queue
             .iter()
-            .chain(self.slices.values().flat_map(|keys| keys.values()))
+            .chain(self.slices.values())
             .map(|c| c.last_used)
             .collect();
         let cut = ticks.len() / 8;
@@ -110,7 +100,7 @@ impl<V> Cells<V> {
         {
             self.queue = None;
         }
-        self.retain_slices(|_, _, c| c.last_used > threshold);
+        self.slices.retain(|_, c| c.last_used > threshold);
     }
 }
 
@@ -134,8 +124,7 @@ impl<V: Clone> CellMap<V> {
         CellMap {
             cells: Mutex::new(Cells {
                 queue: None,
-                slices: HashMap::new(),
-                count: 0,
+                slices: IdMap::default(),
             }),
             cap: cap.max(8),
             tick: AtomicU64::new(0),
@@ -180,33 +169,26 @@ impl<V: Clone> CellMap<V> {
         let cell = Cell { fold, last_used };
         match scope {
             Scope::Queue(_) => cells.queue = Some(cell),
-            Scope::Slice(s, k) => {
-                if !cells.slices.contains_key(s) {
-                    cells.slices.insert(s.to_string(), HashMap::new());
-                }
-                cells
-                    .slices
-                    .get_mut(s)
-                    .expect("present")
-                    .insert(k.clone(), cell);
+            Scope::Slice(id) => {
+                cells.slices.insert(id, cell);
             }
         }
-        cells.count += 1;
-        if cells.count > self.cap {
+        if cells.count() > self.cap {
             cells.evict();
         }
     }
 
-    /// Keep only the slice cells `keep(slicing, key, token, len)` accepts.
-    pub fn retain_slices(&self, mut keep: impl FnMut(&str, &PropValue, u64, usize) -> bool) {
+    /// Keep only the slice cells `keep(slice, token, len)` accepts.
+    pub fn retain_slices(&self, mut keep: impl FnMut(SliceId, u64, usize) -> bool) {
         self.cells
             .lock()
-            .retain_slices(|s, k, c| keep(s, k, c.fold.token, c.fold.len));
+            .slices
+            .retain(|&id, c| keep(id, c.fold.token, c.fold.len));
     }
 
     /// Cell count (tests/diagnostics).
     pub fn len(&self) -> usize {
-        self.cells.lock().count
+        self.cells.lock().count()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -307,6 +289,7 @@ impl AggRegistry {
 mod tests {
     use super::*;
     use demaq_store::slice::SliceIndex;
+    use demaq_store::PropValue;
     use demaq_xquery::{AggOp, AggSource, Item, Sequence};
     use std::sync::Arc;
 
@@ -322,8 +305,17 @@ mod tests {
         }
     }
 
-    fn slice(key: &PropValue) -> Scope<'_> {
-        Scope::Slice("s", key)
+    /// Handles of `n` slices of a scratch index.
+    fn handles(n: i64) -> Vec<Scope<'static>> {
+        let mut idx = SliceIndex::new();
+        (0..n)
+            .map(|i| Scope::Slice(idx.resolve("s", &PropValue::Int(i))))
+            .collect()
+    }
+
+    /// The scope of the slice `("s", key)` of `idx`.
+    fn slice(idx: &SliceIndex, key: &PropValue) -> Scope<'static> {
+        Scope::Slice(idx.find("s", key).expect("known slice"))
     }
 
     /// A catalog of `n` distinct shapes (`sum(qs:queue("q0"))`, …).
@@ -354,9 +346,13 @@ mod tests {
     /// The member-sequence cell of `("s", key)` as the engine keeps it,
     /// refreshed against `idx`: returns `(cached items reused, ids read)`.
     fn refresh(seqs: &CellMap<Sequence>, idx: &SliceIndex, key: &PropValue) -> (usize, Vec<MsgId>) {
-        let cell = seqs.get(slice(key));
+        let scope = slice(idx, key);
+        let cell = seqs.get(scope);
+        let Scope::Slice(id) = scope else {
+            unreachable!()
+        };
         let mut ids = Vec::new();
-        let read = idx.read_since("s", key, cell.as_ref().map(|f| (f.token, f.len)), &mut ids);
+        let read = idx.read_since(id, cell.as_ref().map(|f| (f.token, f.len)), &mut ids);
         let (mut items, extended) = match cell {
             Some(f) if read.resumed => {
                 if ids.is_empty() {
@@ -371,7 +367,7 @@ mod tests {
         items.extend(seq_of(&ids.iter().map(|m| m.0).collect::<Vec<_>>()));
         let value = Sequence::from(items);
         seqs.put(
-            slice(key),
+            scope,
             Fold {
                 token: read.token,
                 len: read.len,
@@ -402,24 +398,22 @@ mod tests {
     fn stored_fold_is_returned_per_scope() {
         let o = obs();
         let reg = AggRegistry::new(&catalog(2), 1024, &o);
-        let (a, b) = (PropValue::Str("a".into()), PropValue::Str("b".into()));
-        assert!(reg.cells(0).get(slice(&a)).is_none());
-        reg.cells(0).put(slice(&a), fold(7, 1, 1), false);
+        let h = handles(2);
+        let (a, b) = (h[0], h[1]);
+        assert!(reg.cells(0).get(a).is_none());
+        reg.cells(0).put(a, fold(7, 1, 1), false);
         reg.cells(1).put(Scope::Queue("q"), fold(3, 2, 2), true);
-        let f = reg.cells(0).get(slice(&a)).expect("stored");
+        let f = reg.cells(0).get(a).expect("stored");
         assert_eq!((f.token, f.len), (7, 1));
-        assert!(
-            reg.cells(0).get(slice(&b)).is_none(),
-            "keys are independent"
-        );
-        assert!(reg.cells(1).get(slice(&a)).is_none(), "ids are independent");
+        assert!(reg.cells(0).get(b).is_none(), "keys are independent");
+        assert!(reg.cells(1).get(a).is_none(), "ids are independent");
         assert!(reg.cells(0).get(Scope::Queue("q")).is_none());
         assert_eq!(reg.cells(1).get(Scope::Queue("q")).unwrap().len, 2);
         assert_eq!(o.registry.counter_total("demaq_core_agg_rebuilds_total"), 1);
         assert_eq!(o.registry.counter_total("demaq_core_agg_deltas_total"), 1);
         // Overwrites replace in place.
-        reg.cells(0).put(slice(&a), fold(7, 4, 4), true);
-        assert_eq!(reg.cells(0).get(slice(&a)).unwrap().len, 4);
+        reg.cells(0).put(a, fold(7, 4, 4), true);
+        assert_eq!(reg.cells(0).get(a).unwrap().len, 4);
         assert_eq!(reg.cells(0).len() + reg.cells(1).len(), 2);
     }
 
@@ -436,14 +430,14 @@ mod tests {
         let o = obs();
         let reg = AggRegistry::new(&catalog(1), 8, &o);
         let cells = reg.cells(0);
-        let keys: Vec<PropValue> = (0..20).map(PropValue::Int).collect();
+        let keys = handles(20);
         for k in &keys {
-            cells.put(slice(k), fold(1, 1, 1), false);
+            cells.put(*k, fold(1, 1, 1), false);
             // Keep key 0 hot: it must survive every eviction.
-            assert!(cells.get(slice(&keys[0])).is_some());
+            assert!(cells.get(keys[0]).is_some());
         }
         assert!(cells.len() <= 8, "cap enforced, got {}", cells.len());
-        assert!(cells.get(slice(&keys[19])).is_some(), "newest survives");
+        assert!(cells.get(keys[19]).is_some(), "newest survives");
     }
 
     #[test]
@@ -467,13 +461,13 @@ mod tests {
             "append: extend"
         );
         // A reset refilled to the same length must not validate.
-        idx.reset("s", &key);
+        idx.reset(idx.find("s", &key).unwrap());
         for m in 4..7 {
             idx.add("s", &key, MsgId(m));
         }
         let (reused, ids) = refresh(&seqs, &idx, &key);
         assert_eq!((reused, ids.len()), (0, 3), "new lifetime: rebuild");
-        let seq = seqs.get(slice(&key)).unwrap().value;
+        let seq = seqs.get(slice(&idx, &key)).unwrap().value;
         assert_eq!(seq.len(), 3);
         let counter = |n: &str| o.registry.counter_total(n);
         assert_eq!(
@@ -494,17 +488,17 @@ mod tests {
         refresh(&seqs, &idx, &k1);
         refresh(&seqs, &idx, &k2);
         // The reset releases message 1; a GC would purge it.
-        idx.reset("s", &k1);
-        seqs.retain_slices(|s, k, token, len| {
-            idx.read_since(s, k, Some((token, len)), &mut Vec::new())
+        idx.reset(idx.find("s", &k1).unwrap());
+        seqs.retain_slices(|id, token, len| {
+            idx.read_since(id, Some((token, len)), &mut Vec::new())
                 .resumed
         });
         assert!(
-            seqs.get(slice(&k1)).is_none(),
+            seqs.get(slice(&idx, &k1)).is_none(),
             "the cell pinning message 1 is gone"
         );
         assert_eq!(
-            seqs.get(slice(&k2)).unwrap().value.len(),
+            seqs.get(slice(&idx, &k2)).unwrap().value.len(),
             1,
             "current cells stay"
         );
@@ -515,11 +509,10 @@ mod tests {
     fn member_sequence_cap_evicts_lru() {
         let o = obs();
         let seqs = CellMap::new(8, &o, SEQ_COUNTERS);
-        for i in 0..20 {
-            let k = PropValue::Int(i);
+        for (i, scope) in handles(20).into_iter().enumerate() {
             let value = seq_of(&[i as u64]);
             seqs.put(
-                slice(&k),
+                scope,
                 Fold {
                     token: 1,
                     len: 1,

@@ -29,7 +29,7 @@ use demaq_store::store::SyncPolicy;
 use demaq_store::types::prop;
 use demaq_store::{
     DurableTarget, LockGranularity, LockKey, LockMode, MemberRead, MessageMeta, MessageStore,
-    MsgId, Name, PayloadBytes, PropValue, Props, QueueMode, StoreError, StoreOptions,
+    MsgId, Name, PayloadBytes, PropValue, Props, QueueMode, SliceId, StoreError, StoreOptions,
     StoredMessage, TxnId,
 };
 use demaq_xml::{parse as parse_xml, Document, NodeRef};
@@ -1577,9 +1577,10 @@ impl Server {
             .ok_or_else(|| EngineError::Config(format!("unknown queue `{queue}`")))?;
 
         // The slices the message belongs to: one per slicing keyed by a
-        // property it carries.
+        // property it carries, by the handle it recorded when it joined
+        // (found by name only if it holds none).
         let mut slices: Vec<MsgSlice> = Vec::new();
-        for (key, (pname, _)) in meta.props.iter().enumerate() {
+        for (key, (pname, value)) in meta.props.iter().enumerate() {
             for sname in self
                 .app
                 .slicings_by_property
@@ -1588,7 +1589,9 @@ impl Server {
                 .flatten()
             {
                 let slicing = &self.app.slicings[&**sname];
-                slices.push(MsgSlice { slicing, key });
+                let id = meta.slice_of(sname);
+                let id = id.unwrap_or_else(|| self.store.slice_handle(sname, value));
+                slices.push(MsgSlice { slicing, key, id });
             }
         }
 
@@ -1730,7 +1733,7 @@ impl Server {
                 let cs = s.slicing;
                 for rule in &cs.rules {
                     self.metrics.rules_evaluated.inc();
-                    host.slice.enter(Arc::clone(&cs.name), s.key);
+                    host.slice.enter(s.id, s.key);
                     let mut ev = PlanEvaluator::new(&dctx);
                     let started = Instant::now();
                     let evaluated = ev.eval_with_context(&rule.plan, msg_root.clone());
@@ -1799,8 +1802,14 @@ impl Server {
                         Some(cs) => Arc::clone(&cs.name),
                         None => slicing.local.as_str().into(),
                     };
+                    let key = atomic_to_prop(key);
+                    // A reset of one of the message's own slices (a bare
+                    // `do reset` always is) goes by its handle.
+                    let own = slices
+                        .iter()
+                        .find(|s| *s.slicing.name == *slicing && *s.key_in(meta) == key);
                     self.store
-                        .slice_reset(txn, slicing, atomic_to_prop(key))
+                        .slice_reset_at(txn, own.map(|s| s.id), slicing, key)
                         .map_err(ProcessingError::Store)?;
                 }
                 other => {
@@ -1876,8 +1885,7 @@ impl Server {
                 .min_by_key(|s| s.slicing.lock_rank)
             {
                 after = Some(s.slicing.lock_rank);
-                let key = LockKey::Slice(Arc::clone(&s.slicing.name), s.key_in(meta).clone());
-                lock(key, LockMode::Exclusive)?;
+                lock(LockKey::Slice(s.id), LockMode::Exclusive)?;
             }
             lock(LockKey::Message(meta.id), LockMode::Exclusive)?;
         }
@@ -2382,10 +2390,10 @@ impl Server {
             // store no longer resumes releases them all.
             self.doc_cache.remove_many(&purged);
             let mut ids = Vec::new();
-            self.slice_seq.retain_slices(|s, k, token, len| {
+            self.slice_seq.retain_slices(|id, token, len| {
                 ids.clear();
                 self.store
-                    .slice_read(s, k, Some((token, len)), &mut ids)
+                    .slice_read(id, Some((token, len)), &mut ids)
                     .resumed
             });
             self.agg.forget(&purged);
@@ -2420,10 +2428,9 @@ impl Server {
     /// Narrow one slice; `None` means an error made this slice skip the
     /// sweep (nothing released, nothing changed).
     fn narrow_slice(&self, slicing: &str, key: &PropValue, mode: &NarrowMode) -> Option<usize> {
-        let (members, token, base) = self.store.slice_narrow_view(slicing, key);
-        if token == 0 {
+        let Some((id, members, token, base)) = self.store.slice_narrow_view(slicing, key) else {
             return Some(0);
-        }
+        };
         let victims: Vec<MsgId> = match mode {
             NarrowMode::Aggregate(_) => members
                 .iter()
@@ -2468,10 +2475,7 @@ impl Server {
             }
         };
         let expected = (token, members.len());
-        if self
-            .store
-            .retention_release(slicing, key, expected, &victims, cells)
-        {
+        if self.store.retention_release(id, expected, &victims, cells) {
             Some(victims.len())
         } else {
             Some(0)
@@ -2558,11 +2562,13 @@ enum EnqueueOutcome {
     Remote(Forwarded),
 }
 
-/// One slice a message being processed belongs to: its slicing and the
-/// position of the slice key in the message's properties.
+/// One slice a message being processed belongs to: its slicing, the
+/// position of the slice key in the message's properties, and the
+/// slice's handle.
 struct MsgSlice<'a> {
     slicing: &'a CompiledSlicing,
     key: usize,
+    id: SliceId,
 }
 
 impl MsgSlice<'_> {
@@ -2585,12 +2591,8 @@ impl Readers {
         let (queues, slices) = (handle.clone(), handle.clone());
         Readers {
             queue: Arc::new(move |qname: &str| queues.queue_docs(qname)),
-            slice: Arc::new(move |slicing: &str, key: &PropValue| {
-                slices.slice_member_docs(slicing, key)
-            }),
-            aggregate: Arc::new(move |id, spec, slice_ctx| {
-                handle.aggregate_read(id, spec, slice_ctx)
-            }),
+            slice: Arc::new(move |id| slices.slice_member_docs(id)),
+            aggregate: Arc::new(move |id, spec, slice| handle.aggregate_read(id, spec, slice)),
         }
     }
 }
@@ -2650,16 +2652,12 @@ impl ReadHandle {
     /// nothing (reuse the cell outright), the appended members (parse and
     /// append only those — the N-arrivals join goes from O(N²) to O(N)
     /// parse work), or every member for a rebuild.
-    fn slice_member_docs(
-        &self,
-        slicing: &str,
-        key: &PropValue,
-    ) -> std::result::Result<Sequence, XqError> {
-        let scope = Scope::Slice(slicing, key);
+    fn slice_member_docs(&self, id: SliceId) -> std::result::Result<Sequence, XqError> {
+        let scope = Scope::Slice(id);
         let cell = self.slice_seq.get(scope);
         let since = cell.as_ref().map(|f| (f.token, f.len));
         let mut ids = Vec::new();
-        let read = self.store.slice_read(slicing, key, since, &mut ids);
+        let read = self.store.slice_read(id, since, &mut ids);
         let (mut items, extended) = match cell {
             Some(f) if read.resumed => {
                 if ids.is_empty() {
@@ -2686,11 +2684,11 @@ impl ReadHandle {
     }
 
     /// Answer a recognized aggregate read from the cell registry;
-    /// `slice_ctx` carries the firing rule's `(slicing, key)` for
-    /// `qs:slice()` sources. `None` declines: the plan's embedded fallback
-    /// then runs the reference rescan — which also reproduces the exact
-    /// reference error for unknown queues, missing slice context, or a
-    /// fold that errored (errored folds are never cached).
+    /// `slice` carries the firing rule's slice for `qs:slice()` sources.
+    /// `None` declines: the plan's embedded fallback then runs the
+    /// reference rescan — which also reproduces the exact reference error
+    /// for unknown queues, missing slice context, or a fold that errored
+    /// (errored folds are never cached).
     ///
     /// One store read under one state lock returns the membership past the
     /// cell's `(token, len)`: nothing (a hit), the appended members (a
@@ -2700,15 +2698,15 @@ impl ReadHandle {
         &self,
         id: AggId,
         spec: &AggregateSpec,
-        slice_ctx: Option<(&str, &PropValue)>,
+        slice: Option<SliceId>,
     ) -> Option<std::result::Result<Sequence, XqError>> {
         if !self.agg.owns(id, spec) {
             return None;
         }
         let cells = self.agg.cells(id);
-        let scope = match (&spec.source, slice_ctx) {
+        let scope = match (&spec.source, slice) {
             (AggSource::Queue(q), _) => Scope::Queue(q),
-            (AggSource::Slice, Some((s, k))) => Scope::Slice(s, k),
+            (AggSource::Slice, Some(id)) => Scope::Slice(id),
             (AggSource::Slice, None) => return None,
         };
         // Membership-only fast path: step-free `count`/`exists` are pure
@@ -2716,8 +2714,8 @@ impl ReadHandle {
         if spec.membership_only() {
             let n = match scope {
                 Scope::Queue(q) => self.store.queue_len(q).ok()?,
-                Scope::Slice(s, k) => {
-                    let (len, released) = self.store.slice_len(s, k);
+                Scope::Slice(id) => {
+                    let (len, released) = self.store.slice_len(id);
                     len + released as usize
                 }
             };
@@ -2732,7 +2730,7 @@ impl ReadHandle {
         let mut ids = Vec::new();
         let read = match scope {
             Scope::Queue(q) => self.store.queue_read(q, since, &mut ids).ok()?,
-            Scope::Slice(s, k) => self.store.slice_read(s, k, since, &mut ids),
+            Scope::Slice(id) => self.store.slice_read(id, since, &mut ids),
         };
         let (mut acc, extended) = match cell {
             Some(f) if read.resumed => {

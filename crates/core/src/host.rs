@@ -7,7 +7,7 @@
 //! builds once per server; a slicing rule only swaps in its slice
 //! ([`SliceSlot::enter`]) before it runs.
 
-use demaq_store::{Name, PropValue, Props};
+use demaq_store::{Name, PropValue, Props, SliceId};
 use demaq_xml::{Document, NodeRef, QName};
 use demaq_xquery::{
     cast, AggId, AggSource, AggregateSpec, Atomic, Error as XqError, HostFunctions, Item, Sequence,
@@ -56,16 +56,16 @@ pub fn cast_prop(v: PropValue, ty: &str) -> Result<PropValue, String> {
 /// document roots of all retained messages of a queue.
 pub type QueueReader = Arc<dyn Fn(&str) -> Result<Sequence, XqError> + Send + Sync>;
 
-/// Reader of a slice's member documents: `(slicing, key)` to the document
-/// roots of its current members.
-pub type SliceReader = Arc<dyn Fn(&str, &PropValue) -> Result<Sequence, XqError> + Send + Sync>;
+/// Reader of a slice's member documents: the slice's handle to the
+/// document roots of its current members.
+pub type SliceReader = Arc<dyn Fn(SliceId) -> Result<Sequence, XqError> + Send + Sync>;
 
 /// Answer a recognized aggregate read (its catalog id and shape) from a
-/// materialized cell. The last argument carries the firing rule's
-/// `(slicing, key)` when the read is over `qs:slice()`. `None` declines —
-/// the evaluator falls back to the reference rescan.
+/// materialized cell. The last argument carries the firing rule's slice
+/// when the read is over `qs:slice()`. `None` declines — the evaluator
+/// falls back to the reference rescan.
 pub type AggregateReader = Arc<
-    dyn Fn(AggId, &AggregateSpec, Option<(&str, &PropValue)>) -> Option<Result<Sequence, XqError>>
+    dyn Fn(AggId, &AggregateSpec, Option<SliceId>) -> Option<Result<Sequence, XqError>>
         + Send
         + Sync,
 >;
@@ -78,35 +78,35 @@ pub type AggregateReader = Arc<
 pub struct SliceSlot(Mutex<Option<ActiveSlice>>);
 
 struct ActiveSlice {
-    slicing: Name,
+    slice: SliceId,
     /// Position of the slice key in the host's properties.
     key: usize,
     members: Option<Result<Sequence, XqError>>,
 }
 
 impl SliceSlot {
-    /// A slot already in the slice of `slicing` keyed by the host's
-    /// property at position `key`.
-    pub fn at(slicing: Name, key: usize) -> SliceSlot {
+    /// A slot already in the slice `slice`, keyed by the host's property
+    /// at position `key`.
+    pub fn at(slice: SliceId, key: usize) -> SliceSlot {
         let slot = SliceSlot::default();
-        slot.enter(slicing, key);
+        slot.enter(slice, key);
         slot
     }
 
-    /// Switch to the slice of `slicing` keyed by the host's property at
+    /// Switch to the slice `slice`, keyed by the host's property at
     /// position `key`, for the next rule; its members load afresh.
-    pub fn enter(&self, slicing: Name, key: usize) {
+    pub fn enter(&self, slice: SliceId, key: usize) {
         *self.0.lock() = Some(ActiveSlice {
-            slicing,
+            slice,
             key,
             members: None,
         });
     }
 
-    /// The active slicing and the position of its key.
-    fn get(&self) -> Option<(Name, usize)> {
+    /// The active slice and the position of its key.
+    fn get(&self) -> Option<(SliceId, usize)> {
         let active = self.0.lock();
-        active.as_ref().map(|a| (Arc::clone(&a.slicing), a.key))
+        active.as_ref().map(|a| (a.slice, a.key))
     }
 }
 
@@ -147,9 +147,8 @@ impl QsHost {
                 "qs:slice() is only available in rules on slicings (paper Sec. 3.5.2)",
             ));
         };
-        let key = &self.properties[a.key].1;
         a.members
-            .get_or_insert_with(|| (self.slice_reader)(&a.slicing, key))
+            .get_or_insert_with(|| (self.slice_reader)(a.slice))
             .clone()
     }
 }
@@ -204,8 +203,8 @@ impl HostFunctions for QsHost {
             // Outside a slice context, decline: the fallback reproduces the
             // reference "qs:slice() is only available…" error.
             AggSource::Slice => {
-                let (slicing, key) = self.slice.get()?;
-                rd(id, spec, Some((&slicing, &self.properties[key].1)))
+                let (slice, _) = self.slice.get()?;
+                rd(id, spec, Some(slice))
             }
         }
     }
@@ -243,6 +242,7 @@ impl HostFunctions for ClockHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use demaq_store::slice::SliceIndex;
 
     #[test]
     fn prop_atomic_roundtrip() {
@@ -320,6 +320,8 @@ mod tests {
         let inv = demaq_xml::parse("<invoice>55</invoice>").unwrap();
         let inv2 = inv.clone();
         let member = msg.clone();
+        let mut idx = SliceIndex::new();
+        let orders = idx.resolve("orders", &PropValue::Str("o9".into()));
         let host = QsHost {
             message: msg.root(),
             properties: vec![("orderID".into(), PropValue::Str("o9".into()))].into(),
@@ -331,14 +333,14 @@ mod tests {
                     Ok(Sequence::empty())
                 }
             }),
-            slice_reader: Arc::new(move |slicing, key| {
-                assert_eq!((slicing, key), ("orders", &PropValue::Str("o9".into())));
+            slice_reader: Arc::new(move |slice| {
+                assert_eq!(slice, orders);
                 Ok(Sequence::one(member.root()))
             }),
             agg_reader: None,
             collections: Arc::new(HashMap::new()),
             now_ms: 86_400_000,
-            slice: SliceSlot::at("orders".into(), 0),
+            slice: SliceSlot::at(orders, 0),
         };
         let dctx = DynamicContext::new(Arc::new(host));
         let eval = |q: &str| {
@@ -365,7 +367,7 @@ mod tests {
             properties: Vec::new().into(),
             queue_name: "q".into(),
             queue_reader: Arc::new(|_| Ok(Sequence::empty())),
-            slice_reader: Arc::new(|_, _| Ok(Sequence::empty())),
+            slice_reader: Arc::new(|_| Ok(Sequence::empty())),
             agg_reader: None,
             collections: Arc::new(HashMap::new()),
             now_ms: 0,
@@ -384,6 +386,9 @@ mod tests {
         let msg = demaq_xml::parse("<m/>").unwrap();
         let loads = Arc::new(AtomicUsize::new(0));
         let counted = Arc::clone(&loads);
+        let mut idx = SliceIndex::new();
+        let by_dev = idx.resolve("byDev", &PropValue::Str("d1".into()));
+        let by_grp = idx.resolve("byGrp", &PropValue::Int(7));
         let host = Arc::new(QsHost {
             message: msg.root(),
             properties: vec![
@@ -393,9 +398,13 @@ mod tests {
             .into(),
             queue_name: "q".into(),
             queue_reader: Arc::new(|_| Ok(Sequence::empty())),
-            slice_reader: Arc::new(move |slicing, key| {
+            slice_reader: Arc::new(move |slice| {
                 counted.fetch_add(1, Ordering::Relaxed);
-                Ok(Sequence::str(format!("{slicing}={key}")))
+                Ok(Sequence::str(if slice == by_dev {
+                    "byDev=d1"
+                } else {
+                    "byGrp=7"
+                }))
             }),
             agg_reader: None,
             collections: Arc::new(HashMap::new()),
@@ -413,15 +422,15 @@ mod tests {
             eval("qs:slicekey()").is_err(),
             "no slice before a slicing rule"
         );
-        host.slice.enter("byDev".into(), 0);
+        host.slice.enter(by_dev, 0);
         assert_eq!(
             eval("(qs:slice(), qs:slice(), qs:slicekey())").unwrap(),
             "byDev=d1 byDev=d1 d1"
         );
         assert_eq!(loads.load(Ordering::Relaxed), 1, "loaded once for the rule");
-        host.slice.enter("byGrp".into(), 1);
+        host.slice.enter(by_grp, 1);
         assert_eq!(eval("(qs:slice(), qs:slicekey())").unwrap(), "byGrp=7 7");
-        host.slice.enter("byGrp".into(), 1);
+        host.slice.enter(by_grp, 1);
         assert_eq!(eval("qs:slice()").unwrap(), "byGrp=7");
         assert_eq!(loads.load(Ordering::Relaxed), 3, "each rule loads afresh");
     }

@@ -185,15 +185,15 @@ pub fn reliable_receiver(net: Arc<Network>, inner: DeliveryHandler) -> DeliveryH
 mod tests {
     use super::*;
 
-    fn setup(
-        drop_rate: f64,
-        seed: u64,
-    ) -> (
+    /// The clock, network, sender and the receiver's delivered bodies.
+    type Setup = (
         Clock,
         Arc<Network>,
         Arc<ReliableSender>,
         Arc<Mutex<Vec<String>>>,
-    ) {
+    );
+
+    fn setup(drop_rate: f64, seed: u64) -> Setup {
         let clock = Clock::virtual_at(0);
         let net = Arc::new(Network::new(clock.clone(), seed));
         net.set_latency_ms(1);

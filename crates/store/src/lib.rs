@@ -38,7 +38,7 @@ pub mod wal;
 
 pub use error::{Result, StoreError};
 pub use lock::{LockGranularity, LockKey, LockMode};
-pub use slice::MemberRead;
+pub use slice::{MemberRead, SliceId, SliceIds};
 pub use store::{DurableTarget, MessageStore, QueueInfo, StoreOptions, SyncPolicy};
 pub use types::{
     provenance, IdHasher, IdMap, IdSet, LineageEdge, Lsn, MessageMeta, MsgId, Name, PayloadBytes,

@@ -11,11 +11,12 @@
 //! youngest transaction in the cycle is the victim.
 
 use crate::error::{Result, StoreError};
-use crate::types::{IdMap, MsgId, Name, PropValue, TxnId};
+use crate::slice::SliceId;
+use crate::types::{IdMap, MsgId, Name, TxnId};
 use demaq_obs::{Counter, Histogram, Registry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -36,12 +37,12 @@ pub enum LockMode {
     Exclusive,
 }
 
-/// Lockable resources. Names are interned, so a key costs an allocation
-/// only for a slice key's string value.
+/// Lockable resources. Names are interned and slices are locked by
+/// handle, so building a key never allocates.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LockKey {
     Queue(Name),
-    Slice(Name, PropValue),
+    Slice(SliceId),
     Message(MsgId),
 }
 
@@ -105,8 +106,9 @@ impl LockEntry {
 
 #[derive(Default)]
 struct LockState {
-    /// Keyed by slice keys, which messages carry: the default hasher.
-    locks: HashMap<LockKey, LockEntry>,
+    /// Keyed by declared queue names and ids the process made — never by
+    /// message content — so the fixed-seed hasher.
+    locks: IdMap<LockKey, LockEntry>,
     waits_for: IdMap<TxnId, HashSet<TxnId>>,
     /// Number of acquisitions that had to block on a conflict (benchmark
     /// E3's contention metric).
@@ -364,8 +366,9 @@ mod tests {
     #[test]
     fn slice_locks_are_independent() {
         let lm = LockManager::default();
-        let k1 = LockKey::Slice("orders".into(), PropValue::Str("23".into()));
-        let k2 = LockKey::Slice("orders".into(), PropValue::Str("42".into()));
+        let mut idx = crate::slice::SliceIndex::new();
+        let k1 = LockKey::Slice(idx.resolve("orders", &crate::PropValue::Str("23".into())));
+        let k2 = LockKey::Slice(idx.resolve("orders", &crate::PropValue::Str("42".into())));
         lm.acquire(t(1), k1, LockMode::Exclusive).unwrap();
         // A different slice of the same slicing does not conflict.
         lm.acquire(t(2), k2, LockMode::Exclusive).unwrap();

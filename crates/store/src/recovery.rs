@@ -56,6 +56,7 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
     let mut snap = Snapshot::read_from(&dir.join("ckpt.snap"))?.unwrap_or_default();
 
     let mut logical = Logical::default();
+    logical.slices.lookups = Some(obs.registry.counter("demaq_store_slice_lookups_total"));
     let mut next_msg = snap.next_msg.max(1);
 
     // Rebuild from the snapshot.
@@ -83,7 +84,8 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
         }
     }
     for s in snap.slices {
-        logical.slices.restore_slice(
+        let (name, members) = (crate::types::Name::from(&*s.slicing), s.members.clone());
+        let id = logical.slices.restore_slice(
             &s.slicing,
             s.key,
             s.epoch,
@@ -91,6 +93,9 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
             s.base,
             s.base_members,
         );
+        for m in members {
+            logical.record_slice(m, &name, id);
+        }
     }
 
     // Replay WAL segments at or after the snapshot's index.
@@ -140,11 +145,12 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
                     TxnOp::MarkProcessed { msg } => logical.mark_processed(msg),
                     TxnOp::SliceAdd { slicing, key, msg } => {
                         if logical.has_message(msg) {
-                            logical.slices.add(&slicing, &key, msg);
+                            logical.join_slice(&slicing, &key, msg);
                         }
                     }
                     TxnOp::SliceReset { slicing, key } => {
-                        logical.slices.reset(&slicing, &key);
+                        let id = logical.slices.resolve(&slicing, &key);
+                        logical.slices.reset(id);
                     }
                 }
             }

@@ -3,9 +3,11 @@
 //! A slicing partitions messages by a property value (the *slice key*);
 //! each distinct key denotes one slice. The index is the paper's proposed
 //! physical representation — "similar to the materialized views concept in
-//! RDBMSs … a B-Tree indexed by the slice key" — here an ordered map per
-//! slicing from key to slice state, so a lookup borrows `(&str,
-//! &PropValue)` and allocates nothing.
+//! RDBMSs … a B-Tree indexed by the slice key" — as a table: a B-tree per
+//! slicing (keys are message content, never hashed with `IdHasher`)
+//! resolves a key to a [`SliceId`] once, when a membership applies; the
+//! message records the handle, and every later read, reset, lock and
+//! cached fold of the slice indexes the slab by it.
 //!
 //! Slices have *lifetimes* (Sec. 2.3.2): a reset begins a new one, and only
 //! messages added in the current lifetime are visible — so a reset simply
@@ -15,15 +17,34 @@
 //! purged only when it is processed and no slice of a current lifetime
 //! contains it — a lookup in the reverse index, which holds exactly the
 //! current-lifetime memberships.
+//!
+//! **Handle lifetime.** Handles are process-local, like tokens: the log
+//! and the snapshot name slices, and recovery hands out handles afresh. A
+//! slot is freed only when its slice is empty, in its first lifetime,
+//! with nothing released and not pinned. An unprocessed member keeps it
+//! non-empty, a reset or a release leaves a mark, and GC purges processed
+//! messages only — so a message's handle stays its slice's until it is
+//! processed. A reused slot gets a fresh token: what is keyed by the old
+//! handle fails its `(token, len)` check and rebuilds.
 
-use crate::types::{IdMap, MsgId, PropValue};
-use std::collections::{BTreeMap, HashMap};
+use crate::types::{IdMap, MsgId, Name, PropValue};
+use demaq_obs::Counter;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Persisted aggregate base cells of one slice: `(stable aggregate
 /// signature, encoded accumulator)` pairs standing in for released
 /// members.
 pub type BaseCells = Vec<(String, Vec<u8>)>;
+
+/// A slice's handle: its slot in the [`SliceIndex`]. Process-local (see
+/// the module doc), so maps keyed by it use [`IdMap`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SliceId(u32);
+
+/// The slices a message joined, as `(slicing, handle)` pairs recorded
+/// when its memberships applied.
+pub type SliceIds = Arc<[(Name, SliceId)]>;
 
 /// State of one slice (one key of one slicing): its current lifetime.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -62,6 +83,8 @@ pub struct SliceState {
     /// released. Membership-only aggregates (`count`, `exists`) answer
     /// `base_members + len`.
     pub base_members: u64,
+    /// Found for a message that never joined it: never freed.
+    pinned: bool,
 }
 
 impl SliceState {
@@ -80,7 +103,11 @@ impl SliceState {
     }
 
     fn is_disposable(&self) -> bool {
-        self.members.is_empty() && self.epoch == 0 && self.base_members == 0 && self.base.is_empty()
+        self.members.is_empty()
+            && self.epoch == 0
+            && self.base_members == 0
+            && self.base.is_empty()
+            && !self.pinned
     }
 }
 
@@ -140,56 +167,24 @@ fn read_members(
 }
 
 /// The full slice index across all slicings.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct SliceIndex {
-    /// slicing -> key -> slice; keys ordered within a slicing, as in the
-    /// B-tree the paper suggests.
-    slices: BTreeMap<Arc<str>, BTreeMap<PropValue, SliceState>>,
+    /// slicing -> key -> handle; keys ordered within a slicing, as in the
+    /// B-tree the paper suggests. The one place a slice is found by name.
+    ids: BTreeMap<Name, BTreeMap<PropValue, SliceId>>,
+    /// The slices by handle, each with its name (for freeing the slot);
+    /// `None` for a freed slot.
+    slots: Vec<Option<(Name, PropValue, SliceState)>>,
+    /// Freed slots, reused before the slab grows.
+    free: Vec<SliceId>,
     /// Reverse index for retention checks and replay idempotency: message
     /// -> its *current-lifetime* memberships.
-    by_msg: IdMap<MsgId, Vec<(Arc<str>, PropValue)>>,
-    /// Per-queue lifetime tokens sharing the same clock: moved when a
-    /// queue's membership changes other than by appending a larger id
-    /// (first insert, out-of-order insert, GC purge), so whole-queue
-    /// aggregate cells validate exactly like slice cells. Process-local,
-    /// not checkpointed (see [`SliceState::token`] for why that is safe).
-    queue_tokens: HashMap<String, u64>,
-    /// Monotonic clock feeding tokens; never reused within a process
-    /// lifetime, and never 0.
+    by_msg: IdMap<MsgId, Vec<SliceId>>,
+    /// Monotonic clock feeding tokens (the queues' too); never reused
+    /// within a process lifetime, and never 0.
     clock: u64,
-}
-
-/// A fresh token: the next tick of the clock.
-fn tick(clock: &mut u64) -> u64 {
-    *clock += 1;
-    *clock
-}
-
-/// The slice, created (with a fresh token) if missing; also returns the
-/// shared slicing name for reverse-index rows.
-fn slice_entry<'a>(
-    slices: &'a mut BTreeMap<Arc<str>, BTreeMap<PropValue, SliceState>>,
-    clock: &mut u64,
-    slicing: &str,
-    key: &PropValue,
-) -> (Arc<str>, &'a mut SliceState) {
-    let name = match slices.get_key_value(slicing) {
-        Some((name, _)) => Arc::clone(name),
-        None => {
-            let name: Arc<str> = Arc::from(slicing);
-            slices.insert(Arc::clone(&name), BTreeMap::new());
-            name
-        }
-    };
-    let keys = slices.get_mut(slicing).expect("present");
-    if !keys.contains_key(key) {
-        let fresh = SliceState {
-            token: tick(clock),
-            ..SliceState::default()
-        };
-        keys.insert(key.clone(), fresh);
-    }
-    (name, keys.get_mut(key).expect("present"))
+    /// `demaq_store_slice_lookups_total`: resolutions by name.
+    pub(crate) lookups: Option<Counter>,
 }
 
 impl SliceIndex {
@@ -197,59 +192,112 @@ impl SliceIndex {
         SliceIndex::default()
     }
 
-    fn slice(&self, slicing: &str, key: &PropValue) -> Option<&SliceState> {
-        self.slices.get(slicing)?.get(key)
+    /// A fresh token: the next tick of the clock.
+    pub(crate) fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
     }
 
-    /// Add `msg` to the slice `(slicing, key)` in its current lifetime. A
-    /// replayed add (the message is already a current member) is a no-op.
-    /// Only an add that is not an append moves the token.
-    pub fn add(&mut self, slicing: &str, key: &PropValue, msg: MsgId) {
-        let member = |rows: &Vec<(Arc<str>, PropValue)>| {
-            rows.iter().any(|(s, k)| **s == *slicing && k == key)
-        };
-        if self.by_msg.get(&msg).is_some_and(member) {
-            return; // idempotent (log replay)
+    /// The handle of the slice `(slicing, key)`, if it exists.
+    pub fn find(&self, slicing: &str, key: &PropValue) -> Option<SliceId> {
+        if let Some(lookups) = &self.lookups {
+            lookups.inc();
         }
-        let (name, state) = slice_entry(&mut self.slices, &mut self.clock, slicing, key);
+        self.ids.get(slicing)?.get(key).copied()
+    }
+
+    /// The handle of the slice `(slicing, key)`, created (with a fresh
+    /// token) if missing.
+    pub fn resolve(&mut self, slicing: &str, key: &PropValue) -> SliceId {
+        if let Some(id) = self.find(slicing, key) {
+            return id;
+        }
+        let slicing = match self.ids.get_key_value(slicing) {
+            Some((name, _)) => Arc::clone(name),
+            None => Name::from(slicing),
+        };
+        let state = SliceState {
+            token: self.tick(),
+            ..SliceState::default()
+        };
+        let next = u32::try_from(self.slots.len()).expect("fewer than 2^32 slices");
+        let id = self.free.pop().unwrap_or(SliceId(next));
+        if id.0 as usize == self.slots.len() {
+            self.slots.push(None);
+        }
+        self.slots[id.0 as usize] = Some((Arc::clone(&slicing), key.clone(), state));
+        self.ids.entry(slicing).or_default().insert(key.clone(), id);
+        id
+    }
+
+    /// [`Self::resolve`] for a message that never joined the slice, which
+    /// is pinned so the handle outlives the message's processing.
+    pub fn resolve_pinned(&mut self, slicing: &str, key: &PropValue) -> SliceId {
+        let id = self.resolve(slicing, key);
+        self.state_mut(id).pinned = true;
+        id
+    }
+
+    /// The slice behind a handle; `None` once its slot was freed.
+    fn get(&self, id: SliceId) -> Option<&SliceState> {
+        Some(&self.slots.get(id.0 as usize)?.as_ref()?.2)
+    }
+
+    fn state_mut(&mut self, id: SliceId) -> &mut SliceState {
+        &mut self.slots[id.0 as usize].as_mut().expect("live handle").2
+    }
+
+    /// Add `msg` to the slice `(slicing, key)` in its current lifetime and
+    /// return the slice's handle. A replayed add (the message is already a
+    /// current member) changes nothing. Only an add that is not an append
+    /// moves the token.
+    pub fn add(&mut self, slicing: &str, key: &PropValue, msg: MsgId) -> SliceId {
+        let id = self.resolve(slicing, key);
+        if self.by_msg.get(&msg).is_some_and(|rows| rows.contains(&id)) {
+            return id; // idempotent (log replay)
+        }
+        let state = self.get(id).expect("live handle");
+        let append = state.members.is_empty() || Some(msg) > state.max;
+        let token = (!append).then(|| self.tick());
+        let state = self.state_mut(id);
         if state.members.is_empty() {
             state.out_of_order = false;
-            state.max = Some(msg);
-        } else if Some(msg) > state.max {
-            state.max = Some(msg);
-        } else {
-            state.out_of_order = true;
-            state.token = tick(&mut self.clock);
+        }
+        match token {
+            None => state.max = Some(msg),
+            Some(token) => {
+                state.out_of_order = true;
+                state.token = token;
+            }
         }
         state.members.push(msg);
-        self.by_msg
-            .entry(msg)
-            .or_default()
-            .push((name, key.clone()));
+        self.by_msg.entry(msg).or_default().push(id);
+        id
     }
 
     /// Begin a new lifetime for the slice. Returns the new epoch. The old
     /// lifetime's members leave the slice (and the reverse index); any
     /// narrowed-retention base belongs to the old lifetime and is
     /// discarded with it.
-    pub fn reset(&mut self, slicing: &str, key: &PropValue) -> u64 {
-        let (_, state) = slice_entry(&mut self.slices, &mut self.clock, slicing, key);
+    pub fn reset(&mut self, id: SliceId) -> u64 {
+        let token = self.tick();
+        let state = self.state_mut(id);
         state.epoch += 1;
-        state.token = tick(&mut self.clock);
+        state.token = token;
         state.out_of_order = false;
         state.base.clear();
         state.base_members = 0;
         let (epoch, old) = (state.epoch, std::mem::take(&mut state.members));
         for m in old {
-            self.drop_row(m, slicing, key);
+            self.drop_row(m, id);
         }
         epoch
     }
 
     /// Remove one membership row of `msg` from the reverse index.
-    fn drop_row(&mut self, msg: MsgId, slicing: &str, key: &PropValue) {
+    fn drop_row(&mut self, msg: MsgId, id: SliceId) {
         if let Some(rows) = self.by_msg.get_mut(&msg) {
-            if let Some(i) = rows.iter().position(|(s, k)| **s == *slicing && k == key) {
+            if let Some(i) = rows.iter().position(|&r| r == id) {
                 rows.swap_remove(i);
             }
             if rows.is_empty() {
@@ -260,14 +308,15 @@ impl SliceIndex {
 
     /// Messages visible in the slice's current lifetime, in arrival order.
     pub fn members(&self, slicing: &str, key: &PropValue) -> Vec<MsgId> {
-        self.slice(slicing, key)
+        self.find(slicing, key)
+            .and_then(|id| self.get(id))
             .map_or_else(Vec::new, SliceState::sorted_members)
     }
 
     /// `(current member count, released member count)` — what a
     /// membership-only aggregate needs. O(1).
-    pub fn len(&self, slicing: &str, key: &PropValue) -> (usize, u64) {
-        self.slice(slicing, key)
+    pub fn len(&self, id: SliceId) -> (usize, u64) {
+        self.get(id)
             .map_or((0, 0), |s| (s.members.len(), s.base_members))
     }
 
@@ -280,12 +329,11 @@ impl SliceIndex {
     /// an out-of-order add moves the token.
     pub fn read_since(
         &self,
-        slicing: &str,
-        key: &PropValue,
+        id: SliceId,
         since: Option<(u64, usize)>,
         ids: &mut Vec<MsgId>,
     ) -> MemberRead {
-        match self.slice(slicing, key) {
+        match self.get(id) {
             Some(s) => read_members(s, since, ids),
             None => MemberRead {
                 token: 0,
@@ -297,14 +345,17 @@ impl SliceIndex {
         }
     }
 
-    /// Current members in arrival order, lifetime token and base cells,
-    /// read together — the narrowing sweep's view. The sweep's
-    /// compare-and-swap expects `(token, members.len())`.
-    pub fn narrow_view(&self, slicing: &str, key: &PropValue) -> (Vec<MsgId>, u64, BaseCells) {
-        match self.slice(slicing, key) {
-            Some(s) => (s.sorted_members(), s.token, s.base.clone()),
-            None => (Vec::new(), 0, Vec::new()),
-        }
+    /// The slice's handle, current members in arrival order, lifetime
+    /// token and base cells, read together — the narrowing sweep's view.
+    /// The sweep's compare-and-swap expects `(token, members.len())`.
+    pub fn narrow_view(
+        &self,
+        slicing: &str,
+        key: &PropValue,
+    ) -> Option<(SliceId, Vec<MsgId>, u64, BaseCells)> {
+        let id = self.find(slicing, key)?;
+        let s = self.get(id)?;
+        Some((id, s.sorted_members(), s.token, s.base.clone()))
     }
 
     /// Narrow retention for one slice: fold `victims` (current members
@@ -312,23 +363,24 @@ impl SliceIndex {
     /// the membership and install the accumulator cells as the slice's new
     /// base. Guarded by compare-and-swap on the slice's `(token, len)` —
     /// an arrival since the caller's fold changes the length, a reset,
-    /// purge or release moves the token — and the release is skipped
-    /// (`false`) rather than applied over a membership the fold did not
-    /// observe.
+    /// purge or release moves the token, and so does a freed slot's reuse
+    /// — and the release is skipped (`false`) rather than applied over a
+    /// membership the fold did not observe.
     pub fn release(
         &mut self,
-        slicing: &str,
-        key: &PropValue,
+        id: SliceId,
         expected: (u64, usize),
         victims: &[MsgId],
         cells: BaseCells,
     ) -> bool {
-        let Some(state) = self.slices.get_mut(slicing).and_then(|k| k.get_mut(key)) else {
+        let Some(state) = self.get(id) else {
             return false;
         };
         if (state.token, state.members.len()) != expected || victims.is_empty() {
             return false;
         }
+        let token = self.tick();
+        let state = self.state_mut(id);
         let mut sorted = victims.to_vec();
         sorted.sort_unstable();
         let before = state.members.len();
@@ -336,40 +388,19 @@ impl SliceIndex {
         debug_assert_eq!(before - state.members.len(), victims.len());
         state.base_members += victims.len() as u64;
         state.base = cells;
-        state.token = tick(&mut self.clock);
+        state.token = token;
         for &victim in victims {
-            self.drop_row(victim, slicing, key);
+            self.drop_row(victim, id);
         }
         true
     }
 
-    /// Record an insert into `queue`: `appended` is false when the id is
-    /// not larger than every id already there. The first insert and every
-    /// non-append stamp a fresh token.
-    pub fn note_queue_insert(&mut self, queue: &str, appended: bool) {
-        if appended && self.queue_tokens.contains_key(queue) {
-            return;
-        }
-        self.bump_queue(queue);
-    }
-
-    /// Stamp a fresh token on `queue` (GC purged some of its messages).
-    pub fn bump_queue(&mut self, queue: &str) {
-        let token = tick(&mut self.clock);
-        self.queue_tokens.insert(queue.to_string(), token);
-    }
-
-    /// The queue's lifetime token (0 when no message was ever inserted
-    /// this process lifetime — the clock never emits 0).
-    pub fn queue_token(&self, queue: &str) -> u64 {
-        self.queue_tokens.get(queue).copied().unwrap_or(0)
-    }
-
-    /// All keys of one slicing that currently have visible members.
+    /// All keys of one slicing that currently have visible members, in
+    /// key order.
     pub fn keys(&self, slicing: &str) -> Vec<PropValue> {
-        self.slices.get(slicing).map_or_else(Vec::new, |keys| {
+        self.ids.get(slicing).map_or_else(Vec::new, |keys| {
             keys.iter()
-                .filter(|(_, state)| !state.members.is_empty())
+                .filter(|(_, &id)| self.len(id).0 > 0)
                 .map(|(k, _)| k.clone())
                 .collect()
         })
@@ -384,45 +415,52 @@ impl SliceIndex {
     }
 
     /// Drop every trace of a purged message. Only the slices it was a
-    /// current member of are touched, and a slice it leaves empty (first
-    /// lifetime, no base) is dropped.
+    /// current member of are touched, and a slice it leaves disposable
+    /// is dropped and its slot freed.
     pub fn forget(&mut self, msg: MsgId) {
         let Some(rows) = self.by_msg.remove(&msg) else {
             return;
         };
-        let token = tick(&mut self.clock);
-        for (slicing, key) in rows {
-            let Some(keys) = self.slices.get_mut(&*slicing) else {
-                continue;
-            };
-            if let Some(state) = keys.get_mut(&key) {
-                if let Some(i) = state.members.iter().position(|&m| m == msg) {
-                    state.members.remove(i);
-                    // A GC purge invalidates the state folded over the slice.
-                    state.token = token;
-                }
-                // Never drop a slice carrying a narrowed-retention base: its
-                // accumulators still answer aggregate reads for the
-                // released members.
-                if state.is_disposable() {
-                    keys.remove(&key);
-                }
+        let token = self.tick();
+        for id in rows {
+            let state = self.state_mut(id);
+            if let Some(i) = state.members.iter().position(|&m| m == msg) {
+                state.members.remove(i);
+                // A GC purge invalidates the state folded over the slice.
+                state.token = token;
             }
-            if keys.is_empty() {
-                self.slices.remove(&*slicing);
+            // Never drop a slice carrying a narrowed-retention base: its
+            // accumulators still answer aggregate reads for the
+            // released members.
+            if state.is_disposable() {
+                self.free_slot(id);
             }
         }
     }
 
-    /// Iterate all `(slicing, key, state)` for checkpointing.
+    /// Free a disposable slice's slot and forget its name.
+    fn free_slot(&mut self, id: SliceId) {
+        let (slicing, key, _) = self.slots[id.0 as usize].take().expect("live handle");
+        if let Some(keys) = self.ids.get_mut(&slicing) {
+            keys.remove(&key);
+            if keys.is_empty() {
+                self.ids.remove(&slicing);
+            }
+        }
+        self.free.push(id);
+    }
+
+    /// Iterate all `(slicing, key, state)` for checkpointing, in slicing
+    /// and key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &PropValue, &SliceState)> {
-        self.slices
-            .iter()
-            .flat_map(|(s, keys)| keys.iter().map(move |(k, st)| (&**s, k, st)))
+        self.ids.iter().flat_map(move |(s, keys)| {
+            keys.iter()
+                .filter_map(move |(k, &id)| Some((&**s, k, self.get(id)?)))
+        })
     }
 
     /// Restore one slice from a checkpoint: its current lifetime's
-    /// members (in insertion order) and released base.
+    /// members (in insertion order) and released base. Returns its handle.
     pub fn restore_slice(
         &mut self,
         slicing: &str,
@@ -431,29 +469,28 @@ impl SliceIndex {
         members: Vec<MsgId>,
         base: BaseCells,
         base_members: u64,
-    ) {
-        let (name, state) = slice_entry(&mut self.slices, &mut self.clock, slicing, &key);
+    ) -> SliceId {
+        let id = self.resolve(slicing, &key);
+        let token = self.tick();
+        for &m in &members {
+            self.by_msg.entry(m).or_default().push(id);
+        }
+        let state = self.state_mut(id);
         state.epoch = epoch;
-        state.token = tick(&mut self.clock);
+        state.token = token;
         state.base = base;
         state.base_members = base_members;
         state.out_of_order = !members.is_sorted();
         state.max = members.iter().max().copied();
-        state.members = members.clone();
-        for m in members {
-            self.by_msg
-                .entry(m)
-                .or_default()
-                .push((Arc::clone(&name), key.clone()));
-        }
+        state.members = members;
+        id
     }
 
     /// Total number of slices tracked (diagnostics).
     pub fn slice_count(&self) -> usize {
-        self.slices.values().map(BTreeMap::len).sum()
+        self.slots.len() - self.free.len()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,17 +499,24 @@ mod tests {
         PropValue::Str(s.into())
     }
 
+    fn reset(idx: &mut SliceIndex, slicing: &str, key: &PropValue) {
+        let id = idx.resolve(slicing, key);
+        idx.reset(id);
+    }
+
     fn read(idx: &SliceIndex, since: Option<(u64, usize)>) -> (MemberRead, Vec<MsgId>) {
         let mut ids = Vec::new();
-        let r = idx.read_since("s", &k("a"), since, &mut ids);
+        let r = idx.read_since(idx.find("s", &k("a")).unwrap(), since, &mut ids);
         (r, ids)
     }
 
     /// `(token, len)` of the slice `("s", key)`: what state folded over it
     /// validates on.
     fn stamp(idx: &SliceIndex, key: &str) -> (u64, usize) {
-        let r = idx.read_since("s", &k(key), None, &mut Vec::new());
-        (r.token, r.len)
+        idx.find("s", &k(key)).map_or((0, 0), |id| {
+            let r = idx.read_since(id, None, &mut Vec::new());
+            (r.token, r.len)
+        })
     }
 
     #[test]
@@ -491,7 +535,7 @@ mod tests {
         let mut idx = SliceIndex::new();
         idx.add("domains", &k("example.org"), MsgId(1));
         idx.add("domains", &k("example.org"), MsgId(2));
-        idx.reset("domains", &k("example.org"));
+        reset(&mut idx, "domains", &k("example.org"));
         assert!(idx.members("domains", &k("example.org")).is_empty());
         // New-owner messages appear in the new lifetime.
         idx.add("domains", &k("example.org"), MsgId(3));
@@ -503,7 +547,7 @@ mod tests {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
         assert!(idx.is_retained(MsgId(1)));
-        idx.reset("s", &k("a"));
+        reset(&mut idx, "s", &k("a"));
         assert!(!idx.is_retained(MsgId(1)), "reset releases retention");
         assert!(
             !idx.is_retained(MsgId(99)),
@@ -519,11 +563,11 @@ mod tests {
         idx.add("packaging", &k("o1"), MsgId(1));
         idx.add("finance", &k("o1"), MsgId(1));
         idx.add("monthly", &k("2026-07"), MsgId(1));
-        idx.reset("packaging", &k("o1"));
+        reset(&mut idx, "packaging", &k("o1"));
         assert!(idx.is_retained(MsgId(1)));
-        idx.reset("finance", &k("o1"));
+        reset(&mut idx, "finance", &k("o1"));
         assert!(idx.is_retained(MsgId(1)));
-        idx.reset("monthly", &k("2026-07"));
+        reset(&mut idx, "monthly", &k("2026-07"));
         assert!(!idx.is_retained(MsgId(1)), "all slices reset → purgeable");
     }
 
@@ -549,7 +593,7 @@ mod tests {
         idx.add("s", &k("a"), MsgId(1));
         idx.add("s", &k("a"), MsgId(2));
         idx.add("s", &k("b"), MsgId(3));
-        idx.reset("s", &k("a"));
+        reset(&mut idx, "s", &k("a"));
         idx.add("s", &k("a"), MsgId(4));
         let (sa, sb) = (stamp(&idx, "a"), stamp(&idx, "b"));
         // The old lifetime left the index at reset: purging its members
@@ -574,7 +618,7 @@ mod tests {
         let keys = idx.keys("orders");
         assert_eq!(keys.len(), 2);
         assert!(keys.contains(&k("23")) && keys.contains(&k("42")));
-        idx.reset("orders", &k("23"));
+        reset(&mut idx, "orders", &k("23"));
         assert_eq!(idx.keys("orders").len(), 1);
     }
 
@@ -589,7 +633,7 @@ mod tests {
         assert_eq!(stamp(&idx, "a"), before, "no-op add keeps token and length");
         // After a reset the same message may legitimately join the new
         // lifetime (replay of an add that followed the reset).
-        idx.reset("s", &k("a"));
+        reset(&mut idx, "s", &k("a"));
         idx.add("s", &k("a"), MsgId(1));
         assert_eq!(idx.members("s", &k("a")), vec![MsgId(1)]);
     }
@@ -608,14 +652,14 @@ mod tests {
         );
         assert_eq!(idx.members("s", &k("a")), vec![MsgId(3), MsgId(5)]);
         assert!(idx.is_retained(MsgId(3)) && idx.is_retained(MsgId(5)));
-        assert_eq!(idx.len("s", &k("a")), (2, 4));
+        assert_eq!(idx.len(idx.find("s", &k("a")).unwrap()), (2, 4));
         let (r, ids) = read(&idx, None);
         assert_ne!(r.token, 0, "a restored slice is cacheable");
         assert_eq!(ids, vec![MsgId(3), MsgId(5)], "rebuilds fold in id order");
         assert_eq!(r.base, Some(vec![("sig".to_string(), vec![7])]));
         // Forgetting a member that never joined is a no-op.
         idx.forget(MsgId(1));
-        assert_eq!(idx.len("s", &k("a")), (2, 4));
+        assert_eq!(idx.len(idx.find("s", &k("a")).unwrap()), (2, 4));
     }
 
     #[test]
@@ -630,9 +674,10 @@ mod tests {
         assert_eq!((r2.token, r2.len, ids), (r.token, 3, vec![MsgId(3)]));
         let (_, ids) = read(&idx, Some((r2.token, r2.len)));
         assert!(ids.is_empty(), "nothing arrived: nothing to fold");
-        // An unknown slice is never cacheable.
-        let mut none = Vec::new();
-        assert_eq!(idx.read_since("s", &k("zz"), None, &mut none).token, 0);
+        // A freed slot is never cacheable.
+        let zz = idx.add("s", &k("zz"), MsgId(9));
+        idx.forget(MsgId(9));
+        assert_eq!(idx.read_since(zz, None, &mut Vec::new()).token, 0);
     }
 
     #[test]
@@ -641,7 +686,7 @@ mod tests {
         idx.add("s", &k("a"), MsgId(1));
         idx.add("s", &k("a"), MsgId(2));
         let (before, _) = read(&idx, None);
-        idx.reset("s", &k("a"));
+        reset(&mut idx, "s", &k("a"));
         idx.add("s", &k("a"), MsgId(3));
         idx.add("s", &k("a"), MsgId(4));
         let (after, ids) = read(&idx, Some((before.token, before.len)));
@@ -703,7 +748,7 @@ mod tests {
         assert_ne!(t1, 0, "clock never emits 0");
         idx.add("s", &k("a"), MsgId(2));
         assert_eq!(stamp(&idx, "a"), (t1, len1 + 1), "an add grows len");
-        idx.reset("s", &k("a"));
+        reset(&mut idx, "s", &k("a"));
         let (t2, _) = stamp(&idx, "a");
         assert!(t2 > t1, "reset moves the token");
         idx.add("s", &k("a"), MsgId(3));
@@ -711,7 +756,12 @@ mod tests {
         idx.forget(MsgId(3));
         let (t3, _) = stamp(&idx, "a");
         assert!(t3 > t2, "GC purge moves the token");
-        assert!(idx.release("s", &k("a"), (t3, 1), &[MsgId(4)], Vec::new()));
+        assert!(idx.release(
+            idx.find("s", &k("a")).unwrap(),
+            (t3, 1),
+            &[MsgId(4)],
+            Vec::new()
+        ));
         assert!(stamp(&idx, "a").0 > t3, "release moves the token");
     }
 
@@ -738,43 +788,27 @@ mod tests {
     }
 
     #[test]
-    fn queue_tokens_share_the_clock_and_ignore_appends() {
-        let mut idx = SliceIndex::new();
-        assert_eq!(idx.queue_token("q"), 0, "untouched queue is token 0");
-        idx.note_queue_insert("q", true);
-        let t1 = idx.queue_token("q");
-        assert_ne!(t1, 0, "the first insert stamps a token");
-        idx.note_queue_insert("q", true);
-        assert_eq!(idx.queue_token("q"), t1, "appends keep it");
-        idx.add("s", &k("a"), MsgId(1)); // a new slice advances the clock
-        idx.note_queue_insert("q", false);
-        assert!(idx.queue_token("q") > t1, "an out-of-order insert moves it");
-        let t2 = idx.queue_token("q");
-        idx.bump_queue("q");
-        assert!(idx.queue_token("q") > t2, "a purge moves it");
-        assert_eq!(idx.queue_token("other"), 0, "queues are independent");
-    }
-
-    #[test]
     fn release_folds_members_into_base() {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
         idx.add("s", &k("a"), MsgId(2));
-        let (members, t, cells) = idx.narrow_view("s", &k("a"));
+        let (_, members, t, cells) = idx.narrow_view("s", &k("a")).unwrap();
         assert_eq!(members, vec![MsgId(1), MsgId(2)]);
-        assert_eq!((idx.len("s", &k("a")).1, cells.len()), (0, 0));
+        assert_eq!(
+            (idx.len(idx.find("s", &k("a")).unwrap()).1, cells.len()),
+            (0, 0)
+        );
         let (before, _) = read(&idx, None);
         assert!(idx.release(
-            "s",
-            &k("a"),
+            idx.find("s", &k("a")).unwrap(),
             (t, 2),
             &[MsgId(1)],
             vec![("count".into(), vec![1])]
         ));
-        let (members, t2, cells) = idx.narrow_view("s", &k("a"));
+        let (_, members, t2, cells) = idx.narrow_view("s", &k("a")).unwrap();
         assert_eq!(members, vec![MsgId(2)]);
         assert!(t2 > t, "release moves the token");
-        assert_eq!(idx.len("s", &k("a")), (1, 1));
+        assert_eq!(idx.len(idx.find("s", &k("a")).unwrap()), (1, 1));
         assert_eq!(cells, vec![("count".to_string(), vec![1])]);
         assert!(!idx.is_retained(MsgId(1)), "released member is unretained");
         assert!(idx.is_retained(MsgId(2)));
@@ -787,20 +821,32 @@ mod tests {
     fn release_cas_rejects_a_stale_view() {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
-        let (_, t, _) = idx.narrow_view("s", &k("a"));
+        let (_, _, t, _) = idx.narrow_view("s", &k("a")).unwrap();
         idx.add("s", &k("a"), MsgId(2)); // concurrent arrival since the fold
-        assert!(!idx.release("s", &k("a"), (t, 1), &[MsgId(1)], Vec::new()));
+        assert!(!idx.release(
+            idx.find("s", &k("a")).unwrap(),
+            (t, 1),
+            &[MsgId(1)],
+            Vec::new()
+        ));
         assert!(idx.is_retained(MsgId(1)), "an arrival changes the length");
-        idx.reset("s", &k("a"));
+        reset(&mut idx, "s", &k("a"));
         idx.add("s", &k("a"), MsgId(3));
         idx.add("s", &k("a"), MsgId(4));
         assert!(
-            !idx.release("s", &k("a"), (t, 2), &[MsgId(3)], Vec::new()),
+            !idx.release(
+                idx.find("s", &k("a")).unwrap(),
+                (t, 2),
+                &[MsgId(3)],
+                Vec::new()
+            ),
             "a reset refilled to the same length moves the token"
         );
+        let zz = idx.add("s", &k("zz"), MsgId(9));
+        idx.forget(MsgId(9));
         assert!(
-            !idx.release("s", &k("zz"), (7, 0), &[MsgId(1)], Vec::new()),
-            "unknown slice"
+            !idx.release(zz, (7, 0), &[MsgId(1)], Vec::new()),
+            "freed slot"
         );
     }
 
@@ -808,10 +854,9 @@ mod tests {
     fn reset_discards_base_and_forget_keeps_based_slices() {
         let mut idx = SliceIndex::new();
         idx.add("s", &k("a"), MsgId(1));
-        let (_, t, _) = idx.narrow_view("s", &k("a"));
+        let (_, _, t, _) = idx.narrow_view("s", &k("a")).unwrap();
         assert!(idx.release(
-            "s",
-            &k("a"),
+            idx.find("s", &k("a")).unwrap(),
             (t, 1),
             &[MsgId(1)],
             vec![("sig".into(), vec![9])]
@@ -820,13 +865,19 @@ mod tests {
         // its accumulators still answer reads.
         idx.forget(MsgId(1));
         idx.forget(MsgId(42));
-        let (members, _, cells) = idx.narrow_view("s", &k("a"));
+        let (_, members, _, cells) = idx.narrow_view("s", &k("a")).unwrap();
         assert!(members.is_empty());
-        assert_eq!((idx.len("s", &k("a")).1, cells.len()), (1, 1));
+        assert_eq!(
+            (idx.len(idx.find("s", &k("a")).unwrap()).1, cells.len()),
+            (1, 1)
+        );
         // Reset starts a new lifetime: the base goes with the old one.
-        idx.reset("s", &k("a"));
-        let (_, _, cells) = idx.narrow_view("s", &k("a"));
-        assert_eq!((idx.len("s", &k("a")).1, cells.len()), (0, 0));
+        reset(&mut idx, "s", &k("a"));
+        let (_, _, _, cells) = idx.narrow_view("s", &k("a")).unwrap();
+        assert_eq!(
+            (idx.len(idx.find("s", &k("a")).unwrap()).1, cells.len()),
+            (0, 0)
+        );
     }
 
     #[test]
@@ -839,5 +890,84 @@ mod tests {
         assert_eq!(members, idx.members("s", &k("a")));
         assert_eq!((r.token, r.len), stamp(&idx, "a"));
         assert_eq!(stamp(&idx, "zz"), (0, 0), "unknown slice");
+    }
+
+    #[test]
+    fn a_recreated_slice_reuses_the_slot_under_a_fresh_token() {
+        let mut idx = SliceIndex::new();
+        let a = idx.add("s", &k("a"), MsgId(1));
+        idx.add("s", &k("a"), MsgId(2));
+        let old = stamp(&idx, "a");
+        // A cell folded over the slice, keyed by its handle.
+        let cell = Some(old);
+        // GC purges both members: the first-lifetime slice is dropped.
+        idx.forget(MsgId(1));
+        idx.forget(MsgId(2));
+        assert_eq!((idx.find("s", &k("a")), idx.slice_count()), (None, 0));
+        // Another slice takes the freed slot, then "a" comes back in a
+        // new one; neither resumes the old cell.
+        let b = idx.add("s", &k("b"), MsgId(3));
+        idx.add("s", &k("b"), MsgId(4));
+        assert_eq!(b, a, "the slot is reused");
+        let r = idx.read_since(b, cell, &mut Vec::new());
+        assert!(!r.resumed && r.token > old.0, "the reused slot rebuilds");
+        let a2 = idx.add("s", &k("a"), MsgId(5));
+        idx.add("s", &k("a"), MsgId(6));
+        assert_ne!(a2, a);
+        let mut ids = Vec::new();
+        let r = idx.read_since(a2, cell, &mut ids);
+        assert_eq!(
+            (r.resumed, r.len, ids),
+            (false, 2, vec![MsgId(5), MsgId(6)])
+        );
+        assert!(r.token > old.0, "a recreated slice gets a new token");
+    }
+
+    #[test]
+    fn slices_a_processing_message_can_hold_are_never_freed() {
+        let mut idx = SliceIndex::new();
+        // A slice a reset emptied is past its first lifetime.
+        let a = idx.add("s", &k("a"), MsgId(1));
+        idx.add("s", &k("a"), MsgId(2));
+        idx.reset(a);
+        idx.add("s", &k("a"), MsgId(3));
+        idx.forget(MsgId(3));
+        // One a release emptied carries its released members.
+        let b = idx.add("s", &k("b"), MsgId(4));
+        let (_, _, t, _) = idx.narrow_view("s", &k("b")).unwrap();
+        assert!(idx.release(b, (t, 1), &[MsgId(4)], Vec::new()));
+        idx.forget(MsgId(4));
+        // One found for a message that never joined it is pinned.
+        let c = idx.resolve_pinned("s", &k("c"));
+        idx.add("s", &k("c"), MsgId(5));
+        idx.forget(MsgId(5));
+        // A slice holding an unprocessed member (6) keeps it.
+        let d = idx.add("s", &k("d"), MsgId(6));
+        idx.add("s", &k("d"), MsgId(7));
+        idx.forget(MsgId(7));
+        for (id, key) in [(a, "a"), (b, "b"), (c, "c"), (d, "d")] {
+            assert_eq!(idx.find("s", &k(key)), Some(id), "{key} keeps its slot");
+        }
+        assert_eq!(idx.slice_count(), 4);
+    }
+
+    #[test]
+    fn lookups_count_resolutions_by_name_only() {
+        let obs = demaq_obs::Obs::new();
+        let mut idx = SliceIndex::new();
+        idx.lookups = Some(obs.registry.counter("demaq_store_slice_lookups_total"));
+        let lookups = || {
+            obs.registry
+                .counter_total("demaq_store_slice_lookups_total")
+        };
+        let a = idx.add("s", &k("a"), MsgId(1));
+        assert_eq!(lookups(), 1, "an add resolves once");
+        let mut ids = Vec::new();
+        idx.read_since(a, None, &mut ids);
+        idx.len(a);
+        idx.reset(a);
+        assert_eq!(lookups(), 1, "handles find the slice");
+        idx.members("s", &k("a"));
+        assert_eq!(lookups(), 2, "a read by name resolves");
     }
 }

@@ -4,7 +4,7 @@ use crate::checkpoint::{SnapMessage, SnapQueue, SnapSlice, Snapshot};
 use crate::error::{Result, StoreError};
 use crate::lock::{LockGranularity, LockManager};
 use crate::recovery;
-use crate::slice::{BaseCells, MemberRead, SliceIndex};
+use crate::slice::{BaseCells, MemberRead, SliceId, SliceIds, SliceIndex};
 use crate::txn::{TxnBuf, TxnOp};
 use crate::types::{
     prop, provenance, IdMap, LineageEdge, Lsn, MsgId, Name, PayloadBytes, PropValue, Props,
@@ -118,6 +118,8 @@ struct MsgMeta {
     /// LSN of the WAL frame that logged the enqueue; `None` for a
     /// transient message.
     lsn: Option<Lsn>,
+    /// The slices the message joined, resolved when each applied.
+    slices: Option<SliceIds>,
 }
 
 impl MsgMeta {
@@ -151,6 +153,9 @@ pub(crate) struct QueueState {
     /// All retained messages in arrival order (processed ones included —
     /// the append-only model keeps them until the GC purges).
     pub(crate) messages: Vec<MsgId>,
+    /// Lifetime token on the slices' clock (0 before the first insert),
+    /// moved as a slice's is by any change but an append.
+    token: u64,
 }
 
 impl QueueState {
@@ -163,9 +168,13 @@ impl QueueState {
             },
             name: name.into(),
             messages: Vec::new(),
+            token: 0,
         }
     }
 }
+
+/// A slice's handle, members with processed flags, token and base.
+pub type NarrowView = (SliceId, Vec<(MsgId, bool)>, u64, BaseCells);
 
 /// The logical (in-memory, WAL-backed) state.
 #[derive(Default)]
@@ -191,8 +200,14 @@ impl Logical {
         enqueued_at: i64,
         lsn: Option<Lsn>,
     ) {
-        self.ensure_queue(queue);
-        let qstate = self.queues.get_mut(queue).expect("ensured");
+        // One hash of the name; a queue no declaration made is created.
+        let qstate = match self.queues.get_mut(queue) {
+            Some(q) => q,
+            None => self
+                .queues
+                .entry(queue.to_string())
+                .or_insert_with(|| QueueState::new(queue, QueueMode::Persistent, 0)),
+        };
         self.messages.insert(
             id,
             MsgMetaSlot(MsgMeta {
@@ -203,6 +218,7 @@ impl Logical {
                 processed: false,
                 enqueued_at,
                 lsn,
+                slices: None,
             }),
         );
         let messages = &mut qstate.messages;
@@ -221,7 +237,28 @@ impl Logical {
             }
         };
         // Anything but an append invalidates whole-queue aggregate folds.
-        self.slices.note_queue_insert(&qstate.info.name, appended);
+        if !appended || qstate.token == 0 {
+            qstate.token = self.slices.tick();
+        }
+    }
+
+    /// Apply `msg`'s membership in `(slicing, key)`; the message records it.
+    pub(crate) fn join_slice(&mut self, slicing: &Name, key: &PropValue, msg: MsgId) {
+        let id = self.slices.add(slicing, key, msg);
+        self.record_slice(msg, slicing, id);
+    }
+
+    /// Record that `msg` joined the slice `id` of `slicing`, unless it
+    /// already did.
+    pub(crate) fn record_slice(&mut self, msg: MsgId, slicing: &Name, id: SliceId) {
+        let Some(MsgMetaSlot(meta)) = self.messages.get_mut(&msg) else {
+            return;
+        };
+        let joined = meta.slices.as_deref().unwrap_or_default();
+        if !joined.iter().any(|&(_, s)| s == id) {
+            let new = (Arc::clone(slicing), id);
+            meta.slices = Some(joined.iter().cloned().chain([new]).collect());
+        }
     }
 
     pub(crate) fn ensure_queue(&mut self, name: &str) {
@@ -509,8 +546,22 @@ impl MessageStore {
 
     /// Buffer a slice reset.
     pub fn slice_reset(&self, txn: TxnId, slicing: impl Into<Name>, key: PropValue) -> Result<()> {
-        let slicing = slicing.into();
-        self.with_txn(txn, |buf| buf.ops.push(TxnOp::SliceReset { slicing, key }))
+        self.slice_reset_at(txn, None, slicing.into(), key)
+    }
+
+    /// Buffer a reset of `(slicing, key)`, applied by its handle `at` when
+    /// the caller holds one; the log names the slice either way.
+    pub fn slice_reset_at(
+        &self,
+        txn: TxnId,
+        at: Option<SliceId>,
+        slicing: Name,
+        key: PropValue,
+    ) -> Result<()> {
+        self.with_txn(txn, |buf| {
+            buf.ops.push(TxnOp::SliceReset { slicing, key });
+            buf.resets.push(at);
+        })
     }
 
     /// Commit: WAL-log the persistent effects, apply all effects, release
@@ -635,6 +686,7 @@ impl MessageStore {
     /// write lock across a whole batch of jobs. Pushes the ids the job
     /// enqueued onto `enqueued`.
     fn apply_job(state: &mut Logical, job: ApplyJob, enqueued: &mut Vec<MsgId>) {
+        let mut resets = job.buf.resets.into_iter();
         for op in job.buf.ops {
             match op {
                 TxnOp::Enqueue {
@@ -653,9 +705,13 @@ impl MessageStore {
                     enqueued.push(msg);
                 }
                 TxnOp::MarkProcessed { msg } => state.mark_processed(msg),
-                TxnOp::SliceAdd { slicing, key, msg } => state.slices.add(&slicing, &key, msg),
+                TxnOp::SliceAdd { slicing, key, msg } => state.join_slice(&slicing, &key, msg),
                 TxnOp::SliceReset { slicing, key } => {
-                    state.slices.reset(&slicing, &key);
+                    let id = match resets.next().flatten() {
+                        Some(id) => id,
+                        None => state.slices.resolve(&slicing, &key),
+                    };
+                    state.slices.reset(id);
                 }
             }
         }
@@ -795,6 +851,7 @@ impl MessageStore {
             props: meta.0.props.clone(),
             processed: meta.0.processed,
             enqueued_at: meta.0.enqueued_at,
+            slices: meta.0.slices.clone(),
         })
     }
 
@@ -851,7 +908,7 @@ impl MessageStore {
             .queues
             .get(queue)
             .ok_or_else(|| StoreError::NotFound(format!("queue `{queue}`")))?;
-        let (token, len) = (state.slices.queue_token(queue), q.messages.len());
+        let (token, len) = (q.token, q.messages.len());
         let resumed = crate::slice::resume_at(since, token, len);
         ids.extend_from_slice(&q.messages[resumed.unwrap_or(0)..]);
         Ok(MemberRead {
@@ -904,15 +961,28 @@ impl MessageStore {
     /// every change that is not an append (reset, GC purge, release,
     /// out-of-order commit); 0 means the slice is unknown.
     pub fn slice_members_versioned(&self, slicing: &str, key: &PropValue) -> (Vec<MsgId>, u64) {
+        let state = self.state.read();
         let mut ids = Vec::new();
-        let read = self.slice_read(slicing, key, None, &mut ids);
-        (ids, read.token)
+        let id = state.slices.find(slicing, key);
+        let token = id.map_or(0, |id| state.slices.read_since(id, None, &mut ids).token);
+        (ids, token)
+    }
+
+    /// The handle of the slice `(slicing, key)`, if it exists.
+    pub fn slice_id(&self, slicing: &str, key: &PropValue) -> Option<SliceId> {
+        self.state.read().slices.find(slicing, key)
+    }
+
+    /// The handle of a slice for a message that recorded none (see
+    /// [`SliceIndex::resolve_pinned`]); created if missing.
+    pub fn slice_handle(&self, slicing: &str, key: &PropValue) -> SliceId {
+        self.state.write().slices.resolve_pinned(slicing, key)
     }
 
     /// `(current member count, released member count)` of one slice —
     /// what a membership-only aggregate (`count`, `exists`) needs; O(1).
-    pub fn slice_len(&self, slicing: &str, key: &PropValue) -> (usize, u64) {
-        self.state.read().slices.len(slicing, key)
+    pub fn slice_len(&self, id: SliceId) -> (usize, u64) {
+        self.state.read().slices.len(id)
     }
 
     /// One consistent read of a slice for state (an aggregate fold, a
@@ -924,27 +994,19 @@ impl MessageStore {
     /// [`SliceIndex::read_since`].
     pub fn slice_read(
         &self,
-        slicing: &str,
-        key: &PropValue,
+        id: SliceId,
         since: Option<(u64, usize)>,
         ids: &mut Vec<MsgId>,
     ) -> MemberRead {
-        self.state
-            .read()
-            .slices
-            .read_since(slicing, key, since, ids)
+        self.state.read().slices.read_since(id, since, ids)
     }
 
-    /// Members (id order), lifetime token and released base of one slice,
-    /// each member with its processed flag — the narrowing sweep picks its
-    /// fold victims from this single consistent view.
-    pub fn slice_narrow_view(
-        &self,
-        slicing: &str,
-        key: &PropValue,
-    ) -> (Vec<(MsgId, bool)>, u64, BaseCells) {
+    /// Handle, members (id order), lifetime token and released base of
+    /// one slice, each member with its processed flag — the narrowing
+    /// sweep picks its fold victims from this single consistent view.
+    pub fn slice_narrow_view(&self, slicing: &str, key: &PropValue) -> Option<NarrowView> {
         let state = self.state.read();
-        let (ids, token, base) = state.slices.narrow_view(slicing, key);
+        let (id, ids, token, base) = state.slices.narrow_view(slicing, key)?;
         let flagged = ids
             .into_iter()
             .map(|id| {
@@ -956,7 +1018,7 @@ impl MessageStore {
                 (id, processed)
             })
             .collect();
-        (flagged, token, base)
+        Some((id, flagged, token, base))
     }
 
     /// Fold `victims` out of a slice into its base: drop their membership
@@ -973,8 +1035,7 @@ impl MessageStore {
     /// captured survives restarts even though its members are gone.
     pub fn retention_release(
         &self,
-        slicing: &str,
-        key: &PropValue,
+        id: SliceId,
         expected: (u64, usize),
         victims: &[MsgId],
         cells: BaseCells,
@@ -982,7 +1043,7 @@ impl MessageStore {
         self.state
             .write()
             .slices
-            .release(slicing, key, expected, victims, cells)
+            .release(id, expected, victims, cells)
     }
 
     /// Keys of a slicing with visible members.
@@ -1065,7 +1126,8 @@ impl MessageStore {
         let victims: Vec<MsgId> = {
             // Under the state lock: only the cheap logical removals
             // (maps, queue vectors, slice index).
-            let mut state = self.state.write();
+            let mut guard = self.state.write();
+            let state = &mut *guard;
             let victims: Vec<MsgId> = state
                 .messages
                 .iter()
@@ -1089,12 +1151,10 @@ impl MessageStore {
                     let removed = before - q.messages.len();
                     if removed != 0 {
                         purged_by_queue.push((name.clone(), removed as u64));
+                        // Purges change queue membership: move the queue
+                        // token, as `forget` above moved the slice tokens.
+                        q.token = state.slices.tick();
                     }
-                }
-                // Purges change queue membership: move the queue tokens,
-                // as `forget` above moved the slice tokens.
-                for (name, _) in &purged_by_queue {
-                    state.slices.bump_queue(name);
                 }
             }
             // Everything processed that survived this pass is retained by
@@ -1630,5 +1690,30 @@ mod tests {
         drop(store);
         let store = MessageStore::open(opts).unwrap();
         assert_eq!(store.message(msg).unwrap().payload, "base");
+    }
+
+    #[test]
+    fn queue_tokens_share_the_slice_clock_and_ignore_appends() {
+        let mut state = Logical::default();
+        let token = |state: &Logical| state.queues.get("q").map_or(0, |q| q.token);
+        let insert = |state: &mut Logical, id| {
+            state.insert_message(MsgId(id), "q", "<m/>".into(), Vec::new().into(), 0, None)
+        };
+        assert_eq!(token(&state), 0, "untouched queue is token 0");
+        insert(&mut state, 2);
+        let t1 = token(&state);
+        assert_ne!(t1, 0, "the first insert stamps a token");
+        insert(&mut state, 3);
+        assert_eq!(token(&state), t1, "appends keep it");
+        // A new slice advances the shared clock.
+        state.join_slice(&"s".into(), &PropValue::Int(1), MsgId(3));
+        insert(&mut state, 1);
+        assert!(token(&state) > t1 + 1, "an out-of-order insert moves it");
+        let joined = state.messages[&MsgId(3)].0.slices.as_deref();
+        assert_eq!(
+            joined.map(<[_]>::len),
+            Some(1),
+            "the message records its slice"
+        );
     }
 }

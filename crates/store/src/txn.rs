@@ -6,6 +6,7 @@
 //! commit, under locks acquired during the transaction (strict 2PL). An
 //! abort simply discards the buffer.
 
+use crate::slice::SliceId;
 use crate::types::{MsgId, Name, PayloadBytes, PropValue, Props, TxnId};
 
 /// A buffered write operation — and, logged as is, one op of the
@@ -40,6 +41,8 @@ pub enum TxnOp {
 pub struct TxnBuf {
     pub id: TxnId,
     pub ops: Vec<TxnOp>,
+    /// Per `SliceReset` op, in order: the slice's handle, if the caller had it.
+    pub(crate) resets: Vec<Option<SliceId>>,
 }
 
 impl TxnBuf {
@@ -47,6 +50,7 @@ impl TxnBuf {
         TxnBuf {
             id,
             ops: Vec::new(),
+            resets: Vec::new(),
         }
     }
 }

@@ -431,12 +431,24 @@ pub struct MessageMeta {
     pub processed: bool,
     /// Creation timestamp (engine virtual clock, epoch ms).
     pub enqueued_at: i64,
+    /// The slices the message joined; `None` before the first (an empty
+    /// `Arc` would count references on one shared static).
+    pub slices: Option<crate::slice::SliceIds>,
 }
 
 impl MessageMeta {
     /// Look up a property by name.
     pub fn prop(&self, name: &str) -> Option<&PropValue> {
         prop(&self.props, name)
+    }
+
+    /// The handle of the slice of `slicing` the message joined.
+    pub fn slice_of(&self, slicing: &str) -> Option<crate::slice::SliceId> {
+        let joined = self.slices.as_deref().unwrap_or_default();
+        joined
+            .iter()
+            .find(|(s, _)| **s == *slicing)
+            .map(|&(_, id)| id)
     }
 }
 

@@ -65,6 +65,10 @@ fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (r, LARGEST.with(Cell::get))
 }
 
+/// The retention model: `(slicing, key)` to its current epoch and the
+/// `(message, epoch)` adds it saw.
+type SliceModel = std::collections::HashMap<(u8, u64), (u64, Vec<(u64, u64)>)>;
+
 fn prop_value_strategy() -> impl Strategy<Value = PropValue> {
     prop_oneof![
         "[ -~]{0,16}".prop_map(PropValue::Str),
@@ -299,15 +303,15 @@ proptest! {
         // contains it. Execute random add/reset sequences and compare the
         // index against a naive model.
         let mut idx = SliceIndex::new();
-        let mut model: std::collections::HashMap<(u8, u64), (u64, Vec<(u64, u64)>)> =
-            std::collections::HashMap::new();
+        let mut model = SliceModel::new();
         for (msg, slicing, is_reset) in ops {
             let s_name = format!("s{slicing}");
             let key = PropValue::Int((msg % 4) as i64);
             let model_key = (slicing, msg % 4);
             let entry = model.entry(model_key).or_insert((0, Vec::new()));
             if is_reset {
-                idx.reset(&s_name, &key);
+                let id = idx.resolve(&s_name, &key);
+                idx.reset(id);
                 entry.0 += 1;
             } else {
                 idx.add(&s_name, &key, MsgId(msg));

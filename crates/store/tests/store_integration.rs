@@ -341,6 +341,122 @@ fn slice_reset_epoch_survives_recovery() {
     assert_eq!(m.payload, "<new/>");
 }
 
+/// What a store answers about its slices, in names only (handles are
+/// process-local): each slice's members and `(len, released)`, each
+/// message's joined slicings, and whether slice locks of two messages
+/// conflict.
+fn slice_answers(store: &MessageStore, msgs: &[(MsgId, &str)]) -> Vec<String> {
+    let mut out = Vec::new();
+    for (slicing, key) in [("s", "a"), ("s", "b"), ("t", "a")] {
+        let key = PropValue::Str(key.into());
+        let len = store.slice_id(slicing, &key).map(|id| store.slice_len(id));
+        let members = store.slice_members(slicing, &key);
+        out.push(format!("{slicing} {key:?}: {members:?} {len:?}"));
+    }
+    let lock_of = |msg: MsgId, slicing: &str| {
+        let meta = store.message_meta(msg).unwrap();
+        Some(LockKey::Slice(meta.slice_of(slicing)?))
+    };
+    for &(msg, key) in msgs {
+        let meta = store.message_meta(msg).unwrap();
+        let mut joined: Vec<String> = meta
+            .slices
+            .as_deref()
+            .unwrap_or_default()
+            .iter()
+            .map(|(s, _)| s.to_string())
+            .collect();
+        joined.sort();
+        // Each recorded handle is the slice the message's key names.
+        for (slicing, id) in meta.slices.as_deref().unwrap_or_default().iter() {
+            let named = store.slice_id(slicing, &PropValue::Str(key.into()));
+            assert_eq!(named, Some(*id), "{msg}: {slicing}");
+        }
+        out.push(format!("{msg}: {joined:?}"));
+    }
+    for (i, &(a, _)) in msgs.iter().enumerate() {
+        for &(b, _) in &msgs[i + 1..] {
+            let (Some(ka), Some(kb)) = (lock_of(a, "s"), lock_of(b, "s")) else {
+                continue;
+            };
+            let (ta, tb) = (store.begin(), store.begin());
+            store.locks.acquire(ta, ka, LockMode::Exclusive).unwrap();
+            let conflict = store.locks.acquire(tb, kb, LockMode::Exclusive).is_err();
+            store.abort(ta);
+            store.abort(tb);
+            out.push(format!("{a} {b}: conflict {conflict}"));
+        }
+    }
+    out
+}
+
+#[test]
+fn slice_handles_answer_the_same_after_reopen() {
+    let dir = TempDir::new().unwrap();
+    let open = || {
+        let mut opts = StoreOptions::new(dir.path());
+        opts.lock_timeout = Duration::from_millis(20);
+        MessageStore::open(opts).unwrap()
+    };
+    let store = open();
+    store.create_queue("q", QueueMode::Persistent, 0).unwrap();
+    let mut msgs = Vec::new();
+    for (i, key) in ["a", "b", "a", "a", "b"].into_iter().enumerate() {
+        let txn = store.begin();
+        let m = store
+            .enqueue(txn, "q", format!("<m{i}/>").into(), vec![], 0)
+            .unwrap();
+        store
+            .slice_add(txn, "s", PropValue::Str(key.into()), m)
+            .unwrap();
+        if key == "a" {
+            store
+                .slice_add(txn, "t", PropValue::Str(key.into()), m)
+                .unwrap();
+        }
+        store.commit(txn).unwrap();
+        msgs.push((m, key));
+        if i == 2 {
+            // Members 0 and 2 leave ("s", "a"); both still joined it.
+            let txn = store.begin();
+            store
+                .slice_reset(txn, "s", PropValue::Str("a".into()))
+                .unwrap();
+            store.commit(txn).unwrap();
+        }
+    }
+    let before = slice_answers(&store, &msgs);
+    assert!(before.contains(&format!("{} {}: conflict true", msgs[0].0, msgs[3].0)));
+    assert!(before.contains(&format!("{} {}: conflict false", msgs[0].0, msgs[1].0)));
+    // A clean drop replays the log; a checkpoint restores the snapshot,
+    // where a message the reset removed records no handle for it.
+    drop(store);
+    let store = open();
+    assert_eq!(slice_answers(&store, &msgs), before, "replayed");
+    store.checkpoint().unwrap();
+    drop(store);
+    let store = open();
+    let restored = slice_answers(&store, &msgs);
+    let reset_away = |line: &String| {
+        let gone = [msgs[0].0.to_string(), msgs[2].0.to_string()];
+        line.split([' ', ':'])
+            .any(|word| gone.iter().any(|m| *m == word))
+    };
+    let kept = |answers: &[String]| -> Vec<String> {
+        answers.iter().filter(|l| !reset_away(l)).cloned().collect()
+    };
+    assert_eq!(kept(&restored), kept(&before), "restored");
+    let m0 = store.message_meta(msgs[0].0).unwrap();
+    let joined: Vec<&str> = m0
+        .slices
+        .as_deref()
+        .unwrap_or_default()
+        .iter()
+        .map(|(s, _)| &**s)
+        .collect();
+    assert_eq!(joined, ["t"], "the reset left only its other slice");
+}
+
 #[test]
 fn unprocessed_worklist_for_scheduler() {
     let dir = TempDir::new().unwrap();

@@ -261,11 +261,19 @@ echo "== demaq-benchmark: the frozen public surface still builds and runs =="
 cargo test -q --offline --manifest-path demaq-benchmark/Cargo.toml
 cargo run --release --offline --manifest-path demaq-benchmark/Cargo.toml -- --quick
 
+echo "== rustfmt =="
+# The workspace stays formatted, so a change's diff is its own lines.
+if cargo fmt --version >/dev/null 2>&1; then
+    cargo fmt --all -- --check
+else
+    echo "rustfmt not installed; skipping format check" >&2
+fi
+
 echo "== clippy =="
 # --no-deps keeps the vendored shims out of the lint gate; warnings in
-# first-party crates are errors.
+# first-party crates are errors, test and bench code included.
 if cargo clippy --version >/dev/null 2>&1; then
-    cargo clippy --offline --workspace --no-deps -- -D warnings
+    cargo clippy --offline --workspace --no-deps --all-targets -- -D warnings
 else
     echo "clippy not installed; skipping lint" >&2
 fi

@@ -25,13 +25,25 @@
 //! enqueued without a copy, a forwarded message not parsed again), the
 //! pins read 44.80 + 10.00 = 54.80 for `slice_state` (property bindings
 //! run on the same evaluator at ingest) and 19.46 + 69.00 = 88.46 for
-//! `durable_sharded`.
+//! `durable_sharded`. Since slices are addressed by handle (a membership
+//! row copies no key; a message records its handles, one allocation per
+//! slice it joins; a lock key clones nothing), they read 45.08 + 7.96 =
+//! 53.04 and 20.46 + 71.00 = 91.47.
+//!
+//! Each run also counts the slices found by `(slicing, key)`
+//! (`demaq_store_slice_lookups_total`): one per slice a message joins,
+//! none for processing a message. Before slices were addressed by
+//! handle, counting by instrumenting each lookup, a `slice_state`
+//! reading found its slices by name 10.07 times: the store's index 2.00
+//! times at ingest and 4.11 in processing, the engine's cells and lock
+//! table 3.97 times in processing.
 
 mod counting;
 
 use counting::{Allocs, Counting};
 use demaq::Server;
 use demaq_net::Clock;
+use demaq_obs::Obs;
 use demaq_store::store::SyncPolicy;
 use demaq_xquery::Atomic;
 use tempfile::TempDir;
@@ -66,6 +78,9 @@ struct Counts {
     messages: u64,
     ingest: Allocs,
     processing: Allocs,
+    /// Slices found by `(slicing, key)` (`demaq_store_slice_lookups_total`),
+    /// at ingest and in processing.
+    lookups: [u64; 2],
 }
 
 impl Counts {
@@ -84,6 +99,12 @@ impl Counts {
              and {b:.0} bytes per message ({self:?})"
         );
     }
+}
+
+/// `demaq_store_slice_lookups_total` so far.
+fn lookups(obs: &Obs) -> u64 {
+    obs.registry
+        .counter_total("demaq_store_slice_lookups_total")
 }
 
 /// The counts of `run`, which two runs must agree on. A first run goes
@@ -173,6 +194,7 @@ fn slice_state(warmup: u64, measured: u64) -> Counts {
         messages: measured * BURST,
         ingest: Allocs::default(),
         processing: Allocs::default(),
+        lookups: [0; 2],
     };
     for burst in 0..warmup + measured {
         let readings: Vec<String> = (0..BURST)
@@ -191,16 +213,20 @@ fn slice_state(warmup: u64, measured: u64) -> Counts {
                 )
             })
             .collect();
+        let found = lookups(&server.metrics());
         let ((), ingest) = Allocs::during(|| {
             for xml in &readings {
                 server.enqueue_external("readings", xml).unwrap();
             }
         });
+        let ingest_found = lookups(&server.metrics());
         let (processed, processing) = Allocs::during(|| server.run_until_idle().unwrap());
         assert!(processed >= BURST);
         if burst >= warmup {
             counts.ingest += ingest;
             counts.processing += processing;
+            counts.lookups[0] += ingest_found - found;
+            counts.lookups[1] += lookups(&server.metrics()) - ingest_found;
         }
     }
     assert!(!server.queue_bodies("reports").unwrap().is_empty());
@@ -208,7 +234,9 @@ fn slice_state(warmup: u64, measured: u64) -> Counts {
 }
 
 /// Allocations and bytes, ingest and processing, for 1 000 readings after
-/// 500 of warm-up: 44.80 + 10.00 allocations per reading. Before rule
+/// 500 of warm-up: 45.08 + 7.96 allocations per reading. Before slices
+/// were addressed by handle, 44.80 + 10.00 (44 796 allocations and
+/// 3 417 744 bytes, 10 002 and 1 435 112). Before rule
 /// evaluation allocated for its output only, 51.80 + 26.41 (51 796
 /// allocations and 4 785 744 bytes, 26 410 and 2 857 231). Before lineage
 /// was read from the enqueue, 51.80 + 26.43 (51 796 allocations and
@@ -216,20 +244,24 @@ fn slice_state(warmup: u64, measured: u64) -> Counts {
 /// its map entry 16 bytes, and the lineage map and its ops are gone.
 const SLICE_STATE_COUNTS: (Allocs, Allocs) = (
     Allocs {
-        count: 44_796,
-        bytes: 3_417_744,
+        count: 45_079,
+        bytes: 3_600_668,
     },
     Allocs {
-        count: 10_002,
-        bytes: 1_435_112,
+        count: 7_962,
+        bytes: 1_547_013,
     },
 );
+/// Slices found by name for those readings: 2.00 per reading, one per
+/// slicing at ingest, and none in processing.
+const SLICE_STATE_LOOKUPS: [u64; 2] = [2_000, 0];
 
 #[test]
 fn slice_state_allocations_per_reading_are_pinned() {
     let counts = repeated(|| slice_state(2, 4));
     counts.print("slice_state");
     assert_eq!((counts.ingest, counts.processing), SLICE_STATE_COUNTS);
+    assert_eq!(counts.lookups, SLICE_STATE_LOOKUPS);
 }
 
 // ---- durable_sharded -----------------------------------------------------
@@ -273,6 +305,7 @@ fn durable_sharded(warmup: u64, measured: u64) -> Counts {
         messages: measured,
         ingest: Allocs::default(),
         processing: Allocs::default(),
+        lookups: [0; 2],
     };
     for (first, n, counted) in [(0, warmup, false), (warmup, measured, true)] {
         let jobs: Vec<(String, Vec<(String, Atomic)>)> = (first..first + n)
@@ -284,6 +317,7 @@ fn durable_sharded(warmup: u64, measured: u64) -> Counts {
                 )
             })
             .collect();
+        let found = lookups(&server.metrics());
         let ((), ingest) = Allocs::during(|| {
             for (xml, props) in &jobs {
                 server
@@ -291,11 +325,16 @@ fn durable_sharded(warmup: u64, measured: u64) -> Counts {
                     .unwrap();
             }
         });
+        let ingest_found = lookups(&server.metrics());
         let (processed, processing) = Allocs::during(|| server.run_until_idle().unwrap());
         assert_eq!(processed, 3 * n);
         if counted {
             counts.ingest = ingest;
             counts.processing = processing;
+            counts.lookups = [
+                ingest_found - found,
+                lookups(&server.metrics()) - ingest_found,
+            ];
         }
     }
     assert_eq!(
@@ -306,25 +345,32 @@ fn durable_sharded(warmup: u64, measured: u64) -> Counts {
 }
 
 /// Allocations and bytes, ingest and processing, for 200 jobs after 100
-/// of warm-up: 19.46 + 69.00 allocations per job. Before rule evaluation
+/// of warm-up: 20.46 + 71.00 allocations per job. Before slices were
+/// addressed by handle, 19.46 + 69.00 (3 893 allocations and 499 000
+/// bytes, 13 800 and 1 832 608). Before rule evaluation
 /// allocated for its output only and a forward carried its parsed
 /// document, 19.46 + 110.28 (22 055 processing allocations and 2 622 866
 /// bytes). Before lineage was read from the enqueue, 19.46 + 112.30
 /// (3 893 allocations and 489 016 bytes, 22 459 and 2 774 642).
 const DURABLE_SHARDED_COUNTS: (Allocs, Allocs) = (
     Allocs {
-        count: 3_893,
-        bytes: 499_000,
+        count: 4_093,
+        bytes: 513_784,
     },
     Allocs {
-        count: 13_800,
-        bytes: 1_832_608,
+        count: 14_200,
+        bytes: 1_888_512,
     },
 );
+/// Slices found by name for those jobs: each of a job's three messages
+/// joins its `lanes` slice once, the intake at ingest and the two the
+/// rules enqueue in processing.
+const DURABLE_SHARDED_LOOKUPS: [u64; 2] = [200, 400];
 
 #[test]
 fn durable_sharded_allocations_per_job_are_pinned() {
     let counts = repeated(|| durable_sharded(100, 200));
     counts.print("durable_sharded");
     assert_eq!((counts.ingest, counts.processing), DURABLE_SHARDED_COUNTS);
+    assert_eq!(counts.lookups, DURABLE_SHARDED_LOOKUPS);
 }

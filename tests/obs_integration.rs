@@ -546,15 +546,22 @@ fn aggregate_reads_never_touch_member_documents() {
             .map(|k| r.counter_total(&format!("demaq_core_slice_seq_{k}_total")))
             .sum::<u64>()
     };
+    let slice_lookups = || r.counter_total("demaq_store_slice_lookups_total");
     // Two bursts, so the second one's reads extend warm cells.
     let mut steps = 0;
     for burst in [0..MEMBERS / 2, MEMBERS / 2..MEMBERS] {
+        let found = slice_lookups();
         for i in burst {
             let xml = format!("<r dev='d{}'><v>{}</v></r>", i % 4, i % 9);
             server.enqueue_external("intake", &xml).unwrap();
         }
+        assert_eq!(
+            slice_lookups() - found,
+            MEMBERS / 2,
+            "one slice found by name per reading, when it joins"
+        );
         loop {
-            let (docs, seqs) = (doc_lookups(), seq_lookups());
+            let (docs, seqs, found) = (doc_lookups(), seq_lookups(), slice_lookups());
             if !server.step().unwrap() {
                 break;
             }
@@ -565,6 +572,7 @@ fn aggregate_reads_never_touch_member_documents() {
                 "step {steps}: only its own document"
             );
             assert_eq!(seq_lookups() - seqs, 0, "step {steps}: no member sequence");
+            assert_eq!(slice_lookups() - found, 0, "step {steps}: slices by handle");
         }
     }
     assert!(
@@ -577,9 +585,9 @@ fn aggregate_reads_never_touch_member_documents() {
         MEMBERS * FOLDED_AGGREGATES,
         "one contribution per member and folded aggregate"
     );
-    assert!(server
-        .metrics_text()
-        .contains("demaq_core_agg_contributions_total"));
+    let text = server.metrics_text();
+    assert!(text.contains("demaq_core_agg_contributions_total"));
+    assert!(text.contains(&format!("demaq_store_slice_lookups_total {MEMBERS}")));
 }
 
 #[test]

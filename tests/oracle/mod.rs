@@ -32,7 +32,7 @@
 use demaq::host::{atomic_to_prop, ClockHost, QsHost, QueueReader, SliceReader, SliceSlot};
 use demaq::Server;
 use demaq_qdl::PropBinding;
-use demaq_store::{MsgId, PropValue};
+use demaq_store::{MsgId, PropValue, SliceId};
 use demaq_xml::{Document, NodeRef};
 use demaq_xquery::{
     eval_query, Atomic, DynamicContext, Error as XqError, Expr, Item, Plan, PlanEvaluator,
@@ -149,9 +149,15 @@ impl<'a> Harness<'a> {
                 .collect();
             members
         });
-        let slice_reader: SliceReader = Arc::new(move |_: &str, _: &PropValue| {
-            Ok(members.clone().expect("read only in a slice"))
+        // The slot needs the slice's handle; the reference reads the
+        // members by name above.
+        let slot = slice.map_or_else(SliceSlot::default, |(s, at)| {
+            let id = meta.slice_of(s);
+            let id = id.unwrap_or_else(|| store.slice_handle(s, &meta.props[at].1));
+            SliceSlot::at(id, at)
         });
+        let slice_reader: SliceReader =
+            Arc::new(move |_: SliceId| Ok(members.clone().expect("read only in a slice")));
         let queue_reader: QueueReader = Arc::new(move |q: &str| {
             let msgs = store
                 .queue_messages(q)
@@ -170,7 +176,7 @@ impl<'a> Harness<'a> {
             agg_reader: None,
             collections: Arc::clone(&self.collections),
             now_ms: self.server.clock().now(),
-            slice: slice.map_or_else(SliceSlot::default, |(s, at)| SliceSlot::at(s.into(), at)),
+            slice: slot,
         }))
     }
 
@@ -436,7 +442,9 @@ impl<'a> Harness<'a> {
             .borrow_mut()
             .0
             .retain(|(slicing, _), (key, members)| {
-                let (_, released) = store.slice_len(slicing, key);
+                let released = store
+                    .slice_id(slicing, key)
+                    .map_or(0, |id| store.slice_len(id).1);
                 if released > 0 {
                     assert_eq!(
                         released,

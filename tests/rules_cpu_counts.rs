@@ -89,16 +89,21 @@ const SHARED_STEPS: u64 = 14_062;
 /// The same with every rule on its own plan: 90.55 per order.
 const UNSHARED_STEPS: u64 = 18_110;
 
-/// Allocations and bytes feeding the 200 orders: 23.62 allocations per
-/// order. Before properties, names, the rule host and the lock plan were
+/// Allocations and bytes feeding the 200 orders: 23.61 allocations per
+/// order. Before a message recorded its slice handles (16 bytes more per
+/// map entry) and queue tokens lived on the queue (a token no longer
+/// copies the queue's name), 4 723 allocations and 1 648 694 bytes.
+/// Before properties, names, the rule host and the lock plan were
 /// shared, 31.62 (6 323 allocations, 1 699 781 bytes); before lineage was
 /// read from the enqueue, 1 646 998 bytes (a message's enqueue LSN costs
 /// its map entry 16 bytes).
 const ALLOCS_INGEST: Allocs = Allocs {
-    count: 4_723,
-    bytes: 1_648_694,
+    count: 4_721,
+    bytes: 1_676_060,
 };
-/// Allocations and bytes draining them: 128.18 per order, against 351.38
+/// Allocations and bytes draining them: 128.16 per order (25 636
+/// allocations and 4 094 176 bytes before slice handles, as above),
+/// against 351.38
 /// before rule evaluation allocated for its output only (70 276
 /// allocations, 9 771 071 bytes): a sequence holds zero or one item
 /// inline, nested constructors build one document, and `do enqueue` takes
@@ -108,8 +113,8 @@ const ALLOCS_INGEST: Allocs = Allocs {
 /// read from the enqueue and a failed order's mark and error became one
 /// transaction (70 971 allocations, 10 032 971 bytes).
 const ALLOCS_PROCESSING: Allocs = Allocs {
-    count: 25_636,
-    bytes: 4_094_176,
+    count: 25_631,
+    bytes: 4_188_860,
 };
 
 /// splitmix64: a fixed, dependency-free stream.
