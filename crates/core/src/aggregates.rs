@@ -22,10 +22,11 @@
 //! Tokens come from the store's clock, moved by every change that is not
 //! an append — see `demaq_store::slice::SliceIndex` — so a stale cell can
 //! never validate, not even after a reset refilled the slice to the same
-//! length, nor after the slice's handle went to another slice. Cells are process-local and never persisted: after a crash the
-//! clock restarts and every cell rebuilds from the recovered store, so
-//! recovery correctness never depends on cached state. Abort safety is by
-//! construction — folds only ever observe post-commit applied state.
+//! length, nor after the slice's handle went to another slice. Cells are
+//! process-local and never persisted: after a crash the clock restarts and
+//! every cell rebuilds from the recovered store, so recovery correctness
+//! never depends on cached state. Abort safety is by construction — folds
+//! only ever observe post-commit applied state.
 //!
 //! A **contribution** is what one member adds to one aggregate (a count,
 //! or the selected values in node order; see

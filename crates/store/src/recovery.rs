@@ -15,7 +15,7 @@
 
 use crate::checkpoint::Snapshot;
 use crate::error::Result;
-use crate::store::Logical;
+use crate::store::{ensure_queue, Logical};
 use crate::txn::TxnOp;
 use crate::wal::read_log;
 use demaq_obs::Obs;
@@ -61,15 +61,13 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
 
     // Rebuild from the snapshot.
     for q in &snap.queues {
-        logical.ensure_queue(&q.name);
-        if let Some(qs) = logical.queues.get_mut(&q.name) {
-            qs.info.mode = if q.persistent {
-                crate::types::QueueMode::Persistent
-            } else {
-                crate::types::QueueMode::Transient
-            };
-            qs.info.priority = q.priority;
-        }
+        let qs = ensure_queue(&mut logical.queues, &q.name);
+        qs.info.mode = if q.persistent {
+            crate::types::QueueMode::Persistent
+        } else {
+            crate::types::QueueMode::Transient
+        };
+        qs.info.priority = q.priority;
     }
     snap.messages.sort_by_key(|m| m.id);
     // Each payload was copied out of the snapshot file (and validated as
@@ -84,8 +82,7 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
         }
     }
     for s in snap.slices {
-        let (name, members) = (crate::types::Name::from(&*s.slicing), s.members.clone());
-        let id = logical.slices.restore_slice(
+        logical.slices.restore_slice(
             &s.slicing,
             s.key,
             s.epoch,
@@ -93,10 +90,8 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
             s.base,
             s.base_members,
         );
-        for m in members {
-            logical.record_slice(m, &name, id);
-        }
     }
+    logical.record_all_slices();
 
     // Replay WAL segments at or after the snapshot's index.
     let mut wal_index = snap.wal_index;
@@ -145,7 +140,8 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
                     TxnOp::MarkProcessed { msg } => logical.mark_processed(msg),
                     TxnOp::SliceAdd { slicing, key, msg } => {
                         if logical.has_message(msg) {
-                            logical.join_slice(&slicing, &key, msg);
+                            logical.slices.add(&slicing, &key, msg);
+                            logical.record_slices(msg);
                         }
                     }
                     TxnOp::SliceReset { slicing, key } => {

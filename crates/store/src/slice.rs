@@ -25,7 +25,10 @@
 //! non-empty, a reset or a release leaves a mark, and GC purges processed
 //! messages only — so a message's handle stays its slice's until it is
 //! processed. A reused slot gets a fresh token: what is keyed by the old
-//! handle fails its `(token, len)` check and rebuilds.
+//! handle fails its `(token, len)` check and rebuilds. A pin, for a message
+//! enqueued before its slicing was declared, lasts the process: pinned
+//! slots are bounded by the backlog's keys at open, and a checkpoint leaves
+//! the blank ones out.
 
 use crate::types::{IdMap, MsgId, Name, PropValue};
 use demaq_obs::Counter;
@@ -102,18 +105,16 @@ impl SliceState {
         v
     }
 
-    fn is_disposable(&self) -> bool {
-        self.members.is_empty()
-            && self.epoch == 0
-            && self.base_members == 0
-            && self.base.is_empty()
-            && !self.pinned
+    /// Empty, in its first lifetime, with nothing released: a slice that
+    /// says no more than its absence.
+    fn is_blank(&self) -> bool {
+        self.members.is_empty() && self.epoch == 0 && self.base_members == 0 && self.base.is_empty()
     }
 }
 
 /// One consistent read of a membership for an aggregate fold (see
-/// [`SliceIndex::read_since`]).
-#[derive(Debug, Clone, PartialEq)]
+/// [`SliceIndex::read_since`]); the default is an unknown slice's.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemberRead {
     /// Lifetime token (0: nothing to cache against — an unknown slice).
     pub token: u64,
@@ -333,16 +334,8 @@ impl SliceIndex {
         since: Option<(u64, usize)>,
         ids: &mut Vec<MsgId>,
     ) -> MemberRead {
-        match self.get(id) {
-            Some(s) => read_members(s, since, ids),
-            None => MemberRead {
-                token: 0,
-                len: 0,
-                resumed: false,
-                base_members: 0,
-                base: None,
-            },
-        }
+        self.get(id)
+            .map_or_else(MemberRead::default, |s| read_members(s, since, ids))
     }
 
     /// The slice's handle, current members in arrival order, lifetime
@@ -414,6 +407,22 @@ impl SliceIndex {
         self.by_msg.contains_key(&msg)
     }
 
+    /// Record in `joined` (message `msg`'s) the slices it is a current
+    /// member of and has not recorded yet, in one allocation.
+    pub(crate) fn record(&self, msg: MsgId, joined: &mut Option<SliceIds>) {
+        let rows = self.by_msg.get(&msg).map_or(&[][..], Vec::as_slice);
+        let slot = |id: &SliceId| self.slots[id.0 as usize].as_ref().expect("live handle");
+        let row = |id: &SliceId| (Arc::clone(&slot(id).0), *id);
+        *joined = match joined.take() {
+            None if rows.is_empty() => None,
+            None => Some(rows.iter().map(row).collect()),
+            Some(had) => {
+                let new = rows.iter().filter(|id| !had.iter().any(|h| h.1 == **id));
+                Some(had.iter().cloned().chain(new.map(row)).collect())
+            }
+        };
+    }
+
     /// Drop every trace of a purged message. Only the slices it was a
     /// current member of are touched, and a slice it leaves disposable
     /// is dropped and its slot freed.
@@ -432,7 +441,7 @@ impl SliceIndex {
             // Never drop a slice carrying a narrowed-retention base: its
             // accumulators still answer aggregate reads for the
             // released members.
-            if state.is_disposable() {
+            if state.is_blank() && !state.pinned {
                 self.free_slot(id);
             }
         }
@@ -451,11 +460,12 @@ impl SliceIndex {
     }
 
     /// Iterate all `(slicing, key, state)` for checkpointing, in slicing
-    /// and key order.
+    /// and key order; blank slices carry nothing and are left out.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &PropValue, &SliceState)> {
         self.ids.iter().flat_map(move |(s, keys)| {
             keys.iter()
                 .filter_map(move |(k, &id)| Some((&**s, k, self.get(id)?)))
+                .filter(|(_, _, state)| !state.is_blank())
         })
     }
 
@@ -969,5 +979,22 @@ mod tests {
         assert_eq!(lookups(), 1, "handles find the slice");
         idx.members("s", &k("a"));
         assert_eq!(lookups(), 2, "a read by name resolves");
+    }
+
+    #[test]
+    fn checkpoints_leave_blank_slices_out() {
+        let mut idx = SliceIndex::new();
+        // A pinned slice nobody joined, and one whose members were purged
+        // while it was pinned: both blank, and never freed in-process.
+        idx.resolve_pinned("s", &k("a"));
+        idx.resolve_pinned("s", &k("b"));
+        idx.add("s", &k("b"), MsgId(1));
+        idx.forget(MsgId(1));
+        idx.add("s", &k("c"), MsgId(2));
+        let c = idx.add("t", &k("d"), MsgId(3));
+        idx.reset(c);
+        assert_eq!(idx.slice_count(), 4);
+        let listed: Vec<_> = idx.iter().map(|(s, key, _)| (s, key.clone())).collect();
+        assert_eq!(listed, vec![("s", k("c")), ("t", k("d"))]);
     }
 }

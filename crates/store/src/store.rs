@@ -173,6 +173,15 @@ impl QueueState {
     }
 }
 
+/// The queue `name`, created persistent if no declaration made it.
+pub(crate) fn ensure_queue<'a>(
+    queues: &'a mut HashMap<String, QueueState>,
+    name: &str,
+) -> &'a mut QueueState {
+    let new = || QueueState::new(name, QueueMode::Persistent, 0);
+    queues.entry(name.to_string()).or_insert_with(new)
+}
+
 /// A slice's handle, members with processed flags, token and base.
 pub type NarrowView = (SliceId, Vec<(MsgId, bool)>, u64, BaseCells);
 
@@ -200,13 +209,10 @@ impl Logical {
         enqueued_at: i64,
         lsn: Option<Lsn>,
     ) {
-        // One hash of the name; a queue no declaration made is created.
+        // One hash of the name while the queue exists.
         let qstate = match self.queues.get_mut(queue) {
             Some(q) => q,
-            None => self
-                .queues
-                .entry(queue.to_string())
-                .or_insert_with(|| QueueState::new(queue, QueueMode::Persistent, 0)),
+            None => ensure_queue(&mut self.queues, queue),
         };
         self.messages.insert(
             id,
@@ -242,31 +248,17 @@ impl Logical {
         }
     }
 
-    /// Apply `msg`'s membership in `(slicing, key)`; the message records it.
-    pub(crate) fn join_slice(&mut self, slicing: &Name, key: &PropValue, msg: MsgId) {
-        let id = self.slices.add(slicing, key, msg);
-        self.record_slice(msg, slicing, id);
-    }
-
-    /// Record that `msg` joined the slice `id` of `slicing`, unless it
-    /// already did.
-    pub(crate) fn record_slice(&mut self, msg: MsgId, slicing: &Name, id: SliceId) {
-        let Some(MsgMetaSlot(meta)) = self.messages.get_mut(&msg) else {
-            return;
-        };
-        let joined = meta.slices.as_deref().unwrap_or_default();
-        if !joined.iter().any(|&(_, s)| s == id) {
-            let new = (Arc::clone(slicing), id);
-            meta.slices = Some(joined.iter().cloned().chain([new]).collect());
+    /// Record on `msg` the slices it joined and has not recorded yet.
+    pub(crate) fn record_slices(&mut self, msg: MsgId) {
+        if let Some(MsgMetaSlot(meta)) = self.messages.get_mut(&msg) {
+            self.slices.record(msg, &mut meta.slices);
         }
     }
 
-    pub(crate) fn ensure_queue(&mut self, name: &str) {
-        if !self.queues.contains_key(name) {
-            self.queues.insert(
-                name.to_string(),
-                QueueState::new(name, QueueMode::Persistent, 0),
-            );
+    /// Record on every message the slices it is a member of.
+    pub(crate) fn record_all_slices(&mut self) {
+        for (&id, MsgMetaSlot(meta)) in self.messages.iter_mut() {
+            self.slices.record(id, &mut meta.slices);
         }
     }
 
@@ -559,8 +551,8 @@ impl MessageStore {
         key: PropValue,
     ) -> Result<()> {
         self.with_txn(txn, |buf| {
+            buf.resets.extend(at.map(|id| (buf.ops.len(), id)));
             buf.ops.push(TxnOp::SliceReset { slicing, key });
-            buf.resets.push(at);
         })
     }
 
@@ -686,8 +678,9 @@ impl MessageStore {
     /// write lock across a whole batch of jobs. Pushes the ids the job
     /// enqueued onto `enqueued`.
     fn apply_job(state: &mut Logical, job: ApplyJob, enqueued: &mut Vec<MsgId>) {
-        let mut resets = job.buf.resets.into_iter();
-        for op in job.buf.ops {
+        let mut resets = job.buf.resets.into_iter().peekable();
+        let mut ops = job.buf.ops.into_iter().enumerate().peekable();
+        while let Some((i, op)) = ops.next() {
             match op {
                 TxnOp::Enqueue {
                     queue,
@@ -705,10 +698,18 @@ impl MessageStore {
                     enqueued.push(msg);
                 }
                 TxnOp::MarkProcessed { msg } => state.mark_processed(msg),
-                TxnOp::SliceAdd { slicing, key, msg } => state.join_slice(&slicing, &key, msg),
+                TxnOp::SliceAdd { slicing, key, msg } => {
+                    state.slices.add(&slicing, &key, msg);
+                    // The engine pushes a message's joins together: they
+                    // are recorded once, at the last of the run.
+                    let next = ops.peek().map(|(_, op)| op);
+                    if !matches!(next, Some(TxnOp::SliceAdd { msg: m, .. }) if *m == msg) {
+                        state.record_slices(msg);
+                    }
+                }
                 TxnOp::SliceReset { slicing, key } => {
-                    let id = match resets.next().flatten() {
-                        Some(id) => id,
+                    let id = match resets.next_if(|&(at, _)| at == i) {
+                        Some((_, id)) => id,
                         None => state.slices.resolve(&slicing, &key),
                     };
                     state.slices.reset(id);
@@ -990,8 +991,7 @@ impl MessageStore {
     /// the slice's lifetime token holds, only the members past `len` are
     /// appended to `ids`; otherwise every current member (id order) plus
     /// the released base (member count + encoded aggregate cells) for a
-    /// rebuild. See
-    /// [`SliceIndex::read_since`].
+    /// rebuild; see [`SliceIndex::read_since`].
     pub fn slice_read(
         &self,
         id: SliceId,
@@ -1007,17 +1007,8 @@ impl MessageStore {
     pub fn slice_narrow_view(&self, slicing: &str, key: &PropValue) -> Option<NarrowView> {
         let state = self.state.read();
         let (id, ids, token, base) = state.slices.narrow_view(slicing, key)?;
-        let flagged = ids
-            .into_iter()
-            .map(|id| {
-                let processed = state
-                    .messages
-                    .get(&id)
-                    .map(|m| m.0.processed)
-                    .unwrap_or(false);
-                (id, processed)
-            })
-            .collect();
+        let processed = |id| state.messages.get(&id).is_some_and(|m| m.0.processed);
+        let flagged = ids.into_iter().map(|id| (id, processed(id))).collect();
         Some((id, flagged, token, base))
     }
 
@@ -1706,7 +1697,8 @@ mod tests {
         insert(&mut state, 3);
         assert_eq!(token(&state), t1, "appends keep it");
         // A new slice advances the shared clock.
-        state.join_slice(&"s".into(), &PropValue::Int(1), MsgId(3));
+        state.slices.add("s", &PropValue::Int(1), MsgId(3));
+        state.record_slices(MsgId(3));
         insert(&mut state, 1);
         assert!(token(&state) > t1 + 1, "an out-of-order insert moves it");
         let joined = state.messages[&MsgId(3)].0.slices.as_deref();
@@ -1715,5 +1707,54 @@ mod tests {
             Some(1),
             "the message records its slice"
         );
+    }
+
+    /// A GC purge moves the queue's token, so a fold stamped before the
+    /// purge does not resume once appends have brought the queue back to
+    /// the length it was stamped at.
+    #[test]
+    fn a_purge_moves_the_queue_token() {
+        let dir = TempDir::new().unwrap();
+        let store = MessageStore::open(StoreOptions::new(dir.path())).unwrap();
+        store.create_queue("q", QueueMode::Persistent, 0).unwrap();
+        let enqueue = |n: usize| -> Vec<MsgId> {
+            let txn = store.begin();
+            let ids = (0..n)
+                .map(|_| {
+                    store
+                        .enqueue(txn, "q", "<m/>".into(), Vec::new(), 0)
+                        .unwrap()
+                })
+                .collect();
+            store.commit(txn).unwrap();
+            ids
+        };
+        let read = |since, ids: &mut Vec<MsgId>| store.queue_read("q", since, ids).unwrap();
+        let first = enqueue(3);
+        let mut seen = Vec::new();
+        let stamp = read(None, &mut seen);
+        assert_eq!((stamp.len, &seen), (3, &first));
+        // An append keeps the token: the fold resumes past it.
+        let second = enqueue(1);
+        let mut seen = Vec::new();
+        let grown = read(Some((stamp.token, stamp.len)), &mut seen);
+        assert!(grown.resumed && grown.token == stamp.token);
+        assert_eq!((grown.len, seen), (4, second.clone()));
+        // Purge two processed messages, then append two: same length.
+        let txn = store.begin();
+        for &id in &first[..2] {
+            store.mark_processed(txn, id).unwrap();
+        }
+        store.commit(txn).unwrap();
+        assert_eq!(store.gc().unwrap(), 2);
+        let purged = read(None, &mut Vec::new());
+        assert!(purged.token > grown.token, "a purge moves the token");
+        let third = enqueue(2);
+        let mut seen = Vec::new();
+        let after = read(Some((grown.token, grown.len)), &mut seen);
+        assert_eq!(after.len, grown.len);
+        assert!(!after.resumed, "the stale fold rebuilds");
+        let expected: Vec<MsgId> = [&first[2..], &second, &third].concat();
+        assert_eq!(seen, expected, "a rebuild gets every retained message");
     }
 }

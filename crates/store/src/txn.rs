@@ -41,8 +41,9 @@ pub enum TxnOp {
 pub struct TxnBuf {
     pub id: TxnId,
     pub ops: Vec<TxnOp>,
-    /// Per `SliceReset` op, in order: the slice's handle, if the caller had it.
-    pub(crate) resets: Vec<Option<SliceId>>,
+    /// `(op index, handle)` of each `SliceReset` op whose caller had the
+    /// slice's handle, in op order.
+    pub(crate) resets: Vec<(usize, SliceId)>,
 }
 
 impl TxnBuf {

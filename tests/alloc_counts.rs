@@ -26,9 +26,10 @@
 //! pins read 44.80 + 10.00 = 54.80 for `slice_state` (property bindings
 //! run on the same evaluator at ingest) and 19.46 + 69.00 = 88.46 for
 //! `durable_sharded`. Since slices are addressed by handle (a membership
-//! row copies no key; a message records its handles, one allocation per
-//! slice it joins; a lock key clones nothing), they read 45.08 + 7.96 =
-//! 53.04 and 20.46 + 71.00 = 91.47.
+//! row copies no key; a message records its handles in one allocation,
+//! however many slices it joins; a lock key clones nothing), they read
+//! 44.08 + 7.96 = 52.04 and 20.46 + 71.00 = 91.47. Recording one
+//! allocation per slice joined read 45.08 + 7.96 for `slice_state`.
 //!
 //! Each run also counts the slices found by `(slicing, key)`
 //! (`demaq_store_slice_lookups_total`): one per slice a message joins,
@@ -234,8 +235,11 @@ fn slice_state(warmup: u64, measured: u64) -> Counts {
 }
 
 /// Allocations and bytes, ingest and processing, for 1 000 readings after
-/// 500 of warm-up: 45.08 + 7.96 allocations per reading. Before slices
-/// were addressed by handle, 44.80 + 10.00 (44 796 allocations and
+/// 500 of warm-up: 44.08 + 7.96 allocations per reading. Recording a
+/// message's handles one allocation per slice it joined read 45.08 + 7.96
+/// (45 079 allocations and 3 600 668 bytes, 7 962 and 1 547 013: a reset's
+/// handle then took 8 bytes in the buffer, now 16 beside its op index).
+/// Before slices were addressed by handle, 44.80 + 10.00 (44 796 allocations and
 /// 3 417 744 bytes, 10 002 and 1 435 112). Before rule
 /// evaluation allocated for its output only, 51.80 + 26.41 (51 796
 /// allocations and 4 785 744 bytes, 26 410 and 2 857 231). Before lineage
@@ -244,12 +248,12 @@ fn slice_state(warmup: u64, measured: u64) -> Counts {
 /// its map entry 16 bytes, and the lineage map and its ops are gone.
 const SLICE_STATE_COUNTS: (Allocs, Allocs) = (
     Allocs {
-        count: 45_079,
-        bytes: 3_600_668,
+        count: 44_079,
+        bytes: 3_560_668,
     },
     Allocs {
         count: 7_962,
-        bytes: 1_547_013,
+        bytes: 1_547_077,
     },
 );
 /// Slices found by name for those readings: 2.00 per reading, one per
