@@ -144,7 +144,7 @@ pub fn recover(dir: &Path, obs: &Obs) -> Result<Recovered> {
                             logical.record_slices(msg);
                         }
                     }
-                    TxnOp::SliceReset { slicing, key } => {
+                    TxnOp::SliceReset { slicing, key, .. } => {
                         let id = logical.slices.resolve(&slicing, &key);
                         logical.slices.reset(id);
                     }

@@ -551,8 +551,7 @@ impl MessageStore {
         key: PropValue,
     ) -> Result<()> {
         self.with_txn(txn, |buf| {
-            buf.resets.extend(at.map(|id| (buf.ops.len(), id)));
-            buf.ops.push(TxnOp::SliceReset { slicing, key });
+            buf.ops.push(TxnOp::SliceReset { slicing, key, at })
         })
     }
 
@@ -678,9 +677,8 @@ impl MessageStore {
     /// write lock across a whole batch of jobs. Pushes the ids the job
     /// enqueued onto `enqueued`.
     fn apply_job(state: &mut Logical, job: ApplyJob, enqueued: &mut Vec<MsgId>) {
-        let mut resets = job.buf.resets.into_iter().peekable();
-        let mut ops = job.buf.ops.into_iter().enumerate().peekable();
-        while let Some((i, op)) = ops.next() {
+        let mut ops = job.buf.ops.into_iter().peekable();
+        while let Some(op) = ops.next() {
             match op {
                 TxnOp::Enqueue {
                     queue,
@@ -702,16 +700,12 @@ impl MessageStore {
                     state.slices.add(&slicing, &key, msg);
                     // The engine pushes a message's joins together: they
                     // are recorded once, at the last of the run.
-                    let next = ops.peek().map(|(_, op)| op);
-                    if !matches!(next, Some(TxnOp::SliceAdd { msg: m, .. }) if *m == msg) {
+                    if !matches!(ops.peek(), Some(TxnOp::SliceAdd { msg: m, .. }) if *m == msg) {
                         state.record_slices(msg);
                     }
                 }
-                TxnOp::SliceReset { slicing, key } => {
-                    let id = match resets.next_if(|&(at, _)| at == i) {
-                        Some((_, id)) => id,
-                        None => state.slices.resolve(&slicing, &key),
-                    };
+                TxnOp::SliceReset { slicing, key, at } => {
+                    let id = at.unwrap_or_else(|| state.slices.resolve(&slicing, &key));
                     state.slices.reset(id);
                 }
             }

@@ -32,8 +32,13 @@ pub enum TxnOp {
         key: PropValue,
         msg: MsgId,
     },
-    /// A slice began a new lifetime.
-    SliceReset { slicing: Name, key: PropValue },
+    /// A slice began a new lifetime; `at` is its handle when the caller
+    /// had one. Handles are process-local: the frame logs only the name.
+    SliceReset {
+        slicing: Name,
+        key: PropValue,
+        at: Option<SliceId>,
+    },
 }
 
 /// State of an open transaction.
@@ -41,9 +46,6 @@ pub enum TxnOp {
 pub struct TxnBuf {
     pub id: TxnId,
     pub ops: Vec<TxnOp>,
-    /// `(op index, handle)` of each `SliceReset` op whose caller had the
-    /// slice's handle, in op order.
-    pub(crate) resets: Vec<(usize, SliceId)>,
 }
 
 impl TxnBuf {
@@ -51,7 +53,6 @@ impl TxnBuf {
         TxnBuf {
             id,
             ops: Vec::new(),
-            resets: Vec::new(),
         }
     }
 }

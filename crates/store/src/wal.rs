@@ -266,7 +266,7 @@ fn encode_txn<'o>(
                 key.encode(out);
                 ids.put(out, id_of(*msg)?);
             }
-            TxnOp::SliceReset { slicing, key } => {
+            TxnOp::SliceReset { slicing, key, .. } => {
                 out.push(T_SLICE_RESET);
                 name(out, slicing);
                 key.encode(out);
@@ -350,6 +350,7 @@ fn decode_txn(buf: &[u8], names: &mut Vec<Name>, time: &mut i64) -> Option<Vec<T
             T_SLICE_RESET => TxnOp::SliceReset {
                 slicing: name(at)?,
                 key: PropValue::decode(buf, at)?,
+                at: None,
             },
             _ => return None,
         });
@@ -1041,7 +1042,7 @@ mod tests {
                     },
                     processed(9),
                     TxnOp::SliceAdd { slicing: "s".into(), key: PropValue::Int(5), msg: MsgId(10) },
-                    TxnOp::SliceReset { slicing: "s".into(), key: PropValue::Str("k".into()) },
+                    TxnOp::SliceReset { slicing: "s".into(), key: PropValue::Str("k".into()), at: None },
                 ],
                 [
                     &[4][..], // op count
@@ -1306,6 +1307,7 @@ mod tests {
         let reset = |n: i64| TxnOp::SliceReset {
             slicing: "s".into(),
             key: PropValue::Int(n),
+            at: None,
         };
         let clean_len;
         {

@@ -137,6 +137,7 @@ fn op_strategy() -> impl Strategy<Value = TxnOp> {
         (name_strategy(), prop_value_strategy()).prop_map(|(slicing, key)| TxnOp::SliceReset {
             slicing: slicing.into(),
             key,
+            at: None,
         }),
     ]
 }

@@ -27,9 +27,10 @@
 //! run on the same evaluator at ingest) and 19.46 + 69.00 = 88.46 for
 //! `durable_sharded`. Since slices are addressed by handle (a membership
 //! row copies no key; a message records its handles in one allocation,
-//! however many slices it joins; a lock key clones nothing), they read
-//! 44.08 + 7.96 = 52.04 and 20.46 + 71.00 = 91.47. Recording one
-//! allocation per slice joined read 45.08 + 7.96 for `slice_state`.
+//! however many slices it joins; a lock key clones nothing; a reset's
+//! handle rides in its op), they read 44.08 + 7.96 = 52.04 and 20.46 +
+//! 71.00 = 91.47. Recording one allocation per slice joined read 45.08 +
+//! 7.96 for `slice_state`.
 //!
 //! Each run also counts the slices found by `(slicing, key)`
 //! (`demaq_store_slice_lookups_total`): one per slice a message joins,
@@ -236,9 +237,10 @@ fn slice_state(warmup: u64, measured: u64) -> Counts {
 
 /// Allocations and bytes, ingest and processing, for 1 000 readings after
 /// 500 of warm-up: 44.08 + 7.96 allocations per reading. Recording a
-/// message's handles one allocation per slice it joined read 45.08 + 7.96
-/// (45 079 allocations and 3 600 668 bytes, 7 962 and 1 547 013: a reset's
-/// handle then took 8 bytes in the buffer, now 16 beside its op index).
+/// message's handles one allocation per slice it joined, and keeping a
+/// reset's handle in a vector beside the transaction's ops (24 bytes more
+/// in every transaction buffer, 96 in every apply batch), read 45.08 +
+/// 7.96 (45 079 allocations and 3 600 668 bytes, 7 962 and 1 547 013).
 /// Before slices were addressed by handle, 44.80 + 10.00 (44 796 allocations and
 /// 3 417 744 bytes, 10 002 and 1 435 112). Before rule
 /// evaluation allocated for its output only, 51.80 + 26.41 (51 796
@@ -249,11 +251,11 @@ fn slice_state(warmup: u64, measured: u64) -> Counts {
 const SLICE_STATE_COUNTS: (Allocs, Allocs) = (
     Allocs {
         count: 44_079,
-        bytes: 3_560_668,
+        bytes: 3_464_668,
     },
     Allocs {
-        count: 7_962,
-        bytes: 1_547_077,
+        count: 7_960,
+        bytes: 1_449_701,
     },
 );
 /// Slices found by name for those readings: 2.00 per reading, one per
@@ -349,7 +351,9 @@ fn durable_sharded(warmup: u64, measured: u64) -> Counts {
 }
 
 /// Allocations and bytes, ingest and processing, for 200 jobs after 100
-/// of warm-up: 20.46 + 71.00 allocations per job. Before slices were
+/// of warm-up: 20.46 + 71.00 allocations per job. With a reset's handle
+/// in a vector beside the transaction's ops, 4 093 allocations and
+/// 513 784 bytes, 14 200 and 1 888 512. Before slices were
 /// addressed by handle, 19.46 + 69.00 (3 893 allocations and 499 000
 /// bytes, 13 800 and 1 832 608). Before rule evaluation
 /// allocated for its output only and a forward carried its parsed
@@ -359,11 +363,11 @@ fn durable_sharded(warmup: u64, measured: u64) -> Counts {
 const DURABLE_SHARDED_COUNTS: (Allocs, Allocs) = (
     Allocs {
         count: 4_093,
-        bytes: 513_784,
+        bytes: 494_584,
     },
     Allocs {
         count: 14_200,
-        bytes: 1_888_512,
+        bytes: 1_821_792,
     },
 );
 /// Slices found by name for those jobs: each of a job's three messages

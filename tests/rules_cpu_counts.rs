@@ -92,18 +92,20 @@ const UNSHARED_STEPS: u64 = 18_110;
 /// Allocations and bytes feeding the 200 orders: 23.61 allocations per
 /// order. Before a message recorded its slice handles (16 bytes more per
 /// map entry) and queue tokens lived on the queue (a token no longer
-/// copies the queue's name), 4 723 allocations and 1 648 694 bytes.
+/// copies the queue's name), 4 723 allocations and 1 648 694 bytes;
+/// while a reset's handle sat in a vector beside the transaction's ops
+/// (24 bytes more in every transaction buffer), 1 676 060 bytes.
 /// Before properties, names, the rule host and the lock plan were
 /// shared, 31.62 (6 323 allocations, 1 699 781 bytes); before lineage was
 /// read from the enqueue, 1 646 998 bytes (a message's enqueue LSN costs
 /// its map entry 16 bytes).
 const ALLOCS_INGEST: Allocs = Allocs {
     count: 4_721,
-    bytes: 1_676_060,
+    bytes: 1_656_668,
 };
 /// Allocations and bytes draining them: 128.16 per order (25 636
-/// allocations and 4 094 176 bytes before slice handles, as above),
-/// against 351.38
+/// allocations and 4 094 176 bytes before slice handles, and 4 188 860
+/// bytes with a reset's handle beside the ops, as above), against 351.38
 /// before rule evaluation allocated for its output only (70 276
 /// allocations, 9 771 071 bytes): a sequence holds zero or one item
 /// inline, nested constructors build one document, and `do enqueue` takes
@@ -114,7 +116,7 @@ const ALLOCS_INGEST: Allocs = Allocs {
 /// transaction (70 971 allocations, 10 032 971 bytes).
 const ALLOCS_PROCESSING: Allocs = Allocs {
     count: 25_631,
-    bytes: 4_188_860,
+    bytes: 4_115_036,
 };
 
 /// splitmix64: a fixed, dependency-free stream.
