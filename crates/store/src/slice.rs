@@ -110,6 +110,11 @@ impl SliceState {
     fn is_blank(&self) -> bool {
         self.members.is_empty() && self.epoch == 0 && self.base_members == 0 && self.base.is_empty()
     }
+
+    /// Blank and not pinned: its slot may be freed.
+    fn is_disposable(&self) -> bool {
+        self.is_blank() && !self.pinned
+    }
 }
 
 /// One consistent read of a membership for an aggregate fold (see
@@ -441,7 +446,7 @@ impl SliceIndex {
             // Never drop a slice carrying a narrowed-retention base: its
             // accumulators still answer aggregate reads for the
             // released members.
-            if state.is_blank() && !state.pinned {
+            if state.is_disposable() {
                 self.free_slot(id);
             }
         }
