@@ -13,6 +13,10 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
+/// Backlog slots kept once the backlog is gone: the pop that empties it
+/// hands a burst's larger buffers back, so an idle engine does not keep them.
+const IDLE_SLOTS: usize = 64;
+
 /// One schedulable unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct WorkItem {
@@ -55,26 +59,16 @@ pub struct Scheduler {
     parked: AtomicUsize,
 }
 
+#[derive(Default)]
 struct SchedState {
     heap: BinaryHeap<WorkItem>,
     /// Guards against double-scheduling (e.g. recovery + runtime).
     queued: IdSet<MsgId>,
-    /// Next arrival sequence (increments per push).
-    next_back: i64,
-    /// Next front-of-class sequence (decrements per requeue, so retries
-    /// run before messages that arrived after them).
-    next_front: i64,
-}
-
-impl Default for SchedState {
-    fn default() -> Self {
-        SchedState {
-            heap: BinaryHeap::new(),
-            queued: IdSet::default(),
-            next_back: 0,
-            next_front: -1,
-        }
-    }
+    /// Last arrival sequence handed out (counts up per push).
+    last_back: i64,
+    /// Last front-of-class sequence handed out (counts down per requeue,
+    /// so retries run before messages that arrived after them).
+    last_front: i64,
 }
 
 impl Scheduler {
@@ -86,21 +80,7 @@ impl Scheduler {
     /// Returns whether it was inserted (`false` = already scheduled). The
     /// engine passes the queue's interned name: a refcount, no copy.
     pub fn push(&self, msg: MsgId, queue: impl Into<Name>, priority: i32) -> bool {
-        let mut st = self.inner.lock();
-        if st.queued.insert(msg) {
-            let seq = st.next_back;
-            st.next_back += 1;
-            st.heap.push(WorkItem {
-                priority,
-                seq: Reverse(seq),
-                msg,
-                queue: queue.into(),
-            });
-            self.work_available.notify_one();
-            true
-        } else {
-            false
-        }
+        self.insert(msg, queue.into(), priority, 1)
     }
 
     /// Claim the next message to process.
@@ -108,6 +88,10 @@ impl Scheduler {
         let mut st = self.inner.lock();
         let item = st.heap.pop()?;
         st.queued.remove(&item.msg);
+        if st.heap.is_empty() && st.heap.capacity() > IDLE_SLOTS {
+            st.heap.shrink_to(IDLE_SLOTS);
+            st.queued.shrink_to(IDLE_SLOTS);
+        }
         Some((item.msg, item.queue))
     }
 
@@ -115,21 +99,31 @@ impl Scheduler {
     /// the *front* of its priority class, keeping its place ahead of work
     /// that arrived later. Returns whether it was inserted.
     pub fn requeue(&self, msg: MsgId, queue: impl Into<Name>, priority: i32) -> bool {
+        self.insert(msg, queue.into(), priority, -1)
+    }
+
+    /// Schedule `msg` unless it already is, at the back of its priority
+    /// class (`step` 1) or at the front (`step` -1).
+    fn insert(&self, msg: MsgId, queue: Name, priority: i32, step: i64) -> bool {
         let mut st = self.inner.lock();
-        if st.queued.insert(msg) {
-            let seq = st.next_front;
-            st.next_front -= 1;
-            st.heap.push(WorkItem {
-                priority,
-                seq: Reverse(seq),
-                msg,
-                queue: queue.into(),
-            });
-            self.work_available.notify_one();
-            true
-        } else {
-            false
+        if !st.queued.insert(msg) {
+            return false;
         }
+        let last = if step > 0 {
+            &mut st.last_back
+        } else {
+            &mut st.last_front
+        };
+        *last += step;
+        let seq = Reverse(*last);
+        st.heap.push(WorkItem {
+            priority,
+            seq,
+            msg,
+            queue,
+        });
+        self.work_available.notify_one();
+        true
     }
 
     /// Park the calling worker until a push/requeue — or a
@@ -201,6 +195,34 @@ mod tests {
         }
         let order: Vec<u64> = std::iter::from_fn(|| s.pop().map(|(m, _)| m.0)).collect();
         assert_eq!(order, [1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_drained_burst_hands_back_its_buffers() {
+        let s = Scheduler::new();
+        for i in 0..1000 {
+            s.push(MsgId(i), "q", 0);
+        }
+        while s.pop().is_some() {}
+        let st = s.inner.lock();
+        assert!(
+            st.heap.capacity() <= 2 * IDLE_SLOTS,
+            "{}",
+            st.heap.capacity()
+        );
+        assert!(
+            st.queued.capacity() <= 2 * IDLE_SLOTS,
+            "{}",
+            st.queued.capacity()
+        );
+        drop(st);
+        // A backlog that never outgrew the idle size keeps its buffer.
+        for i in 0..10 {
+            s.push(MsgId(i), "q", 0);
+        }
+        let cap = s.inner.lock().heap.capacity();
+        while s.pop().is_some() {}
+        assert_eq!(s.inner.lock().heap.capacity(), cap);
     }
 
     #[test]

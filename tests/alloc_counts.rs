@@ -236,7 +236,11 @@ fn slice_state(warmup: u64, measured: u64) -> Counts {
 }
 
 /// Allocations and bytes, ingest and processing, for 1 000 readings after
-/// 500 of warm-up: 44.08 + 7.96 allocations per reading. Recording a
+/// 500 of warm-up: 44.10 + 7.97 allocations per reading. While the
+/// scheduler kept a burst's buffers once its backlog was gone, 44.08 +
+/// 7.96 (44 079 allocations and 3 464 668 bytes, 7 960 and 1 449 701):
+/// each burst of 250 now regrows them at ingest and hands them back in
+/// processing, four allocations and two per burst. Recording a
 /// message's handles one allocation per slice it joined, and keeping a
 /// reset's handle in a vector beside the transaction's ops (24 bytes more
 /// in every transaction buffer, 96 in every apply batch), read 45.08 +
@@ -250,12 +254,12 @@ fn slice_state(warmup: u64, measured: u64) -> Counts {
 /// its map entry 16 bytes, and the lineage map and its ops are gone.
 const SLICE_STATE_COUNTS: (Allocs, Allocs) = (
     Allocs {
-        count: 44_079,
-        bytes: 3_464_668,
+        count: 44_095,
+        bytes: 3_553_884,
     },
     Allocs {
-        count: 7_960,
-        bytes: 1_449_701,
+        count: 7_968,
+        bytes: 1_464_613,
     },
 );
 /// Slices found by name for those readings: 2.00 per reading, one per
@@ -351,7 +355,9 @@ fn durable_sharded(warmup: u64, measured: u64) -> Counts {
 }
 
 /// Allocations and bytes, ingest and processing, for 200 jobs after 100
-/// of warm-up: 20.46 + 71.00 allocations per job. With a reset's handle
+/// of warm-up: 20.47 + 71.02 allocations per job. While the scheduler
+/// kept a drained backlog's buffers, 20.46 + 71.00 (4 093 allocations and
+/// 494 584 bytes, 14 200 and 1 821 792). With a reset's handle
 /// in a vector beside the transaction's ops, 4 093 allocations and
 /// 513 784 bytes, 14 200 and 1 888 512. Before slices were
 /// addressed by handle, 19.46 + 69.00 (3 893 allocations and 499 000
@@ -362,12 +368,12 @@ fn durable_sharded(warmup: u64, measured: u64) -> Counts {
 /// (3 893 allocations and 489 016 bytes, 22 459 and 2 774 642).
 const DURABLE_SHARDED_COUNTS: (Allocs, Allocs) = (
     Allocs {
-        count: 4_093,
-        bytes: 494_584,
+        count: 4_094,
+        bytes: 499_704,
     },
     Allocs {
-        count: 14_200,
-        bytes: 1_821_792,
+        count: 14_203,
+        bytes: 1_828_080,
     },
 );
 /// Slices found by name for those jobs: each of a job's three messages
