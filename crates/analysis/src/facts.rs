@@ -401,114 +401,7 @@ fn collect_scans(e: &Expr, own: Option<&str>, out: &mut ScanReads) {
         // Fall through: a computed `collection(E)` argument may itself
         // contain reads.
     }
-    for_each_child(e, &mut |c| collect_scans(c, own, out));
-}
-
-/// Apply `f` to each direct child expression of `e` (one level only) —
-/// lets collectors prune subtrees, which `Expr::visit` cannot.
-fn for_each_child(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    match e {
-        Expr::StringLit(_)
-        | Expr::IntLit(_)
-        | Expr::DoubleLit(_)
-        | Expr::Var(_)
-        | Expr::ContextItem => {}
-        Expr::Sequence(es) => es.iter().for_each(&mut *f),
-        Expr::FunctionCall { args, .. } => args.iter().for_each(&mut *f),
-        Expr::Path { steps, .. } => steps.iter().for_each(&mut *f),
-        Expr::Step { predicates, .. } => predicates.iter().for_each(&mut *f),
-        Expr::Filter { base, predicates } => {
-            f(base);
-            predicates.iter().for_each(&mut *f);
-        }
-        Expr::RelativePath { base, step, .. } => {
-            f(base);
-            f(step);
-        }
-        Expr::Or(a, b) | Expr::And(a, b) | Expr::Range(a, b) => {
-            f(a);
-            f(b);
-        }
-        Expr::Comparison { left, right, .. }
-        | Expr::Arith { left, right, .. }
-        | Expr::Set { left, right, .. } => {
-            f(left);
-            f(right);
-        }
-        Expr::Neg(a) => f(a),
-        Expr::If { cond, then, els } => {
-            f(cond);
-            f(then);
-            if let Some(e) = els {
-                f(e);
-            }
-        }
-        Expr::Flwor {
-            clauses,
-            where_,
-            order,
-            ret,
-        } => {
-            for c in clauses {
-                match c {
-                    FlworClause::For { source, .. } => f(source),
-                    FlworClause::Let { value, .. } => f(value),
-                }
-            }
-            if let Some(w) = where_ {
-                f(w);
-            }
-            order.iter().for_each(|o| f(&o.key));
-            f(ret);
-        }
-        Expr::Quantified {
-            bindings,
-            satisfies,
-            ..
-        } => {
-            bindings.iter().for_each(|(_, s)| f(s));
-            f(satisfies);
-        }
-        Expr::DirectElement { attrs, content, .. } => {
-            for (_, parts) in attrs {
-                for p in parts {
-                    if let AttrValuePart::Enclosed(x) = p {
-                        f(x);
-                    }
-                }
-            }
-            for c in content {
-                match c {
-                    DirContent::Text(_) => {}
-                    DirContent::Enclosed(x) | DirContent::Expr(x) => f(x),
-                }
-            }
-        }
-        Expr::ComputedElement { name, content } | Expr::ComputedAttribute { name, content } => {
-            f(name);
-            f(content);
-        }
-        Expr::ComputedText(x) | Expr::ComputedComment(x) | Expr::ComputedDocument(x) => f(x),
-        Expr::Enqueue { message, props, .. } => {
-            f(message);
-            props.iter().for_each(|(_, v)| f(v));
-        }
-        Expr::Reset { key, .. } => {
-            if let Some(k) = key {
-                f(k);
-            }
-        }
-        Expr::Insert { source, target, .. } | Expr::Replace { target, source, .. } => {
-            f(source);
-            f(target);
-        }
-        Expr::Delete { target } => f(target),
-        Expr::Rename { target, name } => {
-            f(target);
-            f(name);
-        }
-        Expr::Cast { expr, .. } | Expr::InstanceOf { expr, .. } => f(expr),
-    }
+    e.for_each_child(|c| collect_scans(c, own, out));
 }
 
 /// Recursive walk tracking whether the current position is guarded by a
@@ -654,19 +547,6 @@ fn walk(e: &Expr, guarded: bool, f: &mut RuleFacts) {
             if let Some(k) = key {
                 walk(k, guarded, f);
             }
-        }
-        Expr::Insert { source, target, .. } => {
-            walk(source, guarded, f);
-            walk(target, guarded, f);
-        }
-        Expr::Delete { target } => walk(target, guarded, f),
-        Expr::Replace { target, source, .. } => {
-            walk(target, guarded, f);
-            walk(source, guarded, f);
-        }
-        Expr::Rename { target, name } => {
-            walk(target, guarded, f);
-            walk(name, guarded, f);
         }
         Expr::Cast { expr, .. } | Expr::InstanceOf { expr, .. } => walk(expr, guarded, f),
     }

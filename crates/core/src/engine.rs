@@ -1218,7 +1218,7 @@ impl Server {
 
     /// Land a message forwarded from another shard: commit it into the
     /// local store with the properties computed on the trigger's shard.
-    /// Borrows the forward so a failed ingest can be retried.
+    /// Takes no lock, so it never fails on a lock conflict.
     pub(crate) fn ingest_forwarded(&self, f: &crate::shard::Forwarded) -> Result<MsgId> {
         self.enqueue_prepared(
             &f.queue,
@@ -1811,15 +1811,6 @@ impl Server {
                     self.store
                         .slice_reset_at(txn, own.map(|s| s.id), slicing, key)
                         .map_err(ProcessingError::Store)?;
-                }
-                other => {
-                    // XQUF tree updates cannot touch the append-only store.
-                    return Err(failed(
-                        kind::APPLICATION.into(),
-                        format!(
-                            "tree update {other:?} is not applicable: stored messages are immutable"
-                        ),
-                    ));
                 }
             }
         }

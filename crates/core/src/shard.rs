@@ -38,7 +38,7 @@ use demaq_analysis::{compute_placement, Placement};
 use demaq_net::Clock;
 use demaq_obs::{Counter, Obs, TraceEvent};
 use demaq_qdl::QueueKind;
-use demaq_store::{MsgId, Name, PayloadBytes, PropValue, Props, StoreError, StoredMessage};
+use demaq_store::{MsgId, Name, PayloadBytes, PropValue, Props, StoredMessage};
 use demaq_xml::{parse as parse_xml, Document};
 use demaq_xquery::Atomic;
 use parking_lot::Mutex;
@@ -690,23 +690,12 @@ pub(crate) fn quiesce(shards: &[Server], router: &ShardRouter) -> Result<u64> {
 
 /// Ingest one forwarded message on its destination shard, then settle it.
 /// The producing transaction already committed on the source shard, so
-/// this must not silently drop: lock conflicts (the only failures that are
-/// both transient and safely retryable — they abort before anything
-/// commits) are retried with backoff; any other error is counted and
+/// this must not silently drop. Ingesting takes no lock, so it fails only
+/// on a store error that a retry would not clear: the error is counted and
 /// returned, and the forward is abandoned with its pending count released
 /// so the fleet still drains.
 fn land_forward(s: &Server, router: &ShardRouter, f: &Forwarded) -> Result<()> {
-    let mut result = s.ingest_forwarded(f);
-    for attempt in 0..3u32 {
-        match &result {
-            Err(EngineError::Store(StoreError::Deadlock))
-            | Err(EngineError::Store(StoreError::LockTimeout)) => {
-                std::thread::sleep(Duration::from_micros(100 << attempt));
-                result = s.ingest_forwarded(f);
-            }
-            _ => break,
-        }
-    }
+    let result = s.ingest_forwarded(f);
     if result.is_err() {
         router.ingest_errors.inc();
     }

@@ -38,6 +38,28 @@ fn simple_forwarding_rule() {
 }
 
 #[test]
+fn a_tree_update_is_refused_at_deploy() {
+    // Stored messages are immutable: a rule that would edit one in place
+    // is refused when the program is built, not each time the rule fires.
+    let err = Server::builder()
+        .program(
+            r#"
+            create queue inbox kind basic mode persistent
+            create rule scrub for inbox
+              if (//x) then do delete //x
+            "#,
+        )
+        .in_memory()
+        .sync_policy(SyncPolicy::Batch)
+        .build()
+        .err()
+        .expect("a rule with `do delete` must not deploy");
+    let msg = err.to_string();
+    assert!(msg.contains("rule `scrub`"), "{msg}");
+    assert!(msg.contains("`do delete`"), "{msg}");
+}
+
+#[test]
 fn every_enqueued_message_is_a_document_of_its_own() {
     // One bound construction enqueued twice, the trigger itself and a node
     // of it: a fresh construction is enqueued without a copy, so these

@@ -27,7 +27,9 @@
 //! names these capabilities (priorities in Sec. 2.1.1, error-queue levels
 //! in Sec. 3.6, queue schemas in Sec. 2.1.1) without fixing their concrete
 //! syntax. Rule bodies are parsed by `demaq-xquery` and must be updating
-//! expressions.
+//! expressions built from `do enqueue` / `do reset`; the XQUF tree updates
+//! (`do insert`, `do delete`, `do replace`, `do rename`) are parse errors,
+//! because stored messages are immutable.
 
 pub mod ast;
 pub mod parser;

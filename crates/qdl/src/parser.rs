@@ -393,7 +393,10 @@ fn parse_rule(sc: &mut Scanner) -> Result<RuleDecl, QdlError> {
     } else {
         None
     };
-    let (body, body_src) = sc.embedded_expr()?;
+    let (body, body_src) = sc.embedded_expr().map_err(|e| QdlError {
+        msg: format!("rule `{name}`: {}", e.msg),
+        ..e
+    })?;
     if !body.is_updating() {
         return sc.err(format!(
             "rule `{name}` body must be an updating expression (use `do enqueue` / `do reset`)"

@@ -3,8 +3,8 @@
 //!
 //! The engine never runs it. It runs lowered plans on
 //! [`demaq_xquery::PlanEvaluator`], and this crate is the oracle the
-//! lowering is checked against: `differential_corpus` and `xquf_end_to_end`
-//! here, `tests/differential_eval.rs` in the root suite, and E11's
+//! lowering is checked against: `differential_corpus` here,
+//! `tests/differential_eval.rs` in the root suite, and E11's
 //! reference-vs-lowered rows. Only `[dev-dependencies]` name it. Value,
 //! constructor and cast semantics come from `demaq-xquery` itself, so a
 //! disagreement points at the lowering or the plan evaluator.
@@ -15,15 +15,13 @@
 //! afterwards — exactly the separation of rule evaluation from action
 //! execution that the Demaq execution model prescribes (paper Sec. 3.1).
 
-use demaq_xml::serializer::serialize_node;
 use demaq_xml::{NodeKind, NodeRef, QName};
 use demaq_xquery::ast::*;
 use demaq_xquery::{
-    assemble_element, atomics_joined, cast, computed_attribute, computed_comment,
-    computed_document, computed_name, computed_text, enqueue_prop, for_each_on_axis, functions,
-    instance_of, negate, order_cmp, push_atomics_joined, range, sequence_to_document, set_op,
-    update_content, update_target, Atomic, DynamicContext, Error, Focus, Item, Result, Sequence,
-    Update,
+    assemble_element, cast, computed_attribute, computed_comment, computed_document, computed_name,
+    computed_text, enqueue_prop, for_each_on_axis, functions, instance_of, negate, order_cmp,
+    push_atomics_joined, range, sequence_to_document, set_op, Atomic, DynamicContext, Error, Focus,
+    Item, Result, Sequence, Update,
 };
 use std::cmp::Ordering;
 use std::ops::ControlFlow;
@@ -242,48 +240,6 @@ impl<'a> Evaluator<'a> {
                     slicing: slicing.clone(),
                     key,
                 });
-                Ok(Sequence::empty())
-            }
-            Expr::Insert {
-                source,
-                pos,
-                target,
-            } => {
-                let content = update_content(self.eval(source, focus)?);
-                let target = update_target(&self.eval(target, focus)?)?;
-                self.updates.push(Update::Insert {
-                    target,
-                    pos: *pos,
-                    content,
-                });
-                Ok(Sequence::empty())
-            }
-            Expr::Delete { target } => {
-                for target in update_content(self.eval(target, focus)?) {
-                    self.updates.push(Update::Delete { target });
-                }
-                Ok(Sequence::empty())
-            }
-            Expr::Replace {
-                target,
-                source,
-                value_of,
-            } => {
-                let target = update_target(&self.eval(target, focus)?)?;
-                let v = self.eval(source, focus)?;
-                self.updates.push(if *value_of {
-                    let value = atomics_joined(&v);
-                    Update::ReplaceValue { target, value }
-                } else {
-                    let content = update_content(v);
-                    Update::Replace { target, content }
-                });
-                Ok(Sequence::empty())
-            }
-            Expr::Rename { target, name } => {
-                let target = update_target(&self.eval(target, focus)?)?;
-                let name = computed_name(&self.eval(name, focus)?, "rename target")?;
-                self.updates.push(Update::Rename { target, name });
                 Ok(Sequence::empty())
             }
             Expr::Cast { expr, ty } => {
@@ -824,13 +780,10 @@ fn node_test_matches(axis: Axis, node: &NodeRef, test: &NodeTest) -> bool {
 }
 
 /// Comparable form of a pending update list, for holding two evaluators'
-/// lists equal: nodes by serialization, an update's target by its
-/// document's serialization and its node id, atomics by type and lexical
+/// lists equal: messages by serialization, atomics by type and lexical
 /// form. Document identities (which differ between two evaluations that
 /// construct the same tree) never enter.
 pub fn render_updates(updates: &[Update]) -> Vec<String> {
-    let target = |n: &NodeRef| format!("{}#{}", n.doc.root().to_xml(), n.id.0);
-    let nodes = |ns: &[NodeRef]| ns.iter().map(serialize_node).collect::<String>();
     let atom = |a: &Atomic| format!("{}:{}", a.type_name(), a.to_str());
     let one = |u: &Update| match u {
         Update::Enqueue {
@@ -853,19 +806,6 @@ pub fn render_updates(updates: &[Update]) -> Vec<String> {
             slicing.as_ref().map(QName::lexical),
             key.as_ref().map(atom)
         ),
-        Update::Insert {
-            target: t,
-            pos,
-            content,
-        } => format!("insert {} {pos:?} {}", nodes(content), target(t)),
-        Update::Delete { target: t } => format!("delete {}", target(t)),
-        Update::Replace { target: t, content } => {
-            format!("replace {} with {}", target(t), nodes(content))
-        }
-        Update::ReplaceValue { target: t, value } => {
-            format!("replace value of {} with {value}", target(t))
-        }
-        Update::Rename { target: t, name } => format!("rename {} as {}", target(t), name.lexical()),
     };
     updates.iter().map(one).collect()
 }

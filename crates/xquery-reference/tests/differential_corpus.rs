@@ -9,8 +9,8 @@
 //! reproducible; it tracks variable scope so generated `$v` references are
 //! always bound by an enclosing `for`/`let`/quantifier, exercising the
 //! slot-resolution path of the lowering. It also generates the updating
-//! forms (`do insert/delete/replace/rename`, `do enqueue … with …`) and
-//! direct element constructors, alone and as `do enqueue` content: the
+//! forms (`do enqueue … with …`, bare and keyed `do reset`) and direct
+//! element constructors, alone and as `do enqueue` content: the
 //! plan evaluator builds a nested constructor in place and enqueues a
 //! fresh one without a copy, the reference assembles each element on its
 //! own and copies it.
@@ -182,27 +182,23 @@ impl Gen {
         )
     }
 
-    /// An XQUF primitive on the context document or a constructed tree.
+    /// A queue action on the context document or a constructed tree: an
+    /// enqueue, a bare reset or a keyed one (whose key must be one item).
     fn update(&mut self, depth: usize) -> String {
-        let targets = [
+        let messages = [
             "//item[1]",
             "/order/total",
             "//item",
-            "//item/@n",
             "(<t><u/></t>)/u",
             ".",
         ];
-        let target = targets[self.rng.below(targets.len())];
-        match self.rng.below(5) {
-            0 => format!("(do delete {target})"),
-            1 => {
-                let pos =
-                    ["into", "as first into", "as last into", "before", "after"][self.rng.below(5)];
-                format!("(do insert {} {pos} {target})", self.expr(depth))
+        match self.rng.below(3) {
+            0 => {
+                let message = messages[self.rng.below(messages.len())];
+                format!("(do enqueue {message} into q{})", self.rng.below(3))
             }
-            2 => format!("(do replace {target} with {})", self.expr(depth)),
-            3 => format!("(do replace value of {target} with {})", self.expr(depth)),
-            _ => format!("(do rename {target} as 'r{}')", self.rng.below(3)),
+            1 => "(do reset)".into(),
+            _ => format!("(do reset s{} key {})", self.rng.below(2), self.expr(depth)),
         }
     }
 }
@@ -254,6 +250,7 @@ fn random_corpus_agrees_with_reference() {
     let mut evaluated = 0u32;
     let mut errored = 0u32;
     let mut updating = 0u32;
+    let mut resetting = 0u32;
     let mut constructed = 0u32;
     for i in 0..600 {
         let query = gen.expr(3);
@@ -269,6 +266,7 @@ fn random_corpus_agrees_with_reference() {
             (Ok(a), Ok(b)) => {
                 evaluated += 1;
                 updating += !a.1.is_empty() as u32;
+                resetting += a.1.iter().any(|u| u.starts_with("reset")) as u32;
                 let built = |s: &String| s.contains("<e a=");
                 constructed += (a.0.iter().any(built) || a.1.iter().any(built)) as u32;
                 assert_eq!(a, b, "divergence on corpus item {i}: `{query}`");
@@ -287,6 +285,7 @@ fn random_corpus_agrees_with_reference() {
         updating > 20,
         "only {updating} expressions left pending updates"
     );
+    assert!(resetting > 10, "only {resetting} expressions left a reset");
     assert!(
         constructed > 20,
         "only {constructed} expressions constructed an element"
@@ -344,6 +343,32 @@ fn handpicked_queries_agree_with_reference() {
             (r, l) => panic!("divergence on `{query}`: ref={r:?} plan={l:?}"),
         }
     }
+}
+
+/// Both queue actions on one pending list: the two evaluators list the
+/// same enqueues and resets in evaluation order, and neither changes the
+/// context document.
+#[test]
+fn queue_actions_agree_with_reference() {
+    let doc = demaq_xml::parse("<r><kill/></r>").unwrap();
+    for (query, kinds) in [
+        ("(do enqueue <m/> into q, do reset)", "ER"),
+        (
+            "(do reset s key name(//kill), do enqueue . into q with p value 1)",
+            "RE",
+        ),
+        (
+            "for $i in 1 to 2 return (do enqueue <m>{$i}</m> into q, do reset s key $i)",
+            "ERER",
+        ),
+    ] {
+        let (reference, lowered) = both(&parse_expr(query).unwrap(), &doc.root());
+        let (reference, lowered) = (reference.unwrap(), lowered.unwrap());
+        assert_eq!(reference, lowered, "`{query}`");
+        let listed: String = lowered.1.iter().map(|u| &u[..1]).collect();
+        assert_eq!(listed.to_uppercase(), kinds, "`{query}`: {:?}", lowered.1);
+    }
+    assert_eq!(doc.root().to_xml(), "<r><kill/></r>", "source immutable");
 }
 
 /// The scope discipline above never leaves a generated variable unbound;

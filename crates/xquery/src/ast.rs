@@ -122,16 +122,6 @@ pub enum AttrValuePart {
     Enclosed(Expr),
 }
 
-/// Target position for `do insert`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InsertPos {
-    Into,
-    IntoAsFirst,
-    IntoAsLast,
-    Before,
-    After,
-}
-
 /// The expression tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -236,7 +226,7 @@ pub enum Expr {
     ComputedComment(Box<Expr>),
     ComputedDocument(Box<Expr>),
 
-    // -- updating expressions (QML extensions + XQUF subset) -----------------
+    // -- updating expressions (QML) ------------------------------------------
     /// `do enqueue Expr into QName (with PName value Expr)*` (paper Sec 3.4).
     Enqueue {
         message: Box<Expr>,
@@ -248,28 +238,6 @@ pub enum Expr {
         slicing: Option<QName>,
         key: Option<Box<Expr>>,
     },
-    /// XQUF `do insert Source (into|before|after|...) Target`.
-    Insert {
-        source: Box<Expr>,
-        pos: InsertPos,
-        target: Box<Expr>,
-    },
-    /// XQUF `do delete Target`.
-    Delete {
-        target: Box<Expr>,
-    },
-    /// XQUF `do replace (value of)? Target with Source`.
-    Replace {
-        target: Box<Expr>,
-        source: Box<Expr>,
-        value_of: bool,
-    },
-    /// XQUF `do rename Target as NewName`.
-    Rename {
-        target: Box<Expr>,
-        name: Box<Expr>,
-    },
-
     // -- misc -----------------------------------------------------------------
     /// `expr cast as xs:type` (subset: the paper's atomic types).
     Cast {
@@ -289,12 +257,7 @@ impl Expr {
     /// engine uses this to validate rules and to decide plan shapes.
     pub fn is_updating(&self) -> bool {
         match self {
-            Expr::Enqueue { .. }
-            | Expr::Reset { .. }
-            | Expr::Insert { .. }
-            | Expr::Delete { .. }
-            | Expr::Replace { .. }
-            | Expr::Rename { .. } => true,
+            Expr::Enqueue { .. } | Expr::Reset { .. } => true,
             Expr::Sequence(es) => es.iter().any(Expr::is_updating),
             Expr::If { then, els, .. } => {
                 then.is_updating() || els.as_ref().is_some_and(|e| e.is_updating())
@@ -405,19 +368,6 @@ impl Expr {
                 if let Some(k) = key {
                     go(k);
                 }
-            }
-            Expr::Insert { source, target, .. } => {
-                go(source);
-                go(target);
-            }
-            Expr::Delete { target } => go(target),
-            Expr::Replace { target, source, .. } => {
-                go(target);
-                go(source);
-            }
-            Expr::Rename { target, name } => {
-                go(target);
-                go(name);
             }
             Expr::Cast { expr, .. } | Expr::InstanceOf { expr, .. } => go(expr),
             Expr::StringLit(_)
@@ -582,31 +532,6 @@ impl Expr {
             Expr::Reset { slicing, key } => Expr::Reset {
                 slicing,
                 key: key.map(gob),
-            },
-            Expr::Insert {
-                source,
-                pos,
-                target,
-            } => Expr::Insert {
-                source: gob(source),
-                pos,
-                target: gob(target),
-            },
-            Expr::Delete { target } => Expr::Delete {
-                target: gob(target),
-            },
-            Expr::Replace {
-                target,
-                source,
-                value_of,
-            } => Expr::Replace {
-                target: gob(target),
-                source: gob(source),
-                value_of,
-            },
-            Expr::Rename { target, name } => Expr::Rename {
-                target: gob(target),
-                name: gob(name),
             },
             Expr::Cast { expr, ty } => Expr::Cast {
                 expr: gob(expr),

@@ -14,8 +14,6 @@ pub enum ErrorKind {
     Type,
     /// Other dynamic evaluation error — `XPDY`/`FO*`.
     Dynamic,
-    /// Misuse of an updating expression — `XUST`/`XUDY`.
-    Update,
 }
 
 /// An XQuery error with category, code-ish label, and message.
@@ -72,14 +70,6 @@ impl Error {
             kind: ErrorKind::Static,
             code: "XPST0017",
             msg: format!("function {name} expects {expected} argument(s), got {got}"),
-        }
-    }
-
-    pub fn update(msg: impl Into<String>) -> Error {
-        Error {
-            kind: ErrorKind::Update,
-            code: "XUST0001",
-            msg: msg.into(),
         }
     }
 

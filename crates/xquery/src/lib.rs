@@ -1,8 +1,8 @@
 //! # demaq-xquery
 //!
 //! A from-scratch XQuery engine for the Demaq reproduction, covering the
-//! fragment of XQuery 1.0 + XQuery Update Facility that the Demaq rule
-//! language (QML) is built on (paper Sec. 3.2):
+//! fragment of XQuery 1.0 that the Demaq rule language (QML) is built on
+//! (paper Sec. 3.2):
 //!
 //! * FLWOR (`for`/`let`/`where`/`order by`/`return`), quantified
 //!   expressions, conditionals,
@@ -11,10 +11,11 @@
 //! * general/value/node comparisons, arithmetic, sequence operations,
 //! * a library of `fn:` builtins plus host-registered extension functions
 //!   (the engine registers `qs:message()`, `qs:queue()`, `qs:slice()`, …),
-//! * *updating expressions* producing pending update lists, extended with
-//!   the Demaq queue primitives `do enqueue … into … (with … value …)*`
-//!   and `do reset`, alongside the XQUF tree primitives (`do insert`,
-//!   `do delete`, `do replace`, `do rename`) applied copy-on-write.
+//! * *updating expressions* producing pending update lists: the Demaq
+//!   queue primitives `do enqueue … into … (with … value …)*` and
+//!   `do reset`. Stored messages are immutable, so the XQUF tree updates
+//!   (`do insert`, `do delete`, `do replace`, `do rename`) are parse
+//!   errors; a rule builds a new element and enqueues it instead.
 //!
 //! Evaluation is snapshot-semantic: expression evaluation never mutates
 //! state; updates accumulate on a pending list applied after evaluation,
@@ -48,7 +49,7 @@ pub use plan::{fold_boolean, lower, lower_in, lower_rules, EvalCounts, Plan, Pla
 // Value, constructor and cast semantics, shared with the reference
 // interpreter so that it does not re-implement them.
 pub use semantics::*;
-pub use update::{apply_tree_updates, Update};
+pub use update::Update;
 pub use value::{Atomic, Item, Sequence};
 
 use demaq_xml::NodeRef;

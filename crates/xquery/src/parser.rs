@@ -2,8 +2,10 @@
 //!
 //! Follows XQuery 1.0 operator precedence. Direct element constructors are
 //! parsed in raw character mode (see [`crate::lexer`]); everything else is
-//! token-driven. The QML extensions (`do enqueue`, `do reset`) and the
-//! XQUF `do` primitives are parsed as updating expressions.
+//! token-driven. The QML extensions (`do enqueue`, `do reset`) are parsed
+//! as updating expressions; the XQUF tree updates (`do insert`,
+//! `do delete`, `do replace`, `do rename`) are recognised only to be
+//! refused, because stored messages are immutable.
 
 use crate::ast::*;
 use crate::error::{Error, Result};
@@ -362,58 +364,18 @@ impl Parser {
             };
             return Ok(Expr::Reset { slicing, key });
         }
-        if self.lx.eat_name("insert") {
-            let source = Box::new(self.expr_single()?);
-            let pos;
-            if self.lx.eat_name("as") {
-                if self.lx.eat_name("first") {
-                    pos = InsertPos::IntoAsFirst;
-                } else {
-                    self.expect_name("last")?;
-                    pos = InsertPos::IntoAsLast;
-                }
-                self.expect_name("into")?;
-            } else if self.lx.eat_name("into") {
-                pos = InsertPos::Into;
-            } else if self.lx.eat_name("before") {
-                pos = InsertPos::Before;
-            } else if self.lx.eat_name("after") {
-                pos = InsertPos::After;
-            } else {
-                return self.err("expected `into`, `before`, or `after` in do insert");
-            }
-            let target = Box::new(self.expr_single()?);
-            return Ok(Expr::Insert {
-                source,
-                pos,
-                target,
-            });
-        }
-        if self.lx.eat_name("delete") {
-            let target = Box::new(self.expr_single()?);
-            return Ok(Expr::Delete { target });
-        }
-        if self.lx.eat_name("replace") {
-            let value_of = if self.lx.eat_name("value") {
-                self.expect_name("of")?;
-                true
-            } else {
-                false
-            };
-            let target = Box::new(self.expr_single()?);
-            self.expect_name("with")?;
-            let source = Box::new(self.expr_single()?);
-            return Ok(Expr::Replace {
-                target,
-                source,
-                value_of,
-            });
-        }
-        self.expect_name("rename")?;
-        let target = Box::new(self.expr_single()?);
-        self.expect_name("as")?;
-        let name = Box::new(self.expr_single()?);
-        Ok(Expr::Rename { target, name })
+        // What `at_do_keyword` lets through besides `enqueue` and `reset`
+        // is one of the four XQUF tree updates. Each would change a stored
+        // message, and stored messages are immutable.
+        let form = match self.lx.next_tok()? {
+            Tok::Name(n) if n == "replace" && self.lx.at_name("value") => "replace value of".into(),
+            Tok::Name(n) => n,
+            t => format!("{t:?}"),
+        };
+        self.err(format!(
+            "`do {form}` is not supported: stored messages are immutable; \
+             build the new message with an element constructor and `do enqueue` it"
+        ))
     }
 
     // ---- operator precedence ladder ------------------------------------------

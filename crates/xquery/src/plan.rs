@@ -36,10 +36,9 @@ use crate::context::DynamicContext;
 use crate::error::{Error, Result};
 use crate::functions;
 use crate::semantics::{
-    assemble_element, atomics_joined, cast, computed_attribute, computed_comment,
-    computed_document, computed_name, computed_text, enqueue_prop, for_each_on_axis, instance_of,
-    negate, order_cmp, push_atomics_joined, range, sequence_to_document, set_op, update_content,
-    update_target, Content, Focus, Part,
+    assemble_element, cast, computed_attribute, computed_comment, computed_document, computed_name,
+    computed_text, enqueue_prop, for_each_on_axis, instance_of, negate, order_cmp,
+    push_atomics_joined, range, sequence_to_document, set_op, Content, Focus, Part,
 };
 use crate::update::Update;
 use crate::value::{AtomView, Atomic, Item, Sequence};
@@ -290,23 +289,6 @@ pub enum Plan {
     Reset {
         slicing: Option<QName>,
         key: Option<Box<Plan>>,
-    },
-    Insert {
-        source: Box<Plan>,
-        pos: InsertPos,
-        target: Box<Plan>,
-    },
-    Delete {
-        target: Box<Plan>,
-    },
-    Replace {
-        target: Box<Plan>,
-        source: Box<Plan>,
-        value_of: bool,
-    },
-    Rename {
-        target: Box<Plan>,
-        name: Box<Plan>,
     },
     Cast {
         expr: Box<Plan>,
@@ -739,31 +721,6 @@ impl<'c> Lowerer<'c> {
                 slicing: slicing.clone(),
                 key: key.as_ref().map(|k| Box::new(self.lower(k))),
             },
-            Expr::Insert {
-                source,
-                pos,
-                target,
-            } => Plan::Insert {
-                source: Box::new(self.lower(source)),
-                pos: *pos,
-                target: Box::new(self.lower(target)),
-            },
-            Expr::Delete { target } => Plan::Delete {
-                target: Box::new(self.lower(target)),
-            },
-            Expr::Replace {
-                target,
-                source,
-                value_of,
-            } => Plan::Replace {
-                target: Box::new(self.lower(target)),
-                source: Box::new(self.lower(source)),
-                value_of: *value_of,
-            },
-            Expr::Rename { target, name } => Plan::Rename {
-                target: Box::new(self.lower(target)),
-                name: Box::new(self.lower(name)),
-            },
             Expr::Cast { expr, ty } => Plan::Cast {
                 expr: Box::new(self.lower(expr)),
                 ty: ty.clone(),
@@ -1128,48 +1085,6 @@ impl<'a> PlanEvaluator<'a> {
                     slicing: slicing.clone(),
                     key,
                 });
-                Ok(Sequence::empty())
-            }
-            Plan::Insert {
-                source,
-                pos,
-                target,
-            } => {
-                let content = update_content(self.eval(source, focus)?);
-                let target = update_target(&self.eval(target, focus)?)?;
-                self.updates.push(Update::Insert {
-                    target,
-                    pos: *pos,
-                    content,
-                });
-                Ok(Sequence::empty())
-            }
-            Plan::Delete { target } => {
-                for target in update_content(self.eval(target, focus)?) {
-                    self.updates.push(Update::Delete { target });
-                }
-                Ok(Sequence::empty())
-            }
-            Plan::Replace {
-                target,
-                source,
-                value_of,
-            } => {
-                let target = update_target(&self.eval(target, focus)?)?;
-                let v = self.eval(source, focus)?;
-                self.updates.push(if *value_of {
-                    let value = atomics_joined(&v);
-                    Update::ReplaceValue { target, value }
-                } else {
-                    let content = update_content(v);
-                    Update::Replace { target, content }
-                });
-                Ok(Sequence::empty())
-            }
-            Plan::Rename { target, name } => {
-                let target = update_target(&self.eval(target, focus)?)?;
-                let name = computed_name(&self.eval(name, focus)?, "rename target")?;
-                self.updates.push(Update::Rename { target, name });
                 Ok(Sequence::empty())
             }
             Plan::Cast { expr, ty } => {

@@ -233,8 +233,8 @@ pub fn sequence_to_document(seq: &Sequence) -> Result<Arc<Document>> {
     Ok(b.finish())
 }
 
-/// The name a computed constructor or `do rename` evaluated to; `what`
-/// names the operand in the error.
+/// The name a computed constructor evaluated to; `what` names the
+/// operand in the error.
 pub fn computed_name(v: &Sequence, what: &str) -> Result<QName> {
     QName::parse_lexical(&v.string_value()?)
         .ok_or_else(|| Error::dynamic(format!("invalid {what} name")))
@@ -356,32 +356,6 @@ pub fn enqueue_prop(name: &str, v: &Sequence) -> Result<Atomic> {
         _ => Err(Error::type_error(format!(
             "property `{name}` value must be a single item"
         ))),
-    }
-}
-
-/// Inserted or replacing content: nodes as they are, atomics as text.
-pub fn update_content(v: Sequence) -> Vec<NodeRef> {
-    v.into_iter()
-        .map(|i| match i {
-            Item::Node(n) => n,
-            Item::Atomic(a) => {
-                let mut b = DocBuilder::new();
-                let text = Part::Text(&a.to_str());
-                Content::default()
-                    .push(&mut b, text)
-                    .expect("text is content");
-                let doc = b.finish();
-                doc.root().children().next().expect("text child")
-            }
-        })
-        .collect()
-}
-
-/// The one node an update targets.
-pub fn update_target(v: &Sequence) -> Result<NodeRef> {
-    match v.exactly_one()? {
-        Item::Node(n) => Ok(n.clone()),
-        Item::Atomic(_) => Err(Error::type_error("update target must be a node")),
     }
 }
 

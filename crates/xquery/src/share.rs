@@ -172,11 +172,7 @@ impl<'e> Walk<'e> {
             | Expr::ComputedComment(_)
             | Expr::ComputedDocument(_)
             | Expr::Enqueue { .. }
-            | Expr::Reset { .. }
-            | Expr::Insert { .. }
-            | Expr::Delete { .. }
-            | Expr::Replace { .. }
-            | Expr::Rename { .. } => {
+            | Expr::Reset { .. } => {
                 f.pure = false;
                 e.for_each_child(|c| f.add(self.walk(c, focus)));
             }

@@ -522,6 +522,50 @@ fn is_updating_classification() {
         .is_updating());
 }
 
+/// Stored messages are immutable: each XQUF tree update is a parse error
+/// that names its form and points to a constructor plus `do enqueue`. The
+/// four keywords stay ordinary element names everywhere else.
+#[test]
+fn tree_updates_are_refused_but_their_names_are_not() {
+    for (query, form) in [
+        ("do insert <x/> into /a", "`do insert`"),
+        ("do insert <x/> as first into /a", "`do insert`"),
+        ("do insert <x/> before /a/b", "`do insert`"),
+        ("do insert <x/> after /a/b", "`do insert`"),
+        ("do delete //b", "`do delete`"),
+        ("do replace /a/b with <c/>", "`do replace`"),
+        ("do replace value of /a/b with 'v'", "`do replace value of`"),
+        ("do rename /a/b as 'c'", "`do rename`"),
+        ("if (//b) then do delete //b", "`do delete`"),
+        (
+            "(do enqueue <m/> into q, do rename /a as 'z')",
+            "`do rename`",
+        ),
+    ] {
+        let msg = match parse_expr(query) {
+            Ok(e) => panic!("`{query}` parsed as {e:?}"),
+            Err(e) => e.to_string(),
+        };
+        assert!(msg.contains(form), "`{query}`: {msg}");
+        assert!(msg.contains("immutable"), "`{query}`: {msg}");
+        assert!(msg.contains("`do enqueue`"), "`{query}`: {msg}");
+    }
+
+    let xml = "<a><delete>1</delete><rename>2</rename><insert/><replace/></a>";
+    assert_eq!(q("//delete", xml), "1");
+    assert_eq!(q("/a/rename", xml), "2");
+    assert_eq!(q("count(/a/insert | /a/replace)", xml), "2");
+    assert_eq!(q("name(<insert/>)", xml), "insert");
+    let (_, ups) = eval_updates("do enqueue <replace/> into q", &doc(xml));
+    match &ups[..] {
+        [Update::Enqueue { queue, message, .. }] => {
+            assert_eq!(queue.local, "q");
+            assert_eq!(message.root().to_xml(), "<replace/>");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
 // -------------------------------------------------------- host functions ----
 
 struct TestHost;

@@ -41,7 +41,18 @@ if "$LINT" --format json scripts/lint/seeded_defect.qdl > /dev/null; then
     echo "lint gate failed open: seeded defects were not detected" >&2
     exit 1
 fi
-echo "lint: repo programs clean, seeded defects detected"
+# …and a rule that edits a message in place must be refused at parse time.
+if "$LINT" --format json scripts/lint/tree_update.qdl > target/lint_tree_update.json; then
+    echo "lint gate failed open: a tree update (do delete) was accepted" >&2
+    exit 1
+fi
+if ! grep -q 'parse-error' target/lint_tree_update.json \
+    || ! grep -q 'do delete' target/lint_tree_update.json; then
+    echo "lint gate: tree update not reported as a parse-error naming do delete" >&2
+    cat target/lint_tree_update.json >&2
+    exit 1
+fi
+echo "lint: repo programs clean, seeded defects detected, tree update refused"
 
 echo "== decoder fuzzing (10x the default cases) =="
 # Random and distance-mangled WAL frames and snapshot bodies: refused as
