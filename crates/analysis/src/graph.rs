@@ -1,4 +1,4 @@
-//! The queue/rule message-flow graph and derived orders.
+//! The queue/rule message-flow graph.
 //!
 //! Nodes are the application's declared queues (sorted by name for
 //! determinism). Edges are statically-known message flows:
@@ -11,12 +11,6 @@
 //! * an enqueue into an *echo* queue that sets `with target value "t"`
 //!   with a string literal adds the timer hop `echo → t` (unconditional:
 //!   the timer always fires).
-//!
-//! The same graph drives the deterministic global lock-acquisition order
-//! ([`FlowGraph::lock_order`]): queues are ranked by the topological order
-//! of the condensation (flow sources first, ties broken by name), so
-//! every transaction acquires queue locks in one global order and
-//! cross-enqueueing rules cannot deadlock.
 
 use crate::facts::RuleFacts;
 use demaq_qdl::{AppSpec, QueueKind};
@@ -136,25 +130,6 @@ impl FlowGraph {
     /// Queue indexes with at least one inbound flow edge.
     pub fn produced_into(&self) -> HashSet<usize> {
         self.edges.iter().map(|e| e.to).collect()
-    }
-
-    /// The deterministic global lock-acquisition order: queues ranked by
-    /// the topological order of the SCC condensation (flow sources first),
-    /// name order within an SCC and among incomparable queues.
-    pub fn lock_order(&self) -> Vec<String> {
-        let adj = self.adjacency(|_| true);
-        // Tarjan emits SCCs in reverse topological order of the
-        // condensation; reversing yields sources-first.
-        let mut sccs = strongly_connected(self.queues.len(), &adj);
-        sccs.reverse();
-        let mut order = Vec::with_capacity(self.queues.len());
-        for mut scc in sccs {
-            scc.sort_by(|&a, &b| self.queues[a].cmp(&self.queues[b]));
-            for i in scc {
-                order.push(self.queues[i].clone());
-            }
-        }
-        order
     }
 }
 

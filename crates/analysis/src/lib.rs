@@ -24,9 +24,7 @@
 //! | DQ012 | unbounded-retention | warn |
 //! | DQ013 | retention-narrowed | info |
 //!
-//! The same flow graph yields a deterministic global lock-acquisition
-//! order ([`Analysis::lock_order`]) that the engine uses for deadlock
-//! *avoidance* on cross-enqueueing rules, a queue → shard
+//! The same flow graph yields a queue → shard
 //! [`placement::Placement`] the sharded runtime routes enqueues with,
 //! and — via the [`liveness`] message-lifetime pass — a
 //! [`RetentionPlan`] that lets the store's GC drop or summarize member
@@ -446,14 +444,12 @@ pub struct AggregateDep {
     pub incremental: bool,
 }
 
-/// The analyzer's output: diagnostics, the flow graph, and the derived
-/// global lock-acquisition order.
+/// The analyzer's output: diagnostics, the flow graph, and what the
+/// runtime derives from them.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     pub diagnostics: Vec<Diagnostic>,
     pub graph: FlowGraph,
-    /// Queues in global lock-acquisition order (flow sources first).
-    pub lock_order: Vec<String>,
     /// Aggregate reads found in rule bodies and property bindings, with
     /// the queue/slicing each depends on (sorted, deduplicated).
     pub aggregate_deps: Vec<AggregateDep>,
@@ -519,19 +515,12 @@ impl Analysis {
                 .count()
         };
         out.push_str(&format!(
-            "],\"summary\":{{\"total\":{},\"info\":{},\"warn\":{},\"deny\":{}}},\"lock_order\":[",
+            "],\"summary\":{{\"total\":{},\"info\":{},\"warn\":{},\"deny\":{}}}}}",
             self.diagnostics.len(),
             count(Severity::Info),
             count(Severity::Warn),
             count(Severity::Deny)
         ));
-        for (i, q) in self.lock_order.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(q));
-        }
-        out.push_str("]}");
         out
     }
 }
@@ -1135,11 +1124,9 @@ pub fn analyze(spec: &AppSpec, rules: &[RuleFacts], config: &LintConfig) -> Anal
     diags.sort_by(|a, b| (a.code, &a.subject, &a.message).cmp(&(b.code, &b.subject, &b.message)));
     diags.dedup();
 
-    let lock_order = graph.lock_order();
     Analysis {
         diagnostics: diags,
         graph,
-        lock_order,
         aggregate_deps,
         retention,
     }
@@ -1168,7 +1155,6 @@ mod tests {
               if (//order) then do enqueue <fwd/> into outbox
         "#);
         assert!(a.diagnostics.is_empty(), "got: {:?}", a.diagnostics);
-        assert_eq!(a.lock_order, ["inbox", "outbox"], "sources rank first");
     }
 
     #[test]
@@ -1217,18 +1203,6 @@ mod tests {
         let mut cfg = LintConfig::new();
         cfg.set(LintCode::UnguardedFlowCycle, Severity::Deny);
         assert!(analyze_spec(&spec, &cfg).has_deny());
-    }
-
-    #[test]
-    fn lock_order_follows_flow_topology() {
-        let a = run(r#"
-            create queue sink kind basic mode persistent
-            create queue mid kind basic mode persistent
-            create queue src kind basic mode persistent
-            create rule r1 for src if (//x) then do enqueue <y/> into mid
-            create rule r2 for mid if (//y) then do enqueue <z/> into sink
-        "#);
-        assert_eq!(a.lock_order, ["src", "mid", "sink"]);
     }
 
     #[test]
@@ -1360,7 +1334,7 @@ mod tests {
     }
 
     #[test]
-    fn json_rendering_carries_summary_and_lock_order() {
+    fn json_rendering_carries_summary() {
         let a = run(r#"
             create queue inbox kind basic mode persistent
             create rule fwd for inbox
@@ -1369,8 +1343,7 @@ mod tests {
         let json = a.render_json();
         assert!(json.starts_with("{\"diagnostics\":["));
         assert!(json.contains("\"code\":\"DQ001\""));
-        assert!(json.contains("\"summary\":{\"total\":1,\"info\":0,\"warn\":0,\"deny\":1}"));
-        assert!(json.contains("\"lock_order\":[\"inbox\"]"));
+        assert!(json.ends_with("\"summary\":{\"total\":1,\"info\":0,\"warn\":0,\"deny\":1}}"));
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 

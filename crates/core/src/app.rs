@@ -16,58 +16,36 @@ use demaq_xquery::{AggCatalog, AggId, AggSource, Plan};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The part of a message's lock plan (paper Sec. 4.3) that its queue or
-/// slicing fixes, compiled at deploy: the queue locks its rules need, in
-/// the global acquisition order (lock rank, then name), one entry per
-/// queue, exclusive before shared. A message's transaction merges in
-/// only what depends on the message: its own and its slices' locks.
-#[derive(Debug, Clone, Default)]
-pub struct LockPlan {
-    /// Under slice granularity: the queues the rules read, shared.
-    pub reads: Vec<(Name, LockMode)>,
-    /// Under queue granularity: the queue itself (for a queue's plan) and
-    /// the queues the rules write, exclusive; the queues they read,
-    /// shared.
-    pub queues: Vec<(Name, LockMode)>,
+/// The queue locks a queue's or slicing's rules need under
+/// [`LockGranularity::Queue`](demaq_store::LockGranularity::Queue)
+/// (paper Sec. 4.3), compiled at deploy: the queue itself (for a queue's
+/// plan) and the queues the rules write, exclusive; the queues they read,
+/// shared. Sorted by name, the global acquisition order
+/// ([`LockKey`](demaq_store::LockKey)'s), one entry per queue. Slice
+/// granularity locks only the message's slices and reads no plan.
+pub type LockPlan = Vec<(Name, LockMode)>;
+
+fn lock_plan(own: Option<&Name>, rules: &[CompiledRule]) -> LockPlan {
+    let intern = |q: &String| -> Name { q.as_str().into() };
+    let writes = rules
+        .iter()
+        .flat_map(|r| &r.writes_queues)
+        .map(|q| (intern(q), LockMode::Exclusive));
+    let reads = rules
+        .iter()
+        .flat_map(|r| &r.reads_queues)
+        .map(|q| (intern(q), LockMode::Shared));
+    let own = own.map(|q| (Arc::clone(q), LockMode::Exclusive));
+    lock_order(own.into_iter().chain(writes).chain(reads).collect())
 }
 
-impl LockPlan {
-    fn compile(
-        own: Option<&Name>,
-        rules: &[CompiledRule],
-        ranks: &HashMap<String, u32>,
-    ) -> LockPlan {
-        let intern = |q: &String| -> Name { q.as_str().into() };
-        let reads = rules
-            .iter()
-            .flat_map(|r| &r.reads_queues)
-            .map(|q| (intern(q), LockMode::Shared));
-        let writes = rules
-            .iter()
-            .flat_map(|r| &r.writes_queues)
-            .map(|q| (intern(q), LockMode::Exclusive));
-        let queues = own
-            .map(|q| (Arc::clone(q), LockMode::Exclusive))
-            .into_iter()
-            .chain(writes)
-            .chain(reads.clone());
-        LockPlan {
-            reads: lock_order(reads.collect(), ranks),
-            queues: lock_order(queues.collect(), ranks),
-        }
-    }
-}
-
-/// Queue locks in the global acquisition order: by lock rank (flow
-/// sources first; unranked queues last), then name, exclusive before
-/// shared on one queue, which is then taken once, in the first mode.
-pub(crate) fn lock_order(
-    mut locks: Vec<(Name, LockMode)>,
-    ranks: &HashMap<String, u32>,
-) -> Vec<(Name, LockMode)> {
-    let rank = |q: &str| ranks.get(q).copied().unwrap_or(u32::MAX);
+/// Queue locks in the global acquisition order, [`LockKey`]'s: by name,
+/// one entry per queue, exclusive if any entry for it is.
+///
+/// [`LockKey`]: demaq_store::LockKey
+pub(crate) fn lock_order(mut locks: LockPlan) -> LockPlan {
     locks.sort_by(|(a, am), (b, bm)| {
-        (rank(a), a, *am == LockMode::Shared).cmp(&(rank(b), b, *bm == LockMode::Shared))
+        (a, *am == LockMode::Shared).cmp(&(b, *bm == LockMode::Shared))
     });
     locks.dedup_by(|later, first| later.0 == first.0);
     locks
@@ -101,9 +79,6 @@ pub struct CompiledSlicing {
     /// What its rules add to the lock plan of a message in one of its
     /// slices.
     pub locks: LockPlan,
-    /// Position of the slicing's name among all slicing names: slice locks
-    /// are acquired in this order.
-    pub lock_rank: usize,
 }
 
 /// The deployed application.
@@ -117,19 +92,13 @@ pub struct CompiledApp {
     pub property_names: Vec<Name>,
     /// property name -> slicing names keyed by it
     pub slicings_by_property: HashMap<String, Vec<Name>>,
-    /// Whole-application static analysis (flow graph, diagnostics,
-    /// lock-order derivation), computed once at deploy time.
+    /// Whole-application static analysis (flow graph, diagnostics),
+    /// computed once at deploy time.
     pub analysis: Analysis,
     /// Every property `value` binding, lowered once at deploy time:
     /// `prop name -> queue name -> plan`. `value false`, `value 3`, … fold
     /// to [`Plan::Const`].
     pub prop_bindings: HashMap<String, HashMap<String, Plan>>,
-    /// queue name -> global lock-acquisition rank (position in
-    /// [`Analysis::lock_order`]; flow sources rank first). Every
-    /// transaction acquires queue locks in ascending rank, which turns
-    /// deadlock detect-and-retry into deadlock avoidance for
-    /// cross-enqueueing rules.
-    pub lock_ranks: HashMap<String, u32>,
     /// The analyzer's per-rule facts (shard placement reuses them).
     pub facts: Vec<RuleFacts>,
     /// Every distinct recognized aggregate shape, numbered; the ids ride
@@ -232,8 +201,6 @@ impl CompiledApp {
 
         let mut slicings = HashMap::new();
         let mut slicings_by_property: HashMap<String, Vec<Name>> = HashMap::new();
-        let mut slicing_names: Vec<&str> = spec.slicings.iter().map(|s| s.name.as_str()).collect();
-        slicing_names.sort_unstable();
         for s in &spec.slicings {
             let name: Name = s.name.as_str().into();
             slicings.insert(
@@ -243,7 +210,6 @@ impl CompiledApp {
                     decl: s.clone(),
                     rules: Vec::new(),
                     locks: LockPlan::default(),
-                    lock_rank: slicing_names.partition_point(|n| *n < s.name.as_str()),
                 },
             );
             slicings_by_property
@@ -331,9 +297,8 @@ impl CompiledApp {
             .collect();
 
         // Whole-application analysis over the compiled rules' read/write
-        // sets (paper Sec. 4): diagnostics plus the flow-derived global
-        // lock-acquisition order. The builder decides what to do with the
-        // diagnostics (strict_analysis); ranks feed lock acquisition.
+        // sets (paper Sec. 4). The builder decides what to do with the
+        // diagnostics (strict_analysis).
         let facts: Vec<RuleFacts> = queues
             .values()
             .flat_map(|q| q.rules.iter())
@@ -341,17 +306,11 @@ impl CompiledApp {
             .map(rule_facts)
             .collect();
         let analysis = demaq_analysis::analyze(&spec, &facts, &LintConfig::default());
-        let lock_ranks: HashMap<String, u32> = analysis
-            .lock_order
-            .iter()
-            .enumerate()
-            .map(|(i, q)| (q.clone(), i as u32))
-            .collect();
         for cq in queues.values_mut() {
-            cq.locks = LockPlan::compile(Some(&cq.name), &cq.rules, &lock_ranks);
+            cq.locks = lock_plan(Some(&cq.name), &cq.rules);
         }
         for cs in slicings.values_mut() {
-            cs.locks = LockPlan::compile(None, &cs.rules, &lock_ranks);
+            cs.locks = lock_plan(None, &cs.rules);
         }
 
         Ok(CompiledApp {
@@ -363,7 +322,6 @@ impl CompiledApp {
             slicings_by_property,
             prop_bindings,
             analysis,
-            lock_ranks,
             facts,
             aggregates,
             slice_aggregates,
@@ -435,17 +393,18 @@ mod tests {
     use LockMode::{Exclusive, Shared};
 
     #[test]
-    fn lock_plans_are_compiled_in_rank_order_one_entry_per_queue() {
+    fn lock_plans_are_compiled_in_name_order_one_entry_per_queue() {
         let src = r#"
-            create queue a kind basic mode persistent
-            create queue b kind basic mode persistent
             create queue c kind basic mode persistent
+            create queue b kind basic mode persistent
+            create queue a kind basic mode persistent
             create queue log kind basic mode persistent
             create property p as xs:string queue a value /m/@p
             create slicing s on p
             create rule r1 for a if (count(qs:queue("c")) > 0) then do enqueue <x/> into b
             create rule r2 for a if (//m) then (do enqueue <y/> into b, do enqueue <z/> into c)
             create rule r3 for s if (count(qs:queue("log")) > 9) then do enqueue <w/> into log
+            create rule r4 for s if (count(qs:queue("b")) > 9) then do enqueue <v/> into c
         "#;
         let app = CompiledApp::compile(parse_program(src).unwrap(), &HashMap::new()).unwrap();
         let plan = |locks: &[(Name, LockMode)]| -> Vec<(String, LockMode)> {
@@ -454,30 +413,39 @@ mod tests {
         let owned = |v: &[(&str, LockMode)]| -> Vec<(String, LockMode)> {
             v.iter().map(|(q, m)| (q.to_string(), *m)).collect()
         };
-        let rank = |q: &str| app.lock_ranks.get(q).copied().unwrap_or(u32::MAX);
-        let ordered = |v: &[(String, LockMode)]| {
-            v.windows(2)
-                .all(|w| (rank(&w[0].0), &w[0].0) < (rank(&w[1].0), &w[1].0))
-        };
+        let ascending = |v: &[(Name, LockMode)]| v.windows(2).all(|w| w[0].0 < w[1].0);
 
         let a = &app.queues["a"].locks;
-        assert_eq!(plan(&a.reads), owned(&[("c", Shared)]));
         // `c` is read by r1 and written by r2: taken once, exclusive.
-        let mut want = owned(&[("a", Exclusive), ("b", Exclusive), ("c", Exclusive)]);
-        want.sort_by_key(|(q, _)| (rank(q), q.clone()));
-        assert_eq!(plan(&a.queues), want);
-        assert!(ordered(&plan(&a.queues)));
-
-        let s = &app.slicings["s"];
-        assert_eq!(plan(&s.locks.reads), owned(&[("log", Shared)]));
-        assert_eq!(plan(&s.locks.queues), owned(&[("log", Exclusive)]));
-        assert_eq!(s.lock_rank, 0);
-        // Merging a slicing's plan into a queue's keeps one global order.
-        let merged = lock_order(
-            a.queues.iter().chain(&s.locks.queues).cloned().collect(),
-            &app.lock_ranks,
+        assert_eq!(
+            plan(a),
+            owned(&[("a", Exclusive), ("b", Exclusive), ("c", Exclusive)])
         );
-        assert!(ordered(&plan(&merged)));
-        assert_eq!(merged.len(), 4);
+        let s = &app.slicings["s"].locks;
+        assert_eq!(
+            plan(s),
+            owned(&[("b", Shared), ("c", Exclusive), ("log", Exclusive)])
+        );
+        for plan in app
+            .queues
+            .values()
+            .map(|q| &q.locks)
+            .chain(app.slicings.values().map(|s| &s.locks))
+        {
+            assert!(ascending(plan), "{plan:?}");
+        }
+        // Merging a slicing's plan into a queue's keeps one ascending list
+        // with one entry per queue, in its strongest mode.
+        let merged = lock_order(a.iter().chain(s).cloned().collect());
+        assert!(ascending(&merged));
+        assert_eq!(
+            plan(&merged),
+            owned(&[
+                ("a", Exclusive),
+                ("b", Exclusive),
+                ("c", Exclusive),
+                ("log", Exclusive)
+            ])
+        );
     }
 }

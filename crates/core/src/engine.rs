@@ -9,7 +9,7 @@
 //! locking (Sec. 4.3).
 
 use crate::aggregates::{AggRegistry, CellMap, Fold, Scope};
-use crate::app::{lock_order, CompiledApp, CompiledQueue, CompiledSlicing, LockPlan};
+use crate::app::{lock_order, CompiledApp, CompiledQueue, CompiledSlicing};
 use crate::cache::DocCache;
 use crate::compiler::CompiledRule;
 use crate::errors::{error_message, kind};
@@ -94,7 +94,6 @@ pub struct ServerStats {
     pub errors_routed: u64,
     pub rules_evaluated: u64,
     pub rules_skipped_by_filter: u64,
-    pub deadlock_retries: u64,
     pub timers_fired: u64,
     pub gc_purged: u64,
     /// Rule bodies lowered to pre-resolved plans (process-wide).
@@ -118,7 +117,6 @@ impl ServerStats {
             errors_routed: counter("demaq_engine_errors_routed_total"),
             rules_evaluated: counter("demaq_engine_rules_evaluated_total"),
             rules_skipped_by_filter: counter("demaq_engine_rules_skipped_total"),
-            deadlock_retries: counter("demaq_engine_deadlock_retries_total"),
             timers_fired: counter("demaq_engine_timers_fired_total"),
             gc_purged: counter("demaq_engine_gc_purged_total"),
             plans_lowered: demaq_xquery::plan::plans_lowered_total(),
@@ -170,7 +168,6 @@ fn sync_xquery_metrics(obs: &Obs) {
 struct EngineMetrics {
     rules_evaluated: Counter,
     rules_skipped: Counter,
-    deadlock_retries: Counter,
     requeues: Counter,
     timers_fired: Counter,
     errors_routed: Counter,
@@ -282,7 +279,6 @@ impl EngineMetrics {
         EngineMetrics {
             rules_evaluated: r.counter("demaq_engine_rules_evaluated_total"),
             rules_skipped: r.counter("demaq_engine_rules_skipped_total"),
-            deadlock_retries: r.counter("demaq_engine_deadlock_retries_total"),
             requeues: r.counter("demaq_engine_requeues_total"),
             timers_fired: r.counter("demaq_engine_timers_fired_total"),
             errors_routed: r.counter("demaq_engine_errors_routed_total"),
@@ -1369,7 +1365,7 @@ impl Server {
             .note_scheduled(|| self.scheduler.push(msg, queue, priority));
     }
 
-    /// [`Self::sched_push`] for deadlock-retry requeues.
+    /// [`Self::sched_push`] for lock-timeout requeues.
     fn sched_requeue(&self, msg: MsgId, queue: &Name, priority: i32) {
         let queue = Arc::clone(queue);
         self.shard
@@ -1637,9 +1633,10 @@ impl Server {
                     self.post_commit_queue_effects(&nm.queue, nm.id, after)?;
                 }
                 // Cross-shard enqueues publish only now, after the trigger's
-                // transaction committed — a deadlock retry re-runs the rules
-                // and would otherwise forward twice. Per-rule production is
-                // attributed here, on the shard where the rule fired.
+                // transaction committed — a lock-timeout retry re-runs the
+                // rules and would otherwise forward twice. Per-rule
+                // production is attributed here, on the shard where the
+                // rule fired.
                 for f in forwards {
                     if let Some(PropValue::Str(rule)) = prop(&f.props, system::CREATING_RULE) {
                         self.metrics.record_rule_produced(rule);
@@ -1648,16 +1645,15 @@ impl Server {
                 }
                 self.bound_backlog(false)
             }
-            Err(ProcessingError::Store(StoreError::Deadlock | StoreError::LockTimeout)) => {
+            Err(ProcessingError::Store(StoreError::LockTimeout)) => {
                 // The one retry path: put the message back at the front of
                 // its priority class. It runs again as a fresh transaction
                 // once a worker pops it.
                 self.store.abort(txn);
                 self.metrics.requeues.inc();
-                self.metrics.deadlock_retries.inc();
                 self.obs
                     .tracer
-                    .event("msg.retry", Some(msg_id.0), queue, "deadlock victim");
+                    .event("msg.retry", Some(msg_id.0), queue, "lock timeout");
                 self.sched_requeue(msg_id, queue, cq.decl.priority);
                 Ok(())
             }
@@ -1712,7 +1708,7 @@ impl Server {
         seams: &mut Seams,
     ) -> std::result::Result<(Vec<NewMessage>, Vec<Forwarded>), ProcessingError> {
         // ---- locking (paper Sec. 4.3) -------------------------------------
-        self.acquire_locks(txn, meta, cq, slices)?;
+        self.acquire_locks(txn, cq, slices)?;
         seams.locked = Some(Instant::now());
 
         // ---- rule evaluation (snapshot) ------------------------------------
@@ -1817,68 +1813,65 @@ impl Server {
         Ok((new_messages, forwards))
     }
 
-    /// Acquire the message's locks in the global order: queue locks by
-    /// rank, then slices by slicing name, then the message. The queue
-    /// locks are the queue's compiled [`LockPlan`], merged with what its
-    /// slicings' rules add (usually nothing, and then nothing is merged);
-    /// under slice granularity the message's slice keys and its own lock
-    /// follow, borrowed from its properties and moved into the lock table.
+    /// Acquire the message's locks, all before any evaluation, each key
+    /// once, in ascending [`LockKey`] order: no wait-for cycle can form
+    /// (see [`demaq_store::lock`]). Under slice granularity these are the
+    /// message's slices, exclusive. Under queue granularity they are the
+    /// queue's compiled [`LockPlan`](crate::app::LockPlan), merged with
+    /// what its slicings' rules add (usually nothing, and then nothing is
+    /// merged).
     fn acquire_locks<'a>(
         &self,
         txn: TxnId,
-        meta: &MessageMeta,
         cq: &'a CompiledQueue,
         slices: &[MsgSlice<'a>],
     ) -> std::result::Result<(), ProcessingError> {
-        let lock = |key, mode| {
+        #[cfg(debug_assertions)]
+        let last = std::cell::Cell::new(None::<LockKey>);
+        let lock = |key: LockKey, mode| {
+            // Tripwire for the ordering argument: each key above the last.
+            #[cfg(debug_assertions)]
+            {
+                let prev = last.replace(Some(key.clone()));
+                debug_assert!(
+                    prev.as_ref().is_none_or(|p| *p < key),
+                    "lock {key:?} requested after {prev:?}"
+                );
+            }
             self.store
                 .locks
                 .acquire(txn, key, mode)
                 .map_err(ProcessingError::Store)
         };
-        let by_slice = self.store.lock_granularity() == LockGranularity::Slice;
-        let plan = |p: &'a LockPlan| {
-            if by_slice {
-                p.reads.as_slice()
-            } else {
-                p.queues.as_slice()
+        if self.store.lock_granularity() == LockGranularity::Slice {
+            // A message is in a handful of slices: select them in handle
+            // order rather than sort a copy.
+            let mut after = None;
+            while let Some(s) = slices
+                .iter()
+                .filter(|s| after.is_none_or(|id| s.id > id))
+                .min_by_key(|s| s.id)
+            {
+                after = Some(s.id);
+                lock(LockKey::Slice(s.id), LockMode::Exclusive)?;
             }
-        };
-        let own = plan(&cq.locks);
+            return Ok(());
+        }
         let mut added = slices
             .iter()
-            .map(|s| plan(&s.slicing.locks))
+            .map(|s| &s.slicing.locks)
             .filter(|l| !l.is_empty());
         let merged;
         let queue_locks = match added.next() {
-            None => own,
+            None => &cq.locks,
             Some(first) => {
-                let all = own
-                    .iter()
-                    .chain(first)
-                    .chain(added.flatten())
-                    .cloned()
-                    .collect();
-                merged = lock_order(all, &self.app.lock_ranks);
-                merged.as_slice()
+                let all = cq.locks.iter().chain(first).chain(added.flatten());
+                merged = lock_order(all.cloned().collect());
+                &merged
             }
         };
         for (q, mode) in queue_locks {
             lock(LockKey::Queue(Arc::clone(q)), *mode)?;
-        }
-        if by_slice {
-            // A message is in one slice per slicing at most: slicing-name
-            // order is the slice-key order.
-            let mut after = None;
-            while let Some(s) = slices
-                .iter()
-                .filter(|s| after.is_none_or(|rank| s.slicing.lock_rank > rank))
-                .min_by_key(|s| s.slicing.lock_rank)
-            {
-                after = Some(s.slicing.lock_rank);
-                lock(LockKey::Slice(s.id), LockMode::Exclusive)?;
-            }
-            lock(LockKey::Message(meta.id), LockMode::Exclusive)?;
         }
         Ok(())
     }

@@ -95,7 +95,7 @@ impl Scheduler {
         Some((item.msg, item.queue))
     }
 
-    /// Put a message back (lock conflict / deadlock retry) — it rejoins
+    /// Put a message back (lock-timeout retry) — it rejoins
     /// the *front* of its priority class, keeping its place ahead of work
     /// that arrived later. Returns whether it was inserted.
     pub fn requeue(&self, msg: MsgId, queue: impl Into<Name>, priority: i32) -> bool {
@@ -259,7 +259,7 @@ mod tests {
         let (victim, _) = s.pop().unwrap();
         assert_eq!(victim, MsgId(1));
         s.push(MsgId(3), "q", 0);
-        // The deadlock victim retries before 2 and 3, which arrived later.
+        // The timed-out message retries before 2 and 3, which arrived later.
         s.requeue(victim, "q", 0);
         let order: Vec<u64> = std::iter::from_fn(|| s.pop().map(|(m, _)| m.0)).collect();
         assert_eq!(order, [1, 2, 3]);

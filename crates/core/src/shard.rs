@@ -13,7 +13,7 @@
 //!
 //! Cross-shard enqueues produced by rule firings are published to the
 //! destination shard's mailbox only after the producing transaction
-//! commits (a deadlock retry re-runs the rules and must not deliver
+//! commits (a lock-timeout retry re-runs the rules and must not deliver
 //! twice) — and, when commits do not wait for their own fsync, only once
 //! the producer's WAL has made that commit durable (the destination is a
 //! different WAL; see `crate::outbox`). The message travels with its

@@ -4,7 +4,7 @@
 
 use demaq::Server;
 use demaq_store::store::SyncPolicy;
-use demaq_store::{LockKey, LockMode};
+use demaq_store::{LockGranularity, LockKey, LockMode};
 use std::time::{Duration, Instant};
 
 #[test]
@@ -17,20 +17,21 @@ fn a_lock_timeout_processes_the_message_once() {
         )
         .in_memory()
         .sync_policy(SyncPolicy::Batch)
+        .lock_granularity(LockGranularity::Queue)
         .build()
         .unwrap();
-    let id = server.enqueue_external("inbox", "<a/>").unwrap();
+    server.enqueue_external("inbox", "<a/>").unwrap();
     let store = server.store();
     let obs = server.metrics();
     let counter = |name| obs.registry.counter_total(name);
     let timeouts = || counter("demaq_store_lock_timeouts_total");
 
-    // A foreign transaction holds the message's lock until the engine's
+    // A foreign transaction holds the message's queue until the engine's
     // first attempt has timed out on it, then lets go.
     let foreign = store.begin();
     store
         .locks
-        .acquire(foreign, LockKey::Message(id), LockMode::Exclusive)
+        .acquire(foreign, LockKey::Queue("inbox".into()), LockMode::Exclusive)
         .unwrap();
     std::thread::scope(|s| {
         s.spawn(|| {
@@ -47,7 +48,6 @@ fn a_lock_timeout_processes_the_message_once() {
 
     assert_eq!(server.queue_bodies("out").unwrap(), ["<b/>"]);
     assert_eq!(counter("demaq_engine_requeues_total"), 1);
-    assert_eq!(counter("demaq_engine_deadlock_retries_total"), 1);
     // The trigger and its product, once each.
     assert_eq!(counter("demaq_engine_processed_total"), 2);
 }

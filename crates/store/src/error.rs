@@ -9,8 +9,6 @@ pub enum StoreError {
     Io(std::io::Error),
     /// Log or checkpoint corruption detected during recovery.
     Corrupt(String),
-    /// A transaction was chosen as a deadlock victim and must be retried.
-    Deadlock,
     /// Lock acquisition timed out.
     LockTimeout,
     /// Use of an unknown queue / slicing / message id.
@@ -26,7 +24,6 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "I/O error: {e}"),
             StoreError::Corrupt(m) => write!(f, "corrupt store: {m}"),
-            StoreError::Deadlock => write!(f, "transaction aborted: deadlock victim"),
             StoreError::LockTimeout => write!(f, "lock wait timeout"),
             StoreError::NotFound(m) => write!(f, "not found: {m}"),
             StoreError::Invalid(m) => write!(f, "invalid operation: {m}"),

@@ -12,9 +12,9 @@
 //!   sync policy (per-commit fsync or batched). Lineage is read from the
 //!   enqueues themselves, so it has no record of its own.
 //! * **Transactions** ([`txn`]): deferred-write transactions under strict
-//!   two-phase locking with queue/slice/message granularity (Sec. 4.3's
-//!   "locking just the affected slices") and wait-for-graph deadlock
-//!   detection.
+//!   two-phase locking at queue or slice granularity (Sec. 4.3's
+//!   "locking just the affected slices"). Locks are taken in one global
+//!   key order, so deadlocks cannot form and none are detected.
 //! * **Queues & slices** ([`store`], [`slice`](mod@slice)): append-only message
 //!   queues ("messages are never modified after they have been created"),
 //!   the slice index (a B-tree keyed by slice key, Sec. 4.3), slice

@@ -7,16 +7,17 @@
 //! queues". The engine picks a [`LockGranularity`]; benchmark E3 compares
 //! them.
 //!
-//! Deadlocks are detected by cycle search in the wait-for graph; the
-//! youngest transaction in the cycle is the victim.
+//! There is no deadlock detection. Every transaction requests all its
+//! locks before it evaluates anything, each key once, in ascending
+//! [`LockKey`] order, so no wait-for cycle can form. A wait that outlives
+//! the configured timeout fails with [`StoreError::LockTimeout`].
 
 use crate::error::{Result, StoreError};
 use crate::slice::SliceId;
-use crate::types::{IdMap, MsgId, Name, TxnId};
+use crate::types::{IdMap, Name, TxnId};
 use demaq_obs::{Counter, Histogram, Registry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::Entry;
-use std::collections::HashSet;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -25,8 +26,8 @@ use std::time::{Duration, Instant};
 pub enum LockGranularity {
     /// Lock whole queues — simple, serializes all work per queue.
     Queue,
-    /// Lock individual slices (plus per-message locks) — the paper's
-    /// proposed optimization for concurrency.
+    /// Lock only the message's slices — the paper's proposed optimization
+    /// for concurrency.
     Slice,
 }
 
@@ -38,12 +39,12 @@ pub enum LockMode {
 }
 
 /// Lockable resources. Names are interned and slices are locked by
-/// handle, so building a key never allocates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// handle, so building a key never allocates. The derived order is the
+/// global acquisition order: queues by name, then slices by handle.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockKey {
     Queue(Name),
     Slice(SliceId),
-    Message(MsgId),
 }
 
 /// The holders of one lock. Most locks have one, which lives inline: a
@@ -59,10 +60,6 @@ impl LockEntry {
         self.first.iter().chain(&self.rest)
     }
 
-    fn held_by(&self, txn: TxnId) -> Option<LockMode> {
-        self.holders().find(|(t, _)| *t == txn).map(|&(_, m)| m)
-    }
-
     fn len(&self) -> usize {
         self.first.iter().count() + self.rest.len()
     }
@@ -71,12 +68,8 @@ impl LockEntry {
         self.first.is_none() && self.rest.is_empty()
     }
 
-    /// Record `txn` as a holder in `mode`, replacing its earlier mode.
-    fn set(&mut self, txn: TxnId, mode: LockMode) {
-        let mut holders = self.first.iter_mut().chain(&mut self.rest);
-        if let Some(slot) = holders.find(|(t, _)| *t == txn) {
-            slot.1 = mode;
-        } else if self.first.is_none() {
+    fn add(&mut self, txn: TxnId, mode: LockMode) {
+        if self.first.is_none() {
             self.first = Some((txn, mode));
         } else {
             self.rest.push((txn, mode));
@@ -91,16 +84,10 @@ impl LockEntry {
         }
     }
 
-    fn compatible(&self, txn: TxnId, mode: LockMode) -> bool {
-        for &(holder, held) in self.holders() {
-            if holder == txn {
-                continue; // re-entrant; upgrade checked below
-            }
-            if mode == LockMode::Exclusive || held == LockMode::Exclusive {
-                return false;
-            }
-        }
-        true
+    /// Only shared locks coexist.
+    fn compatible(&self, mode: LockMode) -> bool {
+        self.holders()
+            .all(|&(_, held)| mode == LockMode::Shared && held == LockMode::Shared)
     }
 }
 
@@ -109,43 +96,16 @@ struct LockState {
     /// Keyed by declared queue names and ids the process made — never by
     /// message content — so the fixed-seed hasher.
     locks: IdMap<LockKey, LockEntry>,
-    waits_for: IdMap<TxnId, HashSet<TxnId>>,
     /// Number of acquisitions that had to block on a conflict (benchmark
     /// E3's contention metric).
     blocked_acquisitions: u64,
 }
 
-impl LockState {
-    /// Does adding edges `from -> tos` close a cycle through `from`?
-    fn would_deadlock(&self, from: TxnId) -> bool {
-        // DFS from each of `from`'s targets looking for `from`.
-        let mut stack: Vec<TxnId> = self
-            .waits_for
-            .get(&from)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        let mut seen = HashSet::new();
-        while let Some(t) = stack.pop() {
-            if t == from {
-                return true;
-            }
-            if !seen.insert(t) {
-                continue;
-            }
-            if let Some(next) = self.waits_for.get(&t) {
-                stack.extend(next.iter().copied());
-            }
-        }
-        false
-    }
-}
-
-/// Registry handles for lock contention metrics
-/// (`demaq_store_lock_*`).
+/// Registry handles for lock metrics (`demaq_store_lock_*`).
 struct LockMetrics {
+    acquisitions: Counter,
     wait_ns: Histogram,
     conflicts: Counter,
-    deadlocks: Counter,
     timeouts: Counter,
 }
 
@@ -173,24 +133,27 @@ impl LockManager {
         }
     }
 
-    /// Register lock contention metrics in `registry`
-    /// (`demaq_store_lock_wait_ns`, conflict/deadlock/timeout counters).
-    /// First attachment wins; later calls are ignored.
+    /// Register lock metrics in `registry` (`demaq_store_lock_wait_ns`,
+    /// acquisition/conflict/timeout counters). First attachment wins;
+    /// later calls are ignored.
     pub fn attach_obs(&self, registry: &Registry) {
+        // No deadlock can form (see the module doc), so this series stays
+        // at 0. It stays registered for the readers that name it.
+        registry.counter("demaq_store_lock_deadlocks_total");
         let _ = self.metrics.set(LockMetrics {
+            acquisitions: registry.counter("demaq_store_lock_acquisitions_total"),
             wait_ns: registry.histogram("demaq_store_lock_wait_ns"),
             conflicts: registry.counter("demaq_store_lock_conflicts_total"),
-            deadlocks: registry.counter("demaq_store_lock_deadlocks_total"),
             timeouts: registry.counter("demaq_store_lock_timeouts_total"),
         });
     }
 
     /// Acquire `key` in `mode` for `txn`, blocking if necessary. The key
-    /// moves into the lock table; it is cloned only to wait.
+    /// moves into the lock table; it is cloned only to wait. A
+    /// transaction requests each key once, in ascending [`LockKey`] order.
     ///
-    /// Errors with [`StoreError::Deadlock`] when this request would close a
-    /// wait-for cycle, or [`StoreError::LockTimeout`] after the configured
-    /// timeout.
+    /// Errors with [`StoreError::LockTimeout`] once it has waited the
+    /// configured timeout, counted from its first conflict.
     pub fn acquire(&self, txn: TxnId, key: LockKey, mode: LockMode) -> Result<()> {
         let mut state = self.state.lock();
         let mut waited_since: Option<Instant> = None;
@@ -200,60 +163,39 @@ impl LockManager {
                 Entry::Occupied(e) => e,
                 Entry::Vacant(e) => {
                     // A lock nobody holds: take it without a second look.
-                    e.insert(LockEntry::default()).set(txn, mode);
+                    e.insert(LockEntry::default()).add(txn, mode);
                     break Ok(());
                 }
             };
-            let entry = held_lock.get_mut();
-            // Upgrade: sole holder may strengthen shared -> exclusive.
-            if let Some(held) = entry.held_by(txn) {
-                if held == LockMode::Exclusive || mode == LockMode::Shared {
-                    break Ok(());
-                }
-                if entry.len() == 1 {
-                    entry.set(txn, LockMode::Exclusive);
-                    break Ok(());
-                }
-            } else if entry.compatible(txn, mode) {
-                entry.set(txn, mode);
+            if held_lock.get().compatible(mode) {
+                held_lock.get_mut().add(txn, mode);
                 break Ok(());
             }
-            // Conflict: record wait-for edges and check for a cycle.
-            let blockers: HashSet<TxnId> = entry
-                .holders()
-                .map(|&(h, _)| h)
-                .filter(|&h| h != txn)
-                .collect();
-            // The key leaves the table's entry only for the retry.
+            // Conflict: the key leaves the table's entry only to wait.
             key = held_lock.key().clone();
             state.blocked_acquisitions += 1;
-            if waited_since.is_none() {
-                waited_since = Some(Instant::now());
+            let since = *waited_since.get_or_insert_with(|| {
                 if let Some(m) = self.metrics.get() {
                     m.conflicts.inc();
                 }
-            }
-            state.waits_for.insert(txn, blockers);
-            if state.would_deadlock(txn) {
-                state.waits_for.remove(&txn);
-                break Err(StoreError::Deadlock);
-            }
-            let timed_out = self.cv.wait_for(&mut state, self.timeout).timed_out();
-            state.waits_for.remove(&txn);
-            if timed_out {
+                Instant::now()
+            });
+            // Every release wakes every waiter, so a wake-up must not
+            // restart the wait.
+            let left = self.timeout.saturating_sub(since.elapsed());
+            if left.is_zero() || self.cv.wait_for(&mut state, left).timed_out() {
                 break Err(StoreError::LockTimeout);
             }
         };
         drop(state);
         if let Some(m) = self.metrics.get() {
+            m.acquisitions.inc();
             if let Some(since) = waited_since {
                 m.wait_ns
                     .record_ns(since.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             }
-            match &result {
-                Err(StoreError::Deadlock) => m.deadlocks.inc(),
-                Err(StoreError::LockTimeout) => m.timeouts.inc(),
-                _ => {}
+            if result.is_err() {
+                m.timeouts.inc();
             }
         }
         result
@@ -266,7 +208,6 @@ impl LockManager {
             entry.remove(txn);
             !entry.is_empty()
         });
-        state.waits_for.remove(&txn);
         self.cv.notify_all();
     }
 
@@ -320,47 +261,41 @@ mod tests {
     }
 
     #[test]
-    fn reentrant_and_upgrade() {
-        let lm = LockManager::default();
-        lm.acquire(t(1), qk("q"), LockMode::Shared).unwrap();
-        lm.acquire(t(1), qk("q"), LockMode::Shared).unwrap();
-        lm.acquire(t(1), qk("q"), LockMode::Exclusive).unwrap(); // sole holder upgrade
-        assert_eq!(lm.held_count(), 1);
-        lm.release_all(t(1));
-    }
-
-    #[test]
-    fn deadlock_detected() {
-        let lm = Arc::new(LockManager::new(Duration::from_secs(10)));
-        lm.acquire(t(1), qk("a"), LockMode::Exclusive).unwrap();
-        lm.acquire(t(2), qk("b"), LockMode::Exclusive).unwrap();
-        // t2 waits for a (held by t1) in a thread…
-        let lm2 = Arc::clone(&lm);
-        let h = std::thread::spawn(move || {
-            let r = lm2.acquire(t(2), qk("a"), LockMode::Exclusive);
-            lm2.release_all(t(2));
-            r
-        });
-        std::thread::sleep(Duration::from_millis(100));
-        // …then t1 requests b: cycle t1 -> t2 -> t1 must be detected on one
-        // side or the other.
-        let r1 = lm.acquire(t(1), qk("b"), LockMode::Exclusive);
-        let deadlocked_here = matches!(r1, Err(StoreError::Deadlock));
-        lm.release_all(t(1));
-        let r2 = h.join().unwrap();
-        assert!(
-            deadlocked_here || matches!(r2, Err(StoreError::Deadlock)),
-            "one of the two transactions must be chosen as victim: {r1:?} / {r2:?}"
-        );
-    }
-
-    #[test]
     fn timeout_fires() {
         let lm = LockManager::new(Duration::from_millis(50));
         lm.acquire(t(1), qk("q"), LockMode::Exclusive).unwrap();
         let err = lm.acquire(t(2), qk("q"), LockMode::Shared).unwrap_err();
         assert!(matches!(err, StoreError::LockTimeout));
         lm.release_all(t(1));
+    }
+
+    #[test]
+    fn timeout_counts_from_the_first_conflict() {
+        // Releases of an unrelated key wake the waiter every 5 ms; its
+        // 50 ms timeout still fires, not after the churn ends.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let lm = LockManager::new(Duration::from_millis(50));
+        lm.acquire(t(1), qk("held"), LockMode::Exclusive).unwrap();
+        let done = AtomicBool::new(false);
+        let waited = std::thread::scope(|s| {
+            s.spawn(|| {
+                let until = Instant::now() + Duration::from_secs(5);
+                for n in 100.. {
+                    if done.load(Ordering::Relaxed) || Instant::now() > until {
+                        break;
+                    }
+                    lm.acquire(t(n), qk("other"), LockMode::Exclusive).unwrap();
+                    lm.release_all(t(n));
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            });
+            let started = Instant::now();
+            let err = lm.acquire(t(2), qk("held"), LockMode::Exclusive);
+            done.store(true, Ordering::Relaxed);
+            assert!(matches!(err, Err(StoreError::LockTimeout)));
+            started.elapsed()
+        });
+        assert!(waited < Duration::from_secs(2), "waited {waited:?}");
     }
 
     #[test]
@@ -377,13 +312,11 @@ mod tests {
     }
 
     #[test]
-    fn message_locks() {
-        let lm = LockManager::default();
-        lm.acquire(t(1), LockKey::Message(MsgId(5)), LockMode::Exclusive)
-            .unwrap();
-        lm.acquire(t(2), LockKey::Message(MsgId(6)), LockMode::Exclusive)
-            .unwrap();
-        lm.release_all(t(1));
-        lm.release_all(t(2));
+    fn key_order_is_queues_by_name_then_slices() {
+        let mut idx = crate::slice::SliceIndex::new();
+        let s0 = LockKey::Slice(idx.resolve("a", &crate::PropValue::Str("1".into())));
+        let s1 = LockKey::Slice(idx.resolve("a", &crate::PropValue::Str("0".into())));
+        assert!(qk("a") < qk("b") && qk("b") < qk("ba"));
+        assert!(qk("zz") < s0 && s0 < s1);
     }
 }

@@ -6,9 +6,10 @@
 //!
 //! Also guards the analysis pass (DESIGN.md §5.10): whole-application
 //! analysis of the pipeline must stay well under 10 ms so it can run
-//! unconditionally at every deploy, and the analysis-derived lock order
-//! must drain a deadlock-prone cross-enqueue app on 4 threads without a
-//! single deadlock retry.
+//! unconditionally at every deploy, and queue-granularity locking must
+//! drain a cross-enqueue app on 4 threads without a single lock-timeout
+//! requeue: every transaction takes its locks up front in one key order,
+//! so none can deadlock.
 
 use demaq::Server;
 use demaq_analysis::LintConfig;
@@ -86,9 +87,9 @@ fn analysis_budget() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Drain a deadlock-prone cross-enqueue app on 4 threads. The
-/// analysis-derived global lock order makes workers acquire `a` and `b`
-/// in rank order, so the deadlock detector must never fire.
+/// Drain a cross-enqueue app on 4 threads under queue locks. Each worker
+/// needs both `a` and `b` and takes them in key order, so no wait-for
+/// cycle forms and the lock-timeout requeue never fires.
 fn cross_enqueue_drain() -> Result<(), Box<dyn std::error::Error>> {
     let s = Server::builder()
         .program(
@@ -111,16 +112,15 @@ fn cross_enqueue_drain() -> Result<(), Box<dyn std::error::Error>> {
     s.process_all_parallel(4)?;
     s.process_all_parallel(4)?;
     let secs = started.elapsed().as_secs_f64();
-    let stats = s.stats();
+    let requeues = s
+        .metrics()
+        .registry
+        .counter_total("demaq_engine_requeues_total");
     println!(
-        "4-thread cross drain: {:.0} msg/s, {} deadlock retries",
-        stats.processed as f64 / secs,
-        stats.deadlock_retries
+        "4-thread cross drain: {:.0} msg/s, {requeues} requeues",
+        s.stats().processed as f64 / secs
     );
-    assert_eq!(
-        stats.deadlock_retries, 0,
-        "analysis lock order must avoid deadlocks entirely"
-    );
+    assert_eq!(requeues, 0, "ordered acquisition never deadlocks");
     Ok(())
 }
 

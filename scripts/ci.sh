@@ -54,6 +54,12 @@ if ! grep -q 'parse-error' target/lint_tree_update.json \
 fi
 echo "lint: repo programs clean, seeded defects detected, tree update refused"
 
+echo "== perf_10k: cross drain and analysis budget =="
+# A 4-thread, 2 000-message cross-enqueue drain under queue locks must
+# requeue nothing (ordered acquisition never deadlocks), and the analysis
+# pass must stay under 10 ms in release.
+cargo run --release --offline --example perf_10k
+
 echo "== decoder fuzzing (10x the default cases) =="
 # Random and distance-mangled WAL frames and snapshot bodies: refused as
 # Corrupt or read exactly, never a panic, a wrap or an outsized allocation.

@@ -16,7 +16,7 @@
 //! otherwise, 2 on usage errors.
 
 use demaq_analysis::{
-    analyze_spec, extract_qdl_programs, json_str, Analysis, LintCode, LintConfig, Severity,
+    analyze_spec, extract_qdl_programs, json_str, LintCode, LintConfig, Severity,
 };
 use std::process::ExitCode;
 
@@ -53,7 +53,6 @@ struct ProgramReport {
     /// Index of the program within the file (files can embed several).
     index: usize,
     findings: Vec<Finding>,
-    lock_order: Vec<String>,
 }
 
 fn main() -> ExitCode {
@@ -139,7 +138,6 @@ fn lint_program(path: &str, index: usize, program: &str, config: &LintConfig) ->
         path: path.to_string(),
         index,
         findings: Vec::new(),
-        lock_order: Vec::new(),
     };
     let spec = match demaq_qdl::parse_program(program) {
         Ok(s) => s,
@@ -163,11 +161,10 @@ fn lint_program(path: &str, index: usize, program: &str, config: &LintConfig) ->
             message: v.msg.clone(),
         });
     }
-    let analysis: Analysis = analyze_spec(&spec, config);
+    let analysis = analyze_spec(&spec, config);
     report
         .findings
         .extend(analysis.diagnostics.iter().map(Finding::from_diag));
-    report.lock_order = analysis.lock_order;
     report
 }
 
@@ -216,13 +213,6 @@ fn render_json(reports: &[ProgramReport], denies: usize) {
                 json_str(&f.subject),
                 json_str(&f.message)
             ));
-        }
-        out.push_str("],\"lock_order\":[");
-        for (j, q) in r.lock_order.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(q));
         }
         out.push_str("]}");
     }

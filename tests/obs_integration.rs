@@ -5,6 +5,7 @@
 use demaq::Server;
 use demaq_obs::Obs;
 use demaq_store::store::SyncPolicy;
+use demaq_store::LockGranularity;
 use std::collections::BTreeMap;
 
 /// Parse every `name{queue="..."} value` sample of `metric` out of a
@@ -659,4 +660,105 @@ fn rule_evaluation_counters_match_the_program() {
     assert_eq!(sample("demaq_xquery_shared_evals_total"), 3 * 2);
     assert_eq!(sample("demaq_xquery_shared_reuses_total"), 3);
     assert_eq!(sample("demaq_xquery_path_steps_total"), 3 * 2 * 2);
+}
+
+/// `rules_cpu`'s shape: a chain of queues and rules, no slicings.
+const PIPELINE: &str = r#"
+create queue orders kind basic mode persistent
+create queue priced kind basic mode persistent
+create queue shipping kind basic mode persistent
+create queue invoices kind basic mode persistent
+create queue alerts kind basic mode persistent
+create rule price for orders
+  if (/order) then do enqueue <priced id="{/order/@id}"/> into priced
+create rule bulk for orders
+  if (/order/@n > 6) then do enqueue <bulk id="{/order/@id}"/> into alerts
+create rule rush for orders
+  if (//rush) then do enqueue <expedite id="{/order/@id}"/> into shipping
+create rule invoice for priced
+  if (/priced) then do enqueue <invoice id="{/priced/@id}"/> into invoices
+create rule ship for shipping
+  if (/expedite) then do enqueue <shipment id="{/expedite/@id}"/> into invoices
+"#;
+
+/// `slice_state`'s shape: every reading is in one slice of `byDevice` and
+/// one of `byGroup`; what the slicing rules produce is in none.
+const READINGS: &str = r#"
+create queue readings kind basic mode persistent
+create queue reports kind basic mode persistent
+create queue alerts kind basic mode persistent
+create property device as xs:string fixed queue readings value /reading/@dev
+create property grp as xs:string fixed queue readings value /reading/@grp
+create slicing byDevice on device
+create slicing byGroup on grp
+create rule spike for byDevice
+  if (count(qs:slice()) >= 3) then do enqueue <spike dev="{qs:slicekey()}"/> into alerts
+create rule rollover for byGroup
+  if (count(qs:slice()) >= 4) then
+    (do enqueue <window grp="{qs:slicekey()}"/> into reports, do reset)
+"#;
+
+fn drained(program: &str, granularity: LockGranularity, feed: &[(&str, String)]) -> Server {
+    let server = Server::builder()
+        .program(program)
+        .in_memory()
+        .sync_policy(SyncPolicy::Batch)
+        .lock_granularity(granularity)
+        .build()
+        .unwrap();
+    for (queue, body) in feed {
+        server.enqueue_external(queue, body).unwrap();
+    }
+    server.run_until_idle().unwrap();
+    server
+}
+
+/// Lock-table acquisitions (`demaq_store_lock_acquisitions_total`) per
+/// processed message. Under slice granularity a message locks exactly its
+/// slices: 0 in `rules_cpu`'s shape, 2 in `slice_state`'s. Under queue
+/// granularity it locks its queue's compiled plan. While every message
+/// also took a lock of its own, slice granularity took 1 and 3.
+#[test]
+fn lock_acquisitions_per_message_are_pinned() {
+    let counter = |s: &Server, name| s.metrics().registry.counter_total(name);
+    let acquisitions = |s: &Server| counter(s, "demaq_store_lock_acquisitions_total");
+    let orders: Vec<(&str, String)> = (0..30)
+        .map(|i| {
+            let rush = if i % 4 == 0 { "<rush/>" } else { "" };
+            let body = format!("<order id='o{i}' n='{}'>{rush}</order>", i % 10);
+            ("orders", body)
+        })
+        .collect();
+
+    let s = drained(PIPELINE, LockGranularity::Slice, &orders);
+    let processed = counter(&s, "demaq_engine_processed_total");
+    assert!(processed > 60, "the chain ran: {processed} processed");
+    assert_eq!(acquisitions(&s), 0);
+
+    let readings: Vec<(&str, String)> = (0..40)
+        .map(|i| {
+            let body = format!("<reading dev='d{}' grp='g{}'/>", i % 5, i % 3);
+            ("readings", body)
+        })
+        .collect();
+    let s = drained(READINGS, LockGranularity::Slice, &readings);
+    let per_queue = labeled_samples(&s.metrics_text(), "demaq_engine_processed_total");
+    assert_eq!(per_queue["readings"], 40);
+    assert!(per_queue["alerts"] > 0 && per_queue["reports"] > 0);
+    assert_eq!(acquisitions(&s), 2 * 40);
+
+    let s = drained(PIPELINE, LockGranularity::Queue, &orders);
+    let per_queue = labeled_samples(&s.metrics_text(), "demaq_engine_processed_total");
+    let plan = |q: &str| s.app().queues[q].locks.len() as u64;
+    assert_eq!(
+        [
+            plan("orders"),
+            plan("priced"),
+            plan("shipping"),
+            plan("invoices")
+        ],
+        [4, 2, 2, 1]
+    );
+    let planned: u64 = per_queue.iter().map(|(q, n)| n * plan(q)).sum();
+    assert_eq!(acquisitions(&s), planned);
 }
