@@ -10,9 +10,10 @@
 //!
 //! Measured: multi-threaded commit throughput on a shared store under
 //! `SyncPolicy::Always` for
-//! * `fsync_each` — `group_commit_max_batch = 1` (the pre-group-commit
-//!   baseline: flush + fsync per commit, serialized), and
-//! * `group_commit` — default batching (max_batch 64, no artificial
+//! * `fsync_each` — the pre-group-commit baseline: the workers take
+//!   turns to commit behind one mutex, so each commit leads its own
+//!   fsync, and
+//! * `group_commit` — the store's batching (max_batch 64, an adaptive
 //!   window: commits arriving during an in-flight fsync share the next).
 //!
 //! Expected shape: near parity at 1 thread; ≥ 2x for group commit at
@@ -22,7 +23,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use demaq_obs::Obs;
 use demaq_store::{MessageStore, PropValue, QueueMode, StoreOptions, SyncPolicy};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use tempfile::TempDir;
 
 /// Commits per thread per iteration (small payload, fsync-dominated).
@@ -34,10 +35,9 @@ fn commits_per_thread() -> usize {
     }
 }
 
-fn open_store(dir: &TempDir, max_batch: usize, obs: Option<Arc<Obs>>) -> Arc<MessageStore> {
+fn open_store(dir: &TempDir, obs: Option<Arc<Obs>>) -> Arc<MessageStore> {
     let mut opts = StoreOptions::new(dir.path());
     opts.sync = SyncPolicy::Always;
-    opts.group_commit_max_batch = max_batch;
     opts.obs = obs;
     let store = Arc::new(MessageStore::open(opts).expect("open"));
     store
@@ -47,8 +47,14 @@ fn open_store(dir: &TempDir, max_batch: usize, obs: Option<Arc<Obs>>) -> Arc<Mes
 }
 
 /// `threads` workers each run `per_thread` enqueue+slice+commit
-/// transactions against one shared store.
-fn run_workload(store: &Arc<MessageStore>, threads: usize, per_thread: usize) {
+/// transactions against one shared store; with `serial`, one commit at a
+/// time.
+fn run_workload(
+    store: &Arc<MessageStore>,
+    threads: usize,
+    per_thread: usize,
+    serial: Option<&Mutex<()>>,
+) {
     std::thread::scope(|s| {
         for t in 0..threads {
             let store = Arc::clone(store);
@@ -61,6 +67,7 @@ fn run_workload(store: &Arc<MessageStore>, threads: usize, per_thread: usize) {
                     store
                         .slice_add(txn, "s", PropValue::Int((i % 8) as i64), id)
                         .expect("slice");
+                    let _turn = serial.map(|m| m.lock().expect("commit turn"));
                     store.commit(txn).expect("commit");
                 }
             });
@@ -73,15 +80,16 @@ fn bench_e9(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_group_commit");
     group.sample_size(10);
 
-    let configs: &[(&str, usize)] = &[("fsync_each", 1), ("group_commit", 64)];
+    let configs: &[(&str, bool)] = &[("fsync_each", true), ("group_commit", false)];
     for &threads in &[1usize, 4] {
         group.throughput(Throughput::Elements((threads * per_thread) as u64));
-        for &(label, max_batch) in configs {
+        for &(label, serial) in configs {
             group.bench_with_input(BenchmarkId::new(label, threads), &threads, |b, &threads| {
                 b.iter(|| {
                     let dir = TempDir::new().expect("tempdir");
-                    let store = open_store(&dir, max_batch, None);
-                    run_workload(&store, threads, per_thread);
+                    let store = open_store(&dir, None);
+                    let turns = Mutex::new(());
+                    run_workload(&store, threads, per_thread, serial.then_some(&turns));
                     store.message_count()
                 });
             });
@@ -94,10 +102,10 @@ fn bench_e9(c: &mut Criterion) {
     // its headline numbers in BENCH_E9.json (schema demaq-bench/v1).
     let obs = Obs::new();
     let dir = TempDir::new().expect("tempdir");
-    let store = open_store(&dir, 64, Some(Arc::clone(&obs)));
+    let store = open_store(&dir, Some(Arc::clone(&obs)));
     let commits = 4 * per_thread.max(32);
     let started = std::time::Instant::now();
-    run_workload(&store, 4, per_thread.max(32));
+    run_workload(&store, 4, per_thread.max(32), None);
     let secs = started.elapsed().as_secs_f64().max(1e-9);
     demaq_bench::dump_registry(&obs.registry, "e9_group_commit");
 

@@ -12,6 +12,7 @@ use crate::aggregates::{AggRegistry, CellMap, Fold, Scope};
 use crate::app::{lock_order, CompiledApp, CompiledQueue, CompiledSlicing};
 use crate::cache::DocCache;
 use crate::compiler::CompiledRule;
+use crate::durability::{BarrierReason, CommitKind, Policy};
 use crate::errors::{error_message, kind};
 use crate::gateway::GatewayManager;
 use crate::host::{
@@ -40,7 +41,7 @@ use demaq_xquery::{
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -294,10 +295,10 @@ impl EngineMetrics {
             shared_evals: r.counter("demaq_xquery_shared_evals_total"),
             shared_reuses: r.counter("demaq_xquery_shared_reuses_total"),
             scheduler_depth: r.gauge("demaq_engine_scheduler_depth"),
-            barriers: BarrierReason::ALL.map(|reason| {
+            barriers: BarrierReason::LABELS.map(|reason| {
                 r.counter_with(
                     "demaq_engine_durability_barriers_total",
-                    &[("reason", reason.label())],
+                    &[("reason", reason)],
                 )
             }),
             per_queue,
@@ -360,76 +361,12 @@ impl EngineMetrics {
     }
 }
 
-/// Why a durability barrier ran: the `reason` label of
-/// `demaq_engine_durability_barriers_total`.
-#[derive(Debug, Clone, Copy)]
-enum BarrierReason {
-    /// A worker found nothing to do.
-    Idle,
-    /// [`BARRIER_BACKLOG`] effects were held or ingests unsynced, or
-    /// [`BARRIER_AGE`] commits were unsynced while one was.
-    Backlog,
-    /// An external enqueue waited for the disk to acknowledge; its sync
-    /// covered the deferred commits before it.
-    Ack,
-    /// Before GC, checkpoint, or drop.
-    Maintenance,
-}
-
-impl BarrierReason {
-    const ALL: [BarrierReason; 4] = [
-        BarrierReason::Idle,
-        BarrierReason::Backlog,
-        BarrierReason::Ack,
-        BarrierReason::Maintenance,
-    ];
-
-    fn label(self) -> &'static str {
-        match self {
-            BarrierReason::Idle => "idle",
-            BarrierReason::Backlog => "backlog",
-            BarrierReason::Ack => "ack",
-            BarrierReason::Maintenance => "maintenance",
-        }
-    }
-}
-
-/// Held effects, or unsynced ingests, at which a busy worker runs a
-/// durability barrier. An ingest is a deferred commit whose input lives
-/// only in memory (a gateway delivery, a timer echo, a landed forward, a
-/// routed transport error): a crash that loses it loses the input. So a
-/// held forward or send waits behind at most 31 other held effects, a
-/// crash loses at most 32 ingests, and either waits at most
-/// [`BARRIER_AGE`] commits or until its worker idles, acks or runs
-/// maintenance. Any other commit processes a durable message and waits
-/// for the next barrier: a crash before it leaves the message
-/// unprocessed, and recovery redoes it.
-const BARRIER_BACKLOG: usize = 32;
-
-/// Unsynced commits at which a busy worker runs a barrier while any
-/// effect is held or any ingest unsynced.
-const BARRIER_AGE: u64 = 8 * BARRIER_BACKLOG as u64;
-
-/// How a non-rule enqueue entered the server: who, if anyone, is being
-/// answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ingress {
-    /// `enqueue_external*`: returning the id *is* the acknowledgement, so
-    /// the commit waits for the disk. The queue must be homed here — the
-    /// sharded front door routes before picking a shard.
-    Acked,
-    /// Gateway ingest, timer echo, error routing, a landed cross-shard
-    /// forward: nobody is answered, the commit is deferred, and a target
-    /// homed on another shard is forwarded there.
-    Internal,
-}
-
 /// What to do with deploy-time analysis diagnostics (the whole-application
 /// pass of `demaq-analysis`, paper Sec. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrictAnalysis {
-    /// Skip reporting entirely (the analysis still runs: the engine's
-    /// lock-order derivation needs its flow graph).
+    /// Skip reporting entirely. The analysis still runs: shard placement
+    /// reads its flow graph, and retention narrowing its liveness plan.
     Off,
     /// Record diagnostics as trace events and
     /// `demaq_core_analysis_diagnostics_total{severity=…}` counters;
@@ -764,9 +701,7 @@ impl ServerBuilder {
             agg,
             readers,
             narrow,
-            outbox: Outbox::new(&obs),
-            pipelined: self.sync == SyncPolicy::Always,
-            unsynced_ingests: AtomicUsize::new(0),
+            outbox: Outbox::new(&obs, Policy::new(self.sync)),
             obs,
             shard,
             _temp_root: temp_root,
@@ -876,17 +811,9 @@ pub struct Server {
     /// analysis; a slicing without an entry retains full history.
     narrow: HashMap<String, NarrowMode>,
     /// Forwards and gateway sends waiting for their producing commit to
-    /// become durable (see [`crate::outbox`]). Always empty unless
-    /// `pipelined`.
+    /// become durable, and the durability policy that decides when they
+    /// are (see [`crate::outbox`], [`crate::durability`]).
     outbox: Outbox,
-    /// [`SyncPolicy::Always`]: engine-side commits are deferred — a worker
-    /// does not wait for its own fsync — and everything that leaves the
-    /// process goes through the outbox. Under `Batch` nothing waits for
-    /// the disk in the first place, so nothing is deferred or held.
-    pipelined: bool,
-    /// Ingests since the last barrier: deferred commits whose input lives
-    /// only in memory (see [`BARRIER_BACKLOG`]).
-    unsynced_ingests: AtomicUsize,
     /// This server's entry in its routing directory: one shard of a
     /// [`crate::shard::ShardedServer`], or the only entry of its own.
     shard: ShardLink,
@@ -1007,8 +934,18 @@ impl Server {
         xml: &str,
         explicit: &[(String, Atomic)],
     ) -> Result<MsgId> {
-        self.enqueue_with(queue, xml, explicit, None, Vec::new(), Ingress::Acked, None)?
-            .ok_or_else(|| Self::remote_home_error(queue))
+        let doc = parse_xml(xml).map_err(|e| EngineError::Xml(e.to_string()))?;
+        self.enqueue_doc(
+            queue,
+            xml,
+            doc,
+            explicit,
+            None,
+            Vec::new(),
+            CommitKind::Acked,
+            None,
+        )?
+        .ok_or_else(|| Self::remote_home_error(queue))
     }
 
     fn remote_home_error(queue: &str) -> EngineError {
@@ -1018,43 +955,17 @@ impl Server {
         ))
     }
 
-    /// Shared non-rule enqueue path (external API, timer echo, error
-    /// routing): parse, then [`Self::enqueue_doc`].
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_with(
-        &self,
-        queue: &str,
-        xml: &str,
-        explicit: &[(String, Atomic)],
-        trigger_props: Option<&[(Name, PropValue)]>,
-        system_props: Vec<(Name, PropValue)>,
-        ingress: Ingress,
-        processed: Option<MsgId>,
-    ) -> Result<Option<MsgId>> {
-        let doc = parse_xml(xml).map_err(|e| EngineError::Xml(e.to_string()))?;
-        self.enqueue_doc(
-            queue,
-            xml,
-            doc,
-            explicit,
-            trigger_props,
-            system_props,
-            ingress,
-            processed,
-        )
-    }
-
-    /// [`Self::enqueue_with`] for a payload the caller already parsed.
+    /// The non-rule enqueue path (external API, gateway ingest, timer
+    /// echo, error routing), for a payload the caller parsed.
     /// `processed` names a message the enqueue's transaction marks
     /// processed: a failed message and its error commit together.
     ///
     /// Returns `Ok(None)` when the target queue is homed on another shard
-    /// of a [`crate::shard::ShardedServer`] and the ingress is
-    /// [`Ingress::Internal`]: the fully prepared message (payload +
-    /// computed properties) is handed to that shard's mailbox and
-    /// committed there, as an effect of the transaction that marks
-    /// `processed`, if any. For [`Ingress::Acked`] a remote-homed target
-    /// is an error.
+    /// of a [`crate::shard::ShardedServer`]: the fully prepared message
+    /// (payload + computed properties) is handed to that shard's mailbox
+    /// and committed there, as an effect of the transaction that marks
+    /// `processed`, if any. An acknowledged enqueue
+    /// ([`CommitKind::Acked`]) into a remote-homed target is an error.
     #[allow(clippy::too_many_arguments)]
     fn enqueue_doc(
         &self,
@@ -1064,7 +975,7 @@ impl Server {
         explicit: &[(String, Atomic)],
         trigger_props: Option<&[(Name, PropValue)]>,
         mut system_props: Vec<(Name, PropValue)>,
-        ingress: Ingress,
+        kind: CommitKind,
         processed: Option<MsgId>,
     ) -> Result<Option<MsgId>> {
         let cq = self
@@ -1097,7 +1008,7 @@ impl Server {
         .map_err(|e| EngineError::Compile(e.to_string()))?;
 
         if let Some(dest) = self.shard.remote_destination(queue, &props) {
-            if ingress == Ingress::Acked {
+            if kind == CommitKind::Acked {
                 return Err(Self::remote_home_error(queue));
             }
             // The forward is an effect of the commit that marks the failed
@@ -1105,7 +1016,7 @@ impl Server {
             // was committed before now: the end of the log covers it.
             let after = match processed {
                 Some(msg) => self.mark_processed_standalone(msg)?,
-                None => self.pipelined.then(|| self.store.log_end()),
+                None => self.store.log_end(),
             };
             self.emit(
                 after,
@@ -1118,9 +1029,10 @@ impl Server {
                     enqueued_at: now,
                 }),
             )?;
+            self.settle(|p| p.committed(kind))?;
             return Ok(None);
         }
-        self.enqueue_prepared(queue, xml.into(), Some(doc), props, now, ingress, processed)
+        self.enqueue_prepared(queue, xml.into(), Some(doc), props, now, kind, processed)
             .map(Some)
     }
 
@@ -1139,7 +1051,7 @@ impl Server {
         doc: Option<Arc<Document>>,
         props: Props,
         enqueued_at: i64,
-        ingress: Ingress,
+        kind: CommitKind,
         processed: Option<MsgId>,
     ) -> Result<MsgId> {
         let cq = self
@@ -1156,7 +1068,7 @@ impl Server {
         let root = lineage_prop(&props, system::ROOT_MSG).or(parent);
 
         let txn = self.store.begin();
-        let result = (|| -> Result<(MsgId, Option<DurableTarget>)> {
+        let result = (|| -> Result<(MsgId, DurableTarget)> {
             let id = self
                 .store
                 .enqueue(txn, queue, payload, Arc::clone(&props), enqueued_at)?;
@@ -1164,14 +1076,7 @@ impl Server {
             if let Some(msg) = processed {
                 self.store.mark_processed(txn, msg)?;
             }
-            let after = match ingress {
-                Ingress::Acked => {
-                    self.store.commit(txn)?;
-                    None
-                }
-                Ingress::Internal => self.commit_txn(txn)?,
-            };
-            Ok((id, after))
+            Ok((id, self.store.commit_deferred(txn)?))
         })();
         match result {
             Ok((id, after)) => {
@@ -1193,16 +1098,7 @@ impl Server {
                     .scheduler_depth
                     .set(self.scheduler.len() as i64);
                 self.post_commit_queue_effects(queue, id, after)?;
-                match ingress {
-                    // The acknowledgement's sync was a barrier: it covered
-                    // every deferred commit before it. Release what waited
-                    // on those.
-                    Ingress::Acked if self.pipelined => {
-                        self.release(BarrierReason::Ack, self.store.durable(), 0)?;
-                    }
-                    Ingress::Acked => {}
-                    Ingress::Internal => self.bound_backlog(processed.is_none())?,
-                }
+                self.settle(|p| p.committed(kind))?;
                 Ok(id)
             }
             Err(e) => {
@@ -1222,39 +1118,22 @@ impl Server {
             Some(Arc::clone(&f.doc)),
             Arc::clone(&f.props),
             f.enqueued_at,
-            Ingress::Internal,
+            CommitKind::Ingest,
             None,
         )
     }
 
     // ---- the commit pipeline ----------------------------------------------------
 
-    /// Commit an engine-side transaction. Pipelined, the worker does not
-    /// wait for its own fsync: the commit is deferred and `Some(target)`
-    /// says what anything leaving the process must wait for. Otherwise
-    /// (`Batch`) the store's own commit runs — which does not wait either
-    /// — and `None` says effects go out at once, as they always have.
-    fn commit_txn(&self, txn: TxnId) -> std::result::Result<Option<DurableTarget>, StoreError> {
-        if self.pipelined {
-            self.store.commit_deferred(txn).map(Some)
-        } else {
-            self.store.commit(txn).map(|()| None)
-        }
-    }
-
-    /// Let `effect` out of the process: at once when nothing has to be
-    /// waited for (`after` is `None`), else once the durable watermark
-    /// covers `after`.
-    fn emit(&self, after: Option<DurableTarget>, effect: Effect) -> Result<()> {
+    /// Let `effect` out of the process once the durable watermark covers
+    /// `after`, or at once when the policy holds nothing.
+    fn emit(&self, after: DurableTarget, effect: Effect) -> Result<()> {
         if let Effect::Forward(_) = &effect {
             self.shard.router.announce();
         }
-        match after {
-            Some(after) => {
-                self.outbox.hold(after, effect);
-                Ok(())
-            }
-            None => self.perform(effect),
+        match self.outbox.hold(after, effect) {
+            Some(effect) => self.perform(effect),
+            None => Ok(()),
         }
     }
 
@@ -1277,37 +1156,28 @@ impl Server {
         }
     }
 
-    /// The durability barrier: one WAL sync that covers every commit so
-    /// far, then release of every held forward and gateway send it covers.
-    /// Returns whether anything was released (released effects can mean
-    /// new work: a delivery to pump, a transport error routed to a queue).
-    ///
-    /// Runs by itself wherever a worker finds nothing to do (before it
-    /// parks, and before [`Self::step`], [`Self::pump_environment`],
-    /// [`Self::run_until_idle`] and [`Self::process_all_parallel`] report
-    /// an idle server), whenever `BARRIER_BACKLOG` (32) held effects or
-    /// ingests, or 256 unsynced commits, call for one, and before GC,
-    /// checkpoint and drop. Public for drivers that interpose between
-    /// [`Self::step`]s and want one sooner. A no-op under
-    /// [`SyncPolicy::Batch`].
+    /// The idle durability barrier: one WAL sync that covers every commit
+    /// so far, then release of every held forward and gateway send it
+    /// covers, if anything is unsynced or held (never under
+    /// [`SyncPolicy::Batch`]). Returns whether anything was released
+    /// (released effects can mean new work: a delivery to pump, a
+    /// transport error routed to a queue). Every worker reports `idle` to
+    /// the durability policy (`core::durability`) when it finds nothing to
+    /// do. Public for drivers that interpose between [`Self::step`]s and
+    /// want one sooner.
     pub fn durability_barrier(&self) -> Result<bool> {
-        self.barrier(BarrierReason::Idle)
+        self.settle(|p| p.idle())
     }
 
-    fn barrier(&self, reason: BarrierReason) -> Result<bool> {
-        self.unsynced_ingests.store(0, Ordering::Relaxed);
-        if !self.pipelined || (self.store.unsynced_commits() == 0 && self.outbox.is_empty()) {
+    /// Report `event` to the durability policy and run the barrier it asks
+    /// for.
+    fn settle(&self, event: impl FnOnce(&mut Policy) -> Option<BarrierReason>) -> Result<bool> {
+        let Some((reason, covered)) = self.outbox.decide(event) else {
             return Ok(false);
-        }
+        };
         let (durable, batch) = self.store.barrier()?;
-        self.release(reason, durable, batch)
-    }
-
-    /// Count a barrier and perform every held effect `durable` covers;
-    /// `batch` is how many commits the covering sync made durable.
-    fn release(&self, reason: BarrierReason, durable: DurableTarget, batch: u64) -> Result<bool> {
         self.metrics.barriers[reason as usize].inc();
-        let due = self.outbox.release(durable);
+        let due = self.outbox.release(durable, covered);
         let released = !due.is_empty();
         // Perform every released effect even if one fails to route its
         // transport error: they are out of the outbox and nothing else
@@ -1331,27 +1201,6 @@ impl Server {
             Some(e) => Err(e),
             None => Ok(released),
         }
-    }
-
-    /// After a deferred commit (`ingest`: one whose input lives only in
-    /// memory): run a barrier once [`BARRIER_BACKLOG`] effects are held or
-    /// ingests unsynced, or [`BARRIER_AGE`] commits are unsynced while any
-    /// is.
-    fn bound_backlog(&self, ingest: bool) -> Result<()> {
-        if !self.pipelined {
-            return Ok(());
-        }
-        let held = self.outbox.len();
-        let ingests = self
-            .unsynced_ingests
-            .fetch_add(ingest as usize, Ordering::Relaxed)
-            + ingest as usize;
-        if held.max(ingests) >= BARRIER_BACKLOG
-            || (held + ingests > 0 && self.store.unsynced_commits() >= BARRIER_AGE)
-        {
-            self.barrier(BarrierReason::Backlog)?;
-        }
-        Ok(())
     }
 
     /// Insert into the scheduler, keeping the router's pending count
@@ -1403,7 +1252,7 @@ impl Server {
     /// [`Self::durability_barrier`]) — releasing held effects counts as
     /// work.
     pub fn step(&self) -> Result<bool> {
-        Ok(self.process_next()? || self.barrier(BarrierReason::Idle)?)
+        Ok(self.process_next()? || self.durability_barrier()?)
     }
 
     /// [`Self::step`] without the idle barrier: `Ok(false)` when nothing
@@ -1437,7 +1286,7 @@ impl Server {
     /// durability barrier runs, as in [`Self::step`].
     pub fn pump_environment(&self) -> Result<bool> {
         let pumped = self.pump()?;
-        Ok(pumped | (self.scheduler.is_empty() && self.barrier(BarrierReason::Idle)?))
+        Ok(pumped | (self.scheduler.is_empty() && self.durability_barrier()?))
     }
 
     /// [`Self::pump_environment`] without the idle barrier.
@@ -1475,15 +1324,9 @@ impl Server {
                 .filter(|(n, _)| [system::PARENT_MSG, system::ROOT_MSG].contains(&&**n))
                 .cloned()
                 .collect();
-            self.enqueue_with(
-                &job.target,
-                &job.payload,
-                &[],
-                Some(&job.props),
-                sys,
-                Ingress::Internal,
-                None,
-            )?;
+            let doc = parse_xml(&job.payload).map_err(|e| EngineError::Xml(e.to_string()))?;
+            let (props, kind) = (Some(&job.props[..]), CommitKind::Ingest);
+            self.enqueue_doc(&job.target, &job.payload, doc, &[], props, sys, kind, None)?;
         }
         Ok(progressed)
     }
@@ -1545,7 +1388,7 @@ impl Server {
             &[],
             None,
             system_props,
-            Ingress::Internal,
+            CommitKind::Ingest,
             None,
         ) {
             Ok(_) => Ok(()),
@@ -1600,18 +1443,12 @@ impl Server {
             Ok((new_messages, forwards)) => {
                 self.store.mark_processed(txn, msg_id)?;
                 let commit_started = Instant::now();
-                let after = self.commit_txn(txn)?;
+                let after = self.store.commit_deferred(txn)?;
                 self.metrics.txn_commit_ns.record(commit_started.elapsed());
                 self.metrics.inc_processed(&self.obs, queue);
                 let ctx = TraceCtx::new(
-                    Some(match meta.prop(system::ROOT_MSG) {
-                        Some(PropValue::Int(r)) => *r as u64,
-                        _ => msg_id.0,
-                    }),
-                    match meta.prop(system::PARENT_MSG) {
-                        Some(PropValue::Int(p)) => Some(*p as u64),
-                        _ => None,
-                    },
+                    Some(lineage_prop(&meta.props, system::ROOT_MSG).unwrap_or(msg_id.0)),
+                    lineage_prop(&meta.props, system::PARENT_MSG),
                 );
                 self.obs
                     .tracer
@@ -1643,7 +1480,7 @@ impl Server {
                     }
                     self.emit(after, Effect::Forward(f))?;
                 }
-                self.bound_backlog(false)
+                self.settle(|p| p.committed(CommitKind::Process)).map(drop)
             }
             Err(ProcessingError::Store(StoreError::LockTimeout)) => {
                 // The one retry path: put the message back at the front of
@@ -1986,10 +1823,7 @@ impl Server {
         // trigger's root (or the trigger itself when it started the
         // cascade). Riding on system properties keeps the chain intact
         // across gateway hops and timer echoes.
-        let root = match trigger.prop(system::ROOT_MSG) {
-            Some(PropValue::Int(r)) => *r as u64,
-            _ => trigger.id.0,
-        };
+        let root = lineage_prop(&trigger.props, system::ROOT_MSG).unwrap_or(trigger.id.0);
         let system_props = vec![
             (system::name(system::CREATED_AT), PropValue::DateTime(now)),
             (
@@ -2086,7 +1920,7 @@ impl Server {
         &self,
         queue: &str,
         msg_id: MsgId,
-        after: Option<DurableTarget>,
+        after: DurableTarget,
     ) -> Result<()> {
         let Some(cq) = self.app.queues.get(queue) else {
             return Ok(());
@@ -2265,6 +2099,7 @@ impl Server {
                 .event("error.drop", msg_id.map(|m| m.0), queue, detail);
             if let Some(msg) = processed {
                 self.mark_processed_standalone(msg)?;
+                self.settle(|p| p.committed(CommitKind::Process))?;
             }
             return Ok(());
         };
@@ -2297,25 +2132,29 @@ impl Server {
             ));
             let root = failed_meta
                 .as_ref()
-                .and_then(|m| match m.prop(system::ROOT_MSG) {
-                    Some(PropValue::Int(r)) => Some(*r),
-                    _ => None,
-                })
-                .unwrap_or(id.0 as i64);
-            sys.push((system::name(system::ROOT_MSG), PropValue::Int(root)));
+                .and_then(|m| lineage_prop(&m.props, system::ROOT_MSG))
+                .unwrap_or(id.0);
+            sys.push((system::name(system::ROOT_MSG), PropValue::Int(root as i64)));
         }
-        self.enqueue_with(&eq, &xml, &[], None, sys, Ingress::Internal, processed)?;
+        // A failed message's error is part of processing it; any other
+        // error's input (a transport failure, a timer) lives in memory.
+        let kind = match processed {
+            Some(_) => CommitKind::Process,
+            None => CommitKind::Ingest,
+        };
+        let doc = parse_xml(&xml).map_err(|e| EngineError::Xml(e.to_string()))?;
+        self.enqueue_doc(&eq, &xml, doc, &[], None, sys, kind, processed)?;
         Ok(())
     }
 
     /// Mark `msg` processed in a transaction of its own; returns what an
-    /// effect of it must wait for (see [`Self::commit_txn`]).
-    fn mark_processed_standalone(&self, msg: MsgId) -> Result<Option<DurableTarget>> {
+    /// effect of it must wait for.
+    fn mark_processed_standalone(&self, msg: MsgId) -> Result<DurableTarget> {
         let txn = self.store.begin();
         match self
             .store
             .mark_processed(txn, msg)
-            .and_then(|_| self.commit_txn(txn))
+            .and_then(|_| self.store.commit_deferred(txn))
         {
             Ok(after) => Ok(after),
             Err(e) => {
@@ -2363,7 +2202,7 @@ impl Server {
     /// processed members into their slices' base cells and releases their
     /// membership, so the collection pass right after can purge them.
     pub fn gc(&self) -> Result<usize> {
-        self.barrier(BarrierReason::Maintenance)?;
+        self.settle(|p| p.maintenance())?;
         self.narrow_retention();
         let purged = self.store.gc_collect()?;
         self.metrics.gc_purged.add(purged.len() as u64);
@@ -2475,11 +2314,6 @@ impl Server {
         Ok(purged)
     }
 
-    /// Advance the virtual clock manually (tests).
-    pub fn advance_time(&self, ms: i64) {
-        self.clock.advance(ms);
-    }
-
     /// Parsed document of a message, through the sharded cache. A hit
     /// never touches the store; a miss reads only the payload (no props
     /// clone) and fills the cache.
@@ -2524,7 +2358,7 @@ impl Drop for Server {
     /// closes — so no deferred commit is left to the page cache and no
     /// held effect is dropped. Errors have nobody left to go to.
     fn drop(&mut self) {
-        let _ = self.barrier(BarrierReason::Maintenance);
+        let _ = self.settle(|p| p.maintenance());
     }
 }
 

@@ -7,7 +7,7 @@
 //! gateway endpoints buffer deliveries for the server loop to enqueue.
 
 use crate::app::CompiledApp;
-use crate::properties::system;
+use crate::properties::{lineage_prop, system};
 use demaq_net::reliable::{reliable_receiver, ReliableSender};
 use demaq_net::{Envelope, Network, TransportError};
 use demaq_obs::Obs;
@@ -159,10 +159,7 @@ impl GatewayManager {
         // from this envelope is a child of *this* message, in the tree this
         // message belongs to (its own root, or itself if it is the root).
         env = env.with_header(system::PARENT_MSG, msg.id.0.to_string());
-        let root = match msg.prop(system::ROOT_MSG) {
-            Some(PropValue::Int(r)) => *r as u64,
-            _ => msg.id.0,
-        };
+        let root = lineage_prop(&msg.props, system::ROOT_MSG).unwrap_or(msg.id.0);
         env = env.with_header(system::ROOT_MSG, root.to_string());
         if let Some(PropValue::Int(c)) = msg.prop("connection") {
             env = env.with_conn(demaq_net::ConnectionHandle(*c as u64));

@@ -39,6 +39,7 @@ pub mod aggregates;
 pub mod app;
 pub mod cache;
 pub mod compiler;
+pub(crate) mod durability;
 pub mod engine;
 pub mod errors;
 pub mod gateway;

@@ -1,30 +1,23 @@
 //! The durable outbox: everything that leaves the process waits here for
 //! the disk.
 //!
-//! Under [`SyncPolicy::Always`](demaq_store::SyncPolicy) a worker does not
-//! wait for its own fsync: it commits with
-//! [`MessageStore::commit_deferred`](demaq_store::MessageStore::commit_deferred)
-//! and goes on to its next message. That is safe for everything that stays
-//! inside the store's single redo-only WAL — but a cross-shard forward
-//! lands in a *different* WAL and a gateway send leaves the process, and
-//! neither may precede the durability of the commit that produced it (a
-//! crash would replay the producer and emit the effect a second time, or
-//! leave the effect behind with its cause gone). Such effects are held
-//! here, ordered by their commit's durable target, and released by the
-//! engine's durability barrier once the store's durable watermark covers
-//! them. Its length paces a busy worker's barrier: one runs once 32
-//! effects are held, so an effect waits behind at most 31 others, 256
-//! commits, or until its worker idles, acks or runs maintenance. The
-//! engine paces commits that ingest what lives only in memory (gateway
-//! deliveries, timer echoes, landed forwards) the same way. Any other
-//! commit does not hasten a sync: a crash may lose it, and recovery
-//! redoes it from its still-unprocessed input.
+//! A deferred commit is safe for everything that stays inside the store's
+//! single redo-only WAL. But a cross-shard forward lands in a *different*
+//! WAL and a gateway send leaves the process, and neither may precede the
+//! durability of the commit that produced it: a crash would replay the
+//! producer and emit the effect a second time, or leave the effect behind
+//! with its cause gone. Such effects are held here, ordered by their
+//! commit's durable target, and released by the engine's durability
+//! barrier once the store's durable watermark covers them. The server's
+//! [`Policy`] lives under the same mutex: it decides whether an effect is
+//! held at all, and when the next barrier runs (see [`crate::durability`]).
 //!
 //! The outbox is memory-only: a crash between the covering sync and the
 //! release loses the effect, exactly as a crash right after an immediate
 //! send did before. Making the held record itself durable (ROADMAP 4a's
 //! WAL-backed forward) plugs in here.
 
+use crate::durability::{BarrierReason, Mark, Policy};
 use crate::properties::{lineage_prop, system};
 use crate::shard::Forwarded;
 use demaq_obs::{Gauge, Histogram, Obs};
@@ -70,6 +63,7 @@ struct Waiting {
     /// order, arrival order within one commit.
     held: BTreeMap<(DurableTarget, u64), Held>,
     arrivals: u64,
+    policy: Policy,
 }
 
 pub(crate) struct Outbox {
@@ -82,17 +76,24 @@ pub(crate) struct Outbox {
 }
 
 impl Outbox {
-    pub(crate) fn new(obs: &Obs) -> Outbox {
+    pub(crate) fn new(obs: &Obs, policy: Policy) -> Outbox {
         Outbox {
-            waiting: Mutex::new(Waiting::default()),
+            waiting: Mutex::new(Waiting {
+                policy,
+                ..Waiting::default()
+            }),
             depth: obs.registry.gauge("demaq_engine_outbox_depth"),
             hold_ns: obs.registry.histogram("demaq_engine_outbox_hold_ns"),
         }
     }
 
-    /// Hold `effect` until `after` is durable.
-    pub(crate) fn hold(&self, after: DurableTarget, effect: Effect) {
+    /// Hold `effect` until `after` is durable, if the policy holds
+    /// effects; else hand it back to go out at once.
+    pub(crate) fn hold(&self, after: DurableTarget, effect: Effect) -> Option<Effect> {
         let mut w = self.waiting.lock();
+        if !w.policy.hold() {
+            return Some(effect);
+        }
         let arrival = w.arrivals;
         w.arrivals += 1;
         w.held.insert(
@@ -103,23 +104,29 @@ impl Outbox {
             },
         );
         self.depth.add(1);
+        None
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.waiting.lock().held.is_empty()
+    /// Report an event to the policy: the barrier it asks for, with what
+    /// the barrier will cover.
+    pub(crate) fn decide(
+        &self,
+        event: impl FnOnce(&mut Policy) -> Option<BarrierReason>,
+    ) -> Option<(BarrierReason, Mark)> {
+        let mut w = self.waiting.lock();
+        let reason = event(&mut w.policy)?;
+        Some((reason, w.policy.mark()))
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.waiting.lock().held.len()
-    }
-
-    /// Take every effect whose commit `durable` covers, in release order.
-    /// The caller performs them with the outbox unlocked (performing one
-    /// may commit, and so hold, again).
-    pub(crate) fn release(&self, durable: DurableTarget) -> Vec<Effect> {
+    /// A barrier's sync covered `covered` and made `durable` the
+    /// watermark: take every effect it covers, in release order. The
+    /// caller performs them with the outbox unlocked (performing one may
+    /// commit, and so hold, again).
+    pub(crate) fn release(&self, durable: DurableTarget, covered: Mark) -> Vec<Effect> {
         let mut w = self.waiting.lock();
         let later = w.held.split_off(&(durable, u64::MAX));
         let due = std::mem::replace(&mut w.held, later);
+        w.policy.synced(covered, due.len());
         drop(w);
         self.depth.add(-(due.len() as i64));
         due.into_values()

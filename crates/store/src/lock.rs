@@ -96,9 +96,6 @@ struct LockState {
     /// Keyed by declared queue names and ids the process made — never by
     /// message content — so the fixed-seed hasher.
     locks: IdMap<LockKey, LockEntry>,
-    /// Number of acquisitions that had to block on a conflict (benchmark
-    /// E3's contention metric).
-    blocked_acquisitions: u64,
 }
 
 /// Registry handles for lock metrics (`demaq_store_lock_*`).
@@ -173,7 +170,6 @@ impl LockManager {
             }
             // Conflict: the key leaves the table's entry only to wait.
             key = held_lock.key().clone();
-            state.blocked_acquisitions += 1;
             let since = *waited_since.get_or_insert_with(|| {
                 if let Some(m) = self.metrics.get() {
                     m.conflicts.inc();
@@ -214,13 +210,6 @@ impl LockManager {
     /// Number of currently held locks (test/diagnostic).
     pub fn held_count(&self) -> usize {
         self.state.lock().locks.values().map(LockEntry::len).sum()
-    }
-
-    /// How many acquisitions had to block on a conflict since creation —
-    /// the contention metric of benchmark E3 ("without locking whole
-    /// queues", paper Sec. 4.3).
-    pub fn blocked_acquisitions(&self) -> u64 {
-        self.state.lock().blocked_acquisitions
     }
 }
 
@@ -296,6 +285,32 @@ mod tests {
             started.elapsed()
         });
         assert!(waited < Duration::from_secs(2), "waited {waited:?}");
+    }
+
+    #[test]
+    fn a_waiter_woken_by_unrelated_releases_counts_one_conflict() {
+        let registry = Registry::new();
+        let lm = LockManager::default();
+        lm.attach_obs(&registry);
+        let conflicts = || registry.counter_total("demaq_store_lock_conflicts_total");
+        lm.acquire(t(1), qk("held"), LockMode::Exclusive).unwrap();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| lm.acquire(t(2), qk("held"), LockMode::Exclusive));
+            while conflicts() == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // Every release wakes the waiter, which finds "held" still
+            // taken and waits again.
+            for n in 100..105 {
+                lm.acquire(t(n), qk("other"), LockMode::Exclusive).unwrap();
+                lm.release_all(t(n));
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            lm.release_all(t(1));
+            waiter.join().unwrap().unwrap();
+        });
+        assert_eq!(conflicts(), 1);
+        lm.release_all(t(2));
     }
 
     #[test]

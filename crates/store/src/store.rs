@@ -55,13 +55,6 @@ pub struct StoreOptions {
     pub sync: SyncPolicy,
     pub lock_granularity: LockGranularity,
     pub lock_timeout: Duration,
-    /// Group commit: cap on how many commits one WAL fsync may cover.
-    /// `<= 1` reverts to one fsync per commit, serialized under the append
-    /// mutex (the E9 baseline).
-    pub group_commit_max_batch: usize,
-    /// Group commit: how long a sync leader waits for more committers to
-    /// join its batch before fsyncing.
-    pub group_commit_max_wait: Duration,
     /// Lowest message id this store may assign (exclusive base). A sharded
     /// deployment gives each shard a disjoint id range (e.g. shard *i*
     /// starts at `i << 48`) so ids stay globally unique across stores and
@@ -75,23 +68,13 @@ pub struct StoreOptions {
 
 impl StoreOptions {
     pub fn new(dir: impl Into<PathBuf>) -> StoreOptions {
-        let gc = GroupCommitCfg::default();
         StoreOptions {
             dir: dir.into(),
             sync: SyncPolicy::Always,
             lock_granularity: LockGranularity::Slice,
             lock_timeout: Duration::from_secs(5),
-            group_commit_max_batch: gc.max_batch,
-            group_commit_max_wait: gc.max_wait,
             msg_id_base: 0,
             obs: None,
-        }
-    }
-
-    fn group_commit_cfg(&self) -> GroupCommitCfg {
-        GroupCommitCfg {
-            max_batch: self.group_commit_max_batch,
-            max_wait: self.group_commit_max_wait,
         }
     }
 }
@@ -421,7 +404,7 @@ impl MessageStore {
         let obs = opts.obs.clone().unwrap_or_else(Obs::new);
         let rec = recovery::recover(&opts.dir, &obs)?;
         let wal_path = opts.dir.join(format!("wal-{:06}.log", rec.wal_index));
-        let wal = Arc::new(LogWriter::open(&wal_path, opts.group_commit_cfg())?);
+        let wal = Arc::new(LogWriter::open(&wal_path, GroupCommitCfg::default())?);
         wal.attach_obs(&obs.registry);
         let locks = LockManager::new(opts.lock_timeout);
         locks.attach_obs(&obs.registry);
@@ -568,11 +551,7 @@ impl MessageStore {
         let logged = self.commit_apply(txn)?;
         if let (Some((wal, target)), SyncPolicy::Always) = (&logged, self.opts.sync) {
             let flush_started = Instant::now();
-            if self.opts.group_commit_max_batch <= 1 {
-                wal.sync_each()?;
-            } else {
-                wal.sync_to(target.offset)?;
-            }
+            wal.sync_to(target.offset)?;
             self.metrics.wal_flush_ns.record(flush_started.elapsed());
         }
         self.metrics.commits.inc();
@@ -1342,10 +1321,7 @@ impl MessageStore {
         // records), so the swap can't strand them.
         let new_wal_path = self.opts.dir.join(format!("wal-{new_index:06}.log"));
         {
-            let new_wal = Arc::new(LogWriter::open(
-                &new_wal_path,
-                self.opts.group_commit_cfg(),
-            )?);
+            let new_wal = Arc::new(LogWriter::open(&new_wal_path, GroupCommitCfg::default())?);
             new_wal.attach_obs(&self.obs.registry);
             let mut wal = self.wal.lock();
             *wal = new_wal;
@@ -1655,26 +1631,6 @@ mod tests {
         store.gc().unwrap();
         assert!(store.lineage_of(child).is_none());
         assert!(store.lineage_tree(root).is_empty());
-    }
-
-    /// The fsync-per-commit baseline path (`group_commit_max_batch <= 1`)
-    /// stays fully durable and recoverable.
-    #[test]
-    fn max_batch_one_baseline_commits_and_recovers() {
-        let dir = TempDir::new().unwrap();
-        let mut opts = StoreOptions::new(dir.path());
-        opts.sync = SyncPolicy::Always;
-        opts.group_commit_max_batch = 1;
-        let store = MessageStore::open(opts.clone()).unwrap();
-        store.create_queue("q", QueueMode::Persistent, 0).unwrap();
-        let txn = store.begin();
-        let msg = store
-            .enqueue(txn, "q", "base".into(), Vec::new(), 0)
-            .unwrap();
-        store.commit(txn).unwrap();
-        drop(store);
-        let store = MessageStore::open(opts).unwrap();
-        assert_eq!(store.message(msg).unwrap().payload, "base");
     }
 
     #[test]

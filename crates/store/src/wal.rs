@@ -449,9 +449,7 @@ static CRC32_TABLES: [[u32; 256]; 8] = {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupCommitCfg {
     /// Stop the batching window early once this many commits are pending
-    /// for the next sync. `<= 1` disables grouping entirely: every commit
-    /// performs its own fsync while holding the append mutex (the
-    /// fsync-per-commit baseline measured by bench E9).
+    /// for the next sync.
     pub max_batch: usize,
     /// Cap on how long a sync leader waits for more committers to join its
     /// batch. The wait is *adaptive*: the leader only waits while fewer
@@ -792,27 +790,6 @@ impl LogWriter {
                 }
             }
         }
-    }
-
-    /// Flush and fsync while holding the append mutex — the serialized
-    /// fsync-per-commit baseline ([`GroupCommitCfg::max_batch`] `<= 1`).
-    pub fn sync_each(&self) -> Result<()> {
-        let mut inner = self.inner.lock();
-        inner.file.flush()?;
-        inner.file.get_ref().sync_data()?;
-        self.sync_new_entry()?;
-        let covered = inner.offset;
-        drop(inner);
-        let mut st = self.sync_state.lock();
-        st.durable = st.durable.max(covered);
-        let batch = std::mem::take(&mut st.pending_commits);
-        drop(st);
-        if let Some(obs) = self.obs.get() {
-            obs.syncs.inc();
-            obs.batch_size.record_ns(batch.max(1));
-        }
-        self.sync_cv.notify_all();
-        Ok(())
     }
 
     /// Sync the directory after the first sync of a segment `open` created:

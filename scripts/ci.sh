@@ -28,6 +28,20 @@ if grep -rn --include='*.rs' '#\[global_allocator\]' crates/*/src src; then
     exit 1
 fi
 
+echo "== one engine commit path =="
+# Every engine commit is deferred (MessageStore::commit_deferred), and the
+# durability policy (crates/core/src/durability.rs) decides every sync. A
+# blocking store commit in the engine's shipped code would sync outside it.
+found=0
+for f in crates/core/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/ { exit } /\.commit\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+         END { exit bad }' "$f" || found=1
+done
+if [ "$found" -ne 0 ]; then
+    echo ".commit( in crates/core/src before #[cfg(test)] (engine commits go through commit_deferred)" >&2
+    exit 1
+fi
+
 echo "== test =="
 cargo test -q --offline --workspace
 

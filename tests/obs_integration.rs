@@ -508,6 +508,51 @@ fn a_lone_held_send_waits_at_most_256_commits() {
     assert_eq!(server.store().unsynced_commits(), drained - 256);
 }
 
+/// An acknowledged enqueue runs one `ack` barrier under `Always`, whose
+/// sync covers its commit. A commit into a transient queue logs nothing,
+/// so that barrier has nothing to sync. Under `Batch` nothing waits for the
+/// disk: no barrier runs and nothing syncs.
+#[test]
+fn an_acked_enqueue_syncs_only_what_it_logged() {
+    const PROGRAM: &str = r#"
+        create queue ticks kind basic mode transient
+        create queue orders kind basic mode persistent
+    "#;
+    let syncs = |server: &Server| {
+        server
+            .metrics()
+            .registry
+            .counter_total("demaq_store_wal_syncs_total")
+    };
+    for sync in [SyncPolicy::Always, SyncPolicy::Batch] {
+        let server = Server::builder()
+            .program(PROGRAM)
+            .in_memory()
+            .sync_policy(sync)
+            .build()
+            .unwrap();
+        let (syncs_before, barriers_before) = (syncs(&server), barriers(&server));
+        let end = server.store().log_end();
+        server.enqueue_external("ticks", "<tick/>").unwrap();
+        assert_eq!(server.store().log_end(), end, "{sync:?}: logged nothing");
+        assert_eq!(syncs(&server), syncs_before, "{sync:?}");
+        let mut acked = barriers_before.clone();
+        if sync == SyncPolicy::Always {
+            *acked.get_mut("ack").unwrap() += 1;
+        }
+        assert_eq!(barriers(&server), acked, "{sync:?}");
+
+        server.enqueue_external("orders", "<order/>").unwrap();
+        let (syncs_after, acks, unsynced) = match sync {
+            SyncPolicy::Always => (syncs_before + 1, 2, 0),
+            SyncPolicy::Batch => (syncs_before, 0, 1),
+        };
+        assert_eq!(syncs(&server), syncs_after, "{sync:?}");
+        assert_eq!(barriers(&server)["ack"], acks, "{sync:?}");
+        assert_eq!(server.store().unsynced_commits(), unsynced, "{sync:?}");
+    }
+}
+
 /// A slicing read only through recognized aggregates never touches a
 /// member document: processing a message looks up exactly one document
 /// (its own) and no member sequence, because every member's contribution
